@@ -1,6 +1,7 @@
 """Command-line behaviour: exit codes, determinism, JSON shapes."""
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -11,6 +12,8 @@ import amhedge.cli as cli
 from amhedge.cli import main
 
 from conftest import binomial_dict
+
+VERIFY_SMALL_SHA256 = "6244bb699878cf5f8e999e64a7745437f989f198d13a33d3d5a4b1b6acb2ac8c"
 
 
 @pytest.fixture()
@@ -166,6 +169,8 @@ def test_verify_small_run(model_file, capsys):
     assert first == second
     doc = json.loads(first)
     assert doc["campaign"]["ok"] is True and doc["campaign"]["seed"] == 7
+    # digest recorded before the hedging/duality consolidation
+    assert hashlib.sha256(first.encode()).hexdigest() == VERIFY_SMALL_SHA256
 
 
 def test_module_entry_point(model_file):
