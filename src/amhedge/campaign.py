@@ -19,20 +19,19 @@ from dataclasses import dataclass
 from .divisible import verify_divisibility_equivalence
 from .enlarged import EnlargedModel, enlarge, extend_claim
 from .errors import PropertyViolation, SnaFailure
-from .hedging import SnaReport, check_sna, detect_arbitrage, subhedge, superhedge
-from .lp import LinearProgram, max_slack, solve
+from .hedging import SnaReport, _shift_prices, check_sna, detect_arbitrage, subhedge, superhedge
+from .lp import max_slack, solve
 from .market import AdaptedProcess, EventTree, MarketModel, Node, TerminalPayoff, load_model
 from .measures import (
     MeasurePolytope,
     build_polytope,
-    dual_subhedge,
-    dual_superhedge,
     e2_chain,
     ftap_certificate,
     lift_measure_uniform_clock,
+    one_step_polytope,
+    price_with_dual,
     push_stopping_measure,
     restricted_stopping_times,
-    snell_value,
     strict_value_bracket,
 )
 from .rationals import ONE, ZERO, Q, rat, rat_str
@@ -262,26 +261,11 @@ def node_interior(model: MarketModel) -> dict[str, dict[str, Q]] | None:
         kids = tree.children[nid]
         if not kids:
             continue
-        lp = LinearProgram()
-        qv = {kid: lp.add_var(f"q[{kid}]") for kid in kids}
-        sv = lp.add_var("_s", nonneg=False)
-        lp.add_constraint({qv[k]: ONE for k in kids}, "=", ONE, name="mass")
-        here = model.stock.at(nid)
-        for d in range(model.stock.dim):
-            row = {}
-            for kid in kids:
-                step = model.stock.at(kid)[d] - here[d]
-                if step:
-                    row[qv[kid]] = step
-            if row:
-                lp.add_constraint(row, "=", ZERO, name=f"mart[{d}]")
-        for kid in kids:
-            lp.add_constraint({qv[kid]: ONE, sv: -ONE}, ">=", ZERO, name=f"int[{kid}]")
-        lp.set_objective("max", {sv: ONE})
-        res = solve(lp)
-        if res.status != "optimal" or res.x(sv) <= ZERO:
+        # dominating the all-ones vertex by a positive factor is full support
+        law = _dominating_law(model, nid, [(ONE,) * len(kids)])
+        if law is None:
             return None
-        out[nid] = {kid: res.x(qv[kid]) for kid in kids}
+        out[nid] = law
     return out
 
 
@@ -296,20 +280,16 @@ def _product_path_measure(tree: EventTree, laws: dict[str, dict[str, Q]]) -> dic
     return out
 
 
-def _snell_root(
-    tree: EventTree,
-    proc: AdaptedProcess,
-    laws: dict[str, dict[str, Q]],
-    children_of=None,
-) -> Q:
-    """Root value of max(exercise, continuation) backward induction."""
-    if children_of is None:
-        children_of = lambda nid: tree.children[nid]
+def _snell_root(tree: EventTree, proc: AdaptedProcess, laws: dict[str, dict[str, Q]]) -> Q:
+    """Root value of max(exercise, continuation) backward induction.
+
+    Continuation runs over the children each law charges.
+    """
     env: dict[str, Q] = {}
     order = sorted(tree.nodes.values(), key=lambda node: -node.time)
     for node in order:
         here = proc.scalar(node.id)
-        kids = children_of(node.id)
+        kids = [k for k in tree.children[node.id] if laws[node.id].get(k, ZERO) > 0]
         if kids:
             cont = sum((laws[node.id][k] * env[k] for k in kids), ZERO)
             env[node.id] = max(here, cont)
@@ -326,6 +306,49 @@ def _clock_mean(tree: EventTree, proc: AdaptedProcess, pmeas: dict[int, Q]) -> Q
         path = tree.paths[pi]
         total += q * share * sum((proc.scalar(nid) for nid in path), ZERO)
     return total
+
+
+def _quoted_market(
+    rng: random.Random,
+    tree: EventTree,
+    stock: AdaptedProcess,
+    laws: dict[str, dict[str, Q]],
+    pmeas: dict[int, Q],
+    L: int,
+    M: int,
+    N: int,
+    kernels: dict | None = None,
+) -> MarketModel:
+    """Random option books quoted a margin outside their prices under laws.
+
+    Buy-side quotes sit above the expectation (American asks above the
+    exercise envelope), sell-side quotes below the clock-averaged
+    expectation, so the product law prices every book strictly inside.
+    """
+    europeans = []
+    for _i in range(L):
+        payoff = _random_terminal(rng, tree)
+        mean = sum((pmeas.get(pi, ZERO) * payoff.at(path[-1])
+                    for pi, path in enumerate(tree.paths)), ZERO)
+        europeans.append((payoff, mean + rng.choice(_MARGINS)))
+    americans_long = []
+    for _j in range(M):
+        proc = _random_adapted(rng, tree)
+        americans_long.append((proc, _snell_root(tree, proc, laws) + rng.choice(_MARGINS)))
+    americans_short = []
+    for _k in range(N):
+        proc = _random_adapted(rng, tree)
+        americans_short.append((proc, _clock_mean(tree, proc, pmeas) - rng.choice(_MARGINS)))
+    return MarketModel(
+        tree=tree,
+        stock=stock,
+        europeans=europeans,
+        americans_long=americans_long,
+        americans_short=americans_short,
+        claim=_random_adapted(rng, tree),
+        weights={leaf: Q(1, len(tree.paths)) for leaf in tree.leaves},
+        kernels=kernels,
+    )
 
 
 # -- strictly arbitrage-free market factory ------------------------------------
@@ -398,30 +421,7 @@ def random_sna_model(
         if laws is None:
             continue
         pmeas = _product_path_measure(tree, laws)
-
-        europeans = []
-        for _i in range(L):
-            payoff = _random_terminal(rng, tree)
-            mean = sum((pmeas[pi] * payoff.at(path[-1]) for pi, path in enumerate(tree.paths)), ZERO)
-            europeans.append((payoff, mean + rng.choice(_MARGINS)))
-        americans_long = []
-        for _j in range(M):
-            proc = _random_adapted(rng, tree)
-            americans_long.append((proc, _snell_root(tree, proc, laws) + rng.choice(_MARGINS)))
-        americans_short = []
-        for _k in range(N):
-            proc = _random_adapted(rng, tree)
-            americans_short.append((proc, _clock_mean(tree, proc, pmeas) - rng.choice(_MARGINS)))
-
-        model = MarketModel(
-            tree=tree,
-            stock=stock,
-            europeans=europeans,
-            americans_long=americans_long,
-            americans_short=americans_short,
-            claim=_random_adapted(rng, tree),
-            weights={leaf: Q(1, len(tree.paths)) for leaf in tree.leaves},
-        )
+        model = _quoted_market(rng, tree, stock, laws, pmeas, L, M, N)
         if not _within_budget(model):
             continue
         return GeneratedModel(model=model, laws=laws, pmeas=pmeas, seed=seed)
@@ -429,32 +429,6 @@ def random_sna_model(
 
 
 # -- adversarial corrosion of a healthy market ---------------------------------
-
-
-def _long_envelope_min(pt: MeasurePolytope, j: int) -> Q:
-    """min over the polytope of the best stopped expectation of ask j."""
-    work = pt.lp.copy()
-    uv = work.add_var("_u", nonneg=False)
-    seen: set[tuple] = set()
-    for tau in pt.taus:
-        vec = pt._stopped_values_long(j, tau)
-        key = tuple(vec[p] for p in pt.paths)
-        if key in seen:
-            continue
-        seen.add(key)
-        row = {pt.q_var[p]: -vec[p] for p in pt.paths if vec[p]}
-        row[uv] = ONE
-        work.add_constraint(row, ">=", ZERO, name=f"env[#{len(seen)}]")
-    work.set_objective("min", {uv: ONE})
-    out = solve(work)
-    if out.status != "optimal":
-        raise PropertyViolation(f"envelope LP unexpectedly {out.status}")
-    return out.value
-
-
-def _price_extremes(model: MarketModel, cap: int) -> tuple[MeasurePolytope, EnlargedModel]:
-    enl = enlarge(model, model.N)
-    return build_polytope(enl, cap=cap), enl
 
 
 def inject_arbitrage(
@@ -465,38 +439,7 @@ def inject_arbitrage(
     The resulting price system admits no consistent martingale measure
     at all, so deterministic arbitrage must be detected at every shift.
     """
-    model = gm.model
-    pt, enl = _price_extremes(model, cap)
-    kinds = []
-    if model.L:
-        kinds.append("european")
-    if model.M:
-        kinds.append("long")
-    if model.N:
-        kinds.append("short")
-    if not kinds:
-        raise ValueError("arbitrage injection needs at least one quoted option")
-    kind = rng.choice(kinds)
-    margin = rng.choice([Q(1, 4), Q(1, 2), ONE])
-    if kind == "european":
-        i = rng.randrange(model.L)
-        vec = {p: enl.european_value(i, p) for p in range(enl.num_paths)}
-        vmin, _, _ = pt.solve_extremum(vec, "min")
-        alphas = [a for _, a in model.europeans]
-        alphas[i] = vmin - margin
-        return model.with_prices(alphas=alphas), kind
-    if kind == "long":
-        j = rng.randrange(model.M)
-        env = _long_envelope_min(pt, j)
-        betas = [b for _, b in model.americans_long]
-        betas[j] = env - margin
-        return model.with_prices(betas=betas), kind
-    k = rng.randrange(model.N)
-    vec = {p: enl.short_value(k, p) for p in range(enl.num_paths)}
-    vmax, _, _ = pt.solve_extremum(vec, "max")
-    gammas = [c for _, c in model.americans_short]
-    gammas[k] = vmax + margin
-    return model.with_prices(gammas=gammas), kind
+    return _pin_quote(rng, gm, None, cap, "arbitrage injection")
 
 
 def boundary_model(
@@ -512,8 +455,21 @@ def boundary_model(
     consistent but not strictly so.  A small positive offset keeps
     strict no-arbitrage alive with slack at most the offset.
     """
+    return _pin_quote(rng, gm, offset, cap, "boundary pinning")
+
+
+def _pin_quote(
+    rng: random.Random, gm: GeneratedModel, offset: Q | None, cap: int, what: str
+) -> tuple[MarketModel, str]:
+    """Set one random quote to its polytope extreme plus ``offset``.
+
+    A positive offset moves the quote inside the polytope, a negative
+    one past it.  ``offset`` None draws a margin and moves past by it;
+    draws come in the order kind, margin, index.
+    """
     model = gm.model
-    pt, enl = _price_extremes(model, cap)
+    enl = enlarge(model, model.N)
+    pt = build_polytope(enl, cap=cap)
     kinds = []
     if model.L:
         kinds.append("european")
@@ -522,8 +478,10 @@ def boundary_model(
     if model.N:
         kinds.append("short")
     if not kinds:
-        raise ValueError("boundary pinning needs at least one quoted option")
+        raise ValueError(f"{what} needs at least one quoted option")
     kind = rng.choice(kinds)
+    if offset is None:
+        offset = -rng.choice([Q(1, 4), Q(1, 2), ONE])
     if kind == "european":
         i = rng.randrange(model.L)
         vec = {p: enl.european_value(i, p) for p in range(enl.num_paths)}
@@ -533,9 +491,9 @@ def boundary_model(
         return model.with_prices(alphas=alphas), kind
     if kind == "long":
         j = rng.randrange(model.M)
-        env = _long_envelope_min(pt, j)
         betas = [b for _, b in model.americans_long]
-        betas[j] = env + offset
+        envelope, _, _ = pt.stopped_envelope(pt.long_values[j], pt.taus)
+        betas[j] = envelope.value + offset
         return model.with_prices(betas=betas), kind
     k = rng.randrange(model.N)
     vec = {p: enl.short_value(k, p) for p in range(enl.num_paths)}
@@ -563,19 +521,8 @@ def _dominating_law(
     tree = model.tree
     kids = tree.children[nid]
     supported = [kid for i, kid in enumerate(kids) if any(v[i] > 0 for v in vertices)]
-    lp = LinearProgram()
-    qv = {kid: lp.add_var(f"q[{kid}]") for kid in supported}
+    lp, qv, _ = one_step_polytope(model, nid, supported)
     sv = lp.add_var("_s", nonneg=False)
-    lp.add_constraint({qv[k]: ONE for k in supported}, "=", ONE, name="mass")
-    here = model.stock.at(nid)
-    for d in range(model.stock.dim):
-        row = {}
-        for kid in supported:
-            step = model.stock.at(kid)[d] - here[d]
-            if step:
-                row[qv[kid]] = step
-        if row:
-            lp.add_constraint(row, "=", ZERO, name=f"mart[{d}]")
     for vi, vert in enumerate(vertices):
         for i, kid in enumerate(kids):
             if vert[i] > 0:
@@ -638,38 +585,7 @@ def random_kernel_model(
             continue
 
         pmeas = _product_path_measure(tree, laws)
-        supported_kids = {
-            nid: [k for k in tree.children[nid] if laws[nid].get(k, ZERO) > 0]
-            for nid in laws
-        }
-
-        europeans = []
-        for _i in range(L):
-            payoff = _random_terminal(rng, tree)
-            mean = sum((pmeas.get(pi, ZERO) * payoff.at(path[-1])
-                        for pi, path in enumerate(tree.paths)), ZERO)
-            europeans.append((payoff, mean + rng.choice(_MARGINS)))
-        americans_long = []
-        for _j in range(M):
-            proc = _random_adapted(rng, tree)
-            root = _snell_root(tree, proc, laws,
-                               children_of=lambda nid: supported_kids.get(nid, ()))
-            americans_long.append((proc, root + rng.choice(_MARGINS)))
-        americans_short = []
-        for _k in range(N):
-            proc = _random_adapted(rng, tree)
-            americans_short.append((proc, _clock_mean(tree, proc, pmeas) - rng.choice(_MARGINS)))
-
-        model = MarketModel(
-            tree=tree,
-            stock=stock,
-            europeans=europeans,
-            americans_long=americans_long,
-            americans_short=americans_short,
-            claim=_random_adapted(rng, tree),
-            weights={leaf: Q(1, len(tree.paths)) for leaf in tree.leaves},
-            kernels=kernels,
-        )
+        model = _quoted_market(rng, tree, stock, laws, pmeas, L, M, N, kernels)
         if not _within_budget(model):
             continue
         rm = build_robust(model)
@@ -696,38 +612,14 @@ def _describe(model: MarketModel) -> dict:
 def check_duality(model: MarketModel, *, cap: int = DEFAULT_ENUM_CAP) -> dict:
     """Sub and super prices against their measure-side counterparts.
 
-    Equalities are exact; both optimal measures are re-validated from
-    the model data, and the sub-side value is re-derived with the
-    backward-induction envelope of the epigraph optimum.
+    Equalities are exact, and each dual re-validates its optimal measure
+    from the model data (the sub side also against the backward-induction
+    envelope); sub must not exceed super.
     """
-    enl_sub = enlarge(model, model.N)
-    enl_sup = enlarge(model, model.N + 1)
-    sub = subhedge(enl_sub)
-    sup = superhedge(enl_sup)
-    pt_sub = build_polytope(enl_sub, cap=cap)
-    pt_sup = build_polytope(enl_sup, cap=cap)
-    dsub = dual_subhedge(enl_sub, cap=cap, polytope=pt_sub)
-    dsup = dual_superhedge(enl_sup, cap=cap, polytope=pt_sup)
-    if sub.price != dsub.value:
-        raise PropertyViolation(
-            f"sub-hedge duality gap: {rat_str(sub.price)} vs {rat_str(dsub.value)}")
-    if sup.price != dsup.value:
-        raise PropertyViolation(
-            f"super-hedge duality gap: {rat_str(sup.price)} vs {rat_str(dsup.value)}")
+    sub, pt_sub = price_with_dual(enlarge(model, model.N), "sub", cap=cap)
+    sup, _ = price_with_dual(enlarge(model, model.N + 1), "super", cap=cap)
     if not sub.price <= sup.price:
         raise PropertyViolation("sub-hedge price exceeds super-hedge price")
-    for pt, rep in ((pt_sub, dsub), (pt_sup, dsup)):
-        ok, ledger = pt.check(rep.measure)
-        if not ok:
-            bad = [e for e in ledger if not e["ok"]]
-            raise PropertyViolation(f"dual measure fails re-validation: {bad[:3]}")
-    env = snell_value(enl_sub, extend_claim(enl_sub, "sub"), dsub.measure)
-    if env != dsub.value:
-        raise PropertyViolation(
-            f"epigraph value {rat_str(dsub.value)} differs from envelope {rat_str(env)}")
-    att = pt_sup.expectation(dsup.measure, extend_claim(enl_sup, "super"))
-    if att != dsup.value:
-        raise PropertyViolation("super-side maximizer does not attain its value")
     return {
         **_describe(model),
         "sub": rat_str(sub.price),
@@ -767,17 +659,10 @@ def check_ftap_grid(
         raise PropertyViolation("factory promised strict no-arbitrage but it fails")
     if expect == "fail" and sna.holds:
         raise PropertyViolation("corrosion promised an inconsistency but none appears")
-    alphas = [a for _, a in model.europeans]
-    betas = [b for _, b in model.americans_long]
-    gammas = [c for _, c in model.americans_short]
     rows = []
     seen_false = False
     for eps in sorted(EPS_GRID):    # ascending: verdicts may only degrade
-        shifted = (
-            [a - eps for a in alphas],
-            [b - eps for b in betas],
-            [c + eps for c in gammas],
-        )
+        shifted = _shift_prices(model, None, eps)
         na_primal = not detect_arbitrage(enl, prices=shifted).found
         na_dual = _na_closed(enl, shifted, cap)
         if na_primal != na_dual:
@@ -879,12 +764,7 @@ def check_degenerations(
     holds_sk, cert_sk = ftap_certificate(enl_sk, cap=cap)
     if holds_sk != sna.holds or cert_sk.slack != sna.epsilon:
         raise PropertyViolation("uniform slack moved with the clock weights")
-    eps = Q(1, 16)
-    shifted = (
-        [a - eps for _, a in model.europeans],
-        [b - eps for _, b in model.americans_long],
-        [c + eps for _, c in model.americans_short],
-    )
+    shifted = _shift_prices(model, None, Q(1, 16))
     if detect_arbitrage(enl_sk, prices=shifted).found != \
             detect_arbitrage(enlarge(model, N), prices=shifted).found:
         raise PropertyViolation("arbitrage verdict moved with the clock weights")

@@ -8,7 +8,8 @@ identical model, seed, and flags produce byte-identical bytes.
 
 Exit codes: 0 success, 2 domain-level no-arbitrage failure, 3
 enumeration cap breached, 4 schema or usage error, 5 property
-violation (an internal cross-check failed, i.e. a bug).
+violation or failed LP self-check (an internal cross-check failed,
+i.e. a bug).
 """
 from __future__ import annotations
 
@@ -19,10 +20,11 @@ import sys
 from .campaign import run_campaign
 from .enlarged import enlarge
 from .errors import CapExceededError, ModelFormatError, PropertyViolation, SnaFailure
-from .hedging import detect_arbitrage, subhedge, superhedge
+from .hedging import detect_arbitrage
+from .lp import LPInternalError
 from .market import MarketModel, load_model
-from .measures import dual_subhedge, dual_superhedge, ftap_certificate
-from .rationals import ZERO, rat, rat_str
+from .measures import ftap_certificate, price_with_dual
+from .rationals import rat, rat_str
 from .robust import (
     build_robust,
     enlarge_robust,
@@ -149,36 +151,19 @@ def cmd_price(args) -> int:
     n = model.N if args.side == "sub" else model.N + 1
     doc = _config(args)
     doc["n"] = n
+    doc["quasi_sure"] = bool(model.kernels)
     if model.kernels:
-        rm = build_robust(model)
-        renl = enlarge_robust(rm, n, args.clock_weights)
-        if args.side == "sub":
-            report = robust_subhedge(renl, cap=args.cap)
-        else:
-            report = robust_superhedge_full(renl, cap=args.cap)
-        doc["quasi_sure"] = True
+        renl = enlarge_robust(build_robust(model), n, args.clock_weights)
+        quasi_sure = robust_subhedge if args.side == "sub" else robust_superhedge_full
+        report = quasi_sure(renl, cap=args.cap)
         doc["supported_paths"] = len(renl.supported_paths)
-        doc["report"] = report.to_json(renl.enl)
-        doc["price"] = rat_str(report.price)
-        doc["gap"] = rat_str(report.gap)
+        enl = renl.enl
     else:
         enl = enlarge(model, n, args.clock_weights)
-        if args.side == "sub":
-            report = subhedge(enl)
-            dual = dual_subhedge(enl, cap=args.cap)
-        else:
-            report = superhedge(enl)
-            dual = dual_superhedge(enl, cap=args.cap)
-        if report.price != dual.value:
-            raise PropertyViolation(
-                f"{args.side}-hedge duality gap: "
-                f"{rat_str(report.price)} vs {rat_str(dual.value)}")
-        report.gap = ZERO
-        report.dual_ref = dual.to_json(enl)
-        doc["quasi_sure"] = False
-        doc["report"] = report.to_json(enl)
-        doc["price"] = rat_str(report.price)
-        doc["gap"] = rat_str(ZERO)
+        report, _ = price_with_dual(enl, args.side, cap=args.cap)
+    doc["report"] = report.to_json(enl)
+    doc["price"] = rat_str(report.price)
+    doc["gap"] = rat_str(report.gap)
     _emit(doc, args)
     _say(args, f"{args.side}-hedging price {doc['price']} (duality gap {doc['gap']})")
     return EXIT_OK
@@ -298,6 +283,9 @@ def main(argv=None) -> int:
         return EXIT_SNA
     except PropertyViolation as exc:
         print(f"amhedge: property violation: {exc}", file=sys.stderr)
+        return EXIT_PROPERTY
+    except LPInternalError as exc:
+        print(f"amhedge: LP self-check failed: {exc}", file=sys.stderr)
         return EXIT_PROPERTY
 
 

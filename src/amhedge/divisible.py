@@ -17,11 +17,25 @@ from dataclasses import dataclass
 
 from .enlarged import enlarge
 from .errors import PropertyViolation
-from .hedging import Prices, detect_arbitrage, subhedge, subhedge_european, superhedge
+from .hedging import (
+    Prices,
+    _resolve_prices,
+    _shift_prices,
+    detect_arbitrage,
+    subhedge,
+    subhedge_european,
+    superhedge,
+)
 from .lp import LinearProgram, solve
 from .market import MarketModel
 from .rationals import ONE, ZERO, Q, rat_str
-from .strategies import ClockIndexedFamily, dirac_weights, first_disagreement_floor, validate_nonanticipative
+from .strategies import (
+    ClockIndexedFamily,
+    _mixture_weight,
+    dirac_weights,
+    indistinguishable_pairs,
+    validate_nonanticipative,
+)
 
 __all__ = ["ClockLP", "DivisibilityReport", "verify_divisibility_equivalence", "weight_grid"]
 
@@ -89,7 +103,7 @@ class ClockLP:
         self.role = role
         self.psi = psi
         self.split_stock = split_stock
-        self.alphas, self.betas, self.gammas = _resolve_prices_base(model, prices)
+        self.alphas, self.betas, self.gammas = _resolve_prices(model, prices)
         T = model.tree.horizon
         self.tuples = list(itertools.product(range(T + 1), repeat=n))
         self.lp = LinearProgram()
@@ -214,57 +228,56 @@ class ClockLP:
                     self.lp.add_constraint(row, "=", ONE, name=f"unit[{tvec};p{p}]")
 
     def add_nonanticipativity(self) -> int:
-        """Equalities forcing positions to agree before clocks diverge."""
+        """Equalities forcing positions to agree before clocks diverge.
+
+        Each class of clock vectors indistinguishable at time r is tied
+        as a chain of consecutive members, which spans the same
+        equalities as tying every pair.
+        """
         model = self.model
         tree = model.tree
         count = 0
-        for s, t in itertools.combinations(self.tuples, 2):
-            rstar = first_disagreement_floor(s, t)
-            if rstar is None or rstar == 0:
-                continue
-            for r, nid in self.internal:
-                if r >= rstar:
-                    continue
-                for d in range(self.dims):
-                    if self.split_stock:
+        for r in range(tree.horizon):
+            nodes = [nid for nid in self.all_nodes if tree.nodes[nid].time == r]
+            for s, t in indistinguishable_pairs(self.tuples, r):
+                for nid in nodes:
+                    for d in range(self.dims):
+                        if self.split_stock:
+                            self.lp.add_constraint(
+                                {
+                                    self.h_var[(s, r, nid, d)]: ONE,
+                                    self.h_var_neg[(s, r, nid, d)]: -ONE,
+                                    self.h_var[(t, r, nid, d)]: -ONE,
+                                    self.h_var_neg[(t, r, nid, d)]: ONE,
+                                },
+                                "=",
+                                ZERO,
+                                name=f"na_H[{s}~{t};{nid};{d}]",
+                            )
+                        else:
+                            self.lp.add_constraint(
+                                {self.h_var[(s, r, nid, d)]: ONE, self.h_var[(t, r, nid, d)]: -ONE},
+                                "=",
+                                ZERO,
+                                name=f"na_H[{s}~{t};{nid};{d}]",
+                            )
+                        count += 1
+                    for j in range(model.M):
                         self.lp.add_constraint(
-                            {
-                                self.h_var[(s, r, nid, d)]: ONE,
-                                self.h_var_neg[(s, r, nid, d)]: -ONE,
-                                self.h_var[(t, r, nid, d)]: -ONE,
-                                self.h_var_neg[(t, r, nid, d)]: ONE,
-                            },
+                            {self.nu_var[(j, s, nid)]: ONE, self.nu_var[(j, t, nid)]: -ONE},
                             "=",
                             ZERO,
-                            name=f"na_H[{s}~{t};{nid};{d}]",
+                            name=f"na_nu[{j};{s}~{t};{nid}]",
                         )
-                    else:
+                        count += 1
+                    if self.role == "sub":
                         self.lp.add_constraint(
-                            {self.h_var[(s, r, nid, d)]: ONE, self.h_var[(t, r, nid, d)]: -ONE},
+                            {self.eta_var[(s, nid)]: ONE, self.eta_var[(t, nid)]: -ONE},
                             "=",
                             ZERO,
-                            name=f"na_H[{s}~{t};{nid};{d}]",
+                            name=f"na_eta[{s}~{t};{nid}]",
                         )
-                    count += 1
-            for nid in self.all_nodes:
-                if tree.nodes[nid].time >= rstar:
-                    continue
-                for j in range(model.M):
-                    self.lp.add_constraint(
-                        {self.nu_var[(j, s, nid)]: ONE, self.nu_var[(j, t, nid)]: -ONE},
-                        "=",
-                        ZERO,
-                        name=f"na_nu[{j};{s}~{t};{nid}]",
-                    )
-                    count += 1
-                if self.role == "sub":
-                    self.lp.add_constraint(
-                        {self.eta_var[(s, nid)]: ONE, self.eta_var[(t, nid)]: -ONE},
-                        "=",
-                        ZERO,
-                        name=f"na_eta[{s}~{t};{nid}]",
-                    )
-                    count += 1
+                        count += 1
         return count
 
     def add_grid_rows(self, grid: list[tuple[tuple[Q, ...], ...]]) -> int:
@@ -282,11 +295,7 @@ class ClockLP:
                 mix_row.clear()
                 mix_rhs = ZERO
                 for tvec in self.tuples:
-                    w = ONE
-                    for k, tk in enumerate(tvec):
-                        w *= point[k][tk]
-                        if not w:
-                            break
+                    w = _mixture_weight(point, tvec)
                     if not w:
                         continue
                     row, rhs = self.hedge_row(tvec, p)
@@ -384,19 +393,6 @@ class ClockLP:
             proc, _ = model.americans_short[k]
             total -= fams["c"][k] * (proc.scalar(path[tvec[k]]) - self.gammas[k])
         return total
-
-
-def _resolve_prices_base(model: MarketModel, prices: Prices | None):
-    if prices is None:
-        return (
-            [p for _, p in model.europeans],
-            [p for _, p in model.americans_long],
-            [p for _, p in model.americans_short],
-        )
-    alphas, betas, gammas = prices
-    if len(alphas) != model.L or len(betas) != model.M or len(gammas) != model.N:
-        raise ValueError("price override lengths must match (L, M, N)")
-    return list(alphas), list(betas), list(gammas)
 
 
 def _price_clock_indexed(
@@ -524,11 +520,7 @@ def _certify_lift(
             mixed_claim = ZERO
             mixed_eta = ZERO
             for tvec in clp.tuples:
-                w = ONE
-                for k, tk in enumerate(tvec):
-                    w *= point[k][tk]
-                    if not w:
-                        break
+                w = _mixture_weight(point, tvec)
                 if not w:
                     continue
                 mixed_gain += w * clp.eval_gain(fams, tvec, p)
@@ -609,16 +601,11 @@ def verify_divisibility_equivalence(
     checks += _certify_lift(super_clp, super_fams, grid_super, super_val)
     checks += _certify_lift(euro_clp, euro_fams, grid_sub, euro_val)
 
-    alphas, betas, gammas = _resolve_prices_base(model, prices)
     if eps_grid is None:
         eps_grid = [Q(1, 2**i) for i in range(1, 9)]
     sna_rows: list[tuple[Q, bool, bool]] = []
     for eps in eps_grid:
-        shifted = (
-            [a - eps for a in alphas],
-            [b - eps for b in betas],
-            [c + eps for c in gammas],
-        )
+        shifted = _shift_prices(model, prices, eps)
         na_indexed = _clock_indexed_na(model, prices=shifted, grid=grid_sub)
         na_enlarged = not detect_arbitrage(enl_sub, prices=shifted).found
         sna_rows.append((eps, na_indexed, na_enlarged))

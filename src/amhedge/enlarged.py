@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Literal
+from typing import Literal
 
 from .errors import ModelFormatError
-from .market import MarketModel, TerminalPayoff
+from .market import MarketModel
 from .rationals import ONE, ZERO, Q, rat
 
 ClockWeights = Literal["uniform", "skewed"] | dict
@@ -131,9 +131,6 @@ class EnlargedModel:
             self._path_key = {(p.base_index, p.clocks): i for i, p in enumerate(self.epaths)}
         return self._path_key[(base_index, clocks)]
 
-    def enodes_at(self, t: int) -> list[int]:
-        return [i for i, v in enumerate(self.enodes) if v.time == t]
-
     def base_node_at(self, path_idx: int, t: int) -> str:
         p = self.epaths[path_idx]
         return self.model.tree.paths[p.base_index][t]
@@ -183,12 +180,6 @@ class EnlargedModel:
             raise ModelFormatError("claim-at-clock payoff needs n = N + 1")
         p = self.epaths[path_idx]
         return claim.scalar(self.base_node_at(path_idx, p.clocks[-1]))
-
-    def terminal_functional(self, payoff: TerminalPayoff) -> list[Q]:
-        return [payoff.at(self.base_node_at(i, self.horizon)) for i in range(self.num_paths)]
-
-    def adapted_at_time(self, values_by_enode: dict[int, Q], path_idx: int, t: int) -> Q:
-        return values_by_enode[self.epaths[path_idx].node_seq[t]]
 
 
 def enlarge(model: MarketModel, n: int, clock_weights: ClockWeights = "uniform") -> EnlargedModel:

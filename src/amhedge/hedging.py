@@ -9,36 +9,56 @@ problem below is an exact rational LP.
 """
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .enlarged import EnlargedModel, extend_claim
 from .errors import PropertyViolation, SnaFailure
 from .lp import LinearProgram, LPOutcome, solve
+from .market import MarketModel
 from .rationals import ONE, ZERO, Q, rat, rat_str
 from .strategies import LiquidatingStrategy
-
-log = logging.getLogger(__name__)
 
 Prices = tuple[Sequence[Q], Sequence[Q], Sequence[Q]]
 
 
-def _resolve_prices(enl: EnlargedModel, prices: Prices | None) -> tuple[list[Q], list[Q], list[Q]]:
-    m = enl.model
+def _resolve_prices(model: MarketModel, prices: Prices | None) -> tuple[list[Q], list[Q], list[Q]]:
     if prices is None:
         return (
-            [p for _, p in m.europeans],
-            [p for _, p in m.americans_long],
-            [p for _, p in m.americans_short],
+            [p for _, p in model.europeans],
+            [p for _, p in model.americans_long],
+            [p for _, p in model.americans_short],
         )
     alphas, betas, gammas = prices
     alphas = [rat(a) for a in alphas]
     betas = [rat(b) for b in betas]
     gammas = [rat(c) for c in gammas]
-    if len(alphas) != m.L or len(betas) != m.M or len(gammas) != m.N:
+    if len(alphas) != model.L or len(betas) != model.M or len(gammas) != model.N:
         raise ValueError("price override lengths must match (L, M, N)")
     return alphas, betas, gammas
+
+
+def _shift_prices(model: MarketModel, prices: Prices | None, eps: Q) -> Prices:
+    """Quotes moved by eps in the trader's favour: asks down, bids up."""
+    alphas, betas, gammas = _resolve_prices(model, prices)
+    return (
+        [a - eps for a in alphas],
+        [b - eps for b in betas],
+        [c + eps for c in gammas],
+    )
+
+
+def _stock_gain(enl: EnlargedModel, positions: dict[tuple[int, int], Q], p: int) -> Q:
+    """Gain of dynamic stock positions keyed (enlarged node, dim) along path p."""
+    seq = enl.epaths[p].node_seq
+    total = ZERO
+    for t in range(enl.horizon):
+        step = enl.stock_step(p, t)
+        for d, move in enumerate(step):
+            h = positions.get((seq[t], d), ZERO)
+            if h and move:
+                total += h * move
+    return total
 
 
 @dataclass
@@ -51,13 +71,6 @@ class SemiStaticStrategy:
     long_american: list[Q]
     short_american: list[Q]
     liquidation: list[dict[int, Q]]      # nu_j: node index -> mass (path sums = b_j)
-
-    def liquidating(self, j: int) -> LiquidatingStrategy | None:
-        """Normalized exercise weights of long American j, if held."""
-        b = self.long_american[j]
-        if not b:
-            return None
-        return LiquidatingStrategy({v: m / b for v, m in self.liquidation[j].items() if m})
 
     def to_json(self, enl: EnlargedModel) -> dict:
         lab = lambda v: enl.enode(v).label
@@ -98,20 +111,12 @@ def payoff_enlarged(
         model.N,
     ):
         raise ValueError("strategy option counts do not match the model")
-    alphas, betas, gammas = _resolve_prices(enl, prices)
+    alphas, betas, gammas = _resolve_prices(model, prices)
     idx = range(enl.num_paths) if paths is None else paths
-    T = model.tree.horizon
     gains: dict[int, Q] = {}
     for p in idx:
         seq = enl.epaths[p].node_seq
-        total = ZERO
-        for t in range(T):
-            step = enl.stock_step(p, t)
-            v = seq[t]
-            for d in range(strat.dims):
-                h = strat.stock.get((v, d), ZERO)
-                if h and step[d]:
-                    total += h * step[d]
+        total = _stock_gain(enl, strat.stock, p)
         for i in range(model.L):
             a = strat.long_european[i]
             if a:
@@ -161,7 +166,7 @@ class GainLP:
         self.paths = list(range(enl.num_paths)) if paths is None else sorted(set(paths))
         if not self.paths:
             raise ValueError("at least one path required")
-        self.alphas, self.betas, self.gammas = _resolve_prices(enl, prices)
+        self.alphas, self.betas, self.gammas = _resolve_prices(enl.model, prices)
         self.split_stock = split_stock
         self.lp = LinearProgram()
         self.x = self.lp.add_var("x", nonneg=False) if add_x else None
@@ -315,31 +320,77 @@ class HedgeReport:
         return doc
 
 
-def _revalidate_sub(
+def _hedge(
     enl: EnlargedModel,
-    report: HedgeReport,
-    claim_at: dict[int, Q],
+    kind: str,
+    sign: Q,
+    rhs: Sequence[Q],
+    *,
     prices: Prices | None,
-    paths: list[int],
-) -> None:
-    gains = payoff_enlarged(enl, report.strategy, prices=prices, paths=paths)
-    eta = report.exercise
-    assert eta is not None
-    for p in paths:
+    paths: Iterable[int] | None,
+    exercise_values: dict[int, Q] | None = None,
+) -> HedgeReport:
+    """The one hedging LP: sign*x + Phi(p) + extra(p) >= rhs(p) on every path.
+
+    sign -1 maximizes x (a sub-hedge), sign +1 minimizes it (a
+    super-hedge).  With ``exercise_values`` the claim is held divisibly:
+    exercise weights eta of unit mass per path add extra(p) = sum_t
+    eta(v_t) * value(v_t).  The optimum is re-validated pathwise against
+    the same inequality, with the gain recomputed by payoff_enlarged.
+    """
+    g = GainLP(enl, paths=paths, prices=prices, add_x=True)
+    eta_var = {}
+    if exercise_values is not None:
+        eta_var = {v: g.lp.add_var(f"eta[{enl.enode(v).label}]") for v in g.carry_nodes}
+    for p in g.paths:
         seq = enl.epaths[p].node_seq
-        mass = ZERO
-        lifted = ZERO
-        for v in seq:
-            w = eta.weights.get(v, ZERO)
-            if w:
-                mass += w
-                lifted += w * claim_at[v]
-        if mass != ONE:
-            raise PropertyViolation(f"exercise weights sum to {rat_str(mass)} != 1 on path {p}")
-        if gains[p] + lifted < report.price:
+        row = g.gain_coeffs(p)
+        if eta_var:
+            for v in seq:
+                val = exercise_values[v]
+                if val:
+                    row[eta_var[v]] = row.get(eta_var[v], ZERO) + val
+        row[g.x] = row.get(g.x, ZERO) + sign
+        g.lp.add_constraint(row, ">=", rhs[p], name=f"hedge[p{p}]")
+        if eta_var:
+            g.lp.add_constraint({eta_var[v]: ONE for v in seq}, "=", ONE, name=f"unit[p{p}]")
+    g.add_liquidation_rows()
+    g.lp.set_objective("min" if sign > 0 else "max", {g.x: ONE})
+    out = solve(g.lp)
+    if out.status == "unbounded":
+        raise SnaFailure(
+            f"{kind} hedging price is unbounded: the market admits arbitrage",
+            certificate={"ray": g.ray_summary(out)},
+        )
+    if out.status != "optimal":
+        raise PropertyViolation(f"{kind} hedge LP unexpectedly {out.status}")
+    eta = None
+    if eta_var:
+        eta = LiquidatingStrategy({v: out.x(var) for v, var in eta_var.items() if out.x(var)})
+    report = HedgeReport(
+        kind=kind,
+        price=out.value,
+        strategy=g.strategy_from(out),
+        exercise=eta,
+        lp_rows=out.rows,
+        lp_cols=out.cols,
+        pivots=out.pivots,
+        num_paths=len(g.paths),
+    )
+    gains = payoff_enlarged(enl, report.strategy, prices=prices, paths=g.paths)
+    for p in g.paths:
+        lhs = sign * report.price + gains[p]
+        if eta is not None:
+            seq = enl.epaths[p].node_seq
+            mass = sum((eta.at(v) for v in seq), ZERO)
+            if mass != ONE:
+                raise PropertyViolation(f"exercise weights sum to {rat_str(mass)} != 1 on path {p}")
+            lhs += sum((eta.at(v) * exercise_values[v] for v in seq), ZERO)
+        if lhs < rhs[p]:
             raise PropertyViolation(
-                f"sub-hedge fails on path {p}: {rat_str(gains[p] + lifted)} < {rat_str(report.price)}"
+                f"{kind} hedge fails on path {p}: {rat_str(lhs)} < {rat_str(rhs[p])}"
             )
+    return report
 
 
 def subhedge(
@@ -356,43 +407,8 @@ def subhedge(
     """
     if enl.n != enl.model.N:
         raise ValueError("sub-hedging runs on the n = N enlargement")
-    claim_at = extend_claim(enl, "sub")
-    g = GainLP(enl, paths=paths, prices=prices, add_x=True)
-    eta_var = {v: g.lp.add_var(f"eta[{enl.enode(v).label}]") for v in g.carry_nodes}
-    for p in g.paths:
-        seq = enl.epaths[p].node_seq
-        row = g.gain_coeffs(p)
-        for v in seq:
-            val = claim_at[v]
-            if val:
-                row[eta_var[v]] = row.get(eta_var[v], ZERO) + val
-        row[g.x] = row.get(g.x, ZERO) - ONE
-        g.lp.add_constraint(row, ">=", ZERO, name=f"hedge[p{p}]")
-        g.lp.add_constraint({eta_var[v]: ONE for v in seq}, "=", ONE, name=f"unit[p{p}]")
-    g.add_liquidation_rows()
-    g.lp.set_objective("max", {g.x: ONE})
-    out = solve(g.lp)
-    if out.status == "unbounded":
-        raise SnaFailure(
-            "sub-hedging price is unbounded: the market admits arbitrage",
-            certificate={"ray": g.ray_summary(out)},
-        )
-    if out.status != "optimal":
-        raise PropertyViolation(f"sub-hedge LP unexpectedly {out.status}")
-    strat = g.strategy_from(out)
-    eta = LiquidatingStrategy({v: out.x(var) for v, var in eta_var.items() if out.x(var)})
-    report = HedgeReport(
-        kind="sub",
-        price=out.value,
-        strategy=strat,
-        exercise=eta,
-        lp_rows=out.rows,
-        lp_cols=out.cols,
-        pivots=out.pivots,
-        num_paths=len(g.paths),
-    )
-    _revalidate_sub(enl, report, claim_at, prices, g.paths)
-    return report
+    return _hedge(enl, "sub", -ONE, [ZERO] * enl.num_paths, prices=prices, paths=paths,
+                  exercise_values=extend_claim(enl, "sub"))
 
 
 def superhedge(
@@ -409,41 +425,7 @@ def superhedge(
     """
     if enl.n != enl.model.N + 1:
         raise ValueError("super-hedging runs on the n = N + 1 enlargement")
-    target = extend_claim(enl, "super")
-    g = GainLP(enl, paths=paths, prices=prices, add_x=True)
-    for p in g.paths:
-        row = g.gain_coeffs(p)
-        row[g.x] = row.get(g.x, ZERO) + ONE
-        g.lp.add_constraint(row, ">=", target[p], name=f"hedge[p{p}]")
-    g.add_liquidation_rows()
-    g.lp.set_objective("min", {g.x: ONE})
-    out = solve(g.lp)
-    if out.status == "unbounded":
-        raise SnaFailure(
-            "super-hedging price is unbounded below: the market admits arbitrage",
-            certificate={"ray": g.ray_summary(out)},
-        )
-    if out.status != "optimal":
-        raise PropertyViolation(f"super-hedge LP unexpectedly {out.status}")
-    strat = g.strategy_from(out)
-    report = HedgeReport(
-        kind="super",
-        price=out.value,
-        strategy=strat,
-        exercise=None,
-        lp_rows=out.rows,
-        lp_cols=out.cols,
-        pivots=out.pivots,
-        num_paths=len(g.paths),
-    )
-    gains = payoff_enlarged(enl, strat, prices=prices, paths=g.paths)
-    for p in g.paths:
-        if report.price + gains[p] < target[p]:
-            raise PropertyViolation(
-                f"super-hedge fails on path {p}: "
-                f"{rat_str(report.price + gains[p])} < {rat_str(target[p])}"
-            )
-    return report
+    return _hedge(enl, "super", ONE, extend_claim(enl, "super"), prices=prices, paths=paths)
 
 
 def subhedge_european(
@@ -456,38 +438,7 @@ def subhedge_european(
     """Sub-hedging price of a path payoff psi: max x s.t. Phi + psi >= x."""
     if len(psi) != enl.num_paths:
         raise ValueError("psi must give one value per enlarged path")
-    psi = [rat(v) for v in psi]
-    g = GainLP(enl, paths=paths, prices=prices, add_x=True)
-    for p in g.paths:
-        row = g.gain_coeffs(p)
-        row[g.x] = row.get(g.x, ZERO) - ONE
-        g.lp.add_constraint(row, ">=", -psi[p], name=f"hedge[p{p}]")
-    g.add_liquidation_rows()
-    g.lp.set_objective("max", {g.x: ONE})
-    out = solve(g.lp)
-    if out.status == "unbounded":
-        raise SnaFailure(
-            "European sub-hedging price is unbounded: the market admits arbitrage",
-            certificate={"ray": g.ray_summary(out)},
-        )
-    if out.status != "optimal":
-        raise PropertyViolation(f"European sub-hedge LP unexpectedly {out.status}")
-    strat = g.strategy_from(out)
-    report = HedgeReport(
-        kind="sub_european",
-        price=out.value,
-        strategy=strat,
-        exercise=None,
-        lp_rows=out.rows,
-        lp_cols=out.cols,
-        pivots=out.pivots,
-        num_paths=len(g.paths),
-    )
-    gains = payoff_enlarged(enl, strat, prices=prices, paths=g.paths)
-    for p in g.paths:
-        if gains[p] + psi[p] < report.price:
-            raise PropertyViolation(f"European sub-hedge fails on path {p}")
-    return report
+    return _hedge(enl, "sub_european", -ONE, [-rat(v) for v in psi], prices=prices, paths=paths)
 
 
 @dataclass
@@ -579,13 +530,7 @@ def check_sna(
     sna, cert = ftap_certificate(enl, **kwargs)
     primal_clear = None
     if sna:
-        eps = cert.slack / 2
-        alphas, betas, gammas = _resolve_prices(enl, prices)
-        shifted = (
-            [a - eps for a in alphas],
-            [b - eps for b in betas],
-            [c + eps for c in gammas],
-        )
+        shifted = _shift_prices(enl.model, prices, cert.slack / 2)
         primal_clear = not detect_arbitrage(enl, prices=shifted).found
         if not primal_clear:
             raise PropertyViolation(

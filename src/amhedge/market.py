@@ -11,14 +11,11 @@ The JSON schema is documented in the README; all numbers travel as exact
 from __future__ import annotations
 
 import json
-import logging
 from dataclasses import dataclass, field
 from typing import Any
 
 from .errors import ModelFormatError
 from .rationals import ONE, ZERO, Q, rat, rat_str
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -64,18 +61,11 @@ class EventTree:
             if node.time > horizon:
                 raise ModelFormatError(f"node {node.id!r} sits beyond the horizon")
         self.paths: list[tuple[str, ...]] = []
-        self.leaf_to_path: dict[str, int] = {}
         self._walk(self.root, (self.root,))
-        # node -> sorted tuple of indices of paths through it
-        self.paths_through: dict[str, tuple[int, ...]] = {nid: () for nid in self.nodes}
-        for pi, path in enumerate(self.paths):
-            for nid in path:
-                self.paths_through[nid] = self.paths_through[nid] + (pi,)
 
     def _walk(self, nid: str, prefix: tuple[str, ...]) -> None:
         kids = self.children[nid]
         if not kids:
-            self.leaf_to_path[nid] = len(self.paths)
             self.paths.append(prefix)
             return
         for kid in kids:
@@ -116,14 +106,6 @@ def adapted_gaps(tree: EventTree, proc: AdaptedProcess) -> list[str]:
     bad_len = [nid for nid, v in proc.values.items() if len(v) != proc.dim]
     unknown = [nid for nid in proc.values if nid not in tree.nodes]
     return missing + [f"{n}(len)" for n in bad_len] + [f"{n}(unknown)" for n in unknown]
-
-
-def validate_adapted(tree: EventTree, proc: AdaptedProcess) -> bool:
-    """True iff the process covers every node with the declared dimension."""
-    gaps = adapted_gaps(tree, proc)
-    if gaps:
-        log.debug("adapted process gaps: %s", ", ".join(gaps))
-    return not gaps
 
 
 @dataclass
@@ -173,22 +155,6 @@ class MarketModel:
         )
 
 
-def american_intrinsic(model: MarketModel, which: str, index: int = 0) -> AdaptedProcess:
-    """Exercise-value process of one American-style instrument.
-
-    which: 'long', 'short' or 'claim'.
-    """
-    if which == "long":
-        return model.americans_long[index][0]
-    if which == "short":
-        return model.americans_short[index][0]
-    if which == "claim":
-        if model.claim is None:
-            raise ModelFormatError("model has no claim")
-        return model.claim
-    raise ValueError(f"unknown selector {which!r}")
-
-
 # -- loading / emission ---------------------------------------------------
 
 
@@ -198,12 +164,17 @@ def _require(data: dict, key: str, where: str) -> Any:
     return data[key]
 
 
-def _parse_scalar_process(data: dict, tree: EventTree, where: str) -> AdaptedProcess:
-    values = _require(data, "values", where)
+def _rat(value: Any, where: str) -> Q:
+    """rat() at the model boundary: floats and bad strings are schema errors."""
     try:
-        proc = AdaptedProcess(dim=1, values={nid: (rat(v),) for nid, v in values.items()})
+        return rat(value)
     except (TypeError, ValueError) as exc:
         raise ModelFormatError(f"bad rational in {where}: {exc}") from exc
+
+
+def _parse_scalar_process(data: dict, tree: EventTree, where: str) -> AdaptedProcess:
+    values = _require(data, "values", where)
+    proc = AdaptedProcess(dim=1, values={nid: (_rat(v, where),) for nid, v in values.items()})
     gaps = adapted_gaps(tree, proc)
     if gaps:
         raise ModelFormatError(f"{where} is not adapted: gaps at {', '.join(gaps)}")
@@ -235,16 +206,13 @@ def load_model(source: str | bytes | dict) -> MarketModel:
 
     stock_data = _require(data, "stock", "model")
     dim = _require(stock_data, "dim", "stock")
-    if not isinstance(dim, int) or dim < 1:
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise ModelFormatError("stock dim must be a positive integer")
     stock_values = {}
     for nid, vec in _require(stock_data, "values", "stock").items():
         if not isinstance(vec, list):
             raise ModelFormatError(f"stock values at {nid!r} must be a list")
-        try:
-            stock_values[nid] = tuple(rat(v) for v in vec)
-        except (TypeError, ValueError) as exc:
-            raise ModelFormatError(f"bad rational in stock at {nid!r}: {exc}") from exc
+        stock_values[nid] = tuple(_rat(v, f"stock at {nid!r}") for v in vec)
     stock = AdaptedProcess(dim=dim, values=stock_values)
     gaps = adapted_gaps(tree, stock)
     if gaps:
@@ -252,26 +220,26 @@ def load_model(source: str | bytes | dict) -> MarketModel:
 
     europeans = []
     for i, row in enumerate(data.get("europeans", [])):
-        payoff_map = _require(row, "payoff", f"europeans[{i}]")
+        where = f"europeans[{i}]"
+        payoff_map = _require(row, "payoff", where)
         leaves = set(tree.leaves)
-        try:
-            payoff = TerminalPayoff({nid: rat(v) for nid, v in payoff_map.items()})
-        except (TypeError, ValueError) as exc:
-            raise ModelFormatError(f"bad rational in europeans[{i}]: {exc}") from exc
+        payoff = TerminalPayoff({nid: _rat(v, where) for nid, v in payoff_map.items()})
         missing = leaves - set(payoff.values)
         if missing:
-            raise ModelFormatError(f"europeans[{i}] payoff misses leaves {sorted(missing)}")
-        europeans.append((payoff, rat(_require(row, "price", f"europeans[{i}]"))))
+            raise ModelFormatError(f"{where} payoff misses leaves {sorted(missing)}")
+        europeans.append((payoff, _rat(_require(row, "price", where), f"{where}.price")))
 
     americans_long = []
     for i, row in enumerate(data.get("americans_long", [])):
         proc = _parse_scalar_process(row, tree, f"americans_long[{i}]")
-        americans_long.append((proc, rat(_require(row, "price", f"americans_long[{i}]"))))
+        where = f"americans_long[{i}]"
+        americans_long.append((proc, _rat(_require(row, "price", where), f"{where}.price")))
 
     americans_short = []
     for i, row in enumerate(data.get("americans_short", [])):
         proc = _parse_scalar_process(row, tree, f"americans_short[{i}]")
-        americans_short.append((proc, rat(_require(row, "price", f"americans_short[{i}]"))))
+        where = f"americans_short[{i}]"
+        americans_short.append((proc, _rat(_require(row, "price", where), f"{where}.price")))
 
     claim = None
     if data.get("claim") is not None:
@@ -283,7 +251,7 @@ def load_model(source: str | bytes | dict) -> MarketModel:
     for leaf in tree.leaves:
         if leaf not in weights_map:
             raise ModelFormatError(f"weights miss path (leaf) {leaf!r}")
-        w = rat(weights_map[leaf])
+        w = _rat(weights_map[leaf], f"weights at {leaf!r}")
         if w <= 0:
             raise ModelFormatError(f"weight at {leaf!r} must be strictly positive")
         weights[leaf] = w
@@ -309,7 +277,7 @@ def load_model(source: str | bytes | dict) -> MarketModel:
                 if len(vec) != len(kids):
                     raise ModelFormatError(
                         f"kernel at {nid!r} has {len(vec)} entries for {len(kids)} children")
-                vertex = tuple(rat(v) for v in vec)
+                vertex = tuple(_rat(v, f"kernels at {nid!r}") for v in vec)
                 if any(v < 0 for v in vertex) or sum(vertex, ZERO) != ONE:
                     raise ModelFormatError(f"kernel at {nid!r} is not a distribution")
                 vertices.append(vertex)

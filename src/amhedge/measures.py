@@ -15,12 +15,14 @@ from typing import Iterable, Literal, Sequence
 
 from .enlarged import EnlargedModel, extend_claim
 from .errors import PropertyViolation, SnaFailure
-from .hedging import Prices, _resolve_prices
+from .hedging import HedgeReport, Prices, _resolve_prices, subhedge, superhedge
 from .lp import LinearProgram, LPOutcome, max_slack, solve
+from .market import MarketModel
 from .rationals import ONE, ZERO, Q, rat_str
 from .strategies import DEFAULT_ENUM_CAP, StoppingTime, enumerate_stopping_times
 
 __all__ = [
+    "MartingalePolytope",
     "MeasurePolytope",
     "MeasureCertificate",
     "DualPriceReport",
@@ -28,6 +30,9 @@ __all__ = [
     "ftap_certificate",
     "dual_superhedge",
     "dual_subhedge",
+    "price_with_dual",
+    "martingale_increments",
+    "one_step_polytope",
     "lift_measure_uniform_clock",
     "push_stopping_measure",
     "snell_value",
@@ -59,13 +64,135 @@ def restricted_stopping_times(
     )
 
 
-class MeasurePolytope:
-    """Martingale measure constraints over one enlarged space.
+class MartingalePolytope:
+    """Probability measures on enlarged paths under which the stock is a martingale.
 
-    The LP holds constraint rows only; callers copy it and add an
-    objective.  Row indices are kept per constraint family so the
-    uniform-slack machinery can target exactly the price and
-    positivity rows.
+    The LP holds the mass row and one increment row per enlarged node
+    and stock dimension; callers copy it and add rows or an objective.
+    On a kernel family's support this is the whole quasi-sure dual of
+    dynamic trading.
+    """
+
+    def __init__(self, enl: EnlargedModel, paths: Iterable[int] | None = None) -> None:
+        self.enl = enl
+        self.paths = list(range(enl.num_paths)) if paths is None else sorted(set(paths))
+        if not self.paths:
+            raise ValueError("at least one path required")
+        self.lp = LinearProgram()
+        self.q_var = {p: self.lp.add_var(f"Q[{enl.epaths[p].label}]") for p in self.paths}
+        self.mass_row = self.lp.add_constraint(
+            {v: ONE for v in self.q_var.values()}, "=", ONE, name="mass"
+        )
+        # martingale increments: one equality per enlarged node and stock dim
+        inc: dict[tuple[int, int], dict[int, Q]] = {}
+        for p in self.paths:
+            seq = enl.epaths[p].node_seq
+            for t in range(enl.horizon):
+                for d, move in enumerate(enl.stock_step(p, t)):
+                    if move:
+                        row = inc.setdefault((seq[t], d), {})
+                        row[self.q_var[p]] = row.get(self.q_var[p], ZERO) + move
+        self.mart_rows: list[int] = []
+        for (v, d), row in sorted(inc.items()):
+            self.mart_rows.append(
+                self.lp.add_constraint(row, "=", ZERO, name=f"mart[{enl.enode(v).label};{d}]")
+            )
+
+    @property
+    def price_rows(self) -> list[int]:
+        return []
+
+    def expectation(self, measure: dict[int, Q], values: dict[int, Q] | Sequence[Q]) -> Q:
+        total = ZERO
+        for p in self.paths:
+            q = measure.get(p, ZERO)
+            if q:
+                total += q * values[p]
+        return total
+
+    def solve_extremum(
+        self, values: dict[int, Q] | Sequence[Q], sense: Literal["max", "min"]
+    ) -> tuple[Q, dict[int, Q], LPOutcome]:
+        work = self.lp.copy()
+        work.set_objective(sense, {self.q_var[p]: values[p] for p in self.paths if values[p]})
+        out, measure = self._solve_measure(work)
+        return out.value, measure, out
+
+    def _solve_measure(self, work: LinearProgram) -> tuple[LPOutcome, dict[int, Q]]:
+        """Solve an LP built on a copy of this one; empty means an SNA failure."""
+        out = solve(work)
+        if out.status == "infeasible":
+            raise SnaFailure(
+                "martingale polytope is empty at these prices",
+                certificate={"farkas": [rat_str(y) for y in out.farkas or []]},
+            )
+        if out.status != "optimal":
+            raise PropertyViolation(f"measure LP unexpectedly {out.status}")
+        return out, {p: out.x(v) for p, v in self.q_var.items() if out.x(v)}
+
+    def require_martingale_law(self, measure: dict[int, Q], what: str) -> None:
+        """Raise unless the measure is a probability on the paths and a martingale law."""
+        if (
+            sum(measure.values(), ZERO) != ONE
+            or any(q < 0 for q in measure.values())
+            or not set(self.paths).issuperset(measure)
+        ):
+            raise PropertyViolation(f"{what} is not a probability on the support")
+        if any(martingale_increments(self.enl, measure, self.paths).values()):
+            raise PropertyViolation(f"{what} is not a martingale law")
+
+
+def martingale_increments(
+    enl: EnlargedModel, measure: dict[int, Q], paths: Iterable[int]
+) -> dict[tuple[int, int], Q]:
+    """E_Q-weighted stock increments per (enlarged node, dim), from model data.
+
+    Independent of any LP: a martingale law makes every entry zero.
+    Only pairs reached by a charged path with a nonzero move appear.
+    """
+    inc: dict[tuple[int, int], Q] = {}
+    for p in paths:
+        q = measure.get(p, ZERO)
+        if not q:
+            continue
+        seq = enl.epaths[p].node_seq
+        for t in range(enl.horizon):
+            for d, move in enumerate(enl.stock_step(p, t)):
+                if move:
+                    key = (seq[t], d)
+                    inc[key] = inc.get(key, ZERO) + q * move
+    return inc
+
+
+def one_step_polytope(
+    model: MarketModel, nid: str, kids: Sequence[str]
+) -> tuple[LinearProgram, dict[str, int], list[tuple[int, int]]]:
+    """Mass and martingale rows of one-step laws from base node nid onto kids.
+
+    Returns the LP, the probability variable of each child, and the
+    (row index, stock dim) of every martingale row.
+    """
+    lp = LinearProgram()
+    q_var = {kid: lp.add_var(f"q[{kid}]") for kid in kids}
+    lp.add_constraint({var: ONE for var in q_var.values()}, "=", ONE, name="mass")
+    here = model.stock.at(nid)
+    mart_rows: list[tuple[int, int]] = []
+    for d in range(model.stock.dim):
+        row = {}
+        for kid, var in q_var.items():
+            move = model.stock.at(kid)[d] - here[d]
+            if move:
+                row[var] = move
+        if row:
+            mart_rows.append((lp.add_constraint(row, "=", ZERO, name=f"mart[{d}]"), d))
+    return lp, q_var, mart_rows
+
+
+class MeasurePolytope(MartingalePolytope):
+    """Martingale measures that also respect the quoted option prices.
+
+    Row indices are kept per constraint family so the uniform-slack
+    machinery can target exactly the price and positivity rows.
     """
 
     def __init__(
@@ -77,35 +204,8 @@ class MeasurePolytope:
         cap: int = DEFAULT_ENUM_CAP,
         include_positivity: bool = False,
     ) -> None:
-        self.enl = enl
-        self.paths = list(range(enl.num_paths)) if paths is None else sorted(set(paths))
-        if not self.paths:
-            raise ValueError("at least one path required")
-        self.alphas, self.betas, self.gammas = _resolve_prices(enl, prices)
-        self.lp = LinearProgram()
-        self.q_var = {p: self.lp.add_var(f"Q[{enl.epaths[p].label}]") for p in self.paths}
-
-        self.mass_row = self.lp.add_constraint(
-            {v: ONE for v in self.q_var.values()}, "=", ONE, name="mass"
-        )
-        # martingale increments: one equality per enlarged node and stock dim
-        T = enl.horizon
-        dims = enl.model.stock.dim
-        inc: dict[tuple[int, int], dict[int, Q]] = {}
-        for p in self.paths:
-            seq = enl.epaths[p].node_seq
-            for t in range(T):
-                step = enl.stock_step(p, t)
-                for d in range(dims):
-                    if step[d]:
-                        row = inc.setdefault((seq[t], d), {})
-                        row[self.q_var[p]] = row.get(self.q_var[p], ZERO) + step[d]
-        self.mart_rows: list[int] = []
-        for (v, d), row in sorted(inc.items()):
-            self.mart_rows.append(
-                self.lp.add_constraint(row, "=", ZERO, name=f"mart[{enl.enode(v).label};{d}]")
-            )
-
+        super().__init__(enl, paths)
+        self.alphas, self.betas, self.gammas = _resolve_prices(enl.model, prices)
         model = enl.model
         self.f_rows: list[int] = []
         for i in range(model.L):
@@ -129,19 +229,17 @@ class MeasurePolytope:
         self.taus: list[StoppingTime] = []
         self.g_rows: list[int] = []
         self.num_tau_rows = 0
+        self.long_values = [
+            {v: enl.long_value_at_node(j, v) for v in range(len(enl.enodes))}
+            for j in range(model.M)
+        ]
         if model.M:
             self.taus = restricted_stopping_times(enl, self.paths, cap)
             for j in range(model.M):
-                seen: set[tuple] = set()
-                for tau in self.taus:
-                    vec = self._stopped_values_long(j, tau)
-                    key = tuple(vec[p] for p in self.paths)
-                    if key in seen:
-                        continue
-                    seen.add(key)
+                for n, vec in enumerate(self.distinct_stopped(self.long_values[j], self.taus), 1):
                     row = {self.q_var[p]: vec[p] for p in self.paths if vec[p]}
                     self.g_rows.append(
-                        self.lp.add_constraint(row, "<=", self.betas[j], name=f"g[{j};#{len(seen)}]")
+                        self.lp.add_constraint(row, "<=", self.betas[j], name=f"g[{j};#{n}]")
                     )
             self.num_tau_rows = len(self.g_rows)
 
@@ -154,14 +252,6 @@ class MeasurePolytope:
 
     # -- helpers ----------------------------------------------------------
 
-    def _stopped_values_long(self, j: int, tau: StoppingTime) -> dict[int, Q]:
-        out = {}
-        for p in self.paths:
-            seq = self.enl.epaths[p].node_seq
-            t = tau.time_on(seq)
-            out[p] = self.enl.long_value_at_node(j, seq[t])
-        return out
-
     def stopped_values(self, values_at_enode: dict[int, Q], tau: StoppingTime) -> dict[int, Q]:
         out = {}
         for p in self.paths:
@@ -169,33 +259,45 @@ class MeasurePolytope:
             out[p] = values_at_enode[seq[tau.time_on(seq)]]
         return out
 
+    def distinct_stopped(
+        self, values_at_enode: dict[int, Q], taus: Sequence[StoppingTime]
+    ) -> list[dict[int, Q]]:
+        """Stopped-value vectors of the taus, each distinct vector once, in order."""
+        out = []
+        seen: set[tuple] = set()
+        for tau in taus:
+            vec = self.stopped_values(values_at_enode, tau)
+            key = tuple(vec[p] for p in self.paths)
+            if key not in seen:
+                seen.add(key)
+                out.append(vec)
+        return out
+
+    def stopped_envelope(
+        self, values_at_enode: dict[int, Q], taus: Sequence[StoppingTime]
+    ) -> tuple[LPOutcome, dict[int, Q], int]:
+        """min over the polytope of max over the taus of E_Q[value at the stop].
+
+        Epigraph LP: minimize u subject to u >= E_Q[value_tau] for each
+        distinct stopped vector.  Returns the outcome, the optimal
+        measure and the number of epigraph rows.
+        """
+        work = self.lp.copy()
+        u = work.add_var("u", nonneg=False)
+        vecs = self.distinct_stopped(values_at_enode, taus)
+        for n, vec in enumerate(vecs):
+            row: dict[int, Q] = {u: ONE}
+            for p in self.paths:
+                if vec[p]:
+                    row[self.q_var[p]] = -vec[p]
+            work.add_constraint(row, ">=", ZERO, name=f"snell[#{n}]")
+        work.set_objective("min", {u: ONE})
+        out, measure = self._solve_measure(work)
+        return out, measure, len(vecs)
+
     @property
     def price_rows(self) -> list[int]:
         return [*self.f_rows, *self.h_rows, *self.g_rows]
-
-    def expectation(self, measure: dict[int, Q], values: dict[int, Q] | Sequence[Q]) -> Q:
-        total = ZERO
-        for p in self.paths:
-            q = measure.get(p, ZERO)
-            if q:
-                total += q * values[p]
-        return total
-
-    def solve_extremum(
-        self, values: dict[int, Q] | Sequence[Q], sense: Literal["max", "min"]
-    ) -> tuple[Q, dict[int, Q], LPOutcome]:
-        work = self.lp.copy()
-        work.set_objective(sense, {self.q_var[p]: values[p] for p in self.paths if values[p]})
-        out = solve(work)
-        if out.status == "infeasible":
-            raise SnaFailure(
-                "martingale polytope is empty at these prices",
-                certificate={"farkas": [rat_str(y) for y in out.farkas or []]},
-            )
-        if out.status != "optimal":
-            raise PropertyViolation(f"polytope extremum LP unexpectedly {out.status}")
-        measure = {p: out.x(v) for p, v in self.q_var.items() if out.x(v)}
-        return out.value, measure, out
 
     # -- independent re-validation ----------------------------------------
 
@@ -245,20 +347,7 @@ class MeasurePolytope:
             entry(f"pos[p{p}]", measure.get(p, ZERO), ">=", ZERO, True)
         entry("mass", sum((measure.get(p, ZERO) for p in self.paths), ZERO), "=", ONE, False)
 
-        T = enl.horizon
-        dims = enl.model.stock.dim
-        inc: dict[tuple[int, int], Q] = {}
-        for p in self.paths:
-            q = measure.get(p, ZERO)
-            if not q:
-                continue
-            seq = enl.epaths[p].node_seq
-            for t in range(T):
-                step = enl.stock_step(p, t)
-                for d in range(dims):
-                    if step[d]:
-                        key = (seq[t], d)
-                        inc[key] = inc.get(key, ZERO) + q * step[d]
+        inc = martingale_increments(enl, measure, self.paths)
         for (v, d), val in sorted(inc.items()):
             entry(f"mart[{enl.enode(v).label};{d}]", val, "=", ZERO, False)
 
@@ -272,8 +361,7 @@ class MeasurePolytope:
         for j in range(model.M):
             worst = None
             for tau in self.taus:
-                vec = self._stopped_values_long(j, tau)
-                lhs = self.expectation(measure, vec)
+                lhs = self.expectation(measure, self.stopped_values(self.long_values[j], tau))
                 if worst is None or lhs > worst:
                     worst = lhs
             if worst is not None:
@@ -414,32 +502,7 @@ def dual_subhedge(
     claim_at = extend_claim(enl, "sub")
     pt = polytope or build_polytope(enl, prices=prices, paths=paths, cap=cap)
     taus = pt.taus or restricted_stopping_times(enl, pt.paths, cap)
-    work = pt.lp.copy()
-    u = work.add_var("u", nonneg=False)
-    seen: set[tuple] = set()
-    n_rows = 0
-    for tau in taus:
-        vec = pt.stopped_values(claim_at, tau)
-        key = tuple(vec[p] for p in pt.paths)
-        if key in seen:
-            continue
-        seen.add(key)
-        row: dict[int, Q] = {u: ONE}
-        for p in pt.paths:
-            if vec[p]:
-                row[pt.q_var[p]] = -vec[p]
-        work.add_constraint(row, ">=", ZERO, name=f"snell[#{n_rows}]")
-        n_rows += 1
-    work.set_objective("min", {u: ONE})
-    out = solve(work)
-    if out.status == "infeasible":
-        raise SnaFailure(
-            "martingale polytope is empty at these prices",
-            certificate={"farkas": [rat_str(y) for y in out.farkas or []]},
-        )
-    if out.status != "optimal":
-        raise PropertyViolation(f"dual sub-hedge LP unexpectedly {out.status}")
-    measure = {p: out.x(v) for p, v in pt.q_var.items() if out.x(v)}
+    out, measure, n_rows = pt.stopped_envelope(claim_at, taus)
     ok, _ = pt.check(measure)
     if not ok:
         raise PropertyViolation("dual sub-hedge optimizer failed re-validation")
@@ -457,6 +520,35 @@ def dual_subhedge(
         pivots=out.pivots,
         num_tau_rows=n_rows,
     )
+
+
+def price_with_dual(
+    enl: EnlargedModel,
+    side: Literal["sub", "super"],
+    *,
+    prices: Prices | None = None,
+    paths: Iterable[int] | None = None,
+    cap: int = DEFAULT_ENUM_CAP,
+) -> tuple[HedgeReport, MeasurePolytope]:
+    """Primal hedge and dual price on one space, equality asserted.
+
+    Both sides run over the same paths (all of them, or a quasi-sure
+    support).  The dual re-validates its own optimizer; this step adds
+    only the exact gap check, then records gap 0 and the dual report as
+    the hedge report's ``dual_ref``.  The polytope is returned for its
+    row counts.
+    """
+    primal, dual_of = (subhedge, dual_subhedge) if side == "sub" else (superhedge, dual_superhedge)
+    report = primal(enl, prices=prices, paths=paths)
+    pt = build_polytope(enl, prices=prices, paths=paths, cap=cap)
+    dual = dual_of(enl, prices=prices, paths=paths, cap=cap, polytope=pt)
+    if report.price != dual.value:
+        raise PropertyViolation(
+            f"{side}-hedge duality gap: {rat_str(report.price)} vs {rat_str(dual.value)}"
+        )
+    report.gap = ZERO
+    report.dual_ref = dual.to_json(enl)
+    return report, pt
 
 
 def snell_value(
@@ -621,18 +713,8 @@ def e2_chain(
     pt = build_polytope(enl_sub, prices=prices, cap=cap)
     claim_at = extend_claim(enl_sub, "sub")
     taus = pt.taus or restricted_stopping_times(enl_sub, pt.paths, cap)
-    middle = None
-    seen: set[tuple] = set()
-    for tau in taus:
-        vec = pt.stopped_values(claim_at, tau)
-        key = tuple(vec[p] for p in pt.paths)
-        if key in seen:
-            continue
-        seen.add(key)
-        val, _, _ = pt.solve_extremum(vec, "max")
-        if middle is None or val > middle:
-            middle = val
-    assert middle is not None
+    vecs = pt.distinct_stopped(claim_at, taus)
+    middle = max(pt.solve_extremum(vec, "max")[0] for vec in vecs)
     upper = dual_superhedge(enl_super, prices=prices, cap=cap)
     if not (lower.value <= middle <= upper.value):
         raise PropertyViolation(
@@ -644,7 +726,7 @@ def e2_chain(
         middle=middle,
         upper=upper.value,
         strict_upper=middle < upper.value,
-        num_taus=len(seen),
+        num_taus=len(vecs),
     )
 
 

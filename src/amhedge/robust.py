@@ -16,14 +16,15 @@ from typing import Callable, Sequence
 
 from .enlarged import EnlargedModel, enlarge
 from .errors import CapExceededError, ModelFormatError, PropertyViolation, SnaFailure
-from .hedging import HedgeReport, Prices, subhedge, superhedge
+from .hedging import HedgeReport, Prices, _stock_gain
 from .lp import LinearProgram, solve
 from .market import MarketModel
 from .measures import (
+    MartingalePolytope,
     MeasurePolytope,
     build_polytope,
-    dual_subhedge,
-    dual_superhedge,
+    one_step_polytope,
+    price_with_dual,
     restricted_stopping_times,
 )
 from .rationals import ONE, ZERO, Q, rat, rat_str
@@ -164,76 +165,6 @@ def enlarge_robust(rm: RobustModel, n: int, clock_weights="uniform") -> RobustEn
     return RobustEnlarged(robust=rm, enl=enlarge(rm.model, n, clock_weights))
 
 
-# -- martingale measures on the quasi-sure support (stock only) -------------
-
-
-class StockPolytope:
-    """Mass and martingale constraints over the supported enlarged paths."""
-
-    def __init__(self, renl: RobustEnlarged) -> None:
-        enl = renl.enl
-        self.enl = enl
-        self.paths = list(renl.supported_paths)
-        self.lp = LinearProgram()
-        self.q_var = {p: self.lp.add_var(f"Q[{enl.epaths[p].label}]") for p in self.paths}
-        self.mass_row = self.lp.add_constraint(
-            {v: ONE for v in self.q_var.values()}, "=", ONE, name="mass"
-        )
-        T = enl.horizon
-        dims = enl.model.stock.dim
-        inc: dict[tuple[int, int], dict[int, Q]] = {}
-        for p in self.paths:
-            seq = enl.epaths[p].node_seq
-            for t in range(T):
-                step = enl.stock_step(p, t)
-                for d in range(dims):
-                    if step[d]:
-                        row = inc.setdefault((seq[t], d), {})
-                        row[self.q_var[p]] = row.get(self.q_var[p], ZERO) + step[d]
-        self.mart_rows: list[int] = []
-        for (v, d), row in sorted(inc.items()):
-            self.mart_rows.append(
-                self.lp.add_constraint(row, "=", ZERO, name=f"mart[{enl.enode(v).label};{d}]")
-            )
-
-    def maximize(self, values) -> tuple[str, Q | None, dict[int, Q] | None]:
-        work = self.lp.copy()
-        obj = {}
-        for p in self.paths:
-            val = _values_at(values, p)
-            if val:
-                obj[self.q_var[p]] = val
-        work.set_objective("max", obj)
-        out = solve(work)
-        if out.status == "infeasible":
-            return "infeasible", None, None
-        if out.status != "optimal":
-            raise PropertyViolation(f"stock polytope extremum unexpectedly {out.status}")
-        measure = {p: out.x(v) for p, v in self.q_var.items() if out.x(v)}
-        return "optimal", out.value, measure
-
-    def recheck(self, measure: dict[int, Q]) -> None:
-        """Mass and martingale identities straight from model data."""
-        total = sum(measure.values(), ZERO)
-        if total != ONE or any(q < 0 for q in measure.values()):
-            raise PropertyViolation("stock polytope witness is not a probability")
-        support = set(self.paths)
-        if any(p not in support for p in measure):
-            raise PropertyViolation("stock polytope witness leaves the support")
-        enl = self.enl
-        inc: dict[tuple[int, int], Q] = {}
-        for p, q in measure.items():
-            seq = enl.epaths[p].node_seq
-            for t in range(enl.horizon):
-                step = enl.stock_step(p, t)
-                for d in range(len(step)):
-                    if step[d]:
-                        key = (seq[t], d)
-                        inc[key] = inc.get(key, ZERO) + q * step[d]
-        if any(val != ZERO for val in inc.values()):
-            raise PropertyViolation("stock polytope witness is not a martingale law")
-
-
 def _stock_gain_vars(
     renl: RobustEnlarged, lp: LinearProgram, *, split: bool
 ) -> tuple[dict[tuple[int, int], int], dict[tuple[int, int], int], Callable[[int], dict[int, Q]]]:
@@ -294,28 +225,6 @@ class RobustNaReport:
     certificates: list[DominationCertificate]
 
 
-def _domination_slack(
-    base: StockPolytope, pbar: dict[int, Q]
-) -> tuple[Q | None, dict[int, Q] | None]:
-    """max s with some supported martingale Q >= s * pbar, coordinatewise."""
-    work = base.lp.copy()
-    s_var = work.add_var("_s", nonneg=False)
-    for p, w in sorted(pbar.items()):
-        work.add_constraint({base.q_var[p]: ONE, s_var: -w}, ">=", ZERO, name=f"dom[p{p}]")
-    work.set_objective("max", {s_var: ONE})
-    res = solve(work)
-    if res.status == "infeasible":
-        return None, None
-    if res.status != "optimal":
-        raise PropertyViolation(f"domination LP unexpectedly {res.status}")
-    slack = res.x(s_var)
-    measure = {p: res.x(v) for p, v in base.q_var.items() if res.x(v)}
-    for p, w in pbar.items():
-        if measure.get(p, ZERO) < slack * w:
-            raise PropertyViolation("domination certificate failed re-validation")
-    return slack, measure
-
-
 def robust_na(
     renl: RobustEnlarged, *, selector_cap: int = DEFAULT_SELECTOR_CAP
 ) -> RobustNaReport:
@@ -354,15 +263,17 @@ def robust_na(
             if val:
                 witness[key] = val
 
-    base = StockPolytope(renl)
+    # a martingale polytope without price rows: the selector slack is
+    # then the domination factor alone
+    base = MartingalePolytope(renl.enl, renl.supported_paths)
     certificates: list[DominationCertificate] = []
     dominated_all = True
     for selector in renl.robust.selectors(selector_cap):
-        slack, measure = _domination_slack(base, renl.vertex_measure(selector))
+        slack, measure = _selector_epsilon(base, renl.vertex_measure(selector))
         cert = DominationCertificate(selector=selector, slack=slack, measure=measure)
         certificates.append(cert)
         if cert.dominates:
-            base.recheck(measure)
+            base.require_martingale_law(measure, "domination witness")
         else:
             dominated_all = False
     if holds != dominated_all:
@@ -387,54 +298,24 @@ class RobustStockReport:
 def robust_superhedge_stock(renl: RobustEnlarged, zeta) -> RobustStockReport:
     """min x with x + dynamic gains >= zeta on every supported path.
 
-    The dual maximizes E_Q[zeta] over supported martingale measures and
+    This is robust_superhedge_options with an empty static book: the
+    dual maximizes E_Q[zeta] over supported martingale measures and
     equality is asserted.  An unbounded primal happens exactly when no
     supported martingale measure exists; that case is flagged rather
     than priced.
     """
-    enl = renl.enl
-    lp = LinearProgram()
-    x = lp.add_var("x", nonneg=False)
-    h_var, _, coeffs = _stock_gain_vars(renl, lp, split=False)
-    for p in renl.supported_paths:
-        row = coeffs(p)
-        row[x] = row.get(x, ZERO) + ONE
-        lp.add_constraint(row, ">=", _values_at(zeta, p), name=f"hedge[p{p}]")
-    lp.set_objective("min", {x: ONE})
-    out = solve(lp)
-
-    pt = StockPolytope(renl)
-    status, dual_value, measure = pt.maximize(zeta)
-
-    if out.status == "unbounded" or status == "infeasible":
-        if not (out.status == "unbounded" and status == "infeasible"):
-            raise PropertyViolation("stock super-hedge primal and dual disagree about arbitrage")
+    try:
+        rep = robust_superhedge_options(renl, zeta, [], [])
+    except SnaFailure:
         return RobustStockReport(
             value=None, strategy=None, measure=None, na_failed=True, dual_value=None
         )
-    if out.status != "optimal":
-        raise PropertyViolation(f"stock super-hedge LP unexpectedly {out.status}")
-    if out.value != dual_value:
-        raise PropertyViolation(
-            f"stock super-hedge gap: {rat_str(out.value)} vs {rat_str(dual_value)}"
-        )
-    positions = {key: out.x(var) for key, var in h_var.items() if out.x(var)}
-    for p in renl.supported_paths:
-        seq = enl.epaths[p].node_seq
-        total = out.value
-        for t in range(enl.horizon):
-            step = enl.stock_step(p, t)
-            for d in range(len(step)):
-                total += positions.get((seq[t], d), ZERO) * step[d]
-        if total < _values_at(zeta, p):
-            raise PropertyViolation("extracted stock hedge fails pathwise")
-    pt.recheck(measure)
     return RobustStockReport(
-        value=out.value,
-        strategy=positions,
-        measure=measure,
+        value=rep.value,
+        strategy=rep.strategy,
+        measure=rep.measure,
         na_failed=False,
-        dual_value=dual_value,
+        dual_value=rep.dual_value,
     )
 
 
@@ -488,18 +369,7 @@ def dp_operator(renl: RobustEnlarged, chi: dict[int, Q], t: int) -> DpStage:
             if not enodes:
                 raise PropertyViolation(f"missing status successors under {node.label}")
             best[c] = max(chi[w] for w in enodes)
-        lp = LinearProgram()
-        q_var = {c: lp.add_var(f"q[{c}]") for c in groups}
-        lp.add_constraint({var: ONE for var in q_var.values()}, "=", ONE, name="mass")
-        mart_rows: list[tuple[int, int]] = []
-        for d in range(stock.dim):
-            row = {}
-            for c, var in q_var.items():
-                step = stock.at(c)[d] - here[d]
-                if step:
-                    row[var] = step
-            if row:
-                mart_rows.append((lp.add_constraint(row, "=", ZERO, name=f"mart[{d}]"), d))
+        lp, q_var, mart_rows = one_step_polytope(enl.model, node.base, list(groups))
         lp.set_objective("max", {q_var[c]: best[c] for c in groups if best[c]})
         out = solve(lp)
         lp_count += 1
@@ -577,13 +447,7 @@ def dp_superhedge(renl: RobustEnlarged, zeta) -> DpReport:
     root_values = {r: chi[r] for r in roots}
     value = max(root_values.values())
     for p in renl.supported_paths:
-        seq = enl.epaths[p].node_seq
-        total = value
-        for t in range(T):
-            step = enl.stock_step(p, t)
-            for d in range(len(step)):
-                total += strategy.get((seq[t], d), ZERO) * step[d]
-        if total < _values_at(zeta, p):
+        if value + _stock_gain(enl, strategy, p) < _values_at(zeta, p):
             raise PropertyViolation("dp strategy fails to super-hedge pathwise")
     return DpReport(value=value, root_values=root_values, strategy=strategy, lp_count=lp_count)
 
@@ -628,7 +492,8 @@ def robust_superhedge_options(
     lp.set_objective("min", {x: ONE})
     out = solve(lp)
 
-    pt = StockPolytope(renl)
+    enl = renl.enl
+    pt = MartingalePolytope(enl, renl.supported_paths)
     work = pt.lp.copy()
     for i in range(len(payoffs)):
         row = {}
@@ -657,21 +522,15 @@ def robust_superhedge_options(
         raise PropertyViolation("static positions must be nonnegative")
     stock_positions = {key: out.x(var) for key, var in h_var.items() if out.x(var)}
     measure = {p: dual.x(v) for p, v in pt.q_var.items() if dual.x(v)}
-    pt.recheck(measure)
+    pt.require_martingale_law(measure, "options super-hedge dual measure")
     for i in range(len(payoffs)):
         priced = sum(
             (measure.get(p, ZERO) * _values_at(payoffs[i], p) for p in pt.paths), ZERO
         )
         if priced > option_prices[i]:
             raise PropertyViolation("dual measure breaks a static price bound")
-    enl = renl.enl
     for p in renl.supported_paths:
-        seq = enl.epaths[p].node_seq
-        total = out.value
-        for t in range(enl.horizon):
-            step = enl.stock_step(p, t)
-            for d in range(len(step)):
-                total += stock_positions.get((seq[t], d), ZERO) * step[d]
+        total = out.value + _stock_gain(enl, stock_positions, p)
         for i, a in enumerate(positions):
             total += a * (_values_at(payoffs[i], p) - option_prices[i])
         if total < _values_at(zeta, p):
@@ -695,20 +554,7 @@ def robust_subhedge(
     cap: int = DEFAULT_ENUM_CAP,
 ) -> HedgeReport:
     """Quasi-sure sub-hedging price with its dual, equality asserted."""
-    enl = renl.enl
-    report = subhedge(enl, prices=prices, paths=renl.supported_paths)
-    pt = build_polytope(enl, prices=prices, paths=renl.supported_paths, cap=cap)
-    dual = dual_subhedge(enl, prices=prices, paths=renl.supported_paths, cap=cap, polytope=pt)
-    if report.price != dual.value:
-        raise PropertyViolation(
-            f"robust sub-hedge gap: {rat_str(report.price)} vs {rat_str(dual.value)}"
-        )
-    ok, _ = pt.check(dual.measure)
-    if not ok:
-        raise PropertyViolation("robust sub-hedge dual measure fails re-validation")
-    report.gap = ZERO
-    report.dual_ref = {"value": rat_str(dual.value)}
-    return report
+    return _quasi_sure_price(renl, "sub", prices, cap)
 
 
 def robust_superhedge_full(
@@ -718,19 +564,14 @@ def robust_superhedge_full(
     cap: int = DEFAULT_ENUM_CAP,
 ) -> HedgeReport:
     """Quasi-sure super-hedging price with its dual, equality asserted."""
-    enl = renl.enl
-    report = superhedge(enl, prices=prices, paths=renl.supported_paths)
-    pt = build_polytope(enl, prices=prices, paths=renl.supported_paths, cap=cap)
-    dual = dual_superhedge(enl, prices=prices, paths=renl.supported_paths, cap=cap, polytope=pt)
-    if report.price != dual.value:
-        raise PropertyViolation(
-            f"robust super-hedge gap: {rat_str(report.price)} vs {rat_str(dual.value)}"
-        )
-    ok, _ = pt.check(dual.measure)
-    if not ok:
-        raise PropertyViolation("robust super-hedge dual measure fails re-validation")
-    report.gap = ZERO
-    report.dual_ref = {"value": rat_str(dual.value)}
+    return _quasi_sure_price(renl, "super", prices, cap)
+
+
+def _quasi_sure_price(renl: RobustEnlarged, side: str, prices: Prices | None, cap: int) -> HedgeReport:
+    """The classical duality step restricted to the supported paths."""
+    report, _ = price_with_dual(renl.enl, side, prices=prices, paths=renl.supported_paths, cap=cap)
+    # quasi-sure reports name only the dual value, not its measure
+    report.dual_ref = {"value": report.dual_ref["value"]}
     return report
 
 
@@ -752,26 +593,11 @@ class RobustFtapReport:
     submarket_slacks: list[Q | None] | None = None
 
 
-def _shifted_membership(
-    pt: MeasurePolytope, measure: dict[int, Q], delta: Q, pbar: dict[int, Q]
-) -> None:
-    """Membership in the delta-shifted polytope plus domination, from scratch."""
+def _shifted_membership(pt: MeasurePolytope, measure: dict[int, Q], delta: Q) -> None:
+    """Membership in the delta-shifted polytope, from scratch."""
+    pt.require_martingale_law(measure, "shifted-polytope witness")
     enl = pt.enl
     model = enl.model
-    total = sum(measure.values(), ZERO)
-    if total != ONE or any(q < 0 for q in measure.values()):
-        raise PropertyViolation("shifted-polytope witness is not a probability")
-    inc: dict[tuple[int, int], Q] = {}
-    for p, q in measure.items():
-        seq = enl.epaths[p].node_seq
-        for t in range(enl.horizon):
-            step = enl.stock_step(p, t)
-            for d in range(len(step)):
-                if step[d]:
-                    key = (seq[t], d)
-                    inc[key] = inc.get(key, ZERO) + q * step[d]
-    if any(val != ZERO for val in inc.values()):
-        raise PropertyViolation("shifted-polytope witness is not a martingale law")
     for i in range(model.L):
         lhs = sum((measure.get(p, ZERO) * enl.european_value(i, p) for p in pt.paths), ZERO)
         if lhs > pt.alphas[i] - delta:
@@ -782,26 +608,22 @@ def _shifted_membership(
             raise PropertyViolation("shifted short-option bound fails")
     for j in range(model.M):
         for tau in pt.taus:
-            vec = pt._stopped_values_long(j, tau)
-            if pt.expectation(measure, vec) > pt.betas[j] - delta:
+            if pt.expectation(measure, pt.stopped_values(pt.long_values[j], tau)) > pt.betas[j] - delta:
                 raise PropertyViolation("shifted long-option bound fails")
-    for p, w in pbar.items():
-        if measure.get(p, ZERO) < delta * w:
-            raise PropertyViolation("shifted domination fails")
 
 
 def _selector_epsilon(
-    pt: MeasurePolytope, pbar: dict[int, Q]
+    pt: MartingalePolytope, pbar: dict[int, Q]
 ) -> tuple[Q | None, dict[int, Q] | None]:
-    """Largest e with a measure in the e-shifted polytope dominating e*pbar."""
+    """Largest e with a measure in the e-shifted polytope dominating e*pbar.
+
+    Price rows, if the polytope has any, are tightened by e; the
+    domination of the optimizer is re-checked in place.
+    """
     work = pt.lp.copy()
     e_var = work.add_var("_e", nonneg=False)
-    for r in pt.f_rows:
-        work.rows[r].coeffs[e_var] = ONE
-    for r in pt.g_rows:
-        work.rows[r].coeffs[e_var] = ONE
-    for r in pt.h_rows:
-        work.rows[r].coeffs[e_var] = -ONE
+    for r in pt.price_rows:
+        work.rows[r].coeffs[e_var] = ONE if work.rows[r].rel == "<=" else -ONE
     for p, w in sorted(pbar.items()):
         work.add_constraint({pt.q_var[p]: ONE, e_var: -w}, ">=", ZERO, name=f"dom[p{p}]")
     work.set_objective("max", {e_var: ONE})
@@ -810,8 +632,12 @@ def _selector_epsilon(
         return None, None
     if out.status != "optimal":
         raise PropertyViolation(f"shifted-polytope LP unexpectedly {out.status}")
+    eps = out.x(e_var)
     measure = {p: out.x(v) for p, v in pt.q_var.items() if out.x(v)}
-    return out.x(e_var), measure
+    for p, w in pbar.items():
+        if measure.get(p, ZERO) < eps * w:
+            raise PropertyViolation("domination certificate failed re-validation")
+    return eps, measure
 
 
 def robust_ftap(
@@ -844,7 +670,7 @@ def robust_ftap(
         if value is None:
             feasible = False
             continue
-        _shifted_membership(pt, measure, value, pbar)
+        _shifted_membership(pt, measure, value)
         eps = value if eps is None or value < eps else eps
     holds = feasible and eps is not None and eps > ZERO
     report = RobustFtapReport(

@@ -178,9 +178,6 @@ class ClockIndexedFamily:
     kind: Kind
     members: dict[tuple[int, ...], dict]
 
-    def member(self, tvec: tuple[int, ...]) -> dict:
-        return self.members[tvec]
-
 
 def first_disagreement_floor(s: tuple[int, ...], t: tuple[int, ...]) -> int | None:
     """min over differing coordinates of min(s_k, t_k); None if s == t."""
@@ -188,26 +185,36 @@ def first_disagreement_floor(s: tuple[int, ...], t: tuple[int, ...]) -> int | No
     return min(diffs) if diffs else None
 
 
+def indistinguishable_pairs(
+    tuples: Sequence[tuple[int, ...]], r: int
+) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Pairs of clock vectors that must agree at time r, as chains.
+
+    s and t are indistinguishable at time r exactly when min(s_k, r+1)
+    == min(t_k, r+1) for every k.  That is an equivalence, so tying
+    consecutive members of each class (in the order given) is as strong
+    as tying every pair of them.
+    """
+    classes: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for t in tuples:
+        classes.setdefault(tuple(min(tk, r + 1) for tk in t), []).append(t)
+    return [(a, b) for members in classes.values() for a, b in zip(members, members[1:])]
+
+
 def validate_nonanticipative(fam: ClockIndexedFamily, tree: EventTree) -> bool:
     """Members must agree strictly before the first differing clock fires."""
     tuples = list(itertools.product(range(fam.horizon + 1), repeat=fam.n))
     if set(fam.members) != set(tuples):
         return False
-    for s, t in itertools.combinations(tuples, 2):
-        rstar = first_disagreement_floor(s, t)
-        if rstar is None or rstar == 0:
-            continue
-        ms, mt = fam.members[s], fam.members[t]
-        if fam.kind == "dynamic":
-            for r in range(min(rstar, fam.horizon)):
-                for nid in tree.nodes_at(r):
+    for r in range(fam.horizon):
+        for s, t in indistinguishable_pairs(tuples, r):
+            ms, mt = fam.members[s], fam.members[t]
+            for nid in tree.nodes_at(r):
+                if fam.kind == "dynamic":
                     if ms.get((r, nid), ()) != mt.get((r, nid), ()):
                         return False
-        else:
-            for nid, node in tree.nodes.items():
-                if node.time < rstar:
-                    if ms.get(nid, ZERO) != mt.get(nid, ZERO):
-                        return False
+                elif ms.get(nid, ZERO) != mt.get(nid, ZERO):
+                    return False
     return True
 
 
@@ -225,6 +232,16 @@ def _check_exercise_weights(v: Sequence[Sequence[Q]], horizon: int, n: int) -> l
     return out
 
 
+def _mixture_weight(weights: Sequence[Sequence[Q]], tvec: tuple[int, ...]) -> Q:
+    """Weight prod_k weights[k][t_k] of one clock vector under independent exercise."""
+    w = ONE
+    for k, tk in enumerate(tvec):
+        w *= weights[k][tk]
+        if not w:
+            break
+    return w
+
+
 def product_lift(fam: ClockIndexedFamily, v: Sequence[Sequence[Q]]) -> dict:
     """Mix the family over independent divisible exercise weights.
 
@@ -234,11 +251,7 @@ def product_lift(fam: ClockIndexedFamily, v: Sequence[Sequence[Q]]) -> dict:
     vs = _check_exercise_weights(v, fam.horizon, fam.n)
     mixed: dict = {}
     for tvec, member in fam.members.items():
-        w = ONE
-        for k, tk in enumerate(tvec):
-            w *= vs[k][tk]
-            if not w:
-                break
+        w = _mixture_weight(vs, tvec)
         if not w:
             continue
         for key, val in member.items():

@@ -5,11 +5,14 @@ import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-import amhedge.cli as cli
+import amhedge.hedging as hedging
+import amhedge.measures as measures
 from amhedge.cli import main
+from amhedge.lp import LPInternalError
 
 from conftest import binomial_dict
 
@@ -127,16 +130,52 @@ def test_usage_error_exits_schema(model_file, capsys):
 
 
 def test_property_violation_exit(model_file, capsys, monkeypatch):
-    real = cli.dual_subhedge
+    # the duality step of price looks the dual up in amhedge.measures
+    real = measures.dual_subhedge
 
     def skewed(enl, **kw):
         rep = real(enl, **kw)
         rep.value = rep.value + 1
         return rep
 
-    monkeypatch.setattr(cli, "dual_subhedge", skewed)
+    monkeypatch.setattr(measures, "dual_subhedge", skewed)
     code, _, err = run(["price", "--model", model_file, "--side", "sub"], capsys)
     assert code == 5 and "property violation" in err
+
+
+def _put(price):
+    return {"values": {"r": "0", "u": "0", "d": "1/2"}, "price": price}
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda d: d.update(europeans=[{"payoff": {"u": "1", "d": "0"}, "price": 0.5}]),
+    lambda d: d.update(europeans=[{"payoff": {"u": "1", "d": "0"}, "price": "1/0"}]),
+    lambda d: d.update(americans_long=[_put(0.25)]),
+    lambda d: d.update(americans_short=[_put("1/0")]),
+    lambda d: d["weights"].update(u=0.5),
+    lambda d: d["weights"].update(u="1/0"),
+    lambda d: d.update(kernels={"r": [[0.5, "1/2"]]}),
+    lambda d: d.update(kernels={"r": [["1/0", "1/2"]]}),
+    lambda d: d["stock"].update(dim=True),
+    lambda d: d["stock"]["values"].update(u=[2.0]),
+    lambda d: d["claim"]["values"].update(u="1/0"),
+])
+def test_bad_numbers_exit_schema(mutate, tmp_path, capsys):
+    data = binomial_dict()
+    mutate(data)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run(["ftap", "--model", str(path)], capsys)
+    assert code == 4 and "schema error" in err
+
+
+def test_lp_self_check_failure_exit(model_file, capsys, monkeypatch):
+    def broken(lp):
+        raise LPInternalError("objective mismatch")
+
+    monkeypatch.setattr(hedging, "solve", broken)
+    code, _, err = run(["price", "--model", model_file, "--side", "sub"], capsys)
+    assert code == 5 and "LP self-check failed" in err
 
 
 def test_enlarge_dump(model_file, capsys):
@@ -171,6 +210,16 @@ def test_verify_small_run(model_file, capsys):
     assert doc["campaign"]["ok"] is True and doc["campaign"]["seed"] == 7
     # digest recorded before the hedging/duality consolidation
     assert hashlib.sha256(first.encode()).hexdigest() == VERIFY_SMALL_SHA256
+
+
+def test_readme_model_example_prices(tmp_path, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```json\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "readme.json"
+    path.write_text(block)
+    code, out, err = run(["price", "--model", str(path), "--side", "sub"], capsys)
+    assert code == 0, err
+    assert json.loads(out)["quasi_sure"] is True
 
 
 def test_module_entry_point(model_file):

@@ -4,7 +4,7 @@ from __future__ import annotations
 import pytest
 
 from amhedge.errors import ModelFormatError
-from amhedge.market import american_intrinsic, emit_model, load_model
+from amhedge.market import emit_model, load_model
 from amhedge.rationals import ONE, Q
 
 from conftest import binomial_dict
@@ -51,13 +51,6 @@ def test_shifted_prices(binomial_short_put):
     m2 = binomial_short_put.shifted_prices(Q(1, 8))
     # shorted quotes move up: selling at a higher price favors the trader
     assert m2.americans_short[0][1] == Q(3, 8)
-
-
-def test_american_intrinsic(binomial_short_put):
-    proc = american_intrinsic(binomial_short_put, "short", 0)
-    assert proc.scalar("d") == Q(1, 2)
-    claim = american_intrinsic(binomial_short_put, "claim")
-    assert claim.scalar("u") == ONE
 
 
 @pytest.mark.parametrize("mutate,fragment", [

@@ -18,6 +18,7 @@ from amhedge.strategies import (
     enumerate_stopping_times,
     enlarged_stopping_times,
     first_disagreement_floor,
+    indistinguishable_pairs,
     pair,
     product_lift,
     stopping_to_liquidating,
@@ -130,6 +131,16 @@ def test_nonanticipative_rejects_peeking(two_period):
     # vectors (1,) and (2,) are indistinguishable at time 0, yet the
     # time-0 position depends on which one holds
     fam = _dyn_family(2, 1, lambda tvec: Q(tvec[0]))
+    assert not validate_nonanticipative(fam, two_period.tree)
+
+
+def test_nonanticipative_rejects_far_apart_class_members(two_period):
+    # at time 0 the vectors (1,1), (1,2), (2,1), (2,2) form one class; only
+    # (1,1) and (2,2), which are not neighbours in the chain, hold different
+    # positions, so no tied pair compares them directly
+    fam = _dyn_family(2, 2, lambda tvec: Q(7) if tvec == (2, 2) else ONE)
+    chain = indistinguishable_pairs(sorted(fam.members), 0)
+    assert ((1, 1), (2, 2)) not in chain and ((2, 1), (2, 2)) in chain
     assert not validate_nonanticipative(fam, two_period.tree)
 
 
