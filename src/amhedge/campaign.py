@@ -23,7 +23,6 @@ from .hedging import SnaReport, _shift_prices, check_sna, detect_arbitrage, subh
 from .lp import max_slack, solve
 from .market import AdaptedProcess, EventTree, MarketModel, Node, TerminalPayoff, load_model
 from .measures import (
-    MeasurePolytope,
     build_polytope,
     e2_chain,
     ftap_certificate,
@@ -439,7 +438,7 @@ def inject_arbitrage(
     The resulting price system admits no consistent martingale measure
     at all, so deterministic arbitrage must be detected at every shift.
     """
-    return _pin_quote(rng, gm, None, cap, "arbitrage injection")
+    return _pin_quote(rng, gm, None, cap)
 
 
 def boundary_model(
@@ -455,11 +454,11 @@ def boundary_model(
     consistent but not strictly so.  A small positive offset keeps
     strict no-arbitrage alive with slack at most the offset.
     """
-    return _pin_quote(rng, gm, offset, cap, "boundary pinning")
+    return _pin_quote(rng, gm, offset, cap)
 
 
 def _pin_quote(
-    rng: random.Random, gm: GeneratedModel, offset: Q | None, cap: int, what: str
+    rng: random.Random, gm: GeneratedModel, offset: Q | None, cap: int
 ) -> tuple[MarketModel, str]:
     """Set one random quote to its polytope extreme plus ``offset``.
 
@@ -478,7 +477,7 @@ def _pin_quote(
     if model.N:
         kinds.append("short")
     if not kinds:
-        raise ValueError(f"{what} needs at least one quoted option")
+        raise ValueError("pinning a quote needs at least one quoted option")
     kind = rng.choice(kinds)
     if offset is None:
         offset = -rng.choice([Q(1, 4), Q(1, 2), ONE])

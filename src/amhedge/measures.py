@@ -11,7 +11,7 @@ feasible set an honest polytope in Q.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Literal, Sequence
+from typing import Callable, Hashable, Iterable, Literal, Sequence
 
 from .enlarged import EnlargedModel, extend_claim
 from .errors import PropertyViolation, SnaFailure
@@ -83,20 +83,13 @@ class MartingalePolytope:
         self.mass_row = self.lp.add_constraint(
             {v: ONE for v in self.q_var.values()}, "=", ONE, name="mass"
         )
-        # martingale increments: one equality per enlarged node and stock dim
-        inc: dict[tuple[int, int], dict[int, Q]] = {}
-        for p in self.paths:
-            seq = enl.epaths[p].node_seq
-            for t in range(enl.horizon):
-                for d, move in enumerate(enl.stock_step(p, t)):
-                    if move:
-                        row = inc.setdefault((seq[t], d), {})
-                        row[self.q_var[p]] = row.get(self.q_var[p], ZERO) + move
-        self.mart_rows: list[int] = []
-        for (v, d), row in sorted(inc.items()):
-            self.mart_rows.append(
-                self.lp.add_constraint(row, "=", ZERO, name=f"mart[{enl.enode(v).label};{d}]")
-            )
+        moves = (
+            (self.q_var[p], enl.epaths[p].node_seq[t], enl.stock_step(p, t))
+            for p in self.paths
+            for t in range(enl.horizon)
+        )
+        rows = _add_martingale_rows(self.lp, moves, lambda v: enl.enode(v).label)
+        self.mart_rows = [r for r, _ in rows]
 
     @property
     def price_rows(self) -> list[int]:
@@ -142,6 +135,29 @@ class MartingalePolytope:
             raise PropertyViolation(f"{what} is not a martingale law")
 
 
+def _add_martingale_rows(
+    lp: LinearProgram,
+    moves: Iterable[tuple[int, Hashable, Sequence[Q]]],
+    label: Callable[[Hashable], str],
+) -> list[tuple[int, int]]:
+    """The one builder of martingale rows: sum of q * (S_next - S_node) = 0.
+
+    ``moves`` lists (probability variable, node left, stock move)
+    triples.  One equality per (node, stock dim) with a nonzero move, in
+    sorted order; returns (row index, dim) per row.
+    """
+    rows: dict[tuple, dict[int, Q]] = {}
+    for var, node, move in moves:
+        for d, m in enumerate(move):
+            if m:
+                row = rows.setdefault((node, d), {})
+                row[var] = row.get(var, ZERO) + m
+    return [
+        (lp.add_constraint(row, "=", ZERO, name=f"mart[{label(node)};{d}]"), d)
+        for (node, d), row in sorted(rows.items())
+    ]
+
+
 def martingale_increments(
     enl: EnlargedModel, measure: dict[int, Q], paths: Iterable[int]
 ) -> dict[tuple[int, int], Q]:
@@ -176,16 +192,11 @@ def one_step_polytope(
     q_var = {kid: lp.add_var(f"q[{kid}]") for kid in kids}
     lp.add_constraint({var: ONE for var in q_var.values()}, "=", ONE, name="mass")
     here = model.stock.at(nid)
-    mart_rows: list[tuple[int, int]] = []
-    for d in range(model.stock.dim):
-        row = {}
-        for kid, var in q_var.items():
-            move = model.stock.at(kid)[d] - here[d]
-            if move:
-                row[var] = move
-        if row:
-            mart_rows.append((lp.add_constraint(row, "=", ZERO, name=f"mart[{d}]"), d))
-    return lp, q_var, mart_rows
+    moves = (
+        (var, nid, [b - a for a, b in zip(here, model.stock.at(kid))])
+        for kid, var in q_var.items()
+    )
+    return lp, q_var, _add_martingale_rows(lp, moves, str)
 
 
 class MeasurePolytope(MartingalePolytope):
