@@ -31,6 +31,7 @@ from .measures import (
     price_with_dual,
     push_stopping_measure,
     restricted_stopping_times,
+    snell_value,
     strict_value_bracket,
 )
 from .rationals import ONE, ZERO, Q, rat, rat_str
@@ -46,6 +47,7 @@ from .robust import (
     robust_superhedge_full,
     robust_superhedge_options,
     robust_superhedge_stock,
+    submarket_slacks,
     verify_minimax,
 )
 from .strategies import DEFAULT_ENUM_CAP
@@ -279,24 +281,6 @@ def _product_path_measure(tree: EventTree, laws: dict[str, dict[str, Q]]) -> dic
     return out
 
 
-def _snell_root(tree: EventTree, proc: AdaptedProcess, laws: dict[str, dict[str, Q]]) -> Q:
-    """Root value of max(exercise, continuation) backward induction.
-
-    Continuation runs over the children each law charges.
-    """
-    env: dict[str, Q] = {}
-    order = sorted(tree.nodes.values(), key=lambda node: -node.time)
-    for node in order:
-        here = proc.scalar(node.id)
-        kids = [k for k in tree.children[node.id] if laws[node.id].get(k, ZERO) > 0]
-        if kids:
-            cont = sum((laws[node.id][k] * env[k] for k in kids), ZERO)
-            env[node.id] = max(here, cont)
-        else:
-            env[node.id] = here
-    return env[tree.root]
-
-
 def _clock_mean(tree: EventTree, proc: AdaptedProcess, pmeas: dict[int, Q]) -> Q:
     """E over paths of the time-average of an adapted payoff."""
     share = Q(1, tree.horizon + 1)
@@ -309,21 +293,20 @@ def _clock_mean(tree: EventTree, proc: AdaptedProcess, pmeas: dict[int, Q]) -> Q
 
 def _quoted_market(
     rng: random.Random,
-    tree: EventTree,
-    stock: AdaptedProcess,
-    laws: dict[str, dict[str, Q]],
+    probe: MarketModel,
     pmeas: dict[int, Q],
     L: int,
     M: int,
     N: int,
     kernels: dict | None = None,
 ) -> MarketModel:
-    """Random option books quoted a margin outside their prices under laws.
+    """Random option books quoted a margin outside their prices under pmeas.
 
     Buy-side quotes sit above the expectation (American asks above the
     exercise envelope), sell-side quotes below the clock-averaged
     expectation, so the product law prices every book strictly inside.
     """
+    tree = probe.tree
     europeans = []
     for _i in range(L):
         payoff = _random_terminal(rng, tree)
@@ -331,16 +314,20 @@ def _quoted_market(
                     for pi, path in enumerate(tree.paths)), ZERO)
         europeans.append((payoff, mean + rng.choice(_MARGINS)))
     americans_long = []
+    if M:
+        # with no clock the enlarged paths are the base paths, in order
+        enl0 = enlarge(probe, 0)
     for _j in range(M):
         proc = _random_adapted(rng, tree)
-        americans_long.append((proc, _snell_root(tree, proc, laws) + rng.choice(_MARGINS)))
+        values = {v: proc.scalar(node.base) for v, node in enumerate(enl0.enodes)}
+        americans_long.append((proc, snell_value(enl0, values, pmeas) + rng.choice(_MARGINS)))
     americans_short = []
     for _k in range(N):
         proc = _random_adapted(rng, tree)
         americans_short.append((proc, _clock_mean(tree, proc, pmeas) - rng.choice(_MARGINS)))
     return MarketModel(
         tree=tree,
-        stock=stock,
+        stock=probe.stock,
         europeans=europeans,
         americans_long=americans_long,
         americans_short=americans_short,
@@ -420,7 +407,7 @@ def random_sna_model(
         if laws is None:
             continue
         pmeas = _product_path_measure(tree, laws)
-        model = _quoted_market(rng, tree, stock, laws, pmeas, L, M, N)
+        model = _quoted_market(rng, probe, pmeas, L, M, N)
         if not _within_budget(model):
             continue
         return GeneratedModel(model=model, laws=laws, pmeas=pmeas, seed=seed)
@@ -584,7 +571,7 @@ def random_kernel_model(
             continue
 
         pmeas = _product_path_measure(tree, laws)
-        model = _quoted_market(rng, tree, stock, laws, pmeas, L, M, N, kernels)
+        model = _quoted_market(rng, probe, pmeas, L, M, N, kernels)
         if not _within_budget(model):
             continue
         rm = build_robust(model)
@@ -696,16 +683,15 @@ def check_chain(
 ) -> dict:
     """Three-term price chain plus lift and push transports.
 
-    The chain ends must reproduce the hedging prices; when strict
+    The chain ends are the dual prices that check_duality solved and
+    matched to the hedging prices in ``duality``; when strict
     no-arbitrage holds, the certificate measure is lifted to the larger
     space, pushed onto sample stopping times, and used to bracket the
     closed maximum by strictly consistent measures.
     """
     enl_sub = enlarge(model, model.N)
     enl_sup = enlarge(model, model.N + 1)
-    chain = e2_chain(enl_sub, enl_sup, cap=cap)
-    if rat_str(chain.lower) != duality["sub"] or rat_str(chain.upper) != duality["super"]:
-        raise PropertyViolation("chain ends disagree with the hedging prices")
+    chain = e2_chain(enl_sub, rat(duality["sub"]), rat(duality["super"]), cap=cap)
     record = {
         "lower": rat_str(chain.lower),
         "middle": rat_str(chain.middle),
@@ -942,9 +928,7 @@ def check_robust_model(
     if not low.holds:
         raise PropertyViolation("kernel factory promised consistency but it fails")
     if submarkets and model.M:
-        rf = robust_ftap(renl_sub, cap=cap, submarkets=True)
-        if rf.submarket_slacks is None:
-            raise PropertyViolation("submarket sweep did not run")
+        submarket_slacks(renl_sub, low, cap=cap)
 
     record = {
         **_describe(model),

@@ -19,9 +19,16 @@ from .enlarged import enlarge
 from .errors import PropertyViolation
 from .hedging import (
     Prices,
+    StockPositions,
+    _bump,
     _resolve_prices,
     _shift_prices,
+    add_static_vars,
+    add_weighted_gains,
     detect_arbitrage,
+    evaluate_gain,
+    gain_row,
+    gain_terms,
     subhedge,
     subhedge_european,
     superhedge,
@@ -76,7 +83,7 @@ class ClockLP:
     """One semi-static strategy copy per clock vector, tied by equalities.
 
     Variables: x (if priced), per-clock-vector dynamic positions
-    H[t, r, node, dim], static a/b/c shared across clock vectors,
+    H[t, node, dim], static a/b/c shared across clock vectors,
     per-clock-vector liquidation masses nu and (sub only) claim
     exercise weights eta.  Pairs of clock vectors that are
     indistinguishable up to time r share their positions before r.
@@ -102,86 +109,44 @@ class ClockLP:
         self.n = n
         self.role = role
         self.psi = psi
-        self.split_stock = split_stock
-        self.alphas, self.betas, self.gammas = _resolve_prices(model, prices)
-        T = model.tree.horizon
+        self.prices = _resolve_prices(model, prices)
+        tree = model.tree
+        T = tree.horizon
         self.tuples = list(itertools.product(range(T + 1), repeat=n))
         self.lp = LinearProgram()
         self.x = None
         if role in ("sub", "super", "european"):
             self.x = self.lp.add_var("x", nonneg=False)
 
-        tree = model.tree
-        self.dims = model.stock.dim
-        self.internal = [
-            (node.time, nid)
-            for nid, node in tree.nodes.items()
-            if node.time < T
-        ]
-        self.internal.sort()
+        self.internal = sorted((n.time, nid) for nid, n in tree.nodes.items() if n.time < T)
         self.all_nodes = sorted(tree.nodes, key=lambda nid: (tree.nodes[nid].time, nid))
-
-        self.h_var: dict[tuple, int] = {}
-        self.h_var_neg: dict[tuple, int] = {}
-        for tvec in self.tuples:
-            for r, nid in self.internal:
-                for d in range(self.dims):
-                    key = (tvec, r, nid, d)
-                    if split_stock:
-                        self.h_var[key] = self.lp.add_var(f"H+[{tvec};{nid};{d}]")
-                        self.h_var_neg[key] = self.lp.add_var(f"H-[{tvec};{nid};{d}]")
-                    else:
-                        self.h_var[key] = self.lp.add_var(f"H[{tvec};{nid};{d}]", nonneg=False)
-        self.a_var = [self.lp.add_var(f"a[{i}]") for i in range(model.L)]
-        self.b_var = [self.lp.add_var(f"b[{j}]") for j in range(model.M)]
-        self.c_var = [self.lp.add_var(f"c[{k}]") for k in range(model.N)]
-        self.nu_var: dict[tuple, int] = {}
-        for j in range(model.M):
-            for tvec in self.tuples:
-                for nid in self.all_nodes:
-                    self.nu_var[(j, tvec, nid)] = self.lp.add_var(f"nu[{j};{tvec};{nid}]")
+        # positions and masses are keyed (clock vector, node): the node fixes the time
+        keys = (((tvec, nid), f"{tvec};{nid}") for tvec in self.tuples for _, nid in self.internal)
+        self.stock = StockPositions(self.lp, keys, model.stock.dim, split=split_stock)
+        self.static = add_static_vars(self.lp, model)
+        self.nu_var = [
+            {
+                (tvec, nid): self.lp.add_var(f"nu[{j};{tvec};{nid}]")
+                for tvec in self.tuples
+                for nid in self.all_nodes
+            }
+            for j in range(model.M)
+        ]
         self.eta_var: dict[tuple, int] = {}
         if role == "sub":
-            for tvec in self.tuples:
-                for nid in self.all_nodes:
-                    self.eta_var[(tvec, nid)] = self.lp.add_var(f"eta[{tvec};{nid}]")
+            self.eta_var = {
+                (tvec, nid): self.lp.add_var(f"eta[{tvec};{nid}]")
+                for tvec in self.tuples
+                for nid in self.all_nodes
+            }
 
     # -- coefficient assembly ---------------------------------------------
 
     def phi_coeffs(self, tvec: tuple[int, ...], path_idx: int) -> dict[int, Q]:
         """Gain coefficients on base path path_idx with exercise clock tvec."""
-        model = self.model
-        tree = model.tree
-        path = tree.paths[path_idx]
-        T = tree.horizon
-        coeffs: dict[int, Q] = {}
-
-        def bump(var: int, val: Q) -> None:
-            if val:
-                coeffs[var] = coeffs.get(var, ZERO) + val
-
-        for r in range(T):
-            here = model.stock.at(path[r])
-            nxt = model.stock.at(path[r + 1])
-            for d in range(self.dims):
-                step = nxt[d] - here[d]
-                if step:
-                    bump(self.h_var[(tvec, r, path[r], d)], step)
-                    if self.split_stock:
-                        bump(self.h_var_neg[(tvec, r, path[r], d)], -step)
-        leaf = path[T]
-        for i in range(model.L):
-            payoff, _ = model.europeans[i]
-            bump(self.a_var[i], payoff.at(leaf) - self.alphas[i])
-        for j in range(model.M):
-            bump(self.b_var[j], -self.betas[j])
-            proc, _ = model.americans_long[j]
-            for nid in path:
-                bump(self.nu_var[(j, tvec, nid)], proc.scalar(nid))
-        for k in range(model.N):
-            proc, _ = model.americans_short[k]
-            bump(self.c_var[k], -(proc.scalar(path[tvec[k]]) - self.gammas[k]))
-        return {v: c for v, c in coeffs.items() if c}
+        at = [(tvec, nid) for nid in self.model.tree.paths[path_idx]]
+        terms = gain_terms(self.model, path_idx, tvec, self.prices)
+        return gain_row(terms, self.stock, at, self.static, self.nu_var)
 
     def hedge_row(self, tvec: tuple[int, ...], path_idx: int) -> tuple[dict[int, Q], Q]:
         """Row coefficients and rhs of the pathwise hedging constraint."""
@@ -190,10 +155,7 @@ class ClockLP:
         row = self.phi_coeffs(tvec, path_idx)
         if self.role == "sub":
             for nid in path:
-                val = model.claim.scalar(nid)
-                if val:
-                    var = self.eta_var[(tvec, nid)]
-                    row[var] = row.get(var, ZERO) + val
+                _bump(row, self.eta_var[(tvec, nid)], model.claim.scalar(nid))
             row[self.x] = row.get(self.x, ZERO) - ONE
             return row, ZERO
         if self.role == "super":
@@ -204,24 +166,20 @@ class ClockLP:
             return row, -self.psi[path_idx]
         return row, ZERO    # arbitrage: plain nonnegativity
 
-    def add_core_rows(self) -> list[int]:
-        """Hedging rows for every (clock vector, base path); returns indices."""
-        rows = []
+    def add_core_rows(self) -> None:
+        """Hedging rows for every (clock vector, base path)."""
         for tvec in self.tuples:
             for p in range(len(self.model.tree.paths)):
                 row, rhs = self.hedge_row(tvec, p)
-                rows.append(
-                    self.lp.add_constraint(row, ">=", rhs, name=f"hedge[{tvec};p{p}]")
-                )
-        return rows
+                self.lp.add_constraint(row, ">=", rhs, name=f"hedge[{tvec};p{p}]")
 
     def add_unit_and_liquidation_rows(self) -> None:
         model = self.model
         for tvec in self.tuples:
             for p, path in enumerate(model.tree.paths):
-                for j in range(model.M):
-                    row = {self.nu_var[(j, tvec, nid)]: ONE for nid in path}
-                    row[self.b_var[j]] = -ONE
+                for j, nu in enumerate(self.nu_var):
+                    row = {nu[(tvec, nid)]: ONE for nid in path}
+                    row[self.static["b"][j]] = -ONE
                     self.lp.add_constraint(row, "=", ZERO, name=f"liq[{j};{tvec};p{p}]")
                 if self.role == "sub":
                     row = {self.eta_var[(tvec, nid)]: ONE for nid in path}
@@ -241,30 +199,15 @@ class ClockLP:
             nodes = [nid for nid in self.all_nodes if tree.nodes[nid].time == r]
             for s, t in indistinguishable_pairs(self.tuples, r):
                 for nid in nodes:
-                    for d in range(self.dims):
-                        if self.split_stock:
-                            self.lp.add_constraint(
-                                {
-                                    self.h_var[(s, r, nid, d)]: ONE,
-                                    self.h_var_neg[(s, r, nid, d)]: -ONE,
-                                    self.h_var[(t, r, nid, d)]: -ONE,
-                                    self.h_var_neg[(t, r, nid, d)]: ONE,
-                                },
-                                "=",
-                                ZERO,
-                                name=f"na_H[{s}~{t};{nid};{d}]",
-                            )
-                        else:
-                            self.lp.add_constraint(
-                                {self.h_var[(s, r, nid, d)]: ONE, self.h_var[(t, r, nid, d)]: -ONE},
-                                "=",
-                                ZERO,
-                                name=f"na_H[{s}~{t};{nid};{d}]",
-                            )
+                    for d in range(model.stock.dim):
+                        row: dict[int, Q] = {}
+                        self.stock.add(row, (s, nid), d, ONE)
+                        self.stock.add(row, (t, nid), d, -ONE)
+                        self.lp.add_constraint(row, "=", ZERO, name=f"na_H[{s}~{t};{nid};{d}]")
                         count += 1
-                    for j in range(model.M):
+                    for j, nu in enumerate(self.nu_var):
                         self.lp.add_constraint(
-                            {self.nu_var[(j, s, nid)]: ONE, self.nu_var[(j, t, nid)]: -ONE},
+                            {nu[(s, nid)]: ONE, nu[(t, nid)]: -ONE},
                             "=",
                             ZERO,
                             name=f"na_nu[{j};{s}~{t};{nid}]",
@@ -311,88 +254,66 @@ class ClockLP:
                 count += 1
         return count
 
-    def add_norm_row(self) -> None:
-        row: dict[int, Q] = {}
-        for var in self.h_var.values():
-            row[var] = ONE
-        for var in self.h_var_neg.values():
-            row[var] = ONE
-        for var in (*self.a_var, *self.b_var, *self.c_var):
-            row[var] = ONE
-        self.lp.add_constraint(row, "<=", ONE, name="norm")
-
-    # -- optimizer extraction and independent re-evaluation ----------------
+    # -- optimizer extraction -----------------------------------------------
 
     def families_from(self, out) -> dict:
         model = self.model
-        T = model.tree.horizon
-        h_members = {}
-        nu_members = [dict() for _ in range(model.M)]
-        eta_members = {}
-        for tvec in self.tuples:
-            member = {}
-            for r, nid in self.internal:
-                vals = []
-                for d in range(self.dims):
-                    v = out.x(self.h_var[(tvec, r, nid, d)])
-                    if self.split_stock:
-                        v -= out.x(self.h_var_neg[(tvec, r, nid, d)])
-                    vals.append(v)
-                member[(r, nid)] = tuple(vals)
-            h_members[tvec] = member
-            for j in range(model.M):
-                nu_members[j][tvec] = {
-                    nid: out.x(self.nu_var[(j, tvec, nid)]) for nid in self.all_nodes
-                }
-            if self.role == "sub":
-                eta_members[tvec] = {
-                    nid: out.x(self.eta_var[(tvec, nid)]) for nid in self.all_nodes
-                }
+        dims = range(model.stock.dim)
+        stock = self.stock.values(out)
+
+        def family(kind, member):
+            members = {tvec: member(tvec) for tvec in self.tuples}
+            T = model.tree.horizon
+            return ClockIndexedFamily(horizon=T, n=self.n, kind=kind, members=members)
+
+        def masses(var):
+            return lambda tvec: {nid: out.x(var[(tvec, nid)]) for nid in self.all_nodes}
+
         result = {
-            "H": ClockIndexedFamily(horizon=T, n=self.n, kind="dynamic", members=h_members),
-            "nu": [
-                ClockIndexedFamily(horizon=T, n=self.n, kind="liquidating", members=nu_members[j])
-                for j in range(model.M)
-            ],
-            "a": [out.x(v) for v in self.a_var],
-            "b": [out.x(v) for v in self.b_var],
-            "c": [out.x(v) for v in self.c_var],
+            "H": family("dynamic", lambda tvec: {
+                (r, nid): tuple(stock.get(((tvec, nid), d), ZERO) for d in dims)
+                for r, nid in self.internal
+            }),
+            "nu": [family("liquidating", masses(nu)) for nu in self.nu_var],
+            **{kind: [out.x(var) for var in vs] for kind, vs in self.static.items()},
         }
         if self.role == "sub":
-            result["eta"] = ClockIndexedFamily(
-                horizon=T, n=self.n, kind="liquidating", members=eta_members
-            )
+            result["eta"] = family("liquidating", masses(self.eta_var))
         if self.x is not None:
             result["x"] = out.x(self.x)
         return result
 
-    def eval_gain(self, fams: dict, tvec: tuple[int, ...], path_idx: int) -> Q:
-        """Re-evaluate the clock-vector gain from raw positions."""
-        model = self.model
-        path = model.tree.paths[path_idx]
-        T = model.tree.horizon
-        total = ZERO
-        member = fams["H"].members[tvec]
-        for r in range(T):
-            here = model.stock.at(path[r])
-            nxt = model.stock.at(path[r + 1])
-            pos = member[(r, path[r])]
-            for d in range(self.dims):
-                total += pos[d] * (nxt[d] - here[d])
-        leaf = path[T]
-        for i in range(model.L):
-            payoff, _ = model.europeans[i]
-            total += fams["a"][i] * (payoff.at(leaf) - self.alphas[i])
-        for j in range(model.M):
-            proc, _ = model.americans_long[j]
-            masses = fams["nu"][j].members[tvec]
-            for nid in path:
-                total += masses.get(nid, ZERO) * proc.scalar(nid)
-            total -= fams["b"][j] * self.betas[j]
-        for k in range(model.N):
-            proc, _ = model.americans_short[k]
-            total -= fams["c"][k] * (proc.scalar(path[tvec[k]]) - self.gammas[k])
-        return total
+
+def _clock_gain(clp: ClockLP, fams: dict, tvec: tuple[int, ...], path_idx: int) -> Q:
+    """Phi of the clock-vector members on one base path, by the one evaluator."""
+    path = clp.model.tree.paths[path_idx]
+    member = fams["H"].members[tvec]
+    return evaluate_gain(
+        clp.model,
+        path_idx,
+        tvec,
+        [member[(t, nid)] for t, nid in enumerate(path[:-1])],
+        prices=clp.prices,
+        a=fams["a"],
+        b=fams["b"],
+        c=fams["c"],
+        nu=[[fam.members[tvec].get(nid, ZERO) for nid in path] for fam in fams["nu"]],
+    )
+
+
+def _solve_clock_lp(clp: ClockLP, grid: list | None, sense: str, objective: dict[int, Q]):
+    """Liquidation, non-anticipativity and grid rows after the core rows, then solve."""
+    clp.add_unit_and_liquidation_rows()
+    clp.add_nonanticipativity()
+    if grid:
+        clp.add_grid_rows(grid)
+    if clp.stock.split:
+        clp.stock.add_norm_row(sum(clp.static.values(), []))
+    clp.lp.set_objective(sense, objective)
+    out = solve(clp.lp)
+    if out.status != "optimal":
+        raise PropertyViolation(f"clock-indexed {clp.role} LP unexpectedly {out.status}")
+    return out
 
 
 def _price_clock_indexed(
@@ -406,17 +327,8 @@ def _price_clock_indexed(
     n = model.N + 1 if role == "super" else model.N
     clp = ClockLP(model, n, prices=prices, role=role, psi=psi)
     clp.add_core_rows()
-    clp.add_unit_and_liquidation_rows()
-    clp.add_nonanticipativity()
-    if grid:
-        clp.add_grid_rows(grid)
-    sense = "min" if role == "super" else "max"
-    clp.lp.set_objective(sense, {clp.x: ONE})
-    out = solve(clp.lp)
-    if out.status != "optimal":
-        raise PropertyViolation(f"clock-indexed {role} LP unexpectedly {out.status}")
-    fams = clp.families_from(out)
-    return out.value, fams, clp
+    out = _solve_clock_lp(clp, grid, "min" if role == "super" else "max", {clp.x: ONE})
+    return out.value, clp.families_from(out), clp
 
 
 def _clock_indexed_na(
@@ -427,27 +339,13 @@ def _clock_indexed_na(
 ) -> bool:
     """No-arbitrage in the clock-indexed formulation (True = no arbitrage)."""
     clp = ClockLP(model, model.N, prices=prices, role="arbitrage", split_stock=True)
-    rows = clp.add_core_rows()
-    clp.add_unit_and_liquidation_rows()
-    clp.add_nonanticipativity()
-    if grid:
-        clp.add_grid_rows(grid)
-    clp.add_norm_row()
-    num_paths = len(model.tree.paths)
     share = Q(1, len(clp.tuples))
-    objective: dict[int, Q] = {}
-    for tvec in clp.tuples:
-        for p in range(num_paths):
-            w = model.path_weight(p) * share
-            for var, val in clp.phi_coeffs(tvec, p).items():
-                term = w * val
-                if term:
-                    objective[var] = objective.get(var, ZERO) + term
-    clp.lp.set_objective("max", {v: c for v, c in objective.items() if c})
-    out = solve(clp.lp)
-    if out.status != "optimal":
-        raise PropertyViolation(f"clock-indexed arbitrage LP unexpectedly {out.status}")
-    return out.value == ZERO
+    objective = add_weighted_gains(clp.lp, (
+        (f"hedge[{tvec};p{p}]", clp.phi_coeffs(tvec, p), model.path_weight(p) * share)
+        for tvec in clp.tuples
+        for p in range(len(model.tree.paths))
+    ))
+    return _solve_clock_lp(clp, grid, "max", objective).value == ZERO
 
 
 @dataclass
@@ -523,7 +421,7 @@ def _certify_lift(
                 w = _mixture_weight(point, tvec)
                 if not w:
                     continue
-                mixed_gain += w * clp.eval_gain(fams, tvec, p)
+                mixed_gain += w * _clock_gain(clp, fams, tvec, p)
                 if clp.role == "super":
                     mixed_claim += w * model.claim.scalar(path[tvec[-1]])
                 elif clp.role == "sub":

@@ -166,21 +166,6 @@ class EnlargedModel:
         p = self.epaths[path_idx]
         return proc.scalar(self.base_node_at(path_idx, p.clocks[k]))
 
-    def claim_value_at_node(self, enode_idx: int) -> Q:
-        claim = self.model.claim
-        if claim is None:
-            raise ModelFormatError("model has no claim")
-        return claim.scalar(self.enodes[enode_idx].base)
-
-    def claim_value_at_last_clock(self, path_idx: int) -> Q:
-        claim = self.model.claim
-        if claim is None:
-            raise ModelFormatError("model has no claim")
-        if self.n != self.model.N + 1:
-            raise ModelFormatError("claim-at-clock payoff needs n = N + 1")
-        p = self.epaths[path_idx]
-        return claim.scalar(self.base_node_at(path_idx, p.clocks[-1]))
-
 
 def enlarge(model: MarketModel, n: int, clock_weights: ClockWeights = "uniform") -> EnlargedModel:
     """Attach n exercise clocks; n = N for sub-hedging/FTAP, N+1 for super-hedging."""
@@ -193,8 +178,13 @@ def extend_claim(enl: EnlargedModel, role: Literal["sub", "super"]):
     sub   -> node-indexed values (it stays an adapted exercise process),
     super -> per-path payoff read off at the last clock coordinate.
     """
+    claim = enl.model.claim
+    if claim is None:
+        raise ModelFormatError("model has no claim")
     if role == "sub":
-        return {idx: enl.claim_value_at_node(idx) for idx in range(len(enl.enodes))}
+        return {idx: claim.scalar(node.base) for idx, node in enumerate(enl.enodes)}
     if role == "super":
-        return [enl.claim_value_at_last_clock(i) for i in range(enl.num_paths)]
+        if enl.n != enl.model.N + 1:
+            raise ModelFormatError("claim-at-clock payoff needs n = N + 1")
+        return [claim.scalar(enl.base_node_at(i, p.clocks[-1])) for i, p in enumerate(enl.epaths)]
     raise ValueError(f"unknown role {role!r}")

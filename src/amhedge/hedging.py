@@ -10,7 +10,7 @@ problem below is an exact rational LP.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Hashable, Iterable, Iterator, Sequence
 
 from .enlarged import EnlargedModel, extend_claim
 from .errors import PropertyViolation, SnaFailure
@@ -48,17 +48,169 @@ def _shift_prices(model: MarketModel, prices: Prices | None, eps: Q) -> Prices:
     )
 
 
-def _stock_gain(enl: EnlargedModel, positions: dict[tuple[int, int], Q], p: int) -> Q:
-    """Gain of dynamic stock positions keyed (enlarged node, dim) along path p."""
-    seq = enl.epaths[p].node_seq
+def gain_terms(
+    model: MarketModel, base_index: int, clocks: Sequence[int], prices: Prices
+) -> Iterator[tuple[tuple, Q]]:
+    """The one builder of the gain Phi along a base path and its exercise clocks.
+
+    Yields (term, coefficient) pairs.  Terms are ("H", t, d), the
+    position in stock dim d held from t to t+1; ("a", i), ("b", j) and
+    ("c", k), the static book; ("nu", j, t), the mass of long j
+    liquidated at time t.  ``prices`` are resolved quotes.  Each LP maps
+    the time index onto its own variables (see gain_row); evaluate_gain
+    re-checks Phi without reading anything built here.
+    """
+    alphas, betas, gammas = prices
+    path = model.tree.paths[base_index]
+    for t in range(len(path) - 1):
+        here, nxt = model.stock.at(path[t]), model.stock.at(path[t + 1])
+        for d in range(model.stock.dim):
+            if nxt[d] != here[d]:
+                yield ("H", t, d), nxt[d] - here[d]
+    for i, (payoff, _) in enumerate(model.europeans):
+        yield ("a", i), payoff.at(path[-1]) - alphas[i]
+    for j, (proc, _) in enumerate(model.americans_long):
+        yield ("b", j), -betas[j]
+        for t, nid in enumerate(path):
+            yield ("nu", j, t), proc.scalar(nid)
+    for k, (proc, _) in enumerate(model.americans_short):
+        yield ("c", k), -(proc.scalar(path[clocks[k]]) - gammas[k])
+
+
+def evaluate_gain(
+    model: MarketModel,
+    base_index: int,
+    clocks: Sequence[int],
+    stock: Sequence[Sequence[Q]],
+    *,
+    prices: Prices = ((), (), ()),
+    a: Sequence[Q] = (),
+    b: Sequence[Q] = (),
+    c: Sequence[Q] = (),
+    nu: Sequence[Sequence[Q]] = (),
+) -> Q:
+    """The one evaluator of Phi, from positions read along a base path.
+
+    stock[t] is the position vector held from t to t+1 and nu[j][t] the
+    mass of long j liquidated at time t; omitted books count as empty.
+    Recomputed straight from the model data, independently of
+    gain_terms and of every LP coefficient.
+    """
+    alphas, betas, gammas = prices
+    path = model.tree.paths[base_index]
     total = ZERO
-    for t in range(enl.horizon):
-        step = enl.stock_step(p, t)
-        for d, move in enumerate(step):
-            h = positions.get((seq[t], d), ZERO)
-            if h and move:
-                total += h * move
+    for t, pos in enumerate(stock):
+        here, nxt = model.stock.at(path[t]), model.stock.at(path[t + 1])
+        total += sum((h * (y - x) for h, x, y in zip(pos, here, nxt)), ZERO)
+    for i, ai in enumerate(a):
+        total += ai * (model.europeans[i][0].at(path[-1]) - alphas[i])
+    for j, masses in enumerate(nu):
+        proc = model.americans_long[j][0]
+        total += sum((m * proc.scalar(nid) for m, nid in zip(masses, path)), ZERO) - b[j] * betas[j]
+    for k, ck in enumerate(c):
+        total -= ck * (model.americans_short[k][0].scalar(path[clocks[k]]) - gammas[k])
     return total
+
+
+def enlarged_reading(
+    enl: EnlargedModel, positions: dict[tuple[int, int], Q], p: int
+) -> tuple[int, tuple[int, ...], list[list[Q]]]:
+    """Base path, clocks and per-time stock vectors of enlarged path p.
+
+    ``positions`` are keyed (enlarged node, dim); the triple is what
+    evaluate_gain reads.
+    """
+    ep = enl.epaths[p]
+    dims = range(enl.model.stock.dim)
+    stock = [[positions.get((v, d), ZERO) for d in dims] for v in ep.node_seq[:enl.horizon]]
+    return ep.base_index, ep.clocks, stock
+
+
+def _bump(row: dict[int, Q], var: int, val: Q) -> None:
+    if val:
+        row[var] = row.get(var, ZERO) + val
+
+
+class StockPositions:
+    """Dynamic stock variables of one LP: H per (key, dim), or H+ and H-.
+
+    Split variables carry the l1 norm row; a free H is one column.
+    """
+
+    def __init__(
+        self, lp: LinearProgram, keys: Iterable[tuple[Hashable, str]], dims: int, *, split: bool
+    ) -> None:
+        self.lp = lp
+        self.split = split
+        self.pos: dict[tuple, int] = {}
+        self.neg: dict[tuple, int] = {}
+        for key, label in keys:
+            for d in range(dims):
+                if split:
+                    self.pos[(key, d)] = lp.add_var(f"H+[{label};{d}]")
+                    self.neg[(key, d)] = lp.add_var(f"H-[{label};{d}]")
+                else:
+                    self.pos[(key, d)] = lp.add_var(f"H[{label};{d}]", nonneg=False)
+
+    def add(self, row: dict[int, Q], key: Hashable, d: int, coef: Q) -> None:
+        """Add coef times the position (key, d) to a row."""
+        _bump(row, self.pos[(key, d)], coef)
+        if self.split:
+            _bump(row, self.neg[(key, d)], -coef)
+
+    def values(self, out: LPOutcome) -> dict[tuple, Q]:
+        """Nonzero optimal positions, keyed (key, dim)."""
+        vals = {
+            kd: out.x(var) - out.x(self.neg[kd]) if self.split else out.x(var)
+            for kd, var in self.pos.items()
+        }
+        return {kd: v for kd, v in vals.items() if v}
+
+    def add_norm_row(self, others: Iterable[int] = ()) -> int:
+        """l1 bound: every H+ and H- plus the ``others`` sum to at most 1."""
+        if not self.split:
+            raise ValueError("norm row needs split stock variables")
+        row = {var: ONE for var in (*self.pos.values(), *self.neg.values(), *others)}
+        return self.lp.add_constraint(row, "<=", ONE, name="norm")
+
+
+def add_static_vars(lp: LinearProgram, model: MarketModel) -> dict[str, list[int]]:
+    """Variables a[i], b[j], c[k] of the static book, listed per kind."""
+    return {
+        kind: [lp.add_var(f"{kind}[{i}]") for i in range(count)]
+        for kind, count in (("a", model.L), ("b", model.M), ("c", model.N))
+    }
+
+
+def gain_row(
+    terms: Iterable[tuple[tuple, Q]],
+    stock: StockPositions,
+    at: Sequence[Hashable],
+    static: dict[str, list[int]],
+    nu_var: Sequence[dict[Hashable, int]] = (),
+) -> dict[int, Q]:
+    """Map gain terms onto one LP: at[t] keys its time-t stock and nu variables."""
+    row: dict[int, Q] = {}
+    for term, coef in terms:
+        if term[0] == "H":
+            stock.add(row, at[term[1]], term[2], coef)
+        elif term[0] == "nu":
+            _bump(row, nu_var[term[1]][at[term[2]]], coef)
+        else:
+            _bump(row, static[term[0]][term[1]], coef)
+    return {var: val for var, val in row.items() if val}
+
+
+def add_weighted_gains(
+    lp: LinearProgram, gains: Iterable[tuple[str, dict[int, Q], Q]]
+) -> dict[int, Q]:
+    """One row Phi >= 0 per (name, coefficients, weight); returns sum weight * Phi."""
+    objective: dict[int, Q] = {}
+    for name, row, w in gains:
+        lp.add_constraint(row, ">=", ZERO, name=name)
+        for var, val in row.items():
+            _bump(objective, var, w * val)
+    return {var: val for var, val in objective.items() if val}
 
 
 @dataclass
@@ -98,9 +250,10 @@ def payoff_enlarged(
 ) -> dict[int, Q]:
     """Evaluate the strategy's gain on each enlarged path, exactly.
 
-    Independent of any LP: recomputes H.S + a(f-alpha) + nu(g) - b.beta
-    - c(h-gamma) straight from the model data.  Liquidation masses are
-    checked to sum to b_j along every evaluated path.
+    Independent of any LP: evaluate_gain recomputes H.S + a(f-alpha) +
+    nu(g) - b.beta - c(h-gamma) straight from the model data.
+    Liquidation masses are checked to sum to b_j along every evaluated
+    path.
     """
     model = enl.model
     if strat.dims != model.stock.dim:
@@ -111,45 +264,36 @@ def payoff_enlarged(
         model.N,
     ):
         raise ValueError("strategy option counts do not match the model")
-    alphas, betas, gammas = _resolve_prices(model, prices)
+    resolved = _resolve_prices(model, prices)
     idx = range(enl.num_paths) if paths is None else paths
     gains: dict[int, Q] = {}
     for p in idx:
-        seq = enl.epaths[p].node_seq
-        total = _stock_gain(enl, strat.stock, p)
-        for i in range(model.L):
-            a = strat.long_european[i]
-            if a:
-                total += a * (enl.european_value(i, p) - alphas[i])
-        for j in range(model.M):
-            nu = strat.liquidation[j]
-            mass = ZERO
-            for t, v in enumerate(seq):
-                m = nu.get(v, ZERO)
-                if m:
-                    total += m * enl.long_value_at_node(j, v)
-                    mass += m
+        nu = [[liq.get(v, ZERO) for v in enl.epaths[p].node_seq] for liq in strat.liquidation]
+        for j, masses in enumerate(nu):
+            mass = sum(masses, ZERO)
             if mass != strat.long_american[j]:
                 raise PropertyViolation(
                     f"liquidation mass {rat_str(mass)} != position "
                     f"{rat_str(strat.long_american[j])} for long American {j} on path {p}"
                 )
-            total -= strat.long_american[j] * betas[j]
-        for k in range(model.N):
-            c = strat.short_american[k]
-            if c:
-                total -= c * (enl.short_value(k, p) - gammas[k])
-        gains[p] = total
+        gains[p] = evaluate_gain(
+            model,
+            *enlarged_reading(enl, strat.stock, p),
+            prices=resolved,
+            a=strat.long_european,
+            b=strat.long_american,
+            c=strat.short_american,
+            nu=nu,
+        )
     return gains
 
 
 class GainLP:
-    """Shared LP builder for the semi-static gain expression.
+    """Strategy variables on the enlarged space and the gain row of each path.
 
-    Creates the strategy variables once and hands out, per enlarged
-    path, the exact coefficient map of the gain Phi on that path.
-    Quantification runs over ``paths`` (default all), which is how the
-    quasi-sure variants restrict to a support set.
+    Trade and carry nodes are ordered by path discovery.  Quantification
+    runs over ``paths`` (default all), which is how the quasi-sure
+    variants restrict to a support set.
     """
 
     def __init__(
@@ -166,13 +310,11 @@ class GainLP:
         self.paths = list(range(enl.num_paths)) if paths is None else sorted(set(paths))
         if not self.paths:
             raise ValueError("at least one path required")
-        self.alphas, self.betas, self.gammas = _resolve_prices(enl.model, prices)
-        self.split_stock = split_stock
+        self.prices = _resolve_prices(enl.model, prices)
         self.lp = LinearProgram()
         self.x = self.lp.add_var("x", nonneg=False) if add_x else None
 
         T = self.model.tree.horizon
-        self.dims = self.model.stock.dim
         trade: dict[int, None] = {}
         carry: dict[int, None] = {}
         for p in self.paths:
@@ -180,100 +322,37 @@ class GainLP:
                 carry.setdefault(v, None)
                 if t < T:
                     trade.setdefault(v, None)
-        self.trade_nodes = list(trade)
         self.carry_nodes = list(carry)
-
-        self.h_var: dict[tuple[int, int], int] = {}
-        self.h_var_neg: dict[tuple[int, int], int] = {}
-        for v in self.trade_nodes:
-            lbl = enl.enode(v).label
-            for d in range(self.dims):
-                if split_stock:
-                    self.h_var[(v, d)] = self.lp.add_var(f"H+[{lbl};{d}]")
-                    self.h_var_neg[(v, d)] = self.lp.add_var(f"H-[{lbl};{d}]")
-                else:
-                    self.h_var[(v, d)] = self.lp.add_var(f"H[{lbl};{d}]", nonneg=False)
-        self.a_var = [self.lp.add_var(f"a[{i}]") for i in range(self.model.L)]
-        self.b_var = [self.lp.add_var(f"b[{j}]") for j in range(self.model.M)]
-        self.c_var = [self.lp.add_var(f"c[{k}]") for k in range(self.model.N)]
-        self.nu_var: list[dict[int, int]] = []
-        for j in range(self.model.M):
-            self.nu_var.append(
-                {v: self.lp.add_var(f"nu[{j};{enl.enode(v).label}]") for v in self.carry_nodes}
-            )
-        self._gain_cache: dict[int, dict[int, Q]] = {}
+        labels = ((v, enl.enode(v).label) for v in trade)
+        self.stock = StockPositions(self.lp, labels, self.model.stock.dim, split=split_stock)
+        self.static = add_static_vars(self.lp, self.model)
+        self.nu_var = [
+            {v: self.lp.add_var(f"nu[{j};{enl.enode(v).label}]") for v in self.carry_nodes}
+            for j in range(self.model.M)
+        ]
 
     def gain_coeffs(self, p: int) -> dict[int, Q]:
         """Coefficient map of Phi(path p) over the strategy variables."""
-        cached = self._gain_cache.get(p)
-        if cached is not None:
-            return dict(cached)
-        enl, model = self.enl, self.model
-        seq = enl.epaths[p].node_seq
-        T = model.tree.horizon
-        coeffs: dict[int, Q] = {}
-
-        def bump(var: int, val: Q) -> None:
-            if val:
-                coeffs[var] = coeffs.get(var, ZERO) + val
-
-        for t in range(T):
-            step = enl.stock_step(p, t)
-            v = seq[t]
-            for d in range(self.dims):
-                if step[d]:
-                    bump(self.h_var[(v, d)], step[d])
-                    if self.split_stock:
-                        bump(self.h_var_neg[(v, d)], -step[d])
-        for i in range(model.L):
-            bump(self.a_var[i], enl.european_value(i, p) - self.alphas[i])
-        for j in range(model.M):
-            bump(self.b_var[j], -self.betas[j])
-            nu = self.nu_var[j]
-            for v in seq:
-                bump(nu[v], enl.long_value_at_node(j, v))
-        for k in range(model.N):
-            bump(self.c_var[k], -(enl.short_value(k, p) - self.gammas[k]))
-        coeffs = {var: val for var, val in coeffs.items() if val}
-        self._gain_cache[p] = dict(coeffs)
-        return coeffs
+        ep = self.enl.epaths[p]
+        terms = gain_terms(self.model, ep.base_index, ep.clocks, self.prices)
+        return gain_row(terms, self.stock, ep.node_seq, self.static, self.nu_var)
 
     def add_liquidation_rows(self) -> None:
         """Path sums of each nu_j equal the position b_j (mu is divisible)."""
-        for j in range(self.model.M):
-            nu = self.nu_var[j]
+        for j, nu in enumerate(self.nu_var):
             for p in self.paths:
                 row = {nu[v]: ONE for v in self.enl.epaths[p].node_seq}
-                row[self.b_var[j]] = row.get(self.b_var[j], ZERO) - ONE
+                row[self.static["b"][j]] = -ONE
                 self.lp.add_constraint(row, "=", ZERO, name=f"liq[{j};p{p}]")
 
-    def add_norm_row(self) -> int:
-        """l1 bound on (H, a, b, c); requires split stock variables."""
-        if not self.split_stock:
-            raise ValueError("norm row needs split stock variables")
-        row: dict[int, Q] = {}
-        for var in self.h_var.values():
-            row[var] = ONE
-        for var in self.h_var_neg.values():
-            row[var] = ONE
-        for var in (*self.a_var, *self.b_var, *self.c_var):
-            row[var] = ONE
-        return self.lp.add_constraint(row, "<=", ONE, name="norm")
-
     def strategy_from(self, out: LPOutcome) -> SemiStaticStrategy:
-        stock: dict[tuple[int, int], Q] = {}
-        for key, var in self.h_var.items():
-            val = out.x(var)
-            if self.split_stock:
-                val = val - out.x(self.h_var_neg[key])
-            if val:
-                stock[key] = val
+        book = {kind: [out.x(var) for var in vs] for kind, vs in self.static.items()}
         return SemiStaticStrategy(
-            dims=self.dims,
-            stock=stock,
-            long_european=[out.x(v) for v in self.a_var],
-            long_american=[out.x(v) for v in self.b_var],
-            short_american=[out.x(v) for v in self.c_var],
+            dims=self.model.stock.dim,
+            stock=self.stock.values(out),
+            long_european=book["a"],
+            long_american=book["b"],
+            short_american=book["c"],
             liquidation=[
                 {v: out.x(var) for v, var in nu.items() if out.x(var)} for nu in self.nu_var
             ],
@@ -347,9 +426,7 @@ def _hedge(
         row = g.gain_coeffs(p)
         if eta_var:
             for v in seq:
-                val = exercise_values[v]
-                if val:
-                    row[eta_var[v]] = row.get(eta_var[v], ZERO) + val
+                _bump(row, eta_var[v], exercise_values[v])
         row[g.x] = row.get(g.x, ZERO) + sign
         g.lp.add_constraint(row, ">=", rhs[p], name=f"hedge[p{p}]")
         if eta_var:
@@ -470,18 +547,12 @@ def detect_arbitrage(
     the optimizer is returned as a witness.
     """
     g = GainLP(enl, paths=paths, prices=prices, split_stock=True)
-    objective: dict[int, Q] = {}
-    for p in g.paths:
-        row = g.gain_coeffs(p)
-        g.lp.add_constraint(row, ">=", ZERO, name=f"nonneg[p{p}]")
-        w = enl.weight(p)
-        for var, val in row.items():
-            contrib = w * val
-            if contrib:
-                objective[var] = objective.get(var, ZERO) + contrib
+    objective = add_weighted_gains(
+        g.lp, ((f"nonneg[p{p}]", g.gain_coeffs(p), enl.weight(p)) for p in g.paths)
+    )
     g.add_liquidation_rows()
-    g.add_norm_row()
-    g.lp.set_objective("max", {v: c for v, c in objective.items() if c})
+    g.stock.add_norm_row(sum(g.static.values(), []))
+    g.lp.set_objective("max", objective)
     out = solve(g.lp)
     if out.status != "optimal":
         raise PropertyViolation(f"arbitrage LP unexpectedly {out.status}")

@@ -98,7 +98,7 @@ class LPOutcome:
 
 
 def format_lp(lp: LinearProgram) -> str:
-    """Human-readable dump, used behind the CLI debug flag."""
+    """Human-readable dump of an LP: objective, named rows and free variables."""
     out = [f"# {lp.name}: {lp.sense} over {lp.num_vars} vars, {lp.num_rows} rows"]
     terms = " + ".join(f"{v}*{lp.var_names[j]}" for j, v in sorted(lp.objective.items()))
     out.append(f"{lp.sense} {terms or '0'}")

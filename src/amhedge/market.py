@@ -60,16 +60,16 @@ class EventTree:
                 raise ModelFormatError(f"terminal node {node.id!r} has children")
             if node.time > horizon:
                 raise ModelFormatError(f"node {node.id!r} sits beyond the horizon")
+        # depth-first, children in order, without recursion: deep chains stay safe
         self.paths: list[tuple[str, ...]] = []
-        self._walk(self.root, (self.root,))
-
-    def _walk(self, nid: str, prefix: tuple[str, ...]) -> None:
-        kids = self.children[nid]
-        if not kids:
-            self.paths.append(prefix)
-            return
-        for kid in kids:
-            self._walk(kid, prefix + (kid,))
+        stack = [(self.root,)]
+        while stack:
+            prefix = stack.pop()
+            kids = self.children[prefix[-1]]
+            if kids:
+                stack.extend(prefix + (kid,) for kid in reversed(kids))
+            else:
+                self.paths.append(prefix)
 
     @property
     def leaves(self) -> list[str]:
@@ -158,10 +158,40 @@ class MarketModel:
 # -- loading / emission ---------------------------------------------------
 
 
-def _require(data: dict, key: str, where: str) -> Any:
+_REQUIRED = object()
+_KINDS = {dict: "an object", list: "a list", int: "an integer", str: "a string", type(None): "null"}
+
+
+def _typed(value: Any, kind: type | tuple[type, ...], where: str) -> Any:
+    """value, if it has the JSON type kind (bool is no integer); else a schema error."""
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    if not isinstance(value, kinds) or (isinstance(value, bool) and int in kinds):
+        named = " or ".join(_KINDS[k] for k in kinds)
+        raise ModelFormatError(f"{where} must be {named}")
+    return value
+
+
+def _field(data: Any, key: str, where: str, kind: Any, default: Any = _REQUIRED) -> Any:
+    """The one typed lookup of the schema: data[key] in the object ``where``."""
+    _typed(data, dict, where)
     if key not in data:
-        raise ModelFormatError(f"missing {key!r} in {where}")
-    return data[key]
+        if default is _REQUIRED:
+            raise ModelFormatError(f"missing {key!r} in {where}")
+        return default
+    return _typed(data[key], kind, f"{key!r} in {where}")
+
+
+def check_kernel_family(tree: EventTree, nid: str, vertices: list[tuple[Q, ...]]) -> None:
+    """The vertex set at nid: nonempty, each vertex a distribution over the children."""
+    if not vertices:
+        raise ModelFormatError(f"kernel family at {nid!r} is empty")
+    kids = tree.children[nid]
+    for vertex in vertices:
+        if len(vertex) != len(kids):
+            raise ModelFormatError(
+                f"kernel at {nid!r} has {len(vertex)} entries for {len(kids)} children")
+        if any(v < 0 for v in vertex) or sum(vertex, ZERO) != ONE:
+            raise ModelFormatError(f"kernel at {nid!r} is not a distribution")
 
 
 def _rat(value: Any, where: str) -> Q:
@@ -172,8 +202,8 @@ def _rat(value: Any, where: str) -> Q:
         raise ModelFormatError(f"bad rational in {where}: {exc}") from exc
 
 
-def _parse_scalar_process(data: dict, tree: EventTree, where: str) -> AdaptedProcess:
-    values = _require(data, "values", where)
+def _parse_scalar_process(data: Any, tree: EventTree, where: str) -> AdaptedProcess:
+    values = _field(data, "values", where, dict)
     proc = AdaptedProcess(dim=1, values={nid: (_rat(v, where),) for nid, v in values.items()})
     gaps = adapted_gaps(tree, proc)
     if gaps:
@@ -193,25 +223,22 @@ def load_model(source: str | bytes | dict) -> MarketModel:
     if not isinstance(data, dict):
         raise ModelFormatError("model file must contain a JSON object")
 
-    horizon = _require(data, "horizon", "model")
-    if not isinstance(horizon, int) or isinstance(horizon, bool):
-        raise ModelFormatError("horizon must be an integer")
-    node_rows = _require(data, "nodes", "model")
-    nodes = []
-    for row in node_rows:
-        nodes.append(Node(id=str(_require(row, "id", "node")),
-                          time=_require(row, "time", "node"),
-                          parent=row.get("parent")))
+    horizon = _field(data, "horizon", "model", int)
+    nodes = [
+        Node(id=str(_field(row, "id", "node", object)),
+             time=_field(row, "time", "node", int),
+             parent=_field(row, "parent", "node", (str, type(None)), None))
+        for row in _field(data, "nodes", "model", list)
+    ]
     tree = EventTree(nodes, horizon)
 
-    stock_data = _require(data, "stock", "model")
-    dim = _require(stock_data, "dim", "stock")
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
+    stock_data = _field(data, "stock", "model", dict)
+    dim = _field(stock_data, "dim", "stock", int)
+    if dim < 1:
         raise ModelFormatError("stock dim must be a positive integer")
     stock_values = {}
-    for nid, vec in _require(stock_data, "values", "stock").items():
-        if not isinstance(vec, list):
-            raise ModelFormatError(f"stock values at {nid!r} must be a list")
+    for nid, vec in _field(stock_data, "values", "stock", dict).items():
+        vec = _typed(vec, list, f"stock values at {nid!r}")
         stock_values[nid] = tuple(_rat(v, f"stock at {nid!r}") for v in vec)
     stock = AdaptedProcess(dim=dim, values=stock_values)
     gaps = adapted_gaps(tree, stock)
@@ -219,33 +246,27 @@ def load_model(source: str | bytes | dict) -> MarketModel:
         raise ModelFormatError(f"stock is not adapted: gaps at {', '.join(gaps)}")
 
     europeans = []
-    for i, row in enumerate(data.get("europeans", [])):
+    for i, row in enumerate(_field(data, "europeans", "model", list, [])):
         where = f"europeans[{i}]"
-        payoff_map = _require(row, "payoff", where)
-        leaves = set(tree.leaves)
+        payoff_map = _field(row, "payoff", where, dict)
         payoff = TerminalPayoff({nid: _rat(v, where) for nid, v in payoff_map.items()})
-        missing = leaves - set(payoff.values)
+        missing = set(tree.leaves) - set(payoff.values)
         if missing:
             raise ModelFormatError(f"{where} payoff misses leaves {sorted(missing)}")
-        europeans.append((payoff, _rat(_require(row, "price", where), f"{where}.price")))
+        europeans.append((payoff, _rat(_field(row, "price", where, object), f"{where}.price")))
 
-    americans_long = []
-    for i, row in enumerate(data.get("americans_long", [])):
-        proc = _parse_scalar_process(row, tree, f"americans_long[{i}]")
-        where = f"americans_long[{i}]"
-        americans_long.append((proc, _rat(_require(row, "price", where), f"{where}.price")))
+    books = {}
+    for book in ("americans_long", "americans_short"):
+        books[book] = []
+        for i, row in enumerate(_field(data, book, "model", list, [])):
+            where = f"{book}[{i}]"
+            proc = _parse_scalar_process(row, tree, where)
+            books[book].append((proc, _rat(_field(row, "price", where, object), f"{where}.price")))
 
-    americans_short = []
-    for i, row in enumerate(data.get("americans_short", [])):
-        proc = _parse_scalar_process(row, tree, f"americans_short[{i}]")
-        where = f"americans_short[{i}]"
-        americans_short.append((proc, _rat(_require(row, "price", where), f"{where}.price")))
+    claim_data = _field(data, "claim", "model", (dict, type(None)), None)
+    claim = None if claim_data is None else _parse_scalar_process(claim_data, tree, "claim")
 
-    claim = None
-    if data.get("claim") is not None:
-        claim = _parse_scalar_process(data["claim"], tree, "claim")
-
-    weights_map = _require(data, "weights", "model")
+    weights_map = _field(data, "weights", "model", dict)
     weights = {}
     total = ZERO
     for leaf in tree.leaves:
@@ -262,32 +283,23 @@ def load_model(source: str | bytes | dict) -> MarketModel:
         raise ModelFormatError(f"weights sum to {rat_str(total)}, expected 1/1")
 
     kernels = None
-    if data.get("kernels") is not None:
+    kernel_map = _field(data, "kernels", "model", (dict, type(None)), None)
+    if kernel_map is not None:
         kernels = {}
-        for nid, rows in data["kernels"].items():
+        for nid in kernel_map:
+            rows = _field(kernel_map, nid, "kernels", list)
             if nid not in tree.nodes:
                 raise ModelFormatError(f"kernels reference unknown node {nid!r}")
-            kids = tree.children[nid]
-            if not kids:
+            if not tree.children[nid]:
                 raise ModelFormatError(f"kernels given for terminal node {nid!r}")
-            if not rows:
-                raise ModelFormatError(f"kernel family at {nid!r} is empty")
-            vertices = []
-            for vec in rows:
-                if len(vec) != len(kids):
-                    raise ModelFormatError(
-                        f"kernel at {nid!r} has {len(vec)} entries for {len(kids)} children")
-                vertex = tuple(_rat(v, f"kernels at {nid!r}") for v in vec)
-                if any(v < 0 for v in vertex) or sum(vertex, ZERO) != ONE:
-                    raise ModelFormatError(f"kernel at {nid!r} is not a distribution")
-                vertices.append(vertex)
-            kernels[nid] = vertices
+            where = f"kernels at {nid!r}"
+            kernels[nid] = [tuple(_rat(v, where) for v in _typed(vec, list, where)) for vec in rows]
+            check_kernel_family(tree, nid, kernels[nid])
         for nid in tree.nodes:
             if tree.children[nid] and nid not in kernels:
                 raise ModelFormatError(f"kernels miss non-terminal node {nid!r}")
 
-    return MarketModel(tree=tree, stock=stock, europeans=europeans,
-                       americans_long=americans_long, americans_short=americans_short,
+    return MarketModel(tree=tree, stock=stock, europeans=europeans, **books,
                        claim=claim, weights=weights, kernels=kernels)
 
 

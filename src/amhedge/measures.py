@@ -219,20 +219,13 @@ class MeasurePolytope(MartingalePolytope):
         self.alphas, self.betas, self.gammas = _resolve_prices(enl.model, prices)
         model = enl.model
         self.f_rows: list[int] = []
+        # add_constraint drops the zero coefficients
         for i in range(model.L):
-            row = {}
-            for p in self.paths:
-                val = enl.european_value(i, p)
-                if val:
-                    row[self.q_var[p]] = val
+            row = {self.q_var[p]: enl.european_value(i, p) for p in self.paths}
             self.f_rows.append(self.lp.add_constraint(row, "<=", self.alphas[i], name=f"f[{i}]"))
         self.h_rows: list[int] = []
         for k in range(model.N):
-            row = {}
-            for p in self.paths:
-                val = enl.short_value(k, p)
-                if val:
-                    row[self.q_var[p]] = val
+            row = {self.q_var[p]: enl.short_value(k, p) for p in self.paths}
             self.h_rows.append(self.lp.add_constraint(row, ">=", self.gammas[k], name=f"h[{k}]"))
 
         # longed Americans: sup over stopping times, one row per enumerated
@@ -312,6 +305,13 @@ class MeasurePolytope(MartingalePolytope):
 
     # -- independent re-validation ----------------------------------------
 
+    def require(self, measure: dict[int, Q], what: str) -> None:
+        """Raise unless check() passes, naming the first failed rows."""
+        ok, ledger = self.check(measure)
+        if not ok:
+            bad = [e for e in ledger if not e["ok"]]
+            raise PropertyViolation(f"{what} left the polytope: {bad[:3]}")
+
     def check(
         self,
         measure: dict[int, Q],
@@ -370,13 +370,8 @@ class MeasurePolytope(MartingalePolytope):
             lhs = sum((measure.get(p, ZERO) * enl.short_value(k, p) for p in self.paths), ZERO)
             entry(f"h[{k}]", lhs, ">=", self.gammas[k], True)
         for j in range(model.M):
-            worst = None
-            for tau in self.taus:
-                lhs = self.expectation(measure, self.stopped_values(self.long_values[j], tau))
-                if worst is None or lhs > worst:
-                    worst = lhs
-            if worst is not None:
-                entry(f"g[{j};sup]", worst, "<=", self.betas[j], True)
+            best = snell_value(enl, self.long_values[j], measure, paths=self.paths)
+            entry(f"g[{j};sup]", best, "<=", self.betas[j], True)
         return ok, ledger
 
 
@@ -571,8 +566,10 @@ def snell_value(
 ) -> Q:
     """sup over stopping times of E_Q[value at the stop], by backward induction.
 
-    Independent oracle for the epigraph LP: conditional one-step
-    recursion max(value, E_Q[next]) on the sub-forest charged by Q.
+    Independent oracle for the epigraph LP and the long-ask rows: on the
+    sub-forest charged by Q, Y(v) = max(m(v) * value(v), sum of Y over
+    the children), m(v) being the Q-mass of the paths through v.  The
+    masses are never divided, so a signed Q is valued exactly too.
     """
     idx = list(range(enl.num_paths)) if paths is None else list(paths)
     mass: dict[int, Q] = {}
@@ -583,16 +580,11 @@ def snell_value(
         for v in enl.epaths[p].node_seq:
             mass[v] = mass.get(v, ZERO) + q
     env: dict[int, Q] = {}
-    order = sorted(mass, key=lambda v: -enl.enode(v).time)
-    for v in order:
-        here = values_at_enode[v]
-        kids = [c for c in enl.children.get(v, ()) if mass.get(c, ZERO)]
-        if kids:
-            cont = sum((mass[c] * env[c] for c in kids), ZERO) / mass[v]
-            env[v] = max(here, cont)
-        else:
-            env[v] = here
-    return sum((mass[r] * env[r] for r in enl.roots if r in mass), ZERO)
+    for v in sorted(mass, key=lambda v: -enl.enode(v).time):
+        here = mass[v] * values_at_enode[v]
+        kids = [c for c in enl.children.get(v, ()) if c in mass]
+        env[v] = max(here, sum((env[c] for c in kids), ZERO)) if kids else here
+    return sum((env[r] for r in enl.roots if r in mass), ZERO)
 
 
 def lift_measure_uniform_clock(
@@ -623,10 +615,7 @@ def lift_measure_uniform_clock(
             tgt = enl_to.path_index(ep.base_index, ep.clocks + (t,))
             lifted[tgt] = lifted.get(tgt, ZERO) + q * share
     pt = polytope or build_polytope(enl_to, prices=prices, cap=cap)
-    ok, ledger = pt.check(lifted)
-    if not ok:
-        bad = [e for e in ledger if not e["ok"]]
-        raise PropertyViolation(f"lifted measure left the polytope: {bad[:3]}")
+    pt.require(lifted, "lifted measure")
     return lifted
 
 
@@ -678,10 +667,7 @@ def push_stopping_measure(
         raise PropertyViolation(
             f"pushed value {rat_str(value)} != stopped expectation {rat_str(expect_from)}"
         )
-    ok, ledger = pt.check(pushed)
-    if not ok:
-        bad = [e for e in ledger if not e["ok"]]
-        raise PropertyViolation(f"pushed measure left the polytope: {bad[:3]}")
+    pt.require(pushed, "pushed measure")
 
     lifted = lift_measure_uniform_clock(
         enl_from, enl_to, measure, prices=prices, cap=cap, polytope=pt
@@ -709,34 +695,34 @@ class ChainReport:
 
 def e2_chain(
     enl_sub: EnlargedModel,
-    enl_super: EnlargedModel,
+    lower: Q,
+    upper: Q,
     *,
     prices: Prices | None = None,
     cap: int = DEFAULT_ENUM_CAP,
 ) -> ChainReport:
     """Exact three-term chain linking the dual prices.
 
-    inf_Q sup_tau <= sup_Q sup_tau <= sup over the larger-space
-    polytope; the middle term swaps to sup_tau sup_Q and is computed by
-    one LP per deduplicated stopping-value vector.
+    ``lower`` (inf_Q sup_tau) and ``upper`` (sup over the larger-space
+    polytope) are the sub- and super-hedging dual values, solved by the
+    caller.  The middle term sup_Q sup_tau swaps to sup_tau sup_Q and is
+    computed here by one LP per deduplicated stopping-value vector;
+    lower <= middle <= upper is asserted.
     """
-    lower = dual_subhedge(enl_sub, prices=prices, cap=cap)
     pt = build_polytope(enl_sub, prices=prices, cap=cap)
     claim_at = extend_claim(enl_sub, "sub")
     taus = pt.taus or restricted_stopping_times(enl_sub, pt.paths, cap)
     vecs = pt.distinct_stopped(claim_at, taus)
     middle = max(pt.solve_extremum(vec, "max")[0] for vec in vecs)
-    upper = dual_superhedge(enl_super, prices=prices, cap=cap)
-    if not (lower.value <= middle <= upper.value):
+    if not (lower <= middle <= upper):
         raise PropertyViolation(
-            f"chain violated: {rat_str(lower.value)} <= {rat_str(middle)} "
-            f"<= {rat_str(upper.value)} fails"
+            f"chain violated: {rat_str(lower)} <= {rat_str(middle)} <= {rat_str(upper)} fails"
         )
     return ChainReport(
-        lower=lower.value,
+        lower=lower,
         middle=middle,
-        upper=upper.value,
-        strict_upper=middle < upper.value,
+        upper=upper,
+        strict_upper=middle < upper,
         num_taus=len(vecs),
     )
 

@@ -9,6 +9,7 @@ measures carried there.
 """
 from __future__ import annotations
 
+import copy
 import dataclasses
 import itertools
 from dataclasses import dataclass, field
@@ -16,9 +17,21 @@ from typing import Callable, Sequence
 
 from .enlarged import EnlargedModel, enlarge
 from .errors import CapExceededError, ModelFormatError, PropertyViolation, SnaFailure
-from .hedging import HedgeReport, Prices, _stock_gain
+from .hedging import (
+    HedgeReport,
+    Prices,
+    StockPositions,
+    _bump,
+    _resolve_prices,
+    _shift_prices,
+    add_weighted_gains,
+    enlarged_reading,
+    evaluate_gain,
+    gain_row,
+    gain_terms,
+)
 from .lp import LinearProgram, solve
-from .market import MarketModel
+from .market import MarketModel, check_kernel_family
 from .measures import (
     MartingalePolytope,
     MeasurePolytope,
@@ -46,20 +59,12 @@ class RobustModel:
     node_order: list[str] = field(init=False)
     supported_edges: set[tuple[str, str]] = field(init=False)
     supported_base_paths: list[int] = field(init=False)
-    notes: dict = field(init=False)
 
     def __post_init__(self) -> None:
         tree = self.model.tree
         internal = [nid for nid in tree.nodes if tree.children[nid]]
         for nid in internal:
-            vertices = self.kernels.get(nid)
-            if not vertices:
-                raise ModelFormatError(f"empty kernel set at node {nid!r}")
-            for vec in vertices:
-                if len(vec) != len(tree.children[nid]):
-                    raise ModelFormatError(f"kernel vertex arity mismatch at {nid!r}")
-                if any(w < 0 for w in vec) or sum(vec, ZERO) != ONE:
-                    raise ModelFormatError(f"kernel vertex at {nid!r} is not a distribution")
+            check_kernel_family(tree, nid, self.kernels.get(nid, []))
         self.node_order = sorted(internal, key=lambda nid: (tree.nodes[nid].time, nid))
         self.supported_edges = set()
         for nid in internal:
@@ -74,15 +79,6 @@ class RobustModel:
                 self.supported_base_paths.append(idx)
         if not self.supported_base_paths:
             raise ModelFormatError("kernel family supports no complete path")
-        # finite-model surrogate for the usual standing assumptions: the
-        # one-step sets are finite hence compact, payoffs are finitely
-        # many rationals hence bounded, continuity is vacuous
-        self.notes = {
-            "compactness": "finite vertex sets",
-            "boundedness": "finite rational payoffs",
-            "continuity": "vacuous on a finite tree",
-            "realization": "finite-model realization",
-        }
 
     def num_selectors(self) -> int:
         total = 1
@@ -165,42 +161,22 @@ def enlarge_robust(rm: RobustModel, n: int, clock_weights="uniform") -> RobustEn
     return RobustEnlarged(robust=rm, enl=enlarge(rm.model, n, clock_weights))
 
 
-def _stock_gain_vars(
+def _stock_gains(
     renl: RobustEnlarged, lp: LinearProgram, *, split: bool
-) -> tuple[dict[tuple[int, int], int], dict[tuple[int, int], int], Callable[[int], dict[int, Q]]]:
-    """Dynamic trading variables and per-path gain coefficient maps."""
+) -> tuple[StockPositions, Callable[[int], dict[int, Q]]]:
+    """Stock variables on the sorted supported trade nodes, and each path's gain row."""
     enl = renl.enl
-    T = enl.horizon
-    dims = enl.model.stock.dim
-    trade: set[int] = set()
-    for p in renl.supported_paths:
-        trade.update(enl.epaths[p].node_seq[:T])
-    h_var: dict[tuple[int, int], int] = {}
-    h_neg: dict[tuple[int, int], int] = {}
-    for v in sorted(trade):
-        lbl = enl.enode(v).label
-        for d in range(dims):
-            if split:
-                h_var[(v, d)] = lp.add_var(f"H+[{lbl};{d}]")
-                h_neg[(v, d)] = lp.add_var(f"H-[{lbl};{d}]")
-            else:
-                h_var[(v, d)] = lp.add_var(f"H[{lbl};{d}]", nonneg=False)
+    trade = sorted({v for p in renl.supported_paths for v in enl.epaths[p].node_seq[:enl.horizon]})
+    labels = ((v, enl.enode(v).label) for v in trade)
+    stock = StockPositions(lp, labels, enl.model.stock.dim, split=split)
+    prices = _resolve_prices(enl.model, None)
 
     def coeffs(p: int) -> dict[int, Q]:
-        row: dict[int, Q] = {}
-        seq = enl.epaths[p].node_seq
-        for t in range(T):
-            step = enl.stock_step(p, t)
-            for d in range(dims):
-                if step[d]:
-                    var = h_var[(seq[t], d)]
-                    row[var] = row.get(var, ZERO) + step[d]
-                    if split:
-                        neg = h_neg[(seq[t], d)]
-                        row[neg] = row.get(neg, ZERO) - step[d]
-        return row
+        ep = enl.epaths[p]
+        terms = gain_terms(enl.model, ep.base_index, ep.clocks, prices)
+        return gain_row(((term, c) for term, c in terms if term[0] == "H"), stock, ep.node_seq, {})
 
-    return h_var, h_neg, coeffs
+    return stock, coeffs
 
 
 # -- no-arbitrage under uncertainty ------------------------------------------
@@ -237,31 +213,18 @@ def robust_na(
     sides are computed and the biconditional enforced.
     """
     lp = LinearProgram()
-    h_var, h_neg, coeffs = _stock_gain_vars(renl, lp, split=True)
+    stock, coeffs = _stock_gains(renl, lp, split=True)
     share = Q(1, len(renl.supported_paths))
-    objective: dict[int, Q] = {}
-    for p in renl.supported_paths:
-        row = coeffs(p)
-        lp.add_constraint(dict(row), ">=", ZERO, name=f"nonneg[p{p}]")
-        for var, val in row.items():
-            term = share * val
-            if term:
-                objective[var] = objective.get(var, ZERO) + term
-    lp.add_constraint(
-        {var: ONE for var in (*h_var.values(), *h_neg.values())}, "<=", ONE, name="norm"
+    objective = add_weighted_gains(
+        lp, ((f"nonneg[p{p}]", coeffs(p), share) for p in renl.supported_paths)
     )
-    lp.set_objective("max", {v: c for v, c in objective.items() if c})
+    stock.add_norm_row()
+    lp.set_objective("max", objective)
     out = solve(lp)
     if out.status != "optimal":
         raise PropertyViolation(f"robust arbitrage LP unexpectedly {out.status}")
     holds = out.value == ZERO
-    witness = None
-    if not holds:
-        witness = {}
-        for key, var in h_var.items():
-            val = out.x(var) - out.x(h_neg[key])
-            if val:
-                witness[key] = val
+    witness = None if holds else stock.values(out)
 
     # a martingale polytope without price rows: the selector slack is
     # then the domination factor alone
@@ -447,7 +410,8 @@ def dp_superhedge(renl: RobustEnlarged, zeta) -> DpReport:
     root_values = {r: chi[r] for r in roots}
     value = max(root_values.values())
     for p in renl.supported_paths:
-        if value + _stock_gain(enl, strategy, p) < _values_at(zeta, p):
+        gain = evaluate_gain(enl.model, *enlarged_reading(enl, strategy, p))
+        if value + gain < _values_at(zeta, p):
             raise PropertyViolation("dp strategy fails to super-hedge pathwise")
     return DpReport(value=value, root_values=root_values, strategy=strategy, lp_count=lp_count)
 
@@ -479,15 +443,13 @@ def robust_superhedge_options(
     option_prices = [rat(v) for v in option_prices]
     lp = LinearProgram()
     x = lp.add_var("x", nonneg=False)
-    h_var, _, coeffs = _stock_gain_vars(renl, lp, split=False)
+    stock, coeffs = _stock_gains(renl, lp, split=False)
     a_var = [lp.add_var(f"a[{i}]") for i in range(len(payoffs))]
     for p in renl.supported_paths:
         row = coeffs(p)
         row[x] = row.get(x, ZERO) + ONE
         for i, var in enumerate(a_var):
-            coef = _values_at(payoffs[i], p) - option_prices[i]
-            if coef:
-                row[var] = row.get(var, ZERO) + coef
+            _bump(row, var, _values_at(payoffs[i], p) - option_prices[i])
         lp.add_constraint(row, ">=", _values_at(zeta, p), name=f"hedge[p{p}]")
     lp.set_objective("min", {x: ONE})
     out = solve(lp)
@@ -496,15 +458,9 @@ def robust_superhedge_options(
     pt = MartingalePolytope(enl, renl.supported_paths)
     work = pt.lp.copy()
     for i in range(len(payoffs)):
-        row = {}
-        for p in pt.paths:
-            val = _values_at(payoffs[i], p)
-            if val:
-                row[pt.q_var[p]] = val
+        row = {pt.q_var[p]: _values_at(payoffs[i], p) for p in pt.paths}
         work.add_constraint(row, "<=", option_prices[i], name=f"price[{i}]")
-    work.set_objective(
-        "max", {pt.q_var[p]: _values_at(zeta, p) for p in pt.paths if _values_at(zeta, p)}
-    )
+    work.set_objective("max", {pt.q_var[p]: _values_at(zeta, p) for p in pt.paths})
     dual = solve(work)
 
     if out.status == "unbounded" or dual.status == "infeasible":
@@ -520,7 +476,7 @@ def robust_superhedge_options(
     positions = [out.x(var) for var in a_var]
     if any(a < 0 for a in positions):
         raise PropertyViolation("static positions must be nonnegative")
-    stock_positions = {key: out.x(var) for key, var in h_var.items() if out.x(var)}
+    stock_positions = stock.values(out)
     measure = {p: dual.x(v) for p, v in pt.q_var.items() if dual.x(v)}
     pt.require_martingale_law(measure, "options super-hedge dual measure")
     for i in range(len(payoffs)):
@@ -530,7 +486,7 @@ def robust_superhedge_options(
         if priced > option_prices[i]:
             raise PropertyViolation("dual measure breaks a static price bound")
     for p in renl.supported_paths:
-        total = out.value + _stock_gain(enl, stock_positions, p)
+        total = out.value + evaluate_gain(enl.model, *enlarged_reading(enl, stock_positions, p))
         for i, a in enumerate(positions):
             total += a * (_values_at(payoffs[i], p) - option_prices[i])
         if total < _values_at(zeta, p):
@@ -590,26 +546,18 @@ class RobustFtapReport:
     holds: bool
     epsilon: Q | None
     certificates: list[RobustFtapCertificate]
-    submarket_slacks: list[Q | None] | None = None
 
 
 def _shifted_membership(pt: MeasurePolytope, measure: dict[int, Q], delta: Q) -> None:
-    """Membership in the delta-shifted polytope, from scratch."""
-    pt.require_martingale_law(measure, "shifted-polytope witness")
-    enl = pt.enl
-    model = enl.model
-    for i in range(model.L):
-        lhs = sum((measure.get(p, ZERO) * enl.european_value(i, p) for p in pt.paths), ZERO)
-        if lhs > pt.alphas[i] - delta:
-            raise PropertyViolation("shifted european bound fails")
-    for k in range(model.N):
-        lhs = sum((measure.get(p, ZERO) * enl.short_value(k, p) for p in pt.paths), ZERO)
-        if lhs < pt.gammas[k] + delta:
-            raise PropertyViolation("shifted short-option bound fails")
-    for j in range(model.M):
-        for tau in pt.taus:
-            if pt.expectation(measure, pt.stopped_values(pt.long_values[j], tau)) > pt.betas[j] - delta:
-                raise PropertyViolation("shifted long-option bound fails")
+    """Membership in the delta-shifted polytope: check() at moved quotes.
+
+    check() re-evaluates every row from the model data and the quotes
+    alone, so a copy with moved quotes is the shifted polytope for it.
+    """
+    shifted = copy.copy(pt)
+    quotes = (pt.alphas, pt.betas, pt.gammas)
+    shifted.alphas, shifted.betas, shifted.gammas = _shift_prices(pt.enl.model, quotes, delta)
+    shifted.require(measure, "shifted-polytope witness")
 
 
 def _selector_epsilon(
@@ -646,7 +594,6 @@ def robust_ftap(
     prices: Prices | None = None,
     selector_cap: int = DEFAULT_SELECTOR_CAP,
     cap: int = DEFAULT_ENUM_CAP,
-    submarkets: bool = False,
 ) -> RobustFtapReport:
     """Uniform-slack pricing consistency against every kernel selector.
 
@@ -673,36 +620,34 @@ def robust_ftap(
         _shifted_membership(pt, measure, value)
         eps = value if eps is None or value < eps else eps
     holds = feasible and eps is not None and eps > ZERO
-    report = RobustFtapReport(
+    return RobustFtapReport(
         holds=holds, epsilon=eps if feasible else None, certificates=certificates
     )
-    if submarkets:
-        report.submarket_slacks = _submarket_slacks(renl, pt, selector_cap=selector_cap, cap=cap)
-    return report
 
 
-def _submarket_slacks(
+def submarket_slacks(
     renl: RobustEnlarged,
-    pt: MeasurePolytope,
+    full: RobustFtapReport,
     *,
-    selector_cap: int,
-    cap: int,
+    prices: Prices | None = None,
+    selector_cap: int = DEFAULT_SELECTOR_CAP,
+    cap: int = DEFAULT_ENUM_CAP,
 ) -> list[Q | None]:
     """Slacks for the markets holding only the first m long options each.
 
-    Adding one more long option only shrinks the feasible set, so the
-    slack sequence must be nonincreasing; asserted here.
+    ``full`` is robust_ftap's report on renl at the same prices; its
+    slack is the entry m = M.  Adding one more long option only shrinks
+    the feasible set, so the slack sequence must be nonincreasing;
+    asserted here.
     """
     model = renl.enl.model
+    alphas, betas, gammas = _resolve_prices(model, prices)
     slacks: list[Q | None] = []
-    for m in range(model.M + 1):
+    for m in range(model.M):
         sub_model = dataclasses.replace(model, americans_long=model.americans_long[:m])
         sub_enl = enlarge(sub_model, renl.enl.n, renl.enl.clock_weights)
         sub_pt = build_polytope(
-            sub_enl,
-            prices=(pt.alphas, pt.betas[:m], pt.gammas),
-            paths=renl.supported_paths,
-            cap=cap,
+            sub_enl, prices=(alphas, betas[:m], gammas), paths=renl.supported_paths, cap=cap
         )
         worst: Q | None = None
         dead = False
@@ -714,11 +659,9 @@ def _submarket_slacks(
                 break
             worst = value if worst is None or value < worst else worst
         slacks.append(None if dead else worst)
+    slacks.append(full.epsilon)
     for prev, cur in zip(slacks, slacks[1:]):
-        if prev is None:
-            if cur is not None:
-                raise PropertyViolation("sub-market slack grew after adding an option")
-        elif cur is not None and cur > prev:
+        if cur is not None and (prev is None or cur > prev):
             raise PropertyViolation("sub-market slack grew after adding an option")
     return slacks
 

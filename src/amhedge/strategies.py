@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Literal, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Literal, Sequence
 
 from .enlarged import EnlargedModel
 from .errors import CapExceededError, ModelFormatError
@@ -40,26 +40,46 @@ class StoppingTime:
 # -- enumeration over a forest --------------------------------------------
 
 
+def _fold_up(roots: Iterable[Hashable],
+             children: Callable[[Hashable], Sequence[Hashable]],
+             leaf: Callable[[Hashable], object],
+             inner: Callable[[Hashable, list], object]) -> Iterator[object]:
+    """Per root, a value folded up its tree without recursion.
+
+    leaf(v) at leaves, inner(v, values of the children in order) above;
+    deep trees cannot hit Python's recursion limit.
+    """
+    for root in roots:
+        done: dict = {}
+        stack = [(root, False)]
+        while stack:
+            v, expanded = stack.pop()
+            kids = children(v)
+            if not kids:
+                done[v] = leaf(v)
+            elif expanded:
+                done[v] = inner(v, [done.pop(k) for k in kids])
+            else:
+                stack.append((v, True))
+                stack.extend((k, False) for k in kids)
+        yield done[root]
+
+
 def count_stopping_times(roots: Iterable[Hashable],
                          children: Callable[[Hashable], Sequence[Hashable]],
                          cap: int = DEFAULT_ENUM_CAP) -> int:
     """Exact count, saturated at cap + 1 to stay cheap on huge forests."""
     limit = cap + 1
 
-    def count(v: Hashable) -> int:
-        kids = children(v)
-        if not kids:
-            return 1
+    def inner(_v: Hashable, counts: list[int]) -> int:
         prod = 1
-        for k in kids:
-            prod *= count(k)
-            if prod >= limit:
-                return limit
+        for c in counts:
+            prod = min(prod * c, limit)
         return min(1 + prod, limit)
 
     total = 1
-    for r in roots:
-        total *= count(r)
+    for count in _fold_up(roots, children, lambda _v: 1, inner):
+        total *= count
         if total >= limit:
             return limit
     return total
@@ -73,17 +93,13 @@ def enumerate_stopping_times(roots: Sequence[Hashable],
     if total > cap:
         raise CapExceededError(what, total, cap)
 
-    def enum(v: Hashable) -> list[frozenset]:
-        kids = children(v)
-        if not kids:
-            return [frozenset((v,))]
-        per_kid = [enum(k) for k in kids]
+    def inner(v: Hashable, per_kid: list[list[frozenset]]) -> list[frozenset]:
         out = [frozenset((v,))]
         for combo in itertools.product(*per_kid):
             out.append(frozenset().union(*combo))
         return out
 
-    per_root = [enum(r) for r in roots]
+    per_root = list(_fold_up(roots, children, lambda v: [frozenset((v,))], inner))
     taus = []
     for combo in itertools.product(*per_root):
         taus.append(StoppingTime(frozenset().union(*combo)))

@@ -181,7 +181,9 @@ def test_criterion_4_price_chain_and_transport(capfd):
             except PropertyViolation as exc:
                 failures.append(f"model {i}: {exc}")
         wedge = strict_chain_market()
-        chain = e2_chain(enlarge(wedge, wedge.N), enlarge(wedge, wedge.N + 1))
+        enl_sub = enlarge(wedge, wedge.N)
+        chain = e2_chain(enl_sub, dual_subhedge(enl_sub).value,
+                         dual_superhedge(enlarge(wedge, wedge.N + 1)).value)
         if (chain.lower, chain.middle, chain.upper) != \
                 (Q(3, 4), Q(758717, 799680), Q(5879, 5880)) or not chain.strict_upper:
             failures.append("canonical strict-gap market lost its gap")

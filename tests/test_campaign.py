@@ -24,7 +24,7 @@ from amhedge.campaign import (
 from amhedge.enlarged import enlarge
 from amhedge.hedging import check_sna
 from amhedge.market import emit_model, load_model
-from amhedge.measures import e2_chain, ftap_certificate
+from amhedge.measures import dual_subhedge, dual_superhedge, e2_chain, ftap_certificate
 from amhedge.rationals import ONE, Q, ZERO
 from amhedge.robust import enlarge_robust, robust_ftap
 
@@ -46,7 +46,9 @@ def test_short_put_slack_matches_hand_value():
 
 def test_strict_chain_market_has_a_gap():
     model = strict_chain_market()
-    chain = e2_chain(enlarge(model, model.N), enlarge(model, model.N + 1))
+    enl_sub = enlarge(model, model.N)
+    chain = e2_chain(enl_sub, dual_subhedge(enl_sub).value,
+                     dual_superhedge(enlarge(model, model.N + 1)).value)
     assert chain.lower == Q(3, 4)
     assert chain.middle == Q(758717, 799680)
     assert chain.upper == Q(5879, 5880)

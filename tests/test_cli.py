@@ -169,6 +169,48 @@ def test_bad_numbers_exit_schema(mutate, tmp_path, capsys):
     assert code == 4 and "schema error" in err
 
 
+@pytest.mark.parametrize("mutate", [
+    lambda d: d.update(nodes=5),
+    lambda d: d.update(stock=3),
+    lambda d: d["stock"].update(values=[["1"], ["2"], ["1/2"]]),
+    lambda d: d["claim"].update(values=["0", "1", "0"]),
+    lambda d: d.update(claim=4),
+    lambda d: d.update(europeans=[7]),
+    lambda d: d.update(europeans=[{"payoff": ["1", "0"], "price": "1/3"}]),
+    lambda d: d.update(americans_short=3),
+    lambda d: d.update(kernels=[["1/2", "1/2"]]),
+    lambda d: d.update(kernels={"r": [5]}),
+])
+def test_malformed_structure_exit_schema(mutate, tmp_path, capsys):
+    data = binomial_dict()
+    mutate(data)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run(["ftap", "--model", str(path)], capsys)
+    assert code == 4 and "schema error" in err
+
+
+def test_deep_chain_runs_without_recursion(tmp_path, capsys):
+    T = 2000
+    nodes = [{"id": "n0", "time": 0}]
+    nodes += [{"id": f"n{t}", "time": t, "parent": f"n{t - 1}"} for t in range(1, T + 1)]
+    data = {
+        "horizon": T,
+        "nodes": nodes,
+        "stock": {"dim": 1, "values": {f"n{t}": ["1"] for t in range(T + 1)}},
+        "claim": {"values": {f"n{t}": str(t % 2) for t in range(T + 1)}},
+        "weights": {f"n{T}": "1"},
+    }
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(data))
+    assert sys.getrecursionlimit() < T
+    code, _, err = run(["ftap", "--model", str(path)], capsys)
+    assert code == 0, err
+    code, out, err = run(["price", "--model", str(path), "--side", "sub"], capsys)
+    assert code == 0, err
+    assert json.loads(out)["price"] == "1/1"
+
+
 def test_lp_self_check_failure_exit(model_file, capsys, monkeypatch):
     def broken(lp):
         raise LPInternalError("objective mismatch")

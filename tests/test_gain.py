@@ -1,0 +1,146 @@
+"""One gain expression: the builder and the evaluator of Phi agree.
+
+Random positions are drawn on the fixture models; the builder's
+coefficients, mapped onto each LP's variables and dotted with the
+positions, must equal the evaluator on every enlarged path, and
+clock-indexed positions copied from enlarged ones must give the same
+gain on the matching (clock vector, base path).
+"""
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from amhedge import campaign
+from amhedge.divisible import ClockLP, _clock_gain
+from amhedge.enlarged import enlarge
+from amhedge.hedging import GainLP, payoff_enlarged
+from amhedge.lp import LPOutcome
+from amhedge.market import load_model
+from amhedge.measures import build_polytope
+from amhedge.rationals import ZERO, Q, rat_str
+
+from conftest import binomial_dict
+
+FULL_BOOK = binomial_dict(
+    europeans=[{"payoff": {"u": "1", "d": "0"}, "price": "1/3"}],
+    americans_long=[{"values": {"r": "1/4", "u": "0", "d": "1/2"}, "price": "1/3"}],
+    americans_short=[{"values": {"r": "0", "u": "0", "d": "1/2"}, "price": "1/4"}],
+)
+
+
+def _two_dim_two_period(two_period):
+    """The two-period fixture with a second stock leg and one option of each book."""
+    tree = two_period.tree
+    data = binomial_dict(
+        horizon=2,
+        nodes=[{"id": n.id, "time": n.time, "parent": n.parent} for n in tree.nodes.values()],
+        stock={"dim": 2, "values": {
+            nid: [str(two_period.stock.scalar(nid)), str(n.time)] for nid, n in tree.nodes.items()
+        }},
+        claim={"values": {nid: str(two_period.claim.scalar(nid)) for nid in tree.nodes}},
+        weights={leaf: "1/4" for leaf in tree.leaves},
+        europeans=[{"payoff": {leaf: str(i) for i, leaf in enumerate(tree.leaves)}, "price": "1"}],
+        americans_long=[{"values": {nid: "1/2" for nid in tree.nodes}, "price": "1/3"}],
+        americans_short=[{"values": {nid: str(n.time) for nid, n in tree.nodes.items()},
+                          "price": "1/2"}],
+    )
+    return load_model(data)
+
+
+@pytest.fixture(params=["binomial", "binomial_short_put", "trinomial", "two_period",
+                        "strict_chain_market", "full_book", "two_dim"])
+def model(request):
+    if request.param == "strict_chain_market":
+        return campaign.strict_chain_market()
+    if request.param == "full_book":
+        return load_model(FULL_BOOK)
+    if request.param == "two_dim":
+        return _two_dim_two_period(request.getfixturevalue("two_period"))
+    return request.getfixturevalue(request.param)
+
+
+def _draw(rng):
+    return Q(rng.randint(-6, 6), rng.choice((1, 2, 3, 5)))
+
+
+def _random_positions(g: GainLP, rng: random.Random) -> list[Q]:
+    """Random values for every variable, liquidation masses summing to b_j per path."""
+    x = [_draw(rng) for _ in g.lp.var_names]
+    T = g.enl.horizon
+    for j, nu in enumerate(g.nu_var):
+        b = x[g.static["b"][j]]
+        for p in g.paths:
+            # the terminal enlarged node belongs to this path alone
+            seq = g.enl.epaths[p].node_seq
+            x[nu[seq[T]]] = b - sum((x[nu[v]] for v in seq[:T]), ZERO)
+    return x
+
+
+def _dot(coeffs: dict[int, Q], x: list[Q]) -> Q:
+    return sum((c * x[var] for var, c in coeffs.items()), ZERO)
+
+
+@pytest.mark.parametrize("split", [False, True])
+@pytest.mark.parametrize("extra_clock", [0, 1])
+def test_builder_matches_evaluator_on_every_path(model, split, extra_clock):
+    rng = random.Random(2016 + 2 * extra_clock + split)
+    enl = enlarge(model, model.N + extra_clock)
+    g = GainLP(enl, split_stock=split)
+    for _ in range(3):
+        x = _random_positions(g, rng)
+        gains = payoff_enlarged(enl, g.strategy_from(LPOutcome("optimal", primal=x)))
+        for p in g.paths:
+            assert _dot(g.gain_coeffs(p), x) == gains[p]
+
+
+@pytest.mark.parametrize("extra_clock", [0, 1])
+def test_clock_indexed_copy_has_the_enlarged_gain(model, extra_clock):
+    rng = random.Random(7 + extra_clock)
+    n = model.N + extra_clock
+    enl = enlarge(model, n)
+    g = GainLP(enl)
+    strat = g.strategy_from(LPOutcome("optimal", primal=_random_positions(g, rng)))
+    gains = payoff_enlarged(enl, strat)
+
+    clp = ClockLP(model, n, role="super" if extra_clock else "arbitrage")
+    x = [ZERO] * len(clp.lp.var_names)
+    book = {"a": strat.long_european, "b": strat.long_american, "c": strat.short_american}
+    for kind, vs in clp.static.items():
+        for var, val in zip(vs, book[kind]):
+            x[var] = val
+    for tvec in clp.tuples:
+        for b, path in enumerate(model.tree.paths):
+            seq = enl.epaths[enl.path_index(b, tvec)].node_seq
+            for t, nid in enumerate(path):
+                for j, nu in enumerate(clp.nu_var):
+                    x[nu[(tvec, nid)]] = strat.liquidation[j].get(seq[t], ZERO)
+                if t < model.tree.horizon:
+                    for d in range(model.stock.dim):
+                        x[clp.stock.pos[((tvec, nid), d)]] = strat.stock.get((seq[t], d), ZERO)
+    fams = clp.families_from(LPOutcome("optimal", primal=x))
+    for tvec in clp.tuples:
+        for b in range(len(model.tree.paths)):
+            expected = gains[enl.path_index(b, tvec)]
+            assert _dot(clp.phi_coeffs(tvec, b), x) == expected
+            assert _clock_gain(clp, fams, tvec, b) == expected
+
+
+def test_check_fails_without_raising_on_a_signed_measure():
+    model = load_model(FULL_BOOK)
+    enl = enlarge(model, model.N)
+    pt = build_polytope(enl)
+    # the two paths below the root with the clock fired at 0 cancel out
+    measure = {
+        enl.path_index(0, (0,)): Q(1),
+        enl.path_index(1, (0,)): Q(-1),
+        enl.path_index(0, (1,)): Q(1, 2),
+        enl.path_index(1, (1,)): Q(1, 2),
+    }
+    ok, ledger = pt.check(measure)
+    assert not ok
+    entry = next(e for e in ledger if e["constraint"] == "g[0;sup]")
+    values = pt.long_values[0]
+    best = max(pt.expectation(measure, pt.stopped_values(values, tau)) for tau in pt.taus)
+    assert entry["lhs"] == rat_str(best)

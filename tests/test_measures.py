@@ -183,7 +183,9 @@ def test_push_concentrates_on_the_stop(binomial_short_put):
 
 
 def test_e2_chain_collapses_when_attainable(binomial_short_put):
-    chain = e2_chain(enlarge(binomial_short_put, 1), enlarge(binomial_short_put, 2))
+    enl1 = enlarge(binomial_short_put, 1)
+    chain = e2_chain(enl1, dual_subhedge(enl1).value,
+                     dual_superhedge(enlarge(binomial_short_put, 2)).value)
     assert (chain.lower, chain.middle, chain.upper) == (Q(1, 3), Q(1, 3), Q(1, 3))
     assert not chain.strict_upper
     assert chain.num_taus >= 1

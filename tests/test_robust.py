@@ -26,6 +26,7 @@ from amhedge.robust import (
     robust_superhedge_full,
     robust_superhedge_options,
     robust_superhedge_stock,
+    submarket_slacks,
     verify_minimax,
 )
 
@@ -41,6 +42,10 @@ def _binomial_put(kern, gamma="1/4"):
         americans_short=[{"values": {"r": "0", "u": "0", "d": "1/2"}, "price": gamma}],
         kernels=kern,
     ))
+
+
+def _binomial_kern_long(long_option):
+    return load_model(binomial_dict(americans_long=[long_option], kernels=INTERIOR))
 
 
 def _trinomial(kern):
@@ -176,9 +181,20 @@ def test_singleton_family_reproduces_classical():
 
 def test_robust_ftap_holds_with_submarkets():
     rm = build_robust(_binomial_put(INTERIOR))
-    rep = robust_ftap(enlarge_robust(rm, 1), submarkets=True)
+    renl = enlarge_robust(rm, 1)
+    rep = robust_ftap(renl)
     assert rep.holds and rep.epsilon > ZERO
-    assert rep.submarket_slacks is not None and len(rep.submarket_slacks) == 1
+    # no long option: the sweep is the full market's slack alone
+    assert submarket_slacks(renl, rep) == [rep.epsilon]
+
+
+def test_submarket_sweep_drops_long_options():
+    long_put = {"values": {"r": "0", "u": "0", "d": "1/2"}, "price": "1/2"}
+    renl = enlarge_robust(build_robust(_binomial_kern_long(long_put)), 0)
+    rep = robust_ftap(renl)
+    bare = robust_ftap(enlarge_robust(build_robust(_binomial(INTERIOR)), 0))
+    slacks = submarket_slacks(renl, rep)
+    assert slacks == [bare.epsilon, rep.epsilon] and slacks[1] < slacks[0]
 
 
 def test_robust_ftap_fails_on_sure_up():
