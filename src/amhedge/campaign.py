@@ -12,17 +12,17 @@ random.Random, which makes every corpus reproducible from its seed.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import random
 from dataclasses import dataclass
 
-from .divisible import verify_divisibility_equivalence
+from .divisible import EPS_GRID, verify_divisibility_equivalence
 from .enlarged import EnlargedModel, enlarge, extend_claim
 from .errors import PropertyViolation, SnaFailure
-from .hedging import SnaReport, _shift_prices, check_sna, detect_arbitrage, subhedge, superhedge
+from .hedging import SnaReport, check_sna, detect_arbitrage, subhedge, superhedge
 from .lp import max_slack, solve
 from .market import AdaptedProcess, EventTree, MarketModel, Node, TerminalPayoff, load_model
 from .measures import (
+    MeasurePolytope,
     build_polytope,
     e2_chain,
     ftap_certificate,
@@ -79,8 +79,6 @@ __all__ = [
     "run_campaign",
 ]
 
-# price shifts swept by the no-arbitrage grid checks
-EPS_GRID = tuple(Q(1, 2 ** k) for k in range(1, 9))
 # strictly inside the smallest grid shift
 BOUNDARY_OFFSET = Q(1, 512)
 
@@ -108,8 +106,8 @@ def binomial_call() -> MarketModel:
     })
 
 
-def binomial_call_short_put(gamma: str | Q = "1/4") -> MarketModel:
-    """The binomial call market plus one shorted put quoted at gamma."""
+def binomial_call_short_put() -> MarketModel:
+    """The binomial call market plus one shorted put quoted at 1/4."""
     return load_model({
         "horizon": 1,
         "nodes": [
@@ -120,7 +118,7 @@ def binomial_call_short_put(gamma: str | Q = "1/4") -> MarketModel:
         "stock": {"dim": 1, "values": {"r": ["1"], "u": ["2"], "d": ["1/2"]}},
         "claim": {"values": {"r": "0", "u": "1", "d": "0"}},
         "americans_short": [
-            {"values": {"r": "0", "u": "0", "d": "1/2"}, "price": rat_str(rat(gamma))},
+            {"values": {"r": "0", "u": "0", "d": "1/2"}, "price": "1/4"},
         ],
         "weights": {"u": "1/2", "d": "1/2"},
     })
@@ -188,8 +186,8 @@ def _random_terminal(rng: random.Random, tree: EventTree) -> TerminalPayoff:
     return TerminalPayoff({leaf: _grid_value(rng, ZERO, Q(3)) for leaf in tree.leaves})
 
 
-def _random_adapted(rng: random.Random, tree: EventTree, hi: Q = Q(3)) -> AdaptedProcess:
-    values = {nid: (_grid_value(rng, ZERO, hi),) for nid in tree.nodes}
+def _random_adapted(rng: random.Random, tree: EventTree) -> AdaptedProcess:
+    values = {nid: (_grid_value(rng, ZERO, Q(3)),) for nid in tree.nodes}
     return AdaptedProcess(dim=1, values=values)
 
 
@@ -350,7 +348,7 @@ class GeneratedModel:
     seed: int | None = None
 
 
-def _within_budget(model: MarketModel, cap: int = _MAX_TAUS) -> bool:
+def _within_budget(model: MarketModel) -> bool:
     T = model.tree.horizon
     epaths = len(model.tree.paths) * (T + 1) ** (model.N + 1)
     if epaths > _MAX_ENLARGED_PATHS:
@@ -362,7 +360,7 @@ def _within_budget(model: MarketModel, cap: int = _MAX_TAUS) -> bool:
     depths = (model.N, model.N + 1) if model.M else (model.N,)
     for n in depths:
         enl = enlarge(model, n)
-        if count_enlarged_stopping_times(enl, cap) > cap:
+        if count_enlarged_stopping_times(enl, _MAX_TAUS) > _MAX_TAUS:
             return False
     return True
 
@@ -595,31 +593,35 @@ def _describe(model: MarketModel) -> dict:
     }
 
 
-def check_duality(model: MarketModel, *, cap: int = DEFAULT_ENUM_CAP) -> dict:
+def check_duality(
+    model: MarketModel, *, cap: int = DEFAULT_ENUM_CAP
+) -> tuple[dict, MeasurePolytope, dict[int, Q]]:
     """Sub and super prices against their measure-side counterparts.
 
     Equalities are exact, and each dual re-validates its optimal measure
     from the model data (the sub side also against the backward-induction
-    envelope); sub must not exceed super.
+    envelope); sub must not exceed super.  Returns the record, and the
+    super side's polytope and closed maximizer for check_chain.
     """
-    sub, pt_sub = price_with_dual(enlarge(model, model.N), "sub", cap=cap)
-    sup, _ = price_with_dual(enlarge(model, model.N + 1), "super", cap=cap)
+    sub, _, pt_sub = price_with_dual(enlarge(model, model.N), "sub", cap=cap)
+    sup, sup_dual, pt_sup = price_with_dual(enlarge(model, model.N + 1), "super", cap=cap)
     if not sub.price <= sup.price:
         raise PropertyViolation("sub-hedge price exceeds super-hedge price")
-    return {
+    record = {
         **_describe(model),
         "sub": rat_str(sub.price),
         "super": rat_str(sup.price),
         "tau_rows": pt_sub.num_tau_rows,
     }
+    return record, pt_sup, sup_dual.measure
 
 
 # -- battery: pricing consistency across the shift grid -------------------------
 
 
-def _na_closed(enl: EnlargedModel, prices, cap: int) -> bool:
+def _na_closed(enl: EnlargedModel, cap: int) -> bool:
     """Existence of a full-support measure in the closed polytope."""
-    pt = build_polytope(enl, prices=prices, cap=cap, include_positivity=True)
+    pt = build_polytope(enl, cap=cap, include_positivity=True)
     out = max_slack(pt.lp, pt.pos_rows)
     if out.status == "infeasible":
         return False
@@ -648,9 +650,9 @@ def check_ftap_grid(
     rows = []
     seen_false = False
     for eps in sorted(EPS_GRID):    # ascending: verdicts may only degrade
-        shifted = _shift_prices(model, None, eps)
-        na_primal = not detect_arbitrage(enl, prices=shifted).found
-        na_dual = _na_closed(enl, shifted, cap)
+        shifted = enlarge(model.shifted_prices(eps), model.N)
+        na_primal = not detect_arbitrage(shifted).found
+        na_dual = _na_closed(shifted, cap)
         if na_primal != na_dual:
             raise PropertyViolation(
                 f"at shift {rat_str(eps)} trading says NA={na_primal} "
@@ -679,18 +681,26 @@ def check_ftap_grid(
 
 
 def check_chain(
-    model: MarketModel, sna: SnaReport, duality: dict, *, cap: int = DEFAULT_ENUM_CAP
+    model: MarketModel,
+    sna: SnaReport,
+    duality: dict,
+    pt_sup: MeasurePolytope,
+    argmax: dict[int, Q],
+    *,
+    cap: int = DEFAULT_ENUM_CAP,
 ) -> dict:
     """Three-term price chain plus lift and push transports.
 
-    The chain ends are the dual prices that check_duality solved and
-    matched to the hedging prices in ``duality``; when strict
-    no-arbitrage holds, the certificate measure is lifted to the larger
-    space, pushed onto sample stopping times, and used to bracket the
-    closed maximum by strictly consistent measures.
+    ``duality``, ``pt_sup`` and ``argmax`` are what check_duality
+    returns: the chain ends are the dual prices it solved and matched
+    to the hedging prices, and the super side's polytope and closed
+    maximizer.  When strict no-arbitrage holds, the certificate measure
+    is lifted to the larger space, pushed onto sample stopping times,
+    and mixed with ``argmax`` to bracket the closed maximum by strictly
+    consistent measures.
     """
     enl_sub = enlarge(model, model.N)
-    enl_sup = enlarge(model, model.N + 1)
+    enl_sup = pt_sup.enl
     chain = e2_chain(enl_sub, rat(duality["sub"]), rat(duality["super"]), cap=cap)
     record = {
         "lower": rat_str(chain.lower),
@@ -702,7 +712,6 @@ def check_chain(
     if not sna.holds:
         return record
     cert = sna.certificate.measure
-    pt_sup = build_polytope(enl_sup, cap=cap)
     lifted = lift_measure_uniform_clock(enl_sub, enl_sup, cert, cap=cap, polytope=pt_sup)
     taus = restricted_stopping_times(enl_sub, range(enl_sub.num_paths), cap)
     pushes = []
@@ -711,7 +720,7 @@ def check_chain(
         if push.value > chain.middle:
             raise PropertyViolation("pushed stop value exceeds the best stopped value")
         pushes.append(rat_str(push.value))
-    bracket = strict_value_bracket(pt_sup, extend_claim(enl_sup, "super"), lifted)
+    bracket = strict_value_bracket(pt_sup, extend_claim(enl_sup, "super"), argmax, lifted)
     lam, val = bracket[-1]
     record.update({
         "pushes": pushes,
@@ -749,9 +758,9 @@ def check_degenerations(
     holds_sk, cert_sk = ftap_certificate(enl_sk, cap=cap)
     if holds_sk != sna.holds or cert_sk.slack != sna.epsilon:
         raise PropertyViolation("uniform slack moved with the clock weights")
-    shifted = _shift_prices(model, None, Q(1, 16))
-    if detect_arbitrage(enl_sk, prices=shifted).found != \
-            detect_arbitrage(enlarge(model, N), prices=shifted).found:
+    shifted = model.shifted_prices(Q(1, 16))
+    if detect_arbitrage(enlarge(shifted, N, clock_weights="skewed")).found != \
+            detect_arbitrage(enlarge(shifted, N)).found:
         raise PropertyViolation("arbitrage verdict moved with the clock weights")
     record["clock_invariant"] = True
 
@@ -1030,9 +1039,9 @@ def run_campaign(
     for i in range(models):
         mseed = rng.randrange(2 ** 32)
         gm = random_sna_model(random.Random(mseed), seed=mseed)
-        duality = check_duality(gm.model, cap=cap)
+        duality, pt_sup, argmax = check_duality(gm.model, cap=cap)
         grid, sna = check_ftap_grid(gm.model, cap=cap, expect="sna")
-        chain = check_chain(gm.model, sna, duality, cap=cap)
+        chain = check_chain(gm.model, sna, duality, pt_sup, argmax, cap=cap)
         degen = check_degenerations(gm.model, sna, duality, cap=cap)
         singleton = check_singleton_robust(gm, sna, duality, cap=cap)
         for key, rec in (("duality", duality), ("ftap", grid), ("chain", chain),
@@ -1104,9 +1113,9 @@ def run_campaign(
 
     # deterministic strict-gap witness: the chain can be properly strict
     wedge = strict_chain_market()
-    wedge_duality = check_duality(wedge, cap=cap)
+    wedge_duality, wedge_pt, wedge_argmax = check_duality(wedge, cap=cap)
     _, wedge_sna = check_ftap_grid(wedge, cap=cap, expect="sna")
-    wedge_chain = check_chain(wedge, wedge_sna, wedge_duality, cap=cap)
+    wedge_chain = check_chain(wedge, wedge_sna, wedge_duality, wedge_pt, wedge_argmax, cap=cap)
     if not wedge_chain["strict_upper"]:
         raise PropertyViolation("canonical strict-gap market lost its gap")
     strict_gaps += 1

@@ -100,6 +100,8 @@ def _load(args) -> MarketModel:
             try:
                 key, _, value = item.partition("=")
                 k = int(key)
+                if k < 0:
+                    raise IndexError("index must not be negative")
                 gammas[k] = rat(value)
             except (ValueError, IndexError) as exc:
                 raise ModelFormatError(f"bad --gamma-override {item!r}: {exc}") from exc
@@ -160,7 +162,7 @@ def cmd_price(args) -> int:
         enl = renl.enl
     else:
         enl = enlarge(model, n, args.clock_weights)
-        report, _ = price_with_dual(enl, args.side, cap=args.cap)
+        report, _, _ = price_with_dual(enl, args.side, cap=args.cap)
     doc["report"] = report.to_json(enl)
     doc["price"] = rat_str(report.price)
     doc["gap"] = rat_str(report.gap)

@@ -18,11 +18,8 @@ from dataclasses import dataclass
 from .enlarged import enlarge
 from .errors import PropertyViolation
 from .hedging import (
-    Prices,
     StockPositions,
     _bump,
-    _resolve_prices,
-    _shift_prices,
     add_static_vars,
     add_weighted_gains,
     detect_arbitrage,
@@ -44,7 +41,12 @@ from .strategies import (
     validate_nonanticipative,
 )
 
-__all__ = ["ClockLP", "DivisibilityReport", "verify_divisibility_equivalence", "weight_grid"]
+__all__ = [
+    "EPS_GRID", "ClockLP", "DivisibilityReport", "verify_divisibility_equivalence", "weight_grid",
+]
+
+# quote shifts swept by the no-arbitrage grid checks
+EPS_GRID = tuple(Q(1, 2 ** k) for k in range(1, 9))
 
 
 def weight_grid(n: int, horizon: int) -> list[tuple[tuple[Q, ...], ...]]:
@@ -94,7 +96,6 @@ class ClockLP:
         model: MarketModel,
         n: int,
         *,
-        prices: Prices | None = None,
         role: str,
         psi: list[Q] | None = None,
         split_stock: bool = False,
@@ -109,7 +110,6 @@ class ClockLP:
         self.n = n
         self.role = role
         self.psi = psi
-        self.prices = _resolve_prices(model, prices)
         tree = model.tree
         T = tree.horizon
         self.tuples = list(itertools.product(range(T + 1), repeat=n))
@@ -145,7 +145,7 @@ class ClockLP:
     def phi_coeffs(self, tvec: tuple[int, ...], path_idx: int) -> dict[int, Q]:
         """Gain coefficients on base path path_idx with exercise clock tvec."""
         at = [(tvec, nid) for nid in self.model.tree.paths[path_idx]]
-        terms = gain_terms(self.model, path_idx, tvec, self.prices)
+        terms = gain_terms(self.model, path_idx, tvec)
         return gain_row(terms, self.stock, at, self.static, self.nu_var)
 
     def hedge_row(self, tvec: tuple[int, ...], path_idx: int) -> tuple[dict[int, Q], Q]:
@@ -293,7 +293,6 @@ def _clock_gain(clp: ClockLP, fams: dict, tvec: tuple[int, ...], path_idx: int) 
         path_idx,
         tvec,
         [member[(t, nid)] for t, nid in enumerate(path[:-1])],
-        prices=clp.prices,
         a=fams["a"],
         b=fams["b"],
         c=fams["c"],
@@ -320,25 +319,19 @@ def _price_clock_indexed(
     model: MarketModel,
     role: str,
     *,
-    prices: Prices | None = None,
     psi: list[Q] | None = None,
     grid: list | None = None,
 ) -> tuple[Q, dict, ClockLP]:
     n = model.N + 1 if role == "super" else model.N
-    clp = ClockLP(model, n, prices=prices, role=role, psi=psi)
+    clp = ClockLP(model, n, role=role, psi=psi)
     clp.add_core_rows()
     out = _solve_clock_lp(clp, grid, "min" if role == "super" else "max", {clp.x: ONE})
     return out.value, clp.families_from(out), clp
 
 
-def _clock_indexed_na(
-    model: MarketModel,
-    *,
-    prices: Prices | None = None,
-    grid: list | None = None,
-) -> bool:
+def _clock_indexed_na(model: MarketModel, grid: list) -> bool:
     """No-arbitrage in the clock-indexed formulation (True = no arbitrage)."""
-    clp = ClockLP(model, model.N, prices=prices, role="arbitrage", split_stock=True)
+    clp = ClockLP(model, model.N, role="arbitrage", split_stock=True)
     share = Q(1, len(clp.tuples))
     objective = add_weighted_gains(clp.lp, (
         (f"hedge[{tvec};p{p}]", clp.phi_coeffs(tvec, p), model.path_weight(p) * share)
@@ -443,20 +436,15 @@ def _certify_lift(
     return checks
 
 
-def verify_divisibility_equivalence(
-    model: MarketModel,
-    *,
-    prices: Prices | None = None,
-    eps_grid: list[Q] | None = None,
-) -> DivisibilityReport:
+def verify_divisibility_equivalence(model: MarketModel) -> DivisibilityReport:
     """Clock-indexed vs enlarged-space prices, and divisible certification.
 
     Computes sub/super/European prices in the clock-indexed LP and on
     the enlarged space; asserts exact agreement; certifies the
     divisible side via optimizer mixtures on a weight grid and via
     grid-augmented LPs whose value must not move; and compares
-    no-arbitrage verdicts of the two formulations across an
-    epsilon-grid of price shifts.
+    no-arbitrage verdicts of the two formulations at the quotes of
+    model.shifted_prices(eps) for every eps in EPS_GRID.
     """
     if model.claim is None:
         raise ValueError("divisibility verification needs a claim")
@@ -465,17 +453,16 @@ def verify_divisibility_equivalence(
     grid_sub = weight_grid(N, T)
     grid_super = weight_grid(N + 1, T)
 
-    sub_val, sub_fams, sub_clp = _price_clock_indexed(model, "sub", prices=prices)
-    super_val, super_fams, super_clp = _price_clock_indexed(model, "super", prices=prices)
+    sub_val, sub_fams, sub_clp = _price_clock_indexed(model, "sub")
+    super_val, super_fams, super_clp = _price_clock_indexed(model, "super")
     psi = [model.claim.scalar(path[T]) for path in model.tree.paths]
-    euro_val, euro_fams, euro_clp = _price_clock_indexed(model, "european", prices=prices, psi=psi)
+    euro_val, euro_fams, euro_clp = _price_clock_indexed(model, "european", psi=psi)
 
     enl_sub = enlarge(model, N)
-    enl_super = enlarge(model, N + 1)
-    sub_enl = subhedge(enl_sub, prices=prices).price
-    super_enl = superhedge(enl_super, prices=prices).price
+    sub_enl = subhedge(enl_sub).price
+    super_enl = superhedge(enlarge(model, N + 1)).price
     psi_enl = [psi[enl_sub.epaths[p].base_index] for p in range(enl_sub.num_paths)]
-    euro_enl = subhedge_european(enl_sub, psi_enl, prices=prices).price
+    euro_enl = subhedge_european(enl_sub, psi_enl).price
 
     for name, a, b in (
         ("sub", sub_val, sub_enl),
@@ -487,11 +474,9 @@ def verify_divisibility_equivalence(
                 f"{name} prices disagree: clock-indexed {rat_str(a)} vs enlarged {rat_str(b)}"
             )
 
-    sub_grid_val, _, _ = _price_clock_indexed(model, "sub", prices=prices, grid=grid_sub)
-    super_grid_val, _, _ = _price_clock_indexed(model, "super", prices=prices, grid=grid_super)
-    euro_grid_val, _, _ = _price_clock_indexed(
-        model, "european", prices=prices, psi=psi, grid=grid_sub
-    )
+    sub_grid_val, _, _ = _price_clock_indexed(model, "sub", grid=grid_sub)
+    super_grid_val, _, _ = _price_clock_indexed(model, "super", grid=grid_super)
+    euro_grid_val, _, _ = _price_clock_indexed(model, "european", psi=psi, grid=grid_sub)
     if sub_grid_val != sub_val or super_grid_val != super_val or euro_grid_val != euro_val:
         raise PropertyViolation("grid-augmented LP moved a price")
 
@@ -499,13 +484,11 @@ def verify_divisibility_equivalence(
     checks += _certify_lift(super_clp, super_fams, grid_super, super_val)
     checks += _certify_lift(euro_clp, euro_fams, grid_sub, euro_val)
 
-    if eps_grid is None:
-        eps_grid = [Q(1, 2**i) for i in range(1, 9)]
     sna_rows: list[tuple[Q, bool, bool]] = []
-    for eps in eps_grid:
-        shifted = _shift_prices(model, prices, eps)
-        na_indexed = _clock_indexed_na(model, prices=shifted, grid=grid_sub)
-        na_enlarged = not detect_arbitrage(enl_sub, prices=shifted).found
+    for eps in EPS_GRID:
+        shifted = model.shifted_prices(eps)
+        na_indexed = _clock_indexed_na(shifted, grid_sub)
+        na_enlarged = not detect_arbitrage(enlarge(shifted, N)).found
         sna_rows.append((eps, na_indexed, na_enlarged))
         if na_indexed != na_enlarged:
             raise PropertyViolation(

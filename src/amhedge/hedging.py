@@ -12,69 +12,39 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Iterator, Sequence
 
-from .enlarged import EnlargedModel, extend_claim
+from .enlarged import EnlargedModel, enlarge, extend_claim
 from .errors import PropertyViolation, SnaFailure
 from .lp import LinearProgram, LPOutcome, solve
 from .market import MarketModel
 from .rationals import ONE, ZERO, Q, rat, rat_str
-from .strategies import LiquidatingStrategy
-
-Prices = tuple[Sequence[Q], Sequence[Q], Sequence[Q]]
-
-
-def _resolve_prices(model: MarketModel, prices: Prices | None) -> tuple[list[Q], list[Q], list[Q]]:
-    if prices is None:
-        return (
-            [p for _, p in model.europeans],
-            [p for _, p in model.americans_long],
-            [p for _, p in model.americans_short],
-        )
-    alphas, betas, gammas = prices
-    alphas = [rat(a) for a in alphas]
-    betas = [rat(b) for b in betas]
-    gammas = [rat(c) for c in gammas]
-    if len(alphas) != model.L or len(betas) != model.M or len(gammas) != model.N:
-        raise ValueError("price override lengths must match (L, M, N)")
-    return alphas, betas, gammas
-
-
-def _shift_prices(model: MarketModel, prices: Prices | None, eps: Q) -> Prices:
-    """Quotes moved by eps in the trader's favour: asks down, bids up."""
-    alphas, betas, gammas = _resolve_prices(model, prices)
-    return (
-        [a - eps for a in alphas],
-        [b - eps for b in betas],
-        [c + eps for c in gammas],
-    )
-
+from .strategies import DEFAULT_ENUM_CAP, LiquidatingStrategy
 
 def gain_terms(
-    model: MarketModel, base_index: int, clocks: Sequence[int], prices: Prices
+    model: MarketModel, base_index: int, clocks: Sequence[int]
 ) -> Iterator[tuple[tuple, Q]]:
     """The one builder of the gain Phi along a base path and its exercise clocks.
 
     Yields (term, coefficient) pairs.  Terms are ("H", t, d), the
     position in stock dim d held from t to t+1; ("a", i), ("b", j) and
-    ("c", k), the static book; ("nu", j, t), the mass of long j
-    liquidated at time t.  ``prices`` are resolved quotes.  Each LP maps
-    the time index onto its own variables (see gain_row); evaluate_gain
-    re-checks Phi without reading anything built here.
+    ("c", k), the static book at the model's quotes; ("nu", j, t), the
+    mass of long j liquidated at time t.  Each LP maps the time index
+    onto its own variables (see gain_row); evaluate_gain re-checks Phi
+    without reading anything built here.
     """
-    alphas, betas, gammas = prices
     path = model.tree.paths[base_index]
     for t in range(len(path) - 1):
         here, nxt = model.stock.at(path[t]), model.stock.at(path[t + 1])
         for d in range(model.stock.dim):
             if nxt[d] != here[d]:
                 yield ("H", t, d), nxt[d] - here[d]
-    for i, (payoff, _) in enumerate(model.europeans):
-        yield ("a", i), payoff.at(path[-1]) - alphas[i]
-    for j, (proc, _) in enumerate(model.americans_long):
-        yield ("b", j), -betas[j]
+    for i, (payoff, alpha) in enumerate(model.europeans):
+        yield ("a", i), payoff.at(path[-1]) - alpha
+    for j, (proc, beta) in enumerate(model.americans_long):
+        yield ("b", j), -beta
         for t, nid in enumerate(path):
             yield ("nu", j, t), proc.scalar(nid)
-    for k, (proc, _) in enumerate(model.americans_short):
-        yield ("c", k), -(proc.scalar(path[clocks[k]]) - gammas[k])
+    for k, (proc, gamma) in enumerate(model.americans_short):
+        yield ("c", k), -(proc.scalar(path[clocks[k]]) - gamma)
 
 
 def evaluate_gain(
@@ -83,7 +53,6 @@ def evaluate_gain(
     clocks: Sequence[int],
     stock: Sequence[Sequence[Q]],
     *,
-    prices: Prices = ((), (), ()),
     a: Sequence[Q] = (),
     b: Sequence[Q] = (),
     c: Sequence[Q] = (),
@@ -96,19 +65,20 @@ def evaluate_gain(
     Recomputed straight from the model data, independently of
     gain_terms and of every LP coefficient.
     """
-    alphas, betas, gammas = prices
     path = model.tree.paths[base_index]
     total = ZERO
     for t, pos in enumerate(stock):
         here, nxt = model.stock.at(path[t]), model.stock.at(path[t + 1])
         total += sum((h * (y - x) for h, x, y in zip(pos, here, nxt)), ZERO)
     for i, ai in enumerate(a):
-        total += ai * (model.europeans[i][0].at(path[-1]) - alphas[i])
+        payoff, alpha = model.europeans[i]
+        total += ai * (payoff.at(path[-1]) - alpha)
     for j, masses in enumerate(nu):
-        proc = model.americans_long[j][0]
-        total += sum((m * proc.scalar(nid) for m, nid in zip(masses, path)), ZERO) - b[j] * betas[j]
+        proc, beta = model.americans_long[j]
+        total += sum((m * proc.scalar(nid) for m, nid in zip(masses, path)), ZERO) - b[j] * beta
     for k, ck in enumerate(c):
-        total -= ck * (model.americans_short[k][0].scalar(path[clocks[k]]) - gammas[k])
+        proc, gamma = model.americans_short[k]
+        total -= ck * (proc.scalar(path[clocks[k]]) - gamma)
     return total
 
 
@@ -245,7 +215,6 @@ def payoff_enlarged(
     enl: EnlargedModel,
     strat: SemiStaticStrategy,
     *,
-    prices: Prices | None = None,
     paths: Iterable[int] | None = None,
 ) -> dict[int, Q]:
     """Evaluate the strategy's gain on each enlarged path, exactly.
@@ -264,7 +233,6 @@ def payoff_enlarged(
         model.N,
     ):
         raise ValueError("strategy option counts do not match the model")
-    resolved = _resolve_prices(model, prices)
     idx = range(enl.num_paths) if paths is None else paths
     gains: dict[int, Q] = {}
     for p in idx:
@@ -279,7 +247,6 @@ def payoff_enlarged(
         gains[p] = evaluate_gain(
             model,
             *enlarged_reading(enl, strat.stock, p),
-            prices=resolved,
             a=strat.long_european,
             b=strat.long_american,
             c=strat.short_american,
@@ -301,7 +268,6 @@ class GainLP:
         enl: EnlargedModel,
         *,
         paths: Iterable[int] | None = None,
-        prices: Prices | None = None,
         split_stock: bool = False,
         add_x: bool = False,
     ) -> None:
@@ -310,7 +276,6 @@ class GainLP:
         self.paths = list(range(enl.num_paths)) if paths is None else sorted(set(paths))
         if not self.paths:
             raise ValueError("at least one path required")
-        self.prices = _resolve_prices(enl.model, prices)
         self.lp = LinearProgram()
         self.x = self.lp.add_var("x", nonneg=False) if add_x else None
 
@@ -334,7 +299,7 @@ class GainLP:
     def gain_coeffs(self, p: int) -> dict[int, Q]:
         """Coefficient map of Phi(path p) over the strategy variables."""
         ep = self.enl.epaths[p]
-        terms = gain_terms(self.model, ep.base_index, ep.clocks, self.prices)
+        terms = gain_terms(self.model, ep.base_index, ep.clocks)
         return gain_row(terms, self.stock, ep.node_seq, self.static, self.nu_var)
 
     def add_liquidation_rows(self) -> None:
@@ -405,7 +370,6 @@ def _hedge(
     sign: Q,
     rhs: Sequence[Q],
     *,
-    prices: Prices | None,
     paths: Iterable[int] | None,
     exercise_values: dict[int, Q] | None = None,
 ) -> HedgeReport:
@@ -417,7 +381,7 @@ def _hedge(
     eta(v_t) * value(v_t).  The optimum is re-validated pathwise against
     the same inequality, with the gain recomputed by payoff_enlarged.
     """
-    g = GainLP(enl, paths=paths, prices=prices, add_x=True)
+    g = GainLP(enl, paths=paths, add_x=True)
     eta_var = {}
     if exercise_values is not None:
         eta_var = {v: g.lp.add_var(f"eta[{enl.enode(v).label}]") for v in g.carry_nodes}
@@ -454,7 +418,7 @@ def _hedge(
         pivots=out.pivots,
         num_paths=len(g.paths),
     )
-    gains = payoff_enlarged(enl, report.strategy, prices=prices, paths=g.paths)
+    gains = payoff_enlarged(enl, report.strategy, paths=g.paths)
     for p in g.paths:
         lhs = sign * report.price + gains[p]
         if eta is not None:
@@ -473,7 +437,6 @@ def _hedge(
 def subhedge(
     enl: EnlargedModel,
     *,
-    prices: Prices | None = None,
     paths: Iterable[int] | None = None,
 ) -> HedgeReport:
     """Largest x dominated by the claim held divisibly plus a strategy.
@@ -484,14 +447,13 @@ def subhedge(
     """
     if enl.n != enl.model.N:
         raise ValueError("sub-hedging runs on the n = N enlargement")
-    return _hedge(enl, "sub", -ONE, [ZERO] * enl.num_paths, prices=prices, paths=paths,
+    return _hedge(enl, "sub", -ONE, [ZERO] * enl.num_paths, paths=paths,
                   exercise_values=extend_claim(enl, "sub"))
 
 
 def superhedge(
     enl: EnlargedModel,
     *,
-    prices: Prices | None = None,
     paths: Iterable[int] | None = None,
 ) -> HedgeReport:
     """Smallest x such that x plus a strategy dominates the claim payoff.
@@ -502,20 +464,14 @@ def superhedge(
     """
     if enl.n != enl.model.N + 1:
         raise ValueError("super-hedging runs on the n = N + 1 enlargement")
-    return _hedge(enl, "super", ONE, extend_claim(enl, "super"), prices=prices, paths=paths)
+    return _hedge(enl, "super", ONE, extend_claim(enl, "super"), paths=paths)
 
 
-def subhedge_european(
-    enl: EnlargedModel,
-    psi: Sequence[Q],
-    *,
-    prices: Prices | None = None,
-    paths: Iterable[int] | None = None,
-) -> HedgeReport:
+def subhedge_european(enl: EnlargedModel, psi: Sequence[Q]) -> HedgeReport:
     """Sub-hedging price of a path payoff psi: max x s.t. Phi + psi >= x."""
     if len(psi) != enl.num_paths:
         raise ValueError("psi must give one value per enlarged path")
-    return _hedge(enl, "sub_european", -ONE, [-rat(v) for v in psi], prices=prices, paths=paths)
+    return _hedge(enl, "sub_european", -ONE, [-rat(v) for v in psi], paths=None)
 
 
 @dataclass
@@ -533,12 +489,7 @@ class ArbitrageReport:
         }
 
 
-def detect_arbitrage(
-    enl: EnlargedModel,
-    *,
-    prices: Prices | None = None,
-    paths: Iterable[int] | None = None,
-) -> ArbitrageReport:
+def detect_arbitrage(enl: EnlargedModel) -> ArbitrageReport:
     """Search for a nonnegative gain with positive expectation.
 
     max sum_p w(p) Phi(p)  s.t.  Phi(p) >= 0 on every path and
@@ -546,7 +497,7 @@ def detect_arbitrage(
     when no arbitrage exists; any positive optimum scales freely, and
     the optimizer is returned as a witness.
     """
-    g = GainLP(enl, paths=paths, prices=prices, split_stock=True)
+    g = GainLP(enl, split_stock=True)
     objective = add_weighted_gains(
         g.lp, ((f"nonneg[p{p}]", g.gain_coeffs(p), enl.weight(p)) for p in g.paths)
     )
@@ -561,7 +512,7 @@ def detect_arbitrage(
     if out.value < ZERO:
         raise PropertyViolation("arbitrage LP returned a negative optimum")
     strat = g.strategy_from(out)
-    gains = payoff_enlarged(enl, strat, prices=prices, paths=g.paths)
+    gains = payoff_enlarged(enl, strat)
     expected = ZERO
     for p in g.paths:
         if gains[p] < ZERO:
@@ -580,29 +531,21 @@ class SnaReport:
     primal_clear: bool | None = None
 
 
-def check_sna(
-    enl: EnlargedModel,
-    *,
-    prices: Prices | None = None,
-    cap: int | None = None,
-) -> SnaReport:
+def check_sna(enl: EnlargedModel, *, cap: int = DEFAULT_ENUM_CAP) -> SnaReport:
     """Strict no-arbitrage verdict with dual witness and primal cross-check.
 
     epsilon* is the maximal uniform slack of the martingale polytope at
-    the given prices; SNA holds iff epsilon* > 0, in which case prices
-    perturbed against the trader by epsilon*/2 still admit no arbitrage
+    the model's quotes; SNA holds iff epsilon* > 0, in which case quotes
+    moved by epsilon*/2 in the trader's favour still admit no arbitrage
     (verified primally).
     """
     from .measures import ftap_certificate
 
-    kwargs = {"prices": prices}
-    if cap is not None:
-        kwargs["cap"] = cap
-    sna, cert = ftap_certificate(enl, **kwargs)
+    sna, cert = ftap_certificate(enl, cap=cap)
     primal_clear = None
     if sna:
-        shifted = _shift_prices(enl.model, prices, cert.slack / 2)
-        primal_clear = not detect_arbitrage(enl, prices=shifted).found
+        shifted = enlarge(enl.model.shifted_prices(cert.slack / 2), enl.n, enl.clock_weights)
+        primal_clear = not detect_arbitrage(shifted).found
         if not primal_clear:
             raise PropertyViolation(
                 "dual slack promises SNA but shifted prices admit arbitrage"

@@ -13,7 +13,7 @@ LPInternalError rather than returning a wrong answer.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Literal
 
 from .rationals import ONE, ZERO, Q, rat

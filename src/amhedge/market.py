@@ -10,6 +10,7 @@ The JSON schema is documented in the README; all numbers travel as exact
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass, field
 from typing import Any
@@ -135,18 +136,22 @@ class MarketModel:
         return self.weights[self.tree.paths[path_index][-1]]
 
     def with_prices(self, alphas=None, betas=None, gammas=None) -> "MarketModel":
-        """Copy with some quoted prices replaced (used by grid sweeps)."""
-        eur = [(p, a) for (p, _), a in zip(self.europeans, alphas)] if alphas is not None \
-            else list(self.europeans)
-        lng = [(g, b) for (g, _), b in zip(self.americans_long, betas)] if betas is not None \
-            else list(self.americans_long)
-        sht = [(h, c) for (h, _), c in zip(self.americans_short, gammas)] if gammas is not None \
-            else list(self.americans_short)
-        return MarketModel(self.tree, self.stock, eur, lng, sht, self.claim,
-                           self.weights, self.kernels)
+        """Copy with the given books re-quoted: one quote per option of each.
+
+        The one re-quote of a model; a list of the wrong length raises.
+        """
+        books = {}
+        for name, quotes in (("europeans", alphas), ("americans_long", betas),
+                             ("americans_short", gammas)):
+            book = getattr(self, name)
+            if quotes is not None and len(quotes) != len(book):
+                raise ValueError(f"{len(quotes)} quotes for the {len(book)} {name}")
+            books[name] = list(book) if quotes is None else [
+                (payoff, rat(q)) for (payoff, _), q in zip(book, quotes)]
+        return dataclasses.replace(self, **books)
 
     def shifted_prices(self, eps: Q) -> "MarketModel":
-        """Prices moved by eps in the trader-favorable direction."""
+        """Quotes moved by eps in the trader's favour: asks down, bids up."""
         eps = rat(eps)
         return self.with_prices(
             alphas=[a - eps for _, a in self.europeans],
@@ -216,7 +221,8 @@ def load_model(source: str | bytes | dict) -> MarketModel:
     if isinstance(source, (str, bytes)):
         try:
             data = json.loads(source)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # ValueError covers malformed JSON and over-long integer literals
             raise ModelFormatError(f"invalid JSON: {exc}") from exc
     else:
         data = source

@@ -15,7 +15,7 @@ from typing import Callable, Hashable, Iterable, Literal, Sequence
 
 from .enlarged import EnlargedModel, extend_claim
 from .errors import PropertyViolation, SnaFailure
-from .hedging import HedgeReport, Prices, _resolve_prices, subhedge, superhedge
+from .hedging import HedgeReport, subhedge, superhedge
 from .lp import LinearProgram, LPOutcome, max_slack, solve
 from .market import MarketModel
 from .rationals import ONE, ZERO, Q, rat_str
@@ -39,6 +39,10 @@ __all__ = [
     "e2_chain",
     "strict_value_bracket",
 ]
+
+
+# mixture weights 1/2, 1/4, ... tried by the strict-interior line searches
+_HALVINGS = 12
 
 
 def _restricted_forest(
@@ -200,7 +204,7 @@ def one_step_polytope(
 
 
 class MeasurePolytope(MartingalePolytope):
-    """Martingale measures that also respect the quoted option prices.
+    """Martingale measures that also respect the model's quoted option prices.
 
     Row indices are kept per constraint family so the uniform-slack
     machinery can target exactly the price and positivity rows.
@@ -210,23 +214,21 @@ class MeasurePolytope(MartingalePolytope):
         self,
         enl: EnlargedModel,
         *,
-        prices: Prices | None = None,
         paths: Iterable[int] | None = None,
         cap: int = DEFAULT_ENUM_CAP,
         include_positivity: bool = False,
     ) -> None:
         super().__init__(enl, paths)
-        self.alphas, self.betas, self.gammas = _resolve_prices(enl.model, prices)
         model = enl.model
         self.f_rows: list[int] = []
         # add_constraint drops the zero coefficients
-        for i in range(model.L):
+        for i, (_, alpha) in enumerate(model.europeans):
             row = {self.q_var[p]: enl.european_value(i, p) for p in self.paths}
-            self.f_rows.append(self.lp.add_constraint(row, "<=", self.alphas[i], name=f"f[{i}]"))
+            self.f_rows.append(self.lp.add_constraint(row, "<=", alpha, name=f"f[{i}]"))
         self.h_rows: list[int] = []
-        for k in range(model.N):
+        for k, (_, gamma) in enumerate(model.americans_short):
             row = {self.q_var[p]: enl.short_value(k, p) for p in self.paths}
-            self.h_rows.append(self.lp.add_constraint(row, ">=", self.gammas[k], name=f"h[{k}]"))
+            self.h_rows.append(self.lp.add_constraint(row, ">=", gamma, name=f"h[{k}]"))
 
         # longed Americans: sup over stopping times, one row per enumerated
         # stopping time, deduplicated by induced value vector
@@ -239,11 +241,11 @@ class MeasurePolytope(MartingalePolytope):
         ]
         if model.M:
             self.taus = restricted_stopping_times(enl, self.paths, cap)
-            for j in range(model.M):
+            for j, (_, beta) in enumerate(model.americans_long):
                 for n, vec in enumerate(self.distinct_stopped(self.long_values[j], self.taus), 1):
                     row = {self.q_var[p]: vec[p] for p in self.paths if vec[p]}
                     self.g_rows.append(
-                        self.lp.add_constraint(row, "<=", self.betas[j], name=f"g[{j};#{n}]")
+                        self.lp.add_constraint(row, "<=", beta, name=f"g[{j};#{n}]")
                     )
             self.num_tau_rows = len(self.g_rows)
 
@@ -319,7 +321,7 @@ class MeasurePolytope(MartingalePolytope):
         min_slack: Q | None = None,
         strict: bool = False,
     ) -> tuple[bool, list[dict]]:
-        """Re-evaluate every constraint directly from model data.
+        """Re-evaluate every constraint directly from the data of enl.model.
 
         With ``min_slack`` s, positivity must clear Q(p) >= s and each
         price row must clear its bound by at least s; with ``strict``,
@@ -363,29 +365,26 @@ class MeasurePolytope(MartingalePolytope):
             entry(f"mart[{enl.enode(v).label};{d}]", val, "=", ZERO, False)
 
         model = enl.model
-        for i in range(model.L):
+        for i, (_, alpha) in enumerate(model.europeans):
             lhs = sum((measure.get(p, ZERO) * enl.european_value(i, p) for p in self.paths), ZERO)
-            entry(f"f[{i}]", lhs, "<=", self.alphas[i], True)
-        for k in range(model.N):
+            entry(f"f[{i}]", lhs, "<=", alpha, True)
+        for k, (_, gamma) in enumerate(model.americans_short):
             lhs = sum((measure.get(p, ZERO) * enl.short_value(k, p) for p in self.paths), ZERO)
-            entry(f"h[{k}]", lhs, ">=", self.gammas[k], True)
-        for j in range(model.M):
+            entry(f"h[{k}]", lhs, ">=", gamma, True)
+        for j, (_, beta) in enumerate(model.americans_long):
             best = snell_value(enl, self.long_values[j], measure, paths=self.paths)
-            entry(f"g[{j};sup]", best, "<=", self.betas[j], True)
+            entry(f"g[{j};sup]", best, "<=", beta, True)
         return ok, ledger
 
 
 def build_polytope(
     enl: EnlargedModel,
     *,
-    prices: Prices | None = None,
     paths: Iterable[int] | None = None,
     cap: int = DEFAULT_ENUM_CAP,
     include_positivity: bool = False,
 ) -> MeasurePolytope:
-    return MeasurePolytope(
-        enl, prices=prices, paths=paths, cap=cap, include_positivity=include_positivity
-    )
+    return MeasurePolytope(enl, paths=paths, cap=cap, include_positivity=include_positivity)
 
 
 @dataclass
@@ -407,11 +406,7 @@ class MeasureCertificate:
 
 
 def ftap_certificate(
-    enl: EnlargedModel,
-    *,
-    prices: Prices | None = None,
-    paths: Iterable[int] | None = None,
-    cap: int = DEFAULT_ENUM_CAP,
+    enl: EnlargedModel, *, cap: int = DEFAULT_ENUM_CAP
 ) -> tuple[bool, MeasureCertificate]:
     """Maximal uniform slack over the strict martingale polytope.
 
@@ -419,9 +414,7 @@ def ftap_certificate(
     path and clears every price constraint strictly; the largest common
     clearance s* is computed by LP and the witness re-validated.
     """
-    pt = build_polytope(
-        enl, prices=prices, paths=paths, cap=cap, include_positivity=True
-    )
+    pt = build_polytope(enl, cap=cap, include_positivity=True)
     rows = [*pt.price_rows, *pt.pos_rows]
     outcome = max_slack(pt.lp, rows)
     if outcome.status == "infeasible":
@@ -465,8 +458,6 @@ class DualPriceReport:
 def dual_superhedge(
     enl: EnlargedModel,
     *,
-    prices: Prices | None = None,
-    paths: Iterable[int] | None = None,
     cap: int = DEFAULT_ENUM_CAP,
     polytope: MeasurePolytope | None = None,
 ) -> DualPriceReport:
@@ -474,7 +465,7 @@ def dual_superhedge(
     if enl.n != enl.model.N + 1:
         raise ValueError("the super-hedging dual runs on the n = N + 1 enlargement")
     target = extend_claim(enl, "super")
-    pt = polytope or build_polytope(enl, prices=prices, paths=paths, cap=cap)
+    pt = polytope or build_polytope(enl, cap=cap)
     value, measure, out = pt.solve_extremum(target, "max")
     ok, _ = pt.check(measure)
     if not ok or pt.expectation(measure, target) != value:
@@ -493,8 +484,6 @@ def dual_superhedge(
 def dual_subhedge(
     enl: EnlargedModel,
     *,
-    prices: Prices | None = None,
-    paths: Iterable[int] | None = None,
     cap: int = DEFAULT_ENUM_CAP,
     polytope: MeasurePolytope | None = None,
 ) -> DualPriceReport:
@@ -506,7 +495,7 @@ def dual_subhedge(
     if enl.n != enl.model.N:
         raise ValueError("the sub-hedging dual runs on the n = N enlargement")
     claim_at = extend_claim(enl, "sub")
-    pt = polytope or build_polytope(enl, prices=prices, paths=paths, cap=cap)
+    pt = polytope or build_polytope(enl, cap=cap)
     taus = pt.taus or restricted_stopping_times(enl, pt.paths, cap)
     out, measure, n_rows = pt.stopped_envelope(claim_at, taus)
     ok, _ = pt.check(measure)
@@ -532,29 +521,28 @@ def price_with_dual(
     enl: EnlargedModel,
     side: Literal["sub", "super"],
     *,
-    prices: Prices | None = None,
     paths: Iterable[int] | None = None,
     cap: int = DEFAULT_ENUM_CAP,
-) -> tuple[HedgeReport, MeasurePolytope]:
+) -> tuple[HedgeReport, DualPriceReport, MeasurePolytope]:
     """Primal hedge and dual price on one space, equality asserted.
 
     Both sides run over the same paths (all of them, or a quasi-sure
     support).  The dual re-validates its own optimizer; this step adds
     only the exact gap check, then records gap 0 and the dual report as
-    the hedge report's ``dual_ref``.  The polytope is returned for its
-    row counts.
+    the hedge report's ``dual_ref``.  The dual report and its polytope
+    are returned too, for the optimal measure and the row counts.
     """
     primal, dual_of = (subhedge, dual_subhedge) if side == "sub" else (superhedge, dual_superhedge)
-    report = primal(enl, prices=prices, paths=paths)
-    pt = build_polytope(enl, prices=prices, paths=paths, cap=cap)
-    dual = dual_of(enl, prices=prices, paths=paths, cap=cap, polytope=pt)
+    report = primal(enl, paths=paths)
+    pt = build_polytope(enl, paths=paths, cap=cap)
+    dual = dual_of(enl, cap=cap, polytope=pt)
     if report.price != dual.value:
         raise PropertyViolation(
             f"{side}-hedge duality gap: {rat_str(report.price)} vs {rat_str(dual.value)}"
         )
     report.gap = ZERO
     report.dual_ref = dual.to_json(enl)
-    return report, pt
+    return report, dual, pt
 
 
 def snell_value(
@@ -592,7 +580,6 @@ def lift_measure_uniform_clock(
     enl_to: EnlargedModel,
     measure: dict[int, Q],
     *,
-    prices: Prices | None = None,
     cap: int = DEFAULT_ENUM_CAP,
     polytope: MeasurePolytope | None = None,
 ) -> dict[int, Q]:
@@ -614,7 +601,7 @@ def lift_measure_uniform_clock(
         for t in range(T + 1):
             tgt = enl_to.path_index(ep.base_index, ep.clocks + (t,))
             lifted[tgt] = lifted.get(tgt, ZERO) + q * share
-    pt = polytope or build_polytope(enl_to, prices=prices, cap=cap)
+    pt = polytope or build_polytope(enl_to, cap=cap)
     pt.require(lifted, "lifted measure")
     return lifted
 
@@ -633,10 +620,8 @@ def push_stopping_measure(
     measure: dict[int, Q],
     tau: StoppingTime,
     *,
-    prices: Prices | None = None,
     cap: int = DEFAULT_ENUM_CAP,
     polytope: MeasurePolytope | None = None,
-    max_halvings: int = 12,
 ) -> PushReport:
     """Concentrate the added clock on the stopping time tau.
 
@@ -644,7 +629,7 @@ def push_stopping_measure(
     the push lies in the closed polytope of the larger space, and that
     mixing toward the uniform lift with weight lambda stays inside -
     strictly when the input measure itself is strict (line search over
-    lambda = 1/2, 1/4, ...).
+    lambda = 1/2, 1/4, ..., 1/2^12).
     """
     if enl_to.n != enl_from.n + 1 or enl_to.model is not enl_from.model:
         raise ValueError("push goes from the n-clock space to the (n+1)-clock space")
@@ -661,7 +646,7 @@ def push_stopping_measure(
         expect_from += q * claim_from[ep.node_seq[t]]
 
     claim_to = extend_claim(enl_to, "super")
-    pt = polytope or build_polytope(enl_to, prices=prices, cap=cap)
+    pt = polytope or build_polytope(enl_to, cap=cap)
     value = pt.expectation(pushed, claim_to)
     if value != expect_from:
         raise PropertyViolation(
@@ -669,11 +654,9 @@ def push_stopping_measure(
         )
     pt.require(pushed, "pushed measure")
 
-    lifted = lift_measure_uniform_clock(
-        enl_from, enl_to, measure, prices=prices, cap=cap, polytope=pt
-    )
+    lifted = lift_measure_uniform_clock(enl_from, enl_to, measure, cap=cap, polytope=pt)
     lam = Q(1, 2)
-    for _ in range(max_halvings):
+    for _ in range(_HALVINGS):
         mixed = {}
         for p in set(pushed) | set(lifted):
             mixed[p] = (ONE - lam) * pushed.get(p, ZERO) + lam * lifted.get(p, ZERO)
@@ -698,7 +681,6 @@ def e2_chain(
     lower: Q,
     upper: Q,
     *,
-    prices: Prices | None = None,
     cap: int = DEFAULT_ENUM_CAP,
 ) -> ChainReport:
     """Exact three-term chain linking the dual prices.
@@ -709,7 +691,7 @@ def e2_chain(
     computed here by one LP per deduplicated stopping-value vector;
     lower <= middle <= upper is asserted.
     """
-    pt = build_polytope(enl_sub, prices=prices, cap=cap)
+    pt = build_polytope(enl_sub, cap=cap)
     claim_at = extend_claim(enl_sub, "sub")
     taus = pt.taus or restricted_stopping_times(enl_sub, pt.paths, cap)
     vecs = pt.distinct_stopped(claim_at, taus)
@@ -730,22 +712,23 @@ def e2_chain(
 def strict_value_bracket(
     pt: MeasurePolytope,
     values: dict[int, Q] | Sequence[Q],
+    argmax: dict[int, Q],
     strict_measure: dict[int, Q],
-    *,
-    halvings: int = 12,
 ) -> list[tuple[Q, Q]]:
     """Bracket the closed-polytope maximum by strict-interior values.
 
-    Mixes the closed maximizer toward a strictly feasible measure;
-    every mixture is verified strictly feasible and the values converge
-    geometrically to the closed maximum, witnessing that optimizing
-    over the strict set loses nothing.
+    Mixes ``argmax``, a maximizer of E[values] over the closed polytope
+    (as dual_superhedge returns it), toward a strictly feasible measure
+    with weights 1/2, ..., 1/2^12; every mixture is verified strictly
+    feasible and the values converge geometrically to the closed
+    maximum, witnessing that optimizing over the strict set loses
+    nothing.
     """
-    vmax, argmax, _ = pt.solve_extremum(values, "max")
+    vmax = pt.expectation(argmax, values)
     vs = pt.expectation(strict_measure, values)
     out: list[tuple[Q, Q]] = []
     lam = Q(1, 2)
-    for _ in range(halvings):
+    for _ in range(_HALVINGS):
         mixed = {}
         for p in set(argmax) | set(strict_measure):
             mixed[p] = (ONE - lam) * argmax.get(p, ZERO) + lam * strict_measure.get(p, ZERO)

@@ -13,17 +13,14 @@ import copy
 import dataclasses
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .enlarged import EnlargedModel, enlarge
 from .errors import CapExceededError, ModelFormatError, PropertyViolation, SnaFailure
 from .hedging import (
     HedgeReport,
-    Prices,
     StockPositions,
     _bump,
-    _resolve_prices,
-    _shift_prices,
     add_weighted_gains,
     enlarged_reading,
     evaluate_gain,
@@ -86,10 +83,10 @@ class RobustModel:
             total *= len(self.kernels[nid])
         return total
 
-    def selectors(self, cap: int = DEFAULT_SELECTOR_CAP) -> list[tuple[int, ...]]:
+    def selectors(self) -> list[tuple[int, ...]]:
         total = self.num_selectors()
-        if total > cap:
-            raise CapExceededError("kernel selectors", total, cap)
+        if total > DEFAULT_SELECTOR_CAP:
+            raise CapExceededError("kernel selectors", total, DEFAULT_SELECTOR_CAP)
         ranges = [range(len(self.kernels[nid])) for nid in self.node_order]
         return list(itertools.product(*ranges))
 
@@ -169,11 +166,10 @@ def _stock_gains(
     trade = sorted({v for p in renl.supported_paths for v in enl.epaths[p].node_seq[:enl.horizon]})
     labels = ((v, enl.enode(v).label) for v in trade)
     stock = StockPositions(lp, labels, enl.model.stock.dim, split=split)
-    prices = _resolve_prices(enl.model, None)
 
     def coeffs(p: int) -> dict[int, Q]:
         ep = enl.epaths[p]
-        terms = gain_terms(enl.model, ep.base_index, ep.clocks, prices)
+        terms = gain_terms(enl.model, ep.base_index, ep.clocks)
         return gain_row(((term, c) for term, c in terms if term[0] == "H"), stock, ep.node_seq, {})
 
     return stock, coeffs
@@ -201,9 +197,7 @@ class RobustNaReport:
     certificates: list[DominationCertificate]
 
 
-def robust_na(
-    renl: RobustEnlarged, *, selector_cap: int = DEFAULT_SELECTOR_CAP
-) -> RobustNaReport:
+def robust_na(renl: RobustEnlarged) -> RobustNaReport:
     """No-arbitrage from dynamic trading alone, with per-selector duals.
 
     Primal: the maximal reference-weighted gain among quasi-surely
@@ -229,17 +223,11 @@ def robust_na(
     # a martingale polytope without price rows: the selector slack is
     # then the domination factor alone
     base = MartingalePolytope(renl.enl, renl.supported_paths)
-    certificates: list[DominationCertificate] = []
-    dominated_all = True
-    for selector in renl.robust.selectors(selector_cap):
-        slack, measure = _selector_epsilon(base, renl.vertex_measure(selector))
-        cert = DominationCertificate(selector=selector, slack=slack, measure=measure)
-        certificates.append(cert)
-        if cert.dominates:
-            base.require_martingale_law(measure, "domination witness")
-        else:
-            dominated_all = False
-    if holds != dominated_all:
+    certificates = [
+        DominationCertificate(selector=selector, slack=slack, measure=measure)
+        for selector, slack, measure in _selector_sweep(base, renl)
+    ]
+    if holds != all(cert.dominates for cert in certificates):
         raise PropertyViolation(
             "primal no-arbitrage verdict disagrees with per-selector domination"
         )
@@ -503,29 +491,19 @@ def robust_superhedge_options(
 # -- full sub/super-hedging dualities on the quasi-sure support ---------------
 
 
-def robust_subhedge(
-    renl: RobustEnlarged,
-    *,
-    prices: Prices | None = None,
-    cap: int = DEFAULT_ENUM_CAP,
-) -> HedgeReport:
+def robust_subhedge(renl: RobustEnlarged, *, cap: int = DEFAULT_ENUM_CAP) -> HedgeReport:
     """Quasi-sure sub-hedging price with its dual, equality asserted."""
-    return _quasi_sure_price(renl, "sub", prices, cap)
+    return _quasi_sure_price(renl, "sub", cap)
 
 
-def robust_superhedge_full(
-    renl: RobustEnlarged,
-    *,
-    prices: Prices | None = None,
-    cap: int = DEFAULT_ENUM_CAP,
-) -> HedgeReport:
+def robust_superhedge_full(renl: RobustEnlarged, *, cap: int = DEFAULT_ENUM_CAP) -> HedgeReport:
     """Quasi-sure super-hedging price with its dual, equality asserted."""
-    return _quasi_sure_price(renl, "super", prices, cap)
+    return _quasi_sure_price(renl, "super", cap)
 
 
-def _quasi_sure_price(renl: RobustEnlarged, side: str, prices: Prices | None, cap: int) -> HedgeReport:
+def _quasi_sure_price(renl: RobustEnlarged, side: str, cap: int) -> HedgeReport:
     """The classical duality step restricted to the supported paths."""
-    report, _ = price_with_dual(renl.enl, side, prices=prices, paths=renl.supported_paths, cap=cap)
+    report, _, _ = price_with_dual(renl.enl, side, paths=renl.supported_paths, cap=cap)
     # quasi-sure reports name only the dual value, not its measure
     report.dual_ref = {"value": report.dual_ref["value"]}
     return report
@@ -551,12 +529,14 @@ class RobustFtapReport:
 def _shifted_membership(pt: MeasurePolytope, measure: dict[int, Q], delta: Q) -> None:
     """Membership in the delta-shifted polytope: check() at moved quotes.
 
-    check() re-evaluates every row from the model data and the quotes
-    alone, so a copy with moved quotes is the shifted polytope for it.
+    check() re-evaluates every row from the data of pt.enl.model alone,
+    so a copy of pt on the enlargement of the delta-shifted model is the
+    shifted polytope for it; the enlargement keeps every node and path
+    index.
     """
     shifted = copy.copy(pt)
-    quotes = (pt.alphas, pt.betas, pt.gammas)
-    shifted.alphas, shifted.betas, shifted.gammas = _shift_prices(pt.enl.model, quotes, delta)
+    enl = pt.enl
+    shifted.enl = enlarge(enl.model.shifted_prices(delta), enl.n, enl.clock_weights)
     shifted.require(measure, "shifted-polytope witness")
 
 
@@ -588,13 +568,31 @@ def _selector_epsilon(
     return eps, measure
 
 
-def robust_ftap(
-    renl: RobustEnlarged,
-    *,
-    prices: Prices | None = None,
-    selector_cap: int = DEFAULT_SELECTOR_CAP,
-    cap: int = DEFAULT_ENUM_CAP,
-) -> RobustFtapReport:
+def _selector_sweep(
+    pt: MartingalePolytope, renl: RobustEnlarged
+) -> Iterator[tuple[tuple[int, ...], Q | None, dict[int, Q] | None]]:
+    """(selector, e, measure) of _selector_epsilon for every kernel selector.
+
+    Selectors that differ only where their other choices put no mass
+    share a vertex measure, so one LP and one re-check serve them all:
+    the optimizer is re-checked in the e-shifted polytope when pt is a
+    MeasurePolytope, else as a martingale law.
+    """
+    solved: dict[tuple, tuple[Q | None, dict[int, Q] | None]] = {}
+    for selector in renl.robust.selectors():
+        pbar = renl.vertex_measure(selector)
+        key = tuple(sorted(pbar.items()))
+        if key not in solved:
+            eps, measure = _selector_epsilon(pt, pbar)
+            if measure is not None and isinstance(pt, MeasurePolytope):
+                _shifted_membership(pt, measure, eps)
+            elif measure is not None:
+                pt.require_martingale_law(measure, "domination witness")
+            solved[key] = eps, measure
+        yield (selector, *solved[key])
+
+
+def robust_ftap(renl: RobustEnlarged, *, cap: int = DEFAULT_ENUM_CAP) -> RobustFtapReport:
     """Uniform-slack pricing consistency against every kernel selector.
 
     Holds iff some e > 0 lets every selector product measure be
@@ -603,25 +601,15 @@ def robust_ftap(
     the price rows and scales the domination rows; the verdict is the
     minimum over selectors.
     """
-    enl = renl.enl
-    pt = build_polytope(enl, prices=prices, paths=renl.supported_paths, cap=cap)
-    certificates: list[RobustFtapCertificate] = []
-    eps: Q | None = None
-    feasible = True
-    for selector in renl.robust.selectors(selector_cap):
-        pbar = renl.vertex_measure(selector)
-        value, measure = _selector_epsilon(pt, pbar)
-        certificates.append(
-            RobustFtapCertificate(selector=selector, epsilon=value, measure=measure)
-        )
-        if value is None:
-            feasible = False
-            continue
-        _shifted_membership(pt, measure, value)
-        eps = value if eps is None or value < eps else eps
-    holds = feasible and eps is not None and eps > ZERO
+    pt = build_polytope(renl.enl, paths=renl.supported_paths, cap=cap)
+    certificates = [
+        RobustFtapCertificate(selector=selector, epsilon=value, measure=measure)
+        for selector, value, measure in _selector_sweep(pt, renl)
+    ]
+    values = [cert.epsilon for cert in certificates]
+    eps = None if None in values else min(values)
     return RobustFtapReport(
-        holds=holds, epsilon=eps if feasible else None, certificates=certificates
+        holds=eps is not None and eps > ZERO, epsilon=eps, certificates=certificates
     )
 
 
@@ -629,36 +617,28 @@ def submarket_slacks(
     renl: RobustEnlarged,
     full: RobustFtapReport,
     *,
-    prices: Prices | None = None,
-    selector_cap: int = DEFAULT_SELECTOR_CAP,
     cap: int = DEFAULT_ENUM_CAP,
 ) -> list[Q | None]:
     """Slacks for the markets holding only the first m long options each.
 
-    ``full`` is robust_ftap's report on renl at the same prices; its
-    slack is the entry m = M.  Adding one more long option only shrinks
+    ``full`` is robust_ftap's report on renl; its slack is the entry
+    m = M; each smaller market stops at its first infeasible selector.  Adding one more long option only shrinks
     the feasible set, so the slack sequence must be nonincreasing;
     asserted here.
     """
     model = renl.enl.model
-    alphas, betas, gammas = _resolve_prices(model, prices)
     slacks: list[Q | None] = []
     for m in range(model.M):
         sub_model = dataclasses.replace(model, americans_long=model.americans_long[:m])
         sub_enl = enlarge(sub_model, renl.enl.n, renl.enl.clock_weights)
-        sub_pt = build_polytope(
-            sub_enl, prices=(alphas, betas[:m], gammas), paths=renl.supported_paths, cap=cap
-        )
+        sub_pt = build_polytope(sub_enl, paths=renl.supported_paths, cap=cap)
         worst: Q | None = None
-        dead = False
-        for selector in renl.robust.selectors(selector_cap):
-            pbar = renl.vertex_measure(selector)
-            value, _ = _selector_epsilon(sub_pt, pbar)
+        for _, value, _ in _selector_sweep(sub_pt, renl):
             if value is None:
-                dead = True
+                worst = None
                 break
-            worst = value if worst is None or value < worst else worst
-        slacks.append(None if dead else worst)
+            worst = value if worst is None else min(worst, value)
+        slacks.append(worst)
     slacks.append(full.epsilon)
     for prev, cur in zip(slacks, slacks[1:]):
         if cur is not None and (prev is None or cur > prev):
@@ -667,12 +647,7 @@ def submarket_slacks(
 
 
 def ftap_transfer(
-    rm: RobustModel,
-    *,
-    prices: Prices | None = None,
-    clock_weights="uniform",
-    selector_cap: int = DEFAULT_SELECTOR_CAP,
-    cap: int = DEFAULT_ENUM_CAP,
+    rm: RobustModel, *, cap: int = DEFAULT_ENUM_CAP
 ) -> tuple[RobustFtapReport, RobustFtapReport]:
     """Pricing consistency transfers between the two enlargement depths.
 
@@ -680,14 +655,8 @@ def ftap_transfer(
     the verdict on the space with one extra clock; both are computed
     and the biconditional asserted.
     """
-    low = robust_ftap(
-        enlarge_robust(rm, rm.model.N, clock_weights),
-        prices=prices, selector_cap=selector_cap, cap=cap,
-    )
-    high = robust_ftap(
-        enlarge_robust(rm, rm.model.N + 1, clock_weights),
-        prices=prices, selector_cap=selector_cap, cap=cap,
-    )
+    low = robust_ftap(enlarge_robust(rm, rm.model.N), cap=cap)
+    high = robust_ftap(enlarge_robust(rm, rm.model.N + 1), cap=cap)
     if low.holds != high.holds:
         raise PropertyViolation("pricing consistency verdict changed with the extra clock")
     return low, high

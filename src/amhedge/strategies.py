@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Iterator, Literal, Sequence
 
 from .enlarged import EnlargedModel
-from .errors import CapExceededError, ModelFormatError
+from .errors import CapExceededError
 from .market import EventTree
 from .rationals import ONE, ZERO, Q, rat
 
@@ -106,15 +106,15 @@ def enumerate_stopping_times(roots: Sequence[Hashable],
     return taus
 
 
-def enumerate_base_stopping_times(tree: EventTree, cap: int = DEFAULT_ENUM_CAP) -> list[StoppingTime]:
+def enumerate_base_stopping_times(tree: EventTree) -> list[StoppingTime]:
     """All stopping times of the bare tree filtration, values in 0..T."""
-    return enumerate_stopping_times([tree.root], lambda v: tree.children[v], cap,
+    return enumerate_stopping_times([tree.root], lambda v: tree.children[v], DEFAULT_ENUM_CAP,
                                     what="base stopping times")
 
 
-def enlarged_stopping_times(enl: EnlargedModel, cap: int = DEFAULT_ENUM_CAP) -> list[StoppingTime]:
+def enlarged_stopping_times(enl: EnlargedModel) -> list[StoppingTime]:
     """All stopping times of the enlarged forest (they may consult clock status)."""
-    return enumerate_stopping_times(enl.roots, lambda v: enl.children[v], cap,
+    return enumerate_stopping_times(enl.roots, lambda v: enl.children[v], DEFAULT_ENUM_CAP,
                                     what="enlarged stopping times")
 
 

@@ -34,17 +34,20 @@ def binomial() -> MarketModel:
     return load_model(binomial_dict())
 
 
+def binomial_short_put_dict() -> dict:
+    # shorted American put paying 1/2 at d, quoted at 1/4
+    return binomial_dict(americans_short=[
+        {"values": {"r": "0", "u": "0", "d": "1/2"}, "price": "1/4"},
+    ])
+
+
 @pytest.fixture
 def binomial_short_put() -> MarketModel:
-    # shorted American put paying 1/2 at d, quoted at 1/4
-    return load_model(binomial_dict(americans_short=[
-        {"values": {"r": "0", "u": "0", "d": "1/2"}, "price": "1/4"},
-    ]))
+    return load_model(binomial_short_put_dict())
 
 
-@pytest.fixture
-def trinomial() -> MarketModel:
-    return load_model({
+def trinomial_dict() -> dict:
+    return {
         "horizon": 1,
         "nodes": [
             {"id": "r", "time": 0},
@@ -55,13 +58,12 @@ def trinomial() -> MarketModel:
         "stock": {"dim": 1, "values": {"r": ["1"], "a": ["2"], "b": ["1"], "c": ["1/2"]}},
         "claim": {"values": {"r": "0", "a": "1", "b": "0", "c": "0"}},
         "weights": {"a": "1/3", "b": "1/3", "c": "1/3"},
-    })
+    }
 
 
-@pytest.fixture
-def two_period() -> MarketModel:
+def two_period_dict() -> dict:
     """Recombining two-period binomial; unique law q(up) = 1/3 per step."""
-    return load_model({
+    return {
         "horizon": 2,
         "nodes": [
             {"id": "r", "time": 0},
@@ -81,4 +83,14 @@ def two_period() -> MarketModel:
             "uu": "3", "ud": "0", "du": "0", "dd": "0",
         }},
         "weights": {"uu": "1/4", "ud": "1/4", "du": "1/4", "dd": "1/4"},
-    })
+    }
+
+
+@pytest.fixture
+def trinomial() -> MarketModel:
+    return load_model(trinomial_dict())
+
+
+@pytest.fixture
+def two_period() -> MarketModel:
+    return load_model(two_period_dict())

@@ -43,6 +43,7 @@ SEED = 20260814
 
 _CORPUS: list = []
 _EVAL: dict[int, tuple] = {}
+_SUPER: dict[int, tuple] = {}    # super-side polytope and closed maximizer, for check_chain
 _KERNELS: list = []
 
 
@@ -68,12 +69,15 @@ def _evaluate(i: int) -> tuple:
         enl_sub = enlarge(model, model.N)
         enl_sup = enlarge(model, model.N + 1)
         sna = check_sna(enl_sub)
+        pt_sup = build_polytope(enl_sup)
+        dual_sup = dual_superhedge(enl_sup, polytope=pt_sup)
         quad = (
             subhedge(enl_sub).price,
             dual_subhedge(enl_sub).value,
             superhedge(enl_sup).price,
-            dual_superhedge(enl_sup).value,
+            dual_sup.value,
         )
+        _SUPER[i] = (pt_sup, dual_sup.measure)
         _EVAL[i] = (sna, {"sub": rat_str(quad[0]), "super": rat_str(quad[2])}, quad)
     return _EVAL[i]
 
@@ -176,7 +180,7 @@ def test_criterion_4_price_chain_and_transport(capfd):
         for i, gm in enumerate(_corpus()):
             sna, duality, _ = _evaluate(i)
             try:
-                rec = check_chain(gm.model, sna, duality)
+                rec = check_chain(gm.model, sna, duality, *_SUPER[i])
                 strict += bool(rec["strict_upper"])
             except PropertyViolation as exc:
                 failures.append(f"model {i}: {exc}")

@@ -190,6 +190,23 @@ def test_malformed_structure_exit_schema(mutate, tmp_path, capsys):
     assert code == 4 and "schema error" in err
 
 
+@pytest.mark.parametrize("text", [
+    "[" * 100_000,
+    json.dumps(binomial_dict()).replace('"horizon": 1', '"horizon": 1' + "0" * 5000),
+], ids=["deep-nesting", "5001-digit-integer"])
+def test_unloadable_json_exit_schema(text, tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text(text)
+    code, _, err = run(["ftap", "--model", str(path)], capsys)
+    assert code == 4 and "schema error" in err
+
+
+@pytest.mark.parametrize("override", ["-1=1/2", "0=1/0", "zero=1/2"])
+def test_gamma_override_out_of_book_exit_schema(override, model_file, capsys):
+    code, _, err = run(["ftap", "--model", model_file, f"--gamma-override={override}"], capsys)
+    assert code == 4 and "schema error" in err
+
+
 def test_deep_chain_runs_without_recursion(tmp_path, capsys):
     T = 2000
     nodes = [{"id": "n0", "time": 0}]

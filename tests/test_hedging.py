@@ -145,8 +145,8 @@ def test_check_sna_fails_at_rich_quote():
 
 def test_price_override_changes_outcome(binomial_short_put):
     enl = enlarge(binomial_short_put, 1)
-    rich = ([], [], [Q(1, 2)])
-    assert detect_arbitrage(enl, prices=rich).found
+    rich = binomial_short_put.with_prices(gammas=[Q(1, 2)])
+    assert detect_arbitrage(enlarge(rich, 1)).found
     assert not detect_arbitrage(enl).found
 
 

@@ -47,6 +47,15 @@ def test_with_prices(binomial_short_put):
     assert m2.americans_short[0][0] is binomial_short_put.americans_short[0][0]
 
 
+def test_with_prices_rejects_wrong_length(binomial_short_put):
+    # one quote per option of the book: dropping or adding one raises
+    for gammas in ([], [Q(1, 2), Q(1, 3)]):
+        with pytest.raises(ValueError):
+            binomial_short_put.with_prices(gammas=gammas)
+    with pytest.raises(ValueError):
+        binomial_short_put.with_prices(alphas=[Q(1, 2)])
+
+
 def test_shifted_prices(binomial_short_put):
     m2 = binomial_short_put.shifted_prices(Q(1, 8))
     # shorted quotes move up: selling at a higher price favors the trader

@@ -198,10 +198,10 @@ def test_strict_value_bracket_converges(binomial_short_put):
     pt = build_polytope(enl2)
     lifted = lift_measure_uniform_clock(enl1, enl2, cert.measure, polytope=pt)
     target = extend_claim(enl2, "super")
-    vmax, _, _ = pt.solve_extremum(target, "max")
+    vmax, argmax, _ = pt.solve_extremum(target, "max")
     vs = pt.expectation(lifted, target)
-    bracket = strict_value_bracket(pt, target, lifted, halvings=6)
-    assert len(bracket) == 6
+    bracket = strict_value_bracket(pt, target, argmax, lifted)
+    assert len(bracket) == 12
     for lam, val in bracket:
         assert val == (ONE - lam) * vmax + lam * vs
     # geometric approach to the closed maximum
