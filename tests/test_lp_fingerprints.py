@@ -1,0 +1,71 @@
+"""Every LP the CLI solves, pinned by content.
+
+Each solve builds one ``amhedge.lp._Tableau`` from its LP, so a recording
+subclass put in its place sees every LP, however the calling module
+imported ``solve``.  An LP's fingerprint covers its sense and objective,
+each row's name, relation, rhs and sorted coefficients, and every
+variable's name and sign restriction.  The sorted fingerprints of a run
+are hashed; a refactor that keeps every LP keeps the count and the
+digest, while one that adds, drops or reorders a row changes the digest.
+"""
+from __future__ import annotations
+
+import hashlib
+import json
+
+import pytest
+
+from amhedge import lp
+from amhedge.cli import main
+from amhedge.market import emit_model
+from amhedge.rationals import rat_str
+
+from test_report_bytes import CAMPAIGN_MODELS, COMMANDS, CONFTEST_MODELS, _model
+
+# (number of LPs solved, sha256 of their sorted fingerprints)
+EXPECTED_CLI = (48, "5b5cdd6268feb958d183e36c11a370bd1b50416c7133f3374907c17cfcfe08dc")
+EXPECTED_VERIFY = (330, "2d5a8655f3ac84690c359712eb671134fbdb639e95ff03ed2018f2dff747495c")
+
+
+def fingerprint(prog: lp.LinearProgram) -> str:
+    def terms(coeffs):
+        return " ".join(f"{j}:{rat_str(v)}" for j, v in sorted(coeffs.items()))
+
+    lines = [f"{prog.sense} {terms(prog.objective)}"]
+    lines += [f"{r.name} {r.rel} {rat_str(r.rhs)} | {terms(r.coeffs)}" for r in prog.rows]
+    lines += [f"{name} {'+' if pos else 'free'}"
+              for name, pos in zip(prog.var_names, prog.nonneg)]
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+@pytest.fixture()
+def recorded(monkeypatch):
+    seen: list[str] = []
+
+    class Recording(lp._Tableau):
+        def __init__(self, prog):
+            seen.append(fingerprint(prog))
+            super().__init__(prog)
+
+    monkeypatch.setattr(lp, "_Tableau", Recording)
+    return seen
+
+
+def _digest(seen: list[str]) -> tuple[int, str]:
+    return len(seen), hashlib.sha256("\n".join(sorted(seen)).encode()).hexdigest()
+
+
+def test_cli_lp_fingerprints(recorded, request, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for name in [*CONFTEST_MODELS, *CAMPAIGN_MODELS]:
+        (tmp_path / "model.json").write_text(json.dumps(emit_model(_model(request, name))))
+        for command in sorted(COMMANDS):
+            assert main(COMMANDS[command]) == 0, (name, command)
+    capsys.readouterr()
+    assert _digest(recorded) == EXPECTED_CLI
+
+
+def test_verify_lp_fingerprints(recorded, capsys):
+    assert main(["verify", "--models", "1", "--seed", "3"]) == 0
+    capsys.readouterr()
+    assert _digest(recorded) == EXPECTED_VERIFY
