@@ -1,14 +1,15 @@
-"""Exercise strategies: stopping times, liquidating strategies, lifts.
+"""Exercise strategies: stopping times, liquidating strategies, clock families.
 
-A liquidating strategy spreads one unit of exercise over the nodes it
-visits: nonnegative node weights summing to exactly 1 along every path
-(times 0..T inclusive).  Stopping times are the 0/1 special case and are
-the extreme points of that polytope.
+Stopping times over a forest are counted and enumerated under a cap
+without recursion.  A liquidating strategy spreads one unit of exercise
+over the nodes it visits: nonnegative node weights summing to exactly 1
+along every path (times 0..T inclusive); stopping times are the 0/1
+special case and the extreme points of that polytope.
 
-Families indexed by clock vectors in {0..T}^n carry the
-information constraint that two clock vectors are indistinguishable
-before the first time one of their differing coordinates has fired;
-`product_lift` mixes such a family over divisible exercise weights.
+Families indexed by clock vectors in {0..T}^n carry the information
+constraint that two clock vectors are indistinguishable before the first
+time one of their differing coordinates has fired; the divisible side
+mixes such a family over exercise weights with `_mixture_weight`.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from typing import Callable, Hashable, Iterable, Iterator, Literal, Sequence
 from .enlarged import EnlargedModel
 from .errors import CapExceededError
 from .market import EventTree
-from .rationals import ONE, ZERO, Q, rat
+from .rationals import ONE, ZERO, Q
 
 DEFAULT_ENUM_CAP = 10**6
 
@@ -106,18 +107,6 @@ def enumerate_stopping_times(roots: Sequence[Hashable],
     return taus
 
 
-def enumerate_base_stopping_times(tree: EventTree) -> list[StoppingTime]:
-    """All stopping times of the bare tree filtration, values in 0..T."""
-    return enumerate_stopping_times([tree.root], lambda v: tree.children[v], DEFAULT_ENUM_CAP,
-                                    what="base stopping times")
-
-
-def enlarged_stopping_times(enl: EnlargedModel) -> list[StoppingTime]:
-    """All stopping times of the enlarged forest (they may consult clock status)."""
-    return enumerate_stopping_times(enl.roots, lambda v: enl.children[v], DEFAULT_ENUM_CAP,
-                                    what="enlarged stopping times")
-
-
 def count_enlarged_stopping_times(enl: EnlargedModel, cap: int = DEFAULT_ENUM_CAP) -> int:
     return count_stopping_times(enl.roots, lambda v: enl.children[v], cap)
 
@@ -135,46 +124,7 @@ class LiquidatingStrategy:
         return self.weights.get(node, ZERO)
 
 
-def validate_liquidating(liq: LiquidatingStrategy, node_seqs: Iterable[Sequence[Hashable]]) -> bool:
-    if any(w < 0 for w in liq.weights.values()):
-        return False
-    for seq in node_seqs:
-        if sum((liq.at(v) for v in seq), ZERO) != ONE:
-            return False
-    return True
-
-
-def stopping_to_liquidating(tau: StoppingTime) -> LiquidatingStrategy:
-    return LiquidatingStrategy({v: ONE for v in tau.stops})
-
-
-def pair(enl: EnlargedModel, liq: LiquidatingStrategy, values_by_enode: dict[int, Q]) -> list[Q]:
-    """Exercise-weighted value collected along each enlarged path."""
-    out = []
-    for p in enl.epaths:
-        total = ZERO
-        for v in p.node_seq:
-            w = liq.weights.get(v)
-            if w:
-                total += w * values_by_enode[v]
-        out.append(total)
-    return out
-
-
-def convex_combination(taus: Sequence[StoppingTime], lams: Sequence[Q]) -> LiquidatingStrategy:
-    if sum((rat(l) for l in lams), ZERO) != ONE or any(rat(l) < 0 for l in lams):
-        raise ValueError("weights must be a convex combination")
-    weights: dict = {}
-    for tau, lam in zip(taus, lams):
-        lam = rat(lam)
-        if not lam:
-            continue
-        for v in tau.stops:
-            weights[v] = weights.get(v, ZERO) + lam
-    return LiquidatingStrategy(weights)
-
-
-# -- clock-indexed families and the product lift ---------------------------
+# -- clock-indexed families ------------------------------------------------
 
 
 Kind = Literal["dynamic", "liquidating"]
@@ -193,12 +143,6 @@ class ClockIndexedFamily:
     n: int
     kind: Kind
     members: dict[tuple[int, ...], dict]
-
-
-def first_disagreement_floor(s: tuple[int, ...], t: tuple[int, ...]) -> int | None:
-    """min over differing coordinates of min(s_k, t_k); None if s == t."""
-    diffs = [min(a, b) for a, b in zip(s, t) if a != b]
-    return min(diffs) if diffs else None
 
 
 def indistinguishable_pairs(
@@ -234,20 +178,6 @@ def validate_nonanticipative(fam: ClockIndexedFamily, tree: EventTree) -> bool:
     return True
 
 
-def _check_exercise_weights(v: Sequence[Sequence[Q]], horizon: int, n: int) -> list[tuple[Q, ...]]:
-    if len(v) != n:
-        raise ValueError(f"need {n} exercise-weight vectors")
-    out = []
-    for comp in v:
-        vec = tuple(rat(x) for x in comp)
-        if len(vec) != horizon + 1:
-            raise ValueError("each weight vector runs over times 0..T")
-        if any(x < 0 for x in vec) or sum(vec, ZERO) != ONE:
-            raise ValueError("exercise weights must be a distribution over 0..T")
-        out.append(vec)
-    return out
-
-
 def _mixture_weight(weights: Sequence[Sequence[Q]], tvec: tuple[int, ...]) -> Q:
     """Weight prod_k weights[k][t_k] of one clock vector under independent exercise."""
     w = ONE
@@ -256,30 +186,6 @@ def _mixture_weight(weights: Sequence[Sequence[Q]], tvec: tuple[int, ...]) -> Q:
         if not w:
             break
     return w
-
-
-def product_lift(fam: ClockIndexedFamily, v: Sequence[Sequence[Q]]) -> dict:
-    """Mix the family over independent divisible exercise weights.
-
-    Returns a strategy of the same kind: the v-weighted average of the
-    members, weight of clock vector t being prod_k v^k[t_k].
-    """
-    vs = _check_exercise_weights(v, fam.horizon, fam.n)
-    mixed: dict = {}
-    for tvec, member in fam.members.items():
-        w = _mixture_weight(vs, tvec)
-        if not w:
-            continue
-        for key, val in member.items():
-            if fam.kind == "dynamic":
-                if key in mixed:
-                    mixed[key] = tuple(a + w * b for a, b in zip(mixed[key], val))
-                else:
-                    mixed[key] = tuple(w * b for b in val)
-            else:
-                if val:
-                    mixed[key] = mixed.get(key, ZERO) + w * val
-    return mixed
 
 
 def dirac_weights(tvec: tuple[int, ...], horizon: int) -> list[tuple[Q, ...]]:

@@ -1,4 +1,4 @@
-"""Stopping times, liquidating strategies, and clock-indexed families."""
+"""Stopping times and clock-indexed families."""
 from __future__ import annotations
 
 import pytest
@@ -8,21 +8,12 @@ from amhedge.errors import CapExceededError
 from amhedge.rationals import ONE, Q, ZERO
 from amhedge.strategies import (
     ClockIndexedFamily,
-    LiquidatingStrategy,
     StoppingTime,
-    convex_combination,
     count_enlarged_stopping_times,
     count_stopping_times,
     dirac_weights,
-    enumerate_base_stopping_times,
     enumerate_stopping_times,
-    enlarged_stopping_times,
-    first_disagreement_floor,
     indistinguishable_pairs,
-    pair,
-    product_lift,
-    stopping_to_liquidating,
-    validate_liquidating,
     validate_nonanticipative,
 )
 
@@ -64,10 +55,11 @@ def test_enumerate_cap():
 
 
 def test_base_and_enlarged_enumeration(binomial_short_put):
-    taus = enumerate_base_stopping_times(binomial_short_put.tree)
+    tree = binomial_short_put.tree
+    taus = enumerate_stopping_times([tree.root], lambda v: tree.children[v])
     assert len(taus) == 2    # stop at r, or at the leaves
     enl = enlarge(binomial_short_put, 1)
-    etaus = enlarged_stopping_times(enl)
+    etaus = enumerate_stopping_times(enl.roots, lambda v: enl.children[v])
     # two roots (r|0, r|*), each with an independent 2-way choice
     assert len(etaus) == 4
     assert count_enlarged_stopping_times(enl) == 4
@@ -79,38 +71,13 @@ def test_time_on_rejects_double_hit():
         tau.time_on(("r", "u", "uu"))
 
 
-def test_stopping_to_liquidating_and_validation():
-    tau = StoppingTime(frozenset({"u", "d"}))
-    liq = stopping_to_liquidating(tau)
-    assert validate_liquidating(liq, [("r", "u"), ("r", "d")])
-    assert not validate_liquidating(liq, [("r", "x")])
-    assert not validate_liquidating(LiquidatingStrategy({"r": Q(-1), "u": Q(2)}),
-                                    [("r", "u")])
-
-
-def test_convex_combination():
-    stop_now = StoppingTime(frozenset({"r"}))
-    stop_later = StoppingTime(frozenset({"u", "d"}))
-    liq = convex_combination([stop_now, stop_later], [Q(1, 3), Q(2, 3)])
-    assert liq.weights == {"r": Q(1, 3), "u": Q(2, 3), "d": Q(2, 3)}
-    assert validate_liquidating(liq, [("r", "u"), ("r", "d")])
-    with pytest.raises(ValueError):
-        convex_combination([stop_now, stop_later], [Q(1, 3), Q(1, 3)])
-
-
-def test_pair_collects_weighted_values(binomial):
-    enl = enlarge(binomial, 0)
-    liq = LiquidatingStrategy({0: Q(1, 2), 1: Q(1, 2), 2: ONE})
-    # node 0 = r, 1 = u, 2 = d (first path registers r then u)
-    vals = {0: Q(4), 1: Q(8), 2: Q(16)}
-    out = pair(enl, liq, vals)
-    assert out[0] == Q(1, 2) * 4 + Q(1, 2) * 8
-
-
-def test_first_disagreement_floor():
-    assert first_disagreement_floor((1, 2), (1, 2)) is None
-    assert first_disagreement_floor((0, 2), (1, 2)) == 0
-    assert first_disagreement_floor((2, 1), (1, 2)) == 1
+def test_indistinguishable_until_first_disagreement():
+    # differing clocks first fire at min(s_k, t_k) over the differing k:
+    # the vectors stay tied strictly before that time, never after
+    assert indistinguishable_pairs([(0, 2), (1, 2)], 0) == []
+    assert indistinguishable_pairs([(2, 1), (1, 2)], 0) == [((2, 1), (1, 2))]
+    assert indistinguishable_pairs([(2, 1), (1, 2)], 1) == []
+    assert indistinguishable_pairs([(1, 2), (1, 2)], 2) == [((1, 2), (1, 2))]
 
 
 def _dyn_family(horizon, n, pos):
@@ -149,31 +116,9 @@ def test_nonanticipative_allows_seen_clocks(binomial_short_put):
     fam = _dyn_family(1, 1, lambda tvec: Q(tvec[0]))
     fam.members[(1,)] = dict(fam.members[(0,)])
     fam.members[(1,)][(0, "r")] = (Q(7),)
-    # (0,) vs (1,): first disagreement floor is 0, nothing to compare
-    assert first_disagreement_floor((0,), (1,)) == 0
+    # (0,) vs (1,) differ in a clock that fired at 0: nothing to compare
+    assert indistinguishable_pairs([(0,), (1,)], 0) == []
     assert validate_nonanticipative(fam, binomial_short_put.tree)
-
-
-def test_product_lift_dynamic():
-    fam = _dyn_family(1, 1, lambda tvec: Q(tvec[0]))
-    mixed = product_lift(fam, [(Q(1, 4), Q(3, 4))])
-    # 1/4 * 0 + 3/4 * 1
-    assert mixed[(0, "r")] == (Q(3, 4),)
-
-
-def test_product_lift_liquidating():
-    members = {(0,): {"r": ONE}, (1,): {"u": ONE, "d": ONE}}
-    fam = ClockIndexedFamily(horizon=1, n=1, kind="liquidating", members=members)
-    mixed = product_lift(fam, [(Q(1, 3), Q(2, 3))])
-    assert mixed == {"r": Q(1, 3), "u": Q(2, 3), "d": Q(2, 3)}
-
-
-def test_product_lift_rejects_bad_weights():
-    fam = _dyn_family(1, 1, lambda tvec: ONE)
-    with pytest.raises(ValueError):
-        product_lift(fam, [(Q(1, 2), Q(1, 4))])
-    with pytest.raises(ValueError):
-        product_lift(fam, [(Q(1, 2), Q(1, 2)), (ONE, ZERO)])
 
 
 def test_dirac_weights():
