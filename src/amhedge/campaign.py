@@ -19,7 +19,7 @@ from .divisible import EPS_GRID, verify_divisibility_equivalence
 from .enlarged import EnlargedModel, enlarge, extend_claim
 from .errors import PropertyViolation, SnaFailure
 from .hedging import SnaReport, check_sna, detect_arbitrage, subhedge, superhedge
-from .lp import max_slack, solve
+from .lp import solve
 from .market import AdaptedProcess, EventTree, MarketModel, Node, TerminalPayoff, load_model
 from .measures import (
     MeasurePolytope,
@@ -30,7 +30,6 @@ from .measures import (
     one_step_polytope,
     price_with_dual,
     push_stopping_measure,
-    restricted_stopping_times,
     snell_value,
     strict_value_bracket,
 )
@@ -476,7 +475,7 @@ def _pin_quote(
     if kind == "long":
         j = rng.randrange(model.M)
         betas = [b for _, b in model.americans_long]
-        envelope, _, _ = pt.stopped_envelope(pt.long_values[j], pt.taus)
+        envelope, _, _ = pt.stopped_envelope(pt.long_values[j])
         betas[j] = envelope.value + offset
         return model.with_prices(betas=betas), kind
     k = rng.randrange(model.N)
@@ -595,13 +594,14 @@ def _describe(model: MarketModel) -> dict:
 
 def check_duality(
     model: MarketModel, *, cap: int = DEFAULT_ENUM_CAP
-) -> tuple[dict, MeasurePolytope, dict[int, Q]]:
+) -> tuple[dict, MeasurePolytope, MeasurePolytope, dict[int, Q]]:
     """Sub and super prices against their measure-side counterparts.
 
     Equalities are exact, and each dual re-validates its optimal measure
     from the model data (the sub side also against the backward-induction
-    envelope); sub must not exceed super.  Returns the record, and the
-    super side's polytope and closed maximizer for check_chain.
+    envelope); sub must not exceed super.  Returns the record, the
+    polytopes of the n = N and n = N + 1 spaces, and the super side's
+    closed maximizer, for check_chain.
     """
     sub, _, pt_sub = price_with_dual(enlarge(model, model.N), "sub", cap=cap)
     sup, sup_dual, pt_sup = price_with_dual(enlarge(model, model.N + 1), "super", cap=cap)
@@ -613,7 +613,7 @@ def check_duality(
         "super": rat_str(sup.price),
         "tau_rows": pt_sub.num_tau_rows,
     }
-    return record, pt_sup, sup_dual.measure
+    return record, pt_sub, pt_sup, sup_dual.measure
 
 
 # -- battery: pricing consistency across the shift grid -------------------------
@@ -621,8 +621,7 @@ def check_duality(
 
 def _na_closed(enl: EnlargedModel, cap: int) -> bool:
     """Existence of a full-support measure in the closed polytope."""
-    pt = build_polytope(enl, cap=cap, include_positivity=True)
-    out = max_slack(pt.lp, pt.pos_rows)
+    out = build_polytope(enl, cap=cap).support_slack(prices=False)
     if out.status == "infeasible":
         return False
     if out.status != "optimal":
@@ -650,7 +649,7 @@ def check_ftap_grid(
     rows = []
     seen_false = False
     for eps in sorted(EPS_GRID):    # ascending: verdicts may only degrade
-        shifted = enlarge(model.shifted_prices(eps), model.N)
+        shifted = enl.with_model(model.shifted_prices(eps))
         na_primal = not detect_arbitrage(shifted).found
         na_dual = _na_closed(shifted, cap)
         if na_primal != na_dual:
@@ -681,27 +680,24 @@ def check_ftap_grid(
 
 
 def check_chain(
-    model: MarketModel,
     sna: SnaReport,
     duality: dict,
+    pt_sub: MeasurePolytope,
     pt_sup: MeasurePolytope,
     argmax: dict[int, Q],
-    *,
-    cap: int = DEFAULT_ENUM_CAP,
 ) -> dict:
     """Three-term price chain plus lift and push transports.
 
-    ``duality``, ``pt_sup`` and ``argmax`` are what check_duality
-    returns: the chain ends are the dual prices it solved and matched
-    to the hedging prices, and the super side's polytope and closed
-    maximizer.  When strict no-arbitrage holds, the certificate measure
-    is lifted to the larger space, pushed onto sample stopping times,
-    and mixed with ``argmax`` to bracket the closed maximum by strictly
-    consistent measures.
+    ``duality``, ``pt_sub``, ``pt_sup`` and ``argmax`` are what
+    check_duality returns: the chain ends are the dual prices it solved
+    and matched to the hedging prices, the polytopes of both spaces, and
+    the super side's closed maximizer.  When strict no-arbitrage holds,
+    the certificate measure is lifted to the larger space, pushed onto
+    sample stopping times of the n = N space, and mixed with ``argmax``
+    to bracket the closed maximum by strictly consistent measures.
     """
-    enl_sub = enlarge(model, model.N)
-    enl_sup = pt_sup.enl
-    chain = e2_chain(enl_sub, rat(duality["sub"]), rat(duality["super"]), cap=cap)
+    enl_sub = pt_sub.enl
+    chain = e2_chain(pt_sub, rat(duality["sub"]), rat(duality["super"]))
     record = {
         "lower": rat_str(chain.lower),
         "middle": rat_str(chain.middle),
@@ -712,15 +708,15 @@ def check_chain(
     if not sna.holds:
         return record
     cert = sna.certificate.measure
-    lifted = lift_measure_uniform_clock(enl_sub, enl_sup, cert, cap=cap, polytope=pt_sup)
-    taus = restricted_stopping_times(enl_sub, range(enl_sub.num_paths), cap)
+    lifted = lift_measure_uniform_clock(enl_sub, pt_sup, cert)
+    taus = pt_sub.taus
     pushes = []
     for tau in (taus[0], taus[len(taus) // 2]):
-        push = push_stopping_measure(enl_sub, enl_sup, cert, tau, cap=cap, polytope=pt_sup)
+        push = push_stopping_measure(enl_sub, pt_sup, cert, tau)
         if push.value > chain.middle:
             raise PropertyViolation("pushed stop value exceeds the best stopped value")
         pushes.append(rat_str(push.value))
-    bracket = strict_value_bracket(pt_sup, extend_claim(enl_sup, "super"), argmax, lifted)
+    bracket = strict_value_bracket(pt_sup, extend_claim(pt_sup.enl, "super"), argmax, lifted)
     lam, val = bracket[-1]
     record.update({
         "pushes": pushes,
@@ -746,6 +742,9 @@ def check_degenerations(
     """
     record: dict = {}
     N = model.N
+    # quotes and books change below, the tree never: every variant
+    # reuses one of these forests
+    enl, enl_sup = enlarge(model, N), enlarge(model, N + 1)
 
     # clock weights never enter the consistent-measure polytope
     enl_sk = enlarge(model, N, clock_weights="skewed")
@@ -755,12 +754,12 @@ def check_degenerations(
     sup_sk = superhedge(enlarge(model, N + 1, clock_weights="skewed"))
     if rat_str(sup_sk.price) != duality["super"]:
         raise PropertyViolation("super-hedge price moved with the clock weights")
-    holds_sk, cert_sk = ftap_certificate(enl_sk, cap=cap)
+    holds_sk, cert_sk = ftap_certificate(build_polytope(enl_sk, cap=cap))
     if holds_sk != sna.holds or cert_sk.slack != sna.epsilon:
         raise PropertyViolation("uniform slack moved with the clock weights")
     shifted = model.shifted_prices(Q(1, 16))
-    if detect_arbitrage(enlarge(shifted, N, clock_weights="skewed")).found != \
-            detect_arbitrage(enlarge(shifted, N)).found:
+    if detect_arbitrage(enl_sk.with_model(shifted)).found != \
+            detect_arbitrage(enl.with_model(shifted)).found:
         raise PropertyViolation("arbitrage verdict moved with the clock weights")
     record["clock_invariant"] = True
 
@@ -768,8 +767,8 @@ def check_degenerations(
         const = Q(5, 3)
         flat = AdaptedProcess(dim=1, values={nid: (const,) for nid in model.tree.nodes})
         m_flat = dataclasses.replace(model, claim=flat)
-        lo = subhedge(enlarge(m_flat, N)).price
-        hi = superhedge(enlarge(m_flat, N + 1)).price
+        lo = subhedge(enl.with_model(m_flat)).price
+        hi = superhedge(enl_sup.with_model(m_flat)).price
         if lo != const or hi != const:
             raise PropertyViolation(
                 f"constant claim prices to [{rat_str(lo)}, {rat_str(hi)}], not itself")
@@ -794,8 +793,8 @@ def check_degenerations(
             gammas[0] += bump
             variants.append(("gamma", model.with_prices(gammas=gammas)))
         for name, m2 in variants:
-            sub2 = subhedge(enlarge(m2, N)).price
-            sup2 = superhedge(enlarge(m2, N + 1)).price
+            sub2 = subhedge(enl.with_model(m2)).price
+            sup2 = superhedge(enl_sup.with_model(m2)).price
             if sub2 < sub0 or sup2 > sup0:
                 raise PropertyViolation(
                     f"weakened {name} quote moved a price against the hedger")
@@ -803,19 +802,18 @@ def check_degenerations(
         record["monotone"] = moved
 
     if N == 0:
-        enl0 = enlarge(model, 0)
         tree = model.tree
-        if enl0.num_paths != len(tree.paths) or len(enl0.enodes) != len(tree.nodes):
+        if enl.num_paths != len(tree.paths) or len(enl.enodes) != len(tree.nodes):
             raise PropertyViolation("zero-clock space does not match the base tree")
-        claim_at = extend_claim(enl0, "sub")
-        for p in range(enl0.num_paths):
-            ep = enl0.epaths[p]
+        claim_at = extend_claim(enl, "sub")
+        for p in range(enl.num_paths):
+            ep = enl.epaths[p]
             if ep.clocks != () or ep.base_index != p:
                 raise PropertyViolation("zero-clock paths are not the base paths")
-            if enl0.weight(p) != model.path_weight(p):
+            if enl.weight(p) != model.path_weight(p):
                 raise PropertyViolation("zero-clock weights differ from the base weights")
             for t, v in enumerate(ep.node_seq):
-                node = enl0.enode(v)
+                node = enl.enode(v)
                 if node.base != tree.paths[p][t] or node.status != ():
                     raise PropertyViolation("zero-clock nodes are not the base nodes")
                 if model.claim is not None and claim_at[v] != model.claim.scalar(node.base):
@@ -1039,9 +1037,9 @@ def run_campaign(
     for i in range(models):
         mseed = rng.randrange(2 ** 32)
         gm = random_sna_model(random.Random(mseed), seed=mseed)
-        duality, pt_sup, argmax = check_duality(gm.model, cap=cap)
+        duality, pt_sub, pt_sup, argmax = check_duality(gm.model, cap=cap)
         grid, sna = check_ftap_grid(gm.model, cap=cap, expect="sna")
-        chain = check_chain(gm.model, sna, duality, pt_sup, argmax, cap=cap)
+        chain = check_chain(sna, duality, pt_sub, pt_sup, argmax)
         degen = check_degenerations(gm.model, sna, duality, cap=cap)
         singleton = check_singleton_robust(gm, sna, duality, cap=cap)
         for key, rec in (("duality", duality), ("ftap", grid), ("chain", chain),
@@ -1113,9 +1111,9 @@ def run_campaign(
 
     # deterministic strict-gap witness: the chain can be properly strict
     wedge = strict_chain_market()
-    wedge_duality, wedge_pt, wedge_argmax = check_duality(wedge, cap=cap)
+    wedge_duality, *wedge_duals = check_duality(wedge, cap=cap)
     _, wedge_sna = check_ftap_grid(wedge, cap=cap, expect="sna")
-    wedge_chain = check_chain(wedge, wedge_sna, wedge_duality, wedge_pt, wedge_argmax, cap=cap)
+    wedge_chain = check_chain(wedge_sna, wedge_duality, *wedge_duals)
     if not wedge_chain["strict_upper"]:
         raise PropertyViolation("canonical strict-gap market lost its gap")
     strict_gaps += 1

@@ -23,7 +23,7 @@ from .errors import CapExceededError, ModelFormatError, PropertyViolation, SnaFa
 from .hedging import detect_arbitrage
 from .lp import LPInternalError
 from .market import MarketModel, load_model
-from .measures import ftap_certificate, price_with_dual
+from .measures import build_polytope, ftap_certificate, price_with_dual
 from .rationals import rat, rat_str
 from .robust import (
     build_robust,
@@ -47,6 +47,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_SCHEMA, f"{self.prog}: error: {message}\n")
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value <= 0:
+        raise ValueError(f"{value} is not positive")
+    return value
+
+
+_positive_int.__name__ = "positive integer"
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="amhedge", description=__doc__.strip().splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -56,7 +66,7 @@ def _build_parser() -> _Parser:
             p.add_argument("--model", required=True, help="model JSON file")
             p.add_argument("--gamma-override", action="append", default=[],
                            metavar="K=P/Q", help="replace bid K of the shorted asks")
-        p.add_argument("--cap", type=int, default=DEFAULT_ENUM_CAP,
+        p.add_argument("--cap", type=_positive_int, default=DEFAULT_ENUM_CAP,
                        help="stopping-time enumeration cap")
         p.add_argument("--clock-weights", choices=["uniform", "skewed"],
                        default="uniform", help="reference clock profile")
@@ -73,7 +83,7 @@ def _build_parser() -> _Parser:
     common(p_ftap)
 
     p_verify = sub.add_parser("verify", help="randomized property campaign")
-    p_verify.add_argument("--models", type=int, default=50,
+    p_verify.add_argument("--models", type=_positive_int, default=50,
                           help="size of the main corpus")
     common(p_verify, model=False)
 
@@ -132,8 +142,11 @@ def _emit(doc: dict, args) -> None:
     else:
         body = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(body)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(body)
+        except OSError as exc:
+            raise ModelFormatError(f"cannot write report: {exc}") from exc
     else:
         sys.stdout.write(body)
 
@@ -148,8 +161,6 @@ def _say(args, message: str) -> None:
 
 def cmd_price(args) -> int:
     model = _load(args)
-    if args.cap <= 0:
-        raise ModelFormatError("--cap must be positive")
     n = model.N if args.side == "sub" else model.N + 1
     doc = _config(args)
     doc["n"] = n
@@ -173,10 +184,8 @@ def cmd_price(args) -> int:
 
 def cmd_ftap(args) -> int:
     model = _load(args)
-    if args.cap <= 0:
-        raise ModelFormatError("--cap must be positive")
     enl = enlarge(model, model.N, args.clock_weights)
-    holds, cert = ftap_certificate(enl, cap=args.cap)
+    holds, cert = ftap_certificate(build_polytope(enl, cap=args.cap))
     doc = _config(args)
     doc["n"] = model.N
     doc["classical"] = {
@@ -210,8 +219,6 @@ def cmd_ftap(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.cap <= 0 or args.models <= 0:
-        raise ModelFormatError("--cap and --models must be positive")
     progress = (lambda msg: print(msg, file=sys.stderr)) if args.pretty else None
     report = run_campaign(args.seed, models=args.models, cap=args.cap,
                           progress=progress)

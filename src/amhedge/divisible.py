@@ -488,7 +488,7 @@ def verify_divisibility_equivalence(model: MarketModel) -> DivisibilityReport:
     for eps in EPS_GRID:
         shifted = model.shifted_prices(eps)
         na_indexed = _clock_indexed_na(shifted, grid_sub)
-        na_enlarged = not detect_arbitrage(enlarge(shifted, N)).found
+        na_enlarged = not detect_arbitrage(enl_sub.with_model(shifted)).found
         sna_rows.append((eps, na_indexed, na_enlarged))
         if na_indexed != na_enlarged:
             raise PropertyViolation(

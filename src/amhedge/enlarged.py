@@ -13,6 +13,7 @@ h pays h at the base node the path visits at its clock time.
 """
 from __future__ import annotations
 
+import copy
 import itertools
 from dataclasses import dataclass
 from typing import Literal
@@ -116,6 +117,19 @@ class EnlargedModel:
         self.roots: tuple[int, ...] = tuple(roots)
         self._weights: list[Q] | None = None
         self._path_key: dict[tuple[int, tuple[int, ...]], int] | None = None
+
+    def with_model(self, model: MarketModel) -> "EnlargedModel":
+        """This space for a model that differs only in quotes or books.
+
+        The forest depends on the tree, n and the clock weights alone, so
+        the copy shares it; path weights are recomputed from ``model``.
+        """
+        if model.tree is not self.model.tree or model.N != self.model.N:
+            raise ValueError("with_model needs the same tree and the same number of shorts")
+        other = copy.copy(self)
+        other.model = model
+        other._weights = None
+        return other
 
     # -- bookkeeping -----------------------------------------------------
 

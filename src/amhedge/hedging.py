@@ -539,12 +539,12 @@ def check_sna(enl: EnlargedModel, *, cap: int = DEFAULT_ENUM_CAP) -> SnaReport:
     moved by epsilon*/2 in the trader's favour still admit no arbitrage
     (verified primally).
     """
-    from .measures import ftap_certificate
+    from .measures import build_polytope, ftap_certificate
 
-    sna, cert = ftap_certificate(enl, cap=cap)
+    sna, cert = ftap_certificate(build_polytope(enl, cap=cap))
     primal_clear = None
     if sna:
-        shifted = enlarge(enl.model.shifted_prices(cert.slack / 2), enl.n, enl.clock_weights)
+        shifted = enl.with_model(enl.model.shifted_prices(cert.slack / 2))
         primal_clear = not detect_arbitrage(shifted).found
         if not primal_clear:
             raise PropertyViolation(

@@ -6,17 +6,20 @@ consistent: buy-side expectations at or below asks, sell-side at or
 above bids, and for each longed American every stopping-time
 expectation at or below its ask.  The American constraints are
 materialized one row per enumerated stopping time, which keeps the
-feasible set an honest polytope in Q.
+feasible set an honest polytope in Q.  That polytope, MeasurePolytope,
+is the one input of every dual, certificate and transport below, and
+the one owner of its support's stopping times.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Iterable, Literal, Sequence
+from functools import cached_property
+from typing import Callable, Hashable, Iterable, Iterator, Literal, Sequence
 
 from .enlarged import EnlargedModel, extend_claim
 from .errors import PropertyViolation, SnaFailure
 from .hedging import HedgeReport, subhedge, superhedge
-from .lp import LinearProgram, LPOutcome, max_slack, solve
+from .lp import LinearProgram, LPOutcome, SlackOutcome, max_slack, solve
 from .market import MarketModel
 from .rationals import ONE, ZERO, Q, rat_str
 from .strategies import DEFAULT_ENUM_CAP, StoppingTime, enumerate_stopping_times
@@ -127,16 +130,75 @@ class MartingalePolytope:
             raise PropertyViolation(f"measure LP unexpectedly {out.status}")
         return out, {p: out.x(v) for p, v in self.q_var.items() if out.x(v)}
 
-    def require_martingale_law(self, measure: dict[int, Q], what: str) -> None:
-        """Raise unless the measure is a probability on the paths and a martingale law."""
-        if (
-            sum(measure.values(), ZERO) != ONE
-            or any(q < 0 for q in measure.values())
-            or not set(self.paths).issuperset(measure)
-        ):
-            raise PropertyViolation(f"{what} is not a probability on the support")
-        if any(martingale_increments(self.enl, measure, self.paths).values()):
-            raise PropertyViolation(f"{what} is not a martingale law")
+    def support_slack(self, *, prices: bool) -> SlackOutcome:
+        """Largest uniform slack of Q(p) >= 0, and of the price rows if asked.
+
+        The positivity rows go on a copy of the LP, after every other row.
+        """
+        work = self.lp.copy()
+        pos = [
+            work.add_constraint({self.q_var[p]: ONE}, ">=", ZERO, name=f"pos[p{p}]")
+            for p in self.paths
+        ]
+        return max_slack(work, [*(self.price_rows if prices else ()), *pos])
+
+    # -- independent re-validation ----------------------------------------
+
+    def require(self, measure: dict[int, Q], what: str) -> None:
+        """Raise unless check() passes, naming the first failed rows."""
+        ok, ledger = self.check(measure)
+        if not ok:
+            bad = [e for e in ledger if not e["ok"]]
+            raise PropertyViolation(f"{what} left the polytope: {bad[:3]}")
+
+    def check(
+        self,
+        measure: dict[int, Q],
+        *,
+        min_slack: Q | None = None,
+        strict: bool = False,
+    ) -> tuple[bool, list[dict]]:
+        """Re-evaluate every constraint directly from the data of enl.model.
+
+        With ``min_slack`` s, positivity must clear Q(p) >= s and each
+        price row must clear its bound by at least s; with ``strict``,
+        margins must merely be positive.  No LP state is consulted.
+        """
+        ledger: list[dict] = []
+        for name, lhs, rel, rhs, slackable in self._evaluated_rows(measure):
+            margin = rhs - lhs if rel == "<=" else lhs - rhs
+            good = margin >= ZERO if rel != "=" else lhs == rhs
+            if rel != "=" and slackable:
+                if min_slack is not None:
+                    good = margin >= min_slack
+                elif strict:
+                    good = margin > ZERO
+            ledger.append(
+                {
+                    "constraint": name,
+                    "lhs": rat_str(lhs),
+                    "rel": rel,
+                    "rhs": rat_str(rhs),
+                    "margin": rat_str(margin) if rel != "=" else "0/1",
+                    "ok": bool(good),
+                }
+            )
+        return all(e["ok"] for e in ledger), ledger
+
+    def _evaluated_rows(self, measure: dict[int, Q]) -> Iterator[tuple]:
+        """(name, lhs, relation, rhs, slackable) of the support, positivity,
+        mass and martingale rows, evaluated at the measure."""
+        enl = self.enl
+        support = set(self.paths)
+        for p, q in measure.items():
+            if p not in support and q != ZERO:
+                yield f"support[p{p}]", q, "=", ZERO, False
+        for p in self.paths:
+            yield f"pos[p{p}]", measure.get(p, ZERO), ">=", ZERO, True
+        yield "mass", sum((measure.get(p, ZERO) for p in self.paths), ZERO), "=", ONE, False
+        inc = martingale_increments(enl, measure, self.paths)
+        for (v, d), val in sorted(inc.items()):
+            yield f"mart[{enl.enode(v).label};{d}]", val, "=", ZERO, False
 
 
 def _add_martingale_rows(
@@ -207,7 +269,8 @@ class MeasurePolytope(MartingalePolytope):
     """Martingale measures that also respect the model's quoted option prices.
 
     Row indices are kept per constraint family so the uniform-slack
-    machinery can target exactly the price and positivity rows.
+    machinery can target exactly the price rows.  The stopping times of
+    the support are enumerated once, under ``cap``, when first needed.
     """
 
     def __init__(
@@ -216,9 +279,9 @@ class MeasurePolytope(MartingalePolytope):
         *,
         paths: Iterable[int] | None = None,
         cap: int = DEFAULT_ENUM_CAP,
-        include_positivity: bool = False,
     ) -> None:
         super().__init__(enl, paths)
+        self.cap = cap
         model = enl.model
         self.f_rows: list[int] = []
         # add_constraint drops the zero coefficients
@@ -232,29 +295,20 @@ class MeasurePolytope(MartingalePolytope):
 
         # longed Americans: sup over stopping times, one row per enumerated
         # stopping time, deduplicated by induced value vector
-        self.taus: list[StoppingTime] = []
         self.g_rows: list[int] = []
-        self.num_tau_rows = 0
         self.long_values = [
             {v: enl.long_value_at_node(j, v) for v in range(len(enl.enodes))}
             for j in range(model.M)
         ]
-        if model.M:
-            self.taus = restricted_stopping_times(enl, self.paths, cap)
-            for j, (_, beta) in enumerate(model.americans_long):
-                for n, vec in enumerate(self.distinct_stopped(self.long_values[j], self.taus), 1):
-                    row = {self.q_var[p]: vec[p] for p in self.paths if vec[p]}
-                    self.g_rows.append(
-                        self.lp.add_constraint(row, "<=", beta, name=f"g[{j};#{n}]")
-                    )
-            self.num_tau_rows = len(self.g_rows)
+        for j, (_, beta) in enumerate(model.americans_long):
+            for n, vec in enumerate(self.distinct_stopped(self.long_values[j]), 1):
+                row = {self.q_var[p]: vec[p] for p in self.paths if vec[p]}
+                self.g_rows.append(self.lp.add_constraint(row, "<=", beta, name=f"g[{j};#{n}]"))
+        self.num_tau_rows = len(self.g_rows)
 
-        self.pos_rows: list[int] = []
-        if include_positivity:
-            for p in self.paths:
-                self.pos_rows.append(
-                    self.lp.add_constraint({self.q_var[p]: ONE}, ">=", ZERO, name=f"pos[p{p}]")
-                )
+    @cached_property
+    def taus(self) -> list[StoppingTime]:
+        return restricted_stopping_times(self.enl, self.paths, self.cap)
 
     # -- helpers ----------------------------------------------------------
 
@@ -265,13 +319,11 @@ class MeasurePolytope(MartingalePolytope):
             out[p] = values_at_enode[seq[tau.time_on(seq)]]
         return out
 
-    def distinct_stopped(
-        self, values_at_enode: dict[int, Q], taus: Sequence[StoppingTime]
-    ) -> list[dict[int, Q]]:
+    def distinct_stopped(self, values_at_enode: dict[int, Q]) -> list[dict[int, Q]]:
         """Stopped-value vectors of the taus, each distinct vector once, in order."""
         out = []
         seen: set[tuple] = set()
-        for tau in taus:
+        for tau in self.taus:
             vec = self.stopped_values(values_at_enode, tau)
             key = tuple(vec[p] for p in self.paths)
             if key not in seen:
@@ -279,9 +331,7 @@ class MeasurePolytope(MartingalePolytope):
                 out.append(vec)
         return out
 
-    def stopped_envelope(
-        self, values_at_enode: dict[int, Q], taus: Sequence[StoppingTime]
-    ) -> tuple[LPOutcome, dict[int, Q], int]:
+    def stopped_envelope(self, values_at_enode: dict[int, Q]) -> tuple[LPOutcome, dict[int, Q], int]:
         """min over the polytope of max over the taus of E_Q[value at the stop].
 
         Epigraph LP: minimize u subject to u >= E_Q[value_tau] for each
@@ -290,7 +340,7 @@ class MeasurePolytope(MartingalePolytope):
         """
         work = self.lp.copy()
         u = work.add_var("u", nonneg=False)
-        vecs = self.distinct_stopped(values_at_enode, taus)
+        vecs = self.distinct_stopped(values_at_enode)
         for n, vec in enumerate(vecs):
             row: dict[int, Q] = {u: ONE}
             for p in self.paths:
@@ -305,86 +355,26 @@ class MeasurePolytope(MartingalePolytope):
     def price_rows(self) -> list[int]:
         return [*self.f_rows, *self.h_rows, *self.g_rows]
 
-    # -- independent re-validation ----------------------------------------
-
-    def require(self, measure: dict[int, Q], what: str) -> None:
-        """Raise unless check() passes, naming the first failed rows."""
-        ok, ledger = self.check(measure)
-        if not ok:
-            bad = [e for e in ledger if not e["ok"]]
-            raise PropertyViolation(f"{what} left the polytope: {bad[:3]}")
-
-    def check(
-        self,
-        measure: dict[int, Q],
-        *,
-        min_slack: Q | None = None,
-        strict: bool = False,
-    ) -> tuple[bool, list[dict]]:
-        """Re-evaluate every constraint directly from the data of enl.model.
-
-        With ``min_slack`` s, positivity must clear Q(p) >= s and each
-        price row must clear its bound by at least s; with ``strict``,
-        margins must merely be positive.  No LP state is consulted.
-        """
+    def _evaluated_rows(self, measure: dict[int, Q]) -> Iterator[tuple]:
+        """The martingale rows, then the price rows at the model's quotes."""
+        yield from super()._evaluated_rows(measure)
         enl = self.enl
-        ledger: list[dict] = []
-        ok = True
-
-        def entry(name: str, lhs: Q, rel: str, rhs: Q, slackable: bool) -> None:
-            nonlocal ok
-            margin = rhs - lhs if rel == "<=" else lhs - rhs
-            good = margin >= ZERO if rel != "=" else lhs == rhs
-            if rel != "=" and slackable:
-                if min_slack is not None:
-                    good = margin >= min_slack
-                elif strict:
-                    good = margin > ZERO
-            ok = ok and good
-            ledger.append(
-                {
-                    "constraint": name,
-                    "lhs": rat_str(lhs),
-                    "rel": rel,
-                    "rhs": rat_str(rhs),
-                    "margin": rat_str(margin) if rel != "=" else "0/1",
-                    "ok": bool(good),
-                }
-            )
-
-        support = set(self.paths)
-        for p, q in measure.items():
-            if p not in support and q != ZERO:
-                entry(f"support[p{p}]", q, "=", ZERO, False)
-        for p in self.paths:
-            entry(f"pos[p{p}]", measure.get(p, ZERO), ">=", ZERO, True)
-        entry("mass", sum((measure.get(p, ZERO) for p in self.paths), ZERO), "=", ONE, False)
-
-        inc = martingale_increments(enl, measure, self.paths)
-        for (v, d), val in sorted(inc.items()):
-            entry(f"mart[{enl.enode(v).label};{d}]", val, "=", ZERO, False)
-
         model = enl.model
         for i, (_, alpha) in enumerate(model.europeans):
             lhs = sum((measure.get(p, ZERO) * enl.european_value(i, p) for p in self.paths), ZERO)
-            entry(f"f[{i}]", lhs, "<=", alpha, True)
+            yield f"f[{i}]", lhs, "<=", alpha, True
         for k, (_, gamma) in enumerate(model.americans_short):
             lhs = sum((measure.get(p, ZERO) * enl.short_value(k, p) for p in self.paths), ZERO)
-            entry(f"h[{k}]", lhs, ">=", gamma, True)
+            yield f"h[{k}]", lhs, ">=", gamma, True
         for j, (_, beta) in enumerate(model.americans_long):
             best = snell_value(enl, self.long_values[j], measure, paths=self.paths)
-            entry(f"g[{j};sup]", best, "<=", beta, True)
-        return ok, ledger
+            yield f"g[{j};sup]", best, "<=", beta, True
 
 
 def build_polytope(
-    enl: EnlargedModel,
-    *,
-    paths: Iterable[int] | None = None,
-    cap: int = DEFAULT_ENUM_CAP,
-    include_positivity: bool = False,
+    enl: EnlargedModel, *, paths: Iterable[int] | None = None, cap: int = DEFAULT_ENUM_CAP
 ) -> MeasurePolytope:
-    return MeasurePolytope(enl, paths=paths, cap=cap, include_positivity=include_positivity)
+    return MeasurePolytope(enl, paths=paths, cap=cap)
 
 
 @dataclass
@@ -405,18 +395,14 @@ class MeasureCertificate:
         }
 
 
-def ftap_certificate(
-    enl: EnlargedModel, *, cap: int = DEFAULT_ENUM_CAP
-) -> tuple[bool, MeasureCertificate]:
+def ftap_certificate(pt: MeasurePolytope) -> tuple[bool, MeasureCertificate]:
     """Maximal uniform slack over the strict martingale polytope.
 
     SNA holds iff some measure is strictly positive on every supported
     path and clears every price constraint strictly; the largest common
     clearance s* is computed by LP and the witness re-validated.
     """
-    pt = build_polytope(enl, cap=cap, include_positivity=True)
-    rows = [*pt.price_rows, *pt.pos_rows]
-    outcome = max_slack(pt.lp, rows)
+    outcome = pt.support_slack(prices=True)
     if outcome.status == "infeasible":
         return False, MeasureCertificate(
             measure=None,
@@ -455,17 +441,12 @@ class DualPriceReport:
         }
 
 
-def dual_superhedge(
-    enl: EnlargedModel,
-    *,
-    cap: int = DEFAULT_ENUM_CAP,
-    polytope: MeasurePolytope | None = None,
-) -> DualPriceReport:
+def dual_superhedge(pt: MeasurePolytope) -> DualPriceReport:
     """max E_Q[claim at the last clock] over the closed polytope (n = N + 1)."""
+    enl = pt.enl
     if enl.n != enl.model.N + 1:
         raise ValueError("the super-hedging dual runs on the n = N + 1 enlargement")
     target = extend_claim(enl, "super")
-    pt = polytope or build_polytope(enl, cap=cap)
     value, measure, out = pt.solve_extremum(target, "max")
     ok, _ = pt.check(measure)
     if not ok or pt.expectation(measure, target) != value:
@@ -481,23 +462,17 @@ def dual_superhedge(
     )
 
 
-def dual_subhedge(
-    enl: EnlargedModel,
-    *,
-    cap: int = DEFAULT_ENUM_CAP,
-    polytope: MeasurePolytope | None = None,
-) -> DualPriceReport:
+def dual_subhedge(pt: MeasurePolytope) -> DualPriceReport:
     """min over Q of max over stopping times of E_Q[claim at the stop].
 
     Epigraph LP: minimize u subject to u >= E_Q[claim_tau] for every
     enumerated stopping time and Q in the closed polytope (n = N).
     """
+    enl = pt.enl
     if enl.n != enl.model.N:
         raise ValueError("the sub-hedging dual runs on the n = N enlargement")
     claim_at = extend_claim(enl, "sub")
-    pt = polytope or build_polytope(enl, cap=cap)
-    taus = pt.taus or restricted_stopping_times(enl, pt.paths, cap)
-    out, measure, n_rows = pt.stopped_envelope(claim_at, taus)
+    out, measure, n_rows = pt.stopped_envelope(claim_at)
     ok, _ = pt.check(measure)
     if not ok:
         raise PropertyViolation("dual sub-hedge optimizer failed re-validation")
@@ -535,7 +510,7 @@ def price_with_dual(
     primal, dual_of = (subhedge, dual_subhedge) if side == "sub" else (superhedge, dual_superhedge)
     report = primal(enl, paths=paths)
     pt = build_polytope(enl, paths=paths, cap=cap)
-    dual = dual_of(enl, cap=cap, polytope=pt)
+    dual = dual_of(pt)
     if report.price != dual.value:
         raise PropertyViolation(
             f"{side}-hedge duality gap: {rat_str(report.price)} vs {rat_str(dual.value)}"
@@ -576,19 +551,15 @@ def snell_value(
 
 
 def lift_measure_uniform_clock(
-    enl_from: EnlargedModel,
-    enl_to: EnlargedModel,
-    measure: dict[int, Q],
-    *,
-    cap: int = DEFAULT_ENUM_CAP,
-    polytope: MeasurePolytope | None = None,
+    enl_from: EnlargedModel, pt: MeasurePolytope, measure: dict[int, Q]
 ) -> dict[int, Q]:
-    """Spread the added clock uniformly over {0..T}; membership re-checked.
+    """Spread the added clock uniformly over {0..T}; membership in pt re-checked.
 
     The added exercise clock of a shorted option that nobody monitors
     plays no role: the lifted measure stays in the closed polytope of
     the larger space.
     """
+    enl_to = pt.enl
     if enl_to.n != enl_from.n + 1 or enl_to.model is not enl_from.model:
         raise ValueError("lift goes from the n-clock space to the (n+1)-clock space")
     T = enl_from.horizon
@@ -601,7 +572,6 @@ def lift_measure_uniform_clock(
         for t in range(T + 1):
             tgt = enl_to.path_index(ep.base_index, ep.clocks + (t,))
             lifted[tgt] = lifted.get(tgt, ZERO) + q * share
-    pt = polytope or build_polytope(enl_to, cap=cap)
     pt.require(lifted, "lifted measure")
     return lifted
 
@@ -615,22 +585,17 @@ class PushReport:
 
 
 def push_stopping_measure(
-    enl_from: EnlargedModel,
-    enl_to: EnlargedModel,
-    measure: dict[int, Q],
-    tau: StoppingTime,
-    *,
-    cap: int = DEFAULT_ENUM_CAP,
-    polytope: MeasurePolytope | None = None,
+    enl_from: EnlargedModel, pt: MeasurePolytope, measure: dict[int, Q], tau: StoppingTime
 ) -> PushReport:
     """Concentrate the added clock on the stopping time tau.
 
     Asserts E_pushed[claim at the last clock] = E_Q[claim at tau], that
-    the push lies in the closed polytope of the larger space, and that
+    the push lies in pt, the closed polytope of the larger space, and that
     mixing toward the uniform lift with weight lambda stays inside -
     strictly when the input measure itself is strict (line search over
     lambda = 1/2, 1/4, ..., 1/2^12).
     """
+    enl_to = pt.enl
     if enl_to.n != enl_from.n + 1 or enl_to.model is not enl_from.model:
         raise ValueError("push goes from the n-clock space to the (n+1)-clock space")
     claim_from = extend_claim(enl_from, "sub")
@@ -646,7 +611,6 @@ def push_stopping_measure(
         expect_from += q * claim_from[ep.node_seq[t]]
 
     claim_to = extend_claim(enl_to, "super")
-    pt = polytope or build_polytope(enl_to, cap=cap)
     value = pt.expectation(pushed, claim_to)
     if value != expect_from:
         raise PropertyViolation(
@@ -654,7 +618,7 @@ def push_stopping_measure(
         )
     pt.require(pushed, "pushed measure")
 
-    lifted = lift_measure_uniform_clock(enl_from, enl_to, measure, cap=cap, polytope=pt)
+    lifted = lift_measure_uniform_clock(enl_from, pt, measure)
     lam = Q(1, 2)
     for _ in range(_HALVINGS):
         mixed = {}
@@ -676,25 +640,17 @@ class ChainReport:
     num_taus: int
 
 
-def e2_chain(
-    enl_sub: EnlargedModel,
-    lower: Q,
-    upper: Q,
-    *,
-    cap: int = DEFAULT_ENUM_CAP,
-) -> ChainReport:
+def e2_chain(pt: MeasurePolytope, lower: Q, upper: Q) -> ChainReport:
     """Exact three-term chain linking the dual prices.
 
     ``lower`` (inf_Q sup_tau) and ``upper`` (sup over the larger-space
     polytope) are the sub- and super-hedging dual values, solved by the
-    caller.  The middle term sup_Q sup_tau swaps to sup_tau sup_Q and is
-    computed here by one LP per deduplicated stopping-value vector;
-    lower <= middle <= upper is asserted.
+    caller.  The middle term sup_Q sup_tau over pt, the polytope of the
+    n = N space, swaps to sup_tau sup_Q and is computed here by one LP
+    per deduplicated stopping-value vector; lower <= middle <= upper is
+    asserted.
     """
-    pt = build_polytope(enl_sub, cap=cap)
-    claim_at = extend_claim(enl_sub, "sub")
-    taus = pt.taus or restricted_stopping_times(enl_sub, pt.paths, cap)
-    vecs = pt.distinct_stopped(claim_at, taus)
+    vecs = pt.distinct_stopped(extend_claim(pt.enl, "sub"))
     middle = max(pt.solve_extremum(vec, "max")[0] for vec in vecs)
     if not (lower <= middle <= upper):
         raise PropertyViolation(

@@ -31,7 +31,6 @@ from .lp import LinearProgram, solve
 from .market import MarketModel, check_kernel_family
 from .measures import (
     MartingalePolytope,
-    MeasurePolytope,
     build_polytope,
     one_step_polytope,
     price_with_dual,
@@ -466,7 +465,7 @@ def robust_superhedge_options(
         raise PropertyViolation("static positions must be nonnegative")
     stock_positions = stock.values(out)
     measure = {p: dual.x(v) for p, v in pt.q_var.items() if dual.x(v)}
-    pt.require_martingale_law(measure, "options super-hedge dual measure")
+    pt.require(measure, "options super-hedge dual measure")
     for i in range(len(payoffs)):
         priced = sum(
             (measure.get(p, ZERO) * _values_at(payoffs[i], p) for p in pt.paths), ZERO
@@ -526,17 +525,16 @@ class RobustFtapReport:
     certificates: list[RobustFtapCertificate]
 
 
-def _shifted_membership(pt: MeasurePolytope, measure: dict[int, Q], delta: Q) -> None:
+def _shifted_membership(pt: MartingalePolytope, measure: dict[int, Q], delta: Q) -> None:
     """Membership in the delta-shifted polytope: check() at moved quotes.
 
     check() re-evaluates every row from the data of pt.enl.model alone,
-    so a copy of pt on the enlargement of the delta-shifted model is the
-    shifted polytope for it; the enlargement keeps every node and path
-    index.
+    so a copy of pt on the same space with the delta-shifted model is
+    the shifted polytope for it.  A polytope without price rows has
+    nothing to shift: the check is then that of a martingale law.
     """
     shifted = copy.copy(pt)
-    enl = pt.enl
-    shifted.enl = enlarge(enl.model.shifted_prices(delta), enl.n, enl.clock_weights)
+    shifted.enl = pt.enl.with_model(pt.enl.model.shifted_prices(delta))
     shifted.require(measure, "shifted-polytope witness")
 
 
@@ -575,8 +573,7 @@ def _selector_sweep(
 
     Selectors that differ only where their other choices put no mass
     share a vertex measure, so one LP and one re-check serve them all:
-    the optimizer is re-checked in the e-shifted polytope when pt is a
-    MeasurePolytope, else as a martingale law.
+    the optimizer is re-checked in the e-shifted polytope.
     """
     solved: dict[tuple, tuple[Q | None, dict[int, Q] | None]] = {}
     for selector in renl.robust.selectors():
@@ -584,10 +581,8 @@ def _selector_sweep(
         key = tuple(sorted(pbar.items()))
         if key not in solved:
             eps, measure = _selector_epsilon(pt, pbar)
-            if measure is not None and isinstance(pt, MeasurePolytope):
+            if measure is not None:
                 _shifted_membership(pt, measure, eps)
-            elif measure is not None:
-                pt.require_martingale_law(measure, "domination witness")
             solved[key] = eps, measure
         yield (selector, *solved[key])
 
@@ -630,8 +625,9 @@ def submarket_slacks(
     slacks: list[Q | None] = []
     for m in range(model.M):
         sub_model = dataclasses.replace(model, americans_long=model.americans_long[:m])
-        sub_enl = enlarge(sub_model, renl.enl.n, renl.enl.clock_weights)
-        sub_pt = build_polytope(sub_enl, paths=renl.supported_paths, cap=cap)
+        sub_pt = build_polytope(
+            renl.enl.with_model(sub_model), paths=renl.supported_paths, cap=cap
+        )
         worst: Q | None = None
         for _, value, _ in _selector_sweep(sub_pt, renl):
             if value is None:

@@ -43,7 +43,7 @@ SEED = 20260814
 
 _CORPUS: list = []
 _EVAL: dict[int, tuple] = {}
-_SUPER: dict[int, tuple] = {}    # super-side polytope and closed maximizer, for check_chain
+_POLYTOPES: dict[int, tuple] = {}    # both polytopes and the closed maximizer, for check_chain
 _KERNELS: list = []
 
 
@@ -69,15 +69,16 @@ def _evaluate(i: int) -> tuple:
         enl_sub = enlarge(model, model.N)
         enl_sup = enlarge(model, model.N + 1)
         sna = check_sna(enl_sub)
+        pt_sub = build_polytope(enl_sub)
         pt_sup = build_polytope(enl_sup)
-        dual_sup = dual_superhedge(enl_sup, polytope=pt_sup)
+        dual_sup = dual_superhedge(pt_sup)
         quad = (
             subhedge(enl_sub).price,
-            dual_subhedge(enl_sub).value,
+            dual_subhedge(pt_sub).value,
             superhedge(enl_sup).price,
             dual_sup.value,
         )
-        _SUPER[i] = (pt_sup, dual_sup.measure)
+        _POLYTOPES[i] = (pt_sub, pt_sup, dual_sup.measure)
         _EVAL[i] = (sna, {"sub": rat_str(quad[0]), "super": rat_str(quad[2])}, quad)
     return _EVAL[i]
 
@@ -180,14 +181,14 @@ def test_criterion_4_price_chain_and_transport(capfd):
         for i, gm in enumerate(_corpus()):
             sna, duality, _ = _evaluate(i)
             try:
-                rec = check_chain(gm.model, sna, duality, *_SUPER[i])
+                rec = check_chain(sna, duality, *_POLYTOPES[i])
                 strict += bool(rec["strict_upper"])
             except PropertyViolation as exc:
                 failures.append(f"model {i}: {exc}")
         wedge = strict_chain_market()
-        enl_sub = enlarge(wedge, wedge.N)
-        chain = e2_chain(enl_sub, dual_subhedge(enl_sub).value,
-                         dual_superhedge(enlarge(wedge, wedge.N + 1)).value)
+        pt_sub = build_polytope(enlarge(wedge, wedge.N))
+        chain = e2_chain(pt_sub, dual_subhedge(pt_sub).value,
+                         dual_superhedge(build_polytope(enlarge(wedge, wedge.N + 1))).value)
         if (chain.lower, chain.middle, chain.upper) != \
                 (Q(3, 4), Q(758717, 799680), Q(5879, 5880)) or not chain.strict_upper:
             failures.append("canonical strict-gap market lost its gap")

@@ -24,7 +24,13 @@ from amhedge.campaign import (
 from amhedge.enlarged import enlarge
 from amhedge.hedging import check_sna
 from amhedge.market import emit_model, load_model
-from amhedge.measures import dual_subhedge, dual_superhedge, e2_chain, ftap_certificate
+from amhedge.measures import (
+    build_polytope,
+    dual_subhedge,
+    dual_superhedge,
+    e2_chain,
+    ftap_certificate,
+)
 from amhedge.rationals import ONE, Q, ZERO
 from amhedge.robust import enlarge_robust, robust_ftap
 
@@ -40,15 +46,15 @@ def test_fixture_markets_round_trip():
 def test_short_put_slack_matches_hand_value():
     model = binomial_call_short_put()
     enl = enlarge(model, model.N)
-    holds, cert = ftap_certificate(enl)
+    holds, cert = ftap_certificate(build_polytope(enl))
     assert holds and cert.slack == Q(1, 24)
 
 
 def test_strict_chain_market_has_a_gap():
     model = strict_chain_market()
-    enl_sub = enlarge(model, model.N)
-    chain = e2_chain(enl_sub, dual_subhedge(enl_sub).value,
-                     dual_superhedge(enlarge(model, model.N + 1)).value)
+    pt_sub = build_polytope(enlarge(model, model.N))
+    chain = e2_chain(pt_sub, dual_subhedge(pt_sub).value,
+                     dual_superhedge(build_polytope(enlarge(model, model.N + 1))).value)
     assert chain.lower == Q(3, 4)
     assert chain.middle == Q(758717, 799680)
     assert chain.upper == Q(5879, 5880)

@@ -85,6 +85,34 @@ def test_out_flag_writes_file(model_file, tmp_path, capsys):
     assert json.loads(target.read_text())["price"] == "1/3"
 
 
+@pytest.mark.parametrize("argv", [
+    ["price", "--side", "sub"], ["ftap"], ["enlarge-dump"],
+], ids=lambda argv: argv[0])
+def test_out_into_missing_directory_exits_schema(argv, model_file, tmp_path, capsys):
+    target = tmp_path / "missing" / "report.json"
+    code, out, err = run([*argv, "--model", model_file, "--out", str(target)], capsys)
+    assert code == 4 and out == ""
+    assert "cannot write report" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["price", "--side", "sub", "--cap", "0"],
+    ["ftap", "--cap", "0"],
+    ["enlarge-dump", "--cap", "0"],
+    ["verify", "--cap", "0"],
+    ["verify", "--models", "0"],
+    ["verify", "--models", "-2"],
+], ids=lambda argv: "-".join(argv[0:1] + argv[-2:]))
+def test_nonpositive_cap_or_models_exits_schema(argv, model_file, capsys):
+    if argv[0] != "verify":
+        argv = [*argv, "--model", model_file]
+    try:
+        code = main(argv)
+    except SystemExit as exc:    # usage errors exit from the parser
+        code = exc.code
+    assert code == 4 and "positive" in capsys.readouterr().err
+
+
 def test_ftap_holds(model_file, capsys):
     code, out, _ = run(["ftap", "--model", model_file], capsys)
     assert code == 0

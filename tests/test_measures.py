@@ -42,9 +42,11 @@ def test_polytope_rows(binomial_short_put):
     # two root atoms, one stock dim: two martingale rows
     assert len(pt.mart_rows) == 2
     assert len(pt.h_rows) == 1 and not pt.f_rows and not pt.g_rows
-    assert pt.pos_rows == []
-    pt2 = build_polytope(enl, include_positivity=True)
-    assert len(pt2.pos_rows) == 4
+    # positivity rows go on a copy for the slack LP, after every other row;
+    # the put row holds b >= 1/4 unslackened, so min(a, b) peaks at a = 1/12
+    rows = len(pt.lp.rows)
+    assert pt.support_slack(prices=False).slack == Q(1, 12)
+    assert len(pt.lp.rows) == rows
 
 
 def test_check_validates_and_rejects(binomial_short_put):
@@ -67,9 +69,10 @@ def test_check_validates_and_rejects(binomial_short_put):
 
 def test_ftap_certificate_slack(binomial_short_put):
     enl = enlarge(binomial_short_put, 1)
-    holds, cert = ftap_certificate(enl)
+    pt = build_polytope(enl)
+    holds, cert = ftap_certificate(pt)
     assert holds and cert.slack == Q(1, 24)
-    ok, _ = build_polytope(enl).check(cert.measure, min_slack=cert.slack)
+    ok, _ = pt.check(cert.measure, min_slack=cert.slack)
     assert ok
     doc = cert.to_json(enl)
     assert doc["slack"] == "1/24" and doc["paths"]
@@ -79,7 +82,7 @@ def test_ftap_fails_on_rich_quote():
     model = load_model(binomial_dict(americans_short=[
         {"values": {"r": "0", "u": "0", "d": "1/2"}, "price": "1/2"},
     ]))
-    holds, cert = ftap_certificate(enlarge(model, 1))
+    holds, cert = ftap_certificate(build_polytope(enlarge(model, 1)))
     # best uniform slack: all mass on the late put exercise misses by 1/6
     assert not holds and cert.slack == Q(-1, 6)
 
@@ -90,7 +93,7 @@ def test_ftap_overpriced_european_slack():
     model = load_model(binomial_dict(europeans=[
         {"payoff": {"u": "1", "d": "0"}, "price": "1/4"},
     ]))
-    holds, cert = ftap_certificate(enlarge(model, 0))
+    holds, cert = ftap_certificate(build_polytope(enlarge(model, 0)))
     assert not holds and cert.slack == Q(-1, 12)
     assert cert.measure == {0: Q(1, 3), 1: Q(2, 3)}
 
@@ -99,7 +102,7 @@ def test_ftap_infeasible_polytope():
     # a strictly rising stock admits no nonnegative martingale mass at all
     data = binomial_dict()
     data["stock"]["values"]["d"] = ["3/2"]
-    holds, cert = ftap_certificate(enlarge(load_model(data), 0))
+    holds, cert = ftap_certificate(build_polytope(enlarge(load_model(data), 0)))
     assert not holds and cert.slack is None and cert.measure is None
     assert cert.ledger
 
@@ -107,8 +110,8 @@ def test_ftap_infeasible_polytope():
 def test_dual_prices(binomial_short_put):
     enl_sub = enlarge(binomial_short_put, 1)
     enl_sup = enlarge(binomial_short_put, 2)
-    dsub = dual_subhedge(enl_sub)
-    dsup = dual_superhedge(enl_sup)
+    dsub = dual_subhedge(build_polytope(enl_sub))
+    dsup = dual_superhedge(build_polytope(enl_sup))
     assert dsub.value == Q(1, 3)
     assert dsup.value == Q(1, 3)
     assert sum(dsub.measure.values(), ZERO) == ONE
@@ -118,8 +121,8 @@ def test_dual_prices(binomial_short_put):
 
 def test_dual_matches_primal_on_unique_measure(two_period):
     enl = enlarge(two_period, 0)
-    assert dual_subhedge(enl).value == Q(1, 3)
-    assert dual_superhedge(enlarge(two_period, 1)).value == Q(1, 3)
+    assert dual_subhedge(build_polytope(enl)).value == Q(1, 3)
+    assert dual_superhedge(build_polytope(enlarge(two_period, 1))).value == Q(1, 3)
 
 
 def test_dual_raises_on_empty_polytope():
@@ -127,7 +130,7 @@ def test_dual_raises_on_empty_polytope():
         {"payoff": {"u": "1", "d": "0"}, "price": "1/4"},
     ]))
     with pytest.raises(SnaFailure):
-        dual_superhedge(enlarge(model, 1))
+        dual_superhedge(build_polytope(enlarge(model, 1)))
 
 
 def test_snell_value_oracle(two_period):
@@ -146,8 +149,8 @@ def test_snell_value_oracle(two_period):
 def test_lift_spreads_the_new_clock(binomial_short_put):
     enl1 = enlarge(binomial_short_put, 1)
     enl2 = enlarge(binomial_short_put, 2)
-    _, cert = ftap_certificate(enl1)
-    lifted = lift_measure_uniform_clock(enl1, enl2, cert.measure)
+    _, cert = ftap_certificate(build_polytope(enl1))
+    lifted = lift_measure_uniform_clock(enl1, build_polytope(enl2), cert.measure)
     assert sum(lifted.values(), ZERO) == ONE
     for p, q in cert.measure.items():
         ep = enl1.epaths[p]
@@ -159,33 +162,33 @@ def test_lift_spreads_the_new_clock(binomial_short_put):
 def test_lift_requires_adjacent_spaces(binomial_short_put, binomial):
     enl1 = enlarge(binomial_short_put, 1)
     with pytest.raises(ValueError):
-        lift_measure_uniform_clock(enl1, enl1, {})
+        lift_measure_uniform_clock(enl1, build_polytope(enl1), {})
     with pytest.raises(ValueError):
-        lift_measure_uniform_clock(enl1, enlarge(binomial, 1), {})
+        lift_measure_uniform_clock(enl1, build_polytope(enlarge(binomial, 1)), {})
 
 
 def test_push_concentrates_on_the_stop(binomial_short_put):
     enl1 = enlarge(binomial_short_put, 1)
-    enl2 = enlarge(binomial_short_put, 2)
-    _, cert = ftap_certificate(enl1)
+    pt2 = build_polytope(enlarge(binomial_short_put, 2))
+    _, cert = ftap_certificate(build_polytope(enl1))
     # stop at time 1 on every atom: collects the u-mass, 1/3
     stops = frozenset(
         v for v, node in enumerate(enl1.enodes) if node.time == 1
     )
-    push = push_stopping_measure(enl1, enl2, cert.measure, StoppingTime(stops))
+    push = push_stopping_measure(enl1, pt2, cert.measure, StoppingTime(stops))
     assert push.value == Q(1, 3)
     assert sum(push.pushed.values(), ZERO) == ONE
     assert ZERO < push.lam <= Q(1, 2)
     # stopping immediately collects the zero root claim
     roots = frozenset(v for v, node in enumerate(enl1.enodes) if node.time == 0)
-    assert push_stopping_measure(enl1, enl2, cert.measure,
+    assert push_stopping_measure(enl1, pt2, cert.measure,
                                  StoppingTime(roots)).value == ZERO
 
 
 def test_e2_chain_collapses_when_attainable(binomial_short_put):
-    enl1 = enlarge(binomial_short_put, 1)
-    chain = e2_chain(enl1, dual_subhedge(enl1).value,
-                     dual_superhedge(enlarge(binomial_short_put, 2)).value)
+    pt1 = build_polytope(enlarge(binomial_short_put, 1))
+    chain = e2_chain(pt1, dual_subhedge(pt1).value,
+                     dual_superhedge(build_polytope(enlarge(binomial_short_put, 2))).value)
     assert (chain.lower, chain.middle, chain.upper) == (Q(1, 3), Q(1, 3), Q(1, 3))
     assert not chain.strict_upper
     assert chain.num_taus >= 1
@@ -194,9 +197,9 @@ def test_e2_chain_collapses_when_attainable(binomial_short_put):
 def test_strict_value_bracket_converges(binomial_short_put):
     enl2 = enlarge(binomial_short_put, 2)
     enl1 = enlarge(binomial_short_put, 1)
-    _, cert = ftap_certificate(enl1)
+    _, cert = ftap_certificate(build_polytope(enl1))
     pt = build_polytope(enl2)
-    lifted = lift_measure_uniform_clock(enl1, enl2, cert.measure, polytope=pt)
+    lifted = lift_measure_uniform_clock(enl1, pt, cert.measure)
     target = extend_claim(enl2, "super")
     vmax, argmax, _ = pt.solve_extremum(target, "max")
     vs = pt.expectation(lifted, target)
@@ -212,6 +215,9 @@ def test_restricted_stopping_times(binomial_short_put):
     enl = enlarge(binomial_short_put, 1)
     all_taus = restricted_stopping_times(enl, range(enl.num_paths))
     assert len(all_taus) == 4
+    # the polytope enumerates the same list, once
+    pt = build_polytope(enl)
+    assert pt.taus == all_taus and pt.taus is pt.taus
     # restricting to the clock-0 paths leaves a single root atom
     sub = restricted_stopping_times(enl, [_path(enl, 0, (0,)), _path(enl, 1, (0,))])
     assert len(sub) == 2
