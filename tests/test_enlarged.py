@@ -1,10 +1,13 @@
 """Enlarged space: forest shape, clock weights, and claim extension."""
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from amhedge.enlarged import enlarge, extend_claim
 from amhedge.errors import ModelFormatError
+from amhedge.market import emit_model, load_model
 from amhedge.rationals import ONE, Q, ZERO
 
 
@@ -129,3 +132,19 @@ def test_labels(binomial_short_put):
     enl = enlarge(binomial_short_put, 1)
     ep = enl.epaths[0]
     assert ep.label == f"p{ep.base_index}@" + ",".join(map(str, ep.clocks))
+
+
+def test_with_model_shares_the_forest(binomial_short_put):
+    enl = enlarge(binomial_short_put, 1, "skewed")
+    weights = [enl.weight(p) for p in range(enl.num_paths)]
+    shifted = binomial_short_put.shifted_prices(Q(1, 8))
+    other = enl.with_model(shifted)
+    assert other.model is shifted and enl.model is binomial_short_put
+    assert other.epaths is enl.epaths and other.children is enl.children
+    assert other.clock_weights == "skewed"
+    assert [other.weight(p) for p in range(other.num_paths)] == weights
+    # another tree object, or another number of shorts, needs its own forest
+    with pytest.raises(ValueError):
+        enl.with_model(load_model(emit_model(binomial_short_put)))
+    with pytest.raises(ValueError):
+        enl.with_model(dataclasses.replace(binomial_short_put, americans_short=[]))
