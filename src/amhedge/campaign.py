@@ -24,6 +24,8 @@ from .market import AdaptedProcess, EventTree, MarketModel, Node, TerminalPayoff
 from .measures import (
     MeasurePolytope,
     build_polytope,
+    dual_subhedge,
+    dual_superhedge,
     e2_chain,
     ftap_certificate,
     lift_measure_uniform_clock,
@@ -595,16 +597,20 @@ def _describe(model: MarketModel) -> dict:
 def check_duality(
     model: MarketModel, *, cap: int = DEFAULT_ENUM_CAP
 ) -> tuple[dict, MeasurePolytope, MeasurePolytope, dict[int, Q]]:
-    """Sub and super prices against their measure-side counterparts.
+    """Certified sub and super prices against separately built dual LPs.
 
-    Equalities are exact, and each dual re-validates its optimal measure
-    from the model data (the sub side also against the backward-induction
-    envelope); sub must not exceed super.  Returns the record, the
-    polytopes of the n = N and n = N + 1 spaces, and the super side's
-    closed maximizer, for check_chain.
+    Each dual LP re-validates its optimal measure from the model data
+    (the sub side also against the backward-induction envelope) and must
+    reach the price exactly; sub must not exceed super.  Returns the
+    record, the polytopes of the n = N and n = N + 1 spaces, and the
+    super dual's closed maximizer, for check_chain.
     """
-    sub, _, pt_sub = price_with_dual(enlarge(model, model.N), "sub", cap=cap)
-    sup, sup_dual, pt_sup = price_with_dual(enlarge(model, model.N + 1), "super", cap=cap)
+    sub, pt_sub = price_with_dual(enlarge(model, model.N), "sub", cap=cap)
+    sup, pt_sup = price_with_dual(enlarge(model, model.N + 1), "super", cap=cap)
+    sup_dual = dual_superhedge(pt_sup)
+    for report, dual in ((sub, dual_subhedge(pt_sub)), (sup, sup_dual)):
+        if report.price != dual.value:
+            raise PropertyViolation(f"{report.kind} dual LP reaches {rat_str(dual.value)}")
     if not sub.price <= sup.price:
         raise PropertyViolation("sub-hedge price exceeds super-hedge price")
     record = {

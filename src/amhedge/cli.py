@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .campaign import run_campaign
@@ -173,7 +174,7 @@ def cmd_price(args) -> int:
         enl = renl.enl
     else:
         enl = enlarge(model, n, args.clock_weights)
-        report, _, _ = price_with_dual(enl, args.side, cap=args.cap)
+        report, _ = price_with_dual(enl, args.side, cap=args.cap)
     doc["report"] = report.to_json(enl)
     doc["price"] = rat_str(report.price)
     doc["gap"] = rat_str(report.gap)
@@ -280,6 +281,10 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        # fail before any work when the report's directory cannot take it
+        folder = os.path.dirname(args.out or "") or "."
+        if args.out and not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+            raise ModelFormatError(f"cannot write report: {folder!r} is not a writable directory")
         return _COMMANDS[args.command](args)
     except ModelFormatError as exc:
         print(f"amhedge: schema error: {exc}", file=sys.stderr)

@@ -344,6 +344,7 @@ class HedgeReport:
     lp_cols: int
     pivots: int
     num_paths: int
+    measure: dict[int, Q]                   # dual measure read from the hedge rows
     gap: Q | None = None
     dual_ref: dict | None = None
 
@@ -380,11 +381,14 @@ def _hedge(
     exercise weights eta of unit mass per path add extra(p) = sum_t
     eta(v_t) * value(v_t).  The optimum is re-validated pathwise against
     the same inequality, with the gain recomputed by payoff_enlarged.
+    Q(p) = sign * (dual of path p's row), nonnegative by the LP's sign
+    convention, is the dual measure; price_with_dual re-validates it.
     """
     g = GainLP(enl, paths=paths, add_x=True)
     eta_var = {}
     if exercise_values is not None:
         eta_var = {v: g.lp.add_var(f"eta[{enl.enode(v).label}]") for v in g.carry_nodes}
+    hedge_row: dict[int, int] = {}
     for p in g.paths:
         seq = enl.epaths[p].node_seq
         row = g.gain_coeffs(p)
@@ -392,7 +396,7 @@ def _hedge(
             for v in seq:
                 _bump(row, eta_var[v], exercise_values[v])
         row[g.x] = row.get(g.x, ZERO) + sign
-        g.lp.add_constraint(row, ">=", rhs[p], name=f"hedge[p{p}]")
+        hedge_row[p] = g.lp.add_constraint(row, ">=", rhs[p], name=f"hedge[p{p}]")
         if eta_var:
             g.lp.add_constraint({eta_var[v]: ONE for v in seq}, "=", ONE, name=f"unit[p{p}]")
     g.add_liquidation_rows()
@@ -417,6 +421,7 @@ def _hedge(
         lp_cols=out.cols,
         pivots=out.pivots,
         num_paths=len(g.paths),
+        measure={p: sign * out.duals[r] for p, r in hedge_row.items() if out.duals[r]},
     )
     gains = payoff_enlarged(enl, report.strategy, paths=g.paths)
     for p in g.paths:

@@ -48,24 +48,15 @@ __all__ = [
 _HALVINGS = 12
 
 
-def _restricted_forest(
-    enl: EnlargedModel, paths: Sequence[int]
-) -> tuple[tuple[int, ...], dict[int, tuple[int, ...]]]:
-    """Roots and children of the sub-forest spanned by the given paths."""
+def restricted_stopping_times(
+    enl: EnlargedModel, paths: Sequence[int], cap: int = DEFAULT_ENUM_CAP
+) -> list[StoppingTime]:
+    """Stopping times of the sub-forest spanned by the given paths."""
     keep: set[int] = set()
     for p in paths:
         keep.update(enl.epaths[p].node_seq)
     roots = tuple(v for v in enl.roots if v in keep)
-    children = {
-        v: tuple(c for c in enl.children[v] if c in keep) for v in keep
-    }
-    return roots, children
-
-
-def restricted_stopping_times(
-    enl: EnlargedModel, paths: Sequence[int], cap: int = DEFAULT_ENUM_CAP
-) -> list[StoppingTime]:
-    roots, children = _restricted_forest(enl, paths)
+    children = {v: tuple(c for c in enl.children[v] if c in keep) for v in keep}
     return enumerate_stopping_times(
         roots, lambda v: children.get(v, ()), cap, what="enlarged stopping times"
     )
@@ -426,40 +417,23 @@ class DualPriceReport:
     kind: str
     value: Q
     measure: dict[int, Q]
-    lp_rows: int
-    lp_cols: int
-    pivots: int
     num_tau_rows: int = 0
-
-    def to_json(self, enl: EnlargedModel) -> dict:
-        return {
-            "kind": self.kind,
-            "value": rat_str(self.value),
-            "measure": {enl.epaths[p].label: rat_str(q) for p, q in sorted(self.measure.items())},
-            "lp": {"rows": self.lp_rows, "cols": self.lp_cols, "pivots": self.pivots},
-            "tau_rows": self.num_tau_rows,
-        }
 
 
 def dual_superhedge(pt: MeasurePolytope) -> DualPriceReport:
-    """max E_Q[claim at the last clock] over the closed polytope (n = N + 1)."""
+    """max E_Q[claim at the last clock] over the closed polytope (n = N + 1).
+
+    A reference LP for the campaign: price reads its measure off the hedge LP.
+    """
     enl = pt.enl
     if enl.n != enl.model.N + 1:
         raise ValueError("the super-hedging dual runs on the n = N + 1 enlargement")
     target = extend_claim(enl, "super")
-    value, measure, out = pt.solve_extremum(target, "max")
+    value, measure, _ = pt.solve_extremum(target, "max")
     ok, _ = pt.check(measure)
     if not ok or pt.expectation(measure, target) != value:
         raise PropertyViolation("dual super-hedge optimizer failed re-validation")
-    return DualPriceReport(
-        kind="dual_super",
-        value=value,
-        measure=measure,
-        lp_rows=out.rows,
-        lp_cols=out.cols,
-        pivots=out.pivots,
-        num_tau_rows=pt.num_tau_rows,
-    )
+    return DualPriceReport("dual_super", value, measure, pt.num_tau_rows)
 
 
 def dual_subhedge(pt: MeasurePolytope) -> DualPriceReport:
@@ -481,15 +455,7 @@ def dual_subhedge(pt: MeasurePolytope) -> DualPriceReport:
         raise PropertyViolation(
             f"epigraph value {rat_str(out.value)} != Snell value {rat_str(best)}"
         )
-    return DualPriceReport(
-        kind="dual_sub",
-        value=out.value,
-        measure=measure,
-        lp_rows=out.rows,
-        lp_cols=out.cols,
-        pivots=out.pivots,
-        num_tau_rows=n_rows,
-    )
+    return DualPriceReport("dual_sub", out.value, measure, n_rows)
 
 
 def price_with_dual(
@@ -498,26 +464,36 @@ def price_with_dual(
     *,
     paths: Iterable[int] | None = None,
     cap: int = DEFAULT_ENUM_CAP,
-) -> tuple[HedgeReport, DualPriceReport, MeasurePolytope]:
-    """Primal hedge and dual price on one space, equality asserted.
+) -> tuple[HedgeReport, MeasurePolytope]:
+    """One hedge LP, certified from both sides without a second LP.
 
-    Both sides run over the same paths (all of them, or a quasi-sure
-    support).  The dual re-validates its own optimizer; this step adds
-    only the exact gap check, then records gap 0 and the dual report as
-    the hedge report's ``dual_ref``.  The dual report and its polytope
-    are returned too, for the optimal measure and the row counts.
+    The hedge is re-validated pathwise inside subhedge/superhedge.  The
+    measure read off its duals must lie in the polytope over the same
+    paths (checked from the model data, long asks by snell_value) and
+    value the claim at the price: its Snell value on the sub side, its
+    expectation at the last clock on the super side.  By weak duality the
+    two checks together prove gap 0, recorded with the measure as the
+    report's ``dual_ref``.  The polytope is returned for further checks.
     """
-    primal, dual_of = (subhedge, dual_subhedge) if side == "sub" else (superhedge, dual_superhedge)
-    report = primal(enl, paths=paths)
+    report = (subhedge if side == "sub" else superhedge)(enl, paths=paths)
     pt = build_polytope(enl, paths=paths, cap=cap)
-    dual = dual_of(pt)
-    if report.price != dual.value:
+    pt.require(report.measure, f"{side}-hedge dual measure")
+    claim = extend_claim(enl, side)
+    if side == "sub":
+        value = snell_value(enl, claim, report.measure, paths=pt.paths)
+    else:
+        value = pt.expectation(report.measure, claim)
+    if report.price != value:
         raise PropertyViolation(
-            f"{side}-hedge duality gap: {rat_str(report.price)} vs {rat_str(dual.value)}"
+            f"{side}-hedge duality gap: {rat_str(report.price)} vs {rat_str(value)}"
         )
     report.gap = ZERO
-    report.dual_ref = dual.to_json(enl)
-    return report, dual, pt
+    report.dual_ref = {
+        "kind": f"dual_{side}",
+        "value": rat_str(value),
+        "measure": {enl.epaths[p].label: rat_str(q) for p, q in sorted(report.measure.items())},
+    }
+    return report, pt
 
 
 def snell_value(

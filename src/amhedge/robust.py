@@ -502,7 +502,7 @@ def robust_superhedge_full(renl: RobustEnlarged, *, cap: int = DEFAULT_ENUM_CAP)
 
 def _quasi_sure_price(renl: RobustEnlarged, side: str, cap: int) -> HedgeReport:
     """The classical duality step restricted to the supported paths."""
-    report, _, _ = price_with_dual(renl.enl, side, paths=renl.supported_paths, cap=cap)
+    report, _ = price_with_dual(renl.enl, side, paths=renl.supported_paths, cap=cap)
     # quasi-sure reports name only the dual value, not its measure
     report.dual_ref = {"value": report.dual_ref["value"]}
     return report

@@ -6,6 +6,8 @@ exact rationals.
 """
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 
 from amhedge.market import MarketModel, load_model
@@ -44,6 +46,34 @@ def binomial_short_put_dict() -> dict:
 @pytest.fixture
 def binomial_short_put() -> MarketModel:
     return load_model(binomial_short_put_dict())
+
+
+def binomial3_put_short_call_dict() -> dict:
+    """Three periods of S -> {2S, S/2} from S0 = 4, non-recombining.
+
+    The claim is an American put struck at 4; one American call struck
+    at 5 is shorted at bid 35/48, a quarter below its value 35/36 under
+    q(up) = 1/3 with an exercise clock uniform on 0..3.
+    """
+    stock = {"r": Fraction(4)}
+    nodes = [{"id": "r", "time": 0}]
+    for t in range(1, 4):
+        for v in [v for v in stock if len(v) == t]:
+            for move, factor in (("u", 2), ("d", Fraction(1, 2))):
+                stock[v + move] = stock[v] * factor
+                nodes.append({"id": v + move, "time": t, "parent": v})
+    text = lambda x: f"{x.numerator}/{x.denominator}"
+    return {
+        "horizon": 3,
+        "nodes": nodes,
+        "stock": {"dim": 1, "values": {v: [text(s)] for v, s in stock.items()}},
+        "claim": {"values": {v: text(max(4 - s, 0)) for v, s in stock.items()}},
+        "weights": {v: "1/8" for v in stock if len(v) == 4},
+        "americans_short": [{
+            "values": {v: text(max(s - 5, Fraction(0))) for v, s in stock.items()},
+            "price": "35/48",
+        }],
+    }
 
 
 def trinomial_dict() -> dict:

@@ -9,12 +9,13 @@ from pathlib import Path
 
 import pytest
 
+import amhedge.cli as cli
 import amhedge.hedging as hedging
 import amhedge.measures as measures
 from amhedge.cli import main
 from amhedge.lp import LPInternalError
 
-from conftest import binomial_dict
+from conftest import binomial3_put_short_call_dict, binomial_dict
 
 VERIFY_SMALL_SHA256 = "6244bb699878cf5f8e999e64a7745437f989f198d13a33d3d5a4b1b6acb2ac8c"
 
@@ -95,6 +96,16 @@ def test_out_into_missing_directory_exits_schema(argv, model_file, tmp_path, cap
     assert "cannot write report" in err and "Traceback" not in err
 
 
+def test_verify_out_into_missing_directory_runs_nothing(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the campaign ran")
+
+    monkeypatch.setattr(cli, "run_campaign", refuse)
+    target = tmp_path / "missing" / "r.json"
+    code, out, err = run(["verify", "--models", "1", "--out", str(target)], capsys)
+    assert code == 4 and out == "" and "cannot write report" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["price", "--side", "sub", "--cap", "0"],
     ["ftap", "--cap", "0"],
@@ -129,9 +140,22 @@ def test_gamma_override_flips_ftap(model_file, capsys):
     assert doc["arbitrage"]["found"] is True
 
 
-def test_cap_exit(model_file, capsys):
-    code, _, err = run(["price", "--model", model_file, "--side", "sub", "--cap", "1"], capsys)
+def test_cap_exit(tmp_path, capsys):
+    # a longed American's stopping-time rows are still enumerated by price
+    put = {"values": {"r": "0", "u": "0", "d": "1/2"}, "price": "1/2"}
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(binomial_dict(americans_long=[put])))
+    code, _, err = run(["price", "--model", str(path), "--side", "sub", "--cap", "1"], capsys)
     assert code == 3 and "cap exceeded" in err
+
+
+def test_price_enumerates_nothing_without_longs(tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(binomial3_put_short_call_dict()))
+    code, out, err = run(["price", "--model", str(path), "--side", "sub", "--cap", "1"], capsys)
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["gap"] == "0/1" and doc["price"] == "52/27"
 
 
 def test_missing_model_file(capsys):
@@ -158,15 +182,9 @@ def test_usage_error_exits_schema(model_file, capsys):
 
 
 def test_property_violation_exit(model_file, capsys, monkeypatch):
-    # the duality step of price looks the dual up in amhedge.measures
-    real = measures.dual_subhedge
-
-    def skewed(enl, **kw):
-        rep = real(enl, **kw)
-        rep.value = rep.value + 1
-        return rep
-
-    monkeypatch.setattr(measures, "dual_subhedge", skewed)
+    # price re-checks the measure's Snell value, looked up in amhedge.measures
+    real = measures.snell_value
+    monkeypatch.setattr(measures, "snell_value", lambda *a, **kw: real(*a, **kw) + 1)
     code, _, err = run(["price", "--model", model_file, "--side", "sub"], capsys)
     assert code == 5 and "property violation" in err
 

@@ -69,3 +69,13 @@ def test_verify_lp_fingerprints(recorded, capsys):
     assert main(["verify", "--models", "1", "--seed", "3"]) == 0
     capsys.readouterr()
     assert _digest(recorded) == EXPECTED_VERIFY
+
+
+@pytest.mark.parametrize("side", ["sub", "super"])
+@pytest.mark.parametrize("name", [*CONFTEST_MODELS, *CAMPAIGN_MODELS])
+def test_price_solves_one_lp(name, side, recorded, request, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "model.json").write_text(json.dumps(emit_model(_model(request, name))))
+    assert main(COMMANDS[f"price-{side}"]) == 0
+    capsys.readouterr()
+    assert len(recorded) == 1

@@ -115,8 +115,6 @@ def test_dual_prices(binomial_short_put):
     assert dsub.value == Q(1, 3)
     assert dsup.value == Q(1, 3)
     assert sum(dsub.measure.values(), ZERO) == ONE
-    doc = dsub.to_json(enl_sub)
-    assert doc["value"] == "1/3"
 
 
 def test_dual_matches_primal_on_unique_measure(two_period):
