@@ -23,8 +23,8 @@ from amhedge.rationals import rat_str
 from test_report_bytes import CAMPAIGN_MODELS, COMMANDS, CONFTEST_MODELS, _model
 
 # (number of LPs solved, sha256 of their sorted fingerprints)
-EXPECTED_CLI = (48, "5b5cdd6268feb958d183e36c11a370bd1b50416c7133f3374907c17cfcfe08dc")
-EXPECTED_VERIFY = (330, "2d5a8655f3ac84690c359712eb671134fbdb639e95ff03ed2018f2dff747495c")
+EXPECTED_CLI = (30, "95fff9dabfbb9860081bb001b2c795b3a2a40db3cbf15703718e02eb0e84ba36")
+EXPECTED_VERIFY = (318, "34a873e08426c070ef181f90690213e54fb66bc11c9c3bc1709a9a626d528a5c")
 
 
 def fingerprint(prog: lp.LinearProgram) -> str:

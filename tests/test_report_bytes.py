@@ -37,26 +37,26 @@ COMMANDS = {
 # (exit code, sha256 of stdout) per model and command
 EXPECTED = {
     ('binomial', 'ftap'): (0, '0b31327cbb5992461200ee24b8a928d8586fbd2365a6d01bc6b0583ee3704dc4'),
-    ('binomial', 'price-sub'): (0, '26b9eb35e0cc2e676947292f166ac587da05f037a5b2f1cda6b1cddcc2af82f3'),
-    ('binomial', 'price-super'): (0, 'a5bd9ea3850f4a7663da9fad76e81946c91ae76c58192854740381888d3f4f24'),
+    ('binomial', 'price-sub'): (0, '15a21fd56c6777833e9b1849f2f9dbc399f194f16eacec53df95fc6755b05ce5'),
+    ('binomial', 'price-super'): (0, '8cd82097105b1588bade7b643ea81abd03a2589fa074a13730393641f365d234'),
     ('binomial_short_put', 'ftap'): (0, '5df1735c70153ed87f78f3fdf84cad369428df4d50d7c565a8f564c56d7c4cbc'),
-    ('binomial_short_put', 'price-sub'): (0, '0702bdaea2d187cee56ddd4418bbbe0004c7726dfeef6970c543099ba7091f5c'),
-    ('binomial_short_put', 'price-super'): (0, '6e6de5b9c05101dd8fa66bf59ceb7559d15cdda3c9883ab8a93cccf42d61160c'),
+    ('binomial_short_put', 'price-sub'): (0, '9841702948511689737d2f5589834ddd5c00ca42d1361a8514e0ad37afae8661'),
+    ('binomial_short_put', 'price-super'): (0, '8c73dd61f8f16f31154dd84edd99f4a6d8cb9d1ba00dc76fbf2164e45194602c'),
     ('trinomial', 'ftap'): (0, 'f942531f1231eb3eda66c01cea81c8842046a6d1f4c759e949e2519726405fc8'),
-    ('trinomial', 'price-sub'): (0, '9615b07f7aca0f775c913217aff83b166ea9d2a21ee6173753f2288c44476e08'),
-    ('trinomial', 'price-super'): (0, 'e0f06eb042084e677d0eb31b0875ba67bdb81c0000c9361aceaa8d596cf5bc97'),
+    ('trinomial', 'price-sub'): (0, '0a600faf898f27e8a6a5f3382caaec6f415477149a18d6e27f5f2bec34027b73'),
+    ('trinomial', 'price-super'): (0, '183d61a30e6240c4c41a92c7b0149425640de5100b558bc98be0ed608d1d5bcb'),
     ('two_period', 'ftap'): (0, 'b9ff7da94f5f4c9d0dd383a3aa0c3efa87394f5d8b17df6d93527b8656af169b'),
-    ('two_period', 'price-sub'): (0, '8d6b278b8313424ec5cc03552292fd7f046bf0cb49e5a738089324ef692b8a56'),
-    ('two_period', 'price-super'): (0, '76977a6c1154c132ef974e54fd16caac35db820eb81e2da9f8656dbb229dc714'),
+    ('two_period', 'price-sub'): (0, '34656430a5fdc9000b4c0f17a5bb3baa281528502d39bd811bb1557c877da6c4'),
+    ('two_period', 'price-super'): (0, 'd77c6e133bfcda0a2a395f3a64c547dc855c7ab3d8c5bb0503aa5640d713a1af'),
     ('binomial_call', 'ftap'): (0, '0b31327cbb5992461200ee24b8a928d8586fbd2365a6d01bc6b0583ee3704dc4'),
-    ('binomial_call', 'price-sub'): (0, '26b9eb35e0cc2e676947292f166ac587da05f037a5b2f1cda6b1cddcc2af82f3'),
-    ('binomial_call', 'price-super'): (0, 'a5bd9ea3850f4a7663da9fad76e81946c91ae76c58192854740381888d3f4f24'),
+    ('binomial_call', 'price-sub'): (0, '15a21fd56c6777833e9b1849f2f9dbc399f194f16eacec53df95fc6755b05ce5'),
+    ('binomial_call', 'price-super'): (0, '8cd82097105b1588bade7b643ea81abd03a2589fa074a13730393641f365d234'),
     ('binomial_call_short_put', 'ftap'): (0, '5df1735c70153ed87f78f3fdf84cad369428df4d50d7c565a8f564c56d7c4cbc'),
-    ('binomial_call_short_put', 'price-sub'): (0, '0702bdaea2d187cee56ddd4418bbbe0004c7726dfeef6970c543099ba7091f5c'),
-    ('binomial_call_short_put', 'price-super'): (0, '6e6de5b9c05101dd8fa66bf59ceb7559d15cdda3c9883ab8a93cccf42d61160c'),
+    ('binomial_call_short_put', 'price-sub'): (0, '9841702948511689737d2f5589834ddd5c00ca42d1361a8514e0ad37afae8661'),
+    ('binomial_call_short_put', 'price-super'): (0, '8c73dd61f8f16f31154dd84edd99f4a6d8cb9d1ba00dc76fbf2164e45194602c'),
     ('strict_chain_market', 'ftap'): (0, 'bb5e7de10b7a066b38a0ceaba0d176edfc6044febc2f7ea38d3494ff1651b80e'),
-    ('strict_chain_market', 'price-sub'): (0, '82400d01ad006d20dc7e1fff9bac5d37673569cf6f2b675f6a021b7bfd3dd0be'),
-    ('strict_chain_market', 'price-super'): (0, '7eda44295456fbb5365c732694117094ef9a3ed593d80c119b04e74737f774e7'),
+    ('strict_chain_market', 'price-sub'): (0, 'ed7e34caa1542a169ef499a9296cb56099228c7ed0948d9a65ed4478a19fb83a'),
+    ('strict_chain_market', 'price-super'): (0, '165a390c8d07791a9cfbbbff065ebd34eb65f575cf4704182a116e692abd11e9'),
     ('trinomial_two_kernels', 'ftap'): (0, 'feec5c68f597d3b3676dac34f3e8493d05335544d1524df3486a230c40dc7ef0'),
     ('trinomial_two_kernels', 'price-sub'): (0, 'dfd0b236b60f647f0ec17511deb4c7da607f010ab5075ef744985fdcfe598d04'),
     ('trinomial_two_kernels', 'price-super'): (0, '0315a70de358092cf2bd03c9817e12faf5fc13e944c86b8c874c9bc08f50c08d'),
