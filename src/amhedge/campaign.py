@@ -416,23 +416,17 @@ def random_sna_model(
 # -- adversarial corrosion of a healthy market ---------------------------------
 
 
-def inject_arbitrage(
-    rng: random.Random, gm: GeneratedModel, *, cap: int = DEFAULT_ENUM_CAP
-) -> tuple[MarketModel, str]:
+def inject_arbitrage(rng: random.Random, gm: GeneratedModel) -> tuple[MarketModel, str]:
     """Move one quote strictly past its polytope extreme.
 
     The resulting price system admits no consistent martingale measure
     at all, so deterministic arbitrage must be detected at every shift.
     """
-    return _pin_quote(rng, gm, None, cap)
+    return _pin_quote(rng, gm, None)
 
 
 def boundary_model(
-    rng: random.Random,
-    gm: GeneratedModel,
-    offset: Q = ZERO,
-    *,
-    cap: int = DEFAULT_ENUM_CAP,
+    rng: random.Random, gm: GeneratedModel, offset: Q = ZERO
 ) -> tuple[MarketModel, str]:
     """Pin one quote exactly at (or offset inside) its polytope extreme.
 
@@ -440,11 +434,11 @@ def boundary_model(
     consistent but not strictly so.  A small positive offset keeps
     strict no-arbitrage alive with slack at most the offset.
     """
-    return _pin_quote(rng, gm, offset, cap)
+    return _pin_quote(rng, gm, offset)
 
 
 def _pin_quote(
-    rng: random.Random, gm: GeneratedModel, offset: Q | None, cap: int
+    rng: random.Random, gm: GeneratedModel, offset: Q | None
 ) -> tuple[MarketModel, str]:
     """Set one random quote to its polytope extreme plus ``offset``.
 
@@ -454,7 +448,7 @@ def _pin_quote(
     """
     model = gm.model
     enl = enlarge(model, model.N)
-    pt = build_polytope(enl, cap=cap)
+    pt = build_polytope(enl)
     kinds = []
     if model.L:
         kinds.append("european")
@@ -477,8 +471,8 @@ def _pin_quote(
     if kind == "long":
         j = rng.randrange(model.M)
         betas = [b for _, b in model.americans_long]
-        envelope, _, _ = pt.stopped_envelope(pt.long_values[j])
-        betas[j] = envelope.value + offset
+        value, _, _ = pt.stopped_envelope(pt.long_values[j])
+        betas[j] = value + offset
         return model.with_prices(betas=betas), kind
     k = rng.randrange(model.N)
     vec = {p: enl.short_value(k, p) for p in range(enl.num_paths)}
@@ -520,7 +514,7 @@ def _dominating_law(
 
 
 def random_kernel_model(
-    rng: random.Random, *, seed: int | None = None, cap: int = DEFAULT_ENUM_CAP
+    rng: random.Random, *, seed: int | None = None
 ) -> tuple[RobustModel, GeneratedModel]:
     """Random market with per-node vertex families, consistently priced.
 
@@ -595,7 +589,7 @@ def _describe(model: MarketModel) -> dict:
 
 
 def check_duality(
-    model: MarketModel, *, cap: int = DEFAULT_ENUM_CAP
+    model: MarketModel,
 ) -> tuple[dict, MeasurePolytope, MeasurePolytope, dict[int, Q]]:
     """Certified sub and super prices against separately built dual LPs.
 
@@ -605,8 +599,8 @@ def check_duality(
     record, the polytopes of the n = N and n = N + 1 spaces, and the
     super dual's closed maximizer, for check_chain.
     """
-    sub, pt_sub = price_with_dual(enlarge(model, model.N), "sub", cap=cap)
-    sup, pt_sup = price_with_dual(enlarge(model, model.N + 1), "super", cap=cap)
+    sub, pt_sub = price_with_dual(enlarge(model, model.N), "sub")
+    sup, pt_sup = price_with_dual(enlarge(model, model.N + 1), "super")
     sup_dual = dual_superhedge(pt_sup)
     for report, dual in ((sub, dual_subhedge(pt_sub)), (sup, sup_dual)):
         if report.price != dual.value:
@@ -617,7 +611,6 @@ def check_duality(
         **_describe(model),
         "sub": rat_str(sub.price),
         "super": rat_str(sup.price),
-        "tau_rows": pt_sub.num_tau_rows,
     }
     return record, pt_sub, pt_sup, sup_dual.measure
 
@@ -625,9 +618,9 @@ def check_duality(
 # -- battery: pricing consistency across the shift grid -------------------------
 
 
-def _na_closed(enl: EnlargedModel, cap: int) -> bool:
+def _na_closed(enl: EnlargedModel) -> bool:
     """Existence of a full-support measure in the closed polytope."""
-    out = build_polytope(enl, cap=cap).support_slack(prices=False)
+    out = build_polytope(enl).support_slack(prices=False)
     if out.status == "infeasible":
         return False
     if out.status != "optimal":
@@ -635,9 +628,7 @@ def _na_closed(enl: EnlargedModel, cap: int) -> bool:
     return out.slack > ZERO
 
 
-def check_ftap_grid(
-    model: MarketModel, *, cap: int = DEFAULT_ENUM_CAP, expect: str | None = None
-) -> tuple[dict, SnaReport]:
+def check_ftap_grid(model: MarketModel, *, expect: str | None = None) -> tuple[dict, SnaReport]:
     """No-arbitrage of shifted prices against the measure-side criterion.
 
     For every shift the trading-side verdict must coincide with the
@@ -647,7 +638,7 @@ def check_ftap_grid(
     arbitrage at every shift.
     """
     enl = enlarge(model, model.N)
-    sna = check_sna(enl, cap=cap)
+    sna = check_sna(enl)
     if expect == "sna" and not sna.holds:
         raise PropertyViolation("factory promised strict no-arbitrage but it fails")
     if expect == "fail" and sna.holds:
@@ -657,7 +648,7 @@ def check_ftap_grid(
     for eps in sorted(EPS_GRID):    # ascending: verdicts may only degrade
         shifted = enl.with_model(model.shifted_prices(eps))
         na_primal = not detect_arbitrage(shifted).found
-        na_dual = _na_closed(shifted, cap)
+        na_dual = _na_closed(shifted)
         if na_primal != na_dual:
             raise PropertyViolation(
                 f"at shift {rat_str(eps)} trading says NA={na_primal} "
@@ -691,19 +682,23 @@ def check_chain(
     pt_sub: MeasurePolytope,
     pt_sup: MeasurePolytope,
     argmax: dict[int, Q],
+    *,
+    cap: int = DEFAULT_ENUM_CAP,
 ) -> dict:
     """Three-term price chain plus lift and push transports.
 
     ``duality``, ``pt_sub``, ``pt_sup`` and ``argmax`` are what
     check_duality returns: the chain ends are the dual prices it solved
     and matched to the hedging prices, the polytopes of both spaces, and
-    the super side's closed maximizer.  When strict no-arbitrage holds,
-    the certificate measure is lifted to the larger space, pushed onto
-    sample stopping times of the n = N space, and mixed with ``argmax``
+    the super side's closed maximizer.  The chain's middle term
+    enumerates the stopping times of the n = N space under ``cap``.
+    When strict no-arbitrage holds, the certificate measure is lifted to
+    the larger space, pushed onto two of those stopping times, and mixed
+    with ``argmax``
     to bracket the closed maximum by strictly consistent measures.
     """
     enl_sub = pt_sub.enl
-    chain = e2_chain(pt_sub, rat(duality["sub"]), rat(duality["super"]))
+    chain = e2_chain(pt_sub, rat(duality["sub"]), rat(duality["super"]), cap=cap)
     record = {
         "lower": rat_str(chain.lower),
         "middle": rat_str(chain.middle),
@@ -715,7 +710,7 @@ def check_chain(
         return record
     cert = sna.certificate.measure
     lifted = lift_measure_uniform_clock(enl_sub, pt_sup, cert)
-    taus = pt_sub.taus
+    taus = chain.taus
     pushes = []
     for tau in (taus[0], taus[len(taus) // 2]):
         push = push_stopping_measure(enl_sub, pt_sup, cert, tau)
@@ -735,9 +730,7 @@ def check_chain(
 # -- battery: structural degenerations -----------------------------------------
 
 
-def check_degenerations(
-    model: MarketModel, sna: SnaReport, duality: dict, *, cap: int = DEFAULT_ENUM_CAP
-) -> dict:
+def check_degenerations(model: MarketModel, sna: SnaReport, duality: dict) -> dict:
     """Limiting cases with forced outcomes.
 
     A constant claim must price to that constant on both sides; prices,
@@ -760,7 +753,7 @@ def check_degenerations(
     sup_sk = superhedge(enlarge(model, N + 1, clock_weights="skewed"))
     if rat_str(sup_sk.price) != duality["super"]:
         raise PropertyViolation("super-hedge price moved with the clock weights")
-    holds_sk, cert_sk = ftap_certificate(build_polytope(enl_sk, cap=cap))
+    holds_sk, cert_sk = ftap_certificate(build_polytope(enl_sk))
     if holds_sk != sna.holds or cert_sk.slack != sna.epsilon:
         raise PropertyViolation("uniform slack moved with the clock weights")
     shifted = model.shifted_prices(Q(1, 16))
@@ -848,9 +841,7 @@ def check_depth_zero() -> dict:
 # -- battery: singleton kernels degenerate to the classical engine --------------
 
 
-def check_singleton_robust(
-    gm: GeneratedModel, sna: SnaReport, duality: dict, *, cap: int = DEFAULT_ENUM_CAP
-) -> dict:
+def check_singleton_robust(gm: GeneratedModel, sna: SnaReport, duality: dict) -> dict:
     """A one-vertex full-support family must reproduce classical answers."""
     model = gm.model
     tree = model.tree
@@ -864,11 +855,11 @@ def check_singleton_robust(
     na = robust_na(renl_sub)
     if not na.holds:
         raise PropertyViolation("singleton family reports arbitrage in a clean market")
-    sub = robust_subhedge(renl_sub, cap=cap)
-    sup = robust_superhedge_full(renl_sup, cap=cap)
+    sub = robust_subhedge(renl_sub)
+    sup = robust_superhedge_full(renl_sup)
     if rat_str(sub.price) != duality["sub"] or rat_str(sup.price) != duality["super"]:
         raise PropertyViolation("singleton family moved a hedging price")
-    rf = robust_ftap(renl_sub, cap=cap)
+    rf = robust_ftap(renl_sub)
     if rf.holds != sna.holds:
         raise PropertyViolation("singleton family flipped the consistency verdict")
     return {"sub": rat_str(sub.price), "super": rat_str(sup.price), "holds": rf.holds}
@@ -894,12 +885,7 @@ def check_divisibility(model: MarketModel) -> dict:
 # -- battery: kernel families --------------------------------------------------
 
 
-def check_robust_model(
-    rm: RobustModel,
-    *,
-    cap: int = DEFAULT_ENUM_CAP,
-    submarkets: bool = False,
-) -> dict:
+def check_robust_model(rm: RobustModel, *, submarkets: bool = False) -> dict:
     """Full quasi-sure battery for one kernel family.
 
     Stock-only price equals its backward induction, quoted options only
@@ -922,8 +908,8 @@ def check_robust_model(
         raise PropertyViolation(
             "stock-only price disagrees with its backward induction")
 
-    sub = robust_subhedge(renl_sub, cap=cap)
-    sup = robust_superhedge_full(renl_sup, cap=cap)
+    sub = robust_subhedge(renl_sub)
+    sup = robust_superhedge_full(renl_sup)
     if not sub.price <= sup.price <= stock_only.value:
         raise PropertyViolation("quasi-sure prices are not sandwiched")
 
@@ -937,11 +923,11 @@ def check_robust_model(
         if not sup.price <= ropt.value <= stock_only.value:
             raise PropertyViolation("static buy-side book is not sandwiched")
 
-    low, high = ftap_transfer(rm, cap=cap)
+    low, high = ftap_transfer(rm)
     if not low.holds:
         raise PropertyViolation("kernel factory promised consistency but it fails")
     if submarkets and model.M:
-        submarket_slacks(renl_sub, low, cap=cap)
+        submarket_slacks(renl_sub, low)
 
     record = {
         **_describe(model),
@@ -962,8 +948,8 @@ def check_robust_model(
         kernels2[wide] = kernels2[wide][:-1]
         rm2 = build_robust(model, kernels2)
         try:
-            sub2 = robust_subhedge(enlarge_robust(rm2, model.N), cap=cap)
-            sup2 = robust_superhedge_full(enlarge_robust(rm2, model.N + 1), cap=cap)
+            sub2 = robust_subhedge(enlarge_robust(rm2, model.N))
+            sup2 = robust_superhedge_full(enlarge_robust(rm2, model.N + 1))
         except SnaFailure:
             record["dropped_vertex"] = wide
             record["dropped_consistent"] = False
@@ -1043,11 +1029,11 @@ def run_campaign(
     for i in range(models):
         mseed = rng.randrange(2 ** 32)
         gm = random_sna_model(random.Random(mseed), seed=mseed)
-        duality, pt_sub, pt_sup, argmax = check_duality(gm.model, cap=cap)
-        grid, sna = check_ftap_grid(gm.model, cap=cap, expect="sna")
-        chain = check_chain(sna, duality, pt_sub, pt_sup, argmax)
-        degen = check_degenerations(gm.model, sna, duality, cap=cap)
-        singleton = check_singleton_robust(gm, sna, duality, cap=cap)
+        duality, pt_sub, pt_sup, argmax = check_duality(gm.model)
+        grid, sna = check_ftap_grid(gm.model, expect="sna")
+        chain = check_chain(sna, duality, pt_sub, pt_sup, argmax, cap=cap)
+        degen = check_degenerations(gm.model, sna, duality)
+        singleton = check_singleton_robust(gm, sna, duality)
         for key, rec in (("duality", duality), ("ftap", grid), ("chain", chain),
                          ("degenerations", degen), ("singleton", singleton)):
             rec = dict(rec)
@@ -1064,18 +1050,18 @@ def run_campaign(
         gm = random_sna_model(mrng, require_option=True, seed=mseed)
         mode = i % 3
         if mode == 0:
-            bad, kind = inject_arbitrage(mrng, gm, cap=cap)
-            rec, sna = check_ftap_grid(bad, cap=cap, expect="fail")
+            bad, kind = inject_arbitrage(mrng, gm)
+            rec, sna = check_ftap_grid(bad, expect="fail")
             rec["mode"] = f"inject:{kind}"
         elif mode == 1:
-            bad, kind = boundary_model(mrng, gm, ZERO, cap=cap)
-            rec, sna = check_ftap_grid(bad, cap=cap, expect="fail")
+            bad, kind = boundary_model(mrng, gm, ZERO)
+            rec, sna = check_ftap_grid(bad, expect="fail")
             if sna.epsilon != ZERO:
                 raise PropertyViolation("pinned quote should have exactly zero slack")
             rec["mode"] = f"pin:{kind}"
         else:
-            bad, kind = boundary_model(mrng, gm, BOUNDARY_OFFSET, cap=cap)
-            rec, sna = check_ftap_grid(bad, cap=cap, expect="sna")
+            bad, kind = boundary_model(mrng, gm, BOUNDARY_OFFSET)
+            rec, sna = check_ftap_grid(bad, expect="sna")
             if sna.epsilon > BOUNDARY_OFFSET:
                 raise PropertyViolation("offset quote should cap the slack")
             rec["mode"] = f"offset:{kind}"
@@ -1097,9 +1083,9 @@ def run_campaign(
     for i in range(n_kern):
         mseed = rng.randrange(2 ** 32)
         mrng = random.Random(mseed)
-        rm, _gm = random_kernel_model(mrng, seed=mseed, cap=cap)
+        rm, _gm = random_kernel_model(mrng, seed=mseed)
         kernel_models.append((mseed, rm))
-        rec = check_robust_model(rm, cap=cap, submarkets=(i % 3 == 0))
+        rec = check_robust_model(rm, submarkets=(i % 3 == 0))
         rec["seed"] = mseed
         sections["kernel"].append(rec)
         note(f"kernel {i + 1}/{n_kern} ok (seed {mseed})")
@@ -1117,9 +1103,9 @@ def run_campaign(
 
     # deterministic strict-gap witness: the chain can be properly strict
     wedge = strict_chain_market()
-    wedge_duality, *wedge_duals = check_duality(wedge, cap=cap)
-    _, wedge_sna = check_ftap_grid(wedge, cap=cap, expect="sna")
-    wedge_chain = check_chain(wedge_sna, wedge_duality, *wedge_duals)
+    wedge_duality, *wedge_duals = check_duality(wedge)
+    _, wedge_sna = check_ftap_grid(wedge, expect="sna")
+    wedge_chain = check_chain(wedge_sna, wedge_duality, *wedge_duals, cap=cap)
     if not wedge_chain["strict_upper"]:
         raise PropertyViolation("canonical strict-gap market lost its gap")
     strict_gaps += 1

@@ -68,7 +68,7 @@ def _build_parser() -> _Parser:
             p.add_argument("--gamma-override", action="append", default=[],
                            metavar="K=P/Q", help="replace bid K of the shorted asks")
         p.add_argument("--cap", type=_positive_int, default=DEFAULT_ENUM_CAP,
-                       help="stopping-time enumeration cap")
+                       help="stopping-time enumeration cap of verify's oracles")
         p.add_argument("--clock-weights", choices=["uniform", "skewed"],
                        default="uniform", help="reference clock profile")
         p.add_argument("--seed", type=int, default=0, help="echoed into the report")
@@ -169,12 +169,12 @@ def cmd_price(args) -> int:
     if model.kernels:
         renl = enlarge_robust(build_robust(model), n, args.clock_weights)
         quasi_sure = robust_subhedge if args.side == "sub" else robust_superhedge_full
-        report = quasi_sure(renl, cap=args.cap)
+        report = quasi_sure(renl)
         doc["supported_paths"] = len(renl.supported_paths)
         enl = renl.enl
     else:
         enl = enlarge(model, n, args.clock_weights)
-        report, _ = price_with_dual(enl, args.side, cap=args.cap)
+        report, _ = price_with_dual(enl, args.side)
     doc["report"] = report.to_json(enl)
     doc["price"] = rat_str(report.price)
     doc["gap"] = rat_str(report.gap)
@@ -186,7 +186,7 @@ def cmd_price(args) -> int:
 def cmd_ftap(args) -> int:
     model = _load(args)
     enl = enlarge(model, model.N, args.clock_weights)
-    holds, cert = ftap_certificate(build_polytope(enl, cap=args.cap))
+    holds, cert = ftap_certificate(build_polytope(enl))
     doc = _config(args)
     doc["n"] = model.N
     doc["classical"] = {
@@ -203,7 +203,7 @@ def cmd_ftap(args) -> int:
     if model.kernels:
         rm = build_robust(model)
         renl = enlarge_robust(rm, model.N, args.clock_weights)
-        rf = robust_ftap(renl, cap=args.cap)
+        rf = robust_ftap(renl)
         doc["robust"] = {
             "holds": rf.holds,
             "epsilon": rat_str(rf.epsilon) if rf.epsilon is not None else None,

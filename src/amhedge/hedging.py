@@ -17,7 +17,7 @@ from .errors import PropertyViolation, SnaFailure
 from .lp import LinearProgram, LPOutcome, solve
 from .market import MarketModel
 from .rationals import ONE, ZERO, Q, rat, rat_str
-from .strategies import DEFAULT_ENUM_CAP, LiquidatingStrategy
+from .strategies import LiquidatingStrategy
 
 def gain_terms(
     model: MarketModel, base_index: int, clocks: Sequence[int]
@@ -536,7 +536,7 @@ class SnaReport:
     primal_clear: bool | None = None
 
 
-def check_sna(enl: EnlargedModel, *, cap: int = DEFAULT_ENUM_CAP) -> SnaReport:
+def check_sna(enl: EnlargedModel) -> SnaReport:
     """Strict no-arbitrage verdict with dual witness and primal cross-check.
 
     epsilon* is the maximal uniform slack of the martingale polytope at
@@ -546,7 +546,7 @@ def check_sna(enl: EnlargedModel, *, cap: int = DEFAULT_ENUM_CAP) -> SnaReport:
     """
     from .measures import build_polytope, ftap_certificate
 
-    sna, cert = ftap_certificate(build_polytope(enl, cap=cap))
+    sna, cert = ftap_certificate(build_polytope(enl))
     primal_clear = None
     if sna:
         shifted = enl.with_model(enl.model.shifted_prices(cert.slack / 2))

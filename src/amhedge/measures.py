@@ -3,12 +3,13 @@
 The dual objects are probability measures Q on enlarged paths under
 which the stock is a martingale and quoted option prices are
 consistent: buy-side expectations at or below asks, sell-side at or
-above bids, and for each longed American every stopping-time
-expectation at or below its ask.  The American constraints are
-materialized one row per enumerated stopping time, which keeps the
-feasible set an honest polytope in Q.  That polytope, MeasurePolytope,
-is the one input of every dual, certificate and transport below, and
-the one owner of its support's stopping times.
+above bids, and for each longed American the best stopped expectation
+sup_tau E_Q[g_tau] at or below its ask.  That supremum is written as one
+mass-weighted Snell-envelope block, linear in Q and of the size of the
+support forest, which keeps the feasible set an honest polytope in Q.
+That polytope, MeasurePolytope, is the one input of every dual,
+certificate and transport below.  In this module only the oracle
+e2_chain enumerates stopping times, under its cap.
 """
 from __future__ import annotations
 
@@ -260,19 +261,13 @@ class MeasurePolytope(MartingalePolytope):
     """Martingale measures that also respect the model's quoted option prices.
 
     Row indices are kept per constraint family so the uniform-slack
-    machinery can target exactly the price rows.  The stopping times of
-    the support are enumerated once, under ``cap``, when first needed.
+    machinery can target exactly the price rows.  Each longed American
+    adds one Snell block (see snell_block) and its ask row ``g[j]``;
+    ``num_tau_rows`` counts the rows of those blocks.
     """
 
-    def __init__(
-        self,
-        enl: EnlargedModel,
-        *,
-        paths: Iterable[int] | None = None,
-        cap: int = DEFAULT_ENUM_CAP,
-    ) -> None:
+    def __init__(self, enl: EnlargedModel, *, paths: Iterable[int] | None = None) -> None:
         super().__init__(enl, paths)
-        self.cap = cap
         model = enl.model
         self.f_rows: list[int] = []
         # add_constraint drops the zero coefficients
@@ -284,63 +279,78 @@ class MeasurePolytope(MartingalePolytope):
             row = {self.q_var[p]: enl.short_value(k, p) for p in self.paths}
             self.h_rows.append(self.lp.add_constraint(row, ">=", gamma, name=f"h[{k}]"))
 
-        # longed Americans: sup over stopping times, one row per enumerated
-        # stopping time, deduplicated by induced value vector
+        # longed Americans: sup over stopping times by one Snell block each
         self.g_rows: list[int] = []
         self.long_values = [
             {v: enl.long_value_at_node(j, v) for v in range(len(enl.enodes))}
             for j in range(model.M)
         ]
+        first = self.lp.num_rows
         for j, (_, beta) in enumerate(model.americans_long):
-            for n, vec in enumerate(self.distinct_stopped(self.long_values[j]), 1):
-                row = {self.q_var[p]: vec[p] for p in self.paths if vec[p]}
-                self.g_rows.append(self.lp.add_constraint(row, "<=", beta, name=f"g[{j};#{n}]"))
-        self.num_tau_rows = len(self.g_rows)
+            root, shift = self.snell_block(self.lp, self.long_values[j], f"g{j}")
+            self.g_rows.append(self.lp.add_constraint(root, "<=", beta - shift, name=f"g[{j}]"))
+        self.num_tau_rows = self.lp.num_rows - first
 
     @cached_property
-    def taus(self) -> list[StoppingTime]:
-        return restricted_stopping_times(self.enl, self.paths, self.cap)
-
-    # -- helpers ----------------------------------------------------------
-
-    def stopped_values(self, values_at_enode: dict[int, Q], tau: StoppingTime) -> dict[int, Q]:
-        out = {}
+    def _forest(self) -> tuple[dict[int, list[int]], dict[int, tuple[int, ...]]]:
+        """The support's nodes in index order, each with the paths through it,
+        and each node's children within the support."""
+        through: dict[int, list[int]] = {}
         for p in self.paths:
-            seq = self.enl.epaths[p].node_seq
-            out[p] = values_at_enode[seq[tau.time_on(seq)]]
-        return out
+            for v in self.enl.epaths[p].node_seq:
+                through.setdefault(v, []).append(p)
+        through = {v: through[v] for v in sorted(through)}
+        kids = {v: tuple(c for c in self.enl.children[v] if c in through) for v in through}
+        return through, kids
 
-    def distinct_stopped(self, values_at_enode: dict[int, Q]) -> list[dict[int, Q]]:
-        """Stopped-value vectors of the taus, each distinct vector once, in order."""
-        out = []
-        seen: set[tuple] = set()
-        for tau in self.taus:
-            vec = self.stopped_values(values_at_enode, tau)
-            key = tuple(vec[p] for p in self.paths)
-            if key not in seen:
-                seen.add(key)
-                out.append(vec)
-        return out
+    def snell_block(
+        self, lp: LinearProgram, values_at_enode: dict[int, Q], tag: str
+    ) -> tuple[dict[int, Q], Q]:
+        """Add the mass-weighted Snell envelope of a value process g to lp.
 
-    def stopped_envelope(self, values_at_enode: dict[int, Q]) -> tuple[LPOutcome, dict[int, Q], int]:
-        """min over the polytope of max over the taus of E_Q[value at the stop].
+        lp is this polytope's LP or a copy of it.  With c = min(0, min g)
+        and m_v(Q) the Q-mass of the paths through node v, every non-leaf
+        support node gets Y_v >= 0 with Y_v >= (g(v) - c) * m_v(Q) (where
+        g(v) != c) and Y_v >= the sum of its children's terms; a leaf's
+        term is (g(v) - c) * m_v(Q) itself.  Returns the sum of the root
+        terms and c.  At the least Y that sum is sup_tau E_Q[g_tau] - c,
+        and Y >= 0 is exact because Q >= 0 has mass 1.
+        """
+        through, kids = self._forest
+        shift = min(ZERO, *(values_at_enode[v] for v in through))
+        label = lambda v: f"{tag};{self.enl.enode(v).label}"
+        y = {v: lp.add_var(f"Y[{label(v)}]") for v in through if kids[v]}
 
-        Epigraph LP: minimize u subject to u >= E_Q[value_tau] for each
-        distinct stopped vector.  Returns the outcome, the optimal
-        measure and the number of epigraph rows.
+        def term(v: int) -> dict[int, Q]:
+            if v in y:
+                return {y[v]: ONE}
+            return {self.q_var[p]: values_at_enode[v] - shift for p in through[v]}
+
+        for v, yv in y.items():
+            if values_at_enode[v] != shift:
+                row = {yv: ONE, **{self.q_var[p]: shift - values_at_enode[v] for p in through[v]}}
+                lp.add_constraint(row, ">=", ZERO, name=f"stop[{label(v)}]")
+            row = {yv: ONE}
+            for kid in kids[v]:
+                row.update((var, -coef) for var, coef in term(kid).items())
+            lp.add_constraint(row, ">=", ZERO, name=f"cont[{label(v)}]")
+        root: dict[int, Q] = {}
+        for r in self.enl.roots:
+            if r in through:
+                root.update(term(r))
+        return root, shift
+
+    def stopped_envelope(self, values_at_enode: dict[int, Q]) -> tuple[Q, dict[int, Q], int]:
+        """min over the polytope of sup over stopping times of E_Q[value at the stop].
+
+        Minimizes one Snell block's root terms on a copy of the LP.
+        Returns the value, the optimal measure and the block's row count.
         """
         work = self.lp.copy()
-        u = work.add_var("u", nonneg=False)
-        vecs = self.distinct_stopped(values_at_enode)
-        for n, vec in enumerate(vecs):
-            row: dict[int, Q] = {u: ONE}
-            for p in self.paths:
-                if vec[p]:
-                    row[self.q_var[p]] = -vec[p]
-            work.add_constraint(row, ">=", ZERO, name=f"snell[#{n}]")
-        work.set_objective("min", {u: ONE})
+        root, shift = self.snell_block(work, values_at_enode, "env")
+        work.set_objective("min", root)
         out, measure = self._solve_measure(work)
-        return out, measure, len(vecs)
+        return out.value + shift, measure, work.num_rows - self.lp.num_rows
 
     @property
     def price_rows(self) -> list[int]:
@@ -362,10 +372,8 @@ class MeasurePolytope(MartingalePolytope):
             yield f"g[{j};sup]", best, "<=", beta, True
 
 
-def build_polytope(
-    enl: EnlargedModel, *, paths: Iterable[int] | None = None, cap: int = DEFAULT_ENUM_CAP
-) -> MeasurePolytope:
-    return MeasurePolytope(enl, paths=paths, cap=cap)
+def build_polytope(enl: EnlargedModel, *, paths: Iterable[int] | None = None) -> MeasurePolytope:
+    return MeasurePolytope(enl, paths=paths)
 
 
 @dataclass
@@ -439,23 +447,23 @@ def dual_superhedge(pt: MeasurePolytope) -> DualPriceReport:
 def dual_subhedge(pt: MeasurePolytope) -> DualPriceReport:
     """min over Q of max over stopping times of E_Q[claim at the stop].
 
-    Epigraph LP: minimize u subject to u >= E_Q[claim_tau] for every
-    enumerated stopping time and Q in the closed polytope (n = N).
+    The stopped envelope of the claim over the closed polytope (n = N),
+    one Snell block; its value is re-checked against snell_value.
     """
     enl = pt.enl
     if enl.n != enl.model.N:
         raise ValueError("the sub-hedging dual runs on the n = N enlargement")
     claim_at = extend_claim(enl, "sub")
-    out, measure, n_rows = pt.stopped_envelope(claim_at)
+    value, measure, n_rows = pt.stopped_envelope(claim_at)
     ok, _ = pt.check(measure)
     if not ok:
         raise PropertyViolation("dual sub-hedge optimizer failed re-validation")
     best = snell_value(enl, claim_at, measure, paths=pt.paths)
-    if best != out.value:
+    if best != value:
         raise PropertyViolation(
-            f"epigraph value {rat_str(out.value)} != Snell value {rat_str(best)}"
+            f"envelope value {rat_str(value)} != Snell value {rat_str(best)}"
         )
-    return DualPriceReport("dual_sub", out.value, measure, n_rows)
+    return DualPriceReport("dual_sub", value, measure, n_rows)
 
 
 def price_with_dual(
@@ -463,7 +471,6 @@ def price_with_dual(
     side: Literal["sub", "super"],
     *,
     paths: Iterable[int] | None = None,
-    cap: int = DEFAULT_ENUM_CAP,
 ) -> tuple[HedgeReport, MeasurePolytope]:
     """One hedge LP, certified from both sides without a second LP.
 
@@ -476,7 +483,7 @@ def price_with_dual(
     report's ``dual_ref``.  The polytope is returned for further checks.
     """
     report = (subhedge if side == "sub" else superhedge)(enl, paths=paths)
-    pt = build_polytope(enl, paths=paths, cap=cap)
+    pt = build_polytope(enl, paths=paths)
     pt.require(report.measure, f"{side}-hedge dual measure")
     claim = extend_claim(enl, side)
     if side == "sub":
@@ -505,7 +512,7 @@ def snell_value(
 ) -> Q:
     """sup over stopping times of E_Q[value at the stop], by backward induction.
 
-    Independent oracle for the epigraph LP and the long-ask rows: on the
+    Independent oracle for the Snell blocks of the LPs: on the
     sub-forest charged by Q, Y(v) = max(m(v) * value(v), sum of Y over
     the children), m(v) being the Q-mass of the paths through v.  The
     masses are never divided, so a signed Q is valued exactly too.
@@ -614,20 +621,31 @@ class ChainReport:
     upper: Q      # sup over the (N+1)-clock polytope
     strict_upper: bool
     num_taus: int
+    taus: list[StoppingTime]
 
 
-def e2_chain(pt: MeasurePolytope, lower: Q, upper: Q) -> ChainReport:
+def e2_chain(
+    pt: MeasurePolytope, lower: Q, upper: Q, *, cap: int = DEFAULT_ENUM_CAP
+) -> ChainReport:
     """Exact three-term chain linking the dual prices.
 
     ``lower`` (inf_Q sup_tau) and ``upper`` (sup over the larger-space
     polytope) are the sub- and super-hedging dual values, solved by the
     caller.  The middle term sup_Q sup_tau over pt, the polytope of the
-    n = N space, swaps to sup_tau sup_Q and is computed here by one LP
-    per deduplicated stopping-value vector; lower <= middle <= upper is
-    asserted.
+    n = N space, is bilinear; it swaps to sup_tau sup_Q and is computed
+    here as an oracle: the stopping times of pt's support are enumerated
+    under ``cap`` and one LP is solved per distinct stopped-value vector.
+    lower <= middle <= upper is asserted.  The report keeps the taus.
     """
-    vecs = pt.distinct_stopped(extend_claim(pt.enl, "sub"))
-    middle = max(pt.solve_extremum(vec, "max")[0] for vec in vecs)
+    enl = pt.enl
+    taus = restricted_stopping_times(enl, pt.paths, cap)
+    claim_at = extend_claim(enl, "sub")
+    vecs: dict[tuple, dict[int, Q]] = {}
+    for tau in taus:
+        seqs = ((p, enl.epaths[p].node_seq) for p in pt.paths)
+        vec = {p: claim_at[seq[tau.time_on(seq)]] for p, seq in seqs}
+        vecs.setdefault(tuple(vec.values()), vec)
+    middle = max(pt.solve_extremum(vec, "max")[0] for vec in vecs.values())
     if not (lower <= middle <= upper):
         raise PropertyViolation(
             f"chain violated: {rat_str(lower)} <= {rat_str(middle)} <= {rat_str(upper)} fails"
@@ -638,6 +656,7 @@ def e2_chain(pt: MeasurePolytope, lower: Q, upper: Q) -> ChainReport:
         upper=upper,
         strict_upper=middle < upper,
         num_taus=len(vecs),
+        taus=taus,
     )
 
 

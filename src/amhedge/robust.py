@@ -490,19 +490,19 @@ def robust_superhedge_options(
 # -- full sub/super-hedging dualities on the quasi-sure support ---------------
 
 
-def robust_subhedge(renl: RobustEnlarged, *, cap: int = DEFAULT_ENUM_CAP) -> HedgeReport:
+def robust_subhedge(renl: RobustEnlarged) -> HedgeReport:
     """Quasi-sure sub-hedging price with its dual, equality asserted."""
-    return _quasi_sure_price(renl, "sub", cap)
+    return _quasi_sure_price(renl, "sub")
 
 
-def robust_superhedge_full(renl: RobustEnlarged, *, cap: int = DEFAULT_ENUM_CAP) -> HedgeReport:
+def robust_superhedge_full(renl: RobustEnlarged) -> HedgeReport:
     """Quasi-sure super-hedging price with its dual, equality asserted."""
-    return _quasi_sure_price(renl, "super", cap)
+    return _quasi_sure_price(renl, "super")
 
 
-def _quasi_sure_price(renl: RobustEnlarged, side: str, cap: int) -> HedgeReport:
+def _quasi_sure_price(renl: RobustEnlarged, side: str) -> HedgeReport:
     """The classical duality step restricted to the supported paths."""
-    report, _ = price_with_dual(renl.enl, side, paths=renl.supported_paths, cap=cap)
+    report, _ = price_with_dual(renl.enl, side, paths=renl.supported_paths)
     # quasi-sure reports name only the dual value, not its measure
     report.dual_ref = {"value": report.dual_ref["value"]}
     return report
@@ -587,7 +587,7 @@ def _selector_sweep(
         yield (selector, *solved[key])
 
 
-def robust_ftap(renl: RobustEnlarged, *, cap: int = DEFAULT_ENUM_CAP) -> RobustFtapReport:
+def robust_ftap(renl: RobustEnlarged) -> RobustFtapReport:
     """Uniform-slack pricing consistency against every kernel selector.
 
     Holds iff some e > 0 lets every selector product measure be
@@ -596,7 +596,7 @@ def robust_ftap(renl: RobustEnlarged, *, cap: int = DEFAULT_ENUM_CAP) -> RobustF
     the price rows and scales the domination rows; the verdict is the
     minimum over selectors.
     """
-    pt = build_polytope(renl.enl, paths=renl.supported_paths, cap=cap)
+    pt = build_polytope(renl.enl, paths=renl.supported_paths)
     certificates = [
         RobustFtapCertificate(selector=selector, epsilon=value, measure=measure)
         for selector, value, measure in _selector_sweep(pt, renl)
@@ -608,12 +608,7 @@ def robust_ftap(renl: RobustEnlarged, *, cap: int = DEFAULT_ENUM_CAP) -> RobustF
     )
 
 
-def submarket_slacks(
-    renl: RobustEnlarged,
-    full: RobustFtapReport,
-    *,
-    cap: int = DEFAULT_ENUM_CAP,
-) -> list[Q | None]:
+def submarket_slacks(renl: RobustEnlarged, full: RobustFtapReport) -> list[Q | None]:
     """Slacks for the markets holding only the first m long options each.
 
     ``full`` is robust_ftap's report on renl; its slack is the entry
@@ -625,9 +620,7 @@ def submarket_slacks(
     slacks: list[Q | None] = []
     for m in range(model.M):
         sub_model = dataclasses.replace(model, americans_long=model.americans_long[:m])
-        sub_pt = build_polytope(
-            renl.enl.with_model(sub_model), paths=renl.supported_paths, cap=cap
-        )
+        sub_pt = build_polytope(renl.enl.with_model(sub_model), paths=renl.supported_paths)
         worst: Q | None = None
         for _, value, _ in _selector_sweep(sub_pt, renl):
             if value is None:
@@ -642,17 +635,15 @@ def submarket_slacks(
     return slacks
 
 
-def ftap_transfer(
-    rm: RobustModel, *, cap: int = DEFAULT_ENUM_CAP
-) -> tuple[RobustFtapReport, RobustFtapReport]:
+def ftap_transfer(rm: RobustModel) -> tuple[RobustFtapReport, RobustFtapReport]:
     """Pricing consistency transfers between the two enlargement depths.
 
     The verdict with n equal to the number of short options must match
     the verdict on the space with one extra clock; both are computed
     and the biconditional asserted.
     """
-    low = robust_ftap(enlarge_robust(rm, rm.model.N), cap=cap)
-    high = robust_ftap(enlarge_robust(rm, rm.model.N + 1), cap=cap)
+    low = robust_ftap(enlarge_robust(rm, rm.model.N))
+    high = robust_ftap(enlarge_robust(rm, rm.model.N + 1))
     if low.holds != high.holds:
         raise PropertyViolation("pricing consistency verdict changed with the extra clock")
     return low, high

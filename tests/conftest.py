@@ -48,32 +48,43 @@ def binomial_short_put() -> MarketModel:
     return load_model(binomial_short_put_dict())
 
 
-def binomial3_put_short_call_dict() -> dict:
-    """Three periods of S -> {2S, S/2} from S0 = 4, non-recombining.
+def binomial_put_book_dict(
+    horizon: int, *, short_bid: str | None = None, long_ask: str | None = None
+) -> dict:
+    """``horizon`` periods of S -> {2S, S/2} from S0 = 4, non-recombining.
 
-    The claim is an American put struck at 4; one American call struck
-    at 5 is shorted at bid 35/48, a quarter below its value 35/36 under
-    q(up) = 1/3 with an exercise clock uniform on 0..3.
+    The claim is an American put struck at 4.  With ``short_bid``, one
+    American call struck at 5 is shorted at that bid; with ``long_ask``,
+    one American put struck at 5 is longed at that ask.  Under q(up) =
+    1/3 the call is worth 20/27 (T=2) and 35/36 (T=3) with an exercise
+    clock uniform on 0..T, and the put's Snell value is 20/9 and 8/3.
     """
     stock = {"r": Fraction(4)}
     nodes = [{"id": "r", "time": 0}]
-    for t in range(1, 4):
+    for t in range(1, horizon + 1):
         for v in [v for v in stock if len(v) == t]:
             for move, factor in (("u", 2), ("d", Fraction(1, 2))):
                 stock[v + move] = stock[v] * factor
                 nodes.append({"id": v + move, "time": t, "parent": v})
     text = lambda x: f"{x.numerator}/{x.denominator}"
-    return {
-        "horizon": 3,
+    data = {
+        "horizon": horizon,
         "nodes": nodes,
         "stock": {"dim": 1, "values": {v: [text(s)] for v, s in stock.items()}},
         "claim": {"values": {v: text(max(4 - s, 0)) for v, s in stock.items()}},
-        "weights": {v: "1/8" for v in stock if len(v) == 4},
-        "americans_short": [{
-            "values": {v: text(max(s - 5, Fraction(0))) for v, s in stock.items()},
-            "price": "35/48",
-        }],
+        "weights": {v: text(Fraction(1, 2 ** horizon)) for v in stock if len(v) == horizon + 1},
     }
+    if short_bid is not None:
+        data["americans_short"] = [{
+            "values": {v: text(max(s - 5, Fraction(0))) for v, s in stock.items()},
+            "price": short_bid,
+        }]
+    if long_ask is not None:
+        data["americans_long"] = [{
+            "values": {v: text(max(5 - s, Fraction(0))) for v, s in stock.items()},
+            "price": long_ask,
+        }]
+    return data
 
 
 def trinomial_dict() -> dict:

@@ -15,7 +15,7 @@ import amhedge.measures as measures
 from amhedge.cli import main
 from amhedge.lp import LPInternalError
 
-from conftest import binomial3_put_short_call_dict, binomial_dict
+from conftest import binomial_dict, binomial_put_book_dict
 
 VERIFY_SMALL_SHA256 = "6244bb699878cf5f8e999e64a7745437f989f198d13a33d3d5a4b1b6acb2ac8c"
 
@@ -140,22 +140,42 @@ def test_gamma_override_flips_ftap(model_file, capsys):
     assert doc["arbitrage"]["found"] is True
 
 
-def test_cap_exit(tmp_path, capsys):
-    # a longed American's stopping-time rows are still enumerated by price
-    put = {"values": {"r": "0", "u": "0", "d": "1/2"}, "price": "1/2"}
-    path = tmp_path / "model.json"
-    path.write_text(json.dumps(binomial_dict(americans_long=[put])))
-    code, _, err = run(["price", "--model", str(path), "--side", "sub", "--cap", "1"], capsys)
+def test_cap_exit(capsys):
+    # only verify's oracles (the price chain, the minimax check) enumerate
+    code, _, err = run(["verify", "--models", "1", "--cap", "1"], capsys)
     assert code == 3 and "cap exceeded" in err
 
 
 def test_price_enumerates_nothing_without_longs(tmp_path, capsys):
     path = tmp_path / "model.json"
-    path.write_text(json.dumps(binomial3_put_short_call_dict()))
+    path.write_text(json.dumps(binomial_put_book_dict(3, short_bid="35/48")))
     code, out, err = run(["price", "--model", str(path), "--side", "sub", "--cap", "1"], capsys)
     assert code == 0, err
     doc = json.loads(out)
     assert doc["gap"] == "0/1" and doc["price"] == "52/27"
+    # a longed American adds a Snell block, not one row per stopping time
+    put = {"values": {"r": "0", "u": "0", "d": "1/2"}, "price": "1/2"}
+    path.write_text(json.dumps(binomial_dict(americans_long=[put])))
+    for argv in (["price", "--side", "sub"], ["price", "--side", "super"], ["ftap"]):
+        code, out, err = run([*argv, "--model", str(path), "--cap", "1"], capsys)
+        assert code == 0 and err == "", (argv, err)
+
+
+@pytest.mark.parametrize("horizon, argv", [
+    (2, ["price", "--side", "super"]),      # 371,461 stopping-time rows if enumerated
+    (3, ["ftap"]),
+], ids=["T2-price-super", "T3-ftap"])
+def test_short_and_long_probe_markets(horizon, argv, tmp_path, capsys):
+    bid, ask = {2: ("5/9", "25/9"), 3: ("35/48", "10/3")}[horizon]
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(binomial_put_book_dict(horizon, short_bid=bid, long_ask=ask)))
+    code, out, err = run([*argv, "--model", str(path), "--cap", "1"], capsys)
+    assert code == 0 and err == "", err
+    doc = json.loads(out)
+    if argv[0] == "price":
+        assert doc["gap"] == "0/1"
+    else:
+        assert doc["classical"]["holds"] is True
 
 
 def test_missing_model_file(capsys):

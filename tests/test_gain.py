@@ -18,7 +18,7 @@ from amhedge.enlarged import enlarge
 from amhedge.hedging import GainLP, payoff_enlarged
 from amhedge.lp import LPOutcome
 from amhedge.market import load_model
-from amhedge.measures import build_polytope
+from amhedge.measures import build_polytope, restricted_stopping_times
 from amhedge.rationals import ZERO, Q, rat_str
 
 from conftest import binomial_dict
@@ -142,5 +142,9 @@ def test_check_fails_without_raising_on_a_signed_measure():
     assert not ok
     entry = next(e for e in ledger if e["constraint"] == "g[0;sup]")
     values = pt.long_values[0]
-    best = max(pt.expectation(measure, pt.stopped_values(values, tau)) for tau in pt.taus)
+    seqs = [enl.epaths[p].node_seq for p in range(enl.num_paths)]
+    best = max(
+        sum(q * values[seqs[p][tau.time_on(seqs[p])]] for p, q in measure.items())
+        for tau in restricted_stopping_times(enl, range(enl.num_paths))
+    )
     assert entry["lhs"] == rat_str(best)

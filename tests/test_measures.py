@@ -8,10 +8,14 @@ max min(a, b, b - 1/4) = 1/24 at a = 1/24, b = 7/24.
 """
 from __future__ import annotations
 
+import dataclasses
+import random
+
 import pytest
 
 from amhedge.enlarged import enlarge, extend_claim
 from amhedge.errors import PropertyViolation, SnaFailure
+from amhedge.lp import solve
 from amhedge.market import load_model
 from amhedge.measures import (
     build_polytope,
@@ -26,9 +30,10 @@ from amhedge.measures import (
     strict_value_bracket,
 )
 from amhedge.rationals import ONE, Q, ZERO
+from amhedge.robust import build_robust, enlarge_robust
 from amhedge.strategies import StoppingTime
 
-from conftest import binomial_dict
+from conftest import binomial_dict, binomial_put_book_dict
 
 
 def _path(enl, base_index, clocks):
@@ -190,6 +195,8 @@ def test_e2_chain_collapses_when_attainable(binomial_short_put):
     assert (chain.lower, chain.middle, chain.upper) == (Q(1, 3), Q(1, 3), Q(1, 3))
     assert not chain.strict_upper
     assert chain.num_taus >= 1
+    # the oracle hands out the stopping times it enumerated
+    assert chain.taus == restricted_stopping_times(pt1.enl, pt1.paths)
 
 
 def test_strict_value_bracket_converges(binomial_short_put):
@@ -213,9 +220,6 @@ def test_restricted_stopping_times(binomial_short_put):
     enl = enlarge(binomial_short_put, 1)
     all_taus = restricted_stopping_times(enl, range(enl.num_paths))
     assert len(all_taus) == 4
-    # the polytope enumerates the same list, once
-    pt = build_polytope(enl)
-    assert pt.taus == all_taus and pt.taus is pt.taus
     # restricting to the clock-0 paths leaves a single root atom
     sub = restricted_stopping_times(enl, [_path(enl, 0, (0,)), _path(enl, 1, (0,))])
     assert len(sub) == 2
@@ -229,3 +233,74 @@ def test_polytope_paths_restriction(binomial_short_put):
     # a measure charging an excluded path must be flagged
     ok, ledger = pt.check({_path(enl, 0, (1,)): ONE})
     assert not ok
+
+
+def _trinomial2_kernel_model():
+    """Two trinomial periods (S -> 2S, S, S/2 from 1) with a shorted call.
+
+    The root's one kernel vertex skips the middle move, so the support
+    is a strict subset of the paths.
+    """
+    moves = (("u", Q(2)), ("m", ONE), ("d", Q(1, 2)))
+    stock = {"r": ONE}
+    nodes = [{"id": "r", "time": 0}]
+    for t in (1, 2):
+        for v in [v for v in stock if len(v) == t]:
+            for move, factor in moves:
+                stock[v + move] = stock[v] * factor
+                nodes.append({"id": v + move, "time": t, "parent": v})
+    text = lambda x: f"{x.numerator}/{x.denominator}"
+    law = [["1/6", "1/2", "1/3"]]
+    return load_model({
+        "horizon": 2,
+        "nodes": nodes,
+        "stock": {"dim": 1, "values": {v: [text(s)] for v, s in stock.items()}},
+        "claim": {"values": {v: text(max(1 - s, ZERO)) for v, s in stock.items()}},
+        "weights": {v: "1/9" for v in stock if len(v) == 3},
+        "americans_short": [{
+            "values": {v: text(max(s - 1, ZERO)) for v, s in stock.items()}, "price": "0",
+        }],
+        "kernels": {v: [["1/2", "0", "1/2"]] if v == "r" else law
+                    for v in stock if len(v) < 3},
+    })
+
+
+def _envelope_polytopes():
+    long_put = load_model(binomial_put_book_dict(2, short_bid="5/9", long_ask="25/9"))
+    renl = enlarge_robust(build_robust(_trinomial2_kernel_model()), 1)
+    assert len(renl.supported_paths) < renl.enl.num_paths
+    return [build_polytope(enlarge(long_put, 1)),
+            build_polytope(renl.enl, paths=renl.supported_paths)]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_envelope_block_matches_snell_value(seed):
+    rng = random.Random(seed)
+    for pt in _envelope_polytopes():
+        holds, cert = ftap_certificate(pt)
+        assert holds
+        measure = cert.measure
+        values = {v: Q(rng.randint(-6, 6), rng.randint(1, 4)) for v in range(len(pt.enl.enodes))}
+        # Q fixed by equality rows on a copy of the polytope LP
+        work = pt.lp.copy()
+        for p in pt.paths:
+            work.add_constraint({pt.q_var[p]: ONE}, "=", measure.get(p, ZERO))
+        root, shift = pt.snell_block(work, values, "test")
+        support = {v for p in pt.paths for v in pt.enl.epaths[p].node_seq}
+        assert shift == min(ZERO, *(values[v] for v in support))
+        work.set_objective("min", root)
+        out = solve(work)
+        assert out.status == "optimal"
+        assert out.value + shift == snell_value(pt.enl, values, measure, paths=pt.paths)
+
+
+def test_long_rows_stay_linear_in_the_support():
+    data = binomial_put_book_dict(3, short_bid="35/48", long_ask="10/3")
+    model = load_model(data)
+    enl = enlarge(model, model.N)
+    pt = build_polytope(enl)
+    bare = build_polytope(enl.with_model(dataclasses.replace(model, americans_long=[])))
+    added = len(pt.lp.rows) - len(bare.lp.rows)
+    support = {v for p in pt.paths for v in enl.epaths[p].node_seq}
+    assert added == pt.num_tau_rows
+    assert added <= 2 * model.M * len(support) + model.M
