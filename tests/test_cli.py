@@ -17,7 +17,7 @@ from amhedge.lp import LPInternalError
 
 from conftest import binomial_dict, binomial_put_book_dict
 
-VERIFY_SMALL_SHA256 = "6244bb699878cf5f8e999e64a7745437f989f198d13a33d3d5a4b1b6acb2ac8c"
+VERIFY_SMALL_SHA256 = "1729a510e39cb03d75b1d10b8a5153960b2d5174e11b3f5f2eee32f1fe08b609"
 
 
 @pytest.fixture()
@@ -333,7 +333,7 @@ def test_verify_small_run(model_file, capsys):
     assert first == second
     doc = json.loads(first)
     assert doc["campaign"]["ok"] is True and doc["campaign"]["seed"] == 7
-    # digest recorded before the hedging/duality consolidation
+    # re-recorded only under the ROADMAP item 1 protocol
     assert hashlib.sha256(first.encode()).hexdigest() == VERIFY_SMALL_SHA256
 
 

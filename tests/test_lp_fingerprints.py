@@ -24,7 +24,7 @@ from test_report_bytes import CAMPAIGN_MODELS, COMMANDS, CONFTEST_MODELS, _model
 
 # (number of LPs solved, sha256 of their sorted fingerprints)
 EXPECTED_CLI = (30, "95fff9dabfbb9860081bb001b2c795b3a2a40db3cbf15703718e02eb0e84ba36")
-EXPECTED_VERIFY = (318, "34a873e08426c070ef181f90690213e54fb66bc11c9c3bc1709a9a626d528a5c")
+EXPECTED_VERIFY = (318, "2dab46de3f1315c4512fd23cb8e3bddfdb6dfd2538b307f5be1680c7c02adc36")
 
 
 def fingerprint(prog: lp.LinearProgram) -> str:
