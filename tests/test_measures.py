@@ -295,8 +295,8 @@ def test_envelope_block_matches_snell_value(seed):
 
 
 def test_long_rows_stay_linear_in_the_support():
-    data = binomial_put_book_dict(3, short_bid="35/48", long_ask="10/3")
-    model = load_model(data)
+    # 677 stopping times, whose stopped puts take 287 distinct vectors
+    model = load_model(binomial_put_book_dict(4, long_ask="3"))
     enl = enlarge(model, model.N)
     pt = build_polytope(enl)
     bare = build_polytope(enl.with_model(dataclasses.replace(model, americans_long=[])))
