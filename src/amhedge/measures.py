@@ -640,9 +640,9 @@ def e2_chain(
     enl = pt.enl
     taus = restricted_stopping_times(enl, pt.paths, cap)
     claim_at = extend_claim(enl, "sub")
+    seqs = [(p, enl.epaths[p].node_seq) for p in pt.paths]
     vecs: dict[tuple, dict[int, Q]] = {}
     for tau in taus:
-        seqs = ((p, enl.epaths[p].node_seq) for p in pt.paths)
         vec = {p: claim_at[seq[tau.time_on(seq)]] for p, seq in seqs}
         vecs.setdefault(tuple(vec.values()), vec)
     middle = max(pt.solve_extremum(vec, "max")[0] for vec in vecs.values())
