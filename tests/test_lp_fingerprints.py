@@ -7,6 +7,11 @@ each row's name, relation, rhs and sorted coefficients, and every
 variable's name and sign restriction.  The sorted fingerprints of a run
 are hashed; a refactor that keeps every LP keeps the count and the
 digest, while one that adds, drops or reorders a row changes the digest.
+
+The recording tableau also logs the (row, column) pair of every pivot.
+Each LP's fingerprint is paired with its pivot sequence and the sorted
+pairs are hashed, so a change to the simplex that moves a single Bland
+decision changes that digest even when every LP and optimum stays put.
 """
 from __future__ import annotations
 
@@ -25,6 +30,9 @@ from test_report_bytes import CAMPAIGN_MODELS, COMMANDS, CONFTEST_MODELS, _model
 # (number of LPs solved, sha256 of their sorted fingerprints)
 EXPECTED_CLI = (30, "95fff9dabfbb9860081bb001b2c795b3a2a40db3cbf15703718e02eb0e84ba36")
 EXPECTED_VERIFY = (318, "2dab46de3f1315c4512fd23cb8e3bddfdb6dfd2538b307f5be1680c7c02adc36")
+# (number of pivots, sha256 of the sorted (fingerprint, pivot sequence) pairs)
+EXPECTED_CLI_PIVOTS = (273, "b265ea9ea7415ceda9d07caa9ea4e3f805d469504928ef315b9c9cc56bccc257")
+EXPECTED_VERIFY_PIVOTS = (4889, "5a0fe80824019aa0928412b6b683907e7499caf7057e536925efd8a7eddc6a01")
 
 
 def fingerprint(prog: lp.LinearProgram) -> str:
@@ -38,14 +46,28 @@ def fingerprint(prog: lp.LinearProgram) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
+class Seen(list):
+    """Fingerprints of the recorded LPs, in solve order, with their pivots."""
+
+    def __init__(self):
+        super().__init__()
+        self.pivots: list[list[tuple[int, int]]] = []
+
+
 @pytest.fixture()
 def recorded(monkeypatch):
-    seen: list[str] = []
+    seen = Seen()
 
     class Recording(lp._Tableau):
         def __init__(self, prog):
             seen.append(fingerprint(prog))
+            self.pivot_log: list[tuple[int, int]] = []
+            seen.pivots.append(self.pivot_log)
             super().__init__(prog)
+
+        def pivot(self, r, c):
+            self.pivot_log.append((r, c))
+            super().pivot(r, c)
 
     monkeypatch.setattr(lp, "_Tableau", Recording)
     return seen
@@ -53,6 +75,12 @@ def recorded(monkeypatch):
 
 def _digest(seen: list[str]) -> tuple[int, str]:
     return len(seen), hashlib.sha256("\n".join(sorted(seen)).encode()).hexdigest()
+
+
+def _pivot_digest(seen: Seen) -> tuple[int, str]:
+    lines = sorted(f"{fp} {' '.join(f'{r},{c}' for r, c in log)}"
+                   for fp, log in zip(seen, seen.pivots))
+    return sum(map(len, seen.pivots)), hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
 def test_cli_lp_fingerprints(recorded, request, tmp_path, monkeypatch, capsys):
@@ -63,12 +91,14 @@ def test_cli_lp_fingerprints(recorded, request, tmp_path, monkeypatch, capsys):
             assert main(COMMANDS[command]) == 0, (name, command)
     capsys.readouterr()
     assert _digest(recorded) == EXPECTED_CLI
+    assert _pivot_digest(recorded) == EXPECTED_CLI_PIVOTS
 
 
 def test_verify_lp_fingerprints(recorded, capsys):
     assert main(["verify", "--models", "1", "--seed", "3"]) == 0
     capsys.readouterr()
     assert _digest(recorded) == EXPECTED_VERIFY
+    assert _pivot_digest(recorded) == EXPECTED_VERIFY_PIVOTS
 
 
 @pytest.mark.parametrize("side", ["sub", "super"])
