@@ -1,7 +1,11 @@
 """Exact rational linear programming with verified certificates.
 
 Two-phase primal simplex over exact rationals, Bland's rule throughout
-(deterministic, cycle-free).  Every solve returns, besides the optimum:
+(deterministic, cycle-free).  The tableau is fraction-free: each row is a
+list of Python ints over one positive denominator, reduced by one gcd per
+update, so a pivot does integer arithmetic only and rationals are built
+just for the returned point and certificates.  Every solve returns,
+besides the optimum:
 
 * optimal       -- primal point, dual multipliers; strong duality and both
                    feasibilities are re-checked exactly before returning,
@@ -14,6 +18,7 @@ LPInternalError rather than returning a wrong answer.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd, lcm
 from typing import Iterable, Literal
 
 from .rationals import ONE, ZERO, Q, rat
@@ -112,7 +117,15 @@ def format_lp(lp: LinearProgram) -> str:
 
 
 class _Tableau:
-    """Dense simplex tableau; columns = structural(+split) | slacks | artificials."""
+    """Simplex tableau in integer rows; columns = structural(+split) | slacks | artificials.
+
+    Constraint row i is a list of Python ints, its right-hand side last,
+    over the positive denominator ``den[i]``; the objective row ``zrow``
+    holds the reduced costs and then -z over ``zden``.  Every row is kept
+    in lowest terms, so an entry's sign is its numerator's sign and the
+    ratio test compares rhs/entry by cross-multiplying (the row's
+    denominator cancels).  Rationals are built only when a result is read.
+    """
 
     def __init__(self, lp: LinearProgram):
         self.lp = lp
@@ -131,98 +144,80 @@ class _Tableau:
         self.n_struct = len(self.col_var)
 
         m = lp.num_rows
-        self.flip = [False] * m
-        dense_rows: list[dict[int, Q]] = []
-        rels: list[Relation] = []
-        rhs: list[Q] = []
-        for i, row in enumerate(lp.rows):
-            coeffs: dict[int, Q] = {}
-            for j, v in row.coeffs.items():
-                coeffs[self.pos_col[j]] = v
-                nc = self.neg_col[j]
-                if nc is not None:
-                    coeffs[nc] = -v
-            rel, b = row.rel, row.rhs
-            if b < 0:
-                coeffs = {c: -v for c, v in coeffs.items()}
-                b = -b
-                rel = {"<=": ">=", ">=": "<=", "=": "="}[rel]
-                self.flip[i] = True
-            dense_rows.append(coeffs)
-            rels.append(rel)
-            rhs.append(b)
-
         self.slack_col: list[int | None] = [None] * m
         ncols = self.n_struct
-        for i, rel in enumerate(rels):
-            if rel != "=":
+        for i, row in enumerate(lp.rows):
+            if row.rel != "=":
                 self.slack_col[i] = ncols
                 ncols += 1
         self.art_col = list(range(ncols, ncols + m))
         self.ncols = ncols + m
 
-        self.rows: list[list[Q]] = []
-        for i in range(m):
-            dense = [ZERO] * self.ncols
-            for c, v in dense_rows[i].items():
-                dense[c] = v
+        # a row with a negative rhs is negated (its relation flips) so that
+        # every rhs starts nonnegative; its dual is negated back on reading
+        self.flip = [row.rhs < 0 for row in lp.rows]
+        self.rows: list[list[int]] = []
+        self.den: list[int] = []
+        self.basis: list[int] = []
+        for i, row in enumerate(lp.rows):
+            sgn = -1 if self.flip[i] else 1
+            d = lcm(int(row.rhs.denominator), *(int(v.denominator) for v in row.coeffs.values()))
+            dense = [0] * (self.ncols + 1)
+            for j, v in row.coeffs.items():
+                a = sgn * int(v.numerator) * (d // int(v.denominator))
+                dense[self.pos_col[j]] = a
+                nc = self.neg_col[j]
+                if nc is not None:
+                    dense[nc] = -a
             sc = self.slack_col[i]
             if sc is not None:
-                dense[sc] = ONE if rels[i] == "<=" else -ONE
-            dense[self.art_col[i]] = ONE
+                dense[sc] = sgn * d if row.rel == "<=" else -sgn * d
+            dense[self.art_col[i]] = d
+            dense[-1] = sgn * int(row.rhs.numerator) * (d // int(row.rhs.denominator))
             self.rows.append(dense)
-        self.rhs = rhs
-        self.rels = rels
-
-        self.basis: list[int] = []
-        for i in range(m):
-            sc = self.slack_col[i]
-            if sc is not None and rels[i] == "<=":
-                self.basis.append(sc)
-            else:
-                self.basis.append(self.art_col[i])
-        self.zrow: list[Q] = [ZERO] * self.ncols
-        self.zval: Q = ZERO
+            self.den.append(d)
+            # a slack with coefficient +1 starts basic at the nonnegative rhs
+            self.basis.append(sc if sc is not None and dense[sc] > 0 else self.art_col[i])
+        self.zrow: list[int] = [0] * (self.ncols + 1)
+        self.zden = 1
         self.pivots = 0
+
+    @property
+    def zval(self) -> Q:
+        return Q(-self.zrow[-1], self.zden)
 
     # -- core mechanics -------------------------------------------------
 
     def set_costs(self, costs: list[Q]) -> None:
-        zrow = list(costs)
-        zval = ZERO
+        """Price the basis out of `costs`: zrow = costs - c_B B^-1 A, then -z."""
+        zden = lcm(*(int(v.denominator) for v in costs if v))
+        zrow = [int(v.numerator) * (zden // int(v.denominator)) if v else 0 for v in costs]
+        zrow.append(0)
         for i, bc in enumerate(self.basis):
             cb = costs[bc]
             if cb:
-                row = self.rows[i]
-                zrow = [z - cb * a if a else z for z, a in zip(zrow, row)]
-                zval += cb * self.rhs[i]
-        self.zrow = zrow
-        self.zval = zval
+                d = int(cb.denominator) * self.den[i]
+                big = lcm(zden, d)
+                s, k = big // zden, int(cb.numerator) * (big // d)
+                zrow, zden = _lowest([z * s - k * a for z, a in zip(zrow, self.rows[i])], big)
+        self.zrow, self.zden = zrow, zden
 
     def pivot(self, r: int, c: int) -> None:
-        rows = self.rows
+        rows, den = self.rows, self.den
         prow = rows[r]
-        piv = prow[c]
-        if piv != 1:
-            inv = ONE / piv
-            prow = [v * inv if v else v for v in prow]
-            rows[r] = prow
-            self.rhs[r] *= inv
-        prhs = self.rhs[r]
-        for i in range(len(rows)):
-            if i == r:
-                continue
-            f = rows[i][c]
-            if f:
-                row = rows[i]
-                rows[i] = [a - f * b if b else a for a, b in zip(row, prow)]
-                if prhs:
-                    self.rhs[i] -= f * prhs
+        # the pivot row over its pivot entry: its old denominator cancels
+        p = prow[c]
+        prow, pd = _lowest(prow, p) if p > 0 else _lowest([-v for v in prow], -p)
+        rows[r], den[r] = prow, pd
+        nz = [(k, v) for k, v in enumerate(prow) if v]
+        for i, row in enumerate(rows):
+            if i != r:
+                f = row[c]
+                if f:
+                    rows[i], den[i] = _eliminate(row, den[i], f, nz, pd)
         f = self.zrow[c]
         if f:
-            self.zrow = [a - f * b if b else a for a, b in zip(self.zrow, prow)]
-            if prhs:
-                self.zval += f * prhs
+            self.zrow, self.zden = _eliminate(self.zrow, self.zden, f, nz, pd)
         self.basis[r] = c
         self.pivots += 1
         if self.pivots > _MAX_PIVOTS:
@@ -238,15 +233,21 @@ class _Tableau:
                 break
         if enter < 0:
             return "optimal"
+        # min rhs/a over a > 0, ties to the smallest basic column; rhs/a is
+        # compared as b/a < b'/a'  <=>  b*a' < b'*a  (a, a' > 0)
+        basis = self.basis
         leave = -1
-        best: Q | None = None
+        best_b = best_a = 0
         for i, row in enumerate(self.rows):
             a = row[enter]
             if a > 0:
-                ratio = self.rhs[i] / a
-                if best is None or ratio < best or (ratio == best and self.basis[i] < self.basis[leave]):
-                    best = ratio
-                    leave = i
+                b = row[-1]
+                if leave < 0:
+                    leave, best_b, best_a = i, b, a
+                    continue
+                lhs, rhs = b * best_a, best_b * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                    leave, best_b, best_a = i, b, a
         if leave < 0:
             return "unbounded"
         self.pivot(leave, enter)
@@ -261,10 +262,35 @@ class _Tableau:
     def duals_from_arts(self, art_cost: Q) -> list[Q]:
         """y_r = cost(art_r) - reduced_cost(art_r), unflipped to original rows."""
         ys = []
-        for i in range(len(self.rows)):
-            y = art_cost - self.zrow[self.art_col[i]]
+        for i, c in enumerate(self.art_col):
+            y = art_cost - Q(self.zrow[c], self.zden)
             ys.append(-y if self.flip[i] else y)
         return ys
+
+
+def _lowest(row: list[int], d: int) -> tuple[list[int], int]:
+    """Row over positive denominator d, divided through by their gcd."""
+    g = gcd(d, *row)
+    if g == 1:
+        return row, d
+    return [v // g for v in row], d // g
+
+
+def _eliminate(row: list[int], d: int, f: int, nz: list[tuple[int, int]],
+               pd: int) -> tuple[list[int], int]:
+    """row/d - (f/d) * prow/pd in lowest terms; nz lists prow's nonzeros.
+
+    The result is (row*pd - f*prow) / (d*pd), with gcd(f, pd) cancelled
+    first; prow is subtracted only where it is nonzero.
+    """
+    h = gcd(f, pd)
+    s, f = pd // h, f // h
+    if s != 1:
+        row = [v * s for v in row]
+        d *= s
+    for k, v in nz:
+        row[k] -= f * v
+    return _lowest(row, d)
 
 
 def _struct_costs(tab: _Tableau, obj: dict[int, Q], sign: Q) -> list[Q]:
@@ -301,7 +327,7 @@ def solve(lp: LinearProgram) -> LPOutcome:
     # any nonzero real column works as a degenerate pivot.  Rows with no such
     # column are redundant and keep their artificial pinned at zero.
     art_set = set(tab.art_col)
-    n_real = tab.art_col[0]
+    n_real = tab.ncols - m
     for i in range(m):
         if tab.basis[i] in art_set:
             row = tab.rows[i]
@@ -324,7 +350,7 @@ def solve(lp: LinearProgram) -> LPOutcome:
         for i, bc in enumerate(tab.basis):
             a = tab.rows[i][enter]
             if a:
-                direction[bc] = -a
+                direction[bc] = Q(-a, tab.den[i])
         ray = [ZERO] * lp.num_vars
         for j in range(lp.num_vars):
             d = direction[tab.pos_col[j]]
@@ -339,7 +365,7 @@ def solve(lp: LinearProgram) -> LPOutcome:
     primal = [ZERO] * lp.num_vars
     vals = [ZERO] * tab.ncols
     for i, bc in enumerate(tab.basis):
-        vals[bc] = tab.rhs[i]
+        vals[bc] = Q(tab.rows[i][-1], tab.den[i])
     for j in range(lp.num_vars):
         v = vals[tab.pos_col[j]]
         nc = tab.neg_col[j]

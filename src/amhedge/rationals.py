@@ -1,9 +1,11 @@
 """Exact rational scalar used across the package.
 
 Every price, payoff, probability and LP coefficient is an exact rational.
-gmpy2's mpq is preferred (its arithmetic is several times faster than the
-stdlib); fractions.Fraction is a drop-in fallback.  Floats are rejected at
-the parsing boundary so no binary rounding can leak in.
+gmpy2's mpq is used when it is installed and fractions.Fraction otherwise;
+both behave the same.  The simplex tableau (``amhedge.lp``) works on
+Python ints taken from numerators and denominators, so the choice of
+backend does not reach its pivots.  Floats are rejected at the parsing
+boundary so no binary rounding can leak in.
 """
 from __future__ import annotations
 

@@ -148,30 +148,62 @@ def test_max_slack_rejects_equalities():
         max_slack(lp, [r])
 
 
+def test_no_rows_optimal():
+    # max -x over x >= 0 with no constraint rows: the origin, value 0
+    lp = LinearProgram()
+    x = lp.add_var("x")
+    lp.set_objective("max", {x: -ONE})
+    out = solve(lp)
+    assert out.status == "optimal"
+    assert out.value == ZERO and out.primal == [ZERO] and out.duals == []
+
+
+def test_no_rows_unbounded():
+    # max x over x >= 0 with no constraint rows: the ray is +x (verified by solve)
+    lp = LinearProgram()
+    x = lp.add_var("x")
+    lp.set_objective("max", {x: ONE})
+    out = solve(lp)
+    assert out.status == "unbounded"
+    assert out.ray == [ONE]
+
+
 def _random_lp(rng: random.Random):
-    """Bounded-feasible random LP: box plus random <= rows, random costs."""
+    """Random LP with <=, >= and = rows, negative rhs and free variables.
+
+    Half the draws add a box on every nonnegative variable and leave the
+    free ones unbounded, so optimal, infeasible and unbounded LPs all occur.
+    """
     lp = LinearProgram()
     n = rng.randint(2, 4)
-    xs = [lp.add_var(f"x{j}") for j in range(n)]
-    for x in xs:
-        lp.add_constraint({x: ONE}, "<=", Q(rng.randint(1, 5)))
-    for _ in range(rng.randint(1, 3)):
+    xs = [lp.add_var(f"x{j}", nonneg=rng.random() < 0.7) for j in range(n)]
+    if rng.random() < 0.5:
+        for x in xs:
+            lp.add_constraint({x: ONE}, "<=", Q(rng.randint(1, 5)))
+            if not lp.nonneg[x]:
+                lp.add_constraint({x: ONE}, ">=", Q(-rng.randint(1, 5)))
+    for _ in range(rng.randint(1, 4)):
         row = {x: Q(rng.randint(-3, 3), rng.randint(1, 4)) for x in xs}
-        lp.add_constraint(row, "<=", Q(rng.randint(0, 6), rng.randint(1, 3)))
-    lp.set_objective("max", {x: Q(rng.randint(-2, 4), rng.randint(1, 3)) for x in xs})
+        rel = rng.choice(["<=", "<=", ">=", "="])
+        lp.add_constraint(row, rel, Q(rng.randint(-6, 6), rng.randint(1, 3)))
+    lp.set_objective(rng.choice(["max", "min"]),
+                     {x: Q(rng.randint(-2, 4), rng.randint(1, 3)) for x in xs})
     return lp, xs
 
 
 def test_against_float_solver():
     scipy_lin = pytest.importorskip("scipy.optimize")
     rng = random.Random(20260814)
-    for _ in range(25):
+    codes = {"optimal": 0, "infeasible": 2, "unbounded": 3}  # linprog's res.status
+    seen = dict.fromkeys(codes, 0)
+    for _ in range(150):
         lp, xs = _random_lp(rng)
         out = solve(lp)
-        assert out.status == "optimal"
+        seen[out.status] += 1
+        sign = -1.0 if lp.sense == "max" else 1.0
         c = [0.0] * lp.num_vars
         for j, v in lp.objective.items():
-            c[j] = -float(v)
+            c[j] = sign * float(v)
         a_ub, b_ub = [], []
         a_eq, b_eq = [], []
         for row in lp.rows:
@@ -187,9 +219,12 @@ def test_against_float_solver():
             else:
                 a_eq.append(dense)
                 b_eq.append(float(row.rhs))
+        bounds = [(0, None) if pos else (None, None) for pos in lp.nonneg]
         res = scipy_lin.linprog(
             c, A_ub=a_ub or None, b_ub=b_ub or None,
-            A_eq=a_eq or None, b_eq=b_eq or None, method="highs",
+            A_eq=a_eq or None, b_eq=b_eq or None, bounds=bounds, method="highs",
         )
-        assert res.status == 0
-        assert abs(float(out.value) - (-res.fun)) < 1e-9
+        assert res.status == codes[out.status], format_lp(lp)
+        if out.status == "optimal":
+            assert abs(float(out.value) - sign * res.fun) < 1e-9
+    assert all(seen.values()), seen
