@@ -2,9 +2,10 @@
 
 Two-phase primal simplex over exact rationals, Bland's rule throughout
 (deterministic, cycle-free).  The tableau is fraction-free: each row is a
-list of Python ints over one positive denominator, reduced by one gcd per
-update, so a pivot does integer arithmetic only and rationals are built
-just for the returned point and certificates.  Every solve returns,
+list of Python ints over one positive denominator, put in lowest terms only
+when that denominator outgrows ``_REDUCE_BITS`` bits, so a pivot does
+integer arithmetic only and rationals are built just for the returned point
+and certificates.  Every solve returns,
 besides the optimum:
 
 * optimal       -- primal point, dual multipliers; strong duality and both
@@ -26,6 +27,10 @@ from .rationals import ONE, ZERO, Q, rat
 Relation = Literal["<=", "=", ">="]
 
 _MAX_PIVOTS = 5_000_000
+# an updated row is put in lowest terms only once its denominator has more
+# bits than this: entries stay small without a dense gcd pass per update
+# (bounds from 30 to 120 bits timed the same)
+_REDUCE_BITS = 60
 
 
 class LPInternalError(RuntimeError):
@@ -121,10 +126,11 @@ class _Tableau:
 
     Constraint row i is a list of Python ints, its right-hand side last,
     over the positive denominator ``den[i]``; the objective row ``zrow``
-    holds the reduced costs and then -z over ``zden``.  Every row is kept
-    in lowest terms, so an entry's sign is its numerator's sign and the
-    ratio test compares rhs/entry by cross-multiplying (the row's
-    denominator cancels).  Rationals are built only when a result is read.
+    holds the reduced costs and then -z over ``zden``.  A row need not be
+    in lowest terms (see ``_eliminate``), but its denominator is positive,
+    so an entry's sign is its numerator's sign and the ratio test compares
+    rhs/entry by cross-multiplying (the row's common factor cancels).
+    Rationals are built, and normalised, only when a result is read.
     """
 
     def __init__(self, lp: LinearProgram):
@@ -199,7 +205,7 @@ class _Tableau:
                 d = int(cb.denominator) * self.den[i]
                 big = lcm(zden, d)
                 s, k = big // zden, int(cb.numerator) * (big // d)
-                zrow, zden = _lowest([z * s - k * a for z, a in zip(zrow, self.rows[i])], big)
+                zrow, zden = _bounded([z * s - k * a for z, a in zip(zrow, self.rows[i])], big)
         self.zrow, self.zden = zrow, zden
 
     def pivot(self, r: int, c: int) -> None:
@@ -276,12 +282,21 @@ def _lowest(row: list[int], d: int) -> tuple[list[int], int]:
     return [v // g for v in row], d // g
 
 
+def _bounded(row: list[int], d: int) -> tuple[list[int], int]:
+    """Row over positive denominator d, put in lowest terms only past _REDUCE_BITS."""
+    if d.bit_length() > _REDUCE_BITS:
+        return _lowest(row, d)
+    return row, d
+
+
 def _eliminate(row: list[int], d: int, f: int, nz: list[tuple[int, int]],
                pd: int) -> tuple[list[int], int]:
-    """row/d - (f/d) * prow/pd in lowest terms; nz lists prow's nonzeros.
+    """row/d - (f/d) * prow/pd; nz lists prow's nonzeros.
 
     The result is (row*pd - f*prow) / (d*pd), with gcd(f, pd) cancelled
-    first; prow is subtracted only where it is nonzero.
+    first; prow is subtracted only where it is nonzero.  It is reduced only
+    when its denominator outgrows _REDUCE_BITS: an unreduced row keeps the
+    pivot denominators' factors, so the next s = pd/gcd(f, pd) is often 1.
     """
     h = gcd(f, pd)
     s, f = pd // h, f // h
@@ -290,7 +305,7 @@ def _eliminate(row: list[int], d: int, f: int, nz: list[tuple[int, int]],
         d *= s
     for k, v in nz:
         row[k] -= f * v
-    return _lowest(row, d)
+    return _bounded(row, d)
 
 
 def _struct_costs(tab: _Tableau, obj: dict[int, Q], sign: Q) -> list[Q]:

@@ -2,11 +2,18 @@
 from __future__ import annotations
 
 import random
+from math import gcd
 
 import pytest
 
+from amhedge import lp as lpmod
+from amhedge.enlarged import enlarge
+from amhedge.hedging import superhedge
 from amhedge.lp import LinearProgram, format_lp, max_slack, solve
+from amhedge.market import load_model
 from amhedge.rationals import ONE, Q, ZERO
+
+from conftest import binomial_put_book_dict
 
 
 def test_two_variable_max():
@@ -48,23 +55,31 @@ def test_free_variable():
     assert out.value == Q(-5, 7)
 
 
-def test_infeasible():
+def _infeasible_lp() -> LinearProgram:
     lp = LinearProgram()
     x = lp.add_var("x")
     lp.add_constraint({x: ONE}, ">=", ONE)
     lp.add_constraint({x: ONE}, "<=", ZERO)
     lp.set_objective("max", {x: ONE})
-    out = solve(lp)
-    assert out.status == "infeasible"
+    return lp
 
 
-def test_unbounded_reports_ray():
+def _unbounded_lp() -> LinearProgram:
     lp = LinearProgram()
     x = lp.add_var("x")
     y = lp.add_var("y")
     lp.add_constraint({x: ONE, y: -ONE}, "<=", ONE)
     lp.set_objective("max", {x: ONE})
-    out = solve(lp)
+    return lp
+
+
+def test_infeasible():
+    out = solve(_infeasible_lp())
+    assert out.status == "infeasible"
+
+
+def test_unbounded_reports_ray():
+    out = solve(_unbounded_lp())
     assert out.status == "unbounded"
     assert out.ray is not None and any(out.ray)
 
@@ -228,3 +243,81 @@ def test_against_float_solver():
         if out.status == "optimal":
             assert abs(float(out.value) - sign * res.fun) < 1e-9
     assert all(seen.values()), seen
+
+
+def _recording_tableau(check):
+    """A _Tableau subclass calling check(tab, step) after every update.
+
+    step is the (row, column) of a pivot, or None after set_costs.
+    """
+
+    class Recording(lpmod._Tableau):
+        def set_costs(self, costs):
+            super().set_costs(costs)
+            check(self, None)
+
+        def pivot(self, r, c):
+            super().pivot(r, c)
+            check(self, (r, c))
+
+    return Recording
+
+
+def _rows(tab):
+    return [*zip(tab.rows, tab.den), (tab.zrow, tab.zden)]
+
+
+def test_reduction_bound_moves_no_pivot(monkeypatch):
+    # bound 0 puts every updated row in lowest terms; a huge bound reduces
+    # only the pivot row.  Bland reads signs and the ratio test compares
+    # within a row, so every outcome, certificate and pivot agrees.
+    rng = random.Random(20260814)
+    lps = [_random_lp(rng)[0] for _ in range(150)] + [_infeasible_lp(), _unbounded_lp()]
+    model = load_model(binomial_put_book_dict(4))  # degenerate: Bland's ties matter
+    steps = {}
+    monkeypatch.setattr(lpmod, "_Tableau", _recording_tableau(
+        lambda tab, step: steps.setdefault(lpmod._REDUCE_BITS, []).append(step)))
+    runs = {}
+    for bits in (0, 10**9):
+        monkeypatch.setattr(lpmod, "_REDUCE_BITS", bits)
+        runs[bits] = [solve(lp) for lp in lps], superhedge(enlarge(model, model.N + 1))
+    (eager, eager_hedge), (lazy, lazy_hedge) = runs[0], runs[10**9]
+    assert {out.status for out in eager} == {"optimal", "infeasible", "unbounded"}
+    for lp, a, b in zip(lps, eager, lazy):
+        assert a == b, format_lp(lp)
+    assert eager_hedge == lazy_hedge
+    assert steps[0] == steps[10**9]
+
+
+def test_row_denominators_stay_within_the_bit_bound(monkeypatch):
+    # T=5 binomial put super-hedge, 192 rows: no denominator grows past the
+    # bound by more than one pivot-row denominator's bits
+    def check(tab, step):
+        if step is not None:
+            limit = lpmod._REDUCE_BITS + tab.den[step[0]].bit_length()
+            assert max(d.bit_length() for _, d in _rows(tab)) <= limit
+
+    monkeypatch.setattr(lpmod, "_Tableau", _recording_tableau(check))
+    model = load_model(binomial_put_book_dict(5))
+    report = superhedge(enlarge(model, model.N + 1))
+    assert (report.price, report.lp_rows, report.pivots) == (Q(188, 81), 192, 472)
+
+
+@pytest.mark.parametrize("bits", [4, lpmod._REDUCE_BITS])
+def test_rows_past_the_bound_are_in_lowest_terms(bits, monkeypatch):
+    # T=4 binomial put super-hedge: a row whose denominator has more than
+    # _REDUCE_BITS bits is in lowest terms after every update; rows below
+    # the bound may keep a common factor, and some do
+    unreduced = []
+
+    def check(tab, step):
+        for row, d in _rows(tab):
+            g = gcd(d, *row)
+            assert g == 1 or d.bit_length() <= bits
+            unreduced.append(g > 1)
+
+    monkeypatch.setattr(lpmod, "_REDUCE_BITS", bits)
+    monkeypatch.setattr(lpmod, "_Tableau", _recording_tableau(check))
+    model = load_model(binomial_put_book_dict(4))
+    assert superhedge(enlarge(model, model.N + 1)).price == Q(52, 27)
+    assert any(unreduced)
