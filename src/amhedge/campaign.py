@@ -40,14 +40,13 @@ from .robust import (
     RobustModel,
     build_robust,
     dp_superhedge,
+    drop_options,
     enlarge_robust,
     ftap_transfer,
     robust_ftap,
     robust_na,
     robust_subhedge,
     robust_superhedge_full,
-    robust_superhedge_options,
-    robust_superhedge_stock,
     submarket_slacks,
     verify_minimax,
 )
@@ -356,8 +355,11 @@ def _within_budget(model: MarketModel) -> bool:
         return False
     from .strategies import count_enlarged_stopping_times
 
-    # the claim epigraph always enumerates stops on the n = N space;
-    # longed asks additionally need them on the space with the extra clock
+    # only e2_chain and verify_minimax enumerate stopping times, both on
+    # the n = N space; the n = N + 1 count with longed asks bounds no
+    # enumeration any more and stays only to keep the seeded corpus, and
+    # with it every pinned digest, fixed (ROADMAP item 2: "relax the
+    # campaign budget")
     depths = (model.N, model.N + 1) if model.M else (model.N,)
     for n in depths:
         enl = enlarge(model, n)
@@ -628,16 +630,19 @@ def _na_closed(enl: EnlargedModel) -> bool:
     return out.slack > ZERO
 
 
-def check_ftap_grid(model: MarketModel, *, expect: str | None = None) -> tuple[dict, SnaReport]:
+def check_ftap_grid(enl: EnlargedModel, *, expect: str | None = None) -> tuple[dict, SnaReport]:
     """No-arbitrage of shifted prices against the measure-side criterion.
 
+    ``enl`` is the market's n = N space; every shift reuses its forest.
     For every shift the trading-side verdict must coincide with the
     existence of a full-support consistent measure at the shifted
     quotes; verdicts must be monotone in the shift, shifts below the
     uniform slack must stay clean, and a nonpositive slack must put
     arbitrage at every shift.
     """
-    enl = enlarge(model, model.N)
+    model = enl.model
+    if enl.n != model.N:
+        raise ValueError("the shift grid runs on the n = N enlargement")
     sna = check_sna(enl)
     if expect == "sna" and not sna.holds:
         raise PropertyViolation("factory promised strict no-arbitrage but it fails")
@@ -730,20 +735,26 @@ def check_chain(
 # -- battery: structural degenerations -----------------------------------------
 
 
-def check_degenerations(model: MarketModel, sna: SnaReport, duality: dict) -> dict:
+def check_degenerations(
+    enl: EnlargedModel, enl_sup: EnlargedModel, sna: SnaReport, duality: dict
+) -> dict:
     """Limiting cases with forced outcomes.
 
-    A constant claim must price to that constant on both sides; prices,
-    slack, and arbitrage verdicts must not react to the clock-weight
-    profile; moving one quote against the hedger inside the slack
-    budget must move prices weakly in its favor; and with no shorted
-    options the enlarged space must collapse onto the base tree.
+    ``enl`` and ``enl_sup`` are the market's n = N and n = N + 1 spaces
+    (as check_duality's polytopes carry them).  A constant claim must
+    price to that constant on both sides; prices, slack, and arbitrage
+    verdicts must not react to the clock-weight profile; moving one
+    quote against the hedger inside the slack budget must move prices
+    weakly in its favor; and with no shorted options the enlarged space
+    must collapse onto the base tree.
     """
     record: dict = {}
+    model = enl.model
     N = model.N
     # quotes and books change below, the tree never: every variant
-    # reuses one of these forests
-    enl, enl_sup = enlarge(model, N), enlarge(model, N + 1)
+    # reuses one of these two forests
+    if (enl.n, enl_sup.n) != (N, N + 1) or enl_sup.model is not model:
+        raise ValueError("degenerations need the n = N and n = N + 1 spaces of one market")
 
     # clock weights never enter the consistent-measure polytope
     enl_sk = enlarge(model, N, clock_weights="skewed")
@@ -891,7 +902,11 @@ def check_robust_model(rm: RobustModel, *, submarkets: bool = False) -> dict:
     Stock-only price equals its backward induction, quoted options only
     cheapen the hedge, consistency holds and transfers to the space
     with the extra clock, and dropping a vertex can only shrink the
-    support, moving prices weakly inward.
+    support, moving prices weakly inward.  The stock-only and
+    European-book prices run on the n = 1 space of the market without
+    the other books, the backward induction on the full n = N + 1
+    space, so their equality also checks that the shorts' clocks are
+    irrelevant to a stock hedge.
     """
     model = rm.model
     renl_sub = enlarge_robust(rm, model.N)
@@ -901,26 +916,23 @@ def check_robust_model(rm: RobustModel, *, submarkets: bool = False) -> dict:
     if not na.holds:
         raise PropertyViolation("kernel factory promised no arbitrage but it fails")
 
-    zeta = extend_claim(renl_sup.enl, "super")
-    stock_only = robust_superhedge_stock(renl_sup, zeta)
-    dp = dp_superhedge(renl_sup, zeta)
-    if stock_only.na_failed or stock_only.value != dp.value:
+    try:
+        stock_only = robust_superhedge_full(enlarge_robust(drop_options(rm), 1)).price
+    except SnaFailure as exc:
+        raise PropertyViolation("stock-only super-hedge is unbounded") from exc
+    dp = dp_superhedge(renl_sup, extend_claim(renl_sup.enl, "super"))
+    if stock_only != dp.value:
         raise PropertyViolation(
             "stock-only price disagrees with its backward induction")
 
     sub = robust_subhedge(renl_sub)
     sup = robust_superhedge_full(renl_sup)
-    if not sub.price <= sup.price <= stock_only.value:
+    if not sub.price <= sup.price <= stock_only:
         raise PropertyViolation("quasi-sure prices are not sandwiched")
 
     if model.L:
-        payoffs = [
-            {p: renl_sup.enl.european_value(i, p) for p in renl_sup.supported_paths}
-            for i in range(model.L)
-        ]
-        alphas = [a for _, a in model.europeans]
-        ropt = robust_superhedge_options(renl_sup, zeta, payoffs, alphas)
-        if not sup.price <= ropt.value <= stock_only.value:
+        book = robust_superhedge_full(enlarge_robust(drop_options(rm, europeans=True), 1))
+        if not sup.price <= book.price <= stock_only:
             raise PropertyViolation("static buy-side book is not sandwiched")
 
     low, high = ftap_transfer(rm)
@@ -934,7 +946,7 @@ def check_robust_model(rm: RobustModel, *, submarkets: bool = False) -> dict:
         "selectors": rm.num_selectors(),
         "sub": rat_str(sub.price),
         "super": rat_str(sup.price),
-        "stock_only": rat_str(stock_only.value),
+        "stock_only": rat_str(stock_only),
         "dp_lps": dp.lp_count,
         "epsilon": rat_str(low.epsilon) if low.epsilon is not None else None,
     }
@@ -1030,9 +1042,9 @@ def run_campaign(
         mseed = rng.randrange(2 ** 32)
         gm = random_sna_model(random.Random(mseed), seed=mseed)
         duality, pt_sub, pt_sup, argmax = check_duality(gm.model)
-        grid, sna = check_ftap_grid(gm.model, expect="sna")
+        grid, sna = check_ftap_grid(pt_sub.enl, expect="sna")
         chain = check_chain(sna, duality, pt_sub, pt_sup, argmax, cap=cap)
-        degen = check_degenerations(gm.model, sna, duality)
+        degen = check_degenerations(pt_sub.enl, pt_sup.enl, sna, duality)
         singleton = check_singleton_robust(gm, sna, duality)
         for key, rec in (("duality", duality), ("ftap", grid), ("chain", chain),
                          ("degenerations", degen), ("singleton", singleton)):
@@ -1051,17 +1063,17 @@ def run_campaign(
         mode = i % 3
         if mode == 0:
             bad, kind = inject_arbitrage(mrng, gm)
-            rec, sna = check_ftap_grid(bad, expect="fail")
+            rec, sna = check_ftap_grid(enlarge(bad, bad.N), expect="fail")
             rec["mode"] = f"inject:{kind}"
         elif mode == 1:
             bad, kind = boundary_model(mrng, gm, ZERO)
-            rec, sna = check_ftap_grid(bad, expect="fail")
+            rec, sna = check_ftap_grid(enlarge(bad, bad.N), expect="fail")
             if sna.epsilon != ZERO:
                 raise PropertyViolation("pinned quote should have exactly zero slack")
             rec["mode"] = f"pin:{kind}"
         else:
             bad, kind = boundary_model(mrng, gm, BOUNDARY_OFFSET)
-            rec, sna = check_ftap_grid(bad, expect="sna")
+            rec, sna = check_ftap_grid(enlarge(bad, bad.N), expect="sna")
             if sna.epsilon > BOUNDARY_OFFSET:
                 raise PropertyViolation("offset quote should cap the slack")
             rec["mode"] = f"offset:{kind}"
@@ -1104,7 +1116,7 @@ def run_campaign(
     # deterministic strict-gap witness: the chain can be properly strict
     wedge = strict_chain_market()
     wedge_duality, *wedge_duals = check_duality(wedge)
-    _, wedge_sna = check_ftap_grid(wedge, expect="sna")
+    _, wedge_sna = check_ftap_grid(wedge_duals[0].enl, expect="sna")
     wedge_chain = check_chain(wedge_sna, wedge_duality, *wedge_duals, cap=cap)
     if not wedge_chain["strict_upper"]:
         raise PropertyViolation("canonical strict-gap market lost its gap")

@@ -494,15 +494,18 @@ class ArbitrageReport:
         }
 
 
-def detect_arbitrage(enl: EnlargedModel) -> ArbitrageReport:
+def detect_arbitrage(
+    enl: EnlargedModel, *, paths: Iterable[int] | None = None
+) -> ArbitrageReport:
     """Search for a nonnegative gain with positive expectation.
 
     max sum_p w(p) Phi(p)  s.t.  Phi(p) >= 0 on every path and
     ||(H, a, b, c)||_1 <= 1.  By homogeneity the optimum is 0 exactly
     when no arbitrage exists; any positive optimum scales freely, and
-    the optimizer is returned as a witness.
+    the optimizer is returned as a witness.  ``paths`` (default all)
+    restricts both the rows and the objective, as in GainLP.
     """
-    g = GainLP(enl, split_stock=True)
+    g = GainLP(enl, paths=paths, split_stock=True)
     objective = add_weighted_gains(
         g.lp, ((f"nonneg[p{p}]", g.gain_coeffs(p), enl.weight(p)) for p in g.paths)
     )
@@ -517,7 +520,7 @@ def detect_arbitrage(enl: EnlargedModel) -> ArbitrageReport:
     if out.value < ZERO:
         raise PropertyViolation("arbitrage LP returned a negative optimum")
     strat = g.strategy_from(out)
-    gains = payoff_enlarged(enl, strat)
+    gains = payoff_enlarged(enl, strat, paths=g.paths)
     expected = ZERO
     for p in g.paths:
         if gains[p] < ZERO:

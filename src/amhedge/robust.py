@@ -13,20 +13,11 @@ import copy
 import dataclasses
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .enlarged import EnlargedModel, enlarge
 from .errors import CapExceededError, ModelFormatError, PropertyViolation, SnaFailure
-from .hedging import (
-    HedgeReport,
-    StockPositions,
-    _bump,
-    add_weighted_gains,
-    enlarged_reading,
-    evaluate_gain,
-    gain_row,
-    gain_terms,
-)
+from .hedging import HedgeReport, detect_arbitrage, enlarged_reading, evaluate_gain
 from .lp import LinearProgram, solve
 from .market import MarketModel, check_kernel_family
 from .measures import (
@@ -40,10 +31,6 @@ from .rationals import ONE, ZERO, Q, rat, rat_str
 from .strategies import DEFAULT_ENUM_CAP
 
 DEFAULT_SELECTOR_CAP = 4096
-
-
-def _values_at(zeta, p: int) -> Q:
-    return zeta.get(p, ZERO) if isinstance(zeta, dict) else zeta[p]
 
 
 @dataclass
@@ -121,6 +108,22 @@ def build_robust(model: MarketModel, kernels: dict | None = None) -> RobustModel
     return RobustModel(model=model, kernels=normalized)
 
 
+def drop_options(rm: RobustModel, *, europeans: bool = False) -> RobustModel:
+    """The same kernels and claim with the option books dropped.
+
+    With ``europeans`` the European book stays.  Without shorted
+    Americans only the claim's clock is left, so the hedges of this
+    market run on its n = 0 and n = 1 enlargements.
+    """
+    model = dataclasses.replace(
+        rm.model,
+        europeans=list(rm.model.europeans) if europeans else [],
+        americans_long=[],
+        americans_short=[],
+    )
+    return RobustModel(model=model, kernels=rm.kernels)
+
+
 @dataclass
 class RobustEnlarged:
     """An enlarged space together with its quasi-sure support."""
@@ -157,23 +160,6 @@ def enlarge_robust(rm: RobustModel, n: int, clock_weights="uniform") -> RobustEn
     return RobustEnlarged(robust=rm, enl=enlarge(rm.model, n, clock_weights))
 
 
-def _stock_gains(
-    renl: RobustEnlarged, lp: LinearProgram, *, split: bool
-) -> tuple[StockPositions, Callable[[int], dict[int, Q]]]:
-    """Stock variables on the sorted supported trade nodes, and each path's gain row."""
-    enl = renl.enl
-    trade = sorted({v for p in renl.supported_paths for v in enl.epaths[p].node_seq[:enl.horizon]})
-    labels = ((v, enl.enode(v).label) for v in trade)
-    stock = StockPositions(lp, labels, enl.model.stock.dim, split=split)
-
-    def coeffs(p: int) -> dict[int, Q]:
-        ep = enl.epaths[p]
-        terms = gain_terms(enl.model, ep.base_index, ep.clocks)
-        return gain_row(((term, c) for term, c in terms if term[0] == "H"), stock, ep.node_seq, {})
-
-    return stock, coeffs
-
-
 # -- no-arbitrage under uncertainty ------------------------------------------
 
 
@@ -199,25 +185,17 @@ class RobustNaReport:
 def robust_na(renl: RobustEnlarged) -> RobustNaReport:
     """No-arbitrage from dynamic trading alone, with per-selector duals.
 
-    Primal: the maximal reference-weighted gain among quasi-surely
-    nonnegative normalized stock strategies (zero iff no arbitrage).
-    Certificate side: for every kernel selector P there must be a
-    supported martingale measure Q with Q >= s P for some s > 0.  Both
-    sides are computed and the biconditional enforced.
+    Primal: detect_arbitrage on the supported paths of the stock-only
+    market's n = 0 space (a stock arbitrage on a space with clocks stays
+    one with every clock fixed at T); the witness is keyed by that
+    space's nodes.  Certificate side: for every kernel selector P there
+    must be a supported martingale measure Q with Q >= s P for some
+    s > 0.  Both sides are computed and the biconditional enforced.
     """
-    lp = LinearProgram()
-    stock, coeffs = _stock_gains(renl, lp, split=True)
-    share = Q(1, len(renl.supported_paths))
-    objective = add_weighted_gains(
-        lp, ((f"nonneg[p{p}]", coeffs(p), share) for p in renl.supported_paths)
-    )
-    stock.add_norm_row()
-    lp.set_objective("max", objective)
-    out = solve(lp)
-    if out.status != "optimal":
-        raise PropertyViolation(f"robust arbitrage LP unexpectedly {out.status}")
-    holds = out.value == ZERO
-    witness = None if holds else stock.values(out)
+    stock = enlarge_robust(drop_options(renl.robust), 0)
+    arb = detect_arbitrage(stock.enl, paths=stock.supported_paths)
+    holds = not arb.found
+    witness = None if holds else arb.strategy.stock
 
     # a martingale polytope without price rows: the selector slack is
     # then the domination factor alone
@@ -230,43 +208,7 @@ def robust_na(renl: RobustEnlarged) -> RobustNaReport:
         raise PropertyViolation(
             "primal no-arbitrage verdict disagrees with per-selector domination"
         )
-    return RobustNaReport(holds=holds, gain=out.value, witness=witness, certificates=certificates)
-
-
-# -- quasi-sure super-hedging with the stock alone ---------------------------
-
-
-@dataclass
-class RobustStockReport:
-    value: Q | None
-    strategy: dict[tuple[int, int], Q] | None
-    measure: dict[int, Q] | None
-    na_failed: bool
-    dual_value: Q | None
-
-
-def robust_superhedge_stock(renl: RobustEnlarged, zeta) -> RobustStockReport:
-    """min x with x + dynamic gains >= zeta on every supported path.
-
-    This is robust_superhedge_options with an empty static book: the
-    dual maximizes E_Q[zeta] over supported martingale measures and
-    equality is asserted.  An unbounded primal happens exactly when no
-    supported martingale measure exists; that case is flagged rather
-    than priced.
-    """
-    try:
-        rep = robust_superhedge_options(renl, zeta, [], [])
-    except SnaFailure:
-        return RobustStockReport(
-            value=None, strategy=None, measure=None, na_failed=True, dual_value=None
-        )
-    return RobustStockReport(
-        value=rep.value,
-        strategy=rep.strategy,
-        measure=rep.measure,
-        na_failed=False,
-        dual_value=rep.dual_value,
-    )
+    return RobustNaReport(holds=holds, gain=arb.gain, witness=witness, certificates=certificates)
 
 
 # -- backward dynamic programming ---------------------------------------------
@@ -363,11 +305,11 @@ class DpReport:
     lp_count: int
 
 
-def dp_superhedge(renl: RobustEnlarged, zeta) -> DpReport:
+def dp_superhedge(renl: RobustEnlarged, zeta: Sequence[Q] | dict[int, Q]) -> DpReport:
     """Backward induction of the one-step operator from a terminal payoff.
 
-    The terminal payoff is per supported path; paths and terminal nodes
-    are in bijection because every clock is revealed by the horizon.
+    The terminal payoff zeta[p] is read on every supported path p; paths
+    and terminal nodes are in bijection because every clock is revealed by the horizon.
     The folded value is the quasi-sure stock super-hedging price and the
     per-node hedge ratios telescope pathwise, which is verified exactly.
     """
@@ -376,7 +318,7 @@ def dp_superhedge(renl: RobustEnlarged, zeta) -> DpReport:
     chi: dict[int, Q] = {}
     for p in renl.supported_paths:
         v = enl.epaths[p].node_seq[T]
-        val = _values_at(zeta, p)
+        val = zeta[p]
         if v in chi and chi[v] != val:
             raise PropertyViolation("terminal payoff is not a function of the terminal node")
         chi[v] = val
@@ -398,93 +340,9 @@ def dp_superhedge(renl: RobustEnlarged, zeta) -> DpReport:
     value = max(root_values.values())
     for p in renl.supported_paths:
         gain = evaluate_gain(enl.model, *enlarged_reading(enl, strategy, p))
-        if value + gain < _values_at(zeta, p):
+        if value + gain < zeta[p]:
             raise PropertyViolation("dp strategy fails to super-hedge pathwise")
     return DpReport(value=value, root_values=root_values, strategy=strategy, lp_count=lp_count)
-
-
-# -- super-hedging with added static long positions ---------------------------
-
-
-@dataclass
-class RobustOptionsReport:
-    value: Q
-    strategy: dict[tuple[int, int], Q]
-    positions: list[Q]
-    measure: dict[int, Q]
-    dual_value: Q
-
-
-def robust_superhedge_options(
-    renl: RobustEnlarged, zeta, payoffs: Sequence, option_prices: Sequence[Q]
-) -> RobustOptionsReport:
-    """Stock trading plus nonnegative static positions bought at quoted prices.
-
-    Primal: min x with x + gains + sum_i a_i (e_i - price_i) >= zeta on
-    the support, a >= 0.  Dual: max E_Q[zeta] over supported martingale
-    measures with E_Q[e_i] <= price_i; equality asserted.  An empty
-    dual polytope is an arbitrage in the quoted options.
-    """
-    if len(payoffs) != len(option_prices):
-        raise ModelFormatError("one price per static payoff required")
-    option_prices = [rat(v) for v in option_prices]
-    lp = LinearProgram()
-    x = lp.add_var("x", nonneg=False)
-    stock, coeffs = _stock_gains(renl, lp, split=False)
-    a_var = [lp.add_var(f"a[{i}]") for i in range(len(payoffs))]
-    for p in renl.supported_paths:
-        row = coeffs(p)
-        row[x] = row.get(x, ZERO) + ONE
-        for i, var in enumerate(a_var):
-            _bump(row, var, _values_at(payoffs[i], p) - option_prices[i])
-        lp.add_constraint(row, ">=", _values_at(zeta, p), name=f"hedge[p{p}]")
-    lp.set_objective("min", {x: ONE})
-    out = solve(lp)
-
-    enl = renl.enl
-    pt = MartingalePolytope(enl, renl.supported_paths)
-    work = pt.lp.copy()
-    for i in range(len(payoffs)):
-        row = {pt.q_var[p]: _values_at(payoffs[i], p) for p in pt.paths}
-        work.add_constraint(row, "<=", option_prices[i], name=f"price[{i}]")
-    work.set_objective("max", {pt.q_var[p]: _values_at(zeta, p) for p in pt.paths})
-    dual = solve(work)
-
-    if out.status == "unbounded" or dual.status == "infeasible":
-        if not (out.status == "unbounded" and dual.status == "infeasible"):
-            raise PropertyViolation("options super-hedge primal and dual disagree")
-        raise SnaFailure("no supported martingale measure prices the static options")
-    if out.status != "optimal" or dual.status != "optimal":
-        raise PropertyViolation("options super-hedge LP failed")
-    if out.value != dual.value:
-        raise PropertyViolation(
-            f"options super-hedge gap: {rat_str(out.value)} vs {rat_str(dual.value)}"
-        )
-    positions = [out.x(var) for var in a_var]
-    if any(a < 0 for a in positions):
-        raise PropertyViolation("static positions must be nonnegative")
-    stock_positions = stock.values(out)
-    measure = {p: dual.x(v) for p, v in pt.q_var.items() if dual.x(v)}
-    pt.require(measure, "options super-hedge dual measure")
-    for i in range(len(payoffs)):
-        priced = sum(
-            (measure.get(p, ZERO) * _values_at(payoffs[i], p) for p in pt.paths), ZERO
-        )
-        if priced > option_prices[i]:
-            raise PropertyViolation("dual measure breaks a static price bound")
-    for p in renl.supported_paths:
-        total = out.value + evaluate_gain(enl.model, *enlarged_reading(enl, stock_positions, p))
-        for i, a in enumerate(positions):
-            total += a * (_values_at(payoffs[i], p) - option_prices[i])
-        if total < _values_at(zeta, p):
-            raise PropertyViolation("options hedge fails pathwise")
-    return RobustOptionsReport(
-        value=out.value,
-        strategy=stock_positions,
-        positions=positions,
-        measure=measure,
-        dual_value=dual.value,
-    )
 
 
 # -- full sub/super-hedging dualities on the quasi-sure support ---------------

@@ -31,11 +31,11 @@ from amhedge.measures import build_polytope, dual_subhedge, dual_superhedge, e2_
 from amhedge.rationals import Q, ZERO, rat_str
 from amhedge.robust import (
     dp_superhedge,
+    drop_options,
     enlarge_robust,
     robust_ftap,
     robust_subhedge,
     robust_superhedge_full,
-    robust_superhedge_stock,
     verify_minimax,
 )
 
@@ -119,7 +119,7 @@ def test_criterion_2_ftap_biconditional_on_grid(capfd):
     try:
         for i, gm in enumerate(_corpus()):
             try:
-                rec, _ = check_ftap_grid(gm.model, expect="sna")
+                rec, _ = check_ftap_grid(enlarge(gm.model, gm.model.N), expect="sna")
                 points += len(rec["grid"])
             except PropertyViolation as exc:
                 failures.append(f"model {i}: {exc}")
@@ -130,15 +130,15 @@ def test_criterion_2_ftap_biconditional_on_grid(capfd):
             try:
                 if i % 3 == 0:
                     bad, _ = inject_arbitrage(rng, gm)
-                    rec, _ = check_ftap_grid(bad, expect="fail")
+                    rec, _ = check_ftap_grid(enlarge(bad, bad.N), expect="fail")
                 elif i % 3 == 1:
                     bad, _ = boundary_model(rng, gm, ZERO)
-                    rec, sna = check_ftap_grid(bad, expect="fail")
+                    rec, sna = check_ftap_grid(enlarge(bad, bad.N), expect="fail")
                     if sna.epsilon != ZERO:
                         raise PropertyViolation("pinned quote should have zero slack")
                 else:
                     bad, _ = boundary_model(rng, gm, BOUNDARY_OFFSET)
-                    rec, sna = check_ftap_grid(bad, expect="sna")
+                    rec, sna = check_ftap_grid(enlarge(bad, bad.N), expect="sna")
                     if not ZERO < sna.epsilon <= BOUNDARY_OFFSET:
                         raise PropertyViolation("offset quote should cap the slack")
                 points += len(rec["grid"])
@@ -210,16 +210,17 @@ def test_criterion_5_robust_duality_and_dp(capfd):
             model = rm.model
             renl_sub = enlarge_robust(rm, model.N)
             renl_sup = enlarge_robust(rm, model.N + 1)
-            zeta = extend_claim(renl_sup.enl, "super")
-            stock = robust_superhedge_stock(renl_sup, zeta)
-            dp = dp_superhedge(renl_sup, zeta)
-            if stock.na_failed or stock.value != dp.value:
+            # the stock-only price on the 1-clock space of the market
+            # without its books, against the induction on the full space
+            stock = robust_superhedge_full(enlarge_robust(drop_options(rm), 1))
+            dp = dp_superhedge(renl_sup, extend_claim(renl_sup.enl, "super"))
+            if stock.price != dp.value:
                 failures.append(f"kernel {k}: backward induction disagrees with the LP")
             sub = robust_subhedge(renl_sub)
             sup = robust_superhedge_full(renl_sup)
-            if sub.gap != ZERO or sup.gap != ZERO:
+            if sub.gap != ZERO or sup.gap != ZERO or stock.gap != ZERO:
                 failures.append(f"kernel {k}: primal-dual gap")
-            if not sub.price <= sup.price <= stock.value:
+            if not sub.price <= sup.price <= stock.price:
                 failures.append(f"kernel {k}: prices not sandwiched")
             count += 1
     except Exception as exc:
@@ -298,10 +299,8 @@ def test_criterion_7_minimax_identity(capfd):
                f" stopping on {count} instances")
 
 
-def _duality_strings(model) -> dict:
-    sub = subhedge(enlarge(model, model.N)).price
-    sup = superhedge(enlarge(model, model.N + 1)).price
-    return {"sub": rat_str(sub), "super": rat_str(sup)}
+def _duality_strings(enl, enl_sup) -> dict:
+    return {"sub": rat_str(subhedge(enl).price), "super": rat_str(superhedge(enl_sup).price)}
 
 
 def test_criterion_8_degenerations(capfd):
@@ -309,18 +308,19 @@ def test_criterion_8_degenerations(capfd):
     zero_iso = 0
     try:
         for i in range(12):
-            gm = _corpus()[i]
             sna, duality, _ = _evaluate(i)
+            pt_sub, pt_sup, _ = _POLYTOPES[i]
             try:
-                rec = check_degenerations(gm.model, sna, duality)
+                rec = check_degenerations(pt_sub.enl, pt_sup.enl, sna, duality)
                 zero_iso += bool(rec.get("zero_clock_iso"))
             except PropertyViolation as exc:
                 failures.append(f"model {i}: {exc}")
         for j in range(3):
             seed = SEED * 8 + j
             gm = random_sna_model(random.Random(seed), force_n=0, seed=seed)
-            sna = check_sna(enlarge(gm.model, 0))
-            rec = check_degenerations(gm.model, sna, _duality_strings(gm.model))
+            enl, enl_sup = enlarge(gm.model, 0), enlarge(gm.model, 1)
+            duality = _duality_strings(enl, enl_sup)
+            rec = check_degenerations(enl, enl_sup, check_sna(enl), duality)
             if not rec.get("zero_clock_iso"):
                 failures.append(f"zero-clock model {j}: isomorphism not checked")
             else:

@@ -88,6 +88,14 @@ def test_no_arbitrage_clean_market(binomial):
     assert not rep.found and rep.gain == ZERO and rep.strategy is None
 
 
+def test_arbitrage_restricted_to_paths(binomial):
+    # on the up path alone one share held from r wins 1 and never loses
+    rep = detect_arbitrage(enlarge(binomial, 0), paths=[0])
+    assert rep.found and rep.gain == Q(1, 2)
+    assert list(rep.strategy.stock.values()) == [ONE]
+    assert set(rep.gains) == {0}
+
+
 def test_arbitrage_from_cheap_european():
     # claim payoff sold at 1/4 < its pinned value 1/3
     model = load_model(binomial_dict(europeans=[

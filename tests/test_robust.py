@@ -18,14 +18,13 @@ from amhedge.robust import (
     build_robust,
     dp_operator,
     dp_superhedge,
+    drop_options,
     enlarge_robust,
     ftap_transfer,
     robust_ftap,
     robust_na,
     robust_subhedge,
     robust_superhedge_full,
-    robust_superhedge_options,
-    robust_superhedge_stock,
     submarket_slacks,
     verify_minimax,
 )
@@ -48,7 +47,7 @@ def _binomial_kern_long(long_option):
     return load_model(binomial_dict(americans_long=[long_option], kernels=INTERIOR))
 
 
-def _trinomial(kern):
+def _trinomial(kern, **extra):
     return load_model({
         "horizon": 1,
         "nodes": [
@@ -61,6 +60,7 @@ def _trinomial(kern):
         "claim": {"values": {"r": "0", "a": "1", "b": "0", "c": "0"}},
         "weights": {"a": "1/3", "b": "1/3", "c": "1/3"},
         "kernels": kern,
+        **extra,
     })
 
 
@@ -88,20 +88,37 @@ def test_na_fails_on_sure_up():
     assert rep.certificates[0].slack is None
 
 
+def _stock_only(rm, *, europeans=False):
+    """Super-hedge of the claim on the 1-clock space of the market without other books."""
+    return robust_superhedge_full(enlarge_robust(drop_options(rm, europeans=europeans), 1))
+
+
+def test_drop_options_keeps_kernels_claim_and_asked_books():
+    rm = build_robust(load_model(binomial_dict(
+        europeans=[{"payoff": {"u": "1", "d": "0"}, "price": "1/2"}],
+        americans_short=[{"values": {"r": "0", "u": "0", "d": "1/2"}, "price": "1/4"}],
+        kernels=INTERIOR,
+    )))
+    bare = drop_options(rm)
+    assert (bare.model.L, bare.model.M, bare.model.N) == (0, 0, 0)
+    assert bare.kernels == rm.kernels and bare.model.claim is rm.model.claim
+    assert drop_options(rm, europeans=True).model.europeans == rm.model.europeans
+    assert rm.model.N == 1
+
+
 def test_stock_superhedge():
-    renl = enlarge_robust(build_robust(_binomial(INTERIOR)), 0)
-    rep = robust_superhedge_stock(renl, {0: ONE, 1: ZERO})
-    assert rep.value == Q(1, 3)
-    assert rep.dual_value == Q(1, 3)
-    assert not rep.na_failed
+    rep = _stock_only(build_robust(_binomial(INTERIOR)))
+    assert rep.price == Q(1, 3)
+    assert rep.gap == ZERO and rep.dual_ref == {"value": "1/3"}
     # constants price to themselves
-    assert robust_superhedge_stock(renl, {0: Q(5, 7), 1: Q(5, 7)}).value == Q(5, 7)
+    flat = {"values": {"r": "5/7", "u": "5/7", "d": "5/7"}}
+    assert _stock_only(build_robust(load_model(binomial_dict(claim=flat, kernels=INTERIOR)))).price \
+        == Q(5, 7)
 
 
 def test_stock_superhedge_flags_arbitrage():
-    renl = enlarge_robust(build_robust(_binomial(SURE_UP)), 0)
-    rep = robust_superhedge_stock(renl, {0: ONE})
-    assert rep.na_failed and rep.value is None
+    with pytest.raises(SnaFailure):
+        _stock_only(build_robust(_binomial(SURE_UP)))
 
 
 def _put_super_target(kern):
@@ -113,13 +130,21 @@ def _put_super_target(kern):
 
 
 def test_dp_matches_stock_superhedge():
-    _, renl, zeta = _put_super_target(INTERIOR)
+    rm, renl, zeta = _put_super_target(INTERIOR)
     dp = dp_superhedge(renl, zeta)
     assert dp.value == Q(1, 3)
-    assert robust_superhedge_stock(renl, zeta).value == dp.value
     # one LP per supported root atom
     roots = {renl.enl.epaths[p].node_seq[0] for p in renl.supported_paths}
     assert dp.lp_count == len(roots)
+
+
+def test_stock_only_price_ignores_the_short_clocks():
+    # the put's clock enters neither the gain of a stock hedge nor the
+    # claim: the 1-clock price of the market without the put equals the
+    # backward induction on the 2-clock space of the market with it
+    rm, renl, zeta = _put_super_target(INTERIOR)
+    assert rm.model.N == 1 and renl.enl.n == 2
+    assert _stock_only(rm).price == dp_superhedge(renl, zeta).value
 
 
 def test_dp_raises_on_local_arbitrage():
@@ -144,30 +169,31 @@ def test_two_vertex_support_and_prices():
     assert rm.supported_base_paths == [0, 1, 2]
     renl = enlarge_robust(rm, 0)
     zeta = {0: ONE, 1: ZERO, 2: ZERO}
-    assert robust_superhedge_stock(renl, zeta).value == Q(1, 3)
+    assert _stock_only(rm).price == Q(1, 3)
     assert dp_superhedge(renl, zeta).value == Q(1, 3)
     na = robust_na(renl)
     assert na.holds and len(na.certificates) == 2
 
 
+def _trinomial_book(payoff, price):
+    """TWO_VERTEX trinomial with one quoted European."""
+    return build_robust(_trinomial(TWO_VERTEX, europeans=[{"payoff": payoff, "price": price}]))
+
+
 def test_options_tighten_the_stock_price():
-    rm = build_robust(_trinomial(TWO_VERTEX))
-    renl = enlarge_robust(rm, 0)
-    zeta = {0: ONE, 1: ZERO, 2: ZERO}
-    assert robust_superhedge_options(renl, zeta, [], []).value == Q(1, 3)
-    rep = robust_superhedge_options(renl, zeta, [{0: ONE, 1: ZERO, 2: ZERO}], [Q(1, 6)])
-    assert rep.value < Q(1, 3)
-    assert rep.value == rep.dual_value
-    assert rep.positions[0] > ZERO
+    rm = _trinomial_book({"a": "1", "b": "0", "c": "0"}, "1/6")
+    assert _stock_only(rm).price == Q(1, 3)
+    rep = _stock_only(rm, europeans=True)
+    assert rep.price < Q(1, 3)
+    assert rep.gap == ZERO
+    assert rep.strategy.long_european[0] > ZERO
 
 
 def test_options_overpriced_book_fails():
-    rm = build_robust(_trinomial(TWO_VERTEX))
-    renl = enlarge_robust(rm, 0)
-    zeta = {0: ONE, 1: ZERO, 2: ZERO}
-    # payoff >= 1 everywhere sold at 1/2: every measure prices it above
+    # payoff 1 everywhere sold at 1/2: every measure prices it above
+    rm = _trinomial_book({"a": "1", "b": "1", "c": "1"}, "1/2")
     with pytest.raises(SnaFailure):
-        robust_superhedge_options(renl, zeta, [{0: ONE, 1: ONE, 2: ONE}], [Q(1, 2)])
+        _stock_only(rm, europeans=True)
 
 
 def test_singleton_family_reproduces_classical():
