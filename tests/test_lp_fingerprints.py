@@ -29,10 +29,10 @@ from test_report_bytes import CAMPAIGN_MODELS, COMMANDS, CONFTEST_MODELS, _model
 
 # (number of LPs solved, sha256 of their sorted fingerprints)
 EXPECTED_CLI = (30, "95fff9dabfbb9860081bb001b2c795b3a2a40db3cbf15703718e02eb0e84ba36")
-EXPECTED_VERIFY = (318, "2dab46de3f1315c4512fd23cb8e3bddfdb6dfd2538b307f5be1680c7c02adc36")
+EXPECTED_VERIFY = (314, "11df9388afb4a8cfcae8c7f3dd65ad8541ef5144f45d2f8a15fc701dccdfbaa2")
 # (number of pivots, sha256 of the sorted (fingerprint, pivot sequence) pairs)
 EXPECTED_CLI_PIVOTS = (273, "b265ea9ea7415ceda9d07caa9ea4e3f805d469504928ef315b9c9cc56bccc257")
-EXPECTED_VERIFY_PIVOTS = (4889, "5a0fe80824019aa0928412b6b683907e7499caf7057e536925efd8a7eddc6a01")
+EXPECTED_VERIFY_PIVOTS = (4839, "e1452ce12d71fa2e7b04637b5f0b1df2f41b57033ea8ad6359023f13cf75738a")
 
 
 def fingerprint(prog: lp.LinearProgram) -> str:
