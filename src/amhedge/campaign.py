@@ -641,8 +641,6 @@ def check_ftap_grid(enl: EnlargedModel, *, expect: str | None = None) -> tuple[d
     arbitrage at every shift.
     """
     model = enl.model
-    if enl.n != model.N:
-        raise ValueError("the shift grid runs on the n = N enlargement")
     sna = check_sna(enl)
     if expect == "sna" and not sna.holds:
         raise PropertyViolation("factory promised strict no-arbitrage but it fails")
@@ -741,20 +739,17 @@ def check_degenerations(
     """Limiting cases with forced outcomes.
 
     ``enl`` and ``enl_sup`` are the market's n = N and n = N + 1 spaces
-    (as check_duality's polytopes carry them).  A constant claim must
-    price to that constant on both sides; prices, slack, and arbitrage
-    verdicts must not react to the clock-weight profile; moving one
-    quote against the hedger inside the slack budget must move prices
-    weakly in its favor; and with no shorted options the enlarged space
-    must collapse onto the base tree.
+    (as check_duality's polytopes carry them); quotes and books change
+    below, the tree never, so every variant reuses one of these two
+    forests.  A constant claim must price to that constant on both
+    sides; prices, slack, and arbitrage verdicts must not react to the
+    clock-weight profile; moving one quote against the hedger inside
+    the slack budget must move prices weakly in its favor; and with no
+    shorted options the enlarged space must collapse onto the base tree.
     """
     record: dict = {}
     model = enl.model
     N = model.N
-    # quotes and books change below, the tree never: every variant
-    # reuses one of these two forests
-    if (enl.n, enl_sup.n) != (N, N + 1) or enl_sup.model is not model:
-        raise ValueError("degenerations need the n = N and n = N + 1 spaces of one market")
 
     # clock weights never enter the consistent-measure polytope
     enl_sk = enlarge(model, N, clock_weights="skewed")

@@ -2,15 +2,18 @@
 from __future__ import annotations
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
+from amhedge import campaign
 from amhedge.campaign import (
     BOUNDARY_OFFSET,
     binomial_call,
     binomial_call_short_put,
     boundary_model,
     check_depth_zero,
+    check_robust_model,
     inject_arbitrage,
     node_interior,
     random_kernel_model,
@@ -22,6 +25,7 @@ from amhedge.campaign import (
     trinomial_two_kernels,
 )
 from amhedge.enlarged import enlarge
+from amhedge.errors import PropertyViolation
 from amhedge.hedging import check_sna
 from amhedge.market import emit_model, load_model
 from amhedge.measures import (
@@ -32,7 +36,9 @@ from amhedge.measures import (
     ftap_certificate,
 )
 from amhedge.rationals import ONE, Q, ZERO
-from amhedge.robust import enlarge_robust, robust_ftap
+from amhedge.robust import build_robust, enlarge_robust, robust_ftap
+
+from conftest import binomial_dict
 
 
 def test_fixture_markets_round_trip():
@@ -142,6 +148,15 @@ def test_random_kernel_model_is_consistent(seed):
     rm, gm = random_kernel_model(random.Random(seed), seed=seed)
     rep = robust_ftap(enlarge_robust(rm, rm.model.N))
     assert rep.holds and rep.epsilon > ZERO
+
+
+def test_stock_only_arbitrage_is_a_property_violation(monkeypatch):
+    # past a (stubbed) clean robust_na, an unbounded stock-only hedge
+    # still ends the battery in PropertyViolation
+    rm = build_robust(load_model(binomial_dict(kernels={"r": [["1", "0"]]})))
+    monkeypatch.setattr(campaign, "robust_na", lambda renl: SimpleNamespace(holds=True))
+    with pytest.raises(PropertyViolation, match="stock-only"):
+        check_robust_model(rm)
 
 
 def test_depth_zero_market():
