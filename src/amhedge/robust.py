@@ -308,10 +308,11 @@ class DpReport:
 def dp_superhedge(renl: RobustEnlarged, zeta: Sequence[Q] | dict[int, Q]) -> DpReport:
     """Backward induction of the one-step operator from a terminal payoff.
 
-    The terminal payoff zeta[p] is read on every supported path p; paths
-    and terminal nodes are in bijection because every clock is revealed by the horizon.
-    The folded value is the quasi-sure stock super-hedging price and the
-    per-node hedge ratios telescope pathwise, which is verified exactly.
+    The terminal payoff zeta[p] is read on every supported path p;
+    paths and terminal nodes are in bijection because every clock is
+    revealed by the horizon.  The folded value is the quasi-sure stock
+    super-hedging price and the per-node hedge ratios telescope
+    pathwise, which is verified exactly.
     """
     enl = renl.enl
     T = enl.horizon
