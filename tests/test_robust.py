@@ -103,7 +103,8 @@ def test_drop_options_keeps_kernels_claim_and_asked_books():
     assert (bare.model.L, bare.model.M, bare.model.N) == (0, 0, 0)
     assert bare.kernels == rm.kernels and bare.model.claim is rm.model.claim
     assert drop_options(rm, europeans=True).model.europeans == rm.model.europeans
-    assert rm.model.N == 1
+    # the source market keeps its books
+    assert (rm.model.L, rm.model.N) == (1, 1)
 
 
 def test_stock_superhedge():
@@ -112,8 +113,8 @@ def test_stock_superhedge():
     assert rep.gap == ZERO and rep.dual_ref == {"value": "1/3"}
     # constants price to themselves
     flat = {"values": {"r": "5/7", "u": "5/7", "d": "5/7"}}
-    assert _stock_only(build_robust(load_model(binomial_dict(claim=flat, kernels=INTERIOR)))).price \
-        == Q(5, 7)
+    rm = build_robust(load_model(binomial_dict(claim=flat, kernels=INTERIOR)))
+    assert _stock_only(rm).price == Q(5, 7)
 
 
 def test_stock_superhedge_flags_arbitrage():
@@ -130,7 +131,7 @@ def _put_super_target(kern):
 
 
 def test_dp_matches_stock_superhedge():
-    rm, renl, zeta = _put_super_target(INTERIOR)
+    _, renl, zeta = _put_super_target(INTERIOR)
     dp = dp_superhedge(renl, zeta)
     assert dp.value == Q(1, 3)
     # one LP per supported root atom
