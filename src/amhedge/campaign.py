@@ -24,8 +24,6 @@ from .market import AdaptedProcess, EventTree, MarketModel, Node, TerminalPayoff
 from .measures import (
     MeasurePolytope,
     build_polytope,
-    dual_subhedge,
-    dual_superhedge,
     e2_chain,
     ftap_certificate,
     lift_measure_uniform_clock,
@@ -37,6 +35,7 @@ from .measures import (
 )
 from .rationals import ONE, ZERO, Q, rat, rat_str
 from .robust import (
+    RobustEnlarged,
     RobustModel,
     build_robust,
     dp_superhedge,
@@ -593,20 +592,21 @@ def _describe(model: MarketModel) -> dict:
 def check_duality(
     model: MarketModel,
 ) -> tuple[dict, MeasurePolytope, MeasurePolytope, dict[int, Q]]:
-    """Certified sub and super prices against separately built dual LPs.
+    """Certified sub and super prices against separately built hedge LPs.
 
-    Each dual LP re-validates its optimal measure from the model data
-    (the sub side also against the backward-induction envelope) and must
-    reach the price exactly; sub must not exceed super.  Returns the
-    record, the polytopes of the n = N and n = N + 1 spaces, and the
-    super dual's closed maximizer, for check_chain.
+    Each price comes from its measure LP (price_with_dual), with the
+    measure re-checked from the model data and the hedge read off the
+    duals re-checked pathwise; the hedge LP of subhedge/superhedge,
+    built and solved on its own, must reach the price exactly.  Sub must
+    not exceed super.  Returns the record, the polytopes of the n = N and
+    n = N + 1 spaces, and the super price's closed maximizer, for
+    check_chain.
     """
     sub, pt_sub = price_with_dual(enlarge(model, model.N), "sub")
     sup, pt_sup = price_with_dual(enlarge(model, model.N + 1), "super")
-    sup_dual = dual_superhedge(pt_sup)
-    for report, dual in ((sub, dual_subhedge(pt_sub)), (sup, sup_dual)):
-        if report.price != dual.value:
-            raise PropertyViolation(f"{report.kind} dual LP reaches {rat_str(dual.value)}")
+    for report, ref in ((sub, subhedge(pt_sub.enl)), (sup, superhedge(pt_sup.enl))):
+        if report.price != ref.price:
+            raise PropertyViolation(f"{report.kind} hedge LP reaches {rat_str(ref.price)}")
     if not sub.price <= sup.price:
         raise PropertyViolation("sub-hedge price exceeds super-hedge price")
     record = {
@@ -614,15 +614,15 @@ def check_duality(
         "sub": rat_str(sub.price),
         "super": rat_str(sup.price),
     }
-    return record, pt_sub, pt_sup, sup_dual.measure
+    return record, pt_sub, pt_sup, sup.measure
 
 
 # -- battery: pricing consistency across the shift grid -------------------------
 
 
-def _na_closed(enl: EnlargedModel) -> bool:
+def _na_closed(pt: MeasurePolytope) -> bool:
     """Existence of a full-support measure in the closed polytope."""
-    out = build_polytope(enl).support_slack(prices=False)
+    out = pt.support_slack(prices=False)
     if out.status == "infeasible":
         return False
     if out.status != "optimal":
@@ -633,7 +633,8 @@ def _na_closed(enl: EnlargedModel) -> bool:
 def check_ftap_grid(enl: EnlargedModel, *, expect: str | None = None) -> tuple[dict, SnaReport]:
     """No-arbitrage of shifted prices against the measure-side criterion.
 
-    ``enl`` is the market's n = N space; every shift reuses its forest.
+    ``enl`` is the market's n = N space; every shift reuses its forest
+    and a copy of its polytope with the quotes moved.
     For every shift the trading-side verdict must coincide with the
     existence of a full-support consistent measure at the shifted
     quotes; verdicts must be monotone in the shift, shifts below the
@@ -648,10 +649,11 @@ def check_ftap_grid(enl: EnlargedModel, *, expect: str | None = None) -> tuple[d
         raise PropertyViolation("corrosion promised an inconsistency but none appears")
     rows = []
     seen_false = False
+    pt = build_polytope(enl)
     for eps in sorted(EPS_GRID):    # ascending: verdicts may only degrade
         shifted = enl.with_model(model.shifted_prices(eps))
         na_primal = not detect_arbitrage(shifted).found
-        na_dual = _na_closed(shifted)
+        na_dual = _na_closed(pt.at_quotes(shifted))
         if na_primal != na_dual:
             raise PropertyViolation(
                 f"at shift {rat_str(eps)} trading says NA={na_primal} "
@@ -930,7 +932,7 @@ def check_robust_model(rm: RobustModel, *, submarkets: bool = False) -> dict:
         if not sup.price <= book.price <= stock_only:
             raise PropertyViolation("static buy-side book is not sandwiched")
 
-    low, high = ftap_transfer(rm)
+    low, high = ftap_transfer(renl_sub, renl_sup)
     if not low.holds:
         raise PropertyViolation("kernel factory promised consistency but it fails")
     if submarkets and model.M:
@@ -955,8 +957,9 @@ def check_robust_model(rm: RobustModel, *, submarkets: bool = False) -> dict:
         kernels2[wide] = kernels2[wide][:-1]
         rm2 = build_robust(model, kernels2)
         try:
-            sub2 = robust_subhedge(enlarge_robust(rm2, model.N))
-            sup2 = robust_superhedge_full(enlarge_robust(rm2, model.N + 1))
+            # an enlarged space does not depend on the kernels
+            sub2 = robust_subhedge(RobustEnlarged(rm2, renl_sub.enl))
+            sup2 = robust_superhedge_full(RobustEnlarged(rm2, renl_sup.enl))
         except SnaFailure:
             record["dropped_vertex"] = wide
             record["dropped_consistent"] = False

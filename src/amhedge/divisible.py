@@ -259,7 +259,7 @@ class ClockLP:
     def families_from(self, out) -> dict:
         model = self.model
         dims = range(model.stock.dim)
-        stock = self.stock.values(out)
+        stock = self.stock.values(out.primal)
 
         def family(kind, member):
             members = {tvec: member(tvec) for tvec in self.tuples}

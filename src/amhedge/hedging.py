@@ -128,10 +128,10 @@ class StockPositions:
         if self.split:
             _bump(row, self.neg[(key, d)], -coef)
 
-    def values(self, out: LPOutcome) -> dict[tuple, Q]:
-        """Nonzero optimal positions, keyed (key, dim)."""
+    def values(self, point: Sequence[Q]) -> dict[tuple, Q]:
+        """Nonzero positions at an LP point, keyed (key, dim)."""
         vals = {
-            kd: out.x(var) - out.x(self.neg[kd]) if self.split else out.x(var)
+            kd: point[var] - point[self.neg[kd]] if self.split else point[var]
             for kd, var in self.pos.items()
         }
         return {kd: v for kd, v in vals.items() if v}
@@ -311,25 +311,37 @@ class GainLP:
                 self.lp.add_constraint(row, "=", ZERO, name=f"liq[{j};p{p}]")
 
     def strategy_from(self, out: LPOutcome) -> SemiStaticStrategy:
-        book = {kind: [out.x(var) for var in vs] for kind, vs in self.static.items()}
+        return self._strategy_at(out.primal)
+
+    def _strategy_at(self, point: Sequence[Q]) -> SemiStaticStrategy:
+        book = {kind: [point[var] for var in vs] for kind, vs in self.static.items()}
         return SemiStaticStrategy(
             dims=self.model.stock.dim,
-            stock=self.stock.values(out),
+            stock=self.stock.values(point),
             long_european=book["a"],
             long_american=book["b"],
             short_american=book["c"],
             liquidation=[
-                {v: out.x(var) for v, var in nu.items() if out.x(var)} for nu in self.nu_var
+                {v: point[var] for v, var in nu.items() if point[var]} for nu in self.nu_var
             ],
         )
 
     def ray_summary(self, out: LPOutcome) -> dict[str, str]:
-        names = self.lp.var_names
-        return {
-            names[j]: rat_str(val)
-            for j, val in enumerate(out.ray or [])
-            if val and j < len(names)
-        }
+        """The improving ray of a hedge LP (x and free H), named by variable."""
+        return ray_summary(self.enl, out.ray[self.x], self._strategy_at(out.ray))
+
+
+def ray_summary(enl: EnlargedModel, x: Q, ray: SemiStaticStrategy) -> dict[str, str]:
+    """Nonzero entries of a hedge LP's ray, named as GainLP names its variables."""
+    lab = lambda v: enl.enode(v).label
+    named: dict[str, Q] = {"x": x}
+    named.update((f"H[{lab(v)};{d}]", h) for (v, d), h in ray.stock.items())
+    for kind, book in (("a", ray.long_european), ("b", ray.long_american),
+                       ("c", ray.short_american)):
+        named.update((f"{kind}[{i}]", val) for i, val in enumerate(book))
+    for j, nu in enumerate(ray.liquidation):
+        named.update((f"nu[{j};{lab(v)}]", m) for v, m in nu.items())
+    return {name: rat_str(val) for name, val in named.items() if val}
 
 
 @dataclass
@@ -344,7 +356,7 @@ class HedgeReport:
     lp_cols: int
     pivots: int
     num_paths: int
-    measure: dict[int, Q]                   # dual measure read from the hedge rows
+    measure: dict[int, Q] = field(default_factory=dict)    # the price's measure, if any
     gap: Q | None = None
     dual_ref: dict | None = None
 
@@ -365,6 +377,46 @@ class HedgeReport:
         return doc
 
 
+def check_hedge(
+    enl: EnlargedModel,
+    strat: SemiStaticStrategy,
+    sign: Q,
+    x: Q,
+    rhs: Sequence[Q],
+    *,
+    paths: Iterable[int],
+    exercise: LiquidatingStrategy | None = None,
+    exercise_values: dict[int, Q] | None = None,
+    kind: str,
+) -> None:
+    """Re-validate a hedge on every path: sign*x + Phi(p) + extra(p) >= rhs(p).
+
+    Independent of any LP.  Phi comes from payoff_enlarged, which also
+    checks that each nu_j sums to b_j along every path; the static book
+    and every liquidation mass must be nonnegative.  With ``exercise``
+    the claim is held divisibly: its weights eta must be nonnegative and
+    sum to 1 along every path, and extra(p) = sum_t eta(v_t) * value(v_t).
+    """
+    books = (strat.long_european, strat.long_american, strat.short_american,
+             *(nu.values() for nu in strat.liquidation),
+             exercise.weights.values() if exercise is not None else ())
+    if any(val < ZERO for book in books for val in book):
+        raise PropertyViolation(f"{kind} hedge holds a negative static or exercise position")
+    gains = payoff_enlarged(enl, strat, paths=paths)
+    for p, gain in gains.items():
+        lhs = sign * x + gain
+        if exercise is not None:
+            seq = enl.epaths[p].node_seq
+            mass = sum((exercise.at(v) for v in seq), ZERO)
+            if mass != ONE:
+                raise PropertyViolation(f"exercise weights sum to {rat_str(mass)} != 1 on path {p}")
+            lhs += sum((exercise.at(v) * exercise_values[v] for v in seq), ZERO)
+        if lhs < rhs[p]:
+            raise PropertyViolation(
+                f"{kind} hedge fails on path {p}: {rat_str(lhs)} < {rat_str(rhs[p])}"
+            )
+
+
 def _hedge(
     enl: EnlargedModel,
     kind: str,
@@ -379,16 +431,15 @@ def _hedge(
     sign -1 maximizes x (a sub-hedge), sign +1 minimizes it (a
     super-hedge).  With ``exercise_values`` the claim is held divisibly:
     exercise weights eta of unit mass per path add extra(p) = sum_t
-    eta(v_t) * value(v_t).  The optimum is re-validated pathwise against
-    the same inequality, with the gain recomputed by payoff_enlarged.
-    Q(p) = sign * (dual of path p's row), nonnegative by the LP's sign
-    convention, is the dual measure; price_with_dual re-validates it.
+    eta(v_t) * value(v_t).  The optimum is re-validated by check_hedge.
+    This LP is the reference of the campaign's duality check and the
+    pricer of the divisibility battery; ``price`` solves the measure LP
+    of measures.price_with_dual instead.
     """
     g = GainLP(enl, paths=paths, add_x=True)
     eta_var = {}
     if exercise_values is not None:
         eta_var = {v: g.lp.add_var(f"eta[{enl.enode(v).label}]") for v in g.carry_nodes}
-    hedge_row: dict[int, int] = {}
     for p in g.paths:
         seq = enl.epaths[p].node_seq
         row = g.gain_coeffs(p)
@@ -396,7 +447,7 @@ def _hedge(
             for v in seq:
                 _bump(row, eta_var[v], exercise_values[v])
         row[g.x] = row.get(g.x, ZERO) + sign
-        hedge_row[p] = g.lp.add_constraint(row, ">=", rhs[p], name=f"hedge[p{p}]")
+        g.lp.add_constraint(row, ">=", rhs[p], name=f"hedge[p{p}]")
         if eta_var:
             g.lp.add_constraint({eta_var[v]: ONE for v in seq}, "=", ONE, name=f"unit[p{p}]")
     g.add_liquidation_rows()
@@ -421,21 +472,9 @@ def _hedge(
         lp_cols=out.cols,
         pivots=out.pivots,
         num_paths=len(g.paths),
-        measure={p: sign * out.duals[r] for p, r in hedge_row.items() if out.duals[r]},
     )
-    gains = payoff_enlarged(enl, report.strategy, paths=g.paths)
-    for p in g.paths:
-        lhs = sign * report.price + gains[p]
-        if eta is not None:
-            seq = enl.epaths[p].node_seq
-            mass = sum((eta.at(v) for v in seq), ZERO)
-            if mass != ONE:
-                raise PropertyViolation(f"exercise weights sum to {rat_str(mass)} != 1 on path {p}")
-            lhs += sum((eta.at(v) * exercise_values[v] for v in seq), ZERO)
-        if lhs < rhs[p]:
-            raise PropertyViolation(
-                f"{kind} hedge fails on path {p}: {rat_str(lhs)} < {rat_str(rhs[p])}"
-            )
+    check_hedge(enl, report.strategy, sign, report.price, rhs, paths=g.paths,
+                exercise=eta, exercise_values=exercise_values, kind=kind)
     return report
 
 

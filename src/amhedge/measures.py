@@ -13,17 +13,23 @@ e2_chain enumerates stopping times, under its cap.
 """
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Hashable, Iterable, Iterator, Literal, Sequence
 
 from .enlarged import EnlargedModel, extend_claim
 from .errors import PropertyViolation, SnaFailure
-from .hedging import HedgeReport, subhedge, superhedge
+from .hedging import HedgeReport, SemiStaticStrategy, check_hedge, ray_summary
 from .lp import LinearProgram, LPOutcome, SlackOutcome, max_slack, solve
 from .market import MarketModel
 from .rationals import ONE, ZERO, Q, rat_str
-from .strategies import DEFAULT_ENUM_CAP, StoppingTime, enumerate_stopping_times
+from .strategies import (
+    DEFAULT_ENUM_CAP,
+    LiquidatingStrategy,
+    StoppingTime,
+    enumerate_stopping_times,
+)
 
 __all__ = [
     "MartingalePolytope",
@@ -47,6 +53,9 @@ __all__ = [
 
 # mixture weights 1/2, 1/4, ... tried by the strict-interior line searches
 _HALVINGS = 12
+
+# per run head of a Snell block: (stop node, stop row or None, cont row or None)
+SnellRows = dict[int, tuple[int, int | None, int | None]]
 
 
 def restricted_stopping_times(
@@ -87,8 +96,7 @@ class MartingalePolytope:
             for p in self.paths
             for t in range(enl.horizon)
         )
-        rows = _add_martingale_rows(self.lp, moves, lambda v: enl.enode(v).label)
-        self.mart_rows = [r for r, _ in rows]
+        self.mart_rows = _add_martingale_rows(self.lp, moves, lambda v: enl.enode(v).label)
 
     @property
     def price_rows(self) -> list[int]:
@@ -102,12 +110,18 @@ class MartingalePolytope:
                 total += q * values[p]
         return total
 
+    def extremum_lp(
+        self, values: dict[int, Q] | Sequence[Q], sense: Literal["max", "min"]
+    ) -> LinearProgram:
+        """E_Q[values] as the objective of a copy of the LP."""
+        work = self.lp.copy()
+        work.set_objective(sense, {self.q_var[p]: values[p] for p in self.paths if values[p]})
+        return work
+
     def solve_extremum(
         self, values: dict[int, Q] | Sequence[Q], sense: Literal["max", "min"]
     ) -> tuple[Q, dict[int, Q], LPOutcome]:
-        work = self.lp.copy()
-        work.set_objective(sense, {self.q_var[p]: values[p] for p in self.paths if values[p]})
-        out, measure = self._solve_measure(work)
+        out, measure = self._solve_measure(self.extremum_lp(values, sense))
         return out.value, measure, out
 
     def _solve_measure(self, work: LinearProgram) -> tuple[LPOutcome, dict[int, Q]]:
@@ -197,12 +211,12 @@ def _add_martingale_rows(
     lp: LinearProgram,
     moves: Iterable[tuple[int, Hashable, Sequence[Q]]],
     label: Callable[[Hashable], str],
-) -> list[tuple[int, int]]:
+) -> list[tuple[int, Hashable, int]]:
     """The one builder of martingale rows: sum of q * (S_next - S_node) = 0.
 
     ``moves`` lists (probability variable, node left, stock move)
     triples.  One equality per (node, stock dim) with a nonzero move, in
-    sorted order; returns (row index, dim) per row.
+    sorted order; returns (row index, node, dim) per row.
     """
     rows: dict[tuple, dict[int, Q]] = {}
     for var, node, move in moves:
@@ -211,7 +225,7 @@ def _add_martingale_rows(
                 row = rows.setdefault((node, d), {})
                 row[var] = row.get(var, ZERO) + m
     return [
-        (lp.add_constraint(row, "=", ZERO, name=f"mart[{label(node)};{d}]"), d)
+        (lp.add_constraint(row, "=", ZERO, name=f"mart[{label(node)};{d}]"), node, d)
         for (node, d), row in sorted(rows.items())
     ]
 
@@ -240,11 +254,11 @@ def martingale_increments(
 
 def one_step_polytope(
     model: MarketModel, nid: str, kids: Sequence[str]
-) -> tuple[LinearProgram, dict[str, int], list[tuple[int, int]]]:
+) -> tuple[LinearProgram, dict[str, int], list[tuple[int, str, int]]]:
     """Mass and martingale rows of one-step laws from base node nid onto kids.
 
     Returns the LP, the probability variable of each child, and the
-    (row index, stock dim) of every martingale row.
+    (row index, node, stock dim) of every martingale row.
     """
     lp = LinearProgram()
     q_var = {kid: lp.add_var(f"q[{kid}]") for kid in kids}
@@ -261,9 +275,10 @@ class MeasurePolytope(MartingalePolytope):
     """Martingale measures that also respect the model's quoted option prices.
 
     Row indices are kept per constraint family so the uniform-slack
-    machinery can target exactly the price rows.  Each longed American
-    adds one Snell block (see snell_block) and its ask row ``g[j]``;
-    ``num_tau_rows`` counts the rows of those blocks.
+    machinery can target exactly the price rows, and hedge_from can read
+    a hedge off any LP built on a copy.  Each longed American adds one
+    Snell block (see snell_block), kept in ``long_blocks``, and its ask
+    row ``g[j]``; ``num_tau_rows`` counts the rows of those blocks.
     """
 
     def __init__(self, enl: EnlargedModel, *, paths: Iterable[int] | None = None) -> None:
@@ -281,13 +296,15 @@ class MeasurePolytope(MartingalePolytope):
 
         # longed Americans: sup over stopping times by one Snell block each
         self.g_rows: list[int] = []
+        self.long_blocks: list[SnellRows] = []
         self.long_values = [
             {v: enl.long_value_at_node(j, v) for v in range(len(enl.enodes))}
             for j in range(model.M)
         ]
         first = self.lp.num_rows
         for j, (_, beta) in enumerate(model.americans_long):
-            root, shift = self.snell_block(self.lp, self.long_values[j], f"g{j}")
+            root, shift, rows = self.snell_block(self.lp, self.long_values[j], f"g{j}")
+            self.long_blocks.append(rows)
             self.g_rows.append(self.lp.add_constraint(root, "<=", beta - shift, name=f"g[{j}]"))
         self.num_tau_rows = self.lp.num_rows - first
 
@@ -303,54 +320,164 @@ class MeasurePolytope(MartingalePolytope):
         kids = {v: tuple(c for c in self.enl.children[v] if c in through) for v in through}
         return through, kids
 
+    @cached_property
+    def _runs(self) -> dict[int, tuple[int, ...]]:
+        """Each head of the support forest, a root or a child of a branching
+        node, in index order, with its run of nodes: the head, then single
+        children down to the first leaf or branching node."""
+        through, kids = self._forest
+        heads = [r for r in self.enl.roots if r in through]
+        heads += [kid for v in through if len(kids[v]) > 1 for kid in kids[v]]
+        runs = {}
+        for h in sorted(heads):
+            run = [h]
+            while len(kids[run[-1]]) == 1:
+                run.append(kids[run[-1]][0])
+            runs[h] = tuple(run)
+        return runs
+
     def snell_block(
         self, lp: LinearProgram, values_at_enode: dict[int, Q], tag: str
-    ) -> tuple[dict[int, Q], Q]:
+    ) -> tuple[dict[int, Q], Q, SnellRows]:
         """Add the mass-weighted Snell envelope of a value process g to lp.
 
-        lp is this polytope's LP or a copy of it.  With c = min(0, min g)
-        and m_v(Q) the Q-mass of the paths through node v, every non-leaf
-        support node gets Y_v >= 0 with Y_v >= (g(v) - c) * m_v(Q) (where
-        g(v) != c) and Y_v >= the sum of its children's terms; a leaf's
-        term is (g(v) - c) * m_v(Q) itself.  Returns the sum of the root
-        terms and c.  At the least Y that sum is sup_tau E_Q[g_tau] - c,
-        and Y >= 0 is exact because Q >= 0 has mass 1.
+        lp is this polytope's LP or a copy of it.  Let c = min(0, min g)
+        and m_v(Q) the Q-mass of the paths through node v.  The nodes of
+        one run (see _runs) carry the same paths, so a stop anywhere in it
+        is worth at most (G - c) * m(Q), G the run's largest g.  A run that
+        ends in a leaf is that term itself.  A run that ends in a branching
+        node gets Y >= 0 with Y >= (G - c) * m(Q) (where G != c) and Y >=
+        the sum of the terms of that node's children.  Returns the sum of
+        the root terms, c, and per head the node where the run stops (its
+        first with g = G), its stop row and its cont row (None where
+        absent).  At the least Y that sum is sup_tau E_Q[g_tau] - c, and
+        Y >= 0 is exact because Q >= 0 has mass 1.  On a forest where every
+        non-leaf node branches, each run is one node.
         """
         through, kids = self._forest
         shift = min(ZERO, *(values_at_enode[v] for v in through))
         label = lambda v: f"{tag};{self.enl.enode(v).label}"
-        y = {v: lp.add_var(f"Y[{label(v)}]") for v in through if kids[v]}
+        runs = self._runs
+        at = {h: max(run, key=lambda v: values_at_enode[v]) for h, run in runs.items()}
+        y = {h: lp.add_var(f"Y[{label(h)}]") for h, run in runs.items() if kids[run[-1]]}
 
-        def term(v: int) -> dict[int, Q]:
-            if v in y:
-                return {y[v]: ONE}
-            return {self.q_var[p]: values_at_enode[v] - shift for p in through[v]}
+        def term(h: int) -> dict[int, Q]:
+            if h in y:
+                return {y[h]: ONE}
+            return {self.q_var[p]: values_at_enode[at[h]] - shift for p in through[h]}
 
-        for v, yv in y.items():
-            if values_at_enode[v] != shift:
-                row = {yv: ONE, **{self.q_var[p]: shift - values_at_enode[v] for p in through[v]}}
-                lp.add_constraint(row, ">=", ZERO, name=f"stop[{label(v)}]")
-            row = {yv: ONE}
-            for kid in kids[v]:
+        rows: SnellRows = {h: (at[h], None, None) for h in runs}
+        for h, yh in y.items():
+            stop = None
+            best = values_at_enode[at[h]]
+            if best != shift:
+                row = {yh: ONE, **{self.q_var[p]: shift - best for p in through[h]}}
+                stop = lp.add_constraint(row, ">=", ZERO, name=f"stop[{label(h)}]")
+            row = {yh: ONE}
+            for kid in kids[runs[h][-1]]:
                 row.update((var, -coef) for var, coef in term(kid).items())
-            lp.add_constraint(row, ">=", ZERO, name=f"cont[{label(v)}]")
+            rows[h] = at[h], stop, lp.add_constraint(row, ">=", ZERO, name=f"cont[{label(h)}]")
         root: dict[int, Q] = {}
         for r in self.enl.roots:
             if r in through:
                 root.update(term(r))
-        return root, shift
+        return root, shift, rows
+
+    def envelope_lp(
+        self, values_at_enode: dict[int, Q]
+    ) -> tuple[LinearProgram, Q, SnellRows]:
+        """min of one Snell block's root terms on a copy of the LP, with the
+        block's shift and rows (see snell_block)."""
+        work = self.lp.copy()
+        root, shift, rows = self.snell_block(work, values_at_enode, "env")
+        work.set_objective("min", root)
+        return work, shift, rows
 
     def stopped_envelope(self, values_at_enode: dict[int, Q]) -> tuple[Q, dict[int, Q], int]:
         """min over the polytope of sup over stopping times of E_Q[value at the stop].
 
-        Minimizes one Snell block's root terms on a copy of the LP.
         Returns the value, the optimal measure and the block's row count.
         """
-        work = self.lp.copy()
-        root, shift = self.snell_block(work, values_at_enode, "env")
-        work.set_objective("min", root)
+        work, shift, _ = self.envelope_lp(values_at_enode)
         out, measure = self._solve_measure(work)
         return out.value + shift, measure, work.num_rows - self.lp.num_rows
+
+    def at_quotes(self, enl: EnlargedModel) -> "MeasurePolytope":
+        """This polytope for enl, this space at other quotes (EnlargedModel.with_model).
+
+        Only the quotes enter the price rows' right-hand sides, so the copy
+        moves those and shares every other row, variable and the forest.
+        """
+        other = copy.copy(self)
+        other.enl = enl
+        other.lp = self.lp.copy()
+        old, new = self.enl.model, enl.model
+        for rows, was, now in (
+            (self.f_rows, old.europeans, new.europeans),
+            (self.h_rows, old.americans_short, new.americans_short),
+            (self.g_rows, old.americans_long, new.americans_long),
+        ):
+            for r, (_, a), (_, b) in zip(rows, was, now, strict=True):
+                other.lp.rows[r].rhs += b - a
+        return other
+
+    def hedge_from(
+        self,
+        y: Sequence[Q],
+        sign: Q,
+        claim_rows: SnellRows | None = None,
+    ) -> tuple[SemiStaticStrategy, LiquidatingStrategy | None]:
+        """The semi-static hedge whose positions are the multipliers y.
+
+        y holds one multiplier per row of an LP built on a copy of this
+        one (rows kept in place): the duals of a max LP or a Farkas vector
+        (sign +1), or the duals of a min LP (sign -1).  mart[v;d] gives H
+        at (v, d), f[i] gives a_i, h[k] gives c_k with its sign flipped
+        and g[j] gives b_j; the stop/cont rows of long j's Snell block give
+        its liquidation flow nu_j (see _flow).  With ``claim_rows``, the
+        claim's own block, their rows give the exercise weights eta of unit
+        mass.  The cash x is the LP's value; nothing here is trusted until
+        hedging.check_hedge has re-validated the hedge pathwise.
+        """
+        pos = [sign * v for v in y]
+        books = [[pos[r] for r in self.f_rows], [pos[r] for r in self.g_rows],
+                 [-pos[r] for r in self.h_rows]]
+        strat = SemiStaticStrategy(
+            dims=self.enl.model.stock.dim,
+            stock={(v, d): pos[r] for r, v, d in self.mart_rows if pos[r]},
+            long_european=books[0],
+            long_american=books[1],
+            short_american=books[2],
+            liquidation=[self._flow(rows, pos, b) for rows, b in zip(self.long_blocks, books[1])],
+        )
+        eta = None if claim_rows is None else LiquidatingStrategy(self._flow(claim_rows, pos, ONE))
+        return strat, eta
+
+    def _flow(self, rows: SnellRows, pos: Sequence[Q], top: Q) -> dict[int, Q]:
+        """Stop masses of one Snell block's dual flow, summing to ``top`` on every path.
+
+        ``top`` enters at each root.  A run with a cont row passes -pos of
+        that row on to each child of its last node; whatever else entered
+        the run stops at its stop node.  Dual feasibility of the Y columns
+        makes that rest at least -pos of the run's stop row: raising a stop
+        above it, where g - c >= 0, only adds to the hedge's gain.
+        """
+        kids = self._forest[1]
+        inflow = {r: top for r in self.enl.roots if r in self._runs}
+        stops: dict[int, Q] = {}
+        for h, run in self._runs.items():    # index order: parents before children
+            mass = inflow.pop(h)
+            at, stop, cont = rows[h]
+            if cont is not None:
+                passed = -pos[cont]
+                mass -= passed
+                if stop is not None and mass < -pos[stop]:
+                    raise PropertyViolation(
+                        f"Snell block multipliers lose mass at {self.enl.enode(h).label}")
+                inflow.update((kid, passed) for kid in kids[run[-1]])
+            if mass:
+                stops[at] = mass
+        return stops
 
     @property
     def price_rows(self) -> list[int]:
@@ -428,19 +555,38 @@ class DualPriceReport:
     num_tau_rows: int = 0
 
 
+def _certify_measure(
+    pt: MeasurePolytope, side: str, claim, measure: dict[int, Q], value: Q
+) -> None:
+    """The measure lies in pt and values the claim at ``value``: its Snell
+    value on the sub side, its expectation at the last clock on the super side."""
+    pt.require(measure, f"{side} price measure")
+    if side == "sub":
+        got = snell_value(pt.enl, claim, measure, paths=pt.paths)
+    else:
+        got = pt.expectation(measure, claim)
+    if got != value:
+        raise PropertyViolation(
+            f"{side} price measure values the claim at {rat_str(got)}, not {rat_str(value)}"
+        )
+
+
+def _side_space(enl: EnlargedModel, side: str) -> None:
+    if enl.n != enl.model.N + (side == "super"):
+        clocks = "N + 1" if side == "super" else "N"
+        raise ValueError(f"the {side}-hedging price runs on the n = {clocks} enlargement")
+
+
 def dual_superhedge(pt: MeasurePolytope) -> DualPriceReport:
     """max E_Q[claim at the last clock] over the closed polytope (n = N + 1).
 
-    A reference LP for the campaign: price reads its measure off the hedge LP.
+    The measure LP of price_with_dual, solved for its value and measure
+    alone; the measure is re-checked from the model data.
     """
-    enl = pt.enl
-    if enl.n != enl.model.N + 1:
-        raise ValueError("the super-hedging dual runs on the n = N + 1 enlargement")
-    target = extend_claim(enl, "super")
+    _side_space(pt.enl, "super")
+    target = extend_claim(pt.enl, "super")
     value, measure, _ = pt.solve_extremum(target, "max")
-    ok, _ = pt.check(measure)
-    if not ok or pt.expectation(measure, target) != value:
-        raise PropertyViolation("dual super-hedge optimizer failed re-validation")
+    _certify_measure(pt, "super", target, measure, value)
     return DualPriceReport("dual_super", value, measure, pt.num_tau_rows)
 
 
@@ -448,21 +594,12 @@ def dual_subhedge(pt: MeasurePolytope) -> DualPriceReport:
     """min over Q of max over stopping times of E_Q[claim at the stop].
 
     The stopped envelope of the claim over the closed polytope (n = N),
-    one Snell block; its value is re-checked against snell_value.
+    one Snell block; its measure is re-checked and valued by snell_value.
     """
-    enl = pt.enl
-    if enl.n != enl.model.N:
-        raise ValueError("the sub-hedging dual runs on the n = N enlargement")
-    claim_at = extend_claim(enl, "sub")
+    _side_space(pt.enl, "sub")
+    claim_at = extend_claim(pt.enl, "sub")
     value, measure, n_rows = pt.stopped_envelope(claim_at)
-    ok, _ = pt.check(measure)
-    if not ok:
-        raise PropertyViolation("dual sub-hedge optimizer failed re-validation")
-    best = snell_value(enl, claim_at, measure, paths=pt.paths)
-    if best != value:
-        raise PropertyViolation(
-            f"envelope value {rat_str(value)} != Snell value {rat_str(best)}"
-        )
+    _certify_measure(pt, "sub", claim_at, measure, value)
     return DualPriceReport("dual_sub", value, measure, n_rows)
 
 
@@ -472,34 +609,69 @@ def price_with_dual(
     *,
     paths: Iterable[int] | None = None,
 ) -> tuple[HedgeReport, MeasurePolytope]:
-    """One hedge LP, certified from both sides without a second LP.
+    """One measure LP prices the claim; the hedge is read off its duals.
 
-    The hedge is re-validated pathwise inside subhedge/superhedge.  The
-    measure read off its duals must lie in the polytope over the same
-    paths (checked from the model data, long asks by snell_value) and
-    value the claim at the price: its Snell value on the sub side, its
-    expectation at the last clock on the super side.  By weak duality the
-    two checks together prove gap 0, recorded with the measure as the
-    report's ``dual_ref``.  The polytope is returned for further checks.
+    Super side (n = N + 1): max E_Q[claim at the last clock] over the
+    polytope, as in dual_superhedge.  Sub side (n = N): min over it of the
+    claim's Snell block, as in dual_subhedge.  Both certificates are kept.
+    The optimal measure is re-checked from the model data (pt.require,
+    then snell_value or the expectation must give the price).  The hedge
+    of hedging.subhedge/superhedge is read off the same LP's verified
+    duals by MeasurePolytope.hedge_from and re-validated pathwise by
+    hedging.check_hedge.  By weak duality the two checks prove gap 0,
+    recorded with the measure as the report's ``dual_ref``.
+
+    An empty polytope means the hedge LP is unbounded.  The verified
+    Farkas vector is then read the same way as an improving ray of that
+    LP, a strategy that gains at least -(y . b) > 0 on every path, which
+    is checked pathwise and raised as SnaFailure.  The polytope is
+    returned for further checks.
     """
-    report = (subhedge if side == "sub" else superhedge)(enl, paths=paths)
+    _side_space(enl, side)
+    sign = ONE if side == "super" else -ONE
     pt = build_polytope(enl, paths=paths)
-    pt.require(report.measure, f"{side}-hedge dual measure")
     claim = extend_claim(enl, side)
-    if side == "sub":
-        value = snell_value(enl, claim, report.measure, paths=pt.paths)
+    if side == "super":
+        work, shift, claim_rows = pt.extremum_lp(claim, "max"), ZERO, None
+        rhs = claim
     else:
-        value = pt.expectation(report.measure, claim)
-    if report.price != value:
-        raise PropertyViolation(
-            f"{side}-hedge duality gap: {rat_str(report.price)} vs {rat_str(value)}"
+        work, shift, claim_rows = pt.envelope_lp(claim)
+        rhs = [ZERO] * enl.num_paths
+    out = solve(work)
+    if out.status == "infeasible":
+        rate = sum((y * row.rhs for y, row in zip(out.farkas, work.rows) if y), ZERO)
+        ray, _ = pt.hedge_from(out.farkas, ONE)
+        check_hedge(enl, ray, ONE, rate, [ZERO] * enl.num_paths, paths=pt.paths,
+                    kind=f"{side} hedge ray")
+        raise SnaFailure(
+            f"{side} hedging price is unbounded: the market admits arbitrage",
+            certificate={"ray": ray_summary(enl, sign * rate, ray)},
         )
-    report.gap = ZERO
-    report.dual_ref = {
-        "kind": f"dual_{side}",
-        "value": rat_str(value),
-        "measure": {enl.epaths[p].label: rat_str(q) for p, q in sorted(report.measure.items())},
-    }
+    if out.status != "optimal":
+        raise PropertyViolation(f"{side} measure LP unexpectedly {out.status}")
+    price = out.value + shift
+    measure = {p: out.x(v) for p, v in pt.q_var.items() if out.x(v)}
+    _certify_measure(pt, side, claim, measure, price)
+    strat, eta = pt.hedge_from(out.duals, sign, claim_rows)
+    check_hedge(enl, strat, sign, price, rhs, paths=pt.paths, exercise=eta,
+                exercise_values=claim if eta is not None else None, kind=side)
+    report = HedgeReport(
+        kind=side,
+        price=price,
+        strategy=strat,
+        exercise=eta,
+        lp_rows=out.rows,
+        lp_cols=out.cols,
+        pivots=out.pivots,
+        num_paths=len(pt.paths),
+        measure=measure,
+        gap=ZERO,
+        dual_ref={
+            "kind": f"dual_{side}",
+            "value": rat_str(price),
+            "measure": {enl.epaths[p].label: rat_str(q) for p, q in sorted(measure.items())},
+        },
+    )
     return report, pt
 
 

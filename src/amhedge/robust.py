@@ -273,7 +273,7 @@ def dp_operator(renl: RobustEnlarged, chi: dict[int, Q], t: int) -> DpStage:
         values[v] = out.value
         duals = out.duals or []
         ratios = {d: ZERO for d in range(stock.dim)}
-        for r, d in mart_rows:
+        for r, _, d in mart_rows:
             ratios[d] = duals[r] if r < len(duals) else ZERO
         # the coverage inequality value + H . step >= successor value
         # pins the dual sign; accept whichever orientation covers
@@ -494,15 +494,20 @@ def submarket_slacks(renl: RobustEnlarged, full: RobustFtapReport) -> list[Q | N
     return slacks
 
 
-def ftap_transfer(rm: RobustModel) -> tuple[RobustFtapReport, RobustFtapReport]:
+def ftap_transfer(
+    renl_low: RobustEnlarged, renl_high: RobustEnlarged
+) -> tuple[RobustFtapReport, RobustFtapReport]:
     """Pricing consistency transfers between the two enlargement depths.
 
-    The verdict with n equal to the number of short options must match
-    the verdict on the space with one extra clock; both are computed
-    and the biconditional asserted.
+    The verdict on renl_low, whose n is the number of short options,
+    must match the verdict on renl_high, the space with one extra clock;
+    both are computed and the biconditional asserted.
     """
-    low = robust_ftap(enlarge_robust(rm, rm.model.N))
-    high = robust_ftap(enlarge_robust(rm, rm.model.N + 1))
+    model = renl_low.robust.model
+    if (renl_low.enl.n, renl_high.enl.n) != (model.N, model.N + 1):
+        raise ValueError("ftap_transfer needs the n = N and n = N + 1 spaces")
+    low = robust_ftap(renl_low)
+    high = robust_ftap(renl_high)
     if low.holds != high.holds:
         raise PropertyViolation("pricing consistency verdict changed with the extra clock")
     return low, high

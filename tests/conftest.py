@@ -135,3 +135,44 @@ def trinomial() -> MarketModel:
 @pytest.fixture
 def two_period() -> MarketModel:
     return load_model(two_period_dict())
+
+
+def unbranched_dict(**extra) -> dict:
+    """Three periods in which some nodes have a single child.
+
+    r -> {a, b}; a -> aa -> aaa stays at 2 and b -> ba -> baa at 1, so each
+    run is one unbranched line of nodes; bb branches again.  The claim is
+    a put struck at 1; q(up) = 1/3 at r and at bb, 1/5 at b.
+    """
+    parents = {"a": "r", "b": "r", "aa": "a", "aaa": "aa", "ba": "b", "bb": "b",
+               "baa": "ba", "bba": "bb", "bbb": "bb"}
+    stock = {"r": Fraction(1), "a": Fraction(2), "b": Fraction(1, 2), "aa": Fraction(2),
+             "aaa": Fraction(2), "ba": Fraction(1), "bb": Fraction(1, 4), "baa": Fraction(1),
+             "bba": Fraction(1, 2), "bbb": Fraction(1, 8)}
+    text = lambda x: f"{x.numerator}/{x.denominator}"
+    data = {
+        "horizon": 3,
+        "nodes": [{"id": "r", "time": 0}] + [
+            {"id": v, "time": len(v), "parent": p} for v, p in parents.items()],
+        "stock": {"dim": 1, "values": {v: [text(s)] for v, s in stock.items()}},
+        "claim": {"values": {v: text(max(1 - s, Fraction(0))) for v, s in stock.items()}},
+        "weights": {v: "1/4" for v in ("aaa", "baa", "bba", "bbb")},
+    }
+    data.update(extra)
+    return data
+
+
+def unbranched_book_dicts() -> dict[str, dict]:
+    """unbranched_dict plain, with a shorted payoff of 1 on the a-line
+    bid at 1/4, and with a longed payoff of 1 on the b-line asked at 1."""
+    line = lambda ids: {v: "1" if v in ids else "0" for v in UNBRANCHED_NODES}
+    return {
+        "unbranched": unbranched_dict(),
+        "unbranched_short": unbranched_dict(americans_short=[
+            {"values": line({"a", "aa", "aaa"}), "price": "1/4"}]),
+        "unbranched_long": unbranched_dict(americans_long=[
+            {"values": line({"b", "ba", "baa", "bb"}), "price": "1"}]),
+    }
+
+
+UNBRANCHED_NODES = ("r", "a", "b", "aa", "aaa", "ba", "bb", "baa", "bba", "bbb")

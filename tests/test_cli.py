@@ -10,7 +10,6 @@ from pathlib import Path
 import pytest
 
 import amhedge.cli as cli
-import amhedge.hedging as hedging
 import amhedge.measures as measures
 from amhedge.cli import main
 from amhedge.lp import LPInternalError
@@ -298,7 +297,8 @@ def test_lp_self_check_failure_exit(model_file, capsys, monkeypatch):
     def broken(lp):
         raise LPInternalError("objective mismatch")
 
-    monkeypatch.setattr(hedging, "solve", broken)
+    # price solves its one LP, the measure LP, in measures
+    monkeypatch.setattr(measures, "solve", broken)
     code, _, err = run(["price", "--model", model_file, "--side", "sub"], capsys)
     assert code == 5 and "LP self-check failed" in err
 

@@ -1,0 +1,207 @@
+"""The price's one measure LP against the hedge LP it replaced.
+
+``price_with_dual`` solves the measure LP and reads the hedge off its
+duals; ``subhedge``/``superhedge`` build and solve the hedge LP on their
+own and are the reference here.  On every fixture market and on seeded
+generated ones, both sides must give the reference price exactly, the
+hedge read off the duals must hold on every path (re-evaluated here by
+``payoff_enlarged``), and the measure must pass its polytope's check.  On
+mispriced markets the measure LP is empty, and the ray read off its
+Farkas vector must be a strategy that gains on every path.
+"""
+from __future__ import annotations
+
+import json
+import random
+import re
+
+import pytest
+
+from amhedge.campaign import boundary_model, inject_arbitrage, random_sna_model
+from amhedge.cli import main
+from amhedge.enlarged import enlarge, extend_claim
+from amhedge.errors import SnaFailure
+from amhedge.hedging import SemiStaticStrategy, payoff_enlarged, subhedge, superhedge
+from amhedge.market import load_model
+from amhedge.measures import price_with_dual
+from amhedge.rationals import ONE, ZERO, Q, rat_str
+from amhedge.robust import build_robust, enlarge_robust
+
+from conftest import binomial_put_book_dict, unbranched_book_dicts
+from test_report_bytes import CAMPAIGN_MODELS, CONFTEST_MODELS, _model
+
+SIDES = ("sub", "super")
+
+
+def _generated_seeds(count: int) -> list[int]:
+    """The first seeds whose generated market has N <= 2, M <= 1 and L <= 1."""
+    seeds = []
+    seed = 0
+    while len(seeds) < count:
+        m = random_sna_model(random.Random(seed), seed=seed).model
+        if m.N <= 2 and m.M <= 1 and m.L <= 1:
+            seeds.append(seed)
+        seed += 1
+    return seeds
+
+
+GENERATED = _generated_seeds(8)
+
+
+def _space(model, side):
+    """The side's enlarged space and its paths (the kernel support, if any)."""
+    n = model.N + (side == "super")
+    if model.kernels:
+        renl = enlarge_robust(build_robust(model), n)
+        return renl.enl, renl.supported_paths
+    return enlarge(model, n), None
+
+
+def _check_against_reference(model, side):
+    enl, paths = _space(model, side)
+    report, pt = price_with_dual(enl, side, paths=paths)
+    ref = (subhedge if side == "sub" else superhedge)(enl, paths=paths)
+    assert report.price == ref.price
+    assert report.gap == ZERO and report.dual_ref["value"] == rat_str(report.price)
+
+    ok, ledger = pt.check(report.measure)
+    assert ok, [e for e in ledger if not e["ok"]]
+
+    strat = report.strategy
+    books = [*strat.long_european, *strat.long_american, *strat.short_american]
+    books += [m for nu in strat.liquidation for m in nu.values()]
+    assert all(v >= ZERO for v in books)
+    # payoff_enlarged raises unless each nu_j sums to b_j along every path
+    gains = payoff_enlarged(enl, strat, paths=pt.paths)
+    claim = extend_claim(enl, side)
+    eta = report.exercise
+    assert (eta is None) == (side == "super")
+    for p in pt.paths:
+        if side == "super":
+            assert report.price + gains[p] >= claim[p]
+            continue
+        seq = enl.epaths[p].node_seq
+        assert all(eta.at(v) >= ZERO for v in seq)
+        assert sum((eta.at(v) for v in seq), ZERO) == ONE
+        held = sum((eta.at(v) * claim[v] for v in seq), ZERO)
+        assert gains[p] + held >= report.price
+    return report
+
+
+@pytest.mark.parametrize("side", SIDES)
+@pytest.mark.parametrize("name", [*CONFTEST_MODELS, *CAMPAIGN_MODELS])
+def test_fixture_prices_match_the_hedge_lp(name, side, request):
+    _check_against_reference(_model(request, name), side)
+
+
+@pytest.mark.parametrize("side", SIDES)
+@pytest.mark.parametrize("name", sorted(unbranched_book_dicts()))
+def test_unbranched_runs_price_like_the_hedge_lp(name, side):
+    _check_against_reference(load_model(unbranched_book_dicts()[name]), side)
+
+
+@pytest.mark.parametrize("side", SIDES)
+@pytest.mark.parametrize("seed", GENERATED)
+def test_generated_prices_match_the_hedge_lp(seed, side):
+    _check_against_reference(random_sna_model(random.Random(seed), seed=seed).model, side)
+
+
+# (seed, books the hedge holds) of generated markets with one quote pinned
+# at its polytope extreme: there the option rows bind and their duals move
+PINNED = {
+    6: {"super": "a"},
+    17: {"sub": "a", "super": "b"},
+    49: {"super": "b"},
+    58: {"sub": "c", "super": "c"},
+    99: {"sub": "ac"},
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED))
+def test_pinned_quotes_put_options_in_the_hedge(seed):
+    gm = random_sna_model(random.Random(seed), seed=seed)
+    model, _ = boundary_model(random.Random(seed), gm, ZERO)
+    for side in SIDES:
+        report = _check_against_reference(model, side)
+        strat = report.strategy
+        held = {"a": strat.long_european, "b": strat.long_american, "c": strat.short_american}
+        for kind in PINNED[seed].get(side, ""):
+            assert any(held[kind]), (side, kind)
+
+
+# -- the arbitrage path: an empty measure LP and its ray ------------------------
+
+_NAME = re.compile(r"(\w+)\[(.*)\]")
+
+
+def _ray_from_names(enl, names: dict[str, str]) -> tuple[Q, SemiStaticStrategy]:
+    """Rebuild (x, strategy) from a certificate's variable names."""
+    model = enl.model
+    node = {e.label: v for v, e in enumerate(enl.enodes)}
+    strat = SemiStaticStrategy(
+        dims=model.stock.dim, stock={}, long_european=[ZERO] * model.L,
+        long_american=[ZERO] * model.M, short_american=[ZERO] * model.N,
+        liquidation=[{} for _ in range(model.M)],
+    )
+    x = ZERO
+    for name, text in names.items():
+        val = Q(text)
+        if name == "x":
+            x = val
+            continue
+        kind, inner = _NAME.fullmatch(name).groups()
+        if kind == "H":
+            label, d = inner.rsplit(";", 1)
+            strat.stock[(node[label], int(d))] = val
+        elif kind == "nu":
+            j, label = inner.split(";", 1)
+            strat.liquidation[int(j)][node[label]] = val
+        else:
+            book = {"a": strat.long_european, "b": strat.long_american, "c": strat.short_american}
+            book[kind][int(inner)] = val
+    return x, strat
+
+
+MISPRICED = {
+    # a short call bid above the call's largest payoff, 11 at S = 16
+    "short_bid_high": binomial_put_book_dict(2, short_bid="12"),
+    # a long put (struck at 5) asked below its exercise value 1 at the root
+    "long_ask_low": binomial_put_book_dict(2, long_ask="1/2"),
+}
+
+
+@pytest.mark.parametrize("side", SIDES)
+@pytest.mark.parametrize("name", sorted(MISPRICED))
+def test_mispriced_price_exits_2_with_a_checked_ray(name, side, tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(MISPRICED[name]))
+    code = main(["price", "--model", str(path), "--side", side])
+    _, err = capsys.readouterr()
+    assert code == 2 and "unbounded" in err
+
+    model = load_model(MISPRICED[name])
+    enl = enlarge(model, model.N + (side == "super"))
+    with pytest.raises(SnaFailure, match="price is unbounded") as exc:
+        price_with_dual(enl, side)
+    x, ray = _ray_from_names(enl, exc.value.certificate["ray"])
+    # an improving ray of the hedge LP: min x (super) falls, max x (sub) rises
+    assert (x < ZERO) if side == "super" else (x > ZERO)
+    gains = payoff_enlarged(enl, ray)
+    assert all(gain >= abs(x) for gain in gains.values())
+    # the hedge LP fails the same way
+    with pytest.raises(SnaFailure, match="price is unbounded"):
+        (subhedge if side == "sub" else superhedge)(enl)
+
+
+@pytest.mark.parametrize("seed", GENERATED[:4])
+def test_corroded_markets_fail_on_both_lps(seed):
+    gm = random_sna_model(random.Random(seed), seed=seed)
+    model, _ = inject_arbitrage(random.Random(seed), gm)
+    for side in SIDES:
+        enl = enlarge(model, model.N + (side == "super"))
+        with pytest.raises(SnaFailure, match="price is unbounded") as exc:
+            price_with_dual(enl, side)
+        x, ray = _ray_from_names(enl, exc.value.certificate["ray"])
+        assert all(gain >= abs(x) > ZERO for gain in payoff_enlarged(enl, ray).values())
+        with pytest.raises(SnaFailure):
+            (subhedge if side == "sub" else superhedge)(enl)

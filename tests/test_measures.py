@@ -15,7 +15,7 @@ import pytest
 
 from amhedge.enlarged import enlarge, extend_claim
 from amhedge.errors import PropertyViolation, SnaFailure
-from amhedge.lp import solve
+from amhedge.lp import format_lp, solve
 from amhedge.market import load_model
 from amhedge.measures import (
     build_polytope,
@@ -33,7 +33,7 @@ from amhedge.rationals import ONE, Q, ZERO
 from amhedge.robust import build_robust, enlarge_robust
 from amhedge.strategies import StoppingTime
 
-from conftest import binomial_dict, binomial_put_book_dict
+from conftest import binomial_dict, binomial_put_book_dict, unbranched_book_dicts
 
 
 def _path(enl, base_index, clocks):
@@ -269,8 +269,11 @@ def _envelope_polytopes():
     long_put = load_model(binomial_put_book_dict(2, short_bid="5/9", long_ask="25/9"))
     renl = enlarge_robust(build_robust(_trinomial2_kernel_model()), 1)
     assert len(renl.supported_paths) < renl.enl.num_paths
+    # single-child nodes collapse into runs of the Snell block
+    runs = load_model(unbranched_book_dicts()["unbranched_short"])
     return [build_polytope(enlarge(long_put, 1)),
-            build_polytope(renl.enl, paths=renl.supported_paths)]
+            build_polytope(renl.enl, paths=renl.supported_paths),
+            build_polytope(enlarge(runs, 1))]
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -285,7 +288,7 @@ def test_envelope_block_matches_snell_value(seed):
         work = pt.lp.copy()
         for p in pt.paths:
             work.add_constraint({pt.q_var[p]: ONE}, "=", measure.get(p, ZERO))
-        root, shift = pt.snell_block(work, values, "test")
+        root, shift, _ = pt.snell_block(work, values, "test")
         support = {v for p in pt.paths for v in pt.enl.epaths[p].node_seq}
         assert shift == min(ZERO, *(values[v] for v in support))
         work.set_objective("min", root)
@@ -304,3 +307,20 @@ def test_long_rows_stay_linear_in_the_support():
     support = {v for p in pt.paths for v in enl.epaths[p].node_seq}
     assert added == pt.num_tau_rows
     assert added <= 2 * model.M * len(support) + model.M
+
+
+def test_polytope_at_other_quotes_is_the_rebuilt_polytope():
+    # one shorted call, one longed put and one European call on the wedge
+    data = binomial_put_book_dict(2, short_bid="1/2", long_ask="5/2")
+    data["europeans"] = [{"payoff": {"ruu": "11", "rud": "0", "rdu": "0", "rdd": "0"},
+                          "price": "2"}]
+    model = load_model(data)
+    enl = enlarge(model, model.N)
+    pt = build_polytope(enl)
+    assert pt.f_rows and pt.g_rows and pt.h_rows
+    for eps in (Q(-1, 3), Q(1, 8), ONE):
+        shifted = enl.with_model(model.shifted_prices(eps))
+        moved = pt.at_quotes(shifted)
+        assert format_lp(moved.lp) == format_lp(build_polytope(shifted).lp)
+        assert moved.enl is shifted and moved.lp.rows[0] is not pt.lp.rows[0]
+    assert format_lp(pt.lp) == format_lp(build_polytope(enl).lp)

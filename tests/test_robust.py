@@ -238,7 +238,7 @@ def test_robust_ftap_no_options_equals_domination_slack():
 
 def test_ftap_transfer():
     rm = build_robust(_binomial_put(INTERIOR))
-    low, high = ftap_transfer(rm)
+    low, high = ftap_transfer(enlarge_robust(rm, rm.model.N), enlarge_robust(rm, rm.model.N + 1))
     assert low.holds and high.holds
 
 
