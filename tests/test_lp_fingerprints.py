@@ -28,11 +28,11 @@ from amhedge.rationals import rat_str
 from test_report_bytes import CAMPAIGN_MODELS, COMMANDS, CONFTEST_MODELS, _model
 
 # (number of LPs solved, sha256 of their sorted fingerprints)
-EXPECTED_CLI = (30, "95fff9dabfbb9860081bb001b2c795b3a2a40db3cbf15703718e02eb0e84ba36")
-EXPECTED_VERIFY = (314, "11df9388afb4a8cfcae8c7f3dd65ad8541ef5144f45d2f8a15fc701dccdfbaa2")
+EXPECTED_CLI = (30, "9e7db4afd6d61e844cc33a2c60c0980c3f41cac2cccc768a1043292add02a02b")
+EXPECTED_VERIFY = (314, "a8ea7246bf5613d31a496d3cbd70cced8cbba6aeca69c492bf516a1e332fe218")
 # (number of pivots, sha256 of the sorted (fingerprint, pivot sequence) pairs)
-EXPECTED_CLI_PIVOTS = (273, "b265ea9ea7415ceda9d07caa9ea4e3f805d469504928ef315b9c9cc56bccc257")
-EXPECTED_VERIFY_PIVOTS = (4839, "e1452ce12d71fa2e7b04637b5f0b1df2f41b57033ea8ad6359023f13cf75738a")
+EXPECTED_CLI_PIVOTS = (186, "41ecc0e947ae7ec74397e80937ee80accb616c0d3a8315f9bf4db78757fc3258")
+EXPECTED_VERIFY_PIVOTS = (4542, "1209183856fd980e16de9f39bb6eaf9f1ecad337bb3a4988d621738ae288f7ed")
 
 
 def fingerprint(prog: lp.LinearProgram) -> str:

@@ -37,32 +37,32 @@ COMMANDS = {
 # (exit code, sha256 of stdout) per model and command
 EXPECTED = {
     ('binomial', 'ftap'): (0, '0b31327cbb5992461200ee24b8a928d8586fbd2365a6d01bc6b0583ee3704dc4'),
-    ('binomial', 'price-sub'): (0, '15a21fd56c6777833e9b1849f2f9dbc399f194f16eacec53df95fc6755b05ce5'),
-    ('binomial', 'price-super'): (0, '8cd82097105b1588bade7b643ea81abd03a2589fa074a13730393641f365d234'),
+    ('binomial', 'price-sub'): (0, 'c9f833a176e12e1f51be305c15e4ad2d7d3ab72a16390a7e58b614b77c591c4d'),
+    ('binomial', 'price-super'): (0, 'c6865e0c5917528e443d8682633a96b414690e4f049840a319c75457f79cab05'),
     ('binomial_short_put', 'ftap'): (0, '5df1735c70153ed87f78f3fdf84cad369428df4d50d7c565a8f564c56d7c4cbc'),
-    ('binomial_short_put', 'price-sub'): (0, '9841702948511689737d2f5589834ddd5c00ca42d1361a8514e0ad37afae8661'),
-    ('binomial_short_put', 'price-super'): (0, '8c73dd61f8f16f31154dd84edd99f4a6d8cb9d1ba00dc76fbf2164e45194602c'),
+    ('binomial_short_put', 'price-sub'): (0, '717eada70f331ec5139a2aa7c022b6b50cbd32c38e144cd66f6eb715859ee983'),
+    ('binomial_short_put', 'price-super'): (0, '4cf98843410f326214af53a73fa52b56ca892fe1df62c65d617c95621679bc66'),
     ('trinomial', 'ftap'): (0, 'f942531f1231eb3eda66c01cea81c8842046a6d1f4c759e949e2519726405fc8'),
-    ('trinomial', 'price-sub'): (0, '0a600faf898f27e8a6a5f3382caaec6f415477149a18d6e27f5f2bec34027b73'),
-    ('trinomial', 'price-super'): (0, '183d61a30e6240c4c41a92c7b0149425640de5100b558bc98be0ed608d1d5bcb'),
+    ('trinomial', 'price-sub'): (0, 'c95fabaa95144a215d3bb191e5d795625e6198ad48176e8b7f891f8c80016e28'),
+    ('trinomial', 'price-super'): (0, '7737f7fda2b6489d2d03b8235583b91ab9f49bf1bf1aaaffaad313fb54c359f5'),
     ('two_period', 'ftap'): (0, 'b9ff7da94f5f4c9d0dd383a3aa0c3efa87394f5d8b17df6d93527b8656af169b'),
-    ('two_period', 'price-sub'): (0, '34656430a5fdc9000b4c0f17a5bb3baa281528502d39bd811bb1557c877da6c4'),
-    ('two_period', 'price-super'): (0, 'd77c6e133bfcda0a2a395f3a64c547dc855c7ab3d8c5bb0503aa5640d713a1af'),
+    ('two_period', 'price-sub'): (0, 'c8a50e23d4b73e5f309e032b5ded5e31ebe21b05eebbf65aac0d7060fbc35ed6'),
+    ('two_period', 'price-super'): (0, '5a0a41089f7b8dad3fe8979f538d8273f6ec3734bb4cb19eaf6cd7d9ea2d0dce'),
     ('binomial_call', 'ftap'): (0, '0b31327cbb5992461200ee24b8a928d8586fbd2365a6d01bc6b0583ee3704dc4'),
-    ('binomial_call', 'price-sub'): (0, '15a21fd56c6777833e9b1849f2f9dbc399f194f16eacec53df95fc6755b05ce5'),
-    ('binomial_call', 'price-super'): (0, '8cd82097105b1588bade7b643ea81abd03a2589fa074a13730393641f365d234'),
+    ('binomial_call', 'price-sub'): (0, 'c9f833a176e12e1f51be305c15e4ad2d7d3ab72a16390a7e58b614b77c591c4d'),
+    ('binomial_call', 'price-super'): (0, 'c6865e0c5917528e443d8682633a96b414690e4f049840a319c75457f79cab05'),
     ('binomial_call_short_put', 'ftap'): (0, '5df1735c70153ed87f78f3fdf84cad369428df4d50d7c565a8f564c56d7c4cbc'),
-    ('binomial_call_short_put', 'price-sub'): (0, '9841702948511689737d2f5589834ddd5c00ca42d1361a8514e0ad37afae8661'),
-    ('binomial_call_short_put', 'price-super'): (0, '8c73dd61f8f16f31154dd84edd99f4a6d8cb9d1ba00dc76fbf2164e45194602c'),
+    ('binomial_call_short_put', 'price-sub'): (0, '717eada70f331ec5139a2aa7c022b6b50cbd32c38e144cd66f6eb715859ee983'),
+    ('binomial_call_short_put', 'price-super'): (0, '4cf98843410f326214af53a73fa52b56ca892fe1df62c65d617c95621679bc66'),
     ('strict_chain_market', 'ftap'): (0, 'bb5e7de10b7a066b38a0ceaba0d176edfc6044febc2f7ea38d3494ff1651b80e'),
-    ('strict_chain_market', 'price-sub'): (0, 'ed7e34caa1542a169ef499a9296cb56099228c7ed0948d9a65ed4478a19fb83a'),
-    ('strict_chain_market', 'price-super'): (0, '165a390c8d07791a9cfbbbff065ebd34eb65f575cf4704182a116e692abd11e9'),
+    ('strict_chain_market', 'price-sub'): (0, '7dc7fe7cb1bdccb2cf0631e2cfdf7a6fc82db57285cf6669157c704ad6fd9b6d'),
+    ('strict_chain_market', 'price-super'): (0, '2908c67cc26db7ece03aeea768a8282a88fca21b8dfaffc4485e9cd99cc67a86'),
     ('trinomial_two_kernels', 'ftap'): (0, 'feec5c68f597d3b3676dac34f3e8493d05335544d1524df3486a230c40dc7ef0'),
-    ('trinomial_two_kernels', 'price-sub'): (0, 'dfd0b236b60f647f0ec17511deb4c7da607f010ab5075ef744985fdcfe598d04'),
-    ('trinomial_two_kernels', 'price-super'): (0, '0315a70de358092cf2bd03c9817e12faf5fc13e944c86b8c874c9bc08f50c08d'),
+    ('trinomial_two_kernels', 'price-sub'): (0, '9c4e3d0181fcafd451cb50b478146b04f5a5df51dd28311fb625abfd66a9e7ed'),
+    ('trinomial_two_kernels', 'price-super'): (0, '86cd4187cae9e598c3e4b9c46d656dcb9e7dfee7fd304ea1e2fa4d851d2a3b08'),
     ('binomial_kernel', 'ftap'): (0, 'efc61152d832c391f10c0371d478a1daa2552aca437abfffc33ceb89ceedf099'),
-    ('binomial_kernel', 'price-sub'): (0, 'dcb45bcdcb673a6ef8782ed2144c223302d90daf930dbb75c6f88f98b546be99'),
-    ('binomial_kernel', 'price-super'): (0, '1250810fffb20e80435c4e39626cf314058955e582f393e09bd5c0a436f46a09'),
+    ('binomial_kernel', 'price-sub'): (0, 'e308abdc0bbabf7c29689e43813d590617d44107fb121358402950b01ad385fc'),
+    ('binomial_kernel', 'price-super'): (0, '2ed1e6a5b2b3e9093c7f270c5aa155443ac95fc348cee9e32f7d8b43126ee3bf'),
 }
 
 
