@@ -326,10 +326,6 @@ class GainLP:
             ],
         )
 
-    def ray_summary(self, out: LPOutcome) -> dict[str, str]:
-        """The improving ray of a hedge LP (x and free H), named by variable."""
-        return ray_summary(self.enl, out.ray[self.x], self._strategy_at(out.ray))
-
 
 def ray_summary(enl: EnlargedModel, x: Q, ray: SemiStaticStrategy) -> dict[str, str]:
     """Nonzero entries of a hedge LP's ray, named as GainLP names its variables."""
@@ -346,7 +342,8 @@ def ray_summary(enl: EnlargedModel, x: Q, ray: SemiStaticStrategy) -> dict[str, 
 
 @dataclass
 class HedgeReport:
-    """Result of one primal hedging LP, with enough data to re-validate."""
+    """A price with its hedge, from a hedge LP or read off the measure LP's
+    duals (measures.price_with_dual), with enough data to re-validate."""
 
     kind: str
     price: Q
@@ -456,7 +453,7 @@ def _hedge(
     if out.status == "unbounded":
         raise SnaFailure(
             f"{kind} hedging price is unbounded: the market admits arbitrage",
-            certificate={"ray": g.ray_summary(out)},
+            certificate={"ray": ray_summary(enl, out.ray[g.x], g._strategy_at(out.ray))},
         )
     if out.status != "optimal":
         raise PropertyViolation(f"{kind} hedge LP unexpectedly {out.status}")

@@ -440,15 +440,14 @@ class MeasurePolytope(MartingalePolytope):
         hedging.check_hedge has re-validated the hedge pathwise.
         """
         pos = [sign * v for v in y]
-        books = [[pos[r] for r in self.f_rows], [pos[r] for r in self.g_rows],
-                 [-pos[r] for r in self.h_rows]]
+        longs = [pos[r] for r in self.g_rows]
         strat = SemiStaticStrategy(
             dims=self.enl.model.stock.dim,
             stock={(v, d): pos[r] for r, v, d in self.mart_rows if pos[r]},
-            long_european=books[0],
-            long_american=books[1],
-            short_american=books[2],
-            liquidation=[self._flow(rows, pos, b) for rows, b in zip(self.long_blocks, books[1])],
+            long_european=[pos[r] for r in self.f_rows],
+            long_american=longs,
+            short_american=[-pos[r] for r in self.h_rows],
+            liquidation=[self._flow(rows, pos, b) for rows, b in zip(self.long_blocks, longs)],
         )
         eta = None if claim_rows is None else LiquidatingStrategy(self._flow(claim_rows, pos, ONE))
         return strat, eta
