@@ -11,6 +11,7 @@ random.Random, which makes every corpus reproducible from its seed.
 """
 from __future__ import annotations
 
+import copy
 import dataclasses
 import random
 from dataclasses import dataclass
@@ -22,6 +23,7 @@ from .hedging import SnaReport, check_sna, detect_arbitrage, subhedge, superhedg
 from .lp import solve
 from .market import AdaptedProcess, EventTree, MarketModel, Node, TerminalPayoff, load_model
 from .measures import (
+    MartingalePolytope,
     MeasurePolytope,
     build_polytope,
     e2_chain,
@@ -73,6 +75,7 @@ __all__ = [
     "check_singleton_robust",
     "check_divisibility",
     "check_robust_model",
+    "selector_sweep",
     "check_minimax_instance",
     "check_depth_zero",
     "run_campaign",
@@ -642,14 +645,14 @@ def check_ftap_grid(enl: EnlargedModel, *, expect: str | None = None) -> tuple[d
     arbitrage at every shift.
     """
     model = enl.model
-    sna = check_sna(enl)
+    pt = build_polytope(enl)
+    sna = check_sna(pt)
     if expect == "sna" and not sna.holds:
         raise PropertyViolation("factory promised strict no-arbitrage but it fails")
     if expect == "fail" and sna.holds:
         raise PropertyViolation("corrosion promised an inconsistency but none appears")
     rows = []
     seen_false = False
-    pt = build_polytope(enl)
     for eps in sorted(EPS_GRID):    # ascending: verdicts may only degrade
         shifted = enl.with_model(model.shifted_prices(eps))
         na_primal = not detect_arbitrage(shifted).found
@@ -893,6 +896,71 @@ def check_divisibility(model: MarketModel) -> dict:
 # -- battery: kernel families --------------------------------------------------
 
 
+def _shifted_membership(pt: MartingalePolytope, measure: dict[int, Q], delta: Q) -> None:
+    """Membership in the delta-shifted polytope: check() at moved quotes.
+
+    check() re-evaluates every row from the data of pt.enl.model alone,
+    so a copy of pt on the same space with the delta-shifted model is
+    the shifted polytope for it.  A polytope without price rows has
+    nothing to shift: the check is then that of a martingale law.
+    """
+    shifted = copy.copy(pt)
+    shifted.enl = pt.enl.with_model(pt.enl.model.shifted_prices(delta))
+    shifted.require(measure, "shifted-polytope witness")
+
+
+def _selector_epsilon(
+    pt: MartingalePolytope, pbar: dict[int, Q]
+) -> tuple[Q | None, dict[int, Q] | None]:
+    """Largest e with a measure in the e-shifted polytope dominating e*pbar.
+
+    Price rows, if the polytope has any, are tightened by e; the
+    domination of the optimizer is re-checked in place.
+    """
+    work = pt.lp.copy()
+    e_var = work.add_var("_e", nonneg=False)
+    for r in pt.price_rows:
+        work.rows[r].coeffs[e_var] = ONE if work.rows[r].rel == "<=" else -ONE
+    for p, w in sorted(pbar.items()):
+        work.add_constraint({pt.q_var[p]: ONE, e_var: -w}, ">=", ZERO, name=f"dom[p{p}]")
+    work.set_objective("max", {e_var: ONE})
+    out = solve(work)
+    if out.status == "infeasible":
+        return None, None
+    if out.status != "optimal":
+        raise PropertyViolation(f"shifted-polytope LP unexpectedly {out.status}")
+    eps = out.x(e_var)
+    measure = {p: out.x(v) for p, v in pt.q_var.items() if out.x(v)}
+    for p, w in pbar.items():
+        if measure.get(p, ZERO) < eps * w:
+            raise PropertyViolation("domination certificate failed re-validation")
+    return eps, measure
+
+
+def selector_sweep(pt: MartingalePolytope, renl: RobustEnlarged) -> bool:
+    """The quasi-sure consistency verdict, one kernel selector at a time.
+
+    Holds iff for every selector product measure P some e > 0 admits a
+    measure in the e-shifted polytope pt dominating e*P.  This is the
+    oracle of the one uniform-slack LP of robust_ftap (pt with price
+    rows) and robust_na (pt without).  Selectors that share a vertex
+    measure share one LP, whose optimizer is re-checked in the e-shifted
+    polytope; the enumeration stays under DEFAULT_SELECTOR_CAP.
+    """
+    solved: dict[tuple, bool] = {}
+    for selector in renl.robust.selectors():
+        pbar = renl.vertex_measure(selector)
+        key = tuple(sorted(pbar.items()))
+        if key not in solved:
+            eps, measure = _selector_epsilon(pt, pbar)
+            if measure is not None:
+                _shifted_membership(pt, measure, eps)
+            solved[key] = eps is not None and eps > ZERO
+        if not solved[key]:
+            return False
+    return True
+
+
 def check_robust_model(rm: RobustModel, *, submarkets: bool = False) -> dict:
     """Full quasi-sure battery for one kernel family.
 
@@ -935,6 +1003,9 @@ def check_robust_model(rm: RobustModel, *, submarkets: bool = False) -> dict:
     low, high = ftap_transfer(renl_sub, renl_sup)
     if not low.holds:
         raise PropertyViolation("kernel factory promised consistency but it fails")
+    pt_sub = build_polytope(renl_sub.enl, paths=renl_sub.supported_paths)
+    if selector_sweep(pt_sub, renl_sub) != low.holds:
+        raise PropertyViolation("selector sweep disagrees with the one-LP consistency verdict")
     if submarkets and model.M:
         submarket_slacks(renl_sub, low)
 
@@ -982,23 +1053,19 @@ def check_minimax_instance(
         streams.append({
             v: _grid_value(rng, Q(-1), Q(2)) for v in renl.supported_enodes()
         })
-    selectors = renl.robust.selectors()
-    if len(selectors) <= 3:
-        vertices = None
-        num_vertices = len(selectors)
-    else:
-        vertices = []
-        for sel in selectors[:3]:
-            base = renl.vertex_measure(sel)
+    vertices = [renl.vertex_measure(sel) for sel in renl.robust.selectors()]
+    if len(vertices) > 3:
+        tilted = []
+        for base in vertices[:3]:
             tilt = {p: q * rng.choice([ONE, Q(2), Q(3)]) for p, q in base.items()}
             total = sum(tilt.values(), ZERO)
-            vertices.append({p: q / total for p, q in tilt.items()})
-        num_vertices = len(vertices)
+            tilted.append({p: q / total for p, q in tilt.items()})
+        vertices = tilted
     report = verify_minimax(renl, streams, vertices, cap=cap)
     return {
         "value": rat_str(report.value),
         "streams": report.num_streams,
-        "vertices": num_vertices,
+        "vertices": report.num_vertices,
         "taus": report.num_taus,
     }
 

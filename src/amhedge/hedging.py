@@ -575,17 +575,18 @@ class SnaReport:
     primal_clear: bool | None = None
 
 
-def check_sna(enl: EnlargedModel) -> SnaReport:
+def check_sna(pt) -> SnaReport:
     """Strict no-arbitrage verdict with dual witness and primal cross-check.
 
-    epsilon* is the maximal uniform slack of the martingale polytope at
-    the model's quotes; SNA holds iff epsilon* > 0, in which case quotes
-    moved by epsilon*/2 in the trader's favour still admit no arbitrage
-    (verified primally).
+    pt is the MeasurePolytope of the market's space.  epsilon* is its
+    maximal uniform slack at the model's quotes; SNA holds iff
+    epsilon* > 0, in which case quotes moved by epsilon*/2 in the
+    trader's favour still admit no arbitrage (verified primally).
     """
-    from .measures import build_polytope, ftap_certificate
+    from .measures import ftap_certificate
 
-    sna, cert = ftap_certificate(build_polytope(enl))
+    enl = pt.enl
+    sna, cert = ftap_certificate(pt)
     primal_clear = None
     if sna:
         shifted = enl.with_model(enl.model.shifted_prices(cert.slack / 2))

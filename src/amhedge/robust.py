@@ -5,15 +5,20 @@ non-terminal node; the scenario class is every product of per-node
 selections.  Quasi-sure statements reduce to statements on the union
 of the selector supports, so every hedging problem stays an exact LP
 over the supported enlarged paths and every dual runs over martingale
-measures carried there.
+measures carried there.  Consistency is one LP as well: mixing the
+measures that dominate each selector gives one measure strictly
+positive on every supported path, so the quasi-sure FTAP is the
+uniform-slack certificate of the classical one on the supported paths
+(the finite, product-form case of Bouchard & Nutz, Ann. Appl. Probab.
+25 (2015)).  No engine path enumerates selectors; the per-selector
+sweep is the campaign's oracle.
 """
 from __future__ import annotations
 
-import copy
 import dataclasses
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .enlarged import EnlargedModel, enlarge
 from .errors import CapExceededError, ModelFormatError, PropertyViolation, SnaFailure
@@ -22,7 +27,9 @@ from .lp import LinearProgram, solve
 from .market import MarketModel, check_kernel_family
 from .measures import (
     MartingalePolytope,
+    MeasureCertificate,
     build_polytope,
+    ftap_certificate,
     one_step_polytope,
     price_with_dual,
     restricted_stopping_times,
@@ -164,51 +171,34 @@ def enlarge_robust(rm: RobustModel, n: int, clock_weights="uniform") -> RobustEn
 
 
 @dataclass
-class DominationCertificate:
-    selector: tuple[int, ...]
-    slack: Q | None
-    measure: dict[int, Q] | None
-
-    @property
-    def dominates(self) -> bool:
-        return self.slack is not None and self.slack > ZERO
-
-
-@dataclass
 class RobustNaReport:
     holds: bool
     gain: Q
     witness: dict[tuple[int, int], Q] | None
-    certificates: list[DominationCertificate]
+    certificate: MeasureCertificate
 
 
 def robust_na(renl: RobustEnlarged) -> RobustNaReport:
-    """No-arbitrage from dynamic trading alone, with per-selector duals.
+    """No-arbitrage from dynamic trading alone, with its dual certificate.
 
     Primal: detect_arbitrage on the supported paths of the stock-only
     market's n = 0 space (a stock arbitrage on a space with clocks stays
     one with every clock fixed at T); the witness is keyed by that
-    space's nodes.  Certificate side: for every kernel selector P there
-    must be a supported martingale measure Q with Q >= s P for some
-    s > 0.  Both sides are computed and the biconditional enforced.
+    space's nodes.  Certificate side: a martingale measure strictly
+    positive on every supported path, i.e. positive uniform slack of a
+    polytope without price rows.  Both sides are computed and the
+    biconditional enforced.
     """
     stock = enlarge_robust(drop_options(renl.robust), 0)
     arb = detect_arbitrage(stock.enl, paths=stock.supported_paths)
     holds = not arb.found
     witness = None if holds else arb.strategy.stock
-
-    # a martingale polytope without price rows: the selector slack is
-    # then the domination factor alone
-    base = MartingalePolytope(renl.enl, renl.supported_paths)
-    certificates = [
-        DominationCertificate(selector=selector, slack=slack, measure=measure)
-        for selector, slack, measure in _selector_sweep(base, renl)
-    ]
-    if holds != all(cert.dominates for cert in certificates):
+    positive, certificate = ftap_certificate(MartingalePolytope(renl.enl, renl.supported_paths))
+    if holds != positive:
         raise PropertyViolation(
-            "primal no-arbitrage verdict disagrees with per-selector domination"
+            "primal no-arbitrage verdict disagrees with the supported martingale measure"
         )
-    return RobustNaReport(holds=holds, gain=arb.gain, witness=witness, certificates=certificates)
+    return RobustNaReport(holds=holds, gain=arb.gain, witness=witness, certificate=certificate)
 
 
 # -- backward dynamic programming ---------------------------------------------
@@ -371,122 +361,43 @@ def _quasi_sure_price(renl: RobustEnlarged, side: str) -> HedgeReport:
 
 
 @dataclass
-class RobustFtapCertificate:
-    selector: tuple[int, ...]
-    epsilon: Q | None
-    measure: dict[int, Q] | None
-
-
-@dataclass
 class RobustFtapReport:
     holds: bool
-    epsilon: Q | None
-    certificates: list[RobustFtapCertificate]
+    certificate: MeasureCertificate
 
-
-def _shifted_membership(pt: MartingalePolytope, measure: dict[int, Q], delta: Q) -> None:
-    """Membership in the delta-shifted polytope: check() at moved quotes.
-
-    check() re-evaluates every row from the data of pt.enl.model alone,
-    so a copy of pt on the same space with the delta-shifted model is
-    the shifted polytope for it.  A polytope without price rows has
-    nothing to shift: the check is then that of a martingale law.
-    """
-    shifted = copy.copy(pt)
-    shifted.enl = pt.enl.with_model(pt.enl.model.shifted_prices(delta))
-    shifted.require(measure, "shifted-polytope witness")
-
-
-def _selector_epsilon(
-    pt: MartingalePolytope, pbar: dict[int, Q]
-) -> tuple[Q | None, dict[int, Q] | None]:
-    """Largest e with a measure in the e-shifted polytope dominating e*pbar.
-
-    Price rows, if the polytope has any, are tightened by e; the
-    domination of the optimizer is re-checked in place.
-    """
-    work = pt.lp.copy()
-    e_var = work.add_var("_e", nonneg=False)
-    for r in pt.price_rows:
-        work.rows[r].coeffs[e_var] = ONE if work.rows[r].rel == "<=" else -ONE
-    for p, w in sorted(pbar.items()):
-        work.add_constraint({pt.q_var[p]: ONE, e_var: -w}, ">=", ZERO, name=f"dom[p{p}]")
-    work.set_objective("max", {e_var: ONE})
-    out = solve(work)
-    if out.status == "infeasible":
-        return None, None
-    if out.status != "optimal":
-        raise PropertyViolation(f"shifted-polytope LP unexpectedly {out.status}")
-    eps = out.x(e_var)
-    measure = {p: out.x(v) for p, v in pt.q_var.items() if out.x(v)}
-    for p, w in pbar.items():
-        if measure.get(p, ZERO) < eps * w:
-            raise PropertyViolation("domination certificate failed re-validation")
-    return eps, measure
-
-
-def _selector_sweep(
-    pt: MartingalePolytope, renl: RobustEnlarged
-) -> Iterator[tuple[tuple[int, ...], Q | None, dict[int, Q] | None]]:
-    """(selector, e, measure) of _selector_epsilon for every kernel selector.
-
-    Selectors that differ only where their other choices put no mass
-    share a vertex measure, so one LP and one re-check serve them all:
-    the optimizer is re-checked in the e-shifted polytope.
-    """
-    solved: dict[tuple, tuple[Q | None, dict[int, Q] | None]] = {}
-    for selector in renl.robust.selectors():
-        pbar = renl.vertex_measure(selector)
-        key = tuple(sorted(pbar.items()))
-        if key not in solved:
-            eps, measure = _selector_epsilon(pt, pbar)
-            if measure is not None:
-                _shifted_membership(pt, measure, eps)
-            solved[key] = eps, measure
-        yield (selector, *solved[key])
+    @property
+    def epsilon(self) -> Q | None:
+        return self.certificate.slack
 
 
 def robust_ftap(renl: RobustEnlarged) -> RobustFtapReport:
-    """Uniform-slack pricing consistency against every kernel selector.
+    """Uniform-slack pricing consistency on the supported paths.
 
-    Holds iff some e > 0 lets every selector product measure be
-    dominated by a martingale measure meeting all price bounds with
-    slack e.  Computed per selector as a single LP in which e shifts
-    the price rows and scales the domination rows; the verdict is the
-    minimum over selectors.
+    Holds iff one martingale measure is strictly positive on every
+    supported path and clears every price bound strictly.  Such a
+    measure dominates every selector product measure; conversely the
+    measures dominating each selector mix into one.  So this one LP
+    decides what a sweep over the kernel selectors would, and epsilon
+    is its uniform slack.
     """
-    pt = build_polytope(renl.enl, paths=renl.supported_paths)
-    certificates = [
-        RobustFtapCertificate(selector=selector, epsilon=value, measure=measure)
-        for selector, value, measure in _selector_sweep(pt, renl)
-    ]
-    values = [cert.epsilon for cert in certificates]
-    eps = None if None in values else min(values)
-    return RobustFtapReport(
-        holds=eps is not None and eps > ZERO, epsilon=eps, certificates=certificates
-    )
+    holds, certificate = ftap_certificate(build_polytope(renl.enl, paths=renl.supported_paths))
+    return RobustFtapReport(holds=holds, certificate=certificate)
 
 
 def submarket_slacks(renl: RobustEnlarged, full: RobustFtapReport) -> list[Q | None]:
     """Slacks for the markets holding only the first m long options each.
 
     ``full`` is robust_ftap's report on renl; its slack is the entry
-    m = M; each smaller market stops at its first infeasible selector.  Adding one more long option only shrinks
-    the feasible set, so the slack sequence must be nonincreasing;
-    asserted here.
+    m = M, and each smaller market solves its own uniform-slack LP.
+    Adding one more long option only shrinks the feasible set, so the
+    slack sequence must be nonincreasing; asserted here.
     """
     model = renl.enl.model
     slacks: list[Q | None] = []
     for m in range(model.M):
         sub_model = dataclasses.replace(model, americans_long=model.americans_long[:m])
         sub_pt = build_polytope(renl.enl.with_model(sub_model), paths=renl.supported_paths)
-        worst: Q | None = None
-        for _, value, _ in _selector_sweep(sub_pt, renl):
-            if value is None:
-                worst = None
-                break
-            worst = value if worst is None else min(worst, value)
-        slacks.append(worst)
+        slacks.append(ftap_certificate(sub_pt)[1].slack)
     slacks.append(full.epsilon)
     for prev, cur in zip(slacks, slacks[1:]):
         if cur is not None and (prev is None or cur > prev):
@@ -530,7 +441,7 @@ class MinimaxReport:
 def verify_minimax(
     renl: RobustEnlarged,
     streams: Sequence[dict[int, Q]],
-    vertices: Sequence[dict[int, Q]] | None = None,
+    vertices: Sequence[dict[int, Q]],
     *,
     cap: int = DEFAULT_ENUM_CAP,
 ) -> MinimaxReport:
@@ -543,8 +454,6 @@ def verify_minimax(
     is asserted.
     """
     enl = renl.enl
-    if vertices is None:
-        vertices = [renl.vertex_measure(sel) for sel in renl.robust.selectors()]
     if not vertices or not streams:
         raise ModelFormatError("need at least one stream and one measure vertex")
     paths = sorted({p for R in vertices for p in R if R[p]})

@@ -176,3 +176,44 @@ def unbranched_book_dicts() -> dict[str, dict]:
 
 
 UNBRANCHED_NODES = ("r", "a", "b", "aa", "aaa", "ba", "bb", "baa", "bba", "bbb")
+
+
+def trinomial_kernels_dict(horizon: int) -> dict:
+    """``horizon`` periods of S -> {2S, S, S/2} from S0 = 1, non-recombining.
+
+    Node ids spell the moves (r, ra, rab, ...).  Every internal node
+    carries the two kernel vertices (1/2, 0, 1/2) and (1/3, 0, 2/3), so
+    only the a- and c-moves are supported, and there are 2^(number of
+    internal nodes) selectors: 16 at horizon 2 and 8,192 at horizon 3.
+    The claim is a call struck at 1, and one American put struck at 1 is
+    shorted at a bid of 1/8.
+    """
+    moves = {"a": Fraction(2), "b": Fraction(1), "c": Fraction(1, 2)}
+    stock = {"r": Fraction(1)}
+    nodes = [{"id": "r", "time": 0}]
+    frontier = ["r"]
+    for t in range(1, horizon + 1):
+        grown = []
+        for parent in frontier:
+            for m, factor in moves.items():
+                nid = parent + m
+                stock[nid] = stock[parent] * factor
+                nodes.append({"id": nid, "time": t, "parent": parent})
+                grown.append(nid)
+        frontier = grown
+    text = lambda x: f"{x.numerator}/{x.denominator}"
+    return {
+        "horizon": horizon,
+        "nodes": nodes,
+        "stock": {"dim": 1, "values": {v: [text(s)] for v, s in stock.items()}},
+        "claim": {"values": {v: text(max(s - 1, Fraction(0))) for v, s in stock.items()}},
+        "weights": {v: text(Fraction(1, len(frontier))) for v in frontier},
+        "americans_short": [{
+            "values": {v: text(max(1 - s, Fraction(0))) for v, s in stock.items()},
+            "price": "1/8",
+        }],
+        "kernels": {
+            v: [["1/2", "0", "1/2"], ["1/3", "0", "2/3"]]
+            for v in stock if len(v) <= horizon
+        },
+    }

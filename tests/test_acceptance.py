@@ -21,19 +21,27 @@ from amhedge.campaign import (
     inject_arbitrage,
     random_kernel_model,
     random_sna_model,
+    selector_sweep,
     strict_chain_market,
 )
 from amhedge.divisible import verify_divisibility_equivalence
 from amhedge.enlarged import enlarge, extend_claim
 from amhedge.errors import PropertyViolation
 from amhedge.hedging import check_sna, subhedge, superhedge
-from amhedge.measures import build_polytope, dual_subhedge, dual_superhedge, e2_chain
+from amhedge.measures import (
+    MartingalePolytope,
+    build_polytope,
+    dual_subhedge,
+    dual_superhedge,
+    e2_chain,
+)
 from amhedge.rationals import Q, ZERO, rat_str
 from amhedge.robust import (
     dp_superhedge,
     drop_options,
     enlarge_robust,
     robust_ftap,
+    robust_na,
     robust_subhedge,
     robust_superhedge_full,
     verify_minimax,
@@ -68,8 +76,8 @@ def _evaluate(i: int) -> tuple:
         model = _corpus()[i].model
         enl_sub = enlarge(model, model.N)
         enl_sup = enlarge(model, model.N + 1)
-        sna = check_sna(enl_sub)
         pt_sub = build_polytope(enl_sub)
+        sna = check_sna(pt_sub)
         pt_sup = build_polytope(enl_sup)
         dual_sup = dual_superhedge(pt_sup)
         quad = (
@@ -236,21 +244,19 @@ def test_criterion_6_robust_ftap_and_domination(capfd):
     singles = 0
     try:
         for k, rm in enumerate(_kernels()):
+            for n in (rm.model.N, rm.model.N + 1):
+                renl = enlarge_robust(rm, n)
+                rf = robust_ftap(renl)
+                pt = build_polytope(renl.enl, paths=renl.supported_paths)
+                if rf.holds != selector_sweep(pt, renl):
+                    failures.append(f"kernel {k}, n = {n}: one-LP verdict vs selector sweep")
+                ok, _ = pt.check(rf.certificate.measure, min_slack=rf.epsilon)
+                if not ok:
+                    failures.append(f"kernel {k}, n = {n}: certificate fails re-validation")
             renl = enlarge_robust(rm, rm.model.N)
-            rf = robust_ftap(renl)
-            dominated = [c.epsilon is not None and c.epsilon > ZERO
-                         for c in rf.certificates]
-            if rf.holds != all(dominated):
-                failures.append(f"kernel {k}: verdict vs per-vertex domination")
-            pt = build_polytope(renl.enl, paths=renl.supported_paths)
-            for cert in rf.certificates:
-                if cert.epsilon is None or cert.epsilon <= ZERO:
-                    continue
-                ok, _ = pt.check(cert.measure)
-                pbar = renl.vertex_measure(cert.selector)
-                if not ok or any(cert.measure.get(p, ZERO) < cert.epsilon * w
-                                 for p, w in pbar.items()):
-                    failures.append(f"kernel {k}: certificate fails re-validation")
+            base = MartingalePolytope(renl.enl, renl.supported_paths)
+            if robust_na(renl).holds != selector_sweep(base, renl):
+                failures.append(f"kernel {k}: no-arbitrage verdict vs selector sweep")
         for i in range(15):
             gm = _corpus()[i]
             sna, duality, _ = _evaluate(i)
@@ -263,8 +269,9 @@ def test_criterion_6_robust_ftap_and_domination(capfd):
         failures.append(repr(exc))
     _line(capfd, 6, not failures and singles == 15,
           failures[0] if failures
-          else "verdict = per-vertex dominating measures on 30 kernel families;"
-               f" {singles} singleton families match the classical verdicts bit-for-bit")
+          else "one uniform-slack LP = selector sweep (n = N, N + 1 and no-arbitrage)"
+               f" on 30 kernel families; {singles} singleton families match the"
+               " classical verdicts bit-for-bit")
 
 
 def test_criterion_7_minimax_identity(capfd):
@@ -280,10 +287,7 @@ def test_criterion_7_minimax_identity(capfd):
                 {v: Q(rng.randint(-8, 16), 8) for v in renl.supported_enodes()}
                 for _ in range(rng.choice([1, 2]))
             ]
-            selectors = renl.robust.selectors()
-            vertices = None
-            if len(selectors) > 3:
-                vertices = [renl.vertex_measure(sel) for sel in selectors[:3]]
+            vertices = [renl.vertex_measure(sel) for sel in renl.robust.selectors()[:3]]
             try:
                 rep = verify_minimax(renl, streams, vertices)
                 if not rep.lhs == rep.middle == rep.rhs == rep.value:
@@ -320,7 +324,7 @@ def test_criterion_8_degenerations(capfd):
             gm = random_sna_model(random.Random(seed), force_n=0, seed=seed)
             enl, enl_sup = enlarge(gm.model, 0), enlarge(gm.model, 1)
             duality = _duality_strings(enl, enl_sup)
-            rec = check_degenerations(enl, enl_sup, check_sna(enl), duality)
+            rec = check_degenerations(enl, enl_sup, check_sna(build_polytope(enl)), duality)
             if not rec.get("zero_clock_iso"):
                 failures.append(f"zero-clock model {j}: isomorphism not checked")
             else:

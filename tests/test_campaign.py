@@ -118,7 +118,7 @@ def test_node_interior_is_martingale_and_positive():
 @pytest.mark.parametrize("seed", range(5))
 def test_random_sna_model_holds(seed):
     gm = random_sna_model(random.Random(seed), seed=seed)
-    sna = check_sna(enlarge(gm.model, gm.model.N))
+    sna = check_sna(build_polytope(enlarge(gm.model, gm.model.N)))
     assert sna.holds and sna.epsilon > ZERO
 
 
@@ -128,7 +128,7 @@ def test_inject_arbitrage_breaks_sna(seed):
     gm = random_sna_model(rng, require_option=True)
     broken, kind = inject_arbitrage(rng, gm)
     assert kind in {"european", "long", "short"}
-    sna = check_sna(enlarge(broken, broken.N))
+    sna = check_sna(build_polytope(enlarge(broken, broken.N)))
     assert not sna.holds
 
 
@@ -136,10 +136,10 @@ def test_boundary_model_pins_the_slack():
     rng = random.Random(21)
     gm = random_sna_model(rng, require_option=True)
     pinned, _ = boundary_model(random.Random(22), gm, ZERO)
-    sna = check_sna(enlarge(pinned, pinned.N))
+    sna = check_sna(build_polytope(enlarge(pinned, pinned.N)))
     assert not sna.holds and sna.epsilon == ZERO
     nudged, _ = boundary_model(random.Random(22), gm, BOUNDARY_OFFSET)
-    sna2 = check_sna(enlarge(nudged, nudged.N))
+    sna2 = check_sna(build_polytope(enlarge(nudged, nudged.N)))
     assert sna2.holds and ZERO < sna2.epsilon <= BOUNDARY_OFFSET
 
 

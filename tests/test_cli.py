@@ -5,6 +5,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -13,8 +14,10 @@ import amhedge.cli as cli
 import amhedge.measures as measures
 from amhedge.cli import main
 from amhedge.lp import LPInternalError
+from amhedge.market import emit_model
 
-from conftest import binomial_dict, binomial_put_book_dict
+from conftest import binomial_dict, binomial_put_book_dict, trinomial_kernels_dict
+from test_report_bytes import CAMPAIGN_MODELS
 
 VERIFY_SMALL_SHA256 = "1729a510e39cb03d75b1d10b8a5153960b2d5174e11b3f5f2eee32f1fe08b609"
 
@@ -323,6 +326,30 @@ def test_robust_model_routes_to_quasi_sure(kernel_file, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["robust"]["holds"] is True and doc["robust"]["epsilon"] == "2/3"
+
+
+def test_ftap_on_8192_selectors_is_one_lp(tmp_path, capsys):
+    path = tmp_path / "trinomial3.json"
+    path.write_text(json.dumps(trinomial_kernels_dict(3)))
+    t0 = time.monotonic()
+    code, out, err = run(["ftap", "--model", str(path)], capsys)
+    elapsed = time.monotonic() - t0
+    assert code == 0, err
+    robust = json.loads(out)["robust"]
+    assert robust["holds"] is True and robust["selectors"] == 8192
+    assert robust["epsilon"] == "1/108" and robust["supported_paths"] == 32
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("name", ["binomial_kernel", "trinomial_two_kernels"])
+def test_full_support_robust_slack_is_classical(name, tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(emit_model(CAMPAIGN_MODELS[name]())))
+    code, out, err = run(["ftap", "--model", str(path)], capsys)
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["robust"]["supported_paths"] == doc["classical"]["paths"]
+    assert doc["robust"]["epsilon"] == doc["classical"]["epsilon"]
 
 
 def test_verify_small_run(model_file, capsys):

@@ -22,6 +22,7 @@ from amhedge.hedging import (
     superhedge,
 )
 from amhedge.market import load_model
+from amhedge.measures import build_polytope
 from amhedge.rationals import ONE, Q, ZERO
 
 from conftest import binomial_dict
@@ -134,7 +135,7 @@ def test_subhedge_european(binomial):
 
 
 def test_check_sna_slack(binomial_short_put):
-    rep = check_sna(enlarge(binomial_short_put, 1))
+    rep = check_sna(build_polytope(enlarge(binomial_short_put, 1)))
     assert rep.holds
     # max s with q(u-mass) = 1/3 split as a + b, slacks {a, b, b - 1/4}
     assert rep.epsilon == Q(1, 24)
@@ -145,7 +146,7 @@ def test_check_sna_fails_at_rich_quote():
     model = load_model(binomial_dict(americans_short=[
         {"values": {"r": "0", "u": "0", "d": "1/2"}, "price": "1/2"},
     ]))
-    rep = check_sna(enlarge(model, 1))
+    rep = check_sna(build_polytope(enlarge(model, 1)))
     assert not rep.holds
     assert rep.epsilon == Q(-1, 6)
     assert rep.primal_clear is None

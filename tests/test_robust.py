@@ -1,18 +1,21 @@
 """Quasi-sure engine under kernel families of one-step laws.
 
-Hand oracles on the binomial/trinomial markets: the interior kernel
-(1/2, 1/2) over stock moves {+1, -1/2} dominates the unique martingale
-law (1/3, 2/3) with uniform factor min(2/3 / (1/2), ...) = 2/3; the
-claim paying 1 on the up state prices to 1/3 under that law.
+Hand oracles on the binomial/trinomial markets: under the interior
+kernel (1/2, 1/2) over stock moves {+1, -1/2} the unique martingale law
+(1/3, 2/3) has mass floor 1/3, which is the uniform slack of the
+quasi-sure certificate; the claim paying 1 on the up state prices to
+1/3 under that law.
 """
 from __future__ import annotations
 
 import pytest
 
+from amhedge.campaign import selector_sweep
 from amhedge.enlarged import enlarge, extend_claim
 from amhedge.errors import SnaFailure
 from amhedge.hedging import subhedge, superhedge
 from amhedge.market import load_model
+from amhedge.measures import MartingalePolytope, build_polytope
 from amhedge.rationals import ONE, Q, ZERO
 from amhedge.robust import (
     build_robust,
@@ -29,7 +32,7 @@ from amhedge.robust import (
     verify_minimax,
 )
 
-from conftest import binomial_dict
+from conftest import binomial_dict, trinomial_kernels_dict
 
 
 def _binomial(kern):
@@ -72,11 +75,9 @@ def test_na_interior_singleton():
     renl = enlarge_robust(build_robust(_binomial(INTERIOR)), 0)
     rep = robust_na(renl)
     assert rep.holds and rep.gain == ZERO
-    assert len(rep.certificates) == 1
-    cert = rep.certificates[0]
-    # martingale law (1/3, 2/3) dominates (1/2, 1/2) with factor 2/3
-    assert cert.slack == Q(2, 3)
-    assert cert.measure == {0: Q(1, 3), 1: Q(2, 3)}
+    # the unique martingale law (1/3, 2/3), slack its mass floor
+    assert rep.certificate.slack == Q(1, 3)
+    assert rep.certificate.measure == {0: Q(1, 3), 1: Q(2, 3)}
 
 
 def test_na_fails_on_sure_up():
@@ -85,7 +86,7 @@ def test_na_fails_on_sure_up():
     assert not rep.holds and rep.gain > ZERO
     # holding one share wins 1 on the only supported path
     assert rep.witness and list(rep.witness.values()) == [ONE]
-    assert rep.certificates[0].slack is None
+    assert rep.certificate.slack is None
 
 
 def _stock_only(rm, *, europeans=False):
@@ -173,7 +174,10 @@ def test_two_vertex_support_and_prices():
     assert _stock_only(rm).price == Q(1, 3)
     assert dp_superhedge(renl, zeta).value == Q(1, 3)
     na = robust_na(renl)
-    assert na.holds and len(na.certificates) == 2
+    assert na.holds
+    # the martingale law (1/4, 1/4, 1/2) charges all three paths
+    assert na.certificate.slack == Q(1, 4)
+    assert na.certificate.measure == {0: Q(1, 4), 1: Q(1, 4), 2: Q(1, 2)}
 
 
 def _trinomial_book(payoff, price):
@@ -233,7 +237,40 @@ def test_robust_ftap_no_options_equals_domination_slack():
     renl = enlarge_robust(build_robust(_binomial(INTERIOR)), 0)
     na = robust_na(renl)
     rep = robust_ftap(renl)
-    assert rep.epsilon == na.certificates[0].slack == Q(2, 3)
+    assert rep.epsilon == na.certificate.slack == Q(1, 3)
+
+
+def test_one_lp_decides_8192_selectors():
+    rm = build_robust(load_model(trinomial_kernels_dict(3)))
+    assert rm.num_selectors() == 8192
+    renl = enlarge_robust(rm, rm.model.N)
+    rep = robust_ftap(renl)
+    assert rep.holds and rep.epsilon == Q(1, 108)
+    # the witness charges every supported path and clears every row by the slack
+    pt = build_polytope(renl.enl, paths=renl.supported_paths)
+    ok, _ = pt.check(rep.certificate.measure, min_slack=rep.epsilon)
+    assert ok and sorted(rep.certificate.measure) == renl.supported_paths
+
+
+@pytest.mark.parametrize("bid, holds", [("1/8", True), ("1", False)])
+def test_selector_sweep_agrees_with_one_lp(bid, holds):
+    data = trinomial_kernels_dict(2)
+    data["americans_short"][0]["price"] = bid
+    rm = build_robust(load_model(data))
+    assert rm.num_selectors() == 16
+    for n in (rm.model.N, rm.model.N + 1):
+        renl = enlarge_robust(rm, n)
+        pt = build_polytope(renl.enl, paths=renl.supported_paths)
+        assert selector_sweep(pt, renl) == robust_ftap(renl).holds == holds
+    renl = enlarge_robust(rm, rm.model.N)
+    assert selector_sweep(MartingalePolytope(renl.enl, renl.supported_paths), renl)
+    assert robust_na(renl).holds
+
+
+def test_selector_sweep_agrees_on_arbitrage():
+    renl = enlarge_robust(build_robust(_binomial(SURE_UP)), 0)
+    assert not selector_sweep(MartingalePolytope(renl.enl, renl.supported_paths), renl)
+    assert not selector_sweep(build_polytope(renl.enl, paths=renl.supported_paths), renl)
 
 
 def test_ftap_transfer():
@@ -253,7 +290,7 @@ def _minimax_setup():
 
 def test_minimax_singleton():
     renl, _, stream = _minimax_setup()
-    rep = verify_minimax(renl, [stream])
+    rep = verify_minimax(renl, [stream], [renl.vertex_measure((0,))])
     # best stop is time 1: collects 1/2 on the down move, probability 1/2
     assert rep.value == Q(1, 4)
     assert rep.num_taus == 4
