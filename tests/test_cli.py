@@ -19,7 +19,7 @@ from amhedge.market import emit_model
 from conftest import binomial_dict, binomial_put_book_dict, trinomial_kernels_dict
 from test_report_bytes import CAMPAIGN_MODELS
 
-VERIFY_SMALL_SHA256 = "1729a510e39cb03d75b1d10b8a5153960b2d5174e11b3f5f2eee32f1fe08b609"
+VERIFY_SMALL_SHA256 = "5db427110c6a4cebd5bd3dfe16f55dee33d4140505711c196ac58470120ed51d"
 
 
 @pytest.fixture()
@@ -325,7 +325,7 @@ def test_robust_model_routes_to_quasi_sure(kernel_file, capsys):
     code, out, _ = run(["ftap", "--model", kernel_file], capsys)
     assert code == 0
     doc = json.loads(out)
-    assert doc["robust"]["holds"] is True and doc["robust"]["epsilon"] == "2/3"
+    assert doc["robust"]["holds"] is True and doc["robust"]["epsilon"] == "1/3"
 
 
 def test_ftap_on_8192_selectors_is_one_lp(tmp_path, capsys):

@@ -28,11 +28,11 @@ from amhedge.rationals import rat_str
 from test_report_bytes import CAMPAIGN_MODELS, COMMANDS, CONFTEST_MODELS, _model
 
 # (number of LPs solved, sha256 of their sorted fingerprints)
-EXPECTED_CLI = (30, "9e7db4afd6d61e844cc33a2c60c0980c3f41cac2cccc768a1043292add02a02b")
-EXPECTED_VERIFY = (314, "a8ea7246bf5613d31a496d3cbd70cced8cbba6aeca69c492bf516a1e332fe218")
+EXPECTED_CLI = (29, "e9e3eb4f25e99131b68dd5d57a7328647ab40bb6290fab4dc823cc742d316fce")
+EXPECTED_VERIFY = (306, "07216b957940b5d073a481f2a22cde29e5ea9d6e5c06050399944ae25b6f2649")
 # (number of pivots, sha256 of the sorted (fingerprint, pivot sequence) pairs)
-EXPECTED_CLI_PIVOTS = (186, "41ecc0e947ae7ec74397e80937ee80accb616c0d3a8315f9bf4db78757fc3258")
-EXPECTED_VERIFY_PIVOTS = (4542, "1209183856fd980e16de9f39bb6eaf9f1ecad337bb3a4988d621738ae288f7ed")
+EXPECTED_CLI_PIVOTS = (181, "bccf11814a1246db12f1fe3bee5310a8f62e74662ac8961da91aafcb6e3ff5f7")
+EXPECTED_VERIFY_PIVOTS = (4421, "fe6b9b8f68247607610c0b535f36b01808fc78f8c7a8807a02ccab895abcda16")
 
 
 def fingerprint(prog: lp.LinearProgram) -> str:

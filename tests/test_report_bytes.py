@@ -57,10 +57,10 @@ EXPECTED = {
     ('strict_chain_market', 'ftap'): (0, 'bb5e7de10b7a066b38a0ceaba0d176edfc6044febc2f7ea38d3494ff1651b80e'),
     ('strict_chain_market', 'price-sub'): (0, '7dc7fe7cb1bdccb2cf0631e2cfdf7a6fc82db57285cf6669157c704ad6fd9b6d'),
     ('strict_chain_market', 'price-super'): (0, '2908c67cc26db7ece03aeea768a8282a88fca21b8dfaffc4485e9cd99cc67a86'),
-    ('trinomial_two_kernels', 'ftap'): (0, 'feec5c68f597d3b3676dac34f3e8493d05335544d1524df3486a230c40dc7ef0'),
+    ('trinomial_two_kernels', 'ftap'): (0, 'be3216aedfee4c8aae2cdc2d44e1417b522b8d9936492ab99f882b170d679c31'),
     ('trinomial_two_kernels', 'price-sub'): (0, '9c4e3d0181fcafd451cb50b478146b04f5a5df51dd28311fb625abfd66a9e7ed'),
     ('trinomial_two_kernels', 'price-super'): (0, '86cd4187cae9e598c3e4b9c46d656dcb9e7dfee7fd304ea1e2fa4d851d2a3b08'),
-    ('binomial_kernel', 'ftap'): (0, 'efc61152d832c391f10c0371d478a1daa2552aca437abfffc33ceb89ceedf099'),
+    ('binomial_kernel', 'ftap'): (0, '696b4d1590a970db301eb234fe8a05b538c22417cd28e3b0b2755f2fc29ab058'),
     ('binomial_kernel', 'price-sub'): (0, 'e308abdc0bbabf7c29689e43813d590617d44107fb121358402950b01ad385fc'),
     ('binomial_kernel', 'price-super'): (0, '2ed1e6a5b2b3e9093c7f270c5aa155443ac95fc348cee9e32f7d8b43126ee3bf'),
 }
