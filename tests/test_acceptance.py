@@ -37,6 +37,7 @@ from amhedge.measures import (
 )
 from amhedge.rationals import Q, ZERO, rat_str
 from amhedge.robust import (
+    RobustEnlarged,
     dp_superhedge,
     drop_options,
     enlarge_robust,
@@ -242,17 +243,23 @@ def test_criterion_5_robust_duality_and_dp(capfd):
 def test_criterion_6_robust_ftap_and_domination(capfd):
     failures = []
     singles = 0
+    verdicts = {True: 0, False: 0}
     try:
         for k, rm in enumerate(_kernels()):
             for n in (rm.model.N, rm.model.N + 1):
-                renl = enlarge_robust(rm, n)
-                rf = robust_ftap(renl)
-                pt = build_polytope(renl.enl, paths=renl.supported_paths)
-                if rf.holds != selector_sweep(pt, renl):
-                    failures.append(f"kernel {k}, n = {n}: one-LP verdict vs selector sweep")
-                ok, _ = pt.check(rf.certificate.measure, min_slack=rf.epsilon)
-                if not ok:
-                    failures.append(f"kernel {k}, n = {n}: certificate fails re-validation")
+                enl = enlarge(rm.model, n)
+                # quotes moved 1/4 towards arbitrage make some families fail
+                for shift in (ZERO, Q(1, 4)):
+                    renl = RobustEnlarged(rm, enl.with_model(rm.model.shifted_prices(shift)))
+                    rf = robust_ftap(renl)
+                    verdicts[rf.holds] += 1
+                    pt = build_polytope(renl.enl, paths=renl.supported_paths)
+                    where = f"kernel {k}, n = {n}, shift {shift}"
+                    if rf.holds != selector_sweep(pt, renl):
+                        failures.append(f"{where}: one-LP verdict vs selector sweep")
+                    ok, _ = pt.check(rf.certificate.measure, min_slack=rf.epsilon)
+                    if not ok:
+                        failures.append(f"{where}: certificate fails re-validation")
             renl = enlarge_robust(rm, rm.model.N)
             base = MartingalePolytope(renl.enl, renl.supported_paths)
             if robust_na(renl).holds != selector_sweep(base, renl):
@@ -267,11 +274,12 @@ def test_criterion_6_robust_ftap_and_domination(capfd):
                 failures.append(f"singleton {i}: {exc}")
     except Exception as exc:
         failures.append(repr(exc))
-    _line(capfd, 6, not failures and singles == 15,
+    _line(capfd, 6, not failures and singles == 15 and all(verdicts.values()),
           failures[0] if failures
-          else "one uniform-slack LP = selector sweep (n = N, N + 1 and no-arbitrage)"
-               f" on 30 kernel families; {singles} singleton families match the"
-               " classical verdicts bit-for-bit")
+          else "one uniform-slack LP = selector sweep on 30 kernel families"
+               f" ({verdicts[True]} consistent and {verdicts[False]} inconsistent"
+               " quote systems at n = N and N + 1, plus no-arbitrage);"
+               f" {singles} singleton families match the classical verdicts bit-for-bit")
 
 
 def test_criterion_7_minimax_identity(capfd):
