@@ -328,7 +328,7 @@ def test_robust_model_routes_to_quasi_sure(kernel_file, capsys):
     assert doc["robust"]["holds"] is True and doc["robust"]["epsilon"] == "1/3"
 
 
-def test_ftap_on_8192_selectors_is_one_lp(tmp_path, capsys):
+def test_ftap_decides_8192_selectors_in_under_a_second(tmp_path, capsys):
     path = tmp_path / "trinomial3.json"
     path.write_text(json.dumps(trinomial_kernels_dict(3)))
     t0 = time.monotonic()
