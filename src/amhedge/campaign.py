@@ -44,10 +44,9 @@ from .robust import (
     drop_options,
     enlarge_robust,
     ftap_transfer,
+    quasi_sure_price,
     robust_ftap,
     robust_na,
-    robust_subhedge,
-    robust_superhedge_full,
     submarket_slacks,
     verify_minimax,
 )
@@ -475,7 +474,7 @@ def _pin_quote(
     if kind == "long":
         j = rng.randrange(model.M)
         betas = [b for _, b in model.americans_long]
-        value, _, _ = pt.stopped_envelope(pt.long_values[j])
+        value, _ = pt.stopped_envelope(pt.long_values[j])
         betas[j] = value + offset
         return model.with_prices(betas=betas), kind
     k = rng.randrange(model.N)
@@ -866,14 +865,14 @@ def check_singleton_robust(gm: GeneratedModel, sna: SnaReport, duality: dict) ->
     na = robust_na(renl_sub)
     if not na.holds:
         raise PropertyViolation("singleton family reports arbitrage in a clean market")
-    sub = robust_subhedge(renl_sub)
-    sup = robust_superhedge_full(renl_sup)
+    sub = quasi_sure_price(renl_sub, "sub")
+    sup = quasi_sure_price(renl_sup, "super")
     if rat_str(sub.price) != duality["sub"] or rat_str(sup.price) != duality["super"]:
         raise PropertyViolation("singleton family moved a hedging price")
-    rf = robust_ftap(renl_sub)
-    if rf.holds != sna.holds:
+    holds, _ = robust_ftap(renl_sub)
+    if holds != sna.holds:
         raise PropertyViolation("singleton family flipped the consistency verdict")
-    return {"sub": rat_str(sub.price), "super": rat_str(sup.price), "holds": rf.holds}
+    return {"sub": rat_str(sub.price), "super": rat_str(sup.price), "holds": holds}
 
 
 # -- battery: divisibility -----------------------------------------------------
@@ -982,7 +981,7 @@ def check_robust_model(rm: RobustModel, *, submarkets: bool = False) -> dict:
         raise PropertyViolation("kernel factory promised no arbitrage but it fails")
 
     try:
-        stock_only = robust_superhedge_full(enlarge_robust(drop_options(rm), 1)).price
+        stock_only = quasi_sure_price(enlarge_robust(drop_options(rm), 1), "super").price
     except SnaFailure as exc:
         raise PropertyViolation("stock-only super-hedge is unbounded") from exc
     dp = dp_superhedge(renl_sup, extend_claim(renl_sup.enl, "super"))
@@ -990,24 +989,25 @@ def check_robust_model(rm: RobustModel, *, submarkets: bool = False) -> dict:
         raise PropertyViolation(
             "stock-only price disagrees with its backward induction")
 
-    sub = robust_subhedge(renl_sub)
-    sup = robust_superhedge_full(renl_sup)
+    sub = quasi_sure_price(renl_sub, "sub")
+    sup = quasi_sure_price(renl_sup, "super")
     if not sub.price <= sup.price <= stock_only:
         raise PropertyViolation("quasi-sure prices are not sandwiched")
 
     if model.L:
-        book = robust_superhedge_full(enlarge_robust(drop_options(rm, europeans=True), 1))
+        book = quasi_sure_price(enlarge_robust(drop_options(rm, europeans=True), 1), "super")
         if not sup.price <= book.price <= stock_only:
             raise PropertyViolation("static buy-side book is not sandwiched")
 
-    low, high = ftap_transfer(renl_sub, renl_sup)
-    if not low.holds:
-        raise PropertyViolation("kernel factory promised consistency but it fails")
     pt_sub = build_polytope(renl_sub.enl, paths=renl_sub.supported_paths)
-    if selector_sweep(pt_sub, renl_sub) != low.holds:
+    pt_sup = build_polytope(renl_sup.enl, paths=renl_sup.supported_paths)
+    (holds, cert), _ = ftap_transfer(pt_sub, pt_sup)
+    if not holds:
+        raise PropertyViolation("kernel factory promised consistency but it fails")
+    if selector_sweep(pt_sub, renl_sub) != holds:
         raise PropertyViolation("selector sweep disagrees with the one-LP consistency verdict")
     if submarkets and model.M:
-        submarket_slacks(renl_sub, low)
+        submarket_slacks(renl_sub, cert)
 
     record = {
         **_describe(model),
@@ -1016,7 +1016,7 @@ def check_robust_model(rm: RobustModel, *, submarkets: bool = False) -> dict:
         "super": rat_str(sup.price),
         "stock_only": rat_str(stock_only),
         "dp_lps": dp.lp_count,
-        "epsilon": rat_str(low.epsilon) if low.epsilon is not None else None,
+        "epsilon": rat_str(cert.slack) if cert.slack is not None else None,
     }
 
     # dropping a vertex shrinks the support: while the quotes stay
@@ -1029,8 +1029,8 @@ def check_robust_model(rm: RobustModel, *, submarkets: bool = False) -> dict:
         rm2 = build_robust(model, kernels2)
         try:
             # an enlarged space does not depend on the kernels
-            sub2 = robust_subhedge(RobustEnlarged(rm2, renl_sub.enl))
-            sup2 = robust_superhedge_full(RobustEnlarged(rm2, renl_sup.enl))
+            sub2 = quasi_sure_price(RobustEnlarged(rm2, renl_sub.enl), "sub")
+            sup2 = quasi_sure_price(RobustEnlarged(rm2, renl_sup.enl), "super")
         except SnaFailure:
             record["dropped_vertex"] = wide
             record["dropped_consistent"] = False

@@ -26,13 +26,7 @@ from .lp import LPInternalError
 from .market import MarketModel, load_model
 from .measures import build_polytope, ftap_certificate, price_with_dual
 from .rationals import rat, rat_str
-from .robust import (
-    build_robust,
-    enlarge_robust,
-    robust_ftap,
-    robust_subhedge,
-    robust_superhedge_full,
-)
+from .robust import RobustEnlarged, build_robust, robust_ftap
 from .strategies import DEFAULT_ENUM_CAP
 
 EXIT_OK = 0
@@ -67,8 +61,6 @@ def _build_parser() -> _Parser:
             p.add_argument("--model", required=True, help="model JSON file")
             p.add_argument("--gamma-override", action="append", default=[],
                            metavar="K=P/Q", help="replace bid K of the shorted asks")
-        p.add_argument("--cap", type=_positive_int, default=DEFAULT_ENUM_CAP,
-                       help="stopping-time enumeration cap of verify's oracles")
         p.add_argument("--clock-weights", choices=["uniform", "skewed"],
                        default="uniform", help="reference clock profile")
         p.add_argument("--seed", type=int, default=0, help="echoed into the report")
@@ -86,6 +78,8 @@ def _build_parser() -> _Parser:
     p_verify = sub.add_parser("verify", help="randomized property campaign")
     p_verify.add_argument("--models", type=_positive_int, default=50,
                           help="size of the main corpus")
+    p_verify.add_argument("--cap", type=_positive_int, default=DEFAULT_ENUM_CAP,
+                          help="stopping-time enumeration cap of the oracles")
     common(p_verify, model=False)
 
     p_dump = sub.add_parser("enlarge-dump", help="emit the enlarged space as JSON")
@@ -123,7 +117,6 @@ def _load(args) -> MarketModel:
 def _config(args) -> dict:
     doc = {
         "command": args.command,
-        "cap": args.cap,
         "clock_weights": args.clock_weights,
         "seed": args.seed,
     }
@@ -133,6 +126,7 @@ def _config(args) -> dict:
     if hasattr(args, "side"):
         doc["side"] = args.side
     if hasattr(args, "models"):
+        doc["cap"] = args.cap
         doc["corpus"] = args.models
     return doc
 
@@ -166,15 +160,12 @@ def cmd_price(args) -> int:
     doc = _config(args)
     doc["n"] = n
     doc["quasi_sure"] = bool(model.kernels)
+    enl = enlarge(model, n, args.clock_weights)
+    paths = None
     if model.kernels:
-        renl = enlarge_robust(build_robust(model), n, args.clock_weights)
-        quasi_sure = robust_subhedge if args.side == "sub" else robust_superhedge_full
-        report = quasi_sure(renl)
-        doc["supported_paths"] = len(renl.supported_paths)
-        enl = renl.enl
-    else:
-        enl = enlarge(model, n, args.clock_weights)
-        report, _ = price_with_dual(enl, args.side)
+        paths = RobustEnlarged(build_robust(model), enl).supported_paths
+        doc["supported_paths"] = len(paths)
+    report, _ = price_with_dual(enl, args.side, paths=paths)
     doc["report"] = report.to_json(enl)
     doc["price"] = rat_str(report.price)
     doc["gap"] = rat_str(report.gap)
@@ -202,15 +193,14 @@ def cmd_ftap(args) -> int:
     verdict = holds
     if model.kernels:
         rm = build_robust(model)
-        renl = enlarge_robust(rm, model.N, args.clock_weights)
-        rf = robust_ftap(renl)
+        renl = RobustEnlarged(rm, enl)
+        verdict, rcert = robust_ftap(renl)
         doc["robust"] = {
-            "holds": rf.holds,
-            "epsilon": rat_str(rf.epsilon) if rf.epsilon is not None else None,
+            "holds": verdict,
+            "epsilon": rat_str(rcert.slack) if rcert.slack is not None else None,
             "selectors": rm.num_selectors(),
             "supported_paths": len(renl.supported_paths),
         }
-        verdict = rf.holds
     _emit(doc, args)
     which = "robust" if model.kernels else "classical"
     eps = doc.get("robust", doc["classical"])["epsilon"]

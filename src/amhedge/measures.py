@@ -35,11 +35,8 @@ __all__ = [
     "MartingalePolytope",
     "MeasurePolytope",
     "MeasureCertificate",
-    "DualPriceReport",
     "build_polytope",
     "ftap_certificate",
-    "dual_superhedge",
-    "dual_subhedge",
     "price_with_dual",
     "martingale_increments",
     "one_step_polytope",
@@ -393,14 +390,12 @@ class MeasurePolytope(MartingalePolytope):
         work.set_objective("min", root)
         return work, shift, rows
 
-    def stopped_envelope(self, values_at_enode: dict[int, Q]) -> tuple[Q, dict[int, Q], int]:
-        """min over the polytope of sup over stopping times of E_Q[value at the stop].
-
-        Returns the value, the optimal measure and the block's row count.
-        """
+    def stopped_envelope(self, values_at_enode: dict[int, Q]) -> tuple[Q, dict[int, Q]]:
+        """min over the polytope of sup over stopping times of E_Q[value at the stop],
+        with the optimal measure."""
         work, shift, _ = self.envelope_lp(values_at_enode)
         out, measure = self._solve_measure(work)
-        return out.value + shift, measure, work.num_rows - self.lp.num_rows
+        return out.value + shift, measure
 
     def at_quotes(self, enl: EnlargedModel) -> "MeasurePolytope":
         """This polytope for enl, this space at other quotes (EnlargedModel.with_model).
@@ -546,14 +541,6 @@ def ftap_certificate(pt: MeasurePolytope) -> tuple[bool, MeasureCertificate]:
     return sna, MeasureCertificate(measure=measure, slack=outcome.slack, ledger=ledger)
 
 
-@dataclass
-class DualPriceReport:
-    kind: str
-    value: Q
-    measure: dict[int, Q]
-    num_tau_rows: int = 0
-
-
 def _certify_measure(
     pt: MeasurePolytope, side: str, claim, measure: dict[int, Q], value: Q
 ) -> None:
@@ -576,32 +563,6 @@ def _side_space(enl: EnlargedModel, side: str) -> None:
         raise ValueError(f"the {side}-hedging price runs on the n = {clocks} enlargement")
 
 
-def dual_superhedge(pt: MeasurePolytope) -> DualPriceReport:
-    """max E_Q[claim at the last clock] over the closed polytope (n = N + 1).
-
-    The measure LP of price_with_dual, solved for its value and measure
-    alone; the measure is re-checked from the model data.
-    """
-    _side_space(pt.enl, "super")
-    target = extend_claim(pt.enl, "super")
-    value, measure, _ = pt.solve_extremum(target, "max")
-    _certify_measure(pt, "super", target, measure, value)
-    return DualPriceReport("dual_super", value, measure, pt.num_tau_rows)
-
-
-def dual_subhedge(pt: MeasurePolytope) -> DualPriceReport:
-    """min over Q of max over stopping times of E_Q[claim at the stop].
-
-    The stopped envelope of the claim over the closed polytope (n = N),
-    one Snell block; its measure is re-checked and valued by snell_value.
-    """
-    _side_space(pt.enl, "sub")
-    claim_at = extend_claim(pt.enl, "sub")
-    value, measure, n_rows = pt.stopped_envelope(claim_at)
-    _certify_measure(pt, "sub", claim_at, measure, value)
-    return DualPriceReport("dual_sub", value, measure, n_rows)
-
-
 def price_with_dual(
     enl: EnlargedModel,
     side: Literal["sub", "super"],
@@ -611,12 +572,13 @@ def price_with_dual(
     """One measure LP prices the claim; the hedge is read off its duals.
 
     Super side (n = N + 1): max E_Q[claim at the last clock] over the
-    polytope, as in dual_superhedge.  Sub side (n = N): min over it of the
-    claim's Snell block, as in dual_subhedge.  Both certificates are kept.
-    The optimal measure is re-checked from the model data (pt.require,
-    then snell_value or the expectation must give the price).  The hedge
-    of hedging.subhedge/superhedge is read off the same LP's verified
-    duals by MeasurePolytope.hedge_from and re-validated pathwise by
+    polytope.  Sub side (n = N): min over it of the claim's Snell block.
+    With ``paths``, a kernel family's supported paths, the same LP gives
+    the quasi-sure price.  Both certificates are kept.  The optimal
+    measure is re-checked from the model data (pt.require, then
+    snell_value or the expectation must give the price).  The hedge of
+    hedging.subhedge/superhedge is read off the same LP's verified duals
+    by MeasurePolytope.hedge_from and re-validated pathwise by
     hedging.check_hedge.  By weak duality the two checks prove gap 0,
     recorded with the measure as the report's ``dual_ref``.
 
@@ -840,11 +802,11 @@ def strict_value_bracket(
     """Bracket the closed-polytope maximum by strict-interior values.
 
     Mixes ``argmax``, a maximizer of E[values] over the closed polytope
-    (as dual_superhedge returns it), toward a strictly feasible measure
-    with weights 1/2, ..., 1/2^12; every mixture is verified strictly
-    feasible and the values converge geometrically to the closed
-    maximum, witnessing that optimizing over the strict set loses
-    nothing.
+    (the measure of price_with_dual's super side), toward a strictly
+    feasible measure with weights 1/2, ..., 1/2^12; every mixture is
+    verified strictly feasible and the values converge geometrically to
+    the closed maximum, witnessing that optimizing over the strict set
+    loses nothing.
     """
     vmax = pt.expectation(argmax, values)
     vs = pt.expectation(strict_measure, values)

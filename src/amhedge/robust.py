@@ -28,6 +28,7 @@ from .market import MarketModel, check_kernel_family
 from .measures import (
     MartingalePolytope,
     MeasureCertificate,
+    MeasurePolytope,
     build_polytope,
     ftap_certificate,
     one_step_polytope,
@@ -261,29 +262,15 @@ def dp_operator(renl: RobustEnlarged, chi: dict[int, Q], t: int) -> DpStage:
         if out.status != "optimal":
             raise PropertyViolation(f"stage LP unexpectedly {out.status} at {node.label}")
         values[v] = out.value
-        duals = out.duals or []
-        ratios = {d: ZERO for d in range(stock.dim)}
-        for r, _, d in mart_rows:
-            ratios[d] = duals[r] if r < len(duals) else ZERO
-        # the coverage inequality value + H . step >= successor value
-        # pins the dual sign; accept whichever orientation covers
-        for sign in (ONE, -ONE):
-            covered = True
-            for c in groups:
-                gain = sum(
-                    (sign * ratios[d] * (stock.at(c)[d] - here[d]) for d in range(stock.dim)),
-                    ZERO,
-                )
-                if out.value + gain < best[c]:
-                    covered = False
-                    break
-            if covered:
-                for d in range(stock.dim):
-                    if sign * ratios[d]:
-                        strategy[(v, d)] = sign * ratios[d]
-                break
-        else:
-            raise PropertyViolation(f"stage duals do not cover successors at {node.label}")
+        # verified duals of a max LP satisfy A^T y >= c, and the mass row's
+        # dual is the value, so value + H . step >= best[c] with H the
+        # duals of the mart rows; checked again here exactly
+        ratios = {d: out.duals[r] for r, _, d in mart_rows}
+        for c in groups:
+            gain = sum((h * (stock.at(c)[d] - here[d]) for d, h in ratios.items()), ZERO)
+            if out.value + gain < best[c]:
+                raise PropertyViolation(f"stage duals do not cover successors at {node.label}")
+        strategy.update(((v, d), h) for d, h in ratios.items() if h)
     return DpStage(values=values, strategy=strategy, infeasible=infeasible, lp_count=lp_count)
 
 
@@ -336,58 +323,31 @@ def dp_superhedge(renl: RobustEnlarged, zeta: Sequence[Q] | dict[int, Q]) -> DpR
     return DpReport(value=value, root_values=root_values, strategy=strategy, lp_count=lp_count)
 
 
-# -- full sub/super-hedging dualities on the quasi-sure support ---------------
+# -- quasi-sure prices and pricing consistency ---------------------------------
 
 
-def robust_subhedge(renl: RobustEnlarged) -> HedgeReport:
-    """Quasi-sure sub-hedging price with its dual, equality asserted."""
-    return _quasi_sure_price(renl, "sub")
+def quasi_sure_price(renl: RobustEnlarged, side: str) -> HedgeReport:
+    """The classical price and its dual, restricted to the supported paths."""
+    return price_with_dual(renl.enl, side, paths=renl.supported_paths)[0]
 
 
-def robust_superhedge_full(renl: RobustEnlarged) -> HedgeReport:
-    """Quasi-sure super-hedging price with its dual, equality asserted."""
-    return _quasi_sure_price(renl, "super")
-
-
-def _quasi_sure_price(renl: RobustEnlarged, side: str) -> HedgeReport:
-    """The classical duality step restricted to the supported paths."""
-    report, _ = price_with_dual(renl.enl, side, paths=renl.supported_paths)
-    # quasi-sure reports name only the dual value, not its measure
-    report.dual_ref = {"value": report.dual_ref["value"]}
-    return report
-
-
-# -- robust pricing consistency -----------------------------------------------
-
-
-@dataclass
-class RobustFtapReport:
-    holds: bool
-    certificate: MeasureCertificate
-
-    @property
-    def epsilon(self) -> Q | None:
-        return self.certificate.slack
-
-
-def robust_ftap(renl: RobustEnlarged) -> RobustFtapReport:
+def robust_ftap(renl: RobustEnlarged) -> tuple[bool, MeasureCertificate]:
     """Uniform-slack pricing consistency on the supported paths.
 
     Holds iff one martingale measure is strictly positive on every
     supported path and clears every price bound strictly.  Such a
     measure dominates every selector product measure; conversely the
     measures dominating each selector mix into one.  So this one LP
-    decides what a sweep over the kernel selectors would, and epsilon
-    is its uniform slack.
+    decides what a sweep over the kernel selectors would, and the
+    certificate's slack is its uniform slack.
     """
-    holds, certificate = ftap_certificate(build_polytope(renl.enl, paths=renl.supported_paths))
-    return RobustFtapReport(holds=holds, certificate=certificate)
+    return ftap_certificate(build_polytope(renl.enl, paths=renl.supported_paths))
 
 
-def submarket_slacks(renl: RobustEnlarged, full: RobustFtapReport) -> list[Q | None]:
+def submarket_slacks(renl: RobustEnlarged, full: MeasureCertificate) -> list[Q | None]:
     """Slacks for the markets holding only the first m long options each.
 
-    ``full`` is robust_ftap's report on renl; its slack is the entry
+    ``full`` is robust_ftap's certificate on renl; its slack is the entry
     m = M, and each smaller market solves its own uniform-slack LP.
     Adding one more long option only shrinks the feasible set, so the
     slack sequence must be nonincreasing; asserted here.
@@ -398,7 +358,7 @@ def submarket_slacks(renl: RobustEnlarged, full: RobustFtapReport) -> list[Q | N
         sub_model = dataclasses.replace(model, americans_long=model.americans_long[:m])
         sub_pt = build_polytope(renl.enl.with_model(sub_model), paths=renl.supported_paths)
         slacks.append(ftap_certificate(sub_pt)[1].slack)
-    slacks.append(full.epsilon)
+    slacks.append(full.slack)
     for prev, cur in zip(slacks, slacks[1:]):
         if cur is not None and (prev is None or cur > prev):
             raise PropertyViolation("sub-market slack grew after adding an option")
@@ -406,20 +366,20 @@ def submarket_slacks(renl: RobustEnlarged, full: RobustFtapReport) -> list[Q | N
 
 
 def ftap_transfer(
-    renl_low: RobustEnlarged, renl_high: RobustEnlarged
-) -> tuple[RobustFtapReport, RobustFtapReport]:
+    pt_low: MeasurePolytope, pt_high: MeasurePolytope
+) -> tuple[tuple[bool, MeasureCertificate], tuple[bool, MeasureCertificate]]:
     """Pricing consistency transfers between the two enlargement depths.
 
-    The verdict on renl_low, whose n is the number of short options,
-    must match the verdict on renl_high, the space with one extra clock;
-    both are computed and the biconditional asserted.
+    pt_low and pt_high are the supported polytopes of the n = N space, N
+    the number of short options, and of the space with one extra clock.
+    The verdicts of ftap_certificate on both must match; both are
+    returned.
     """
-    model = renl_low.robust.model
-    if (renl_low.enl.n, renl_high.enl.n) != (model.N, model.N + 1):
+    model = pt_low.enl.model
+    if (pt_low.enl.n, pt_high.enl.n) != (model.N, model.N + 1):
         raise ValueError("ftap_transfer needs the n = N and n = N + 1 spaces")
-    low = robust_ftap(renl_low)
-    high = robust_ftap(renl_high)
-    if low.holds != high.holds:
+    low, high = ftap_certificate(pt_low), ftap_certificate(pt_high)
+    if low[0] != high[0]:
         raise PropertyViolation("pricing consistency verdict changed with the extra clock")
     return low, high
 

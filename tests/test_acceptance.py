@@ -31,9 +31,8 @@ from amhedge.hedging import check_sna, subhedge, superhedge
 from amhedge.measures import (
     MartingalePolytope,
     build_polytope,
-    dual_subhedge,
-    dual_superhedge,
     e2_chain,
+    price_with_dual,
 )
 from amhedge.rationals import Q, ZERO, rat_str
 from amhedge.robust import (
@@ -41,10 +40,9 @@ from amhedge.robust import (
     dp_superhedge,
     drop_options,
     enlarge_robust,
+    quasi_sure_price,
     robust_ftap,
     robust_na,
-    robust_subhedge,
-    robust_superhedge_full,
     verify_minimax,
 )
 
@@ -75,17 +73,14 @@ def _evaluate(i: int) -> tuple:
     """(sna report, duality strings, raw price quadruple) for corpus model i."""
     if i not in _EVAL:
         model = _corpus()[i].model
-        enl_sub = enlarge(model, model.N)
-        enl_sup = enlarge(model, model.N + 1)
-        pt_sub = build_polytope(enl_sub)
+        dual_sub, pt_sub = price_with_dual(enlarge(model, model.N), "sub")
         sna = check_sna(pt_sub)
-        pt_sup = build_polytope(enl_sup)
-        dual_sup = dual_superhedge(pt_sup)
+        dual_sup, pt_sup = price_with_dual(enlarge(model, model.N + 1), "super")
         quad = (
-            subhedge(enl_sub).price,
-            dual_subhedge(pt_sub).value,
-            superhedge(enl_sup).price,
-            dual_sup.value,
+            subhedge(pt_sub.enl).price,
+            dual_sub.price,
+            superhedge(pt_sup.enl).price,
+            dual_sup.price,
         )
         _POLYTOPES[i] = (pt_sub, pt_sup, dual_sup.measure)
         _EVAL[i] = (sna, {"sub": rat_str(quad[0]), "super": rat_str(quad[2])}, quad)
@@ -195,9 +190,9 @@ def test_criterion_4_price_chain_and_transport(capfd):
             except PropertyViolation as exc:
                 failures.append(f"model {i}: {exc}")
         wedge = strict_chain_market()
-        pt_sub = build_polytope(enlarge(wedge, wedge.N))
-        chain = e2_chain(pt_sub, dual_subhedge(pt_sub).value,
-                         dual_superhedge(build_polytope(enlarge(wedge, wedge.N + 1))).value)
+        sub, pt_sub = price_with_dual(enlarge(wedge, wedge.N), "sub")
+        sup, _ = price_with_dual(enlarge(wedge, wedge.N + 1), "super")
+        chain = e2_chain(pt_sub, sub.price, sup.price)
         if (chain.lower, chain.middle, chain.upper) != \
                 (Q(3, 4), Q(758717, 799680), Q(5879, 5880)) or not chain.strict_upper:
             failures.append("canonical strict-gap market lost its gap")
@@ -221,12 +216,12 @@ def test_criterion_5_robust_duality_and_dp(capfd):
             renl_sup = enlarge_robust(rm, model.N + 1)
             # the stock-only price on the 1-clock space of the market
             # without its books, against the induction on the full space
-            stock = robust_superhedge_full(enlarge_robust(drop_options(rm), 1))
+            stock = quasi_sure_price(enlarge_robust(drop_options(rm), 1), "super")
             dp = dp_superhedge(renl_sup, extend_claim(renl_sup.enl, "super"))
             if stock.price != dp.value:
                 failures.append(f"kernel {k}: backward induction disagrees with the LP")
-            sub = robust_subhedge(renl_sub)
-            sup = robust_superhedge_full(renl_sup)
+            sub = quasi_sure_price(renl_sub, "sub")
+            sup = quasi_sure_price(renl_sup, "super")
             if sub.gap != ZERO or sup.gap != ZERO or stock.gap != ZERO:
                 failures.append(f"kernel {k}: primal-dual gap")
             if not sub.price <= sup.price <= stock.price:
@@ -251,13 +246,13 @@ def test_criterion_6_robust_ftap_and_domination(capfd):
                 # quotes moved 1/4 towards arbitrage make some families fail
                 for shift in (ZERO, Q(1, 4)):
                     renl = RobustEnlarged(rm, enl.with_model(rm.model.shifted_prices(shift)))
-                    rf = robust_ftap(renl)
-                    verdicts[rf.holds] += 1
+                    holds, cert = robust_ftap(renl)
+                    verdicts[holds] += 1
                     pt = build_polytope(renl.enl, paths=renl.supported_paths)
                     where = f"kernel {k}, n = {n}, shift {shift}"
-                    if rf.holds != selector_sweep(pt, renl):
+                    if holds != selector_sweep(pt, renl):
                         failures.append(f"{where}: one-LP verdict vs selector sweep")
-                    ok, _ = pt.check(rf.certificate.measure, min_slack=rf.epsilon)
+                    ok, _ = pt.check(cert.measure, min_slack=cert.slack)
                     if not ok:
                         failures.append(f"{where}: certificate fails re-validation")
             renl = enlarge_robust(rm, rm.model.N)

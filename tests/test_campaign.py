@@ -30,10 +30,9 @@ from amhedge.hedging import check_sna
 from amhedge.market import emit_model, load_model
 from amhedge.measures import (
     build_polytope,
-    dual_subhedge,
-    dual_superhedge,
     e2_chain,
     ftap_certificate,
+    price_with_dual,
 )
 from amhedge.rationals import ONE, Q, ZERO
 from amhedge.robust import build_robust, enlarge_robust, robust_ftap
@@ -58,9 +57,9 @@ def test_short_put_slack_matches_hand_value():
 
 def test_strict_chain_market_has_a_gap():
     model = strict_chain_market()
-    pt_sub = build_polytope(enlarge(model, model.N))
-    chain = e2_chain(pt_sub, dual_subhedge(pt_sub).value,
-                     dual_superhedge(build_polytope(enlarge(model, model.N + 1))).value)
+    sub, pt_sub = price_with_dual(enlarge(model, model.N), "sub")
+    sup, _ = price_with_dual(enlarge(model, model.N + 1), "super")
+    chain = e2_chain(pt_sub, sub.price, sup.price)
     assert chain.lower == Q(3, 4)
     assert chain.middle == Q(758717, 799680)
     assert chain.upper == Q(5879, 5880)
@@ -146,8 +145,8 @@ def test_boundary_model_pins_the_slack():
 @pytest.mark.parametrize("seed", range(3))
 def test_random_kernel_model_is_consistent(seed):
     rm, gm = random_kernel_model(random.Random(seed), seed=seed)
-    rep = robust_ftap(enlarge_robust(rm, rm.model.N))
-    assert rep.holds and rep.epsilon > ZERO
+    holds, cert = robust_ftap(enlarge_robust(rm, rm.model.N))
+    assert holds and cert.slack > ZERO
 
 
 def test_stock_only_arbitrage_is_a_property_violation(monkeypatch):

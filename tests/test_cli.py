@@ -12,9 +12,13 @@ import pytest
 
 import amhedge.cli as cli
 import amhedge.measures as measures
+import amhedge.strategies as strategies
 from amhedge.cli import main
 from amhedge.lp import LPInternalError
-from amhedge.market import emit_model
+from amhedge.market import emit_model, load_model
+from amhedge.measures import build_polytope
+from amhedge.rationals import rat
+from amhedge.robust import build_robust, enlarge_robust
 
 from conftest import binomial_dict, binomial_put_book_dict, trinomial_kernels_dict
 from test_report_bytes import CAMPAIGN_MODELS
@@ -38,6 +42,16 @@ def kernel_file(tmp_path):
     path = tmp_path / "kernel.json"
     path.write_text(json.dumps(d))
     return str(path)
+
+
+@pytest.fixture()
+def no_enumeration(monkeypatch):
+    # any stopping-time enumeration ends the request in an AssertionError
+    def refuse(*args, **kwargs):
+        raise AssertionError("a stopping time was enumerated")
+
+    monkeypatch.setattr(strategies, "enumerate_stopping_times", refuse)
+    monkeypatch.setattr(measures, "enumerate_stopping_times", refuse)
 
 
 def run(argv, capsys):
@@ -109,16 +123,11 @@ def test_verify_out_into_missing_directory_runs_nothing(tmp_path, capsys, monkey
 
 
 @pytest.mark.parametrize("argv", [
-    ["price", "--side", "sub", "--cap", "0"],
-    ["ftap", "--cap", "0"],
-    ["enlarge-dump", "--cap", "0"],
     ["verify", "--cap", "0"],
     ["verify", "--models", "0"],
     ["verify", "--models", "-2"],
 ], ids=lambda argv: "-".join(argv[0:1] + argv[-2:]))
-def test_nonpositive_cap_or_models_exits_schema(argv, model_file, capsys):
-    if argv[0] != "verify":
-        argv = [*argv, "--model", model_file]
+def test_nonpositive_cap_or_models_exits_schema(argv, capsys):
     try:
         code = main(argv)
     except SystemExit as exc:    # usage errors exit from the parser
@@ -148,10 +157,10 @@ def test_cap_exit(capsys):
     assert code == 3 and "cap exceeded" in err
 
 
-def test_price_enumerates_nothing_without_longs(tmp_path, capsys):
+def test_price_enumerates_nothing_without_longs(tmp_path, capsys, no_enumeration):
     path = tmp_path / "model.json"
     path.write_text(json.dumps(binomial_put_book_dict(3, short_bid="35/48")))
-    code, out, err = run(["price", "--model", str(path), "--side", "sub", "--cap", "1"], capsys)
+    code, out, err = run(["price", "--model", str(path), "--side", "sub"], capsys)
     assert code == 0, err
     doc = json.loads(out)
     assert doc["gap"] == "0/1" and doc["price"] == "52/27"
@@ -159,7 +168,7 @@ def test_price_enumerates_nothing_without_longs(tmp_path, capsys):
     put = {"values": {"r": "0", "u": "0", "d": "1/2"}, "price": "1/2"}
     path.write_text(json.dumps(binomial_dict(americans_long=[put])))
     for argv in (["price", "--side", "sub"], ["price", "--side", "super"], ["ftap"]):
-        code, out, err = run([*argv, "--model", str(path), "--cap", "1"], capsys)
+        code, out, err = run([*argv, "--model", str(path)], capsys)
         assert code == 0 and err == "", (argv, err)
 
 
@@ -167,11 +176,11 @@ def test_price_enumerates_nothing_without_longs(tmp_path, capsys):
     (2, ["price", "--side", "super"]),      # 371,461 stopping-time rows if enumerated
     (3, ["ftap"]),
 ], ids=["T2-price-super", "T3-ftap"])
-def test_short_and_long_probe_markets(horizon, argv, tmp_path, capsys):
+def test_short_and_long_probe_markets(horizon, argv, tmp_path, capsys, no_enumeration):
     bid, ask = {2: ("5/9", "25/9"), 3: ("35/48", "10/3")}[horizon]
     path = tmp_path / "model.json"
     path.write_text(json.dumps(binomial_put_book_dict(horizon, short_bid=bid, long_ask=ask)))
-    code, out, err = run([*argv, "--model", str(path), "--cap", "1"], capsys)
+    code, out, err = run([*argv, "--model", str(path)], capsys)
     assert code == 0 and err == "", err
     doc = json.loads(out)
     if argv[0] == "price":
@@ -350,6 +359,34 @@ def test_full_support_robust_slack_is_classical(name, tmp_path, capsys):
     doc = json.loads(out)
     assert doc["robust"]["supported_paths"] == doc["classical"]["paths"]
     assert doc["robust"]["epsilon"] == doc["classical"]["epsilon"]
+
+
+def _kernel_model_dict(name):
+    if name == "trinomial_kernels_3":
+        return trinomial_kernels_dict(3)
+    return emit_model(CAMPAIGN_MODELS[name]())
+
+
+@pytest.mark.parametrize("side", ["sub", "super"])
+@pytest.mark.parametrize("name", ["binomial_kernel", "trinomial_two_kernels",
+                                  "trinomial_kernels_3"])
+def test_kernel_price_reports_its_supported_measure(name, side, tmp_path, capsys):
+    data = _kernel_model_dict(name)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(["price", "--model", str(path), "--side", side], capsys)
+    assert code == 0, err
+    doc = json.loads(out)
+    dual = doc["report"]["dual_ref"]
+    assert dual["kind"] == f"dual_{side}" and dual["value"] == doc["price"]
+    # the reported measure lies in the supported polytope rebuilt from the model
+    renl = enlarge_robust(build_robust(load_model(data)), doc["n"])
+    index = {ep.label: p for p, ep in enumerate(renl.enl.epaths)}
+    measure = {index[label]: rat(q) for label, q in dual["measure"].items()}
+    assert measure and set(measure) <= set(renl.supported_paths)
+    assert doc["supported_paths"] == len(renl.supported_paths)
+    ok, ledger = build_polytope(renl.enl, paths=renl.supported_paths).check(measure)
+    assert ok, [e for e in ledger if not e["ok"]]
 
 
 def test_verify_small_run(model_file, capsys):

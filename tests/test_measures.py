@@ -19,11 +19,10 @@ from amhedge.lp import format_lp, solve
 from amhedge.market import load_model
 from amhedge.measures import (
     build_polytope,
-    dual_subhedge,
-    dual_superhedge,
     e2_chain,
     ftap_certificate,
     lift_measure_uniform_clock,
+    price_with_dual,
     push_stopping_measure,
     restricted_stopping_times,
     snell_value,
@@ -113,19 +112,16 @@ def test_ftap_infeasible_polytope():
 
 
 def test_dual_prices(binomial_short_put):
-    enl_sub = enlarge(binomial_short_put, 1)
-    enl_sup = enlarge(binomial_short_put, 2)
-    dsub = dual_subhedge(build_polytope(enl_sub))
-    dsup = dual_superhedge(build_polytope(enl_sup))
-    assert dsub.value == Q(1, 3)
-    assert dsup.value == Q(1, 3)
+    dsub, _ = price_with_dual(enlarge(binomial_short_put, 1), "sub")
+    dsup, _ = price_with_dual(enlarge(binomial_short_put, 2), "super")
+    assert dsub.price == Q(1, 3)
+    assert dsup.price == Q(1, 3)
     assert sum(dsub.measure.values(), ZERO) == ONE
 
 
 def test_dual_matches_primal_on_unique_measure(two_period):
-    enl = enlarge(two_period, 0)
-    assert dual_subhedge(build_polytope(enl)).value == Q(1, 3)
-    assert dual_superhedge(build_polytope(enlarge(two_period, 1))).value == Q(1, 3)
+    assert price_with_dual(enlarge(two_period, 0), "sub")[0].price == Q(1, 3)
+    assert price_with_dual(enlarge(two_period, 1), "super")[0].price == Q(1, 3)
 
 
 def test_dual_raises_on_empty_polytope():
@@ -133,7 +129,7 @@ def test_dual_raises_on_empty_polytope():
         {"payoff": {"u": "1", "d": "0"}, "price": "1/4"},
     ]))
     with pytest.raises(SnaFailure):
-        dual_superhedge(build_polytope(enlarge(model, 1)))
+        price_with_dual(enlarge(model, 1), "super")
 
 
 def test_snell_value_oracle(two_period):
@@ -189,9 +185,9 @@ def test_push_concentrates_on_the_stop(binomial_short_put):
 
 
 def test_e2_chain_collapses_when_attainable(binomial_short_put):
-    pt1 = build_polytope(enlarge(binomial_short_put, 1))
-    chain = e2_chain(pt1, dual_subhedge(pt1).value,
-                     dual_superhedge(build_polytope(enlarge(binomial_short_put, 2))).value)
+    sub, pt1 = price_with_dual(enlarge(binomial_short_put, 1), "sub")
+    sup, _ = price_with_dual(enlarge(binomial_short_put, 2), "super")
+    chain = e2_chain(pt1, sub.price, sup.price)
     assert (chain.lower, chain.middle, chain.upper) == (Q(1, 3), Q(1, 3), Q(1, 3))
     assert not chain.strict_upper
     assert chain.num_taus >= 1

@@ -24,10 +24,9 @@ from amhedge.robust import (
     drop_options,
     enlarge_robust,
     ftap_transfer,
+    quasi_sure_price,
     robust_ftap,
     robust_na,
-    robust_subhedge,
-    robust_superhedge_full,
     submarket_slacks,
     verify_minimax,
 )
@@ -91,7 +90,7 @@ def test_na_fails_on_sure_up():
 
 def _stock_only(rm, *, europeans=False):
     """Super-hedge of the claim on the 1-clock space of the market without other books."""
-    return robust_superhedge_full(enlarge_robust(drop_options(rm, europeans=europeans), 1))
+    return quasi_sure_price(enlarge_robust(drop_options(rm, europeans=europeans), 1), "super")
 
 
 def test_drop_options_keeps_kernels_claim_and_asked_books():
@@ -111,7 +110,9 @@ def test_drop_options_keeps_kernels_claim_and_asked_books():
 def test_stock_superhedge():
     rep = _stock_only(build_robust(_binomial(INTERIOR)))
     assert rep.price == Q(1, 3)
-    assert rep.gap == ZERO and rep.dual_ref == {"value": "1/3"}
+    # the classical dual_ref schema: the unique martingale law (1/3, 2/3)
+    assert rep.gap == ZERO and rep.dual_ref == {
+        "kind": "dual_super", "value": "1/3", "measure": {"p0@1": "1/3", "p1@1": "2/3"}}
     # constants price to themselves
     flat = {"values": {"r": "5/7", "u": "5/7", "d": "5/7"}}
     rm = build_robust(load_model(binomial_dict(claim=flat, kernels=INTERIOR)))
@@ -203,8 +204,8 @@ def test_options_overpriced_book_fails():
 
 def test_singleton_family_reproduces_classical():
     rm = build_robust(_binomial_put(INTERIOR))
-    sub = robust_subhedge(enlarge_robust(rm, 1))
-    sup = robust_superhedge_full(enlarge_robust(rm, 2))
+    sub = quasi_sure_price(enlarge_robust(rm, 1), "sub")
+    sup = quasi_sure_price(enlarge_robust(rm, 2), "super")
     assert sub.price == subhedge(enlarge(rm.model, 1)).price
     assert sup.price == superhedge(enlarge(rm.model, 2)).price
     assert sub.gap == ZERO and sup.gap == ZERO
@@ -213,43 +214,43 @@ def test_singleton_family_reproduces_classical():
 def test_robust_ftap_holds_with_submarkets():
     rm = build_robust(_binomial_put(INTERIOR))
     renl = enlarge_robust(rm, 1)
-    rep = robust_ftap(renl)
-    assert rep.holds and rep.epsilon > ZERO
+    holds, cert = robust_ftap(renl)
+    assert holds and cert.slack > ZERO
     # no long option: the sweep is the full market's slack alone
-    assert submarket_slacks(renl, rep) == [rep.epsilon]
+    assert submarket_slacks(renl, cert) == [cert.slack]
 
 
 def test_submarket_sweep_drops_long_options():
     long_put = {"values": {"r": "0", "u": "0", "d": "1/2"}, "price": "1/2"}
     renl = enlarge_robust(build_robust(_binomial_kern_long(long_put)), 0)
-    rep = robust_ftap(renl)
-    bare = robust_ftap(enlarge_robust(build_robust(_binomial(INTERIOR)), 0))
-    slacks = submarket_slacks(renl, rep)
-    assert slacks == [bare.epsilon, rep.epsilon] and slacks[1] < slacks[0]
+    _, cert = robust_ftap(renl)
+    _, bare = robust_ftap(enlarge_robust(build_robust(_binomial(INTERIOR)), 0))
+    slacks = submarket_slacks(renl, cert)
+    assert slacks == [bare.slack, cert.slack] and slacks[1] < slacks[0]
 
 
 def test_robust_ftap_fails_on_sure_up():
-    rep = robust_ftap(enlarge_robust(build_robust(_binomial(SURE_UP)), 0))
-    assert not rep.holds and rep.epsilon is None
+    holds, cert = robust_ftap(enlarge_robust(build_robust(_binomial(SURE_UP)), 0))
+    assert not holds and cert.slack is None
 
 
 def test_robust_ftap_no_options_equals_domination_slack():
     renl = enlarge_robust(build_robust(_binomial(INTERIOR)), 0)
     na = robust_na(renl)
-    rep = robust_ftap(renl)
-    assert rep.epsilon == na.certificate.slack == Q(1, 3)
+    _, cert = robust_ftap(renl)
+    assert cert.slack == na.certificate.slack == Q(1, 3)
 
 
 def test_one_lp_decides_8192_selectors():
     rm = build_robust(load_model(trinomial_kernels_dict(3)))
     assert rm.num_selectors() == 8192
     renl = enlarge_robust(rm, rm.model.N)
-    rep = robust_ftap(renl)
-    assert rep.holds and rep.epsilon == Q(1, 108)
+    holds, cert = robust_ftap(renl)
+    assert holds and cert.slack == Q(1, 108)
     # the witness charges every supported path and clears every row by the slack
     pt = build_polytope(renl.enl, paths=renl.supported_paths)
-    ok, _ = pt.check(rep.certificate.measure, min_slack=rep.epsilon)
-    assert ok and sorted(rep.certificate.measure) == renl.supported_paths
+    ok, _ = pt.check(cert.measure, min_slack=cert.slack)
+    assert ok and sorted(cert.measure) == renl.supported_paths
 
 
 @pytest.mark.parametrize("bid, holds", [("1/8", True), ("1", False)])
@@ -261,7 +262,7 @@ def test_selector_sweep_agrees_with_one_lp(bid, holds):
     for n in (rm.model.N, rm.model.N + 1):
         renl = enlarge_robust(rm, n)
         pt = build_polytope(renl.enl, paths=renl.supported_paths)
-        assert selector_sweep(pt, renl) == robust_ftap(renl).holds == holds
+        assert selector_sweep(pt, renl) == robust_ftap(renl)[0] == holds
     renl = enlarge_robust(rm, rm.model.N)
     assert selector_sweep(MartingalePolytope(renl.enl, renl.supported_paths), renl)
     assert robust_na(renl).holds
@@ -275,8 +276,11 @@ def test_selector_sweep_agrees_on_arbitrage():
 
 def test_ftap_transfer():
     rm = build_robust(_binomial_put(INTERIOR))
-    low, high = ftap_transfer(enlarge_robust(rm, rm.model.N), enlarge_robust(rm, rm.model.N + 1))
-    assert low.holds and high.holds
+    low, high = ftap_transfer(*(
+        build_polytope(renl.enl, paths=renl.supported_paths)
+        for renl in (enlarge_robust(rm, rm.model.N), enlarge_robust(rm, rm.model.N + 1))
+    ))
+    assert low[0] and high[0]
 
 
 def _minimax_setup():
