@@ -36,33 +36,33 @@ COMMANDS = {
 
 # (exit code, sha256 of stdout) per model and command
 EXPECTED = {
-    ('binomial', 'ftap'): (0, '0b31327cbb5992461200ee24b8a928d8586fbd2365a6d01bc6b0583ee3704dc4'),
-    ('binomial', 'price-sub'): (0, 'c9f833a176e12e1f51be305c15e4ad2d7d3ab72a16390a7e58b614b77c591c4d'),
-    ('binomial', 'price-super'): (0, 'c6865e0c5917528e443d8682633a96b414690e4f049840a319c75457f79cab05'),
-    ('binomial_short_put', 'ftap'): (0, '5df1735c70153ed87f78f3fdf84cad369428df4d50d7c565a8f564c56d7c4cbc'),
-    ('binomial_short_put', 'price-sub'): (0, '717eada70f331ec5139a2aa7c022b6b50cbd32c38e144cd66f6eb715859ee983'),
-    ('binomial_short_put', 'price-super'): (0, '4cf98843410f326214af53a73fa52b56ca892fe1df62c65d617c95621679bc66'),
-    ('trinomial', 'ftap'): (0, 'f942531f1231eb3eda66c01cea81c8842046a6d1f4c759e949e2519726405fc8'),
-    ('trinomial', 'price-sub'): (0, 'c95fabaa95144a215d3bb191e5d795625e6198ad48176e8b7f891f8c80016e28'),
-    ('trinomial', 'price-super'): (0, '7737f7fda2b6489d2d03b8235583b91ab9f49bf1bf1aaaffaad313fb54c359f5'),
-    ('two_period', 'ftap'): (0, 'b9ff7da94f5f4c9d0dd383a3aa0c3efa87394f5d8b17df6d93527b8656af169b'),
-    ('two_period', 'price-sub'): (0, 'c8a50e23d4b73e5f309e032b5ded5e31ebe21b05eebbf65aac0d7060fbc35ed6'),
-    ('two_period', 'price-super'): (0, '5a0a41089f7b8dad3fe8979f538d8273f6ec3734bb4cb19eaf6cd7d9ea2d0dce'),
-    ('binomial_call', 'ftap'): (0, '0b31327cbb5992461200ee24b8a928d8586fbd2365a6d01bc6b0583ee3704dc4'),
-    ('binomial_call', 'price-sub'): (0, 'c9f833a176e12e1f51be305c15e4ad2d7d3ab72a16390a7e58b614b77c591c4d'),
-    ('binomial_call', 'price-super'): (0, 'c6865e0c5917528e443d8682633a96b414690e4f049840a319c75457f79cab05'),
-    ('binomial_call_short_put', 'ftap'): (0, '5df1735c70153ed87f78f3fdf84cad369428df4d50d7c565a8f564c56d7c4cbc'),
-    ('binomial_call_short_put', 'price-sub'): (0, '717eada70f331ec5139a2aa7c022b6b50cbd32c38e144cd66f6eb715859ee983'),
-    ('binomial_call_short_put', 'price-super'): (0, '4cf98843410f326214af53a73fa52b56ca892fe1df62c65d617c95621679bc66'),
-    ('strict_chain_market', 'ftap'): (0, 'bb5e7de10b7a066b38a0ceaba0d176edfc6044febc2f7ea38d3494ff1651b80e'),
-    ('strict_chain_market', 'price-sub'): (0, '7dc7fe7cb1bdccb2cf0631e2cfdf7a6fc82db57285cf6669157c704ad6fd9b6d'),
-    ('strict_chain_market', 'price-super'): (0, '2908c67cc26db7ece03aeea768a8282a88fca21b8dfaffc4485e9cd99cc67a86'),
-    ('trinomial_two_kernels', 'ftap'): (0, 'be3216aedfee4c8aae2cdc2d44e1417b522b8d9936492ab99f882b170d679c31'),
-    ('trinomial_two_kernels', 'price-sub'): (0, '9c4e3d0181fcafd451cb50b478146b04f5a5df51dd28311fb625abfd66a9e7ed'),
-    ('trinomial_two_kernels', 'price-super'): (0, '86cd4187cae9e598c3e4b9c46d656dcb9e7dfee7fd304ea1e2fa4d851d2a3b08'),
-    ('binomial_kernel', 'ftap'): (0, '696b4d1590a970db301eb234fe8a05b538c22417cd28e3b0b2755f2fc29ab058'),
-    ('binomial_kernel', 'price-sub'): (0, 'e308abdc0bbabf7c29689e43813d590617d44107fb121358402950b01ad385fc'),
-    ('binomial_kernel', 'price-super'): (0, '2ed1e6a5b2b3e9093c7f270c5aa155443ac95fc348cee9e32f7d8b43126ee3bf'),
+    ('binomial', 'ftap'): (0, '17456d44c03eb9813298f579f1ca8b8aea33b182c21551b36109792ce55db1f8'),
+    ('binomial', 'price-sub'): (0, '806a221a0bfbf65ddde38720f5f404f94ba9c9c675d39ebc5059217dcbaadc07'),
+    ('binomial', 'price-super'): (0, '4a857f9d258fc71482ed42a29954169bc8c294152e812fa4dda0db890e650afa'),
+    ('binomial_short_put', 'ftap'): (0, '34e61e017b0006d243ffe171bc5d5a73b358c21697d93caaf68a57fb89f458f4'),
+    ('binomial_short_put', 'price-sub'): (0, 'f41649b49a21453e1297d588536a24d5483d0c70563bbd9e08d65344618ff993'),
+    ('binomial_short_put', 'price-super'): (0, '3cd149d3001e1fddb27943d4d1edf40a9f200db0b4abd8977e6c20c3c35b0ee7'),
+    ('trinomial', 'ftap'): (0, '2987fe694fe4434c33ff2d72171ffe8b306592de2c3e6601e481adb27279f96f'),
+    ('trinomial', 'price-sub'): (0, '2e1a818cb1ac2062c7e5863faa9fd73c9d867f4c54d4629bdfcb28b9d9852fa2'),
+    ('trinomial', 'price-super'): (0, 'b3dbb3f1acc7da1f4f542b00ba642d15022ea50b5367c4bc0d51a9a86e7e195d'),
+    ('two_period', 'ftap'): (0, '4bbe273b6f2f6d5b45ad96819162ce6742bd8f9d10319ba5ef918ab041238f57'),
+    ('two_period', 'price-sub'): (0, '813634930116c128072af56a42355dce6c012416bc68393c9e06e99f690a06f8'),
+    ('two_period', 'price-super'): (0, '29f26b2dd62295dc07bc61c71957a55351f003d11fc25171eef2bebb38c269e6'),
+    ('binomial_call', 'ftap'): (0, '17456d44c03eb9813298f579f1ca8b8aea33b182c21551b36109792ce55db1f8'),
+    ('binomial_call', 'price-sub'): (0, '806a221a0bfbf65ddde38720f5f404f94ba9c9c675d39ebc5059217dcbaadc07'),
+    ('binomial_call', 'price-super'): (0, '4a857f9d258fc71482ed42a29954169bc8c294152e812fa4dda0db890e650afa'),
+    ('binomial_call_short_put', 'ftap'): (0, '34e61e017b0006d243ffe171bc5d5a73b358c21697d93caaf68a57fb89f458f4'),
+    ('binomial_call_short_put', 'price-sub'): (0, 'f41649b49a21453e1297d588536a24d5483d0c70563bbd9e08d65344618ff993'),
+    ('binomial_call_short_put', 'price-super'): (0, '3cd149d3001e1fddb27943d4d1edf40a9f200db0b4abd8977e6c20c3c35b0ee7'),
+    ('strict_chain_market', 'ftap'): (0, 'b77d67426bdf339cf14d69394ee855e1bd2e641f198af0965008ad09b1b6dd56'),
+    ('strict_chain_market', 'price-sub'): (0, '1b4d3cde1a90114e3a4127f6a35791a6de906b20d9910ddc16fdd20453fca7e6'),
+    ('strict_chain_market', 'price-super'): (0, 'c447f665eef012fbba9036b240454ff15d8d6f287d07c637f0da2395ece10018'),
+    ('trinomial_two_kernels', 'ftap'): (0, '50acfd96fa9a88892f9479dc378916c4163e2989bee9e9b054b9fef80772968b'),
+    ('trinomial_two_kernels', 'price-sub'): (0, '28f0920919ad429318672c312f681493a85077ac6982b604f2fd02dd93b1b38f'),
+    ('trinomial_two_kernels', 'price-super'): (0, '1dcd37317f7ec009e68609c20938e6e6c08149d40d31652156861d50d0dafbf8'),
+    ('binomial_kernel', 'ftap'): (0, '8ea27bce6f01b8a29fd453f37acad022c8d060cae3363a3761d0449c77e737c4'),
+    ('binomial_kernel', 'price-sub'): (0, '847128feb0f810ffbf5d239de4c2d71a69a090fe95cb979ee3b72673e7ff1f94'),
+    ('binomial_kernel', 'price-super'): (0, '4ed6c02bc3c2a580ab3cbaadacf19d3d5f3ac1dfeb63248646acfd76055ce79a'),
 }
 
 
