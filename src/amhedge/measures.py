@@ -391,8 +391,10 @@ class MeasurePolytope(MartingalePolytope):
         return work, shift, rows
 
     def stopped_envelope(self, values_at_enode: dict[int, Q]) -> tuple[Q, dict[int, Q]]:
-        """min over the polytope of sup over stopping times of E_Q[value at the stop],
-        with the optimal measure."""
+        """min over the polytope of sup over stopping times of E_Q[value at the stop].
+
+        Returns the value and the optimal measure.
+        """
         work, shift, _ = self.envelope_lp(values_at_enode)
         out, measure = self._solve_measure(work)
         return out.value + shift, measure
