@@ -9,40 +9,42 @@ one strategy copy per clock vector, tied together by explicit
 non-anticipativity equalities - and certifies that the divisible
 reading changes nothing: mixtures of the optimizer cover every weight
 grid point, and adding grid constraints to the LP moves no value.
+
+The clock-indexed formulation is the enlarged space with every clock
+revealed at time 0 (RevealedModel), so the one hedge driver of
+``hedging`` prices it; the space lists the node pairs to tie and, with
+a grid, the mixtures every hedge must also satisfy.
 """
 from __future__ import annotations
 
+import copy
 import itertools
 from dataclasses import dataclass
+from typing import Sequence
 
-from .enlarged import enlarge
+from .enlarged import EnlargedModel, enlarge, extend_claim
 from .errors import PropertyViolation
 from .hedging import (
-    StockPositions,
-    _bump,
-    add_static_vars,
-    add_weighted_gains,
+    HedgeReport,
+    SemiStaticStrategy,
     detect_arbitrage,
-    evaluate_gain,
-    gain_row,
-    gain_terms,
+    payoff_enlarged,
     subhedge,
     subhedge_european,
     superhedge,
 )
-from .lp import LinearProgram, solve
 from .market import MarketModel
 from .rationals import ONE, ZERO, Q, rat_str
 from .strategies import (
-    ClockIndexedFamily,
+    LiquidatingStrategy,
     _mixture_weight,
     dirac_weights,
     indistinguishable_pairs,
-    validate_nonanticipative,
 )
 
 __all__ = [
-    "EPS_GRID", "ClockLP", "DivisibilityReport", "verify_divisibility_equivalence", "weight_grid",
+    "EPS_GRID", "DivisibilityReport", "RevealedModel", "nonanticipative",
+    "verify_divisibility_equivalence", "weight_grid",
 ]
 
 # quote shifts swept by the no-arbitrage grid checks
@@ -81,264 +83,58 @@ def weight_grid(n: int, horizon: int) -> list[tuple[tuple[Q, ...], ...]]:
     return out
 
 
-class ClockLP:
-    """One semi-static strategy copy per clock vector, tied by equalities.
+class RevealedModel(EnlargedModel):
+    """The enlarged space with every clock revealed at time 0.
 
-    Variables: x (if priced), per-clock-vector dynamic positions
-    H[t, node, dim], static a/b/c shared across clock vectors,
-    per-clock-vector liquidation masses nu and (sub only) claim
-    exercise weights eta.  Pairs of clock vectors that are
-    indistinguishable up to time r share their positions before r.
+    A node is (base node, whole clock vector), so each clock vector
+    gets its own strategy copy: the clock-indexed formulation.  Two
+    time-r nodes over one base node are tied when their clock vectors
+    are indistinguishable at r (indistinguishable_pairs), which is the
+    non-anticipativity a clock not yet fired imposes.
     """
 
-    def __init__(
-        self,
-        model: MarketModel,
-        n: int,
-        *,
-        role: str,
-        psi: list[Q] | None = None,
-        split_stock: bool = False,
-    ) -> None:
-        if role not in ("sub", "super", "european", "arbitrage"):
-            raise ValueError(f"unknown role {role!r}")
-        if role == "super" and n != model.N + 1:
-            raise ValueError("super-hedging indexes clocks 1..N+1")
-        if role in ("sub", "european", "arbitrage") and n != model.N:
-            raise ValueError("this role indexes clocks 1..N")
-        self.model = model
-        self.n = n
-        self.role = role
-        self.psi = psi
-        tree = model.tree
-        T = tree.horizon
-        self.tuples = list(itertools.product(range(T + 1), repeat=n))
-        self.lp = LinearProgram()
-        self.x = None
-        if role in ("sub", "super", "european"):
-            self.x = self.lp.add_var("x", nonneg=False)
+    def __init__(self, model: MarketModel, n: int) -> None:
+        super().__init__(model, n)
+        self.tuples = list(itertools.product(range(self.horizon + 1), repeat=n))
+        index = self._enode_index
+        self.tied_pairs = tuple(
+            (index[(nid, s)], index[(nid, t)])
+            for r in range(self.horizon)
+            for s, t in indistinguishable_pairs(self.tuples, r)
+            for nid in model.tree.nodes_at(r)
+        )
 
-        self.internal = sorted((n.time, nid) for nid, n in tree.nodes.items() if n.time < T)
-        self.all_nodes = sorted(tree.nodes, key=lambda nid: (tree.nodes[nid].time, nid))
-        # positions and masses are keyed (clock vector, node): the node fixes the time
-        keys = (((tvec, nid), f"{tvec};{nid}") for tvec in self.tuples for _, nid in self.internal)
-        self.stock = StockPositions(self.lp, keys, model.stock.dim, split=split_stock)
-        self.static = add_static_vars(self.lp, model)
-        self.nu_var = [
-            {
-                (tvec, nid): self.lp.add_var(f"nu[{j};{tvec};{nid}]")
-                for tvec in self.tuples
-                for nid in self.all_nodes
-            }
-            for j in range(model.M)
-        ]
-        self.eta_var: dict[tuple, int] = {}
-        if role == "sub":
-            self.eta_var = {
-                (tvec, nid): self.lp.add_var(f"eta[{tvec};{nid}]")
-                for tvec in self.tuples
-                for nid in self.all_nodes
-            }
+    def status_at(self, clocks: tuple[int, ...], t: int) -> tuple[int, ...]:
+        """Every node knows the whole clock vector."""
+        return clocks
 
-    # -- coefficient assembly ---------------------------------------------
+    def with_grid(self, grid: list[tuple[tuple[Q, ...], ...]]) -> "RevealedModel":
+        """This space whose hedges must also hold at each grid point's mixture.
 
-    def phi_coeffs(self, tvec: tuple[int, ...], path_idx: int) -> dict[int, Q]:
-        """Gain coefficients on base path path_idx with exercise clock tvec."""
-        at = [(tvec, nid) for nid in self.model.tree.paths[path_idx]]
-        terms = gain_terms(self.model, path_idx, tvec)
-        return gain_row(terms, self.stock, at, self.static, self.nu_var)
-
-    def hedge_row(self, tvec: tuple[int, ...], path_idx: int) -> tuple[dict[int, Q], Q]:
-        """Row coefficients and rhs of the pathwise hedging constraint."""
-        model = self.model
-        path = model.tree.paths[path_idx]
-        row = self.phi_coeffs(tvec, path_idx)
-        if self.role == "sub":
-            for nid in path:
-                _bump(row, self.eta_var[(tvec, nid)], model.claim.scalar(nid))
-            row[self.x] = row.get(self.x, ZERO) - ONE
-            return row, ZERO
-        if self.role == "super":
-            row[self.x] = row.get(self.x, ZERO) + ONE
-            return row, model.claim.scalar(path[tvec[-1]])
-        if self.role == "european":
-            row[self.x] = row.get(self.x, ZERO) - ONE
-            return row, -self.psi[path_idx]
-        return row, ZERO    # arbitrage: plain nonnegativity
-
-    def add_core_rows(self) -> None:
-        """Hedging rows for every (clock vector, base path)."""
-        for tvec in self.tuples:
-            for p in range(len(self.model.tree.paths)):
-                row, rhs = self.hedge_row(tvec, p)
-                self.lp.add_constraint(row, ">=", rhs, name=f"hedge[{tvec};p{p}]")
-
-    def add_unit_and_liquidation_rows(self) -> None:
-        model = self.model
-        for tvec in self.tuples:
-            for p, path in enumerate(model.tree.paths):
-                for j, nu in enumerate(self.nu_var):
-                    row = {nu[(tvec, nid)]: ONE for nid in path}
-                    row[self.static["b"][j]] = -ONE
-                    self.lp.add_constraint(row, "=", ZERO, name=f"liq[{j};{tvec};p{p}]")
-                if self.role == "sub":
-                    row = {self.eta_var[(tvec, nid)]: ONE for nid in path}
-                    self.lp.add_constraint(row, "=", ONE, name=f"unit[{tvec};p{p}]")
-
-    def add_nonanticipativity(self) -> int:
-        """Equalities forcing positions to agree before clocks diverge.
-
-        Each class of clock vectors indistinguishable at time r is tied
-        as a chain of consecutive members, which spans the same
-        equalities as tying every pair.
+        A grid point mixes the clock vectors of each base path with the
+        weights of independent exercise; Dirac points are paths already.
         """
-        model = self.model
-        tree = model.tree
-        count = 0
-        for r in range(tree.horizon):
-            nodes = [nid for nid in self.all_nodes if tree.nodes[nid].time == r]
-            for s, t in indistinguishable_pairs(self.tuples, r):
-                for nid in nodes:
-                    for d in range(model.stock.dim):
-                        row: dict[int, Q] = {}
-                        self.stock.add(row, (s, nid), d, ONE)
-                        self.stock.add(row, (t, nid), d, -ONE)
-                        self.lp.add_constraint(row, "=", ZERO, name=f"na_H[{s}~{t};{nid};{d}]")
-                        count += 1
-                    for j, nu in enumerate(self.nu_var):
-                        self.lp.add_constraint(
-                            {nu[(s, nid)]: ONE, nu[(t, nid)]: -ONE},
-                            "=",
-                            ZERO,
-                            name=f"na_nu[{j};{s}~{t};{nid}]",
-                        )
-                        count += 1
-                    if self.role == "sub":
-                        self.lp.add_constraint(
-                            {self.eta_var[(s, nid)]: ONE, self.eta_var[(t, nid)]: -ONE},
-                            "=",
-                            ZERO,
-                            name=f"na_eta[{s}~{t};{nid}]",
-                        )
-                        count += 1
-        return count
-
-    def add_grid_rows(self, grid: list[tuple[tuple[Q, ...], ...]]) -> int:
-        """Mixture constraints at divisible exercise-weight grid points.
-
-        Each grid row is the weight-mixture of the per-clock-vector
-        hedging rows; implied by them, so the value must not move.
-        """
-        count = 0
-        for point in grid:
-            if all(max(vec) == ONE for vec in point):
-                continue    # Dirac: already a core row
-            mix_row: dict[int, Q] = {}
-            for p in range(len(self.model.tree.paths)):
-                mix_row.clear()
-                mix_rhs = ZERO
-                for tvec in self.tuples:
-                    w = _mixture_weight(point, tvec)
-                    if not w:
-                        continue
-                    row, rhs = self.hedge_row(tvec, p)
-                    mix_rhs += w * rhs
-                    for var, val in row.items():
-                        mix_row[var] = mix_row.get(var, ZERO) + w * val
-                self.lp.add_constraint(
-                    {v: c for v, c in mix_row.items() if c},
-                    ">=",
-                    mix_rhs,
-                    name=f"grid[{count};p{p}]",
-                )
-                count += 1
-        return count
-
-    # -- optimizer extraction -----------------------------------------------
-
-    def families_from(self, out) -> dict:
-        model = self.model
-        dims = range(model.stock.dim)
-        stock = self.stock.values(out.primal)
-
-        def family(kind, member):
-            members = {tvec: member(tvec) for tvec in self.tuples}
-            T = model.tree.horizon
-            return ClockIndexedFamily(horizon=T, n=self.n, kind=kind, members=members)
-
-        def masses(var):
-            return lambda tvec: {nid: out.x(var[(tvec, nid)]) for nid in self.all_nodes}
-
-        result = {
-            "H": family("dynamic", lambda tvec: {
-                (r, nid): tuple(stock.get(((tvec, nid), d), ZERO) for d in dims)
-                for r, nid in self.internal
-            }),
-            "nu": [family("liquidating", masses(nu)) for nu in self.nu_var],
-            **{kind: [out.x(var) for var in vs] for kind, vs in self.static.items()},
-        }
-        if self.role == "sub":
-            result["eta"] = family("liquidating", masses(self.eta_var))
-        if self.x is not None:
-            result["x"] = out.x(self.x)
-        return result
+        other = copy.copy(self)
+        other.mixtures = tuple(
+            {self.path_index(b, tvec): w for tvec in self.tuples
+             if (w := _mixture_weight(point, tvec))}
+            for point in grid if not all(max(vec) == ONE for vec in point)
+            for b in range(len(self.model.tree.paths))
+        )
+        return other
 
 
-def _clock_gain(clp: ClockLP, fams: dict, tvec: tuple[int, ...], path_idx: int) -> Q:
-    """Phi of the clock-vector members on one base path, by the one evaluator."""
-    path = clp.model.tree.paths[path_idx]
-    member = fams["H"].members[tvec]
-    return evaluate_gain(
-        clp.model,
-        path_idx,
-        tvec,
-        [member[(t, nid)] for t, nid in enumerate(path[:-1])],
-        a=fams["a"],
-        b=fams["b"],
-        c=fams["c"],
-        nu=[[fam.members[tvec].get(nid, ZERO) for nid in path] for fam in fams["nu"]],
+def nonanticipative(
+    rev: RevealedModel, strat: SemiStaticStrategy, exercise: LiquidatingStrategy | None = None
+) -> bool:
+    """Positions, liquidation masses and exercise weights agree on every tied pair."""
+    books = [*strat.liquidation, *([exercise.weights] if exercise is not None else [])]
+    return all(
+        all(strat.stock.get((v, d), ZERO) == strat.stock.get((w, d), ZERO)
+            for d in range(strat.dims))
+        and all(book.get(v, ZERO) == book.get(w, ZERO) for book in books)
+        for v, w in rev.tied_pairs
     )
-
-
-def _solve_clock_lp(clp: ClockLP, grid: list | None, sense: str, objective: dict[int, Q]):
-    """Liquidation, non-anticipativity and grid rows after the core rows, then solve."""
-    clp.add_unit_and_liquidation_rows()
-    clp.add_nonanticipativity()
-    if grid:
-        clp.add_grid_rows(grid)
-    if clp.stock.split:
-        clp.stock.add_norm_row(sum(clp.static.values(), []))
-    clp.lp.set_objective(sense, objective)
-    out = solve(clp.lp)
-    if out.status != "optimal":
-        raise PropertyViolation(f"clock-indexed {clp.role} LP unexpectedly {out.status}")
-    return out
-
-
-def _price_clock_indexed(
-    model: MarketModel,
-    role: str,
-    *,
-    psi: list[Q] | None = None,
-    grid: list | None = None,
-) -> tuple[Q, dict, ClockLP]:
-    n = model.N + 1 if role == "super" else model.N
-    clp = ClockLP(model, n, role=role, psi=psi)
-    clp.add_core_rows()
-    out = _solve_clock_lp(clp, grid, "min" if role == "super" else "max", {clp.x: ONE})
-    return out.value, clp.families_from(out), clp
-
-
-def _clock_indexed_na(model: MarketModel, grid: list) -> bool:
-    """No-arbitrage in the clock-indexed formulation (True = no arbitrage)."""
-    clp = ClockLP(model, model.N, role="arbitrage", split_stock=True)
-    share = Q(1, len(clp.tuples))
-    objective = add_weighted_gains(clp.lp, (
-        (f"hedge[{tvec};p{p}]", clp.phi_coeffs(tvec, p), model.path_weight(p) * share)
-        for tvec in clp.tuples
-        for p in range(len(model.tree.paths))
-    ))
-    return _solve_clock_lp(clp, grid, "max", objective).value == ZERO
 
 
 @dataclass
@@ -389,48 +185,37 @@ class DivisibilityReport:
 
 
 def _certify_lift(
-    clp: ClockLP,
-    fams: dict,
-    grid: list,
-    price: Q,
+    rev: RevealedModel, report: HedgeReport, grid: list, rhs: Sequence[Q]
 ) -> int:
     """Pathwise check that every grid mixture of the optimizer hedges.
 
-    For sub: mixture gain plus mixed claim exercise >= price; for
-    super: price plus mixture gain >= mixed claim payout; European:
-    mixture gain + psi >= price.  Exact on every base path.
+    The optimizer's hedge rows read sign*price + Phi(p) + extra(p) >=
+    rhs(p), extra the claim exercised by eta (sub only); their mixture
+    at each grid point must hold on every base path, exactly.  Phi comes
+    from payoff_enlarged, and the optimizer must be non-anticipative.
     """
-    model = clp.model
+    strat, eta = report.strategy, report.exercise
+    if not nonanticipative(rev, strat, eta):
+        raise PropertyViolation("optimizer is not non-anticipative")
+    gains = payoff_enlarged(rev, strat)
+    if eta is not None:
+        values = extend_claim(rev, "sub")
+        for p, ep in enumerate(rev.epaths):
+            gains[p] += sum((eta.at(v) * values[v] for v in ep.node_seq), ZERO)
+    sign = ONE if report.kind == "super" else -ONE
     checks = 0
-    for fam in (fams["H"], *fams["nu"], *( [fams["eta"]] if "eta" in fams else [] )):
-        if not validate_nonanticipative(fam, model.tree):
-            raise PropertyViolation("optimizer family is not non-anticipative")
     for point in grid:
-        for p, path in enumerate(model.tree.paths):
-            mixed_gain = ZERO
-            mixed_claim = ZERO
-            mixed_eta = ZERO
-            for tvec in clp.tuples:
+        for b in range(len(rev.model.tree.paths)):
+            lhs, bound = sign * report.price, ZERO
+            for tvec in rev.tuples:
                 w = _mixture_weight(point, tvec)
-                if not w:
-                    continue
-                mixed_gain += w * _clock_gain(clp, fams, tvec, p)
-                if clp.role == "super":
-                    mixed_claim += w * model.claim.scalar(path[tvec[-1]])
-                elif clp.role == "sub":
-                    eta = fams["eta"].members[tvec]
-                    mixed_eta += w * sum(
-                        (eta.get(nid, ZERO) * model.claim.scalar(nid) for nid in path), ZERO
-                    )
-            if clp.role == "sub":
-                ok = mixed_gain + mixed_eta >= price
-            elif clp.role == "super":
-                ok = price + mixed_gain >= mixed_claim
-            else:
-                ok = mixed_gain + clp.psi[p] >= price
-            if not ok:
+                if w:
+                    p = rev.path_index(b, tvec)
+                    lhs += w * gains[p]
+                    bound += w * rhs[p]
+            if lhs < bound:
                 raise PropertyViolation(
-                    f"grid point mixture fails the {clp.role} hedge on path {p}"
+                    f"grid point mixture fails the {report.kind} hedge on path {b}"
                 )
             checks += 1
     return checks
@@ -452,42 +237,43 @@ def verify_divisibility_equivalence(model: MarketModel) -> DivisibilityReport:
     T = model.tree.horizon
     grid_sub = weight_grid(N, T)
     grid_super = weight_grid(N + 1, T)
-
-    sub_val, sub_fams, sub_clp = _price_clock_indexed(model, "sub")
-    super_val, super_fams, super_clp = _price_clock_indexed(model, "super")
-    psi = [model.claim.scalar(path[T]) for path in model.tree.paths]
-    euro_val, euro_fams, euro_clp = _price_clock_indexed(model, "european", psi=psi)
-
+    rev_sub, rev_sup = RevealedModel(model, N), RevealedModel(model, N + 1)
     enl_sub = enlarge(model, N)
+    # both spaces list their paths base path first, then clock vector
+    psi = [model.claim.scalar(model.tree.paths[ep.base_index][T]) for ep in rev_sub.epaths]
+
+    sub = subhedge(rev_sub)
+    sup = superhedge(rev_sup)
+    euro = subhedge_european(rev_sub, psi)
     sub_enl = subhedge(enl_sub).price
     super_enl = superhedge(enlarge(model, N + 1)).price
-    psi_enl = [psi[enl_sub.epaths[p].base_index] for p in range(enl_sub.num_paths)]
-    euro_enl = subhedge_european(enl_sub, psi_enl).price
+    euro_enl = subhedge_european(enl_sub, psi).price
 
     for name, a, b in (
-        ("sub", sub_val, sub_enl),
-        ("super", super_val, super_enl),
-        ("european", euro_val, euro_enl),
+        ("sub", sub.price, sub_enl),
+        ("super", sup.price, super_enl),
+        ("european", euro.price, euro_enl),
     ):
         if a != b:
             raise PropertyViolation(
                 f"{name} prices disagree: clock-indexed {rat_str(a)} vs enlarged {rat_str(b)}"
             )
 
-    sub_grid_val, _, _ = _price_clock_indexed(model, "sub", grid=grid_sub)
-    super_grid_val, _, _ = _price_clock_indexed(model, "super", grid=grid_super)
-    euro_grid_val, _, _ = _price_clock_indexed(model, "european", psi=psi, grid=grid_sub)
-    if sub_grid_val != sub_val or super_grid_val != super_val or euro_grid_val != euro_val:
+    rev_grid = rev_sub.with_grid(grid_sub)
+    sub_grid_val = subhedge(rev_grid).price
+    super_grid_val = superhedge(rev_sup.with_grid(grid_super)).price
+    euro_grid_val = subhedge_european(rev_grid, psi).price
+    if sub_grid_val != sub.price or super_grid_val != sup.price or euro_grid_val != euro.price:
         raise PropertyViolation("grid-augmented LP moved a price")
 
-    checks = _certify_lift(sub_clp, sub_fams, grid_sub, sub_val)
-    checks += _certify_lift(super_clp, super_fams, grid_super, super_val)
-    checks += _certify_lift(euro_clp, euro_fams, grid_sub, euro_val)
+    checks = _certify_lift(rev_sub, sub, grid_sub, [ZERO] * rev_sub.num_paths)
+    checks += _certify_lift(rev_sup, sup, grid_super, extend_claim(rev_sup, "super"))
+    checks += _certify_lift(rev_sub, euro, grid_sub, [-v for v in psi])
 
     sna_rows: list[tuple[Q, bool, bool]] = []
     for eps in EPS_GRID:
         shifted = model.shifted_prices(eps)
-        na_indexed = _clock_indexed_na(shifted, grid_sub)
+        na_indexed = not detect_arbitrage(rev_grid.with_model(shifted)).found
         na_enlarged = not detect_arbitrage(enl_sub.with_model(shifted)).found
         sna_rows.append((eps, na_indexed, na_enlarged))
         if na_indexed != na_enlarged:
@@ -496,11 +282,11 @@ def verify_divisibility_equivalence(model: MarketModel) -> DivisibilityReport:
             )
 
     return DivisibilityReport(
-        sub_indexed=sub_val,
+        sub_indexed=sub.price,
         sub_enlarged=sub_enl,
-        super_indexed=super_val,
+        super_indexed=sup.price,
         super_enlarged=super_enl,
-        european_indexed=euro_val,
+        european_indexed=euro.price,
         european_enlarged=euro_enl,
         sub_grid=sub_grid_val,
         super_grid=super_grid_val,

@@ -77,7 +77,15 @@ def _clock_distribution(spec: ClockWeights, horizon: int, n: int) -> dict[tuple[
 
 
 class EnlargedModel:
-    """Finite enlarged space with its forest of information atoms."""
+    """Finite enlarged space with its forest of information atoms.
+
+    ``tied_pairs`` lists node pairs whose positions every strategy must
+    hold equal, and ``mixtures`` weighted sets of paths on which every
+    hedge must also hold on average; this space has neither.
+    """
+
+    tied_pairs: tuple[tuple[int, int], ...] = ()
+    mixtures: tuple[dict[int, Q], ...] = ()
 
     def __init__(self, model: MarketModel, n: int, clock_weights: ClockWeights = "uniform"):
         if n not in (model.N, model.N + 1):
@@ -100,7 +108,7 @@ class EnlargedModel:
             for clocks in itertools.product(range(self.horizon + 1), repeat=n):
                 seq = []
                 for t in range(self.horizon + 1):
-                    status = tuple(tk if tk <= t else None for tk in clocks)
+                    status = self.status_at(clocks, t)
                     key = (base_path[t], status)
                     idx = self._enode_index.get(key)
                     if idx is None:
@@ -117,6 +125,10 @@ class EnlargedModel:
         self.roots: tuple[int, ...] = tuple(roots)
         self._weights: list[Q] | None = None
         self._path_key: dict[tuple[int, tuple[int, ...]], int] | None = None
+
+    def status_at(self, clocks: tuple[int, ...], t: int) -> tuple[int | None, ...]:
+        """What a time-t node knows of the clocks: each fired time, else None."""
+        return tuple(tk if tk <= t else None for tk in clocks)
 
     def with_model(self, model: MarketModel) -> "EnlargedModel":
         """This space for a model that differs only in quotes or books.

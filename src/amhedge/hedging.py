@@ -171,18 +171,6 @@ def gain_row(
     return {var: val for var, val in row.items() if val}
 
 
-def add_weighted_gains(
-    lp: LinearProgram, gains: Iterable[tuple[str, dict[int, Q], Q]]
-) -> dict[int, Q]:
-    """One row Phi >= 0 per (name, coefficients, weight); returns sum weight * Phi."""
-    objective: dict[int, Q] = {}
-    for name, row, w in gains:
-        lp.add_constraint(row, ">=", ZERO, name=name)
-        for var, val in row.items():
-            _bump(objective, var, w * val)
-    return {var: val for var, val in objective.items() if val}
-
-
 @dataclass
 class SemiStaticStrategy:
     """Exact positions of one semi-static strategy on an enlarged space."""
@@ -260,7 +248,8 @@ class GainLP:
 
     Trade and carry nodes are ordered by path discovery.  Quantification
     runs over ``paths`` (default all), which is how the quasi-sure
-    variants restrict to a support set.
+    variants restrict to a support set.  The space's tied node pairs and
+    mixtures become rows too (add_common_rows).
     """
 
     def __init__(
@@ -295,6 +284,7 @@ class GainLP:
             {v: self.lp.add_var(f"nu[{j};{enl.enode(v).label}]") for v in self.carry_nodes}
             for j in range(self.model.M)
         ]
+        self.rows: dict[int, tuple[dict[int, Q], Q]] = {}
 
     def gain_coeffs(self, p: int) -> dict[int, Q]:
         """Coefficient map of Phi(path p) over the strategy variables."""
@@ -302,13 +292,44 @@ class GainLP:
         terms = gain_terms(self.model, ep.base_index, ep.clocks)
         return gain_row(terms, self.stock, ep.node_seq, self.static, self.nu_var)
 
-    def add_liquidation_rows(self) -> None:
-        """Path sums of each nu_j equal the position b_j (mu is divisible)."""
+    def add_path_row(self, p: int, row: dict[int, Q], rhs: Q, name: str) -> None:
+        """row >= rhs for path p, kept for the space's mixtures."""
+        self.rows[p] = (row, rhs)
+        self.lp.add_constraint(row, ">=", rhs, name=name)
+
+    def tie(self, var: dict[int, int], name: str) -> None:
+        """var takes one value on both nodes of each tied pair of the space."""
+        for v, w in self.enl.tied_pairs:
+            self.lp.add_constraint({var[v]: ONE, var[w]: -ONE}, "=", ZERO, name=f"{name}[{v}~{w}]")
+
+    def add_common_rows(self) -> None:
+        """Rows every user adds after its path rows.
+
+        Path sums of each nu_j equal the position b_j (mu is divisible);
+        H and each nu_j agree on the space's tied pairs; and each of the
+        space's mixtures of path rows holds, which those rows imply.
+        """
         for j, nu in enumerate(self.nu_var):
             for p in self.paths:
                 row = {nu[v]: ONE for v in self.enl.epaths[p].node_seq}
                 row[self.static["b"][j]] = -ONE
                 self.lp.add_constraint(row, "=", ZERO, name=f"liq[{j};p{p}]")
+        for v, w in self.enl.tied_pairs:
+            for d in range(self.model.stock.dim):
+                row = {}
+                self.stock.add(row, v, d, ONE)
+                self.stock.add(row, w, d, -ONE)
+                self.lp.add_constraint(row, "=", ZERO, name=f"tie_H[{v}~{w};{d}]")
+        for j, nu in enumerate(self.nu_var):
+            self.tie(nu, f"tie_nu[{j}]")
+        for k, mix in enumerate(self.enl.mixtures):
+            row, rhs = {}, ZERO
+            for p, w in mix.items():
+                coeffs, bound = self.rows[p]
+                rhs += w * bound
+                for var, val in coeffs.items():
+                    _bump(row, var, w * val)
+            self.lp.add_constraint(row, ">=", rhs, name=f"mix[{k}]")
 
     def strategy_from(self, out: LPOutcome) -> SemiStaticStrategy:
         return self._strategy_at(out.primal)
@@ -428,10 +449,11 @@ def _hedge(
     sign -1 maximizes x (a sub-hedge), sign +1 minimizes it (a
     super-hedge).  With ``exercise_values`` the claim is held divisibly:
     exercise weights eta of unit mass per path add extra(p) = sum_t
-    eta(v_t) * value(v_t).  The optimum is re-validated by check_hedge.
-    This LP is the reference of the campaign's duality check and the
-    pricer of the divisibility battery; ``price`` solves the measure LP
-    of measures.price_with_dual instead.
+    eta(v_t) * value(v_t), and eta is tied like H and nu on the space's
+    tied pairs.  The optimum is re-validated by check_hedge.  This LP is
+    the reference of the campaign's duality check and the pricer of the
+    divisibility battery, on the enlarged and the revealed-clock space;
+    ``price`` solves the measure LP of measures.price_with_dual instead.
     """
     g = GainLP(enl, paths=paths, add_x=True)
     eta_var = {}
@@ -444,10 +466,12 @@ def _hedge(
             for v in seq:
                 _bump(row, eta_var[v], exercise_values[v])
         row[g.x] = row.get(g.x, ZERO) + sign
-        g.lp.add_constraint(row, ">=", rhs[p], name=f"hedge[p{p}]")
+        g.add_path_row(p, row, rhs[p], f"hedge[p{p}]")
         if eta_var:
             g.lp.add_constraint({eta_var[v]: ONE for v in seq}, "=", ONE, name=f"unit[p{p}]")
-    g.add_liquidation_rows()
+    g.add_common_rows()
+    if eta_var:
+        g.tie(eta_var, "tie_eta")
     g.lp.set_objective("min" if sign > 0 else "max", {g.x: ONE})
     out = solve(g.lp)
     if out.status == "unbounded":
@@ -542,10 +566,13 @@ def detect_arbitrage(
     restricts both the rows and the objective, as in GainLP.
     """
     g = GainLP(enl, paths=paths, split_stock=True)
-    objective = add_weighted_gains(
-        g.lp, ((f"nonneg[p{p}]", g.gain_coeffs(p), enl.weight(p)) for p in g.paths)
-    )
-    g.add_liquidation_rows()
+    objective: dict[int, Q] = {}
+    for p in g.paths:
+        row = g.gain_coeffs(p)
+        g.add_path_row(p, row, ZERO, f"nonneg[p{p}]")
+        for var, val in row.items():
+            _bump(objective, var, enl.weight(p) * val)
+    g.add_common_rows()
     g.stock.add_norm_row(sum(g.static.values(), []))
     g.lp.set_objective("max", objective)
     out = solve(g.lp)

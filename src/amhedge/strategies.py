@@ -1,4 +1,4 @@
-"""Exercise strategies: stopping times, liquidating strategies, clock families.
+"""Exercise strategies: stopping times, liquidating strategies, clock vectors.
 
 Stopping times over a forest are counted and enumerated under a cap
 without recursion.  A liquidating strategy spreads one unit of exercise
@@ -6,20 +6,19 @@ over the nodes it visits: nonnegative node weights summing to exactly 1
 along every path (times 0..T inclusive); stopping times are the 0/1
 special case and the extreme points of that polytope.
 
-Families indexed by clock vectors in {0..T}^n carry the information
+Strategies indexed by clock vectors in {0..T}^n carry the information
 constraint that two clock vectors are indistinguishable before the first
 time one of their differing coordinates has fired; the divisible side
-mixes such a family over exercise weights with `_mixture_weight`.
+mixes them over exercise weights with `_mixture_weight`.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Iterator, Literal, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from .enlarged import EnlargedModel
 from .errors import CapExceededError
-from .market import EventTree
 from .rationals import ONE, ZERO, Q
 
 DEFAULT_ENUM_CAP = 10**6
@@ -124,25 +123,7 @@ class LiquidatingStrategy:
         return self.weights.get(node, ZERO)
 
 
-# -- clock-indexed families ------------------------------------------------
-
-
-Kind = Literal["dynamic", "liquidating"]
-
-
-@dataclass
-class ClockIndexedFamily:
-    """One base-tree strategy per clock vector in {0..T}^n.
-
-    dynamic:     member maps (time, node_id) -> tuple of stock positions,
-                 times 0..T-1;
-    liquidating: member maps node_id -> weight.
-    """
-
-    horizon: int
-    n: int
-    kind: Kind
-    members: dict[tuple[int, ...], dict]
+# -- clock vectors ---------------------------------------------------------
 
 
 def indistinguishable_pairs(
@@ -159,23 +140,6 @@ def indistinguishable_pairs(
     for t in tuples:
         classes.setdefault(tuple(min(tk, r + 1) for tk in t), []).append(t)
     return [(a, b) for members in classes.values() for a, b in zip(members, members[1:])]
-
-
-def validate_nonanticipative(fam: ClockIndexedFamily, tree: EventTree) -> bool:
-    """Members must agree strictly before the first differing clock fires."""
-    tuples = list(itertools.product(range(fam.horizon + 1), repeat=fam.n))
-    if set(fam.members) != set(tuples):
-        return False
-    for r in range(fam.horizon):
-        for s, t in indistinguishable_pairs(tuples, r):
-            ms, mt = fam.members[s], fam.members[t]
-            for nid in tree.nodes_at(r):
-                if fam.kind == "dynamic":
-                    if ms.get((r, nid), ()) != mt.get((r, nid), ()):
-                        return False
-                elif ms.get(nid, ZERO) != mt.get(nid, ZERO):
-                    return False
-    return True
 
 
 def _mixture_weight(weights: Sequence[Sequence[Q]], tvec: tuple[int, ...]) -> Q:

@@ -1,9 +1,15 @@
 """Clock-indexed formulation against the enlarged space."""
 from __future__ import annotations
 
+import copy
+import random
+
 import pytest
 
-from amhedge.divisible import verify_divisibility_equivalence, weight_grid
+from amhedge import campaign
+from amhedge.divisible import RevealedModel, verify_divisibility_equivalence, weight_grid
+from amhedge.enlarged import enlarge
+from amhedge.hedging import superhedge
 from amhedge.market import load_model
 from amhedge.rationals import ONE, Q, ZERO
 
@@ -77,3 +83,18 @@ def test_needs_claim(binomial):
     model = dataclasses.replace(binomial, claim=None)
     with pytest.raises(ValueError):
         verify_divisibility_equivalence(model)
+
+
+def test_tie_rows_bind_with_two_periods_and_a_short():
+    # at T = 2 a clock not fired at time 0 may still fire at 1 or 2; a
+    # strategy that knew which would hedge the claim cheaper
+    model = campaign.random_sna_model(random.Random(6), force_n=1).model
+    assert (model.tree.horizon, model.N) == (2, 1)
+    rev = RevealedModel(model, model.N + 1)
+    assert rev.tied_pairs
+    assert superhedge(rev).price == superhedge(enlarge(model, model.N + 1)).price == Q(25, 9)
+    anticipating = copy.copy(rev)
+    anticipating.tied_pairs = ()
+    assert superhedge(anticipating).price == Q(8, 3)
+    report = verify_divisibility_equivalence(model)
+    assert report.equal and report.super_indexed == report.super_grid == Q(25, 9)

@@ -3,8 +3,9 @@
 Random positions are drawn on the fixture models; the builder's
 coefficients, mapped onto each LP's variables and dotted with the
 positions, must equal the evaluator on every enlarged path, and
-clock-indexed positions copied from enlarged ones must give the same
-gain on the matching (clock vector, base path).
+positions copied from the enlarged space onto the space with every
+clock revealed (the clock-indexed formulation) must give the same gain
+on the matching (base path, clock vector).
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ import random
 import pytest
 
 from amhedge import campaign
-from amhedge.divisible import ClockLP, _clock_gain
+from amhedge.divisible import RevealedModel, nonanticipative
 from amhedge.enlarged import enlarge
 from amhedge.hedging import GainLP, payoff_enlarged
 from amhedge.lp import LPOutcome
@@ -104,27 +105,35 @@ def test_clock_indexed_copy_has_the_enlarged_gain(model, extra_clock):
     strat = g.strategy_from(LPOutcome("optimal", primal=_random_positions(g, rng)))
     gains = payoff_enlarged(enl, strat)
 
-    clp = ClockLP(model, n, role="super" if extra_clock else "arbitrage")
+    rev = RevealedModel(model, n)
+    clp = GainLP(rev)
     x = [ZERO] * len(clp.lp.var_names)
     book = {"a": strat.long_european, "b": strat.long_american, "c": strat.short_american}
     for kind, vs in clp.static.items():
         for var, val in zip(vs, book[kind]):
             x[var] = val
-    for tvec in clp.tuples:
-        for b, path in enumerate(model.tree.paths):
-            seq = enl.epaths[enl.path_index(b, tvec)].node_seq
-            for t, nid in enumerate(path):
-                for j, nu in enumerate(clp.nu_var):
-                    x[nu[(tvec, nid)]] = strat.liquidation[j].get(seq[t], ZERO)
-                if t < model.tree.horizon:
-                    for d in range(model.stock.dim):
-                        x[clp.stock.pos[((tvec, nid), d)]] = strat.stock.get((seq[t], d), ZERO)
-    fams = clp.families_from(LPOutcome("optimal", primal=x))
-    for tvec in clp.tuples:
-        for b in range(len(model.tree.paths)):
-            expected = gains[enl.path_index(b, tvec)]
-            assert _dot(clp.phi_coeffs(tvec, b), x) == expected
-            assert _clock_gain(clp, fams, tvec, b) == expected
+    for p, ep in enumerate(rev.epaths):
+        # both spaces list their paths in one order
+        assert (ep.base_index, ep.clocks) == (enl.epaths[p].base_index, enl.epaths[p].clocks)
+        for t, (v, u) in enumerate(zip(ep.node_seq, enl.epaths[p].node_seq)):
+            for j, nu in enumerate(clp.nu_var):
+                x[nu[v]] = strat.liquidation[j].get(u, ZERO)
+            if t < model.tree.horizon:
+                for d in range(model.stock.dim):
+                    x[clp.stock.pos[(v, d)]] = strat.stock.get((u, d), ZERO)
+    copied = clp.strategy_from(LPOutcome("optimal", primal=x))
+    # an adapted strategy never reads a clock before it fires
+    assert nonanticipative(rev, copied)
+    copied_gains = payoff_enlarged(rev, copied)
+    for p in range(rev.num_paths):
+        assert _dot(clp.gain_coeffs(p), x) == gains[p]
+        assert copied_gains[p] == gains[p]
+
+    # positions that do read the clocks: builder and evaluator still agree
+    x = _random_positions(clp, rng)
+    anticipating = payoff_enlarged(rev, clp.strategy_from(LPOutcome("optimal", primal=x)))
+    for p in range(rev.num_paths):
+        assert _dot(clp.gain_coeffs(p), x) == anticipating[p]
 
 
 def test_check_fails_without_raising_on_a_signed_measure():

@@ -1,21 +1,25 @@
-"""Stopping times and clock-indexed families."""
+"""Stopping times and the non-anticipativity of clock-indexed strategies."""
 from __future__ import annotations
 
 import pytest
 
+from amhedge.divisible import RevealedModel, nonanticipative
 from amhedge.enlarged import enlarge
 from amhedge.errors import CapExceededError
+from amhedge.hedging import SemiStaticStrategy
+from amhedge.market import load_model
 from amhedge.rationals import ONE, Q, ZERO
 from amhedge.strategies import (
-    ClockIndexedFamily,
+    LiquidatingStrategy,
     StoppingTime,
     count_enlarged_stopping_times,
     count_stopping_times,
     dirac_weights,
     enumerate_stopping_times,
     indistinguishable_pairs,
-    validate_nonanticipative,
 )
+
+from conftest import two_period_dict
 
 CHAIN = {"a": ["b"], "b": ["c"], "c": []}
 BINTREE = {"r": ["u", "d"], "u": ["uu", "ud"], "d": ["du", "dd"],
@@ -80,45 +84,67 @@ def test_indistinguishable_until_first_disagreement():
     assert indistinguishable_pairs([(1, 2), (1, 2)], 2) == [((1, 2), (1, 2))]
 
 
-def _dyn_family(horizon, n, pos):
-    """Constant-position family; pos may depend on the clock vector."""
-    import itertools
-    members = {}
-    for tvec in itertools.product(range(horizon + 1), repeat=n):
-        members[tvec] = {(0, "r"): (pos(tvec),)}
-    return ClockIndexedFamily(horizon=horizon, n=n, kind="dynamic", members=members)
+def _root_positions(rev, pos):
+    """Stock held at time 0 only; pos may depend on the clock vector."""
+    model = rev.model
+    return SemiStaticStrategy(
+        dims=1,
+        stock={(ep.node_seq[0], 0): pos(ep.clocks) for ep in rev.epaths if pos(ep.clocks)},
+        long_european=[ZERO] * model.L,
+        long_american=[ZERO] * model.M,
+        short_american=[ZERO] * model.N,
+        liquidation=[{} for _ in range(model.M)],
+    )
+
+
+def _two_period_short():
+    """The two-period fixture with one shorted American, so two clocks fit."""
+    return load_model({**two_period_dict(), "americans_short": [
+        {"values": {"r": "0", "u": "0", "d": "1/2", "uu": "0", "ud": "0", "du": "0",
+                    "dd": "3/4"}, "price": "1/4"}]})
 
 
 def test_nonanticipative_accepts_clock_blind(binomial_short_put):
-    fam = _dyn_family(1, 1, lambda tvec: ONE)
-    assert validate_nonanticipative(fam, binomial_short_put.tree)
+    rev = RevealedModel(binomial_short_put, 1)
+    assert nonanticipative(rev, _root_positions(rev, lambda tvec: ONE))
 
 
 def test_nonanticipative_rejects_peeking(two_period):
     # vectors (1,) and (2,) are indistinguishable at time 0, yet the
     # time-0 position depends on which one holds
-    fam = _dyn_family(2, 1, lambda tvec: Q(tvec[0]))
-    assert not validate_nonanticipative(fam, two_period.tree)
+    rev = RevealedModel(two_period, 1)
+    assert not nonanticipative(rev, _root_positions(rev, lambda tvec: Q(tvec[0])))
 
 
-def test_nonanticipative_rejects_far_apart_class_members(two_period):
+def test_nonanticipative_rejects_far_apart_class_members():
     # at time 0 the vectors (1,1), (1,2), (2,1), (2,2) form one class; only
     # (1,1) and (2,2), which are not neighbours in the chain, hold different
     # positions, so no tied pair compares them directly
-    fam = _dyn_family(2, 2, lambda tvec: Q(7) if tvec == (2, 2) else ONE)
-    chain = indistinguishable_pairs(sorted(fam.members), 0)
+    rev = RevealedModel(_two_period_short(), 2)
+    strat = _root_positions(rev, lambda tvec: Q(7) if tvec == (2, 2) else ONE)
+    chain = indistinguishable_pairs(rev.tuples, 0)
     assert ((1, 1), (2, 2)) not in chain and ((2, 1), (2, 2)) in chain
-    assert not validate_nonanticipative(fam, two_period.tree)
+    assert not nonanticipative(rev, strat)
 
 
 def test_nonanticipative_allows_seen_clocks(binomial_short_put):
     # differing coordinate fires at 0: members may differ everywhere
-    fam = _dyn_family(1, 1, lambda tvec: Q(tvec[0]))
-    fam.members[(1,)] = dict(fam.members[(0,)])
-    fam.members[(1,)][(0, "r")] = (Q(7),)
+    rev = RevealedModel(binomial_short_put, 1)
+    strat = _root_positions(rev, lambda tvec: Q(7) if tvec == (1,) else ZERO)
     # (0,) vs (1,) differ in a clock that fired at 0: nothing to compare
     assert indistinguishable_pairs([(0,), (1,)], 0) == []
-    assert validate_nonanticipative(fam, binomial_short_put.tree)
+    assert rev.tied_pairs == ()
+    assert nonanticipative(rev, strat)
+
+
+def test_nonanticipative_checks_exercise_weights(two_period):
+    # clock-blind stock, but the exercise weight at the root peeks at the clock
+    rev = RevealedModel(two_period, 1)
+    strat = _root_positions(rev, lambda tvec: ONE)
+    roots = {ep.clocks: ep.node_seq[0] for ep in rev.epaths}
+    assert nonanticipative(rev, strat, LiquidatingStrategy({v: ONE for v in roots.values()}))
+    peek = LiquidatingStrategy({roots[(1,)]: ONE})
+    assert not nonanticipative(rev, strat, peek)
 
 
 def test_dirac_weights():
