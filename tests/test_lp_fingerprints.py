@@ -29,10 +29,10 @@ from test_report_bytes import CAMPAIGN_MODELS, COMMANDS, CONFTEST_MODELS, _model
 
 # (number of LPs solved, sha256 of their sorted fingerprints)
 EXPECTED_CLI = (29, "e9e3eb4f25e99131b68dd5d57a7328647ab40bb6290fab4dc823cc742d316fce")
-EXPECTED_VERIFY = (306, "07216b957940b5d073a481f2a22cde29e5ea9d6e5c06050399944ae25b6f2649")
+EXPECTED_VERIFY = (306, "49e18e4a6a6628c1589722b8f9ed7de4a7b936485b1102516e084fa6662784eb")
 # (number of pivots, sha256 of the sorted (fingerprint, pivot sequence) pairs)
 EXPECTED_CLI_PIVOTS = (181, "bccf11814a1246db12f1fe3bee5310a8f62e74662ac8961da91aafcb6e3ff5f7")
-EXPECTED_VERIFY_PIVOTS = (4421, "fe6b9b8f68247607610c0b535f36b01808fc78f8c7a8807a02ccab895abcda16")
+EXPECTED_VERIFY_PIVOTS = (4491, "a4d0cb20dd432a923d41f327625edb684fe3429ba7b3f79c9bd2a9b1a75bd7c1")
 
 
 def fingerprint(prog: lp.LinearProgram) -> str:
