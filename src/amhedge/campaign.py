@@ -989,8 +989,9 @@ def check_robust_model(rm: RobustModel, *, submarkets: bool = False) -> dict:
         raise PropertyViolation(
             "stock-only price disagrees with its backward induction")
 
-    sub = quasi_sure_price(renl_sub, "sub")
-    sup = quasi_sure_price(renl_sup, "super")
+    # the quasi-sure prices, with the supported polytopes ftap_transfer reads
+    sub, pt_sub = price_with_dual(renl_sub.enl, "sub", paths=renl_sub.supported_paths)
+    sup, pt_sup = price_with_dual(renl_sup.enl, "super", paths=renl_sup.supported_paths)
     if not sub.price <= sup.price <= stock_only:
         raise PropertyViolation("quasi-sure prices are not sandwiched")
 
@@ -999,8 +1000,6 @@ def check_robust_model(rm: RobustModel, *, submarkets: bool = False) -> dict:
         if not sup.price <= book.price <= stock_only:
             raise PropertyViolation("static buy-side book is not sandwiched")
 
-    pt_sub = build_polytope(renl_sub.enl, paths=renl_sub.supported_paths)
-    pt_sup = build_polytope(renl_sup.enl, paths=renl_sup.supported_paths)
     (holds, cert), _ = ftap_transfer(pt_sub, pt_sup)
     if not holds:
         raise PropertyViolation("kernel factory promised consistency but it fails")

@@ -194,7 +194,9 @@ def cmd_ftap(args) -> int:
     if model.kernels:
         rm = build_robust(model)
         renl = RobustEnlarged(rm, enl)
-        verdict, rcert = robust_ftap(renl)
+        # kernels that support every path leave the classical LP
+        full = len(renl.supported_paths) == enl.num_paths
+        verdict, rcert = (holds, cert) if full else robust_ftap(renl)
         doc["robust"] = {
             "holds": verdict,
             "epsilon": rat_str(rcert.slack) if rcert.slack is not None else None,

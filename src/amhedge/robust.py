@@ -164,8 +164,8 @@ class RobustEnlarged:
         return sorted(seen)
 
 
-def enlarge_robust(rm: RobustModel, n: int, clock_weights="uniform") -> RobustEnlarged:
-    return RobustEnlarged(robust=rm, enl=enlarge(rm.model, n, clock_weights))
+def enlarge_robust(rm: RobustModel, n: int) -> RobustEnlarged:
+    return RobustEnlarged(robust=rm, enl=enlarge(rm.model, n))
 
 
 # -- no-arbitrage under uncertainty ------------------------------------------
