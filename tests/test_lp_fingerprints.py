@@ -28,10 +28,10 @@ from amhedge.rationals import rat_str
 from test_report_bytes import CAMPAIGN_MODELS, COMMANDS, CONFTEST_MODELS, _model
 
 # (number of LPs solved, sha256 of their sorted fingerprints)
-EXPECTED_CLI = (29, "e9e3eb4f25e99131b68dd5d57a7328647ab40bb6290fab4dc823cc742d316fce")
+EXPECTED_CLI = (27, "32643a5c7fb4e84b8b4b2a047c382c73573216dfea9c1b63e3d690e95e3a3c5f")
 EXPECTED_VERIFY = (306, "49e18e4a6a6628c1589722b8f9ed7de4a7b936485b1102516e084fa6662784eb")
 # (number of pivots, sha256 of the sorted (fingerprint, pivot sequence) pairs)
-EXPECTED_CLI_PIVOTS = (181, "bccf11814a1246db12f1fe3bee5310a8f62e74662ac8961da91aafcb6e3ff5f7")
+EXPECTED_CLI_PIVOTS = (171, "46ae259b773d0260c41e66e0fee6ab0144990c641fa82cf63705d779f487b906")
 EXPECTED_VERIFY_PIVOTS = (4491, "a4d0cb20dd432a923d41f327625edb684fe3429ba7b3f79c9bd2a9b1a75bd7c1")
 
 
