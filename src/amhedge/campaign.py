@@ -37,18 +37,19 @@ from .measures import (
 )
 from .rationals import ONE, ZERO, Q, rat, rat_str
 from .robust import (
-    RobustEnlarged,
-    RobustModel,
-    build_robust,
     dp_superhedge,
     drop_options,
-    enlarge_robust,
     ftap_transfer,
-    quasi_sure_price,
-    robust_ftap,
+    kernel_family,
+    num_selectors,
+    product_measure,
     robust_na,
+    selectors,
     submarket_slacks,
+    supported_enodes,
+    supported_paths,
     verify_minimax,
+    vertex_measure,
 )
 from .strategies import DEFAULT_ENUM_CAP
 
@@ -269,17 +270,6 @@ def node_interior(model: MarketModel) -> dict[str, dict[str, Q]] | None:
     return out
 
 
-def _product_path_measure(tree: EventTree, laws: dict[str, dict[str, Q]]) -> dict[int, Q]:
-    out: dict[int, Q] = {}
-    for pi, path in enumerate(tree.paths):
-        q = ONE
-        for a, b in zip(path, path[1:]):
-            q *= laws[a].get(b, ZERO)
-        if q:
-            out[pi] = q
-    return out
-
-
 def _clock_mean(tree: EventTree, proc: AdaptedProcess, pmeas: dict[int, Q]) -> Q:
     """E over paths of the time-average of an adapted payoff."""
     share = Q(1, tree.horizon + 1)
@@ -408,7 +398,7 @@ def random_sna_model(
         laws = node_interior(probe)
         if laws is None:
             continue
-        pmeas = _product_path_measure(tree, laws)
+        pmeas = product_measure(tree, laws)
         model = _quoted_market(rng, probe, pmeas, L, M, N)
         if not _within_budget(model):
             continue
@@ -516,9 +506,7 @@ def _dominating_law(
     return {kid: res.x(qv[kid]) for kid in supported if res.x(qv[kid])}
 
 
-def random_kernel_model(
-    rng: random.Random, *, seed: int | None = None
-) -> tuple[RobustModel, GeneratedModel]:
+def random_kernel_model(rng: random.Random, *, seed: int | None = None) -> GeneratedModel:
     """Random market with per-node vertex families, consistently priced.
 
     Each node's law family admits a single martingale law dominating
@@ -566,14 +554,13 @@ def random_kernel_model(
         if not ok:
             continue
 
-        pmeas = _product_path_measure(tree, laws)
+        pmeas = product_measure(tree, laws)
         model = _quoted_market(rng, probe, pmeas, L, M, N, kernels)
         if not _within_budget(model):
             continue
-        rm = build_robust(model)
-        if rm.num_selectors() > 64:
+        if num_selectors(model) > 64:
             continue
-        return rm, GeneratedModel(model=model, laws=laws, pmeas=pmeas, seed=seed)
+        return GeneratedModel(model=model, laws=laws, pmeas=pmeas, seed=seed)
     raise PropertyViolation("kernel factory failed to hit its budget in 64 attempts")
 
 
@@ -853,23 +840,17 @@ def check_depth_zero() -> dict:
 
 def check_singleton_robust(gm: GeneratedModel, sna: SnaReport, duality: dict) -> dict:
     """A one-vertex full-support family must reproduce classical answers."""
-    model = gm.model
-    tree = model.tree
-    kernels = {
-        nid: [tuple(gm.laws[nid][k] for k in tree.children[nid])]
-        for nid in gm.laws
-    }
-    rm = build_robust(model, kernels)
-    renl_sub = enlarge_robust(rm, model.N)
-    renl_sup = enlarge_robust(rm, model.N + 1)
-    na = robust_na(renl_sub)
-    if not na.holds:
+    kids = gm.model.tree.children
+    model = dataclasses.replace(gm.model, kernels={
+        nid: [tuple(law[k] for k in kids[nid])] for nid, law in gm.laws.items()})
+    enl_sub, enl_sup = enlarge(model, model.N), enlarge(model, model.N + 1)
+    if not robust_na(enl_sub).holds:
         raise PropertyViolation("singleton family reports arbitrage in a clean market")
-    sub = quasi_sure_price(renl_sub, "sub")
-    sup = quasi_sure_price(renl_sup, "super")
+    sub = price_with_dual(enl_sub, "sub", paths=supported_paths(enl_sub))[0]
+    sup = price_with_dual(enl_sup, "super", paths=supported_paths(enl_sup))[0]
     if rat_str(sub.price) != duality["sub"] or rat_str(sup.price) != duality["super"]:
         raise PropertyViolation("singleton family moved a hedging price")
-    holds, _ = robust_ftap(renl_sub)
+    holds, _ = ftap_certificate(build_polytope(enl_sub, paths=supported_paths(enl_sub)))
     if holds != sna.holds:
         raise PropertyViolation("singleton family flipped the consistency verdict")
     return {"sub": rat_str(sub.price), "super": rat_str(sup.price), "holds": holds}
@@ -936,19 +917,20 @@ def _selector_epsilon(
     return eps, measure
 
 
-def selector_sweep(pt: MartingalePolytope, renl: RobustEnlarged) -> bool:
+def selector_sweep(pt: MartingalePolytope) -> bool:
     """The quasi-sure consistency verdict, one kernel selector at a time.
 
-    Holds iff for every selector product measure P some e > 0 admits a
-    measure in the e-shifted polytope pt dominating e*P.  This is the
-    oracle of the one uniform-slack LP of robust_ftap (pt with price
-    rows) and robust_na (pt without).  Selectors that share a vertex
-    measure share one LP, whose optimizer is re-checked in the e-shifted
-    polytope; the enumeration stays under DEFAULT_SELECTOR_CAP.
+    Holds iff for every selector product measure P of the kernels of
+    pt.enl some e > 0 admits a measure in the e-shifted polytope pt
+    dominating e*P.  This is the oracle of the one uniform-slack LP of
+    ftap_certificate on the supported paths (pt with price rows) and of
+    robust_na (pt without).  Selectors that share a vertex measure share
+    one LP, whose optimizer is re-checked in the e-shifted polytope; the
+    enumeration stays under DEFAULT_SELECTOR_CAP.
     """
     solved: dict[tuple, bool] = {}
-    for selector in renl.robust.selectors():
-        pbar = renl.vertex_measure(selector)
+    for selector in selectors(pt.enl.model):
+        pbar = vertex_measure(pt.enl, selector)
         key = tuple(sorted(pbar.items()))
         if key not in solved:
             eps, measure = _selector_epsilon(pt, pbar)
@@ -960,7 +942,7 @@ def selector_sweep(pt: MartingalePolytope, renl: RobustEnlarged) -> bool:
     return True
 
 
-def check_robust_model(rm: RobustModel, *, submarkets: bool = False) -> dict:
+def check_robust_model(model: MarketModel, *, submarkets: bool = False) -> dict:
     """Full quasi-sure battery for one kernel family.
 
     Stock-only price equals its backward induction, quoted options only
@@ -972,45 +954,43 @@ def check_robust_model(rm: RobustModel, *, submarkets: bool = False) -> dict:
     space, so their equality also checks that the shorts' clocks are
     irrelevant to a stock hedge.
     """
-    model = rm.model
-    renl_sub = enlarge_robust(rm, model.N)
-    renl_sup = enlarge_robust(rm, model.N + 1)
-
-    na = robust_na(renl_sub)
-    if not na.holds:
+    enl_sub, enl_sup = enlarge(model, model.N), enlarge(model, model.N + 1)
+    if not robust_na(enl_sub).holds:
         raise PropertyViolation("kernel factory promised no arbitrage but it fails")
 
     try:
-        stock_only = quasi_sure_price(enlarge_robust(drop_options(rm), 1), "super").price
+        stock = enlarge(drop_options(model), 1)
+        stock_only = price_with_dual(stock, "super", paths=supported_paths(stock))[0].price
     except SnaFailure as exc:
         raise PropertyViolation("stock-only super-hedge is unbounded") from exc
-    dp = dp_superhedge(renl_sup, extend_claim(renl_sup.enl, "super"))
+    dp = dp_superhedge(enl_sup, extend_claim(enl_sup, "super"))
     if stock_only != dp.value:
         raise PropertyViolation(
             "stock-only price disagrees with its backward induction")
 
     # the quasi-sure prices, with the supported polytopes ftap_transfer reads
-    sub, pt_sub = price_with_dual(renl_sub.enl, "sub", paths=renl_sub.supported_paths)
-    sup, pt_sup = price_with_dual(renl_sup.enl, "super", paths=renl_sup.supported_paths)
+    sub, pt_sub = price_with_dual(enl_sub, "sub", paths=supported_paths(enl_sub))
+    sup, pt_sup = price_with_dual(enl_sup, "super", paths=supported_paths(enl_sup))
     if not sub.price <= sup.price <= stock_only:
         raise PropertyViolation("quasi-sure prices are not sandwiched")
 
     if model.L:
-        book = quasi_sure_price(enlarge_robust(drop_options(rm, europeans=True), 1), "super")
+        books = enlarge(drop_options(model, europeans=True), 1)
+        book = price_with_dual(books, "super", paths=supported_paths(books))[0]
         if not sup.price <= book.price <= stock_only:
             raise PropertyViolation("static buy-side book is not sandwiched")
 
     (holds, cert), _ = ftap_transfer(pt_sub, pt_sup)
     if not holds:
         raise PropertyViolation("kernel factory promised consistency but it fails")
-    if selector_sweep(pt_sub, renl_sub) != holds:
+    if selector_sweep(pt_sub) != holds:
         raise PropertyViolation("selector sweep disagrees with the one-LP consistency verdict")
     if submarkets and model.M:
-        submarket_slacks(renl_sub, cert)
+        submarket_slacks(enl_sub, cert)
 
     record = {
         **_describe(model),
-        "selectors": rm.num_selectors(),
+        "selectors": num_selectors(model),
         "sub": rat_str(sub.price),
         "super": rat_str(sup.price),
         "stock_only": rat_str(stock_only),
@@ -1021,15 +1001,15 @@ def check_robust_model(rm: RobustModel, *, submarkets: bool = False) -> dict:
     # dropping a vertex shrinks the support: while the quotes stay
     # consistent on the smaller support, prices move weakly inward;
     # losing consistency outright is a legitimate outcome
-    wide = next((nid for nid in rm.node_order if len(rm.kernels[nid]) > 1), None)
+    wide = next((nid for nid, vs in kernel_family(model).items() if len(vs) > 1), None)
     if wide is not None:
-        kernels2 = {nid: list(v) for nid, v in rm.kernels.items()}
-        kernels2[wide] = kernels2[wide][:-1]
-        rm2 = build_robust(model, kernels2)
+        kernels2 = {**model.kernels, wide: model.kernels[wide][:-1]}
+        model2 = dataclasses.replace(model, kernels=kernels2)
+        # an enlarged space does not depend on the kernels
+        enl_sub2, enl_sup2 = enl_sub.with_model(model2), enl_sup.with_model(model2)
         try:
-            # an enlarged space does not depend on the kernels
-            sub2 = quasi_sure_price(RobustEnlarged(rm2, renl_sub.enl), "sub")
-            sup2 = quasi_sure_price(RobustEnlarged(rm2, renl_sup.enl), "super")
+            sub2 = price_with_dual(enl_sub2, "sub", paths=supported_paths(enl_sub2))[0]
+            sup2 = price_with_dual(enl_sup2, "super", paths=supported_paths(enl_sup2))[0]
         except SnaFailure:
             record["dropped_vertex"] = wide
             record["dropped_consistent"] = False
@@ -1042,17 +1022,17 @@ def check_robust_model(rm: RobustModel, *, submarkets: bool = False) -> dict:
 
 
 def check_minimax_instance(
-    rng: random.Random, rm: RobustModel, *, cap: int = DEFAULT_ENUM_CAP
+    rng: random.Random, model: MarketModel, *, cap: int = DEFAULT_ENUM_CAP
 ) -> dict:
     """Liquidation/measure interchange on explicit small generators."""
-    renl = enlarge_robust(rm, rm.model.N)
+    enl = enlarge(model, model.N)
     num_streams = rng.choice([1, 2])
     streams = []
     for _ in range(num_streams):
         streams.append({
-            v: _grid_value(rng, Q(-1), Q(2)) for v in renl.supported_enodes()
+            v: _grid_value(rng, Q(-1), Q(2)) for v in supported_enodes(enl)
         })
-    vertices = [renl.vertex_measure(sel) for sel in renl.robust.selectors()]
+    vertices = [vertex_measure(enl, sel) for sel in selectors(model)]
     if len(vertices) > 3:
         tilted = []
         for base in vertices[:3]:
@@ -1060,7 +1040,7 @@ def check_minimax_instance(
             total = sum(tilt.values(), ZERO)
             tilted.append({p: q / total for p, q in tilt.items()})
         vertices = tilted
-    report = verify_minimax(renl, streams, vertices, cap=cap)
+    report = verify_minimax(enl, streams, vertices, cap=cap)
     return {
         "value": rat_str(report.value),
         "streams": report.num_streams,
@@ -1159,17 +1139,17 @@ def run_campaign(
     for i in range(n_kern):
         mseed = rng.randrange(2 ** 32)
         mrng = random.Random(mseed)
-        rm, _gm = random_kernel_model(mrng, seed=mseed)
-        kernel_models.append((mseed, rm))
-        rec = check_robust_model(rm, submarkets=(i % 3 == 0))
+        model = random_kernel_model(mrng, seed=mseed).model
+        kernel_models.append((mseed, model))
+        rec = check_robust_model(model, submarkets=(i % 3 == 0))
         rec["seed"] = mseed
         sections["kernel"].append(rec)
         note(f"kernel {i + 1}/{n_kern} ok (seed {mseed})")
 
     n_mm = scaled(20)
     for i in range(n_mm):
-        mseed, rm = kernel_models[i % len(kernel_models)]
-        rec = check_minimax_instance(random.Random(mseed ^ 0x5EED), rm, cap=cap)
+        mseed, model = kernel_models[i % len(kernel_models)]
+        rec = check_minimax_instance(random.Random(mseed ^ 0x5EED), model, cap=cap)
         rec["seed"] = mseed
         sections["minimax"].append(rec)
         note(f"minimax {i + 1}/{n_mm} ok (seed {mseed})")

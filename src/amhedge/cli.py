@@ -26,7 +26,7 @@ from .lp import LPInternalError
 from .market import MarketModel, load_model
 from .measures import build_polytope, ftap_certificate, price_with_dual
 from .rationals import rat, rat_str
-from .robust import RobustEnlarged, build_robust, robust_ftap
+from .robust import num_selectors, supported_paths
 from .strategies import DEFAULT_ENUM_CAP
 
 EXIT_OK = 0
@@ -163,7 +163,7 @@ def cmd_price(args) -> int:
     enl = enlarge(model, n, args.clock_weights)
     paths = None
     if model.kernels:
-        paths = RobustEnlarged(build_robust(model), enl).supported_paths
+        paths = supported_paths(enl)
         doc["supported_paths"] = len(paths)
     report, _ = price_with_dual(enl, args.side, paths=paths)
     doc["report"] = report.to_json(enl)
@@ -192,16 +192,16 @@ def cmd_ftap(args) -> int:
         doc["classical"]["arbitrage"] = arb.to_json(enl)
     verdict = holds
     if model.kernels:
-        rm = build_robust(model)
-        renl = RobustEnlarged(rm, enl)
+        paths = supported_paths(enl)
         # kernels that support every path leave the classical LP
-        full = len(renl.supported_paths) == enl.num_paths
-        verdict, rcert = (holds, cert) if full else robust_ftap(renl)
+        full = len(paths) == enl.num_paths
+        verdict, rcert = (holds, cert) if full else ftap_certificate(
+            build_polytope(enl, paths=paths))
         doc["robust"] = {
             "holds": verdict,
             "epsilon": rat_str(rcert.slack) if rcert.slack is not None else None,
-            "selectors": rm.num_selectors(),
-            "supported_paths": len(renl.supported_paths),
+            "selectors": num_selectors(model),
+            "supported_paths": len(paths),
         }
     _emit(doc, args)
     which = "robust" if model.kernels else "classical"

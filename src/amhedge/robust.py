@@ -12,19 +12,28 @@ uniform-slack certificate of the classical one on the supported paths
 (the finite, product-form case of Bouchard & Nutz, Ann. Appl. Probab.
 25 (2015)).  No engine path enumerates selectors; the per-selector
 sweep is the campaign's oracle.
+
+The family is the market's own ``MarketModel.kernels``; everything here
+reads it off the space or market it is given, checked by
+check_kernel_family each time.  Quasi-sure prices and the quasi-sure
+FTAP are measures.price_with_dual and ftap_certificate with
+``paths=supported_paths(enl)``.  An enlarged space does not depend on
+the kernels, so another family on the same space is
+``enl.with_model(dataclasses.replace(model, kernels=...))``.
 """
 from __future__ import annotations
 
 import dataclasses
 import itertools
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Sequence
 
 from .enlarged import EnlargedModel, enlarge
 from .errors import CapExceededError, ModelFormatError, PropertyViolation, SnaFailure
-from .hedging import HedgeReport, detect_arbitrage, enlarged_reading, evaluate_gain
+from .hedging import detect_arbitrage, enlarged_reading, evaluate_gain
 from .lp import LinearProgram, solve
-from .market import MarketModel, check_kernel_family
+from .market import EventTree, MarketModel, check_kernel_family
 from .measures import (
     MartingalePolytope,
     MeasureCertificate,
@@ -32,140 +41,96 @@ from .measures import (
     build_polytope,
     ftap_certificate,
     one_step_polytope,
-    price_with_dual,
     restricted_stopping_times,
 )
-from .rationals import ONE, ZERO, Q, rat, rat_str
+from .rationals import ONE, ZERO, Q, rat_str
 from .strategies import DEFAULT_ENUM_CAP
 
 DEFAULT_SELECTOR_CAP = 4096
 
 
-@dataclass
-class RobustModel:
-    """A market plus per-node vertex sets of one-step transition laws."""
-
-    model: MarketModel
-    kernels: dict[str, list[tuple[Q, ...]]]
-    node_order: list[str] = field(init=False)
-    supported_edges: set[tuple[str, str]] = field(init=False)
-    supported_base_paths: list[int] = field(init=False)
-
-    def __post_init__(self) -> None:
-        tree = self.model.tree
-        internal = [nid for nid in tree.nodes if tree.children[nid]]
-        for nid in internal:
-            check_kernel_family(tree, nid, self.kernels.get(nid, []))
-        self.node_order = sorted(internal, key=lambda nid: (tree.nodes[nid].time, nid))
-        self.supported_edges = set()
-        for nid in internal:
-            kids = tree.children[nid]
-            for vec in self.kernels[nid]:
-                for kid, w in zip(kids, vec):
-                    if w > 0:
-                        self.supported_edges.add((nid, kid))
-        self.supported_base_paths = []
-        for idx, path in enumerate(tree.paths):
-            if all((path[t], path[t + 1]) in self.supported_edges for t in range(len(path) - 1)):
-                self.supported_base_paths.append(idx)
-        if not self.supported_base_paths:
-            raise ModelFormatError("kernel family supports no complete path")
-
-    def num_selectors(self) -> int:
-        total = 1
-        for nid in self.node_order:
-            total *= len(self.kernels[nid])
-        return total
-
-    def selectors(self) -> list[tuple[int, ...]]:
-        total = self.num_selectors()
-        if total > DEFAULT_SELECTOR_CAP:
-            raise CapExceededError("kernel selectors", total, DEFAULT_SELECTOR_CAP)
-        ranges = [range(len(self.kernels[nid])) for nid in self.node_order]
-        return list(itertools.product(*ranges))
-
-    def selector_base_measure(self, selector: tuple[int, ...]) -> dict[int, Q]:
-        """Base-path probabilities of one product of kernel vertices."""
-        tree = self.model.tree
-        pick = {nid: self.kernels[nid][selector[i]] for i, nid in enumerate(self.node_order)}
-        out: dict[int, Q] = {}
-        for idx, path in enumerate(tree.paths):
-            w = ONE
-            for t in range(len(path) - 1):
-                kids = tree.children[path[t]]
-                w *= pick[path[t]][kids.index(path[t + 1])]
-                if not w:
-                    break
-            if w:
-                out[idx] = w
-        return out
-
-    def supported_children(self, nid: str) -> list[str]:
-        return [kid for kid in self.model.tree.children[nid] if (nid, kid) in self.supported_edges]
-
-
-def build_robust(model: MarketModel, kernels: dict | None = None) -> RobustModel:
-    """Validate a kernel family (default: the model's own) into a RobustModel."""
-    source = kernels if kernels is not None else model.kernels
-    if source is None:
+def kernel_family(model: MarketModel) -> dict[str, list[tuple[Q, ...]]]:
+    """The market's kernel family in node order (time, then id), every vertex set checked."""
+    tree = model.tree
+    if model.kernels is None:
         raise ModelFormatError("no kernel family given")
-    normalized = {
-        nid: [tuple(rat(w) for w in vec) for vec in vertices]
-        for nid, vertices in source.items()
-    }
-    return RobustModel(model=model, kernels=normalized)
+    internal = sorted((nid for nid in tree.nodes if tree.children[nid]),
+                      key=lambda nid: (tree.nodes[nid].time, nid))
+    for nid in internal:
+        check_kernel_family(tree, nid, model.kernels.get(nid, []))
+    return {nid: model.kernels[nid] for nid in internal}
 
 
-def drop_options(rm: RobustModel, *, europeans: bool = False) -> RobustModel:
+def _supported_edges(model: MarketModel) -> set[tuple[str, str]]:
+    """Edges that some vertex of the family charges."""
+    kids = model.tree.children
+    return {(nid, kid) for nid, vertices in kernel_family(model).items()
+            for vec in vertices for kid, w in zip(kids[nid], vec) if w > 0}
+
+
+def supported_paths(enl: EnlargedModel) -> list[int]:
+    """Enlarged paths whose base path runs along charged edges only.
+
+    Every vertex is a distribution, so the support always holds a
+    complete path; clocks do not matter.
+    """
+    edges = _supported_edges(enl.model)
+    keep = {idx for idx, path in enumerate(enl.model.tree.paths)
+            if all(edge in edges for edge in zip(path, path[1:]))}
+    return [p for p, ep in enumerate(enl.epaths) if ep.base_index in keep]
+
+
+def supported_enodes(enl: EnlargedModel) -> list[int]:
+    return sorted({v for p in supported_paths(enl) for v in enl.epaths[p].node_seq})
+
+
+def num_selectors(model: MarketModel) -> int:
+    return math.prod(len(vertices) for vertices in kernel_family(model).values())
+
+
+def selectors(model: MarketModel) -> list[tuple[int, ...]]:
+    """Every choice of one vertex per node, in node order."""
+    total = num_selectors(model)
+    if total > DEFAULT_SELECTOR_CAP:
+        raise CapExceededError("kernel selectors", total, DEFAULT_SELECTOR_CAP)
+    return list(itertools.product(*(range(len(v)) for v in kernel_family(model).values())))
+
+
+def product_measure(tree: EventTree, laws: dict[str, dict[str, Q]]) -> dict[int, Q]:
+    """Base-path probabilities of per-node one-step laws (child -> mass); zeros dropped."""
+    out: dict[int, Q] = {}
+    for pi, path in enumerate(tree.paths):
+        q = ONE
+        for a, b in zip(path, path[1:]):
+            q *= laws[a].get(b, ZERO)
+        if q:
+            out[pi] = q
+    return out
+
+
+def vertex_measure(enl: EnlargedModel, selector: tuple[int, ...]) -> dict[int, Q]:
+    """Selector product measure spread over clocks by the clock weights."""
+    kids = enl.model.tree.children
+    laws = {nid: dict(zip(kids[nid], vertices[i]))
+            for (nid, vertices), i in zip(kernel_family(enl.model).items(), selector)}
+    base = product_measure(enl.model.tree, laws)
+    return {p: base[ep.base_index] * enl.clock_dist[ep.clocks]
+            for p, ep in enumerate(enl.epaths) if ep.base_index in base}
+
+
+def drop_options(model: MarketModel, *, europeans: bool = False) -> MarketModel:
     """The same kernels and claim with the option books dropped.
 
     With ``europeans`` the European book stays.  Without shorted
     Americans only the claim's clock is left, so the hedges of this
     market run on its n = 0 and n = 1 enlargements.
     """
-    model = dataclasses.replace(
-        rm.model,
-        europeans=list(rm.model.europeans) if europeans else [],
+    return dataclasses.replace(
+        model,
+        europeans=list(model.europeans) if europeans else [],
         americans_long=[],
         americans_short=[],
     )
-    return RobustModel(model=model, kernels=rm.kernels)
-
-
-@dataclass
-class RobustEnlarged:
-    """An enlarged space together with its quasi-sure support."""
-
-    robust: RobustModel
-    enl: EnlargedModel
-    supported_paths: list[int] = field(init=False)
-
-    def __post_init__(self) -> None:
-        keep = set(self.robust.supported_base_paths)
-        self.supported_paths = [
-            p for p in range(self.enl.num_paths) if self.enl.epaths[p].base_index in keep
-        ]
-
-    def vertex_measure(self, selector: tuple[int, ...]) -> dict[int, Q]:
-        """Selector product measure spread over clocks by the clock weights."""
-        base = self.robust.selector_base_measure(selector)
-        out: dict[int, Q] = {}
-        for p in self.supported_paths:
-            ep = self.enl.epaths[p]
-            w = base.get(ep.base_index, ZERO)
-            if w:
-                out[p] = w * self.enl.clock_dist[ep.clocks]
-        return out
-
-    def supported_enodes(self) -> list[int]:
-        seen: set[int] = set()
-        for p in self.supported_paths:
-            seen.update(self.enl.epaths[p].node_seq)
-        return sorted(seen)
-
-
-def enlarge_robust(rm: RobustModel, n: int) -> RobustEnlarged:
-    return RobustEnlarged(robust=rm, enl=enlarge(rm.model, n))
 
 
 # -- no-arbitrage under uncertainty ------------------------------------------
@@ -179,7 +144,7 @@ class RobustNaReport:
     certificate: MeasureCertificate
 
 
-def robust_na(renl: RobustEnlarged) -> RobustNaReport:
+def robust_na(enl: EnlargedModel) -> RobustNaReport:
     """No-arbitrage from dynamic trading alone, with its dual certificate.
 
     Primal: detect_arbitrage on the supported paths of the stock-only
@@ -190,11 +155,11 @@ def robust_na(renl: RobustEnlarged) -> RobustNaReport:
     polytope without price rows.  Both sides are computed and the
     biconditional enforced.
     """
-    stock = enlarge_robust(drop_options(renl.robust), 0)
-    arb = detect_arbitrage(stock.enl, paths=stock.supported_paths)
+    stock = enlarge(drop_options(enl.model), 0)
+    arb = detect_arbitrage(stock, paths=supported_paths(stock))
     holds = not arb.found
     witness = None if holds else arb.strategy.stock
-    positive, certificate = ftap_certificate(MartingalePolytope(renl.enl, renl.supported_paths))
+    positive, certificate = ftap_certificate(MartingalePolytope(enl, supported_paths(enl)))
     if holds != positive:
         raise PropertyViolation(
             "primal no-arbitrage verdict disagrees with the supported martingale measure"
@@ -215,19 +180,7 @@ class DpStage:
     lp_count: int
 
 
-def _group_children(renl: RobustEnlarged, v: int) -> dict[str, list[int]]:
-    """Supported enlarged children of v grouped by base child node."""
-    enl = renl.enl
-    node = enl.enode(v)
-    groups: dict[str, list[int]] = {c: [] for c in renl.robust.supported_children(node.base)}
-    for w in enl.children.get(v, ()):
-        base = enl.enode(w).base
-        if base in groups:
-            groups[base].append(w)
-    return groups
-
-
-def dp_operator(renl: RobustEnlarged, chi: dict[int, Q], t: int) -> DpStage:
+def dp_operator(enl: EnlargedModel, chi: dict[int, Q], t: int) -> DpStage:
     """One-step value: best dominated martingale expectation per node.
 
     At each supported time-t node the measure splits over base children
@@ -236,17 +189,22 @@ def dp_operator(renl: RobustEnlarged, chi: dict[int, Q], t: int) -> DpStage:
     maximum over status successors and the base direction through a
     small LP whose duals are the hedge ratios.
     """
-    enl = renl.enl
     stock = enl.model.stock
+    edges = _supported_edges(enl.model)
     values: dict[int, Q] = {}
     strategy: dict[tuple[int, int], Q] = {}
     infeasible: list[int] = []
     lp_count = 0
-    nodes = [v for v in renl.supported_enodes() if enl.enode(v).time == t]
+    nodes = [v for v in supported_enodes(enl) if enl.enode(v).time == t]
     for v in nodes:
         node = enl.enode(v)
         here = stock.at(node.base)
-        groups = _group_children(renl, v)
+        # supported enlarged children of v grouped by base child node
+        groups: dict[str, list[int]] = {
+            c: [] for c in enl.model.tree.children[node.base] if (node.base, c) in edges}
+        for w in enl.children.get(v, ()):
+            if enl.enode(w).base in groups:
+                groups[enl.enode(w).base].append(w)
         best: dict[str, Q] = {}
         for c, enodes in groups.items():
             if not enodes:
@@ -277,12 +235,11 @@ def dp_operator(renl: RobustEnlarged, chi: dict[int, Q], t: int) -> DpStage:
 @dataclass
 class DpReport:
     value: Q
-    root_values: dict[int, Q]
     strategy: dict[tuple[int, int], Q]
     lp_count: int
 
 
-def dp_superhedge(renl: RobustEnlarged, zeta: Sequence[Q] | dict[int, Q]) -> DpReport:
+def dp_superhedge(enl: EnlargedModel, zeta: Sequence[Q] | dict[int, Q]) -> DpReport:
     """Backward induction of the one-step operator from a terminal payoff.
 
     The terminal payoff zeta[p] is read on every supported path p;
@@ -291,10 +248,10 @@ def dp_superhedge(renl: RobustEnlarged, zeta: Sequence[Q] | dict[int, Q]) -> DpR
     super-hedging price and the per-node hedge ratios telescope
     pathwise, which is verified exactly.
     """
-    enl = renl.enl
     T = enl.horizon
+    paths = supported_paths(enl)
     chi: dict[int, Q] = {}
-    for p in renl.supported_paths:
+    for p in paths:
         v = enl.epaths[p].node_seq[T]
         val = zeta[p]
         if v in chi and chi[v] != val:
@@ -303,7 +260,7 @@ def dp_superhedge(renl: RobustEnlarged, zeta: Sequence[Q] | dict[int, Q]) -> DpR
     strategy: dict[tuple[int, int], Q] = {}
     lp_count = 0
     for t in range(T - 1, -1, -1):
-        stage = dp_operator(renl, chi, t)
+        stage = dp_operator(enl, chi, t)
         if stage.infeasible:
             labels = [enl.enode(v).label for v in stage.infeasible]
             raise SnaFailure(
@@ -313,50 +270,32 @@ def dp_superhedge(renl: RobustEnlarged, zeta: Sequence[Q] | dict[int, Q]) -> DpR
         strategy.update(stage.strategy)
         lp_count += stage.lp_count
         chi = stage.values
-    roots = sorted({enl.epaths[p].node_seq[0] for p in renl.supported_paths})
-    root_values = {r: chi[r] for r in roots}
-    value = max(root_values.values())
-    for p in renl.supported_paths:
+    value = max(chi[enl.epaths[p].node_seq[0]] for p in paths)
+    for p in paths:
         gain = evaluate_gain(enl.model, *enlarged_reading(enl, strategy, p))
         if value + gain < zeta[p]:
             raise PropertyViolation("dp strategy fails to super-hedge pathwise")
-    return DpReport(value=value, root_values=root_values, strategy=strategy, lp_count=lp_count)
+    return DpReport(value=value, strategy=strategy, lp_count=lp_count)
 
 
-# -- quasi-sure prices and pricing consistency ---------------------------------
+# -- pricing consistency ------------------------------------------------------
 
 
-def quasi_sure_price(renl: RobustEnlarged, side: str) -> HedgeReport:
-    """The classical price and its dual, restricted to the supported paths."""
-    return price_with_dual(renl.enl, side, paths=renl.supported_paths)[0]
-
-
-def robust_ftap(renl: RobustEnlarged) -> tuple[bool, MeasureCertificate]:
-    """Uniform-slack pricing consistency on the supported paths.
-
-    Holds iff one martingale measure is strictly positive on every
-    supported path and clears every price bound strictly.  Such a
-    measure dominates every selector product measure; conversely the
-    measures dominating each selector mix into one.  So this one LP
-    decides what a sweep over the kernel selectors would, and the
-    certificate's slack is its uniform slack.
-    """
-    return ftap_certificate(build_polytope(renl.enl, paths=renl.supported_paths))
-
-
-def submarket_slacks(renl: RobustEnlarged, full: MeasureCertificate) -> list[Q | None]:
+def submarket_slacks(enl: EnlargedModel, full: MeasureCertificate) -> list[Q | None]:
     """Slacks for the markets holding only the first m long options each.
 
-    ``full`` is robust_ftap's certificate on renl; its slack is the entry
-    m = M, and each smaller market solves its own uniform-slack LP.
+    ``full`` is the quasi-sure certificate on enl (ftap_certificate on the
+    supported paths); its slack is the entry m = M, and each smaller
+    market solves its own uniform-slack LP.
     Adding one more long option only shrinks the feasible set, so the
     slack sequence must be nonincreasing; asserted here.
     """
-    model = renl.enl.model
+    model = enl.model
+    paths = supported_paths(enl)
     slacks: list[Q | None] = []
     for m in range(model.M):
         sub_model = dataclasses.replace(model, americans_long=model.americans_long[:m])
-        sub_pt = build_polytope(renl.enl.with_model(sub_model), paths=renl.supported_paths)
+        sub_pt = build_polytope(enl.with_model(sub_model), paths=paths)
         slacks.append(ftap_certificate(sub_pt)[1].slack)
     slacks.append(full.slack)
     for prev, cur in zip(slacks, slacks[1:]):
@@ -399,7 +338,7 @@ class MinimaxReport:
 
 
 def verify_minimax(
-    renl: RobustEnlarged,
+    enl: EnlargedModel,
     streams: Sequence[dict[int, Q]],
     vertices: Sequence[dict[int, Q]],
     *,
@@ -413,7 +352,6 @@ def verify_minimax(
     All three are computed by independent LPs and exact triple equality
     is asserted.
     """
-    enl = renl.enl
     if not vertices or not streams:
         raise ModelFormatError("need at least one stream and one measure vertex")
     paths = sorted({p for R in vertices for p in R if R[p]})

@@ -32,18 +32,19 @@ from amhedge.measures import (
     MartingalePolytope,
     build_polytope,
     e2_chain,
+    ftap_certificate,
     price_with_dual,
 )
 from amhedge.rationals import Q, ZERO, rat_str
 from amhedge.robust import (
-    RobustEnlarged,
     dp_superhedge,
     drop_options,
-    enlarge_robust,
-    quasi_sure_price,
-    robust_ftap,
     robust_na,
+    selectors,
+    supported_enodes,
+    supported_paths,
     verify_minimax,
+    vertex_measure,
 )
 
 SEED = 20260814
@@ -90,9 +91,14 @@ def _evaluate(i: int) -> tuple:
 def _kernels() -> list:
     if not _KERNELS:
         for i in range(30):
-            rm, _ = random_kernel_model(random.Random(SEED * 5 + i), seed=SEED * 5 + i)
-            _KERNELS.append(rm)
+            gm = random_kernel_model(random.Random(SEED * 5 + i), seed=SEED * 5 + i)
+            _KERNELS.append(gm.model)
     return _KERNELS
+
+
+def _qs_price(enl, side):
+    """The quasi-sure price: the classical measure LP on the supported paths."""
+    return price_with_dual(enl, side, paths=supported_paths(enl))[0]
 
 
 def test_criterion_1_classical_duality(capfd):
@@ -210,18 +216,16 @@ def test_criterion_5_robust_duality_and_dp(capfd):
     failures = []
     count = 0
     try:
-        for k, rm in enumerate(_kernels()):
-            model = rm.model
-            renl_sub = enlarge_robust(rm, model.N)
-            renl_sup = enlarge_robust(rm, model.N + 1)
+        for k, model in enumerate(_kernels()):
+            enl_sub, enl_sup = enlarge(model, model.N), enlarge(model, model.N + 1)
             # the stock-only price on the 1-clock space of the market
             # without its books, against the induction on the full space
-            stock = quasi_sure_price(enlarge_robust(drop_options(rm), 1), "super")
-            dp = dp_superhedge(renl_sup, extend_claim(renl_sup.enl, "super"))
+            stock = _qs_price(enlarge(drop_options(model), 1), "super")
+            dp = dp_superhedge(enl_sup, extend_claim(enl_sup, "super"))
             if stock.price != dp.value:
                 failures.append(f"kernel {k}: backward induction disagrees with the LP")
-            sub = quasi_sure_price(renl_sub, "sub")
-            sup = quasi_sure_price(renl_sup, "super")
+            sub = _qs_price(enl_sub, "sub")
+            sup = _qs_price(enl_sup, "super")
             if sub.gap != ZERO or sup.gap != ZERO or stock.gap != ZERO:
                 failures.append(f"kernel {k}: primal-dual gap")
             if not sub.price <= sup.price <= stock.price:
@@ -240,24 +244,24 @@ def test_criterion_6_robust_ftap_and_domination(capfd):
     singles = 0
     verdicts = {True: 0, False: 0}
     try:
-        for k, rm in enumerate(_kernels()):
-            for n in (rm.model.N, rm.model.N + 1):
-                enl = enlarge(rm.model, n)
+        for k, model in enumerate(_kernels()):
+            for n in (model.N, model.N + 1):
+                enl = enlarge(model, n)
                 # quotes moved 1/4 towards arbitrage make some families fail
                 for shift in (ZERO, Q(1, 4)):
-                    renl = RobustEnlarged(rm, enl.with_model(rm.model.shifted_prices(shift)))
-                    holds, cert = robust_ftap(renl)
+                    shifted = enl.with_model(model.shifted_prices(shift))
+                    pt = build_polytope(shifted, paths=supported_paths(shifted))
+                    holds, cert = ftap_certificate(pt)
                     verdicts[holds] += 1
-                    pt = build_polytope(renl.enl, paths=renl.supported_paths)
                     where = f"kernel {k}, n = {n}, shift {shift}"
-                    if holds != selector_sweep(pt, renl):
+                    if holds != selector_sweep(pt):
                         failures.append(f"{where}: one-LP verdict vs selector sweep")
                     ok, _ = pt.check(cert.measure, min_slack=cert.slack)
                     if not ok:
                         failures.append(f"{where}: certificate fails re-validation")
-            renl = enlarge_robust(rm, rm.model.N)
-            base = MartingalePolytope(renl.enl, renl.supported_paths)
-            if robust_na(renl).holds != selector_sweep(base, renl):
+            enl = enlarge(model, model.N)
+            base = MartingalePolytope(enl, supported_paths(enl))
+            if robust_na(enl).holds != selector_sweep(base):
                 failures.append(f"kernel {k}: no-arbitrage verdict vs selector sweep")
         for i in range(15):
             gm = _corpus()[i]
@@ -283,16 +287,16 @@ def test_criterion_7_minimax_identity(capfd):
     try:
         kernels = _kernels()
         for i in range(20):
-            rm = kernels[i % len(kernels)]
-            renl = enlarge_robust(rm, rm.model.N)
+            model = kernels[i % len(kernels)]
+            enl = enlarge(model, model.N)
             rng = random.Random(SEED * 7 + i)
             streams = [
-                {v: Q(rng.randint(-8, 16), 8) for v in renl.supported_enodes()}
+                {v: Q(rng.randint(-8, 16), 8) for v in supported_enodes(enl)}
                 for _ in range(rng.choice([1, 2]))
             ]
-            vertices = [renl.vertex_measure(sel) for sel in renl.robust.selectors()[:3]]
+            vertices = [vertex_measure(enl, sel) for sel in selectors(model)[:3]]
             try:
-                rep = verify_minimax(renl, streams, vertices)
+                rep = verify_minimax(enl, streams, vertices)
                 if not rep.lhs == rep.middle == rep.rhs == rep.value:
                     failures.append(f"instance {i}: triple equality broke")
                 count += 1

@@ -35,7 +35,7 @@ from amhedge.measures import (
     price_with_dual,
 )
 from amhedge.rationals import ONE, Q, ZERO
-from amhedge.robust import build_robust, enlarge_robust, robust_ftap
+from amhedge.robust import supported_paths
 
 from conftest import binomial_dict
 
@@ -144,18 +144,19 @@ def test_boundary_model_pins_the_slack():
 
 @pytest.mark.parametrize("seed", range(3))
 def test_random_kernel_model_is_consistent(seed):
-    rm, gm = random_kernel_model(random.Random(seed), seed=seed)
-    holds, cert = robust_ftap(enlarge_robust(rm, rm.model.N))
+    model = random_kernel_model(random.Random(seed), seed=seed).model
+    enl = enlarge(model, model.N)
+    holds, cert = ftap_certificate(build_polytope(enl, paths=supported_paths(enl)))
     assert holds and cert.slack > ZERO
 
 
 def test_stock_only_arbitrage_is_a_property_violation(monkeypatch):
     # past a (stubbed) clean robust_na, an unbounded stock-only hedge
     # still ends the battery in PropertyViolation
-    rm = build_robust(load_model(binomial_dict(kernels={"r": [["1", "0"]]})))
-    monkeypatch.setattr(campaign, "robust_na", lambda renl: SimpleNamespace(holds=True))
+    model = load_model(binomial_dict(kernels={"r": [["1", "0"]]}))
+    monkeypatch.setattr(campaign, "robust_na", lambda enl: SimpleNamespace(holds=True))
     with pytest.raises(PropertyViolation, match="stock-only"):
-        check_robust_model(rm)
+        check_robust_model(model)
 
 
 def test_depth_zero_market():

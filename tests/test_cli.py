@@ -14,11 +14,12 @@ import amhedge.cli as cli
 import amhedge.measures as measures
 import amhedge.strategies as strategies
 from amhedge.cli import main
+from amhedge.enlarged import enlarge
 from amhedge.lp import LPInternalError
 from amhedge.market import emit_model, load_model
 from amhedge.measures import build_polytope
 from amhedge.rationals import rat
-from amhedge.robust import build_robust, enlarge_robust
+from amhedge.robust import supported_paths
 
 from conftest import binomial_dict, binomial_put_book_dict, trinomial_kernels_dict
 from test_report_bytes import CAMPAIGN_MODELS
@@ -380,12 +381,13 @@ def test_kernel_price_reports_its_supported_measure(name, side, tmp_path, capsys
     dual = doc["report"]["dual_ref"]
     assert dual["kind"] == f"dual_{side}" and dual["value"] == doc["price"]
     # the reported measure lies in the supported polytope rebuilt from the model
-    renl = enlarge_robust(build_robust(load_model(data)), doc["n"])
-    index = {ep.label: p for p, ep in enumerate(renl.enl.epaths)}
+    enl = enlarge(load_model(data), doc["n"])
+    paths = supported_paths(enl)
+    index = {ep.label: p for p, ep in enumerate(enl.epaths)}
     measure = {index[label]: rat(q) for label, q in dual["measure"].items()}
-    assert measure and set(measure) <= set(renl.supported_paths)
-    assert doc["supported_paths"] == len(renl.supported_paths)
-    ok, ledger = build_polytope(renl.enl, paths=renl.supported_paths).check(measure)
+    assert measure and set(measure) <= set(paths)
+    assert doc["supported_paths"] == len(paths)
+    ok, ledger = build_polytope(enl, paths=paths).check(measure)
     assert ok, [e for e in ledger if not e["ok"]]
 
 

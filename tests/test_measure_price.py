@@ -25,7 +25,7 @@ from amhedge.hedging import SemiStaticStrategy, payoff_enlarged, subhedge, super
 from amhedge.market import load_model
 from amhedge.measures import price_with_dual
 from amhedge.rationals import ONE, ZERO, Q, rat_str
-from amhedge.robust import build_robust, enlarge_robust
+from amhedge.robust import supported_paths
 
 from conftest import binomial_put_book_dict, unbranched_book_dicts
 from test_report_bytes import CAMPAIGN_MODELS, CONFTEST_MODELS, _model
@@ -51,10 +51,8 @@ GENERATED = _generated_seeds(8)
 def _space(model, side):
     """The side's enlarged space and its paths (the kernel support, if any)."""
     n = model.N + (side == "super")
-    if model.kernels:
-        renl = enlarge_robust(build_robust(model), n)
-        return renl.enl, renl.supported_paths
-    return enlarge(model, n), None
+    enl = enlarge(model, n)
+    return enl, supported_paths(enl) if model.kernels else None
 
 
 def _check_against_reference(model, side):

@@ -29,7 +29,7 @@ from amhedge.measures import (
     strict_value_bracket,
 )
 from amhedge.rationals import ONE, Q, ZERO
-from amhedge.robust import build_robust, enlarge_robust
+from amhedge.robust import supported_paths
 from amhedge.strategies import StoppingTime
 
 from conftest import binomial_dict, binomial_put_book_dict, unbranched_book_dicts
@@ -263,12 +263,12 @@ def _trinomial2_kernel_model():
 
 def _envelope_polytopes():
     long_put = load_model(binomial_put_book_dict(2, short_bid="5/9", long_ask="25/9"))
-    renl = enlarge_robust(build_robust(_trinomial2_kernel_model()), 1)
-    assert len(renl.supported_paths) < renl.enl.num_paths
+    enl = enlarge(_trinomial2_kernel_model(), 1)
+    assert len(supported_paths(enl)) < enl.num_paths
     # single-child nodes collapse into runs of the Snell block
     runs = load_model(unbranched_book_dicts()["unbranched_short"])
     return [build_polytope(enlarge(long_put, 1)),
-            build_polytope(renl.enl, paths=renl.supported_paths),
+            build_polytope(enl, paths=supported_paths(enl)),
             build_polytope(enlarge(runs, 1))]
 
 

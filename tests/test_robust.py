@@ -8,27 +8,29 @@ quasi-sure certificate; the claim paying 1 on the up state prices to
 """
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from amhedge.campaign import selector_sweep
 from amhedge.enlarged import enlarge, extend_claim
-from amhedge.errors import SnaFailure
+from amhedge.errors import ModelFormatError, SnaFailure
 from amhedge.hedging import subhedge, superhedge
 from amhedge.market import load_model
-from amhedge.measures import MartingalePolytope, build_polytope
+from amhedge.measures import MartingalePolytope, build_polytope, ftap_certificate, price_with_dual
 from amhedge.rationals import ONE, Q, ZERO
 from amhedge.robust import (
-    build_robust,
     dp_operator,
     dp_superhedge,
     drop_options,
-    enlarge_robust,
     ftap_transfer,
-    quasi_sure_price,
-    robust_ftap,
+    num_selectors,
     robust_na,
     submarket_slacks,
+    supported_enodes,
+    supported_paths,
     verify_minimax,
+    vertex_measure,
 )
 
 from conftest import binomial_dict, trinomial_kernels_dict
@@ -70,9 +72,18 @@ INTERIOR = {"r": [["1/2", "1/2"]]}
 SURE_UP = {"r": [["1", "0"]]}
 
 
+def _qs_price(enl, side):
+    """The quasi-sure price: the classical measure LP on the supported paths."""
+    return price_with_dual(enl, side, paths=supported_paths(enl))[0]
+
+
+def _qs_ftap(enl):
+    """The quasi-sure FTAP: the classical certificate on the supported paths."""
+    return ftap_certificate(build_polytope(enl, paths=supported_paths(enl)))
+
+
 def test_na_interior_singleton():
-    renl = enlarge_robust(build_robust(_binomial(INTERIOR)), 0)
-    rep = robust_na(renl)
+    rep = robust_na(enlarge(_binomial(INTERIOR), 0))
     assert rep.holds and rep.gain == ZERO
     # the unique martingale law (1/3, 2/3), slack its mass floor
     assert rep.certificate.slack == Q(1, 3)
@@ -80,64 +91,82 @@ def test_na_interior_singleton():
 
 
 def test_na_fails_on_sure_up():
-    renl = enlarge_robust(build_robust(_binomial(SURE_UP)), 0)
-    rep = robust_na(renl)
+    rep = robust_na(enlarge(_binomial(SURE_UP), 0))
     assert not rep.holds and rep.gain > ZERO
     # holding one share wins 1 on the only supported path
     assert rep.witness and list(rep.witness.values()) == [ONE]
     assert rep.certificate.slack is None
 
 
-def _stock_only(rm, *, europeans=False):
+def _stock_only(model, *, europeans=False):
     """Super-hedge of the claim on the 1-clock space of the market without other books."""
-    return quasi_sure_price(enlarge_robust(drop_options(rm, europeans=europeans), 1), "super")
+    return _qs_price(enlarge(drop_options(model, europeans=europeans), 1), "super")
 
 
 def test_drop_options_keeps_kernels_claim_and_asked_books():
-    rm = build_robust(load_model(binomial_dict(
+    model = load_model(binomial_dict(
         europeans=[{"payoff": {"u": "1", "d": "0"}, "price": "1/2"}],
         americans_short=[{"values": {"r": "0", "u": "0", "d": "1/2"}, "price": "1/4"}],
         kernels=INTERIOR,
-    )))
-    bare = drop_options(rm)
-    assert (bare.model.L, bare.model.M, bare.model.N) == (0, 0, 0)
-    assert bare.kernels == rm.kernels and bare.model.claim is rm.model.claim
-    assert drop_options(rm, europeans=True).model.europeans == rm.model.europeans
+    ))
+    bare = drop_options(model)
+    assert (bare.L, bare.M, bare.N) == (0, 0, 0)
+    assert bare.kernels == model.kernels and bare.claim is model.claim
+    assert drop_options(model, europeans=True).europeans == model.europeans
     # the source market keeps its books
-    assert (rm.model.L, rm.model.N) == (1, 1)
+    assert (model.L, model.N) == (1, 1)
+
+
+def test_non_distribution_vertex_fails_when_the_support_is_read():
+    # a market built in code skips load_model's check; reading its
+    # support runs check_kernel_family all the same
+    model = dataclasses.replace(_binomial(INTERIOR), kernels={"r": [(Q(1, 2), Q(1, 3))]})
+    enl = enlarge(model, 0)
+    for read in (supported_paths, supported_enodes, lambda e: num_selectors(e.model)):
+        with pytest.raises(ModelFormatError, match="not a distribution"):
+            read(enl)
+
+
+def test_support_follows_the_market_family_on_one_space():
+    # another family is another market on the same space
+    enl = enlarge(_trinomial(TWO_VERTEX), 0)
+    assert supported_paths(enl) == [0, 1, 2]
+    narrow = dataclasses.replace(enl.model, kernels={"r": [TWO_VERTEX_Q[1]]})
+    assert supported_paths(enl.with_model(narrow)) == [0, 2]
+    assert supported_paths(enl) == [0, 1, 2]
 
 
 def test_stock_superhedge():
-    rep = _stock_only(build_robust(_binomial(INTERIOR)))
+    rep = _stock_only(_binomial(INTERIOR))
     assert rep.price == Q(1, 3)
     # the classical dual_ref schema: the unique martingale law (1/3, 2/3)
     assert rep.gap == ZERO and rep.dual_ref == {
         "kind": "dual_super", "value": "1/3", "measure": {"p0@1": "1/3", "p1@1": "2/3"}}
     # constants price to themselves
     flat = {"values": {"r": "5/7", "u": "5/7", "d": "5/7"}}
-    rm = build_robust(load_model(binomial_dict(claim=flat, kernels=INTERIOR)))
-    assert _stock_only(rm).price == Q(5, 7)
+    model = load_model(binomial_dict(claim=flat, kernels=INTERIOR))
+    assert _stock_only(model).price == Q(5, 7)
 
 
 def test_stock_superhedge_flags_arbitrage():
     with pytest.raises(SnaFailure):
-        _stock_only(build_robust(_binomial(SURE_UP)))
+        _stock_only(_binomial(SURE_UP))
 
 
 def _put_super_target(kern):
-    rm = build_robust(_binomial_put(kern))
-    renl = enlarge_robust(rm, 2)
-    target = extend_claim(renl.enl, "super")
-    zeta = {p: target[p] for p in range(renl.enl.num_paths)}
-    return rm, renl, zeta
+    model = _binomial_put(kern)
+    enl = enlarge(model, 2)
+    target = extend_claim(enl, "super")
+    zeta = {p: target[p] for p in range(enl.num_paths)}
+    return model, enl, zeta
 
 
 def test_dp_matches_stock_superhedge():
-    _, renl, zeta = _put_super_target(INTERIOR)
-    dp = dp_superhedge(renl, zeta)
+    _, enl, zeta = _put_super_target(INTERIOR)
+    dp = dp_superhedge(enl, zeta)
     assert dp.value == Q(1, 3)
     # one LP per supported root atom
-    roots = {renl.enl.epaths[p].node_seq[0] for p in renl.supported_paths}
+    roots = {enl.epaths[p].node_seq[0] for p in supported_paths(enl)}
     assert dp.lp_count == len(roots)
 
 
@@ -145,36 +174,37 @@ def test_stock_only_price_ignores_the_short_clocks():
     # the put's clock enters neither the gain of a stock hedge nor the
     # claim: the 1-clock price of the market without the put equals the
     # backward induction on the 2-clock space of the market with it
-    rm, renl, zeta = _put_super_target(INTERIOR)
-    assert rm.model.N == 1 and renl.enl.n == 2
-    assert _stock_only(rm).price == dp_superhedge(renl, zeta).value
+    model, enl, zeta = _put_super_target(INTERIOR)
+    assert model.N == 1 and enl.n == 2
+    assert _stock_only(model).price == dp_superhedge(enl, zeta).value
 
 
 def test_dp_raises_on_local_arbitrage():
-    _, renl, zeta = _put_super_target(SURE_UP)
+    _, enl, zeta = _put_super_target(SURE_UP)
     with pytest.raises(SnaFailure):
-        dp_superhedge(renl, zeta)
+        dp_superhedge(enl, zeta)
 
 
 def test_dp_operator_pins_martingale():
-    renl = enlarge_robust(build_robust(_binomial(INTERIOR)), 0)
-    enl = renl.enl
+    enl = enlarge(_binomial(INTERIOR), 0)
     chi = {enl.epaths[p].node_seq[1]: enl.stock_at(p, 1)[0] for p in range(enl.num_paths)}
-    stage = dp_operator(renl, chi, 0)
+    stage = dp_operator(enl, chi, 0)
     assert list(stage.values.values()) == [ONE]
 
 
 TWO_VERTEX = {"r": [["1/3", "1/3", "1/3"], ["1/2", "0", "1/2"]]}
+TWO_VERTEX_Q = [(Q(1, 3), Q(1, 3), Q(1, 3)), (Q(1, 2), ZERO, Q(1, 2))]
 
 
 def test_two_vertex_support_and_prices():
-    rm = build_robust(_trinomial(TWO_VERTEX))
-    assert rm.supported_base_paths == [0, 1, 2]
-    renl = enlarge_robust(rm, 0)
+    model = _trinomial(TWO_VERTEX)
+    assert model.kernels == {"r": TWO_VERTEX_Q}
+    enl = enlarge(model, 0)
+    assert sorted({enl.epaths[p].base_index for p in supported_paths(enl)}) == [0, 1, 2]
     zeta = {0: ONE, 1: ZERO, 2: ZERO}
-    assert _stock_only(rm).price == Q(1, 3)
-    assert dp_superhedge(renl, zeta).value == Q(1, 3)
-    na = robust_na(renl)
+    assert _stock_only(model).price == Q(1, 3)
+    assert dp_superhedge(enl, zeta).value == Q(1, 3)
+    na = robust_na(enl)
     assert na.holds
     # the martingale law (1/4, 1/4, 1/2) charges all three paths
     assert na.certificate.slack == Q(1, 4)
@@ -183,13 +213,13 @@ def test_two_vertex_support_and_prices():
 
 def _trinomial_book(payoff, price):
     """TWO_VERTEX trinomial with one quoted European."""
-    return build_robust(_trinomial(TWO_VERTEX, europeans=[{"payoff": payoff, "price": price}]))
+    return _trinomial(TWO_VERTEX, europeans=[{"payoff": payoff, "price": price}])
 
 
 def test_options_tighten_the_stock_price():
-    rm = _trinomial_book({"a": "1", "b": "0", "c": "0"}, "1/6")
-    assert _stock_only(rm).price == Q(1, 3)
-    rep = _stock_only(rm, europeans=True)
+    model = _trinomial_book({"a": "1", "b": "0", "c": "0"}, "1/6")
+    assert _stock_only(model).price == Q(1, 3)
+    rep = _stock_only(model, europeans=True)
     assert rep.price < Q(1, 3)
     assert rep.gap == ZERO
     assert rep.strategy.long_european[0] > ZERO
@@ -197,121 +227,118 @@ def test_options_tighten_the_stock_price():
 
 def test_options_overpriced_book_fails():
     # payoff 1 everywhere sold at 1/2: every measure prices it above
-    rm = _trinomial_book({"a": "1", "b": "1", "c": "1"}, "1/2")
+    model = _trinomial_book({"a": "1", "b": "1", "c": "1"}, "1/2")
     with pytest.raises(SnaFailure):
-        _stock_only(rm, europeans=True)
+        _stock_only(model, europeans=True)
 
 
 def test_singleton_family_reproduces_classical():
-    rm = build_robust(_binomial_put(INTERIOR))
-    sub = quasi_sure_price(enlarge_robust(rm, 1), "sub")
-    sup = quasi_sure_price(enlarge_robust(rm, 2), "super")
-    assert sub.price == subhedge(enlarge(rm.model, 1)).price
-    assert sup.price == superhedge(enlarge(rm.model, 2)).price
+    model = _binomial_put(INTERIOR)
+    sub = _qs_price(enlarge(model, 1), "sub")
+    sup = _qs_price(enlarge(model, 2), "super")
+    assert sub.price == subhedge(enlarge(model, 1)).price
+    assert sup.price == superhedge(enlarge(model, 2)).price
     assert sub.gap == ZERO and sup.gap == ZERO
 
 
 def test_robust_ftap_holds_with_submarkets():
-    rm = build_robust(_binomial_put(INTERIOR))
-    renl = enlarge_robust(rm, 1)
-    holds, cert = robust_ftap(renl)
+    enl = enlarge(_binomial_put(INTERIOR), 1)
+    holds, cert = _qs_ftap(enl)
     assert holds and cert.slack > ZERO
     # no long option: the sweep is the full market's slack alone
-    assert submarket_slacks(renl, cert) == [cert.slack]
+    assert submarket_slacks(enl, cert) == [cert.slack]
 
 
 def test_submarket_sweep_drops_long_options():
     long_put = {"values": {"r": "0", "u": "0", "d": "1/2"}, "price": "1/2"}
-    renl = enlarge_robust(build_robust(_binomial_kern_long(long_put)), 0)
-    _, cert = robust_ftap(renl)
-    _, bare = robust_ftap(enlarge_robust(build_robust(_binomial(INTERIOR)), 0))
-    slacks = submarket_slacks(renl, cert)
+    enl = enlarge(_binomial_kern_long(long_put), 0)
+    _, cert = _qs_ftap(enl)
+    _, bare = _qs_ftap(enlarge(_binomial(INTERIOR), 0))
+    slacks = submarket_slacks(enl, cert)
     assert slacks == [bare.slack, cert.slack] and slacks[1] < slacks[0]
 
 
 def test_robust_ftap_fails_on_sure_up():
-    holds, cert = robust_ftap(enlarge_robust(build_robust(_binomial(SURE_UP)), 0))
+    holds, cert = _qs_ftap(enlarge(_binomial(SURE_UP), 0))
     assert not holds and cert.slack is None
 
 
 def test_robust_ftap_no_options_equals_domination_slack():
-    renl = enlarge_robust(build_robust(_binomial(INTERIOR)), 0)
-    na = robust_na(renl)
-    _, cert = robust_ftap(renl)
+    enl = enlarge(_binomial(INTERIOR), 0)
+    na = robust_na(enl)
+    _, cert = _qs_ftap(enl)
     assert cert.slack == na.certificate.slack == Q(1, 3)
 
 
 def test_one_lp_decides_8192_selectors():
-    rm = build_robust(load_model(trinomial_kernels_dict(3)))
-    assert rm.num_selectors() == 8192
-    renl = enlarge_robust(rm, rm.model.N)
-    holds, cert = robust_ftap(renl)
+    model = load_model(trinomial_kernels_dict(3))
+    assert num_selectors(model) == 8192
+    enl = enlarge(model, model.N)
+    holds, cert = _qs_ftap(enl)
     assert holds and cert.slack == Q(1, 108)
     # the witness charges every supported path and clears every row by the slack
-    pt = build_polytope(renl.enl, paths=renl.supported_paths)
+    pt = build_polytope(enl, paths=supported_paths(enl))
     ok, _ = pt.check(cert.measure, min_slack=cert.slack)
-    assert ok and sorted(cert.measure) == renl.supported_paths
+    assert ok and sorted(cert.measure) == supported_paths(enl)
 
 
 @pytest.mark.parametrize("bid, holds", [("1/8", True), ("1", False)])
 def test_selector_sweep_agrees_with_one_lp(bid, holds):
     data = trinomial_kernels_dict(2)
     data["americans_short"][0]["price"] = bid
-    rm = build_robust(load_model(data))
-    assert rm.num_selectors() == 16
-    for n in (rm.model.N, rm.model.N + 1):
-        renl = enlarge_robust(rm, n)
-        pt = build_polytope(renl.enl, paths=renl.supported_paths)
-        assert selector_sweep(pt, renl) == robust_ftap(renl)[0] == holds
-    renl = enlarge_robust(rm, rm.model.N)
-    assert selector_sweep(MartingalePolytope(renl.enl, renl.supported_paths), renl)
-    assert robust_na(renl).holds
+    model = load_model(data)
+    assert num_selectors(model) == 16
+    for n in (model.N, model.N + 1):
+        enl = enlarge(model, n)
+        pt = build_polytope(enl, paths=supported_paths(enl))
+        assert selector_sweep(pt) == _qs_ftap(enl)[0] == holds
+    enl = enlarge(model, model.N)
+    assert selector_sweep(MartingalePolytope(enl, supported_paths(enl)))
+    assert robust_na(enl).holds
 
 
 def test_selector_sweep_agrees_on_arbitrage():
-    renl = enlarge_robust(build_robust(_binomial(SURE_UP)), 0)
-    assert not selector_sweep(MartingalePolytope(renl.enl, renl.supported_paths), renl)
-    assert not selector_sweep(build_polytope(renl.enl, paths=renl.supported_paths), renl)
+    enl = enlarge(_binomial(SURE_UP), 0)
+    assert not selector_sweep(MartingalePolytope(enl, supported_paths(enl)))
+    assert not selector_sweep(build_polytope(enl, paths=supported_paths(enl)))
 
 
 def test_ftap_transfer():
-    rm = build_robust(_binomial_put(INTERIOR))
+    model = _binomial_put(INTERIOR)
     low, high = ftap_transfer(*(
-        build_polytope(renl.enl, paths=renl.supported_paths)
-        for renl in (enlarge_robust(rm, rm.model.N), enlarge_robust(rm, rm.model.N + 1))
+        build_polytope(enl, paths=supported_paths(enl))
+        for enl in (enlarge(model, model.N), enlarge(model, model.N + 1))
     ))
     assert low[0] and high[0]
 
 
 def _minimax_setup():
-    rm = build_robust(_binomial_put(INTERIOR))
-    renl = enlarge_robust(rm, 1)
-    enl = renl.enl
+    enl = enlarge(_binomial_put(INTERIOR), 1)
     putv = {"r": ZERO, "u": ZERO, "d": Q(1, 2)}
-    stream = {v: putv[enl.enode(v).base] for v in renl.supported_enodes()}
-    return renl, enl, stream
+    stream = {v: putv[enl.enode(v).base] for v in supported_enodes(enl)}
+    return enl, stream
 
 
 def test_minimax_singleton():
-    renl, _, stream = _minimax_setup()
-    rep = verify_minimax(renl, [stream], [renl.vertex_measure((0,))])
+    enl, stream = _minimax_setup()
+    rep = verify_minimax(enl, [stream], [vertex_measure(enl, (0,))])
     # best stop is time 1: collects 1/2 on the down move, probability 1/2
     assert rep.value == Q(1, 4)
     assert rep.num_taus == 4
 
 
 def test_minimax_two_vertices():
-    renl, enl, stream = _minimax_setup()
-    v1 = renl.vertex_measure((0,))
+    enl, stream = _minimax_setup()
+    v1 = vertex_measure(enl, (0,))
     v2 = {
         p: (Q(3, 4) if enl.epaths[p].base_index == 0 else Q(1, 4))
         * enl.clock_dist[enl.epaths[p].clocks]
         for p in range(enl.num_paths)
     }
-    rep = verify_minimax(renl, [stream], [v1, v2])
+    rep = verify_minimax(enl, [stream], [v1, v2])
     # the up-tilted vertex leaves only 1/4 mass on the down move
     assert rep.value == Q(1, 8)
     # a constant second stream shifts the value by that constant
-    const = {v: Q(2, 7) for v in renl.supported_enodes()}
-    rep2 = verify_minimax(renl, [stream, const], [v1, v2])
+    const = {v: Q(2, 7) for v in supported_enodes(enl)}
+    rep2 = verify_minimax(enl, [stream, const], [v1, v2])
     assert rep2.value == rep.value + Q(2, 7)
