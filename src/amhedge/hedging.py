@@ -10,41 +10,14 @@ problem below is an exact rational LP.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable, Iterable, Iterator, Sequence
+from typing import Hashable, Iterable, Sequence
 
-from .enlarged import EnlargedModel, enlarge, extend_claim
+from .enlarged import EnlargedModel, extend_claim
 from .errors import PropertyViolation, SnaFailure
 from .lp import LinearProgram, LPOutcome, solve
 from .market import MarketModel
 from .rationals import ONE, ZERO, Q, rat, rat_str
 from .strategies import LiquidatingStrategy
-
-def gain_terms(
-    model: MarketModel, base_index: int, clocks: Sequence[int]
-) -> Iterator[tuple[tuple, Q]]:
-    """The one builder of the gain Phi along a base path and its exercise clocks.
-
-    Yields (term, coefficient) pairs.  Terms are ("H", t, d), the
-    position in stock dim d held from t to t+1; ("a", i), ("b", j) and
-    ("c", k), the static book at the model's quotes; ("nu", j, t), the
-    mass of long j liquidated at time t.  Each LP maps the time index
-    onto its own variables (see gain_row); evaluate_gain re-checks Phi
-    without reading anything built here.
-    """
-    path = model.tree.paths[base_index]
-    for t in range(len(path) - 1):
-        here, nxt = model.stock.at(path[t]), model.stock.at(path[t + 1])
-        for d in range(model.stock.dim):
-            if nxt[d] != here[d]:
-                yield ("H", t, d), nxt[d] - here[d]
-    for i, (payoff, alpha) in enumerate(model.europeans):
-        yield ("a", i), payoff.at(path[-1]) - alpha
-    for j, (proc, beta) in enumerate(model.americans_long):
-        yield ("b", j), -beta
-        for t, nid in enumerate(path):
-            yield ("nu", j, t), proc.scalar(nid)
-    for k, (proc, gamma) in enumerate(model.americans_short):
-        yield ("c", k), -(proc.scalar(path[clocks[k]]) - gamma)
 
 
 def evaluate_gain(
@@ -63,7 +36,7 @@ def evaluate_gain(
     stock[t] is the position vector held from t to t+1 and nu[j][t] the
     mass of long j liquidated at time t; omitted books count as empty.
     Recomputed straight from the model data, independently of
-    gain_terms and of every LP coefficient.
+    GainLP.gain_coeffs and of every LP coefficient.
     """
     path = model.tree.paths[base_index]
     total = ZERO
@@ -142,33 +115,6 @@ class StockPositions:
             raise ValueError("norm row needs split stock variables")
         row = {var: ONE for var in (*self.pos.values(), *self.neg.values(), *others)}
         return self.lp.add_constraint(row, "<=", ONE, name="norm")
-
-
-def add_static_vars(lp: LinearProgram, model: MarketModel) -> dict[str, list[int]]:
-    """Variables a[i], b[j], c[k] of the static book, listed per kind."""
-    return {
-        kind: [lp.add_var(f"{kind}[{i}]") for i in range(count)]
-        for kind, count in (("a", model.L), ("b", model.M), ("c", model.N))
-    }
-
-
-def gain_row(
-    terms: Iterable[tuple[tuple, Q]],
-    stock: StockPositions,
-    at: Sequence[Hashable],
-    static: dict[str, list[int]],
-    nu_var: Sequence[dict[Hashable, int]] = (),
-) -> dict[int, Q]:
-    """Map gain terms onto one LP: at[t] keys its time-t stock and nu variables."""
-    row: dict[int, Q] = {}
-    for term, coef in terms:
-        if term[0] == "H":
-            stock.add(row, at[term[1]], term[2], coef)
-        elif term[0] == "nu":
-            _bump(row, nu_var[term[1]][at[term[2]]], coef)
-        else:
-            _bump(row, static[term[0]][term[1]], coef)
-    return {var: val for var, val in row.items() if val}
 
 
 @dataclass
@@ -279,7 +225,11 @@ class GainLP:
         self.carry_nodes = list(carry)
         labels = ((v, enl.enode(v).label) for v in trade)
         self.stock = StockPositions(self.lp, labels, self.model.stock.dim, split=split_stock)
-        self.static = add_static_vars(self.lp, self.model)
+        # the static book a[i], b[j], c[k], listed per kind
+        self.static = {
+            kind: [self.lp.add_var(f"{kind}[{i}]") for i in range(count)]
+            for kind, count in (("a", self.model.L), ("b", self.model.M), ("c", self.model.N))
+        }
         self.nu_var = [
             {v: self.lp.add_var(f"nu[{j};{enl.enode(v).label}]") for v in self.carry_nodes}
             for j in range(self.model.M)
@@ -287,10 +237,29 @@ class GainLP:
         self.rows: dict[int, tuple[dict[int, Q], Q]] = {}
 
     def gain_coeffs(self, p: int) -> dict[int, Q]:
-        """Coefficient map of Phi(path p) over the strategy variables."""
-        ep = self.enl.epaths[p]
-        terms = gain_terms(self.model, ep.base_index, ep.clocks)
-        return gain_row(terms, self.stock, ep.node_seq, self.static, self.nu_var)
+        """Coefficient map of Phi(path p) over the strategy variables.
+
+        Phi is the stock gain H_t . (S_{t+1} - S_t), the Europeans
+        a_i (f_i - alpha_i), the longs nu_j(v_t) g_j(v_t) - b_j beta_j
+        and the shorts -c_k (h_k - gamma_k) at clock k, along the base
+        path of p; evaluate_gain re-checks it without reading this map.
+        """
+        model, ep = self.model, self.enl.epaths[p]
+        path, seq = model.tree.paths[ep.base_index], ep.node_seq
+        row: dict[int, Q] = {}
+        for t in range(len(path) - 1):
+            here, nxt = model.stock.at(path[t]), model.stock.at(path[t + 1])
+            for d in range(model.stock.dim):
+                self.stock.add(row, seq[t], d, nxt[d] - here[d])
+        for i, (payoff, alpha) in enumerate(model.europeans):
+            _bump(row, self.static["a"][i], payoff.at(path[-1]) - alpha)
+        for j, (proc, beta) in enumerate(model.americans_long):
+            _bump(row, self.static["b"][j], -beta)
+            for nid, v in zip(path, seq):
+                _bump(row, self.nu_var[j][v], proc.scalar(nid))
+        for k, (proc, gamma) in enumerate(model.americans_short):
+            _bump(row, self.static["c"][k], -(proc.scalar(path[ep.clocks[k]]) - gamma))
+        return row
 
     def add_path_row(self, p: int, row: dict[int, Q], rhs: Q, name: str) -> None:
         """row >= rhs for path p, kept for the space's mixtures."""
