@@ -511,7 +511,6 @@ class SlackOutcome:
     status: Literal["optimal", "infeasible", "unbounded"]
     slack: Q | None
     witness: list[Q] | None
-    outcome: LPOutcome | None = None
 
     @property
     def strict(self) -> bool:
@@ -539,8 +538,8 @@ def max_slack(lp: LinearProgram, slack_rows: Iterable[int]) -> SlackOutcome:
     work.set_objective("max", {s: ONE})
     out = solve(work)
     if out.status == "infeasible":
-        return SlackOutcome("infeasible", None, None, out)
+        return SlackOutcome("infeasible", None, None)
     if out.status == "unbounded":
-        return SlackOutcome("unbounded", None, None, out)
+        return SlackOutcome("unbounded", None, None)
     assert out.primal is not None
-    return SlackOutcome("optimal", out.x(s), out.primal[: lp.num_vars], out)
+    return SlackOutcome("optimal", out.x(s), out.primal[: lp.num_vars])
