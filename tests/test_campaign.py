@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from amhedge import campaign
+from amhedge import campaign, lp
 from amhedge.campaign import (
     BOUNDARY_OFFSET,
     binomial_call,
@@ -157,6 +157,40 @@ def test_stock_only_arbitrage_is_a_property_violation(monkeypatch):
     monkeypatch.setattr(campaign, "robust_na", lambda enl: SimpleNamespace(holds=True))
     with pytest.raises(PropertyViolation, match="stock-only"):
         check_robust_model(model)
+
+
+def _count_lps(monkeypatch, check):
+    """check()'s result and the number of LPs it solved."""
+    solved = []
+
+    class Counting(lp._Tableau):
+        def __init__(self, prog):
+            solved.append(prog)
+            super().__init__(prog)
+
+    with monkeypatch.context() as m:
+        m.setattr(lp, "_Tableau", Counting)
+        return check(), len(solved)
+
+
+def test_dropped_vertex_keeping_the_support_reuses_the_prices(monkeypatch):
+    # both vertices charge both moves, so dropping one keeps the support
+    model = load_model(binomial_dict(kernels={"r": [["1/2", "1/2"], ["1/3", "2/3"]]}))
+    record, lps = _count_lps(monkeypatch, lambda: check_robust_model(model))
+    assert record["dropped_vertex"] == "r" and record["dropped_consistent"]
+    # a tuple never equals the polytope's path list, which forces the
+    # two price LPs that an unchanged support skips
+    real = campaign.supported_paths
+    monkeypatch.setattr(campaign, "supported_paths", lambda enl: tuple(real(enl)))
+    forced, forced_lps = _count_lps(monkeypatch, lambda: check_robust_model(model))
+    assert forced == record and lps == forced_lps - 2
+
+
+def test_dropped_vertex_shrinking_the_support_prices_again():
+    # without its last, interior vertex the family charges the up move only
+    model = load_model(binomial_dict(kernels={"r": [["1", "0"], ["1/2", "1/2"]]}))
+    record = check_robust_model(model)
+    assert record["dropped_vertex"] == "r" and not record["dropped_consistent"]
 
 
 def test_depth_zero_market():

@@ -29,10 +29,10 @@ from test_report_bytes import CAMPAIGN_MODELS, COMMANDS, CONFTEST_MODELS, _model
 
 # (number of LPs solved, sha256 of their sorted fingerprints)
 EXPECTED_CLI = (27, "32643a5c7fb4e84b8b4b2a047c382c73573216dfea9c1b63e3d690e95e3a3c5f")
-EXPECTED_VERIFY = (306, "49e18e4a6a6628c1589722b8f9ed7de4a7b936485b1102516e084fa6662784eb")
+EXPECTED_VERIFY = (302, "167094ffbded1b33b3aa3af247d37271111a66c3283b95605157ce73b83861d6")
 # (number of pivots, sha256 of the sorted (fingerprint, pivot sequence) pairs)
 EXPECTED_CLI_PIVOTS = (171, "46ae259b773d0260c41e66e0fee6ab0144990c641fa82cf63705d779f487b906")
-EXPECTED_VERIFY_PIVOTS = (4491, "a4d0cb20dd432a923d41f327625edb684fe3429ba7b3f79c9bd2a9b1a75bd7c1")
+EXPECTED_VERIFY_PIVOTS = (4438, "ccd25e742ea7e90a44a7334f5c12d0b059243f195c4e7e53bb2b594008987533")
 
 
 def fingerprint(prog: lp.LinearProgram) -> str:
