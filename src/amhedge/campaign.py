@@ -846,11 +846,11 @@ def check_singleton_robust(gm: GeneratedModel, sna: SnaReport, duality: dict) ->
     enl_sub, enl_sup = enlarge(model, model.N), enlarge(model, model.N + 1)
     if not robust_na(enl_sub).holds:
         raise PropertyViolation("singleton family reports arbitrage in a clean market")
-    sub = price_with_dual(enl_sub, "sub", paths=supported_paths(enl_sub))[0]
+    sub, pt_sub = price_with_dual(enl_sub, "sub", paths=supported_paths(enl_sub))
     sup = price_with_dual(enl_sup, "super", paths=supported_paths(enl_sup))[0]
     if rat_str(sub.price) != duality["sub"] or rat_str(sup.price) != duality["super"]:
         raise PropertyViolation("singleton family moved a hedging price")
-    holds, _ = ftap_certificate(build_polytope(enl_sub, paths=supported_paths(enl_sub)))
+    holds, _ = ftap_certificate(pt_sub)
     if holds != sna.holds:
         raise PropertyViolation("singleton family flipped the consistency verdict")
     return {"sub": rat_str(sub.price), "super": rat_str(sup.price), "holds": holds}
@@ -1011,9 +1011,10 @@ def check_robust_model(model: MarketModel, *, submarkets: bool = False) -> dict:
         record["dropped_consistent"] = True
         # both supports follow the supported base paths, so an unchanged
         # n = N support leaves both price LPs, and sub and sup, as they are
-        if supported_paths(enl_sub2) != pt_sub.paths:
+        paths2 = supported_paths(enl_sub2)
+        if paths2 != pt_sub.paths:
             try:
-                sub2 = price_with_dual(enl_sub2, "sub", paths=supported_paths(enl_sub2))[0]
+                sub2 = price_with_dual(enl_sub2, "sub", paths=paths2)[0]
                 sup2 = price_with_dual(enl_sup2, "super", paths=supported_paths(enl_sup2))[0]
             except SnaFailure:
                 record["dropped_consistent"] = False
