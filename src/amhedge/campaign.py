@@ -19,13 +19,16 @@ from dataclasses import dataclass
 from .divisible import EPS_GRID, verify_divisibility_equivalence
 from .enlarged import EnlargedModel, enlarge, extend_claim
 from .errors import PropertyViolation, SnaFailure
-from .hedging import SnaReport, check_sna, detect_arbitrage, subhedge, superhedge
+from .hedging import detect_arbitrage, subhedge, superhedge
 from .lp import solve
 from .market import AdaptedProcess, EventTree, MarketModel, Node, TerminalPayoff, load_model
 from .measures import (
     MartingalePolytope,
     MeasurePolytope,
+    SnaReport,
     build_polytope,
+    check_sna,
+    dp_superhedge,
     e2_chain,
     ftap_certificate,
     lift_measure_uniform_clock,
@@ -37,7 +40,6 @@ from .measures import (
 )
 from .rationals import ONE, ZERO, Q, rat, rat_str
 from .robust import (
-    dp_superhedge,
     drop_options,
     ftap_transfer,
     kernel_family,
@@ -51,7 +53,7 @@ from .robust import (
     verify_minimax,
     vertex_measure,
 )
-from .strategies import DEFAULT_ENUM_CAP
+from .strategies import DEFAULT_ENUM_CAP, count_enlarged_stopping_times
 
 __all__ = [
     "EPS_GRID",
@@ -344,8 +346,6 @@ def _within_budget(model: MarketModel) -> bool:
     epaths = len(model.tree.paths) * (T + 1) ** (model.N + 1)
     if epaths > _MAX_ENLARGED_PATHS:
         return False
-    from .strategies import count_enlarged_stopping_times
-
     # only e2_chain and verify_minimax enumerate stopping times, both on
     # the n = N space; the n = N + 1 count with longed asks bounds no
     # enumeration any more and stays only to keep the seeded corpus, and
@@ -838,12 +838,18 @@ def check_depth_zero() -> dict:
 # -- battery: singleton kernels degenerate to the classical engine --------------
 
 
-def check_singleton_robust(gm: GeneratedModel, sna: SnaReport, duality: dict) -> dict:
-    """A one-vertex full-support family must reproduce classical answers."""
-    kids = gm.model.tree.children
-    model = dataclasses.replace(gm.model, kernels={
-        nid: [tuple(law[k] for k in kids[nid])] for nid, law in gm.laws.items()})
-    enl_sub, enl_sup = enlarge(model, model.N), enlarge(model, model.N + 1)
+def check_singleton_robust(
+    enl: EnlargedModel, enl_sup: EnlargedModel, laws: dict, sna: SnaReport, duality: dict
+) -> dict:
+    """A one-vertex full-support family must reproduce classical answers.
+
+    ``enl`` and ``enl_sup`` are the market's n = N and n = N + 1 spaces
+    (check_duality's), ``laws`` its GeneratedModel's full-support laws.
+    """
+    kids = enl.model.tree.children
+    model = dataclasses.replace(enl.model, kernels={
+        nid: [tuple(law[k] for k in kids[nid])] for nid, law in laws.items()})
+    enl_sub, enl_sup = enl.with_model(model), enl_sup.with_model(model)
     if not robust_na(enl_sub).holds:
         raise PropertyViolation("singleton family reports arbitrage in a clean market")
     sub, pt_sub = price_with_dual(enl_sub, "sub", paths=supported_paths(enl_sub))
@@ -942,7 +948,9 @@ def selector_sweep(pt: MartingalePolytope) -> bool:
     return True
 
 
-def check_robust_model(model: MarketModel, *, submarkets: bool = False) -> dict:
+def check_robust_model(
+    model: MarketModel, *, submarkets: bool = False
+) -> tuple[dict, EnlargedModel]:
     """Full quasi-sure battery for one kernel family.
 
     Stock-only price equals its backward induction, quoted options only
@@ -952,7 +960,8 @@ def check_robust_model(model: MarketModel, *, submarkets: bool = False) -> dict:
     European-book prices run on the n = 1 space of the market without
     the other books, the backward induction on the full n = N + 1
     space, so their equality also checks that the shorts' clocks are
-    irrelevant to a stock hedge.
+    irrelevant to a stock hedge.  Returns the record and the n = N
+    space, for check_minimax_instance.
     """
     enl_sub, enl_sup = enlarge(model, model.N), enlarge(model, model.N + 1)
     if not robust_na(enl_sub).holds:
@@ -963,14 +972,15 @@ def check_robust_model(model: MarketModel, *, submarkets: bool = False) -> dict:
         stock_only = price_with_dual(stock, "super", paths=supported_paths(stock))[0].price
     except SnaFailure as exc:
         raise PropertyViolation("stock-only super-hedge is unbounded") from exc
-    dp = dp_superhedge(enl_sup, extend_claim(enl_sup, "super"))
+    supported = supported_paths(enl_sup)
+    dp = dp_superhedge(enl_sup, extend_claim(enl_sup, "super"), paths=supported)
     if stock_only != dp.value:
         raise PropertyViolation(
             "stock-only price disagrees with its backward induction")
 
     # the quasi-sure prices, with the supported polytopes ftap_transfer reads
     sub, pt_sub = price_with_dual(enl_sub, "sub", paths=supported_paths(enl_sub))
-    sup, pt_sup = price_with_dual(enl_sup, "super", paths=supported_paths(enl_sup))
+    sup, pt_sup = price_with_dual(enl_sup, "super", paths=supported)
     if not sub.price <= sup.price <= stock_only:
         raise PropertyViolation("quasi-sure prices are not sandwiched")
 
@@ -1021,21 +1031,20 @@ def check_robust_model(model: MarketModel, *, submarkets: bool = False) -> dict:
             else:
                 if sup2.price > sup.price or sub2.price < sub.price:
                     raise PropertyViolation("shrinking the family widened the price interval")
-    return record
+    return record, enl_sub
 
 
 def check_minimax_instance(
-    rng: random.Random, model: MarketModel, *, cap: int = DEFAULT_ENUM_CAP
+    rng: random.Random, enl: EnlargedModel, *, cap: int = DEFAULT_ENUM_CAP
 ) -> dict:
-    """Liquidation/measure interchange on explicit small generators."""
-    enl = enlarge(model, model.N)
+    """Liquidation/measure interchange on a kernel market's n = N space."""
     num_streams = rng.choice([1, 2])
     streams = []
     for _ in range(num_streams):
         streams.append({
             v: _grid_value(rng, Q(-1), Q(2)) for v in supported_enodes(enl)
         })
-    vertices = [vertex_measure(enl, sel) for sel in selectors(model)]
+    vertices = [vertex_measure(enl, sel) for sel in selectors(enl.model)]
     if len(vertices) > 3:
         tilted = []
         for base in vertices[:3]:
@@ -1092,7 +1101,7 @@ def run_campaign(
         grid, sna = check_ftap_grid(pt_sub.enl, expect="sna")
         chain = check_chain(sna, duality, pt_sub, pt_sup, argmax, cap=cap)
         degen = check_degenerations(pt_sub.enl, pt_sup.enl, sna, duality)
-        singleton = check_singleton_robust(gm, sna, duality)
+        singleton = check_singleton_robust(pt_sub.enl, pt_sup.enl, gm.laws, sna, duality)
         for key, rec in (("duality", duality), ("ftap", grid), ("chain", chain),
                          ("degenerations", degen), ("singleton", singleton)):
             rec = dict(rec)
@@ -1138,21 +1147,21 @@ def run_campaign(
         note(f"divisibility {i + 1}/{n_div} ok (seed {mseed})")
 
     n_kern = scaled(30)
-    kernel_models = []
+    kernel_spaces = []
     for i in range(n_kern):
         mseed = rng.randrange(2 ** 32)
         mrng = random.Random(mseed)
         model = random_kernel_model(mrng, seed=mseed).model
-        kernel_models.append((mseed, model))
-        rec = check_robust_model(model, submarkets=(i % 3 == 0))
+        rec, enl = check_robust_model(model, submarkets=(i % 3 == 0))
+        kernel_spaces.append((mseed, enl))
         rec["seed"] = mseed
         sections["kernel"].append(rec)
         note(f"kernel {i + 1}/{n_kern} ok (seed {mseed})")
 
     n_mm = scaled(20)
     for i in range(n_mm):
-        mseed, model = kernel_models[i % len(kernel_models)]
-        rec = check_minimax_instance(random.Random(mseed ^ 0x5EED), model, cap=cap)
+        mseed, enl = kernel_spaces[i % len(kernel_spaces)]
+        rec = check_minimax_instance(random.Random(mseed ^ 0x5EED), enl, cap=cap)
         rec["seed"] = mseed
         sections["minimax"].append(rec)
         note(f"minimax {i + 1}/{n_mm} ok (seed {mseed})")

@@ -562,33 +562,3 @@ def detect_arbitrage(
         raise PropertyViolation("arbitrage witness expectation mismatch")
     return ArbitrageReport(found=True, gain=out.value, strategy=strat, gains=gains)
 
-
-@dataclass
-class SnaReport:
-    holds: bool
-    epsilon: Q
-    certificate: object    # MeasureCertificate from the dual side
-    primal_clear: bool | None = None
-
-
-def check_sna(pt) -> SnaReport:
-    """Strict no-arbitrage verdict with dual witness and primal cross-check.
-
-    pt is the MeasurePolytope of the market's space.  epsilon* is its
-    maximal uniform slack at the model's quotes; SNA holds iff
-    epsilon* > 0, in which case quotes moved by epsilon*/2 in the
-    trader's favour still admit no arbitrage (verified primally).
-    """
-    from .measures import ftap_certificate
-
-    enl = pt.enl
-    sna, cert = ftap_certificate(pt)
-    primal_clear = None
-    if sna:
-        shifted = enl.with_model(enl.model.shifted_prices(cert.slack / 2))
-        primal_clear = not detect_arbitrage(shifted).found
-        if not primal_clear:
-            raise PropertyViolation(
-                "dual slack promises SNA but shifted prices admit arbitrage"
-            )
-    return SnaReport(holds=sna, epsilon=cert.slack, certificate=cert, primal_clear=primal_clear)

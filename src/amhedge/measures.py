@@ -8,8 +8,9 @@ sup_tau E_Q[g_tau] at or below its ask.  That supremum is written as one
 mass-weighted Snell-envelope block, linear in Q and of the size of the
 support forest, which keeps the feasible set an honest polytope in Q.
 That polytope, MeasurePolytope, is the one input of every dual,
-certificate and transport below.  In this module only the oracle
-e2_chain enumerates stopping times, under its cap.
+certificate and transport below, except dp_superhedge, which folds a
+terminal payoff back over the support forest by one-step LPs.  In this
+module only the oracle e2_chain enumerates stopping times, under its cap.
 """
 from __future__ import annotations
 
@@ -20,7 +21,15 @@ from typing import Callable, Hashable, Iterable, Iterator, Literal, Sequence
 
 from .enlarged import EnlargedModel, extend_claim
 from .errors import PropertyViolation, SnaFailure
-from .hedging import HedgeReport, SemiStaticStrategy, check_hedge, ray_summary
+from .hedging import (
+    HedgeReport,
+    SemiStaticStrategy,
+    check_hedge,
+    detect_arbitrage,
+    enlarged_reading,
+    evaluate_gain,
+    ray_summary,
+)
 from .lp import LinearProgram, LPOutcome, SlackOutcome, max_slack, solve
 from .market import MarketModel
 from .rationals import ONE, ZERO, Q, rat_str
@@ -35,11 +44,15 @@ __all__ = [
     "MartingalePolytope",
     "MeasurePolytope",
     "MeasureCertificate",
+    "SnaReport",
+    "DpReport",
     "build_polytope",
     "ftap_certificate",
+    "check_sna",
     "price_with_dual",
     "martingale_increments",
     "one_step_polytope",
+    "dp_superhedge",
     "lift_measure_uniform_clock",
     "push_stopping_measure",
     "snell_value",
@@ -266,6 +279,93 @@ def one_step_polytope(
         for kid, var in q_var.items()
     )
     return lp, q_var, _add_martingale_rows(lp, moves, str)
+
+
+@dataclass
+class DpReport:
+    value: Q
+    strategy: dict[tuple[int, int], Q]
+    lp_count: int
+
+
+def _one_step_hedge(
+    model: MarketModel, nid: str, succ: tuple[tuple[str, Q], ...]
+) -> tuple[Q, dict[int, Q]]:
+    """Best one-step martingale expectation of (child, value) pairs from
+    base node nid, with its hedge ratios; SnaFailure if no law exists.
+
+    Verified duals of a max LP satisfy A^T y >= c, and the mass row's
+    dual is the value, so value + H . step >= the value of each child,
+    H the duals of the mart rows; checked again here exactly.
+    """
+    lp, q_var, mart_rows = one_step_polytope(model, nid, [c for c, _ in succ])
+    lp.set_objective("max", {q_var[c]: val for c, val in succ if val})
+    out = solve(lp)
+    if out.status == "infeasible":
+        raise SnaFailure(f"no one-step martingale law at {nid} (local arbitrage)",
+                         certificate={"node": nid})
+    if out.status != "optimal":
+        raise PropertyViolation(f"one-step LP unexpectedly {out.status} at {nid}")
+    ratios = {d: out.duals[r] for r, _, d in mart_rows}
+    here = model.stock.at(nid)
+    for c, val in succ:
+        gain = sum((h * (model.stock.at(c)[d] - here[d]) for d, h in ratios.items()), ZERO)
+        if out.value + gain < val:
+            raise PropertyViolation(f"one-step duals do not cover {c} from {nid}")
+    return out.value, ratios
+
+
+def dp_superhedge(
+    enl: EnlargedModel,
+    zeta: Sequence[Q] | dict[int, Q],
+    *,
+    paths: Iterable[int] | None = None,
+) -> DpReport:
+    """Backward induction of one-step LPs from a terminal payoff.
+
+    The support forest is spanned by ``paths`` (every path if None; a
+    kernel family's supported_paths give its quasi-sure forest), and
+    zeta[p] is read on each of them; paths and terminal nodes are in
+    bijection because every clock is revealed by the horizon.  At each
+    node the measure splits over base children under the one-step
+    martingale constraint while every unexercised clock branches freely,
+    so clock directions enter through a plain maximum over status
+    successors and the base direction through one_step_polytope, whose
+    duals are the hedge ratios.  That LP depends only on the base node
+    and the successor values, so each distinct one is solved once and
+    ``lp_count`` counts them.  The folded value is the stock
+    super-hedging price on the support; the per-node hedge ratios
+    telescope pathwise, which is verified exactly on every path.
+    """
+    T = enl.horizon
+    paths = range(enl.num_paths) if paths is None else sorted(set(paths))
+    kids: dict[int, set[int]] = {}
+    chi: dict[int, Q] = {}
+    for p in paths:
+        seq = enl.epaths[p].node_seq
+        for v, w in zip(seq, seq[1:]):
+            kids.setdefault(v, set()).add(w)
+        if chi.setdefault(seq[T], zeta[p]) != zeta[p]:
+            raise PropertyViolation("terminal payoff is not a function of the terminal node")
+    solved: dict[tuple, tuple[Q, dict[int, Q]]] = {}
+    strategy: dict[tuple[int, int], Q] = {}
+    for v in sorted(kids, key=lambda v: (-enl.enode(v).time, v)):
+        base = enl.enode(v).base
+        best: dict[str, Q] = {}
+        for w in kids[v]:
+            c = enl.enode(w).base
+            best[c] = max(best.get(c, chi[w]), chi[w])
+        key = (base, tuple((c, best[c]) for c in enl.model.tree.children[base] if c in best))
+        if key not in solved:
+            solved[key] = _one_step_hedge(enl.model, *key)
+        chi[v], ratios = solved[key]
+        strategy.update(((v, d), h) for d, h in ratios.items() if h)
+    value = max(chi[enl.epaths[p].node_seq[0]] for p in paths)
+    for p in paths:
+        gain = evaluate_gain(enl.model, *enlarged_reading(enl, strategy, p))
+        if value + gain < zeta[p]:
+            raise PropertyViolation("dp strategy fails to super-hedge pathwise")
+    return DpReport(value=value, strategy=strategy, lp_count=len(solved))
 
 
 class MeasurePolytope(MartingalePolytope):
@@ -541,6 +641,35 @@ def ftap_certificate(pt: MeasurePolytope) -> tuple[bool, MeasureCertificate]:
     if not ok:
         raise PropertyViolation("slack witness failed re-validation")
     return sna, MeasureCertificate(measure=measure, slack=outcome.slack, ledger=ledger)
+
+
+@dataclass
+class SnaReport:
+    holds: bool
+    epsilon: Q
+    certificate: MeasureCertificate
+    primal_clear: bool | None = None
+
+
+def check_sna(pt: MeasurePolytope) -> SnaReport:
+    """Strict no-arbitrage verdict with dual witness and primal cross-check.
+
+    pt is the MeasurePolytope of the market's space.  epsilon* is its
+    maximal uniform slack at the model's quotes; SNA holds iff
+    epsilon* > 0, in which case quotes moved by epsilon*/2 in the
+    trader's favour still admit no arbitrage (verified primally).
+    """
+    enl = pt.enl
+    sna, cert = ftap_certificate(pt)
+    primal_clear = None
+    if sna:
+        shifted = enl.with_model(enl.model.shifted_prices(cert.slack / 2))
+        primal_clear = not detect_arbitrage(shifted).found
+        if not primal_clear:
+            raise PropertyViolation(
+                "dual slack promises SNA but shifted prices admit arbitrage"
+            )
+    return SnaReport(holds=sna, epsilon=cert.slack, certificate=cert, primal_clear=primal_clear)
 
 
 def _certify_measure(

@@ -17,8 +17,9 @@ The family is the market's own ``MarketModel.kernels``; everything here
 reads it off the space or market it is given, checked by
 check_kernel_family each time.  Quasi-sure prices and the quasi-sure
 FTAP are measures.price_with_dual and ftap_certificate with
-``paths=supported_paths(enl)``.  An enlarged space does not depend on
-the kernels, so another family on the same space is
+``paths=supported_paths(enl)``, and the backward induction is
+measures.dp_superhedge on the same paths.  An enlarged space does not
+depend on the kernels, so another family on the same space is
 ``enl.with_model(dataclasses.replace(model, kernels=...))``.
 """
 from __future__ import annotations
@@ -30,8 +31,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .enlarged import EnlargedModel, enlarge
-from .errors import CapExceededError, ModelFormatError, PropertyViolation, SnaFailure
-from .hedging import detect_arbitrage, enlarged_reading, evaluate_gain
+from .errors import CapExceededError, ModelFormatError, PropertyViolation
+from .hedging import detect_arbitrage
 from .lp import LinearProgram, solve
 from .market import EventTree, MarketModel, check_kernel_family
 from .measures import (
@@ -40,7 +41,6 @@ from .measures import (
     MeasurePolytope,
     build_polytope,
     ftap_certificate,
-    one_step_polytope,
     restricted_stopping_times,
 )
 from .rationals import ONE, ZERO, Q, rat_str
@@ -61,20 +61,15 @@ def kernel_family(model: MarketModel) -> dict[str, list[tuple[Q, ...]]]:
     return {nid: model.kernels[nid] for nid in internal}
 
 
-def _supported_edges(model: MarketModel) -> set[tuple[str, str]]:
-    """Edges that some vertex of the family charges."""
-    kids = model.tree.children
-    return {(nid, kid) for nid, vertices in kernel_family(model).items()
-            for vec in vertices for kid, w in zip(kids[nid], vec) if w > 0}
-
-
 def supported_paths(enl: EnlargedModel) -> list[int]:
     """Enlarged paths whose base path runs along charged edges only.
 
     Every vertex is a distribution, so the support always holds a
     complete path; clocks do not matter.
     """
-    edges = _supported_edges(enl.model)
+    kids = enl.model.tree.children
+    edges = {(nid, kid) for nid, vertices in kernel_family(enl.model).items()
+             for vec in vertices for kid, w in zip(kids[nid], vec) if w > 0}
     keep = {idx for idx, path in enumerate(enl.model.tree.paths)
             if all(edge in edges for edge in zip(path, path[1:]))}
     return [p for p, ep in enumerate(enl.epaths) if ep.base_index in keep]
@@ -165,117 +160,6 @@ def robust_na(enl: EnlargedModel) -> RobustNaReport:
             "primal no-arbitrage verdict disagrees with the supported martingale measure"
         )
     return RobustNaReport(holds=holds, gain=arb.gain, witness=witness, certificate=certificate)
-
-
-# -- backward dynamic programming ---------------------------------------------
-
-
-@dataclass
-class DpStage:
-    """One backward step: values and hedge ratios on time-t nodes."""
-
-    values: dict[int, Q]
-    strategy: dict[tuple[int, int], Q]
-    infeasible: list[int]
-    lp_count: int
-
-
-def dp_operator(enl: EnlargedModel, chi: dict[int, Q], t: int) -> DpStage:
-    """One-step value: best dominated martingale expectation per node.
-
-    At each supported time-t node the measure splits over base children
-    under the one-step martingale constraint while every unexercised
-    clock branches freely, so clock directions enter through a plain
-    maximum over status successors and the base direction through a
-    small LP whose duals are the hedge ratios.
-    """
-    stock = enl.model.stock
-    edges = _supported_edges(enl.model)
-    values: dict[int, Q] = {}
-    strategy: dict[tuple[int, int], Q] = {}
-    infeasible: list[int] = []
-    lp_count = 0
-    nodes = [v for v in supported_enodes(enl) if enl.enode(v).time == t]
-    for v in nodes:
-        node = enl.enode(v)
-        here = stock.at(node.base)
-        # supported enlarged children of v grouped by base child node
-        groups: dict[str, list[int]] = {
-            c: [] for c in enl.model.tree.children[node.base] if (node.base, c) in edges}
-        for w in enl.children.get(v, ()):
-            if enl.enode(w).base in groups:
-                groups[enl.enode(w).base].append(w)
-        best: dict[str, Q] = {}
-        for c, enodes in groups.items():
-            if not enodes:
-                raise PropertyViolation(f"missing status successors under {node.label}")
-            best[c] = max(chi[w] for w in enodes)
-        lp, q_var, mart_rows = one_step_polytope(enl.model, node.base, list(groups))
-        lp.set_objective("max", {q_var[c]: best[c] for c in groups if best[c]})
-        out = solve(lp)
-        lp_count += 1
-        if out.status == "infeasible":
-            infeasible.append(v)
-            continue
-        if out.status != "optimal":
-            raise PropertyViolation(f"stage LP unexpectedly {out.status} at {node.label}")
-        values[v] = out.value
-        # verified duals of a max LP satisfy A^T y >= c, and the mass row's
-        # dual is the value, so value + H . step >= best[c] with H the
-        # duals of the mart rows; checked again here exactly
-        ratios = {d: out.duals[r] for r, _, d in mart_rows}
-        for c in groups:
-            gain = sum((h * (stock.at(c)[d] - here[d]) for d, h in ratios.items()), ZERO)
-            if out.value + gain < best[c]:
-                raise PropertyViolation(f"stage duals do not cover successors at {node.label}")
-        strategy.update(((v, d), h) for d, h in ratios.items() if h)
-    return DpStage(values=values, strategy=strategy, infeasible=infeasible, lp_count=lp_count)
-
-
-@dataclass
-class DpReport:
-    value: Q
-    strategy: dict[tuple[int, int], Q]
-    lp_count: int
-
-
-def dp_superhedge(enl: EnlargedModel, zeta: Sequence[Q] | dict[int, Q]) -> DpReport:
-    """Backward induction of the one-step operator from a terminal payoff.
-
-    The terminal payoff zeta[p] is read on every supported path p;
-    paths and terminal nodes are in bijection because every clock is
-    revealed by the horizon.  The folded value is the quasi-sure stock
-    super-hedging price and the per-node hedge ratios telescope
-    pathwise, which is verified exactly.
-    """
-    T = enl.horizon
-    paths = supported_paths(enl)
-    chi: dict[int, Q] = {}
-    for p in paths:
-        v = enl.epaths[p].node_seq[T]
-        val = zeta[p]
-        if v in chi and chi[v] != val:
-            raise PropertyViolation("terminal payoff is not a function of the terminal node")
-        chi[v] = val
-    strategy: dict[tuple[int, int], Q] = {}
-    lp_count = 0
-    for t in range(T - 1, -1, -1):
-        stage = dp_operator(enl, chi, t)
-        if stage.infeasible:
-            labels = [enl.enode(v).label for v in stage.infeasible]
-            raise SnaFailure(
-                "no one-step martingale measure at some nodes (local arbitrage)",
-                certificate={"nodes": labels},
-            )
-        strategy.update(stage.strategy)
-        lp_count += stage.lp_count
-        chi = stage.values
-    value = max(chi[enl.epaths[p].node_seq[0]] for p in paths)
-    for p in paths:
-        gain = evaluate_gain(enl.model, *enlarged_reading(enl, strategy, p))
-        if value + gain < zeta[p]:
-            raise PropertyViolation("dp strategy fails to super-hedge pathwise")
-    return DpReport(value=value, strategy=strategy, lp_count=lp_count)
 
 
 # -- pricing consistency ------------------------------------------------------

@@ -27,17 +27,18 @@ from amhedge.campaign import (
 from amhedge.divisible import verify_divisibility_equivalence
 from amhedge.enlarged import enlarge, extend_claim
 from amhedge.errors import PropertyViolation
-from amhedge.hedging import check_sna, subhedge, superhedge
+from amhedge.hedging import subhedge, superhedge
 from amhedge.measures import (
     MartingalePolytope,
     build_polytope,
+    check_sna,
+    dp_superhedge,
     e2_chain,
     ftap_certificate,
     price_with_dual,
 )
 from amhedge.rationals import Q, ZERO, rat_str
 from amhedge.robust import (
-    dp_superhedge,
     drop_options,
     robust_na,
     selectors,
@@ -221,7 +222,8 @@ def test_criterion_5_robust_duality_and_dp(capfd):
             # the stock-only price on the 1-clock space of the market
             # without its books, against the induction on the full space
             stock = _qs_price(enlarge(drop_options(model), 1), "super")
-            dp = dp_superhedge(enl_sup, extend_claim(enl_sup, "super"))
+            dp = dp_superhedge(enl_sup, extend_claim(enl_sup, "super"),
+                               paths=supported_paths(enl_sup))
             if stock.price != dp.value:
                 failures.append(f"kernel {k}: backward induction disagrees with the LP")
             sub = _qs_price(enl_sub, "sub")
@@ -266,8 +268,9 @@ def test_criterion_6_robust_ftap_and_domination(capfd):
         for i in range(15):
             gm = _corpus()[i]
             sna, duality, _ = _evaluate(i)
+            pt_sub, pt_sup, _ = _POLYTOPES[i]
             try:
-                check_singleton_robust(gm, sna, duality)
+                check_singleton_robust(pt_sub.enl, pt_sup.enl, gm.laws, sna, duality)
                 singles += 1
             except PropertyViolation as exc:
                 failures.append(f"singleton {i}: {exc}")

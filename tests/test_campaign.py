@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import random
+import sys
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -24,12 +26,12 @@ from amhedge.campaign import (
     strict_chain_market,
     trinomial_two_kernels,
 )
-from amhedge.enlarged import enlarge
+from amhedge.enlarged import EnlargedModel, enlarge
 from amhedge.errors import PropertyViolation
-from amhedge.hedging import check_sna
 from amhedge.market import emit_model, load_model
 from amhedge.measures import (
     build_polytope,
+    check_sna,
     e2_chain,
     ftap_certificate,
     price_with_dual,
@@ -176,21 +178,41 @@ def _count_lps(monkeypatch, check):
 def test_dropped_vertex_keeping_the_support_reuses_the_prices(monkeypatch):
     # both vertices charge both moves, so dropping one keeps the support
     model = load_model(binomial_dict(kernels={"r": [["1/2", "1/2"], ["1/3", "2/3"]]}))
-    record, lps = _count_lps(monkeypatch, lambda: check_robust_model(model))
+    record, lps = _count_lps(monkeypatch, lambda: check_robust_model(model)[0])
     assert record["dropped_vertex"] == "r" and record["dropped_consistent"]
     # a tuple never equals the polytope's path list, which forces the
     # two price LPs that an unchanged support skips
     real = campaign.supported_paths
     monkeypatch.setattr(campaign, "supported_paths", lambda enl: tuple(real(enl)))
-    forced, forced_lps = _count_lps(monkeypatch, lambda: check_robust_model(model))
+    forced, forced_lps = _count_lps(monkeypatch, lambda: check_robust_model(model)[0])
     assert forced == record and lps == forced_lps - 2
 
 
 def test_dropped_vertex_shrinking_the_support_prices_again():
     # without its last, interior vertex the family charges the up move only
     model = load_model(binomial_dict(kernels={"r": [["1", "0"], ["1/2", "1/2"]]}))
-    record = check_robust_model(model)
+    record, _ = check_robust_model(model)
     assert record["dropped_vertex"] == "r" and not record["dropped_consistent"]
+
+
+def test_campaign_reuses_the_spaces_it_holds(monkeypatch):
+    # builds counted by the nearest campaign function on the stack: the
+    # singleton check enlarges only robust_na's stock space, the minimax
+    # check none (68 builds, 5 of them repeats, before the reuse)
+    built = Counter()
+    real = EnlargedModel.__init__
+
+    def counting(self, *args, **kwargs):
+        frame = sys._getframe(1)
+        while frame.f_globals["__name__"] != "amhedge.campaign":
+            frame = frame.f_back
+        built[frame.f_code.co_name] += 1
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(EnlargedModel, "__init__", counting)
+    run_campaign(3, models=1)
+    assert built["check_singleton_robust"] == 1 and "check_minimax_instance" not in built
+    assert sum(built.values()) == 63
 
 
 def test_depth_zero_market():

@@ -14,7 +14,6 @@ from amhedge.enlarged import enlarge
 from amhedge.errors import PropertyViolation, SnaFailure
 from amhedge.hedging import (
     SemiStaticStrategy,
-    check_sna,
     detect_arbitrage,
     payoff_enlarged,
     subhedge,
@@ -22,7 +21,7 @@ from amhedge.hedging import (
     superhedge,
 )
 from amhedge.market import load_model
-from amhedge.measures import build_polytope
+from amhedge.measures import build_polytope, check_sna
 from amhedge.rationals import ONE, Q, ZERO
 
 from conftest import binomial_dict

@@ -1,8 +1,11 @@
-"""Every top-level import of the package is used by its module.
+"""Every top-level import of the package is used by its module, and the
+package's modules import each other without a cycle.
 
 A deletion that leaves an import behind fails here.  A name counts as
 used when the module reads it (a bare name, the base of an attribute,
-or a name inside a quoted annotation) or lists it in ``__all__``.
+or a name inside a quoted annotation) or lists it in ``__all__``.  The
+import graph counts every relative import, function-local ones too, so
+a cycle cannot hide inside a function body.
 """
 from __future__ import annotations
 
@@ -64,3 +67,52 @@ def test_checker_sees_unused_and_exported_names():
         "    return kept(os.sep)\n"
     )
     assert unused_imports(source) == [(2, "osp"), (3, "Iterator")]
+
+
+def package_imports(source: str) -> set[str]:
+    """Sibling modules named by any relative import of the source."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                found.add(node.module.split(".")[0])
+            else:
+                found |= {alias.name for alias in node.names}
+    return found
+
+
+def import_cycle(graph: dict[str, set[str]]) -> list[str]:
+    """One cycle of the graph as a closed walk, or [] if it has none."""
+    state: dict[str, str] = {}
+    stack: list[str] = []
+
+    def visit(mod: str) -> list[str]:
+        state[mod] = "open"
+        stack.append(mod)
+        for dep in sorted(graph.get(mod, ())):
+            if state.get(dep) == "open":
+                return stack[stack.index(dep):] + [dep]
+            if dep not in state and (cycle := visit(dep)):
+                return cycle
+        state[mod] = "done"
+        stack.pop()
+        return []
+
+    for mod in sorted(graph):
+        if mod not in state and (cycle := visit(mod)):
+            return cycle
+    return []
+
+
+def test_package_import_graph_has_no_cycle():
+    graph = {p.stem: package_imports(p.read_text()) for p in PACKAGE.glob("*.py")}
+    assert import_cycle(graph) == []
+
+
+def test_cycle_finder_sees_function_local_imports():
+    a = "from .b import f\n"
+    b = "def f():\n    from .a import g\n    return g\n"
+    graph = {"a": package_imports(a), "b": package_imports(b)}
+    assert graph == {"a": {"b"}, "b": {"a"}}
+    assert import_cycle(graph) == ["a", "b", "a"]
+    assert import_cycle({"a": {"b"}, "b": set()}) == []

@@ -19,6 +19,7 @@ from amhedge.lp import format_lp, solve
 from amhedge.market import load_model
 from amhedge.measures import (
     build_polytope,
+    dp_superhedge,
     e2_chain,
     ftap_certificate,
     lift_measure_uniform_clock,
@@ -29,10 +30,12 @@ from amhedge.measures import (
     strict_value_bracket,
 )
 from amhedge.rationals import ONE, Q, ZERO
-from amhedge.robust import supported_paths
+from amhedge.robust import drop_options, supported_paths
 from amhedge.strategies import StoppingTime
 
 from conftest import binomial_dict, binomial_put_book_dict, unbranched_book_dicts
+from test_lp_fingerprints import recorded  # noqa: F401  (fixture)
+from test_report_bytes import CAMPAIGN_MODELS, CONFTEST_MODELS, _model
 
 
 def _path(enl, base_index, clocks):
@@ -320,3 +323,26 @@ def test_polytope_at_other_quotes_is_the_rebuilt_polytope():
         assert format_lp(moved.lp) == format_lp(build_polytope(shifted).lp)
         assert moved.enl is shifted and moved.lp.rows[0] is not pt.lp.rows[0]
     assert format_lp(pt.lp) == format_lp(build_polytope(enl).lp)
+
+
+@pytest.mark.parametrize("name", [*CONFTEST_MODELS, *CAMPAIGN_MODELS])
+def test_dp_equals_the_stock_only_measure_lp(name, request, recorded):
+    # the stock-only super price of every report fixture, by both routes:
+    # every path on a market without kernels, the supported ones with them
+    model = drop_options(_model(request, name))
+    enl = enlarge(model, 1)
+    paths = None if model.kernels is None else supported_paths(enl)
+    price = price_with_dual(enl, "super", paths=paths)[0].price
+    recorded.clear()
+    dp = dp_superhedge(enl, extend_claim(enl, "super"), paths=paths)
+    assert dp.value == price
+    assert len(set(recorded)) == len(recorded) == dp.lp_count
+
+
+def test_dp_solves_each_one_step_lp_once(two_period, recorded):
+    # recombining nodes and fired clocks give equal successor values
+    enl = enlarge(two_period, 1)
+    dp = dp_superhedge(enl, extend_claim(enl, "super"))
+    internal = {v for ep in enl.epaths for v in ep.node_seq[:-1]}
+    assert len(set(recorded)) == len(recorded) == dp.lp_count < len(internal)
+    assert dp.value == price_with_dual(enl, "super")[0].price

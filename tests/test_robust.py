@@ -17,11 +17,15 @@ from amhedge.enlarged import enlarge, extend_claim
 from amhedge.errors import ModelFormatError, SnaFailure
 from amhedge.hedging import subhedge, superhedge
 from amhedge.market import load_model
-from amhedge.measures import MartingalePolytope, build_polytope, ftap_certificate, price_with_dual
+from amhedge.measures import (
+    MartingalePolytope,
+    build_polytope,
+    dp_superhedge,
+    ftap_certificate,
+    price_with_dual,
+)
 from amhedge.rationals import ONE, Q, ZERO
 from amhedge.robust import (
-    dp_operator,
-    dp_superhedge,
     drop_options,
     ftap_transfer,
     num_selectors,
@@ -161,13 +165,18 @@ def _put_super_target(kern):
     return model, enl, zeta
 
 
+def _dp(enl, zeta):
+    """The quasi-sure backward induction: the DP on the supported paths."""
+    return dp_superhedge(enl, zeta, paths=supported_paths(enl))
+
+
 def test_dp_matches_stock_superhedge():
     _, enl, zeta = _put_super_target(INTERIOR)
-    dp = dp_superhedge(enl, zeta)
+    dp = _dp(enl, zeta)
     assert dp.value == Q(1, 3)
-    # one LP per supported root atom
+    # the 4 supported root atoms share 2 distinct one-step LPs, each solved once
     roots = {enl.epaths[p].node_seq[0] for p in supported_paths(enl)}
-    assert dp.lp_count == len(roots)
+    assert len(roots) == 4 and dp.lp_count == 2
 
 
 def test_stock_only_price_ignores_the_short_clocks():
@@ -176,20 +185,21 @@ def test_stock_only_price_ignores_the_short_clocks():
     # backward induction on the 2-clock space of the market with it
     model, enl, zeta = _put_super_target(INTERIOR)
     assert model.N == 1 and enl.n == 2
-    assert _stock_only(model).price == dp_superhedge(enl, zeta).value
+    assert _stock_only(model).price == _dp(enl, zeta).value
 
 
 def test_dp_raises_on_local_arbitrage():
     _, enl, zeta = _put_super_target(SURE_UP)
     with pytest.raises(SnaFailure):
-        dp_superhedge(enl, zeta)
+        _dp(enl, zeta)
 
 
-def test_dp_operator_pins_martingale():
+def test_dp_pins_martingale():
+    # the stock itself is super-hedged at its price today, by one share
     enl = enlarge(_binomial(INTERIOR), 0)
-    chi = {enl.epaths[p].node_seq[1]: enl.stock_at(p, 1)[0] for p in range(enl.num_paths)}
-    stage = dp_operator(enl, chi, 0)
-    assert list(stage.values.values()) == [ONE]
+    dp = _dp(enl, [enl.stock_at(p, 1)[0] for p in range(enl.num_paths)])
+    assert dp.value == enl.stock_at(0, 0)[0] == ONE
+    assert dp.strategy == {(enl.epaths[0].node_seq[0], 0): ONE}
 
 
 TWO_VERTEX = {"r": [["1/3", "1/3", "1/3"], ["1/2", "0", "1/2"]]}
@@ -203,7 +213,7 @@ def test_two_vertex_support_and_prices():
     assert sorted({enl.epaths[p].base_index for p in supported_paths(enl)}) == [0, 1, 2]
     zeta = {0: ONE, 1: ZERO, 2: ZERO}
     assert _stock_only(model).price == Q(1, 3)
-    assert dp_superhedge(enl, zeta).value == Q(1, 3)
+    assert _dp(enl, zeta).value == Q(1, 3)
     na = robust_na(enl)
     assert na.holds
     # the martingale law (1/4, 1/4, 1/2) charges all three paths
