@@ -338,11 +338,3 @@ def test_dp_equals_the_stock_only_measure_lp(name, request, recorded):
     assert dp.value == price
     assert len(set(recorded)) == len(recorded) == dp.lp_count
 
-
-def test_dp_solves_each_one_step_lp_once(two_period, recorded):
-    # recombining nodes and fired clocks give equal successor values
-    enl = enlarge(two_period, 1)
-    dp = dp_superhedge(enl, extend_claim(enl, "super"))
-    internal = {v for ep in enl.epaths for v in ep.node_seq[:-1]}
-    assert len(set(recorded)) == len(recorded) == dp.lp_count < len(internal)
-    assert dp.value == price_with_dual(enl, "super")[0].price
