@@ -1,20 +1,22 @@
 """Exact rational linear programming with verified certificates.
 
 Two-phase primal simplex over exact rationals, Bland's rule throughout
-(deterministic, cycle-free).  The tableau is fraction-free: each row is a
-list of Python ints over one positive denominator, put in lowest terms only
-when that denominator outgrows ``_REDUCE_BITS`` bits, so a pivot does
-integer arithmetic only and rationals are built just for the returned point
-and certificates.  Every solve returns,
-besides the optimum:
+(deterministic, cycle-free).  The tableau is sparse and fraction-free:
+each row is a dict of its nonzero Python ints over one positive
+denominator, put in lowest terms only when that denominator outgrows
+``_REDUCE_BITS`` bits, and a column index lists the rows where each column
+is nonzero, so a pivot does integer arithmetic on nonzeros only and
+rationals are built just for the returned point and certificates.  Every
+solve returns, besides the optimum:
 
 * optimal       -- primal point, dual multipliers; strong duality and both
                    feasibilities are re-checked exactly before returning,
 * infeasible    -- a Farkas certificate (verified),
 * unbounded     -- an improving ray (verified).
 
-The solver never touches floats.  A failed internal check raises
-LPInternalError rather than returning a wrong answer.
+Each certificate is re-checked in integers against the LP alone, never
+the tableau.  The solver never touches floats.  A failed internal check
+raises LPInternalError rather than returning a wrong answer.
 """
 from __future__ import annotations
 
@@ -122,15 +124,20 @@ def format_lp(lp: LinearProgram) -> str:
 
 
 class _Tableau:
-    """Simplex tableau in integer rows; columns = structural(+split) | slacks | artificials.
+    """Simplex tableau in sparse integer rows; columns = structural(+split) | slacks | artificials.
 
-    Constraint row i is a list of Python ints, its right-hand side last,
-    over the positive denominator ``den[i]``; the objective row ``zrow``
-    holds the reduced costs and then -z over ``zden``.  A row need not be
-    in lowest terms (see ``_eliminate``), but its denominator is positive,
-    so an entry's sign is its numerator's sign and the ratio test compares
-    rhs/entry by cross-multiplying (the row's common factor cancels).
-    Rationals are built, and normalised, only when a result is read.
+    Constraint row i is a dict {column: int} of its nonzeros, its
+    right-hand side under the key ``ncols``, over the positive denominator
+    ``den[i]``; an entry that elimination brings to 0 is deleted.  The
+    column index ``col_rows[c]`` is the set of rows with a nonzero in
+    column c (``c = ncols`` for the rhs), so a pivot eliminates, and the
+    ratio test visits, only those rows.  The objective row ``zrow`` stays a
+    dense list, the reduced costs and then -z over ``zden``, so Bland's
+    entering scan is one pass.  A row need not be in lowest terms (see
+    ``_eliminate``), but its denominator is positive, so an entry's sign is
+    its numerator's sign and the ratio test compares rhs/entry by
+    cross-multiplying (the row's common factor cancels).  Rationals are
+    built, and normalised, only when a result is read.
     """
 
     def __init__(self, lp: LinearProgram):
@@ -162,28 +169,31 @@ class _Tableau:
         # a row with a negative rhs is negated (its relation flips) so that
         # every rhs starts nonnegative; its dual is negated back on reading
         self.flip = [row.rhs < 0 for row in lp.rows]
-        self.rows: list[list[int]] = []
+        self.rows: list[dict[int, int]] = []
         self.den: list[int] = []
         self.basis: list[int] = []
+        self.col_rows: list[set[int]] = [set() for _ in range(self.ncols + 1)]
         for i, row in enumerate(lp.rows):
             sgn = -1 if self.flip[i] else 1
-            d = lcm(int(row.rhs.denominator), *(int(v.denominator) for v in row.coeffs.values()))
-            dense = [0] * (self.ncols + 1)
-            for j, v in row.coeffs.items():
-                a = sgn * int(v.numerator) * (d // int(v.denominator))
-                dense[self.pos_col[j]] = a
+            coeffs, b, d = _integer_row(row.coeffs, row.rhs)
+            sparse: dict[int, int] = {}
+            for j, a in coeffs.items():
+                sparse[self.pos_col[j]] = sgn * a
                 nc = self.neg_col[j]
                 if nc is not None:
-                    dense[nc] = -a
+                    sparse[nc] = -sgn * a
             sc = self.slack_col[i]
             if sc is not None:
-                dense[sc] = sgn * d if row.rel == "<=" else -sgn * d
-            dense[self.art_col[i]] = d
-            dense[-1] = sgn * int(row.rhs.numerator) * (d // int(row.rhs.denominator))
-            self.rows.append(dense)
+                sparse[sc] = sgn * d if row.rel == "<=" else -sgn * d
+            sparse[self.art_col[i]] = d
+            if b:
+                sparse[self.ncols] = sgn * b
+            for c in sparse:
+                self.col_rows[c].add(i)
+            self.rows.append(sparse)
             self.den.append(d)
             # a slack with coefficient +1 starts basic at the nonnegative rhs
-            self.basis.append(sc if sc is not None and dense[sc] > 0 else self.art_col[i])
+            self.basis.append(sc if sc is not None and sparse[sc] > 0 else self.art_col[i])
         self.zrow: list[int] = [0] * (self.ncols + 1)
         self.zden = 1
         self.pivots = 0
@@ -204,26 +214,27 @@ class _Tableau:
             if cb:
                 d = int(cb.denominator) * self.den[i]
                 big = lcm(zden, d)
-                s, k = big // zden, int(cb.numerator) * (big // d)
-                zrow, zden = _bounded([z * s - k * a for z, a in zip(zrow, self.rows[i])], big)
+                k = int(cb.numerator) * (big // d)
+                zrow, zden = _combine(zrow, zden, big // zden, k, self.rows[i].items())
         self.zrow, self.zden = zrow, zden
 
     def pivot(self, r: int, c: int) -> None:
-        rows, den = self.rows, self.den
+        rows, den, col_rows = self.rows, self.den, self.col_rows
         prow = rows[r]
         # the pivot row over its pivot entry: its old denominator cancels
         p = prow[c]
-        prow, pd = _lowest(prow, p) if p > 0 else _lowest([-v for v in prow], -p)
+        prow, pd = _lowest(prow, p) if p > 0 else _lowest({k: -v for k, v in prow.items()}, -p)
         rows[r], den[r] = prow, pd
-        nz = [(k, v) for k, v in enumerate(prow) if v]
-        for i, row in enumerate(rows):
+        # column c cancels in every other row, which leaves only row r in it
+        nz = [(k, v) for k, v in prow.items() if k != c]
+        targets, col_rows[c] = col_rows[c], {r}
+        for i in targets:
             if i != r:
-                f = row[c]
-                if f:
-                    rows[i], den[i] = _eliminate(row, den[i], f, nz, pd)
+                rows[i], den[i] = _eliminate(rows[i], den[i], nz, pd, c, i, col_rows)
         f = self.zrow[c]
         if f:
-            self.zrow, self.zden = _eliminate(self.zrow, self.zden, f, nz, pd)
+            h = gcd(f, pd)
+            self.zrow, self.zden = _combine(self.zrow, self.zden, pd // h, f // h, prow.items())
         self.basis[r] = c
         self.pivots += 1
         if self.pivots > _MAX_PIVOTS:
@@ -239,15 +250,17 @@ class _Tableau:
                 break
         if enter < 0:
             return "optimal"
-        # min rhs/a over a > 0, ties to the smallest basic column; rhs/a is
-        # compared as b/a < b'/a'  <=>  b*a' < b'*a  (a, a' > 0)
-        basis = self.basis
+        # min rhs/a over a > 0, ties to the smallest basic column, so the
+        # order the index lists rows in moves no pivot; rhs/a is compared
+        # as b/a < b'/a'  <=>  b*a' < b'*a  (a, a' > 0)
+        rows, basis, rc = self.rows, self.basis, self.ncols
         leave = -1
         best_b = best_a = 0
-        for i, row in enumerate(self.rows):
+        for i in self.col_rows[enter]:
+            row = rows[i]
             a = row[enter]
             if a > 0:
-                b = row[-1]
+                b = row.get(rc, 0)
                 if leave < 0:
                     leave, best_b, best_a = i, b, a
                     continue
@@ -274,38 +287,70 @@ class _Tableau:
         return ys
 
 
-def _lowest(row: list[int], d: int) -> tuple[list[int], int]:
+def _integer_row(coeffs: dict[int, Q], rhs: Q) -> tuple[dict[int, int], int, int]:
+    """(a, b, d): the row coeffs.x ? rhs times d, the lcm of its denominators."""
+    d = lcm(int(rhs.denominator), *(int(v.denominator) for v in coeffs.values()))
+    return ({j: int(v.numerator) * (d // int(v.denominator)) for j, v in coeffs.items()},
+            int(rhs.numerator) * (d // int(rhs.denominator)), d)
+
+
+def _lowest(row: dict[int, int], d: int) -> tuple[dict[int, int], int]:
     """Row over positive denominator d, divided through by their gcd."""
-    g = gcd(d, *row)
+    g = gcd(d, *row.values())
     if g == 1:
         return row, d
-    return [v // g for v in row], d // g
+    return {k: v // g for k, v in row.items()}, d // g
 
 
-def _bounded(row: list[int], d: int) -> tuple[list[int], int]:
-    """Row over positive denominator d, put in lowest terms only past _REDUCE_BITS."""
-    if d.bit_length() > _REDUCE_BITS:
-        return _lowest(row, d)
-    return row, d
+def _combine(zrow: list[int], zden: int, s: int, f: int,
+             nz: Iterable[tuple[int, int]]) -> tuple[list[int], int]:
+    """(zrow*s - f*row) / (zden*s) for the dense objective row; nz lists row's nonzeros.
 
-
-def _eliminate(row: list[int], d: int, f: int, nz: list[tuple[int, int]],
-               pd: int) -> tuple[list[int], int]:
-    """row/d - (f/d) * prow/pd; nz lists prow's nonzeros.
-
-    The result is (row*pd - f*prow) / (d*pd), with gcd(f, pd) cancelled
-    first; prow is subtracted only where it is nonzero.  It is reduced only
-    when its denominator outgrows _REDUCE_BITS: an unreduced row keeps the
-    pivot denominators' factors, so the next s = pd/gcd(f, pd) is often 1.
+    Like a constraint row, it is put in lowest terms only past _REDUCE_BITS.
     """
+    if s != 1:
+        zrow = [z * s for z in zrow]
+        zden *= s
+    for k, v in nz:
+        zrow[k] -= f * v
+    if zden.bit_length() > _REDUCE_BITS:
+        g = gcd(zden, *zrow)
+        if g > 1:
+            return [v // g for v in zrow], zden // g
+    return zrow, zden
+
+
+def _eliminate(row: dict[int, int], d: int, nz: list[tuple[int, int]], pd: int,
+               c: int, i: int, col_rows: list[set[int]]) -> tuple[dict[int, int], int]:
+    """Row i (row/d) minus row[c]/d times the pivot row prow/pd; nz lists prow but c.
+
+    The result is (row*pd - f*prow) / (d*pd), f = row[c], with gcd(f, pd)
+    cancelled first; column c cancels and is dropped, prow is subtracted
+    only where it is nonzero, and an entry reaching 0 is deleted, fill-in
+    and deletion both kept in ``col_rows``.  It is reduced
+    only when its denominator outgrows _REDUCE_BITS: an unreduced row keeps
+    the pivot denominators' factors, so the next s = pd/gcd(f, pd) is often 1.
+    """
+    f = row.pop(c)
     h = gcd(f, pd)
     s, f = pd // h, f // h
     if s != 1:
-        row = [v * s for v in row]
+        row = {k: v * s for k, v in row.items()}
         d *= s
     for k, v in nz:
-        row[k] -= f * v
-    return _bounded(row, d)
+        if k in row:
+            w = row[k] - f * v
+            if w:
+                row[k] = w
+            else:
+                del row[k]
+                col_rows[k].remove(i)
+        else:
+            row[k] = -f * v
+            col_rows[k].add(i)
+    if d.bit_length() > _REDUCE_BITS:
+        return _lowest(row, d)
+    return row, d
 
 
 def _struct_costs(tab: _Tableau, obj: dict[int, Q], sign: Q) -> list[Q]:
@@ -339,17 +384,15 @@ def solve(lp: LinearProgram) -> LPOutcome:
                          pivots=tab.pivots, rows=m, cols=tab.ncols)
 
     # pivot leftover artificials out of the basis; their rows are at zero, so
-    # any nonzero real column works as a degenerate pivot.  Rows with no such
-    # column are redundant and keep their artificial pinned at zero.
+    # the smallest nonzero real column works as a degenerate pivot.  Rows
+    # with no such column are redundant and keep their artificial pinned at 0.
     art_set = set(tab.art_col)
     n_real = tab.ncols - m
     for i in range(m):
         if tab.basis[i] in art_set:
-            row = tab.rows[i]
-            for c in range(n_real):
-                if row[c]:
-                    tab.pivot(i, c)
-                    break
+            c = min((k for k in tab.rows[i] if k < n_real), default=None)
+            if c is not None:
+                tab.pivot(i, c)
 
     # phase 2
     sign = ONE if lp.sense == "max" else -ONE
@@ -362,10 +405,8 @@ def solve(lp: LinearProgram) -> LPOutcome:
         enter = next(c for c in range(tab.ncols) if allowed[c] and tab.zrow[c] > 0)
         direction = [ZERO] * tab.ncols
         direction[enter] = ONE
-        for i, bc in enumerate(tab.basis):
-            a = tab.rows[i][enter]
-            if a:
-                direction[bc] = Q(-a, tab.den[i])
+        for i in tab.col_rows[enter]:
+            direction[tab.basis[i]] = Q(-tab.rows[i][enter], tab.den[i])
         ray = [ZERO] * lp.num_vars
         for j in range(lp.num_vars):
             d = direction[tab.pos_col[j]]
@@ -380,7 +421,7 @@ def solve(lp: LinearProgram) -> LPOutcome:
     primal = [ZERO] * lp.num_vars
     vals = [ZERO] * tab.ncols
     for i, bc in enumerate(tab.basis):
-        vals[bc] = Q(tab.rows[i][-1], tab.den[i])
+        vals[bc] = Q(tab.rows[i].get(tab.ncols, 0), tab.den[i])
     for j in range(lp.num_vars):
         v = vals[tab.pos_col[j]]
         nc = tab.neg_col[j]
@@ -397,81 +438,87 @@ def solve(lp: LinearProgram) -> LPOutcome:
 
 
 # -- exact certificate checks -------------------------------------------
+#
+# Each check reads only the LP and the returned vectors.  It scales every
+# LP row by the lcm of its denominators (``_integer_row``) and puts the
+# vector over one common denominator, so every predicate is an integer
+# comparison with both sides multiplied by the same positive number.
 
 
-def _eval_row(row: _Row, x: list[Q]) -> Q:
-    total = ZERO
-    for j, v in row.coeffs.items():
-        xv = x[j]
-        if xv:
-            total += v * xv
-    return total
+def _common(fracs: Iterable[tuple[int, int]]) -> tuple[list[int], int]:
+    """Numerators of the (num, den > 0) pairs over their common denominator."""
+    fracs = list(fracs)
+    e = lcm(*(d for _, d in fracs))
+    return [n * (e // d) for n, d in fracs], e
+
+
+def _dot(a: dict[int, int], x: list[int]) -> int:
+    return sum(v * x[j] for j, v in a.items())
+
+
+def _violated(rel: Relation, lhs: int, rhs: int) -> bool:
+    return lhs > rhs if rel == "<=" else lhs < rhs if rel == ">=" else lhs != rhs
+
+
+def _scaled_duals(lp: LinearProgram, y: list[Q]) -> tuple[list, list[int], int, list[int]]:
+    """The integer rows (a, b, d), y_i/d_i as z over one denominator e, and A^T z."""
+    rows = [_integer_row(row.coeffs, row.rhs) for row in lp.rows]
+    z, e = _common((int(v.numerator), int(v.denominator) * d) for v, (_, _, d) in zip(y, rows))
+    aty = [0] * lp.num_vars
+    for zi, (a, _, _) in zip(z, rows):
+        if zi:
+            for j, v in a.items():
+                aty[j] += zi * v
+    return rows, z, e, aty
 
 
 def _verify_optimal(lp: LinearProgram, x: list[Q], y: list[Q], value: Q) -> None:
     for j in range(lp.num_vars):
         if lp.nonneg[j] and x[j] < 0:
             raise LPInternalError(f"negative value for {lp.var_names[j]}")
-    obj = ZERO
-    for j, v in lp.objective.items():
-        if x[j]:
-            obj += v * x[j]
-    if obj != value:
+    xs, dx = _common((int(v.numerator), int(v.denominator)) for v in x)
+    c, _, dc = _integer_row(lp.objective, ZERO)
+    vn, vd = int(value.numerator), int(value.denominator)
+    if _dot(c, xs) * vd != vn * dc * dx:
         raise LPInternalError("objective mismatch")
-    ydotb = ZERO
-    for i, row in enumerate(lp.rows):
-        lhs = _eval_row(row, x)
-        if row.rel == "<=" and lhs > row.rhs:
+    rows, z, e, aty = _scaled_duals(lp, y)
+    ydotb = 0
+    for row, (a, b, _), zi in zip(lp.rows, rows, z):
+        if _violated(row.rel, _dot(a, xs), b * dx):
             raise LPInternalError(f"row {row.name} violated")
-        if row.rel == ">=" and lhs < row.rhs:
-            raise LPInternalError(f"row {row.name} violated")
-        if row.rel == "=" and lhs != row.rhs:
-            raise LPInternalError(f"row {row.name} violated")
-        yi = y[i]
         if lp.sense == "max":
-            if row.rel == "<=" and yi < 0:
+            if row.rel == "<=" and zi < 0:
                 raise LPInternalError(f"dual sign on {row.name}")
-            if row.rel == ">=" and yi > 0:
+            if row.rel == ">=" and zi > 0:
                 raise LPInternalError(f"dual sign on {row.name}")
         else:
-            if row.rel == "<=" and yi > 0:
+            if row.rel == "<=" and zi > 0:
                 raise LPInternalError(f"dual sign on {row.name}")
-            if row.rel == ">=" and yi < 0:
+            if row.rel == ">=" and zi < 0:
                 raise LPInternalError(f"dual sign on {row.name}")
-        if yi:
-            ydotb += yi * row.rhs
-    if ydotb != value:
+        ydotb += zi * b
+    if ydotb * vd != vn * e:
         raise LPInternalError("strong duality gap")
-    # dual feasibility: A^T y vs c
-    aty = [ZERO] * lp.num_vars
-    for i, row in enumerate(lp.rows):
-        yi = y[i]
-        if yi:
-            for j, v in row.coeffs.items():
-                aty[j] += yi * v
+    # dual feasibility: A^T y vs c, as aty/e vs c/dc
     for j in range(lp.num_vars):
-        cj = lp.objective.get(j, ZERO)
+        lhs, cj = aty[j] * dc, c.get(j, 0) * e
         if lp.nonneg[j]:
-            bad = aty[j] < cj if lp.sense == "max" else aty[j] > cj
+            bad = lhs < cj if lp.sense == "max" else lhs > cj
         else:
-            bad = aty[j] != cj
+            bad = lhs != cj
         if bad:
             raise LPInternalError(f"dual infeasibility at {lp.var_names[j]}")
 
 
 def _verify_farkas(lp: LinearProgram, y: list[Q]) -> None:
-    ydotb = ZERO
-    aty = [ZERO] * lp.num_vars
-    for i, row in enumerate(lp.rows):
-        yi = y[i]
-        if row.rel == "<=" and yi < 0:
+    rows, z, _, aty = _scaled_duals(lp, y)
+    ydotb = 0
+    for row, (_, b, _), zi in zip(lp.rows, rows, z):
+        if row.rel == "<=" and zi < 0:
             raise LPInternalError("farkas sign")
-        if row.rel == ">=" and yi > 0:
+        if row.rel == ">=" and zi > 0:
             raise LPInternalError("farkas sign")
-        if yi:
-            ydotb += yi * row.rhs
-            for j, v in row.coeffs.items():
-                aty[j] += yi * v
+        ydotb += zi * b
     for j in range(lp.num_vars):
         if lp.nonneg[j]:
             if aty[j] < 0:
@@ -486,20 +533,13 @@ def _verify_ray(lp: LinearProgram, d: list[Q]) -> None:
     for j in range(lp.num_vars):
         if lp.nonneg[j] and d[j] < 0:
             raise LPInternalError("ray leaves the sign cone")
-    rate = ZERO
-    for j, v in lp.objective.items():
-        if d[j]:
-            rate += v * d[j]
+    ds, _ = _common((int(v.numerator), int(v.denominator)) for v in d)
+    rate = _dot(_integer_row(lp.objective, ZERO)[0], ds)
     improving = rate > 0 if lp.sense == "max" else rate < 0
     if not improving:
         raise LPInternalError("ray does not improve")
     for row in lp.rows:
-        a = _eval_row(row, d)
-        if row.rel == "<=" and a > 0:
-            raise LPInternalError("ray infeasible")
-        if row.rel == ">=" and a < 0:
-            raise LPInternalError("ray infeasible")
-        if row.rel == "=" and a != 0:
+        if _violated(row.rel, _dot(_integer_row(row.coeffs, row.rhs)[0], ds), 0):
             raise LPInternalError("ray infeasible")
 
 

@@ -32,6 +32,8 @@ def rat(value: Any) -> Q:
     Floats are refused: they carry binary rounding and would silently
     break the exactness guarantees.
     """
+    if type(value) is Q:  # immutable, so already the package scalar
+        return value
     if isinstance(value, float):
         raise TypeError(f"refusing float {value!r}; pass an int or 'p/q' string")
     if isinstance(value, bool):

@@ -183,6 +183,135 @@ def test_no_rows_unbounded():
     assert out.ray == [ONE]
 
 
+# -- each certificate check rejects a certificate off by 1/10**30 ---------
+
+EPS = Q(1, 10**30)
+
+
+def _certified_max() -> LinearProgram:
+    """One block per check: x at its cap, y at its floor, w = v = 3, u = p = 1, z = 0.
+
+    Duals (1, -1, 1, 1, 0, 0, 1, 1): the loose rows have 0, and the rows
+    w - v = 0 and u - p = 0 have rhs 0, so their duals move A^T y only.
+    """
+    lp = LinearProgram("max")
+    x, y, w, v, u, p, z = (lp.add_var(n, nonneg=n not in "wv") for n in "xywvupz")
+    lp.add_constraint({x: ONE}, "<=", 2, "x_cap")
+    lp.add_constraint({y: ONE}, ">=", 1, "y_floor")
+    lp.add_constraint({w: ONE, v: -ONE}, "=", 0, "w_eq_v")
+    lp.add_constraint({v: ONE}, "=", 3, "v_fix")
+    lp.add_constraint({x: ONE}, "<=", 5, "x_loose")
+    lp.add_constraint({y: ONE}, ">=", -1, "y_loose")
+    lp.add_constraint({u: ONE, p: -ONE}, "=", 0, "u_eq_p")
+    lp.add_constraint({p: ONE}, "<=", 1, "p_cap")
+    lp.set_objective("max", {x: ONE, y: -ONE, w: ONE, u: ONE, z: -ONE})
+    return lp
+
+
+def _certified_min() -> LinearProgram:
+    """min x at x = 1 with duals (1, 0, 0): only x_floor binds."""
+    lp = LinearProgram("min")
+    x = lp.add_var("x")
+    lp.add_constraint({x: ONE}, ">=", 1, "x_floor")
+    lp.add_constraint({x: ONE}, "<=", 5, "x_cap")
+    lp.add_constraint({x: ONE}, ">=", -3, "x_loose")
+    lp.set_objective("min", {x: ONE})
+    return lp
+
+
+def _certified_infeasible() -> LinearProgram:
+    """x <= -1/10**30 with x >= 0; the Farkas vector is (1, 0, 0, 0, 0)."""
+    lp = LinearProgram("farkas")
+    x, u, w = lp.add_var("x"), lp.add_var("u"), lp.add_var("w", nonneg=False)
+    lp.add_constraint({x: ONE}, "<=", -EPS, "x_neg")
+    lp.add_constraint({x: ONE}, "<=", 1, "x_cap")
+    lp.add_constraint({x: ONE}, ">=", -1, "x_floor")
+    lp.add_constraint({w: ONE}, "=", 0, "w_zero")
+    lp.add_constraint({u: ONE}, "=", 0, "u_zero")
+    return lp
+
+
+def _certified_unbounded() -> LinearProgram:
+    """max x/10**30 + w with w = 0 and a, b boxed; the ray is +x."""
+    lp = LinearProgram("ray")
+    x, a, b, w = lp.add_var("x"), lp.add_var("a"), lp.add_var("b"), lp.add_var("w", nonneg=False)
+    lp.add_constraint({w: ONE}, "=", 0, "w_zero")
+    lp.add_constraint({a: ONE}, "<=", 3, "a_cap")
+    lp.add_constraint({b: -ONE}, ">=", -4, "b_cap")
+    lp.set_objective("max", {x: EPS, w: ONE})
+    return lp
+
+
+def test_certified_lps_return_the_certificates_the_rejections_perturb():
+    best = solve(_certified_max())
+    assert (best.value, best.primal) == (5, [2, 1, 3, 3, 1, 1, 0])
+    assert best.duals == [1, -1, 1, 1, 0, 0, 1, 1]
+    low = solve(_certified_min())
+    assert (low.value, low.primal, low.duals) == (1, [1], [1, 0, 0])
+    assert solve(_certified_infeasible()).farkas == [1, 0, 0, 0, 0]
+    assert solve(_certified_unbounded()).ray == [1, 0, 0, 0]
+
+
+@pytest.mark.parametrize("build, field, j, delta, match", [
+    (_certified_max, "primal", 6, -EPS, "negative value for z"),
+    (_certified_max, "value", None, EPS, "objective mismatch"),
+    (_certified_max, "primal", 0, EPS, "row x_cap violated"),
+    (_certified_max, "primal", 1, -EPS, "row y_floor violated"),
+    (_certified_max, "primal", 2, EPS, "row w_eq_v violated"),
+    (_certified_max, "duals", 4, -EPS, "dual sign on x_loose"),
+    (_certified_max, "duals", 5, EPS, "dual sign on y_loose"),
+    (_certified_min, "duals", 1, EPS, "dual sign on x_cap"),
+    (_certified_min, "duals", 2, -EPS, "dual sign on x_loose"),
+    (_certified_max, "duals", 3, EPS, "strong duality gap"),
+    (_certified_max, "duals", 6, -EPS, "dual infeasibility at u"),
+    (_certified_max, "duals", 2, EPS, "dual infeasibility at w"),
+])
+def test_verify_optimal_rejects(build, field, j, delta, match):
+    lp = build()
+    out = solve(lp)
+    x, y, value = list(out.primal), list(out.duals), out.value
+    if field == "value":
+        value += delta
+    elif field == "primal":
+        # the claimed value follows x, so only the targeted check fails
+        x[j] += delta
+        value += lp.objective.get(j, ZERO) * delta
+    else:
+        y[j] += delta
+    with pytest.raises(lpmod.LPInternalError, match=match):
+        lpmod._verify_optimal(lp, x, y, value)
+
+
+@pytest.mark.parametrize("j, delta, match", [
+    (1, -EPS, "farkas sign"),              # <= row
+    (2, EPS, "farkas sign"),               # >= row
+    (4, -EPS, "farkas cone violation"),    # nonnegative u
+    (3, EPS, "farkas cone violation"),     # free w
+    (1, EPS, "farkas certifies nothing"),  # y.b = -1/10**30 + 1/10**30 = 0
+])
+def test_verify_farkas_rejects(j, delta, match):
+    lp = _certified_infeasible()
+    y = list(solve(lp).farkas)
+    y[j] += delta
+    with pytest.raises(lpmod.LPInternalError, match=match):
+        lpmod._verify_farkas(lp, y)
+
+
+@pytest.mark.parametrize("j, delta, match", [
+    (1, -EPS, "ray leaves the sign cone"),
+    (3, -EPS, "ray does not improve"),  # rate 1/10**30 - 1/10**30 = 0
+    (3, EPS, "ray infeasible"),          # = row
+    (1, EPS, "ray infeasible"),          # <= row
+    (2, EPS, "ray infeasible"),          # >= row
+])
+def test_verify_ray_rejects(j, delta, match):
+    lp = _certified_unbounded()
+    d = list(solve(lp).ray)
+    d[j] += delta
+    with pytest.raises(lpmod.LPInternalError, match=match):
+        lpmod._verify_ray(lp, d)
+
+
 def _random_lp(rng: random.Random):
     """Random LP with <=, >= and = rows, negative rhs and free variables.
 
@@ -264,7 +393,8 @@ def _recording_tableau(check):
 
 
 def _rows(tab):
-    return [*zip(tab.rows, tab.den), (tab.zrow, tab.zden)]
+    """(values, denominator) of every tableau row, the objective row last."""
+    return [*((list(row.values()), d) for row, d in zip(tab.rows, tab.den)), (tab.zrow, tab.zden)]
 
 
 def test_reduction_bound_moves_no_pivot(monkeypatch):
@@ -321,3 +451,33 @@ def test_rows_past_the_bound_are_in_lowest_terms(bits, monkeypatch):
     model = load_model(binomial_put_book_dict(4))
     assert superhedge(enlarge(model, model.N + 1)).price == Q(52, 27)
     assert any(unreduced)
+
+
+def test_tableau_stores_only_nonzeros(monkeypatch):
+    # no stored entry is 0, col_rows is the rows' exact nonzero pattern,
+    # and before any pivot the rows hold the LP's nonzeros (free variables
+    # twice), one slack per inequality, one artificial per row and the
+    # nonzero right-hand sides
+    fresh = set()
+
+    def check(tab, step):
+        pattern = [set() for _ in range(tab.ncols + 1)]
+        for i, row in enumerate(tab.rows):
+            assert all(row.values())
+            for c in row:
+                pattern[c].add(i)
+        assert tab.col_rows == pattern
+        if tab.pivots == 0:
+            lp = tab.lp
+            stored = sum(1 + (not lp.nonneg[j]) for row in lp.rows for j in row.coeffs)
+            stored += sum((row.rel != "=") + 1 + (row.rhs != 0) for row in lp.rows)
+            assert sum(map(len, tab.rows)) == stored
+            fresh.add(id(lp))
+
+    monkeypatch.setattr(lpmod, "_Tableau", _recording_tableau(check))
+    rng = random.Random(20260814)
+    lps = [_random_lp(rng)[0] for _ in range(150)] + [_infeasible_lp(), _unbounded_lp()]
+    assert {solve(lp).status for lp in lps} == {"optimal", "infeasible", "unbounded"}
+    assert len(fresh) == len(lps)
+    model = load_model(binomial_put_book_dict(4))
+    assert superhedge(enlarge(model, model.N + 1)).price == Q(52, 27)
