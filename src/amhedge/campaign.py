@@ -11,7 +11,6 @@ random.Random, which makes every corpus reproducible from its seed.
 """
 from __future__ import annotations
 
-import copy
 import dataclasses
 import random
 from dataclasses import dataclass
@@ -20,10 +19,9 @@ from .divisible import EPS_GRID, verify_divisibility_equivalence
 from .enlarged import EnlargedModel, enlarge, extend_claim
 from .errors import PropertyViolation, SnaFailure
 from .hedging import detect_arbitrage, subhedge, superhedge
-from .lp import solve
+from .lp import max_slack
 from .market import AdaptedProcess, EventTree, MarketModel, Node, TerminalPayoff, load_model
 from .measures import (
-    MartingalePolytope,
     MeasurePolytope,
     SnaReport,
     build_polytope,
@@ -494,16 +492,12 @@ def _dominating_law(
     kids = tree.children[nid]
     supported = [kid for i, kid in enumerate(kids) if any(v[i] > 0 for v in vertices)]
     lp, qv, _ = one_step_polytope(model, nid, supported)
-    sv = lp.add_var("_s", nonneg=False)
-    for vi, vert in enumerate(vertices):
-        for i, kid in enumerate(kids):
-            if vert[i] > 0:
-                lp.add_constraint({qv[kid]: ONE, sv: -vert[i]}, ">=", ZERO, name=f"dom[{vi};{kid}]")
-    lp.set_objective("max", {sv: ONE})
-    res = solve(lp)
-    if res.status != "optimal" or res.x(sv) <= ZERO:
+    dom = {lp.add_constraint({qv[kid]: ONE}, ">=", ZERO, name=f"dom[{vi};{kid}]"): vert[i]
+           for vi, vert in enumerate(vertices) for i, kid in enumerate(kids) if vert[i] > 0}
+    out = max_slack(lp, dom)
+    if out.status != "optimal" or out.slack <= ZERO:
         return None
-    return {kid: res.x(qv[kid]) for kid in supported if res.x(qv[kid])}
+    return {kid: out.witness[qv[kid]] for kid in supported if out.witness[qv[kid]]}
 
 
 def random_kernel_model(rng: random.Random, *, seed: int | None = None) -> GeneratedModel:
@@ -882,66 +876,49 @@ def check_divisibility(model: MarketModel) -> dict:
 # -- battery: kernel families --------------------------------------------------
 
 
-def _shifted_membership(pt: MartingalePolytope, measure: dict[int, Q], delta: Q) -> None:
-    """Membership in the delta-shifted polytope: check() at moved quotes.
-
-    check() re-evaluates every row from the data of pt.enl.model alone,
-    so a copy of pt on the same space with the delta-shifted model is
-    the shifted polytope for it.  A polytope without price rows has
-    nothing to shift: the check is then that of a martingale law.
-    """
-    shifted = copy.copy(pt)
-    shifted.enl = pt.enl.with_model(pt.enl.model.shifted_prices(delta))
-    shifted.require(measure, "shifted-polytope witness")
-
-
 def _selector_epsilon(
-    pt: MartingalePolytope, pbar: dict[int, Q]
+    pt: MeasurePolytope, pbar: dict[int, Q]
 ) -> tuple[Q | None, dict[int, Q] | None]:
     """Largest e with a measure in the e-shifted polytope dominating e*pbar.
 
     Price rows, if the polytope has any, are tightened by e; the
     domination of the optimizer is re-checked in place.
     """
-    work = pt.lp.copy()
-    e_var = work.add_var("_e", nonneg=False)
-    for r in pt.price_rows:
-        work.rows[r].coeffs[e_var] = ONE if work.rows[r].rel == "<=" else -ONE
-    for p, w in sorted(pbar.items()):
-        work.add_constraint({pt.q_var[p]: ONE, e_var: -w}, ">=", ZERO, name=f"dom[p{p}]")
-    work.set_objective("max", {e_var: ONE})
-    out = solve(work)
+    out = pt.support_slack(prices=True, floor=pbar)
     if out.status == "infeasible":
         return None, None
     if out.status != "optimal":
         raise PropertyViolation(f"shifted-polytope LP unexpectedly {out.status}")
-    eps = out.x(e_var)
-    measure = {p: out.x(v) for p, v in pt.q_var.items() if out.x(v)}
+    eps = out.slack
+    measure = {p: out.witness[v] for p, v in pt.q_var.items() if out.witness[v]}
     for p, w in pbar.items():
         if measure.get(p, ZERO) < eps * w:
             raise PropertyViolation("domination certificate failed re-validation")
     return eps, measure
 
 
-def selector_sweep(pt: MartingalePolytope) -> bool:
+def selector_sweep(pt: MeasurePolytope) -> bool:
     """The quasi-sure consistency verdict, one kernel selector at a time.
 
     Holds iff for every selector product measure P of the kernels of
     pt.enl some e > 0 admits a measure in the e-shifted polytope pt
     dominating e*P.  This is the oracle of the one uniform-slack LP of
-    ftap_certificate on the supported paths (pt with price rows) and of
-    robust_na (pt without).  Selectors that share a vertex measure share
-    one LP, whose optimizer is re-checked in the e-shifted polytope; the
-    enumeration stays under DEFAULT_SELECTOR_CAP.
+    ftap_certificate on the supported paths, and of robust_na on the
+    stock-only market's polytope, which has no price rows.  Selectors
+    that share a vertex measure share one LP, whose optimizer is
+    re-checked in the e-shifted polytope (pt.at_quotes); the enumeration
+    stays under DEFAULT_SELECTOR_CAP.
     """
+    enl = pt.enl
     solved: dict[tuple, bool] = {}
-    for selector in selectors(pt.enl.model):
-        pbar = vertex_measure(pt.enl, selector)
+    for selector in selectors(enl.model):
+        pbar = vertex_measure(enl, selector)
         key = tuple(sorted(pbar.items()))
         if key not in solved:
             eps, measure = _selector_epsilon(pt, pbar)
             if measure is not None:
-                _shifted_membership(pt, measure, eps)
+                shifted = enl.with_model(enl.model.shifted_prices(eps))
+                pt.at_quotes(shifted).require(measure, "shifted-polytope witness")
             solved[key] = eps is not None and eps > ZERO
         if not solved[key]:
             return False

@@ -293,6 +293,9 @@ def main(argv=None) -> int:
     except LPInternalError as exc:
         print(f"amhedge: LP self-check failed: {exc}", file=sys.stderr)
         return EXIT_PROPERTY
+    except MemoryError:
+        print("amhedge: cap exceeded: out of memory", file=sys.stderr)
+        return EXIT_CAP
 
 
 if __name__ == "__main__":

@@ -16,13 +16,15 @@ from __future__ import annotations
 import copy
 import itertools
 from dataclasses import dataclass
-from typing import Literal
+from typing import Iterable, Literal
 
 from .errors import ModelFormatError
 from .market import MarketModel
-from .rationals import ONE, ZERO, Q, rat
+from .rationals import ONE, Q
 
-ClockWeights = Literal["uniform", "skewed"] | dict
+ClockWeights = Literal["uniform", "skewed"]
+# a sub-forest: its nodes with the paths through each, and each node's children
+Forest = tuple[dict[int, list[int]], dict[int, tuple[int, ...]]]
 
 
 @dataclass(frozen=True)
@@ -66,14 +68,7 @@ def _clock_distribution(spec: ClockWeights, horizon: int, n: int) -> dict[tuple[
                 w *= one_clock[t]
             out[tup] = w
         return out
-    dist = {tuple(k) if not isinstance(k, tuple) else k: rat(v) for k, v in spec.items()}
-    if set(dist) != set(tuples):
-        raise ModelFormatError("clock weights must cover every clock tuple exactly")
-    if any(w <= 0 for w in dist.values()):
-        raise ModelFormatError("clock weights must have full support")
-    if sum(dist.values(), ZERO) != ONE:
-        raise ModelFormatError("clock weights must sum to 1")
-    return {tup: dist[tup] for tup in tuples}
+    raise ValueError(f"unknown clock weights {spec!r}")
 
 
 class EnlargedModel:
@@ -142,6 +137,18 @@ class EnlargedModel:
         other.model = model
         other._weights = None
         return other
+
+    def subforest(self, paths: Iterable[int]) -> Forest:
+        """The sub-forest spanned by ``paths``: its nodes in index order,
+        each with the paths through it in the given order, and each node's
+        children within it."""
+        through: dict[int, list[int]] = {}
+        for p in paths:
+            for v in self.epaths[p].node_seq:
+                through.setdefault(v, []).append(p)
+        through = {v: through[v] for v in sorted(through)}
+        kids = {v: tuple(c for c in self.children[v] if c in through) for v in through}
+        return through, kids
 
     # -- bookkeeping -----------------------------------------------------
 

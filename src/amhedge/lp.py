@@ -142,23 +142,18 @@ class _Tableau:
 
     def __init__(self, lp: LinearProgram):
         self.lp = lp
-        # structural columns: (var, +1) and for free vars (var, -1)
-        self.col_var: list[tuple[int, int]] = []
+        # structural columns: var j at pos_col[j], and a free var once more,
+        # negated, at neg_col[j]
         self.pos_col: list[int] = []
         self.neg_col: list[int | None] = []
+        ncols = 0
         for j in range(lp.num_vars):
-            self.pos_col.append(len(self.col_var))
-            self.col_var.append((j, +1))
-            if lp.nonneg[j]:
-                self.neg_col.append(None)
-            else:
-                self.neg_col.append(len(self.col_var))
-                self.col_var.append((j, -1))
-        self.n_struct = len(self.col_var)
+            self.pos_col.append(ncols)
+            self.neg_col.append(None if lp.nonneg[j] else ncols + 1)
+            ncols += 1 if lp.nonneg[j] else 2
 
         m = lp.num_rows
         self.slack_col: list[int | None] = [None] * m
-        ncols = self.n_struct
         for i, row in enumerate(lp.rows):
             if row.rel != "=":
                 self.slack_col[i] = ncols
@@ -552,29 +547,24 @@ class SlackOutcome:
     slack: Q | None
     witness: list[Q] | None
 
-    @property
-    def strict(self) -> bool:
-        """True iff the slackened system admits strictly positive room."""
-        if self.status == "unbounded":
-            return True
-        return self.status == "optimal" and self.slack is not None and self.slack > 0
 
+def max_slack(lp: LinearProgram, slack_rows: dict[int, Q]) -> SlackOutcome:
+    """Maximize one slack s over the listed inequality rows, each with its weight.
 
-def max_slack(lp: LinearProgram, slack_rows: Iterable[int]) -> SlackOutcome:
-    """Maximize one uniform slack s over the listed inequality rows.
-
-    Each listed row `a.x <= b` is tightened to `a.x + s <= b` (and `>=`
-    rows to `a.x - s >= b`); s itself is unrestricted in sign so the
-    maximum can be negative when the system is only loosely consistent.
-    s* > 0 certifies a point satisfying every listed row strictly.
+    Each listed row `a.x <= b` with weight w is tightened to
+    `a.x + w*s <= b` (and `>=` rows to `a.x - w*s >= b`); s itself is
+    unrestricted in sign so the maximum can be negative when the system
+    is only loosely consistent.  s* > 0 certifies a point satisfying
+    every listed row of positive weight strictly.
     """
     work = lp.copy()
     s = work.add_var("_slack", nonneg=False)
-    for i in slack_rows:
+    for i, w in slack_rows.items():
         row = work.rows[i]
         if row.rel == "=":
             raise ValueError(f"cannot slacken equality row {row.name}")
-        row.coeffs[s] = ONE if row.rel == "<=" else -ONE
+        if w:
+            row.coeffs[s] = rat(w) if row.rel == "<=" else -rat(w)
     work.set_objective("max", {s: ONE})
     out = solve(work)
     if out.status == "infeasible":

@@ -14,12 +14,11 @@ module only the oracle e2_chain enumerates stopping times, under its cap.
 """
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Hashable, Iterable, Iterator, Literal, Sequence
 
-from .enlarged import EnlargedModel, extend_claim
+from .enlarged import EnlargedModel, Forest, extend_claim
 from .errors import PropertyViolation, SnaFailure
 from .hedging import (
     HedgeReport,
@@ -41,7 +40,6 @@ from .strategies import (
 )
 
 __all__ = [
-    "MartingalePolytope",
     "MeasurePolytope",
     "MeasureCertificate",
     "SnaReport",
@@ -72,149 +70,9 @@ def restricted_stopping_times(
     enl: EnlargedModel, paths: Sequence[int], cap: int = DEFAULT_ENUM_CAP
 ) -> list[StoppingTime]:
     """Stopping times of the sub-forest spanned by the given paths."""
-    keep: set[int] = set()
-    for p in paths:
-        keep.update(enl.epaths[p].node_seq)
-    roots = tuple(v for v in enl.roots if v in keep)
-    children = {v: tuple(c for c in enl.children[v] if c in keep) for v in keep}
-    return enumerate_stopping_times(
-        roots, lambda v: children.get(v, ()), cap, what="enlarged stopping times"
-    )
-
-
-class MartingalePolytope:
-    """Probability measures on enlarged paths under which the stock is a martingale.
-
-    The LP holds the mass row and one increment row per enlarged node
-    and stock dimension; callers copy it and add rows or an objective.
-    On a kernel family's support this is the whole quasi-sure dual of
-    dynamic trading.
-    """
-
-    def __init__(self, enl: EnlargedModel, paths: Iterable[int] | None = None) -> None:
-        self.enl = enl
-        self.paths = list(range(enl.num_paths)) if paths is None else sorted(set(paths))
-        if not self.paths:
-            raise ValueError("at least one path required")
-        self.lp = LinearProgram()
-        self.q_var = {p: self.lp.add_var(f"Q[{enl.epaths[p].label}]") for p in self.paths}
-        self.mass_row = self.lp.add_constraint(
-            {v: ONE for v in self.q_var.values()}, "=", ONE, name="mass"
-        )
-        moves = (
-            (self.q_var[p], enl.epaths[p].node_seq[t], enl.stock_step(p, t))
-            for p in self.paths
-            for t in range(enl.horizon)
-        )
-        self.mart_rows = _add_martingale_rows(self.lp, moves, lambda v: enl.enode(v).label)
-
-    @property
-    def price_rows(self) -> list[int]:
-        return []
-
-    def expectation(self, measure: dict[int, Q], values: dict[int, Q] | Sequence[Q]) -> Q:
-        total = ZERO
-        for p in self.paths:
-            q = measure.get(p, ZERO)
-            if q:
-                total += q * values[p]
-        return total
-
-    def extremum_lp(
-        self, values: dict[int, Q] | Sequence[Q], sense: Literal["max", "min"]
-    ) -> LinearProgram:
-        """E_Q[values] as the objective of a copy of the LP."""
-        work = self.lp.copy()
-        work.set_objective(sense, {self.q_var[p]: values[p] for p in self.paths if values[p]})
-        return work
-
-    def solve_extremum(
-        self, values: dict[int, Q] | Sequence[Q], sense: Literal["max", "min"]
-    ) -> tuple[Q, dict[int, Q], LPOutcome]:
-        out, measure = self._solve_measure(self.extremum_lp(values, sense))
-        return out.value, measure, out
-
-    def _solve_measure(self, work: LinearProgram) -> tuple[LPOutcome, dict[int, Q]]:
-        """Solve an LP built on a copy of this one; empty means an SNA failure."""
-        out = solve(work)
-        if out.status == "infeasible":
-            raise SnaFailure(
-                "martingale polytope is empty at these prices",
-                certificate={"farkas": [rat_str(y) for y in out.farkas or []]},
-            )
-        if out.status != "optimal":
-            raise PropertyViolation(f"measure LP unexpectedly {out.status}")
-        return out, {p: out.x(v) for p, v in self.q_var.items() if out.x(v)}
-
-    def support_slack(self, *, prices: bool) -> SlackOutcome:
-        """Largest uniform slack of Q(p) >= 0, and of the price rows if asked.
-
-        The positivity rows go on a copy of the LP, after every other row.
-        """
-        work = self.lp.copy()
-        pos = [
-            work.add_constraint({self.q_var[p]: ONE}, ">=", ZERO, name=f"pos[p{p}]")
-            for p in self.paths
-        ]
-        return max_slack(work, [*(self.price_rows if prices else ()), *pos])
-
-    # -- independent re-validation ----------------------------------------
-
-    def require(self, measure: dict[int, Q], what: str) -> None:
-        """Raise unless check() passes, naming the first failed rows."""
-        ok, ledger = self.check(measure)
-        if not ok:
-            bad = [e for e in ledger if not e["ok"]]
-            raise PropertyViolation(f"{what} left the polytope: {bad[:3]}")
-
-    def check(
-        self,
-        measure: dict[int, Q],
-        *,
-        min_slack: Q | None = None,
-        strict: bool = False,
-    ) -> tuple[bool, list[dict]]:
-        """Re-evaluate every constraint directly from the data of enl.model.
-
-        With ``min_slack`` s, positivity must clear Q(p) >= s and each
-        price row must clear its bound by at least s; with ``strict``,
-        margins must merely be positive.  No LP state is consulted.
-        """
-        ledger: list[dict] = []
-        for name, lhs, rel, rhs, slackable in self._evaluated_rows(measure):
-            margin = rhs - lhs if rel == "<=" else lhs - rhs
-            good = margin >= ZERO if rel != "=" else lhs == rhs
-            if rel != "=" and slackable:
-                if min_slack is not None:
-                    good = margin >= min_slack
-                elif strict:
-                    good = margin > ZERO
-            ledger.append(
-                {
-                    "constraint": name,
-                    "lhs": rat_str(lhs),
-                    "rel": rel,
-                    "rhs": rat_str(rhs),
-                    "margin": rat_str(margin) if rel != "=" else "0/1",
-                    "ok": bool(good),
-                }
-            )
-        return all(e["ok"] for e in ledger), ledger
-
-    def _evaluated_rows(self, measure: dict[int, Q]) -> Iterator[tuple]:
-        """(name, lhs, relation, rhs, slackable) of the support, positivity,
-        mass and martingale rows, evaluated at the measure."""
-        enl = self.enl
-        support = set(self.paths)
-        for p, q in measure.items():
-            if p not in support and q != ZERO:
-                yield f"support[p{p}]", q, "=", ZERO, False
-        for p in self.paths:
-            yield f"pos[p{p}]", measure.get(p, ZERO), ">=", ZERO, True
-        yield "mass", sum((measure.get(p, ZERO) for p in self.paths), ZERO), "=", ONE, False
-        inc = martingale_increments(enl, measure, self.paths)
-        for (v, d), val in sorted(inc.items()):
-            yield f"mart[{enl.enode(v).label};{d}]", val, "=", ZERO, False
+    through, kids = enl.subforest(paths)
+    roots = tuple(v for v in enl.roots if v in through)
+    return enumerate_stopping_times(roots, kids.__getitem__, cap, what="enlarged stopping times")
 
 
 def _add_martingale_rows(
@@ -339,17 +197,14 @@ def dp_superhedge(
     """
     T = enl.horizon
     paths = range(enl.num_paths) if paths is None else sorted(set(paths))
-    kids: dict[int, set[int]] = {}
+    through, kids = enl.subforest(paths)
     chi: dict[int, Q] = {}
     for p in paths:
-        seq = enl.epaths[p].node_seq
-        for v, w in zip(seq, seq[1:]):
-            kids.setdefault(v, set()).add(w)
-        if chi.setdefault(seq[T], zeta[p]) != zeta[p]:
+        if chi.setdefault(enl.epaths[p].node_seq[T], zeta[p]) != zeta[p]:
             raise PropertyViolation("terminal payoff is not a function of the terminal node")
     solved: dict[tuple, tuple[Q, dict[int, Q]]] = {}
     strategy: dict[tuple[int, int], Q] = {}
-    for v in sorted(kids, key=lambda v: (-enl.enode(v).time, v)):
+    for v in sorted((v for v in through if kids[v]), key=lambda v: (-enl.enode(v).time, v)):
         base = enl.enode(v).base
         best: dict[str, Q] = {}
         for w in kids[v]:
@@ -368,18 +223,39 @@ def dp_superhedge(
     return DpReport(value=value, strategy=strategy, lp_count=len(solved))
 
 
-class MeasurePolytope(MartingalePolytope):
-    """Martingale measures that also respect the model's quoted option prices.
+class MeasurePolytope:
+    """Martingale measures on enlarged paths that respect the quoted option prices.
 
-    Row indices are kept per constraint family so the uniform-slack
-    machinery can target exactly the price rows, and hedge_from can read
-    a hedge off any LP built on a copy.  Each longed American adds one
-    Snell block (see snell_block), kept in ``long_blocks``, and its ask
-    row ``g[j]``; ``num_tau_rows`` counts the rows of those blocks.
+    The LP holds the mass row, one increment row per enlarged node and
+    stock dimension, then the price rows: buy-side expectations at or
+    below asks, sell-side at or above bids.  A market without options
+    gives the bare martingale polytope, on a kernel family's support the
+    whole quasi-sure dual of dynamic trading.  Callers copy the LP and add
+    rows or an objective.  Row indices are kept per constraint family so
+    the uniform-slack machinery can target exactly the price rows, and
+    hedge_from can read a hedge off any LP built on a copy.  Each longed
+    American adds one Snell block (see snell_block), kept in
+    ``long_blocks``, and its ask row ``g[j]``; ``num_tau_rows`` counts the
+    rows of those blocks.
     """
 
     def __init__(self, enl: EnlargedModel, *, paths: Iterable[int] | None = None) -> None:
-        super().__init__(enl, paths)
+        self.enl = enl
+        self.paths = list(range(enl.num_paths)) if paths is None else sorted(set(paths))
+        if not self.paths:
+            raise ValueError("at least one path required")
+        self.lp = LinearProgram()
+        self.q_var = {p: self.lp.add_var(f"Q[{enl.epaths[p].label}]") for p in self.paths}
+        self.mass_row = self.lp.add_constraint(
+            {v: ONE for v in self.q_var.values()}, "=", ONE, name="mass"
+        )
+        moves = (
+            (self.q_var[p], enl.epaths[p].node_seq[t], enl.stock_step(p, t))
+            for p in self.paths
+            for t in range(enl.horizon)
+        )
+        self.mart_rows = _add_martingale_rows(self.lp, moves, lambda v: enl.enode(v).label)
+
         model = enl.model
         self.f_rows: list[int] = []
         # add_constraint drops the zero coefficients
@@ -405,17 +281,104 @@ class MeasurePolytope(MartingalePolytope):
             self.g_rows.append(self.lp.add_constraint(root, "<=", beta - shift, name=f"g[{j}]"))
         self.num_tau_rows = self.lp.num_rows - first
 
-    @cached_property
-    def _forest(self) -> tuple[dict[int, list[int]], dict[int, tuple[int, ...]]]:
-        """The support's nodes in index order, each with the paths through it,
-        and each node's children within the support."""
-        through: dict[int, list[int]] = {}
+    @property
+    def price_rows(self) -> list[int]:
+        return [*self.f_rows, *self.h_rows, *self.g_rows]
+
+    def expectation(self, measure: dict[int, Q], values: dict[int, Q] | Sequence[Q]) -> Q:
+        total = ZERO
         for p in self.paths:
-            for v in self.enl.epaths[p].node_seq:
-                through.setdefault(v, []).append(p)
-        through = {v: through[v] for v in sorted(through)}
-        kids = {v: tuple(c for c in self.enl.children[v] if c in through) for v in through}
-        return through, kids
+            q = measure.get(p, ZERO)
+            if q:
+                total += q * values[p]
+        return total
+
+    def extremum_lp(
+        self, values: dict[int, Q] | Sequence[Q], sense: Literal["max", "min"]
+    ) -> LinearProgram:
+        """E_Q[values] as the objective of a copy of the LP."""
+        work = self.lp.copy()
+        work.set_objective(sense, {self.q_var[p]: values[p] for p in self.paths if values[p]})
+        return work
+
+    def solve_extremum(
+        self, values: dict[int, Q] | Sequence[Q], sense: Literal["max", "min"]
+    ) -> tuple[Q, dict[int, Q], LPOutcome]:
+        out, measure = self._solve_measure(self.extremum_lp(values, sense))
+        return out.value, measure, out
+
+    def _solve_measure(self, work: LinearProgram) -> tuple[LPOutcome, dict[int, Q]]:
+        """Solve an LP built on a copy of this one; empty means an SNA failure."""
+        out = solve(work)
+        if out.status == "infeasible":
+            raise SnaFailure(
+                "martingale polytope is empty at these prices",
+                certificate={"farkas": [rat_str(y) for y in out.farkas or []]},
+            )
+        if out.status != "optimal":
+            raise PropertyViolation(f"measure LP unexpectedly {out.status}")
+        return out, {p: out.x(v) for p, v in self.q_var.items() if out.x(v)}
+
+    def support_slack(self, *, prices: bool, floor: dict[int, Q] | None = None) -> SlackOutcome:
+        """Largest slack s with Q(p) >= s * floor(p) on the paths of ``floor``
+        (1 on every path by default), and every price row cleared by s if asked.
+
+        The floor rows go on a copy of the LP, after every other row.
+        """
+        floor = dict.fromkeys(self.paths, ONE) if floor is None else floor
+        work = self.lp.copy()
+        rows = dict.fromkeys(self.price_rows if prices else (), ONE)
+        for p, w in sorted(floor.items()):
+            rows[work.add_constraint({self.q_var[p]: ONE}, ">=", ZERO, name=f"pos[p{p}]")] = w
+        return max_slack(work, rows)
+
+    # -- independent re-validation ----------------------------------------
+
+    def require(self, measure: dict[int, Q], what: str) -> None:
+        """Raise unless check() passes, naming the first failed rows."""
+        ok, ledger = self.check(measure)
+        if not ok:
+            bad = [e for e in ledger if not e["ok"]]
+            raise PropertyViolation(f"{what} left the polytope: {bad[:3]}")
+
+    def check(
+        self,
+        measure: dict[int, Q],
+        *,
+        min_slack: Q | None = None,
+        strict: bool = False,
+    ) -> tuple[bool, list[dict]]:
+        """Re-evaluate every constraint directly from the data of enl.model.
+
+        With ``min_slack`` s, positivity must clear Q(p) >= s and each
+        price row must clear its bound by at least s; with ``strict``,
+        margins must merely be positive.  No LP state is consulted.
+        """
+        ledger: list[dict] = []
+        for name, lhs, rel, rhs, slackable in self._evaluated_rows(measure):
+            margin = rhs - lhs if rel == "<=" else lhs - rhs
+            good = margin >= ZERO if rel != "=" else lhs == rhs
+            if rel != "=" and slackable:
+                if min_slack is not None:
+                    good = margin >= min_slack
+                elif strict:
+                    good = margin > ZERO
+            ledger.append(
+                {
+                    "constraint": name,
+                    "lhs": rat_str(lhs),
+                    "rel": rel,
+                    "rhs": rat_str(rhs),
+                    "margin": rat_str(margin) if rel != "=" else "0/1",
+                    "ok": bool(good),
+                }
+            )
+        return all(e["ok"] for e in ledger), ledger
+
+    @cached_property
+    def _forest(self) -> Forest:
+        """The support's sub-forest (EnlargedModel.subforest)."""
+        return self.enl.subforest(self.paths)
 
     @cached_property
     def _runs(self) -> dict[int, tuple[int, ...]]:
@@ -500,23 +463,12 @@ class MeasurePolytope(MartingalePolytope):
         return out.value + shift, measure
 
     def at_quotes(self, enl: EnlargedModel) -> "MeasurePolytope":
-        """This polytope for enl, this space at other quotes (EnlargedModel.with_model).
-
-        Only the quotes enter the price rows' right-hand sides, so the copy
-        moves those and shares every other row, variable and the forest.
-        """
-        other = copy.copy(self)
-        other.enl = enl
-        other.lp = self.lp.copy()
-        old, new = self.enl.model, enl.model
-        for rows, was, now in (
-            (self.f_rows, old.europeans, new.europeans),
-            (self.h_rows, old.americans_short, new.americans_short),
-            (self.g_rows, old.americans_long, new.americans_long),
-        ):
-            for r, (_, a), (_, b) in zip(rows, was, now, strict=True):
-                other.lp.rows[r].rhs += b - a
-        return other
+        """This polytope at the quotes of enl, this space for another model
+        (EnlargedModel.with_model): the same paths, rows and variables, with
+        only the price rows' right-hand sides moved."""
+        if enl.epaths is not self.enl.epaths:
+            raise ValueError("at_quotes needs this space, from EnlargedModel.with_model")
+        return MeasurePolytope(enl, paths=self.paths)
 
     def hedge_from(
         self,
@@ -575,14 +527,21 @@ class MeasurePolytope(MartingalePolytope):
                 stops[at] = mass
         return stops
 
-    @property
-    def price_rows(self) -> list[int]:
-        return [*self.f_rows, *self.h_rows, *self.g_rows]
-
     def _evaluated_rows(self, measure: dict[int, Q]) -> Iterator[tuple]:
-        """The martingale rows, then the price rows at the model's quotes."""
-        yield from super()._evaluated_rows(measure)
+        """(name, lhs, relation, rhs, slackable) of the support, positivity,
+        mass and martingale rows, then of the price rows at the model's
+        quotes, evaluated at the measure."""
         enl = self.enl
+        support = set(self.paths)
+        for p, q in measure.items():
+            if p not in support and q != ZERO:
+                yield f"support[p{p}]", q, "=", ZERO, False
+        for p in self.paths:
+            yield f"pos[p{p}]", measure.get(p, ZERO), ">=", ZERO, True
+        yield "mass", sum((measure.get(p, ZERO) for p in self.paths), ZERO), "=", ONE, False
+        inc = martingale_increments(enl, measure, self.paths)
+        for (v, d), val in sorted(inc.items()):
+            yield f"mart[{enl.enode(v).label};{d}]", val, "=", ZERO, False
         model = enl.model
         for i, (_, alpha) in enumerate(model.europeans):
             lhs = sum((measure.get(p, ZERO) * enl.european_value(i, p) for p in self.paths), ZERO)

@@ -36,12 +36,12 @@ from .hedging import detect_arbitrage
 from .lp import LinearProgram, solve
 from .market import EventTree, MarketModel, check_kernel_family
 from .measures import (
-    MartingalePolytope,
     MeasureCertificate,
     MeasurePolytope,
     build_polytope,
     ftap_certificate,
     restricted_stopping_times,
+    snell_value,
 )
 from .rationals import ONE, ZERO, Q, rat_str
 from .strategies import DEFAULT_ENUM_CAP
@@ -76,7 +76,7 @@ def supported_paths(enl: EnlargedModel) -> list[int]:
 
 
 def supported_enodes(enl: EnlargedModel) -> list[int]:
-    return sorted({v for p in supported_paths(enl) for v in enl.epaths[p].node_seq})
+    return list(enl.subforest(supported_paths(enl))[0])
 
 
 def num_selectors(model: MarketModel) -> int:
@@ -142,19 +142,22 @@ class RobustNaReport:
 def robust_na(enl: EnlargedModel) -> RobustNaReport:
     """No-arbitrage from dynamic trading alone, with its dual certificate.
 
-    Primal: detect_arbitrage on the supported paths of the stock-only
-    market's n = 0 space (a stock arbitrage on a space with clocks stays
-    one with every clock fixed at T); the witness is keyed by that
-    space's nodes.  Certificate side: a martingale measure strictly
-    positive on every supported path, i.e. positive uniform slack of a
-    polytope without price rows.  Both sides are computed and the
-    biconditional enforced.
+    Both sides run on the supported paths of the stock-only market's
+    n = 0 space: clocks do not matter to a stock hedge (a stock arbitrage
+    on a space with clocks stays one with every clock fixed at T), and a
+    base-path measure lifts uniformly over clocks.  Primal:
+    detect_arbitrage, its witness keyed by that space's nodes.
+    Certificate: a martingale measure strictly positive on every
+    supported path, the positive uniform slack of that market's
+    MeasurePolytope, which has no price rows.  The biconditional is
+    enforced.
     """
     stock = enlarge(drop_options(enl.model), 0)
-    arb = detect_arbitrage(stock, paths=supported_paths(stock))
+    paths = supported_paths(stock)
+    arb = detect_arbitrage(stock, paths=paths)
     holds = not arb.found
     witness = None if holds else arb.strategy.stock
-    positive, certificate = ftap_certificate(MartingalePolytope(enl, supported_paths(enl)))
+    positive, certificate = ftap_certificate(MeasurePolytope(stock, paths=paths))
     if holds != positive:
         raise PropertyViolation(
             "primal no-arbitrage verdict disagrees with the supported martingale measure"
@@ -231,10 +234,15 @@ def verify_minimax(
     """Exchange of liquidation and worst-case expectation, checked exactly.
 
     Three quantities over a finitely generated measure set: the best
-    guaranteed liquidation value, the worst case of the best adapted
-    liquidation, and the worst case of the best pure-stopping tuple.
-    All three are computed by independent LPs and exact triple equality
-    is asserted.
+    guaranteed liquidation value (an LP), the worst case of the best
+    adapted liquidation, and the worst case of the best pure-stopping
+    tuple (an LP over the enumerated stopping times).  The second is the
+    LP dual of the first: minus the verified duals of its vertex rows are
+    a worst-case mixture lambda, checked to be a distribution, and at
+    lambda the best adapted liquidation is the sum over streams of their
+    Snell values, folded back by snell_value without an LP.  That sum is
+    at most the first value by weak duality and at least it for every
+    mixture, so exact triple equality proves the interchange.
     """
     if not vertices or not streams:
         raise ModelFormatError("need at least one stream and one measure vertex")
@@ -242,30 +250,24 @@ def verify_minimax(
     if not paths:
         raise ModelFormatError("measure vertices are all zero")
     K = len(streams)
-    nodes = sorted({v for p in paths for v in enl.epaths[p].node_seq})
-    reach = [
-        {
-            v: sum((R.get(p, ZERO) for p in paths if v in enl.epaths[p].node_seq), ZERO)
-            for v in nodes
-        }
-        for R in vertices
-    ]
-
-    def gval(k: int, v: int) -> Q:
-        return streams[k].get(v, ZERO)
+    through, _ = enl.subforest(paths)
+    reach = [{v: sum((R.get(p, ZERO) for p in ps), ZERO) for v, ps in through.items()}
+             for R in vertices]
+    values = [{v: g.get(v, ZERO) for v in through} for g in streams]
 
     # best guaranteed value of an adapted liquidation of each stream
     lhs_lp = LinearProgram()
     u = lhs_lp.add_var("u", nonneg=False)
-    mu = {(k, v): lhs_lp.add_var(f"mu[{k};{v}]") for k in range(K) for v in nodes}
+    mu = {(k, v): lhs_lp.add_var(f"mu[{k};{v}]") for k in range(K) for v in through}
+    vertex_rows = []
     for i in range(len(vertices)):
         row = {u: -ONE}
         for k in range(K):
-            for v in nodes:
-                coef = gval(k, v) * reach[i][v]
+            for v in through:
+                coef = values[k][v] * reach[i][v]
                 if coef:
                     row[mu[(k, v)]] = row.get(mu[(k, v)], ZERO) + coef
-        lhs_lp.add_constraint(row, ">=", ZERO, name=f"vertex[{i}]")
+        vertex_rows.append(lhs_lp.add_constraint(row, ">=", ZERO, name=f"vertex[{i}]"))
     for k in range(K):
         for p in paths:
             row = {}
@@ -277,26 +279,15 @@ def verify_minimax(
     if lhs_out.status != "optimal":
         raise PropertyViolation(f"guaranteed-liquidation LP unexpectedly {lhs_out.status}")
 
-    # worst-case mixture against the best liquidation, solved jointly
-    mid_lp = LinearProgram()
-    lam = [mid_lp.add_var(f"lam[{i}]") for i in range(len(vertices))]
-    mid_lp.add_constraint({var: ONE for var in lam}, "=", ONE, name="simplex")
-    y = {(k, p): mid_lp.add_var(f"y[{k};p{p}]", nonneg=False) for k in range(K) for p in paths}
-    for k in range(K):
-        for v in nodes:
-            row: dict[int, Q] = {}
-            for p in paths:
-                if v in enl.epaths[p].node_seq:
-                    row[y[(k, p)]] = row.get(y[(k, p)], ZERO) + ONE
-            for i in range(len(vertices)):
-                coef = gval(k, v) * reach[i][v]
-                if coef:
-                    row[lam[i]] = row.get(lam[i], ZERO) - coef
-            mid_lp.add_constraint(row, ">=", ZERO, name=f"cover[{k};{enl.enode(v).label}]")
-    mid_lp.set_objective("min", {var: ONE for var in y.values()})
-    mid_out = solve(mid_lp)
-    if mid_out.status != "optimal":
-        raise PropertyViolation(f"worst-case liquidation LP unexpectedly {mid_out.status}")
+    # worst-case mixture against the best liquidation, read off the duals
+    lam = [-lhs_out.duals[r] for r in vertex_rows]
+    if any(w < ZERO for w in lam) or sum(lam, ZERO) != ONE:
+        raise PropertyViolation("duals of the vertex rows are not a mixture")
+    mixture: dict[int, Q] = {}
+    for w, R in zip(lam, vertices):
+        for p in paths:
+            mixture[p] = mixture.get(p, ZERO) + w * R.get(p, ZERO)
+    middle = sum((snell_value(enl, g, mixture, paths=paths) for g in values), ZERO)
 
     # worst-case mixture against the best pure stopping tuple
     taus = restricted_stopping_times(enl, paths, cap)
@@ -310,7 +301,7 @@ def verify_minimax(
             stopped = {}
             for p in paths:
                 seq = enl.epaths[p].node_seq
-                stopped[p] = gval(k, seq[tau.time_on(seq)])
+                stopped[p] = values[k][seq[tau.time_on(seq)]]
             coefs = tuple(
                 sum((R.get(p, ZERO) * stopped[p] for p in paths), ZERO) for R in vertices
             )
@@ -327,15 +318,15 @@ def verify_minimax(
     if rhs_out.status != "optimal":
         raise PropertyViolation(f"worst-case stopping LP unexpectedly {rhs_out.status}")
 
-    if not (lhs_out.value == mid_out.value == rhs_out.value):
+    if not (lhs_out.value == middle == rhs_out.value):
         raise PropertyViolation(
             "liquidation interchange failed: "
-            f"{rat_str(lhs_out.value)}, {rat_str(mid_out.value)}, {rat_str(rhs_out.value)}"
+            f"{rat_str(lhs_out.value)}, {rat_str(middle)}, {rat_str(rhs_out.value)}"
         )
     return MinimaxReport(
         value=lhs_out.value,
         lhs=lhs_out.value,
-        middle=mid_out.value,
+        middle=middle,
         rhs=rhs_out.value,
         num_streams=K,
         num_vertices=len(vertices),

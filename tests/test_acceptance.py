@@ -29,7 +29,7 @@ from amhedge.enlarged import enlarge, extend_claim
 from amhedge.errors import PropertyViolation
 from amhedge.hedging import subhedge, superhedge
 from amhedge.measures import (
-    MartingalePolytope,
+    MeasurePolytope,
     build_polytope,
     check_sna,
     dp_superhedge,
@@ -261,9 +261,9 @@ def test_criterion_6_robust_ftap_and_domination(capfd):
                     ok, _ = pt.check(cert.measure, min_slack=cert.slack)
                     if not ok:
                         failures.append(f"{where}: certificate fails re-validation")
-            enl = enlarge(model, model.N)
-            base = MartingalePolytope(enl, supported_paths(enl))
-            if robust_na(enl).holds != selector_sweep(base):
+            stock = enlarge(drop_options(model), 0)
+            base = MeasurePolytope(stock, paths=supported_paths(stock))
+            if robust_na(enlarge(model, model.N)).holds != selector_sweep(base):
                 failures.append(f"kernel {k}: no-arbitrage verdict vs selector sweep")
         for i in range(15):
             gm = _corpus()[i]

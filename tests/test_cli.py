@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import time
@@ -421,3 +422,49 @@ def test_module_entry_point(model_file):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["price"] == "1/3"
+
+
+def test_out_of_memory_exits_with_the_cap_code(model_file, monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "enlarge", exhausted)
+    code, out, err = run(["ftap", "--model", model_file], capsys)
+    assert code == cli.EXIT_CAP
+    assert out == ""
+    assert err == "amhedge: cap exceeded: out of memory\n"
+
+
+# an address-space limit under which a one-period ftap still runs, while the
+# 6-period binomial with two shorted calls runs out of memory within a second
+_MEMORY_LIMIT = 80 * 2**20
+
+
+def _ftap_under_memory_limit(path: Path) -> subprocess.CompletedProcess:
+    resource = pytest.importorskip("resource")
+
+    def limit() -> None:
+        resource.setrlimit(resource.RLIMIT_AS, (_MEMORY_LIMIT, _MEMORY_LIMIT))
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    return subprocess.run(
+        [sys.executable, "-m", "amhedge.cli", "ftap", "--model", str(path)],
+        capture_output=True, text=True, preexec_fn=limit, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+
+
+def test_out_of_memory_under_an_address_space_limit(tmp_path):
+    small = tmp_path / "small.json"
+    small.write_text(json.dumps(binomial_dict()))
+    calibration = _ftap_under_memory_limit(small)
+    if calibration.returncode != 0:
+        pytest.skip(f"a one-period ftap does not run under {_MEMORY_LIMIT >> 20} MB here")
+    big = binomial_put_book_dict(6, short_bid="1/8")
+    big["americans_short"] *= 2
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(big))
+    proc = _ftap_under_memory_limit(path)
+    assert proc.returncode == cli.EXIT_CAP, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == "amhedge: cap exceeded: out of memory\n"

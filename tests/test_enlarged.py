@@ -10,6 +10,8 @@ from amhedge.errors import ModelFormatError
 from amhedge.market import emit_model, load_model
 from amhedge.rationals import ONE, Q, ZERO
 
+from conftest import binomial_put_book_dict
+
 
 def test_zero_clocks_is_base_tree(binomial):
     enl = enlarge(binomial, 0)
@@ -54,16 +56,21 @@ def test_skewed_clock_weights(binomial_short_put):
     assert enl.clock_dist == {(0,): Q(1, 3), (1,): Q(2, 3)}
 
 
-def test_explicit_clock_weights(binomial_short_put):
-    enl = enlarge(binomial_short_put, 1, clock_weights={(0,): "1/4", (1,): "3/4"})
-    assert enl.clock_dist[(1,)] == Q(3, 4)
-    for bad in (
-        {(0,): "1"},                      # misses (1,)
-        {(0,): "0", (1,): "1"},           # not full support
-        {(0,): "1/2", (1,): "1/4"},       # does not sum to 1
-    ):
-        with pytest.raises(ModelFormatError):
-            enlarge(binomial_short_put, 1, clock_weights=bad)
+def test_subforest_matches_a_brute_force_build():
+    model = load_model(binomial_put_book_dict(2, short_bid="1/4"))
+    enl = enlarge(model, model.N + 1)
+    assert enl.num_paths == 36
+    # a subset of the clock paths, listed out of index order
+    paths = [p for p in range(enl.num_paths) if p % 3 != 1][::-1]
+    through, kids = enl.subforest(paths)
+    seqs = {p: enl.epaths[p].node_seq for p in paths}
+    nodes = {v for seq in seqs.values() for v in seq}
+    assert list(through) == sorted(nodes) and set(kids) == nodes
+    for v in nodes:
+        assert through[v] == [p for p in paths if v in seqs[p]]
+        steps = {seq[t + 1] for seq in seqs.values() for t in range(enl.horizon) if seq[t] == v}
+        assert kids[v] == tuple(c for c in enl.children[v] if c in steps)
+    assert len(nodes) < len(enl.enodes)
 
 
 def test_status_reveals_clock_at_its_time(binomial_short_put):

@@ -138,10 +138,14 @@ def test_max_slack_simplex_center():
     lp.add_constraint({x: ONE, y: ONE}, "=", ONE)
     r1 = lp.add_constraint({x: ONE}, ">=", ZERO)
     r2 = lp.add_constraint({y: ONE}, ">=", ZERO)
-    out = max_slack(lp, [r1, r2])
-    assert out.status == "optimal" and out.strict
+    out = max_slack(lp, {r1: ONE, r2: ONE})
+    assert out.status == "optimal" and out.slack > 0
     assert out.slack == Q(1, 2)
     assert out.witness[:2] == [Q(1, 2), Q(1, 2)]
+    # weights scale each row's share: x >= s and y >= 2s give s = 1/3
+    out = max_slack(lp, {r1: ONE, r2: Q(2)})
+    assert out.slack == Q(1, 3)
+    assert out.witness[:2] == [Q(1, 3), Q(2, 3)]
 
 
 def test_max_slack_negative_when_tight():
@@ -150,8 +154,8 @@ def test_max_slack_negative_when_tight():
     x = lp.add_var("x")
     r1 = lp.add_constraint({x: ONE}, "<=", Q(1, 3))
     r2 = lp.add_constraint({x: ONE}, ">=", Q(1, 2))
-    out = max_slack(lp, [r1, r2])
-    assert out.status == "optimal" and not out.strict
+    out = max_slack(lp, {r1: ONE, r2: ONE})
+    assert out.status == "optimal" and not out.slack > 0
     assert out.slack == Q(-1, 12)
 
 
@@ -160,7 +164,7 @@ def test_max_slack_rejects_equalities():
     x = lp.add_var("x")
     r = lp.add_constraint({x: ONE}, "=", ONE)
     with pytest.raises(ValueError):
-        max_slack(lp, [r])
+        max_slack(lp, {r: ONE})
 
 
 def test_no_rows_optimal():

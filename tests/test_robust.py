@@ -12,13 +12,14 @@ import dataclasses
 
 import pytest
 
+import amhedge.robust as robust
 from amhedge.campaign import selector_sweep
 from amhedge.enlarged import enlarge, extend_claim
-from amhedge.errors import ModelFormatError, SnaFailure
+from amhedge.errors import ModelFormatError, PropertyViolation, SnaFailure
 from amhedge.hedging import subhedge, superhedge
 from amhedge.market import load_model
 from amhedge.measures import (
-    MartingalePolytope,
+    MeasurePolytope,
     build_polytope,
     dp_superhedge,
     ftap_certificate,
@@ -79,6 +80,13 @@ SURE_UP = {"r": [["1", "0"]]}
 def _qs_price(enl, side):
     """The quasi-sure price: the classical measure LP on the supported paths."""
     return price_with_dual(enl, side, paths=supported_paths(enl))[0]
+
+
+def _stock_polytope(model):
+    """The martingale polytope robust_na certifies on: the stock-only
+    market's n = 0 space, on its supported paths."""
+    stock = enlarge(drop_options(model), 0)
+    return MeasurePolytope(stock, paths=supported_paths(stock))
 
 
 def _qs_ftap(enl):
@@ -302,14 +310,14 @@ def test_selector_sweep_agrees_with_one_lp(bid, holds):
         enl = enlarge(model, n)
         pt = build_polytope(enl, paths=supported_paths(enl))
         assert selector_sweep(pt) == _qs_ftap(enl)[0] == holds
-    enl = enlarge(model, model.N)
-    assert selector_sweep(MartingalePolytope(enl, supported_paths(enl)))
-    assert robust_na(enl).holds
+    assert selector_sweep(_stock_polytope(model))
+    assert robust_na(enlarge(model, model.N)).holds
 
 
 def test_selector_sweep_agrees_on_arbitrage():
-    enl = enlarge(_binomial(SURE_UP), 0)
-    assert not selector_sweep(MartingalePolytope(enl, supported_paths(enl)))
+    model = _binomial(SURE_UP)
+    assert not selector_sweep(_stock_polytope(model))
+    enl = enlarge(model, 0)
     assert not selector_sweep(build_polytope(enl, paths=supported_paths(enl)))
 
 
@@ -352,3 +360,27 @@ def test_minimax_two_vertices():
     const = {v: Q(2, 7) for v in supported_enodes(enl)}
     rep2 = verify_minimax(enl, [stream, const], [v1, v2])
     assert rep2.value == rep.value + Q(2, 7)
+
+
+def test_minimax_middle_term_must_match(monkeypatch):
+    # the backward induction at the dual mixture must equal both LP values
+    enl, stream = _minimax_setup()
+    real = robust.snell_value
+    monkeypatch.setattr(robust, "snell_value", lambda *a, **k: real(*a, **k) + Q(1, 1000))
+    with pytest.raises(PropertyViolation, match="liquidation interchange failed"):
+        verify_minimax(enl, [stream], [vertex_measure(enl, (0,))])
+
+
+def test_minimax_rejects_duals_that_are_not_a_mixture(monkeypatch):
+    enl, stream = _minimax_setup()
+    real = robust.solve
+
+    def doubled(lp):
+        out = real(lp)
+        if out.duals is not None:
+            out.duals = [2 * y for y in out.duals]
+        return out
+
+    monkeypatch.setattr(robust, "solve", doubled)
+    with pytest.raises(PropertyViolation, match="not a mixture"):
+        verify_minimax(enl, [stream], [vertex_measure(enl, (0,))])
