@@ -29,10 +29,10 @@ from test_report_bytes import CAMPAIGN_MODELS, COMMANDS, CONFTEST_MODELS, _model
 
 # (number of LPs solved, sha256 of their sorted fingerprints)
 EXPECTED_CLI = (27, "32643a5c7fb4e84b8b4b2a047c382c73573216dfea9c1b63e3d690e95e3a3c5f")
-EXPECTED_VERIFY = (298, "fa28dc114deba8e2c0dc982ac6f79467d7f306e5e07f32c39ef897faf0ccbe29")
+EXPECTED_VERIFY = (295, "e5688d18c444f13be57a1fdaa4110cb1c9ddd446ea5b75ce87fc6abcc8cff212")
 # (number of pivots, sha256 of the sorted (fingerprint, pivot sequence) pairs)
 EXPECTED_CLI_PIVOTS = (171, "46ae259b773d0260c41e66e0fee6ab0144990c641fa82cf63705d779f487b906")
-EXPECTED_VERIFY_PIVOTS = (4431, "5ce76d36ab4111502ab1332ee21a7b91c8a34ecd426f8059154a8d305a7d2b49")
+EXPECTED_VERIFY_PIVOTS = (4334, "cb7244be68a2e78198331088fba84343905c859eec6001a8db1b8f9a7fe3c5c1")
 
 
 def fingerprint(prog: lp.LinearProgram) -> str:
