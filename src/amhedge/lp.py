@@ -554,8 +554,8 @@ def max_slack(lp: LinearProgram, slack_rows: dict[int, Q]) -> SlackOutcome:
     Each listed row `a.x <= b` with weight w is tightened to
     `a.x + w*s <= b` (and `>=` rows to `a.x - w*s >= b`); s itself is
     unrestricted in sign so the maximum can be negative when the system
-    is only loosely consistent.  s* > 0 certifies a point satisfying
-    every listed row of positive weight strictly.
+    is only loosely consistent.  With positive weights, s* > 0 certifies
+    a point satisfying every listed row strictly.
     """
     work = lp.copy()
     s = work.add_var("_slack", nonneg=False)
@@ -563,8 +563,7 @@ def max_slack(lp: LinearProgram, slack_rows: dict[int, Q]) -> SlackOutcome:
         row = work.rows[i]
         if row.rel == "=":
             raise ValueError(f"cannot slacken equality row {row.name}")
-        if w:
-            row.coeffs[s] = rat(w) if row.rel == "<=" else -rat(w)
+        row.coeffs[s] = w if row.rel == "<=" else -w
     work.set_objective("max", {s: ONE})
     out = solve(work)
     if out.status == "infeasible":

@@ -323,6 +323,8 @@ def test_polytope_at_other_quotes_is_the_rebuilt_polytope():
         assert format_lp(moved.lp) == format_lp(build_polytope(shifted).lp)
         assert moved.enl is shifted and moved.lp.rows[0] is not pt.lp.rows[0]
     assert format_lp(pt.lp) == format_lp(build_polytope(enl).lp)
+    with pytest.raises(ValueError):
+        pt.at_quotes(enlarge(model, model.N))
 
 
 @pytest.mark.parametrize("name", [*CONFTEST_MODELS, *CAMPAIGN_MODELS])

@@ -12,6 +12,7 @@ import dataclasses
 
 import pytest
 
+import amhedge.campaign as campaign
 import amhedge.robust as robust
 from amhedge.campaign import selector_sweep
 from amhedge.enlarged import enlarge, extend_claim
@@ -312,6 +313,24 @@ def test_selector_sweep_agrees_with_one_lp(bid, holds):
         assert selector_sweep(pt) == _qs_ftap(enl)[0] == holds
     assert selector_sweep(_stock_polytope(model))
     assert robust_na(enlarge(model, model.N)).holds
+
+
+def test_selector_sweep_rechecks_its_witness_at_the_shifted_quotes(monkeypatch):
+    data = trinomial_kernels_dict(2)
+    data["americans_short"][0]["price"] = "1/8"
+    model = load_model(data)
+    enl = enlarge(model, model.N)
+    pt = build_polytope(enl, paths=supported_paths(enl))
+    real = campaign._selector_epsilon
+
+    def overstated(pt, pbar):
+        eps, measure = real(pt, pbar)
+        return eps + 1, measure
+
+    # a witness claimed for quotes moved by one more than its slack must fail
+    monkeypatch.setattr(campaign, "_selector_epsilon", overstated)
+    with pytest.raises(PropertyViolation, match="shifted-polytope witness"):
+        selector_sweep(pt)
 
 
 def test_selector_sweep_agrees_on_arbitrage():
