@@ -283,10 +283,7 @@ def verify_minimax(
     lam = [-lhs_out.duals[r] for r in vertex_rows]
     if any(w < ZERO for w in lam) or sum(lam, ZERO) != ONE:
         raise PropertyViolation("duals of the vertex rows are not a mixture")
-    mixture: dict[int, Q] = {}
-    for w, R in zip(lam, vertices):
-        for p in paths:
-            mixture[p] = mixture.get(p, ZERO) + w * R.get(p, ZERO)
+    mixture = {p: sum((w * R.get(p, ZERO) for w, R in zip(lam, vertices)), ZERO) for p in paths}
     middle = sum((snell_value(enl, g, mixture, paths=paths) for g in values), ZERO)
 
     # worst-case mixture against the best pure stopping tuple
