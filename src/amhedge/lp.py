@@ -14,8 +14,9 @@ solve returns, besides the optimum:
 * infeasible    -- a Farkas certificate (verified),
 * unbounded     -- an improving ray (verified).
 
-Each certificate is re-checked in integers against the LP alone, never
-the tableau.  The solver never touches floats.  A failed internal check
+Phase 1 starts from the slack basis wherever a row allows it, homogeneous
+``>=`` rows included (see ``_Tableau``).  Each certificate is re-checked in
+integers against the LP alone, never the tableau.  The solver never touches floats.  A failed internal check
 raises LPInternalError rather than returning a wrong answer.
 """
 from __future__ import annotations
@@ -138,6 +139,23 @@ class _Tableau:
     its numerator's sign and the ratio test compares rhs/entry by
     cross-multiplying (the row's common factor cancels).  Rationals are
     built, and normalised, only when a result is read.
+
+    Starting basis: a row starts on its slack where the slack's entry is
+    positive, else on its artificial.  A row with a negative rhs is negated, so
+    every rhs starts nonnegative and a ``>=`` row becomes ``<=``.  A
+    homogeneous ``>=`` row (rhs 0) is negated too, so its slack starts
+    basic at 0 and phase 1 has no work on it: the arbitrage and gain-cone
+    LPs are mostly such rows.  The exception is a bound row, y >= a
+    nonnegative combination of nonnegative columns (see ``_bound_row``),
+    such as a Snell row of a measure LP, in an LP whose origin violates
+    some row.  On its artificial, the columns phase 1 brings in to move
+    off the origin have negative entries in the row and pass it by; on a
+    slack at 0, the ratio test's ties pivot them into the row and it
+    fills in (on the Snell block of bin T=8 the row updates doubled).
+    Where the origin is feasible, phase 1 starts there, with only the
+    artificials of ``=`` rows basic, at 0, and a bound row is negated
+    like any other.  The
+    rule reads the rows' structure only, never a name.
     """
 
     def __init__(self, lp: LinearProgram):
@@ -161,9 +179,14 @@ class _Tableau:
         self.art_col = list(range(ncols, ncols + m))
         self.ncols = ncols + m
 
-        # a row with a negative rhs is negated (its relation flips) so that
-        # every rhs starts nonnegative; its dual is negated back on reading
-        self.flip = [row.rhs < 0 for row in lp.rows]
+        # negated rows (their relation flips): every negative rhs, and every
+        # homogeneous >= row but a bound row in an LP the origin violates
+        # (see the class docstring); a negated row's dual is negated back
+        # on reading
+        origin_feasible = not any(_violated(row.rel, 0, row.rhs) for row in lp.rows)
+        self.flip = [row.rhs < 0 or (row.rhs == 0 and row.rel == ">=" and (
+                         origin_feasible or not _bound_row(row, lp.nonneg)))
+                     for row in lp.rows]
         self.rows: list[dict[int, int]] = []
         self.den: list[int] = []
         self.basis: list[int] = []
@@ -280,6 +303,16 @@ class _Tableau:
             y = art_cost - Q(self.zrow[c], self.zden)
             ys.append(-y if self.flip[i] else y)
         return ys
+
+
+def _bound_row(row: _Row, nonneg: list[bool]) -> bool:
+    """True for y >= a nonnegative combination of nonnegative columns.
+
+    Every column of the row is nonnegative and exactly one coefficient is
+    positive; the relation and rhs are not read (see _Tableau).
+    """
+    return (all(nonneg[j] for j in row.coeffs)
+            and sum(v > 0 for v in row.coeffs.values()) == 1)
 
 
 def _integer_row(coeffs: dict[int, Q], rhs: Q) -> tuple[dict[int, int], int, int]:

@@ -8,7 +8,7 @@ import pytest
 
 from amhedge import lp as lpmod
 from amhedge.enlarged import enlarge
-from amhedge.hedging import superhedge
+from amhedge.hedging import detect_arbitrage, superhedge
 from amhedge.lp import LinearProgram, format_lp, max_slack, solve
 from amhedge.market import load_model
 from amhedge.rationals import ONE, Q, ZERO
@@ -339,43 +339,98 @@ def _random_lp(rng: random.Random):
     return lp, xs
 
 
+def _check_against_highs(scipy_lin, lp: LinearProgram, out) -> None:
+    """The status and optimal value of ``out`` agree with HiGHS on ``lp``."""
+    codes = {"optimal": 0, "infeasible": 2, "unbounded": 3}  # linprog's res.status
+    sign = -1.0 if lp.sense == "max" else 1.0
+    c = [0.0] * lp.num_vars
+    for j, v in lp.objective.items():
+        c[j] = sign * float(v)
+    a_ub, b_ub = [], []
+    a_eq, b_eq = [], []
+    for row in lp.rows:
+        dense = [0.0] * lp.num_vars
+        for j, v in row.coeffs.items():
+            dense[j] = float(v)
+        if row.rel == "<=":
+            a_ub.append(dense)
+            b_ub.append(float(row.rhs))
+        elif row.rel == ">=":
+            a_ub.append([-v for v in dense])
+            b_ub.append(-float(row.rhs))
+        else:
+            a_eq.append(dense)
+            b_eq.append(float(row.rhs))
+    bounds = [(0, None) if pos else (None, None) for pos in lp.nonneg]
+    res = scipy_lin.linprog(
+        c, A_ub=a_ub or None, b_ub=b_ub or None,
+        A_eq=a_eq or None, b_eq=b_eq or None, bounds=bounds, method="highs",
+    )
+    assert res.status == codes[out.status], format_lp(lp)
+    if out.status == "optimal":
+        assert abs(float(out.value) - sign * res.fun) < 1e-9, format_lp(lp)
+
+
 def test_against_float_solver():
     scipy_lin = pytest.importorskip("scipy.optimize")
     rng = random.Random(20260814)
-    codes = {"optimal": 0, "infeasible": 2, "unbounded": 3}  # linprog's res.status
-    seen = dict.fromkeys(codes, 0)
+    seen = dict.fromkeys(["optimal", "infeasible", "unbounded"], 0)
     for _ in range(150):
-        lp, xs = _random_lp(rng)
+        lp, _ = _random_lp(rng)
         out = solve(lp)
         seen[out.status] += 1
-        sign = -1.0 if lp.sense == "max" else 1.0
-        c = [0.0] * lp.num_vars
-        for j, v in lp.objective.items():
-            c[j] = sign * float(v)
-        a_ub, b_ub = [], []
-        a_eq, b_eq = [], []
-        for row in lp.rows:
-            dense = [0.0] * lp.num_vars
-            for j, v in row.coeffs.items():
-                dense[j] = float(v)
-            if row.rel == "<=":
-                a_ub.append(dense)
-                b_ub.append(float(row.rhs))
-            elif row.rel == ">=":
-                a_ub.append([-v for v in dense])
-                b_ub.append(-float(row.rhs))
-            else:
-                a_eq.append(dense)
-                b_eq.append(float(row.rhs))
-        bounds = [(0, None) if pos else (None, None) for pos in lp.nonneg]
-        res = scipy_lin.linprog(
-            c, A_ub=a_ub or None, b_ub=b_ub or None,
-            A_eq=a_eq or None, b_eq=b_eq or None, bounds=bounds, method="highs",
-        )
-        assert res.status == codes[out.status], format_lp(lp)
-        if out.status == "optimal":
-            assert abs(float(out.value) - sign * res.fun) < 1e-9
+        _check_against_highs(scipy_lin, lp, out)
     assert all(seen.values()), seen
+
+
+def _random_homogeneous_lp(rng: random.Random) -> LinearProgram:
+    """Random LP whose inequality rows all have rhs 0, as the gain cones have.
+
+    Its rows: one to four homogeneous <= or >= rows, a third of them bound
+    rows (one positive coefficient, the others negative, all on nonnegative
+    variables); up to two equality rows, with rhs 0 half the time; and one
+    norm row (every nonnegative variable sums to at most b) or one box row
+    (a single variable at most b).  Free variables are never bounded, so
+    optimal, infeasible and unbounded LPs all occur.
+    """
+    lp = LinearProgram()
+    n = rng.randint(2, 4)
+    xs = [lp.add_var(f"x{j}", nonneg=rng.random() < 0.7) for j in range(n)]
+    pos = [x for x in xs if lp.nonneg[x]]
+    for _ in range(rng.randint(1, 4)):
+        if len(pos) >= 2 and rng.random() < 1 / 3:
+            top, *rest = rng.sample(pos, rng.randint(2, len(pos)))
+            row = {top: Q(rng.randint(1, 3))}
+            row.update((x, -Q(rng.randint(1, 3), rng.randint(1, 2))) for x in rest)
+            rel = ">="
+        else:
+            row = {x: Q(rng.randint(-3, 3), rng.randint(1, 4)) for x in xs}
+            rel = rng.choice(["<=", ">=", ">="])
+        lp.add_constraint(row, rel, ZERO)
+    for _ in range(rng.randint(0, 2)):
+        row = {x: Q(rng.randint(-2, 2)) for x in xs}
+        lp.add_constraint(row, "=", Q(rng.randint(-2, 2)) if rng.random() < 0.5 else ZERO)
+    if pos and rng.random() < 0.5:
+        lp.add_constraint({x: ONE for x in pos}, "<=", Q(rng.randint(1, 3)))
+    else:
+        lp.add_constraint({rng.choice(xs): ONE}, "<=", Q(rng.randint(1, 3)))
+    lp.set_objective(rng.choice(["max", "min"]),
+                     {x: Q(rng.randint(-2, 4), rng.randint(1, 3)) for x in xs})
+    return lp
+
+
+def test_homogeneous_lps_against_float_solver():
+    # the rows the slack start negates, and the bound rows it leaves on
+    # their artificials, in every mix; solve re-verifies each certificate
+    scipy_lin = pytest.importorskip("scipy.optimize")
+    rng = random.Random(20261018)
+    seen = dict.fromkeys(["optimal", "infeasible", "unbounded"], 0)
+    for _ in range(200):
+        lp = _random_homogeneous_lp(rng)
+        out = solve(lp)
+        seen[out.status] += 1
+        _check_against_highs(scipy_lin, lp, out)
+    assert all(v >= 10 for v in seen.values()), seen
 
 
 def _recording_tableau(check):
@@ -485,3 +540,47 @@ def test_tableau_stores_only_nonzeros(monkeypatch):
     assert len(fresh) == len(lps)
     model = load_model(binomial_put_book_dict(4))
     assert superhedge(enlarge(model, model.N + 1)).price == Q(52, 27)
+
+
+def _start(rows, nonneg=(True, True, True)):
+    """(flip, starting basic column kind) of each row of a fresh tableau."""
+    lp = LinearProgram()
+    xs = [lp.add_var(f"x{j}", nonneg=pos) for j, pos in enumerate(nonneg)]
+    for coeffs, rel, rhs in rows:
+        lp.add_constraint({xs[j]: Q(v) for j, v in coeffs.items()}, rel, Q(rhs))
+    tab = lpmod._Tableau(lp)
+    kind = lambda i: "slack" if tab.basis[i] == tab.slack_col[i] else "art"
+    return [(tab.flip[i], kind(i)) for i in range(lp.num_rows)]
+
+
+def test_starting_basis():
+    mass = ({1: 1, 2: 1}, "=", 1)  # the origin violates it
+    # a homogeneous >= row is negated and starts on its slack, at 0
+    assert _start([({0: 1, 1: 1, 2: -1}, ">=", 0), mass])[0] == (True, "slack")
+    assert _start([({0: 1, 1: -1}, ">=", 0), mass], nonneg=(False, True, True))[0] == (True, "slack")
+    # a bound row y - x1 - 2*x2 >= 0 keeps its artificial where the origin is infeasible ...
+    bound = ({0: 1, 1: -1, 2: -2}, ">=", 0)
+    assert _start([bound, mass])[0] == (False, "art")
+    # ... and starts on its slack where the origin is feasible
+    assert _start([bound, ({1: 1, 2: -1}, "=", 0)])[0] == (True, "slack")
+    assert _start([bound, ({0: 1, 1: 1}, "<=", 1)])[0] == (True, "slack")
+    # negative-rhs rows are negated as before; homogeneous <= and = rows are not
+    assert _start([({0: 1, 1: -1}, ">=", -2), ({0: 1, 1: 1}, "<=", -1), mass]) == [
+        (True, "slack"), (True, "art"), (False, "art")]
+    assert _start([({0: 1, 1: -1}, "<=", 0), ({0: 1, 1: -1}, "=", 0)]) == [
+        (False, "slack"), (False, "art")]
+
+
+def test_arbitrage_lp_phase_1_pivots_only_the_equality_rows(binomial, monkeypatch):
+    # every row of the arbitrage LP is homogeneous or the norm row, so
+    # phase 1 starts at the origin, feasible: at most one pivot per = row
+    phase1 = []
+
+    def check(tab, step):
+        if step is None and len(phase1) < 2:
+            phase1.append((tab.pivots, sum(row.rel == "=" for row in tab.lp.rows)))
+
+    monkeypatch.setattr(lpmod, "_Tableau", _recording_tableau(check))
+    assert not detect_arbitrage(enlarge(binomial, 0)).found
+    (start, _), (pivots, equalities) = phase1
+    assert start == 0 and pivots <= equalities
