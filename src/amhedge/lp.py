@@ -14,10 +14,11 @@ solve returns, besides the optimum:
 * infeasible    -- a Farkas certificate (verified),
 * unbounded     -- an improving ray (verified).
 
-Phase 1 starts from the slack basis wherever a row allows it, homogeneous
-``>=`` rows included (see ``_Tableau``).  Each certificate is re-checked in
-integers against the LP alone, never the tableau.  The solver never touches floats.  A failed internal check
-raises LPInternalError rather than returning a wrong answer.
+Phase 1 starts each row on its slack where that is feasible at once,
+homogeneous ``>=`` rows included, with one exception (see ``_Tableau``).  Each certificate is re-checked
+in integers against the LP alone, never the tableau.  The solver never
+touches floats.  A failed internal check raises LPInternalError rather
+than returning a wrong answer.
 """
 from __future__ import annotations
 
@@ -141,21 +142,21 @@ class _Tableau:
     built, and normalised, only when a result is read.
 
     Starting basis: a row starts on its slack where the slack's entry is
-    positive, else on its artificial.  A row with a negative rhs is negated, so
-    every rhs starts nonnegative and a ``>=`` row becomes ``<=``.  A
-    homogeneous ``>=`` row (rhs 0) is negated too, so its slack starts
-    basic at 0 and phase 1 has no work on it: the arbitrage and gain-cone
-    LPs are mostly such rows.  The exception is a bound row, y >= a
-    nonnegative combination of nonnegative columns (see ``_bound_row``),
-    such as a Snell row of a measure LP, in an LP whose origin violates
-    some row.  On its artificial, the columns phase 1 brings in to move
-    off the origin have negative entries in the row and pass it by; on a
-    slack at 0, the ratio test's ties pivot them into the row and it
-    fills in (on the Snell block of bin T=8 the row updates doubled).
-    Where the origin is feasible, phase 1 starts there, with only the
-    artificials of ``=`` rows basic, at 0, and a bound row is negated
-    like any other.  The
-    rule reads the rows' structure only, never a name.
+    positive, else on its artificial.  A row with a negative rhs is
+    negated, so every rhs starts nonnegative and a ``>=`` row becomes
+    ``<=``.  A homogeneous ``>=`` row (rhs 0) is negated too, so its slack
+    starts basic at 0 and phase 1 has no work on it: the arbitrage and
+    gain-cone LPs are mostly such rows.  The exception is a bound row,
+    y >= a nonnegative combination of nonnegative columns (see
+    ``_bound_row``), such as a Snell row of a measure LP, in an LP whose
+    origin violates some row.  On its artificial, the columns phase 1
+    brings in to move off the origin have negative entries in the row and
+    pass it by; on a slack at 0, the ratio test's ties pivot them into
+    the row and it fills in (on the Snell block of bin T=8 the row
+    updates doubled).  Where the origin is feasible, phase 1 starts
+    there, with only the artificials of ``=`` rows basic, at 0, and a
+    bound row is negated like any other.  The rule reads the rows'
+    structure only, never a name.
     """
 
     def __init__(self, lp: LinearProgram):
