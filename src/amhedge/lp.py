@@ -15,10 +15,10 @@ solve returns, besides the optimum:
 * unbounded     -- an improving ray (verified).
 
 Phase 1 starts each row on its slack where that is feasible at once,
-homogeneous ``>=`` rows included, with one exception (see ``_Tableau``).  Each certificate is re-checked
-in integers against the LP alone, never the tableau.  The solver never
-touches floats.  A failed internal check raises LPInternalError rather
-than returning a wrong answer.
+homogeneous ``>=`` rows included, with one exception (see ``_Tableau``).
+Each certificate is re-checked in integers against the LP alone, never
+the tableau.  The solver never touches floats.  A failed internal check
+raises LPInternalError rather than returning a wrong answer.
 """
 from __future__ import annotations
 

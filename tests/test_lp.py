@@ -557,8 +557,10 @@ def test_starting_basis():
     mass = ({1: 1, 2: 1}, "=", 1)  # the origin violates it
     # a homogeneous >= row is negated and starts on its slack, at 0
     assert _start([({0: 1, 1: 1, 2: -1}, ">=", 0), mass])[0] == (True, "slack")
-    assert _start([({0: 1, 1: -1}, ">=", 0), mass], nonneg=(False, True, True))[0] == (True, "slack")
-    # a bound row y - x1 - 2*x2 >= 0 keeps its artificial where the origin is infeasible ...
+    free_x0 = (False, True, True)
+    assert _start([({0: 1, 1: -1}, ">=", 0), mass], free_x0)[0] == (True, "slack")
+    # a bound row y - x1 - 2*x2 >= 0 keeps its artificial where the origin
+    # is infeasible ...
     bound = ({0: 1, 1: -1, 2: -2}, ">=", 0)
     assert _start([bound, mass])[0] == (False, "art")
     # ... and starts on its slack where the origin is feasible
