@@ -495,9 +495,9 @@ def _dominating_law(
     dom = {lp.add_constraint({qv[kid]: ONE}, ">=", ZERO, name=f"dom[{vi};{kid}]"): vert[i]
            for vi, vert in enumerate(vertices) for i, kid in enumerate(kids) if vert[i] > 0}
     out = max_slack(lp, dom)
-    if out.status != "optimal" or out.slack <= ZERO:
+    if out.status != "optimal" or out.value <= ZERO:
         return None
-    return {kid: out.witness[qv[kid]] for kid in supported if out.witness[qv[kid]]}
+    return {kid: out.x(qv[kid]) for kid in supported if out.x(qv[kid])}
 
 
 def random_kernel_model(rng: random.Random, *, seed: int | None = None) -> GeneratedModel:
@@ -610,7 +610,7 @@ def _na_closed(pt: MeasurePolytope) -> bool:
         return False
     if out.status != "optimal":
         raise PropertyViolation(f"support-slack LP unexpectedly {out.status}")
-    return out.slack > ZERO
+    return out.value > ZERO
 
 
 def check_ftap_grid(enl: EnlargedModel, *, expect: str | None = None) -> tuple[dict, SnaReport]:
@@ -889,8 +889,8 @@ def _selector_epsilon(
         return None, None
     if out.status != "optimal":
         raise PropertyViolation(f"shifted-polytope LP unexpectedly {out.status}")
-    eps = out.slack
-    measure = {p: out.witness[v] for p, v in pt.q_var.items() if out.witness[v]}
+    eps = out.value
+    measure = {p: out.x(v) for p, v in pt.q_var.items() if out.x(v)}
     for p, w in pbar.items():
         if measure.get(p, ZERO) < eps * w:
             raise PropertyViolation("domination certificate failed re-validation")

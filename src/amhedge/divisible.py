@@ -35,12 +35,7 @@ from .hedging import (
 )
 from .market import MarketModel
 from .rationals import ONE, ZERO, Q, rat_str
-from .strategies import (
-    LiquidatingStrategy,
-    _mixture_weight,
-    dirac_weights,
-    indistinguishable_pairs,
-)
+from .strategies import _mixture_weight, dirac_weights, indistinguishable_pairs
 
 __all__ = [
     "EPS_GRID", "DivisibilityReport", "RevealedModel", "nonanticipative",
@@ -125,10 +120,10 @@ class RevealedModel(EnlargedModel):
 
 
 def nonanticipative(
-    rev: RevealedModel, strat: SemiStaticStrategy, exercise: LiquidatingStrategy | None = None
+    rev: RevealedModel, strat: SemiStaticStrategy, exercise: dict[int, Q] | None = None
 ) -> bool:
     """Positions, liquidation masses and exercise weights agree on every tied pair."""
-    books = [*strat.liquidation, *([exercise.weights] if exercise is not None else [])]
+    books = [*strat.liquidation, *([exercise] if exercise is not None else [])]
     return all(
         all(strat.stock.get((v, d), ZERO) == strat.stock.get((w, d), ZERO)
             for d in range(strat.dims))
@@ -201,7 +196,7 @@ def _certify_lift(
     if eta is not None:
         values = extend_claim(rev, "sub")
         for p, ep in enumerate(rev.epaths):
-            gains[p] += sum((eta.at(v) * values[v] for v in ep.node_seq), ZERO)
+            gains[p] += sum((eta.get(v, ZERO) * values[v] for v in ep.node_seq), ZERO)
     sign = ONE if report.kind == "super" else -ONE
     checks = 0
     for point in grid:

@@ -206,18 +206,22 @@ def enlarge(model: MarketModel, n: int, clock_weights: ClockWeights = "uniform")
 
 
 def extend_claim(enl: EnlargedModel, role: Literal["sub", "super"]):
-    """Claim seen from the enlarged space.
+    """Claim seen from the enlarged space of its side.
 
     sub   -> node-indexed values (it stays an adapted exercise process),
-    super -> per-path payoff read off at the last clock coordinate.
+             on the n = N space;
+    super -> per-path payoff read off at the last clock coordinate, on
+             the n = N + 1 space whose extra clock is the holder's.
+    This is the one check of which space a side runs on.
     """
     claim = enl.model.claim
     if claim is None:
         raise ModelFormatError("model has no claim")
+    if role not in ("sub", "super"):
+        raise ValueError(f"unknown role {role!r}")
+    if enl.n != enl.model.N + (role == "super"):
+        clocks = "N + 1" if role == "super" else "N"
+        raise ModelFormatError(f"the {role}-hedging claim lives on the n = {clocks} space")
     if role == "sub":
         return {idx: claim.scalar(node.base) for idx, node in enumerate(enl.enodes)}
-    if role == "super":
-        if enl.n != enl.model.N + 1:
-            raise ModelFormatError("claim-at-clock payoff needs n = N + 1")
-        return [claim.scalar(enl.base_node_at(i, p.clocks[-1])) for i, p in enumerate(enl.epaths)]
-    raise ValueError(f"unknown role {role!r}")
+    return [claim.scalar(enl.base_node_at(i, p.clocks[-1])) for i, p in enumerate(enl.epaths)]

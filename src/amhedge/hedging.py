@@ -6,6 +6,11 @@ by a liquidating strategy, short Americans c >= 0 whose exercise times
 are the clock coordinates of the enlarged space.  The bilinear product
 b * mu is linearized by the substitution nu = b * mu, so every pricing
 problem below is an exact rational LP.
+
+GainLP takes its nodes from EnlargedModel.subforest.  Which space a side
+runs on (n = N to sub-hedge, N + 1 to super-hedge) is checked once, by
+enlarged.extend_claim.  Liquidation masses nu_j and exercise weights eta
+are plain node -> weight dicts.
 """
 from __future__ import annotations
 
@@ -14,10 +19,9 @@ from typing import Hashable, Iterable, Sequence
 
 from .enlarged import EnlargedModel, extend_claim
 from .errors import PropertyViolation, SnaFailure
-from .lp import LinearProgram, LPOutcome, solve
+from .lp import LinearProgram, solve
 from .market import MarketModel
 from .rationals import ONE, ZERO, Q, rat, rat_str
-from .strategies import LiquidatingStrategy
 
 
 def evaluate_gain(
@@ -192,7 +196,8 @@ def payoff_enlarged(
 class GainLP:
     """Strategy variables on the enlarged space and the gain row of each path.
 
-    Trade and carry nodes are ordered by path discovery.  Quantification
+    Carry nodes are the nodes of ``enl.subforest(paths)``, trade nodes
+    those of them with children, both in index order.  Quantification
     runs over ``paths`` (default all), which is how the quasi-sure
     variants restrict to a support set.  The space's tied node pairs and
     mixtures become rows too (add_common_rows).
@@ -214,16 +219,9 @@ class GainLP:
         self.lp = LinearProgram()
         self.x = self.lp.add_var("x", nonneg=False) if add_x else None
 
-        T = self.model.tree.horizon
-        trade: dict[int, None] = {}
-        carry: dict[int, None] = {}
-        for p in self.paths:
-            for t, v in enumerate(enl.epaths[p].node_seq):
-                carry.setdefault(v, None)
-                if t < T:
-                    trade.setdefault(v, None)
-        self.carry_nodes = list(carry)
-        labels = ((v, enl.enode(v).label) for v in trade)
+        nodes, kids = enl.subforest(self.paths)
+        self.carry_nodes = list(nodes)
+        labels = ((v, enl.enode(v).label) for v in self.carry_nodes if kids[v])
         self.stock = StockPositions(self.lp, labels, self.model.stock.dim, split=split_stock)
         # the static book a[i], b[j], c[k], listed per kind
         self.static = {
@@ -300,10 +298,8 @@ class GainLP:
                     _bump(row, var, w * val)
             self.lp.add_constraint(row, ">=", rhs, name=f"mix[{k}]")
 
-    def strategy_from(self, out: LPOutcome) -> SemiStaticStrategy:
-        return self._strategy_at(out.primal)
-
-    def _strategy_at(self, point: Sequence[Q]) -> SemiStaticStrategy:
+    def strategy_at(self, point: Sequence[Q]) -> SemiStaticStrategy:
+        """The strategy whose positions are an LP point's (or ray's) entries."""
         book = {kind: [point[var] for var in vs] for kind, vs in self.static.items()}
         return SemiStaticStrategy(
             dims=self.model.stock.dim,
@@ -338,7 +334,7 @@ class HedgeReport:
     kind: str
     price: Q
     strategy: SemiStaticStrategy
-    exercise: LiquidatingStrategy | None    # eta for sub-hedging
+    exercise: dict[int, Q] | None    # eta for sub-hedging: node -> exercise weight
     lp_rows: int
     lp_cols: int
     pivots: int
@@ -359,7 +355,7 @@ class HedgeReport:
         }
         if self.exercise is not None:
             doc["exercise"] = {
-                enl.enode(v).label: rat_str(w) for v, w in sorted(self.exercise.weights.items()) if w
+                enl.enode(v).label: rat_str(w) for v, w in sorted(self.exercise.items()) if w
             }
         return doc
 
@@ -372,8 +368,7 @@ def check_hedge(
     rhs: Sequence[Q],
     *,
     paths: Iterable[int],
-    exercise: LiquidatingStrategy | None = None,
-    exercise_values: dict[int, Q] | None = None,
+    exercise: dict[int, Q] | None = None,
     kind: str,
 ) -> None:
     """Re-validate a hedge on every path: sign*x + Phi(p) + extra(p) >= rhs(p).
@@ -382,22 +377,24 @@ def check_hedge(
     checks that each nu_j sums to b_j along every path; the static book
     and every liquidation mass must be nonnegative.  With ``exercise``
     the claim is held divisibly: its weights eta must be nonnegative and
-    sum to 1 along every path, and extra(p) = sum_t eta(v_t) * value(v_t).
+    sum to 1 along every path, and extra(p) = sum_t eta(v_t) * value(v_t)
+    with the claim's values of extend_claim(enl, "sub").
     """
     books = (strat.long_european, strat.long_american, strat.short_american,
              *(nu.values() for nu in strat.liquidation),
-             exercise.weights.values() if exercise is not None else ())
+             exercise.values() if exercise is not None else ())
     if any(val < ZERO for book in books for val in book):
         raise PropertyViolation(f"{kind} hedge holds a negative static or exercise position")
     gains = payoff_enlarged(enl, strat, paths=paths)
+    values = extend_claim(enl, "sub") if exercise is not None else None
     for p, gain in gains.items():
         lhs = sign * x + gain
         if exercise is not None:
             seq = enl.epaths[p].node_seq
-            mass = sum((exercise.at(v) for v in seq), ZERO)
+            mass = sum((exercise.get(v, ZERO) for v in seq), ZERO)
             if mass != ONE:
                 raise PropertyViolation(f"exercise weights sum to {rat_str(mass)} != 1 on path {p}")
-            lhs += sum((exercise.at(v) * exercise_values[v] for v in seq), ZERO)
+            lhs += sum((exercise.get(v, ZERO) * values[v] for v in seq), ZERO)
         if lhs < rhs[p]:
             raise PropertyViolation(
                 f"{kind} hedge fails on path {p}: {rat_str(lhs)} < {rat_str(rhs[p])}"
@@ -411,29 +408,29 @@ def _hedge(
     rhs: Sequence[Q],
     *,
     paths: Iterable[int] | None,
-    exercise_values: dict[int, Q] | None = None,
 ) -> HedgeReport:
     """The one hedging LP: sign*x + Phi(p) + extra(p) >= rhs(p) on every path.
 
     sign -1 maximizes x (a sub-hedge), sign +1 minimizes it (a
-    super-hedge).  With ``exercise_values`` the claim is held divisibly:
-    exercise weights eta of unit mass per path add extra(p) = sum_t
-    eta(v_t) * value(v_t), and eta is tied like H and nu on the space's
-    tied pairs.  The optimum is re-validated by check_hedge.  This LP is
-    the reference of the campaign's duality check and the pricer of the
-    divisibility battery, on the enlarged and the revealed-clock space;
-    ``price`` solves the measure LP of measures.price_with_dual instead.
+    super-hedge).  On the sub side (kind "sub") the claim is held
+    divisibly: exercise weights eta of unit mass per path add extra(p) =
+    sum_t eta(v_t) * value(v_t), the values of extend_claim(enl, "sub"),
+    and eta is tied like H and nu on the space's tied pairs.  The optimum
+    is re-validated by check_hedge.  This LP is the reference of the
+    campaign's duality check and the pricer of the divisibility battery,
+    on the enlarged and the revealed-clock space; ``price`` solves the
+    measure LP of measures.price_with_dual instead.
     """
+    claim = extend_claim(enl, "sub") if kind == "sub" else None
     g = GainLP(enl, paths=paths, add_x=True)
-    eta_var = {}
-    if exercise_values is not None:
-        eta_var = {v: g.lp.add_var(f"eta[{enl.enode(v).label}]") for v in g.carry_nodes}
+    eta_var = {} if claim is None else {
+        v: g.lp.add_var(f"eta[{enl.enode(v).label}]") for v in g.carry_nodes}
     for p in g.paths:
         seq = enl.epaths[p].node_seq
         row = g.gain_coeffs(p)
         if eta_var:
             for v in seq:
-                _bump(row, eta_var[v], exercise_values[v])
+                _bump(row, eta_var[v], claim[v])
         row[g.x] = row.get(g.x, ZERO) + sign
         g.add_path_row(p, row, rhs[p], f"hedge[p{p}]")
         if eta_var:
@@ -446,17 +443,15 @@ def _hedge(
     if out.status == "unbounded":
         raise SnaFailure(
             f"{kind} hedging price is unbounded: the market admits arbitrage",
-            certificate={"ray": ray_summary(enl, out.ray[g.x], g._strategy_at(out.ray))},
+            certificate={"ray": ray_summary(enl, out.ray[g.x], g.strategy_at(out.ray))},
         )
     if out.status != "optimal":
         raise PropertyViolation(f"{kind} hedge LP unexpectedly {out.status}")
-    eta = None
-    if eta_var:
-        eta = LiquidatingStrategy({v: out.x(var) for v, var in eta_var.items() if out.x(var)})
+    eta = {v: out.x(var) for v, var in eta_var.items() if out.x(var)} if eta_var else None
     report = HedgeReport(
         kind=kind,
         price=out.value,
-        strategy=g.strategy_from(out),
+        strategy=g.strategy_at(out.primal),
         exercise=eta,
         lp_rows=out.rows,
         lp_cols=out.cols,
@@ -464,7 +459,7 @@ def _hedge(
         num_paths=len(g.paths),
     )
     check_hedge(enl, report.strategy, sign, report.price, rhs, paths=g.paths,
-                exercise=eta, exercise_values=exercise_values, kind=kind)
+                exercise=eta, kind=kind)
     return report
 
 
@@ -476,13 +471,11 @@ def subhedge(
     """Largest x dominated by the claim held divisibly plus a strategy.
 
     max x  s.t.  Phi(p) + sum_t eta(v_t) phi(v_t) >= x on every path,
-    eta a liquidating strategy.  Unbounded means the market itself
-    admits unbounded riskless gain, reported as an SNA failure.
+    eta a liquidating strategy, on the n = N enlargement.  Unbounded
+    means the market itself admits unbounded riskless gain, reported as
+    an SNA failure.
     """
-    if enl.n != enl.model.N:
-        raise ValueError("sub-hedging runs on the n = N enlargement")
-    return _hedge(enl, "sub", -ONE, [ZERO] * enl.num_paths, paths=paths,
-                  exercise_values=extend_claim(enl, "sub"))
+    return _hedge(enl, "sub", -ONE, [ZERO] * enl.num_paths, paths=paths)
 
 
 def superhedge(
@@ -496,8 +489,6 @@ def superhedge(
     holder's exercise time: min x s.t. x + Phi(p) >= phi at the last
     clock, on every path.
     """
-    if enl.n != enl.model.N + 1:
-        raise ValueError("super-hedging runs on the n = N + 1 enlargement")
     return _hedge(enl, "super", ONE, extend_claim(enl, "super"), paths=paths)
 
 
@@ -551,7 +542,7 @@ def detect_arbitrage(
         return ArbitrageReport(found=False, gain=ZERO, strategy=None)
     if out.value < ZERO:
         raise PropertyViolation("arbitrage LP returned a negative optimum")
-    strat = g.strategy_from(out)
+    strat = g.strategy_at(out.primal)
     gains = payoff_enlarged(enl, strat, paths=g.paths)
     expected = ZERO
     for p in g.paths:

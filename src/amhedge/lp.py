@@ -575,21 +575,16 @@ def _verify_ray(lp: LinearProgram, d: list[Q]) -> None:
 # -- uniform slack maximization -----------------------------------------
 
 
-@dataclass
-class SlackOutcome:
-    status: Literal["optimal", "infeasible", "unbounded"]
-    slack: Q | None
-    witness: list[Q] | None
-
-
-def max_slack(lp: LinearProgram, slack_rows: dict[int, Q]) -> SlackOutcome:
+def max_slack(lp: LinearProgram, slack_rows: dict[int, Q]) -> LPOutcome:
     """Maximize one slack s over the listed inequality rows, each with its weight.
 
     Each listed row `a.x <= b` with weight w is tightened to
     `a.x + w*s <= b` (and `>=` rows to `a.x - w*s >= b`); s itself is
     unrestricted in sign so the maximum can be negative when the system
     is only loosely consistent.  With positive weights, s* > 0 certifies
-    a point satisfying every listed row strictly.
+    a point satisfying every listed row strictly.  The outcome is that of
+    the slack LP: its value is s*, and its primal point is a point of
+    ``lp`` followed by s.
     """
     work = lp.copy()
     s = work.add_var("_slack", nonneg=False)
@@ -599,10 +594,4 @@ def max_slack(lp: LinearProgram, slack_rows: dict[int, Q]) -> SlackOutcome:
             raise ValueError(f"cannot slacken equality row {row.name}")
         row.coeffs[s] = w if row.rel == "<=" else -w
     work.set_objective("max", {s: ONE})
-    out = solve(work)
-    if out.status == "infeasible":
-        return SlackOutcome("infeasible", None, None)
-    if out.status == "unbounded":
-        return SlackOutcome("unbounded", None, None)
-    assert out.primal is not None
-    return SlackOutcome("optimal", out.x(s), out.primal[: lp.num_vars])
+    return solve(work)

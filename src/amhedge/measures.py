@@ -29,15 +29,10 @@ from .hedging import (
     evaluate_gain,
     ray_summary,
 )
-from .lp import LinearProgram, LPOutcome, SlackOutcome, max_slack, solve
+from .lp import LinearProgram, LPOutcome, max_slack, solve
 from .market import MarketModel
 from .rationals import ONE, ZERO, Q, rat_str
-from .strategies import (
-    DEFAULT_ENUM_CAP,
-    LiquidatingStrategy,
-    StoppingTime,
-    enumerate_stopping_times,
-)
+from .strategies import DEFAULT_ENUM_CAP, StoppingTime, enumerate_stopping_times
 
 __all__ = [
     "MeasurePolytope",
@@ -319,7 +314,7 @@ class MeasurePolytope:
             raise PropertyViolation(f"measure LP unexpectedly {out.status}")
         return out, {p: out.x(v) for p, v in self.q_var.items() if out.x(v)}
 
-    def support_slack(self, *, prices: bool, floor: dict[int, Q] | None = None) -> SlackOutcome:
+    def support_slack(self, *, prices: bool, floor: dict[int, Q] | None = None) -> LPOutcome:
         """Largest slack s with Q(p) >= s * floor(p) on the paths of ``floor``
         (1 on every path by default), and every price row cleared by s if asked.
 
@@ -475,7 +470,7 @@ class MeasurePolytope:
         y: Sequence[Q],
         sign: Q,
         claim_rows: SnellRows | None = None,
-    ) -> tuple[SemiStaticStrategy, LiquidatingStrategy | None]:
+    ) -> tuple[SemiStaticStrategy, dict[int, Q] | None]:
         """The semi-static hedge whose positions are the multipliers y.
 
         y holds one multiplier per row of an LP built on a copy of this
@@ -498,7 +493,7 @@ class MeasurePolytope:
             short_american=[-pos[r] for r in self.h_rows],
             liquidation=[self._flow(rows, pos, b) for rows, b in zip(self.long_blocks, longs)],
         )
-        eta = None if claim_rows is None else LiquidatingStrategy(self._flow(claim_rows, pos, ONE))
+        eta = None if claim_rows is None else self._flow(claim_rows, pos, ONE)
         return strat, eta
 
     def _flow(self, rows: SnellRows, pos: Sequence[Q], top: Q) -> dict[int, Q]:
@@ -592,14 +587,13 @@ def ftap_certificate(pt: MeasurePolytope) -> tuple[bool, MeasureCertificate]:
         )
     if outcome.status != "optimal":
         raise PropertyViolation(f"slack LP unexpectedly {outcome.status}")
-    assert outcome.witness is not None and outcome.slack is not None
-    measure = {p: outcome.witness[v] for p, v in pt.q_var.items() if outcome.witness[v]}
-    sna = outcome.slack > ZERO
+    measure = {p: outcome.x(v) for p, v in pt.q_var.items() if outcome.x(v)}
+    sna = outcome.value > ZERO
     # the witness clears every slackened row by at least s* (s* may be <= 0)
-    ok, ledger = pt.check(measure, min_slack=outcome.slack)
+    ok, ledger = pt.check(measure, min_slack=outcome.value)
     if not ok:
         raise PropertyViolation("slack witness failed re-validation")
-    return sna, MeasureCertificate(measure=measure, slack=outcome.slack, ledger=ledger)
+    return sna, MeasureCertificate(measure=measure, slack=outcome.value, ledger=ledger)
 
 
 @dataclass
@@ -647,12 +641,6 @@ def _certify_measure(
         )
 
 
-def _side_space(enl: EnlargedModel, side: str) -> None:
-    if enl.n != enl.model.N + (side == "super"):
-        clocks = "N + 1" if side == "super" else "N"
-        raise ValueError(f"the {side}-hedging price runs on the n = {clocks} enlargement")
-
-
 def price_with_dual(
     enl: EnlargedModel,
     side: Literal["sub", "super"],
@@ -678,10 +666,9 @@ def price_with_dual(
     is checked pathwise and raised as SnaFailure.  The polytope is
     returned for further checks.
     """
-    _side_space(enl, side)
+    claim = extend_claim(enl, side)
     sign = ONE if side == "super" else -ONE
     pt = build_polytope(enl, paths=paths)
-    claim = extend_claim(enl, side)
     if side == "super":
         work, shift, claim_rows = pt.extremum_lp(claim, "max"), ZERO, None
         rhs = claim
@@ -704,8 +691,7 @@ def price_with_dual(
     measure = {p: out.x(v) for p, v in pt.q_var.items() if out.x(v)}
     _certify_measure(pt, side, claim, measure, price)
     strat, eta = pt.hedge_from(out.duals, sign, claim_rows)
-    check_hedge(enl, strat, sign, price, rhs, paths=pt.paths, exercise=eta,
-                exercise_values=claim if eta is not None else None, kind=side)
+    check_hedge(enl, strat, sign, price, rhs, paths=pt.paths, exercise=eta, kind=side)
     report = HedgeReport(
         kind=side,
         price=price,

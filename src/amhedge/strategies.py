@@ -1,10 +1,11 @@
-"""Exercise strategies: stopping times, liquidating strategies, clock vectors.
+"""Exercise strategies: stopping times and clock vectors.
 
 Stopping times over a forest are counted and enumerated under a cap
-without recursion.  A liquidating strategy spreads one unit of exercise
-over the nodes it visits: nonnegative node weights summing to exactly 1
-along every path (times 0..T inclusive); stopping times are the 0/1
-special case and the extreme points of that polytope.
+without recursion.  They are the 0/1 special case and the extreme points
+of the liquidating strategies, which spread one unit of exercise over
+the nodes they visit: nonnegative node weights summing to exactly 1
+along every path (times 0..T inclusive).  Those have no type here; the
+hedge layer holds them as plain node -> weight dicts.
 
 Strategies indexed by clock vectors in {0..T}^n carry the information
 constraint that two clock vectors are indistinguishable before the first
@@ -108,19 +109,6 @@ def enumerate_stopping_times(roots: Sequence[Hashable],
 
 def count_enlarged_stopping_times(enl: EnlargedModel, cap: int = DEFAULT_ENUM_CAP) -> int:
     return count_stopping_times(enl.roots, lambda v: enl.children[v], cap)
-
-
-# -- liquidating strategies ------------------------------------------------
-
-
-@dataclass
-class LiquidatingStrategy:
-    """Nonnegative node weights; exactly one unit spent along every path."""
-
-    weights: dict
-
-    def at(self, node) -> Q:
-        return self.weights.get(node, ZERO)
 
 
 # -- clock vectors ---------------------------------------------------------

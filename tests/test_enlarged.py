@@ -111,8 +111,11 @@ def test_extend_claim_super_reads_last_clock(binomial_short_put):
 
 def test_extend_claim_super_needs_extra_clock(binomial_short_put):
     enl = enlarge(binomial_short_put, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ModelFormatError):
         extend_claim(enl, "super")
+    # and the sub role needs n = N
+    with pytest.raises(ModelFormatError):
+        extend_claim(enlarge(binomial_short_put, 2), "sub")
 
 
 def test_stock_step(two_period):

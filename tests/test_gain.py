@@ -17,7 +17,6 @@ from amhedge import campaign
 from amhedge.divisible import RevealedModel, nonanticipative
 from amhedge.enlarged import enlarge
 from amhedge.hedging import GainLP, payoff_enlarged
-from amhedge.lp import LPOutcome
 from amhedge.market import load_model
 from amhedge.measures import build_polytope, restricted_stopping_times
 from amhedge.rationals import ZERO, Q, rat_str
@@ -91,7 +90,7 @@ def test_builder_matches_evaluator_on_every_path(model, split, extra_clock):
     g = GainLP(enl, split_stock=split)
     for _ in range(3):
         x = _random_positions(g, rng)
-        gains = payoff_enlarged(enl, g.strategy_from(LPOutcome("optimal", primal=x)))
+        gains = payoff_enlarged(enl, g.strategy_at(x))
         for p in g.paths:
             assert _dot(g.gain_coeffs(p), x) == gains[p]
 
@@ -102,7 +101,7 @@ def test_clock_indexed_copy_has_the_enlarged_gain(model, extra_clock):
     n = model.N + extra_clock
     enl = enlarge(model, n)
     g = GainLP(enl)
-    strat = g.strategy_from(LPOutcome("optimal", primal=_random_positions(g, rng)))
+    strat = g.strategy_at(_random_positions(g, rng))
     gains = payoff_enlarged(enl, strat)
 
     rev = RevealedModel(model, n)
@@ -121,7 +120,7 @@ def test_clock_indexed_copy_has_the_enlarged_gain(model, extra_clock):
             if t < model.tree.horizon:
                 for d in range(model.stock.dim):
                     x[clp.stock.pos[(v, d)]] = strat.stock.get((u, d), ZERO)
-    copied = clp.strategy_from(LPOutcome("optimal", primal=x))
+    copied = clp.strategy_at(x)
     # an adapted strategy never reads a clock before it fires
     assert nonanticipative(rev, copied)
     copied_gains = payoff_enlarged(rev, copied)
@@ -131,7 +130,7 @@ def test_clock_indexed_copy_has_the_enlarged_gain(model, extra_clock):
 
     # positions that do read the clocks: builder and evaluator still agree
     x = _random_positions(clp, rng)
-    anticipating = payoff_enlarged(rev, clp.strategy_from(LPOutcome("optimal", primal=x)))
+    anticipating = payoff_enlarged(rev, clp.strategy_at(x))
     for p in range(rev.num_paths):
         assert _dot(clp.gain_coeffs(p), x) == anticipating[p]
 

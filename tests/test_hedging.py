@@ -21,7 +21,7 @@ from amhedge.hedging import (
     superhedge,
 )
 from amhedge.market import load_model
-from amhedge.measures import build_polytope, check_sna
+from amhedge.measures import build_polytope, check_sna, price_with_dual
 from amhedge.rationals import ONE, Q, ZERO
 
 from conftest import binomial_dict
@@ -51,6 +51,10 @@ def test_sides_demand_their_own_space(binomial_short_put):
         subhedge(enlarge(binomial_short_put, 2))
     with pytest.raises(ValueError):
         superhedge(enlarge(binomial_short_put, 1))
+    with pytest.raises(ValueError):
+        price_with_dual(enlarge(binomial_short_put, 2), "sub")
+    with pytest.raises(ValueError):
+        price_with_dual(enlarge(binomial_short_put, 1), "super")
 
 
 def test_sub_reports_exercise(binomial_short_put):
@@ -59,7 +63,7 @@ def test_sub_reports_exercise(binomial_short_put):
     assert rep.exercise is not None
     for p in range(enl.num_paths):
         seq = enl.epaths[p].node_seq
-        assert sum((rep.exercise.at(v) for v in seq), ZERO) == ONE
+        assert sum((rep.exercise.get(v, ZERO) for v in seq), ZERO) == ONE
 
 
 def test_payoff_enlarged_hand_strategy(binomial):

@@ -139,13 +139,13 @@ def test_max_slack_simplex_center():
     r1 = lp.add_constraint({x: ONE}, ">=", ZERO)
     r2 = lp.add_constraint({y: ONE}, ">=", ZERO)
     out = max_slack(lp, {r1: ONE, r2: ONE})
-    assert out.status == "optimal" and out.slack > 0
-    assert out.slack == Q(1, 2)
-    assert out.witness[:2] == [Q(1, 2), Q(1, 2)]
+    assert out.status == "optimal" and out.value > 0
+    assert out.value == Q(1, 2)
+    assert out.primal[:2] == [Q(1, 2), Q(1, 2)]
     # weights scale each row's share: x >= s and y >= 2s give s = 1/3
     out = max_slack(lp, {r1: ONE, r2: Q(2)})
-    assert out.slack == Q(1, 3)
-    assert out.witness[:2] == [Q(1, 3), Q(2, 3)]
+    assert out.value == Q(1, 3)
+    assert out.primal[:2] == [Q(1, 3), Q(2, 3)]
 
 
 def test_max_slack_negative_when_tight():
@@ -155,8 +155,8 @@ def test_max_slack_negative_when_tight():
     r1 = lp.add_constraint({x: ONE}, "<=", Q(1, 3))
     r2 = lp.add_constraint({x: ONE}, ">=", Q(1, 2))
     out = max_slack(lp, {r1: ONE, r2: ONE})
-    assert out.status == "optimal" and not out.slack > 0
-    assert out.slack == Q(-1, 12)
+    assert out.status == "optimal" and not out.value > 0
+    assert out.value == Q(-1, 12)
 
 
 def test_max_slack_rejects_equalities():

@@ -21,13 +21,13 @@ from amhedge.campaign import boundary_model, inject_arbitrage, random_sna_model
 from amhedge.cli import main
 from amhedge.enlarged import enlarge, extend_claim
 from amhedge.errors import SnaFailure
-from amhedge.hedging import SemiStaticStrategy, payoff_enlarged, subhedge, superhedge
+from amhedge.hedging import GainLP, SemiStaticStrategy, payoff_enlarged, subhedge, superhedge
 from amhedge.market import load_model
 from amhedge.measures import price_with_dual
 from amhedge.rationals import ONE, ZERO, Q, rat_str
 from amhedge.robust import supported_paths
 
-from conftest import binomial_put_book_dict, unbranched_book_dicts
+from conftest import binomial_put_book_dict, trinomial_dict, unbranched_book_dicts
 from test_report_bytes import CAMPAIGN_MODELS, CONFTEST_MODELS, _model
 
 SIDES = ("sub", "super")
@@ -79,9 +79,9 @@ def _check_against_reference(model, side):
             assert report.price + gains[p] >= claim[p]
             continue
         seq = enl.epaths[p].node_seq
-        assert all(eta.at(v) >= ZERO for v in seq)
-        assert sum((eta.at(v) for v in seq), ZERO) == ONE
-        held = sum((eta.at(v) * claim[v] for v in seq), ZERO)
+        assert all(eta.get(v, ZERO) >= ZERO for v in seq)
+        assert sum((eta.get(v, ZERO) for v in seq), ZERO) == ONE
+        held = sum((eta.get(v, ZERO) * claim[v] for v in seq), ZERO)
         assert gains[p] + held >= report.price
     return report
 
@@ -102,6 +102,23 @@ def test_unbranched_runs_price_like_the_hedge_lp(name, side):
 @pytest.mark.parametrize("seed", GENERATED)
 def test_generated_prices_match_the_hedge_lp(seed, side):
     _check_against_reference(random_sna_model(random.Random(seed), seed=seed).model, side)
+
+
+def test_support_that_skips_a_base_path_prices_like_the_hedge_lp():
+    # the kernel charges b only: on n = N the support is paths [2, 3],
+    # whose first visits run 0, 4, 2, 5 while the hedge LP's columns
+    # follow the support forest in index order
+    data = trinomial_dict()
+    data["claim"] = {"values": {"r": "0", "a": "0", "b": "1", "c": "0"}}
+    data["americans_short"] = [{"values": {"r": "0", "a": "0", "b": "1/2", "c": "0"},
+                                "price": "1/4"}]
+    data["kernels"] = {"r": [["0", "1", "0"]]}
+    model = load_model(data)
+    enl, paths = _space(model, "sub")
+    assert paths == [2, 3]
+    assert GainLP(enl, paths=paths).carry_nodes == [0, 2, 4, 5]
+    for side in SIDES:
+        assert _check_against_reference(model, side).price != ZERO
 
 
 # (seed, books the hedge holds) of generated markets with one quote pinned

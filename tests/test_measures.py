@@ -52,7 +52,7 @@ def test_polytope_rows(binomial_short_put):
     # positivity rows go on a copy for the slack LP, after every other row;
     # the put row holds b >= 1/4 unslackened, so min(a, b) peaks at a = 1/12
     rows = len(pt.lp.rows)
-    assert pt.support_slack(prices=False).slack == Q(1, 12)
+    assert pt.support_slack(prices=False).value == Q(1, 12)
     assert len(pt.lp.rows) == rows
 
 

@@ -10,7 +10,6 @@ from amhedge.hedging import SemiStaticStrategy
 from amhedge.market import load_model
 from amhedge.rationals import ONE, Q, ZERO
 from amhedge.strategies import (
-    LiquidatingStrategy,
     StoppingTime,
     count_enlarged_stopping_times,
     count_stopping_times,
@@ -142,8 +141,8 @@ def test_nonanticipative_checks_exercise_weights(two_period):
     rev = RevealedModel(two_period, 1)
     strat = _root_positions(rev, lambda tvec: ONE)
     roots = {ep.clocks: ep.node_seq[0] for ep in rev.epaths}
-    assert nonanticipative(rev, strat, LiquidatingStrategy({v: ONE for v in roots.values()}))
-    peek = LiquidatingStrategy({roots[(1,)]: ONE})
+    assert nonanticipative(rev, strat, {v: ONE for v in roots.values()})
+    peek = {roots[(1,)]: ONE}
     assert not nonanticipative(rev, strat, peek)
 
 
