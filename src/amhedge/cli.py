@@ -14,6 +14,7 @@ i.e. a bug).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -52,7 +53,10 @@ def _positive_int(text: str) -> int:
 _positive_int.__name__ = "positive integer"
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    # built once per process: main only reads it, and argparse copies an
+    # append action's default list before it appends
     parser = _Parser(prog="amhedge", description=__doc__.strip().splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 

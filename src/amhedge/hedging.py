@@ -11,66 +11,22 @@ GainLP takes its nodes from EnlargedModel.subforest.  Which space a side
 runs on (n = N to sub-hedge, N + 1 to super-hedge) is checked once, by
 enlarged.extend_claim.  Liquidation masses nu_j and exercise weights eta
 are plain node -> weight dicts.
+
+The pathwise re-checks (evaluate_gain and its readers check_hedge and
+detect_arbitrage's witness check) run in Python ints: each call puts
+the strategy, and its own tables of the model's stock moves, payoffs and
+quotes, over common denominators, and compares integer numerators.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import lcm
 from typing import Hashable, Iterable, Sequence
 
 from .enlarged import EnlargedModel, extend_claim
 from .errors import PropertyViolation, SnaFailure
 from .lp import LinearProgram, solve
-from .market import MarketModel
-from .rationals import ONE, ZERO, Q, rat, rat_str
-
-
-def evaluate_gain(
-    model: MarketModel,
-    base_index: int,
-    clocks: Sequence[int],
-    stock: Sequence[Sequence[Q]],
-    *,
-    a: Sequence[Q] = (),
-    b: Sequence[Q] = (),
-    c: Sequence[Q] = (),
-    nu: Sequence[Sequence[Q]] = (),
-) -> Q:
-    """The one evaluator of Phi, from positions read along a base path.
-
-    stock[t] is the position vector held from t to t+1 and nu[j][t] the
-    mass of long j liquidated at time t; omitted books count as empty.
-    Recomputed straight from the model data, independently of
-    GainLP.gain_coeffs and of every LP coefficient.
-    """
-    path = model.tree.paths[base_index]
-    total = ZERO
-    for t, pos in enumerate(stock):
-        here, nxt = model.stock.at(path[t]), model.stock.at(path[t + 1])
-        total += sum((h * (y - x) for h, x, y in zip(pos, here, nxt)), ZERO)
-    for i, ai in enumerate(a):
-        payoff, alpha = model.europeans[i]
-        total += ai * (payoff.at(path[-1]) - alpha)
-    for j, masses in enumerate(nu):
-        proc, beta = model.americans_long[j]
-        total += sum((m * proc.scalar(nid) for m, nid in zip(masses, path)), ZERO) - b[j] * beta
-    for k, ck in enumerate(c):
-        proc, gamma = model.americans_short[k]
-        total -= ck * (proc.scalar(path[clocks[k]]) - gamma)
-    return total
-
-
-def enlarged_reading(
-    enl: EnlargedModel, positions: dict[tuple[int, int], Q], p: int
-) -> tuple[int, tuple[int, ...], list[list[Q]]]:
-    """Base path, clocks and per-time stock vectors of enlarged path p.
-
-    ``positions`` are keyed (enlarged node, dim); the triple is what
-    evaluate_gain reads.
-    """
-    ep = enl.epaths[p]
-    dims = range(enl.model.stock.dim)
-    stock = [[positions.get((v, d), ZERO) for d in dims] for v in ep.node_seq[:enl.horizon]]
-    return ep.base_index, ep.clocks, stock
+from .rationals import ONE, ZERO, Q, over_common, rat, rat_str, ratio_str
 
 
 def _bump(row: dict[int, Q], var: int, val: Q) -> None:
@@ -149,18 +105,20 @@ class SemiStaticStrategy:
         }
 
 
-def payoff_enlarged(
-    enl: EnlargedModel,
-    strat: SemiStaticStrategy,
-    *,
-    paths: Iterable[int] | None = None,
-) -> dict[int, Q]:
-    """Evaluate the strategy's gain on each enlarged path, exactly.
+def evaluate_gain(
+    enl: EnlargedModel, strat: SemiStaticStrategy, paths: Iterable[int]
+) -> tuple[dict[int, int], int]:
+    """The one evaluator of Phi: the strategy's gain on each of ``paths``,
+    as integer numerators over one denominator.
 
-    Independent of any LP: evaluate_gain recomputes H.S + a(f-alpha) +
-    nu(g) - b.beta - c(h-gamma) straight from the model data.
-    Liquidation masses are checked to sum to b_j along every evaluated
-    path.
+    Phi = H.dS + a(f - alpha) + sum_t nu_j(v_t) g_j(v_t) - b.beta
+    - c(h - gamma) is recomputed straight from the model data, independently
+    of GainLP.gain_coeffs and of every LP coefficient.  The positions are
+    put over one common denominator, the stock moves
+    (MarketModel.stock_moves) over another and the payoffs and quotes,
+    tabled here per base path or node, over a third, so each gain is a sum
+    of integer products.  Liquidation masses are checked to sum to b_j
+    along every evaluated path.
     """
     model = enl.model
     if strat.dims != model.stock.dim:
@@ -171,26 +129,67 @@ def payoff_enlarged(
         model.N,
     ):
         raise ValueError("strategy option counts do not match the model")
-    idx = range(enl.num_paths) if paths is None else paths
-    gains: dict[int, Q] = {}
-    for p in idx:
-        nu = [[liq.get(v, ZERO) for v in enl.epaths[p].node_seq] for liq in strat.liquidation]
-        for j, masses in enumerate(nu):
-            mass = sum(masses, ZERO)
-            if mass != strat.long_american[j]:
+    tree = model.tree
+    nodes = list(tree.nodes)
+    keys = [key for key, h in strat.stock.items() if h and key[1] < model.stock.dim]
+    (hs, a, b, c, *masses), dx = over_common(
+        map(strat.stock.__getitem__, keys), strat.long_european, strat.long_american,
+        strat.short_american, *(nu.values() for nu in strat.liquidation))
+    hs = dict(zip(keys, hs))
+    nus = [{v: m for v, m in zip(nu, ms) if m} for nu, ms in zip(strat.liquidation, masses)]
+    moves, ds = model.stock_moves()
+    # each option's values (Europeans per base path, Americans per base
+    # node) followed by its quote
+    tables, dm = over_common(
+        *([*map(f.at, tree.leaves), alpha] for f, alpha in model.europeans),
+        *([*map(g.scalar, nodes), beta] for g, beta in model.americans_long),
+        *([*map(h.scalar, nodes), gamma] for h, gamma in model.americans_short))
+    L, M = model.L, model.M
+    europe, longs, shorts = tables[:L], tables[L:L + M], tables[L + M:]
+    # per base path: a(f - alpha) - b.beta
+    static = [sum(ai * (f[i] - f[-1]) for ai, f in zip(a, europe) if ai)
+              - sum(bj * g[-1] for bj, g in zip(b, longs) if bj)
+              for i in range(len(tree.paths))]
+    longs = [dict(zip(nodes, g)) for g in longs]
+    shorts = [{nid: x - h[-1] for nid, x in zip(nodes, h)} for h in shorts]
+    gains: dict[int, int] = {}
+    for p in paths:
+        ep = enl.epaths[p]
+        path, seq = tree.paths[ep.base_index], ep.node_seq
+        trading = sum(hs.get((seq[t], d), 0) * move for t, d, move in moves[ep.base_index])
+        book = static[ep.base_index]
+        for j, nu in enumerate(nus):
+            mass = 0
+            for nid, v in zip(path, seq):
+                m = nu.get(v)
+                if m:
+                    mass += m
+                    book += m * longs[j][nid]
+            if mass != b[j]:
                 raise PropertyViolation(
-                    f"liquidation mass {rat_str(mass)} != position "
+                    f"liquidation mass {ratio_str(mass, dx)} != position "
                     f"{rat_str(strat.long_american[j])} for long American {j} on path {p}"
                 )
-        gains[p] = evaluate_gain(
-            model,
-            *enlarged_reading(enl, strat.stock, p),
-            a=strat.long_european,
-            b=strat.long_american,
-            c=strat.short_american,
-            nu=nu,
-        )
-    return gains
+        for ck, h, clock in zip(c, shorts, ep.clocks):
+            if ck:
+                book -= ck * h[path[clock]]
+        gains[p] = trading * dm + book * ds
+    return gains, dx * ds * dm
+
+
+def payoff_enlarged(
+    enl: EnlargedModel,
+    strat: SemiStaticStrategy,
+    *,
+    paths: Iterable[int] | None = None,
+) -> dict[int, Q]:
+    """The strategy's gain on each enlarged path (default all), exactly.
+
+    Independent of any LP: the rationals of evaluate_gain's numerators,
+    which also checks that each nu_j sums to b_j along every path.
+    """
+    gains, den = evaluate_gain(enl, strat, range(enl.num_paths) if paths is None else paths)
+    return {p: Q(n, den) for p, n in gains.items()}
 
 
 class GainLP:
@@ -373,31 +372,43 @@ def check_hedge(
 ) -> None:
     """Re-validate a hedge on every path: sign*x + Phi(p) + extra(p) >= rhs(p).
 
-    Independent of any LP.  Phi comes from payoff_enlarged, which also
+    Independent of any LP.  Phi comes from evaluate_gain, which also
     checks that each nu_j sums to b_j along every path; the static book
     and every liquidation mass must be nonnegative.  With ``exercise``
     the claim is held divisibly: its weights eta must be nonnegative and
     sum to 1 along every path, and extra(p) = sum_t eta(v_t) * value(v_t)
-    with the claim's values of extend_claim(enl, "sub").
+    with the claim's values of extend_claim(enl, "sub").  Each side of
+    the inequality is compared as an integer over one denominator.
     """
     books = (strat.long_european, strat.long_american, strat.short_american,
              *(nu.values() for nu in strat.liquidation),
              exercise.values() if exercise is not None else ())
     if any(val < ZERO for book in books for val in book):
         raise PropertyViolation(f"{kind} hedge holds a negative static or exercise position")
-    gains = payoff_enlarged(enl, strat, paths=paths)
+    gains, dg = evaluate_gain(enl, strat, paths)
+    eta = list(exercise.items()) if exercise is not None else []
     values = extend_claim(enl, "sub") if exercise is not None else None
-    for p, gain in gains.items():
-        lhs = sign * x + gain
+    # eta and the claim's values over de: path masses over de, extra(p) over de**2
+    (weights, held), de = over_common((w for _, w in eta), (values[v] for v, _ in eta))
+    terms = {v: (w, w * val) for (v, _), w, val in zip(eta, weights, held) if w}
+    ((cash, *bound),), dr = over_common([sign * x, *(rhs[p] for p in gains)])
+    den = lcm(dr, dg, de * de)
+    sr, sg, se = den // dr, den // dg, den // (de * de)
+    for (p, gain), r in zip(gains.items(), bound):
+        lhs = cash * sr + gain * sg
         if exercise is not None:
-            seq = enl.epaths[p].node_seq
-            mass = sum((exercise.get(v, ZERO) for v in seq), ZERO)
-            if mass != ONE:
-                raise PropertyViolation(f"exercise weights sum to {rat_str(mass)} != 1 on path {p}")
-            lhs += sum((exercise.get(v, ZERO) * values[v] for v in seq), ZERO)
-        if lhs < rhs[p]:
+            mass = extra = 0
+            for v in enl.epaths[p].node_seq:
+                w, e = terms.get(v, (0, 0))
+                mass += w
+                extra += e
+            if mass != de:
+                raise PropertyViolation(
+                    f"exercise weights sum to {ratio_str(mass, de)} != 1 on path {p}")
+            lhs += extra * se
+        if lhs < r * sr:
             raise PropertyViolation(
-                f"{kind} hedge fails on path {p}: {rat_str(lhs)} < {rat_str(rhs[p])}"
+                f"{kind} hedge fails on path {p}: {ratio_str(lhs, den)} < {rat_str(rhs[p])}"
             )
 
 
@@ -543,13 +554,15 @@ def detect_arbitrage(
     if out.value < ZERO:
         raise PropertyViolation("arbitrage LP returned a negative optimum")
     strat = g.strategy_at(out.primal)
-    gains = payoff_enlarged(enl, strat, paths=g.paths)
-    expected = ZERO
-    for p in g.paths:
-        if gains[p] < ZERO:
+    gains, den = evaluate_gain(enl, strat, g.paths)
+    (weights,), dw = over_common(enl.weight(p) for p in gains)
+    expected = 0
+    for (p, gain), w in zip(gains.items(), weights):
+        if gain < 0:
             raise PropertyViolation(f"arbitrage witness loses on path {p}")
-        expected += enl.weight(p) * gains[p]
-    if expected != out.value:
+        expected += w * gain
+    if expected * int(out.value.denominator) != int(out.value.numerator) * dw * den:
         raise PropertyViolation("arbitrage witness expectation mismatch")
-    return ArbitrageReport(found=True, gain=out.value, strategy=strat, gains=gains)
+    return ArbitrageReport(found=True, gain=out.value, strategy=strat,
+                           gains={p: Q(gain, den) for p, gain in gains.items()})
 

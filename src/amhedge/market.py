@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from .errors import ModelFormatError
-from .rationals import ONE, ZERO, Q, rat, rat_str
+from .rationals import ONE, ZERO, Q, over_common, rat, rat_str
 
 
 @dataclass(frozen=True)
@@ -134,6 +134,23 @@ class MarketModel:
 
     def path_weight(self, path_index: int) -> Q:
         return self.weights[self.tree.paths[path_index][-1]]
+
+    def stock_moves(self) -> tuple[list[list[tuple[int, int, int]]], int]:
+        """Per base path, its nonzero stock moves (t, dim, S_{t+1} - S_t),
+        as integer numerators over one denominator (rationals.over_common).
+
+        Built afresh on each call, from the stock alone, for the pathwise
+        re-checks of hedges and measures.
+        """
+        nodes = list(self.tree.nodes)
+        dim = self.stock.dim
+        (flat,), den = over_common(x for nid in nodes for x in self.stock.at(nid))
+        at = {nid: flat[i * dim:(i + 1) * dim] for i, nid in enumerate(nodes)}
+        return [
+            [(t, d, y - x) for t in range(len(path) - 1)
+             for d, (x, y) in enumerate(zip(at[path[t]], at[path[t + 1]])) if y != x]
+            for path in self.tree.paths
+        ], den
 
     def with_prices(self, alphas=None, betas=None, gammas=None) -> "MarketModel":
         """Copy with the given books re-quoted: one quote per option of each.

@@ -11,9 +11,15 @@ That polytope, MeasurePolytope, is the one input of every dual,
 certificate and transport below, except dp_superhedge, which folds a
 terminal payoff back over the support forest by one-step LPs.  In this
 module only the oracle e2_chain enumerates stopping times, under its cap.
+
+A measure is re-checked from the model data, never from an LP, and in
+Python ints (MeasurePolytope.check/require, martingale_increments,
+expectation, snell_value): each call puts the measure, and its own tables
+of the stock moves, payoffs and quotes, over common denominators.
 """
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Hashable, Iterable, Iterator, Literal, Sequence
@@ -25,13 +31,12 @@ from .hedging import (
     SemiStaticStrategy,
     check_hedge,
     detect_arbitrage,
-    enlarged_reading,
     evaluate_gain,
     ray_summary,
 )
-from .lp import LinearProgram, LPOutcome, max_slack, solve
+from .lp import LinearProgram, LPOutcome, Relation, max_slack, solve
 from .market import MarketModel
-from .rationals import ONE, ZERO, Q, rat_str
+from .rationals import ONE, ZERO, Q, over_common, rat_str, ratio_str
 from .strategies import DEFAULT_ENUM_CAP, StoppingTime, enumerate_stopping_times
 
 __all__ = [
@@ -95,24 +100,24 @@ def _add_martingale_rows(
 
 def martingale_increments(
     enl: EnlargedModel, measure: dict[int, Q], paths: Iterable[int]
-) -> dict[tuple[int, int], Q]:
-    """E_Q-weighted stock increments per (enlarged node, dim), from model data.
+) -> tuple[dict[tuple[int, int], int], int]:
+    """E_Q-weighted stock increments per (enlarged node, dim), from model
+    data, as integer numerators over one denominator.
 
     Independent of any LP: a martingale law makes every entry zero.
     Only pairs reached by a charged path with a nonzero move appear.
     """
-    inc: dict[tuple[int, int], Q] = {}
-    for p in paths:
-        q = measure.get(p, ZERO)
-        if not q:
-            continue
-        seq = enl.epaths[p].node_seq
-        for t in range(enl.horizon):
-            for d, move in enumerate(enl.stock_step(p, t)):
-                if move:
-                    key = (seq[t], d)
-                    inc[key] = inc.get(key, ZERO) + q * move
-    return inc
+    charged = [p for p in paths if measure.get(p, ZERO)]
+    (qs,), dq = over_common(measure[p] for p in charged)
+    moves, ds = enl.model.stock_moves()
+    inc: dict[tuple[int, int], int] = {}
+    for p, q in zip(charged, qs):
+        ep = enl.epaths[p]
+        seq = ep.node_seq
+        for t, d, move in moves[ep.base_index]:
+            key = (seq[t], d)
+            inc[key] = inc.get(key, 0) + q * move
+    return inc, dq * ds
 
 
 def one_step_polytope(
@@ -211,9 +216,15 @@ def dp_superhedge(
         chi[v], ratios = solved[key]
         strategy.update(((v, d), h) for d, h in ratios.items() if h)
     value = max(chi[enl.epaths[p].node_seq[0]] for p in paths)
-    for p in paths:
-        gain = evaluate_gain(enl.model, *enlarged_reading(enl, strategy, p))
-        if value + gain < zeta[p]:
+    model = enl.model
+    stock_only = SemiStaticStrategy(
+        dims=model.stock.dim, stock=strategy, long_european=[ZERO] * model.L,
+        long_american=[ZERO] * model.M, short_american=[ZERO] * model.N,
+        liquidation=[{} for _ in range(model.M)])
+    gains, den = evaluate_gain(enl, stock_only, paths)
+    ((v, *z),), dz = over_common([value, *(zeta[p] for p in paths)])
+    for gain, zp in zip(gains.values(), z):
+        if v * den + gain * dz < zp * den:
             raise PropertyViolation("dp strategy fails to super-hedge pathwise")
     return DpReport(value=value, strategy=strategy, lp_count=len(solved))
 
@@ -269,10 +280,12 @@ class MeasurePolytope:
             {v: enl.long_value_at_node(j, v) for v in range(len(enl.enodes))}
             for j in range(model.M)
         ]
+        self.long_shifts: list[Q] = []
         first = self.lp.num_rows
         for j, (_, beta) in enumerate(model.americans_long):
             root, shift, rows = self.snell_block(self.lp, self.long_values[j], f"g{j}")
             self.long_blocks.append(rows)
+            self.long_shifts.append(shift)
             self.g_rows.append(self.lp.add_constraint(root, "<=", beta - shift, name=f"g[{j}]"))
         self.num_tau_rows = self.lp.num_rows - first
 
@@ -281,12 +294,10 @@ class MeasurePolytope:
         return [*self.f_rows, *self.h_rows, *self.g_rows]
 
     def expectation(self, measure: dict[int, Q], values: dict[int, Q] | Sequence[Q]) -> Q:
-        total = ZERO
-        for p in self.paths:
-            q = measure.get(p, ZERO)
-            if q:
-                total += q * values[p]
-        return total
+        """E_Q[values] on the support, summed in integers over one denominator."""
+        charged = [p for p in self.paths if measure.get(p, ZERO)]
+        (qs, vs), den = over_common((measure[p] for p in charged), (values[p] for p in charged))
+        return Q(sum(q * v for q, v in zip(qs, vs)), den * den)
 
     def extremum_lp(
         self, values: dict[int, Q] | Sequence[Q], sense: Literal["max", "min"]
@@ -331,9 +342,8 @@ class MeasurePolytope:
 
     def require(self, measure: dict[int, Q], what: str) -> None:
         """Raise unless check() passes, naming the first failed rows."""
-        ok, ledger = self.check(measure)
-        if not ok:
-            bad = [e for e in ledger if not e["ok"]]
+        bad = [_ledger_entry(*row) for row in self._verdicts(measure) if not row[-1]]
+        if bad:
             raise PropertyViolation(f"{what} left the polytope: {bad[:3]}")
 
     def check(
@@ -349,26 +359,25 @@ class MeasurePolytope:
         price row must clear its bound by at least s; with ``strict``,
         margins must merely be positive.  No LP state is consulted.
         """
-        ledger: list[dict] = []
-        for name, lhs, rel, rhs, slackable in self._evaluated_rows(measure):
-            margin = rhs - lhs if rel == "<=" else lhs - rhs
-            good = margin >= ZERO if rel != "=" else lhs == rhs
-            if rel != "=" and slackable:
-                if min_slack is not None:
-                    good = margin >= min_slack
-                elif strict:
-                    good = margin > ZERO
-            ledger.append(
-                {
-                    "constraint": name,
-                    "lhs": rat_str(lhs),
-                    "rel": rel,
-                    "rhs": rat_str(rhs),
-                    "margin": rat_str(margin) if rel != "=" else "0/1",
-                    "ok": bool(good),
-                }
-            )
+        ledger = [_ledger_entry(*row) for row in self._verdicts(measure, min_slack, strict)]
         return all(e["ok"] for e in ledger), ledger
+
+    def _verdicts(
+        self, measure: dict[int, Q], min_slack: Q | None = None, strict: bool = False
+    ) -> Iterator[tuple[str, int, Relation, int, int, bool]]:
+        """(name, lhs, relation, rhs, den, ok) of each row of _evaluated_rows."""
+        if min_slack is not None:
+            sn, sd = int(min_slack.numerator), int(min_slack.denominator)
+        for name, lhs, rel, rhs, den, slackable in self._evaluated_rows(measure):
+            if rel == "=":
+                yield name, lhs, rel, rhs, den, lhs == rhs
+                continue
+            margin = rhs - lhs if rel == "<=" else lhs - rhs
+            if slackable and min_slack is not None:
+                ok = margin * sd >= sn * den
+            else:
+                ok = margin > 0 if slackable and strict else margin >= 0
+            yield name, lhs, rel, rhs, den, ok
 
     @cached_property
     def _forest(self) -> Forest:
@@ -459,11 +468,28 @@ class MeasurePolytope:
 
     def at_quotes(self, enl: EnlargedModel) -> "MeasurePolytope":
         """This polytope at the quotes of enl, this space for another model
-        (EnlargedModel.with_model): the same paths, rows and variables, with
-        only the price rows' right-hand sides moved."""
+        (EnlargedModel.with_model) with the same stock and payoff processes:
+        a copy of the LP with only the price rows' right-hand sides moved,
+        to the new alpha, gamma and beta minus the Snell block's shift."""
         if enl.epaths is not self.enl.epaths:
             raise ValueError("at_quotes needs this space, from EnlargedModel.with_model")
-        return MeasurePolytope(enl, paths=self.paths)
+        old, new = self.enl.model, enl.model
+        books = [(old.europeans, new.europeans), (old.americans_long, new.americans_long),
+                 (old.americans_short, new.americans_short)]
+        if new.stock is not old.stock or any(
+            len(a) != len(b) or any(x is not y for (x, _), (y, _) in zip(a, b)) for a, b in books
+        ):
+            raise ValueError("at_quotes needs the same stock and payoff processes")
+        other = copy.copy(self)
+        other.enl = enl
+        other.lp = self.lp.copy()
+        quotes = [(r, alpha) for r, (_, alpha) in zip(self.f_rows, new.europeans)]
+        quotes += [(r, gamma) for r, (_, gamma) in zip(self.h_rows, new.americans_short)]
+        quotes += [(r, beta - shift) for r, shift, (_, beta)
+                   in zip(self.g_rows, self.long_shifts, new.americans_long)]
+        for r, rhs in quotes:
+            other.lp.rows[r].rhs = rhs
+        return other
 
     def hedge_from(
         self,
@@ -522,31 +548,60 @@ class MeasurePolytope:
                 stops[at] = mass
         return stops
 
-    def _evaluated_rows(self, measure: dict[int, Q]) -> Iterator[tuple]:
-        """(name, lhs, relation, rhs, slackable) of the support, positivity,
-        mass and martingale rows, then of the price rows at the model's
-        quotes, evaluated at the measure."""
-        enl = self.enl
+    def _evaluated_rows(
+        self, measure: dict[int, Q]
+    ) -> Iterator[tuple[str, int, Relation, int, int, bool]]:
+        """(name, lhs, relation, rhs, den, slackable) of the support,
+        positivity, mass and martingale rows, then of the price rows at the
+        model's quotes, evaluated at the measure; lhs and rhs are integer
+        numerators over the positive den.
+
+        The measure is put over one denominator dq, and the payoffs and
+        quotes, tabled here per base path and node, over one dm.
+        """
+        enl, model = self.enl, self.enl.model
         support = set(self.paths)
-        for p, q in measure.items():
-            if p not in support and q != ZERO:
-                yield f"support[p{p}]", q, "=", ZERO, False
+        (qs,), dq = over_common(measure.values())
+        q = dict(zip(measure, qs))
+        for p, qp in q.items():
+            if p not in support and qp:
+                yield f"support[p{p}]", qp, "=", 0, dq, False
         for p in self.paths:
-            yield f"pos[p{p}]", measure.get(p, ZERO), ">=", ZERO, True
-        yield "mass", sum((measure.get(p, ZERO) for p in self.paths), ZERO), "=", ONE, False
-        inc = martingale_increments(enl, measure, self.paths)
+            yield f"pos[p{p}]", q.get(p, 0), ">=", 0, dq, True
+        yield "mass", sum(q.get(p, 0) for p in self.paths), "=", dq, dq, False
+        inc, den = martingale_increments(enl, measure, self.paths)
         for (v, d), val in sorted(inc.items()):
-            yield f"mart[{enl.enode(v).label};{d}]", val, "=", ZERO, False
-        model = enl.model
-        for i, (_, alpha) in enumerate(model.europeans):
-            lhs = sum((measure.get(p, ZERO) * enl.european_value(i, p) for p in self.paths), ZERO)
-            yield f"f[{i}]", lhs, "<=", alpha, True
-        for k, (_, gamma) in enumerate(model.americans_short):
-            lhs = sum((measure.get(p, ZERO) * enl.short_value(k, p) for p in self.paths), ZERO)
-            yield f"h[{k}]", lhs, ">=", gamma, True
+            yield f"mart[{enl.enode(v).label};{d}]", val, "=", 0, den, False
+        tree = model.tree
+        nodes = list(tree.nodes)
+        tables, dm = over_common(
+            *([*map(f.at, tree.leaves), alpha] for f, alpha in model.europeans),
+            *([*map(h.scalar, nodes), gamma] for h, gamma in model.americans_short))
+        charged = [(enl.epaths[p], qp) for p, qp in q.items() if qp and p in support]
+        for i, f in enumerate(tables[:model.L]):
+            lhs = sum(qp * f[ep.base_index] for ep, qp in charged)
+            yield f"f[{i}]", lhs, "<=", f[-1] * dq, dq * dm, True
+        for k, h in enumerate(tables[model.L:]):
+            at = dict(zip(nodes, h))
+            lhs = sum(qp * at[tree.paths[ep.base_index][ep.clocks[k]]] for ep, qp in charged)
+            yield f"h[{k}]", lhs, ">=", h[-1] * dq, dq * dm, True
         for j, (_, beta) in enumerate(model.americans_long):
             best = snell_value(enl, self.long_values[j], measure, paths=self.paths)
-            yield f"g[{j};sup]", best, "<=", beta, True
+            ((lhs, rhs),), den = over_common([best, beta])
+            yield f"g[{j};sup]", lhs, "<=", rhs, den, True
+
+
+def _ledger_entry(name: str, lhs: int, rel: Relation, rhs: int, den: int, ok: bool) -> dict:
+    """One row of MeasurePolytope.check's ledger, its values as 'p/q' strings."""
+    margin = rhs - lhs if rel == "<=" else lhs - rhs
+    return {
+        "constraint": name,
+        "lhs": ratio_str(lhs, den),
+        "rel": rel,
+        "rhs": ratio_str(rhs, den),
+        "margin": ratio_str(margin, den) if rel != "=" else "0/1",
+        "ok": ok,
+    }
 
 
 def build_polytope(enl: EnlargedModel, *, paths: Iterable[int] | None = None) -> MeasurePolytope:
@@ -726,20 +781,21 @@ def snell_value(
     the children), m(v) being the Q-mass of the paths through v.  The
     masses are never divided, so a signed Q is valued exactly too.
     """
-    idx = list(range(enl.num_paths)) if paths is None else list(paths)
-    mass: dict[int, Q] = {}
-    for p in idx:
-        q = measure.get(p, ZERO)
-        if not q:
-            continue
+    idx = range(enl.num_paths) if paths is None else paths
+    charged = [p for p in idx if measure.get(p, ZERO)]
+    (qs,), dq = over_common(measure[p] for p in charged)
+    mass: dict[int, int] = {}
+    for p, q in zip(charged, qs):
         for v in enl.epaths[p].node_seq:
-            mass[v] = mass.get(v, ZERO) + q
-    env: dict[int, Q] = {}
+            mass[v] = mass.get(v, 0) + q
+    (vals,), dv = over_common(values_at_enode[v] for v in mass)
+    value = dict(zip(mass, vals))
+    env: dict[int, int] = {}
     for v in sorted(mass, key=lambda v: -enl.enode(v).time):
-        here = mass[v] * values_at_enode[v]
+        here = mass[v] * value[v]
         kids = [c for c in enl.children.get(v, ()) if c in mass]
-        env[v] = max(here, sum((env[c] for c in kids), ZERO)) if kids else here
-    return sum((env[r] for r in enl.roots if r in mass), ZERO)
+        env[v] = max(here, sum(env[c] for c in kids)) if kids else here
+    return Q(sum(env[r] for r in enl.roots if r in mass), dq * dv)
 
 
 def lift_measure_uniform_clock(

@@ -4,12 +4,16 @@ Every price, payoff, probability and LP coefficient is an exact rational.
 gmpy2's mpq is used when it is installed and fractions.Fraction otherwise;
 both behave the same.  The simplex tableau (``amhedge.lp``) works on
 Python ints taken from numerators and denominators, so the choice of
-backend does not reach its pivots.  Floats are rejected at the parsing
-boundary so no binary rounding can leak in.
+backend does not reach its pivots, and the pathwise re-checks of
+``hedging`` and ``measures`` put their rationals over one common
+denominator (``over_common``) and compare integers.  Floats are rejected
+at the parsing boundary so no binary rounding can leak in.
 """
 from __future__ import annotations
 
-from typing import Any
+from functools import reduce
+from math import gcd, lcm
+from typing import Any, Iterable
 
 try:
     from gmpy2 import mpq as _mpq
@@ -59,3 +63,21 @@ def rat_str(value: Any) -> str:
     """Canonical 'p/q' form with positive denominator, used in all reports."""
     q = rat(value)
     return f"{q.numerator}/{q.denominator}"
+
+
+def ratio_str(num: int, den: int) -> str:
+    """rat_str of num/den (den > 0), without building the rational."""
+    g = gcd(num, den)
+    return f"{num // g}/{den // g}"
+
+
+def over_common(*groups: Iterable[Any]) -> tuple[list[list[int]], int]:
+    """Numerators of each group of rationals over one common denominator.
+
+    They are Python ints whatever the backend (an mpz is passed through
+    int()), so sums and comparisons of them are exact integer arithmetic.
+    """
+    groups = [list(group) for group in groups]
+    den = reduce(lcm, (int(v.denominator) for group in groups for v in group), 1)
+    return [[int(v.numerator) * (den // int(v.denominator)) for v in group]
+            for group in groups], den

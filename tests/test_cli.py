@@ -153,6 +153,20 @@ def test_gamma_override_flips_ftap(model_file, capsys):
     assert doc["arbitrage"]["found"] is True
 
 
+def test_parser_built_once_keeps_no_override_between_requests(model_file, capsys):
+    # main reuses one parser; an override must not leak into the next
+    # request, whose report must match one made with a freshly built parser
+    argv = ["price", "--model", model_file, "--side", "sub"]
+    code, first, _ = run([*argv, "--gamma-override", "0=1/8"], capsys)
+    assert code == 0 and json.loads(first)["gamma_overrides"] == ["0=1/8"]
+    code, second, _ = run(argv, capsys)
+    assert code == 0 and json.loads(second)["gamma_overrides"] == []
+    assert cli._build_parser() is cli._build_parser()
+    cli._build_parser.cache_clear()
+    assert run(argv, capsys) == (0, second, "")
+    assert json.loads(second)["price"] == "1/3"
+
+
 def test_cap_exit(capsys):
     # only verify's oracles (the price chain, the minimax check) enumerate
     code, _, err = run(["verify", "--models", "1", "--cap", "1"], capsys)

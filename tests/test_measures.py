@@ -8,6 +8,7 @@ max min(a, b, b - 1/4) = 1/24 at a = 1/24, b = 7/24.
 """
 from __future__ import annotations
 
+import copy
 import dataclasses
 import random
 
@@ -325,6 +326,26 @@ def test_polytope_at_other_quotes_is_the_rebuilt_polytope():
     assert format_lp(pt.lp) == format_lp(build_polytope(enl).lp)
     with pytest.raises(ValueError):
         pt.at_quotes(enlarge(model, model.N))
+    # the same quotes on copies of the payoff processes: not this polytope's
+    for book in ("europeans", "americans_long", "americans_short"):
+        copied = [(copy.deepcopy(payoff), quote) for payoff, quote in getattr(model, book)]
+        with pytest.raises(ValueError, match="same stock and payoff processes"):
+            pt.at_quotes(enl.with_model(dataclasses.replace(model, **{book: copied})))
+
+
+@pytest.mark.parametrize("n_extra", [0, 1])
+@pytest.mark.parametrize("name", [*CONFTEST_MODELS, *CAMPAIGN_MODELS])
+def test_at_quotes_copies_the_polytope_of_the_shifted_quotes(name, n_extra, request):
+    model = _model(request, name)
+    enl = enlarge(model, model.N + n_extra)
+    paths = None if model.kernels is None else supported_paths(enl)
+    pt = build_polytope(enl, paths=paths)
+    measure = pt.solve_extremum([ZERO] * enl.num_paths, "max")[1]
+    for eps in (Q(-1, 3), Q(1, 16)):
+        shifted = enl.with_model(model.shifted_prices(eps))
+        moved, built = pt.at_quotes(shifted), build_polytope(shifted, paths=paths)
+        assert format_lp(moved.lp) == format_lp(built.lp)
+        assert moved.check(measure) == built.check(measure)
 
 
 @pytest.mark.parametrize("name", [*CONFTEST_MODELS, *CAMPAIGN_MODELS])
