@@ -876,27 +876,6 @@ def check_divisibility(model: MarketModel) -> dict:
 # -- battery: kernel families --------------------------------------------------
 
 
-def _selector_epsilon(
-    pt: MeasurePolytope, pbar: dict[int, Q]
-) -> tuple[Q | None, dict[int, Q] | None]:
-    """Largest e with a measure in the e-shifted polytope dominating e*pbar.
-
-    Price rows, if the polytope has any, are tightened by e; the
-    domination of the optimizer is re-checked in place.
-    """
-    out = pt.support_slack(prices=True, floor=pbar)
-    if out.status == "infeasible":
-        return None, None
-    if out.status != "optimal":
-        raise PropertyViolation(f"shifted-polytope LP unexpectedly {out.status}")
-    eps = out.value
-    measure = {p: out.x(v) for p, v in pt.q_var.items() if out.x(v)}
-    for p, w in pbar.items():
-        if measure.get(p, ZERO) < eps * w:
-            raise PropertyViolation("domination certificate failed re-validation")
-    return eps, measure
-
-
 def selector_sweep(pt: MeasurePolytope) -> bool:
     """The quasi-sure consistency verdict, one kernel selector at a time.
 
@@ -905,9 +884,10 @@ def selector_sweep(pt: MeasurePolytope) -> bool:
     dominating e*P.  This is the oracle of the one uniform-slack LP of
     ftap_certificate on the supported paths, and of robust_na on the
     stock-only market's polytope, which has no price rows.  Selectors
-    that share a vertex measure share one LP, whose optimizer is
-    re-checked in the e-shifted polytope (pt.at_quotes); the enumeration
-    stays under DEFAULT_SELECTOR_CAP.
+    that share a vertex measure share one LP (support_slack with floor
+    P), whose optimizer is re-checked to clear every price row by e and
+    to dominate e*P (check with that floor); the enumeration stays under
+    DEFAULT_SELECTOR_CAP.
     """
     enl = pt.enl
     solved: dict[tuple, bool] = {}
@@ -915,11 +895,14 @@ def selector_sweep(pt: MeasurePolytope) -> bool:
         pbar = vertex_measure(enl, selector)
         key = tuple(sorted(pbar.items()))
         if key not in solved:
-            eps, measure = _selector_epsilon(pt, pbar)
-            if measure is not None:
-                shifted = enl.with_model(enl.model.shifted_prices(eps))
-                pt.at_quotes(shifted).require(measure, "shifted-polytope witness")
-            solved[key] = eps is not None and eps > ZERO
+            out = pt.support_slack(prices=True, floor=pbar)
+            if out.status not in ("optimal", "infeasible"):
+                raise PropertyViolation(f"shifted-polytope LP unexpectedly {out.status}")
+            if out.status == "optimal":
+                measure = {p: out.x(v) for p, v in pt.q_var.items() if out.x(v)}
+                if not pt.check(measure, min_slack=out.value, floor=pbar)[0]:
+                    raise PropertyViolation("shifted-polytope witness failed re-validation")
+            solved[key] = out.status == "optimal" and out.value > ZERO
         if not solved[key]:
             return False
     return True

@@ -7,39 +7,32 @@ summing to one (divisible, a point of the weight simplex product V^n).
 This module prices against the clock-indexed formulation directly -
 one strategy copy per clock vector, tied together by explicit
 non-anticipativity equalities - and certifies that the divisible
-reading changes nothing: mixtures of the optimizer cover every weight
-grid point, and adding grid constraints to the LP moves no value.
+reading changes nothing: the optimizer holds at every weight grid
+point, and adding grid constraints to the LP moves no value.
 
 The clock-indexed formulation is the enlarged space with every clock
 revealed at time 0 (RevealedModel), so the one hedge driver of
 ``hedging`` prices it; the space lists the node pairs to tie and, with
-a grid, the mixtures every hedge must also satisfy.
+a grid, the mixtures every hedge must also satisfy.  hedging.check_hedge
+re-checks both, so the optimizer's certificate on the grid is that
+check on the grid-augmented space.
 """
 from __future__ import annotations
 
 import copy
 import itertools
 from dataclasses import dataclass
-from typing import Sequence
 
 from .enlarged import EnlargedModel, enlarge, extend_claim
 from .errors import PropertyViolation
-from .hedging import (
-    HedgeReport,
-    SemiStaticStrategy,
-    detect_arbitrage,
-    payoff_enlarged,
-    subhedge,
-    subhedge_european,
-    superhedge,
-)
+from .hedging import check_hedge, detect_arbitrage, subhedge, subhedge_european, superhedge
 from .market import MarketModel
 from .rationals import ONE, ZERO, Q, rat_str
 from .strategies import _mixture_weight, dirac_weights, indistinguishable_pairs
 
 __all__ = [
-    "EPS_GRID", "DivisibilityReport", "RevealedModel", "nonanticipative",
-    "verify_divisibility_equivalence", "weight_grid",
+    "EPS_GRID", "DivisibilityReport", "RevealedModel", "verify_divisibility_equivalence",
+    "weight_grid",
 ]
 
 # quote shifts swept by the no-arbitrage grid checks
@@ -119,19 +112,6 @@ class RevealedModel(EnlargedModel):
         return other
 
 
-def nonanticipative(
-    rev: RevealedModel, strat: SemiStaticStrategy, exercise: dict[int, Q] | None = None
-) -> bool:
-    """Positions, liquidation masses and exercise weights agree on every tied pair."""
-    books = [*strat.liquidation, *([exercise] if exercise is not None else [])]
-    return all(
-        all(strat.stock.get((v, d), ZERO) == strat.stock.get((w, d), ZERO)
-            for d in range(strat.dims))
-        and all(book.get(v, ZERO) == book.get(w, ZERO) for book in books)
-        for v, w in rev.tied_pairs
-    )
-
-
 @dataclass
 class DivisibilityReport:
     sub_indexed: Q
@@ -179,50 +159,14 @@ class DivisibilityReport:
         }
 
 
-def _certify_lift(
-    rev: RevealedModel, report: HedgeReport, grid: list, rhs: Sequence[Q]
-) -> int:
-    """Pathwise check that every grid mixture of the optimizer hedges.
-
-    The optimizer's hedge rows read sign*price + Phi(p) + extra(p) >=
-    rhs(p), extra the claim exercised by eta (sub only); their mixture
-    at each grid point must hold on every base path, exactly.  Phi comes
-    from payoff_enlarged, and the optimizer must be non-anticipative.
-    """
-    strat, eta = report.strategy, report.exercise
-    if not nonanticipative(rev, strat, eta):
-        raise PropertyViolation("optimizer is not non-anticipative")
-    gains = payoff_enlarged(rev, strat)
-    if eta is not None:
-        values = extend_claim(rev, "sub")
-        for p, ep in enumerate(rev.epaths):
-            gains[p] += sum((eta.get(v, ZERO) * values[v] for v in ep.node_seq), ZERO)
-    sign = ONE if report.kind == "super" else -ONE
-    checks = 0
-    for point in grid:
-        for b in range(len(rev.model.tree.paths)):
-            lhs, bound = sign * report.price, ZERO
-            for tvec in rev.tuples:
-                w = _mixture_weight(point, tvec)
-                if w:
-                    p = rev.path_index(b, tvec)
-                    lhs += w * gains[p]
-                    bound += w * rhs[p]
-            if lhs < bound:
-                raise PropertyViolation(
-                    f"grid point mixture fails the {report.kind} hedge on path {b}"
-                )
-            checks += 1
-    return checks
-
-
 def verify_divisibility_equivalence(model: MarketModel) -> DivisibilityReport:
     """Clock-indexed vs enlarged-space prices, and divisible certification.
 
     Computes sub/super/European prices in the clock-indexed LP and on
     the enlarged space; asserts exact agreement; certifies the
-    divisible side via optimizer mixtures on a weight grid and via
-    grid-augmented LPs whose value must not move; and compares
+    divisible side by re-checking each optimizer on the grid-augmented
+    space (check_hedge) and by grid-augmented LPs whose value must not
+    move; and compares
     no-arbitrage verdicts of the two formulations at the quotes of
     model.shifted_prices(eps) for every eps in EPS_GRID.
     """
@@ -254,16 +198,23 @@ def verify_divisibility_equivalence(model: MarketModel) -> DivisibilityReport:
                 f"{name} prices disagree: clock-indexed {rat_str(a)} vs enlarged {rat_str(b)}"
             )
 
-    rev_grid = rev_sub.with_grid(grid_sub)
+    rev_grid, sup_grid = rev_sub.with_grid(grid_sub), rev_sup.with_grid(grid_super)
     sub_grid_val = subhedge(rev_grid).price
-    super_grid_val = superhedge(rev_sup.with_grid(grid_super)).price
+    super_grid_val = superhedge(sup_grid).price
     euro_grid_val = subhedge_european(rev_grid, psi).price
     if sub_grid_val != sub.price or super_grid_val != sup.price or euro_grid_val != euro.price:
         raise PropertyViolation("grid-augmented LP moved a price")
 
-    checks = _certify_lift(rev_sub, sub, grid_sub, [ZERO] * rev_sub.num_paths)
-    checks += _certify_lift(rev_sup, sup, grid_super, extend_claim(rev_sup, "super"))
-    checks += _certify_lift(rev_sub, euro, grid_sub, [-v for v in psi])
+    # Dirac grid points are the space's paths, the others its mixtures:
+    # one check per grid point and base path
+    checks = 0
+    for space, report, rhs in ((rev_grid, sub, [ZERO] * rev_grid.num_paths),
+                               (sup_grid, sup, extend_claim(sup_grid, "super")),
+                               (rev_grid, euro, [-v for v in psi])):
+        gains, _ = check_hedge(space, report.strategy, ONE if report.kind == "super" else -ONE,
+                               report.price, rhs, paths=range(space.num_paths),
+                               exercise=report.exercise, kind=f"{report.kind} grid")
+        checks += len(gains) + len(space.mixtures)
 
     sna_rows: list[tuple[Q, bool, bool]] = []
     for eps in EPS_GRID:

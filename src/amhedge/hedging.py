@@ -12,10 +12,11 @@ runs on (n = N to sub-hedge, N + 1 to super-hedge) is checked once, by
 enlarged.extend_claim.  Liquidation masses nu_j and exercise weights eta
 are plain node -> weight dicts.
 
-The pathwise re-checks (evaluate_gain and its readers check_hedge and
-detect_arbitrage's witness check) run in Python ints: each call puts
-the strategy, and its own tables of the model's stock moves, payoffs and
-quotes, over common denominators, and compares integer numerators.
+check_hedge is the one pathwise re-check of a semi-static hedge, of every
+row family GainLP and _hedge write; every optimizer, witness and ray goes
+through it.  It runs in Python ints: each call puts the strategy, and its
+own tables of the model's stock moves, payoffs and quotes, over common
+denominators, and compares integer numerators.
 """
 from __future__ import annotations
 
@@ -312,19 +313,6 @@ class GainLP:
         )
 
 
-def ray_summary(enl: EnlargedModel, x: Q, ray: SemiStaticStrategy) -> dict[str, str]:
-    """Nonzero entries of a hedge LP's ray, named as GainLP names its variables."""
-    lab = lambda v: enl.enode(v).label
-    named: dict[str, Q] = {"x": x}
-    named.update((f"H[{lab(v)};{d}]", h) for (v, d), h in ray.stock.items())
-    for kind, book in (("a", ray.long_european), ("b", ray.long_american),
-                       ("c", ray.short_american)):
-        named.update((f"{kind}[{i}]", val) for i, val in enumerate(book))
-    for j, nu in enumerate(ray.liquidation):
-        named.update((f"nu[{j};{lab(v)}]", m) for v, m in nu.items())
-    return {name: rat_str(val) for name, val in named.items() if val}
-
-
 @dataclass
 class HedgeReport:
     """A price with its hedge, from a hedge LP or read off the measure LP's
@@ -359,6 +347,20 @@ class HedgeReport:
         return doc
 
 
+def nonanticipative(
+    enl: EnlargedModel, strat: SemiStaticStrategy, exercise: dict[int, Q] | None = None
+) -> bool:
+    """Positions, liquidation masses and exercise weights agree on every
+    tied pair of the space (EnlargedModel.tied_pairs)."""
+    books = [*strat.liquidation, *([exercise] if exercise is not None else [])]
+    return all(
+        all(strat.stock.get((v, d), ZERO) == strat.stock.get((w, d), ZERO)
+            for d in range(strat.dims))
+        and all(book.get(v, ZERO) == book.get(w, ZERO) for book in books)
+        for v, w in enl.tied_pairs
+    )
+
+
 def check_hedge(
     enl: EnlargedModel,
     strat: SemiStaticStrategy,
@@ -369,22 +371,27 @@ def check_hedge(
     paths: Iterable[int],
     exercise: dict[int, Q] | None = None,
     kind: str,
-) -> None:
+) -> tuple[dict[int, int], int]:
     """Re-validate a hedge on every path: sign*x + Phi(p) + extra(p) >= rhs(p).
 
     Independent of any LP.  Phi comes from evaluate_gain, which also
     checks that each nu_j sums to b_j along every path; the static book
-    and every liquidation mass must be nonnegative.  With ``exercise``
-    the claim is held divisibly: its weights eta must be nonnegative and
-    sum to 1 along every path, and extra(p) = sum_t eta(v_t) * value(v_t)
-    with the claim's values of extend_claim(enl, "sub").  Each side of
-    the inequality is compared as an integer over one denominator.
+    and every liquidation mass must be nonnegative, and the hedge must
+    be nonanticipative on the space's tied pairs.  With ``exercise`` the
+    claim is held divisibly: its weights eta must be nonnegative and sum
+    to 1 along every path, and extra(p) = sum_t eta(v_t) * value(v_t)
+    with the claim's values of extend_claim(enl, "sub").  The weighted
+    margins of each of the space's mixtures must sum to at least 0.
+    Both sides are compared as integers over one denominator.  Returns
+    evaluate_gain's gains.
     """
     books = (strat.long_european, strat.long_american, strat.short_american,
              *(nu.values() for nu in strat.liquidation),
              exercise.values() if exercise is not None else ())
     if any(val < ZERO for book in books for val in book):
         raise PropertyViolation(f"{kind} hedge holds a negative static or exercise position")
+    if not nonanticipative(enl, strat, exercise):
+        raise PropertyViolation(f"{kind} hedge is not non-anticipative")
     gains, dg = evaluate_gain(enl, strat, paths)
     eta = list(exercise.items()) if exercise is not None else []
     values = extend_claim(enl, "sub") if exercise is not None else None
@@ -394,6 +401,7 @@ def check_hedge(
     ((cash, *bound),), dr = over_common([sign * x, *(rhs[p] for p in gains)])
     den = lcm(dr, dg, de * de)
     sr, sg, se = den // dr, den // dg, den // (de * de)
+    margins: dict[int, int] = {}
     for (p, gain), r in zip(gains.items(), bound):
         lhs = cash * sr + gain * sg
         if exercise is not None:
@@ -406,10 +414,45 @@ def check_hedge(
                 raise PropertyViolation(
                     f"exercise weights sum to {ratio_str(mass, de)} != 1 on path {p}")
             lhs += extra * se
-        if lhs < r * sr:
+        margins[p] = lhs - r * sr
+        if margins[p] < 0:
             raise PropertyViolation(
                 f"{kind} hedge fails on path {p}: {ratio_str(lhs, den)} < {rat_str(rhs[p])}"
             )
+    for k, mix in enumerate(enl.mixtures):
+        (ws,), _ = over_common(mix.values())
+        if sum(w * margins[p] for p, w in zip(mix, ws)) < 0:
+            raise PropertyViolation(f"{kind} hedge fails the space's mixture {k}")
+    return gains, dg
+
+
+def unbounded_ray(
+    enl: EnlargedModel, kind: str, sign: Q, x: Q, ray: SemiStaticStrategy, paths: Iterable[int]
+) -> SnaFailure:
+    """The SnaFailure of an improving ray (x, ray) of the hedge LP
+    sign*x + Phi(p) + extra(p) >= rhs(p), re-checked pathwise first.
+
+    The ray must improve (sign*x < 0) and check_hedge must pass
+    sign*x + Phi(p) >= 0 on every path, so the ray's strategy gains at
+    least |x| > 0 on every path.  A ray's exercise weights have zero mass
+    on every path, so none are held.  The certificate names the ray's
+    nonzero entries as GainLP names its variables.
+    """
+    if sign * x >= ZERO:
+        raise PropertyViolation(f"{kind} hedge ray does not improve")
+    check_hedge(enl, ray, sign, x, [ZERO] * enl.num_paths, paths=paths, kind=f"{kind} hedge ray")
+    lab = lambda v: enl.enode(v).label
+    named: dict[str, Q] = {"x": x}
+    named.update((f"H[{lab(v)};{d}]", h) for (v, d), h in ray.stock.items())
+    for book, vals in (("a", ray.long_european), ("b", ray.long_american),
+                       ("c", ray.short_american)):
+        named.update((f"{book}[{i}]", val) for i, val in enumerate(vals))
+    for j, nu in enumerate(ray.liquidation):
+        named.update((f"nu[{j};{lab(v)}]", m) for v, m in nu.items())
+    return SnaFailure(
+        f"{kind} hedging price is unbounded: the market admits arbitrage",
+        certificate={"ray": {name: rat_str(val) for name, val in named.items() if val}},
+    )
 
 
 def _hedge(
@@ -427,10 +470,10 @@ def _hedge(
     divisibly: exercise weights eta of unit mass per path add extra(p) =
     sum_t eta(v_t) * value(v_t), the values of extend_claim(enl, "sub"),
     and eta is tied like H and nu on the space's tied pairs.  The optimum
-    is re-validated by check_hedge.  This LP is the reference of the
-    campaign's duality check and the pricer of the divisibility battery,
-    on the enlarged and the revealed-clock space; ``price`` solves the
-    measure LP of measures.price_with_dual instead.
+    is re-validated by check_hedge, a ray by unbounded_ray.  This LP is
+    the reference of the campaign's duality check and the pricer of the
+    divisibility battery, on the enlarged and the revealed-clock space;
+    ``price`` solves the measure LP of measures.price_with_dual instead.
     """
     claim = extend_claim(enl, "sub") if kind == "sub" else None
     g = GainLP(enl, paths=paths, add_x=True)
@@ -452,10 +495,7 @@ def _hedge(
     g.lp.set_objective("min" if sign > 0 else "max", {g.x: ONE})
     out = solve(g.lp)
     if out.status == "unbounded":
-        raise SnaFailure(
-            f"{kind} hedging price is unbounded: the market admits arbitrage",
-            certificate={"ray": ray_summary(enl, out.ray[g.x], g.strategy_at(out.ray))},
-        )
+        raise unbounded_ray(enl, kind, sign, out.ray[g.x], g.strategy_at(out.ray), g.paths)
     if out.status != "optimal":
         raise PropertyViolation(f"{kind} hedge LP unexpectedly {out.status}")
     eta = {v: out.x(var) for v, var in eta_var.items() if out.x(var)} if eta_var else None
@@ -554,13 +594,10 @@ def detect_arbitrage(
     if out.value < ZERO:
         raise PropertyViolation("arbitrage LP returned a negative optimum")
     strat = g.strategy_at(out.primal)
-    gains, den = evaluate_gain(enl, strat, g.paths)
+    gains, den = check_hedge(enl, strat, ONE, ZERO, [ZERO] * enl.num_paths, paths=g.paths,
+                             kind="arbitrage witness")
     (weights,), dw = over_common(enl.weight(p) for p in gains)
-    expected = 0
-    for (p, gain), w in zip(gains.items(), weights):
-        if gain < 0:
-            raise PropertyViolation(f"arbitrage witness loses on path {p}")
-        expected += w * gain
+    expected = sum(w * gain for gain, w in zip(gains.values(), weights))
     if expected * int(out.value.denominator) != int(out.value.numerator) * dw * den:
         raise PropertyViolation("arbitrage witness expectation mismatch")
     return ArbitrageReport(found=True, gain=out.value, strategy=strat,

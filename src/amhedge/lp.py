@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from math import gcd, lcm
 from typing import Iterable, Literal
 
-from .rationals import ONE, ZERO, Q, rat
+from .rationals import ONE, ZERO, Q, over_common, rat
 
 Relation = Literal["<=", "=", ">="]
 
@@ -474,13 +474,6 @@ def solve(lp: LinearProgram) -> LPOutcome:
 # comparison with both sides multiplied by the same positive number.
 
 
-def _common(fracs: Iterable[tuple[int, int]]) -> tuple[list[int], int]:
-    """Numerators of the (num, den > 0) pairs over their common denominator."""
-    fracs = list(fracs)
-    e = lcm(*(d for _, d in fracs))
-    return [n * (e // d) for n, d in fracs], e
-
-
 def _dot(a: dict[int, int], x: list[int]) -> int:
     return sum(v * x[j] for j, v in a.items())
 
@@ -490,9 +483,14 @@ def _violated(rel: Relation, lhs: int, rhs: int) -> bool:
 
 
 def _scaled_duals(lp: LinearProgram, y: list[Q]) -> tuple[list, list[int], int, list[int]]:
-    """The integer rows (a, b, d), y_i/d_i as z over one denominator e, and A^T z."""
+    """The integer rows (a, b, d), y_i/d_i as z over one denominator e, and A^T z.
+
+    y is put over one denominator dy, and entry i scaled by lcm(d)/d_i.
+    """
     rows = [_integer_row(row.coeffs, row.rhs) for row in lp.rows]
-    z, e = _common((int(v.numerator), int(v.denominator) * d) for v, (_, _, d) in zip(y, rows))
+    (ys,), dy = over_common(y)
+    dd = lcm(*(d for _, _, d in rows))
+    z, e = [v * (dd // d) for v, (_, _, d) in zip(ys, rows)], dy * dd
     aty = [0] * lp.num_vars
     for zi, (a, _, _) in zip(z, rows):
         if zi:
@@ -505,7 +503,7 @@ def _verify_optimal(lp: LinearProgram, x: list[Q], y: list[Q], value: Q) -> None
     for j in range(lp.num_vars):
         if lp.nonneg[j] and x[j] < 0:
             raise LPInternalError(f"negative value for {lp.var_names[j]}")
-    xs, dx = _common((int(v.numerator), int(v.denominator)) for v in x)
+    (xs,), dx = over_common(x)
     c, _, dc = _integer_row(lp.objective, ZERO)
     vn, vd = int(value.numerator), int(value.denominator)
     if _dot(c, xs) * vd != vn * dc * dx:
@@ -562,7 +560,7 @@ def _verify_ray(lp: LinearProgram, d: list[Q]) -> None:
     for j in range(lp.num_vars):
         if lp.nonneg[j] and d[j] < 0:
             raise LPInternalError("ray leaves the sign cone")
-    ds, _ = _common((int(v.numerator), int(v.denominator)) for v in d)
+    (ds,), _ = over_common(d)
     rate = _dot(_integer_row(lp.objective, ZERO)[0], ds)
     improving = rate > 0 if lp.sense == "max" else rate < 0
     if not improving:

@@ -26,14 +26,7 @@ from typing import Callable, Hashable, Iterable, Iterator, Literal, Sequence
 
 from .enlarged import EnlargedModel, Forest, extend_claim
 from .errors import PropertyViolation, SnaFailure
-from .hedging import (
-    HedgeReport,
-    SemiStaticStrategy,
-    check_hedge,
-    detect_arbitrage,
-    evaluate_gain,
-    ray_summary,
-)
+from .hedging import HedgeReport, SemiStaticStrategy, check_hedge, detect_arbitrage, unbounded_ray
 from .lp import LinearProgram, LPOutcome, Relation, max_slack, solve
 from .market import MarketModel
 from .rationals import ONE, ZERO, Q, over_common, rat_str, ratio_str
@@ -193,7 +186,7 @@ def dp_superhedge(
     and the successor values, so each distinct one is solved once and
     ``lp_count`` counts them.  The folded value is the stock
     super-hedging price on the support; the per-node hedge ratios
-    telescope pathwise, which is verified exactly on every path.
+    telescope pathwise, which check_hedge verifies on every path.
     """
     T = enl.horizon
     paths = range(enl.num_paths) if paths is None else sorted(set(paths))
@@ -221,11 +214,7 @@ def dp_superhedge(
         dims=model.stock.dim, stock=strategy, long_european=[ZERO] * model.L,
         long_american=[ZERO] * model.M, short_american=[ZERO] * model.N,
         liquidation=[{} for _ in range(model.M)])
-    gains, den = evaluate_gain(enl, stock_only, paths)
-    ((v, *z),), dz = over_common([value, *(zeta[p] for p in paths)])
-    for gain, zp in zip(gains.values(), z):
-        if v * den + gain * dz < zp * den:
-            raise PropertyViolation("dp strategy fails to super-hedge pathwise")
+    check_hedge(enl, stock_only, ONE, value, zeta, paths=paths, kind="dp")
     return DpReport(value=value, strategy=strategy, lp_count=len(solved))
 
 
@@ -351,32 +340,40 @@ class MeasurePolytope:
         measure: dict[int, Q],
         *,
         min_slack: Q | None = None,
+        floor: dict[int, Q] | None = None,
         strict: bool = False,
     ) -> tuple[bool, list[dict]]:
         """Re-evaluate every constraint directly from the data of enl.model.
 
-        With ``min_slack`` s, positivity must clear Q(p) >= s and each
-        price row must clear its bound by at least s; with ``strict``,
-        margins must merely be positive.  No LP state is consulted.
+        With ``min_slack`` s, each price row must clear its bound by at
+        least s, and positivity must hold with Q(p) >= 0 and Q(p) >= s *
+        floor(p), the floor of support_slack (1 on every path by default,
+        0 off its paths); with ``strict``, margins must merely be
+        positive.  No LP state is consulted.
         """
-        ledger = [_ledger_entry(*row) for row in self._verdicts(measure, min_slack, strict)]
+        ledger = [_ledger_entry(*row) for row in self._verdicts(measure, min_slack, floor, strict)]
         return all(e["ok"] for e in ledger), ledger
 
     def _verdicts(
-        self, measure: dict[int, Q], min_slack: Q | None = None, strict: bool = False
+        self, measure: dict[int, Q], min_slack: Q | None = None,
+        floor: dict[int, Q] | None = None, strict: bool = False,
     ) -> Iterator[tuple[str, int, Relation, int, int, bool]]:
         """(name, lhs, relation, rhs, den, ok) of each row of _evaluated_rows."""
         if min_slack is not None:
             sn, sd = int(min_slack.numerator), int(min_slack.denominator)
-        for name, lhs, rel, rhs, den, slackable in self._evaluated_rows(measure):
+        for name, lhs, rel, rhs, den, weight in self._evaluated_rows(measure, floor):
             if rel == "=":
                 yield name, lhs, rel, rhs, den, lhs == rhs
                 continue
             margin = rhs - lhs if rel == "<=" else lhs - rhs
-            if slackable and min_slack is not None:
-                ok = margin * sd >= sn * den
+            if min_slack is None:
+                ok = margin > 0 if strict else margin >= 0
             else:
-                ok = margin > 0 if slackable and strict else margin >= 0
+                wn, wd = int(weight.numerator), int(weight.denominator)
+                ok = margin * sd * wd >= sn * wn * den
+                if name.startswith("pos"):
+                    # a measure has no negative mass, whatever the slack
+                    ok = ok and margin >= 0
             yield name, lhs, rel, rhs, den, ok
 
     @cached_property
@@ -549,12 +546,13 @@ class MeasurePolytope:
         return stops
 
     def _evaluated_rows(
-        self, measure: dict[int, Q]
-    ) -> Iterator[tuple[str, int, Relation, int, int, bool]]:
-        """(name, lhs, relation, rhs, den, slackable) of the support,
+        self, measure: dict[int, Q], floor: dict[int, Q] | None = None
+    ) -> Iterator[tuple[str, int, Relation, int, int, Q]]:
+        """(name, lhs, relation, rhs, den, slack weight) of the support,
         positivity, mass and martingale rows, then of the price rows at the
         model's quotes, evaluated at the measure; lhs and rhs are integer
-        numerators over the positive den.
+        numerators over the positive den.  A positivity row's weight is
+        floor(p) (see check), a price row's 1 and an equality row's 0.
 
         The measure is put over one denominator dq, and the payoffs and
         quotes, tabled here per base path and node, over one dm.
@@ -565,13 +563,14 @@ class MeasurePolytope:
         q = dict(zip(measure, qs))
         for p, qp in q.items():
             if p not in support and qp:
-                yield f"support[p{p}]", qp, "=", 0, dq, False
+                yield f"support[p{p}]", qp, "=", 0, dq, ZERO
         for p in self.paths:
-            yield f"pos[p{p}]", q.get(p, 0), ">=", 0, dq, True
-        yield "mass", sum(q.get(p, 0) for p in self.paths), "=", dq, dq, False
+            weight = ONE if floor is None else floor.get(p, ZERO)
+            yield f"pos[p{p}]", q.get(p, 0), ">=", 0, dq, weight
+        yield "mass", sum(q.get(p, 0) for p in self.paths), "=", dq, dq, ZERO
         inc, den = martingale_increments(enl, measure, self.paths)
         for (v, d), val in sorted(inc.items()):
-            yield f"mart[{enl.enode(v).label};{d}]", val, "=", 0, den, False
+            yield f"mart[{enl.enode(v).label};{d}]", val, "=", 0, den, ZERO
         tree = model.tree
         nodes = list(tree.nodes)
         tables, dm = over_common(
@@ -580,15 +579,15 @@ class MeasurePolytope:
         charged = [(enl.epaths[p], qp) for p, qp in q.items() if qp and p in support]
         for i, f in enumerate(tables[:model.L]):
             lhs = sum(qp * f[ep.base_index] for ep, qp in charged)
-            yield f"f[{i}]", lhs, "<=", f[-1] * dq, dq * dm, True
+            yield f"f[{i}]", lhs, "<=", f[-1] * dq, dq * dm, ONE
         for k, h in enumerate(tables[model.L:]):
             at = dict(zip(nodes, h))
             lhs = sum(qp * at[tree.paths[ep.base_index][ep.clocks[k]]] for ep, qp in charged)
-            yield f"h[{k}]", lhs, ">=", h[-1] * dq, dq * dm, True
+            yield f"h[{k}]", lhs, ">=", h[-1] * dq, dq * dm, ONE
         for j, (_, beta) in enumerate(model.americans_long):
             best = snell_value(enl, self.long_values[j], measure, paths=self.paths)
             ((lhs, rhs),), den = over_common([best, beta])
-            yield f"g[{j};sup]", lhs, "<=", rhs, den, True
+            yield f"g[{j};sup]", lhs, "<=", rhs, den, ONE
 
 
 def _ledger_entry(name: str, lhs: int, rel: Relation, rhs: int, den: int, ok: bool) -> dict:
@@ -718,8 +717,8 @@ def price_with_dual(
     An empty polytope means the hedge LP is unbounded.  The verified
     Farkas vector is then read the same way as an improving ray of that
     LP, a strategy that gains at least -(y . b) > 0 on every path, which
-    is checked pathwise and raised as SnaFailure.  The polytope is
-    returned for further checks.
+    hedging.unbounded_ray checks pathwise and raises as SnaFailure.  The
+    polytope is returned for further checks.
     """
     claim = extend_claim(enl, side)
     sign = ONE if side == "super" else -ONE
@@ -734,12 +733,7 @@ def price_with_dual(
     if out.status == "infeasible":
         rate = sum((y * row.rhs for y, row in zip(out.farkas, work.rows) if y), ZERO)
         ray, _ = pt.hedge_from(out.farkas, ONE)
-        check_hedge(enl, ray, ONE, rate, [ZERO] * enl.num_paths, paths=pt.paths,
-                    kind=f"{side} hedge ray")
-        raise SnaFailure(
-            f"{side} hedging price is unbounded: the market admits arbitrage",
-            certificate={"ray": ray_summary(enl, sign * rate, ray)},
-        )
+        raise unbounded_ray(enl, side, sign, sign * rate, ray, pt.paths)
     if out.status != "optimal":
         raise PropertyViolation(f"{side} measure LP unexpectedly {out.status}")
     price = out.value + shift

@@ -46,7 +46,9 @@ def test_equivalence_short_put(binomial_short_put):
     assert report.super_indexed == Q(1, 3)
     # the claim payoff held to the end is its European value
     assert report.european_indexed == Q(1, 3)
-    assert report.lift_checks > 0
+    # one check per grid point and base path, for the sub, super and European optimizers
+    grids = 2 * len(weight_grid(1, 1)) + len(weight_grid(2, 1))
+    assert report.lift_checks == grids * len(binomial_short_put.tree.paths) == 26
     assert report.sna_grid and all(a == b for _, a, b in report.sna_grid)
     doc = report.to_json()
     assert doc["equal"] is True and doc["sub"]["indexed"] == "1/3"

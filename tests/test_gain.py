@@ -14,9 +14,9 @@ import random
 import pytest
 
 from amhedge import campaign
-from amhedge.divisible import RevealedModel, nonanticipative
+from amhedge.divisible import RevealedModel
 from amhedge.enlarged import enlarge
-from amhedge.hedging import GainLP, payoff_enlarged
+from amhedge.hedging import GainLP, nonanticipative, payoff_enlarged
 from amhedge.market import load_model
 from amhedge.measures import build_polytope, restricted_stopping_times
 from amhedge.rationals import ZERO, Q, rat_str

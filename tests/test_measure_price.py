@@ -203,9 +203,11 @@ def test_mispriced_price_exits_2_with_a_checked_ray(name, side, tmp_path, capsys
     assert (x < ZERO) if side == "super" else (x > ZERO)
     gains = payoff_enlarged(enl, ray)
     assert all(gain >= abs(x) for gain in gains.values())
-    # the hedge LP fails the same way
-    with pytest.raises(SnaFailure, match="price is unbounded"):
+    # the hedge LP fails the same way, with a ray that gains as much
+    with pytest.raises(SnaFailure, match="price is unbounded") as exc:
         (subhedge if side == "sub" else superhedge)(enl)
+    x, ray = _ray_from_names(enl, exc.value.certificate["ray"])
+    assert all(gain >= abs(x) > ZERO for gain in payoff_enlarged(enl, ray).values())
 
 
 @pytest.mark.parametrize("seed", GENERATED[:4])

@@ -1,12 +1,13 @@
 """The pathwise re-checks reject a certificate moved by 1/10**30.
 
 ``hedging.check_hedge`` (through ``payoff_enlarged``) re-validates a
-hedge on every enlarged path, and ``MeasurePolytope.check``/``require``
-re-check a measure row by row from the model data.  Each case below
-starts from a certificate that passes, the hedge and the measure of
-``price_with_dual``, moves one entry by 1/10**30 and expects the check
-that entry feeds to fail, as test_lp's certificate-rejection tests do
-for the LP verifiers.  A hypothesis test holds the gains of
+hedge on every enlarged path and on the space's tied pairs, and
+``MeasurePolytope.check``/``require`` re-check a measure row by row from
+the model data.  Each case below starts from a certificate that passes,
+the hedge and the measure of ``price_with_dual`` or the clock-indexed
+sub-hedge, moves one entry by 1/10**30 and expects the check that entry
+feeds to fail, as test_lp's certificate-rejection tests do for the LP
+verifiers.  A hypothesis test holds the gains of
 ``payoff_enlarged`` to a plain ``Fraction`` evaluator kept here.
 """
 from __future__ import annotations
@@ -19,11 +20,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from amhedge.campaign import binomial_call_short_put
+from amhedge.divisible import RevealedModel
 from amhedge.enlarged import enlarge
 from amhedge.errors import PropertyViolation
-from amhedge.hedging import SemiStaticStrategy, check_hedge, payoff_enlarged
+from amhedge.hedging import SemiStaticStrategy, check_hedge, payoff_enlarged, subhedge
 from amhedge.market import load_model
-from amhedge.measures import build_polytope, price_with_dual
+from amhedge.measures import build_polytope, ftap_certificate, price_with_dual
 from amhedge.rationals import ONE, ZERO, Q
 
 from conftest import binomial_dict, binomial_put_book_dict, binomial_short_put_dict
@@ -123,6 +126,41 @@ def test_check_hedge_rejects(side, move, match):
         _check(enl, report, strat, eta, x)
 
 
+# two periods, a short whose clock may still fire at 1 or 2 after time 0
+# (so the clock-indexed space ties its root copies) and a long American
+TIED = {**two_period_dict(),
+        "americans_short": [{"values": {"r": "0", "u": "0", "d": "1/2", "uu": "0", "ud": "0",
+                                        "du": "0", "dd": "3/4"}, "price": "1/4"}],
+        "americans_long": [{"values": {"r": "0", "u": "1", "d": "0", "uu": "3", "ud": "0",
+                                       "du": "0", "dd": "0"}, "price": "1"}]}
+
+
+@pytest.mark.parametrize("book", ["stock", "liquidation", "exercise"])
+def test_check_hedge_rejects_a_moved_tie(book):
+    rev = RevealedModel(load_model(TIED), 1)
+    report = subhedge(rev)
+    _check(rev, report, report.strategy, report.exercise, report.price)
+    strat, eta = copy.deepcopy(report.strategy), dict(report.exercise)
+    v, _ = rev.tied_pairs[0]
+    moved, key = {"stock": (strat.stock, (v, 0)), "liquidation": (strat.liquidation[0], v),
+                  "exercise": (eta, v)}[book]
+    moved[key] = moved.get(key, ZERO) + EPS
+    with pytest.raises(PropertyViolation, match="sub hedge is not non-anticipative"):
+        _check(rev, report, strat, eta, report.price)
+
+
+def test_check_hedge_rejects_a_mixture_with_a_negative_weight():
+    # with nonnegative weights the path rows imply every mixture row, so
+    # only a weight moved below 0 can break one while the paths hold
+    rev = RevealedModel(load_model(TIED), 1)
+    report = subhedge(rev)
+    moved = copy.copy(rev)
+    moved.mixtures = ({0: -ONE},)
+    _check(rev, report, report.strategy, report.exercise, report.price - 1)
+    with pytest.raises(PropertyViolation, match="sub hedge fails the space's mixture 0"):
+        _check(moved, report, report.strategy, report.exercise, report.price - 1)
+
+
 def test_the_hedges_the_rejections_move():
     sub, sup = _priced("sub")[1], _priced("super")[1]
     assert sub.exercise and sub.strategy.short_american == [ZERO]
@@ -132,9 +170,9 @@ def test_the_hedges_the_rejections_move():
 # -- measures -------------------------------------------------------------------
 
 
-def _failed(pt, measure):
+def _failed(pt, measure, **slack):
     """Row families (support, pos, mass, mart, f, h, g) the check rejects."""
-    ok, ledger = pt.check(measure)
+    ok, ledger = pt.check(measure, **slack)
     bad = {e["constraint"].split("[")[0] for e in ledger if not e["ok"]}
     assert ok == (not bad)
     return bad
@@ -174,6 +212,29 @@ def test_measure_check_rejects(side, family):
     assert family in _failed(pt, measure)
     with pytest.raises(PropertyViolation, match="left the polytope"):
         pt.require(measure, "moved measure")
+
+
+def test_positivity_rows_at_a_slack():
+    # below zero the slack excuses a price row's shortfall, never a negative mass
+    model = binomial_call_short_put().with_prices(gammas=[Q(3, 4)])
+    pt = build_polytope(enlarge(model, model.N))
+    sna, cert = ftap_certificate(pt)
+    assert not sna and cert.slack == Q(-5, 12)
+    measure, (p, q) = dict(cert.measure), pt.paths[:2]
+    measure[q] = measure.get(q, ZERO) + measure.get(p, ZERO) + EPS
+    measure[p] = -EPS
+    assert "pos" in _failed(pt, measure, min_slack=cert.slack)
+    # a floor scales the slack path by path, and is 0 off its paths
+    model = binomial_call_short_put()
+    pt = build_polytope(enlarge(model, model.N))
+    sna, cert = ftap_certificate(pt)
+    assert sna
+    p = pt.paths[0]
+    w = cert.measure[p] / cert.slack
+    assert _failed(pt, cert.measure, min_slack=cert.slack, floor={p: w}) == set()
+    assert "pos" in _failed(pt, cert.measure, min_slack=ONE)
+    assert "pos" not in _failed(pt, cert.measure, min_slack=ONE, floor={})
+    assert _failed(pt, cert.measure, min_slack=cert.slack, floor={p: w + EPS}) == {"pos"}
 
 
 def test_measure_rows_the_rejections_move_are_tight():

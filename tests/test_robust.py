@@ -12,7 +12,6 @@ import dataclasses
 
 import pytest
 
-import amhedge.campaign as campaign
 import amhedge.robust as robust
 from amhedge.campaign import selector_sweep
 from amhedge.enlarged import enlarge, extend_claim
@@ -321,14 +320,14 @@ def test_selector_sweep_rechecks_its_witness_at_the_shifted_quotes(monkeypatch):
     model = load_model(data)
     enl = enlarge(model, model.N)
     pt = build_polytope(enl, paths=supported_paths(enl))
-    real = campaign._selector_epsilon
+    real = MeasurePolytope.support_slack
 
-    def overstated(pt, pbar):
-        eps, measure = real(pt, pbar)
-        return eps + 1, measure
+    def overstated(self, **kwargs):
+        out = real(self, **kwargs)
+        return dataclasses.replace(out, value=out.value + 1)
 
     # a witness claimed for quotes moved by one more than its slack must fail
-    monkeypatch.setattr(campaign, "_selector_epsilon", overstated)
+    monkeypatch.setattr(MeasurePolytope, "support_slack", overstated)
     with pytest.raises(PropertyViolation, match="shifted-polytope witness"):
         selector_sweep(pt)
 

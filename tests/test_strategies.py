@@ -3,10 +3,10 @@ from __future__ import annotations
 
 import pytest
 
-from amhedge.divisible import RevealedModel, nonanticipative
+from amhedge.divisible import RevealedModel
 from amhedge.enlarged import enlarge
 from amhedge.errors import CapExceededError
-from amhedge.hedging import SemiStaticStrategy
+from amhedge.hedging import SemiStaticStrategy, nonanticipative
 from amhedge.market import load_model
 from amhedge.rationals import ONE, Q, ZERO
 from amhedge.strategies import (
