@@ -98,22 +98,23 @@ class EnlargedModel:
         children: dict[int, dict[int, None]] = {}
         roots: dict[int, None] = {}
 
-        tree = model.tree
-        for base_index, base_path in enumerate(tree.paths):
-            for clocks in itertools.product(range(self.horizon + 1), repeat=n):
+        # each clock tuple's statuses at times 0..T, shared by every base path
+        times = range(self.horizon + 1)
+        timelines = [(clocks, tuple(self.status_at(clocks, t) for t in times))
+                     for clocks in itertools.product(times, repeat=n)]
+        index = self._enode_index
+        for base_index, base_path in enumerate(model.tree.paths):
+            for clocks, statuses in timelines:
                 seq = []
-                for t in range(self.horizon + 1):
-                    status = self.status_at(clocks, t)
-                    key = (base_path[t], status)
-                    idx = self._enode_index.get(key)
+                for t, key in enumerate(zip(base_path, statuses)):
+                    idx = index.get(key)
                     if idx is None:
-                        idx = len(self.enodes)
-                        self._enode_index[key] = idx
-                        self.enodes.append(EnlargedNode(base_path[t], t, status))
+                        idx = index[key] = len(self.enodes)
+                        self.enodes.append(EnlargedNode(key[0], t, key[1]))
                         children[idx] = {}
                     seq.append(idx)
-                for t in range(self.horizon):
-                    children[seq[t]][seq[t + 1]] = None
+                for a, b in zip(seq, seq[1:]):
+                    children[a][b] = None
                 roots[seq[0]] = None
                 self.epaths.append(EnlargedPath(base_index, clocks, tuple(seq)))
         self.children: dict[int, tuple[int, ...]] = {v: tuple(kids) for v, kids in children.items()}
@@ -179,19 +180,9 @@ class EnlargedModel:
     def stock_at(self, path_idx: int, t: int) -> tuple[Q, ...]:
         return self.model.stock.at(self.base_node_at(path_idx, t))
 
-    def stock_step(self, path_idx: int, t: int) -> tuple[Q, ...]:
-        """S_{t+1} - S_t along the path, componentwise."""
-        now = self.stock_at(path_idx, t)
-        nxt = self.stock_at(path_idx, t + 1)
-        return tuple(b - a for a, b in zip(now, nxt))
-
     def european_value(self, i: int, path_idx: int) -> Q:
         payoff, _ = self.model.europeans[i]
         return payoff.at(self.base_node_at(path_idx, self.horizon))
-
-    def long_value_at_node(self, j: int, enode_idx: int) -> Q:
-        proc, _ = self.model.americans_long[j]
-        return proc.scalar(self.enodes[enode_idx].base)
 
     def short_value(self, k: int, path_idx: int) -> Q:
         """h^k paid at the k-th clock time along the path."""
@@ -222,6 +213,8 @@ def extend_claim(enl: EnlargedModel, role: Literal["sub", "super"]):
     if enl.n != enl.model.N + (role == "super"):
         clocks = "N + 1" if role == "super" else "N"
         raise ModelFormatError(f"the {role}-hedging claim lives on the n = {clocks} space")
+    tree = enl.model.tree
+    at = {nid: claim.scalar(nid) for nid in tree.nodes}
     if role == "sub":
-        return {idx: claim.scalar(node.base) for idx, node in enumerate(enl.enodes)}
-    return [claim.scalar(enl.base_node_at(i, p.clocks[-1])) for i, p in enumerate(enl.epaths)]
+        return {idx: at[node.base] for idx, node in enumerate(enl.enodes)}
+    return [at[tree.paths[p.base_index][p.clocks[-1]]] for p in enl.epaths]

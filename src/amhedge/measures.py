@@ -76,19 +76,32 @@ def _add_martingale_rows(
     """The one builder of martingale rows: sum of q * (S_next - S_node) = 0.
 
     ``moves`` lists (probability variable, node left, stock move)
-    triples.  One equality per (node, stock dim) with a nonzero move, in
-    sorted order; returns (row index, node, dim) per row.
+    triples, each variable leaving each node at most once, so every
+    coefficient is the move itself, written once.  One equality per
+    (node, stock dim) with a nonzero move, in sorted order; returns (row
+    index, node, dim) per row.
     """
     rows: dict[tuple, dict[int, Q]] = {}
     for var, node, move in moves:
         for d, m in enumerate(move):
             if m:
-                row = rows.setdefault((node, d), {})
-                row[var] = row.get(var, ZERO) + m
+                rows.setdefault((node, d), {})[var] = m
     return [
         (lp.add_constraint(row, "=", ZERO, name=f"mart[{label(node)};{d}]"), node, d)
         for (node, d), row in sorted(rows.items())
     ]
+
+
+def _base_steps(model: MarketModel) -> dict[str, tuple[Q, ...]]:
+    """The stock move S(v) - S(parent of v) into each non-root base node v.
+
+    One rational tuple per base edge, shared by every enlarged path over
+    that edge.  MeasurePolytope's builder alone reads it; the re-checks
+    build their own integer moves from the model (MarketModel.stock_moves).
+    """
+    at = model.stock.at
+    return {nid: tuple(b - a for a, b in zip(at(node.parent), at(nid)))
+            for nid, node in model.tree.nodes.items() if node.parent is not None}
 
 
 def martingale_increments(
@@ -232,6 +245,11 @@ class MeasurePolytope:
     American adds one Snell block (see snell_block), kept in
     ``long_blocks``, and its ask row ``g[j]``; ``num_tau_rows`` counts the
     rows of those blocks.
+
+    The builder reads tables of its own: the stock move of each base edge
+    (_base_steps), shared by every enlarged path over it, and the payoffs
+    per leaf and per base node.  The re-checks (check/require) read none of
+    them; they build their own from the model.
     """
 
     def __init__(self, enl: EnlargedModel, *, paths: Iterable[int] | None = None) -> None:
@@ -244,30 +262,32 @@ class MeasurePolytope:
         self.mass_row = self.lp.add_constraint(
             {v: ONE for v in self.q_var.values()}, "=", ONE, name="mass"
         )
-        moves = (
-            (self.q_var[p], enl.epaths[p].node_seq[t], enl.stock_step(p, t))
-            for p in self.paths
-            for t in range(enl.horizon)
-        )
+        model, tree = enl.model, enl.model.tree
+        # each support path's variable with its enlarged path
+        support = [(self.q_var[p], enl.epaths[p]) for p in self.paths]
+        steps = _base_steps(model)
+        moves = ((var, v, steps[b]) for var, ep in support
+                 for v, b in zip(ep.node_seq, tree.paths[ep.base_index][1:]))
         self.mart_rows = _add_martingale_rows(self.lp, moves, lambda v: enl.enode(v).label)
 
-        model = enl.model
         self.f_rows: list[int] = []
         # add_constraint drops the zero coefficients
-        for i, (_, alpha) in enumerate(model.europeans):
-            row = {self.q_var[p]: enl.european_value(i, p) for p in self.paths}
+        for i, (payoff, alpha) in enumerate(model.europeans):
+            at = [payoff.at(path[-1]) for path in tree.paths]
+            row = {var: at[ep.base_index] for var, ep in support}
             self.f_rows.append(self.lp.add_constraint(row, "<=", alpha, name=f"f[{i}]"))
         self.h_rows: list[int] = []
-        for k, (_, gamma) in enumerate(model.americans_short):
-            row = {self.q_var[p]: enl.short_value(k, p) for p in self.paths}
+        for k, (proc, gamma) in enumerate(model.americans_short):
+            at = {nid: proc.scalar(nid) for nid in tree.nodes}
+            row = {var: at[tree.paths[ep.base_index][ep.clocks[k]]] for var, ep in support}
             self.h_rows.append(self.lp.add_constraint(row, ">=", gamma, name=f"h[{k}]"))
 
         # longed Americans: sup over stopping times by one Snell block each
         self.g_rows: list[int] = []
         self.long_blocks: list[SnellRows] = []
         self.long_values = [
-            {v: enl.long_value_at_node(j, v) for v in range(len(enl.enodes))}
-            for j in range(model.M)
+            {v: proc.scalar(node.base) for v, node in enumerate(enl.enodes)}
+            for proc, _ in model.americans_long
         ]
         self.long_shifts: list[Q] = []
         first = self.lp.num_rows
@@ -584,8 +604,9 @@ class MeasurePolytope:
             at = dict(zip(nodes, h))
             lhs = sum(qp * at[tree.paths[ep.base_index][ep.clocks[k]]] for ep, qp in charged)
             yield f"h[{k}]", lhs, ">=", h[-1] * dq, dq * dm, ONE
-        for j, (_, beta) in enumerate(model.americans_long):
-            best = snell_value(enl, self.long_values[j], measure, paths=self.paths)
+        for j, (g, beta) in enumerate(model.americans_long):
+            at = {v: g.scalar(node.base) for v, node in enumerate(enl.enodes)}
+            best = snell_value(enl, at, measure, paths=self.paths)
             ((lhs, rhs),), den = over_common([best, beta])
             yield f"g[{j};sup]", lhs, "<=", rhs, den, ONE
 
@@ -861,15 +882,10 @@ def push_stopping_measure(
     pt.require(pushed, "pushed measure")
 
     lifted = lift_measure_uniform_clock(enl_from, pt, measure)
-    lam = Q(1, 2)
-    for _ in range(_HALVINGS):
-        mixed = {}
-        for p in set(pushed) | set(lifted):
-            mixed[p] = (ONE - lam) * pushed.get(p, ZERO) + lam * lifted.get(p, ZERO)
+    for lam, mixed in _halving_mixtures(pushed, lifted):
         ok, _ = pt.check(mixed, strict=True)
         if ok:
             return PushReport(pushed=pushed, value=value, lam=lam, mixed=mixed)
-        lam /= 2
     raise PropertyViolation("no mixture weight kept the pushed measure strictly inside")
 
 
@@ -934,20 +950,33 @@ def strict_value_bracket(
     the closed maximum, witnessing that optimizing over the strict set
     loses nothing.
     """
-    vmax = pt.expectation(argmax, values)
-    vs = pt.expectation(strict_measure, values)
+    # the two values as integer numerators over one denominator dv
+    ((va, vb),), dv = over_common(
+        [pt.expectation(argmax, values), pt.expectation(strict_measure, values)])
     out: list[tuple[Q, Q]] = []
-    lam = Q(1, 2)
-    for _ in range(_HALVINGS):
-        mixed = {}
-        for p in set(argmax) | set(strict_measure):
-            mixed[p] = (ONE - lam) * argmax.get(p, ZERO) + lam * strict_measure.get(p, ZERO)
+    for lam, mixed in _halving_mixtures(argmax, strict_measure):
         ok, _ = pt.check(mixed, strict=True)
         if not ok:
             raise PropertyViolation("strict mixture left the polytope")
         val = pt.expectation(mixed, values)
-        if val != (ONE - lam) * vmax + lam * vs:
+        scale = int(lam.denominator)
+        if val != Q((scale - 1) * va + vb, dv * scale):
             raise PropertyViolation("mixture value is not the mixture of values")
         out.append((lam, val))
-        lam /= 2
     return out
+
+
+def _halving_mixtures(
+    base: dict[int, Q], toward: dict[int, Q]
+) -> Iterator[tuple[Q, dict[int, Q]]]:
+    """(lam, (1 - lam) * base + lam * toward) for lam = 1/2, 1/4, ..., 1/2^12.
+
+    Both measures are put over one denominator den once; the mixture at
+    lam = 1/2^k is then ((2^k - 1) * base + toward) / (2^k * den) per path.
+    """
+    support = sorted(set(base) | set(toward))
+    (b, t), den = over_common((base.get(p, ZERO) for p in support),
+                              (toward.get(p, ZERO) for p in support))
+    for k in range(1, _HALVINGS + 1):
+        rest = (1 << k) - 1
+        yield Q(1, 1 << k), {p: Q(rest * x + y, den << k) for p, x, y in zip(support, b, t)}

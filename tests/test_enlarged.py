@@ -8,6 +8,7 @@ import pytest
 from amhedge.enlarged import enlarge, extend_claim
 from amhedge.errors import ModelFormatError
 from amhedge.market import emit_model, load_model
+from amhedge.measures import _base_steps
 from amhedge.rationals import ONE, Q, ZERO
 
 from conftest import binomial_put_book_dict
@@ -119,10 +120,11 @@ def test_extend_claim_super_needs_extra_clock(binomial_short_put):
 
 
 def test_stock_step(two_period):
-    enl = enlarge(two_period, 0)
+    # the measure LP's table of stock moves, one per base edge
+    steps = _base_steps(two_period)
     # path 0 = r -> u -> uu: increments +1 then +2
-    assert enl.stock_step(0, 0) == (ONE,)
-    assert enl.stock_step(0, 1) == (Q(2),)
+    assert steps["u"] == (ONE,)
+    assert steps["uu"] == (Q(2),)
 
 
 def test_path_count_scales_with_clocks(two_period):
