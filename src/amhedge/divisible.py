@@ -114,49 +114,13 @@ class RevealedModel(EnlargedModel):
 
 @dataclass
 class DivisibilityReport:
-    sub_indexed: Q
-    sub_enlarged: Q
-    super_indexed: Q
-    super_enlarged: Q
-    european_indexed: Q
-    european_enlarged: Q
-    sub_grid: Q
-    super_grid: Q
+    """The agreed prices, the grid re-checks made and the (eps, NA) verdicts."""
+
+    sub: Q
+    super: Q
+    european: Q
     lift_checks: int
-    sna_grid: list[tuple[Q, bool, bool]]
-
-    @property
-    def equal(self) -> bool:
-        return (
-            self.sub_indexed == self.sub_enlarged == self.sub_grid
-            and self.super_indexed == self.super_enlarged == self.super_grid
-            and self.european_indexed == self.european_enlarged
-            and all(na1 == na2 for _, na1, na2 in self.sna_grid)
-        )
-
-    def to_json(self) -> dict:
-        return {
-            "sub": {
-                "indexed": rat_str(self.sub_indexed),
-                "enlarged": rat_str(self.sub_enlarged),
-                "grid_augmented": rat_str(self.sub_grid),
-            },
-            "super": {
-                "indexed": rat_str(self.super_indexed),
-                "enlarged": rat_str(self.super_enlarged),
-                "grid_augmented": rat_str(self.super_grid),
-            },
-            "european": {
-                "indexed": rat_str(self.european_indexed),
-                "enlarged": rat_str(self.european_enlarged),
-            },
-            "lift_checks": self.lift_checks,
-            "sna_grid": [
-                {"eps": rat_str(e), "indexed_na": a, "enlarged_na": b}
-                for e, a, b in self.sna_grid
-            ],
-            "equal": self.equal,
-        }
+    sna_grid: list[tuple[Q, bool]]
 
 
 def verify_divisibility_equivalence(model: MarketModel) -> DivisibilityReport:
@@ -184,14 +148,10 @@ def verify_divisibility_equivalence(model: MarketModel) -> DivisibilityReport:
     sub = subhedge(rev_sub)
     sup = superhedge(rev_sup)
     euro = subhedge_european(rev_sub, psi)
-    sub_enl = subhedge(enl_sub).price
-    super_enl = superhedge(enlarge(model, N + 1)).price
-    euro_enl = subhedge_european(enl_sub, psi).price
-
     for name, a, b in (
-        ("sub", sub.price, sub_enl),
-        ("super", sup.price, super_enl),
-        ("european", euro.price, euro_enl),
+        ("sub", sub.price, subhedge(enl_sub).price),
+        ("super", sup.price, superhedge(enlarge(model, N + 1)).price),
+        ("european", euro.price, subhedge_european(enl_sub, psi).price),
     ):
         if a != b:
             raise PropertyViolation(
@@ -199,10 +159,8 @@ def verify_divisibility_equivalence(model: MarketModel) -> DivisibilityReport:
             )
 
     rev_grid, sup_grid = rev_sub.with_grid(grid_sub), rev_sup.with_grid(grid_super)
-    sub_grid_val = subhedge(rev_grid).price
-    super_grid_val = superhedge(sup_grid).price
-    euro_grid_val = subhedge_european(rev_grid, psi).price
-    if sub_grid_val != sub.price or super_grid_val != sup.price or euro_grid_val != euro.price:
+    if (subhedge(rev_grid).price != sub.price or superhedge(sup_grid).price != sup.price
+            or subhedge_european(rev_grid, psi).price != euro.price):
         raise PropertyViolation("grid-augmented LP moved a price")
 
     # Dirac grid points are the space's paths, the others its mixtures:
@@ -216,26 +174,15 @@ def verify_divisibility_equivalence(model: MarketModel) -> DivisibilityReport:
                                exercise=report.exercise, kind=f"{report.kind} grid")
         checks += len(gains) + len(space.mixtures)
 
-    sna_rows: list[tuple[Q, bool, bool]] = []
+    sna_rows: list[tuple[Q, bool]] = []
     for eps in EPS_GRID:
         shifted = model.shifted_prices(eps)
-        na_indexed = not detect_arbitrage(rev_grid.with_model(shifted)).found
-        na_enlarged = not detect_arbitrage(enl_sub.with_model(shifted)).found
-        sna_rows.append((eps, na_indexed, na_enlarged))
-        if na_indexed != na_enlarged:
+        found = detect_arbitrage(rev_grid.with_model(shifted)).found
+        if found != detect_arbitrage(enl_sub.with_model(shifted)).found:
             raise PropertyViolation(
                 f"no-arbitrage verdicts disagree at eps={rat_str(eps)}"
             )
+        sna_rows.append((eps, not found))
 
-    return DivisibilityReport(
-        sub_indexed=sub.price,
-        sub_enlarged=sub_enl,
-        super_indexed=sup.price,
-        super_enlarged=super_enl,
-        european_indexed=euro.price,
-        european_enlarged=euro_enl,
-        sub_grid=sub_grid_val,
-        super_grid=super_grid_val,
-        lift_checks=checks,
-        sna_grid=sna_rows,
-    )
+    return DivisibilityReport(sub=sub.price, super=sup.price, european=euro.price,
+                              lift_checks=checks, sna_grid=sna_rows)

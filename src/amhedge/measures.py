@@ -676,7 +676,6 @@ class SnaReport:
     holds: bool
     epsilon: Q
     certificate: MeasureCertificate
-    primal_clear: bool | None = None
 
 
 def check_sna(pt: MeasurePolytope) -> SnaReport:
@@ -689,15 +688,13 @@ def check_sna(pt: MeasurePolytope) -> SnaReport:
     """
     enl = pt.enl
     sna, cert = ftap_certificate(pt)
-    primal_clear = None
     if sna:
         shifted = enl.with_model(enl.model.shifted_prices(cert.slack / 2))
-        primal_clear = not detect_arbitrage(shifted).found
-        if not primal_clear:
+        if detect_arbitrage(shifted).found:
             raise PropertyViolation(
                 "dual slack promises SNA but shifted prices admit arbitrage"
             )
-    return SnaReport(holds=sna, epsilon=cert.slack, certificate=cert, primal_clear=primal_clear)
+    return SnaReport(holds=sna, epsilon=cert.slack, certificate=cert)
 
 
 def _certify_measure(
@@ -844,7 +841,6 @@ class PushReport:
     pushed: dict[int, Q]
     value: Q                 # E_pushed[claim at the last clock]
     lam: Q
-    mixed: dict[int, Q]
 
 
 def push_stopping_measure(
@@ -883,17 +879,14 @@ def push_stopping_measure(
 
     lifted = lift_measure_uniform_clock(enl_from, pt, measure)
     for lam, mixed in _halving_mixtures(pushed, lifted):
-        ok, _ = pt.check(mixed, strict=True)
-        if ok:
-            return PushReport(pushed=pushed, value=value, lam=lam, mixed=mixed)
+        if all(row[-1] for row in pt._verdicts(mixed, strict=True)):
+            return PushReport(pushed=pushed, value=value, lam=lam)
     raise PropertyViolation("no mixture weight kept the pushed measure strictly inside")
 
 
 @dataclass
 class ChainReport:
-    lower: Q      # inf_Q sup_tau
     middle: Q     # sup_Q sup_tau
-    upper: Q      # sup over the (N+1)-clock polytope
     strict_upper: bool
     num_taus: int
     taus: list[StoppingTime]
@@ -926,9 +919,7 @@ def e2_chain(
             f"chain violated: {rat_str(lower)} <= {rat_str(middle)} <= {rat_str(upper)} fails"
         )
     return ChainReport(
-        lower=lower,
         middle=middle,
-        upper=upper,
         strict_upper=middle < upper,
         num_taus=len(vecs),
         taus=taus,
@@ -955,8 +946,7 @@ def strict_value_bracket(
         [pt.expectation(argmax, values), pt.expectation(strict_measure, values)])
     out: list[tuple[Q, Q]] = []
     for lam, mixed in _halving_mixtures(argmax, strict_measure):
-        ok, _ = pt.check(mixed, strict=True)
-        if not ok:
+        if not all(row[-1] for row in pt._verdicts(mixed, strict=True)):
             raise PropertyViolation("strict mixture left the polytope")
         val = pt.expectation(mixed, values)
         scale = int(lam.denominator)

@@ -216,11 +216,6 @@ def ftap_transfer(
 @dataclass
 class MinimaxReport:
     value: Q
-    lhs: Q
-    middle: Q
-    rhs: Q
-    num_streams: int
-    num_vertices: int
     num_taus: int
 
 
@@ -320,12 +315,4 @@ def verify_minimax(
             "liquidation interchange failed: "
             f"{rat_str(lhs_out.value)}, {rat_str(middle)}, {rat_str(rhs_out.value)}"
         )
-    return MinimaxReport(
-        value=lhs_out.value,
-        lhs=lhs_out.value,
-        middle=middle,
-        rhs=rhs_out.value,
-        num_streams=K,
-        num_vertices=len(vertices),
-        num_taus=len(taus),
-    )
+    return MinimaxReport(value=lhs_out.value, num_taus=len(taus))

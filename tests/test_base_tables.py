@@ -136,7 +136,7 @@ def test_measure_lp_on_a_path_subset_and_a_kernel_support():
 
 @pytest.mark.parametrize("seed", range(12))
 def test_measure_lp_on_random_markets(seed):
-    model = random_sna_model(random.Random(seed), seed=seed).model
+    model = random_sna_model(random.Random(seed)).model
     for n in (model.N, model.N + 1):
         _assert_same_lp(enlarge(model, n))
 

@@ -2,13 +2,15 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import random
 
 import pytest
 
-from amhedge import campaign
+from amhedge import campaign, divisible
 from amhedge.divisible import RevealedModel, verify_divisibility_equivalence, weight_grid
 from amhedge.enlarged import enlarge
+from amhedge.errors import PropertyViolation
 from amhedge.hedging import superhedge
 from amhedge.market import load_model
 from amhedge.rationals import ONE, Q, ZERO
@@ -41,24 +43,19 @@ def test_weight_grid_two_clocks():
 
 def test_equivalence_short_put(binomial_short_put):
     report = verify_divisibility_equivalence(binomial_short_put)
-    assert report.equal
-    assert report.sub_indexed == Q(1, 3)
-    assert report.super_indexed == Q(1, 3)
+    assert report.sub == report.super == Q(1, 3)
     # the claim payoff held to the end is its European value
-    assert report.european_indexed == Q(1, 3)
+    assert report.european == Q(1, 3)
     # one check per grid point and base path, for the sub, super and European optimizers
     grids = 2 * len(weight_grid(1, 1)) + len(weight_grid(2, 1))
     assert report.lift_checks == grids * len(binomial_short_put.tree.paths) == 26
-    assert report.sna_grid and all(a == b for _, a, b in report.sna_grid)
-    doc = report.to_json()
-    assert doc["equal"] is True and doc["sub"]["indexed"] == "1/3"
+    assert [eps for eps, _ in report.sna_grid] == list(divisible.EPS_GRID)
 
 
 def test_equivalence_no_shorts(binomial):
     # N = 0: a single empty clock vector; both formulations coincide trivially
     report = verify_divisibility_equivalence(binomial)
-    assert report.equal
-    assert report.sub_indexed == Q(1, 3)
+    assert report.sub == Q(1, 3)
 
 
 def test_equivalence_with_long_american():
@@ -67,14 +64,14 @@ def test_equivalence_with_long_american():
         americans_short=[{"values": {"r": "0", "u": "0", "d": "1/2"}, "price": "1/4"}],
     ))
     report = verify_divisibility_equivalence(model)
-    assert report.equal
+    assert report.sub <= report.super
 
 
 def test_equivalence_detects_sna_flips(binomial_short_put):
     # full support forces b < 1/3, so the shifted put row b >= 1/4 + eps
     # survives exactly while eps < 1/12; both formulations must agree
     report = verify_divisibility_equivalence(binomial_short_put)
-    seen = {e: a for e, a, _ in report.sna_grid}
+    seen = dict(report.sna_grid)
     assert seen
     for eps, na in seen.items():
         assert na == (eps < Q(1, 12))
@@ -98,5 +95,48 @@ def test_tie_rows_bind_with_two_periods_and_a_short():
     anticipating = copy.copy(rev)
     anticipating.tied_pairs = ()
     assert superhedge(anticipating).price == Q(8, 3)
-    report = verify_divisibility_equivalence(model)
-    assert report.equal and report.super_indexed == report.super_grid == Q(25, 9)
+    assert verify_divisibility_equivalence(model).super == Q(25, 9)
+
+
+def _move_price(monkeypatch, name, moved):
+    """divisible's pricer ``name`` reports its price plus one on the spaces
+    ``moved`` picks, and prices every other space as before."""
+    real = getattr(divisible, name)
+
+    def pricer(enl, *args):
+        report = real(enl, *args)
+        return dataclasses.replace(report, price=report.price + ONE) if moved(enl) else report
+
+    monkeypatch.setattr(divisible, name, pricer)
+
+
+@pytest.mark.parametrize("name, side", [
+    ("subhedge", "sub"), ("superhedge", "super"), ("subhedge_european", "european"),
+])
+def test_a_price_moved_on_the_enlarged_space_is_raised(monkeypatch, binomial_short_put,
+                                                       name, side):
+    _move_price(monkeypatch, name, lambda enl: not isinstance(enl, RevealedModel))
+    with pytest.raises(PropertyViolation, match=f"^{side} prices disagree: "
+                       r"clock-indexed 1/3 vs enlarged 4/3$"):
+        verify_divisibility_equivalence(binomial_short_put)
+
+
+@pytest.mark.parametrize("name", ["subhedge", "superhedge", "subhedge_european"])
+def test_a_price_moved_by_the_grid_is_raised(monkeypatch, binomial_short_put, name):
+    _move_price(monkeypatch, name, lambda enl: bool(enl.mixtures))
+    with pytest.raises(PropertyViolation, match="^grid-augmented LP moved a price$"):
+        verify_divisibility_equivalence(binomial_short_put)
+
+
+def test_a_flipped_no_arbitrage_verdict_is_raised(monkeypatch, binomial_short_put):
+    real = divisible.detect_arbitrage
+
+    def flipped(enl):
+        report = real(enl)
+        if isinstance(enl, RevealedModel):
+            return report
+        return dataclasses.replace(report, found=not report.found)
+
+    monkeypatch.setattr(divisible, "detect_arbitrage", flipped)
+    with pytest.raises(PropertyViolation, match="^no-arbitrage verdicts disagree at eps=1/2$"):
+        verify_divisibility_equivalence(binomial_short_put)

@@ -8,8 +8,11 @@ u-mass = 1/3 regardless of the clock split), hence both prices stay 1/3.
 """
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
+from amhedge import measures
 from amhedge.enlarged import enlarge
 from amhedge.errors import PropertyViolation, SnaFailure
 from amhedge.hedging import (
@@ -142,17 +145,31 @@ def test_check_sna_slack(binomial_short_put):
     assert rep.holds
     # max s with q(u-mass) = 1/3 split as a + b, slacks {a, b, b - 1/4}
     assert rep.epsilon == Q(1, 24)
-    assert rep.primal_clear is True
 
 
-def test_check_sna_fails_at_rich_quote():
+def test_check_sna_fails_at_rich_quote(monkeypatch):
     model = load_model(binomial_dict(americans_short=[
         {"values": {"r": "0", "u": "0", "d": "1/2"}, "price": "1/2"},
     ]))
+
+    def no_primal(enl):
+        raise AssertionError("no primal cross-check without a positive slack")
+
+    # the primal LP at the shifted quotes runs only when the slack is positive
+    monkeypatch.setattr(measures, "detect_arbitrage", no_primal)
     rep = check_sna(build_polytope(enlarge(model, 1)))
     assert not rep.holds
     assert rep.epsilon == Q(-1, 6)
-    assert rep.primal_clear is None
+
+
+def test_check_sna_raises_when_the_shifted_quotes_admit_arbitrage(monkeypatch,
+                                                                 binomial_short_put):
+    real = measures.detect_arbitrage
+    monkeypatch.setattr(measures, "detect_arbitrage",
+                        lambda enl: dataclasses.replace(real(enl), found=True))
+    with pytest.raises(PropertyViolation,
+                       match="^dual slack promises SNA but shifted prices admit arbitrage$"):
+        check_sna(build_polytope(enlarge(binomial_short_put, 1)))
 
 
 def test_price_override_changes_outcome(binomial_short_put):

@@ -38,7 +38,7 @@ def _generated_seeds(count: int) -> list[int]:
     seeds = []
     seed = 0
     while len(seeds) < count:
-        m = random_sna_model(random.Random(seed), seed=seed).model
+        m = random_sna_model(random.Random(seed)).model
         if m.N <= 2 and m.M <= 1 and m.L <= 1:
             seeds.append(seed)
         seed += 1
@@ -101,7 +101,7 @@ def test_unbranched_runs_price_like_the_hedge_lp(name, side):
 @pytest.mark.parametrize("side", SIDES)
 @pytest.mark.parametrize("seed", GENERATED)
 def test_generated_prices_match_the_hedge_lp(seed, side):
-    _check_against_reference(random_sna_model(random.Random(seed), seed=seed).model, side)
+    _check_against_reference(random_sna_model(random.Random(seed)).model, side)
 
 
 def test_support_that_skips_a_base_path_prices_like_the_hedge_lp():
@@ -134,7 +134,7 @@ PINNED = {
 
 @pytest.mark.parametrize("seed", sorted(PINNED))
 def test_pinned_quotes_put_options_in_the_hedge(seed):
-    gm = random_sna_model(random.Random(seed), seed=seed)
+    gm = random_sna_model(random.Random(seed))
     model, _ = boundary_model(random.Random(seed), gm, ZERO)
     for side in SIDES:
         report = _check_against_reference(model, side)
@@ -212,7 +212,7 @@ def test_mispriced_price_exits_2_with_a_checked_ray(name, side, tmp_path, capsys
 
 @pytest.mark.parametrize("seed", GENERATED[:4])
 def test_corroded_markets_fail_on_both_lps(seed):
-    gm = random_sna_model(random.Random(seed), seed=seed)
+    gm = random_sna_model(random.Random(seed))
     model, _ = inject_arbitrage(random.Random(seed), gm)
     for side in SIDES:
         enl = enlarge(model, model.N + (side == "super"))

@@ -192,11 +192,26 @@ def test_e2_chain_collapses_when_attainable(binomial_short_put):
     sub, pt1 = price_with_dual(enlarge(binomial_short_put, 1), "sub")
     sup, _ = price_with_dual(enlarge(binomial_short_put, 2), "super")
     chain = e2_chain(pt1, sub.price, sup.price)
-    assert (chain.lower, chain.middle, chain.upper) == (Q(1, 3), Q(1, 3), Q(1, 3))
+    assert (sub.price, chain.middle, sup.price) == (Q(1, 3), Q(1, 3), Q(1, 3))
     assert not chain.strict_upper
     assert chain.num_taus >= 1
     # the oracle hands out the stopping times it enumerated
     assert chain.taus == restricted_stopping_times(pt1.enl, pt1.paths)
+
+
+@pytest.mark.parametrize("shift", [Q(1, 100), Q(-1, 100)])
+def test_e2_chain_raises_on_a_middle_outside_the_ends(monkeypatch, binomial_short_put, shift):
+    sub, pt1 = price_with_dual(enlarge(binomial_short_put, 1), "sub")
+    sup, _ = price_with_dual(enlarge(binomial_short_put, 2), "super")
+    real = pt1.solve_extremum
+
+    def moved(values, sense):
+        value, *rest = real(values, sense)
+        return (value + shift, *rest)
+
+    monkeypatch.setattr(pt1, "solve_extremum", moved)
+    with pytest.raises(PropertyViolation, match="^chain violated: 1/3 <= .* <= 1/3 fails$"):
+        e2_chain(pt1, sub.price, sup.price)
 
 
 def test_strict_value_bracket_converges(binomial_short_put):
