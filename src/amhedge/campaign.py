@@ -22,8 +22,8 @@ from .hedging import detect_arbitrage, subhedge, superhedge
 from .lp import max_slack
 from .market import AdaptedProcess, EventTree, MarketModel, Node, TerminalPayoff, load_model
 from .measures import (
+    MeasureCertificate,
     MeasurePolytope,
-    SnaReport,
     build_polytope,
     check_sna,
     dp_superhedge,
@@ -600,25 +600,18 @@ def check_duality(
 # -- battery: pricing consistency across the shift grid -------------------------
 
 
-def _na_closed(pt: MeasurePolytope) -> bool:
-    """Existence of a full-support measure in the closed polytope."""
-    out = pt.support_slack(prices=False)
-    if out.status == "infeasible":
-        return False
-    if out.status != "optimal":
-        raise PropertyViolation(f"support-slack LP unexpectedly {out.status}")
-    return out.value > ZERO
-
-
-def check_ftap_grid(enl: EnlargedModel, *, expect: str | None = None) -> tuple[dict, SnaReport]:
+def check_ftap_grid(
+    enl: EnlargedModel, *, expect: str | None = None
+) -> tuple[dict, MeasureCertificate]:
     """No-arbitrage of shifted prices against the measure-side criterion.
 
     ``enl`` is the market's n = N space; every shift reuses its forest
     and a copy of its polytope with the quotes moved.
     For every shift the trading-side verdict must coincide with the
     existence of a full-support consistent measure at the shifted
-    quotes; verdicts must be monotone in the shift, shifts below the
-    uniform slack must stay clean, and a nonpositive slack must put
+    quotes (ftap_certificate with the price rows closed, its witness
+    re-checked); verdicts must be monotone in the shift, shifts below
+    the uniform slack must stay clean, and a nonpositive slack must put
     arbitrage at every shift.
     """
     model = enl.model
@@ -633,7 +626,7 @@ def check_ftap_grid(enl: EnlargedModel, *, expect: str | None = None) -> tuple[d
     for eps in sorted(EPS_GRID):    # ascending: verdicts may only degrade
         shifted = enl.with_model(model.shifted_prices(eps))
         na_primal = not detect_arbitrage(shifted).found
-        na_dual = _na_closed(pt.at_quotes(shifted))
+        na_dual = ftap_certificate(pt.at_quotes(shifted), prices=False).holds
         if na_primal != na_dual:
             raise PropertyViolation(
                 f"at shift {rat_str(eps)} trading says NA={na_primal} "
@@ -641,9 +634,9 @@ def check_ftap_grid(enl: EnlargedModel, *, expect: str | None = None) -> tuple[d
         if seen_false and na_primal:
             raise PropertyViolation("no-arbitrage verdict is not monotone in the shift")
         seen_false = seen_false or not na_primal
-        if sna.holds and eps <= sna.epsilon and not na_primal:
+        if sna.holds and eps <= sna.slack and not na_primal:
             raise PropertyViolation(
-                f"shift {rat_str(eps)} sits inside slack {rat_str(sna.epsilon)} "
+                f"shift {rat_str(eps)} sits inside slack {rat_str(sna.slack)} "
                 "yet arbitrage appeared")
         if not sna.holds and na_primal:
             raise PropertyViolation(
@@ -652,7 +645,7 @@ def check_ftap_grid(enl: EnlargedModel, *, expect: str | None = None) -> tuple[d
     record = {
         **_describe(model),
         "holds": sna.holds,
-        "epsilon": rat_str(sna.epsilon) if sna.epsilon is not None else None,
+        "epsilon": rat_str(sna.slack) if sna.slack is not None else None,
         "grid": rows,
     }
     return record, sna
@@ -662,7 +655,7 @@ def check_ftap_grid(enl: EnlargedModel, *, expect: str | None = None) -> tuple[d
 
 
 def check_chain(
-    sna: SnaReport,
+    sna: MeasureCertificate,
     duality: dict,
     pt_sub: MeasurePolytope,
     pt_sup: MeasurePolytope,
@@ -689,17 +682,16 @@ def check_chain(
         "lower": duality["sub"],
         "middle": rat_str(chain.middle),
         "upper": duality["super"],
-        "strict_upper": chain.strict_upper,
+        "strict_upper": chain.middle < upper,
         "num_taus": chain.num_taus,
     }
     if not sna.holds:
         return record
-    cert = sna.certificate.measure
-    lifted = lift_measure_uniform_clock(enl_sub, pt_sup, cert)
+    lifted = lift_measure_uniform_clock(enl_sub, pt_sup, sna.measure)
     taus = chain.taus
     pushes = []
     for tau in (taus[0], taus[len(taus) // 2]):
-        push = push_stopping_measure(enl_sub, pt_sup, cert, tau)
+        push = push_stopping_measure(enl_sub, pt_sup, sna.measure, tau, lifted)
         if push.value > chain.middle:
             raise PropertyViolation("pushed stop value exceeds the best stopped value")
         pushes.append(rat_str(push.value))
@@ -717,7 +709,7 @@ def check_chain(
 
 
 def check_degenerations(
-    enl: EnlargedModel, enl_sup: EnlargedModel, sna: SnaReport, duality: dict
+    enl: EnlargedModel, enl_sup: EnlargedModel, sna: MeasureCertificate, duality: dict
 ) -> dict:
     """Limiting cases with forced outcomes.
 
@@ -742,8 +734,7 @@ def check_degenerations(
     sup_sk = superhedge(enlarge(model, N + 1, clock_weights="skewed"))
     if rat_str(sup_sk.price) != duality["super"]:
         raise PropertyViolation("super-hedge price moved with the clock weights")
-    holds_sk, cert_sk = ftap_certificate(build_polytope(enl_sk))
-    if holds_sk != sna.holds or cert_sk.slack != sna.epsilon:
+    if ftap_certificate(build_polytope(enl_sk)).slack != sna.slack:
         raise PropertyViolation("uniform slack moved with the clock weights")
     shifted = model.shifted_prices(Q(1, 16))
     if detect_arbitrage(enl_sk.with_model(shifted)).found != \
@@ -763,7 +754,7 @@ def check_degenerations(
         record["constant_claim"] = rat_str(const)
 
         # weakening one quote can only help the hedger on both sides
-        bump = sna.epsilon / 2
+        bump = sna.slack / 2
         sub0 = rat(duality["sub"])
         sup0 = rat(duality["super"])
         moved = []
@@ -831,7 +822,8 @@ def check_depth_zero() -> dict:
 
 
 def check_singleton_robust(
-    enl: EnlargedModel, enl_sup: EnlargedModel, laws: dict, sna: SnaReport, duality: dict
+    enl: EnlargedModel, enl_sup: EnlargedModel, laws: dict, sna: MeasureCertificate,
+    duality: dict,
 ) -> dict:
     """A one-vertex full-support family must reproduce classical answers.
 
@@ -842,13 +834,13 @@ def check_singleton_robust(
     model = dataclasses.replace(enl.model, kernels={
         nid: [tuple(law[k] for k in kids[nid])] for nid, law in laws.items()})
     enl_sub, enl_sup = enl.with_model(model), enl_sup.with_model(model)
-    if not robust_na(enl_sub).holds:
+    if not robust_na(enl_sub)[1].holds:
         raise PropertyViolation("singleton family reports arbitrage in a clean market")
     sub, pt_sub = price_with_dual(enl_sub, "sub", paths=supported_paths(enl_sub))
     sup = price_with_dual(enl_sup, "super", paths=supported_paths(enl_sup))[0]
     if rat_str(sub.price) != duality["sub"] or rat_str(sup.price) != duality["super"]:
         raise PropertyViolation("singleton family moved a hedging price")
-    holds, _ = ftap_certificate(pt_sub)
+    holds = ftap_certificate(pt_sub).holds
     if holds != sna.holds:
         raise PropertyViolation("singleton family flipped the consistency verdict")
     return {"sub": rat_str(sub.price), "super": rat_str(sup.price), "holds": holds}
@@ -880,10 +872,9 @@ def selector_sweep(pt: MeasurePolytope) -> bool:
     dominating e*P.  This is the oracle of the one uniform-slack LP of
     ftap_certificate on the supported paths, and of robust_na on the
     stock-only market's polytope, which has no price rows.  Selectors
-    that share a vertex measure share one LP (support_slack with floor
-    P), whose optimizer is re-checked to clear every price row by e and
-    to dominate e*P (check with that floor); the enumeration stays under
-    DEFAULT_SELECTOR_CAP.
+    that share a vertex measure share one LP (ftap_certificate with
+    floor P, whose witness clears every price row by e and dominates
+    e*P); the enumeration stays under DEFAULT_SELECTOR_CAP.
     """
     enl = pt.enl
     solved: dict[tuple, bool] = {}
@@ -891,14 +882,7 @@ def selector_sweep(pt: MeasurePolytope) -> bool:
         pbar = vertex_measure(enl, selector)
         key = tuple(sorted(pbar.items()))
         if key not in solved:
-            out = pt.support_slack(prices=True, floor=pbar)
-            if out.status not in ("optimal", "infeasible"):
-                raise PropertyViolation(f"shifted-polytope LP unexpectedly {out.status}")
-            if out.status == "optimal":
-                measure = {p: out.x(v) for p, v in pt.q_var.items() if out.x(v)}
-                if not pt.check(measure, min_slack=out.value, floor=pbar)[0]:
-                    raise PropertyViolation("shifted-polytope witness failed re-validation")
-            solved[key] = out.status == "optimal" and out.value > ZERO
+            solved[key] = ftap_certificate(pt, floor=pbar).holds
         if not solved[key]:
             return False
     return True
@@ -920,7 +904,7 @@ def check_robust_model(
     space, for check_minimax_instance.
     """
     enl_sub, enl_sup = enlarge(model, model.N), enlarge(model, model.N + 1)
-    if not robust_na(enl_sub).holds:
+    if not robust_na(enl_sub)[1].holds:
         raise PropertyViolation("kernel factory promised no arbitrage but it fails")
 
     try:
@@ -946,10 +930,10 @@ def check_robust_model(
         if not sup.price <= book.price <= stock_only:
             raise PropertyViolation("static buy-side book is not sandwiched")
 
-    (holds, cert), _ = ftap_transfer(pt_sub, pt_sup)
-    if not holds:
+    cert, _ = ftap_transfer(pt_sub, pt_sup)
+    if not cert.holds:
         raise PropertyViolation("kernel factory promised consistency but it fails")
-    if selector_sweep(pt_sub) != holds:
+    if not selector_sweep(pt_sub):
         raise PropertyViolation("selector sweep disagrees with the one-LP consistency verdict")
     if submarkets and model.M:
         submarket_slacks(enl_sub, cert)
@@ -1080,13 +1064,13 @@ def run_campaign(
         elif mode == 1:
             bad, kind = boundary_model(mrng, gm, ZERO)
             rec, sna = check_ftap_grid(enlarge(bad, bad.N), expect="fail")
-            if sna.epsilon != ZERO:
+            if sna.slack != ZERO:
                 raise PropertyViolation("pinned quote should have exactly zero slack")
             rec["mode"] = f"pin:{kind}"
         else:
             bad, kind = boundary_model(mrng, gm, BOUNDARY_OFFSET)
             rec, sna = check_ftap_grid(enlarge(bad, bad.N), expect="sna")
-            if sna.epsilon > BOUNDARY_OFFSET:
+            if sna.slack > BOUNDARY_OFFSET:
                 raise PropertyViolation("offset quote should cap the slack")
             rec["mode"] = f"offset:{kind}"
         rec["seed"] = mseed

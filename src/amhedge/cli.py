@@ -181,29 +181,28 @@ def cmd_price(args) -> int:
 def cmd_ftap(args) -> int:
     model = _load(args)
     enl = enlarge(model, model.N, args.clock_weights)
-    holds, cert = ftap_certificate(build_polytope(enl))
+    cert = ftap_certificate(build_polytope(enl))
     doc = _config(args)
     doc["n"] = model.N
     doc["classical"] = {
-        "holds": holds,
+        "holds": cert.holds,
         "epsilon": rat_str(cert.slack) if cert.slack is not None else None,
         "certificate": cert.to_json(enl),
         "enodes": len(enl.enodes),
         "paths": enl.num_paths,
     }
-    if not holds:
+    if not cert.holds:
         arb = detect_arbitrage(enl)
         doc["classical"]["arbitrage"] = arb.to_json(enl)
-    verdict = holds
+    verdict = cert
     if model.kernels:
         paths = supported_paths(enl)
         # kernels that support every path leave the classical LP
-        full = len(paths) == enl.num_paths
-        verdict, rcert = (holds, cert) if full else ftap_certificate(
-            build_polytope(enl, paths=paths))
+        if len(paths) < enl.num_paths:
+            verdict = ftap_certificate(build_polytope(enl, paths=paths))
         doc["robust"] = {
-            "holds": verdict,
-            "epsilon": rat_str(rcert.slack) if rcert.slack is not None else None,
+            "holds": verdict.holds,
+            "epsilon": rat_str(verdict.slack) if verdict.slack is not None else None,
             "selectors": num_selectors(model),
             "supported_paths": len(paths),
         }
@@ -211,8 +210,8 @@ def cmd_ftap(args) -> int:
     which = "robust" if model.kernels else "classical"
     eps = doc.get("robust", doc["classical"])["epsilon"]
     _say(args, f"{which} strict no-arbitrage "
-               f"{'holds' if verdict else 'fails'} (slack {eps})")
-    return EXIT_OK if verdict else EXIT_SNA
+               f"{'holds' if verdict.holds else 'fails'} (slack {eps})")
+    return EXIT_OK if verdict.holds else EXIT_SNA
 
 
 def cmd_verify(args) -> int:

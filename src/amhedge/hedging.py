@@ -327,16 +327,21 @@ class HedgeReport:
     pivots: int
     num_paths: int
     measure: dict[int, Q] = field(default_factory=dict)    # the price's measure, if any
-    gap: Q | None = None
-    dual_ref: dict | None = None
+
+    @property
+    def gap(self) -> Q | None:
+        """0 where price_with_dual re-checked a measure at the price, else unknown."""
+        return ZERO if self.measure else None
 
     def to_json(self, enl: EnlargedModel) -> dict:
+        measure = {enl.epaths[p].label: rat_str(q) for p, q in sorted(self.measure.items())}
         doc = {
             "kind": self.kind,
             "price": rat_str(self.price),
             "strategy": self.strategy.to_json(enl),
             "gap": rat_str(self.gap) if self.gap is not None else None,
-            "dual_ref": self.dual_ref,
+            "dual_ref": {"kind": f"dual_{self.kind}", "value": rat_str(self.price),
+                         "measure": measure} if measure else None,
             "lp": {"rows": self.lp_rows, "cols": self.lp_cols, "pivots": self.pivots},
             "paths": self.num_paths,
         }
@@ -552,10 +557,13 @@ def subhedge_european(enl: EnlargedModel, psi: Sequence[Q]) -> HedgeReport:
 
 @dataclass
 class ArbitrageReport:
-    found: bool
     gain: Q
     strategy: SemiStaticStrategy | None
     gains: dict[int, Q] = field(default_factory=dict)
+
+    @property
+    def found(self) -> bool:
+        return self.gain > 0
 
     def to_json(self, enl: EnlargedModel) -> dict:
         return {
@@ -590,7 +598,7 @@ def detect_arbitrage(
     if out.status != "optimal":
         raise PropertyViolation(f"arbitrage LP unexpectedly {out.status}")
     if out.value == ZERO:
-        return ArbitrageReport(found=False, gain=ZERO, strategy=None)
+        return ArbitrageReport(gain=ZERO, strategy=None)
     if out.value < ZERO:
         raise PropertyViolation("arbitrage LP returned a negative optimum")
     strat = g.strategy_at(out.primal)
@@ -600,6 +608,6 @@ def detect_arbitrage(
     expected = sum(w * gain for gain, w in zip(gains.values(), weights))
     if expected * int(out.value.denominator) != int(out.value.numerator) * dw * den:
         raise PropertyViolation("arbitrage witness expectation mismatch")
-    return ArbitrageReport(found=True, gain=out.value, strategy=strat,
+    return ArbitrageReport(gain=out.value, strategy=strat,
                            gains={p: Q(gain, den) for p, gain in gains.items()})
 

@@ -35,7 +35,6 @@ from .strategies import DEFAULT_ENUM_CAP, StoppingTime, enumerate_stopping_times
 __all__ = [
     "MeasurePolytope",
     "MeasureCertificate",
-    "SnaReport",
     "DpReport",
     "build_polytope",
     "ftap_certificate",
@@ -339,6 +338,7 @@ class MeasurePolytope:
         (1 on every path by default), and every price row cleared by s if asked.
 
         The floor rows go on a copy of the LP, after every other row.
+        ftap_certificate alone reads the outcome, and re-checks its witness.
         """
         floor = dict.fromkeys(self.paths, ONE) if floor is None else floor
         work = self.lp.copy()
@@ -361,39 +361,45 @@ class MeasurePolytope:
         *,
         min_slack: Q | None = None,
         floor: dict[int, Q] | None = None,
+        prices: bool = True,
         strict: bool = False,
     ) -> tuple[bool, list[dict]]:
         """Re-evaluate every constraint directly from the data of enl.model.
 
-        With ``min_slack`` s, each price row must clear its bound by at
-        least s, and positivity must hold with Q(p) >= 0 and Q(p) >= s *
-        floor(p), the floor of support_slack (1 on every path by default,
-        0 off its paths); with ``strict``, margins must merely be
-        positive.  No LP state is consulted.
+        With ``min_slack`` s, the rows support_slack slackens at the same
+        ``floor`` and ``prices`` must clear their bounds by at least s
+        times their weight: Q(p) >= s * floor(p) (1 on every path by
+        default, 0 off its paths), and each price row by s, or with
+        ``prices`` False by 0.  Positivity holds with Q(p) >= 0 as well.
+        With ``strict``, margins must merely be positive.  No LP state is
+        consulted.
         """
-        ledger = [_ledger_entry(*row) for row in self._verdicts(measure, min_slack, floor, strict)]
+        ledger = [_ledger_entry(*row)
+                  for row in self._verdicts(measure, min_slack, floor, prices, strict)]
         return all(e["ok"] for e in ledger), ledger
 
     def _verdicts(
         self, measure: dict[int, Q], min_slack: Q | None = None,
-        floor: dict[int, Q] | None = None, strict: bool = False,
+        floor: dict[int, Q] | None = None, prices: bool = True, strict: bool = False,
     ) -> Iterator[tuple[str, int, Relation, int, int, bool]]:
-        """(name, lhs, relation, rhs, den, ok) of each row of _evaluated_rows."""
+        """(name, lhs, relation, rhs, den, ok) of each row of _evaluated_rows,
+        judged as check says."""
         if min_slack is not None:
             sn, sd = int(min_slack.numerator), int(min_slack.denominator)
-        for name, lhs, rel, rhs, den, weight in self._evaluated_rows(measure, floor):
+        for name, lhs, rel, rhs, den, path in self._evaluated_rows(measure):
             if rel == "=":
                 yield name, lhs, rel, rhs, den, lhs == rhs
                 continue
             margin = rhs - lhs if rel == "<=" else lhs - rhs
             if min_slack is None:
                 ok = margin > 0 if strict else margin >= 0
+            elif path is None:    # a price row
+                ok = margin * sd >= sn * den if prices else margin >= 0
             else:
+                weight = ONE if floor is None else floor.get(path, ZERO)
                 wn, wd = int(weight.numerator), int(weight.denominator)
-                ok = margin * sd * wd >= sn * wn * den
-                if name.startswith("pos"):
-                    # a measure has no negative mass, whatever the slack
-                    ok = ok and margin >= 0
+                # a measure has no negative mass, whatever the slack
+                ok = margin >= 0 and margin * sd * wd >= sn * wn * den
             yield name, lhs, rel, rhs, den, ok
 
     @cached_property
@@ -566,13 +572,13 @@ class MeasurePolytope:
         return stops
 
     def _evaluated_rows(
-        self, measure: dict[int, Q], floor: dict[int, Q] | None = None
-    ) -> Iterator[tuple[str, int, Relation, int, int, Q]]:
-        """(name, lhs, relation, rhs, den, slack weight) of the support,
-        positivity, mass and martingale rows, then of the price rows at the
-        model's quotes, evaluated at the measure; lhs and rhs are integer
-        numerators over the positive den.  A positivity row's weight is
-        floor(p) (see check), a price row's 1 and an equality row's 0.
+        self, measure: dict[int, Q]
+    ) -> Iterator[tuple[str, int, Relation, int, int, int | None]]:
+        """(name, lhs, relation, rhs, den, path) of the support, positivity,
+        mass and martingale rows, then of the price rows at the model's
+        quotes, evaluated at the measure; lhs and rhs are integer
+        numerators over the positive den.  ``path`` is p on the positivity
+        row of path p, None on every other row.
 
         The measure is put over one denominator dq, and the payoffs and
         quotes, tabled here per base path and node, over one dm.
@@ -583,14 +589,13 @@ class MeasurePolytope:
         q = dict(zip(measure, qs))
         for p, qp in q.items():
             if p not in support and qp:
-                yield f"support[p{p}]", qp, "=", 0, dq, ZERO
+                yield f"support[p{p}]", qp, "=", 0, dq, None
         for p in self.paths:
-            weight = ONE if floor is None else floor.get(p, ZERO)
-            yield f"pos[p{p}]", q.get(p, 0), ">=", 0, dq, weight
-        yield "mass", sum(q.get(p, 0) for p in self.paths), "=", dq, dq, ZERO
+            yield f"pos[p{p}]", q.get(p, 0), ">=", 0, dq, p
+        yield "mass", sum(q.get(p, 0) for p in self.paths), "=", dq, dq, None
         inc, den = martingale_increments(enl, measure, self.paths)
         for (v, d), val in sorted(inc.items()):
-            yield f"mart[{enl.enode(v).label};{d}]", val, "=", 0, den, ZERO
+            yield f"mart[{enl.enode(v).label};{d}]", val, "=", 0, den, None
         tree = model.tree
         nodes = list(tree.nodes)
         tables, dm = over_common(
@@ -599,16 +604,16 @@ class MeasurePolytope:
         charged = [(enl.epaths[p], qp) for p, qp in q.items() if qp and p in support]
         for i, f in enumerate(tables[:model.L]):
             lhs = sum(qp * f[ep.base_index] for ep, qp in charged)
-            yield f"f[{i}]", lhs, "<=", f[-1] * dq, dq * dm, ONE
+            yield f"f[{i}]", lhs, "<=", f[-1] * dq, dq * dm, None
         for k, h in enumerate(tables[model.L:]):
             at = dict(zip(nodes, h))
             lhs = sum(qp * at[tree.paths[ep.base_index][ep.clocks[k]]] for ep, qp in charged)
-            yield f"h[{k}]", lhs, ">=", h[-1] * dq, dq * dm, ONE
+            yield f"h[{k}]", lhs, ">=", h[-1] * dq, dq * dm, None
         for j, (g, beta) in enumerate(model.americans_long):
             at = {v: g.scalar(node.base) for v, node in enumerate(enl.enodes)}
             best = snell_value(enl, at, measure, paths=self.paths)
             ((lhs, rhs),), den = over_common([best, beta])
-            yield f"g[{j};sup]", lhs, "<=", rhs, den, ONE
+            yield f"g[{j};sup]", lhs, "<=", rhs, den, None
 
 
 def _ledger_entry(name: str, lhs: int, rel: Relation, rhs: int, den: int, ok: bool) -> dict:
@@ -630,11 +635,17 @@ def build_polytope(enl: EnlargedModel, *, paths: Iterable[int] | None = None) ->
 
 @dataclass
 class MeasureCertificate:
-    """A measure witnessing SNA (slack > 0) or the best failed slack."""
+    """The best uniform slack of a slack LP with its re-checked measure: a
+    witness of (strict) no-arbitrage when the slack is positive, the best
+    failed slack otherwise, no measure where the polytope is empty."""
 
     measure: dict[int, Q] | None
     slack: Q | None
     ledger: list[dict] = field(default_factory=list)
+
+    @property
+    def holds(self) -> bool:
+        return self.slack is not None and self.slack > 0
 
     def to_json(self, enl: EnlargedModel) -> dict:
         return {
@@ -646,55 +657,53 @@ class MeasureCertificate:
         }
 
 
-def ftap_certificate(pt: MeasurePolytope) -> tuple[bool, MeasureCertificate]:
-    """Maximal uniform slack over the strict martingale polytope.
+def ftap_certificate(
+    pt: MeasurePolytope, *, prices: bool = True, floor: dict[int, Q] | None = None
+) -> MeasureCertificate:
+    """Maximal uniform slack over the polytope, its witness re-checked.
 
-    SNA holds iff some measure is strictly positive on every supported
-    path and clears every price constraint strictly; the largest common
-    clearance s* is computed by LP and the witness re-validated.
+    The one reader of MeasurePolytope.support_slack.  By the FTAP, strict
+    no-arbitrage holds iff some measure charges every supported path and
+    clears every price row strictly, so the certificate holds iff s* > 0.
+    With ``prices`` False the price rows stay closed, and a positive s*
+    is a full-support measure of the closed polytope; with ``floor`` (a
+    selector measure P) it dominates s* * P.  The LP's measure is
+    re-checked from the model data on exactly the rows the LP slackened,
+    whatever the sign of s*.
     """
-    outcome = pt.support_slack(prices=True)
-    if outcome.status == "infeasible":
-        return False, MeasureCertificate(
+    out = pt.support_slack(prices=prices, floor=floor)
+    if out.status == "infeasible":
+        return MeasureCertificate(
             measure=None,
             slack=None,
             ledger=[{"constraint": "existence", "ok": False, "note": "no martingale measure"}],
         )
-    if outcome.status != "optimal":
-        raise PropertyViolation(f"slack LP unexpectedly {outcome.status}")
-    measure = {p: outcome.x(v) for p, v in pt.q_var.items() if outcome.x(v)}
-    sna = outcome.value > ZERO
-    # the witness clears every slackened row by at least s* (s* may be <= 0)
-    ok, ledger = pt.check(measure, min_slack=outcome.value)
+    if out.status != "optimal":
+        raise PropertyViolation(f"slack LP unexpectedly {out.status}")
+    measure = {p: out.x(v) for p, v in pt.q_var.items() if out.x(v)}
+    ok, ledger = pt.check(measure, min_slack=out.value, floor=floor, prices=prices)
     if not ok:
         raise PropertyViolation("slack witness failed re-validation")
-    return sna, MeasureCertificate(measure=measure, slack=outcome.value, ledger=ledger)
+    return MeasureCertificate(measure=measure, slack=out.value, ledger=ledger)
 
 
-@dataclass
-class SnaReport:
-    holds: bool
-    epsilon: Q
-    certificate: MeasureCertificate
-
-
-def check_sna(pt: MeasurePolytope) -> SnaReport:
+def check_sna(pt: MeasurePolytope) -> MeasureCertificate:
     """Strict no-arbitrage verdict with dual witness and primal cross-check.
 
-    pt is the MeasurePolytope of the market's space.  epsilon* is its
-    maximal uniform slack at the model's quotes; SNA holds iff
-    epsilon* > 0, in which case quotes moved by epsilon*/2 in the
-    trader's favour still admit no arbitrage (verified primally).
+    pt is the MeasurePolytope of the market's space, and the verdict is
+    its ftap_certificate at the model's quotes.  When it holds, quotes
+    moved by s*/2 in the trader's favour must still admit no arbitrage
+    (verified primally).
     """
     enl = pt.enl
-    sna, cert = ftap_certificate(pt)
-    if sna:
+    cert = ftap_certificate(pt)
+    if cert.holds:
         shifted = enl.with_model(enl.model.shifted_prices(cert.slack / 2))
         if detect_arbitrage(shifted).found:
             raise PropertyViolation(
                 "dual slack promises SNA but shifted prices admit arbitrage"
             )
-    return SnaReport(holds=sna, epsilon=cert.slack, certificate=cert)
+    return cert
 
 
 def _certify_measure(
@@ -730,7 +739,8 @@ def price_with_dual(
     hedging.subhedge/superhedge is read off the same LP's verified duals
     by MeasurePolytope.hedge_from and re-validated pathwise by
     hedging.check_hedge.  By weak duality the two checks prove gap 0,
-    recorded with the measure as the report's ``dual_ref``.
+    which the report's ``gap`` states and its ``dual_ref`` carries with
+    the measure.
 
     An empty polytope means the hedge LP is unbounded.  The verified
     Farkas vector is then read the same way as an improving ray of that
@@ -769,12 +779,6 @@ def price_with_dual(
         pivots=out.pivots,
         num_paths=len(pt.paths),
         measure=measure,
-        gap=ZERO,
-        dual_ref={
-            "kind": f"dual_{side}",
-            "value": rat_str(price),
-            "measure": {enl.epaths[p].label: rat_str(q) for p, q in sorted(measure.items())},
-        },
     )
     return report, pt
 
@@ -810,6 +814,29 @@ def snell_value(
     return Q(sum(env[r] for r in enl.roots if r in mass), dq * dv)
 
 
+def _add_clock(
+    enl_from: EnlargedModel,
+    pt: MeasurePolytope,
+    measure: dict[int, Q],
+    clock: Callable[[tuple[int, ...]], Iterable[tuple[int, Q]]],
+) -> dict[int, Q]:
+    """The measure moved onto pt's space, the (n+1)-clock space of the same
+    model: each path's mass is split over the added clock's dates t by the
+    shares that clock(node_seq) lists as (t, share) pairs."""
+    enl_to = pt.enl
+    if enl_to.n != enl_from.n + 1 or enl_to.model is not enl_from.model:
+        raise ValueError("the added clock goes from the n-clock space to the (n+1)-clock space")
+    out: dict[int, Q] = {}
+    for p, q in measure.items():
+        if not q:
+            continue
+        ep = enl_from.epaths[p]
+        for t, share in clock(ep.node_seq):
+            tgt = enl_to.path_index(ep.base_index, ep.clocks + (t,))
+            out[tgt] = out.get(tgt, ZERO) + q * share
+    return out
+
+
 def lift_measure_uniform_clock(
     enl_from: EnlargedModel, pt: MeasurePolytope, measure: dict[int, Q]
 ) -> dict[int, Q]:
@@ -819,19 +846,9 @@ def lift_measure_uniform_clock(
     plays no role: the lifted measure stays in the closed polytope of
     the larger space.
     """
-    enl_to = pt.enl
-    if enl_to.n != enl_from.n + 1 or enl_to.model is not enl_from.model:
-        raise ValueError("lift goes from the n-clock space to the (n+1)-clock space")
-    T = enl_from.horizon
-    share = Q(1, T + 1)
-    lifted: dict[int, Q] = {}
-    for p, q in measure.items():
-        if not q:
-            continue
-        ep = enl_from.epaths[p]
-        for t in range(T + 1):
-            tgt = enl_to.path_index(ep.base_index, ep.clocks + (t,))
-            lifted[tgt] = lifted.get(tgt, ZERO) + q * share
+    dates = range(enl_from.horizon + 1)
+    share = Q(1, len(dates))
+    lifted = _add_clock(enl_from, pt, measure, lambda seq: ((t, share) for t in dates))
     pt.require(lifted, "lifted measure")
     return lifted
 
@@ -844,40 +861,33 @@ class PushReport:
 
 
 def push_stopping_measure(
-    enl_from: EnlargedModel, pt: MeasurePolytope, measure: dict[int, Q], tau: StoppingTime
+    enl_from: EnlargedModel,
+    pt: MeasurePolytope,
+    measure: dict[int, Q],
+    tau: StoppingTime,
+    lifted: dict[int, Q],
 ) -> PushReport:
     """Concentrate the added clock on the stopping time tau.
 
-    Asserts E_pushed[claim at the last clock] = E_Q[claim at tau], that
-    the push lies in pt, the closed polytope of the larger space, and that
-    mixing toward the uniform lift with weight lambda stays inside -
-    strictly when the input measure itself is strict (line search over
-    lambda = 1/2, 1/4, ..., 1/2^12).
+    ``lifted`` is the measure's uniform lift (lift_measure_uniform_clock,
+    which re-checked it in pt).  Asserts E_pushed[claim at the last
+    clock] = E_Q[claim at tau], that the push lies in pt, the closed
+    polytope of the larger space, and that mixing toward ``lifted`` with
+    weight lambda stays inside - strictly when the input measure itself
+    is strict (line search over lambda = 1/2, 1/4, ..., 1/2^12).
     """
-    enl_to = pt.enl
-    if enl_to.n != enl_from.n + 1 or enl_to.model is not enl_from.model:
-        raise ValueError("push goes from the n-clock space to the (n+1)-clock space")
+    pushed = _add_clock(enl_from, pt, measure, lambda seq: ((tau.time_on(seq), ONE),))
     claim_from = extend_claim(enl_from, "sub")
-    pushed: dict[int, Q] = {}
     expect_from = ZERO
     for p, q in measure.items():
-        if not q:
-            continue
-        ep = enl_from.epaths[p]
-        t = tau.time_on(ep.node_seq)
-        tgt = enl_to.path_index(ep.base_index, ep.clocks + (t,))
-        pushed[tgt] = pushed.get(tgt, ZERO) + q
-        expect_from += q * claim_from[ep.node_seq[t]]
-
-    claim_to = extend_claim(enl_to, "super")
-    value = pt.expectation(pushed, claim_to)
+        seq = enl_from.epaths[p].node_seq
+        expect_from += q * claim_from[seq[tau.time_on(seq)]]
+    value = pt.expectation(pushed, extend_claim(pt.enl, "super"))
     if value != expect_from:
         raise PropertyViolation(
             f"pushed value {rat_str(value)} != stopped expectation {rat_str(expect_from)}"
         )
     pt.require(pushed, "pushed measure")
-
-    lifted = lift_measure_uniform_clock(enl_from, pt, measure)
     for lam, mixed in _halving_mixtures(pushed, lifted):
         if all(row[-1] for row in pt._verdicts(mixed, strict=True)):
             return PushReport(pushed=pushed, value=value, lam=lam)
@@ -887,7 +897,6 @@ def push_stopping_measure(
 @dataclass
 class ChainReport:
     middle: Q     # sup_Q sup_tau
-    strict_upper: bool
     num_taus: int
     taus: list[StoppingTime]
 
@@ -918,12 +927,7 @@ def e2_chain(
         raise PropertyViolation(
             f"chain violated: {rat_str(lower)} <= {rat_str(middle)} <= {rat_str(upper)} fails"
         )
-    return ChainReport(
-        middle=middle,
-        strict_upper=middle < upper,
-        num_taus=len(vecs),
-        taus=taus,
-    )
+    return ChainReport(middle=middle, num_taus=len(vecs), taus=taus)
 
 
 def strict_value_bracket(

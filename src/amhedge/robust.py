@@ -32,7 +32,7 @@ from typing import Sequence
 
 from .enlarged import EnlargedModel, enlarge
 from .errors import CapExceededError, ModelFormatError, PropertyViolation
-from .hedging import detect_arbitrage
+from .hedging import ArbitrageReport, detect_arbitrage
 from .lp import LinearProgram, solve
 from .market import EventTree, MarketModel, check_kernel_family
 from .measures import (
@@ -131,15 +131,7 @@ def drop_options(model: MarketModel, *, europeans: bool = False) -> MarketModel:
 # -- no-arbitrage under uncertainty ------------------------------------------
 
 
-@dataclass
-class RobustNaReport:
-    holds: bool
-    gain: Q
-    witness: dict[tuple[int, int], Q] | None
-    certificate: MeasureCertificate
-
-
-def robust_na(enl: EnlargedModel) -> RobustNaReport:
+def robust_na(enl: EnlargedModel) -> tuple[ArbitrageReport, MeasureCertificate]:
     """No-arbitrage from dynamic trading alone, with its dual certificate.
 
     Both sides run on the supported paths of the stock-only market's
@@ -149,20 +141,18 @@ def robust_na(enl: EnlargedModel) -> RobustNaReport:
     detect_arbitrage, its witness keyed by that space's nodes.
     Certificate: a martingale measure strictly positive on every
     supported path, the positive uniform slack of that market's
-    MeasurePolytope, which has no price rows.  The biconditional is
-    enforced.
+    MeasurePolytope, which has no price rows.  The biconditional (no
+    arbitrage found iff the certificate holds) is enforced.
     """
     stock = enlarge(drop_options(enl.model), 0)
     paths = supported_paths(stock)
     arb = detect_arbitrage(stock, paths=paths)
-    holds = not arb.found
-    witness = None if holds else arb.strategy.stock
-    positive, certificate = ftap_certificate(MeasurePolytope(stock, paths=paths))
-    if holds != positive:
+    cert = ftap_certificate(MeasurePolytope(stock, paths=paths))
+    if arb.found == cert.holds:
         raise PropertyViolation(
             "primal no-arbitrage verdict disagrees with the supported martingale measure"
         )
-    return RobustNaReport(holds=holds, gain=arb.gain, witness=witness, certificate=certificate)
+    return arb, cert
 
 
 # -- pricing consistency ------------------------------------------------------
@@ -183,7 +173,7 @@ def submarket_slacks(enl: EnlargedModel, full: MeasureCertificate) -> list[Q | N
     for m in range(model.M):
         sub_model = dataclasses.replace(model, americans_long=model.americans_long[:m])
         sub_pt = build_polytope(enl.with_model(sub_model), paths=paths)
-        slacks.append(ftap_certificate(sub_pt)[1].slack)
+        slacks.append(ftap_certificate(sub_pt).slack)
     slacks.append(full.slack)
     for prev, cur in zip(slacks, slacks[1:]):
         if cur is not None and (prev is None or cur > prev):
@@ -193,7 +183,7 @@ def submarket_slacks(enl: EnlargedModel, full: MeasureCertificate) -> list[Q | N
 
 def ftap_transfer(
     pt_low: MeasurePolytope, pt_high: MeasurePolytope
-) -> tuple[tuple[bool, MeasureCertificate], tuple[bool, MeasureCertificate]]:
+) -> tuple[MeasureCertificate, MeasureCertificate]:
     """Pricing consistency transfers between the two enlargement depths.
 
     pt_low and pt_high are the supported polytopes of the n = N space, N
@@ -205,7 +195,7 @@ def ftap_transfer(
     if (pt_low.enl.n, pt_high.enl.n) != (model.N, model.N + 1):
         raise ValueError("ftap_transfer needs the n = N and n = N + 1 spaces")
     low, high = ftap_certificate(pt_low), ftap_certificate(pt_high)
-    if low[0] != high[0]:
+    if low.holds != high.holds:
         raise PropertyViolation("pricing consistency verdict changed with the extra clock")
     return low, high
 

@@ -2,9 +2,14 @@
 
 A field that no code reads as an attribute only stores a value: a
 report field that echoes an input, or restates an equality its producer
-already raised on, fails here.  A field counts as read when some module
-of ``src/`` or ``tests/`` loads an attribute of that name (``x.name``),
-whatever the object; the check is by name, so it cannot miss a read.
+already raised on, fails here.  A field counts as read when an attribute
+of that name is loaded (``x.name``) in the module that defines the class
+or in a module of ``src/`` or ``tests/`` that names the class: imports
+it, calls it or writes it in an annotation, or names a function or
+method of the package whose return annotation names it, since such a
+module holds its instances without spelling the class.  A load of the
+same name in a module that does neither, such as ``args.seed`` in the
+CLI, is another object's attribute and does not count.
 """
 from __future__ import annotations
 
@@ -35,9 +40,41 @@ def dataclass_fields(source: str) -> list[tuple[str, str]]:
             if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
 
 
-def attributes_read(source: str) -> set[str]:
-    return {node.attr for node in ast.walk(ast.parse(source))
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+def scan(source: str) -> tuple[set[str], set[str]]:
+    """(names, reads) of a module: every identifier it names (variables,
+    imported names, attribute names) and every attribute it loads."""
+    names: set[str] = set()
+    reads: set[str] = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rpartition(".")[2])
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+            if isinstance(node.ctx, ast.Load):
+                reads.add(node.attr)
+    return names, reads
+
+
+def returned(source: str) -> dict[str, set[str]]:
+    """Each function or method of the source with the names in its return annotation."""
+    return {node.name: {n.id if isinstance(n, ast.Name) else n.attr
+                        for n in ast.walk(node.returns)
+                        if isinstance(n, (ast.Name, ast.Attribute))}
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.FunctionDef) and node.returns is not None}
+
+
+def reads_of(
+    scans: dict[str, tuple[set[str], set[str]]], returns: dict[str, set[str]],
+    home: str, cls: str,
+) -> set[str]:
+    """Attributes loaded in ``home``, the module defining cls, or in a
+    module naming cls or a function of ``returns`` that returns it."""
+    givers = {cls} | {f for f, classes in returns.items() if cls in classes}
+    return set().union(*(reads for key, (names, reads) in scans.items()
+                         if key == home or givers & names))
 
 
 def _fields() -> list[tuple[str, str]]:
@@ -46,14 +83,25 @@ def _fields() -> list[tuple[str, str]]:
 
 
 @pytest.fixture(scope="module")
-def read() -> set[str]:
+def scans() -> dict[str, tuple[set[str], set[str]]]:
     sources = [*(ROOT / "src").rglob("*.py"), *(ROOT / "tests").rglob("*.py")]
-    return set().union(*(attributes_read(path.read_text()) for path in sources))
+    return {str(path.relative_to(ROOT)): scan(path.read_text()) for path in sources}
+
+
+@pytest.fixture(scope="module")
+def returns() -> dict[str, set[str]]:
+    out: dict[str, set[str]] = {}
+    for path in PACKAGE.glob("*.py"):
+        for name, classes in returned(path.read_text()).items():
+            out.setdefault(name, set()).update(classes)
+    return out
 
 
 @pytest.mark.parametrize("owner, field", _fields())
-def test_dataclass_field_is_read(read, owner, field):
-    assert field in read, f"{owner}.{field} is never read"
+def test_dataclass_field_is_read(scans, returns, owner, field):
+    module, cls = owner.split(".")
+    home = str((PACKAGE / f"{module}.py").relative_to(ROOT))
+    assert field in reads_of(scans, returns, home, cls), f"{owner}.{field} is never read"
 
 
 def test_checker_sees_fields_and_reads():
@@ -73,4 +121,37 @@ def test_checker_sees_fields_and_reads():
         "    v: int\n"
     )
     assert dataclass_fields(source) == [("A", "x"), ("A", "y"), ("B", "w")]
-    assert attributes_read(source) == {"dataclass", "x"}
+    names, reads = scan(source)
+    assert reads == {"dataclass", "x"}
+    assert {"dataclasses", "dataclass", "field", "self", "x", "z"} <= names
+
+
+def test_a_read_counts_only_where_the_class_is_named():
+    # G.seed is loaded only as args.seed in a module that names neither G
+    # nor a function returning it, which a check by attribute name alone
+    # takes for a read of G.seed
+    gen = ("from dataclasses import dataclass\n"
+           "@dataclass\n"
+           "class G:\n"
+           "    seed: int\n"
+           "    model: str\n"
+           "    laws: dict\n"
+           "def draw() -> G:\n"
+           "    return G(1, 'm', {})\n")
+    scans = {
+        "gen.py": scan(gen),
+        "cli.py": scan("def run(args):\n"
+                       "    return args.seed\n"),
+        "use.py": scan("from gen import G\n"
+                       "def model_of(g: G):\n"
+                       "    return g.model\n"),
+        "other.py": scan("import gen\n"
+                         "laws = gen.draw().laws\n"),
+    }
+    returns = returned(gen)
+    assert returns == {"draw": {"G"}}
+    assert "seed" in set().union(*(reads for _, reads in scans.values()))
+    assert reads_of(scans, returns, "gen.py", "G") == {"model", "draw", "laws"}
+    # the defining module counts without naming its own class in a read
+    scans["gen.py"] = scan("def seed_of(g):\n    return g.seed\n")
+    assert "seed" in reads_of(scans, returns, "gen.py", "G")

@@ -135,7 +135,7 @@ def test_a_flipped_no_arbitrage_verdict_is_raised(monkeypatch, binomial_short_pu
         report = real(enl)
         if isinstance(enl, RevealedModel):
             return report
-        return dataclasses.replace(report, found=not report.found)
+        return dataclasses.replace(report, gain=ZERO if report.found else ONE)
 
     monkeypatch.setattr(divisible, "detect_arbitrage", flipped)
     with pytest.raises(PropertyViolation, match="^no-arbitrage verdicts disagree at eps=1/2$"):

@@ -141,10 +141,10 @@ def test_subhedge_european(binomial):
 
 
 def test_check_sna_slack(binomial_short_put):
-    rep = check_sna(build_polytope(enlarge(binomial_short_put, 1)))
-    assert rep.holds
+    cert = check_sna(build_polytope(enlarge(binomial_short_put, 1)))
+    assert cert.holds
     # max s with q(u-mass) = 1/3 split as a + b, slacks {a, b, b - 1/4}
-    assert rep.epsilon == Q(1, 24)
+    assert cert.slack == Q(1, 24)
 
 
 def test_check_sna_fails_at_rich_quote(monkeypatch):
@@ -157,16 +157,16 @@ def test_check_sna_fails_at_rich_quote(monkeypatch):
 
     # the primal LP at the shifted quotes runs only when the slack is positive
     monkeypatch.setattr(measures, "detect_arbitrage", no_primal)
-    rep = check_sna(build_polytope(enlarge(model, 1)))
-    assert not rep.holds
-    assert rep.epsilon == Q(-1, 6)
+    cert = check_sna(build_polytope(enlarge(model, 1)))
+    assert not cert.holds
+    assert cert.slack == Q(-1, 6)
 
 
 def test_check_sna_raises_when_the_shifted_quotes_admit_arbitrage(monkeypatch,
                                                                  binomial_short_put):
     real = measures.detect_arbitrage
     monkeypatch.setattr(measures, "detect_arbitrage",
-                        lambda enl: dataclasses.replace(real(enl), found=True))
+                        lambda enl: dataclasses.replace(real(enl), gain=ONE))
     with pytest.raises(PropertyViolation,
                        match="^dual slack promises SNA but shifted prices admit arbitrage$"):
         check_sna(build_polytope(enlarge(binomial_short_put, 1)))

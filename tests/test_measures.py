@@ -78,8 +78,8 @@ def test_check_validates_and_rejects(binomial_short_put):
 def test_ftap_certificate_slack(binomial_short_put):
     enl = enlarge(binomial_short_put, 1)
     pt = build_polytope(enl)
-    holds, cert = ftap_certificate(pt)
-    assert holds and cert.slack == Q(1, 24)
+    cert = ftap_certificate(pt)
+    assert cert.holds and cert.slack == Q(1, 24)
     ok, _ = pt.check(cert.measure, min_slack=cert.slack)
     assert ok
     doc = cert.to_json(enl)
@@ -90,9 +90,9 @@ def test_ftap_fails_on_rich_quote():
     model = load_model(binomial_dict(americans_short=[
         {"values": {"r": "0", "u": "0", "d": "1/2"}, "price": "1/2"},
     ]))
-    holds, cert = ftap_certificate(build_polytope(enlarge(model, 1)))
+    cert = ftap_certificate(build_polytope(enlarge(model, 1)))
     # best uniform slack: all mass on the late put exercise misses by 1/6
-    assert not holds and cert.slack == Q(-1, 6)
+    assert not cert.holds and cert.slack == Q(-1, 6)
 
 
 def test_ftap_overpriced_european_slack():
@@ -101,8 +101,8 @@ def test_ftap_overpriced_european_slack():
     model = load_model(binomial_dict(europeans=[
         {"payoff": {"u": "1", "d": "0"}, "price": "1/4"},
     ]))
-    holds, cert = ftap_certificate(build_polytope(enlarge(model, 0)))
-    assert not holds and cert.slack == Q(-1, 12)
+    cert = ftap_certificate(build_polytope(enlarge(model, 0)))
+    assert not cert.holds and cert.slack == Q(-1, 12)
     assert cert.measure == {0: Q(1, 3), 1: Q(2, 3)}
 
 
@@ -110,8 +110,8 @@ def test_ftap_infeasible_polytope():
     # a strictly rising stock admits no nonnegative martingale mass at all
     data = binomial_dict()
     data["stock"]["values"]["d"] = ["3/2"]
-    holds, cert = ftap_certificate(build_polytope(enlarge(load_model(data), 0)))
-    assert not holds and cert.slack is None and cert.measure is None
+    cert = ftap_certificate(build_polytope(enlarge(load_model(data), 0)))
+    assert not cert.holds and cert.slack is None and cert.measure is None
     assert cert.ledger
 
 
@@ -152,7 +152,7 @@ def test_snell_value_oracle(two_period):
 def test_lift_spreads_the_new_clock(binomial_short_put):
     enl1 = enlarge(binomial_short_put, 1)
     enl2 = enlarge(binomial_short_put, 2)
-    _, cert = ftap_certificate(build_polytope(enl1))
+    cert = ftap_certificate(build_polytope(enl1))
     lifted = lift_measure_uniform_clock(enl1, build_polytope(enl2), cert.measure)
     assert sum(lifted.values(), ZERO) == ONE
     for p, q in cert.measure.items():
@@ -173,19 +173,20 @@ def test_lift_requires_adjacent_spaces(binomial_short_put, binomial):
 def test_push_concentrates_on_the_stop(binomial_short_put):
     enl1 = enlarge(binomial_short_put, 1)
     pt2 = build_polytope(enlarge(binomial_short_put, 2))
-    _, cert = ftap_certificate(build_polytope(enl1))
+    cert = ftap_certificate(build_polytope(enl1))
+    lifted = lift_measure_uniform_clock(enl1, pt2, cert.measure)
     # stop at time 1 on every atom: collects the u-mass, 1/3
     stops = frozenset(
         v for v, node in enumerate(enl1.enodes) if node.time == 1
     )
-    push = push_stopping_measure(enl1, pt2, cert.measure, StoppingTime(stops))
+    push = push_stopping_measure(enl1, pt2, cert.measure, StoppingTime(stops), lifted)
     assert push.value == Q(1, 3)
     assert sum(push.pushed.values(), ZERO) == ONE
     assert ZERO < push.lam <= Q(1, 2)
     # stopping immediately collects the zero root claim
     roots = frozenset(v for v, node in enumerate(enl1.enodes) if node.time == 0)
     assert push_stopping_measure(enl1, pt2, cert.measure,
-                                 StoppingTime(roots)).value == ZERO
+                                 StoppingTime(roots), lifted).value == ZERO
 
 
 def test_e2_chain_collapses_when_attainable(binomial_short_put):
@@ -193,7 +194,6 @@ def test_e2_chain_collapses_when_attainable(binomial_short_put):
     sup, _ = price_with_dual(enlarge(binomial_short_put, 2), "super")
     chain = e2_chain(pt1, sub.price, sup.price)
     assert (sub.price, chain.middle, sup.price) == (Q(1, 3), Q(1, 3), Q(1, 3))
-    assert not chain.strict_upper
     assert chain.num_taus >= 1
     # the oracle hands out the stopping times it enumerated
     assert chain.taus == restricted_stopping_times(pt1.enl, pt1.paths)
@@ -217,7 +217,7 @@ def test_e2_chain_raises_on_a_middle_outside_the_ends(monkeypatch, binomial_shor
 def test_strict_value_bracket_converges(binomial_short_put):
     enl2 = enlarge(binomial_short_put, 2)
     enl1 = enlarge(binomial_short_put, 1)
-    _, cert = ftap_certificate(build_polytope(enl1))
+    cert = ftap_certificate(build_polytope(enl1))
     pt = build_polytope(enl2)
     lifted = lift_measure_uniform_clock(enl1, pt, cert.measure)
     target = extend_claim(enl2, "super")
@@ -295,8 +295,8 @@ def _envelope_polytopes():
 def test_envelope_block_matches_snell_value(seed):
     rng = random.Random(seed)
     for pt in _envelope_polytopes():
-        holds, cert = ftap_certificate(pt)
-        assert holds
+        cert = ftap_certificate(pt)
+        assert cert.holds
         measure = cert.measure
         values = {v: Q(rng.randint(-6, 6), rng.randint(1, 4)) for v in range(len(pt.enl.enodes))}
         # Q fixed by equality rows on a copy of the polytope LP

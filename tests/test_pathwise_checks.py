@@ -7,12 +7,15 @@ the model data.  Each case below starts from a certificate that passes,
 the hedge and the measure of ``price_with_dual`` or the clock-indexed
 sub-hedge, moves one entry by 1/10**30 and expects the check that entry
 feeds to fail, as test_lp's certificate-rejection tests do for the LP
-verifiers.  A hypothesis test holds the gains of
-``payoff_enlarged`` to a plain ``Fraction`` evaluator kept here.
+verifiers.  ``ftap_certificate``, the one reader of every uniform-slack
+LP, is held to each of its raises the same way, its LP's witness moved.
+A hypothesis test holds the gains of ``payoff_enlarged`` to a plain
+``Fraction`` evaluator kept here.
 """
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -26,11 +29,12 @@ from amhedge.enlarged import enlarge
 from amhedge.errors import PropertyViolation
 from amhedge.hedging import SemiStaticStrategy, check_hedge, payoff_enlarged, subhedge
 from amhedge.market import load_model
-from amhedge.measures import build_polytope, ftap_certificate, price_with_dual
+from amhedge.measures import MeasurePolytope, build_polytope, ftap_certificate, price_with_dual
 from amhedge.rationals import ONE, ZERO, Q
+from amhedge.robust import selectors, supported_paths, vertex_measure
 
 from conftest import binomial_dict, binomial_put_book_dict, binomial_short_put_dict
-from conftest import trinomial_dict, two_period_dict
+from conftest import trinomial_dict, trinomial_kernels_dict, two_period_dict
 
 EPS = Q(1, 10**30)
 
@@ -218,8 +222,8 @@ def test_positivity_rows_at_a_slack():
     # below zero the slack excuses a price row's shortfall, never a negative mass
     model = binomial_call_short_put().with_prices(gammas=[Q(3, 4)])
     pt = build_polytope(enlarge(model, model.N))
-    sna, cert = ftap_certificate(pt)
-    assert not sna and cert.slack == Q(-5, 12)
+    cert = ftap_certificate(pt)
+    assert not cert.holds and cert.slack == Q(-5, 12)
     measure, (p, q) = dict(cert.measure), pt.paths[:2]
     measure[q] = measure.get(q, ZERO) + measure.get(p, ZERO) + EPS
     measure[p] = -EPS
@@ -227,8 +231,8 @@ def test_positivity_rows_at_a_slack():
     # a floor scales the slack path by path, and is 0 off its paths
     model = binomial_call_short_put()
     pt = build_polytope(enlarge(model, model.N))
-    sna, cert = ftap_certificate(pt)
-    assert sna
+    cert = ftap_certificate(pt)
+    assert cert.holds
     p = pt.paths[0]
     w = cert.measure[p] / cert.slack
     assert _failed(pt, cert.measure, min_slack=cert.slack, floor={p: w}) == set()
@@ -243,6 +247,87 @@ def test_measure_rows_the_rejections_move_are_tight():
         _, ledger = pt.check(report.measure)
         assert {e["constraint"] for e in ledger if e["margin"] == "0/1" and e["rel"] != "="
                 and not e["constraint"].startswith("pos")} == tight
+
+
+# -- the uniform-slack reader ---------------------------------------------------
+
+
+def _slack_lp_returns(monkeypatch, change):
+    """support_slack's outcome passed through change(pt, outcome)."""
+    real = MeasurePolytope.support_slack
+    monkeypatch.setattr(MeasurePolytope, "support_slack",
+                        lambda self, **kwargs: change(self, real(self, **kwargs)))
+
+
+def _move_witness(monkeypatch, p, delta):
+    """The slack LP's witness with Q(p) moved by delta."""
+    def change(pt, out):
+        point = list(out.primal)
+        point[pt.q_var[p]] += delta
+        return dataclasses.replace(out, primal=point)
+
+    _slack_lp_returns(monkeypatch, change)
+
+
+def _at_floor(pt, cert, floor=None):
+    """A path whose mass sits exactly at the slack times its floor weight."""
+    weight = lambda p: ONE if floor is None else floor.get(p, ZERO)
+    return next(p for p in pt.paths
+                if weight(p) and cert.measure.get(p, ZERO) == cert.slack * weight(p))
+
+
+def test_slack_reader_rejects_an_unexpected_status(monkeypatch):
+    pt = build_polytope(enlarge(binomial_call_short_put(), 1))
+    _slack_lp_returns(monkeypatch, lambda pt, out: dataclasses.replace(out, status="unbounded"))
+    with pytest.raises(PropertyViolation, match="^slack LP unexpectedly unbounded$"):
+        ftap_certificate(pt)
+
+
+def _short_put_reader(**kwargs):
+    model = binomial_call_short_put()
+    return build_polytope(enlarge(model, model.N)), kwargs
+
+
+def _selector_reader():
+    model = load_model(trinomial_kernels_dict(2))
+    enl = enlarge(model, model.N)
+    floor = vertex_measure(enl, selectors(model)[0])
+    return build_polytope(enl, paths=supported_paths(enl)), {"floor": floor}
+
+
+@pytest.mark.parametrize("reader", [
+    pytest.param(_short_put_reader, id="strict"),
+    pytest.param(lambda: _short_put_reader(prices=False), id="closed"),
+    pytest.param(_selector_reader, id="selector"),
+])
+def test_slack_reader_rejects_a_path_below_the_slack(monkeypatch, reader):
+    pt, kwargs = reader()
+    cert = ftap_certificate(pt, **kwargs)
+    assert cert.holds
+    p = _at_floor(pt, cert, kwargs.get("floor"))
+    measure = {**cert.measure, p: cert.measure[p] - EPS}
+    assert "pos" in _failed(pt, measure, min_slack=cert.slack, **kwargs)
+    _move_witness(monkeypatch, p, -EPS)
+    with pytest.raises(PropertyViolation, match="^slack witness failed re-validation$"):
+        ftap_certificate(pt, **kwargs)
+
+
+def test_closed_slack_reader_rejects_a_price_row_past_its_quote(monkeypatch):
+    model = binomial_call_short_put()
+    enl = enlarge(model, model.N)
+    pt = build_polytope(enl)
+    cert = ftap_certificate(pt, prices=False)
+    # the put's bid binds at the closed witness: the LP left it unslackened,
+    # and so does the re-check, which a clearance by the slack would fail
+    assert _failed(pt, cert.measure, min_slack=cert.slack, prices=False) == set()
+    assert _failed(pt, cert.measure, min_slack=cert.slack) == {"h"}
+    # less mass where the put pays takes E_Q[h] under its bid
+    p = _first(pt, cert.measure, lambda q, p: q and enl.short_value(0, p))
+    measure = {**cert.measure, p: cert.measure[p] - EPS}
+    assert "h" in _failed(pt, measure, min_slack=cert.slack, prices=False)
+    _move_witness(monkeypatch, p, -EPS)
+    with pytest.raises(PropertyViolation, match="^slack witness failed re-validation$"):
+        ftap_certificate(pt, prices=False)
 
 
 # -- gains against a Fraction reference -----------------------------------------

@@ -95,19 +95,19 @@ def _qs_ftap(enl):
 
 
 def test_na_interior_singleton():
-    rep = robust_na(enlarge(_binomial(INTERIOR), 0))
-    assert rep.holds and rep.gain == ZERO
+    arb, cert = robust_na(enlarge(_binomial(INTERIOR), 0))
+    assert cert.holds and arb.gain == ZERO
     # the unique martingale law (1/3, 2/3), slack its mass floor
-    assert rep.certificate.slack == Q(1, 3)
-    assert rep.certificate.measure == {0: Q(1, 3), 1: Q(2, 3)}
+    assert cert.slack == Q(1, 3)
+    assert cert.measure == {0: Q(1, 3), 1: Q(2, 3)}
 
 
 def test_na_fails_on_sure_up():
-    rep = robust_na(enlarge(_binomial(SURE_UP), 0))
-    assert not rep.holds and rep.gain > ZERO
+    arb, cert = robust_na(enlarge(_binomial(SURE_UP), 0))
+    assert not cert.holds and arb.gain > ZERO
     # holding one share wins 1 on the only supported path
-    assert rep.witness and list(rep.witness.values()) == [ONE]
-    assert rep.certificate.slack is None
+    assert list(arb.strategy.stock.values()) == [ONE]
+    assert cert.slack is None
 
 
 def _stock_only(model, *, europeans=False):
@@ -149,10 +149,11 @@ def test_support_follows_the_market_family_on_one_space():
 
 
 def test_stock_superhedge():
-    rep = _stock_only(_binomial(INTERIOR))
+    stock = enlarge(drop_options(_binomial(INTERIOR)), 1)
+    rep = _qs_price(stock, "super")
     assert rep.price == Q(1, 3)
     # the classical dual_ref schema: the unique martingale law (1/3, 2/3)
-    assert rep.gap == ZERO and rep.dual_ref == {
+    assert rep.gap == ZERO and rep.to_json(stock)["dual_ref"] == {
         "kind": "dual_super", "value": "1/3", "measure": {"p0@1": "1/3", "p1@1": "2/3"}}
     # constants price to themselves
     flat = {"values": {"r": "5/7", "u": "5/7", "d": "5/7"}}
@@ -222,11 +223,11 @@ def test_two_vertex_support_and_prices():
     zeta = {0: ONE, 1: ZERO, 2: ZERO}
     assert _stock_only(model).price == Q(1, 3)
     assert _dp(enl, zeta).value == Q(1, 3)
-    na = robust_na(enl)
+    _, na = robust_na(enl)
     assert na.holds
     # the martingale law (1/4, 1/4, 1/2) charges all three paths
-    assert na.certificate.slack == Q(1, 4)
-    assert na.certificate.measure == {0: Q(1, 4), 1: Q(1, 4), 2: Q(1, 2)}
+    assert na.slack == Q(1, 4)
+    assert na.measure == {0: Q(1, 4), 1: Q(1, 4), 2: Q(1, 2)}
 
 
 def _trinomial_book(payoff, price):
@@ -261,8 +262,8 @@ def test_singleton_family_reproduces_classical():
 
 def test_robust_ftap_holds_with_submarkets():
     enl = enlarge(_binomial_put(INTERIOR), 1)
-    holds, cert = _qs_ftap(enl)
-    assert holds and cert.slack > ZERO
+    cert = _qs_ftap(enl)
+    assert cert.holds and cert.slack > ZERO
     # no long option: the sweep is the full market's slack alone
     assert submarket_slacks(enl, cert) == [cert.slack]
 
@@ -270,30 +271,30 @@ def test_robust_ftap_holds_with_submarkets():
 def test_submarket_sweep_drops_long_options():
     long_put = {"values": {"r": "0", "u": "0", "d": "1/2"}, "price": "1/2"}
     enl = enlarge(_binomial_kern_long(long_put), 0)
-    _, cert = _qs_ftap(enl)
-    _, bare = _qs_ftap(enlarge(_binomial(INTERIOR), 0))
+    cert = _qs_ftap(enl)
+    bare = _qs_ftap(enlarge(_binomial(INTERIOR), 0))
     slacks = submarket_slacks(enl, cert)
     assert slacks == [bare.slack, cert.slack] and slacks[1] < slacks[0]
 
 
 def test_robust_ftap_fails_on_sure_up():
-    holds, cert = _qs_ftap(enlarge(_binomial(SURE_UP), 0))
-    assert not holds and cert.slack is None
+    cert = _qs_ftap(enlarge(_binomial(SURE_UP), 0))
+    assert not cert.holds and cert.slack is None
 
 
 def test_robust_ftap_no_options_equals_domination_slack():
     enl = enlarge(_binomial(INTERIOR), 0)
-    na = robust_na(enl)
-    _, cert = _qs_ftap(enl)
-    assert cert.slack == na.certificate.slack == Q(1, 3)
+    _, na = robust_na(enl)
+    cert = _qs_ftap(enl)
+    assert cert.slack == na.slack == Q(1, 3)
 
 
 def test_one_lp_decides_8192_selectors():
     model = load_model(trinomial_kernels_dict(3))
     assert num_selectors(model) == 8192
     enl = enlarge(model, model.N)
-    holds, cert = _qs_ftap(enl)
-    assert holds and cert.slack == Q(1, 108)
+    cert = _qs_ftap(enl)
+    assert cert.holds and cert.slack == Q(1, 108)
     # the witness charges every supported path and clears every row by the slack
     pt = build_polytope(enl, paths=supported_paths(enl))
     ok, _ = pt.check(cert.measure, min_slack=cert.slack)
@@ -309,9 +310,9 @@ def test_selector_sweep_agrees_with_one_lp(bid, holds):
     for n in (model.N, model.N + 1):
         enl = enlarge(model, n)
         pt = build_polytope(enl, paths=supported_paths(enl))
-        assert selector_sweep(pt) == _qs_ftap(enl)[0] == holds
+        assert selector_sweep(pt) == _qs_ftap(enl).holds == holds
     assert selector_sweep(_stock_polytope(model))
-    assert robust_na(enlarge(model, model.N)).holds
+    assert robust_na(enlarge(model, model.N))[1].holds
 
 
 def test_selector_sweep_rechecks_its_witness_at_the_shifted_quotes(monkeypatch):
@@ -328,7 +329,7 @@ def test_selector_sweep_rechecks_its_witness_at_the_shifted_quotes(monkeypatch):
 
     # a witness claimed for quotes moved by one more than its slack must fail
     monkeypatch.setattr(MeasurePolytope, "support_slack", overstated)
-    with pytest.raises(PropertyViolation, match="shifted-polytope witness"):
+    with pytest.raises(PropertyViolation, match="slack witness failed re-validation"):
         selector_sweep(pt)
 
 
@@ -345,7 +346,7 @@ def test_ftap_transfer():
         build_polytope(enl, paths=supported_paths(enl))
         for enl in (enlarge(model, model.N), enlarge(model, model.N + 1))
     ))
-    assert low[0] and high[0]
+    assert low.holds and high.holds
 
 
 def _minimax_setup():
