@@ -177,9 +177,6 @@ class EnlargedModel:
 
     # -- extended processes and payoffs -----------------------------------
 
-    def stock_at(self, path_idx: int, t: int) -> tuple[Q, ...]:
-        return self.model.stock.at(self.base_node_at(path_idx, t))
-
     def european_value(self, i: int, path_idx: int) -> Q:
         payoff, _ = self.model.europeans[i]
         return payoff.at(self.base_node_at(path_idx, self.horizon))

@@ -32,7 +32,7 @@ from .rationals import ONE, ZERO, Q, over_common, rat, rat_str, ratio_str
 
 def _bump(row: dict[int, Q], var: int, val: Q) -> None:
     if val:
-        row[var] = row.get(var, ZERO) + val
+        row[var] = row[var] + val if var in row else val
 
 
 class StockPositions:
@@ -200,7 +200,9 @@ class GainLP:
     those of them with children, both in index order.  Quantification
     runs over ``paths`` (default all), which is how the quasi-sure
     variants restrict to a support set.  The space's tied node pairs and
-    mixtures become rows too (add_common_rows).
+    mixtures become rows too (add_common_rows).  Gain rows read tables per
+    base edge (MarketModel.base_steps), base path and base node; unlike
+    MeasurePolytope's, the payoff tables are shifted by their quotes once.
     """
 
     def __init__(
@@ -233,6 +235,14 @@ class GainLP:
             for j in range(self.model.M)
         ]
         self.rows: dict[int, tuple[dict[int, Q], Q]] = {}
+        model, tree = self.model, self.model.tree
+        self.steps = model.base_steps()
+        self.europe = [[f.at(path[-1]) - alpha for path in tree.paths]
+                       for f, alpha in model.europeans]
+        self.longs = [({nid: g.scalar(nid) for nid in tree.nodes}, -beta)
+                      for g, beta in model.americans_long]
+        self.shorts = [{nid: -(h.scalar(nid) - gamma) for nid in tree.nodes}
+                       for h, gamma in model.americans_short]
 
     def gain_coeffs(self, p: int) -> dict[int, Q]:
         """Coefficient map of Phi(path p) over the strategy variables.
@@ -242,21 +252,20 @@ class GainLP:
         and the shorts -c_k (h_k - gamma_k) at clock k, along the base
         path of p; evaluate_gain re-checks it without reading this map.
         """
-        model, ep = self.model, self.enl.epaths[p]
-        path, seq = model.tree.paths[ep.base_index], ep.node_seq
+        ep = self.enl.epaths[p]
+        path, seq = self.model.tree.paths[ep.base_index], ep.node_seq
         row: dict[int, Q] = {}
-        for t in range(len(path) - 1):
-            here, nxt = model.stock.at(path[t]), model.stock.at(path[t + 1])
-            for d in range(model.stock.dim):
-                self.stock.add(row, seq[t], d, nxt[d] - here[d])
-        for i, (payoff, alpha) in enumerate(model.europeans):
-            _bump(row, self.static["a"][i], payoff.at(path[-1]) - alpha)
-        for j, (proc, beta) in enumerate(model.americans_long):
-            _bump(row, self.static["b"][j], -beta)
+        for v, nid in zip(seq, path[1:]):
+            for d, move in enumerate(self.steps[nid]):
+                self.stock.add(row, v, d, move)
+        for a, f in zip(self.static["a"], self.europe):
+            _bump(row, a, f[ep.base_index])
+        for b, nu, (g, minus_beta) in zip(self.static["b"], self.nu_var, self.longs):
+            _bump(row, b, minus_beta)
             for nid, v in zip(path, seq):
-                _bump(row, self.nu_var[j][v], proc.scalar(nid))
-        for k, (proc, gamma) in enumerate(model.americans_short):
-            _bump(row, self.static["c"][k], -(proc.scalar(path[ep.clocks[k]]) - gamma))
+                _bump(row, nu[v], g[nid])
+        for c, h, clock in zip(self.static["c"], self.shorts, ep.clocks):
+            _bump(row, c, h[path[clock]])
         return row
 
     def add_path_row(self, p: int, row: dict[int, Q], rhs: Q, name: str) -> None:
@@ -490,7 +499,7 @@ def _hedge(
         if eta_var:
             for v in seq:
                 _bump(row, eta_var[v], claim[v])
-        row[g.x] = row.get(g.x, ZERO) + sign
+        row[g.x] = sign
         g.add_path_row(p, row, rhs[p], f"hedge[p{p}]")
         if eta_var:
             g.lp.add_constraint({eta_var[v]: ONE for v in seq}, "=", ONE, name=f"unit[p{p}]")

@@ -6,8 +6,10 @@ each row is a dict of its nonzero Python ints over one positive
 denominator, put in lowest terms only when that denominator outgrows
 ``_REDUCE_BITS`` bits, and a column index lists the rows where each column
 is nonzero, so a pivot does integer arithmetic on nonzeros only and
-rationals are built just for the returned point and certificates.  Every
-solve returns, besides the optimum:
+rationals are built just for the returned point and certificates.  A
+solve converts the rows and objective to integers once (``_image``), for
+the tableau to copy and the certificate checks to read.  Every solve
+returns, besides the optimum:
 
 * optimal       -- primal point, dual multipliers; strong duality and both
                    feasibilities are re-checked exactly before returning,
@@ -139,7 +141,9 @@ class _Tableau:
     ``_eliminate``), but its denominator is positive, so an entry's sign is
     its numerator's sign and the ratio test compares rhs/entry by
     cross-multiplying (the row's common factor cancels).  Rationals are
-    built, and normalised, only when a result is read.
+    built, and normalised, only when a result is read.  The rows are new
+    dicts built from the solve's integer image (``_image``), which the
+    certificate checks read, so no pivot writes into that image.
 
     Starting basis: a row starts on its slack where the slack's entry is
     positive, else on its artificial.  A row with a negative rhs is
@@ -159,7 +163,7 @@ class _Tableau:
     structure only, never a name.
     """
 
-    def __init__(self, lp: LinearProgram):
+    def __init__(self, lp: LinearProgram, image: list):
         self.lp = lp
         # structural columns: var j at pos_col[j], and a free var once more,
         # negated, at neg_col[j]
@@ -183,18 +187,18 @@ class _Tableau:
         # negated rows (their relation flips): every negative rhs, and every
         # homogeneous >= row but a bound row in an LP the origin violates
         # (see the class docstring); a negated row's dual is negated back
-        # on reading
-        origin_feasible = not any(_violated(row.rel, 0, row.rhs) for row in lp.rows)
-        self.flip = [row.rhs < 0 or (row.rhs == 0 and row.rel == ">=" and (
-                         origin_feasible or not _bound_row(row, lp.nonneg)))
-                     for row in lp.rows]
+        # on reading.  Signs are read off the image (each d > 0)
+        origin_feasible = not any(_violated(row.rel, 0, b)
+                                  for row, (_, b, _) in zip(lp.rows, image))
+        self.flip = [b < 0 or (b == 0 and row.rel == ">=" and (
+                         origin_feasible or not _bound_row(a, lp.nonneg)))
+                     for row, (a, b, _) in zip(lp.rows, image)]
         self.rows: list[dict[int, int]] = []
         self.den: list[int] = []
         self.basis: list[int] = []
         self.col_rows: list[set[int]] = [set() for _ in range(self.ncols + 1)]
-        for i, row in enumerate(lp.rows):
+        for i, (row, (coeffs, b, d)) in enumerate(zip(lp.rows, image)):
             sgn = -1 if self.flip[i] else 1
-            coeffs, b, d = _integer_row(row.coeffs, row.rhs)
             sparse: dict[int, int] = {}
             for j, a in coeffs.items():
                 sparse[self.pos_col[j]] = sgn * a
@@ -217,24 +221,22 @@ class _Tableau:
         self.zden = 1
         self.pivots = 0
 
-    @property
-    def zval(self) -> Q:
-        return Q(-self.zrow[-1], self.zden)
-
     # -- core mechanics -------------------------------------------------
 
-    def set_costs(self, costs: list[Q]) -> None:
-        """Price the basis out of `costs`: zrow = costs - c_B B^-1 A, then -z."""
-        zden = lcm(*(int(v.denominator) for v in costs if v))
-        zrow = [int(v.numerator) * (zden // int(v.denominator)) if v else 0 for v in costs]
-        zrow.append(0)
+    def set_costs(self, costs: dict[int, int], cden: int) -> None:
+        """Price the basis out of the costs {column: numerator} over cden, the lcm
+        of their denominators: zrow = costs - c_B B^-1 A, then -z."""
+        zrow, zden = [0] * (self.ncols + 1), cden
+        for c, v in costs.items():
+            zrow[c] = v
         for i, bc in enumerate(self.basis):
-            cb = costs[bc]
-            if cb:
-                d = int(cb.denominator) * self.den[i]
+            cn = costs.get(bc)
+            if cn:
+                g = gcd(cn, cden)
+                d = cden // g * self.den[i]
                 big = lcm(zden, d)
-                k = int(cb.numerator) * (big // d)
-                zrow, zden = _combine(zrow, zden, big // zden, k, self.rows[i].items())
+                zrow, zden = _combine(zrow, zden, big // zden, cn // g * (big // d),
+                                      self.rows[i].items())
         self.zrow, self.zden = zrow, zden
 
     def pivot(self, r: int, c: int) -> None:
@@ -297,23 +299,25 @@ class _Tableau:
             if step == "optimal" or step == "unbounded":
                 return step
 
-    def duals_from_arts(self, art_cost: Q) -> list[Q]:
-        """y_r = cost(art_r) - reduced_cost(art_r), unflipped to original rows."""
-        ys = []
-        for i, c in enumerate(self.art_col):
-            y = art_cost - Q(self.zrow[c], self.zden)
-            ys.append(-y if self.flip[i] else y)
-        return ys
+    def to_vars(self, vals: list[Q]) -> list[Q]:
+        """Each variable's value from its columns': a free variable's two net."""
+        return [vals[p] if n is None else vals[p] - vals[n]
+                for p, n in zip(self.pos_col, self.neg_col)]
+
+    def duals(self, art_cost: int, sign: int) -> list[Q]:
+        """sign * y, y_r = cost(art_r) - reduced_cost(art_r) unflipped to row r."""
+        zrow, zden, base = self.zrow, self.zden, art_cost * self.zden
+        return [Q((zrow[c] - base if f else base - zrow[c]) * sign, zden)
+                for c, f in zip(self.art_col, self.flip)]
 
 
-def _bound_row(row: _Row, nonneg: list[bool]) -> bool:
+def _bound_row(coeffs: dict[int, int], nonneg: list[bool]) -> bool:
     """True for y >= a nonnegative combination of nonnegative columns.
 
-    Every column of the row is nonnegative and exactly one coefficient is
-    positive; the relation and rhs are not read (see _Tableau).
+    Every column of the row's coefficients is nonnegative and exactly one
+    of them is positive; the relation and rhs are not read (see _Tableau).
     """
-    return (all(nonneg[j] for j in row.coeffs)
-            and sum(v > 0 for v in row.coeffs.values()) == 1)
+    return all(nonneg[j] for j in coeffs) and sum(v > 0 for v in coeffs.values()) == 1
 
 
 def _integer_row(coeffs: dict[int, Q], rhs: Q) -> tuple[dict[int, int], int, int]:
@@ -321,6 +325,13 @@ def _integer_row(coeffs: dict[int, Q], rhs: Q) -> tuple[dict[int, int], int, int
     d = lcm(int(rhs.denominator), *(int(v.denominator) for v in coeffs.values()))
     return ({j: int(v.numerator) * (d // int(v.denominator)) for j, v in coeffs.items()},
             int(rhs.numerator) * (d // int(rhs.denominator)), d)
+
+
+def _image(lp: LinearProgram) -> list[tuple[dict[int, int], int, int]]:
+    """Each row's _integer_row, then the objective's (rhs 0), as the LP is now:
+    never stored, since callers edit the rows of copied LPs between solves."""
+    return [*(_integer_row(row.coeffs, row.rhs) for row in lp.rows),
+            _integer_row(lp.objective, ZERO)]
 
 
 def _lowest(row: dict[int, int], d: int) -> tuple[dict[int, int], int]:
@@ -382,33 +393,21 @@ def _eliminate(row: dict[int, int], d: int, nz: list[tuple[int, int]], pd: int,
     return row, d
 
 
-def _struct_costs(tab: _Tableau, obj: dict[int, Q], sign: Q) -> list[Q]:
-    costs = [ZERO] * tab.ncols
-    for j, v in obj.items():
-        costs[tab.pos_col[j]] = sign * v
-        nc = tab.neg_col[j]
-        if nc is not None:
-            costs[nc] = -sign * v
-    return costs
-
-
 def solve(lp: LinearProgram) -> LPOutcome:
     """Solve exactly; certificates are re-verified before returning."""
-    tab = _Tableau(lp)
+    image = _image(lp)
+    tab = _Tableau(lp, image)
     m = lp.num_rows
 
-    # phase 1: drive artificials to zero
-    ph1 = [ZERO] * tab.ncols
-    for c in tab.art_col:
-        ph1[c] = -ONE
-    tab.set_costs(ph1)
+    # phase 1: drive artificials to zero; z = -zrow[-1]/zden < 0 is infeasible
+    tab.set_costs(dict.fromkeys(tab.art_col, -1), 1)
     allowed = [True] * tab.ncols
     verdict = tab.run(allowed)
     if verdict == "unbounded":  # pragma: no cover - phase 1 is bounded by 0
         raise LPInternalError("phase 1 unbounded")
-    if tab.zval < 0:
-        farkas = tab.duals_from_arts(-ONE)
-        _verify_farkas(lp, farkas)
+    if tab.zrow[-1] > 0:
+        farkas = tab.duals(-1, 1)
+        _verify_farkas(lp, farkas, image)
         return LPOutcome(status="infeasible", farkas=farkas,
                          pivots=tab.pivots, rows=m, cols=tab.ncols)
 
@@ -423,9 +422,15 @@ def solve(lp: LinearProgram) -> LPOutcome:
             if c is not None:
                 tab.pivot(i, c)
 
-    # phase 2
-    sign = ONE if lp.sense == "max" else -ONE
-    tab.set_costs(_struct_costs(tab, lp.objective, sign))
+    # phase 2, priced from the objective's integer image
+    sign = 1 if lp.sense == "max" else -1
+    obj, _, dc = image[-1]
+    costs = {}
+    for j, v in obj.items():
+        costs[tab.pos_col[j]] = sign * v
+        if tab.neg_col[j] is not None:
+            costs[tab.neg_col[j]] = -sign * v
+    tab.set_costs(costs, dc)
     for c in tab.art_col:
         allowed[c] = False
     verdict = tab.run(allowed)
@@ -436,42 +441,29 @@ def solve(lp: LinearProgram) -> LPOutcome:
         direction[enter] = ONE
         for i in tab.col_rows[enter]:
             direction[tab.basis[i]] = Q(-tab.rows[i][enter], tab.den[i])
-        ray = [ZERO] * lp.num_vars
-        for j in range(lp.num_vars):
-            d = direction[tab.pos_col[j]]
-            nc = tab.neg_col[j]
-            if nc is not None:
-                d -= direction[nc]
-            ray[j] = d
-        _verify_ray(lp, ray)
+        ray = tab.to_vars(direction)
+        _verify_ray(lp, ray, image)
         return LPOutcome(status="unbounded", ray=ray,
                          pivots=tab.pivots, rows=m, cols=tab.ncols)
 
-    primal = [ZERO] * lp.num_vars
     vals = [ZERO] * tab.ncols
     for i, bc in enumerate(tab.basis):
         vals[bc] = Q(tab.rows[i].get(tab.ncols, 0), tab.den[i])
-    for j in range(lp.num_vars):
-        v = vals[tab.pos_col[j]]
-        nc = tab.neg_col[j]
-        if nc is not None:
-            v -= vals[nc]
-        primal[j] = v
-    value = tab.zval if lp.sense == "max" else -tab.zval
-    duals = tab.duals_from_arts(ZERO)
-    if lp.sense == "min":
-        duals = [-y for y in duals]
-    _verify_optimal(lp, primal, duals, value)
+    primal = tab.to_vars(vals)
+    value = Q(-sign * tab.zrow[-1], tab.zden)
+    duals = tab.duals(0, sign)
+    _verify_optimal(lp, primal, duals, value, image)
     return LPOutcome(status="optimal", value=value, primal=primal, duals=duals,
                      pivots=tab.pivots, rows=m, cols=tab.ncols)
 
 
 # -- exact certificate checks -------------------------------------------
 #
-# Each check reads only the LP and the returned vectors.  It scales every
-# LP row by the lcm of its denominators (``_integer_row``) and puts the
-# vector over one common denominator, so every predicate is an integer
-# comparison with both sides multiplied by the same positive number.
+# Each check reads only the LP and the returned vectors.  It reads every
+# LP row scaled by the lcm of its denominators from the solve's integer
+# image (``_image``) and puts the vector over one common denominator, so
+# every predicate is an integer comparison with both sides multiplied by
+# the same positive number.
 
 
 def _dot(a: dict[int, int], x: list[int]) -> int:
@@ -482,12 +474,11 @@ def _violated(rel: Relation, lhs: int, rhs: int) -> bool:
     return lhs > rhs if rel == "<=" else lhs < rhs if rel == ">=" else lhs != rhs
 
 
-def _scaled_duals(lp: LinearProgram, y: list[Q]) -> tuple[list, list[int], int, list[int]]:
-    """The integer rows (a, b, d), y_i/d_i as z over one denominator e, and A^T z.
+def _scaled_duals(lp: LinearProgram, y: list[Q], rows: list) -> tuple[list[int], int, list[int]]:
+    """y_i/d_i, over the integer rows (a, b, d), as z over one denominator e, and A^T z.
 
     y is put over one denominator dy, and entry i scaled by lcm(d)/d_i.
     """
-    rows = [_integer_row(row.coeffs, row.rhs) for row in lp.rows]
     (ys,), dy = over_common(y)
     dd = lcm(*(d for _, _, d in rows))
     z, e = [v * (dd // d) for v, (_, _, d) in zip(ys, rows)], dy * dd
@@ -496,19 +487,20 @@ def _scaled_duals(lp: LinearProgram, y: list[Q]) -> tuple[list, list[int], int, 
         if zi:
             for j, v in a.items():
                 aty[j] += zi * v
-    return rows, z, e, aty
+    return z, e, aty
 
 
-def _verify_optimal(lp: LinearProgram, x: list[Q], y: list[Q], value: Q) -> None:
-    for j in range(lp.num_vars):
-        if lp.nonneg[j] and x[j] < 0:
-            raise LPInternalError(f"negative value for {lp.var_names[j]}")
+def _verify_optimal(lp: LinearProgram, x: list[Q], y: list[Q], value: Q,
+                    image: list) -> None:
+    *rows, (c, _, dc) = image
     (xs,), dx = over_common(x)
-    c, _, dc = _integer_row(lp.objective, ZERO)
+    for j in range(lp.num_vars):
+        if lp.nonneg[j] and xs[j] < 0:
+            raise LPInternalError(f"negative value for {lp.var_names[j]}")
     vn, vd = int(value.numerator), int(value.denominator)
     if _dot(c, xs) * vd != vn * dc * dx:
         raise LPInternalError("objective mismatch")
-    rows, z, e, aty = _scaled_duals(lp, y)
+    z, e, aty = _scaled_duals(lp, y, rows)
     ydotb = 0
     for row, (a, b, _), zi in zip(lp.rows, rows, z):
         if _violated(row.rel, _dot(a, xs), b * dx):
@@ -537,8 +529,9 @@ def _verify_optimal(lp: LinearProgram, x: list[Q], y: list[Q], value: Q) -> None
             raise LPInternalError(f"dual infeasibility at {lp.var_names[j]}")
 
 
-def _verify_farkas(lp: LinearProgram, y: list[Q]) -> None:
-    rows, z, _, aty = _scaled_duals(lp, y)
+def _verify_farkas(lp: LinearProgram, y: list[Q], image: list) -> None:
+    *rows, _ = image
+    z, _, aty = _scaled_duals(lp, y, rows)
     ydotb = 0
     for row, (_, b, _), zi in zip(lp.rows, rows, z):
         if row.rel == "<=" and zi < 0:
@@ -556,17 +549,18 @@ def _verify_farkas(lp: LinearProgram, y: list[Q]) -> None:
         raise LPInternalError("farkas certifies nothing")
 
 
-def _verify_ray(lp: LinearProgram, d: list[Q]) -> None:
-    for j in range(lp.num_vars):
-        if lp.nonneg[j] and d[j] < 0:
-            raise LPInternalError("ray leaves the sign cone")
+def _verify_ray(lp: LinearProgram, d: list[Q], image: list) -> None:
+    *rows, (c, _, _) = image
     (ds,), _ = over_common(d)
-    rate = _dot(_integer_row(lp.objective, ZERO)[0], ds)
+    for j in range(lp.num_vars):
+        if lp.nonneg[j] and ds[j] < 0:
+            raise LPInternalError("ray leaves the sign cone")
+    rate = _dot(c, ds)
     improving = rate > 0 if lp.sense == "max" else rate < 0
     if not improving:
         raise LPInternalError("ray does not improve")
-    for row in lp.rows:
-        if _violated(row.rel, _dot(_integer_row(row.coeffs, row.rhs)[0], ds), 0):
+    for row, (a, _, _) in zip(lp.rows, rows):
+        if _violated(row.rel, _dot(a, ds), 0):
             raise LPInternalError("ray infeasible")
 
 

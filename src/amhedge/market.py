@@ -135,6 +135,17 @@ class MarketModel:
     def path_weight(self, path_index: int) -> Q:
         return self.weights[self.tree.paths[path_index][-1]]
 
+    def base_steps(self) -> dict[str, tuple[Q, ...]]:
+        """The stock move S(v) - S(parent of v) into each non-root base node v.
+
+        One rational tuple per base edge, shared by every enlarged path over
+        it, for the LP builders (GainLP, MeasurePolytope); the re-checks
+        build their own integer moves (stock_moves).
+        """
+        at = self.stock.at
+        return {nid: tuple(b - a for a, b in zip(at(node.parent), at(nid)))
+                for nid, node in self.tree.nodes.items() if node.parent is not None}
+
     def stock_moves(self) -> tuple[list[list[tuple[int, int, int]]], int]:
         """Per base path, its nonzero stock moves (t, dim, S_{t+1} - S_t),
         as integer numerators over one denominator (rationals.over_common).

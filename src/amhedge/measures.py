@@ -91,18 +91,6 @@ def _add_martingale_rows(
     ]
 
 
-def _base_steps(model: MarketModel) -> dict[str, tuple[Q, ...]]:
-    """The stock move S(v) - S(parent of v) into each non-root base node v.
-
-    One rational tuple per base edge, shared by every enlarged path over
-    that edge.  MeasurePolytope's builder alone reads it; the re-checks
-    build their own integer moves from the model (MarketModel.stock_moves).
-    """
-    at = model.stock.at
-    return {nid: tuple(b - a for a, b in zip(at(node.parent), at(nid)))
-            for nid, node in model.tree.nodes.items() if node.parent is not None}
-
-
 def martingale_increments(
     enl: EnlargedModel, measure: dict[int, Q], paths: Iterable[int]
 ) -> tuple[dict[tuple[int, int], int], int]:
@@ -245,10 +233,10 @@ class MeasurePolytope:
     ``long_blocks``, and its ask row ``g[j]``; ``num_tau_rows`` counts the
     rows of those blocks.
 
-    The builder reads tables of its own: the stock move of each base edge
-    (_base_steps), shared by every enlarged path over it, and the payoffs
-    per leaf and per base node.  The re-checks (check/require) read none of
-    them; they build their own from the model.
+    The builder reads tables: the stock move of each base edge
+    (MarketModel.base_steps), shared by every enlarged path over it, and
+    the payoffs per leaf and per base node.  The re-checks (check/require)
+    read none of them; they build their own from the model.
     """
 
     def __init__(self, enl: EnlargedModel, *, paths: Iterable[int] | None = None) -> None:
@@ -264,7 +252,7 @@ class MeasurePolytope:
         model, tree = enl.model, enl.model.tree
         # each support path's variable with its enlarged path
         support = [(self.q_var[p], enl.epaths[p]) for p in self.paths]
-        steps = _base_steps(model)
+        steps = model.base_steps()
         moves = ((var, v, steps[b]) for var, ep in support
                  for v, b in zip(ep.node_seq, tree.paths[ep.base_index][1:]))
         self.mart_rows = _add_martingale_rows(self.lp, moves, lambda v: enl.enode(v).label)

@@ -1,10 +1,11 @@
-"""The measure LP and the enlarged forest against reference builds.
+"""The measure LP, the gain rows and the enlarged forest against reference builds.
 
-MeasurePolytope reads its stock moves from one table per base edge and
-its payoffs from per-leaf and per-node tables, and EnlargedModel computes
-each clock tuple's statuses once.  The references below are the builds
-those replaced, walked enlarged path by enlarged path; the LPs and forests
-must come out identical, row order and coefficient order included.
+MeasurePolytope and GainLP read their stock moves from one table per base
+edge (MarketModel.base_steps) and their payoffs from per-leaf, per-path
+and per-node tables, and EnlargedModel computes each clock tuple's
+statuses once.  The references below are the builds those replaced,
+walked enlarged path by enlarged path; the LPs and forests must come out
+identical, row order and coefficient order included.
 """
 from __future__ import annotations
 
@@ -14,8 +15,9 @@ import random
 import pytest
 
 from amhedge.campaign import random_sna_model
-from amhedge.divisible import RevealedModel
+from amhedge.divisible import RevealedModel, weight_grid
 from amhedge.enlarged import EnlargedNode, EnlargedPath, enlarge
+from amhedge.hedging import GainLP
 from amhedge.lp import LinearProgram, format_lp
 from amhedge.market import load_model
 from amhedge.measures import MeasurePolytope
@@ -139,6 +141,88 @@ def test_measure_lp_on_random_markets(seed):
     model = random_sna_model(random.Random(seed)).model
     for n in (model.N, model.N + 1):
         _assert_same_lp(enlarge(model, n))
+
+
+def _reference_gain_row(g: GainLP, p: int) -> dict:
+    """Phi(path p) as built one enlarged path and time at a time: a stock
+    step per (path, t), each payoff read off the path, and each
+    coefficient summed into the row from ZERO."""
+    model, enl, ep = g.model, g.enl, g.enl.epaths[p]
+    path, seq = model.tree.paths[ep.base_index], ep.node_seq
+    row: dict = {}
+
+    def bump(var, val):
+        if val:
+            row[var] = row.get(var, ZERO) + val
+
+    for t in range(enl.horizon):
+        now, nxt = model.stock.at(path[t]), model.stock.at(path[t + 1])
+        for d, (a, b) in enumerate(zip(now, nxt)):
+            bump(g.stock.pos[(seq[t], d)], b - a)
+            if g.stock.split:
+                bump(g.stock.neg[(seq[t], d)], -(b - a))
+    for i, (_, alpha) in enumerate(model.europeans):
+        bump(g.static["a"][i], enl.european_value(i, p) - alpha)
+    for j, (proc, beta) in enumerate(model.americans_long):
+        bump(g.static["b"][j], -beta)
+        for t in range(enl.horizon + 1):
+            bump(g.nu_var[j][seq[t]], proc.scalar(enl.base_node_at(p, t)))
+    for k, (_, gamma) in enumerate(model.americans_short):
+        bump(g.static["c"][k], -(enl.short_value(k, p) - gamma))
+    return row
+
+
+class _ReferenceGainLP(GainLP):
+    gain_coeffs = _reference_gain_row
+
+
+def _gain_lp(cls, enl, **kw) -> LinearProgram:
+    """A GainLP's path rows, then its common rows (liquidation, ties, mixtures)."""
+    g = cls(enl, **kw)
+    for p in g.paths:
+        g.add_path_row(p, g.gain_coeffs(p), ZERO, f"gain[p{p}]")
+    g.add_common_rows()
+    return g.lp
+
+
+def _assert_same_gain_lp(enl, paths=None) -> None:
+    for split in (False, True):
+        lp = _gain_lp(GainLP, enl, paths=paths, split_stock=split)
+        ref = _gain_lp(_ReferenceGainLP, enl, paths=paths, split_stock=split)
+        assert format_lp(lp) == format_lp(ref)
+        assert [list(r.coeffs) for r in lp.rows] == [list(r.coeffs) for r in ref.rows]
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+@pytest.mark.parametrize("name", [*CONFTEST_MODELS, *EXTRA_MODELS])
+def test_gain_rows_match_the_path_by_path_build(name, extra, request):
+    model = _model(request, name)
+    _assert_same_gain_lp(enlarge(model, model.N + extra))
+
+
+def test_gain_rows_cover_every_book():
+    # the fixtures above hold Europeans, longs and shorts, each somewhere
+    models = [EXTRA_MODELS[name]() for name in EXTRA_MODELS]
+    assert all(any(getattr(m, book) >= 1 for m in models) for book in "LMN")
+
+
+def test_gain_rows_on_a_path_subset_and_random_markets():
+    model = load_model(trinomial_kernels_dict(2))
+    enl = enlarge(model, model.N)
+    _assert_same_gain_lp(enl, supported_paths(enl))
+    _assert_same_gain_lp(enl, [p for p in range(enl.num_paths) if p % 3 != 1][::-1] + [0])
+    for seed in range(6):
+        model = random_sna_model(random.Random(seed)).model
+        for n in (model.N, model.N + 1):
+            _assert_same_gain_lp(enlarge(model, n))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_gain_rows_on_the_revealed_space_with_its_grid(n):
+    space = RevealedModel(EXTRA_MODELS["put_book_short"](), n)
+    space = space.with_grid(weight_grid(n, space.horizon))
+    assert space.tied_pairs and space.mixtures
+    _assert_same_gain_lp(space)
 
 
 def _reference_forest(enl):

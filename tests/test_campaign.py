@@ -165,9 +165,9 @@ def _count_lps(monkeypatch, check):
     solved = []
 
     class Counting(lp._Tableau):
-        def __init__(self, prog):
+        def __init__(self, prog, *args):
             solved.append(prog)
-            super().__init__(prog)
+            super().__init__(prog, *args)
 
     with monkeypatch.context() as m:
         m.setattr(lp, "_Tableau", Counting)

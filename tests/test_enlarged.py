@@ -8,7 +8,6 @@ import pytest
 from amhedge.enlarged import enlarge, extend_claim
 from amhedge.errors import ModelFormatError
 from amhedge.market import emit_model, load_model
-from amhedge.measures import _base_steps
 from amhedge.rationals import ONE, Q, ZERO
 
 from conftest import binomial_put_book_dict
@@ -121,7 +120,7 @@ def test_extend_claim_super_needs_extra_clock(binomial_short_put):
 
 def test_stock_step(two_period):
     # the measure LP's table of stock moves, one per base edge
-    steps = _base_steps(two_period)
+    steps = two_period.base_steps()
     # path 0 = r -> u -> uu: increments +1 then +2
     assert steps["u"] == (ONE,)
     assert steps["uu"] == (Q(2),)

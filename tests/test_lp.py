@@ -283,7 +283,7 @@ def test_verify_optimal_rejects(build, field, j, delta, match):
     else:
         y[j] += delta
     with pytest.raises(lpmod.LPInternalError, match=match):
-        lpmod._verify_optimal(lp, x, y, value)
+        lpmod._verify_optimal(lp, x, y, value, lpmod._image(lp))
 
 
 @pytest.mark.parametrize("j, delta, match", [
@@ -298,7 +298,7 @@ def test_verify_farkas_rejects(j, delta, match):
     y = list(solve(lp).farkas)
     y[j] += delta
     with pytest.raises(lpmod.LPInternalError, match=match):
-        lpmod._verify_farkas(lp, y)
+        lpmod._verify_farkas(lp, y, lpmod._image(lp))
 
 
 @pytest.mark.parametrize("j, delta, match", [
@@ -313,7 +313,7 @@ def test_verify_ray_rejects(j, delta, match):
     d = list(solve(lp).ray)
     d[j] += delta
     with pytest.raises(lpmod.LPInternalError, match=match):
-        lpmod._verify_ray(lp, d)
+        lpmod._verify_ray(lp, d, lpmod._image(lp))
 
 
 def _random_lp(rng: random.Random):
@@ -440,8 +440,8 @@ def _recording_tableau(check):
     """
 
     class Recording(lpmod._Tableau):
-        def set_costs(self, costs):
-            super().set_costs(costs)
+        def set_costs(self, *args):
+            super().set_costs(*args)
             check(self, None)
 
         def pivot(self, r, c):
@@ -542,13 +542,41 @@ def test_tableau_stores_only_nonzeros(monkeypatch):
     assert superhedge(enlarge(model, model.N + 1)).price == Q(52, 27)
 
 
+def test_one_integer_image_per_solve(monkeypatch):
+    # a solve converts each row and the objective once, and the image it
+    # hands the certificate check still equals a fresh conversion after
+    # the pivots: the tableau copies it and never writes into it
+    real = lpmod._integer_row
+    calls = []
+    monkeypatch.setattr(lpmod, "_integer_row", lambda *args: calls.append(1) or real(*args))
+    handed = []
+    for name in ("_verify_optimal", "_verify_farkas", "_verify_ray"):
+        def hand(lp, *args, check=getattr(lpmod, name)):
+            fresh = [*(real(r.coeffs, r.rhs) for r in lp.rows), real(lp.objective, ZERO)]
+            handed.append(args[-1] == fresh)
+            check(lp, *args)
+        monkeypatch.setattr(lpmod, name, hand)
+    rng = random.Random(20261019)
+    lps = [_random_lp(rng)[0] for _ in range(60)] + [_infeasible_lp(), _unbounded_lp()]
+    statuses, pivots = set(), 0
+    for lp in lps:
+        calls.clear()
+        handed.clear()
+        out = solve(lp)
+        statuses.add(out.status)
+        pivots += out.pivots
+        assert len(calls) == lp.num_rows + 1
+        assert handed == [True]
+    assert statuses == {"optimal", "infeasible", "unbounded"} and pivots > len(lps)
+
+
 def _start(rows, nonneg=(True, True, True)):
     """(flip, starting basic column kind) of each row of a fresh tableau."""
     lp = LinearProgram()
     xs = [lp.add_var(f"x{j}", nonneg=pos) for j, pos in enumerate(nonneg)]
     for coeffs, rel, rhs in rows:
         lp.add_constraint({xs[j]: Q(v) for j, v in coeffs.items()}, rel, Q(rhs))
-    tab = lpmod._Tableau(lp)
+    tab = lpmod._Tableau(lp, lpmod._image(lp))
     kind = lambda i: "slack" if tab.basis[i] == tab.slack_col[i] else "art"
     return [(tab.flip[i], kind(i)) for i in range(lp.num_rows)]
 

@@ -59,11 +59,11 @@ def recorded(monkeypatch):
     seen = Seen()
 
     class Recording(lp._Tableau):
-        def __init__(self, prog):
+        def __init__(self, prog, *args):
             seen.append(fingerprint(prog))
             self.pivot_log: list[tuple[int, int]] = []
             seen.pivots.append(self.pivot_log)
-            super().__init__(prog)
+            super().__init__(prog, *args)
 
         def pivot(self, r, c):
             self.pivot_log.append((r, c))

@@ -205,9 +205,12 @@ def test_dp_raises_on_local_arbitrage():
 
 def test_dp_pins_martingale():
     # the stock itself is super-hedged at its price today, by one share
-    enl = enlarge(_binomial(INTERIOR), 0)
-    dp = _dp(enl, [enl.stock_at(p, 1)[0] for p in range(enl.num_paths)])
-    assert dp.value == enl.stock_at(0, 0)[0] == ONE
+    model = _binomial(INTERIOR)
+    enl = enlarge(model, 0)
+    # the stock at time t on the base path under enlarged path p
+    at = lambda p, t: model.stock.at(model.tree.paths[enl.epaths[p].base_index][t])[0]
+    dp = _dp(enl, [at(p, 1) for p in range(enl.num_paths)])
+    assert dp.value == at(0, 0) == ONE
     assert dp.strategy == {(enl.epaths[0].node_seq[0], 0): ONE}
 
 
