@@ -21,6 +21,28 @@ homogeneous ``>=`` rows included, with one exception (see ``_Tableau``).
 Each certificate is re-checked in integers against the LP alone, never
 the tableau.  The solver never touches floats.  A failed internal check
 raises LPInternalError rather than returning a wrong answer.
+
+Every solve presolves (``_Presolve``) between the image and the tableau.
+It merges away each homogeneous doubleton equality a_j x_j + a_k x_k = 0
+(an ``=`` row, rhs 0, two nonzeros) where x_j is free, or both variables
+are nonnegative with opposite signs: x_j = nu*y, x_k = mu*y with
+(nu, mu) = (-a_k, a_j)/gcd and mu > 0 spans the row's solutions exactly,
+y taking x_k's sign, so the row goes and y gets the column
+nu*col_j + mu*col_k.  Rows that this leaves as such pairs are merged in
+turn.  The tableau runs on the surviving rows and columns only, and each
+result is lifted back in reverse order of merging: a point or a ray by
+x_j = nu*y, x_k = mu*y, and the dual (or Farkas entry, with c_j = 0) of a
+merged row by y_r = (c_j - sum_{i != r} y_i a_ij) / a_rj, column j read as
+it stood when merged.  The lifted duals are feasible:
+
+* column j is tight by construction, whatever its sign;
+* column y's dual row, mu*(sum_{i != r} y_i a_ik - c_k) against
+  nu*(c_j - sum_{i != r} y_i a_ij) = nu*a_rj*y_r = -mu*a_rk*y_r, is column
+  k's dual row times mu > 0, with y's sense, which is k's;
+* b_r = 0, so y.b, like c.x, is unchanged.
+
+The certificate checks then read the lifted vectors against the LP that
+was asked and its own image.
 """
 from __future__ import annotations
 
@@ -104,6 +126,8 @@ class LPOutcome:
     duals: list[Q] | None = None
     farkas: list[Q] | None = None
     ray: list[Q] | None = None
+    # the simplex's own tableau, after the presolve: its pivots, its rows
+    # and its columns (split free variables, slacks and artificials)
     pivots: int = 0
     rows: int = 0
     cols: int = 0
@@ -161,24 +185,27 @@ class _Tableau:
     there, with only the artificials of ``=`` rows basic, at 0, and a
     bound row is negated like any other.  The rule reads the rows'
     structure only, never a name.
+
+    The tableau runs the presolved LP (``_Presolve``): ``rels`` and
+    ``image`` hold its rows, and a variable the presolve merged away
+    (``nonneg[j]`` None) gets no column.
     """
 
-    def __init__(self, lp: LinearProgram, image: list):
-        self.lp = lp
+    def __init__(self, rels: list[Relation], nonneg: list[bool | None], image: list):
         # structural columns: var j at pos_col[j], and a free var once more,
         # negated, at neg_col[j]
-        self.pos_col: list[int] = []
+        self.pos_col: list[int | None] = []
         self.neg_col: list[int | None] = []
         ncols = 0
-        for j in range(lp.num_vars):
-            self.pos_col.append(ncols)
-            self.neg_col.append(None if lp.nonneg[j] else ncols + 1)
-            ncols += 1 if lp.nonneg[j] else 2
+        for pos in nonneg:
+            self.pos_col.append(None if pos is None else ncols)
+            self.neg_col.append(ncols + 1 if pos is False else None)
+            ncols += 0 if pos is None else 1 if pos else 2
 
-        m = lp.num_rows
+        m = len(rels)
         self.slack_col: list[int | None] = [None] * m
-        for i, row in enumerate(lp.rows):
-            if row.rel != "=":
+        for i, rel in enumerate(rels):
+            if rel != "=":
                 self.slack_col[i] = ncols
                 ncols += 1
         self.art_col = list(range(ncols, ncols + m))
@@ -188,16 +215,15 @@ class _Tableau:
         # homogeneous >= row but a bound row in an LP the origin violates
         # (see the class docstring); a negated row's dual is negated back
         # on reading.  Signs are read off the image (each d > 0)
-        origin_feasible = not any(_violated(row.rel, 0, b)
-                                  for row, (_, b, _) in zip(lp.rows, image))
-        self.flip = [b < 0 or (b == 0 and row.rel == ">=" and (
-                         origin_feasible or not _bound_row(a, lp.nonneg)))
-                     for row, (a, b, _) in zip(lp.rows, image)]
+        origin_feasible = not any(_violated(rel, 0, b) for rel, (_, b, _) in zip(rels, image))
+        self.flip = [b < 0 or (b == 0 and rel == ">=" and (
+                         origin_feasible or not _bound_row(a, nonneg)))
+                     for rel, (a, b, _) in zip(rels, image)]
         self.rows: list[dict[int, int]] = []
         self.den: list[int] = []
         self.basis: list[int] = []
         self.col_rows: list[set[int]] = [set() for _ in range(self.ncols + 1)]
-        for i, (row, (coeffs, b, d)) in enumerate(zip(lp.rows, image)):
+        for i, (rel, (coeffs, b, d)) in enumerate(zip(rels, image)):
             sgn = -1 if self.flip[i] else 1
             sparse: dict[int, int] = {}
             for j, a in coeffs.items():
@@ -207,7 +233,7 @@ class _Tableau:
                     sparse[nc] = -sgn * a
             sc = self.slack_col[i]
             if sc is not None:
-                sparse[sc] = sgn * d if row.rel == "<=" else -sgn * d
+                sparse[sc] = sgn * d if rel == "<=" else -sgn * d
             sparse[self.art_col[i]] = d
             if b:
                 sparse[self.ncols] = sgn * b
@@ -300,8 +326,9 @@ class _Tableau:
                 return step
 
     def to_vars(self, vals: list[Q]) -> list[Q]:
-        """Each variable's value from its columns': a free variable's two net."""
-        return [vals[p] if n is None else vals[p] - vals[n]
+        """Each variable's value from its columns': a free variable's two net,
+        a merged-away one's 0 until ``_Presolve.lift_point``."""
+        return [ZERO if p is None else vals[p] if n is None else vals[p] - vals[n]
                 for p, n in zip(self.pos_col, self.neg_col)]
 
     def duals(self, art_cost: int, sign: int) -> list[Q]:
@@ -393,11 +420,107 @@ def _eliminate(row: dict[int, int], d: int, nz: list[tuple[int, int]], pd: int,
     return row, d
 
 
+def _pair(a: dict[int, int], nonneg: list[bool | None]) -> tuple[int, int] | None:
+    """(j, k) of a two-term row a.x = 0 the presolve merges, j free if one is; else None."""
+    if len(a) != 2:
+        return None
+    (j, aj), (k, ak) = a.items()
+    if not nonneg[k]:
+        return k, j
+    return (j, k) if not nonneg[j] or (aj > 0) != (ak > 0) else None
+
+
+class _Presolve:
+    """The LP with its homogeneous doubleton equalities merged away (module docstring).
+
+    ``rels``, ``nonneg`` and ``image`` are the reduced LP the tableau runs,
+    ``rows`` the original index of each of its rows.  A merge writes into
+    new dicts, made for the rows and objective it touches, so an untouched
+    row is the image's own; with nothing to merge, nothing is copied.
+    ``steps`` logs each merge as (r, j, k, nu, mu, col), col being column
+    j as it stood, {row i, or m for the objective: a_ij}, for the lifts.
+    """
+
+    def __init__(self, lp: LinearProgram, image: list):
+        rels, nonneg, m = [row.rel for row in lp.rows], lp.nonneg, lp.num_rows
+        self.rels, self.nonneg, self.image, self.rows = rels, nonneg, image, range(m)
+        self.steps: list[tuple[int, int, int, int, int, dict[int, int]]] = []
+        coeffs = [a for a, _, _ in image]
+        live = lambda i: rels[i] == "=" and not image[i][1] and len(coeffs[i]) == 2
+        queue = [i for i in range(m) if live(i) and _pair(coeffs[i], nonneg)]
+        if not queue:
+            return
+        nonneg, owned, gone = list(nonneg), [False] * (m + 1), set()
+        where: list[set[int]] = [set() for _ in nonneg]
+        for i, a in enumerate(coeffs):
+            for j in a:
+                where[j].add(i)
+        for r in queue:  # grows as merges turn rows into pairs
+            pair = None if r in gone else _pair(coeffs[r], nonneg)
+            if pair is None:
+                continue
+            j, k = pair
+            aj, ak = coeffs[r][j], coeffs[r][k]
+            g = gcd(aj, ak) if aj > 0 else -gcd(aj, ak)
+            nu, mu = -ak // g, aj // g
+            col = {i: coeffs[i][j] for i in where[j]}
+            self.steps.append((r, j, k, nu, mu, col))
+            gone.add(r)
+            touched = (where[j] | where[k]) - {r}
+            where[k].discard(r)
+            where[j], nonneg[j] = set(), None
+            for i in touched:
+                if not owned[i]:
+                    coeffs[i], owned[i] = dict(coeffs[i]), True
+                a = coeffs[i]
+                v = nu * a.pop(j, 0) + mu * a.get(k, 0)
+                if v:
+                    a[k] = v
+                    where[k].add(i)
+                elif a.pop(k, 0):
+                    where[k].remove(i)
+            queue.extend(sorted(i for i in touched if i < m and live(i)))
+        self.rows = [i for i in range(m) if i not in gone]
+        self.rels, self.nonneg = [rels[i] for i in self.rows], nonneg
+        self.image = [(coeffs[i], *image[i][1:]) if owned[i] else image[i]
+                      for i in (*self.rows, m)]
+
+    def lift_point(self, x: list[Q]) -> list[Q]:
+        """The point (or ray) of the asked LP from the reduced LP's: x_j = nu*y, x_k = mu*y."""
+        for _, j, k, nu, mu, _ in reversed(self.steps):
+            if x[k]:  # else x_j stays 0 from to_vars
+                x[j], x[k] = nu * x[k], mu * x[k]
+        return x
+
+    def lift_duals(self, y_reduced: list[Q], image: list, costs: bool) -> list[Q]:
+        """Every asked row's dual (costs) or Farkas entry (not costs) from the reduced LP's.
+
+        A merged row's y_r solves y_r a_rj/d_r = c_j/d_c - sum_{i != r} y_i a_ij/d_i
+        on the image (rows a/d, objective c/d_c): the terms go over one
+        integer denominator, so each merged row costs one rational.
+        """
+        if not self.steps:
+            return y_reduced
+        m = len(image) - 1
+        y = [ZERO] * m
+        for i, v in zip(self.rows, y_reduced):
+            y[i] = v
+        for r, *_, col in reversed(self.steps):
+            terms = [(int(y[i].numerator) * a, int(y[i].denominator) * image[i][2])
+                     for i, a in col.items() if i != r and i != m and y[i]]
+            if costs and m in col:
+                terms.append((-col[m], image[m][2]))
+            den = lcm(*(e for _, e in terms))
+            y[r] = Q(-sum(t * (den // e) for t, e in terms) * image[r][2], den * col[r])
+        return y
+
+
 def solve(lp: LinearProgram) -> LPOutcome:
     """Solve exactly; certificates are re-verified before returning."""
     image = _image(lp)
-    tab = _Tableau(lp, image)
-    m = lp.num_rows
+    pre = _Presolve(lp, image)
+    tab = _Tableau(pre.rels, pre.nonneg, pre.image)
+    m = len(pre.rels)
 
     # phase 1: drive artificials to zero; z = -zrow[-1]/zden < 0 is infeasible
     tab.set_costs(dict.fromkeys(tab.art_col, -1), 1)
@@ -406,7 +529,7 @@ def solve(lp: LinearProgram) -> LPOutcome:
     if verdict == "unbounded":  # pragma: no cover - phase 1 is bounded by 0
         raise LPInternalError("phase 1 unbounded")
     if tab.zrow[-1] > 0:
-        farkas = tab.duals(-1, 1)
+        farkas = pre.lift_duals(tab.duals(-1, 1), image, costs=False)
         _verify_farkas(lp, farkas, image)
         return LPOutcome(status="infeasible", farkas=farkas,
                          pivots=tab.pivots, rows=m, cols=tab.ncols)
@@ -424,7 +547,7 @@ def solve(lp: LinearProgram) -> LPOutcome:
 
     # phase 2, priced from the objective's integer image
     sign = 1 if lp.sense == "max" else -1
-    obj, _, dc = image[-1]
+    obj, _, dc = pre.image[-1]
     costs = {}
     for j, v in obj.items():
         costs[tab.pos_col[j]] = sign * v
@@ -441,7 +564,7 @@ def solve(lp: LinearProgram) -> LPOutcome:
         direction[enter] = ONE
         for i in tab.col_rows[enter]:
             direction[tab.basis[i]] = Q(-tab.rows[i][enter], tab.den[i])
-        ray = tab.to_vars(direction)
+        ray = pre.lift_point(tab.to_vars(direction))
         _verify_ray(lp, ray, image)
         return LPOutcome(status="unbounded", ray=ray,
                          pivots=tab.pivots, rows=m, cols=tab.ncols)
@@ -449,9 +572,9 @@ def solve(lp: LinearProgram) -> LPOutcome:
     vals = [ZERO] * tab.ncols
     for i, bc in enumerate(tab.basis):
         vals[bc] = Q(tab.rows[i].get(tab.ncols, 0), tab.den[i])
-    primal = tab.to_vars(vals)
+    primal = pre.lift_point(tab.to_vars(vals))
     value = Q(-sign * tab.zrow[-1], tab.zden)
-    duals = tab.duals(0, sign)
+    duals = pre.lift_duals(tab.duals(0, sign), image, costs=True)
     _verify_optimal(lp, primal, duals, value, image)
     return LPOutcome(status="optimal", value=value, primal=primal, duals=duals,
                      pivots=tab.pivots, rows=m, cols=tab.ncols)

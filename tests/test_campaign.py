@@ -164,13 +164,13 @@ def _count_lps(monkeypatch, check):
     """check()'s result and the number of LPs it solved."""
     solved = []
 
-    class Counting(lp._Tableau):
+    class Counting(lp._Presolve):
         def __init__(self, prog, *args):
             solved.append(prog)
             super().__init__(prog, *args)
 
     with monkeypatch.context() as m:
-        m.setattr(lp, "_Tableau", Counting)
+        m.setattr(lp, "_Presolve", Counting)
         return check(), len(solved)
 
 

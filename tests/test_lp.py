@@ -11,6 +11,7 @@ from amhedge.enlarged import enlarge
 from amhedge.hedging import detect_arbitrage, superhedge
 from amhedge.lp import LinearProgram, format_lp, max_slack, solve
 from amhedge.market import load_model
+from amhedge.measures import price_with_dual
 from amhedge.rationals import ONE, Q, ZERO
 
 from conftest import binomial_put_book_dict
@@ -433,13 +434,175 @@ def test_homogeneous_lps_against_float_solver():
     assert all(v >= 10 for v in seen.values()), seen
 
 
+def _random_pair_lp(rng: random.Random) -> tuple[LinearProgram, dict[int, str]]:
+    """Random LP built around homogeneous two-term = rows, and the kind of each.
+
+    Two to four pairs, each a row a*x_j + b*x_k = 0 of one kind: "opposite"
+    (both nonnegative, opposite signs), "free" (x_j free, x_k
+    nonnegative), "free-free", or "same" (both nonnegative, same sign,
+    which the presolve keeps).  A "cascade" row over both variables of a
+    pair and one other becomes a pair once the first is merged.  One or
+    two general rows follow, and half the draws box every variable, so
+    optimal, infeasible and unbounded LPs all occur.
+    """
+    lp = LinearProgram()
+    coef = lambda: Q(rng.randint(1, 4), rng.randint(1, 3)) * rng.choice([1, -1])
+    kinds, pairs = {}, []
+    for _ in range(rng.randint(2, 4)):
+        kind = rng.choice(["opposite", "free", "free-free", "same"])
+        j = lp.add_var(f"x{lp.num_vars}", nonneg=kind in ("opposite", "same"))
+        k = lp.add_var(f"x{lp.num_vars}", nonneg=kind != "free-free")
+        a, b = coef(), abs(coef())
+        b = b if (a > 0) == (kind == "same") else -b
+        kinds[lp.add_constraint({j: a, k: b}, "=", ZERO)] = kind
+        pairs.append((j, k))
+    j, k = rng.choice(pairs)
+    other = rng.choice([v for v in range(lp.num_vars) if v not in (j, k)])
+    kinds[lp.add_constraint({j: coef(), k: coef(), other: coef()}, "=", ZERO)] = "cascade"
+    xs = range(lp.num_vars)
+    for _ in range(rng.randint(1, 2)):
+        row = {x: coef() for x in rng.sample(xs, rng.randint(1, 3))}
+        lp.add_constraint(row, rng.choice(["<=", ">=", "="]), Q(rng.randint(-3, 3)))
+    if rng.random() < 0.5:
+        for x in xs:
+            lp.add_constraint({x: ONE}, "<=", Q(rng.randint(1, 5)))
+            lp.add_constraint({x: ONE}, ">=", Q(-rng.randint(0, 5)))
+    lp.set_objective(rng.choice(["max", "min"]), {x: coef() for x in xs})
+    return lp, kinds
+
+
+def test_presolved_lps_against_float_solver(monkeypatch):
+    # every kind of pair is merged, a cascade row after its pair, and a
+    # same-sign pair never; solve re-verifies each lifted certificate on
+    # the LP as built, and HiGHS agrees on the status and value
+    scipy_lin = pytest.importorskip("scipy.optimize")
+    merged = []
+
+    class Recording(lpmod._Presolve):
+        def __init__(self, *args):
+            super().__init__(*args)
+            merged.append([r for r, *_ in self.steps])
+
+    monkeypatch.setattr(lpmod, "_Presolve", Recording)
+    rng = random.Random(20261019)
+    seen = dict.fromkeys(["optimal", "infeasible", "unbounded"], 0)
+    kinds_merged = dict.fromkeys(["opposite", "free", "free-free", "cascade"], 0)
+    for _ in range(200):
+        lp, kinds = _random_pair_lp(rng)
+        out = solve(lp)
+        seen[out.status] += 1
+        _check_against_highs(scipy_lin, lp, out)
+        (rows,) = merged
+        merged.clear()
+        assert all(kinds[r] != "same" for r in rows if r in kinds), format_lp(lp)
+        assert all(r in rows for r, kind in kinds.items() if kind in ("opposite", "free", "free-free"))
+        for r in rows:
+            if r in kinds:
+                kinds_merged[kinds[r]] += 1
+    assert all(v >= 10 for v in seen.values()), seen
+    assert all(kinds_merged.values()), kinds_merged
+
+
+def _merged_max() -> LinearProgram:
+    """max x + y + 3z, x - 2y = 0 merged, x + z <= 4, z <= 1: x = 3, y = 3/2, z = 1."""
+    lp = LinearProgram("merged")
+    x, y, z = lp.add_var("x"), lp.add_var("y"), lp.add_var("z")
+    lp.add_constraint({x: ONE, y: -Q(2)}, "=", 0, "x_eq_2y")
+    lp.add_constraint({x: ONE, z: ONE}, "<=", 4, "cap")
+    lp.add_constraint({z: ONE}, "<=", 1, "z_cap")
+    lp.set_objective("max", {x: ONE, y: ONE, z: Q(3)})
+    return lp
+
+
+def _merged_infeasible() -> LinearProgram:
+    """x - y = 0 merged, x >= 1 and y <= 1/2 cannot both hold."""
+    lp = LinearProgram("merged farkas")
+    x, y = lp.add_var("x"), lp.add_var("y")
+    lp.add_constraint({x: ONE, y: -ONE}, "=", 0, "x_eq_y")
+    lp.add_constraint({x: ONE}, ">=", 1, "x_floor")
+    lp.add_constraint({y: ONE}, "<=", Q(1, 2), "y_cap")
+    return lp
+
+
+def _merged_unbounded() -> LinearProgram:
+    """max x, free w = 3x merged, w <= 1 + w: the ray is (1, 3)."""
+    lp = LinearProgram("merged ray")
+    x, w = lp.add_var("x"), lp.add_var("w", nonneg=False)
+    lp.add_constraint({w: ONE, x: -Q(3)}, "=", 0, "w_eq_3x")
+    lp.add_constraint({x: ONE, w: -ONE}, "<=", 1, "loose")
+    lp.set_objective("max", {x: ONE})
+    return lp
+
+
+def test_merged_lps_return_lifted_certificates():
+    # each LP's first row is merged away, so its dual, Farkas entry, and
+    # the merged column's point and ray entries are the lifted ones
+    for build in (_merged_max, _merged_infeasible, _merged_unbounded):
+        lp = build()
+        pre = lpmod._Presolve(lp, lpmod._image(lp))
+        assert [r for r, *_ in pre.steps] == [0] and pre.rows == [1, 2][:lp.num_rows - 1]
+    best = solve(_merged_max())
+    assert (best.value, best.primal, best.duals, best.rows) == (Q(15, 2), [3, Q(3, 2), 1], [Q(-1, 2), Q(3, 2), Q(3, 2)], 2)
+    assert solve(_merged_infeasible()).farkas == [1, -1, 1]
+    assert solve(_merged_unbounded()).ray == [1, 3]
+
+
+@pytest.mark.parametrize("build, field, j, delta, check, match", [
+    (_merged_max, "duals", 0, -EPS, "optimal", "dual infeasibility at x"),
+    (_merged_max, "primal", 0, EPS, "optimal", "row x_eq_2y violated"),
+    (_merged_infeasible, "farkas", 0, -EPS, "farkas", "farkas cone violation"),
+    (_merged_unbounded, "ray", 1, EPS, "ray", "ray infeasible"),
+])
+def test_lifted_certificates_reject_a_move(build, field, j, delta, check, match):
+    # one entry of a merged row or column, moved by 1/10**30, fails the
+    # unchanged check on the LP as built
+    lp = build()
+    out = solve(lp)
+    vec = list(getattr(out, field))
+    vec[j] += delta
+    image = lpmod._image(lp)
+    with pytest.raises(lpmod.LPInternalError, match=match):
+        if check == "optimal":
+            x, y = (vec, out.duals) if field == "primal" else (out.primal, vec)
+            value = out.value + (lp.objective.get(j, ZERO) * delta if field == "primal" else 0)
+            lpmod._verify_optimal(lp, x, y, value, image)
+        elif check == "farkas":
+            lpmod._verify_farkas(lp, vec, image)
+        else:
+            lpmod._verify_ray(lp, vec, image)
+
+
+def test_presolve_shrinks_the_binomial_measure_lp():
+    # the T=5 binomial put super-hedge's measure LP: 161 rows as built,
+    # at most 20 once its martingale pairs are merged up the tree
+    asked = []
+
+    class Recording(lpmod._Presolve):
+        def __init__(self, prog, *args):
+            asked.append(prog.num_rows)
+            super().__init__(prog, *args)
+
+    model = load_model(binomial_put_book_dict(5))
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(lpmod, "_Presolve", Recording)
+        report, _ = price_with_dual(enlarge(model, model.N + 1), "super")
+    assert (report.price, asked) == (Q(188, 81), [161])
+    assert report.lp_rows <= 20
+
+
 def _recording_tableau(check):
     """A _Tableau subclass calling check(tab, step) after every update.
 
-    step is the (row, column) of a pivot, or None after set_costs.
+    step is the (row, column) of a pivot, or None after set_costs.  The
+    tableau keeps the (rels, nonneg, image) of the presolved LP it was
+    built from as ``given``.
     """
 
     class Recording(lpmod._Tableau):
+        def __init__(self, *args):
+            self.given = args
+            super().__init__(*args)
+
         def set_costs(self, *args):
             super().set_costs(*args)
             check(self, None)
@@ -514,10 +677,10 @@ def test_rows_past_the_bound_are_in_lowest_terms(bits, monkeypatch):
 
 def test_tableau_stores_only_nonzeros(monkeypatch):
     # no stored entry is 0, col_rows is the rows' exact nonzero pattern,
-    # and before any pivot the rows hold the LP's nonzeros (free variables
-    # twice), one slack per inequality, one artificial per row and the
-    # nonzero right-hand sides
-    fresh = set()
+    # and before any pivot the rows hold the presolved LP's nonzeros (free
+    # variables twice), one slack per inequality, one artificial per row
+    # and the nonzero right-hand sides
+    fresh = {}
 
     def check(tab, step):
         pattern = [set() for _ in range(tab.ncols + 1)]
@@ -527,11 +690,11 @@ def test_tableau_stores_only_nonzeros(monkeypatch):
                 pattern[c].add(i)
         assert tab.col_rows == pattern
         if tab.pivots == 0:
-            lp = tab.lp
-            stored = sum(1 + (not lp.nonneg[j]) for row in lp.rows for j in row.coeffs)
-            stored += sum((row.rel != "=") + 1 + (row.rhs != 0) for row in lp.rows)
+            rels, nonneg, (*rows, _) = tab.given
+            stored = sum(1 + (not nonneg[j]) for a, _, _ in rows for j in a)
+            stored += sum((rel != "=") + 1 + (b != 0) for rel, (_, b, _) in zip(rels, rows))
             assert sum(map(len, tab.rows)) == stored
-            fresh.add(id(lp))
+            fresh[id(tab)] = tab
 
     monkeypatch.setattr(lpmod, "_Tableau", _recording_tableau(check))
     rng = random.Random(20260814)
@@ -576,7 +739,7 @@ def _start(rows, nonneg=(True, True, True)):
     xs = [lp.add_var(f"x{j}", nonneg=pos) for j, pos in enumerate(nonneg)]
     for coeffs, rel, rhs in rows:
         lp.add_constraint({xs[j]: Q(v) for j, v in coeffs.items()}, rel, Q(rhs))
-    tab = lpmod._Tableau(lp, lpmod._image(lp))
+    tab = lpmod._Tableau([row.rel for row in lp.rows], lp.nonneg, lpmod._image(lp))
     kind = lambda i: "slack" if tab.basis[i] == tab.slack_col[i] else "art"
     return [(tab.flip[i], kind(i)) for i in range(lp.num_rows)]
 
@@ -608,7 +771,7 @@ def test_arbitrage_lp_phase_1_pivots_only_the_equality_rows(binomial, monkeypatc
 
     def check(tab, step):
         if step is None:
-            costs.append((tab.pivots, sum(row.rel == "=" for row in tab.lp.rows)))
+            costs.append((tab.pivots, tab.given[0].count("=")))
 
     monkeypatch.setattr(lpmod, "_Tableau", _recording_tableau(check))
     assert not detect_arbitrage(enlarge(binomial, 0)).found

@@ -1,15 +1,17 @@
 """Every LP the CLI solves, pinned by content.
 
-Each solve builds one ``amhedge.lp._Tableau`` from its LP, so a recording
-subclass put in its place sees every LP, however the calling module
-imported ``solve``.  An LP's fingerprint covers its sense and objective,
-each row's name, relation, rhs and sorted coefficients, and every
-variable's name and sign restriction.  The sorted fingerprints of a run
-are hashed; a refactor that keeps every LP keeps the count and the
-digest, while one that adds, drops or reorders a row changes the digest.
+Each solve hands the LP it was asked to one ``amhedge.lp._Presolve``, so
+a recording subclass put in its place sees every LP as its caller built
+it, however the calling module imported ``solve``.  An LP's fingerprint
+covers its sense and objective, each row's name, relation, rhs and
+sorted coefficients, and every variable's name and sign restriction.
+The sorted fingerprints of a run are hashed; a refactor that keeps every
+LP keeps the count and the digest, while one that adds, drops or
+reorders a row changes the digest.
 
-The recording tableau also logs the (row, column) pair of every pivot.
-Each LP's fingerprint is paired with its pivot sequence and the sorted
+A recording ``amhedge.lp._Tableau``, which each solve builds once from
+the presolved LP, logs the (row, column) pair of every pivot.  Each LP's
+fingerprint is paired with its pivot sequence and the sorted
 pairs are hashed, so a change to the simplex that moves a single Bland
 decision changes that digest even when every LP and optimum stays put.
 """
@@ -58,17 +60,22 @@ class Seen(list):
 def recorded(monkeypatch):
     seen = Seen()
 
-    class Recording(lp._Tableau):
+    class Asked(lp._Presolve):
         def __init__(self, prog, *args):
             seen.append(fingerprint(prog))
+            super().__init__(prog, *args)
+
+    class Recording(lp._Tableau):
+        def __init__(self, *args):
             self.pivot_log: list[tuple[int, int]] = []
             seen.pivots.append(self.pivot_log)
-            super().__init__(prog, *args)
+            super().__init__(*args)
 
         def pivot(self, r, c):
             self.pivot_log.append((r, c))
             super().pivot(r, c)
 
+    monkeypatch.setattr(lp, "_Presolve", Asked)
     monkeypatch.setattr(lp, "_Tableau", Recording)
     return seen
 
