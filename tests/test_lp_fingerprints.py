@@ -33,8 +33,8 @@ from test_report_bytes import CAMPAIGN_MODELS, COMMANDS, CONFTEST_MODELS, _model
 EXPECTED_CLI = (27, "32643a5c7fb4e84b8b4b2a047c382c73573216dfea9c1b63e3d690e95e3a3c5f")
 EXPECTED_VERIFY = (295, "e5688d18c444f13be57a1fdaa4110cb1c9ddd446ea5b75ce87fc6abcc8cff212")
 # (number of pivots, sha256 of the sorted (fingerprint, pivot sequence) pairs)
-EXPECTED_CLI_PIVOTS = (142, "22907b4fa1513129c3652c2cd1ac296fd2b5d493a3b98dfadb94bb3a0329bcf2")
-EXPECTED_VERIFY_PIVOTS = (2181, "9bbd5c9d15fc6d58f120d923b9f9016b6cbe3dd0e1342d83638b5a3e10c520ca")
+EXPECTED_CLI_PIVOTS = (93, "9395d6ba6edceffef9aeea35109ffa2c35a1ab9f42ffa4f5dfaa774aa74664c4")
+EXPECTED_VERIFY_PIVOTS = (1955, "e9b01c7def0d516487439cd554e20dd4f38a2c1899f9c4ac97d97a7529998b53")
 
 
 def fingerprint(prog: lp.LinearProgram) -> str:
