@@ -37,32 +37,32 @@ COMMANDS = {
 # (exit code, sha256 of stdout) per model and command
 EXPECTED = {
     ('binomial', 'ftap'): (0, '17456d44c03eb9813298f579f1ca8b8aea33b182c21551b36109792ce55db1f8'),
-    ('binomial', 'price-sub'): (0, '806a221a0bfbf65ddde38720f5f404f94ba9c9c675d39ebc5059217dcbaadc07'),
-    ('binomial', 'price-super'): (0, '4a857f9d258fc71482ed42a29954169bc8c294152e812fa4dda0db890e650afa'),
+    ('binomial', 'price-sub'): (0, '4b2e924b6057b399ddf0ebef7166e1f730cb13cf0ea5870e81afb6966cce01b3'),
+    ('binomial', 'price-super'): (0, '9ea4556fb3901297bb67d94ffc4f5bae8a07d940e539706005fb51cfa875fc72'),
     ('binomial_short_put', 'ftap'): (0, '34e61e017b0006d243ffe171bc5d5a73b358c21697d93caaf68a57fb89f458f4'),
-    ('binomial_short_put', 'price-sub'): (0, 'f41649b49a21453e1297d588536a24d5483d0c70563bbd9e08d65344618ff993'),
-    ('binomial_short_put', 'price-super'): (0, '3cd149d3001e1fddb27943d4d1edf40a9f200db0b4abd8977e6c20c3c35b0ee7'),
+    ('binomial_short_put', 'price-sub'): (0, '5aca29472b46652009e3752046abfcd5ee095dfc9952bb0fd2a8c9b698dcd3ca'),
+    ('binomial_short_put', 'price-super'): (0, 'c532f7d0213437f01e877552d54c0c97063beb1dd6ff5c185af1adce514fbf58'),
     ('trinomial', 'ftap'): (0, '2987fe694fe4434c33ff2d72171ffe8b306592de2c3e6601e481adb27279f96f'),
-    ('trinomial', 'price-sub'): (0, '2e1a818cb1ac2062c7e5863faa9fd73c9d867f4c54d4629bdfcb28b9d9852fa2'),
-    ('trinomial', 'price-super'): (0, 'b3dbb3f1acc7da1f4f542b00ba642d15022ea50b5367c4bc0d51a9a86e7e195d'),
+    ('trinomial', 'price-sub'): (0, 'cf3040de1f284399e11a55912f9124507fb55961e15f6ee43f279d6ef297aebd'),
+    ('trinomial', 'price-super'): (0, '6e7c58c6de1f47c3c91952f1ba4a9d678ba6b13f7f35a31df8f7abe53d1977f4'),
     ('two_period', 'ftap'): (0, '4bbe273b6f2f6d5b45ad96819162ce6742bd8f9d10319ba5ef918ab041238f57'),
-    ('two_period', 'price-sub'): (0, '813634930116c128072af56a42355dce6c012416bc68393c9e06e99f690a06f8'),
-    ('two_period', 'price-super'): (0, '29f26b2dd62295dc07bc61c71957a55351f003d11fc25171eef2bebb38c269e6'),
+    ('two_period', 'price-sub'): (0, 'afb5fa1e9c89d73c33bd5ee44f580631a2a1f262a434e848d27a3842ee3705b4'),
+    ('two_period', 'price-super'): (0, 'b6467a13e66d629e6853698c2271b1cadefe834da73743b89967ab4cfc02dc1e'),
     ('binomial_call', 'ftap'): (0, '17456d44c03eb9813298f579f1ca8b8aea33b182c21551b36109792ce55db1f8'),
-    ('binomial_call', 'price-sub'): (0, '806a221a0bfbf65ddde38720f5f404f94ba9c9c675d39ebc5059217dcbaadc07'),
-    ('binomial_call', 'price-super'): (0, '4a857f9d258fc71482ed42a29954169bc8c294152e812fa4dda0db890e650afa'),
+    ('binomial_call', 'price-sub'): (0, '4b2e924b6057b399ddf0ebef7166e1f730cb13cf0ea5870e81afb6966cce01b3'),
+    ('binomial_call', 'price-super'): (0, '9ea4556fb3901297bb67d94ffc4f5bae8a07d940e539706005fb51cfa875fc72'),
     ('binomial_call_short_put', 'ftap'): (0, '34e61e017b0006d243ffe171bc5d5a73b358c21697d93caaf68a57fb89f458f4'),
-    ('binomial_call_short_put', 'price-sub'): (0, 'f41649b49a21453e1297d588536a24d5483d0c70563bbd9e08d65344618ff993'),
-    ('binomial_call_short_put', 'price-super'): (0, '3cd149d3001e1fddb27943d4d1edf40a9f200db0b4abd8977e6c20c3c35b0ee7'),
+    ('binomial_call_short_put', 'price-sub'): (0, '5aca29472b46652009e3752046abfcd5ee095dfc9952bb0fd2a8c9b698dcd3ca'),
+    ('binomial_call_short_put', 'price-super'): (0, 'c532f7d0213437f01e877552d54c0c97063beb1dd6ff5c185af1adce514fbf58'),
     ('strict_chain_market', 'ftap'): (0, 'b77d67426bdf339cf14d69394ee855e1bd2e641f198af0965008ad09b1b6dd56'),
     ('strict_chain_market', 'price-sub'): (0, '1b4d3cde1a90114e3a4127f6a35791a6de906b20d9910ddc16fdd20453fca7e6'),
     ('strict_chain_market', 'price-super'): (0, 'c447f665eef012fbba9036b240454ff15d8d6f287d07c637f0da2395ece10018'),
     ('trinomial_two_kernels', 'ftap'): (0, '50acfd96fa9a88892f9479dc378916c4163e2989bee9e9b054b9fef80772968b'),
-    ('trinomial_two_kernels', 'price-sub'): (0, '28f0920919ad429318672c312f681493a85077ac6982b604f2fd02dd93b1b38f'),
-    ('trinomial_two_kernels', 'price-super'): (0, '1dcd37317f7ec009e68609c20938e6e6c08149d40d31652156861d50d0dafbf8'),
+    ('trinomial_two_kernels', 'price-sub'): (0, '693e5fba575d50807e34a802a9d9f952c5a21a349bb45d4e6bc5d22c154f63bb'),
+    ('trinomial_two_kernels', 'price-super'): (0, 'b063e11e869de1cd338781e617bbcb1dd8543d3c12dabd5bc1406846f43dbc49'),
     ('binomial_kernel', 'ftap'): (0, '8ea27bce6f01b8a29fd453f37acad022c8d060cae3363a3761d0449c77e737c4'),
-    ('binomial_kernel', 'price-sub'): (0, '847128feb0f810ffbf5d239de4c2d71a69a090fe95cb979ee3b72673e7ff1f94'),
-    ('binomial_kernel', 'price-super'): (0, '4ed6c02bc3c2a580ab3cbaadacf19d3d5f3ac1dfeb63248646acfd76055ce79a'),
+    ('binomial_kernel', 'price-sub'): (0, '28eae5aa1db72548f8a0fc99369e58341f27f34a0680f94fd63d5f78f9db08a6'),
+    ('binomial_kernel', 'price-super'): (0, '2887fe9c4c12ed07be6f905f4ed3b54bcbca396c01523423cab67885dd91ddb2'),
 }
 
 
