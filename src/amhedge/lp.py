@@ -22,27 +22,18 @@ Each certificate is re-checked in integers against the LP alone, never
 the tableau.  The solver never touches floats.  A failed internal check
 raises LPInternalError rather than returning a wrong answer.
 
-Every solve presolves (``_Presolve``) between the image and the tableau.
-It merges away each homogeneous doubleton equality a_j x_j + a_k x_k = 0
-(an ``=`` row, rhs 0, two nonzeros) where x_j is free, or both variables
-are nonnegative with opposite signs: x_j = nu*y, x_k = mu*y with
-(nu, mu) = (-a_k, a_j)/gcd and mu > 0 spans the row's solutions exactly,
-y taking x_k's sign, so the row goes and y gets the column
-nu*col_j + mu*col_k.  Rows that this leaves as such pairs are merged in
-turn.  The tableau runs on the surviving rows and columns only, and each
-result is lifted back in reverse order of merging: a point or a ray by
-x_j = nu*y, x_k = mu*y, and the dual (or Farkas entry, with c_j = 0) of a
-merged row by y_r = (c_j - sum_{i != r} y_i a_ij) / a_rj, column j read as
-it stood when merged.  The lifted duals are feasible:
-
-* column j is tight by construction, whatever its sign;
-* column y's dual row, mu*(sum_{i != r} y_i a_ik - c_k) against
-  nu*(c_j - sum_{i != r} y_i a_ij) = nu*a_rj*y_r = -mu*a_rk*y_r, is column
-  k's dual row times mu > 0, with y's sense, which is k's;
-* b_r = 0, so y.b, like c.x, is unchanged.
-
-The certificate checks then read the lifted vectors against the LP that
-was asked and its own image.
+Every solve first presolves (``_Presolve``): each homogeneous doubleton
+equality a_j x_j + a_k x_k = 0 with x_j free, or with both variables
+nonnegative and of opposite signs, is merged away by x_j = nu*y,
+x_k = mu*y, (nu, mu) = (-a_k, a_j)/gcd, mu > 0, y taking x_k's sign and
+the column nu*col_j + mu*col_k; rows this leaves as such pairs follow.
+The tableau runs what remains.  Each result is lifted back in reverse
+order: points and rays by the substitution, a merged row's dual (or
+Farkas entry, with c_j = 0) by y_r = (c_j - sum_{i != r} y_i a_ij)/a_rj,
+column j as it stood when merged.  These duals are feasible: column j is
+tight; y's dual row, mu*(sum_{i != r} y_i a_ik - c_k) against
+nu*(c_j - sum_{i != r} y_i a_ij) = -mu*a_rk*y_r, is k's times mu > 0, in
+k's sense; and b_r = 0 leaves y.b as it was.
 """
 from __future__ import annotations
 
