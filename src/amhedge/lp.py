@@ -436,11 +436,11 @@ class _Presolve:
         rels, nonneg, m = [row.rel for row in lp.rows], lp.nonneg, lp.num_rows
         self.rels, self.nonneg, self.image, self.rows = rels, nonneg, image, range(m)
         self.steps: list[tuple[int, int, int, int, int, dict[int, int]]] = []
-        coeffs = [a for a, _, _ in image]
-        live = lambda i: rels[i] == "=" and not image[i][1] and len(coeffs[i]) == 2
-        queue = [i for i in range(m) if live(i) and _pair(coeffs[i], nonneg)]
+        queue = [i for i, (rel, (a, b, _)) in enumerate(zip(rels, image))
+                 if rel == "=" and not b and _pair(a, nonneg)]
         if not queue:
             return
+        coeffs = [a for a, _, _ in image]
         nonneg, owned, gone = list(nonneg), [False] * (m + 1), set()
         where: list[set[int]] = [set() for _ in nonneg]
         for i, a in enumerate(coeffs):
@@ -470,7 +470,8 @@ class _Presolve:
                     where[k].add(i)
                 elif a.pop(k, 0):
                     where[k].remove(i)
-            queue.extend(sorted(i for i in touched if i < m and live(i)))
+            queue.extend(sorted(i for i in touched if i < m and len(coeffs[i]) == 2
+                                and rels[i] == "=" and not image[i][1]))
         self.rows = [i for i in range(m) if i not in gone]
         self.rels, self.nonneg = [rels[i] for i in self.rows], nonneg
         self.image = [(coeffs[i], *image[i][1:]) if owned[i] else image[i]
