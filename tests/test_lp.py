@@ -441,7 +441,7 @@ def _random_pair_lp(rng: random.Random) -> tuple[LinearProgram, dict[int, str]]:
     (both nonnegative, opposite signs), "free" (x_j free, x_k
     nonnegative), "free-free", or "same" (both nonnegative, same sign,
     which the presolve keeps).  A "cascade" row over both variables of a
-    pair and one other becomes a pair once the first is merged.  One or
+    pair and one other becomes a pair once that pair is merged.  One or
     two general rows follow, and half the draws box every variable, so
     optimal, infeasible and unbounded LPs all occur.
     """
@@ -734,7 +734,11 @@ def test_one_integer_image_per_solve(monkeypatch):
 
 
 def _start(rows, nonneg=(True, True, True)):
-    """(flip, starting basic column kind) of each row of a fresh tableau."""
+    """(flip, starting basic column kind) of each row of a fresh tableau.
+
+    The tableau is built on the rows as written, not presolved, so a
+    two-term ``=`` row the presolve would merge still reaches the start rule.
+    """
     lp = LinearProgram()
     xs = [lp.add_var(f"x{j}", nonneg=pos) for j, pos in enumerate(nonneg)]
     for coeffs, rel, rhs in rows:
