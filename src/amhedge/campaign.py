@@ -57,10 +57,7 @@ __all__ = [
     "EPS_GRID",
     "BOUNDARY_OFFSET",
     "GeneratedModel",
-    "binomial_call",
-    "binomial_call_short_put",
     "strict_chain_market",
-    "trinomial_two_kernels",
     "random_tree",
     "random_stock",
     "node_interior",
@@ -93,39 +90,6 @@ _MAX_TAUS = 150
 # -- canonical fixtures --------------------------------------------------------
 
 
-def binomial_call() -> MarketModel:
-    """One-period two-state market with an at-the-money call claim."""
-    return load_model({
-        "horizon": 1,
-        "nodes": [
-            {"id": "r", "time": 0},
-            {"id": "u", "time": 1, "parent": "r"},
-            {"id": "d", "time": 1, "parent": "r"},
-        ],
-        "stock": {"dim": 1, "values": {"r": ["1"], "u": ["2"], "d": ["1/2"]}},
-        "claim": {"values": {"r": "0", "u": "1", "d": "0"}},
-        "weights": {"u": "1/2", "d": "1/2"},
-    })
-
-
-def binomial_call_short_put() -> MarketModel:
-    """The binomial call market plus one shorted put quoted at 1/4."""
-    return load_model({
-        "horizon": 1,
-        "nodes": [
-            {"id": "r", "time": 0},
-            {"id": "u", "time": 1, "parent": "r"},
-            {"id": "d", "time": 1, "parent": "r"},
-        ],
-        "stock": {"dim": 1, "values": {"r": ["1"], "u": ["2"], "d": ["1/2"]}},
-        "claim": {"values": {"r": "0", "u": "1", "d": "0"}},
-        "americans_short": [
-            {"values": {"r": "0", "u": "0", "d": "1/2"}, "price": "1/4"},
-        ],
-        "weights": {"u": "1/2", "d": "1/2"},
-    })
-
-
 def strict_chain_market() -> MarketModel:
     """Trinomial market whose best stopped value sits strictly under the
     super-hedging price: exercising against the shorted ask is worth
@@ -151,23 +115,6 @@ def strict_chain_market() -> MarketModel:
         ],
         "claim": {"values": {"n0": "3/4", "n1": "0", "n2": "7/6", "n3": "1"}},
         "weights": {"n1": "1/3", "n2": "1/3", "n3": "1/3"},
-    })
-
-
-def trinomial_two_kernels() -> MarketModel:
-    """One-period three-state market carrying a two-vertex kernel family."""
-    return load_model({
-        "horizon": 1,
-        "nodes": [
-            {"id": "r", "time": 0},
-            {"id": "a", "time": 1, "parent": "r"},
-            {"id": "b", "time": 1, "parent": "r"},
-            {"id": "c", "time": 1, "parent": "r"},
-        ],
-        "stock": {"dim": 1, "values": {"r": ["1"], "a": ["2"], "b": ["1"], "c": ["1/2"]}},
-        "claim": {"values": {"r": "0", "a": "1", "b": "0", "c": "0"}},
-        "weights": {"a": "1/3", "b": "1/3", "c": "1/3"},
-        "kernels": {"r": [["1/2", "0", "1/2"], ["1/4", "1/2", "1/4"]]},
     })
 
 
@@ -944,7 +891,6 @@ def check_robust_model(
         "sub": rat_str(sub.price),
         "super": rat_str(sup.price),
         "stock_only": rat_str(stock_only),
-        "dp_lps": dp.lp_count,
         "epsilon": rat_str(cert.slack) if cert.slack is not None else None,
     }
 

@@ -65,8 +65,8 @@ def _build_parser() -> _Parser:
             p.add_argument("--model", required=True, help="model JSON file")
             p.add_argument("--gamma-override", action="append", default=[],
                            metavar="K=P/Q", help="replace bid K of the shorted asks")
-        p.add_argument("--clock-weights", choices=["uniform", "skewed"],
-                       default="uniform", help="reference clock profile")
+            p.add_argument("--clock-weights", choices=["uniform", "skewed"],
+                           default="uniform", help="reference clock profile")
         p.add_argument("--seed", type=int, default=0, help="echoed into the report")
         p.add_argument("--out", help="write the JSON report here instead of stdout")
         p.add_argument("--pretty", action="store_true",
@@ -121,12 +121,12 @@ def _load(args) -> MarketModel:
 def _config(args) -> dict:
     doc = {
         "command": args.command,
-        "clock_weights": args.clock_weights,
         "seed": args.seed,
     }
     if hasattr(args, "model"):
         doc["model"] = args.model
         doc["gamma_overrides"] = list(args.gamma_override)
+        doc["clock_weights"] = args.clock_weights
     if hasattr(args, "side"):
         doc["side"] = args.side
     if hasattr(args, "models"):
@@ -174,7 +174,8 @@ def cmd_price(args) -> int:
     doc["price"] = rat_str(report.price)
     doc["gap"] = rat_str(report.gap)
     _emit(doc, args)
-    _say(args, f"{args.side}-hedging price {doc['price']} (duality gap {doc['gap']})")
+    _say(args, f"{args.side}-hedging price {doc['price']} (duality gap {doc['gap']}); "
+               f"LP {report.lp_rows} rows, {report.lp_cols} cols, {report.pivots} pivots")
     return EXIT_OK
 
 

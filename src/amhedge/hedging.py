@@ -91,11 +91,12 @@ class SemiStaticStrategy:
 
     def to_json(self, enl: EnlargedModel) -> dict:
         lab = lambda v: enl.enode(v).label
+        stock: dict[str, dict[str, str]] = {}
+        for (v, d), x in self.stock.items():
+            if x:
+                stock.setdefault(lab(v), {})[str(d)] = rat_str(x)
         return {
-            "stock": {
-                lab(v): {str(d): rat_str(x) for (vv, d), x in self.stock.items() if vv == v and x}
-                for v in sorted({v for (v, _d), x in self.stock.items() if x})
-            },
+            "stock": stock,
             "long_european": [rat_str(a) for a in self.long_european],
             "long_american": [rat_str(b) for b in self.long_american],
             "short_american": [rat_str(c) for c in self.short_american],
@@ -351,7 +352,6 @@ class HedgeReport:
             "gap": rat_str(self.gap) if self.gap is not None else None,
             "dual_ref": {"kind": f"dual_{self.kind}", "value": rat_str(self.price),
                          "measure": measure} if measure else None,
-            "lp": {"rows": self.lp_rows, "cols": self.lp_cols, "pivots": self.pivots},
             "paths": self.num_paths,
         }
         if self.exercise is not None:

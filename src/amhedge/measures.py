@@ -350,7 +350,6 @@ class MeasurePolytope:
         min_slack: Q | None = None,
         floor: dict[int, Q] | None = None,
         prices: bool = True,
-        strict: bool = False,
     ) -> tuple[bool, list[dict]]:
         """Re-evaluate every constraint directly from the data of enl.model.
 
@@ -359,11 +358,10 @@ class MeasurePolytope:
         times their weight: Q(p) >= s * floor(p) (1 on every path by
         default, 0 off its paths), and each price row by s, or with
         ``prices`` False by 0.  Positivity holds with Q(p) >= 0 as well.
-        With ``strict``, margins must merely be positive.  No LP state is
-        consulted.
+        No LP state is consulted.
         """
         ledger = [_ledger_entry(*row)
-                  for row in self._verdicts(measure, min_slack, floor, prices, strict)]
+                  for row in self._verdicts(measure, min_slack, floor, prices)]
         return all(e["ok"] for e in ledger), ledger
 
     def _verdicts(
@@ -371,7 +369,7 @@ class MeasurePolytope:
         floor: dict[int, Q] | None = None, prices: bool = True, strict: bool = False,
     ) -> Iterator[tuple[str, int, Relation, int, int, bool]]:
         """(name, lhs, relation, rhs, den, ok) of each row of _evaluated_rows,
-        judged as check says."""
+        judged as check says; with ``strict``, margins must be positive."""
         if min_slack is not None:
             sn, sd = int(min_slack.numerator), int(min_slack.denominator)
         for name, lhs, rel, rhs, den, path in self._evaluated_rows(measure):

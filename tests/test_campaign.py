@@ -11,8 +11,6 @@ import pytest
 from amhedge import campaign, lp
 from amhedge.campaign import (
     BOUNDARY_OFFSET,
-    binomial_call,
-    binomial_call_short_put,
     boundary_model,
     check_depth_zero,
     check_robust_model,
@@ -24,7 +22,6 @@ from amhedge.campaign import (
     random_tree,
     run_campaign,
     strict_chain_market,
-    trinomial_two_kernels,
 )
 from amhedge.enlarged import EnlargedModel, enlarge
 from amhedge.errors import PropertyViolation
@@ -39,19 +36,19 @@ from amhedge.measures import (
 from amhedge.rationals import ONE, Q, ZERO
 from amhedge.robust import supported_paths
 
-from conftest import binomial_dict
+from conftest import binomial_dict, binomial_short_put_dict
+from test_report_bytes import CAMPAIGN_MODELS
 
 
 def test_fixture_markets_round_trip():
-    for factory in (binomial_call, binomial_call_short_put,
-                    strict_chain_market, trinomial_two_kernels):
+    for factory in CAMPAIGN_MODELS.values():
         model = factory()
         again = load_model(emit_model(model))
         assert emit_model(again) == emit_model(model)
 
 
 def test_short_put_slack_matches_hand_value():
-    model = binomial_call_short_put()
+    model = load_model(binomial_short_put_dict())
     enl = enlarge(model, model.N)
     cert = ftap_certificate(build_polytope(enl))
     assert cert.holds and cert.slack == Q(1, 24)

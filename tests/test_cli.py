@@ -96,6 +96,31 @@ def test_pretty_mode(model_file, capsys):
     assert "1/3" in err
 
 
+def _keys(doc) -> set:
+    """Every key of a parsed JSON report, at any depth."""
+    if isinstance(doc, dict):
+        return set(doc).union(*map(_keys, doc.values()))
+    if isinstance(doc, list):
+        return set().union(*map(_keys, doc))
+    return set()
+
+
+def test_solver_telemetry_stays_off_stdout(model_file, capsys):
+    model = load_model(Path(model_file).read_bytes())
+    for side, n in (("sub", model.N), ("super", model.N + 1)):
+        argv = ["price", "--model", model_file, "--side", side]
+        _, plain, _ = run(argv, capsys)
+        code, pretty, err = run([*argv, "--pretty"], capsys)
+        assert code == 0 and "lp" not in _keys(json.loads(plain))
+        assert json.loads(pretty) == json.loads(plain)
+        # the tableau of the same request, on the --pretty summary only
+        report, _ = measures.price_with_dual(enlarge(model, n), side)
+        assert f"LP {report.lp_rows} rows, {report.lp_cols} cols, {report.pivots} pivots" in err
+    _, out, _ = run(["verify", "--models", "1", "--seed", "7"], capsys)
+    doc = json.loads(out)
+    assert doc["campaign"]["counts"]["kernel"] > 0 and "dp_lps" not in _keys(doc)
+
+
 def test_out_flag_writes_file(model_file, tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out, _ = run(["price", "--model", model_file, "--side", "sub",
@@ -226,6 +251,13 @@ def test_usage_error_exits_schema(model_file, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["price", "--model", model_file, "--side", "sideways"])
     assert exc.value.code == 4
+
+
+def test_verify_takes_no_clock_weights(capsys):
+    # the campaign runs its own clock profiles, so the option would only be echoed
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--clock-weights", "skewed"])
+    assert exc.value.code == 4 and "--clock-weights" in capsys.readouterr().err
 
 
 def test_property_violation_exit(model_file, capsys, monkeypatch):

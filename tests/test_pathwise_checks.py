@@ -23,7 +23,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amhedge.campaign import binomial_call_short_put
 from amhedge.divisible import RevealedModel
 from amhedge.enlarged import enlarge
 from amhedge.errors import PropertyViolation
@@ -220,7 +219,7 @@ def test_measure_check_rejects(side, family):
 
 def test_positivity_rows_at_a_slack():
     # below zero the slack excuses a price row's shortfall, never a negative mass
-    model = binomial_call_short_put().with_prices(gammas=[Q(3, 4)])
+    model = load_model(binomial_short_put_dict()).with_prices(gammas=[Q(3, 4)])
     pt = build_polytope(enlarge(model, model.N))
     cert = ftap_certificate(pt)
     assert not cert.holds and cert.slack == Q(-5, 12)
@@ -229,7 +228,7 @@ def test_positivity_rows_at_a_slack():
     measure[p] = -EPS
     assert "pos" in _failed(pt, measure, min_slack=cert.slack)
     # a floor scales the slack path by path, and is 0 off its paths
-    model = binomial_call_short_put()
+    model = load_model(binomial_short_put_dict())
     pt = build_polytope(enlarge(model, model.N))
     cert = ftap_certificate(pt)
     assert cert.holds
@@ -277,14 +276,14 @@ def _at_floor(pt, cert, floor=None):
 
 
 def test_slack_reader_rejects_an_unexpected_status(monkeypatch):
-    pt = build_polytope(enlarge(binomial_call_short_put(), 1))
+    pt = build_polytope(enlarge(load_model(binomial_short_put_dict()), 1))
     _slack_lp_returns(monkeypatch, lambda pt, out: dataclasses.replace(out, status="unbounded"))
     with pytest.raises(PropertyViolation, match="^slack LP unexpectedly unbounded$"):
         ftap_certificate(pt)
 
 
 def _short_put_reader(**kwargs):
-    model = binomial_call_short_put()
+    model = load_model(binomial_short_put_dict())
     return build_polytope(enlarge(model, model.N)), kwargs
 
 
@@ -313,7 +312,7 @@ def test_slack_reader_rejects_a_path_below_the_slack(monkeypatch, reader):
 
 
 def test_closed_slack_reader_rejects_a_price_row_past_its_quote(monkeypatch):
-    model = binomial_call_short_put()
+    model = load_model(binomial_short_put_dict())
     enl = enlarge(model, model.N)
     pt = build_polytope(enl)
     cert = ftap_certificate(pt, prices=False)

@@ -4,8 +4,9 @@ Each fixture model is written to ``model.json`` in a fresh working
 directory, so the echoed ``--model`` path is the same on every run, and
 the exit code plus the sha256 of stdout are compared with values
 recorded before the hedging, duality and polytope code was consolidated.
-Any change to a price, certificate, strategy vertex or LP size shows up
-here as a different digest.
+Any change to a price, certificate or strategy vertex shows up here as a
+different digest; the reports carry no solver state, so a change to the
+LP's size or pivot path alone does not.
 """
 from __future__ import annotations
 
@@ -18,14 +19,15 @@ from amhedge import campaign
 from amhedge.cli import main
 from amhedge.market import emit_model, load_model
 
-from conftest import binomial_dict
+from conftest import binomial_dict, binomial_short_put_dict, trinomial_dict
 
 CONFTEST_MODELS = ("binomial", "binomial_short_put", "trinomial", "two_period")
 CAMPAIGN_MODELS = {
-    "binomial_call": campaign.binomial_call,
-    "binomial_call_short_put": campaign.binomial_call_short_put,
+    "binomial_call": lambda: load_model(binomial_dict()),
+    "binomial_call_short_put": lambda: load_model(binomial_short_put_dict()),
     "strict_chain_market": campaign.strict_chain_market,
-    "trinomial_two_kernels": campaign.trinomial_two_kernels,
+    "trinomial_two_kernels": lambda: load_model({
+        **trinomial_dict(), "kernels": {"r": [["1/2", "0", "1/2"], ["1/4", "1/2", "1/4"]]}}),
     "binomial_kernel": lambda: load_model(binomial_dict(kernels={"r": [["1/2", "1/2"]]})),
 }
 COMMANDS = {
