@@ -25,7 +25,7 @@ from amhedge.robust import supported_paths
 from conftest import binomial_dict, binomial_put_book_dict, trinomial_kernels_dict
 from test_report_bytes import CAMPAIGN_MODELS
 
-VERIFY_SMALL_SHA256 = "5db427110c6a4cebd5bd3dfe16f55dee33d4140505711c196ac58470120ed51d"
+VERIFY_SMALL_SHA256 = "590d2a10fe78ff822255512af751598318d6a598a8b98a71426e21966fd73cf6"
 
 
 @pytest.fixture()

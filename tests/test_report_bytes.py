@@ -39,32 +39,32 @@ COMMANDS = {
 # (exit code, sha256 of stdout) per model and command
 EXPECTED = {
     ('binomial', 'ftap'): (0, '17456d44c03eb9813298f579f1ca8b8aea33b182c21551b36109792ce55db1f8'),
-    ('binomial', 'price-sub'): (0, '4b2e924b6057b399ddf0ebef7166e1f730cb13cf0ea5870e81afb6966cce01b3'),
-    ('binomial', 'price-super'): (0, '9ea4556fb3901297bb67d94ffc4f5bae8a07d940e539706005fb51cfa875fc72'),
+    ('binomial', 'price-sub'): (0, '780adc1246e519dace66bac96024bf3e83f8f7855cabc646ae3d45d53a6dde85'),
+    ('binomial', 'price-super'): (0, '5ba01681793c8f0bcff10501604f2be18fd9735fc528ad5e8a3f1368c169e281'),
     ('binomial_short_put', 'ftap'): (0, '34e61e017b0006d243ffe171bc5d5a73b358c21697d93caaf68a57fb89f458f4'),
-    ('binomial_short_put', 'price-sub'): (0, '5aca29472b46652009e3752046abfcd5ee095dfc9952bb0fd2a8c9b698dcd3ca'),
-    ('binomial_short_put', 'price-super'): (0, 'c532f7d0213437f01e877552d54c0c97063beb1dd6ff5c185af1adce514fbf58'),
+    ('binomial_short_put', 'price-sub'): (0, '43b57e78468ed8d13faed232dc7a3ac32063d0650485eafd3295adb993445420'),
+    ('binomial_short_put', 'price-super'): (0, '83e04ef1f4892f2b52206fb205031e8aee654e51c4107ade12a62ab834506f4a'),
     ('trinomial', 'ftap'): (0, '2987fe694fe4434c33ff2d72171ffe8b306592de2c3e6601e481adb27279f96f'),
-    ('trinomial', 'price-sub'): (0, 'cf3040de1f284399e11a55912f9124507fb55961e15f6ee43f279d6ef297aebd'),
-    ('trinomial', 'price-super'): (0, '6e7c58c6de1f47c3c91952f1ba4a9d678ba6b13f7f35a31df8f7abe53d1977f4'),
+    ('trinomial', 'price-sub'): (0, '5156de6a0faed2c68121b3ad6981489a7c758a409e97597488ffd2d5fdf53196'),
+    ('trinomial', 'price-super'): (0, '5273482b73a35e03a506df37058881ccba23a2c4f0e168e2a8157698978d04fc'),
     ('two_period', 'ftap'): (0, '4bbe273b6f2f6d5b45ad96819162ce6742bd8f9d10319ba5ef918ab041238f57'),
-    ('two_period', 'price-sub'): (0, 'afb5fa1e9c89d73c33bd5ee44f580631a2a1f262a434e848d27a3842ee3705b4'),
-    ('two_period', 'price-super'): (0, 'b6467a13e66d629e6853698c2271b1cadefe834da73743b89967ab4cfc02dc1e'),
+    ('two_period', 'price-sub'): (0, '0d9f639b469536440378c13fc231363561f85d0d2065bd5662ec1ddcfbe40249'),
+    ('two_period', 'price-super'): (0, 'cd0319da471820dd83346d194f65d26aae58b92a64674f830ce21817396f079d'),
     ('binomial_call', 'ftap'): (0, '17456d44c03eb9813298f579f1ca8b8aea33b182c21551b36109792ce55db1f8'),
-    ('binomial_call', 'price-sub'): (0, '4b2e924b6057b399ddf0ebef7166e1f730cb13cf0ea5870e81afb6966cce01b3'),
-    ('binomial_call', 'price-super'): (0, '9ea4556fb3901297bb67d94ffc4f5bae8a07d940e539706005fb51cfa875fc72'),
+    ('binomial_call', 'price-sub'): (0, '780adc1246e519dace66bac96024bf3e83f8f7855cabc646ae3d45d53a6dde85'),
+    ('binomial_call', 'price-super'): (0, '5ba01681793c8f0bcff10501604f2be18fd9735fc528ad5e8a3f1368c169e281'),
     ('binomial_call_short_put', 'ftap'): (0, '34e61e017b0006d243ffe171bc5d5a73b358c21697d93caaf68a57fb89f458f4'),
-    ('binomial_call_short_put', 'price-sub'): (0, '5aca29472b46652009e3752046abfcd5ee095dfc9952bb0fd2a8c9b698dcd3ca'),
-    ('binomial_call_short_put', 'price-super'): (0, 'c532f7d0213437f01e877552d54c0c97063beb1dd6ff5c185af1adce514fbf58'),
+    ('binomial_call_short_put', 'price-sub'): (0, '43b57e78468ed8d13faed232dc7a3ac32063d0650485eafd3295adb993445420'),
+    ('binomial_call_short_put', 'price-super'): (0, '83e04ef1f4892f2b52206fb205031e8aee654e51c4107ade12a62ab834506f4a'),
     ('strict_chain_market', 'ftap'): (0, 'b77d67426bdf339cf14d69394ee855e1bd2e641f198af0965008ad09b1b6dd56'),
-    ('strict_chain_market', 'price-sub'): (0, '1b4d3cde1a90114e3a4127f6a35791a6de906b20d9910ddc16fdd20453fca7e6'),
-    ('strict_chain_market', 'price-super'): (0, 'c447f665eef012fbba9036b240454ff15d8d6f287d07c637f0da2395ece10018'),
+    ('strict_chain_market', 'price-sub'): (0, '102725d4fd12b78505409f42f7c4fbeaab304eaca10f336c284440dddb7e3b32'),
+    ('strict_chain_market', 'price-super'): (0, '4e9551d2d99861fd5330461854b4255233eaf0d1702d5ad1ac1210753ea23d39'),
     ('trinomial_two_kernels', 'ftap'): (0, '50acfd96fa9a88892f9479dc378916c4163e2989bee9e9b054b9fef80772968b'),
-    ('trinomial_two_kernels', 'price-sub'): (0, '693e5fba575d50807e34a802a9d9f952c5a21a349bb45d4e6bc5d22c154f63bb'),
-    ('trinomial_two_kernels', 'price-super'): (0, 'b063e11e869de1cd338781e617bbcb1dd8543d3c12dabd5bc1406846f43dbc49'),
+    ('trinomial_two_kernels', 'price-sub'): (0, '2da49f13d2b120570ff0f875496c0f8a3d672e7d0313f1ee602f9f5d4d1fa713'),
+    ('trinomial_two_kernels', 'price-super'): (0, '08bd1f1f5bf7aed87e50ddff3e4a078fb9aaab76102628a572caf04beac0caeb'),
     ('binomial_kernel', 'ftap'): (0, '8ea27bce6f01b8a29fd453f37acad022c8d060cae3363a3761d0449c77e737c4'),
-    ('binomial_kernel', 'price-sub'): (0, '28eae5aa1db72548f8a0fc99369e58341f27f34a0680f94fd63d5f78f9db08a6'),
-    ('binomial_kernel', 'price-super'): (0, '2887fe9c4c12ed07be6f905f4ed3b54bcbca396c01523423cab67885dd91ddb2'),
+    ('binomial_kernel', 'price-sub'): (0, '1238d94170a730093af304e384fb955692af8957f52ba5cebbdbdf47dcf984ea'),
+    ('binomial_kernel', 'price-super'): (0, '7f706588b20bc7f57518efe329da5a7f85b8f090c99bfd739e5734896d3c567f'),
 }
 
 
