@@ -30,10 +30,10 @@ from amhedge.rationals import rat_str
 from test_report_bytes import CAMPAIGN_MODELS, COMMANDS, CONFTEST_MODELS, _model
 
 # (number of LPs solved, sha256 of their sorted fingerprints)
-EXPECTED_CLI = (27, "32643a5c7fb4e84b8b4b2a047c382c73573216dfea9c1b63e3d690e95e3a3c5f")
+EXPECTED_CLI = (31, "3ad5302e59a8a8d1e112d374ab62e8efbd3b3036820a81c68d02877ea1fea6a7")
 EXPECTED_VERIFY = (295, "e5688d18c444f13be57a1fdaa4110cb1c9ddd446ea5b75ce87fc6abcc8cff212")
 # (number of pivots, sha256 of the sorted (fingerprint, pivot sequence) pairs)
-EXPECTED_CLI_PIVOTS = (93, "9395d6ba6edceffef9aeea35109ffa2c35a1ab9f42ffa4f5dfaa774aa74664c4")
+EXPECTED_CLI_PIVOTS = (143, "35adadc77ae0a3a3196cda57c87fd6173a0c1bd15af7c820c949da66f456ae11")
 EXPECTED_VERIFY_PIVOTS = (1955, "e9b01c7def0d516487439cd554e20dd4f38a2c1899f9c4ac97d97a7529998b53")
 
 

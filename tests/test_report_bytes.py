@@ -19,7 +19,7 @@ from amhedge import campaign
 from amhedge.cli import main
 from amhedge.market import emit_model, load_model
 
-from conftest import binomial_dict, binomial_short_put_dict, trinomial_dict
+from conftest import binomial_dict, binomial_short_put_dict, trinomial_dict, trinomial_kernels_dict
 
 CONFTEST_MODELS = ("binomial", "binomial_short_put", "trinomial", "two_period")
 CAMPAIGN_MODELS = {
@@ -29,6 +29,8 @@ CAMPAIGN_MODELS = {
     "trinomial_two_kernels": lambda: load_model({
         **trinomial_dict(), "kernels": {"r": [["1/2", "0", "1/2"], ["1/4", "1/2", "1/4"]]}}),
     "binomial_kernel": lambda: load_model(binomial_dict(kernels={"r": [["1/2", "1/2"]]})),
+    # kernels that never charge the middle move: a proper support
+    "trinomial_kernels": lambda: load_model(trinomial_kernels_dict(2)),
 }
 COMMANDS = {
     "price-sub": ["price", "--model", "model.json", "--side", "sub"],
@@ -65,6 +67,9 @@ EXPECTED = {
     ('binomial_kernel', 'ftap'): (0, '8ea27bce6f01b8a29fd453f37acad022c8d060cae3363a3761d0449c77e737c4'),
     ('binomial_kernel', 'price-sub'): (0, '1238d94170a730093af304e384fb955692af8957f52ba5cebbdbdf47dcf984ea'),
     ('binomial_kernel', 'price-super'): (0, '7f706588b20bc7f57518efe329da5a7f85b8f090c99bfd739e5734896d3c567f'),
+    ('trinomial_kernels', 'ftap'): (0, 'bc807cb10ab53db549880f64096097f53e285255c61a8e9572212f36f150137f'),
+    ('trinomial_kernels', 'price-sub'): (0, '5473599caff9c5f0655a0d27885bc08c7b0938bbd372083a3a5efe5760b8317a'),
+    ('trinomial_kernels', 'price-super'): (0, 'dac76be601ec6ab0d5faeb6f7af95474c73a13294e5830f176cc48a6921b29bd'),
 }
 
 
