@@ -46,8 +46,7 @@ from .robust import (
     robust_na,
     selectors,
     submarket_slacks,
-    supported_enodes,
-    supported_paths,
+    supported_space,
     verify_minimax,
     vertex_measure,
 )
@@ -783,8 +782,8 @@ def check_singleton_robust(
     enl_sub, enl_sup = enl.with_model(model), enl_sup.with_model(model)
     if not robust_na(enl_sub)[1].holds:
         raise PropertyViolation("singleton family reports arbitrage in a clean market")
-    sub, pt_sub = price_with_dual(enl_sub, "sub", paths=supported_paths(enl_sub))
-    sup = price_with_dual(enl_sup, "super", paths=supported_paths(enl_sup))[0]
+    sub, pt_sub = price_with_dual(supported_space(enl_sub), "sub")
+    sup = price_with_dual(supported_space(enl_sup), "super")[0]
     if rat_str(sub.price) != duality["sub"] or rat_str(sup.price) != duality["super"]:
         raise PropertyViolation("singleton family moved a hedging price")
     holds = ftap_certificate(pt_sub).holds
@@ -817,7 +816,7 @@ def selector_sweep(pt: MeasurePolytope) -> bool:
     Holds iff for every selector product measure P of the kernels of
     pt.enl some e > 0 admits a measure in the e-shifted polytope pt
     dominating e*P.  This is the oracle of the one uniform-slack LP of
-    ftap_certificate on the supported paths, and of robust_na on the
+    ftap_certificate on the supported space, and of robust_na on the
     stock-only market's polytope, which has no price rows.  Selectors
     that share a vertex measure share one LP (ftap_certificate with
     floor P, whose witness clears every price row by e and dominates
@@ -855,25 +854,25 @@ def check_robust_model(
         raise PropertyViolation("kernel factory promised no arbitrage but it fails")
 
     try:
-        stock = enlarge(drop_options(model), 1)
-        stock_only = price_with_dual(stock, "super", paths=supported_paths(stock))[0].price
+        stock = supported_space(enlarge(drop_options(model), 1))
+        stock_only = price_with_dual(stock, "super")[0].price
     except SnaFailure as exc:
         raise PropertyViolation("stock-only super-hedge is unbounded") from exc
-    supported = supported_paths(enl_sup)
-    dp = dp_superhedge(enl_sup, extend_claim(enl_sup, "super"), paths=supported)
+    supported = supported_space(enl_sup)
+    dp = dp_superhedge(supported, extend_claim(supported, "super"))
     if stock_only != dp.value:
         raise PropertyViolation(
             "stock-only price disagrees with its backward induction")
 
     # the quasi-sure prices, with the supported polytopes ftap_transfer reads
-    sub, pt_sub = price_with_dual(enl_sub, "sub", paths=supported_paths(enl_sub))
-    sup, pt_sup = price_with_dual(enl_sup, "super", paths=supported)
+    sub, pt_sub = price_with_dual(supported_space(enl_sub), "sub")
+    sup, pt_sup = price_with_dual(supported, "super")
     if not sub.price <= sup.price <= stock_only:
         raise PropertyViolation("quasi-sure prices are not sandwiched")
 
     if model.L:
-        books = enlarge(drop_options(model, europeans=True), 1)
-        book = price_with_dual(books, "super", paths=supported_paths(books))[0]
+        books = supported_space(enlarge(drop_options(model, europeans=True), 1))
+        book = price_with_dual(books, "super")[0]
         if not sup.price <= book.price <= stock_only:
             raise PropertyViolation("static buy-side book is not sandwiched")
 
@@ -907,11 +906,11 @@ def check_robust_model(
         record["dropped_consistent"] = True
         # both supports follow the supported base paths, so an unchanged
         # n = N support leaves both price LPs, and sub and sup, as they are
-        paths2 = supported_paths(enl_sub2)
-        if paths2 != pt_sub.paths:
+        space2 = supported_space(enl_sub2)
+        if space2.epaths != pt_sub.enl.epaths:
             try:
-                sub2 = price_with_dual(enl_sub2, "sub", paths=paths2)[0]
-                sup2 = price_with_dual(enl_sup2, "super", paths=supported_paths(enl_sup2))[0]
+                sub2 = price_with_dual(space2, "sub")[0]
+                sup2 = price_with_dual(supported_space(enl_sup2), "super")[0]
             except SnaFailure:
                 record["dropped_consistent"] = False
             else:
@@ -924,13 +923,12 @@ def check_minimax_instance(
     rng: random.Random, enl: EnlargedModel, *, cap: int = DEFAULT_ENUM_CAP
 ) -> dict:
     """Liquidation/measure interchange on a kernel market's n = N space."""
+    space = supported_space(enl)
     num_streams = rng.choice([1, 2])
     streams = []
     for _ in range(num_streams):
-        streams.append({
-            v: _grid_value(rng, Q(-1), Q(2)) for v in supported_enodes(enl)
-        })
-    vertices = [vertex_measure(enl, sel) for sel in selectors(enl.model)]
+        streams.append({v: _grid_value(rng, Q(-1), Q(2)) for v in space.children})
+    vertices = [vertex_measure(space, sel) for sel in selectors(enl.model)]
     if len(vertices) > 3:
         tilted = []
         for base in vertices[:3]:
@@ -938,7 +936,7 @@ def check_minimax_instance(
             total = sum(tilt.values(), ZERO)
             tilted.append({p: q / total for p, q in tilt.items()})
         vertices = tilted
-    report = verify_minimax(enl, streams, vertices, cap=cap)
+    report = verify_minimax(space, streams, vertices, cap=cap)
     return {
         "value": rat_str(report.value),
         "streams": num_streams,

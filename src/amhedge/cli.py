@@ -27,7 +27,7 @@ from .lp import LPInternalError
 from .market import MarketModel, load_model
 from .measures import build_polytope, ftap_certificate, price_with_dual
 from .rationals import rat, rat_str
-from .robust import num_selectors, supported_paths
+from .robust import num_selectors, supported_space
 from .strategies import DEFAULT_ENUM_CAP
 
 EXIT_OK = 0
@@ -165,11 +165,10 @@ def cmd_price(args) -> int:
     doc["n"] = n
     doc["quasi_sure"] = bool(model.kernels)
     enl = enlarge(model, n, args.clock_weights)
-    paths = None
     if model.kernels:
-        paths = supported_paths(enl)
-        doc["supported_paths"] = len(paths)
-    report, _ = price_with_dual(enl, args.side, paths=paths)
+        enl = supported_space(enl)
+        doc["supported_paths"] = enl.num_paths
+    report, _ = price_with_dual(enl, args.side)
     doc["report"] = report.to_json(enl)
     doc["price"] = rat_str(report.price)
     doc["gap"] = rat_str(report.gap)
@@ -197,15 +196,15 @@ def cmd_ftap(args) -> int:
         doc["classical"]["arbitrage"] = arb.to_json(enl)
     verdict = cert
     if model.kernels:
-        paths = supported_paths(enl)
+        space = supported_space(enl)
         # kernels that support every path leave the classical LP
-        if len(paths) < enl.num_paths:
-            verdict = ftap_certificate(build_polytope(enl, paths=paths))
+        if space is not enl:
+            verdict = ftap_certificate(build_polytope(space))
         doc["robust"] = {
             "holds": verdict.holds,
             "epsilon": rat_str(verdict.slack) if verdict.slack is not None else None,
             "selectors": num_selectors(model),
-            "supported_paths": len(paths),
+            "supported_paths": space.num_paths,
         }
     _emit(doc, args)
     which = "robust" if model.kernels else "classical"

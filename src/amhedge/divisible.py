@@ -170,8 +170,8 @@ def verify_divisibility_equivalence(model: MarketModel) -> DivisibilityReport:
                                (sup_grid, sup, extend_claim(sup_grid, "super")),
                                (rev_grid, euro, [-v for v in psi])):
         gains, _ = check_hedge(space, report.strategy, ONE if report.kind == "super" else -ONE,
-                               report.price, rhs, paths=range(space.num_paths),
-                               exercise=report.exercise, kind=f"{report.kind} grid")
+                               report.price, rhs, exercise=report.exercise,
+                               kind=f"{report.kind} grid")
         checks += len(gains) + len(space.mixtures)
 
     sna_rows: list[tuple[Q, bool]] = []

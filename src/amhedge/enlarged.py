@@ -16,6 +16,7 @@ from __future__ import annotations
 import copy
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Literal
 
 from .errors import ModelFormatError
@@ -23,8 +24,6 @@ from .market import MarketModel
 from .rationals import ONE, Q
 
 ClockWeights = Literal["uniform", "skewed"]
-# a sub-forest: its nodes with the paths through each, and each node's children
-Forest = tuple[dict[int, list[int]], dict[int, tuple[int, ...]]]
 
 
 @dataclass(frozen=True)
@@ -139,17 +138,39 @@ class EnlargedModel:
         other._weights = None
         return other
 
-    def subforest(self, paths: Iterable[int]) -> Forest:
-        """The sub-forest spanned by ``paths``: its nodes in index order,
-        each with the paths through it in the given order, and each node's
-        children within it."""
-        through: dict[int, list[int]] = {}
-        for p in paths:
-            for v in self.epaths[p].node_seq:
-                through.setdefault(v, []).append(p)
-        through = {v: through[v] for v in sorted(through)}
-        kids = {v: tuple(c for c in self.children[v] if c in through) for v in through}
-        return through, kids
+    def restricted(self, paths: Iterable[int]) -> "EnlargedModel":
+        """This space on ``paths`` alone, in index order and renumbered 0..k-1.
+
+        The roots and children are cut to the sub-forest the paths span,
+        which becomes the copy's own forest; the node list, node indices
+        and labels are shared with this space, and path weights and keys
+        are recomputed.  A space that ties nodes or mixes paths is refused:
+        its tied pairs chain the members of a class, which a dropped node
+        would cut.
+        """
+        keep = sorted(set(paths))
+        if not keep:
+            raise ValueError("a restricted space needs at least one path")
+        if self.tied_pairs or self.mixtures:
+            raise ValueError("only a space without tied pairs or mixtures can be restricted")
+        other = copy.copy(self)
+        other.__dict__.pop("through", None)
+        other.epaths = [self.epaths[p] for p in keep]
+        nodes = {v for ep in other.epaths for v in ep.node_seq}
+        other.children = {v: tuple(c for c in self.children[v] if c in nodes)
+                          for v in sorted(nodes)}
+        other.roots = tuple(r for r in self.roots if r in nodes)
+        other._weights = other._path_key = None
+        return other
+
+    @cached_property
+    def through(self) -> dict[int, list[int]]:
+        """Each node of the forest, in index order, with the paths through it."""
+        through: dict[int, list[int]] = {v: [] for v in self.children}
+        for p, ep in enumerate(self.epaths):
+            for v in ep.node_seq:
+                through[v].append(p)
+        return through
 
     # -- bookkeeping -----------------------------------------------------
 

@@ -7,9 +7,11 @@ are the clock coordinates of the enlarged space.  The bilinear product
 b * mu is linearized by the substitution nu = b * mu, so every pricing
 problem below is an exact rational LP.
 
-GainLP takes its nodes from EnlargedModel.subforest.  Which space a side
-runs on (n = N to sub-hedge, N + 1 to super-hedge) is checked once, by
-enlarged.extend_claim.  Liquidation masses nu_j and exercise weights eta
+Every LP and check here quantifies over all paths of the space it is
+given; a quasi-sure problem is given a kernel family's supported space
+(robust.supported_space), an EnlargedModel.restricted copy.  Which space
+a side runs on (n = N to sub-hedge, N + 1 to super-hedge) is checked
+once, by enlarged.extend_claim.  Liquidation masses nu_j and exercise weights eta
 are plain node -> weight dicts.
 
 check_hedge is the one pathwise re-check of a semi-static hedge, of every
@@ -107,11 +109,9 @@ class SemiStaticStrategy:
         }
 
 
-def evaluate_gain(
-    enl: EnlargedModel, strat: SemiStaticStrategy, paths: Iterable[int]
-) -> tuple[dict[int, int], int]:
-    """The one evaluator of Phi: the strategy's gain on each of ``paths``,
-    as integer numerators over one denominator.
+def evaluate_gain(enl: EnlargedModel, strat: SemiStaticStrategy) -> tuple[dict[int, int], int]:
+    """The one evaluator of Phi: the strategy's gain on each path of the
+    space, as integer numerators over one denominator.
 
     Phi = H.dS + a(f - alpha) + sum_t nu_j(v_t) g_j(v_t) - b.beta
     - c(h - gamma) is recomputed straight from the model data, independently
@@ -120,7 +120,7 @@ def evaluate_gain(
     (MarketModel.stock_moves) over another and the payoffs and quotes,
     tabled here per base path or node, over a third, so each gain is a sum
     of integer products.  Liquidation masses are checked to sum to b_j
-    along every evaluated path.
+    along every path.
     """
     model = enl.model
     if strat.dims != model.stock.dim:
@@ -155,8 +155,7 @@ def evaluate_gain(
     longs = [dict(zip(nodes, g)) for g in longs]
     shorts = [{nid: x - h[-1] for nid, x in zip(nodes, h)} for h in shorts]
     gains: dict[int, int] = {}
-    for p in paths:
-        ep = enl.epaths[p]
+    for p, ep in enumerate(enl.epaths):
         path, seq = tree.paths[ep.base_index], ep.node_seq
         trading = sum(hs.get((seq[t], d), 0) * move for t, d, move in moves[ep.base_index])
         book = static[ep.base_index]
@@ -179,28 +178,22 @@ def evaluate_gain(
     return gains, dx * ds * dm
 
 
-def payoff_enlarged(
-    enl: EnlargedModel,
-    strat: SemiStaticStrategy,
-    *,
-    paths: Iterable[int] | None = None,
-) -> dict[int, Q]:
-    """The strategy's gain on each enlarged path (default all), exactly.
+def payoff_enlarged(enl: EnlargedModel, strat: SemiStaticStrategy) -> dict[int, Q]:
+    """The strategy's gain on each enlarged path, exactly.
 
     Independent of any LP: the rationals of evaluate_gain's numerators,
     which also checks that each nu_j sums to b_j along every path.
     """
-    gains, den = evaluate_gain(enl, strat, range(enl.num_paths) if paths is None else paths)
+    gains, den = evaluate_gain(enl, strat)
     return {p: Q(n, den) for p, n in gains.items()}
 
 
 class GainLP:
     """Strategy variables on the enlarged space and the gain row of each path.
 
-    Carry nodes are the nodes of ``enl.subforest(paths)``, trade nodes
-    those of them with children, both in index order.  Quantification
-    runs over ``paths`` (default all), which is how the quasi-sure
-    variants restrict to a support set.  The space's tied node pairs and
+    Carry nodes are the nodes of the space's forest, trade nodes those of
+    them with children, both in index order, and there is one gain row
+    per path of the space.  The space's tied node pairs and
     mixtures become rows too (add_common_rows).  Gain rows read tables per
     base edge (MarketModel.base_steps), base path and base node; unlike
     MeasurePolytope's, the payoff tables are shifted by their quotes once.
@@ -210,21 +203,16 @@ class GainLP:
         self,
         enl: EnlargedModel,
         *,
-        paths: Iterable[int] | None = None,
         split_stock: bool = False,
         add_x: bool = False,
     ) -> None:
         self.enl = enl
         self.model = enl.model
-        self.paths = list(range(enl.num_paths)) if paths is None else sorted(set(paths))
-        if not self.paths:
-            raise ValueError("at least one path required")
         self.lp = LinearProgram()
         self.x = self.lp.add_var("x", nonneg=False) if add_x else None
 
-        nodes, kids = enl.subforest(self.paths)
-        self.carry_nodes = list(nodes)
-        labels = ((v, enl.enode(v).label) for v in self.carry_nodes if kids[v])
+        self.carry_nodes = list(enl.children)
+        labels = ((v, enl.enode(v).label) for v, kids in enl.children.items() if kids)
         self.stock = StockPositions(self.lp, labels, self.model.stock.dim, split=split_stock)
         # the static book a[i], b[j], c[k], listed per kind
         self.static = {
@@ -287,8 +275,8 @@ class GainLP:
         space's mixtures of path rows holds, which those rows imply.
         """
         for j, nu in enumerate(self.nu_var):
-            for p in self.paths:
-                row = {nu[v]: ONE for v in self.enl.epaths[p].node_seq}
+            for p, ep in enumerate(self.enl.epaths):
+                row = {nu[v]: ONE for v in ep.node_seq}
                 row[self.static["b"][j]] = -ONE
                 self.lp.add_constraint(row, "=", ZERO, name=f"liq[{j};p{p}]")
         for v, w in self.enl.tied_pairs:
@@ -325,8 +313,9 @@ class GainLP:
 
 @dataclass
 class HedgeReport:
-    """A price with its hedge, from a hedge LP or read off the measure LP's
-    duals (measures.price_with_dual), with enough data to re-validate."""
+    """A price with its hedge on one space, from a hedge LP or read off the
+    measure LP's duals (measures.price_with_dual), with enough data to
+    re-validate."""
 
     kind: str
     price: Q
@@ -335,7 +324,6 @@ class HedgeReport:
     lp_rows: int
     lp_cols: int
     pivots: int
-    num_paths: int
     measure: dict[int, Q] = field(default_factory=dict)    # the price's measure, if any
 
     @property
@@ -352,7 +340,7 @@ class HedgeReport:
             "gap": rat_str(self.gap) if self.gap is not None else None,
             "dual_ref": {"kind": f"dual_{self.kind}", "value": rat_str(self.price),
                          "measure": measure} if measure else None,
-            "paths": self.num_paths,
+            "paths": enl.num_paths,
         }
         if self.exercise is not None:
             doc["exercise"] = {
@@ -382,7 +370,6 @@ def check_hedge(
     x: Q,
     rhs: Sequence[Q],
     *,
-    paths: Iterable[int],
     exercise: dict[int, Q] | None = None,
     kind: str,
 ) -> tuple[dict[int, int], int]:
@@ -406,7 +393,7 @@ def check_hedge(
         raise PropertyViolation(f"{kind} hedge holds a negative static or exercise position")
     if not nonanticipative(enl, strat, exercise):
         raise PropertyViolation(f"{kind} hedge is not non-anticipative")
-    gains, dg = evaluate_gain(enl, strat, paths)
+    gains, dg = evaluate_gain(enl, strat)
     eta = list(exercise.items()) if exercise is not None else []
     values = extend_claim(enl, "sub") if exercise is not None else None
     # eta and the claim's values over de: path masses over de, extra(p) over de**2
@@ -441,7 +428,7 @@ def check_hedge(
 
 
 def unbounded_ray(
-    enl: EnlargedModel, kind: str, sign: Q, x: Q, ray: SemiStaticStrategy, paths: Iterable[int]
+    enl: EnlargedModel, kind: str, sign: Q, x: Q, ray: SemiStaticStrategy
 ) -> SnaFailure:
     """The SnaFailure of an improving ray (x, ray) of the hedge LP
     sign*x + Phi(p) + extra(p) >= rhs(p), re-checked pathwise first.
@@ -454,7 +441,7 @@ def unbounded_ray(
     """
     if sign * x >= ZERO:
         raise PropertyViolation(f"{kind} hedge ray does not improve")
-    check_hedge(enl, ray, sign, x, [ZERO] * enl.num_paths, paths=paths, kind=f"{kind} hedge ray")
+    check_hedge(enl, ray, sign, x, [ZERO] * enl.num_paths, kind=f"{kind} hedge ray")
     lab = lambda v: enl.enode(v).label
     named: dict[str, Q] = {"x": x}
     named.update((f"H[{lab(v)};{d}]", h) for (v, d), h in ray.stock.items())
@@ -469,14 +456,7 @@ def unbounded_ray(
     )
 
 
-def _hedge(
-    enl: EnlargedModel,
-    kind: str,
-    sign: Q,
-    rhs: Sequence[Q],
-    *,
-    paths: Iterable[int] | None,
-) -> HedgeReport:
+def _hedge(enl: EnlargedModel, kind: str, sign: Q, rhs: Sequence[Q]) -> HedgeReport:
     """The one hedging LP: sign*x + Phi(p) + extra(p) >= rhs(p) on every path.
 
     sign -1 maximizes x (a sub-hedge), sign +1 minimizes it (a
@@ -490,11 +470,11 @@ def _hedge(
     ``price`` solves the measure LP of measures.price_with_dual instead.
     """
     claim = extend_claim(enl, "sub") if kind == "sub" else None
-    g = GainLP(enl, paths=paths, add_x=True)
+    g = GainLP(enl, add_x=True)
     eta_var = {} if claim is None else {
         v: g.lp.add_var(f"eta[{enl.enode(v).label}]") for v in g.carry_nodes}
-    for p in g.paths:
-        seq = enl.epaths[p].node_seq
+    for p, ep in enumerate(enl.epaths):
+        seq = ep.node_seq
         row = g.gain_coeffs(p)
         if eta_var:
             for v in seq:
@@ -509,7 +489,7 @@ def _hedge(
     g.lp.set_objective("min" if sign > 0 else "max", {g.x: ONE})
     out = solve(g.lp)
     if out.status == "unbounded":
-        raise unbounded_ray(enl, kind, sign, out.ray[g.x], g.strategy_at(out.ray), g.paths)
+        raise unbounded_ray(enl, kind, sign, out.ray[g.x], g.strategy_at(out.ray))
     if out.status != "optimal":
         raise PropertyViolation(f"{kind} hedge LP unexpectedly {out.status}")
     eta = {v: out.x(var) for v, var in eta_var.items() if out.x(var)} if eta_var else None
@@ -521,18 +501,12 @@ def _hedge(
         lp_rows=out.rows,
         lp_cols=out.cols,
         pivots=out.pivots,
-        num_paths=len(g.paths),
     )
-    check_hedge(enl, report.strategy, sign, report.price, rhs, paths=g.paths,
-                exercise=eta, kind=kind)
+    check_hedge(enl, report.strategy, sign, report.price, rhs, exercise=eta, kind=kind)
     return report
 
 
-def subhedge(
-    enl: EnlargedModel,
-    *,
-    paths: Iterable[int] | None = None,
-) -> HedgeReport:
+def subhedge(enl: EnlargedModel) -> HedgeReport:
     """Largest x dominated by the claim held divisibly plus a strategy.
 
     max x  s.t.  Phi(p) + sum_t eta(v_t) phi(v_t) >= x on every path,
@@ -540,28 +514,24 @@ def subhedge(
     means the market itself admits unbounded riskless gain, reported as
     an SNA failure.
     """
-    return _hedge(enl, "sub", -ONE, [ZERO] * enl.num_paths, paths=paths)
+    return _hedge(enl, "sub", -ONE, [ZERO] * enl.num_paths)
 
 
-def superhedge(
-    enl: EnlargedModel,
-    *,
-    paths: Iterable[int] | None = None,
-) -> HedgeReport:
+def superhedge(enl: EnlargedModel) -> HedgeReport:
     """Smallest x such that x plus a strategy dominates the claim payoff.
 
     Runs on the n = N + 1 enlargement whose extra clock is the claim
     holder's exercise time: min x s.t. x + Phi(p) >= phi at the last
     clock, on every path.
     """
-    return _hedge(enl, "super", ONE, extend_claim(enl, "super"), paths=paths)
+    return _hedge(enl, "super", ONE, extend_claim(enl, "super"))
 
 
 def subhedge_european(enl: EnlargedModel, psi: Sequence[Q]) -> HedgeReport:
     """Sub-hedging price of a path payoff psi: max x s.t. Phi + psi >= x."""
     if len(psi) != enl.num_paths:
         raise ValueError("psi must give one value per enlarged path")
-    return _hedge(enl, "sub_european", -ONE, [-rat(v) for v in psi], paths=None)
+    return _hedge(enl, "sub_european", -ONE, [-rat(v) for v in psi])
 
 
 @dataclass
@@ -582,20 +552,17 @@ class ArbitrageReport:
         }
 
 
-def detect_arbitrage(
-    enl: EnlargedModel, *, paths: Iterable[int] | None = None
-) -> ArbitrageReport:
+def detect_arbitrage(enl: EnlargedModel) -> ArbitrageReport:
     """Search for a nonnegative gain with positive expectation.
 
     max sum_p w(p) Phi(p)  s.t.  Phi(p) >= 0 on every path and
     ||(H, a, b, c)||_1 <= 1.  By homogeneity the optimum is 0 exactly
     when no arbitrage exists; any positive optimum scales freely, and
-    the optimizer is returned as a witness.  ``paths`` (default all)
-    restricts both the rows and the objective, as in GainLP.
+    the optimizer is returned as a witness.
     """
-    g = GainLP(enl, paths=paths, split_stock=True)
+    g = GainLP(enl, split_stock=True)
     objective: dict[int, Q] = {}
-    for p in g.paths:
+    for p in range(enl.num_paths):
         row = g.gain_coeffs(p)
         g.add_path_row(p, row, ZERO, f"nonneg[p{p}]")
         for var, val in row.items():
@@ -611,7 +578,7 @@ def detect_arbitrage(
     if out.value < ZERO:
         raise PropertyViolation("arbitrage LP returned a negative optimum")
     strat = g.strategy_at(out.primal)
-    gains, den = check_hedge(enl, strat, ONE, ZERO, [ZERO] * enl.num_paths, paths=g.paths,
+    gains, den = check_hedge(enl, strat, ONE, ZERO, [ZERO] * enl.num_paths,
                              kind="arbitrage witness")
     (weights,), dw = over_common(enl.weight(p) for p in gains)
     expected = sum(w * gain for gain, w in zip(gains.values(), weights))

@@ -9,8 +9,12 @@ mass-weighted Snell-envelope block, linear in Q and of the size of the
 support forest, which keeps the feasible set an honest polytope in Q.
 That polytope, MeasurePolytope, is the one input of every dual,
 certificate and transport below, except dp_superhedge, which folds a
-terminal payoff back over the support forest by one-step LPs.  In this
-module only the oracle e2_chain enumerates stopping times, under its cap.
+terminal payoff back over the forest by one-step LPs.  In this module
+only the oracle e2_chain enumerates stopping times, under its cap.
+
+Every polytope, price and re-check here runs over all paths of the space
+it is given; the quasi-sure ones are given a kernel family's supported
+space (robust.supported_space), whose forest is the support forest.
 
 A measure is re-checked from the model data, never from an LP, and in
 Python ints (MeasurePolytope.check/require, martingale_increments,
@@ -24,13 +28,13 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Hashable, Iterable, Iterator, Literal, Sequence
 
-from .enlarged import EnlargedModel, Forest, extend_claim
+from .enlarged import EnlargedModel, extend_claim
 from .errors import PropertyViolation, SnaFailure
 from .hedging import HedgeReport, SemiStaticStrategy, check_hedge, detect_arbitrage, unbounded_ray
 from .lp import LinearProgram, LPOutcome, Relation, max_slack, solve
 from .market import MarketModel
 from .rationals import ONE, ZERO, Q, over_common, rat_str, ratio_str
-from .strategies import DEFAULT_ENUM_CAP, StoppingTime, enumerate_stopping_times
+from .strategies import DEFAULT_ENUM_CAP, StoppingTime, enlarged_stopping_times
 
 __all__ = [
     "MeasurePolytope",
@@ -58,15 +62,6 @@ _HALVINGS = 12
 SnellRows = dict[int, tuple[int, int | None, int | None]]
 
 
-def restricted_stopping_times(
-    enl: EnlargedModel, paths: Sequence[int], cap: int = DEFAULT_ENUM_CAP
-) -> list[StoppingTime]:
-    """Stopping times of the sub-forest spanned by the given paths."""
-    through, kids = enl.subforest(paths)
-    roots = tuple(v for v in enl.roots if v in through)
-    return enumerate_stopping_times(roots, kids.__getitem__, cap, what="enlarged stopping times")
-
-
 def _add_martingale_rows(
     lp: LinearProgram,
     moves: Iterable[tuple[int, Hashable, Sequence[Q]]],
@@ -92,15 +87,16 @@ def _add_martingale_rows(
 
 
 def martingale_increments(
-    enl: EnlargedModel, measure: dict[int, Q], paths: Iterable[int]
+    enl: EnlargedModel, measure: dict[int, Q]
 ) -> tuple[dict[tuple[int, int], int], int]:
     """E_Q-weighted stock increments per (enlarged node, dim), from model
     data, as integer numerators over one denominator.
 
     Independent of any LP: a martingale law makes every entry zero.
-    Only pairs reached by a charged path with a nonzero move appear.
+    Only pairs reached by a charged path of the space with a nonzero
+    move appear.
     """
-    charged = [p for p in paths if measure.get(p, ZERO)]
+    charged = [p for p in range(enl.num_paths) if measure.get(p, ZERO)]
     (qs,), dq = over_common(measure[p] for p in charged)
     moves, ds = enl.model.stock_moves()
     inc: dict[tuple[int, int], int] = {}
@@ -166,18 +162,13 @@ def _one_step_hedge(
     return out.value, ratios
 
 
-def dp_superhedge(
-    enl: EnlargedModel,
-    zeta: Sequence[Q] | dict[int, Q],
-    *,
-    paths: Iterable[int] | None = None,
-) -> DpReport:
+def dp_superhedge(enl: EnlargedModel, zeta: Sequence[Q] | dict[int, Q]) -> DpReport:
     """Backward induction of one-step LPs from a terminal payoff.
 
-    The support forest is spanned by ``paths`` (every path if None; a
-    kernel family's supported_paths give its quasi-sure forest), and
-    zeta[p] is read on each of them; paths and terminal nodes are in
-    bijection because every clock is revealed by the horizon.  At each
+    The induction runs over the space's forest (a kernel family's
+    supported space gives its quasi-sure forest), and zeta[p] is read on
+    each path; paths and terminal nodes are in bijection because every
+    clock is revealed by the horizon.  At each
     node the measure splits over base children under the one-step
     martingale constraint while every unexercised clock branches freely,
     so clock directions enter through a plain maximum over status
@@ -189,15 +180,14 @@ def dp_superhedge(
     telescope pathwise, which check_hedge verifies on every path.
     """
     T = enl.horizon
-    paths = range(enl.num_paths) if paths is None else sorted(set(paths))
-    through, kids = enl.subforest(paths)
+    kids = enl.children
     chi: dict[int, Q] = {}
-    for p in paths:
-        if chi.setdefault(enl.epaths[p].node_seq[T], zeta[p]) != zeta[p]:
+    for p, ep in enumerate(enl.epaths):
+        if chi.setdefault(ep.node_seq[T], zeta[p]) != zeta[p]:
             raise PropertyViolation("terminal payoff is not a function of the terminal node")
     solved: dict[tuple, tuple[Q, dict[int, Q]]] = {}
     strategy: dict[tuple[int, int], Q] = {}
-    for v in sorted((v for v in through if kids[v]), key=lambda v: (-enl.enode(v).time, v)):
+    for v in sorted((v for v in kids if kids[v]), key=lambda v: (-enl.enode(v).time, v)):
         base = enl.enode(v).base
         best: dict[str, Q] = {}
         for w in kids[v]:
@@ -208,24 +198,25 @@ def dp_superhedge(
             solved[key] = _one_step_hedge(enl.model, *key)
         chi[v], ratios = solved[key]
         strategy.update(((v, d), h) for d, h in ratios.items() if h)
-    value = max(chi[enl.epaths[p].node_seq[0]] for p in paths)
+    value = max(chi[r] for r in enl.roots)
     model = enl.model
     stock_only = SemiStaticStrategy(
         dims=model.stock.dim, stock=strategy, long_european=[ZERO] * model.L,
         long_american=[ZERO] * model.M, short_american=[ZERO] * model.N,
         liquidation=[{} for _ in range(model.M)])
-    check_hedge(enl, stock_only, ONE, value, zeta, paths=paths, kind="dp")
+    check_hedge(enl, stock_only, ONE, value, zeta, kind="dp")
     return DpReport(value=value, strategy=strategy, lp_count=len(solved))
 
 
 class MeasurePolytope:
     """Martingale measures on enlarged paths that respect the quoted option prices.
 
-    The LP holds the mass row, one increment row per enlarged node and
-    stock dimension, then the price rows: buy-side expectations at or
-    below asks, sell-side at or above bids.  A market without options
-    gives the bare martingale polytope, on a kernel family's support the
-    whole quasi-sure dual of dynamic trading.  Callers copy the LP and add
+    The LP holds one variable per path of the space, the mass row, one
+    increment row per enlarged node and stock dimension, then the price
+    rows: buy-side expectations at or below asks, sell-side at or above
+    bids.  A market without options gives the bare martingale polytope,
+    on a kernel family's supported space the whole quasi-sure dual of
+    dynamic trading.  Callers copy the LP and add
     rows or an objective.  Row indices are kept per constraint family so
     the uniform-slack machinery can target exactly the price rows, and
     hedge_from can read a hedge off any LP built on a copy.  Each longed
@@ -239,19 +230,16 @@ class MeasurePolytope:
     read none of them; they build their own from the model.
     """
 
-    def __init__(self, enl: EnlargedModel, *, paths: Iterable[int] | None = None) -> None:
+    def __init__(self, enl: EnlargedModel) -> None:
         self.enl = enl
-        self.paths = list(range(enl.num_paths)) if paths is None else sorted(set(paths))
-        if not self.paths:
-            raise ValueError("at least one path required")
         self.lp = LinearProgram()
-        self.q_var = {p: self.lp.add_var(f"Q[{enl.epaths[p].label}]") for p in self.paths}
+        self.q_var = {p: self.lp.add_var(f"Q[{ep.label}]") for p, ep in enumerate(enl.epaths)}
         self.mass_row = self.lp.add_constraint(
             {v: ONE for v in self.q_var.values()}, "=", ONE, name="mass"
         )
         model, tree = enl.model, enl.model.tree
-        # each support path's variable with its enlarged path
-        support = [(self.q_var[p], enl.epaths[p]) for p in self.paths]
+        # each path's variable with its enlarged path
+        support = list(zip(self.q_var.values(), enl.epaths))
         steps = model.base_steps()
         moves = ((var, v, steps[b]) for var, ep in support
                  for v, b in zip(ep.node_seq, tree.paths[ep.base_index][1:]))
@@ -290,8 +278,8 @@ class MeasurePolytope:
         return [*self.f_rows, *self.h_rows, *self.g_rows]
 
     def expectation(self, measure: dict[int, Q], values: dict[int, Q] | Sequence[Q]) -> Q:
-        """E_Q[values] on the support, summed in integers over one denominator."""
-        charged = [p for p in self.paths if measure.get(p, ZERO)]
+        """E_Q[values] on the space, summed in integers over one denominator."""
+        charged = [p for p in self.q_var if measure.get(p, ZERO)]
         (qs, vs), den = over_common((measure[p] for p in charged), (values[p] for p in charged))
         return Q(sum(q * v for q, v in zip(qs, vs)), den * den)
 
@@ -300,7 +288,7 @@ class MeasurePolytope:
     ) -> LinearProgram:
         """E_Q[values] as the objective of a copy of the LP."""
         work = self.lp.copy()
-        work.set_objective(sense, {self.q_var[p]: values[p] for p in self.paths if values[p]})
+        work.set_objective(sense, {var: values[p] for p, var in self.q_var.items() if values[p]})
         return work
 
     def solve_extremum(
@@ -328,7 +316,7 @@ class MeasurePolytope:
         The floor rows go on a copy of the LP, after every other row.
         ftap_certificate alone reads the outcome, and re-checks its witness.
         """
-        floor = dict.fromkeys(self.paths, ONE) if floor is None else floor
+        floor = dict.fromkeys(self.q_var, ONE) if floor is None else floor
         work = self.lp.copy()
         rows = dict.fromkeys(self.price_rows if prices else (), ONE)
         for p, w in sorted(floor.items()):
@@ -389,18 +377,12 @@ class MeasurePolytope:
             yield name, lhs, rel, rhs, den, ok
 
     @cached_property
-    def _forest(self) -> Forest:
-        """The support's sub-forest (EnlargedModel.subforest)."""
-        return self.enl.subforest(self.paths)
-
-    @cached_property
     def _runs(self) -> dict[int, tuple[int, ...]]:
-        """Each head of the support forest, a root or a child of a branching
+        """Each head of the space's forest, a root or a child of a branching
         node, in index order, with its run of nodes: the head, then single
         children down to the first leaf or branching node."""
-        through, kids = self._forest
-        heads = [r for r in self.enl.roots if r in through]
-        heads += [kid for v in through if len(kids[v]) > 1 for kid in kids[v]]
+        kids = self.enl.children
+        heads = [*self.enl.roots, *(kid for v in kids if len(kids[v]) > 1 for kid in kids[v])]
         runs = {}
         for h in sorted(heads):
             run = [h]
@@ -427,7 +409,7 @@ class MeasurePolytope:
         Y >= 0 is exact because Q >= 0 has mass 1.  On a forest where every
         non-leaf node branches, each run is one node.
         """
-        through, kids = self._forest
+        through, kids = self.enl.through, self.enl.children
         shift = min(ZERO, *(values_at_enode[v] for v in through))
         label = lambda v: f"{tag};{self.enl.enode(v).label}"
         runs = self._runs
@@ -452,8 +434,7 @@ class MeasurePolytope:
             rows[h] = at[h], stop, lp.add_constraint(row, ">=", ZERO, name=f"cont[{label(h)}]")
         root: dict[int, Q] = {}
         for r in self.enl.roots:
-            if r in through:
-                root.update(term(r))
+            root.update(term(r))
         return root, shift, rows
 
     def envelope_lp(
@@ -540,8 +521,8 @@ class MeasurePolytope:
         makes that rest at least -pos of the run's stop row: raising a stop
         above it, where g - c >= 0, only adds to the hedge's gain.
         """
-        kids = self._forest[1]
-        inflow = {r: top for r in self.enl.roots if r in self._runs}
+        kids = self.enl.children
+        inflow = dict.fromkeys(self.enl.roots, top)
         stops: dict[int, Q] = {}
         for h, run in self._runs.items():    # index order: parents before children
             mass = inflow.pop(h)
@@ -560,26 +541,27 @@ class MeasurePolytope:
     def _evaluated_rows(
         self, measure: dict[int, Q]
     ) -> Iterator[tuple[str, int, Relation, int, int, int | None]]:
-        """(name, lhs, relation, rhs, den, path) of the support, positivity,
-        mass and martingale rows, then of the price rows at the model's
-        quotes, evaluated at the measure; lhs and rhs are integer
-        numerators over the positive den.  ``path`` is p on the positivity
-        row of path p, None on every other row.
+        """(name, lhs, relation, rhs, den, path) of the support rows (mass
+        on a key that is no path of the space), the positivity, mass and
+        martingale rows, then of the price rows at the model's quotes,
+        evaluated at the measure; lhs and rhs are integer numerators over
+        the positive den.  ``path`` is p on the positivity row of path p,
+        None on every other row.
 
         The measure is put over one denominator dq, and the payoffs and
         quotes, tabled here per base path and node, over one dm.
         """
         enl, model = self.enl, self.enl.model
-        support = set(self.paths)
+        support = range(enl.num_paths)
         (qs,), dq = over_common(measure.values())
         q = dict(zip(measure, qs))
         for p, qp in q.items():
             if p not in support and qp:
                 yield f"support[p{p}]", qp, "=", 0, dq, None
-        for p in self.paths:
+        for p in support:
             yield f"pos[p{p}]", q.get(p, 0), ">=", 0, dq, p
-        yield "mass", sum(q.get(p, 0) for p in self.paths), "=", dq, dq, None
-        inc, den = martingale_increments(enl, measure, self.paths)
+        yield "mass", sum(q.get(p, 0) for p in support), "=", dq, dq, None
+        inc, den = martingale_increments(enl, measure)
         for (v, d), val in sorted(inc.items()):
             yield f"mart[{enl.enode(v).label};{d}]", val, "=", 0, den, None
         tree = model.tree
@@ -597,7 +579,7 @@ class MeasurePolytope:
             yield f"h[{k}]", lhs, ">=", h[-1] * dq, dq * dm, None
         for j, (g, beta) in enumerate(model.americans_long):
             at = {v: g.scalar(node.base) for v, node in enumerate(enl.enodes)}
-            best = snell_value(enl, at, measure, paths=self.paths)
+            best = snell_value(enl, at, measure)
             ((lhs, rhs),), den = over_common([best, beta])
             yield f"g[{j};sup]", lhs, "<=", rhs, den, None
 
@@ -615,8 +597,8 @@ def _ledger_entry(name: str, lhs: int, rel: Relation, rhs: int, den: int, ok: bo
     }
 
 
-def build_polytope(enl: EnlargedModel, *, paths: Iterable[int] | None = None) -> MeasurePolytope:
-    return MeasurePolytope(enl, paths=paths)
+def build_polytope(enl: EnlargedModel) -> MeasurePolytope:
+    return MeasurePolytope(enl)
 
 
 @dataclass
@@ -649,7 +631,7 @@ def ftap_certificate(
     """Maximal uniform slack over the polytope, its witness re-checked.
 
     The one reader of MeasurePolytope.support_slack.  By the FTAP, strict
-    no-arbitrage holds iff some measure charges every supported path and
+    no-arbitrage holds iff some measure charges every path of the space and
     clears every price row strictly, so the certificate holds iff s* > 0.
     With ``prices`` False the price rows stay closed, and a positive s*
     is a full-support measure of the closed polytope; with ``floor`` (a
@@ -699,7 +681,7 @@ def _certify_measure(
     value on the sub side, its expectation at the last clock on the super side."""
     pt.require(measure, f"{side} price measure")
     if side == "sub":
-        got = snell_value(pt.enl, claim, measure, paths=pt.paths)
+        got = snell_value(pt.enl, claim, measure)
     else:
         got = pt.expectation(measure, claim)
     if got != value:
@@ -709,17 +691,14 @@ def _certify_measure(
 
 
 def price_with_dual(
-    enl: EnlargedModel,
-    side: Literal["sub", "super"],
-    *,
-    paths: Iterable[int] | None = None,
+    enl: EnlargedModel, side: Literal["sub", "super"]
 ) -> tuple[HedgeReport, MeasurePolytope]:
     """One measure LP prices the claim; the hedge is read off its duals.
 
     Super side (n = N + 1): max E_Q[claim at the last clock] over the
     polytope.  Sub side (n = N): min over it of the claim's Snell block.
-    With ``paths``, a kernel family's supported paths, the same LP gives
-    the quasi-sure price.  Both certificates are kept.  The optimal
+    On a kernel family's supported space the same LP gives the
+    quasi-sure price.  Both certificates are kept.  The optimal
     measure is re-checked from the model data (pt.require, then
     snell_value or the expectation must give the price).  The hedge of
     hedging.subhedge/superhedge is read off the same LP's verified duals
@@ -736,7 +715,7 @@ def price_with_dual(
     """
     claim = extend_claim(enl, side)
     sign = ONE if side == "super" else -ONE
-    pt = build_polytope(enl, paths=paths)
+    pt = build_polytope(enl)
     if side == "super":
         work, shift, claim_rows = pt.extremum_lp(claim, "max"), ZERO, None
         rhs = claim
@@ -747,14 +726,14 @@ def price_with_dual(
     if out.status == "infeasible":
         rate = sum((y * row.rhs for y, row in zip(out.farkas, work.rows) if y), ZERO)
         ray, _ = pt.hedge_from(out.farkas, ONE)
-        raise unbounded_ray(enl, side, sign, sign * rate, ray, pt.paths)
+        raise unbounded_ray(enl, side, sign, sign * rate, ray)
     if out.status != "optimal":
         raise PropertyViolation(f"{side} measure LP unexpectedly {out.status}")
     price = out.value + shift
     measure = {p: out.x(v) for p, v in pt.q_var.items() if out.x(v)}
     _certify_measure(pt, side, claim, measure, price)
     strat, eta = pt.hedge_from(out.duals, sign, claim_rows)
-    check_hedge(enl, strat, sign, price, rhs, paths=pt.paths, exercise=eta, kind=side)
+    check_hedge(enl, strat, sign, price, rhs, exercise=eta, kind=side)
     report = HedgeReport(
         kind=side,
         price=price,
@@ -763,19 +742,12 @@ def price_with_dual(
         lp_rows=out.rows,
         lp_cols=out.cols,
         pivots=out.pivots,
-        num_paths=len(pt.paths),
         measure=measure,
     )
     return report, pt
 
 
-def snell_value(
-    enl: EnlargedModel,
-    values_at_enode: dict[int, Q],
-    measure: dict[int, Q],
-    *,
-    paths: Iterable[int] | None = None,
-) -> Q:
+def snell_value(enl: EnlargedModel, values_at_enode: dict[int, Q], measure: dict[int, Q]) -> Q:
     """sup over stopping times of E_Q[value at the stop], by backward induction.
 
     Independent oracle for the Snell blocks of the LPs: on the
@@ -783,8 +755,7 @@ def snell_value(
     the children), m(v) being the Q-mass of the paths through v.  The
     masses are never divided, so a signed Q is valued exactly too.
     """
-    idx = range(enl.num_paths) if paths is None else paths
-    charged = [p for p in idx if measure.get(p, ZERO)]
+    charged = [p for p in range(enl.num_paths) if measure.get(p, ZERO)]
     (qs,), dq = over_common(measure[p] for p in charged)
     mass: dict[int, int] = {}
     for p, q in zip(charged, qs):
@@ -901,9 +872,9 @@ def e2_chain(
     lower <= middle <= upper is asserted.  The report keeps the taus.
     """
     enl = pt.enl
-    taus = restricted_stopping_times(enl, pt.paths, cap)
+    taus = enlarged_stopping_times(enl, cap)
     claim_at = extend_claim(enl, "sub")
-    seqs = [(p, enl.epaths[p].node_seq) for p in pt.paths]
+    seqs = [(p, ep.node_seq) for p, ep in enumerate(enl.epaths)]
     vecs: dict[tuple, dict[int, Q]] = {}
     for tau in taus:
         vec = {p: claim_at[seq[tau.time_on(seq)]] for p, seq in seqs}

@@ -15,12 +15,13 @@ sweep is the campaign's oracle.
 
 The family is the market's own ``MarketModel.kernels``; everything here
 reads it off the space or market it is given, checked by
-check_kernel_family each time.  Quasi-sure prices and the quasi-sure
-FTAP are measures.price_with_dual and ftap_certificate with
-``paths=supported_paths(enl)``, and the backward induction is
-measures.dp_superhedge on the same paths.  An enlarged space does not
-depend on the kernels, so another family on the same space is
-``enl.with_model(dataclasses.replace(model, kernels=...))``.
+check_kernel_family each time.  supported_space is the one place the
+quasi-sure restriction is taken: the space cut to its supported paths
+(EnlargedModel.restricted).  Quasi-sure prices and the quasi-sure FTAP
+are measures.price_with_dual and ftap_certificate on that space, and
+the backward induction is measures.dp_superhedge on it.  An enlarged
+space does not depend on the kernels, so another family on the same
+space is ``enl.with_model(dataclasses.replace(model, kernels=...))``.
 """
 from __future__ import annotations
 
@@ -40,11 +41,10 @@ from .measures import (
     MeasurePolytope,
     build_polytope,
     ftap_certificate,
-    restricted_stopping_times,
     snell_value,
 )
 from .rationals import ONE, ZERO, Q, rat_str
-from .strategies import DEFAULT_ENUM_CAP
+from .strategies import DEFAULT_ENUM_CAP, enlarged_stopping_times
 
 DEFAULT_SELECTOR_CAP = 4096
 
@@ -75,8 +75,11 @@ def supported_paths(enl: EnlargedModel) -> list[int]:
     return [p for p, ep in enumerate(enl.epaths) if ep.base_index in keep]
 
 
-def supported_enodes(enl: EnlargedModel) -> list[int]:
-    return list(enl.subforest(supported_paths(enl))[0])
+def supported_space(enl: EnlargedModel) -> EnlargedModel:
+    """The quasi-sure space: enl restricted to its supported paths, or enl
+    itself where the kernels charge every path."""
+    paths = supported_paths(enl)
+    return enl if len(paths) == enl.num_paths else enl.restricted(paths)
 
 
 def num_selectors(model: MarketModel) -> int:
@@ -134,7 +137,7 @@ def drop_options(model: MarketModel, *, europeans: bool = False) -> MarketModel:
 def robust_na(enl: EnlargedModel) -> tuple[ArbitrageReport, MeasureCertificate]:
     """No-arbitrage from dynamic trading alone, with its dual certificate.
 
-    Both sides run on the supported paths of the stock-only market's
+    Both sides run on the supported space of the stock-only market's
     n = 0 space: clocks do not matter to a stock hedge (a stock arbitrage
     on a space with clocks stays one with every clock fixed at T), and a
     base-path measure lifts uniformly over clocks.  Primal:
@@ -144,10 +147,9 @@ def robust_na(enl: EnlargedModel) -> tuple[ArbitrageReport, MeasureCertificate]:
     MeasurePolytope, which has no price rows.  The biconditional (no
     arbitrage found iff the certificate holds) is enforced.
     """
-    stock = enlarge(drop_options(enl.model), 0)
-    paths = supported_paths(stock)
-    arb = detect_arbitrage(stock, paths=paths)
-    cert = ftap_certificate(MeasurePolytope(stock, paths=paths))
+    stock = supported_space(enlarge(drop_options(enl.model), 0))
+    arb = detect_arbitrage(stock)
+    cert = ftap_certificate(MeasurePolytope(stock))
     if arb.found == cert.holds:
         raise PropertyViolation(
             "primal no-arbitrage verdict disagrees with the supported martingale measure"
@@ -161,18 +163,18 @@ def robust_na(enl: EnlargedModel) -> tuple[ArbitrageReport, MeasureCertificate]:
 def submarket_slacks(enl: EnlargedModel, full: MeasureCertificate) -> list[Q | None]:
     """Slacks for the markets holding only the first m long options each.
 
-    ``full`` is the quasi-sure certificate on enl (ftap_certificate on the
-    supported paths); its slack is the entry m = M, and each smaller
-    market solves its own uniform-slack LP.
+    ``full`` is the quasi-sure certificate on enl (ftap_certificate on its
+    supported space); its slack is the entry m = M, and each smaller
+    market solves its own uniform-slack LP on that space.
     Adding one more long option only shrinks the feasible set, so the
     slack sequence must be nonincreasing; asserted here.
     """
     model = enl.model
-    paths = supported_paths(enl)
+    space = supported_space(enl)
     slacks: list[Q | None] = []
     for m in range(model.M):
         sub_model = dataclasses.replace(model, americans_long=model.americans_long[:m])
-        sub_pt = build_polytope(enl.with_model(sub_model), paths=paths)
+        sub_pt = build_polytope(space.with_model(sub_model))
         slacks.append(ftap_certificate(sub_pt).slack)
     slacks.append(full.slack)
     for prev, cur in zip(slacks, slacks[1:]):
@@ -218,7 +220,8 @@ def verify_minimax(
 ) -> MinimaxReport:
     """Exchange of liquidation and worst-case expectation, checked exactly.
 
-    Three quantities over a finitely generated measure set: the best
+    Three quantities over a finitely generated measure set, on enl
+    restricted to the paths the vertices charge: the best
     guaranteed liquidation value (an LP), the worst case of the best
     adapted liquidation, and the worst case of the best pure-stopping
     tuple (an LP over the enumerated stopping times).  The second is the
@@ -234,8 +237,11 @@ def verify_minimax(
     paths = sorted({p for R in vertices for p in R if R[p]})
     if not paths:
         raise ModelFormatError("measure vertices are all zero")
+    space = enl.restricted(paths)
+    # each vertex keyed by the restricted space's path indices
+    vertices = [{i: R[p] for i, p in enumerate(paths) if R.get(p)} for R in vertices]
     K = len(streams)
-    through, _ = enl.subforest(paths)
+    through = space.through
     reach = [{v: sum((R.get(p, ZERO) for p in ps), ZERO) for v, ps in through.items()}
              for R in vertices]
     values = [{v: g.get(v, ZERO) for v in through} for g in streams]
@@ -254,9 +260,9 @@ def verify_minimax(
                     row[mu[(k, v)]] = row.get(mu[(k, v)], ZERO) + coef
         vertex_rows.append(lhs_lp.add_constraint(row, ">=", ZERO, name=f"vertex[{i}]"))
     for k in range(K):
-        for p in paths:
+        for p, ep in enumerate(space.epaths):
             row = {}
-            for v in enl.epaths[p].node_seq:
+            for v in ep.node_seq:
                 row[mu[(k, v)]] = row.get(mu[(k, v)], ZERO) + ONE
             lhs_lp.add_constraint(row, "=", ONE, name=f"unit[{k};p{p}]")
     lhs_lp.set_objective("max", {u: ONE})
@@ -268,11 +274,12 @@ def verify_minimax(
     lam = [-lhs_out.duals[r] for r in vertex_rows]
     if any(w < ZERO for w in lam) or sum(lam, ZERO) != ONE:
         raise PropertyViolation("duals of the vertex rows are not a mixture")
-    mixture = {p: sum((w * R.get(p, ZERO) for w, R in zip(lam, vertices)), ZERO) for p in paths}
-    middle = sum((snell_value(enl, g, mixture, paths=paths) for g in values), ZERO)
+    mixture = {p: sum((w * R.get(p, ZERO) for w, R in zip(lam, vertices)), ZERO)
+               for p in range(space.num_paths)}
+    middle = sum((snell_value(space, g, mixture) for g in values), ZERO)
 
     # worst-case mixture against the best pure stopping tuple
-    taus = restricted_stopping_times(enl, paths, cap)
+    taus = enlarged_stopping_times(space, cap)
     rhs_lp = LinearProgram()
     lam2 = [rhs_lp.add_var(f"lam[{i}]") for i in range(len(vertices))]
     rhs_lp.add_constraint({var: ONE for var in lam2}, "=", ONE, name="simplex")
@@ -280,12 +287,9 @@ def verify_minimax(
     for k in range(K):
         seen: set[tuple[Q, ...]] = set()
         for tau in taus:
-            stopped = {}
-            for p in paths:
-                seq = enl.epaths[p].node_seq
-                stopped[p] = values[k][seq[tau.time_on(seq)]]
+            stopped = [values[k][ep.node_seq[tau.time_on(ep.node_seq)]] for ep in space.epaths]
             coefs = tuple(
-                sum((R.get(p, ZERO) * stopped[p] for p in paths), ZERO) for R in vertices
+                sum((q * stopped[p] for p, q in R.items()), ZERO) for R in vertices
             )
             if coefs in seen:
                 continue

@@ -111,6 +111,12 @@ def count_enlarged_stopping_times(enl: EnlargedModel, cap: int = DEFAULT_ENUM_CA
     return count_stopping_times(enl.roots, lambda v: enl.children[v], cap)
 
 
+def enlarged_stopping_times(enl: EnlargedModel, cap: int = DEFAULT_ENUM_CAP) -> list[StoppingTime]:
+    """Stopping times of the space's forest, a restricted space's included."""
+    return enumerate_stopping_times(enl.roots, enl.children.__getitem__, cap,
+                                    what="enlarged stopping times")
+
+
 # -- clock vectors ---------------------------------------------------------
 
 

@@ -42,8 +42,7 @@ from amhedge.robust import (
     drop_options,
     robust_na,
     selectors,
-    supported_enodes,
-    supported_paths,
+    supported_space,
     verify_minimax,
     vertex_measure,
 )
@@ -98,8 +97,8 @@ def _kernels() -> list:
 
 
 def _qs_price(enl, side):
-    """The quasi-sure price: the classical measure LP on the supported paths."""
-    return price_with_dual(enl, side, paths=supported_paths(enl))[0]
+    """The quasi-sure price: the classical measure LP on the supported space."""
+    return price_with_dual(supported_space(enl), side)[0]
 
 
 def test_criterion_1_classical_duality(capfd):
@@ -220,8 +219,8 @@ def test_criterion_5_robust_duality_and_dp(capfd):
             # the stock-only price on the 1-clock space of the market
             # without its books, against the induction on the full space
             stock = _qs_price(enlarge(drop_options(model), 1), "super")
-            dp = dp_superhedge(enl_sup, extend_claim(enl_sup, "super"),
-                               paths=supported_paths(enl_sup))
+            supported = supported_space(enl_sup)
+            dp = dp_superhedge(supported, extend_claim(supported, "super"))
             if stock.price != dp.value:
                 failures.append(f"kernel {k}: backward induction disagrees with the LP")
             sub = _qs_price(enl_sub, "sub")
@@ -250,7 +249,7 @@ def test_criterion_6_robust_ftap_and_domination(capfd):
                 # quotes moved 1/4 towards arbitrage make some families fail
                 for shift in (ZERO, Q(1, 4)):
                     shifted = enl.with_model(model.shifted_prices(shift))
-                    pt = build_polytope(shifted, paths=supported_paths(shifted))
+                    pt = build_polytope(supported_space(shifted))
                     cert = ftap_certificate(pt)
                     verdicts[cert.holds] += 1
                     where = f"kernel {k}, n = {n}, shift {shift}"
@@ -260,7 +259,7 @@ def test_criterion_6_robust_ftap_and_domination(capfd):
                     if not ok:
                         failures.append(f"{where}: certificate fails re-validation")
             stock = enlarge(drop_options(model), 0)
-            base = MeasurePolytope(stock, paths=supported_paths(stock))
+            base = MeasurePolytope(supported_space(stock))
             if robust_na(enlarge(model, model.N))[1].holds != selector_sweep(base):
                 failures.append(f"kernel {k}: no-arbitrage verdict vs selector sweep")
         for i in range(15):
@@ -292,7 +291,7 @@ def test_criterion_7_minimax_identity(capfd):
             enl = enlarge(model, model.N)
             rng = random.Random(SEED * 7 + i)
             streams = [
-                {v: Q(rng.randint(-8, 16), 8) for v in supported_enodes(enl)}
+                {v: Q(rng.randint(-8, 16), 8) for v in supported_space(enl).children}
                 for _ in range(rng.choice([1, 2]))
             ]
             vertices = [vertex_measure(enl, sel) for sel in selectors(model)[:3]]

@@ -5,7 +5,9 @@ edge (MarketModel.base_steps) and their payoffs from per-leaf, per-path
 and per-node tables, and EnlargedModel computes each clock tuple's
 statuses once.  The references below are the builds those replaced,
 walked enlarged path by enlarged path; the LPs and forests must come out
-identical, row order and coefficient order included.
+identical, row order and coefficient order included.  On a path subset
+the reference walks the listed paths of the whole space, and the build
+runs on the space restricted to them (EnlargedModel.restricted).
 """
 from __future__ import annotations
 
@@ -66,10 +68,14 @@ def _model(request, name):
     return EXTRA_MODELS[name]()
 
 
+def _restricted(enl, paths):
+    return enl if paths is None else enl.restricted(paths)
+
+
 def _reference_lp(enl, paths=None) -> LinearProgram:
-    """The measure LP as built one enlarged path and time at a time: a
-    stock step per (path, t), each coefficient summed into its row from
-    ZERO, and every payoff read off the path."""
+    """The measure LP on ``paths`` (default all) as built one enlarged path
+    and time at a time: a stock step per (path, t), each coefficient summed
+    into its row from ZERO, and every payoff read off the path."""
     model = enl.model
     paths = list(range(enl.num_paths)) if paths is None else sorted(set(paths))
     lp = LinearProgram()
@@ -98,7 +104,7 @@ def _reference_lp(enl, paths=None) -> LinearProgram:
         row = {q_var[p]: enl.short_value(k, p) for p in paths}
         lp.add_constraint(row, ">=", gamma, name=f"h[{k}]")
     # the Snell blocks are built as before; only their values are read here
-    blocks = MeasurePolytope(enl, paths=paths)
+    blocks = MeasurePolytope(_restricted(enl, paths))
     for j, (proc, beta) in enumerate(model.americans_long):
         values = {v: proc.scalar(node.base) for v, node in enumerate(enl.enodes)}
         root, shift, _ = blocks.snell_block(lp, values, f"g{j}")
@@ -107,7 +113,7 @@ def _reference_lp(enl, paths=None) -> LinearProgram:
 
 
 def _assert_same_lp(enl, paths=None) -> None:
-    pt = MeasurePolytope(enl, paths=paths)
+    pt = MeasurePolytope(_restricted(enl, paths))
     ref = _reference_lp(enl, paths)
     assert format_lp(pt.lp) == format_lp(ref)
     # the tableau reads each row's coefficients in their insertion order
@@ -179,18 +185,26 @@ class _ReferenceGainLP(GainLP):
 def _gain_lp(cls, enl, **kw) -> LinearProgram:
     """A GainLP's path rows, then its common rows (liquidation, ties, mixtures)."""
     g = cls(enl, **kw)
-    for p in g.paths:
+    for p in range(enl.num_paths):
         g.add_path_row(p, g.gain_coeffs(p), ZERO, f"gain[p{p}]")
     g.add_common_rows()
     return g.lp
 
 
 def _assert_same_gain_lp(enl, paths=None) -> None:
+    space = _restricted(enl, paths)
     for split in (False, True):
-        lp = _gain_lp(GainLP, enl, paths=paths, split_stock=split)
-        ref = _gain_lp(_ReferenceGainLP, enl, paths=paths, split_stock=split)
+        lp = _gain_lp(GainLP, space, split_stock=split)
+        ref = _gain_lp(_ReferenceGainLP, space, split_stock=split)
         assert format_lp(lp) == format_lp(ref)
         assert [list(r.coeffs) for r in lp.rows] == [list(r.coeffs) for r in ref.rows]
+    # positions are carried on the nodes of the listed paths and traded
+    # on those before the horizon
+    seqs = [enl.epaths[p].node_seq for p in sorted(set(range(enl.num_paths) if paths is None
+                                                       else paths))]
+    g = GainLP(space)
+    assert g.carry_nodes == sorted({v for seq in seqs for v in seq})
+    assert sorted({v for v, _ in g.stock.pos}) == sorted({v for seq in seqs for v in seq[:-1]})
 
 
 @pytest.mark.parametrize("extra", [0, 1])

@@ -1,6 +1,7 @@
 """Model factories and the seeded verification sweep."""
 from __future__ import annotations
 
+import copy
 import random
 import sys
 from collections import Counter
@@ -34,7 +35,7 @@ from amhedge.measures import (
     price_with_dual,
 )
 from amhedge.rationals import ONE, Q, ZERO
-from amhedge.robust import supported_paths
+from amhedge.robust import supported_space
 
 from conftest import binomial_dict, binomial_short_put_dict
 from test_report_bytes import CAMPAIGN_MODELS
@@ -144,7 +145,7 @@ def test_boundary_model_pins_the_slack():
 def test_random_kernel_model_is_consistent(seed):
     model = random_kernel_model(random.Random(seed)).model
     enl = enlarge(model, model.N)
-    cert = ftap_certificate(build_polytope(enl, paths=supported_paths(enl)))
+    cert = ftap_certificate(build_polytope(supported_space(enl)))
     assert cert.holds and cert.slack > ZERO
 
 
@@ -176,10 +177,23 @@ def test_dropped_vertex_keeping_the_support_reuses_the_prices(monkeypatch):
     model = load_model(binomial_dict(kernels={"r": [["1/2", "1/2"], ["1/3", "2/3"]]}))
     record, lps = _count_lps(monkeypatch, lambda: check_robust_model(model)[0])
     assert record["dropped_vertex"] == "r" and record["dropped_consistent"]
-    # a tuple never equals the polytope's path list, which forces the
-    # two price LPs that an unchanged support skips
-    real = campaign.supported_paths
-    monkeypatch.setattr(campaign, "supported_paths", lambda enl: tuple(real(enl)))
+    # a path list that equals no other forces the two price LPs that an
+    # unchanged support skips
+    class Unequal(list):
+        def __eq__(self, other):
+            return False
+
+        def __ne__(self, other):
+            return True
+
+    real = campaign.supported_space
+
+    def forced(enl):
+        space = copy.copy(real(enl))
+        space.epaths = Unequal(space.epaths)
+        return space
+
+    monkeypatch.setattr(campaign, "supported_space", forced)
     forced, forced_lps = _count_lps(monkeypatch, lambda: check_robust_model(model)[0])
     assert forced == record and lps == forced_lps - 2
 

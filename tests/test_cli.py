@@ -20,7 +20,7 @@ from amhedge.lp import LPInternalError
 from amhedge.market import emit_model, load_model
 from amhedge.measures import build_polytope
 from amhedge.rationals import rat
-from amhedge.robust import supported_paths
+from amhedge.robust import supported_paths, supported_space
 
 from conftest import binomial_dict, binomial_put_book_dict, trinomial_kernels_dict
 from test_report_bytes import CAMPAIGN_MODELS
@@ -48,12 +48,12 @@ def kernel_file(tmp_path):
 
 @pytest.fixture()
 def no_enumeration(monkeypatch):
-    # any stopping-time enumeration ends the request in an AssertionError
+    # any stopping-time enumeration ends the request in an AssertionError;
+    # every enumeration of the engine goes through this one name
     def refuse(*args, **kwargs):
         raise AssertionError("a stopping time was enumerated")
 
     monkeypatch.setattr(strategies, "enumerate_stopping_times", refuse)
-    monkeypatch.setattr(measures, "enumerate_stopping_times", refuse)
 
 
 def run(argv, capsys):
@@ -429,12 +429,12 @@ def test_kernel_price_reports_its_supported_measure(name, side, tmp_path, capsys
     assert dual["kind"] == f"dual_{side}" and dual["value"] == doc["price"]
     # the reported measure lies in the supported polytope rebuilt from the model
     enl = enlarge(load_model(data), doc["n"])
-    paths = supported_paths(enl)
-    index = {ep.label: p for p, ep in enumerate(enl.epaths)}
+    space = supported_space(enl)
+    index = {ep.label: p for p, ep in enumerate(space.epaths)}
+    assert dual["measure"] and set(dual["measure"]) <= set(index)
     measure = {index[label]: rat(q) for label, q in dual["measure"].items()}
-    assert measure and set(measure) <= set(paths)
-    assert doc["supported_paths"] == len(paths)
-    ok, ledger = build_polytope(enl, paths=paths).check(measure)
+    assert doc["supported_paths"] == space.num_paths == len(supported_paths(enl))
+    ok, ledger = build_polytope(space).check(measure)
     assert ok, [e for e in ledger if not e["ok"]]
 
 

@@ -5,6 +5,7 @@ import dataclasses
 
 import pytest
 
+from amhedge.divisible import RevealedModel, weight_grid
 from amhedge.enlarged import enlarge, extend_claim
 from amhedge.errors import ModelFormatError
 from amhedge.market import emit_model, load_model
@@ -56,21 +57,66 @@ def test_skewed_clock_weights(binomial_short_put):
     assert enl.clock_dist == {(0,): Q(1, 3), (1,): Q(2, 3)}
 
 
-def test_subforest_matches_a_brute_force_build():
+def test_restricted_matches_a_brute_force_build():
     model = load_model(binomial_put_book_dict(2, short_bid="1/4"))
     enl = enlarge(model, model.N + 1)
     assert enl.num_paths == 36
     # a subset of the clock paths, listed out of index order
     paths = [p for p in range(enl.num_paths) if p % 3 != 1][::-1]
-    through, kids = enl.subforest(paths)
-    seqs = {p: enl.epaths[p].node_seq for p in paths}
-    nodes = {v for seq in seqs.values() for v in seq}
-    assert list(through) == sorted(nodes) and set(kids) == nodes
+    sub = enl.restricted(paths)
+    keep = sorted(paths)
+    seqs = [enl.epaths[p].node_seq for p in keep]
+    nodes = {v for seq in seqs for v in seq}
+    assert list(sub.through) == list(sub.children) == sorted(nodes)
     for v in nodes:
-        assert through[v] == [p for p in paths if v in seqs[p]]
-        steps = {seq[t + 1] for seq in seqs.values() for t in range(enl.horizon) if seq[t] == v}
-        assert kids[v] == tuple(c for c in enl.children[v] if c in steps)
+        assert sub.through[v] == [i for i, seq in enumerate(seqs) if v in seq]
+        steps = {seq[t + 1] for seq in seqs for t in range(enl.horizon) if seq[t] == v}
+        assert sub.children[v] == tuple(c for c in enl.children[v] if c in steps)
+    assert sub.roots == tuple(r for r in enl.roots if r in nodes)
     assert len(nodes) < len(enl.enodes)
+
+
+def test_restricted_keeps_nodes_paths_and_weights():
+    model = load_model(binomial_put_book_dict(2, short_bid="1/4"))
+    enl = enlarge(model, model.N, "skewed")
+    keep = [p for p in range(enl.num_paths) if enl.epaths[p].clocks[0] != 1]
+    sub = enl.restricted(keep)
+    assert sub.num_paths == len(keep) < enl.num_paths
+    # nodes keep their indices and labels, paths their order and weights
+    assert sub.enodes is enl.enodes and sub.path_index is not enl.path_index
+    assert sub.epaths == [enl.epaths[p] for p in keep]
+    assert [sub.weight(i) for i in range(sub.num_paths)] == [enl.weight(p) for p in keep]
+    for i, p in enumerate(keep):
+        ep = enl.epaths[p]
+        assert sub.path_index(ep.base_index, ep.clocks) == i
+    # the parent is left as it was
+    assert enl.num_paths == len(model.tree.paths) * len(enl.clock_dist)
+    assert list(enl.children) == list(range(len(enl.enodes)))
+
+
+def test_restricted_builds_its_own_forest_and_survives_with_model(binomial_short_put):
+    enl = enlarge(binomial_short_put, 1)
+    full = enl.through    # the parent's forest, computed before the copy
+    assert sum(map(len, full.values())) == enl.num_paths * (enl.horizon + 1)
+    sub = enl.restricted([0, 1])
+    assert sub.through is not full and enl.through is full
+    assert sub.through == {v: [i for i, ep in enumerate(sub.epaths) if v in ep.node_seq]
+                           for v in sub.children}
+    other = sub.with_model(binomial_short_put.shifted_prices(Q(1, 8)))
+    assert other.epaths is sub.epaths and other.children is sub.children
+    assert other.through is sub.through
+    assert [other.weight(p) for p in range(other.num_paths)] == [sub.weight(0), sub.weight(1)]
+
+
+def test_restricted_refuses_no_paths_and_a_mixed_space(binomial_short_put):
+    enl = enlarge(binomial_short_put, 1)
+    with pytest.raises(ValueError, match="at least one path"):
+        enl.restricted([])
+    revealed = RevealedModel(binomial_short_put, 1)
+    grid = revealed.with_grid(weight_grid(1, revealed.horizon))
+    assert grid.mixtures
+    with pytest.raises(ValueError, match="tied pairs or mixtures"):
+        grid.restricted([0])
 
 
 def test_status_reveals_clock_at_its_time(binomial_short_put):

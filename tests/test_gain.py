@@ -18,7 +18,8 @@ from amhedge.divisible import RevealedModel
 from amhedge.enlarged import enlarge
 from amhedge.hedging import GainLP, nonanticipative, payoff_enlarged
 from amhedge.market import load_model
-from amhedge.measures import build_polytope, restricted_stopping_times
+from amhedge.measures import build_polytope
+from amhedge.strategies import enlarged_stopping_times
 from amhedge.rationals import ZERO, Q, rat_str
 
 from conftest import binomial_dict
@@ -71,9 +72,9 @@ def _random_positions(g: GainLP, rng: random.Random) -> list[Q]:
     T = g.enl.horizon
     for j, nu in enumerate(g.nu_var):
         b = x[g.static["b"][j]]
-        for p in g.paths:
+        for ep in g.enl.epaths:
             # the terminal enlarged node belongs to this path alone
-            seq = g.enl.epaths[p].node_seq
+            seq = ep.node_seq
             x[nu[seq[T]]] = b - sum((x[nu[v]] for v in seq[:T]), ZERO)
     return x
 
@@ -91,7 +92,7 @@ def test_builder_matches_evaluator_on_every_path(model, split, extra_clock):
     for _ in range(3):
         x = _random_positions(g, rng)
         gains = payoff_enlarged(enl, g.strategy_at(x))
-        for p in g.paths:
+        for p in range(enl.num_paths):
             assert _dot(g.gain_coeffs(p), x) == gains[p]
 
 
@@ -153,6 +154,6 @@ def test_check_fails_without_raising_on_a_signed_measure():
     seqs = [enl.epaths[p].node_seq for p in range(enl.num_paths)]
     best = max(
         sum(q * values[seqs[p][tau.time_on(seqs[p])]] for p, q in measure.items())
-        for tau in restricted_stopping_times(enl, range(enl.num_paths))
+        for tau in enlarged_stopping_times(enl)
     )
     assert entry["lhs"] == rat_str(best)

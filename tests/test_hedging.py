@@ -97,7 +97,7 @@ def test_no_arbitrage_clean_market(binomial):
 
 def test_arbitrage_restricted_to_paths(binomial):
     # on the up path alone one share held from r wins 1 and never loses
-    rep = detect_arbitrage(enlarge(binomial, 0), paths=[0])
+    rep = detect_arbitrage(enlarge(binomial, 0).restricted([0]))
     assert rep.found and rep.gain == Q(1, 2)
     assert list(rep.strategy.stock.values()) == [ONE]
     assert set(rep.gains) == {0}

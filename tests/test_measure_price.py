@@ -25,7 +25,7 @@ from amhedge.hedging import GainLP, SemiStaticStrategy, payoff_enlarged, subhedg
 from amhedge.market import load_model
 from amhedge.measures import price_with_dual
 from amhedge.rationals import ONE, ZERO, Q, rat_str
-from amhedge.robust import supported_paths
+from amhedge.robust import supported_paths, supported_space
 
 from conftest import binomial_put_book_dict, trinomial_dict, unbranched_book_dicts
 from test_report_bytes import CAMPAIGN_MODELS, CONFTEST_MODELS, _model
@@ -49,16 +49,15 @@ GENERATED = _generated_seeds(8)
 
 
 def _space(model, side):
-    """The side's enlarged space and its paths (the kernel support, if any)."""
-    n = model.N + (side == "super")
-    enl = enlarge(model, n)
-    return enl, supported_paths(enl) if model.kernels else None
+    """The side's enlarged space, restricted to the kernel support, if any."""
+    enl = enlarge(model, model.N + (side == "super"))
+    return supported_space(enl) if model.kernels else enl
 
 
 def _check_against_reference(model, side):
-    enl, paths = _space(model, side)
-    report, pt = price_with_dual(enl, side, paths=paths)
-    ref = (subhedge if side == "sub" else superhedge)(enl, paths=paths)
+    enl = _space(model, side)
+    report, pt = price_with_dual(enl, side)
+    ref = (subhedge if side == "sub" else superhedge)(enl)
     assert report.price == ref.price
     assert report.gap == ZERO
     assert report.to_json(enl)["dual_ref"]["value"] == rat_str(report.price)
@@ -71,11 +70,11 @@ def _check_against_reference(model, side):
     books += [m for nu in strat.liquidation for m in nu.values()]
     assert all(v >= ZERO for v in books)
     # payoff_enlarged raises unless each nu_j sums to b_j along every path
-    gains = payoff_enlarged(enl, strat, paths=pt.paths)
+    gains = payoff_enlarged(enl, strat)
     claim = extend_claim(enl, side)
     eta = report.exercise
     assert (eta is None) == (side == "super")
-    for p in pt.paths:
+    for p in range(enl.num_paths):
         if side == "super":
             assert report.price + gains[p] >= claim[p]
             continue
@@ -115,9 +114,8 @@ def test_support_that_skips_a_base_path_prices_like_the_hedge_lp():
                                 "price": "1/4"}]
     data["kernels"] = {"r": [["0", "1", "0"]]}
     model = load_model(data)
-    enl, paths = _space(model, "sub")
-    assert paths == [2, 3]
-    assert GainLP(enl, paths=paths).carry_nodes == [0, 2, 4, 5]
+    assert supported_paths(enlarge(model, model.N)) == [2, 3]
+    assert GainLP(_space(model, "sub")).carry_nodes == [0, 2, 4, 5]
     for side in SIDES:
         assert _check_against_reference(model, side).price != ZERO
 

@@ -26,13 +26,12 @@ from amhedge.measures import (
     lift_measure_uniform_clock,
     price_with_dual,
     push_stopping_measure,
-    restricted_stopping_times,
     snell_value,
     strict_value_bracket,
 )
 from amhedge.rationals import ONE, Q, ZERO
-from amhedge.robust import drop_options, supported_paths
-from amhedge.strategies import StoppingTime
+from amhedge.robust import drop_options, supported_paths, supported_space
+from amhedge.strategies import StoppingTime, enlarged_stopping_times
 
 from conftest import binomial_dict, binomial_put_book_dict, unbranched_book_dicts
 from test_lp_fingerprints import recorded  # noqa: F401  (fixture)
@@ -196,7 +195,7 @@ def test_e2_chain_collapses_when_attainable(binomial_short_put):
     assert (sub.price, chain.middle, sup.price) == (Q(1, 3), Q(1, 3), Q(1, 3))
     assert chain.num_taus >= 1
     # the oracle hands out the stopping times it enumerated
-    assert chain.taus == restricted_stopping_times(pt1.enl, pt1.paths)
+    assert chain.taus == enlarged_stopping_times(pt1.enl)
 
 
 @pytest.mark.parametrize("shift", [Q(1, 100), Q(-1, 100)])
@@ -233,21 +232,23 @@ def test_strict_value_bracket_converges(binomial_short_put):
 
 def test_restricted_stopping_times(binomial_short_put):
     enl = enlarge(binomial_short_put, 1)
-    all_taus = restricted_stopping_times(enl, range(enl.num_paths))
+    all_taus = enlarged_stopping_times(enl)
     assert len(all_taus) == 4
     # restricting to the clock-0 paths leaves a single root atom
-    sub = restricted_stopping_times(enl, [_path(enl, 0, (0,)), _path(enl, 1, (0,))])
+    sub = enlarged_stopping_times(enl.restricted([_path(enl, 0, (0,)), _path(enl, 1, (0,))]))
     assert len(sub) == 2
 
 
 def test_polytope_paths_restriction(binomial_short_put):
     enl = enlarge(binomial_short_put, 1)
     keep = [_path(enl, 0, (0,)), _path(enl, 1, (0,))]
-    pt = build_polytope(enl, paths=keep)
-    assert sorted(pt.q_var) == sorted(keep)
-    # a measure charging an excluded path must be flagged
-    ok, ledger = pt.check({_path(enl, 0, (1,)): ONE})
+    pt = build_polytope(enl.restricted(keep))
+    assert list(pt.q_var) == [0, 1]
+    assert pt.lp.var_names == [f"Q[{enl.epaths[p].label}]" for p in sorted(keep)]
+    # a measure charging a key outside the space must be flagged
+    ok, ledger = pt.check({2: ONE})
     assert not ok
+    assert [e["constraint"] for e in ledger if not e["ok"]][0] == "support[p2]"
 
 
 def _trinomial2_kernel_model():
@@ -287,7 +288,7 @@ def _envelope_polytopes():
     # single-child nodes collapse into runs of the Snell block
     runs = load_model(unbranched_book_dicts()["unbranched_short"])
     return [build_polytope(enlarge(long_put, 1)),
-            build_polytope(enl, paths=supported_paths(enl)),
+            build_polytope(supported_space(enl)),
             build_polytope(enlarge(runs, 1))]
 
 
@@ -301,15 +302,15 @@ def test_envelope_block_matches_snell_value(seed):
         values = {v: Q(rng.randint(-6, 6), rng.randint(1, 4)) for v in range(len(pt.enl.enodes))}
         # Q fixed by equality rows on a copy of the polytope LP
         work = pt.lp.copy()
-        for p in pt.paths:
-            work.add_constraint({pt.q_var[p]: ONE}, "=", measure.get(p, ZERO))
+        for p, var in pt.q_var.items():
+            work.add_constraint({var: ONE}, "=", measure.get(p, ZERO))
         root, shift, _ = pt.snell_block(work, values, "test")
-        support = {v for p in pt.paths for v in pt.enl.epaths[p].node_seq}
+        support = {v for ep in pt.enl.epaths for v in ep.node_seq}
         assert shift == min(ZERO, *(values[v] for v in support))
         work.set_objective("min", root)
         out = solve(work)
         assert out.status == "optimal"
-        assert out.value + shift == snell_value(pt.enl, values, measure, paths=pt.paths)
+        assert out.value + shift == snell_value(pt.enl, values, measure)
 
 
 def test_long_rows_stay_linear_in_the_support():
@@ -319,7 +320,7 @@ def test_long_rows_stay_linear_in_the_support():
     pt = build_polytope(enl)
     bare = build_polytope(enl.with_model(dataclasses.replace(model, americans_long=[])))
     added = len(pt.lp.rows) - len(bare.lp.rows)
-    support = {v for p in pt.paths for v in enl.epaths[p].node_seq}
+    support = {v for ep in enl.epaths for v in ep.node_seq}
     assert added == pt.num_tau_rows
     assert added <= 2 * model.M * len(support) + model.M
 
@@ -353,12 +354,13 @@ def test_polytope_at_other_quotes_is_the_rebuilt_polytope():
 def test_at_quotes_copies_the_polytope_of_the_shifted_quotes(name, n_extra, request):
     model = _model(request, name)
     enl = enlarge(model, model.N + n_extra)
-    paths = None if model.kernels is None else supported_paths(enl)
-    pt = build_polytope(enl, paths=paths)
+    if model.kernels is not None:
+        enl = supported_space(enl)
+    pt = build_polytope(enl)
     measure = pt.solve_extremum([ZERO] * enl.num_paths, "max")[1]
     for eps in (Q(-1, 3), Q(1, 16)):
         shifted = enl.with_model(model.shifted_prices(eps))
-        moved, built = pt.at_quotes(shifted), build_polytope(shifted, paths=paths)
+        moved, built = pt.at_quotes(shifted), build_polytope(shifted)
         assert format_lp(moved.lp) == format_lp(built.lp)
         assert moved.check(measure) == built.check(measure)
 
@@ -369,10 +371,11 @@ def test_dp_equals_the_stock_only_measure_lp(name, request, recorded):
     # every path on a market without kernels, the supported ones with them
     model = drop_options(_model(request, name))
     enl = enlarge(model, 1)
-    paths = None if model.kernels is None else supported_paths(enl)
-    price = price_with_dual(enl, "super", paths=paths)[0].price
+    if model.kernels is not None:
+        enl = supported_space(enl)
+    price = price_with_dual(enl, "super")[0].price
     recorded.clear()
-    dp = dp_superhedge(enl, extend_claim(enl, "super"), paths=paths)
+    dp = dp_superhedge(enl, extend_claim(enl, "super"))
     assert dp.value == price
     assert len(set(recorded)) == len(recorded) == dp.lp_count
 

@@ -30,7 +30,7 @@ from amhedge.hedging import SemiStaticStrategy, check_hedge, payoff_enlarged, su
 from amhedge.market import load_model
 from amhedge.measures import MeasurePolytope, build_polytope, ftap_certificate, price_with_dual
 from amhedge.rationals import ONE, ZERO, Q
-from amhedge.robust import selectors, supported_paths, vertex_measure
+from amhedge.robust import selectors, supported_space, vertex_measure
 
 from conftest import binomial_dict, binomial_put_book_dict, binomial_short_put_dict
 from conftest import trinomial_dict, trinomial_kernels_dict, two_period_dict
@@ -72,8 +72,7 @@ def _check(enl, report, strat, eta, x):
     if report.kind == "super":
         rhs = [enl.model.claim.scalar(enl.base_node_at(p, ep.clocks[-1]))
                for p, ep in enumerate(enl.epaths)]
-    check_hedge(enl, strat, sign, x, rhs, paths=range(enl.num_paths), exercise=eta,
-                kind=report.kind)
+    check_hedge(enl, strat, sign, x, rhs, exercise=eta, kind=report.kind)
 
 
 def _unused_node(enl, used):
@@ -183,7 +182,7 @@ def _failed(pt, measure, **slack):
 
 def _first(pt, measure, want):
     """First path where want(q, p) holds, in index order."""
-    return next(p for p in pt.paths if want(measure.get(p, ZERO), p))
+    return next(p for p in pt.q_var if want(measure.get(p, ZERO), p))
 
 
 @pytest.mark.parametrize("side, family", [
@@ -194,12 +193,16 @@ def test_measure_check_rejects(side, family):
     enl, report, pt = _priced(side)
     measure = dict(report.measure)
     if family == "support":
-        pt = build_polytope(enl, paths=measure)
+        # the polytope of the measure's support, the measure keyed by its paths
+        keep = sorted(measure)
+        pt = build_polytope(enl.restricted(keep))
+        measure = {i: measure[p] for i, p in enumerate(keep)}
     assert _failed(pt, measure) == set()
     pt.require(measure, "priced measure")
     charged = lambda q, p: q > ZERO
     if family == "support":
-        p, delta = next(p for p in range(enl.num_paths) if p not in measure), EPS
+        # mass on a key that is no path of the space
+        p, delta = pt.enl.num_paths, EPS
     elif family == "pos":
         p, delta = _first(pt, measure, lambda q, p: q == ZERO), -EPS
     elif family == "h":
@@ -223,7 +226,7 @@ def test_positivity_rows_at_a_slack():
     pt = build_polytope(enlarge(model, model.N))
     cert = ftap_certificate(pt)
     assert not cert.holds and cert.slack == Q(-5, 12)
-    measure, (p, q) = dict(cert.measure), pt.paths[:2]
+    measure, (p, q) = dict(cert.measure), (0, 1)
     measure[q] = measure.get(q, ZERO) + measure.get(p, ZERO) + EPS
     measure[p] = -EPS
     assert "pos" in _failed(pt, measure, min_slack=cert.slack)
@@ -232,7 +235,7 @@ def test_positivity_rows_at_a_slack():
     pt = build_polytope(enlarge(model, model.N))
     cert = ftap_certificate(pt)
     assert cert.holds
-    p = pt.paths[0]
+    p = 0
     w = cert.measure[p] / cert.slack
     assert _failed(pt, cert.measure, min_slack=cert.slack, floor={p: w}) == set()
     assert "pos" in _failed(pt, cert.measure, min_slack=ONE)
@@ -271,7 +274,7 @@ def _move_witness(monkeypatch, p, delta):
 def _at_floor(pt, cert, floor=None):
     """A path whose mass sits exactly at the slack times its floor weight."""
     weight = lambda p: ONE if floor is None else floor.get(p, ZERO)
-    return next(p for p in pt.paths
+    return next(p for p in pt.q_var
                 if weight(p) and cert.measure.get(p, ZERO) == cert.slack * weight(p))
 
 
@@ -289,9 +292,9 @@ def _short_put_reader(**kwargs):
 
 def _selector_reader():
     model = load_model(trinomial_kernels_dict(2))
-    enl = enlarge(model, model.N)
+    enl = supported_space(enlarge(model, model.N))
     floor = vertex_measure(enl, selectors(model)[0])
-    return build_polytope(enl, paths=supported_paths(enl)), {"floor": floor}
+    return build_polytope(enl), {"floor": floor}
 
 
 @pytest.mark.parametrize("reader", [
@@ -399,4 +402,4 @@ def test_integer_gains_equal_the_fraction_reference(data):
     for p, gain in gains.items():
         assert _frac(gain) == reference_gain(enl, strat, p)
     half = [p for p in range(enl.num_paths) if p % 2]
-    assert payoff_enlarged(enl, strat, paths=half) == {p: gains[p] for p in half}
+    assert payoff_enlarged(enl.restricted(half), strat) == {i: gains[p] for i, p in enumerate(half)}

@@ -32,8 +32,8 @@ from amhedge.robust import (
     num_selectors,
     robust_na,
     submarket_slacks,
-    supported_enodes,
     supported_paths,
+    supported_space,
     verify_minimax,
     vertex_measure,
 )
@@ -78,20 +78,19 @@ SURE_UP = {"r": [["1", "0"]]}
 
 
 def _qs_price(enl, side):
-    """The quasi-sure price: the classical measure LP on the supported paths."""
-    return price_with_dual(enl, side, paths=supported_paths(enl))[0]
+    """The quasi-sure price: the classical measure LP on the supported space."""
+    return price_with_dual(supported_space(enl), side)[0]
 
 
 def _stock_polytope(model):
     """The martingale polytope robust_na certifies on: the stock-only
-    market's n = 0 space, on its supported paths."""
-    stock = enlarge(drop_options(model), 0)
-    return MeasurePolytope(stock, paths=supported_paths(stock))
+    market's n = 0 space, restricted to its supported paths."""
+    return MeasurePolytope(supported_space(enlarge(drop_options(model), 0)))
 
 
 def _qs_ftap(enl):
-    """The quasi-sure FTAP: the classical certificate on the supported paths."""
-    return ftap_certificate(build_polytope(enl, paths=supported_paths(enl)))
+    """The quasi-sure FTAP: the classical certificate on the supported space."""
+    return ftap_certificate(build_polytope(supported_space(enl)))
 
 
 def test_na_interior_singleton():
@@ -134,7 +133,7 @@ def test_non_distribution_vertex_fails_when_the_support_is_read():
     # support runs check_kernel_family all the same
     model = dataclasses.replace(_binomial(INTERIOR), kernels={"r": [(Q(1, 2), Q(1, 3))]})
     enl = enlarge(model, 0)
-    for read in (supported_paths, supported_enodes, lambda e: num_selectors(e.model)):
+    for read in (supported_paths, supported_space, lambda e: num_selectors(e.model)):
         with pytest.raises(ModelFormatError, match="not a distribution"):
             read(enl)
 
@@ -175,8 +174,10 @@ def _put_super_target(kern):
 
 
 def _dp(enl, zeta):
-    """The quasi-sure backward induction: the DP on the supported paths."""
-    return dp_superhedge(enl, zeta, paths=supported_paths(enl))
+    """The quasi-sure backward induction: the DP on the supported space,
+    of zeta given per path of enl."""
+    paths = supported_paths(enl)
+    return dp_superhedge(enl.restricted(paths), [zeta[p] for p in paths])
 
 
 def test_dp_matches_stock_superhedge():
@@ -299,9 +300,9 @@ def test_one_lp_decides_8192_selectors():
     cert = _qs_ftap(enl)
     assert cert.holds and cert.slack == Q(1, 108)
     # the witness charges every supported path and clears every row by the slack
-    pt = build_polytope(enl, paths=supported_paths(enl))
+    pt = build_polytope(supported_space(enl))
     ok, _ = pt.check(cert.measure, min_slack=cert.slack)
-    assert ok and sorted(cert.measure) == supported_paths(enl)
+    assert ok and sorted(cert.measure) == list(range(len(supported_paths(enl))))
 
 
 @pytest.mark.parametrize("bid, holds", [("1/8", True), ("1", False)])
@@ -312,7 +313,7 @@ def test_selector_sweep_agrees_with_one_lp(bid, holds):
     assert num_selectors(model) == 16
     for n in (model.N, model.N + 1):
         enl = enlarge(model, n)
-        pt = build_polytope(enl, paths=supported_paths(enl))
+        pt = build_polytope(supported_space(enl))
         assert selector_sweep(pt) == _qs_ftap(enl).holds == holds
     assert selector_sweep(_stock_polytope(model))
     assert robust_na(enlarge(model, model.N))[1].holds
@@ -322,8 +323,7 @@ def test_selector_sweep_rechecks_its_witness_at_the_shifted_quotes(monkeypatch):
     data = trinomial_kernels_dict(2)
     data["americans_short"][0]["price"] = "1/8"
     model = load_model(data)
-    enl = enlarge(model, model.N)
-    pt = build_polytope(enl, paths=supported_paths(enl))
+    pt = build_polytope(supported_space(enlarge(model, model.N)))
     real = MeasurePolytope.support_slack
 
     def overstated(self, **kwargs):
@@ -339,15 +339,13 @@ def test_selector_sweep_rechecks_its_witness_at_the_shifted_quotes(monkeypatch):
 def test_selector_sweep_agrees_on_arbitrage():
     model = _binomial(SURE_UP)
     assert not selector_sweep(_stock_polytope(model))
-    enl = enlarge(model, 0)
-    assert not selector_sweep(build_polytope(enl, paths=supported_paths(enl)))
+    assert not selector_sweep(build_polytope(supported_space(enlarge(model, 0))))
 
 
 def test_ftap_transfer():
     model = _binomial_put(INTERIOR)
     low, high = ftap_transfer(*(
-        build_polytope(enl, paths=supported_paths(enl))
-        for enl in (enlarge(model, model.N), enlarge(model, model.N + 1))
+        build_polytope(supported_space(enlarge(model, n))) for n in (model.N, model.N + 1)
     ))
     assert low.holds and high.holds
 
@@ -355,7 +353,7 @@ def test_ftap_transfer():
 def _minimax_setup():
     enl = enlarge(_binomial_put(INTERIOR), 1)
     putv = {"r": ZERO, "u": ZERO, "d": Q(1, 2)}
-    stream = {v: putv[enl.enode(v).base] for v in supported_enodes(enl)}
+    stream = {v: putv[enl.enode(v).base] for v in supported_space(enl).children}
     return enl, stream
 
 
@@ -379,7 +377,7 @@ def test_minimax_two_vertices():
     # the up-tilted vertex leaves only 1/4 mass on the down move
     assert rep.value == Q(1, 8)
     # a constant second stream shifts the value by that constant
-    const = {v: Q(2, 7) for v in supported_enodes(enl)}
+    const = {v: Q(2, 7) for v in supported_space(enl).children}
     rep2 = verify_minimax(enl, [stream, const], [v1, v2])
     assert rep2.value == rep.value + Q(2, 7)
 
