@@ -30,10 +30,10 @@ from amhedge.rationals import rat_str
 from test_report_bytes import CAMPAIGN_MODELS, COMMANDS, CONFTEST_MODELS, _model
 
 # (number of LPs solved, sha256 of their sorted fingerprints)
-EXPECTED_CLI = (31, "3ad5302e59a8a8d1e112d374ab62e8efbd3b3036820a81c68d02877ea1fea6a7")
+EXPECTED_CLI = (31, "888ac120ad3b52f3a14b2c36d20baf58b8b116cb40b6a3ba97a477267680dd0a")
 EXPECTED_VERIFY = (295, "e5688d18c444f13be57a1fdaa4110cb1c9ddd446ea5b75ce87fc6abcc8cff212")
 # (number of pivots, sha256 of the sorted (fingerprint, pivot sequence) pairs)
-EXPECTED_CLI_PIVOTS = (143, "35adadc77ae0a3a3196cda57c87fd6173a0c1bd15af7c820c949da66f456ae11")
+EXPECTED_CLI_PIVOTS = (143, "0e5235b4cc845ea2cc3eb5d87f4b954c4dd23cefaf984df0d95e164aa1d96aa4")
 EXPECTED_VERIFY_PIVOTS = (1955, "e9b01c7def0d516487439cd554e20dd4f38a2c1899f9c4ac97d97a7529998b53")
 
 
