@@ -36,7 +36,7 @@ from .measures import (
     snell_value,
     strict_value_bracket,
 )
-from .rationals import ONE, ZERO, Q, rat, rat_str
+from .rationals import ONE, ZERO, Q, rat_str
 from .robust import (
     drop_options,
     ftap_transfer,
@@ -291,8 +291,8 @@ def _within_budget(model: MarketModel) -> bool:
     # only e2_chain and verify_minimax enumerate stopping times, both on
     # the n = N space; the n = N + 1 count with longed asks bounds no
     # enumeration any more and stays only to keep the seeded corpus, and
-    # with it every pinned digest, fixed (ROADMAP item 2: "relax the
-    # campaign budget")
+    # with it every pinned digest, fixed (ROADMAP item 6 drops it with
+    # the rest of the budget relaxation)
     depths = (model.N, model.N + 1) if model.M else (model.N,)
     for n in depths:
         enl = enlarge(model, n)
@@ -517,16 +517,16 @@ def _describe(model: MarketModel) -> dict:
 
 def check_duality(
     model: MarketModel,
-) -> tuple[dict, MeasurePolytope, MeasurePolytope, dict[int, Q]]:
+) -> tuple[dict, tuple[Q, Q], MeasurePolytope, MeasurePolytope, dict[int, Q]]:
     """Certified sub and super prices against separately built hedge LPs.
 
     Each price comes from its measure LP (price_with_dual), with the
     measure re-checked from the model data and the hedge read off the
     duals re-checked pathwise; the hedge LP of subhedge/superhedge,
     built and solved on its own, must reach the price exactly.  Sub must
-    not exceed super.  Returns the record, the polytopes of the n = N and
-    n = N + 1 spaces, and the super price's closed maximizer, for
-    check_chain.
+    not exceed super.  Returns the record, the (sub, super) prices, the
+    polytopes of the n = N and n = N + 1 spaces, and the super price's
+    closed maximizer, for check_chain.
     """
     sub, pt_sub = price_with_dual(enlarge(model, model.N), "sub")
     sup, pt_sup = price_with_dual(enlarge(model, model.N + 1), "super")
@@ -540,7 +540,7 @@ def check_duality(
         "sub": rat_str(sub.price),
         "super": rat_str(sup.price),
     }
-    return record, pt_sub, pt_sup, sup.measure
+    return record, (sub.price, sup.price), pt_sub, pt_sup, sup.measure
 
 
 # -- battery: pricing consistency across the shift grid -------------------------
@@ -602,7 +602,7 @@ def check_ftap_grid(
 
 def check_chain(
     sna: MeasureCertificate,
-    duality: dict,
+    prices: tuple[Q, Q],
     pt_sub: MeasurePolytope,
     pt_sup: MeasurePolytope,
     argmax: dict[int, Q],
@@ -611,7 +611,7 @@ def check_chain(
 ) -> dict:
     """Three-term price chain plus lift and push transports.
 
-    ``duality``, ``pt_sub``, ``pt_sup`` and ``argmax`` are what
+    ``prices``, ``pt_sub``, ``pt_sup`` and ``argmax`` are what
     check_duality returns: the chain ends are the dual prices it solved
     and matched to the hedging prices, the polytopes of both spaces, and
     the super side's closed maximizer.  The chain's middle term
@@ -622,12 +622,12 @@ def check_chain(
     to bracket the closed maximum by strictly consistent measures.
     """
     enl_sub = pt_sub.enl
-    upper = rat(duality["super"])
-    chain = e2_chain(pt_sub, rat(duality["sub"]), upper, cap=cap)
+    lower, upper = prices
+    chain = e2_chain(pt_sub, lower, upper, cap=cap)
     record = {
-        "lower": duality["sub"],
+        "lower": rat_str(lower),
         "middle": rat_str(chain.middle),
-        "upper": duality["super"],
+        "upper": rat_str(upper),
         "strict_upper": chain.middle < upper,
         "num_taus": chain.num_taus,
     }
@@ -655,12 +655,13 @@ def check_chain(
 
 
 def check_degenerations(
-    enl: EnlargedModel, enl_sup: EnlargedModel, sna: MeasureCertificate, duality: dict
+    enl: EnlargedModel, enl_sup: EnlargedModel, sna: MeasureCertificate, prices: tuple[Q, Q]
 ) -> dict:
     """Limiting cases with forced outcomes.
 
     ``enl`` and ``enl_sup`` are the market's n = N and n = N + 1 spaces
-    (as check_duality's polytopes carry them); quotes and books change
+    (as check_duality's polytopes carry them), and ``prices`` its sub and
+    super prices (check_duality's); quotes and books change
     below, the tree never, so every variant reuses one of these two
     forests.  A constant claim must price to that constant on both
     sides; prices, slack, and arbitrage verdicts must not react to the
@@ -671,14 +672,13 @@ def check_degenerations(
     record: dict = {}
     model = enl.model
     N = model.N
+    sub0, sup0 = prices
 
     # clock weights never enter the consistent-measure polytope
     enl_sk = enlarge(model, N, clock_weights="skewed")
-    sub_sk = subhedge(enl_sk)
-    if rat_str(sub_sk.price) != duality["sub"]:
+    if subhedge(enl_sk).price != sub0:
         raise PropertyViolation("sub-hedge price moved with the clock weights")
-    sup_sk = superhedge(enlarge(model, N + 1, clock_weights="skewed"))
-    if rat_str(sup_sk.price) != duality["super"]:
+    if superhedge(enlarge(model, N + 1, clock_weights="skewed")).price != sup0:
         raise PropertyViolation("super-hedge price moved with the clock weights")
     if ftap_certificate(build_polytope(enl_sk)).slack != sna.slack:
         raise PropertyViolation("uniform slack moved with the clock weights")
@@ -701,8 +701,6 @@ def check_degenerations(
 
         # weakening one quote can only help the hedger on both sides
         bump = sna.slack / 2
-        sub0 = rat(duality["sub"])
-        sup0 = rat(duality["super"])
         moved = []
         variants = []
         if model.L:
@@ -769,12 +767,13 @@ def check_depth_zero() -> dict:
 
 def check_singleton_robust(
     enl: EnlargedModel, enl_sup: EnlargedModel, laws: dict, sna: MeasureCertificate,
-    duality: dict,
+    prices: tuple[Q, Q],
 ) -> dict:
     """A one-vertex full-support family must reproduce classical answers.
 
     ``enl`` and ``enl_sup`` are the market's n = N and n = N + 1 spaces
-    (check_duality's), ``laws`` its GeneratedModel's full-support laws.
+    and ``prices`` its sub and super prices (check_duality's), ``laws``
+    its GeneratedModel's full-support laws.
     """
     kids = enl.model.tree.children
     model = dataclasses.replace(enl.model, kernels={
@@ -784,7 +783,7 @@ def check_singleton_robust(
         raise PropertyViolation("singleton family reports arbitrage in a clean market")
     sub, pt_sub = price_with_dual(supported_space(enl_sub), "sub")
     sup = price_with_dual(supported_space(enl_sup), "super")[0]
-    if rat_str(sub.price) != duality["sub"] or rat_str(sup.price) != duality["super"]:
+    if (sub.price, sup.price) != prices:
         raise PropertyViolation("singleton family moved a hedging price")
     holds = ftap_certificate(pt_sub).holds
     if holds != sna.holds:
@@ -981,11 +980,11 @@ def run_campaign(
     for i in range(models):
         mseed = rng.randrange(2 ** 32)
         gm = random_sna_model(random.Random(mseed))
-        duality, pt_sub, pt_sup, argmax = check_duality(gm.model)
+        duality, prices, pt_sub, pt_sup, argmax = check_duality(gm.model)
         grid, sna = check_ftap_grid(pt_sub.enl, expect="sna")
-        chain = check_chain(sna, duality, pt_sub, pt_sup, argmax, cap=cap)
-        degen = check_degenerations(pt_sub.enl, pt_sup.enl, sna, duality)
-        singleton = check_singleton_robust(pt_sub.enl, pt_sup.enl, gm.laws, sna, duality)
+        chain = check_chain(sna, prices, pt_sub, pt_sup, argmax, cap=cap)
+        degen = check_degenerations(pt_sub.enl, pt_sup.enl, sna, prices)
+        singleton = check_singleton_robust(pt_sub.enl, pt_sup.enl, gm.laws, sna, prices)
         for key, rec in (("duality", duality), ("ftap", grid), ("chain", chain),
                          ("degenerations", degen), ("singleton", singleton)):
             rec = dict(rec)
@@ -1055,9 +1054,9 @@ def run_campaign(
 
     # deterministic strict-gap witness: the chain can be properly strict
     wedge = strict_chain_market()
-    wedge_duality, *wedge_duals = check_duality(wedge)
-    _, wedge_sna = check_ftap_grid(wedge_duals[0].enl, expect="sna")
-    wedge_chain = check_chain(wedge_sna, wedge_duality, *wedge_duals, cap=cap)
+    _, *wedge_duals = check_duality(wedge)
+    _, wedge_sna = check_ftap_grid(wedge_duals[1].enl, expect="sna")
+    wedge_chain = check_chain(wedge_sna, *wedge_duals, cap=cap)
     if not wedge_chain["strict_upper"]:
         raise PropertyViolation("canonical strict-gap market lost its gap")
     strict_gaps += 1

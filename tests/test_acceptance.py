@@ -71,7 +71,7 @@ def _corpus() -> list:
 
 
 def _evaluate(i: int) -> tuple:
-    """(sna report, duality strings, raw price quadruple) for corpus model i."""
+    """(sna report, hedge LP prices, raw price quadruple) for corpus model i."""
     if i not in _EVAL:
         model = _corpus()[i].model
         dual_sub, pt_sub = price_with_dual(enlarge(model, model.N), "sub")
@@ -84,7 +84,7 @@ def _evaluate(i: int) -> tuple:
             dual_sup.price,
         )
         _POLYTOPES[i] = (pt_sub, pt_sup, dual_sup.measure)
-        _EVAL[i] = (sna, {"sub": rat_str(quad[0]), "super": rat_str(quad[2])}, quad)
+        _EVAL[i] = (sna, (quad[0], quad[2]), quad)
     return _EVAL[i]
 
 
@@ -187,9 +187,9 @@ def test_criterion_4_price_chain_and_transport(capfd):
     strict = 0
     try:
         for i, gm in enumerate(_corpus()):
-            sna, duality, _ = _evaluate(i)
+            sna, prices, _ = _evaluate(i)
             try:
-                rec = check_chain(sna, duality, *_POLYTOPES[i])
+                rec = check_chain(sna, prices, *_POLYTOPES[i])
                 strict += bool(rec["strict_upper"])
             except PropertyViolation as exc:
                 failures.append(f"model {i}: {exc}")
@@ -264,10 +264,10 @@ def test_criterion_6_robust_ftap_and_domination(capfd):
                 failures.append(f"kernel {k}: no-arbitrage verdict vs selector sweep")
         for i in range(15):
             gm = _corpus()[i]
-            sna, duality, _ = _evaluate(i)
+            sna, prices, _ = _evaluate(i)
             pt_sub, pt_sup, _ = _POLYTOPES[i]
             try:
-                check_singleton_robust(pt_sub.enl, pt_sup.enl, gm.laws, sna, duality)
+                check_singleton_robust(pt_sub.enl, pt_sup.enl, gm.laws, sna, prices)
                 singles += 1
             except PropertyViolation as exc:
                 failures.append(f"singleton {i}: {exc}")
@@ -308,8 +308,8 @@ def test_criterion_7_minimax_identity(capfd):
                f" stopping on {count} instances")
 
 
-def _duality_strings(enl, enl_sup) -> dict:
-    return {"sub": rat_str(subhedge(enl).price), "super": rat_str(superhedge(enl_sup).price)}
+def _hedge_prices(enl, enl_sup) -> tuple:
+    return subhedge(enl).price, superhedge(enl_sup).price
 
 
 def test_criterion_8_degenerations(capfd):
@@ -317,10 +317,10 @@ def test_criterion_8_degenerations(capfd):
     zero_iso = 0
     try:
         for i in range(12):
-            sna, duality, _ = _evaluate(i)
+            sna, prices, _ = _evaluate(i)
             pt_sub, pt_sup, _ = _POLYTOPES[i]
             try:
-                rec = check_degenerations(pt_sub.enl, pt_sup.enl, sna, duality)
+                rec = check_degenerations(pt_sub.enl, pt_sup.enl, sna, prices)
                 zero_iso += bool(rec.get("zero_clock_iso"))
             except PropertyViolation as exc:
                 failures.append(f"model {i}: {exc}")
@@ -328,8 +328,8 @@ def test_criterion_8_degenerations(capfd):
             seed = SEED * 8 + j
             gm = random_sna_model(random.Random(seed), force_n=0)
             enl, enl_sup = enlarge(gm.model, 0), enlarge(gm.model, 1)
-            duality = _duality_strings(enl, enl_sup)
-            rec = check_degenerations(enl, enl_sup, check_sna(build_polytope(enl)), duality)
+            prices = _hedge_prices(enl, enl_sup)
+            rec = check_degenerations(enl, enl_sup, check_sna(build_polytope(enl)), prices)
             if not rec.get("zero_clock_iso"):
                 failures.append(f"zero-clock model {j}: isomorphism not checked")
             else:
