@@ -1,0 +1,175 @@
+"""Align the LPs two source trees solve for the same CLI requests.
+
+Each request runs once per tree, in a subprocess that imports ``amhedge``
+from that tree's ``src``.  Every solve is recorded as the fingerprint
+tests record it: the LP as asked, at ``amhedge.lp._Presolve``, and the
+pivots, at ``amhedge.lp._Tableau``; the outcome adds the status and the
+value.  LPs are paired in solve order.  Per request the script counts the
+pairs that agree with names (sense, objective, rows with their names,
+relations, right-hand sides and coefficients, variables with their names
+and signs, status, value and pivot sequence), and the pairs that agree
+once row and variable names are ignored.
+
+    python tools/lp_align.py BASE HEAD --fixtures --verify 3 5
+
+BASE and HEAD are checkouts of the repository.  ``--fixtures`` runs
+price --side sub, price --side super and ftap on every model that
+``tests/test_report_bytes.py`` of HEAD pins; ``--verify SEED`` runs
+``verify --models 1 --seed SEED``; ``--request "ARGS"`` runs any other
+request.  ``--show K`` prints the first K differing row or variable
+names of each request.  The exit code is 1 when some pair differs once
+names are ignored.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import shlex
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+FIXTURE_COMMANDS = {
+    "price-sub": ["price", "--side", "sub"],
+    "price-super": ["price", "--side", "super"],
+    "ftap": ["ftap"],
+}
+
+
+def _worker(tree: str, argv: list[str]) -> None:
+    """Run one request on ``tree`` and print its solves as JSON."""
+    sys.path.insert(0, str(Path(tree) / "src"))
+    from amhedge import cli, lp
+    from amhedge.rationals import rat_str
+
+    solves: list[dict] = []
+
+    class Asked(lp._Presolve):
+        def __init__(self, prog, *args):
+            solves.append({
+                "sense": prog.sense,
+                "objective": sorted((j, rat_str(v)) for j, v in prog.objective.items()),
+                "rows": [[r.name, r.rel, rat_str(r.rhs),
+                          sorted((j, rat_str(v)) for j, v in r.coeffs.items())]
+                         for r in prog.rows],
+                "vars": [[name, bool(pos)] for name, pos in zip(prog.var_names, prog.nonneg)],
+                "pivots": [],
+            })
+            super().__init__(prog, *args)
+
+    class Recording(lp._Tableau):
+        def pivot(self, r, c):
+            solves[-1]["pivots"].append([r, c])
+            super().pivot(r, c)
+
+    class Outcome(lp.LPOutcome):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            solves[-1]["status"] = self.status
+            solves[-1]["value"] = None if self.value is None else rat_str(self.value)
+
+    lp._Presolve, lp._Tableau, lp.LPOutcome = Asked, Recording, Outcome
+    stdout = sys.stdout
+    sys.stdout = open(os.devnull, "w")
+    try:
+        code = cli.main(argv)
+    finally:
+        sys.stdout.close()
+        sys.stdout = stdout
+    json.dump({"exit": code, "solves": solves}, stdout)
+
+
+def _write_fixtures(head: Path, folder: Path) -> list[tuple[str, list[str]]]:
+    """Model files of HEAD's pinned fixtures, and the requests on each."""
+    script = (
+        "import json, sys\n"
+        "from pathlib import Path\n"
+        "import conftest\n"
+        "from test_report_bytes import CAMPAIGN_MODELS, CONFTEST_MODELS\n"
+        "from amhedge.market import emit_model, load_model\n"
+        "folder = Path(sys.argv[1])\n"
+        "for name in CONFTEST_MODELS:\n"
+        "    model = load_model(getattr(conftest, name + '_dict')())\n"
+        "    (folder / f'{name}.json').write_text(json.dumps(emit_model(model)))\n"
+        "for name, factory in CAMPAIGN_MODELS.items():\n"
+        "    (folder / f'{name}.json').write_text(json.dumps(emit_model(factory())))\n"
+        "print(json.dumps([*CONFTEST_MODELS, *CAMPAIGN_MODELS]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(head / "tests"), str(head / "src")])}
+    names = json.loads(subprocess.run([sys.executable, "-B", "-c", script, str(folder)], env=env,
+                                      check=True, capture_output=True, text=True).stdout)
+    return [(f"{name} {cmd}", [args[0], "--model", str(folder / f"{name}.json"), *args[1:]])
+            for name in names for cmd, args in FIXTURE_COMMANDS.items()]
+
+
+def _run(tree: Path, argv: list[str]) -> dict:
+    out = subprocess.run([sys.executable, "-B", __file__, "--worker", str(tree), *argv],
+                         check=True, capture_output=True, text=True)
+    return json.loads(out.stdout)
+
+
+def _unnamed(solve: dict) -> dict:
+    return {**solve, "rows": [row[1:] for row in solve["rows"]],
+            "vars": [pos for _, pos in solve["vars"]]}
+
+
+def _names(solve: dict) -> list[str]:
+    return [row[0] for row in solve["rows"]] + [name for name, _ in solve["vars"]]
+
+
+def align(base: dict, head: dict, show: int) -> tuple[dict, list[str]]:
+    """Counts of one request's LP pairs, and the first differing names."""
+    pairs = list(zip(base["solves"], head["solves"]))
+    named = sum(a == b for a, b in pairs)
+    unnamed = sum(_unnamed(a) == _unnamed(b) for a, b in pairs)
+    pivots = sum(a["pivots"] == b["pivots"] for a, b in pairs)
+    moved: list[str] = []
+    for a, b in pairs:
+        moved += [f"{x} -> {y}" for x, y in zip(_names(a), _names(b)) if x != y]
+    counts = {"exit": [base["exit"], head["exit"]],
+              "lps": [len(base["solves"]), len(head["solves"])],
+              "equal_with_names": named, "equal_without_names": unnamed,
+              "equal_pivots": pivots}
+    return counts, moved[:show]
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if args[:1] == ["--worker"]:
+        _worker(args[1], args[2:])
+        return 0
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("base", type=Path)
+    parser.add_argument("head", type=Path)
+    parser.add_argument("--fixtures", action="store_true")
+    parser.add_argument("--verify", type=int, nargs="*", default=[], metavar="SEED")
+    parser.add_argument("--request", action="append", default=[], metavar="ARGS")
+    parser.add_argument("--show", type=int, default=0, metavar="K")
+    opts = parser.parse_args(args)
+    with tempfile.TemporaryDirectory() as folder:
+        requests = _write_fixtures(opts.head.resolve(), Path(folder)) if opts.fixtures else []
+        requests += [(f"verify seed {s}", ["verify", "--models", "1", "--seed", str(s)])
+                     for s in opts.verify]
+        requests += [(text, shlex.split(text)) for text in opts.request]
+        total = {"lps": 0, "equal_with_names": 0, "equal_without_names": 0, "equal_pivots": 0}
+        aligned = True
+        for label, request in requests:
+            counts, moved = align(_run(opts.base, request), _run(opts.head, request), opts.show)
+            n = min(counts["lps"])
+            same = (counts["exit"][0] == counts["exit"][1] and counts["lps"][0] == counts["lps"][1]
+                    and counts["equal_without_names"] == counts["equal_pivots"] == n)
+            aligned &= same
+            for key in ("equal_with_names", "equal_without_names", "equal_pivots"):
+                total[key] += counts[key]
+            total["lps"] += n
+            print(f"{label}: {json.dumps(counts)}{'' if same else '  DIFFERS'}")
+            for line in moved:
+                print(f"    {line}")
+    print(f"total over {len(requests)} requests: {json.dumps(total)}")
+    return 0 if aligned else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
