@@ -73,7 +73,9 @@ def _clock_distribution(spec: ClockWeights, horizon: int, n: int) -> dict[tuple[
 class EnlargedModel:
     """Finite enlarged space with its forest of information atoms.
 
-    ``tied_pairs`` lists node pairs whose positions every strategy must
+    ``children`` and ``roots`` span the forest of the space's paths, its
+    nodes in index order; a copy on some of the paths (``restricted``)
+    keeps the node list and cuts the forest.  ``tied_pairs`` lists node pairs whose positions every strategy must
     hold equal, and ``mixtures`` weighted sets of paths on which every
     hedge must also hold on average; this space has neither.
     """
@@ -146,7 +148,7 @@ class EnlargedModel:
         and labels are shared with this space, and path weights and keys
         are recomputed.  A space that ties nodes or mixes paths is refused:
         its tied pairs chain the members of a class, which a dropped node
-        would cut.
+        would cut, and its mixtures name paths by index.
         """
         keep = sorted(set(paths))
         if not keep:

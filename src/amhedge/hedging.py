@@ -5,14 +5,16 @@ option positions: long Europeans a >= 0, long Americans b >= 0 exercised
 by a liquidating strategy, short Americans c >= 0 whose exercise times
 are the clock coordinates of the enlarged space.  The bilinear product
 b * mu is linearized by the substitution nu = b * mu, so every pricing
-problem below is an exact rational LP.
+problem below is an exact rational LP.  These hedge LPs are the
+campaign's reference prices and the pricer of the revealed-clock space;
+``price`` reads its hedge off the measure LP (measures.price_with_dual).
 
 Every LP and check here quantifies over all paths of the space it is
 given; a quasi-sure problem is given a kernel family's supported space
 (robust.supported_space), an EnlargedModel.restricted copy.  Which space
 a side runs on (n = N to sub-hedge, N + 1 to super-hedge) is checked
-once, by enlarged.extend_claim.  Liquidation masses nu_j and exercise weights eta
-are plain node -> weight dicts.
+once, by enlarged.extend_claim.  Liquidation masses nu_j and exercise
+weights eta are plain node -> weight dicts.
 
 check_hedge is the one pathwise re-check of a semi-static hedge, of every
 row family GainLP and _hedge write; every optimizer, witness and ray goes
