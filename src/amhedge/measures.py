@@ -176,7 +176,7 @@ def dp_superhedge(enl: EnlargedModel, zeta: Sequence[Q] | dict[int, Q]) -> DpRep
     duals are the hedge ratios.  That LP depends only on the base node
     and the successor values, so each distinct one is solved once and
     ``lp_count`` counts them.  The folded value is the stock
-    super-hedging price on the support; the per-node hedge ratios
+    super-hedging price on the space; the per-node hedge ratios
     telescope pathwise, which check_hedge verifies on every path.
     """
     T = enl.horizon
@@ -867,7 +867,7 @@ def e2_chain(
     polytope) are the sub- and super-hedging dual values, solved by the
     caller.  The middle term sup_Q sup_tau over pt, the polytope of the
     n = N space, is bilinear; it swaps to sup_tau sup_Q and is computed
-    here as an oracle: the stopping times of pt's support are enumerated
+    here as an oracle: the stopping times of pt's space are enumerated
     under ``cap`` and one LP is solved per distinct stopped-value vector.
     lower <= middle <= upper is asserted.  The report keeps the taus.
     """

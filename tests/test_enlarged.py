@@ -83,7 +83,7 @@ def test_restricted_keeps_nodes_paths_and_weights():
     sub = enl.restricted(keep)
     assert sub.num_paths == len(keep) < enl.num_paths
     # nodes keep their indices and labels, paths their order and weights
-    assert sub.enodes is enl.enodes and sub.path_index is not enl.path_index
+    assert sub.enodes is enl.enodes
     assert sub.epaths == [enl.epaths[p] for p in keep]
     assert [sub.weight(i) for i in range(sub.num_paths)] == [enl.weight(p) for p in keep]
     for i, p in enumerate(keep):
