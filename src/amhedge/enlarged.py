@@ -75,9 +75,10 @@ class EnlargedModel:
 
     ``children`` and ``roots`` span the forest of the space's paths, its
     nodes in index order; a copy on some of the paths (``restricted``)
-    keeps the node list and cuts the forest.  ``tied_pairs`` lists node pairs whose positions every strategy must
-    hold equal, and ``mixtures`` weighted sets of paths on which every
-    hedge must also hold on average; this space has neither.
+    keeps the node list and cuts the forest.  ``tied_pairs`` lists node
+    pairs whose positions every strategy must hold equal, and
+    ``mixtures`` weighted sets of paths on which every hedge must also
+    hold on average; this space has neither.
     """
 
     tied_pairs: tuple[tuple[int, int], ...] = ()
