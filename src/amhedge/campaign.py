@@ -50,7 +50,7 @@ from .robust import (
     verify_minimax,
     vertex_measure,
 )
-from .strategies import DEFAULT_ENUM_CAP, count_enlarged_stopping_times
+from .strategies import count_enlarged_stopping_times
 
 __all__ = [
     "EPS_GRID",
@@ -547,12 +547,13 @@ def check_duality(
 
 
 def check_ftap_grid(
-    enl: EnlargedModel, *, expect: str | None = None
+    pt: MeasurePolytope, *, expect: str | None = None
 ) -> tuple[dict, MeasureCertificate]:
     """No-arbitrage of shifted prices against the measure-side criterion.
 
-    ``enl`` is the market's n = N space; every shift reuses its forest
-    and a copy of its polytope with the quotes moved.
+    ``pt`` is the polytope of the market's n = N space (check_duality's
+    pt_sub); every shift reuses its forest and a copy of it with the
+    quotes moved.
     For every shift the trading-side verdict must coincide with the
     existence of a full-support consistent measure at the shifted
     quotes (ftap_certificate with the price rows closed, its witness
@@ -560,8 +561,8 @@ def check_ftap_grid(
     the uniform slack must stay clean, and a nonpositive slack must put
     arbitrage at every shift.
     """
+    enl = pt.enl
     model = enl.model
-    pt = build_polytope(enl)
     sna = check_sna(pt)
     if expect == "sna" and not sna.holds:
         raise PropertyViolation("factory promised strict no-arbitrage but it fails")
@@ -606,8 +607,6 @@ def check_chain(
     pt_sub: MeasurePolytope,
     pt_sup: MeasurePolytope,
     argmax: dict[int, Q],
-    *,
-    cap: int = DEFAULT_ENUM_CAP,
 ) -> dict:
     """Three-term price chain plus lift and push transports.
 
@@ -615,7 +614,7 @@ def check_chain(
     check_duality returns: the chain ends are the dual prices it solved
     and matched to the hedging prices, the polytopes of both spaces, and
     the super side's closed maximizer.  The chain's middle term
-    enumerates the stopping times of the n = N space under ``cap``.
+    enumerates the stopping times of the n = N space.
     When strict no-arbitrage holds, the certificate measure is lifted to
     the larger space, pushed onto two of those stopping times, and mixed
     with ``argmax``
@@ -623,7 +622,7 @@ def check_chain(
     """
     enl_sub = pt_sub.enl
     lower, upper = prices
-    chain = e2_chain(pt_sub, lower, upper, cap=cap)
+    chain = e2_chain(pt_sub, lower, upper)
     record = {
         "lower": rat_str(lower),
         "middle": rat_str(chain.middle),
@@ -918,9 +917,7 @@ def check_robust_model(
     return record, enl_sub
 
 
-def check_minimax_instance(
-    rng: random.Random, enl: EnlargedModel, *, cap: int = DEFAULT_ENUM_CAP
-) -> dict:
+def check_minimax_instance(rng: random.Random, enl: EnlargedModel) -> dict:
     """Liquidation/measure interchange on a kernel market's n = N space."""
     space = supported_space(enl)
     num_streams = rng.choice([1, 2])
@@ -935,7 +932,7 @@ def check_minimax_instance(
             total = sum(tilt.values(), ZERO)
             tilted.append({p: q / total for p, q in tilt.items()})
         vertices = tilted
-    report = verify_minimax(space, streams, vertices, cap=cap)
+    report = verify_minimax(space, streams, vertices)
     return {
         "value": rat_str(report.value),
         "streams": num_streams,
@@ -951,7 +948,6 @@ def run_campaign(
     seed: int,
     *,
     models: int = 50,
-    cap: int = DEFAULT_ENUM_CAP,
     progress=None,
 ) -> dict:
     """Seeded end-to-end sweep; any property failure raises.
@@ -981,8 +977,8 @@ def run_campaign(
         mseed = rng.randrange(2 ** 32)
         gm = random_sna_model(random.Random(mseed))
         duality, prices, pt_sub, pt_sup, argmax = check_duality(gm.model)
-        grid, sna = check_ftap_grid(pt_sub.enl, expect="sna")
-        chain = check_chain(sna, prices, pt_sub, pt_sup, argmax, cap=cap)
+        grid, sna = check_ftap_grid(pt_sub, expect="sna")
+        chain = check_chain(sna, prices, pt_sub, pt_sup, argmax)
         degen = check_degenerations(pt_sub.enl, pt_sup.enl, sna, prices)
         singleton = check_singleton_robust(pt_sub.enl, pt_sup.enl, gm.laws, sna, prices)
         for key, rec in (("duality", duality), ("ftap", grid), ("chain", chain),
@@ -1002,17 +998,17 @@ def run_campaign(
         mode = i % 3
         if mode == 0:
             bad, kind = inject_arbitrage(mrng, gm)
-            rec, sna = check_ftap_grid(enlarge(bad, bad.N), expect="fail")
+            rec, sna = check_ftap_grid(build_polytope(enlarge(bad, bad.N)), expect="fail")
             rec["mode"] = f"inject:{kind}"
         elif mode == 1:
             bad, kind = boundary_model(mrng, gm, ZERO)
-            rec, sna = check_ftap_grid(enlarge(bad, bad.N), expect="fail")
+            rec, sna = check_ftap_grid(build_polytope(enlarge(bad, bad.N)), expect="fail")
             if sna.slack != ZERO:
                 raise PropertyViolation("pinned quote should have exactly zero slack")
             rec["mode"] = f"pin:{kind}"
         else:
             bad, kind = boundary_model(mrng, gm, BOUNDARY_OFFSET)
-            rec, sna = check_ftap_grid(enlarge(bad, bad.N), expect="sna")
+            rec, sna = check_ftap_grid(build_polytope(enlarge(bad, bad.N)), expect="sna")
             if sna.slack > BOUNDARY_OFFSET:
                 raise PropertyViolation("offset quote should cap the slack")
             rec["mode"] = f"offset:{kind}"
@@ -1044,7 +1040,7 @@ def run_campaign(
     n_mm = scaled(20)
     for i in range(n_mm):
         mseed, enl = kernel_spaces[i % len(kernel_spaces)]
-        rec = check_minimax_instance(random.Random(mseed ^ 0x5EED), enl, cap=cap)
+        rec = check_minimax_instance(random.Random(mseed ^ 0x5EED), enl)
         rec["seed"] = mseed
         sections["minimax"].append(rec)
         note(f"minimax {i + 1}/{n_mm} ok (seed {mseed})")
@@ -1055,8 +1051,8 @@ def run_campaign(
     # deterministic strict-gap witness: the chain can be properly strict
     wedge = strict_chain_market()
     _, *wedge_duals = check_duality(wedge)
-    _, wedge_sna = check_ftap_grid(wedge_duals[1].enl, expect="sna")
-    wedge_chain = check_chain(wedge_sna, *wedge_duals, cap=cap)
+    _, wedge_sna = check_ftap_grid(wedge_duals[1], expect="sna")
+    wedge_chain = check_chain(wedge_sna, *wedge_duals)
     if not wedge_chain["strict_upper"]:
         raise PropertyViolation("canonical strict-gap market lost its gap")
     strict_gaps += 1

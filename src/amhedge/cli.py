@@ -4,12 +4,12 @@ Four commands: price (sub/super hedging with duals), ftap (pricing
 consistency certificate, robust variant when the model carries
 kernels), verify (the randomized property campaign), and enlarge-dump
 (the enlarged space as JSON).  All reports are deterministic JSON:
-identical model, seed, and flags produce byte-identical bytes.
+the same model bytes and options produce byte-identical bytes.
 
-Exit codes: 0 success, 2 domain-level no-arbitrage failure, 3
-enumeration cap breached, 4 schema or usage error, 5 property
-violation or failed LP self-check (an internal cross-check failed,
-i.e. a bug).
+Exit codes: 0 success, 2 domain-level no-arbitrage failure, 3 cap
+exceeded (the fixed stopping-time guard, or out of memory), 4 schema or
+usage error, 5 property violation or failed LP self-check (an internal
+cross-check failed, i.e. a bug).
 """
 from __future__ import annotations
 
@@ -28,7 +28,6 @@ from .market import MarketModel, load_model
 from .measures import build_polytope, ftap_certificate, price_with_dual
 from .rationals import rat, rat_str
 from .robust import num_selectors, supported_space
-from .strategies import DEFAULT_ENUM_CAP
 
 EXIT_OK = 0
 EXIT_SNA = 2
@@ -65,9 +64,6 @@ def _build_parser() -> _Parser:
             p.add_argument("--model", required=True, help="model JSON file")
             p.add_argument("--gamma-override", action="append", default=[],
                            metavar="K=P/Q", help="replace bid K of the shorted asks")
-            p.add_argument("--clock-weights", choices=["uniform", "skewed"],
-                           default="uniform", help="reference clock profile")
-        p.add_argument("--seed", type=int, default=0, help="echoed into the report")
         p.add_argument("--out", help="write the JSON report here instead of stdout")
         p.add_argument("--pretty", action="store_true",
                        help="indent the JSON and add a text summary on stderr")
@@ -80,16 +76,21 @@ def _build_parser() -> _Parser:
     common(p_ftap)
 
     p_verify = sub.add_parser("verify", help="randomized property campaign")
+    p_verify.add_argument("--seed", type=int, default=0, help="campaign seed")
     p_verify.add_argument("--models", type=_positive_int, default=50,
                           help="size of the main corpus")
-    p_verify.add_argument("--cap", type=_positive_int, default=DEFAULT_ENUM_CAP,
-                          help="stopping-time enumeration cap of the oracles")
     common(p_verify, model=False)
 
     p_dump = sub.add_parser("enlarge-dump", help="emit the enlarged space as JSON")
     p_dump.add_argument("--side", choices=["sub", "super"], default="sub",
                         help="sub: n = N, super: n = N + 1")
     common(p_dump)
+
+    # prices never read the clock weights; the arbitrage witness and the
+    # dumped path weights do
+    for p in (p_ftap, p_dump):
+        p.add_argument("--clock-weights", choices=["uniform", "skewed"],
+                       default="uniform", help="reference clock profile")
     return parser
 
 
@@ -119,19 +120,15 @@ def _load(args) -> MarketModel:
 
 
 def _config(args) -> dict:
-    doc = {
-        "command": args.command,
-        "seed": args.seed,
-    }
+    # the options a result can depend on; the model is known by its bytes,
+    # not by the path it was read from
+    doc = {"command": args.command}
     if hasattr(args, "model"):
-        doc["model"] = args.model
         doc["gamma_overrides"] = list(args.gamma_override)
+    if hasattr(args, "clock_weights"):
         doc["clock_weights"] = args.clock_weights
     if hasattr(args, "side"):
         doc["side"] = args.side
-    if hasattr(args, "models"):
-        doc["cap"] = args.cap
-        doc["corpus"] = args.models
     return doc
 
 
@@ -164,7 +161,7 @@ def cmd_price(args) -> int:
     doc = _config(args)
     doc["n"] = n
     doc["quasi_sure"] = bool(model.kernels)
-    enl = enlarge(model, n, args.clock_weights)
+    enl = enlarge(model, n)
     if model.kernels:
         enl = supported_space(enl)
         doc["supported_paths"] = enl.num_paths
@@ -216,8 +213,7 @@ def cmd_ftap(args) -> int:
 
 def cmd_verify(args) -> int:
     progress = (lambda msg: print(msg, file=sys.stderr)) if args.pretty else None
-    report = run_campaign(args.seed, models=args.models, cap=args.cap,
-                          progress=progress)
+    report = run_campaign(args.seed, models=args.models, progress=progress)
     doc = _config(args)
     doc["campaign"] = report
     _emit(doc, args)

@@ -10,7 +10,7 @@ support forest, which keeps the feasible set an honest polytope in Q.
 That polytope, MeasurePolytope, is the one input of every dual,
 certificate and transport below, except dp_superhedge, which folds a
 terminal payoff back over the forest by one-step LPs.  In this module
-only the oracle e2_chain enumerates stopping times, under its cap.
+only the oracle e2_chain enumerates stopping times.
 
 Every polytope, price and re-check here runs over all paths of the space
 it is given; the quasi-sure ones are given a kernel family's supported
@@ -34,7 +34,7 @@ from .hedging import HedgeReport, SemiStaticStrategy, check_hedge, detect_arbitr
 from .lp import LinearProgram, LPOutcome, Relation, max_slack, solve
 from .market import MarketModel
 from .rationals import ONE, ZERO, Q, over_common, rat_str, ratio_str
-from .strategies import DEFAULT_ENUM_CAP, StoppingTime, enlarged_stopping_times
+from .strategies import StoppingTime, enlarged_stopping_times
 
 __all__ = [
     "MeasurePolytope",
@@ -858,9 +858,7 @@ class ChainReport:
     taus: list[StoppingTime]
 
 
-def e2_chain(
-    pt: MeasurePolytope, lower: Q, upper: Q, *, cap: int = DEFAULT_ENUM_CAP
-) -> ChainReport:
+def e2_chain(pt: MeasurePolytope, lower: Q, upper: Q) -> ChainReport:
     """Exact three-term chain linking the dual prices.
 
     ``lower`` (inf_Q sup_tau) and ``upper`` (sup over the larger-space
@@ -868,11 +866,11 @@ def e2_chain(
     caller.  The middle term sup_Q sup_tau over pt, the polytope of the
     n = N space, is bilinear; it swaps to sup_tau sup_Q and is computed
     here as an oracle: the stopping times of pt's space are enumerated
-    under ``cap`` and one LP is solved per distinct stopped-value vector.
+    and one LP is solved per distinct stopped-value vector.
     lower <= middle <= upper is asserted.  The report keeps the taus.
     """
     enl = pt.enl
-    taus = enlarged_stopping_times(enl, cap)
+    taus = enlarged_stopping_times(enl)
     claim_at = extend_claim(enl, "sub")
     seqs = [(p, ep.node_seq) for p, ep in enumerate(enl.epaths)]
     vecs: dict[tuple, dict[int, Q]] = {}

@@ -44,7 +44,7 @@ from .measures import (
     snell_value,
 )
 from .rationals import ONE, ZERO, Q, rat_str
-from .strategies import DEFAULT_ENUM_CAP, enlarged_stopping_times
+from .strategies import enlarged_stopping_times
 
 DEFAULT_SELECTOR_CAP = 4096
 
@@ -215,8 +215,6 @@ def verify_minimax(
     enl: EnlargedModel,
     streams: Sequence[dict[int, Q]],
     vertices: Sequence[dict[int, Q]],
-    *,
-    cap: int = DEFAULT_ENUM_CAP,
 ) -> MinimaxReport:
     """Exchange of liquidation and worst-case expectation, checked exactly.
 
@@ -279,7 +277,7 @@ def verify_minimax(
     middle = sum((snell_value(space, g, mixture) for g in values), ZERO)
 
     # worst-case mixture against the best pure stopping tuple
-    taus = enlarged_stopping_times(space, cap)
+    taus = enlarged_stopping_times(space)
     rhs_lp = LinearProgram()
     lam2 = [rhs_lp.add_var(f"lam[{i}]") for i in range(len(vertices))]
     rhs_lp.add_constraint({var: ONE for var in lam2}, "=", ONE, name="simplex")

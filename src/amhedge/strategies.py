@@ -1,11 +1,11 @@
 """Exercise strategies: stopping times and clock vectors.
 
-Stopping times over a forest are counted and enumerated under a cap
-without recursion.  They are the 0/1 special case and the extreme points
-of the liquidating strategies, which spread one unit of exercise over
-the nodes they visit: nonnegative node weights summing to exactly 1
-along every path (times 0..T inclusive).  Those have no type here; the
-hedge layer holds them as plain node -> weight dicts.
+Stopping times over a forest are counted and enumerated without
+recursion, up to the fixed guard DEFAULT_ENUM_CAP.  They are the 0/1
+special case and the extreme points of the liquidating strategies, which
+spread one unit of exercise over the nodes they visit: nonnegative node
+weights summing to exactly 1 along every path (times 0..T inclusive).
+Those have no type here; the hedge layer holds them as node -> weight dicts.
 
 Strategies indexed by clock vectors in {0..T}^n carry the information
 constraint that two clock vectors are indistinguishable before the first
@@ -88,11 +88,10 @@ def count_stopping_times(roots: Iterable[Hashable],
 
 def enumerate_stopping_times(roots: Sequence[Hashable],
                              children: Callable[[Hashable], Sequence[Hashable]],
-                             cap: int = DEFAULT_ENUM_CAP,
-                             what: str = "stopping times") -> list[StoppingTime]:
+                             cap: int = DEFAULT_ENUM_CAP) -> list[StoppingTime]:
     total = count_stopping_times(roots, children, cap)
     if total > cap:
-        raise CapExceededError(what, total, cap)
+        raise CapExceededError("stopping times", total, cap)
 
     def inner(v: Hashable, per_kid: list[list[frozenset]]) -> list[frozenset]:
         out = [frozenset((v,))]
@@ -111,10 +110,9 @@ def count_enlarged_stopping_times(enl: EnlargedModel, cap: int = DEFAULT_ENUM_CA
     return count_stopping_times(enl.roots, lambda v: enl.children[v], cap)
 
 
-def enlarged_stopping_times(enl: EnlargedModel, cap: int = DEFAULT_ENUM_CAP) -> list[StoppingTime]:
+def enlarged_stopping_times(enl: EnlargedModel) -> list[StoppingTime]:
     """Stopping times of the space's forest, a restricted space's included."""
-    return enumerate_stopping_times(enl.roots, enl.children.__getitem__, cap,
-                                    what="enlarged stopping times")
+    return enumerate_stopping_times(enl.roots, enl.children.__getitem__)
 
 
 # -- clock vectors ---------------------------------------------------------

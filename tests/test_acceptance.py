@@ -129,7 +129,8 @@ def test_criterion_2_ftap_biconditional_on_grid(capfd):
     try:
         for i, gm in enumerate(_corpus()):
             try:
-                rec, _ = check_ftap_grid(enlarge(gm.model, gm.model.N), expect="sna")
+                pt = build_polytope(enlarge(gm.model, gm.model.N))
+                rec, _ = check_ftap_grid(pt, expect="sna")
                 points += len(rec["grid"])
             except PropertyViolation as exc:
                 failures.append(f"model {i}: {exc}")
@@ -140,15 +141,15 @@ def test_criterion_2_ftap_biconditional_on_grid(capfd):
             try:
                 if i % 3 == 0:
                     bad, _ = inject_arbitrage(rng, gm)
-                    rec, _ = check_ftap_grid(enlarge(bad, bad.N), expect="fail")
+                    rec, _ = check_ftap_grid(build_polytope(enlarge(bad, bad.N)), expect="fail")
                 elif i % 3 == 1:
                     bad, _ = boundary_model(rng, gm, ZERO)
-                    rec, sna = check_ftap_grid(enlarge(bad, bad.N), expect="fail")
+                    rec, sna = check_ftap_grid(build_polytope(enlarge(bad, bad.N)), expect="fail")
                     if sna.slack != ZERO:
                         raise PropertyViolation("pinned quote should have zero slack")
                 else:
                     bad, _ = boundary_model(rng, gm, BOUNDARY_OFFSET)
-                    rec, sna = check_ftap_grid(enlarge(bad, bad.N), expect="sna")
+                    rec, sna = check_ftap_grid(build_polytope(enlarge(bad, bad.N)), expect="sna")
                     if not ZERO < sna.slack <= BOUNDARY_OFFSET:
                         raise PropertyViolation("offset quote should cap the slack")
                 points += len(rec["grid"])

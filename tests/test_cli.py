@@ -16,11 +16,13 @@ import amhedge.measures as measures
 import amhedge.strategies as strategies
 from amhedge.cli import main
 from amhedge.enlarged import enlarge
+from amhedge.errors import CapExceededError
 from amhedge.lp import LPInternalError
 from amhedge.market import emit_model, load_model
 from amhedge.measures import build_polytope
 from amhedge.rationals import rat
 from amhedge.robust import supported_paths, supported_space
+from amhedge.strategies import DEFAULT_ENUM_CAP
 
 from conftest import binomial_dict, binomial_put_book_dict, trinomial_kernels_dict
 from test_report_bytes import CAMPAIGN_MODELS
@@ -150,11 +152,10 @@ def test_verify_out_into_missing_directory_runs_nothing(tmp_path, capsys, monkey
 
 
 @pytest.mark.parametrize("argv", [
-    ["verify", "--cap", "0"],
     ["verify", "--models", "0"],
     ["verify", "--models", "-2"],
 ], ids=lambda argv: "-".join(argv[0:1] + argv[-2:]))
-def test_nonpositive_cap_or_models_exits_schema(argv, capsys):
+def test_nonpositive_models_exits_schema(argv, capsys):
     try:
         code = main(argv)
     except SystemExit as exc:    # usage errors exit from the parser
@@ -192,10 +193,14 @@ def test_parser_built_once_keeps_no_override_between_requests(model_file, capsys
     assert json.loads(second)["price"] == "1/3"
 
 
-def test_cap_exit(capsys):
-    # only verify's oracles (the price chain, the minimax check) enumerate
-    code, _, err = run(["verify", "--models", "1", "--cap", "1"], capsys)
-    assert code == 3 and "cap exceeded" in err
+def test_cap_exit(capsys, monkeypatch):
+    # no option reaches the fixed enumeration guard, so raise what it raises
+    def over(*args, **kwargs):
+        raise CapExceededError("stopping times", DEFAULT_ENUM_CAP + 1, DEFAULT_ENUM_CAP)
+
+    monkeypatch.setattr(cli, "run_campaign", over)
+    code, out, err = run(["verify", "--models", "1"], capsys)
+    assert code == 3 and out == "" and "cap exceeded" in err
 
 
 def test_price_enumerates_nothing_without_longs(tmp_path, capsys, no_enumeration):
@@ -258,6 +263,23 @@ def test_verify_takes_no_clock_weights(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--clock-weights", "skewed"])
     assert exc.value.code == 4 and "--clock-weights" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["price", "--side", "sub", "--clock-weights", "skewed"],
+    ["price", "--side", "sub", "--seed", "1"],
+    ["ftap", "--seed", "1"],
+    ["enlarge-dump", "--seed", "1"],
+    ["verify", "--cap", "5"],
+], ids=lambda argv: "-".join(argv[0:1] + argv[-2:]))
+def test_options_that_change_no_result_are_refused(argv, model_file, capsys):
+    # prices never read the clock weights, only verify's campaign is seeded,
+    # and the enumeration guard is fixed, so each would only be echoed
+    model = [] if argv[0] == "verify" else ["--model", model_file]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, *model])
+    assert exc.value.code == 4
+    assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
 
 
 def test_property_violation_exit(model_file, capsys, monkeypatch):

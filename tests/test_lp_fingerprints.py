@@ -90,12 +90,12 @@ def _pivot_digest(seen: Seen) -> tuple[int, str]:
     return sum(map(len, seen.pivots)), hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
-def test_cli_lp_fingerprints(recorded, request, tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
+def test_cli_lp_fingerprints(recorded, request, tmp_path, capsys):
+    path = tmp_path / "model.json"
     for name in [*CONFTEST_MODELS, *CAMPAIGN_MODELS]:
-        (tmp_path / "model.json").write_text(json.dumps(emit_model(_model(request, name))))
+        path.write_text(json.dumps(emit_model(_model(request, name))))
         for command in sorted(COMMANDS):
-            assert main(COMMANDS[command]) == 0, (name, command)
+            assert main([*COMMANDS[command], "--model", str(path)]) == 0, (name, command)
     capsys.readouterr()
     assert _digest(recorded) == EXPECTED_CLI
     assert _pivot_digest(recorded) == EXPECTED_CLI_PIVOTS
@@ -110,9 +110,9 @@ def test_verify_lp_fingerprints(recorded, capsys):
 
 @pytest.mark.parametrize("side", ["sub", "super"])
 @pytest.mark.parametrize("name", [*CONFTEST_MODELS, *CAMPAIGN_MODELS])
-def test_price_solves_one_lp(name, side, recorded, request, tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
-    (tmp_path / "model.json").write_text(json.dumps(emit_model(_model(request, name))))
-    assert main(COMMANDS[f"price-{side}"]) == 0
+def test_price_solves_one_lp(name, side, recorded, request, tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(emit_model(_model(request, name))))
+    assert main([*COMMANDS[f"price-{side}"], "--model", str(path)]) == 0
     capsys.readouterr()
     assert len(recorded) == 1

@@ -1,9 +1,8 @@
 """Byte-level regression of the CLI reports on the hand-built fixtures.
 
-Each fixture model is written to ``model.json`` in a fresh working
-directory, so the echoed ``--model`` path is the same on every run, and
-the exit code plus the sha256 of stdout are compared with values
-recorded before the hedging, duality and polytope code was consolidated.
+The exit code plus the sha256 of stdout of each fixture request are
+compared with values recorded before the hedging, duality and polytope
+code was consolidated.
 Any change to a price, certificate or strategy vertex shows up here as a
 different digest; the reports carry no solver state, so a change to the
 LP's size or pivot path alone does not.
@@ -33,9 +32,9 @@ CAMPAIGN_MODELS = {
     "trinomial_kernels": lambda: load_model(trinomial_kernels_dict(2)),
 }
 COMMANDS = {
-    "price-sub": ["price", "--model", "model.json", "--side", "sub"],
-    "price-super": ["price", "--model", "model.json", "--side", "super"],
-    "ftap": ["ftap", "--model", "model.json"],
+    "price-sub": ["price", "--side", "sub"],
+    "price-super": ["price", "--side", "super"],
+    "ftap": ["ftap"],
 }
 
 # (exit code, sha256 of stdout) per model and command
@@ -81,10 +80,25 @@ def _model(request, name):
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))
 @pytest.mark.parametrize("name", [*CONFTEST_MODELS, *CAMPAIGN_MODELS])
-def test_report_bytes(name, command, request, tmp_path, monkeypatch, capsys):
-    (tmp_path / "model.json").write_text(json.dumps(emit_model(_model(request, name))))
-    monkeypatch.chdir(tmp_path)
-    code = main(COMMANDS[command])
+def test_report_bytes(name, command, request, tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(emit_model(_model(request, name))))
+    code = main([*COMMANDS[command], "--model", str(path)])
     out = capsys.readouterr().out
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert (code, digest) == EXPECTED[(name, command)]
+
+
+@pytest.mark.parametrize("argv", [
+    *COMMANDS.values(), ["enlarge-dump", "--side", "sub"], ["enlarge-dump", "--side", "super"],
+], ids=lambda argv: "-".join(argv[::2]))
+def test_report_does_not_depend_on_the_model_path(argv, tmp_path, capsys):
+    # a report is a function of the model's bytes, wherever the file lives
+    text = json.dumps(trinomial_kernels_dict(2))
+    outs = []
+    for path in (tmp_path / "model.json", tmp_path / "elsewhere" / "deeper" / "copy.json"):
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+        assert main([*argv, "--model", str(path)]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
