@@ -27,7 +27,7 @@ from amhedge.strategies import DEFAULT_ENUM_CAP
 from conftest import binomial_dict, binomial_put_book_dict, trinomial_kernels_dict
 from test_report_bytes import CAMPAIGN_MODELS
 
-VERIFY_SMALL_SHA256 = "590d2a10fe78ff822255512af751598318d6a598a8b98a71426e21966fd73cf6"
+VERIFY_SMALL_SHA256 = "4a1e9fe81bf72857c41dd9ec200dd160c4eab5adacfc2c760f6e64549a869014"
 
 
 @pytest.fixture()

@@ -39,36 +39,36 @@ COMMANDS = {
 
 # (exit code, sha256 of stdout) per model and command
 EXPECTED = {
-    ('binomial', 'ftap'): (0, '17456d44c03eb9813298f579f1ca8b8aea33b182c21551b36109792ce55db1f8'),
-    ('binomial', 'price-sub'): (0, '780adc1246e519dace66bac96024bf3e83f8f7855cabc646ae3d45d53a6dde85'),
-    ('binomial', 'price-super'): (0, '5ba01681793c8f0bcff10501604f2be18fd9735fc528ad5e8a3f1368c169e281'),
-    ('binomial_short_put', 'ftap'): (0, '34e61e017b0006d243ffe171bc5d5a73b358c21697d93caaf68a57fb89f458f4'),
-    ('binomial_short_put', 'price-sub'): (0, '43b57e78468ed8d13faed232dc7a3ac32063d0650485eafd3295adb993445420'),
-    ('binomial_short_put', 'price-super'): (0, '83e04ef1f4892f2b52206fb205031e8aee654e51c4107ade12a62ab834506f4a'),
-    ('trinomial', 'ftap'): (0, '2987fe694fe4434c33ff2d72171ffe8b306592de2c3e6601e481adb27279f96f'),
-    ('trinomial', 'price-sub'): (0, '5156de6a0faed2c68121b3ad6981489a7c758a409e97597488ffd2d5fdf53196'),
-    ('trinomial', 'price-super'): (0, '5273482b73a35e03a506df37058881ccba23a2c4f0e168e2a8157698978d04fc'),
-    ('two_period', 'ftap'): (0, '4bbe273b6f2f6d5b45ad96819162ce6742bd8f9d10319ba5ef918ab041238f57'),
-    ('two_period', 'price-sub'): (0, '0d9f639b469536440378c13fc231363561f85d0d2065bd5662ec1ddcfbe40249'),
-    ('two_period', 'price-super'): (0, 'cd0319da471820dd83346d194f65d26aae58b92a64674f830ce21817396f079d'),
-    ('binomial_call', 'ftap'): (0, '17456d44c03eb9813298f579f1ca8b8aea33b182c21551b36109792ce55db1f8'),
-    ('binomial_call', 'price-sub'): (0, '780adc1246e519dace66bac96024bf3e83f8f7855cabc646ae3d45d53a6dde85'),
-    ('binomial_call', 'price-super'): (0, '5ba01681793c8f0bcff10501604f2be18fd9735fc528ad5e8a3f1368c169e281'),
-    ('binomial_call_short_put', 'ftap'): (0, '34e61e017b0006d243ffe171bc5d5a73b358c21697d93caaf68a57fb89f458f4'),
-    ('binomial_call_short_put', 'price-sub'): (0, '43b57e78468ed8d13faed232dc7a3ac32063d0650485eafd3295adb993445420'),
-    ('binomial_call_short_put', 'price-super'): (0, '83e04ef1f4892f2b52206fb205031e8aee654e51c4107ade12a62ab834506f4a'),
-    ('strict_chain_market', 'ftap'): (0, 'b77d67426bdf339cf14d69394ee855e1bd2e641f198af0965008ad09b1b6dd56'),
-    ('strict_chain_market', 'price-sub'): (0, '102725d4fd12b78505409f42f7c4fbeaab304eaca10f336c284440dddb7e3b32'),
-    ('strict_chain_market', 'price-super'): (0, '4e9551d2d99861fd5330461854b4255233eaf0d1702d5ad1ac1210753ea23d39'),
-    ('trinomial_two_kernels', 'ftap'): (0, '50acfd96fa9a88892f9479dc378916c4163e2989bee9e9b054b9fef80772968b'),
-    ('trinomial_two_kernels', 'price-sub'): (0, '2da49f13d2b120570ff0f875496c0f8a3d672e7d0313f1ee602f9f5d4d1fa713'),
-    ('trinomial_two_kernels', 'price-super'): (0, '08bd1f1f5bf7aed87e50ddff3e4a078fb9aaab76102628a572caf04beac0caeb'),
-    ('binomial_kernel', 'ftap'): (0, '8ea27bce6f01b8a29fd453f37acad022c8d060cae3363a3761d0449c77e737c4'),
-    ('binomial_kernel', 'price-sub'): (0, '1238d94170a730093af304e384fb955692af8957f52ba5cebbdbdf47dcf984ea'),
-    ('binomial_kernel', 'price-super'): (0, '7f706588b20bc7f57518efe329da5a7f85b8f090c99bfd739e5734896d3c567f'),
-    ('trinomial_kernels', 'ftap'): (0, 'bc807cb10ab53db549880f64096097f53e285255c61a8e9572212f36f150137f'),
-    ('trinomial_kernels', 'price-sub'): (0, '5473599caff9c5f0655a0d27885bc08c7b0938bbd372083a3a5efe5760b8317a'),
-    ('trinomial_kernels', 'price-super'): (0, 'dac76be601ec6ab0d5faeb6f7af95474c73a13294e5830f176cc48a6921b29bd'),
+    ('binomial', 'ftap'): (0, '3aa288cd2f9d7c8fc11ed3325d6881a1636fa0dc5ea4ceb2a63f6ee5f460d97f'),
+    ('binomial', 'price-sub'): (0, 'b6a7bebd7b18b5fbb70f467da6d7eaa43d79026c95f552507230d59a0ae2bc04'),
+    ('binomial', 'price-super'): (0, '31c64732831f6d93f25c73701fa5c43572fbbfe1eaef331c9109c6bb79dda4b6'),
+    ('binomial_short_put', 'ftap'): (0, '119e8ecb3ab4dc81bb937200410f8129e8c16f650f4709a99aad630d6bab1b5c'),
+    ('binomial_short_put', 'price-sub'): (0, '988e4bf8c420de6449ce8e908b886ed26ae0784e8f3b33ee127a9f1f69852dd5'),
+    ('binomial_short_put', 'price-super'): (0, '17dd9516d7e5b8d4e798e76704ce1963831b3bfa805156651f24535d825c764e'),
+    ('trinomial', 'ftap'): (0, '399006346429200c9e47c5e84cb4e5569df52a20cb09659aba949d55f0441c49'),
+    ('trinomial', 'price-sub'): (0, 'eec5710f0ab3ee7aa8f1b7c171b25fae2c5079532c8fd18a6327bbbc538abc17'),
+    ('trinomial', 'price-super'): (0, 'f877567803b11b610126ef633d8f508cd2391f0e0a5cc76943e53a59ebb91bea'),
+    ('two_period', 'ftap'): (0, '5f9778dcb5c6d3aa0a06b649888ed4db5212e807f1a18ab00a2e6ef40805a5c0'),
+    ('two_period', 'price-sub'): (0, '7ed6ac7db1fc804a2a97859165ae93bbd20e5046dc1756f9fa62b7e2b29d4762'),
+    ('two_period', 'price-super'): (0, '70fbff044fb3a1ea158ec82de245210f2b2d8fafbe4d21f57def0f65e155199b'),
+    ('binomial_call', 'ftap'): (0, '3aa288cd2f9d7c8fc11ed3325d6881a1636fa0dc5ea4ceb2a63f6ee5f460d97f'),
+    ('binomial_call', 'price-sub'): (0, 'b6a7bebd7b18b5fbb70f467da6d7eaa43d79026c95f552507230d59a0ae2bc04'),
+    ('binomial_call', 'price-super'): (0, '31c64732831f6d93f25c73701fa5c43572fbbfe1eaef331c9109c6bb79dda4b6'),
+    ('binomial_call_short_put', 'ftap'): (0, '119e8ecb3ab4dc81bb937200410f8129e8c16f650f4709a99aad630d6bab1b5c'),
+    ('binomial_call_short_put', 'price-sub'): (0, '988e4bf8c420de6449ce8e908b886ed26ae0784e8f3b33ee127a9f1f69852dd5'),
+    ('binomial_call_short_put', 'price-super'): (0, '17dd9516d7e5b8d4e798e76704ce1963831b3bfa805156651f24535d825c764e'),
+    ('strict_chain_market', 'ftap'): (0, 'f209e600e60075a1301c861ebcc6475759afb3533f514d5063fc3bfff95b6674'),
+    ('strict_chain_market', 'price-sub'): (0, 'e4eccde411f0cbe7663201a74902021f7ddaa06080d9f76912159eb99475714d'),
+    ('strict_chain_market', 'price-super'): (0, '207f4a7aa217c0a6bb6a173b39f7c820b06b142fd2a3361d732116557da3ae34'),
+    ('trinomial_two_kernels', 'ftap'): (0, 'abfff0d625e31c5de1640c5033948b38a28c3151087ba144d0624fa2b2e801f8'),
+    ('trinomial_two_kernels', 'price-sub'): (0, 'be94323bdd7c654685590caf8f2dc5d992d4dc76f7405aad5d91f32ed946ade6'),
+    ('trinomial_two_kernels', 'price-super'): (0, 'd66be539475f3ce682e2abbf96ae40f13e579f84eb9f7da9951589f7dfee201a'),
+    ('binomial_kernel', 'ftap'): (0, 'dfa72b7432e1eb6e563a59fa4fb2db806fdb681152db060ba58b3ff83b7332f6'),
+    ('binomial_kernel', 'price-sub'): (0, '1b812b247978d36f0a7e7fc8b5e757a8c709bc95f13d681f5a30dbb386ee947e'),
+    ('binomial_kernel', 'price-super'): (0, 'f408845625445699c4bebe15d4d86d15d792f5717bcbb6c4054b4512c5d50dea'),
+    ('trinomial_kernels', 'ftap'): (0, 'b83fefaa16faecc7fdb8ad58f891a85b62ab6e8562448d152f3c5ed737f6d4ae'),
+    ('trinomial_kernels', 'price-sub'): (0, '30b62d65ef86af8667a474b3b29fda6fe2ac1b446c49659922573f2dcc3ae72c'),
+    ('trinomial_kernels', 'price-super'): (0, 'a27b4d5e08437d37f5851c125ffc97088c3c965cc2dbaaaa11756651460242b6'),
 }
 
 
