@@ -663,29 +663,14 @@ def check_degenerations(
     super prices (check_duality's); quotes and books change
     below, the tree never, so every variant reuses one of these two
     forests.  A constant claim must price to that constant on both
-    sides; prices, slack, and arbitrage verdicts must not react to the
-    clock-weight profile; moving one quote against the hedger inside
-    the slack budget must move prices weakly in its favor; and with no
-    shorted options the enlarged space must collapse onto the base tree.
+    sides; moving one quote against the hedger inside the slack budget
+    must move prices weakly in its favor; and with no shorted options
+    the enlarged space must collapse onto the base tree.
     """
     record: dict = {}
     model = enl.model
     N = model.N
     sub0, sup0 = prices
-
-    # clock weights never enter the consistent-measure polytope
-    enl_sk = enlarge(model, N, clock_weights="skewed")
-    if subhedge(enl_sk).price != sub0:
-        raise PropertyViolation("sub-hedge price moved with the clock weights")
-    if superhedge(enlarge(model, N + 1, clock_weights="skewed")).price != sup0:
-        raise PropertyViolation("super-hedge price moved with the clock weights")
-    if ftap_certificate(build_polytope(enl_sk)).slack != sna.slack:
-        raise PropertyViolation("uniform slack moved with the clock weights")
-    shifted = model.shifted_prices(Q(1, 16))
-    if detect_arbitrage(enl_sk.with_model(shifted)).found != \
-            detect_arbitrage(enl.with_model(shifted)).found:
-        raise PropertyViolation("arbitrage verdict moved with the clock weights")
-    record["clock_invariant"] = True
 
     if sna.holds:
         const = Q(5, 3)

@@ -3,8 +3,9 @@
 Four commands: price (sub/super hedging with duals), ftap (pricing
 consistency certificate, robust variant when the model carries
 kernels), verify (the randomized property campaign), and enlarge-dump
-(the enlarged space as JSON).  All reports are deterministic JSON:
-the same model bytes and options produce byte-identical bytes.
+(the enlarged space as JSON).  All reports are deterministic JSON.
+A report of price, ftap or enlarge-dump depends only on the model
+bytes, the command and --side; a verify report on --seed and --models.
 
 Exit codes: 0 success, 2 domain-level no-arbitrage failure, 3 cap
 exceeded (the fixed stopping-time guard, or out of memory), 4 schema or
@@ -26,7 +27,7 @@ from .hedging import detect_arbitrage
 from .lp import LPInternalError
 from .market import MarketModel, load_model
 from .measures import build_polytope, ftap_certificate, price_with_dual
-from .rationals import rat, rat_str
+from .rationals import rat_str
 from .robust import num_selectors, supported_space
 
 EXIT_OK = 0
@@ -54,16 +55,13 @@ _positive_int.__name__ = "positive integer"
 
 @functools.cache
 def _build_parser() -> _Parser:
-    # built once per process: main only reads it, and argparse copies an
-    # append action's default list before it appends
+    # built once per process: parsing leaves the parser as it was
     parser = _Parser(prog="amhedge", description=__doc__.strip().splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, model=True):
         if model:
             p.add_argument("--model", required=True, help="model JSON file")
-            p.add_argument("--gamma-override", action="append", default=[],
-                           metavar="K=P/Q", help="replace bid K of the shorted asks")
         p.add_argument("--out", help="write the JSON report here instead of stdout")
         p.add_argument("--pretty", action="store_true",
                        help="indent the JSON and add a text summary on stderr")
@@ -85,12 +83,6 @@ def _build_parser() -> _Parser:
     p_dump.add_argument("--side", choices=["sub", "super"], default="sub",
                         help="sub: n = N, super: n = N + 1")
     common(p_dump)
-
-    # prices never read the clock weights; the arbitrage witness and the
-    # dumped path weights do
-    for p in (p_ftap, p_dump):
-        p.add_argument("--clock-weights", choices=["uniform", "skewed"],
-                       default="uniform", help="reference clock profile")
     return parser
 
 
@@ -103,30 +95,13 @@ def _load(args) -> MarketModel:
             text = fh.read()
     except OSError as exc:
         raise ModelFormatError(f"cannot read model file: {exc}") from exc
-    model = load_model(text)
-    if args.gamma_override:
-        gammas = [c for _, c in model.americans_short]
-        for item in args.gamma_override:
-            try:
-                key, _, value = item.partition("=")
-                k = int(key)
-                if k < 0:
-                    raise IndexError("index must not be negative")
-                gammas[k] = rat(value)
-            except (ValueError, IndexError) as exc:
-                raise ModelFormatError(f"bad --gamma-override {item!r}: {exc}") from exc
-        model = model.with_prices(gammas=gammas)
-    return model
+    return load_model(text)
 
 
 def _config(args) -> dict:
     # the options a result can depend on; the model is known by its bytes,
     # not by the path it was read from
     doc = {"command": args.command}
-    if hasattr(args, "model"):
-        doc["gamma_overrides"] = list(args.gamma_override)
-    if hasattr(args, "clock_weights"):
-        doc["clock_weights"] = args.clock_weights
     if hasattr(args, "side"):
         doc["side"] = args.side
     return doc
@@ -177,7 +152,7 @@ def cmd_price(args) -> int:
 
 def cmd_ftap(args) -> int:
     model = _load(args)
-    enl = enlarge(model, model.N, args.clock_weights)
+    enl = enlarge(model, model.N)
     cert = ftap_certificate(build_polytope(enl))
     doc = _config(args)
     doc["n"] = model.N
@@ -225,7 +200,7 @@ def cmd_verify(args) -> int:
 def cmd_enlarge_dump(args) -> int:
     model = _load(args)
     n = model.N if args.side == "sub" else model.N + 1
-    enl = enlarge(model, n, args.clock_weights)
+    enl = enlarge(model, n)
     doc = _config(args)
     doc["n"] = n
     doc["horizon"] = enl.horizon

@@ -21,10 +21,7 @@ from typing import Iterable, Literal
 
 from .errors import ModelFormatError
 from .market import MarketModel
-from .rationals import ONE, Q
-
-ClockWeights = Literal["uniform", "skewed"]
-
+from .rationals import Q
 
 @dataclass(frozen=True)
 class EnlargedNode:
@@ -50,26 +47,6 @@ class EnlargedPath:
         return f"p{self.base_index}" + (f"@{marks}" if self.clocks else "")
 
 
-def _clock_distribution(spec: ClockWeights, horizon: int, n: int) -> dict[tuple[int, ...], Q]:
-    times = list(range(horizon + 1))
-    tuples = list(itertools.product(times, repeat=n))
-    if spec == "uniform":
-        w = Q(1, len(tuples))
-        return {tup: w for tup in tuples}
-    if spec == "skewed":
-        # full-support product weights proportional to 2^t per clock
-        denom = Q(2 ** (horizon + 1) - 1)
-        one_clock = {t: Q(2**t) / denom for t in times}
-        out = {}
-        for tup in tuples:
-            w = ONE
-            for t in tup:
-                w *= one_clock[t]
-            out[tup] = w
-        return out
-    raise ValueError(f"unknown clock weights {spec!r}")
-
-
 class EnlargedModel:
     """Finite enlarged space with its forest of information atoms.
 
@@ -84,15 +61,18 @@ class EnlargedModel:
     tied_pairs: tuple[tuple[int, int], ...] = ()
     mixtures: tuple[dict[int, Q], ...] = ()
 
-    def __init__(self, model: MarketModel, n: int, clock_weights: ClockWeights = "uniform"):
+    def __init__(self, model: MarketModel, n: int):
         if n not in (model.N, model.N + 1):
             raise ModelFormatError(
                 f"n must be N={model.N} (sub-hedging/FTAP) or N+1={model.N + 1} (super-hedging)")
         self.model = model
         self.n = n
         self.horizon = model.tree.horizon
-        self.clock_weights = clock_weights
-        self.clock_dist = _clock_distribution(clock_weights, self.horizon, n)
+        # the uniform reference law on the clocks; prices, slacks and
+        # verdicts hold under any full-support law, which would only pick
+        # another arbitrage witness
+        self.clock_dist: dict[tuple[int, ...], Q] = dict.fromkeys(
+            itertools.product(range(self.horizon + 1), repeat=n), Q(1, (self.horizon + 1) ** n))
 
         self.enodes: list[EnlargedNode] = []
         self._enode_index: dict[tuple[str, tuple[int | None, ...]], int] = {}
@@ -131,8 +111,8 @@ class EnlargedModel:
     def with_model(self, model: MarketModel) -> "EnlargedModel":
         """This space for a model that differs only in quotes or books.
 
-        The forest depends on the tree, n and the clock weights alone, so
-        the copy shares it; path weights are recomputed from ``model``.
+        The forest depends on the tree and n alone, so the copy shares
+        it; path weights are recomputed from ``model``.
         """
         if model.tree is not self.model.tree or model.N != self.model.N:
             raise ValueError("with_model needs the same tree and the same number of shorts")
@@ -212,9 +192,9 @@ class EnlargedModel:
         return proc.scalar(self.base_node_at(path_idx, p.clocks[k]))
 
 
-def enlarge(model: MarketModel, n: int, clock_weights: ClockWeights = "uniform") -> EnlargedModel:
+def enlarge(model: MarketModel, n: int) -> EnlargedModel:
     """Attach n exercise clocks; n = N for sub-hedging/FTAP, N+1 for super-hedging."""
-    return EnlargedModel(model, n, clock_weights)
+    return EnlargedModel(model, n)
 
 
 def extend_claim(enl: EnlargedModel, role: Literal["sub", "super"]):

@@ -107,7 +107,7 @@ def product_measure(tree: EventTree, laws: dict[str, dict[str, Q]]) -> dict[int,
 
 
 def vertex_measure(enl: EnlargedModel, selector: tuple[int, ...]) -> dict[int, Q]:
-    """Selector product measure spread over clocks by the clock weights."""
+    """Selector product measure spread uniformly over the clocks."""
     kids = enl.model.tree.children
     laws = {nid: dict(zip(kids[nid], vertices[i]))
             for (nid, vertices), i in zip(kernel_family(enl.model).items(), selector)}

@@ -341,5 +341,5 @@ def test_criterion_8_degenerations(capfd):
         failures.append(repr(exc))
     _line(capfd, 8, not failures,
           failures[0] if failures
-          else "constant claims, clock-weight invariance, quote monotonicity,"
+          else "constant claims, quote monotonicity,"
                f" {zero_iso} zero-clock collapses, single-date market")

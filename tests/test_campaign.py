@@ -208,7 +208,8 @@ def test_dropped_vertex_shrinking_the_support_prices_again():
 def test_campaign_reuses_the_spaces_it_holds(monkeypatch):
     # builds counted by the nearest campaign function on the stack: the
     # singleton check enlarges only robust_na's stock space, the minimax
-    # check none (68 builds, 5 of them repeats, before the reuse)
+    # check and the degenerations none (68 builds, 5 of them repeats,
+    # before the reuse)
     built = Counter()
     real = EnlargedModel.__init__
 
@@ -222,7 +223,7 @@ def test_campaign_reuses_the_spaces_it_holds(monkeypatch):
     monkeypatch.setattr(EnlargedModel, "__init__", counting)
     run_campaign(3, models=1)
     assert built["check_singleton_robust"] == 1 and "check_minimax_instance" not in built
-    assert sum(built.values()) == 63
+    assert sum(built.values()) == 61
 
 
 def test_depth_zero_market():

@@ -11,7 +11,7 @@ from amhedge.errors import ModelFormatError
 from amhedge.market import emit_model, load_model
 from amhedge.rationals import ONE, Q, ZERO
 
-from conftest import binomial_put_book_dict
+from conftest import binomial_put_book_dict, binomial_short_put_dict
 
 
 def test_zero_clocks_is_base_tree(binomial):
@@ -51,12 +51,6 @@ def test_uniform_clock_weights(binomial_short_put):
     assert enl.weight(0) == Q(1, 4)
 
 
-def test_skewed_clock_weights(binomial_short_put):
-    enl = enlarge(binomial_short_put, 1, clock_weights="skewed")
-    # proportional to 2^t over t in {0, 1}
-    assert enl.clock_dist == {(0,): Q(1, 3), (1,): Q(2, 3)}
-
-
 def test_restricted_matches_a_brute_force_build():
     model = load_model(binomial_put_book_dict(2, short_bid="1/4"))
     enl = enlarge(model, model.N + 1)
@@ -77,8 +71,11 @@ def test_restricted_matches_a_brute_force_build():
 
 
 def test_restricted_keeps_nodes_paths_and_weights():
-    model = load_model(binomial_put_book_dict(2, short_bid="1/4"))
-    enl = enlarge(model, model.N, "skewed")
+    data = binomial_put_book_dict(2, short_bid="1/4")
+    # unequal base-path weights, so that a path out of place changes a weight
+    data["weights"] = dict(zip(sorted(data["weights"]), ["1/10", "2/10", "3/10", "4/10"]))
+    model = load_model(data)
+    enl = enlarge(model, model.N)
     keep = [p for p in range(enl.num_paths) if enl.epaths[p].clocks[0] != 1]
     sub = enl.restricted(keep)
     assert sub.num_paths == len(keep) < enl.num_paths
@@ -191,17 +188,19 @@ def test_labels(binomial_short_put):
     assert ep.label == f"p{ep.base_index}@" + ",".join(map(str, ep.clocks))
 
 
-def test_with_model_shares_the_forest(binomial_short_put):
-    enl = enlarge(binomial_short_put, 1, "skewed")
+def test_with_model_shares_the_forest():
+    # unequal base-path weights, so that the copy's weights can go wrong
+    model = load_model({**binomial_short_put_dict(), "weights": {"u": "1/3", "d": "2/3"}})
+    enl = enlarge(model, 1)
     weights = [enl.weight(p) for p in range(enl.num_paths)]
-    shifted = binomial_short_put.shifted_prices(Q(1, 8))
+    assert len(set(weights)) == 2
+    shifted = model.shifted_prices(Q(1, 8))
     other = enl.with_model(shifted)
-    assert other.model is shifted and enl.model is binomial_short_put
+    assert other.model is shifted and enl.model is model
     assert other.epaths is enl.epaths and other.children is enl.children
-    assert other.clock_weights == "skewed"
     assert [other.weight(p) for p in range(other.num_paths)] == weights
     # another tree object, or another number of shorts, needs its own forest
     with pytest.raises(ValueError):
-        enl.with_model(load_model(emit_model(binomial_short_put)))
+        enl.with_model(load_model(emit_model(model)))
     with pytest.raises(ValueError):
-        enl.with_model(dataclasses.replace(binomial_short_put, americans_short=[]))
+        enl.with_model(dataclasses.replace(model, americans_short=[]))
