@@ -28,7 +28,7 @@ from amhedge.strategies import DEFAULT_ENUM_CAP
 from conftest import binomial_dict, binomial_put_book_dict, trinomial_kernels_dict
 from test_report_bytes import CAMPAIGN_MODELS
 
-VERIFY_SMALL_SHA256 = "4a1e9fe81bf72857c41dd9ec200dd160c4eab5adacfc2c760f6e64549a869014"
+VERIFY_SMALL_SHA256 = "b5f5f9ade70fd199854a494a97989f0c53da6d21ffe0b635ab5bb349784acfa1"
 
 
 @pytest.fixture()

@@ -39,36 +39,36 @@ COMMANDS = {
 
 # (exit code, sha256 of stdout) per model and command
 EXPECTED = {
-    ('binomial', 'ftap'): (0, '3aa288cd2f9d7c8fc11ed3325d6881a1636fa0dc5ea4ceb2a63f6ee5f460d97f'),
-    ('binomial', 'price-sub'): (0, 'b6a7bebd7b18b5fbb70f467da6d7eaa43d79026c95f552507230d59a0ae2bc04'),
-    ('binomial', 'price-super'): (0, '31c64732831f6d93f25c73701fa5c43572fbbfe1eaef331c9109c6bb79dda4b6'),
-    ('binomial_short_put', 'ftap'): (0, '119e8ecb3ab4dc81bb937200410f8129e8c16f650f4709a99aad630d6bab1b5c'),
-    ('binomial_short_put', 'price-sub'): (0, '988e4bf8c420de6449ce8e908b886ed26ae0784e8f3b33ee127a9f1f69852dd5'),
-    ('binomial_short_put', 'price-super'): (0, '17dd9516d7e5b8d4e798e76704ce1963831b3bfa805156651f24535d825c764e'),
-    ('trinomial', 'ftap'): (0, '399006346429200c9e47c5e84cb4e5569df52a20cb09659aba949d55f0441c49'),
-    ('trinomial', 'price-sub'): (0, 'eec5710f0ab3ee7aa8f1b7c171b25fae2c5079532c8fd18a6327bbbc538abc17'),
-    ('trinomial', 'price-super'): (0, 'f877567803b11b610126ef633d8f508cd2391f0e0a5cc76943e53a59ebb91bea'),
-    ('two_period', 'ftap'): (0, '5f9778dcb5c6d3aa0a06b649888ed4db5212e807f1a18ab00a2e6ef40805a5c0'),
-    ('two_period', 'price-sub'): (0, '7ed6ac7db1fc804a2a97859165ae93bbd20e5046dc1756f9fa62b7e2b29d4762'),
-    ('two_period', 'price-super'): (0, '70fbff044fb3a1ea158ec82de245210f2b2d8fafbe4d21f57def0f65e155199b'),
-    ('binomial_call', 'ftap'): (0, '3aa288cd2f9d7c8fc11ed3325d6881a1636fa0dc5ea4ceb2a63f6ee5f460d97f'),
-    ('binomial_call', 'price-sub'): (0, 'b6a7bebd7b18b5fbb70f467da6d7eaa43d79026c95f552507230d59a0ae2bc04'),
-    ('binomial_call', 'price-super'): (0, '31c64732831f6d93f25c73701fa5c43572fbbfe1eaef331c9109c6bb79dda4b6'),
-    ('binomial_call_short_put', 'ftap'): (0, '119e8ecb3ab4dc81bb937200410f8129e8c16f650f4709a99aad630d6bab1b5c'),
-    ('binomial_call_short_put', 'price-sub'): (0, '988e4bf8c420de6449ce8e908b886ed26ae0784e8f3b33ee127a9f1f69852dd5'),
-    ('binomial_call_short_put', 'price-super'): (0, '17dd9516d7e5b8d4e798e76704ce1963831b3bfa805156651f24535d825c764e'),
-    ('strict_chain_market', 'ftap'): (0, 'f209e600e60075a1301c861ebcc6475759afb3533f514d5063fc3bfff95b6674'),
-    ('strict_chain_market', 'price-sub'): (0, 'e4eccde411f0cbe7663201a74902021f7ddaa06080d9f76912159eb99475714d'),
-    ('strict_chain_market', 'price-super'): (0, '207f4a7aa217c0a6bb6a173b39f7c820b06b142fd2a3361d732116557da3ae34'),
-    ('trinomial_two_kernels', 'ftap'): (0, 'abfff0d625e31c5de1640c5033948b38a28c3151087ba144d0624fa2b2e801f8'),
-    ('trinomial_two_kernels', 'price-sub'): (0, 'be94323bdd7c654685590caf8f2dc5d992d4dc76f7405aad5d91f32ed946ade6'),
-    ('trinomial_two_kernels', 'price-super'): (0, 'd66be539475f3ce682e2abbf96ae40f13e579f84eb9f7da9951589f7dfee201a'),
-    ('binomial_kernel', 'ftap'): (0, 'dfa72b7432e1eb6e563a59fa4fb2db806fdb681152db060ba58b3ff83b7332f6'),
-    ('binomial_kernel', 'price-sub'): (0, '1b812b247978d36f0a7e7fc8b5e757a8c709bc95f13d681f5a30dbb386ee947e'),
-    ('binomial_kernel', 'price-super'): (0, 'f408845625445699c4bebe15d4d86d15d792f5717bcbb6c4054b4512c5d50dea'),
-    ('trinomial_kernels', 'ftap'): (0, 'b83fefaa16faecc7fdb8ad58f891a85b62ab6e8562448d152f3c5ed737f6d4ae'),
-    ('trinomial_kernels', 'price-sub'): (0, '30b62d65ef86af8667a474b3b29fda6fe2ac1b446c49659922573f2dcc3ae72c'),
-    ('trinomial_kernels', 'price-super'): (0, 'a27b4d5e08437d37f5851c125ffc97088c3c965cc2dbaaaa11756651460242b6'),
+    ('binomial', 'ftap'): (0, '4133d68f0053fab0175ccc64efb7e67430dd09a69a999583e7bb44275148d9f0'),
+    ('binomial', 'price-sub'): (0, 'd49c29cb1e77531b893f0d1af22f3b6ced846ec05674cf7fee83becd4d766008'),
+    ('binomial', 'price-super'): (0, '910295e56a54dd6fa0018132584e2cf67d2f244a3b6282ab92ce1aa47a80f29f'),
+    ('binomial_short_put', 'ftap'): (0, 'b88c6c95f7482b0ef65f697ae06bcfce10cbdcf6eae69b4b7d2ce92a9ee48fd6'),
+    ('binomial_short_put', 'price-sub'): (0, '7a7964a2748e263d59c3d09d5179153a1c759c3f76f7ad6ede44aef3f2d3d55e'),
+    ('binomial_short_put', 'price-super'): (0, '91a66d6837a29dfae97e158a6359256f51989e4aee0c850ac3c36edb61ee3022'),
+    ('trinomial', 'ftap'): (0, '6a01a4b26b7cf093b99c2ddb4b356243ca69fe9969c03c6c611bd7b07ffa1a31'),
+    ('trinomial', 'price-sub'): (0, '7cbce1805d8acb3049f9e17e6b4e89836de542bce4f4e92e93cda0063c66332f'),
+    ('trinomial', 'price-super'): (0, '0cb5259f28d51287d41af9dfb168ffaf87af1f252dee13a1c82d6ab7b62ae631'),
+    ('two_period', 'ftap'): (0, '8df202a35b029cf58cc028e17a369a315d83ce49864c7af5f935c8d256a92185'),
+    ('two_period', 'price-sub'): (0, '2b95e54e079968b91fa7036e65228a3a8ac8a32999849ec13ee234ca22f31715'),
+    ('two_period', 'price-super'): (0, '6c6aff97b228a2013240a013709b78f2ef722e8c1c38b5241bf193ad93407eca'),
+    ('binomial_call', 'ftap'): (0, '4133d68f0053fab0175ccc64efb7e67430dd09a69a999583e7bb44275148d9f0'),
+    ('binomial_call', 'price-sub'): (0, 'd49c29cb1e77531b893f0d1af22f3b6ced846ec05674cf7fee83becd4d766008'),
+    ('binomial_call', 'price-super'): (0, '910295e56a54dd6fa0018132584e2cf67d2f244a3b6282ab92ce1aa47a80f29f'),
+    ('binomial_call_short_put', 'ftap'): (0, 'b88c6c95f7482b0ef65f697ae06bcfce10cbdcf6eae69b4b7d2ce92a9ee48fd6'),
+    ('binomial_call_short_put', 'price-sub'): (0, '7a7964a2748e263d59c3d09d5179153a1c759c3f76f7ad6ede44aef3f2d3d55e'),
+    ('binomial_call_short_put', 'price-super'): (0, '91a66d6837a29dfae97e158a6359256f51989e4aee0c850ac3c36edb61ee3022'),
+    ('strict_chain_market', 'ftap'): (0, '28fae3187c411f52e0cdf6ed2e96d44c17953082aaeb717f5922572543493d2e'),
+    ('strict_chain_market', 'price-sub'): (0, '863526a8ca928111841b9488616fba6508dfd7fc0be4b744fcff0aa8d071a97a'),
+    ('strict_chain_market', 'price-super'): (0, 'c143fe5b3b97ecfe33145fde973061d4e543223a8ccdf93073fe96f6b4c6d695'),
+    ('trinomial_two_kernels', 'ftap'): (0, '1108a504b39f7cc12003ee445ae1176b05ff769710d591810af0aacd901d8090'),
+    ('trinomial_two_kernels', 'price-sub'): (0, '8f3f080466d09e14665952afb4cefffa9a55d522977c8916e3b0daa62ffd97e3'),
+    ('trinomial_two_kernels', 'price-super'): (0, '534272efba5fc201d6dbecc226e5294e9f4f30e7dfc7b9be3fcb29775789cf9f'),
+    ('binomial_kernel', 'ftap'): (0, '5d440928299758f733767bd17a0f6378a154bd97bb55f3555a7b329556ba9886'),
+    ('binomial_kernel', 'price-sub'): (0, 'fad5781d8025a1782e37d97a62942aa1c1441deda2e679b8761e04968b03a939'),
+    ('binomial_kernel', 'price-super'): (0, '0beda15fce10e645eaa70531d14c64082f9b1e6314c273a812e9057f2dc3efb2'),
+    ('trinomial_kernels', 'ftap'): (0, 'ac66624d5a90cc2f2ccc636016e317f085992e32683a6e5d7ea0982dff8779c8'),
+    ('trinomial_kernels', 'price-sub'): (0, '3bae5d1f5df4d26d9c13548b18f97f583924fa9c4ec573e635a5e4988c722d89'),
+    ('trinomial_kernels', 'price-super'): (0, 'b51f3aae1aebb34123521e9ba3305ef41138219a7e19a0f0571c84fb7f4345a7'),
 }
 
 
