@@ -23,6 +23,7 @@ from .errors import ModelFormatError
 from .market import MarketModel
 from .rationals import Q
 
+
 @dataclass(frozen=True)
 class EnlargedNode:
     base: str
