@@ -11,7 +11,9 @@ random.Random, which makes every corpus reproducible from its seed.
 """
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import os
 import random
 from dataclasses import dataclass
 
@@ -927,6 +929,120 @@ def check_minimax_instance(rng: random.Random, enl: EnlargedModel) -> dict:
 
 
 # -- the campaign --------------------------------------------------------------
+#
+# A campaign is a list of units, each a pure function of the seed drawn for it
+# up front, so a unit gives the same record in any process and in any order.
+
+
+def _main_unit(mseed: int) -> dict[str, dict]:
+    """One main-corpus model: its five battery records, by section."""
+    gm = random_sna_model(random.Random(mseed))
+    duality, prices, pt_sub, pt_sup, argmax = check_duality(gm.model)
+    grid, sna = check_ftap_grid(pt_sub, expect="sna")
+    chain = check_chain(sna, prices, pt_sub, pt_sup, argmax)
+    degen = check_degenerations(pt_sub.enl, pt_sup.enl, sna, prices)
+    singleton = check_singleton_robust(pt_sub.enl, pt_sup.enl, gm.laws, sna, prices)
+    records = {"duality": duality, "ftap": grid, "chain": chain,
+               "degenerations": degen, "singleton": singleton}
+    return {key: {**rec, "seed": mseed} for key, rec in records.items()}
+
+
+def _adversarial_unit(mode: int, mseed: int) -> dict:
+    """A corroded (mode 0), pinned (1) or offset (2) copy of a clean market."""
+    mrng = random.Random(mseed)
+    gm = random_sna_model(mrng, require_option=True)
+    if mode == 0:
+        bad, kind = inject_arbitrage(mrng, gm)
+        rec, sna = check_ftap_grid(build_polytope(enlarge(bad, bad.N)), expect="fail")
+        rec["mode"] = f"inject:{kind}"
+    elif mode == 1:
+        bad, kind = boundary_model(mrng, gm, ZERO)
+        rec, sna = check_ftap_grid(build_polytope(enlarge(bad, bad.N)), expect="fail")
+        if sna.slack != ZERO:
+            raise PropertyViolation("pinned quote should have exactly zero slack")
+        rec["mode"] = f"pin:{kind}"
+    else:
+        bad, kind = boundary_model(mrng, gm, BOUNDARY_OFFSET)
+        rec, sna = check_ftap_grid(build_polytope(enlarge(bad, bad.N)), expect="sna")
+        if sna.slack > BOUNDARY_OFFSET:
+            raise PropertyViolation("offset quote should cap the slack")
+        rec["mode"] = f"offset:{kind}"
+    rec["seed"] = mseed
+    return rec
+
+
+def _divisibility_unit(n: int, mseed: int) -> dict:
+    rec = check_divisibility(random_sna_model(random.Random(mseed), force_n=n).model)
+    rec["seed"] = mseed
+    return rec
+
+
+def _kernel_unit(submarkets: bool, minimax: bool, mseed: int) -> tuple[dict, object]:
+    """A kernel market's record, and the minimax instance on its space.
+
+    The second item is None without ``minimax``, else the minimax record
+    or the exception its check raised: every kernel check precedes every
+    minimax check in the campaign, so run_campaign raises it only after
+    the last kernel record.
+    """
+    model = random_kernel_model(random.Random(mseed)).model
+    rec, enl = check_robust_model(model, submarkets=submarkets)
+    rec["seed"] = mseed
+    if not minimax:
+        return rec, None
+    try:
+        mm = check_minimax_instance(random.Random(mseed ^ 0x5EED), enl)
+    except Exception as exc:
+        return rec, exc
+    mm["seed"] = mseed
+    return rec, mm
+
+
+def _wedge_unit() -> None:
+    """Deterministic strict-gap witness: the chain can be properly strict."""
+    wedge = strict_chain_market()
+    _, *wedge_duals = check_duality(wedge)
+    _, wedge_sna = check_ftap_grid(wedge_duals[1], expect="sna")
+    if not check_chain(wedge_sna, *wedge_duals)["strict_upper"]:
+        raise PropertyViolation("canonical strict-gap market lost its gap")
+
+
+def _worker_count(units: int) -> int:
+    """One worker per CPU this process may run on, at most one per unit."""
+    if not hasattr(os, "sched_getaffinity") or not hasattr(os, "fork"):
+        return 1
+    return min(len(os.sched_getaffinity(0)), units)
+
+
+def _mapped(units: list[tuple]):
+    """Yield each unit's result in list order, raising a unit's exception in its place.
+
+    ``units`` are (function, args) pairs.  With more than one worker they
+    run on a pool of forked processes; a worker that dies without an
+    exception (the kernel's out-of-memory killer, say) ends the campaign
+    in MemoryError.  Closing the generator cancels the units not started
+    and waits for every worker to exit.
+    """
+    workers = _worker_count(len(units))
+    if workers == 1:
+        for fn, args in units:
+            yield fn(*args)
+        return
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+    from multiprocessing import get_context
+
+    # forked workers start with the engine already imported; the pool forks
+    # them all at the first submit, before it starts a thread of its own
+    pool = ProcessPoolExecutor(workers, mp_context=get_context("fork"))
+    try:
+        futures = [pool.submit(fn, *args) for fn, args in units]
+        for future in futures:
+            yield future.result()
+    except BrokenProcessPool as exc:
+        raise MemoryError("a campaign worker process died") from exc
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def run_campaign(
@@ -941,6 +1057,10 @@ def run_campaign(
     degenerations, and the singleton-family reduction per model.
     Derived corpora cover corroded and boundary-pinned prices,
     divisibility, kernel families, and the liquidation interchange.
+    Every unit's seed is drawn here, in campaign order; the units run on
+    every CPU the process may use (see _mapped), and their results are
+    read back in campaign order, so the report, the progress lines and
+    the first failure do not depend on the number of CPUs.
     """
     rng = random.Random(seed)
 
@@ -951,97 +1071,56 @@ def run_campaign(
     def scaled(base: int) -> int:
         return max(3, models * base // 50)
 
+    def seeds(count: int) -> list[int]:
+        return [rng.randrange(2 ** 32) for _ in range(count)]
+
     sections: dict[str, list] = {
         "duality": [], "ftap": [], "chain": [], "degenerations": [],
         "singleton": [], "adversarial": [], "divisibility": [],
         "kernel": [], "minimax": [],
     }
-    strict_gaps = 0
-
-    for i in range(models):
-        mseed = rng.randrange(2 ** 32)
-        gm = random_sna_model(random.Random(mseed))
-        duality, prices, pt_sub, pt_sup, argmax = check_duality(gm.model)
-        grid, sna = check_ftap_grid(pt_sub, expect="sna")
-        chain = check_chain(sna, prices, pt_sub, pt_sup, argmax)
-        degen = check_degenerations(pt_sub.enl, pt_sup.enl, sna, prices)
-        singleton = check_singleton_robust(pt_sub.enl, pt_sup.enl, gm.laws, sna, prices)
-        for key, rec in (("duality", duality), ("ftap", grid), ("chain", chain),
-                         ("degenerations", degen), ("singleton", singleton)):
-            rec = dict(rec)
-            rec["seed"] = mseed
-            sections[key].append(rec)
-        if chain["strict_upper"]:
-            strict_gaps += 1
-        note(f"model {i + 1}/{models} ok (seed {mseed})")
-
-    n_adv = scaled(20)
-    for i in range(n_adv):
-        mseed = rng.randrange(2 ** 32)
-        mrng = random.Random(mseed)
-        gm = random_sna_model(mrng, require_option=True)
-        mode = i % 3
-        if mode == 0:
-            bad, kind = inject_arbitrage(mrng, gm)
-            rec, sna = check_ftap_grid(build_polytope(enlarge(bad, bad.N)), expect="fail")
-            rec["mode"] = f"inject:{kind}"
-        elif mode == 1:
-            bad, kind = boundary_model(mrng, gm, ZERO)
-            rec, sna = check_ftap_grid(build_polytope(enlarge(bad, bad.N)), expect="fail")
-            if sna.slack != ZERO:
-                raise PropertyViolation("pinned quote should have exactly zero slack")
-            rec["mode"] = f"pin:{kind}"
-        else:
-            bad, kind = boundary_model(mrng, gm, BOUNDARY_OFFSET)
-            rec, sna = check_ftap_grid(build_polytope(enlarge(bad, bad.N)), expect="sna")
-            if sna.slack > BOUNDARY_OFFSET:
-                raise PropertyViolation("offset quote should cap the slack")
-            rec["mode"] = f"offset:{kind}"
-        rec["seed"] = mseed
-        sections["adversarial"].append(rec)
-        note(f"adversarial {i + 1}/{n_adv} ok (seed {mseed})")
-
-    n_div = scaled(20)
-    for i in range(n_div):
-        mseed = rng.randrange(2 ** 32)
-        gm = random_sna_model(random.Random(mseed), force_n=1 + i % 2)
-        rec = check_divisibility(gm.model)
-        rec["seed"] = mseed
-        sections["divisibility"].append(rec)
-        note(f"divisibility {i + 1}/{n_div} ok (seed {mseed})")
-
-    n_kern = scaled(30)
-    kernel_spaces = []
-    for i in range(n_kern):
-        mseed = rng.randrange(2 ** 32)
-        mrng = random.Random(mseed)
-        model = random_kernel_model(mrng).model
-        rec, enl = check_robust_model(model, submarkets=(i % 3 == 0))
-        kernel_spaces.append((mseed, enl))
-        rec["seed"] = mseed
-        sections["kernel"].append(rec)
-        note(f"kernel {i + 1}/{n_kern} ok (seed {mseed})")
-
+    main, adversarial, divisibility, kernel = (
+        seeds(models), seeds(scaled(20)), seeds(scaled(20)), seeds(scaled(30)))
+    # the minimax instances read the first kernel spaces (scaled(20) <= scaled(30))
     n_mm = scaled(20)
-    for i in range(n_mm):
-        mseed, enl = kernel_spaces[i % len(kernel_spaces)]
-        rec = check_minimax_instance(random.Random(mseed ^ 0x5EED), enl)
-        rec["seed"] = mseed
-        sections["minimax"].append(rec)
-        note(f"minimax {i + 1}/{n_mm} ok (seed {mseed})")
+    units = (
+        [(_main_unit, (s,)) for s in main]
+        + [(_adversarial_unit, (i % 3, s)) for i, s in enumerate(adversarial)]
+        + [(_divisibility_unit, (1 + i % 2, s)) for i, s in enumerate(divisibility)]
+        + [(_kernel_unit, (i % 3 == 0, i < n_mm, s)) for i, s in enumerate(kernel)]
+        + [(check_depth_zero, ()), (_wedge_unit, ())]
+    )
+    strict_gaps = 0
+    with contextlib.closing(_mapped(units)) as results:
+        for i, mseed in enumerate(main):
+            for key, rec in next(results).items():
+                sections[key].append(rec)
+            strict_gaps += sections["chain"][-1]["strict_upper"]
+            note(f"model {i + 1}/{models} ok (seed {mseed})")
 
-    depth0 = check_depth_zero()
-    note("degenerate single-date market ok")
+        for name, drawn in (("adversarial", adversarial), ("divisibility", divisibility)):
+            for i, mseed in enumerate(drawn):
+                sections[name].append(next(results))
+                note(f"{name} {i + 1}/{len(drawn)} ok (seed {mseed})")
 
-    # deterministic strict-gap witness: the chain can be properly strict
-    wedge = strict_chain_market()
-    _, *wedge_duals = check_duality(wedge)
-    _, wedge_sna = check_ftap_grid(wedge_duals[1], expect="sna")
-    wedge_chain = check_chain(wedge_sna, *wedge_duals)
-    if not wedge_chain["strict_upper"]:
-        raise PropertyViolation("canonical strict-gap market lost its gap")
-    strict_gaps += 1
-    note("strict-gap witness ok")
+        minimax = []
+        for i, mseed in enumerate(kernel):
+            rec, mm = next(results)
+            sections["kernel"].append(rec)
+            if mm is not None:
+                minimax.append(mm)
+            note(f"kernel {i + 1}/{len(kernel)} ok (seed {mseed})")
+        for i, mm in enumerate(minimax):
+            if isinstance(mm, Exception):
+                raise mm
+            sections["minimax"].append(mm)
+            note(f"minimax {i + 1}/{n_mm} ok (seed {mm['seed']})")
+
+        depth0 = next(results)
+        note("degenerate single-date market ok")
+        next(results)
+        strict_gaps += 1
+        note("strict-gap witness ok")
 
     return {
         "seed": seed,

@@ -8,8 +8,10 @@ A report of price, ftap or enlarge-dump depends only on the model
 bytes, the command and --side; a verify report on --seed and --models.
 
 Exit codes: 0 success, 2 domain-level no-arbitrage failure, 3 cap
-exceeded (the fixed stopping-time guard, or out of memory), 4 schema or
-usage error, 5 property violation or failed LP self-check (an internal
+exceeded (the fixed stopping-time guard, or out of memory; a verify
+worker process that dies without an exception, as one the kernel's
+out-of-memory killer ends, counts as out of memory), 4 schema or usage
+error, 5 property violation or failed LP self-check (an internal
 cross-check failed, i.e. a bug).
 """
 from __future__ import annotations
@@ -20,7 +22,6 @@ import json
 import os
 import sys
 
-from .campaign import run_campaign
 from .enlarged import enlarge
 from .errors import CapExceededError, ModelFormatError, PropertyViolation, SnaFailure
 from .hedging import detect_arbitrage
@@ -187,6 +188,9 @@ def cmd_ftap(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # imported here: the campaign and its batteries are verify's alone
+    from .campaign import run_campaign
+
     progress = (lambda msg: print(msg, file=sys.stderr)) if args.pretty else None
     report = run_campaign(args.seed, models=args.models, progress=progress)
     doc = _config(args)
@@ -267,8 +271,9 @@ def main(argv=None) -> int:
     except LPInternalError as exc:
         print(f"amhedge: LP self-check failed: {exc}", file=sys.stderr)
         return EXIT_PROPERTY
-    except MemoryError:
-        print("amhedge: cap exceeded: out of memory", file=sys.stderr)
+    except MemoryError as exc:
+        detail = f" ({exc})" if str(exc) else ""
+        print(f"amhedge: cap exceeded: out of memory{detail}", file=sys.stderr)
         return EXIT_CAP
 
 

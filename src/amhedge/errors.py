@@ -15,6 +15,10 @@ class CapExceededError(RuntimeError):
         self.count = count
         self.cap = cap
 
+    def __reduce__(self):
+        # rebuilt from its fields, so it crosses a process boundary whole
+        return type(self), (self.what, self.count, self.cap)
+
 
 class SnaFailure(RuntimeError):
     """Pricing rejected because no-arbitrage fails (CLI exit 2).

@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import copy
+import json
+import os
 import random
 import sys
 from collections import Counter
@@ -10,6 +12,7 @@ from types import SimpleNamespace
 import pytest
 
 from amhedge import campaign, lp
+from amhedge.cli import main
 from amhedge.campaign import (
     BOUNDARY_OFFSET,
     boundary_model,
@@ -205,11 +208,17 @@ def test_dropped_vertex_shrinking_the_support_prices_again():
     assert record["dropped_vertex"] == "r" and not record["dropped_consistent"]
 
 
+def in_process(monkeypatch):
+    """Run every campaign unit in this process, where a patch can count it."""
+    monkeypatch.setattr(campaign, "_worker_count", lambda units: 1)
+
+
 def test_campaign_reuses_the_spaces_it_holds(monkeypatch):
     # builds counted by the nearest campaign function on the stack: the
     # singleton check enlarges only robust_na's stock space, the minimax
     # check and the degenerations none (68 builds, 5 of them repeats,
     # before the reuse)
+    in_process(monkeypatch)
     built = Counter()
     real = EnlargedModel.__init__
 
@@ -240,3 +249,69 @@ def test_run_campaign_is_deterministic():
     assert first["strict_chain_gaps"] >= 1
     assert first["depth_zero"] == {"value": "7/4"}
     assert set(first["sections"]) == set(first["counts"])
+
+
+# -- the units run on every CPU, with the report of one -------------------------
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="the pool forks its workers")
+
+
+def on_workers(monkeypatch, workers: int):
+    monkeypatch.setattr(campaign, "_worker_count", lambda units: min(workers, units))
+
+
+@needs_fork
+@pytest.mark.parametrize("seed", [3, 7])
+def test_report_does_not_depend_on_worker_count(seed, monkeypatch, capsys):
+    seen = []
+    for workers in (1, 2):
+        on_workers(monkeypatch, workers)
+        assert main(["verify", "--models", "3", "--seed", str(seed), "--pretty"]) == 0
+        seen.append(capsys.readouterr())
+    (out1, err1), (out2, err2) = seen
+    assert out1 == out2 and err1 == err2
+    assert json.loads(out1)["campaign"]["counts"]["divisibility"] == 3
+    assert err1.count(" ok (seed ") == 3 + 3 + 3 + 3 + 3
+
+
+def _fail_when_drawn(monkeypatch, name: str, seed: int, message: str) -> None:
+    """Make campaign.<name>(rng, ...) raise when rng is fresh from ``seed``.
+
+    The factories and the minimax check take a random.Random first, seeded
+    by their unit's seed, so this fails one unit wherever it runs.
+    """
+    real = getattr(campaign, name)
+    fresh = random.Random(seed).getstate()
+
+    def failing(rng, *args, **kwargs):
+        if rng.getstate() == fresh:
+            raise PropertyViolation(message)
+        return real(rng, *args, **kwargs)
+
+    monkeypatch.setattr(campaign, name, failing)
+
+
+def _first_failure(monkeypatch, workers: int) -> tuple[str, list[str]]:
+    on_workers(monkeypatch, workers)
+    notes = []
+    with pytest.raises(PropertyViolation) as info:
+        run_campaign(3, models=3, progress=notes.append)
+    return str(info.value), notes
+
+
+@needs_fork
+@pytest.mark.parametrize("later, later_seed", [
+    # a divisibility unit runs before every minimax instance
+    ("random_sna_model", lambda s: s["divisibility"][2]["seed"]),
+    # every kernel check runs before every minimax instance, so a later
+    # unit's kernel failure outranks the first unit's minimax failure
+    ("random_kernel_model", lambda s: s["kernel"][1]["seed"]),
+], ids=["divisibility", "kernel"])
+def test_first_failure_does_not_depend_on_worker_count(later, later_seed, monkeypatch):
+    sections = run_campaign(3, models=3)["sections"]
+    _fail_when_drawn(monkeypatch, "check_minimax_instance",
+                     sections["kernel"][0]["seed"] ^ 0x5EED, "minimax of the first unit")
+    _fail_when_drawn(monkeypatch, later, later_seed(sections), "the later unit")
+    serial = _first_failure(monkeypatch, 1)
+    assert serial[0] == "the later unit"
+    assert _first_failure(monkeypatch, 2) == serial

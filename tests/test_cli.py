@@ -4,7 +4,9 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -12,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+import amhedge.campaign as campaign
 import amhedge.cli as cli
 import amhedge.measures as measures
 import amhedge.strategies as strategies
@@ -146,7 +149,7 @@ def test_verify_out_into_missing_directory_runs_nothing(tmp_path, capsys, monkey
     def refuse(*args, **kwargs):
         raise AssertionError("the campaign ran")
 
-    monkeypatch.setattr(cli, "run_campaign", refuse)
+    monkeypatch.setattr(campaign, "run_campaign", refuse)
     target = tmp_path / "missing" / "r.json"
     code, out, err = run(["verify", "--models", "1", "--out", str(target)], capsys)
     assert code == 4 and out == "" and "cannot write report" in err
@@ -209,7 +212,7 @@ def test_cap_exit(capsys, monkeypatch):
     def over(*args, **kwargs):
         raise CapExceededError("stopping times", DEFAULT_ENUM_CAP + 1, DEFAULT_ENUM_CAP)
 
-    monkeypatch.setattr(cli, "run_campaign", over)
+    monkeypatch.setattr(campaign, "run_campaign", over)
     code, out, err = run(["verify", "--models", "1"], capsys)
     assert code == 3 and out == "" and "cap exceeded" in err
 
@@ -556,3 +559,85 @@ def test_out_of_memory_under_an_address_space_limit(tmp_path):
     assert proc.returncode == cli.EXIT_CAP, proc.stderr
     assert proc.stdout == ""
     assert proc.stderr == "amhedge: cap exceeded: out of memory\n"
+
+
+# -- verify's worker processes --------------------------------------------------
+
+
+def _in_workers(monkeypatch, tmp_path, act=None) -> Path:
+    """Run verify's units on two workers; log the pid of every process that
+    draws a market, and call ``act`` in each divisibility check a worker runs."""
+    monkeypatch.setattr(campaign, "_worker_count", lambda units: min(2, units))
+    parent, log = os.getpid(), tmp_path / "pids"
+    draw, check = campaign.random_sna_model, campaign.check_divisibility
+
+    def drawing(*args, **kwargs):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return draw(*args, **kwargs)
+
+    def checking(model):
+        if act is not None and os.getpid() != parent:
+            act()
+        return check(model)
+
+    monkeypatch.setattr(campaign, "random_sna_model", drawing)
+    monkeypatch.setattr(campaign, "check_divisibility", checking)
+    return log
+
+
+def _verify_within(seconds: int, capsys) -> tuple[int, str, str]:
+    # a pool that lost a worker must not hang verify: fail the test instead
+    def expired(signum, frame):
+        raise TimeoutError(f"verify did not return within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(seconds)
+    try:
+        return run(["verify", "--models", "1", "--seed", "3"], capsys)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _assert_no_worker_left(log: Path) -> None:
+    workers = set(map(int, log.read_text().split())) - {os.getpid()}
+    assert workers, "no unit ran in a worker"
+    assert multiprocessing.active_children() == []
+    for pid in workers:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="verify forks its workers")
+
+
+@needs_fork
+def test_verify_leaves_no_worker_running(tmp_path, monkeypatch, capsys):
+    log = _in_workers(monkeypatch, tmp_path)
+    code, out, err = _verify_within(60, capsys)
+    assert code == 0 and json.loads(out)["campaign"]["ok"] is True
+    _assert_no_worker_left(log)
+
+
+@needs_fork
+def test_cap_exceeded_in_a_worker_exits_with_the_cap_code(tmp_path, monkeypatch, capsys):
+    def over():
+        raise CapExceededError("stopping times", DEFAULT_ENUM_CAP + 1, DEFAULT_ENUM_CAP)
+
+    log = _in_workers(monkeypatch, tmp_path, over)
+    code, out, err = _verify_within(60, capsys)
+    assert code == cli.EXIT_CAP and out == ""
+    assert err == (f"amhedge: cap exceeded: stopping times needs {DEFAULT_ENUM_CAP + 1} "
+                   f"items, cap is {DEFAULT_ENUM_CAP}\n")
+    _assert_no_worker_left(log)
+
+
+@needs_fork
+def test_killed_worker_exits_with_the_cap_code(tmp_path, monkeypatch, capsys):
+    # what the kernel's out-of-memory killer does: no exception, no result
+    log = _in_workers(monkeypatch, tmp_path, lambda: os.kill(os.getpid(), signal.SIGKILL))
+    code, out, err = _verify_within(60, capsys)
+    assert code == cli.EXIT_CAP and out == ""
+    assert err == "amhedge: cap exceeded: out of memory (a campaign worker process died)\n"
+    _assert_no_worker_left(log)

@@ -22,7 +22,7 @@ import json
 
 import pytest
 
-from amhedge import lp
+from amhedge import campaign, lp
 from amhedge.cli import main
 from amhedge.market import emit_model
 from amhedge.rationals import rat_str
@@ -101,7 +101,9 @@ def test_cli_lp_fingerprints(recorded, request, tmp_path, capsys):
     assert _pivot_digest(recorded) == EXPECTED_CLI_PIVOTS
 
 
-def test_verify_lp_fingerprints(recorded, capsys):
+def test_verify_lp_fingerprints(recorded, monkeypatch, capsys):
+    # the recorder sees only this process: run every campaign unit in it
+    monkeypatch.setattr(campaign, "_worker_count", lambda units: 1)
     assert main(["verify", "--models", "1", "--seed", "3"]) == 0
     capsys.readouterr()
     assert _digest(recorded) == EXPECTED_VERIFY
