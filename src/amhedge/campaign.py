@@ -952,23 +952,17 @@ def _adversarial_unit(mode: int, mseed: int) -> dict:
     mrng = random.Random(mseed)
     gm = random_sna_model(mrng, require_option=True)
     if mode == 0:
-        bad, kind = inject_arbitrage(mrng, gm)
-        rec, sna = check_ftap_grid(build_polytope(enlarge(bad, bad.N)), expect="fail")
-        rec["mode"] = f"inject:{kind}"
+        (bad, kind), tag, expect = inject_arbitrage(mrng, gm), "inject", "fail"
     elif mode == 1:
-        bad, kind = boundary_model(mrng, gm, ZERO)
-        rec, sna = check_ftap_grid(build_polytope(enlarge(bad, bad.N)), expect="fail")
-        if sna.slack != ZERO:
-            raise PropertyViolation("pinned quote should have exactly zero slack")
-        rec["mode"] = f"pin:{kind}"
+        (bad, kind), tag, expect = boundary_model(mrng, gm, ZERO), "pin", "fail"
     else:
-        bad, kind = boundary_model(mrng, gm, BOUNDARY_OFFSET)
-        rec, sna = check_ftap_grid(build_polytope(enlarge(bad, bad.N)), expect="sna")
-        if sna.slack > BOUNDARY_OFFSET:
-            raise PropertyViolation("offset quote should cap the slack")
-        rec["mode"] = f"offset:{kind}"
-    rec["seed"] = mseed
-    return rec
+        (bad, kind), tag, expect = boundary_model(mrng, gm, BOUNDARY_OFFSET), "offset", "sna"
+    rec, sna = check_ftap_grid(build_polytope(enlarge(bad, bad.N)), expect=expect)
+    if mode == 1 and sna.slack != ZERO:
+        raise PropertyViolation("pinned quote should have exactly zero slack")
+    if mode == 2 and sna.slack > BOUNDARY_OFFSET:
+        raise PropertyViolation("offset quote should cap the slack")
+    return {**rec, "mode": f"{tag}:{kind}", "seed": mseed}
 
 
 def _divisibility_unit(n: int, mseed: int) -> dict:
@@ -977,7 +971,9 @@ def _divisibility_unit(n: int, mseed: int) -> dict:
     return rec
 
 
-def _kernel_unit(submarkets: bool, minimax: bool, mseed: int) -> tuple[dict, object]:
+def _kernel_unit(
+    submarkets: bool, minimax: bool, mseed: int
+) -> tuple[dict, dict | Exception | None]:
     """A kernel market's record, and the minimax instance on its space.
 
     The second item is None without ``minimax``, else the minimax record
@@ -1014,29 +1010,47 @@ def _worker_count(units: int) -> int:
     return min(len(os.sched_getaffinity(0)), units)
 
 
-def _mapped(units: list[tuple]):
-    """Yield each unit's result in list order, raising a unit's exception in its place.
-
-    ``units`` are (function, args) pairs.  With more than one worker they
-    run on a pool of forked processes; a worker that dies without an
-    exception (the kernel's out-of-memory killer, say) ends the campaign
-    in MemoryError.  Closing the generator cancels the units not started
-    and waits for every worker to exit.
-    """
-    workers = _worker_count(len(units))
-    if workers == 1:
-        for fn, args in units:
-            yield fn(*args)
-        return
+def _pool_futures(units: list[tuple], workers: int):
+    """A pool of ``workers`` forked processes running ``units``, with the
+    units' futures; None when a fork fails for want of memory or of a
+    process slot, after the workers already forked have been stopped."""
     from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-    from multiprocessing import get_context
+    from multiprocessing import active_children, get_context
 
+    before = set(active_children())
     # forked workers start with the engine already imported; the pool forks
     # them all at the first submit, before it starts a thread of its own
     pool = ProcessPoolExecutor(workers, mp_context=get_context("fork"))
     try:
-        futures = [pool.submit(fn, *args) for fn, args in units]
+        return pool, [pool.submit(fn, *args) for fn, args in units]
+    except OSError:
+        for process in set(active_children()) - before:
+            process.terminate()
+            process.join()
+        pool.shutdown()
+        return None
+
+
+def _mapped(units: list[tuple]):
+    """Yield each unit's result in list order, raising a unit's exception in its place.
+
+    ``units`` are (function, args) pairs.  With more than one worker they
+    run on a pool of forked processes, else (or when no worker can be
+    forked) here; a worker that dies without an exception (the kernel's
+    out-of-memory killer, say) ends the campaign in MemoryError.  Closing
+    the generator cancels the units not started and waits for every
+    worker to exit.
+    """
+    workers = _worker_count(len(units))
+    started = _pool_futures(units, workers) if workers > 1 else None
+    if started is None:
+        for fn, args in units:
+            yield fn(*args)
+        return
+    from concurrent.futures.process import BrokenProcessPool
+
+    pool, futures = started
+    try:
         for future in futures:
             yield future.result()
     except BrokenProcessPool as exc:

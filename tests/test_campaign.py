@@ -260,20 +260,6 @@ def on_workers(monkeypatch, workers: int):
     monkeypatch.setattr(campaign, "_worker_count", lambda units: min(workers, units))
 
 
-@needs_fork
-@pytest.mark.parametrize("seed", [3, 7])
-def test_report_does_not_depend_on_worker_count(seed, monkeypatch, capsys):
-    seen = []
-    for workers in (1, 2):
-        on_workers(monkeypatch, workers)
-        assert main(["verify", "--models", "3", "--seed", str(seed), "--pretty"]) == 0
-        seen.append(capsys.readouterr())
-    (out1, err1), (out2, err2) = seen
-    assert out1 == out2 and err1 == err2
-    assert json.loads(out1)["campaign"]["counts"]["divisibility"] == 3
-    assert err1.count(" ok (seed ") == 3 + 3 + 3 + 3 + 3
-
-
 def _fail_when_drawn(monkeypatch, name: str, seed: int, message: str) -> None:
     """Make campaign.<name>(rng, ...) raise when rng is fresh from ``seed``.
 
@@ -291,27 +277,38 @@ def _fail_when_drawn(monkeypatch, name: str, seed: int, message: str) -> None:
     monkeypatch.setattr(campaign, name, failing)
 
 
-def _first_failure(monkeypatch, workers: int) -> tuple[str, list[str]]:
+def _first_failure(monkeypatch, seed: int, workers: int) -> tuple[str, list[str]]:
     on_workers(monkeypatch, workers)
     notes = []
     with pytest.raises(PropertyViolation) as info:
-        run_campaign(3, models=3, progress=notes.append)
+        run_campaign(seed, models=3, progress=notes.append)
     return str(info.value), notes
 
 
 @needs_fork
-@pytest.mark.parametrize("later, later_seed", [
+@pytest.mark.parametrize("seed, later, later_seed", [
     # a divisibility unit runs before every minimax instance
-    ("random_sna_model", lambda s: s["divisibility"][2]["seed"]),
+    (3, "random_sna_model", lambda s: s["divisibility"][2]["seed"]),
     # every kernel check runs before every minimax instance, so a later
     # unit's kernel failure outranks the first unit's minimax failure
-    ("random_kernel_model", lambda s: s["kernel"][1]["seed"]),
-], ids=["divisibility", "kernel"])
-def test_first_failure_does_not_depend_on_worker_count(later, later_seed, monkeypatch):
-    sections = run_campaign(3, models=3)["sections"]
+    (7, "random_kernel_model", lambda s: s["kernel"][1]["seed"]),
+], ids=["3-divisibility", "7-kernel"])
+def test_report_does_not_depend_on_worker_count(seed, later, later_seed, monkeypatch, capsys):
+    seen = []
+    for workers in (1, 2):
+        on_workers(monkeypatch, workers)
+        assert main(["verify", "--models", "3", "--seed", str(seed), "--pretty"]) == 0
+        seen.append(capsys.readouterr())
+    (out1, err1), (out2, err2) = seen
+    assert out1 == out2 and err1 == err2
+    assert err1.count(" ok (seed ") == 3 + 3 + 3 + 3 + 3
+
+    # with two units failing, the first in campaign order is raised after
+    # the same progress lines
+    sections = json.loads(out1)["campaign"]["sections"]
     _fail_when_drawn(monkeypatch, "check_minimax_instance",
                      sections["kernel"][0]["seed"] ^ 0x5EED, "minimax of the first unit")
     _fail_when_drawn(monkeypatch, later, later_seed(sections), "the later unit")
-    serial = _first_failure(monkeypatch, 1)
+    serial = _first_failure(monkeypatch, seed, 1)
     assert serial[0] == "the later unit"
-    assert _first_failure(monkeypatch, 2) == serial
+    assert _first_failure(monkeypatch, seed, 2) == serial

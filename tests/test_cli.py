@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import errno
 import hashlib
 import json
 import multiprocessing
@@ -641,3 +642,26 @@ def test_killed_worker_exits_with_the_cap_code(tmp_path, monkeypatch, capsys):
     assert code == cli.EXIT_CAP and out == ""
     assert err == "amhedge: cap exceeded: out of memory (a campaign worker process died)\n"
     _assert_no_worker_left(log)
+
+
+@needs_fork
+def test_failed_fork_runs_the_units_in_process(monkeypatch, capsys):
+    monkeypatch.setattr(campaign, "_worker_count", lambda units: 1)
+    expected = run(["verify", "--models", "1", "--seed", "3"], capsys)
+    # the first worker forks, the second finds no process slot left
+    monkeypatch.setattr(campaign, "_worker_count", lambda units: min(2, units))
+    real, forked = os.fork, []
+
+    def fork():
+        if forked:
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+        pid = real()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    assert _verify_within(60, capsys) == expected
+    assert len(forked) == 1 and multiprocessing.active_children() == []
+    with pytest.raises(ProcessLookupError):
+        os.kill(forked[0], 0)
