@@ -22,6 +22,7 @@ import json
 import os
 import sys
 
+from .campaign import run_campaign
 from .enlarged import enlarge
 from .errors import CapExceededError, ModelFormatError, PropertyViolation, SnaFailure
 from .hedging import detect_arbitrage
@@ -188,9 +189,6 @@ def cmd_ftap(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    # imported here: the campaign and its batteries are verify's alone
-    from .campaign import run_campaign
-
     progress = (lambda msg: print(msg, file=sys.stderr)) if args.pretty else None
     report = run_campaign(args.seed, models=args.models, progress=progress)
     doc = _config(args)

@@ -150,7 +150,7 @@ def test_verify_out_into_missing_directory_runs_nothing(tmp_path, capsys, monkey
     def refuse(*args, **kwargs):
         raise AssertionError("the campaign ran")
 
-    monkeypatch.setattr(campaign, "run_campaign", refuse)
+    monkeypatch.setattr(cli, "run_campaign", refuse)
     target = tmp_path / "missing" / "r.json"
     code, out, err = run(["verify", "--models", "1", "--out", str(target)], capsys)
     assert code == 4 and out == "" and "cannot write report" in err
@@ -213,7 +213,7 @@ def test_cap_exit(capsys, monkeypatch):
     def over(*args, **kwargs):
         raise CapExceededError("stopping times", DEFAULT_ENUM_CAP + 1, DEFAULT_ENUM_CAP)
 
-    monkeypatch.setattr(campaign, "run_campaign", over)
+    monkeypatch.setattr(cli, "run_campaign", over)
     code, out, err = run(["verify", "--models", "1"], capsys)
     assert code == 3 and out == "" and "cap exceeded" in err
 
