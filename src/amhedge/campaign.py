@@ -1018,8 +1018,9 @@ def _pool_futures(units: list[tuple], workers: int):
     from multiprocessing import active_children, get_context
 
     before = set(active_children())
-    # forked workers start with the engine already imported; the pool forks
-    # them all at the first submit, before it starts a thread of its own
+    # forked workers start with the engine already imported; from Python
+    # 3.11 the pool forks them all at the first submit, before it starts a
+    # thread of its own
     pool = ProcessPoolExecutor(workers, mp_context=get_context("fork"))
     try:
         return pool, [pool.submit(fn, *args) for fn, args in units]

@@ -208,9 +208,8 @@ def test_dropped_vertex_shrinking_the_support_prices_again():
     assert record["dropped_vertex"] == "r" and not record["dropped_consistent"]
 
 
-def in_process(monkeypatch):
-    """Run every campaign unit in this process, where a patch can count it."""
-    monkeypatch.setattr(campaign, "_worker_count", lambda units: 1)
+def on_workers(monkeypatch, workers: int):
+    monkeypatch.setattr(campaign, "_worker_count", lambda units: min(workers, units))
 
 
 def test_campaign_reuses_the_spaces_it_holds(monkeypatch):
@@ -218,7 +217,8 @@ def test_campaign_reuses_the_spaces_it_holds(monkeypatch):
     # singleton check enlarges only robust_na's stock space, the minimax
     # check and the degenerations none (68 builds, 5 of them repeats,
     # before the reuse)
-    in_process(monkeypatch)
+    # on one worker every unit runs in this process, where the patch counts it
+    on_workers(monkeypatch, 1)
     built = Counter()
     real = EnlargedModel.__init__
 
@@ -254,10 +254,6 @@ def test_run_campaign_is_deterministic():
 # -- the units run on every CPU, with the report of one -------------------------
 
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="the pool forks its workers")
-
-
-def on_workers(monkeypatch, workers: int):
-    monkeypatch.setattr(campaign, "_worker_count", lambda units: min(workers, units))
 
 
 def _fail_when_drawn(monkeypatch, name: str, seed: int, message: str) -> None:
