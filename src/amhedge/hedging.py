@@ -563,15 +563,20 @@ def detect_arbitrage(enl: EnlargedModel) -> ArbitrageReport:
     the optimizer is returned as a witness.
     """
     g = GainLP(enl, split_stock=True)
-    objective: dict[int, Q] = {}
-    for p in range(enl.num_paths):
-        row = g.gain_coeffs(p)
+    rows = [g.gain_coeffs(p) for p in range(enl.num_paths)]
+    # the objective in integers: path weights over dw, gain coefficients
+    # over dc, and one rational per variable
+    (weights,), dw = over_common(enl.weight(p) for p in range(enl.num_paths))
+    (coeffs,), dc = over_common(val for row in rows for val in row.values())
+    coeffs = iter(coeffs)
+    sums: dict[int, int] = {}
+    for p, (w, row) in enumerate(zip(weights, rows)):
         g.add_path_row(p, row, ZERO, f"nonneg[p{p}]")
-        for var, val in row.items():
-            _bump(objective, var, enl.weight(p) * val)
+        for var in row:
+            sums[var] = sums.get(var, 0) + w * next(coeffs)
     g.add_common_rows()
     g.stock.add_norm_row(sum(g.static.values(), []))
-    g.lp.set_objective("max", objective)
+    g.lp.set_objective("max", {var: Q(n, dw * dc) for var, n in sums.items() if n})
     out = solve(g.lp)
     if out.status != "optimal":
         raise PropertyViolation(f"arbitrage LP unexpectedly {out.status}")
@@ -582,7 +587,6 @@ def detect_arbitrage(enl: EnlargedModel) -> ArbitrageReport:
     strat = g.strategy_at(out.primal)
     gains, den = check_hedge(enl, strat, ONE, ZERO, [ZERO] * enl.num_paths,
                              kind="arbitrage witness")
-    (weights,), dw = over_common(enl.weight(p) for p in gains)
     expected = sum(w * gain for gain, w in zip(gains.values(), weights))
     if expected * int(out.value.denominator) != int(out.value.numerator) * dw * den:
         raise PropertyViolation("arbitrage witness expectation mismatch")

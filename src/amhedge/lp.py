@@ -1,7 +1,15 @@
 """Exact rational linear programming with verified certificates.
 
-Two-phase primal simplex over exact rationals, Bland's rule throughout
-(deterministic, cycle-free).  The tableau is sparse and fraction-free:
+Two-phase primal simplex over exact rationals, deterministic and
+finite.  Bland's rule picks each entering column, but in phase 2 of an
+LP whose origin satisfies every row, such as the arbitrage LP with all
+its homogeneous rows tight at the start, Dantzig's rule (the largest
+reduced cost) skips the long runs of degenerate pivots Bland's rule
+walks there; it hands over to Bland's rule after ``_DEGENERATE_RUN``
+degenerate pivots in a row, until a pivot moves the point.  On the path
+measure LPs, whose origin is infeasible, Dantzig's rule took more pivots.
+
+The tableau is sparse and fraction-free:
 each row is a dict of its nonzero Python ints over one positive
 denominator, put in lowest terms only when that denominator outgrows
 ``_REDUCE_BITS`` bits, and a column index lists the rows where each column
@@ -50,6 +58,9 @@ _MAX_PIVOTS = 5_000_000
 # bits than this: entries stay small without a dense gcd pass per update
 # (bounds from 30 to 120 bits timed the same)
 _REDUCE_BITS = 60
+# Dantzig's rule hands over to Bland's after this many degenerate pivots
+# in a row, until a pivot moves the point (see _Tableau.run)
+_DEGENERATE_RUN = 50
 
 
 class LPInternalError(RuntimeError):
@@ -151,8 +162,8 @@ class _Tableau:
     column index ``col_rows[c]`` is the set of rows with a nonzero in
     column c (``c = ncols`` for the rhs), so a pivot eliminates, and the
     ratio test visits, only those rows.  The objective row ``zrow`` stays a
-    dense list, the reduced costs and then -z over ``zden``, so Bland's
-    entering scan is one pass.  A row need not be in lowest terms (see
+    dense list, the reduced costs and then -z over ``zden``, so either
+    rule's entering scan is one pass.  A row need not be in lowest terms (see
     ``_eliminate``), but its denominator is positive, so an entry's sign is
     its numerator's sign and the ratio test compares rhs/entry by
     cross-multiplying (the row's common factor cancels).  Rationals are
@@ -206,9 +217,9 @@ class _Tableau:
         # homogeneous >= row but a bound row in an LP the origin violates
         # (see the class docstring); a negated row's dual is negated back
         # on reading.  Signs are read off the image (each d > 0)
-        origin_feasible = not any(_violated(rel, 0, b) for rel, (_, b, _) in zip(rels, image))
+        self.origin_feasible = not any(_violated(rel, 0, b) for rel, (_, b, _) in zip(rels, image))
         self.flip = [b < 0 or (b == 0 and rel == ">=" and (
-                         origin_feasible or not _bound_row(a, nonneg)))
+                         self.origin_feasible or not _bound_row(a, nonneg)))
                      for rel, (a, b, _) in zip(rels, image)]
         self.rows: list[dict[int, int]] = []
         self.den: list[int] = []
@@ -278,19 +289,31 @@ class _Tableau:
         if self.pivots > _MAX_PIVOTS:
             raise LPInternalError("pivot budget exhausted; suspected bug")
 
-    def bland(self, allowed: list[bool]) -> Literal["optimal", "unbounded"] | int:
-        """One Bland step: pivot and return the entering column, or a verdict."""
+    def enter_bland(self, limit: int) -> int:
+        """Bland's entering column: the first below limit with a positive reduced cost, else -1."""
         zrow = self.zrow
-        enter = -1
-        for c in range(self.ncols):
-            if allowed[c] and zrow[c] > 0:
-                enter = c
-                break
-        if enter < 0:
-            return "optimal"
-        # min rhs/a over a > 0, ties to the smallest basic column, so the
-        # order the index lists rows in moves no pivot; rhs/a is compared
-        # as b/a < b'/a'  <=>  b*a' < b'*a  (a, a' > 0)
+        for c in range(limit):
+            if zrow[c] > 0:
+                return c
+        return -1
+
+    def enter_largest(self, limit: int) -> int:
+        """Dantzig's entering column: the largest positive reduced cost below
+        limit, ties to the smallest column, else -1.
+
+        The reduced costs share zden, so their numerators compare as they stand.
+        """
+        costs = self.zrow[:limit]
+        top = max(costs, default=0)
+        return costs.index(top) if top > 0 else -1
+
+    def leave(self, enter: int) -> int:
+        """The ratio test's row for the entering column, or -1 where no row blocks it.
+
+        min rhs/a over a > 0, ties to the smallest basic column, so the
+        order the index lists rows in moves no pivot; rhs/a is compared as
+        b/a < b'/a'  <=>  b*a' < b'*a  (a, a' > 0).
+        """
         rows, basis, rc = self.rows, self.basis, self.ncols
         leave = -1
         best_b = best_a = 0
@@ -305,16 +328,31 @@ class _Tableau:
                 lhs, rhs = b * best_a, best_b * a
                 if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                     leave, best_b, best_a = i, b, a
-        if leave < 0:
-            return "unbounded"
-        self.pivot(leave, enter)
-        return enter
+        return leave
 
-    def run(self, allowed: list[bool]) -> Literal["optimal", "unbounded"]:
+    def run(self, limit: int, largest: bool) -> int | None:
+        """Pivot until optimal (None) or unbounded (the entering column that no
+        row blocks), entering only columns below limit.
+
+        Bland's rule picks each entering column, or Dantzig's where largest
+        is set, until _DEGENERATE_RUN pivots in a row leave the point in
+        place; Bland's rule then picks until a pivot moves the point.
+        Bland's rule cannot cycle, and the objective rises strictly at each
+        pivot that moves the point, so no basis comes back and the run ends.
+        """
+        degenerate = 0
         while True:
-            step = self.bland(allowed)
-            if step == "optimal" or step == "unbounded":
-                return step
+            if largest and degenerate < _DEGENERATE_RUN:
+                enter = self.enter_largest(limit)
+            else:
+                enter = self.enter_bland(limit)
+            if enter < 0:
+                return None
+            r = self.leave(enter)
+            if r < 0:
+                return enter
+            degenerate = 0 if self.ncols in self.rows[r] else degenerate + 1
+            self.pivot(r, enter)
 
     def to_vars(self, vals: list[Q]) -> list[Q]:
         """Each variable's value from its columns': a free variable's two net,
@@ -516,9 +554,7 @@ def solve(lp: LinearProgram) -> LPOutcome:
 
     # phase 1: drive artificials to zero; z = -zrow[-1]/zden < 0 is infeasible
     tab.set_costs(dict.fromkeys(tab.art_col, -1), 1)
-    allowed = [True] * tab.ncols
-    verdict = tab.run(allowed)
-    if verdict == "unbounded":  # pragma: no cover - phase 1 is bounded by 0
+    if tab.run(tab.ncols, largest=False) is not None:  # pragma: no cover - bounded by 0
         raise LPInternalError("phase 1 unbounded")
     if tab.zrow[-1] > 0:
         farkas = pre.lift_duals(tab.duals(-1, 1), image, costs=False)
@@ -537,7 +573,9 @@ def solve(lp: LinearProgram) -> LPOutcome:
             if c is not None:
                 tab.pivot(i, c)
 
-    # phase 2, priced from the objective's integer image
+    # phase 2, priced from the objective's integer image over the real
+    # columns (the artificials are the last m); by Dantzig's rule where the
+    # origin is feasible (see _Tableau)
     sign = 1 if lp.sense == "max" else -1
     obj, _, dc = pre.image[-1]
     costs = {}
@@ -546,12 +584,9 @@ def solve(lp: LinearProgram) -> LPOutcome:
         if tab.neg_col[j] is not None:
             costs[tab.neg_col[j]] = -sign * v
     tab.set_costs(costs, dc)
-    for c in tab.art_col:
-        allowed[c] = False
-    verdict = tab.run(allowed)
+    enter = tab.run(n_real, largest=tab.origin_feasible)
 
-    if verdict == "unbounded":
-        enter = next(c for c in range(tab.ncols) if allowed[c] and tab.zrow[c] > 0)
+    if enter is not None:
         direction = [ZERO] * tab.ncols
         direction[enter] = ONE
         for i in tab.col_rows[enter]:

@@ -17,6 +17,7 @@ import pytest
 
 import amhedge.campaign as campaign
 import amhedge.cli as cli
+import amhedge.lp as lpmod
 import amhedge.measures as measures
 import amhedge.strategies as strategies
 from amhedge.cli import main
@@ -186,6 +187,33 @@ def test_gamma_override_flips_ftap(model_file, capsys):
     doc = json.loads(out)["classical"]
     assert doc["holds"] is False and doc["epsilon"] == "-1/6"
     assert doc["arbitrage"]["found"] is True
+
+
+def test_ftap_finds_a_gross_mispricing_in_one_pivot(tmp_path, capsys, monkeypatch):
+    # a call bid of 200 over a payoff of at most 123: selling it gains on
+    # every path, and the arbitrage LP, priced by its largest reduced cost,
+    # takes one pivot where Bland's rule took 640 degenerate ones
+    pivots = []
+
+    class Recording(lpmod._Tableau):
+        def __init__(self, *args):
+            super().__init__(*args)
+            pivots.append(0)
+
+        def pivot(self, r, c):
+            super().pivot(r, c)
+            pivots[-1] += 1
+
+    monkeypatch.setattr(lpmod, "_Tableau", Recording)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(binomial_put_book_dict(5, short_bid="200")))
+    code, out, _ = run(["ftap", "--model", str(path)], capsys)
+    assert code == 2
+    doc = json.loads(out)["classical"]
+    assert doc["holds"] is False and doc["epsilon"] == "-1781/9"
+    assert doc["arbitrage"]["found"] is True and doc["arbitrage"]["gain"] == "6271/32"
+    *_, arbitrage = pivots  # the slack LP, then the arbitrage LP
+    assert len(pivots) == 2 and arbitrage <= 5
 
 
 def test_parser_built_once_keeps_no_override_between_requests(model_file, capsys):

@@ -86,7 +86,7 @@ def test_unbounded_reports_ray():
 
 
 def test_degenerate_vertex():
-    # three rows active at the optimum (1/3, 1/3); Bland must not cycle
+    # three rows active at the optimum (1/3, 1/3); the simplex must not cycle
     lp = LinearProgram()
     x = lp.add_var("x")
     y = lp.add_var("y")
@@ -98,6 +98,54 @@ def test_degenerate_vertex():
     assert out.status == "optimal"
     assert out.value == Q(2, 3)
     assert (out.x(x), out.x(y)) == (Q(1, 3), Q(1, 3))
+
+
+def test_unbounded_ray_follows_the_column_that_proved_it():
+    # max x + 2y s.t. x <= 1: the origin is feasible, so the largest reduced
+    # cost enters y, which no row blocks, though x is the first improving
+    # column; the ray is +y, found before any pivot
+    lp = LinearProgram()
+    x = lp.add_var("x")
+    y = lp.add_var("y")
+    lp.add_constraint({x: ONE}, "<=", ONE)
+    lp.set_objective("max", {x: ONE, y: Q(2)})
+    out = solve(lp)
+    assert (out.status, out.ray, out.pivots) == ("unbounded", [ZERO, ONE], 0)
+
+
+def _chvatal_lp() -> LinearProgram:
+    """Chvatal's example (Linear Programming, 1983, ch. 3): the largest-
+    coefficient rule, ties to the smallest basic column, cycles through six
+    degenerate bases at the origin; the optimum is 1 at (1, 0, 1, 0)."""
+    lp = LinearProgram("chvatal")
+    x1, x2, x3, x4 = (lp.add_var(f"x{j}") for j in range(1, 5))
+    lp.add_constraint({x1: Q(1, 2), x2: Q(-11, 2), x3: Q(-5, 2), x4: Q(9)}, "<=", ZERO)
+    lp.add_constraint({x1: Q(1, 2), x2: Q(-3, 2), x3: Q(-1, 2), x4: ONE}, "<=", ZERO)
+    lp.add_constraint({x1: ONE}, "<=", ONE)
+    lp.set_objective("max", {x1: Q(10), x2: Q(-57), x3: Q(-9), x4: Q(-24)})
+    return lp
+
+
+def test_largest_cost_rule_falls_back_to_bland_on_a_cycle(monkeypatch):
+    # after _DEGENERATE_RUN degenerate pivots Bland's rule enters a column
+    # whose reduced cost is not the largest, and the solve leaves the cycle
+    not_largest = []
+
+    class Recording(lpmod._Tableau):
+        def pivot(self, r, c):
+            not_largest.append(self.zrow[c] < max(self.zrow[:self.art_col[0]]))
+            super().pivot(r, c)
+
+    monkeypatch.setattr(lpmod, "_Tableau", Recording)
+    out = solve(_chvatal_lp())
+    assert (out.status, out.value, out.primal) == ("optimal", ONE, [ONE, ZERO, ONE, ZERO])
+    run = lpmod._DEGENERATE_RUN
+    assert not any(not_largest[:run]) and any(not_largest[run:])
+    # without the fallback the same rule never leaves the origin
+    monkeypatch.setattr(lpmod, "_DEGENERATE_RUN", 10**9)
+    monkeypatch.setattr(lpmod, "_MAX_PIVOTS", 1_000)
+    with pytest.raises(lpmod.LPInternalError, match="pivot budget"):
+        solve(_chvatal_lp())
 
 
 def test_exact_rationals_no_drift():
@@ -621,7 +669,8 @@ def _rows(tab):
 
 def test_reduction_bound_moves_no_pivot(monkeypatch):
     # bound 0 puts every updated row in lowest terms; a huge bound reduces
-    # only the pivot row.  Bland reads signs and the ratio test compares
+    # only the pivot row.  Bland's rule reads signs, Dantzig's compares the
+    # reduced costs over their one denominator and the ratio test compares
     # within a row, so every outcome, certificate and pivot agrees.
     rng = random.Random(20260814)
     lps = [_random_lp(rng)[0] for _ in range(150)] + [_infeasible_lp(), _unbounded_lp()]

@@ -7,8 +7,10 @@ pivots, at ``amhedge.lp._Tableau``; the outcome adds the status and the
 value.  LPs are paired in solve order.  Per request the script counts the
 pairs that agree with names (sense, objective, rows with their names,
 relations, right-hand sides and coefficients, variables with their names
-and signs, status, value and pivot sequence), and the pairs that agree
-once row and variable names are ignored.
+and signs, status, value and pivot sequence), the pairs that agree
+once row and variable names are ignored, and the pairs that agree on all
+but the pivot sequence once names are ignored (``equal_but_pivots``: the
+same LP, status and value reached by other pivots).
 
     python tools/lp_align.py BASE HEAD --fixtures --verify 3 5
 
@@ -129,13 +131,15 @@ def align(base: dict, head: dict, show: int) -> tuple[dict, list[str]]:
     named = sum(a == b for a, b in pairs)
     unnamed = sum(_unnamed(a) == _unnamed(b) for a, b in pairs)
     pivots = sum(a["pivots"] == b["pivots"] for a, b in pairs)
+    outcomes = sum(_unnamed({**a, "pivots": None}) == _unnamed({**b, "pivots": None})
+                   for a, b in pairs)
     moved: list[str] = []
     for a, b in pairs:
         moved += [f"{x} -> {y}" for x, y in zip(_names(a), _names(b)) if x != y]
     counts = {"exit": [base["exit"], head["exit"]],
               "lps": [len(base["solves"]), len(head["solves"])],
               "equal_with_names": named, "equal_without_names": unnamed,
-              "equal_pivots": pivots}
+              "equal_pivots": pivots, "equal_but_pivots": outcomes - unnamed}
     return counts, moved[:show]
 
 
@@ -157,7 +161,8 @@ def main(argv: list[str] | None = None) -> int:
         requests += [(f"verify seed {s}", ["verify", "--models", "1", "--seed", str(s)])
                      for s in opts.verify]
         requests += [(text, shlex.split(text)) for text in opts.request]
-        total = {"lps": 0, "equal_with_names": 0, "equal_without_names": 0, "equal_pivots": 0}
+        total = {"lps": 0, "equal_with_names": 0, "equal_without_names": 0, "equal_pivots": 0,
+                 "equal_but_pivots": 0}
         aligned = True
         for label, request in requests:
             counts, moved = align(_run(opts.base, request), _run(opts.head, request), opts.show)
@@ -165,7 +170,8 @@ def main(argv: list[str] | None = None) -> int:
             same = (counts["exit"][0] == counts["exit"][1] and counts["lps"][0] == counts["lps"][1]
                     and counts["equal_without_names"] == counts["equal_pivots"] == n)
             aligned &= same
-            for key in ("equal_with_names", "equal_without_names", "equal_pivots"):
+            for key in ("equal_with_names", "equal_without_names", "equal_pivots",
+                        "equal_but_pivots"):
                 total[key] += counts[key]
             total["lps"] += n
             print(f"{label}: {json.dumps(counts)}{'' if same else '  DIFFERS'}")
