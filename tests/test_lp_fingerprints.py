@@ -12,7 +12,7 @@ reorders a row changes the digest.
 A recording ``amhedge.lp._Tableau``, which each solve builds once from
 the presolved LP, logs the (row, column) pair of every pivot.  Each LP's
 fingerprint is paired with its pivot sequence and the sorted
-pairs are hashed, so a change to the simplex that moves a single Bland
+pairs are hashed, so a change to the simplex that moves a single pivot
 decision changes that digest even when every LP and optimum stays put.
 """
 from __future__ import annotations
@@ -34,7 +34,7 @@ EXPECTED_CLI = (31, "888ac120ad3b52f3a14b2c36d20baf58b8b116cb40b6a3ba97a47726768
 EXPECTED_VERIFY = (290, "c7fbc2ac0c39108d9f042da59c9d15bdb58392f9fe62d2c0970d7ed01ada2d8e")
 # (number of pivots, sha256 of the sorted (fingerprint, pivot sequence) pairs)
 EXPECTED_CLI_PIVOTS = (143, "0e5235b4cc845ea2cc3eb5d87f4b954c4dd23cefaf984df0d95e164aa1d96aa4")
-EXPECTED_VERIFY_PIVOTS = (1908, "0fa4a199d867775d146e5fecd2f30056fcc18cb79f536df04311d23303bee9ad")
+EXPECTED_VERIFY_PIVOTS = (1862, "dd648e054181834c52432121cde75e57ab6b55470f3a81d86b059dbc777614d1")
 
 
 def fingerprint(prog: lp.LinearProgram) -> str:
