@@ -25,6 +25,7 @@ denominators, and compares integer numerators.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from math import lcm
 from typing import Hashable, Iterable, Sequence
 
@@ -565,15 +566,15 @@ def detect_arbitrage(enl: EnlargedModel) -> ArbitrageReport:
     g = GainLP(enl, split_stock=True)
     rows = [g.gain_coeffs(p) for p in range(enl.num_paths)]
     # the objective in integers: path weights over dw, gain coefficients
-    # over dc, and one rational per variable
+    # over their lcm dc (read twice rather than listed), and one rational
+    # per variable
     (weights,), dw = over_common(enl.weight(p) for p in range(enl.num_paths))
-    (coeffs,), dc = over_common(val for row in rows for val in row.values())
-    coeffs = iter(coeffs)
+    dc = reduce(lcm, (int(val.denominator) for row in rows for val in row.values()), 1)
     sums: dict[int, int] = {}
     for p, (w, row) in enumerate(zip(weights, rows)):
         g.add_path_row(p, row, ZERO, f"nonneg[p{p}]")
-        for var in row:
-            sums[var] = sums.get(var, 0) + w * next(coeffs)
+        for var, val in row.items():
+            sums[var] = sums.get(var, 0) + w * int(val.numerator) * (dc // int(val.denominator))
     g.add_common_rows()
     g.stock.add_norm_row(sum(g.static.values(), []))
     g.lp.set_objective("max", {var: Q(n, dw * dc) for var, n in sums.items() if n})
