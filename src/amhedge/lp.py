@@ -289,24 +289,6 @@ class _Tableau:
         if self.pivots > _MAX_PIVOTS:
             raise LPInternalError("pivot budget exhausted; suspected bug")
 
-    def enter_bland(self, limit: int) -> int:
-        """Bland's entering column: the first below limit with a positive reduced cost, else -1."""
-        zrow = self.zrow
-        for c in range(limit):
-            if zrow[c] > 0:
-                return c
-        return -1
-
-    def enter_largest(self, limit: int) -> int:
-        """Dantzig's entering column: the largest positive reduced cost below
-        limit, ties to the smallest column, else -1.
-
-        The reduced costs share zden, so their numerators compare as they stand.
-        """
-        costs = self.zrow[:limit]
-        top = max(costs, default=0)
-        return costs.index(top) if top > 0 else -1
-
     def leave(self, enter: int) -> int:
         """The ratio test's row for the entering column, or -1 where no row blocks it.
 
@@ -334,18 +316,27 @@ class _Tableau:
         """Pivot until optimal (None) or unbounded (the entering column that no
         row blocks), entering only columns below limit.
 
-        Bland's rule picks each entering column, or Dantzig's where largest
-        is set, until _DEGENERATE_RUN pivots in a row leave the point in
-        place; Bland's rule then picks until a pivot moves the point.
+        Bland's rule enters the first column with a positive reduced cost,
+        or, where largest is set, Dantzig's rule the largest, ties to the
+        smallest column, until _DEGENERATE_RUN pivots in a row leave the
+        point in place; Bland's rule then picks until a pivot moves the point.
         Bland's rule cannot cycle, and the objective rises strictly at each
         pivot that moves the point, so no basis comes back and the run ends.
         """
         degenerate = 0
         while True:
+            zrow = self.zrow
             if largest and degenerate < _DEGENERATE_RUN:
-                enter = self.enter_largest(limit)
+                # the reduced costs share zden: their numerators compare as they stand
+                costs = zrow[:limit]
+                top = max(costs, default=0)
+                enter = costs.index(top) if top > 0 else -1
             else:
-                enter = self.enter_bland(limit)
+                for enter in range(limit):
+                    if zrow[enter] > 0:
+                        break
+                else:
+                    enter = -1
             if enter < 0:
                 return None
             r = self.leave(enter)
