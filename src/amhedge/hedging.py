@@ -17,10 +17,11 @@ once, by enlarged.extend_claim.  Liquidation masses nu_j and exercise
 weights eta are plain node -> weight dicts.
 
 check_hedge is the one pathwise re-check of a semi-static hedge, of every
-row family GainLP and _hedge write; every optimizer, witness and ray goes
-through it.  It runs in Python ints: each call puts the strategy, and its
-own tables of the model's stock moves, payoffs and quotes, over common
-denominators, and compares integer numerators.
+row family GainLP and _hedge write and of the space's mixtures, which no
+LP writes; every optimizer, witness and ray goes through it.  It runs in
+Python ints: each call puts the strategy, and its own tables of the
+model's stock moves, payoffs and quotes, over common denominators, and
+compares integer numerators.
 """
 from __future__ import annotations
 
@@ -196,9 +197,11 @@ class GainLP:
 
     Carry nodes are the nodes of the space's forest, trade nodes those of
     them with children, both in index order, and there is one gain row
-    per path of the space.  The space's tied node pairs and
-    mixtures become rows too (add_common_rows).  Gain rows read tables per
-    base edge (MarketModel.base_steps), base path and base node; unlike
+    per path of the space, which each caller adds with its own bound.
+    The space's tied node pairs become rows too (add_common_rows); its
+    mixtures do not, since the path rows imply each of them and
+    check_hedge re-checks them.  Gain rows read tables per base edge
+    (MarketModel.base_steps), base path and base node; unlike
     MeasurePolytope's, the payoff tables are shifted by their quotes once.
     """
 
@@ -226,7 +229,6 @@ class GainLP:
             {v: self.lp.add_var(f"nu[{j};{enl.enode(v).label}]") for v in self.carry_nodes}
             for j in range(self.model.M)
         ]
-        self.rows: dict[int, tuple[dict[int, Q], Q]] = {}
         model, tree = self.model, self.model.tree
         self.steps = model.base_steps()
         self.europe = [[f.at(path[-1]) - alpha for path in tree.paths]
@@ -260,11 +262,6 @@ class GainLP:
             _bump(row, c, h[path[clock]])
         return row
 
-    def add_path_row(self, p: int, row: dict[int, Q], rhs: Q, name: str) -> None:
-        """row >= rhs for path p, kept for the space's mixtures."""
-        self.rows[p] = (row, rhs)
-        self.lp.add_constraint(row, ">=", rhs, name=name)
-
     def tie(self, var: dict[int, int], name: str) -> None:
         """var takes one value on both nodes of each tied pair of the space."""
         for v, w in self.enl.tied_pairs:
@@ -273,9 +270,8 @@ class GainLP:
     def add_common_rows(self) -> None:
         """Rows every user adds after its path rows.
 
-        Path sums of each nu_j equal the position b_j (mu is divisible);
-        H and each nu_j agree on the space's tied pairs; and each of the
-        space's mixtures of path rows holds, which those rows imply.
+        Path sums of each nu_j equal the position b_j (mu is divisible),
+        and H and each nu_j agree on the space's tied pairs.
         """
         for j, nu in enumerate(self.nu_var):
             for p, ep in enumerate(self.enl.epaths):
@@ -290,14 +286,6 @@ class GainLP:
                 self.lp.add_constraint(row, "=", ZERO, name=f"tie_H[{v}~{w};{d}]")
         for j, nu in enumerate(self.nu_var):
             self.tie(nu, f"tie_nu[{j}]")
-        for k, mix in enumerate(self.enl.mixtures):
-            row, rhs = {}, ZERO
-            for p, w in mix.items():
-                coeffs, bound = self.rows[p]
-                rhs += w * bound
-                for var, val in coeffs.items():
-                    _bump(row, var, w * val)
-            self.lp.add_constraint(row, ">=", rhs, name=f"mix[{k}]")
 
     def strategy_at(self, point: Sequence[Q]) -> SemiStaticStrategy:
         """The strategy whose positions are an LP point's (or ray's) entries."""
@@ -483,7 +471,7 @@ def _hedge(enl: EnlargedModel, kind: str, sign: Q, rhs: Sequence[Q]) -> HedgeRep
             for v in seq:
                 _bump(row, eta_var[v], claim[v])
         row[g.x] = sign
-        g.add_path_row(p, row, rhs[p], f"hedge[p{p}]")
+        g.lp.add_constraint(row, ">=", rhs[p], name=f"hedge[p{p}]")
         if eta_var:
             g.lp.add_constraint({eta_var[v]: ONE for v in seq}, "=", ONE, name=f"unit[p{p}]")
     g.add_common_rows()
@@ -572,7 +560,7 @@ def detect_arbitrage(enl: EnlargedModel) -> ArbitrageReport:
     dc = reduce(lcm, (int(val.denominator) for row in rows for val in row.values()), 1)
     sums: dict[int, int] = {}
     for p, (w, row) in enumerate(zip(weights, rows)):
-        g.add_path_row(p, row, ZERO, f"nonneg[p{p}]")
+        g.lp.add_constraint(row, ">=", ZERO, name=f"nonneg[p{p}]")
         for var, val in row.items():
             sums[var] = sums.get(var, 0) + w * int(val.numerator) * (dc // int(val.denominator))
     g.add_common_rows()

@@ -183,10 +183,10 @@ class _ReferenceGainLP(GainLP):
 
 
 def _gain_lp(cls, enl, **kw) -> LinearProgram:
-    """A GainLP's path rows, then its common rows (liquidation, ties, mixtures)."""
+    """A GainLP's path rows, then its common rows (liquidation, ties)."""
     g = cls(enl, **kw)
     for p in range(enl.num_paths):
-        g.add_path_row(p, g.gain_coeffs(p), ZERO, f"gain[p{p}]")
+        g.lp.add_constraint(g.gain_coeffs(p), ">=", ZERO, name=f"gain[p{p}]")
     g.add_common_rows()
     return g.lp
 

@@ -7,15 +7,16 @@ import random
 
 import pytest
 
-from amhedge import campaign, divisible
+from amhedge import campaign, divisible, hedging
 from amhedge.divisible import RevealedModel, verify_divisibility_equivalence, weight_grid
 from amhedge.enlarged import enlarge
 from amhedge.errors import PropertyViolation
-from amhedge.hedging import superhedge
+from amhedge.hedging import subhedge, subhedge_european, superhedge
 from amhedge.market import load_model
 from amhedge.rationals import ONE, Q, ZERO
 
 from conftest import binomial_dict
+from test_pathwise_checks import TIED
 
 
 def test_weight_grid_shape():
@@ -121,11 +122,66 @@ def test_a_price_moved_on_the_enlarged_space_is_raised(monkeypatch, binomial_sho
         verify_divisibility_equivalence(binomial_short_put)
 
 
-@pytest.mark.parametrize("name", ["subhedge", "superhedge", "subhedge_european"])
-def test_a_price_moved_by_the_grid_is_raised(monkeypatch, binomial_short_put, name):
-    _move_price(monkeypatch, name, lambda enl: bool(enl.mixtures))
-    with pytest.raises(PropertyViolation, match="^grid-augmented LP moved a price$"):
-        verify_divisibility_equivalence(binomial_short_put)
+def _with_mixture_rows(prog, mixtures):
+    """A copy of a hedge LP with one row sum_p w_p row_p >= sum_p w_p rhs_p
+    per mixture, its path rows hedge[p] read by name."""
+    out = prog.copy()
+    path_rows = {row.name: row for row in prog.rows}
+    for k, mix in enumerate(mixtures):
+        coeffs, rhs = {}, ZERO
+        for p, w in mix.items():
+            row = path_rows[f"hedge[p{p}]"]
+            rhs += w * row.rhs
+            for var, val in row.coeffs.items():
+                coeffs[var] = coeffs.get(var, ZERO) + w * val
+        out.add_constraint(coeffs, ">=", rhs, name=f"mix[{k}]")
+    return out
+
+
+@pytest.mark.parametrize("market", ["binomial_short_put", "tied"])
+def test_mixture_rows_move_no_hedge_price(monkeypatch, request, market):
+    # the theorem the lift checks stand on: the grid's mixture rows, with
+    # nonnegative weights, are implied by the path rows, so writing them
+    # into a hedge LP moves none of its prices
+    model = load_model(TIED) if market == "tied" else request.getfixturevalue(market)
+    N, T = model.N, model.tree.horizon
+    real, asked = hedging.solve, []
+    monkeypatch.setattr(hedging, "solve", lambda prog: asked.append(prog) or real(prog))
+    rev_sub, rev_sup = RevealedModel(model, N), RevealedModel(model, N + 1)
+    psi = [model.claim.scalar(model.tree.paths[ep.base_index][T]) for ep in rev_sub.epaths]
+    prices = []
+    for price, space, grid in ((subhedge, rev_sub, weight_grid(N, T)),
+                               (superhedge, rev_sup, weight_grid(N + 1, T)),
+                               (lambda enl: subhedge_european(enl, psi), rev_sub,
+                                weight_grid(N, T))):
+        plain = price(space).price
+        mixtures = space.with_grid(grid).mixtures
+        assert mixtures
+        out = real(_with_mixture_rows(asked[-1], mixtures))
+        assert (out.status, out.value) == ("optimal", plain)
+        prices.append(plain)
+    report = verify_divisibility_equivalence(model)
+    assert [report.sub, report.super, report.european] == prices
+
+
+def test_each_arbitrage_witness_is_rechecked_on_the_grid(monkeypatch, binomial_short_put):
+    # the shifts with eps >= 1/12 find arbitrage on the revealed space
+    # (test_equivalence_detects_sna_flips); each witness must also pass
+    # every mixture of the grid space at the shifted quotes
+    real, seen = divisible.check_hedge, []
+
+    def recording(enl, *args, kind, **kwargs):
+        if kind == "arbitrage grid witness":
+            seen.append(enl)
+        return real(enl, *args, kind=kind, **kwargs)
+
+    monkeypatch.setattr(divisible, "check_hedge", recording)
+    report = verify_divisibility_equivalence(binomial_short_put)
+    found = [eps for eps, na in report.sna_grid if not na]
+    assert found == [eps for eps in divisible.EPS_GRID if eps >= Q(1, 12)] and len(found) == 3
+    assert all(isinstance(enl, RevealedModel) and enl.mixtures for enl in seen)
+    assert [enl.model.americans_short for enl in seen] == [
+        binomial_short_put.shifted_prices(eps).americans_short for eps in found]
 
 
 def test_a_flipped_no_arbitrage_verdict_is_raised(monkeypatch, binomial_short_put):
