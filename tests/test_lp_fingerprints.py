@@ -31,10 +31,10 @@ from test_report_bytes import CAMPAIGN_MODELS, COMMANDS, CONFTEST_MODELS, _model
 
 # (number of LPs solved, sha256 of their sorted fingerprints)
 EXPECTED_CLI = (31, "888ac120ad3b52f3a14b2c36d20baf58b8b116cb40b6a3ba97a477267680dd0a")
-EXPECTED_VERIFY = (290, "c7fbc2ac0c39108d9f042da59c9d15bdb58392f9fe62d2c0970d7ed01ada2d8e")
+EXPECTED_VERIFY = (278, "40b6c3e9cf91796d8d7db6d847d79e183bcfb86c94751a5ebc9f12a0d346527d")
 # (number of pivots, sha256 of the sorted (fingerprint, pivot sequence) pairs)
 EXPECTED_CLI_PIVOTS = (143, "0e5235b4cc845ea2cc3eb5d87f4b954c4dd23cefaf984df0d95e164aa1d96aa4")
-EXPECTED_VERIFY_PIVOTS = (1862, "dd648e054181834c52432121cde75e57ab6b55470f3a81d86b059dbc777614d1")
+EXPECTED_VERIFY_PIVOTS = (1631, "b94e8969deb6d76b4614555cbf2363a95b3f9cf003191b0970653774c4cc7c5b")
 
 
 def fingerprint(prog: lp.LinearProgram) -> str:
