@@ -759,11 +759,9 @@ def check_singleton_robust(
 
     ``enl`` and ``enl_sup`` are the market's n = N and n = N + 1 spaces
     and ``prices`` its sub and super prices (check_duality's), ``laws``
-    its GeneratedModel's full-support laws.  The quasi-sure prices and
-    verdict are those of the supported spaces; a full-support family
-    must keep every path, so those spaces are the market's own, and
-    their LPs, which read no kernel, are check_duality's two and
-    check_sna's.  The record repeats those answers.
+    its GeneratedModel's full-support laws.  A full-support family keeps
+    every path, so the quasi-sure LPs, which read no kernel, would be
+    check_duality's and check_sna's: the record repeats their answers.
     """
     kids = enl.model.tree.children
     model = dataclasses.replace(enl.model, kernels={

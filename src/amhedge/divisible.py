@@ -127,24 +127,17 @@ def verify_divisibility_equivalence(model: MarketModel) -> DivisibilityReport:
     """Clock-indexed vs enlarged-space prices, and divisible certification.
 
     Computes sub/super/European prices in the clock-indexed LP and on
-    the enlarged space and asserts exact agreement.  The divisible side
-    is certified by the lift checks, which solve no LP: each optimizer
-    must pass check_hedge on the grid space (with_grid), on every path
-    and every mixture.  That decides the price of the grid LP, the hedge
-    LP with one row sum_p w_p row_p >= sum_p w_p rhs_p per mixture added.
-    The grid LP holds every row of the plain LP, so its optimum is no
-    better; the plain optimizer satisfies every row of the grid LP (the
-    lift check), so its optimum is no worse.  The check can pass because
-    the weights are nonnegative, so each mixture row is implied by the
-    path rows; the argument is the same for a max (sub, European) and a
-    min (super).
-
-    No-arbitrage verdicts of the two formulations are compared at the
-    quotes of model.shifted_prices(eps) for every eps in EPS_GRID.  The
-    clock-indexed verdict is the arbitrage LP on the revealed space:
-    its path rows Phi(p) >= 0 imply every mixture row, so the grid
-    leaves its feasible set and objective as they are.  A witness found
-    is re-checked on the grid space by check_hedge.
+    the enlarged space and asserts exact agreement.  Each optimizer must
+    pass check_hedge on the grid space (with_grid), on every path and
+    mixture, which decides the grid LP (the hedge LP plus a row sum_p w_p
+    row_p >= sum_p w_p rhs_p per mixture) for a max or a min alike: it
+    holds every row of the plain LP, so its optimum is no better, and the
+    plain optimizer is feasible in it, so its optimum is no worse.  With
+    weights w >= 0 the path rows imply every mixture row, so the check
+    passes and no grid LP is solved.  No-arbitrage verdicts of the two
+    formulations are compared at model.shifted_prices(eps) for every eps
+    in EPS_GRID, the clock-indexed one without mixture rows, which leave
+    its feasible set as it is; a witness is re-checked on the grid space.
     """
     if model.claim is None:
         raise ValueError("divisibility verification needs a claim")

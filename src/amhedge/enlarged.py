@@ -56,9 +56,8 @@ class EnlargedModel:
     keeps the node list and cuts the forest.  ``tied_pairs`` lists node
     pairs whose positions every strategy must hold equal, and
     ``mixtures`` weighted sets of paths on which every hedge must also
-    hold on average; this space has neither.  The weights are
-    nonnegative, so the path rows of an LP imply every mixture: no LP
-    writes them, and hedging.check_hedge re-checks them.
+    hold on average; this space has neither.  No LP writes a mixture
+    (its weights are nonnegative): hedging.check_hedge re-checks each.
     """
 
     tied_pairs: tuple[tuple[int, int], ...] = ()

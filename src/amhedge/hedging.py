@@ -197,12 +197,11 @@ class GainLP:
 
     Carry nodes are the nodes of the space's forest, trade nodes those of
     them with children, both in index order, and there is one gain row
-    per path of the space, which each caller adds with its own bound.
-    The space's tied node pairs become rows too (add_common_rows); its
-    mixtures do not, since the path rows imply each of them and
-    check_hedge re-checks them.  Gain rows read tables per base edge
-    (MarketModel.base_steps), base path and base node; unlike
-    MeasurePolytope's, the payoff tables are shifted by their quotes once.
+    per path, which the caller adds.  The space's tied node pairs become
+    rows too (add_common_rows), not its mixtures: the path rows imply
+    them.  Gain rows read tables per base edge (MarketModel.base_steps),
+    base path and base node; unlike MeasurePolytope's, the payoff tables
+    are shifted by their quotes once.
     """
 
     def __init__(
