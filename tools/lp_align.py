@@ -10,7 +10,13 @@ relations, right-hand sides and coefficients, variables with their names
 and signs, status, value and pivot sequence), the pairs that agree
 once row and variable names are ignored, and the pairs that agree on all
 but the pivot sequence once names are ignored (``equal_but_pivots``: the
-same LP, status and value reached by other pivots).
+same LP, status and value reached by other pivots).  Where one tree
+solves more LPs than the other, solve order pairs every LP after the
+first dropped one with the wrong partner, so the request also lists
+the LPs only one side solves: the two trees' LPs compared as multisets
+of fingerprints without names or pivots, with status and value, each
+line giving how many, the sense, the size, the outcome and the name of
+the LP's first row.
 
     python tools/lp_align.py BASE HEAD --fixtures --verify 3 5
 
@@ -31,6 +37,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 FIXTURE_COMMANDS = {
@@ -125,6 +132,45 @@ def _names(solve: dict) -> list[str]:
     return [row[0] for row in solve["rows"]] + [name for name, _ in solve["vars"]]
 
 
+def unpaired(base: dict, head: dict) -> list[str]:
+    """The LPs only one tree solves, and how many LPs both solve take
+    other pivots, with the LPs compared as multisets without names."""
+    first: dict[str, dict] = {}
+    pivots: list[dict[str, Counter]] = []
+    for run in (base, head):
+        keyed: dict[str, Counter] = {}
+        for solve in run["solves"]:
+            key = json.dumps(_unnamed({**solve, "pivots": None}))
+            first.setdefault(key, solve)
+            keyed.setdefault(key, Counter())[json.dumps(solve["pivots"])] += 1
+        pivots.append(keyed)
+    counts = [Counter({key: sum(seqs.values()) for key, seqs in keyed.items()})
+              for keyed in pivots]
+    shared = counts[0] & counts[1]
+    moved = sum(n - sum((pivots[0][key] & pivots[1][key]).values()) for key, n in shared.items())
+    lines = [f"    both: {sum(shared.values())} LPs, {moved} of them by other pivots"]
+    outcomes = []
+    for label, mine, theirs in (("BASE", *counts), ("HEAD", *reversed(counts))):
+        only = mine - theirs
+        shown: Counter = Counter()
+        reached: Counter = Counter()
+        for key, n in only.items():
+            solve = first[key]
+            row = solve["rows"][0][0] if solve["rows"] else "-"
+            outcome = f"{solve['status']} {solve['value']}  (first row {row})"
+            shown[f"{solve['sense']} {len(solve['rows'])} rows {len(solve['vars'])} vars:"
+                  f" {outcome}"] += n
+            reached[f"{solve['sense']} {outcome}"] += n
+        lines.append(f"    only {label}: {sum(only.values())} LPs")
+        lines += [f"      {n} x {line}" for line, n in sorted(shown.items())]
+        outcomes.append(reached)
+    missing = outcomes[1] - outcomes[0]
+    lines.append("    outcomes only HEAD reaches (sense, status, value, first row): "
+                 + ("; ".join(f"{n} x {line}" for line, n in sorted(missing.items()))
+                    or "none"))
+    return lines
+
+
 def align(base: dict, head: dict, show: int) -> tuple[dict, list[str]]:
     """Counts of one request's LP pairs, and the first differing names."""
     pairs = list(zip(base["solves"], head["solves"]))
@@ -165,7 +211,8 @@ def main(argv: list[str] | None = None) -> int:
                  "equal_but_pivots": 0}
         aligned = True
         for label, request in requests:
-            counts, moved = align(_run(opts.base, request), _run(opts.head, request), opts.show)
+            base, head = _run(opts.base, request), _run(opts.head, request)
+            counts, moved = align(base, head, opts.show)
             n = min(counts["lps"])
             same = (counts["exit"][0] == counts["exit"][1] and counts["lps"][0] == counts["lps"][1]
                     and counts["equal_without_names"] == counts["equal_pivots"] == n)
@@ -177,6 +224,8 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{label}: {json.dumps(counts)}{'' if same else '  DIFFERS'}")
             for line in moved:
                 print(f"    {line}")
+            if counts["lps"][0] != counts["lps"][1]:
+                print("\n".join(unpaired(base, head)))
     print(f"total over {len(requests)} requests: {json.dumps(total)}")
     return 0 if aligned else 1
 
