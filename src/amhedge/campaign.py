@@ -751,17 +751,14 @@ def check_depth_zero() -> dict:
 # -- battery: singleton kernels degenerate to the classical engine --------------
 
 
-def check_singleton_robust(
-    enl: EnlargedModel, enl_sup: EnlargedModel, laws: dict, sna: MeasureCertificate,
-    prices: tuple[Q, Q],
-) -> dict:
+def check_singleton_robust(enl: EnlargedModel, enl_sup: EnlargedModel, laws: dict) -> dict:
     """A one-vertex full-support family must reproduce classical answers.
 
-    ``enl`` and ``enl_sup`` are the market's n = N and n = N + 1 spaces
-    and ``prices`` its sub and super prices (check_duality's), ``laws``
-    its GeneratedModel's full-support laws.  A full-support family keeps
-    every path, so the quasi-sure LPs, which read no kernel, would be
-    check_duality's and check_sna's: the record repeats their answers.
+    ``enl`` and ``enl_sup`` are the market's n = N and n = N + 1 spaces,
+    ``laws`` its GeneratedModel's full-support laws.  A full-support
+    family keeps every path, so the quasi-sure LPs, which read no
+    kernel, would be check_duality's and check_sna's, whose records
+    hold their answers; the record here is empty.
     """
     kids = enl.model.tree.children
     model = dataclasses.replace(enl.model, kernels={
@@ -771,8 +768,7 @@ def check_singleton_robust(
         raise PropertyViolation("singleton family reports arbitrage in a clean market")
     if supported_space(enl_sub) is not enl_sub or supported_space(enl_sup) is not enl_sup:
         raise PropertyViolation("singleton family cut a path")
-    sub, sup = prices
-    return {"sub": rat_str(sub), "super": rat_str(sup), "holds": sna.holds}
+    return {}
 
 
 # -- battery: divisibility -----------------------------------------------------
@@ -785,7 +781,6 @@ def check_divisibility(model: MarketModel) -> dict:
         "sub": rat_str(report.sub),
         "super": rat_str(report.super),
         "european": rat_str(report.european),
-        "lift_checks": report.lift_checks,
         "sna_grid": [(rat_str(e), na) for e, na in report.sna_grid],
     }
 
@@ -939,7 +934,7 @@ def _main_unit(mseed: int) -> dict[str, dict]:
     grid, sna = check_ftap_grid(pt_sub, expect="sna")
     chain = check_chain(sna, prices, pt_sub, pt_sup, argmax)
     degen = check_degenerations(pt_sub.enl, pt_sup.enl, sna, prices)
-    singleton = check_singleton_robust(pt_sub.enl, pt_sup.enl, gm.laws, sna, prices)
+    singleton = check_singleton_robust(pt_sub.enl, pt_sup.enl, gm.laws)
     records = {"duality": duality, "ftap": grid, "chain": chain,
                "degenerations": degen, "singleton": singleton}
     return {key: {**rec, "seed": mseed} for key, rec in records.items()}

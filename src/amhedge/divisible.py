@@ -6,69 +6,31 @@ vector t in {0..T}^n), or spread over times by nonnegative weights
 summing to one (divisible, a point of the weight simplex product V^n).
 This module prices against the clock-indexed formulation directly -
 one strategy copy per clock vector, tied together by explicit
-non-anticipativity equalities - and certifies that the divisible
-reading changes nothing: the optimizer holds at every weight grid
-point, so adding the grid's constraints to the LP could move no value.
+non-anticipativity equalities - and checks its prices and no-arbitrage
+verdicts against the enlarged space's, whose LPs are built apart.
 
 The clock-indexed formulation is the enlarged space with every clock
 revealed at time 0 (RevealedModel), so the one hedge driver of
-``hedging`` prices it; the space lists the node pairs to tie and, with
-a grid, the mixtures every hedge must also satisfy.  No LP writes a
-mixture: hedging.check_hedge re-checks the ties and the mixtures, and
-that check of the optimizer on the grid space is the certificate.
+``hedging`` prices it, with one tie row per node pair the space lists.
+The divisible reading moves no price, since the hedge inequality is
+linear in the exercise weights (verify_divisibility_equivalence).
 """
 from __future__ import annotations
 
-import copy
 import itertools
 from dataclasses import dataclass
 
-from .enlarged import EnlargedModel, enlarge, extend_claim
+from .enlarged import EnlargedModel, enlarge
 from .errors import PropertyViolation
-from .hedging import check_hedge, detect_arbitrage, subhedge, subhedge_european, superhedge
+from .hedging import detect_arbitrage, subhedge, subhedge_european, superhedge
 from .market import MarketModel
-from .rationals import ONE, ZERO, Q, rat_str
-from .strategies import _mixture_weight, dirac_weights, indistinguishable_pairs
+from .rationals import Q, rat_str
+from .strategies import indistinguishable_pairs
 
-__all__ = [
-    "EPS_GRID", "DivisibilityReport", "RevealedModel", "verify_divisibility_equivalence",
-    "weight_grid",
-]
+__all__ = ["EPS_GRID", "DivisibilityReport", "RevealedModel", "verify_divisibility_equivalence"]
 
-# quote shifts swept by the no-arbitrage grid checks
+# quote shifts swept by the no-arbitrage checks
 EPS_GRID = tuple(Q(1, 2 ** k) for k in range(1, 9))
-
-
-def weight_grid(n: int, horizon: int) -> list[tuple[tuple[Q, ...], ...]]:
-    """Deterministic rational grid of exercise-weight vectors in V^n.
-
-    All Dirac vectors, the all-uniform point, per-clock mixed points
-    (one clock uniform, the rest at time 0), and an endpoint split.
-    """
-    times = range(horizon + 1)
-    diracs = [
-        tuple(tuple(dirac_weights(tvec, horizon)))
-        for tvec in itertools.product(times, repeat=n)
-    ]
-    grid = [tuple(tuple(vec) for vec in point) for point in diracs]
-    uni = tuple(Q(1, horizon + 1) for _ in times)
-    grid.append(tuple(uni for _ in range(n)))
-    zero_dirac = tuple(ONE if t == 0 else ZERO for t in times)
-    for k in range(n):
-        point = tuple(uni if kk == k else zero_dirac for kk in range(n))
-        grid.append(point)
-    if horizon >= 1:
-        half = tuple(
-            Q(1, 2) if t in (0, horizon) else ZERO for t in times
-        )
-        grid.append(tuple(half for _ in range(n)))
-    seen = set()
-    out = []
-    for point in grid:
-        if point not in seen:
-            seen.add(point)
-            out.append(point)
-    return out
 
 
 class RevealedModel(EnlargedModel):
@@ -96,55 +58,36 @@ class RevealedModel(EnlargedModel):
         """Every node knows the whole clock vector."""
         return clocks
 
-    def with_grid(self, grid: list[tuple[tuple[Q, ...], ...]]) -> "RevealedModel":
-        """This space whose hedges must also hold at each grid point's mixture.
-
-        A grid point mixes the clock vectors of each base path with the
-        weights of independent exercise; Dirac points are paths already.
-        """
-        other = copy.copy(self)
-        other.mixtures = tuple(
-            {self.path_index(b, tvec): w for tvec in self.tuples
-             if (w := _mixture_weight(point, tvec))}
-            for point in grid if not all(max(vec) == ONE for vec in point)
-            for b in range(len(self.model.tree.paths))
-        )
-        return other
-
 
 @dataclass
 class DivisibilityReport:
-    """The agreed prices, the grid re-checks made and the (eps, NA) verdicts."""
+    """The agreed prices and the (eps, NA) verdicts."""
 
     sub: Q
     super: Q
     european: Q
-    lift_checks: int
     sna_grid: list[tuple[Q, bool]]
 
 
 def verify_divisibility_equivalence(model: MarketModel) -> DivisibilityReport:
-    """Clock-indexed vs enlarged-space prices, and divisible certification.
+    """Clock-indexed vs enlarged-space prices and no-arbitrage verdicts.
 
     Computes sub/super/European prices in the clock-indexed LP and on
-    the enlarged space and asserts exact agreement.  Each optimizer must
-    pass check_hedge on the grid space (with_grid), on every path and
-    mixture, which decides the grid LP (the hedge LP plus a row sum_p w_p
-    row_p >= sum_p w_p rhs_p per mixture) for a max or a min alike: it
-    holds every row of the plain LP, so its optimum is no better, and the
-    plain optimizer is feasible in it, so its optimum is no worse.  With
-    weights w >= 0 the path rows imply every mixture row, so the check
-    passes and no grid LP is solved.  No-arbitrage verdicts of the two
-    formulations are compared at model.shifted_prices(eps) for every eps
-    in EPS_GRID, the clock-indexed one without mixture rows, which leave
-    its feasible set as it is; a witness is re-checked on the grid space.
+    the enlarged space and asserts exact agreement; then compares the
+    no-arbitrage verdicts of the two formulations at
+    model.shifted_prices(eps) for every eps in EPS_GRID.
+
+    Divisible exercise needs no LP of its own.  Weights w >= 0 on the
+    clock vectors of a base path enter the hedge inequality linearly,
+    as sum_t w_t row_t >= sum_t w_t rhs_t, so a hedge that holds on
+    every path (each optimizer and witness passes check_hedge) holds
+    for every such w: those rows would leave each LP's feasible set,
+    and so its price and verdict, as they are.
     """
     if model.claim is None:
         raise ValueError("divisibility verification needs a claim")
     N = model.N
     T = model.tree.horizon
-    grid_sub = weight_grid(N, T)
-    grid_super = weight_grid(N + 1, T)
     rev_sub, rev_sup = RevealedModel(model, N), RevealedModel(model, N + 1)
     enl_sub = enlarge(model, N)
     # both spaces list their paths base path first, then clock vector
@@ -163,31 +106,15 @@ def verify_divisibility_equivalence(model: MarketModel) -> DivisibilityReport:
                 f"{name} prices disagree: clock-indexed {rat_str(a)} vs enlarged {rat_str(b)}"
             )
 
-    rev_grid, sup_grid = rev_sub.with_grid(grid_sub), rev_sup.with_grid(grid_super)
-    zeros = [ZERO] * rev_grid.num_paths
-    # Dirac grid points are the space's paths, the others its mixtures:
-    # one check per grid point and base path
-    checks = 0
-    for space, report, rhs in ((rev_grid, sub, zeros),
-                               (sup_grid, sup, extend_claim(sup_grid, "super")),
-                               (rev_grid, euro, [-v for v in psi])):
-        gains, _ = check_hedge(space, report.strategy, ONE if report.kind == "super" else -ONE,
-                               report.price, rhs, exercise=report.exercise,
-                               kind=f"{report.kind} grid")
-        checks += len(gains) + len(space.mixtures)
-
     sna_rows: list[tuple[Q, bool]] = []
     for eps in EPS_GRID:
         shifted = model.shifted_prices(eps)
-        arb = detect_arbitrage(rev_sub.with_model(shifted))
-        if arb.found:
-            check_hedge(rev_grid.with_model(shifted), arb.strategy, ONE, ZERO, zeros,
-                        kind="arbitrage grid witness")
-        if arb.found != detect_arbitrage(enl_sub.with_model(shifted)).found:
+        found = detect_arbitrage(rev_sub.with_model(shifted)).found
+        if found != detect_arbitrage(enl_sub.with_model(shifted)).found:
             raise PropertyViolation(
                 f"no-arbitrage verdicts disagree at eps={rat_str(eps)}"
             )
-        sna_rows.append((eps, not arb.found))
+        sna_rows.append((eps, not found))
 
     return DivisibilityReport(sub=sub.price, super=sup.price, european=euro.price,
-                              lift_checks=checks, sna_grid=sna_rows)
+                              sna_grid=sna_rows)

@@ -54,14 +54,11 @@ class EnlargedModel:
     ``children`` and ``roots`` span the forest of the space's paths, its
     nodes in index order; a copy on some of the paths (``restricted``)
     keeps the node list and cuts the forest.  ``tied_pairs`` lists node
-    pairs whose positions every strategy must hold equal, and
-    ``mixtures`` weighted sets of paths on which every hedge must also
-    hold on average; this space has neither.  No LP writes a mixture
-    (its weights are nonnegative): hedging.check_hedge re-checks each.
+    pairs whose positions every strategy must hold equal; this space has
+    none.
     """
 
     tied_pairs: tuple[tuple[int, int], ...] = ()
-    mixtures: tuple[dict[int, Q], ...] = ()
 
     def __init__(self, model: MarketModel, n: int):
         if n not in (model.N, model.N + 1):
@@ -129,15 +126,14 @@ class EnlargedModel:
         The roots and children are cut to the sub-forest the paths span,
         which becomes the copy's own forest; the node list, node indices
         and labels are shared with this space, and path weights and keys
-        are recomputed.  A space that ties nodes or mixes paths is refused:
-        its tied pairs chain the members of a class, which a dropped node
-        would cut, and its mixtures name paths by index.
+        are recomputed.  A space that ties nodes is refused: its tied
+        pairs chain the members of a class, which a dropped node would cut.
         """
         keep = sorted(set(paths))
         if not keep:
             raise ValueError("a restricted space needs at least one path")
-        if self.tied_pairs or self.mixtures:
-            raise ValueError("only a space without tied pairs or mixtures can be restricted")
+        if self.tied_pairs:
+            raise ValueError("only a space without tied pairs can be restricted")
         other = copy.copy(self)
         other.__dict__.pop("through", None)
         other.epaths = [self.epaths[p] for p in keep]

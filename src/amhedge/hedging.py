@@ -17,11 +17,10 @@ once, by enlarged.extend_claim.  Liquidation masses nu_j and exercise
 weights eta are plain node -> weight dicts.
 
 check_hedge is the one pathwise re-check of a semi-static hedge, of every
-row family GainLP and _hedge write and of the space's mixtures, which no
-LP writes; every optimizer, witness and ray goes through it.  It runs in
-Python ints: each call puts the strategy, and its own tables of the
-model's stock moves, payoffs and quotes, over common denominators, and
-compares integer numerators.
+row family GainLP and _hedge write; every optimizer, witness and ray
+goes through it.  It runs in Python ints: each call puts the strategy,
+and its own tables of the model's stock moves, payoffs and quotes, over
+common denominators, and compares integer numerators.
 """
 from __future__ import annotations
 
@@ -198,10 +197,9 @@ class GainLP:
     Carry nodes are the nodes of the space's forest, trade nodes those of
     them with children, both in index order, and there is one gain row
     per path, which the caller adds.  The space's tied node pairs become
-    rows too (add_common_rows), not its mixtures: the path rows imply
-    them.  Gain rows read tables per base edge (MarketModel.base_steps),
-    base path and base node; unlike MeasurePolytope's, the payoff tables
-    are shifted by their quotes once.
+    rows too (add_common_rows).  Gain rows read tables per base edge
+    (MarketModel.base_steps), base path and base node; unlike
+    MeasurePolytope's, the payoff tables are shifted by their quotes once.
     """
 
     def __init__(
@@ -371,9 +369,8 @@ def check_hedge(
     be nonanticipative on the space's tied pairs.  With ``exercise`` the
     claim is held divisibly: its weights eta must be nonnegative and sum
     to 1 along every path, and extra(p) = sum_t eta(v_t) * value(v_t)
-    with the claim's values of extend_claim(enl, "sub").  The weighted
-    margins of each of the space's mixtures must sum to at least 0.
-    Both sides are compared as integers over one denominator.  Returns
+    with the claim's values of extend_claim(enl, "sub").  Both sides
+    are compared as integers over one denominator.  Returns
     evaluate_gain's gains.
     """
     books = (strat.long_european, strat.long_american, strat.short_american,
@@ -392,7 +389,6 @@ def check_hedge(
     ((cash, *bound),), dr = over_common([sign * x, *(rhs[p] for p in gains)])
     den = lcm(dr, dg, de * de)
     sr, sg, se = den // dr, den // dg, den // (de * de)
-    margins: dict[int, int] = {}
     for (p, gain), r in zip(gains.items(), bound):
         lhs = cash * sr + gain * sg
         if exercise is not None:
@@ -405,15 +401,10 @@ def check_hedge(
                 raise PropertyViolation(
                     f"exercise weights sum to {ratio_str(mass, de)} != 1 on path {p}")
             lhs += extra * se
-        margins[p] = lhs - r * sr
-        if margins[p] < 0:
+        if lhs < r * sr:
             raise PropertyViolation(
                 f"{kind} hedge fails on path {p}: {ratio_str(lhs, den)} < {rat_str(rhs[p])}"
             )
-    for k, mix in enumerate(enl.mixtures):
-        (ws,), _ = over_common(mix.values())
-        if sum(w * margins[p] for p, w in zip(mix, ws)) < 0:
-            raise PropertyViolation(f"{kind} hedge fails the space's mixture {k}")
     return gains, dg
 
 

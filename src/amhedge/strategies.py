@@ -9,8 +9,7 @@ Those have no type here; the hedge layer holds them as node -> weight dicts.
 
 Strategies indexed by clock vectors in {0..T}^n carry the information
 constraint that two clock vectors are indistinguishable before the first
-time one of their differing coordinates has fired; the divisible side
-mixes them over exercise weights with `_mixture_weight`.
+time one of their differing coordinates has fired.
 """
 from __future__ import annotations
 
@@ -20,7 +19,6 @@ from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from .enlarged import EnlargedModel
 from .errors import CapExceededError
-from .rationals import ONE, ZERO, Q
 
 DEFAULT_ENUM_CAP = 10**6
 
@@ -133,16 +131,3 @@ def indistinguishable_pairs(
         classes.setdefault(tuple(min(tk, r + 1) for tk in t), []).append(t)
     return [(a, b) for members in classes.values() for a, b in zip(members, members[1:])]
 
-
-def _mixture_weight(weights: Sequence[Sequence[Q]], tvec: tuple[int, ...]) -> Q:
-    """Weight prod_k weights[k][t_k] of one clock vector under independent exercise."""
-    w = ONE
-    for k, tk in enumerate(tvec):
-        w *= weights[k][tk]
-        if not w:
-            break
-    return w
-
-
-def dirac_weights(tvec: tuple[int, ...], horizon: int) -> list[tuple[Q, ...]]:
-    return [tuple(ONE if t == tk else ZERO for t in range(horizon + 1)) for tk in tvec]

@@ -265,10 +265,10 @@ def test_criterion_6_robust_ftap_and_domination(capfd):
                 failures.append(f"kernel {k}: no-arbitrage verdict vs selector sweep")
         for i in range(15):
             gm = _corpus()[i]
-            sna, prices, _ = _evaluate(i)
+            _evaluate(i)
             pt_sub, pt_sup, _ = _POLYTOPES[i]
             try:
-                check_singleton_robust(pt_sub.enl, pt_sup.enl, gm.laws, sna, prices)
+                check_singleton_robust(pt_sub.enl, pt_sup.enl, gm.laws)
                 singles += 1
             except PropertyViolation as exc:
                 failures.append(f"singleton {i}: {exc}")

@@ -17,7 +17,7 @@ import random
 import pytest
 
 from amhedge.campaign import random_sna_model
-from amhedge.divisible import RevealedModel, weight_grid
+from amhedge.divisible import RevealedModel
 from amhedge.enlarged import EnlargedNode, EnlargedPath, enlarge
 from amhedge.hedging import GainLP
 from amhedge.lp import LinearProgram, format_lp
@@ -234,8 +234,7 @@ def test_gain_rows_on_a_path_subset_and_random_markets():
 @pytest.mark.parametrize("n", [1, 2])
 def test_gain_rows_on_the_revealed_space_with_its_grid(n):
     space = RevealedModel(EXTRA_MODELS["put_book_short"](), n)
-    space = space.with_grid(weight_grid(n, space.horizon))
-    assert space.tied_pairs and space.mixtures
+    assert space.tied_pairs
     _assert_same_gain_lp(space)
 
 

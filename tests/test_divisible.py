@@ -8,7 +8,7 @@ import random
 import pytest
 
 from amhedge import campaign, divisible, hedging
-from amhedge.divisible import RevealedModel, verify_divisibility_equivalence, weight_grid
+from amhedge.divisible import RevealedModel, verify_divisibility_equivalence
 from amhedge.enlarged import enlarge
 from amhedge.errors import PropertyViolation
 from amhedge.hedging import subhedge, subhedge_european, superhedge
@@ -19,37 +19,11 @@ from conftest import binomial_dict
 from test_pathwise_checks import TIED
 
 
-def test_weight_grid_shape():
-    grid = weight_grid(1, 1)
-    # every point: one weight vector over times {0, 1}, summing to 1
-    for point in grid:
-        assert len(point) == 1
-        vec = point[0]
-        assert len(vec) == 2
-        assert sum(vec, ZERO) == ONE
-        assert all(w >= ZERO for w in vec)
-    # both Diracs present, plus interior points
-    assert ((ONE, ZERO),) in grid
-    assert ((ZERO, ONE),) in grid
-    assert ((Q(1, 2), Q(1, 2)),) in grid
-    assert len(grid) == len(set(grid))
-
-
-def test_weight_grid_two_clocks():
-    grid = weight_grid(2, 1)
-    assert all(len(point) == 2 for point in grid)
-    # 4 Dirac pairs plus mixed points
-    assert len(grid) >= 5
-
-
 def test_equivalence_short_put(binomial_short_put):
     report = verify_divisibility_equivalence(binomial_short_put)
     assert report.sub == report.super == Q(1, 3)
     # the claim payoff held to the end is its European value
     assert report.european == Q(1, 3)
-    # one check per grid point and base path, for the sub, super and European optimizers
-    grids = 2 * len(weight_grid(1, 1)) + len(weight_grid(2, 1))
-    assert report.lift_checks == grids * len(binomial_short_put.tree.paths) == 26
     assert [eps for eps, _ in report.sna_grid] == list(divisible.EPS_GRID)
 
 
@@ -122,6 +96,39 @@ def test_a_price_moved_on_the_enlarged_space_is_raised(monkeypatch, binomial_sho
         verify_divisibility_equivalence(binomial_short_put)
 
 
+def _weight_points(rng, n, horizon, draws):
+    """The uniform point and ``draws`` random points of per-clock exercise
+    weights: n vectors over the times 0..horizon, each nonnegative and
+    summing to 1."""
+    times = range(horizon + 1)
+    points = [[[Q(1, horizon + 1)] * len(times)] * n]
+    for _ in range(draws):
+        point = []
+        for _ in range(n):
+            raw = [rng.randint(0, 3) for _ in times]
+            raw[rng.randrange(len(raw))] += 1
+            point.append([Q(w, sum(raw)) for w in raw])
+        points.append(point)
+    return points
+
+
+def _mixtures(space, points):
+    """Per weight point and base path, the weight prod_k w[k][t_k] of each
+    clock vector t of that path under independent exercise."""
+    out = []
+    for point in points:
+        for b in range(len(space.model.tree.paths)):
+            mix = {}
+            for tvec in space.tuples:
+                w = ONE
+                for vec, tk in zip(point, tvec):
+                    w *= vec[tk]
+                if w:
+                    mix[space.path_index(b, tvec)] = w
+            out.append(mix)
+    return out
+
+
 def _with_mixture_rows(prog, mixtures):
     """A copy of a hedge LP with one row sum_p w_p row_p >= sum_p w_p rhs_p
     per mixture, its path rows hedge[p] read by name."""
@@ -140,48 +147,27 @@ def _with_mixture_rows(prog, mixtures):
 
 @pytest.mark.parametrize("market", ["binomial_short_put", "tied"])
 def test_mixture_rows_move_no_hedge_price(monkeypatch, request, market):
-    # the theorem the lift checks stand on: the grid's mixture rows, with
-    # nonnegative weights, are implied by the path rows, so writing them
-    # into a hedge LP moves none of its prices
+    # divisible exercise moves no price: rows mixing the clock vectors of a
+    # base path with nonnegative exercise weights are implied by the path
+    # rows, so writing them into a hedge LP moves none of its prices
     model = load_model(TIED) if market == "tied" else request.getfixturevalue(market)
     N, T = model.N, model.tree.horizon
     real, asked = hedging.solve, []
     monkeypatch.setattr(hedging, "solve", lambda prog: asked.append(prog) or real(prog))
+    rng = random.Random(11)
     rev_sub, rev_sup = RevealedModel(model, N), RevealedModel(model, N + 1)
     psi = [model.claim.scalar(model.tree.paths[ep.base_index][T]) for ep in rev_sub.epaths]
     prices = []
-    for price, space, grid in ((subhedge, rev_sub, weight_grid(N, T)),
-                               (superhedge, rev_sup, weight_grid(N + 1, T)),
-                               (lambda enl: subhedge_european(enl, psi), rev_sub,
-                                weight_grid(N, T))):
+    for price, space in ((subhedge, rev_sub), (superhedge, rev_sup),
+                         (lambda enl: subhedge_european(enl, psi), rev_sub)):
         plain = price(space).price
-        mixtures = space.with_grid(grid).mixtures
-        assert mixtures
+        mixtures = _mixtures(space, _weight_points(rng, space.n, T, draws=4))
+        assert any(len(mix) > 1 for mix in mixtures)
         out = real(_with_mixture_rows(asked[-1], mixtures))
         assert (out.status, out.value) == ("optimal", plain)
         prices.append(plain)
     report = verify_divisibility_equivalence(model)
     assert [report.sub, report.super, report.european] == prices
-
-
-def test_each_arbitrage_witness_is_rechecked_on_the_grid(monkeypatch, binomial_short_put):
-    # the shifts with eps >= 1/12 find arbitrage on the revealed space
-    # (test_equivalence_detects_sna_flips); each witness must also pass
-    # every mixture of the grid space at the shifted quotes
-    real, seen = divisible.check_hedge, []
-
-    def recording(enl, *args, kind, **kwargs):
-        if kind == "arbitrage grid witness":
-            seen.append(enl)
-        return real(enl, *args, kind=kind, **kwargs)
-
-    monkeypatch.setattr(divisible, "check_hedge", recording)
-    report = verify_divisibility_equivalence(binomial_short_put)
-    found = [eps for eps, na in report.sna_grid if not na]
-    assert found == [eps for eps in divisible.EPS_GRID if eps >= Q(1, 12)] and len(found) == 3
-    assert all(isinstance(enl, RevealedModel) and enl.mixtures for enl in seen)
-    assert [enl.model.americans_short for enl in seen] == [
-        binomial_short_put.shifted_prices(eps).americans_short for eps in found]
 
 
 def test_a_flipped_no_arbitrage_verdict_is_raised(monkeypatch, binomial_short_put):

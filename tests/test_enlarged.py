@@ -5,7 +5,7 @@ import dataclasses
 
 import pytest
 
-from amhedge.divisible import RevealedModel, weight_grid
+from amhedge.divisible import RevealedModel
 from amhedge.enlarged import enlarge, extend_claim
 from amhedge.errors import ModelFormatError
 from amhedge.market import emit_model, load_model
@@ -105,15 +105,15 @@ def test_restricted_builds_its_own_forest_and_survives_with_model(binomial_short
     assert [other.weight(p) for p in range(other.num_paths)] == [sub.weight(0), sub.weight(1)]
 
 
-def test_restricted_refuses_no_paths_and_a_mixed_space(binomial_short_put):
+def test_restricted_refuses_no_paths_and_a_mixed_space(binomial_short_put, two_period):
     enl = enlarge(binomial_short_put, 1)
     with pytest.raises(ValueError, match="at least one path"):
         enl.restricted([])
-    revealed = RevealedModel(binomial_short_put, 1)
-    grid = revealed.with_grid(weight_grid(1, revealed.horizon))
-    assert grid.mixtures
-    with pytest.raises(ValueError, match="tied pairs or mixtures"):
-        grid.restricted([0])
+    # a dropped node would cut the chain of a tied class
+    revealed = RevealedModel(two_period, 1)
+    assert revealed.tied_pairs
+    with pytest.raises(ValueError, match="without tied pairs"):
+        revealed.restricted([0])
 
 
 def test_status_reveals_clock_at_its_time(binomial_short_put):

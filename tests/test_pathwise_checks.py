@@ -151,18 +151,6 @@ def test_check_hedge_rejects_a_moved_tie(book):
         _check(rev, report, strat, eta, report.price)
 
 
-def test_check_hedge_rejects_a_mixture_with_a_negative_weight():
-    # with nonnegative weights the path rows imply every mixture row, so
-    # only a weight moved below 0 can break one while the paths hold
-    rev = RevealedModel(load_model(TIED), 1)
-    report = subhedge(rev)
-    moved = copy.copy(rev)
-    moved.mixtures = ({0: -ONE},)
-    _check(rev, report, report.strategy, report.exercise, report.price - 1)
-    with pytest.raises(PropertyViolation, match="sub hedge fails the space's mixture 0"):
-        _check(moved, report, report.strategy, report.exercise, report.price - 1)
-
-
 def test_the_hedges_the_rejections_move():
     sub, sup = _priced("sub")[1], _priced("super")[1]
     assert sub.exercise and sub.strategy.short_american == [ZERO]

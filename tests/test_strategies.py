@@ -13,7 +13,6 @@ from amhedge.strategies import (
     StoppingTime,
     count_enlarged_stopping_times,
     count_stopping_times,
-    dirac_weights,
     enumerate_stopping_times,
     indistinguishable_pairs,
 )
@@ -144,7 +143,3 @@ def test_nonanticipative_checks_exercise_weights(two_period):
     assert nonanticipative(rev, strat, {v: ONE for v in roots.values()})
     peek = {roots[(1,)]: ONE}
     assert not nonanticipative(rev, strat, peek)
-
-
-def test_dirac_weights():
-    assert dirac_weights((1, 0), 1) == [(ZERO, ONE), (ONE, ZERO)]
