@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import math
 import random
 
 import pytest
@@ -115,18 +116,9 @@ def _weight_points(rng, n, horizon, draws):
 def _mixtures(space, points):
     """Per weight point and base path, the weight prod_k w[k][t_k] of each
     clock vector t of that path under independent exercise."""
-    out = []
-    for point in points:
-        for b in range(len(space.model.tree.paths)):
-            mix = {}
-            for tvec in space.tuples:
-                w = ONE
-                for vec, tk in zip(point, tvec):
-                    w *= vec[tk]
-                if w:
-                    mix[space.path_index(b, tvec)] = w
-            out.append(mix)
-    return out
+    return [{space.path_index(b, tvec): w for tvec in space.tuples
+             if (w := math.prod(vec[tk] for vec, tk in zip(point, tvec)))}
+            for point in points for b in range(len(space.model.tree.paths))]
 
 
 def _with_mixture_rows(prog, mixtures):
