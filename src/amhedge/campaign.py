@@ -437,7 +437,7 @@ def _dominating_law(
     kids = tree.children[nid]
     supported = [kid for i, kid in enumerate(kids) if any(v[i] > 0 for v in vertices)]
     lp, qv, _ = one_step_polytope(model, nid, supported)
-    dom = {lp.add_constraint({qv[kid]: ONE}, ">=", ZERO, name=f"dom[{vi};{kid}]"): vert[i]
+    dom = {lp.add_constraint({qv[kid]: 1}, ">=", 0, name=f"dom[{vi};{kid}]", den=1): vert[i]
            for vi, vert in enumerate(vertices) for i, kid in enumerate(kids) if vert[i] > 0}
     out = max_slack(lp, dom)
     if out.status != "optimal" or out.value <= ZERO:

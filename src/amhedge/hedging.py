@@ -25,7 +25,6 @@ common denominators, and compares integer numerators.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
 from math import lcm
 from typing import Hashable, Iterable, Sequence
 
@@ -79,8 +78,8 @@ class StockPositions:
         """l1 bound: every H+ and H- plus the ``others`` sum to at most 1."""
         if not self.split:
             raise ValueError("norm row needs split stock variables")
-        row = {var: ONE for var in (*self.pos.values(), *self.neg.values(), *others)}
-        return self.lp.add_constraint(row, "<=", ONE, name="norm")
+        row = dict.fromkeys((*self.pos.values(), *self.neg.values(), *others), 1)
+        return self.lp.add_constraint(row, "<=", 1, name="norm", den=1)
 
 
 @dataclass
@@ -197,9 +196,9 @@ class GainLP:
     Carry nodes are the nodes of the space's forest, trade nodes those of
     them with children, both in index order, and there is one gain row
     per path, which the caller adds.  The space's tied node pairs become
-    rows too (add_common_rows).  Gain rows read tables per base edge
-    (MarketModel.base_steps), base path and base node; unlike
-    MeasurePolytope's, the payoff tables are shifted by their quotes once.
+    rows too (add_common_rows), in integers.  Gain rows, in rationals, read
+    tables per base edge (MarketModel.base_steps), base path and base node;
+    unlike MeasurePolytope's, the payoff tables are shifted by their quotes once.
     """
 
     def __init__(
@@ -227,7 +226,8 @@ class GainLP:
             for j in range(self.model.M)
         ]
         model, tree = self.model, self.model.tree
-        self.steps = model.base_steps()
+        steps, den = model.base_steps()
+        self.steps = {nid: tuple(Q(m, den) for m in move) for nid, move in steps.items()}
         self.europe = [[f.at(path[-1]) - alpha for path in tree.paths]
                        for f, alpha in model.europeans]
         self.longs = [({nid: g.scalar(nid) for nid in tree.nodes}, -beta)
@@ -262,7 +262,7 @@ class GainLP:
     def tie(self, var: dict[int, int], name: str) -> None:
         """var takes one value on both nodes of each tied pair of the space."""
         for v, w in self.enl.tied_pairs:
-            self.lp.add_constraint({var[v]: ONE, var[w]: -ONE}, "=", ZERO, name=f"{name}[{v}~{w}]")
+            self.lp.add_constraint({var[v]: 1, var[w]: -1}, "=", 0, name=f"{name}[{v}~{w}]", den=1)
 
     def add_common_rows(self) -> None:
         """Rows every user adds after its path rows.
@@ -272,15 +272,15 @@ class GainLP:
         """
         for j, nu in enumerate(self.nu_var):
             for p, ep in enumerate(self.enl.epaths):
-                row = {nu[v]: ONE for v in ep.node_seq}
-                row[self.static["b"][j]] = -ONE
-                self.lp.add_constraint(row, "=", ZERO, name=f"liq[{j};p{p}]")
+                row = {nu[v]: 1 for v in ep.node_seq}
+                row[self.static["b"][j]] = -1
+                self.lp.add_constraint(row, "=", 0, name=f"liq[{j};p{p}]", den=1)
         for v, w in self.enl.tied_pairs:
             for d in range(self.model.stock.dim):
                 row = {}
-                self.stock.add(row, v, d, ONE)
-                self.stock.add(row, w, d, -ONE)
-                self.lp.add_constraint(row, "=", ZERO, name=f"tie_H[{v}~{w};{d}]")
+                self.stock.add(row, v, d, 1)
+                self.stock.add(row, w, d, -1)
+                self.lp.add_constraint(row, "=", 0, name=f"tie_H[{v}~{w};{d}]", den=1)
         for j, nu in enumerate(self.nu_var):
             self.tie(nu, f"tie_nu[{j}]")
 
@@ -463,7 +463,7 @@ def _hedge(enl: EnlargedModel, kind: str, sign: Q, rhs: Sequence[Q]) -> HedgeRep
         row[g.x] = sign
         g.lp.add_constraint(row, ">=", rhs[p], name=f"hedge[p{p}]")
         if eta_var:
-            g.lp.add_constraint({eta_var[v]: ONE for v in seq}, "=", ONE, name=f"unit[p{p}]")
+            g.lp.add_constraint({eta_var[v]: 1 for v in seq}, "=", 1, name=f"unit[p{p}]", den=1)
     g.add_common_rows()
     if eta_var:
         g.tie(eta_var, "tie_eta")
@@ -542,20 +542,19 @@ def detect_arbitrage(enl: EnlargedModel) -> ArbitrageReport:
     the optimizer is returned as a witness.
     """
     g = GainLP(enl, split_stock=True)
-    rows = [g.gain_coeffs(p) for p in range(enl.num_paths)]
-    # the objective in integers: path weights over dw, gain coefficients
-    # over their lcm dc (read twice rather than listed), and one rational
-    # per variable
+    rows = [g.lp.rows[g.lp.add_constraint(g.gain_coeffs(p), ">=", ZERO, name=f"nonneg[p{p}]")]
+            for p in range(enl.num_paths)]
+    # the objective in integers: path weights over dw, the stored path rows
+    # over the lcm dc of their denominators
     (weights,), dw = over_common(enl.weight(p) for p in range(enl.num_paths))
-    dc = reduce(lcm, (int(val.denominator) for row in rows for val in row.values()), 1)
+    dc = lcm(*{row.den for row in rows})
     sums: dict[int, int] = {}
-    for p, (w, row) in enumerate(zip(weights, rows)):
-        g.lp.add_constraint(row, ">=", ZERO, name=f"nonneg[p{p}]")
-        for var, val in row.items():
-            sums[var] = sums.get(var, 0) + w * int(val.numerator) * (dc // int(val.denominator))
+    for w, row in zip(weights, rows):
+        for var, a in row.coeffs.items():
+            sums[var] = sums.get(var, 0) + w * a * (dc // row.den)
     g.add_common_rows()
     g.stock.add_norm_row(sum(g.static.values(), []))
-    g.lp.set_objective("max", {var: Q(n, dw * dc) for var, n in sums.items() if n})
+    g.lp.set_objective("max", sums, den=dw * dc)
     out = solve(g.lp)
     if out.status != "optimal":
         raise PropertyViolation(f"arbitrage LP unexpectedly {out.status}")

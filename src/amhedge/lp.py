@@ -14,10 +14,10 @@ each row is a dict of its nonzero Python ints over one positive
 denominator, put in lowest terms only when that denominator outgrows
 ``_REDUCE_BITS`` bits, and a column index lists the rows where each column
 is nonzero, so a pivot does integer arithmetic on nonzeros only and
-rationals are built just for the returned point and certificates.  A
-solve converts the rows and objective to integers once (``_image``), for
-the tableau to copy and the certificate checks to read.  Every solve
-returns, besides the optimum:
+rationals are built just for the returned point and certificates.  An LP
+keeps each row and its objective in integers from the moment it is added,
+and the presolve, the tableau (on its own copy), the dual lift and the
+certificate checks read them, never writing.  Every solve returns:
 
 * optimal       -- primal point, dual multipliers; strong duality and both
                    feasibilities are re-checked exactly before returning,
@@ -69,14 +69,35 @@ class LPInternalError(RuntimeError):
 
 @dataclass
 class _Row:
-    coeffs: dict[int, Q]
+    """coeffs.x rel rhs, in integer numerators over the positive den, not always
+    in lowest terms; the objective is a row with rel "=" and rhs 0.  A row in an
+    LP is never written (see LinearProgram.put), so a solve reads it in place."""
+
+    coeffs: dict[int, int]
+    rhs: int
+    den: int
     rel: Relation
-    rhs: Q
     name: str
+
+    def rational(self) -> tuple[dict[int, Q], Q]:
+        """The coefficients and the rhs as rationals: the row as asked."""
+        return {j: Q(a, self.den) for j, a in self.coeffs.items()}, Q(self.rhs, self.den)
+
+
+def _integers(coeffs: dict, rhs, den: int | None) -> tuple[dict[int, int], int, int]:
+    """(a, b, d): the row coeffs.x ? rhs over d without its zero coefficients: Python
+    ints kept over den where it is given, else rationals times the lcm d of theirs."""
+    if den is not None:
+        return {j: v for j, v in coeffs.items() if v}, rhs, den
+    qs = [(j, rat(v)) for j, v in coeffs.items() if v]
+    b = rat(rhs)
+    d = lcm(int(b.denominator), *(int(v.denominator) for _, v in qs))
+    return ({j: int(v.numerator) * (d // int(v.denominator)) for j, v in qs},
+            int(b.numerator) * (d // int(b.denominator)), d)
 
 
 class LinearProgram:
-    """Incremental LP builder with integer variable handles."""
+    """Incremental LP builder with integer variable handles and integer rows (``_Row``)."""
 
     def __init__(self, name: str = "lp"):
         self.name = name
@@ -84,23 +105,36 @@ class LinearProgram:
         self.nonneg: list[bool] = []
         self.rows: list[_Row] = []
         self.sense: Literal["max", "min"] = "max"
-        self.objective: dict[int, Q] = {}
+        self.objective = _Row({}, 0, 1, "=", "objective")
 
     def add_var(self, name: str, nonneg: bool = True) -> int:
         self.var_names.append(name)
         self.nonneg.append(nonneg)
         return len(self.var_names) - 1
 
-    def add_constraint(self, coeffs: dict[int, Q], rel: Relation, rhs, name: str = "") -> int:
+    def add_constraint(self, coeffs: dict[int, Q], rel: Relation, rhs, name: str = "",
+                       den: int | None = None) -> int:
         if rel not in ("<=", "=", ">="):
             raise ValueError(f"bad relation {rel!r}")
-        clean = {j: rat(v) for j, v in coeffs.items() if v}
-        self.rows.append(_Row(clean, rel, rat(rhs), name or f"r{len(self.rows)}"))
+        self.rows.append(_Row(*_integers(coeffs, rhs, den), rel, name or f"r{len(self.rows)}"))
         return len(self.rows) - 1
 
-    def set_objective(self, sense: Literal["max", "min"], coeffs: dict[int, Q]) -> None:
+    def set_objective(self, sense: Literal["max", "min"], coeffs: dict,
+                      den: int | None = None) -> None:
         self.sense = sense
-        self.objective = {j: rat(v) for j, v in coeffs.items() if v}
+        self.objective = _Row(*_integers(coeffs, 0, den), "=", "objective")
+
+    def put(self, i: int, value, var: int | None = None) -> None:
+        """Set row i's coefficient of var, or its rhs where var is None, to a
+        rational, in a new row over the lcm of the old den and value's."""
+        row, v = self.rows[i], rat(value)
+        s = int(v.denominator) // gcd(row.den, int(v.denominator))
+        n = int(v.numerator) * (row.den * s // int(v.denominator))
+        coeffs = {j: a * s for j, a in row.coeffs.items() if j != var}
+        if var is not None and n:
+            coeffs[var] = n
+        rhs = n if var is None else row.rhs * s
+        self.rows[i] = _Row(coeffs, rhs, row.den * s, row.rel, row.name)
 
     @property
     def num_vars(self) -> int:
@@ -112,11 +146,9 @@ class LinearProgram:
 
     def copy(self) -> "LinearProgram":
         other = LinearProgram(self.name)
-        other.var_names = list(self.var_names)
-        other.nonneg = list(self.nonneg)
-        other.rows = [_Row(dict(r.coeffs), r.rel, r.rhs, r.name) for r in self.rows]
-        other.sense = self.sense
-        other.objective = dict(self.objective)
+        other.var_names, other.nonneg = list(self.var_names), list(self.nonneg)
+        other.rows = [_Row(dict(r.coeffs), r.rhs, r.den, r.rel, r.name) for r in self.rows]
+        other.sense, other.objective = self.sense, self.objective
         return other
 
 
@@ -141,12 +173,13 @@ class LPOutcome:
 
 def format_lp(lp: LinearProgram) -> str:
     """Human-readable dump of an LP: objective, named rows and free variables."""
-    out = [f"# {lp.name}: {lp.sense} over {lp.num_vars} vars, {lp.num_rows} rows"]
-    terms = " + ".join(f"{v}*{lp.var_names[j]}" for j, v in sorted(lp.objective.items()))
-    out.append(f"{lp.sense} {terms or '0'}")
-    for r in lp.rows:
-        lhs = " + ".join(f"{v}*{lp.var_names[j]}" for j, v in sorted(r.coeffs.items()))
-        out.append(f"  [{r.name}] {lhs or '0'} {r.rel} {r.rhs}")
+    def terms(row: _Row) -> str:
+        coeffs = sorted(row.rational()[0].items())
+        return " + ".join(f"{v}*{lp.var_names[j]}" for j, v in coeffs) or "0"
+
+    out = [f"# {lp.name}: {lp.sense} over {lp.num_vars} vars, {lp.num_rows} rows",
+           f"{lp.sense} {terms(lp.objective)}"]
+    out += [f"  [{r.name}] {terms(r)} {r.rel} {r.rational()[1]}" for r in lp.rows]
     free = [lp.var_names[j] for j in range(lp.num_vars) if not lp.nonneg[j]]
     if free:
         out.append("  free: " + ", ".join(free))
@@ -168,8 +201,8 @@ class _Tableau:
     its numerator's sign and the ratio test compares rhs/entry by
     cross-multiplying (the row's common factor cancels).  Rationals are
     built, and normalised, only when a result is read.  The rows are new
-    dicts built from the solve's integer image (``_image``), which the
-    certificate checks read, so no pivot writes into that image.
+    dicts built from the LP's own integer rows, which the certificate
+    checks read, so no pivot writes into the LP.
 
     Starting basis: a row starts on its slack where the slack's entry is
     positive, else on its artificial.  A row with a negative rhs is
@@ -188,12 +221,12 @@ class _Tableau:
     bound row is negated like any other.  The rule reads the rows'
     structure only, never a name.
 
-    The tableau runs the presolved LP (``_Presolve``): ``rels`` and
-    ``image`` hold its rows, and a variable the presolve merged away
-    (``nonneg[j]`` None) gets no column.
+    The tableau runs the presolved LP (``_Presolve``): ``rows`` are its
+    rows, and a variable the presolve merged away (``nonneg[j]`` None)
+    gets no column.
     """
 
-    def __init__(self, rels: list[Relation], nonneg: list[bool | None], image: list):
+    def __init__(self, rows: list[_Row], nonneg: list[bool | None]):
         # structural columns: var j at pos_col[j], and a free var once more,
         # negated, at neg_col[j]
         self.pos_col: list[int | None] = []
@@ -204,10 +237,10 @@ class _Tableau:
             self.neg_col.append(ncols + 1 if pos is False else None)
             ncols += 0 if pos is None else 1 if pos else 2
 
-        m = len(rels)
+        m = len(rows)
         self.slack_col: list[int | None] = [None] * m
-        for i, rel in enumerate(rels):
-            if rel != "=":
+        for i, row in enumerate(rows):
+            if row.rel != "=":
                 self.slack_col[i] = ncols
                 ncols += 1
         self.art_col = list(range(ncols, ncols + m))
@@ -216,26 +249,26 @@ class _Tableau:
         # negated rows (their relation flips): every negative rhs, and every
         # homogeneous >= row but a bound row in an LP the origin violates
         # (see the class docstring); a negated row's dual is negated back
-        # on reading.  Signs are read off the image (each d > 0)
-        self.origin_feasible = not any(_violated(rel, 0, b) for rel, (_, b, _) in zip(rels, image))
-        self.flip = [b < 0 or (b == 0 and rel == ">=" and (
-                         self.origin_feasible or not _bound_row(a, nonneg)))
-                     for rel, (a, b, _) in zip(rels, image)]
+        # on reading.  Signs are read off the numerators (each den > 0)
+        self.origin_feasible = not any(_violated(row.rel, 0, row.rhs) for row in rows)
+        self.flip = [row.rhs < 0 or (row.rhs == 0 and row.rel == ">=" and (
+                         self.origin_feasible or not _bound_row(row.coeffs, nonneg)))
+                     for row in rows]
         self.rows: list[dict[int, int]] = []
         self.den: list[int] = []
         self.basis: list[int] = []
         self.col_rows: list[set[int]] = [set() for _ in range(self.ncols + 1)]
-        for i, (rel, (coeffs, b, d)) in enumerate(zip(rels, image)):
-            sgn = -1 if self.flip[i] else 1
+        for i, row in enumerate(rows):
+            sgn, b, d = -1 if self.flip[i] else 1, row.rhs, row.den
             sparse: dict[int, int] = {}
-            for j, a in coeffs.items():
+            for j, a in row.coeffs.items():
                 sparse[self.pos_col[j]] = sgn * a
                 nc = self.neg_col[j]
                 if nc is not None:
                     sparse[nc] = -sgn * a
             sc = self.slack_col[i]
             if sc is not None:
-                sparse[sc] = sgn * d if rel == "<=" else -sgn * d
+                sparse[sc] = sgn * d if row.rel == "<=" else -sgn * d
             sparse[self.art_col[i]] = d
             if b:
                 sparse[self.ncols] = sgn * b
@@ -351,10 +384,10 @@ class _Tableau:
         return [ZERO if p is None else vals[p] if n is None else vals[p] - vals[n]
                 for p, n in zip(self.pos_col, self.neg_col)]
 
-    def duals(self, art_cost: int, sign: int) -> list[Q]:
-        """sign * y, y_r = cost(art_r) - reduced_cost(art_r) unflipped to row r."""
-        zrow, zden, base = self.zrow, self.zden, art_cost * self.zden
-        return [Q((zrow[c] - base if f else base - zrow[c]) * sign, zden)
+    def duals(self, art_cost: int, sign: int) -> list[int]:
+        """sign * y over zden, y_r = cost(art_r) - reduced_cost(art_r) unflipped to row r."""
+        zrow, base = self.zrow, art_cost * self.zden
+        return [(zrow[c] - base if f else base - zrow[c]) * sign
                 for c, f in zip(self.art_col, self.flip)]
 
 
@@ -365,20 +398,6 @@ def _bound_row(coeffs: dict[int, int], nonneg: list[bool]) -> bool:
     of them is positive; the relation and rhs are not read (see _Tableau).
     """
     return all(nonneg[j] for j in coeffs) and sum(v > 0 for v in coeffs.values()) == 1
-
-
-def _integer_row(coeffs: dict[int, Q], rhs: Q) -> tuple[dict[int, int], int, int]:
-    """(a, b, d): the row coeffs.x ? rhs times d, the lcm of its denominators."""
-    d = lcm(int(rhs.denominator), *(int(v.denominator) for v in coeffs.values()))
-    return ({j: int(v.numerator) * (d // int(v.denominator)) for j, v in coeffs.items()},
-            int(rhs.numerator) * (d // int(rhs.denominator)), d)
-
-
-def _image(lp: LinearProgram) -> list[tuple[dict[int, int], int, int]]:
-    """Each row's _integer_row, then the objective's (rhs 0), as the LP is now:
-    never stored, since callers edit the rows of copied LPs between solves."""
-    return [*(_integer_row(row.coeffs, row.rhs) for row in lp.rows),
-            _integer_row(lp.objective, ZERO)]
 
 
 def _lowest(row: dict[int, int], d: int) -> tuple[dict[int, int], int]:
@@ -453,23 +472,24 @@ def _pair(a: dict[int, int], nonneg: list[bool | None]) -> tuple[int, int] | Non
 class _Presolve:
     """The LP with its homogeneous doubleton equalities merged away (module docstring).
 
-    ``rels``, ``nonneg`` and ``image`` are the reduced LP the tableau runs,
-    ``rows`` the original index of each of its rows.  A merge writes into
-    new dicts, made for the rows and objective it touches, so an untouched
-    row is the image's own; with nothing to merge, nothing is copied.
-    ``steps`` logs each merge as (r, j, k, nu, mu, col), col being column
-    j as it stood, {row i, or m for the objective: a_ij}, for the lifts.
+    ``reduced`` holds the rows of the reduced LP the tableau runs, then its
+    objective, ``nonneg`` its variables' signs and ``rows`` the original
+    index of each of its rows.  A merge writes into new rows, made for the
+    rows and objective it touches, so an untouched row is the LP's own;
+    with nothing to merge, nothing is copied.  ``steps`` logs each merge
+    as (r, j, k, nu, mu, col), col being column j as it stood, {row i, or
+    m for the objective: a_ij}, for the lifts.
     """
 
-    def __init__(self, lp: LinearProgram, image: list):
-        rels, nonneg, m = [row.rel for row in lp.rows], lp.nonneg, lp.num_rows
-        self.rels, self.nonneg, self.image, self.rows = rels, nonneg, image, range(m)
+    def __init__(self, lp: LinearProgram):
+        asked, nonneg, m = [*lp.rows, lp.objective], lp.nonneg, lp.num_rows
+        self.asked, self.reduced, self.nonneg, self.rows = asked, asked, nonneg, range(m)
         self.steps: list[tuple[int, int, int, int, int, dict[int, int]]] = []
-        queue = [i for i, (rel, (a, b, _)) in enumerate(zip(rels, image))
-                 if rel == "=" and not b and _pair(a, nonneg)]
+        queue = [i for i, row in enumerate(lp.rows)
+                 if row.rel == "=" and not row.rhs and _pair(row.coeffs, nonneg)]
         if not queue:
             return
-        coeffs = [a for a, _, _ in image]
+        coeffs = [row.coeffs for row in asked]
         nonneg, owned, gone = list(nonneg), [False] * (m + 1), set()
         where: list[set[int]] = [set() for _ in nonneg]
         for i, a in enumerate(coeffs):
@@ -500,11 +520,11 @@ class _Presolve:
                 elif a.pop(k, 0):
                     where[k].remove(i)
             queue.extend(sorted(i for i in touched if i < m and len(coeffs[i]) == 2
-                                and rels[i] == "=" and not image[i][1]))
+                                and asked[i].rel == "=" and not asked[i].rhs))
         self.rows = [i for i in range(m) if i not in gone]
-        self.rels, self.nonneg = [rels[i] for i in self.rows], nonneg
-        self.image = [(coeffs[i], *image[i][1:]) if owned[i] else image[i]
-                      for i in (*self.rows, m)]
+        self.nonneg = nonneg
+        self.reduced = [_Row(coeffs[i], asked[i].rhs, asked[i].den, asked[i].rel, asked[i].name)
+                        if owned[i] else asked[i] for i in (*self.rows, m)]
 
     def lift_point(self, x: list[Q]) -> list[Q]:
         """The point (or ray) of the asked LP from the reduced LP's: x_j = nu*y, x_k = mu*y."""
@@ -513,43 +533,44 @@ class _Presolve:
                 x[j], x[k] = nu * x[k], mu * x[k]
         return x
 
-    def lift_duals(self, y_reduced: list[Q], image: list, costs: bool) -> list[Q]:
-        """Every asked row's dual (costs) or Farkas entry (not costs) from the reduced LP's.
+    def lift_duals(self, nums: list[int], den: int, costs: bool) -> list[Q]:
+        """Every asked row's dual (costs) or Farkas entry (not costs) from the reduced
+        LP's numerators nums over den.
 
         A merged row's y_r solves y_r a_rj/d_r = c_j/d_c - sum_{i != r} y_i a_ij/d_i
-        on the image (rows a/d, objective c/d_c): the terms go over one
-        integer denominator, so each merged row costs one rational.
+        on the asked rows a/d and objective c/d_c.  Each y_i is an integer
+        numerator and denominator, not reduced, until one rational per row ends it.
         """
         if not self.steps:
-            return y_reduced
-        m = len(image) - 1
-        y = [ZERO] * m
-        for i, v in zip(self.rows, y_reduced):
-            y[i] = v
+            return [Q(n, den) for n in nums]
+        asked, m = self.asked, len(self.asked) - 1
+        y = [(0, 1)] * m
+        for i, n in zip(self.rows, nums):
+            y[i] = (n, den)
         for r, *_, col in reversed(self.steps):
-            terms = [(int(y[i].numerator) * a, int(y[i].denominator) * image[i][2])
-                     for i, a in col.items() if i != r and i != m and y[i]]
+            terms = [(y[i][0] * a, y[i][1] * asked[i].den)
+                     for i, a in col.items() if i != r and i != m and y[i][0]]
             if costs and m in col:
-                terms.append((-col[m], image[m][2]))
-            den = lcm(*(e for _, e in terms))
-            y[r] = Q(-sum(t * (den // e) for t, e in terms) * image[r][2], den * col[r])
-        return y
+                terms.append((-col[m], asked[m].den))
+            e = lcm(*{f for _, f in terms})
+            y[r] = (-sum(t * (e // f) for t, f in terms) * asked[r].den, e * col[r])
+        return [Q(n, e) for n, e in y]
 
 
 def solve(lp: LinearProgram) -> LPOutcome:
     """Solve exactly; certificates are re-verified before returning."""
-    image = _image(lp)
-    pre = _Presolve(lp, image)
-    tab = _Tableau(pre.rels, pre.nonneg, pre.image)
-    m = len(pre.rels)
+    pre = _Presolve(lp)
+    *rows, objective = pre.reduced
+    tab = _Tableau(rows, pre.nonneg)
+    m = len(rows)
 
     # phase 1: drive artificials to zero; z = -zrow[-1]/zden < 0 is infeasible
     tab.set_costs(dict.fromkeys(tab.art_col, -1), 1)
     if tab.run(tab.ncols, largest=False) is not None:  # pragma: no cover - bounded by 0
         raise LPInternalError("phase 1 unbounded")
     if tab.zrow[-1] > 0:
-        farkas = pre.lift_duals(tab.duals(-1, 1), image, costs=False)
-        _verify_farkas(lp, farkas, image)
+        farkas = pre.lift_duals(tab.duals(-1, 1), tab.zden, costs=False)
+        _verify_farkas(lp, farkas)
         return LPOutcome(status="infeasible", farkas=farkas,
                          pivots=tab.pivots, rows=m, cols=tab.ncols)
 
@@ -564,17 +585,16 @@ def solve(lp: LinearProgram) -> LPOutcome:
             if c is not None:
                 tab.pivot(i, c)
 
-    # phase 2, priced from the objective's integer image over the real
+    # phase 2, priced from the reduced objective's integers over the real
     # columns (the artificials are the last m); by Dantzig's rule where the
     # origin is feasible (see _Tableau)
     sign = 1 if lp.sense == "max" else -1
-    obj, _, dc = pre.image[-1]
     costs = {}
-    for j, v in obj.items():
+    for j, v in objective.coeffs.items():
         costs[tab.pos_col[j]] = sign * v
         if tab.neg_col[j] is not None:
             costs[tab.neg_col[j]] = -sign * v
-    tab.set_costs(costs, dc)
+    tab.set_costs(costs, objective.den)
     enter = tab.run(n_real, largest=tab.origin_feasible)
 
     if enter is not None:
@@ -583,7 +603,7 @@ def solve(lp: LinearProgram) -> LPOutcome:
         for i in tab.col_rows[enter]:
             direction[tab.basis[i]] = Q(-tab.rows[i][enter], tab.den[i])
         ray = pre.lift_point(tab.to_vars(direction))
-        _verify_ray(lp, ray, image)
+        _verify_ray(lp, ray)
         return LPOutcome(status="unbounded", ray=ray,
                          pivots=tab.pivots, rows=m, cols=tab.ncols)
 
@@ -592,8 +612,8 @@ def solve(lp: LinearProgram) -> LPOutcome:
         vals[bc] = Q(tab.rows[i].get(tab.ncols, 0), tab.den[i])
     primal = pre.lift_point(tab.to_vars(vals))
     value = Q(-sign * tab.zrow[-1], tab.zden)
-    duals = pre.lift_duals(tab.duals(0, sign), image, costs=True)
-    _verify_optimal(lp, primal, duals, value, image)
+    duals = pre.lift_duals(tab.duals(0, sign), tab.zden, costs=True)
+    _verify_optimal(lp, primal, duals, value)
     return LPOutcome(status="optimal", value=value, primal=primal, duals=duals,
                      pivots=tab.pivots, rows=m, cols=tab.ncols)
 
@@ -601,10 +621,9 @@ def solve(lp: LinearProgram) -> LPOutcome:
 # -- exact certificate checks -------------------------------------------
 #
 # Each check reads only the LP and the returned vectors.  It reads every
-# LP row scaled by the lcm of its denominators from the solve's integer
-# image (``_image``) and puts the vector over one common denominator, so
-# every predicate is an integer comparison with both sides multiplied by
-# the same positive number.
+# LP row as stored, integers over the row's denominator, and puts the
+# vector over one common denominator, so every predicate is an integer
+# comparison with both sides multiplied by the same positive number.
 
 
 def _dot(a: dict[int, int], x: list[int]) -> int:
@@ -615,25 +634,24 @@ def _violated(rel: Relation, lhs: int, rhs: int) -> bool:
     return lhs > rhs if rel == "<=" else lhs < rhs if rel == ">=" else lhs != rhs
 
 
-def _scaled_duals(lp: LinearProgram, y: list[Q], rows: list) -> tuple[list[int], int, list[int]]:
-    """y_i/d_i, over the integer rows (a, b, d), as z over one denominator e, and A^T z.
+def _scaled_duals(lp: LinearProgram, y: list[Q]) -> tuple[list[int], int, list[int]]:
+    """y_i/d_i, over the rows a/d of lp, as z over one denominator e, and A^T z.
 
     y is put over one denominator dy, and entry i scaled by lcm(d)/d_i.
     """
     (ys,), dy = over_common(y)
-    dd = lcm(*(d for _, _, d in rows))
-    z, e = [v * (dd // d) for v, (_, _, d) in zip(ys, rows)], dy * dd
+    dd = lcm(*{row.den for row in lp.rows})
+    z, e = [v * (dd // row.den) for v, row in zip(ys, lp.rows)], dy * dd
     aty = [0] * lp.num_vars
-    for zi, (a, _, _) in zip(z, rows):
+    for zi, row in zip(z, lp.rows):
         if zi:
-            for j, v in a.items():
+            for j, v in row.coeffs.items():
                 aty[j] += zi * v
     return z, e, aty
 
 
-def _verify_optimal(lp: LinearProgram, x: list[Q], y: list[Q], value: Q,
-                    image: list) -> None:
-    *rows, (c, _, dc) = image
+def _verify_optimal(lp: LinearProgram, x: list[Q], y: list[Q], value: Q) -> None:
+    c, dc = lp.objective.coeffs, lp.objective.den
     (xs,), dx = over_common(x)
     for j in range(lp.num_vars):
         if lp.nonneg[j] and xs[j] < 0:
@@ -641,22 +659,15 @@ def _verify_optimal(lp: LinearProgram, x: list[Q], y: list[Q], value: Q,
     vn, vd = int(value.numerator), int(value.denominator)
     if _dot(c, xs) * vd != vn * dc * dx:
         raise LPInternalError("objective mismatch")
-    z, e, aty = _scaled_duals(lp, y, rows)
+    z, e, aty = _scaled_duals(lp, y)
     ydotb = 0
-    for row, (a, b, _), zi in zip(lp.rows, rows, z):
-        if _violated(row.rel, _dot(a, xs), b * dx):
+    for row, zi in zip(lp.rows, z):
+        if _violated(row.rel, _dot(row.coeffs, xs), row.rhs * dx):
             raise LPInternalError(f"row {row.name} violated")
-        if lp.sense == "max":
-            if row.rel == "<=" and zi < 0:
-                raise LPInternalError(f"dual sign on {row.name}")
-            if row.rel == ">=" and zi > 0:
-                raise LPInternalError(f"dual sign on {row.name}")
-        else:
-            if row.rel == "<=" and zi > 0:
-                raise LPInternalError(f"dual sign on {row.name}")
-            if row.rel == ">=" and zi < 0:
-                raise LPInternalError(f"dual sign on {row.name}")
-        ydotb += zi * b
+        # y >= 0 on a max LP's <= rows and a min LP's >= rows, y <= 0 on the others
+        if row.rel != "=" and (zi < 0 if (row.rel == "<=") == (lp.sense == "max") else zi > 0):
+            raise LPInternalError(f"dual sign on {row.name}")
+        ydotb += zi * row.rhs
     if ydotb * vd != vn * e:
         raise LPInternalError("strong duality gap")
     # dual feasibility: A^T y vs c, as aty/e vs c/dc
@@ -670,38 +681,31 @@ def _verify_optimal(lp: LinearProgram, x: list[Q], y: list[Q], value: Q,
             raise LPInternalError(f"dual infeasibility at {lp.var_names[j]}")
 
 
-def _verify_farkas(lp: LinearProgram, y: list[Q], image: list) -> None:
-    *rows, _ = image
-    z, _, aty = _scaled_duals(lp, y, rows)
+def _verify_farkas(lp: LinearProgram, y: list[Q]) -> None:
+    z, _, aty = _scaled_duals(lp, y)
     ydotb = 0
-    for row, (_, b, _), zi in zip(lp.rows, rows, z):
-        if row.rel == "<=" and zi < 0:
+    for row, zi in zip(lp.rows, z):
+        if (row.rel == "<=" and zi < 0) or (row.rel == ">=" and zi > 0):
             raise LPInternalError("farkas sign")
-        if row.rel == ">=" and zi > 0:
-            raise LPInternalError("farkas sign")
-        ydotb += zi * b
+        ydotb += zi * row.rhs
     for j in range(lp.num_vars):
-        if lp.nonneg[j]:
-            if aty[j] < 0:
-                raise LPInternalError("farkas cone violation")
-        elif aty[j] != 0:
+        if aty[j] < 0 or (aty[j] and not lp.nonneg[j]):
             raise LPInternalError("farkas cone violation")
     if ydotb >= 0:
         raise LPInternalError("farkas certifies nothing")
 
 
-def _verify_ray(lp: LinearProgram, d: list[Q], image: list) -> None:
-    *rows, (c, _, _) = image
+def _verify_ray(lp: LinearProgram, d: list[Q]) -> None:
     (ds,), _ = over_common(d)
     for j in range(lp.num_vars):
         if lp.nonneg[j] and ds[j] < 0:
             raise LPInternalError("ray leaves the sign cone")
-    rate = _dot(c, ds)
+    rate = _dot(lp.objective.coeffs, ds)
     improving = rate > 0 if lp.sense == "max" else rate < 0
     if not improving:
         raise LPInternalError("ray does not improve")
-    for row, (a, _, _) in zip(lp.rows, rows):
-        if _violated(row.rel, _dot(a, ds), 0):
+    for row in lp.rows:
+        if _violated(row.rel, _dot(row.coeffs, ds), 0):
             raise LPInternalError("ray infeasible")
 
 
@@ -725,6 +729,6 @@ def max_slack(lp: LinearProgram, slack_rows: dict[int, Q]) -> LPOutcome:
         row = work.rows[i]
         if row.rel == "=":
             raise ValueError(f"cannot slacken equality row {row.name}")
-        row.coeffs[s] = w if row.rel == "<=" else -w
+        work.put(i, w if row.rel == "<=" else -w, s)
     work.set_objective("max", {s: ONE})
     return solve(work)

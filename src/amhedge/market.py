@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass, field
+from math import lcm
 from typing import Any
 
 from .errors import ModelFormatError
@@ -135,16 +136,18 @@ class MarketModel:
     def path_weight(self, path_index: int) -> Q:
         return self.weights[self.tree.paths[path_index][-1]]
 
-    def base_steps(self) -> dict[str, tuple[Q, ...]]:
-        """The stock move S(v) - S(parent of v) into each non-root base node v.
-
-        One rational tuple per base edge, shared by every enlarged path over
-        it, for the LP builders (GainLP, MeasurePolytope); the re-checks
-        build their own integer moves (stock_moves).
+    def base_steps(self) -> tuple[dict[str, tuple[int, ...]], int]:
+        """The stock move S(v) - S(parent of v) into each non-root base node v,
+        in integers over one denominator: one tuple per base edge, shared by
+        every enlarged path over it, for the LP builders (GainLP and the
+        martingale rows); the re-checks build their own (stock_moves).
         """
-        at = self.stock.at
-        return {nid: tuple(b - a for a, b in zip(at(node.parent), at(nid)))
-                for nid, node in self.tree.nodes.items() if node.parent is not None}
+        values = self.stock.values
+        den = lcm(*(int(x.denominator) for vec in values.values() for x in vec))
+        at = {nid: [int(x.numerator) * (den // int(x.denominator)) for x in vec]
+              for nid, vec in values.items()}
+        return {nid: tuple(b - a for a, b in zip(at[node.parent], at[nid]))
+                for nid, node in self.tree.nodes.items() if node.parent is not None}, den
 
     def stock_moves(self) -> tuple[list[list[tuple[int, int, int]]], int]:
         """Per base path, its nonzero stock moves (t, dim, S_{t+1} - S_t),

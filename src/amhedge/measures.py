@@ -64,24 +64,25 @@ SnellRows = dict[int, tuple[int, int | None, int | None]]
 
 def _add_martingale_rows(
     lp: LinearProgram,
-    moves: Iterable[tuple[int, Hashable, Sequence[Q]]],
+    moves: Iterable[tuple[int, Hashable, Sequence[int]]],
+    den: int,
     label: Callable[[Hashable], str],
 ) -> list[tuple[int, Hashable, int]]:
     """The one builder of martingale rows: sum of q * (S_next - S_node) = 0.
 
-    ``moves`` lists (probability variable, node left, stock move)
+    ``moves`` lists (probability variable, node left, stock move over den)
     triples, each variable leaving each node at most once, so every
-    coefficient is the move itself, written once.  One equality per
-    (node, stock dim) with a nonzero move, in sorted order; returns (row
-    index, node, dim) per row.
+    coefficient is the move itself, written once.  One integer equality
+    per (node, stock dim) with a nonzero move, in sorted order; returns
+    (row index, node, dim) per row.
     """
-    rows: dict[tuple, dict[int, Q]] = {}
+    rows: dict[tuple, dict[int, int]] = {}
     for var, node, move in moves:
         for d, m in enumerate(move):
             if m:
                 rows.setdefault((node, d), {})[var] = m
     return [
-        (lp.add_constraint(row, "=", ZERO, name=f"mart[{label(node)};{d}]"), node, d)
+        (lp.add_constraint(row, "=", 0, name=f"mart[{label(node)};{d}]", den=den), node, d)
         for (node, d), row in sorted(rows.items())
     ]
 
@@ -119,13 +120,10 @@ def one_step_polytope(
     """
     lp = LinearProgram()
     q_var = {kid: lp.add_var(f"q[{kid}]") for kid in kids}
-    lp.add_constraint({var: ONE for var in q_var.values()}, "=", ONE, name="mass")
-    here = model.stock.at(nid)
-    moves = (
-        (var, nid, [b - a for a, b in zip(here, model.stock.at(kid))])
-        for kid, var in q_var.items()
-    )
-    return lp, q_var, _add_martingale_rows(lp, moves, str)
+    lp.add_constraint(dict.fromkeys(q_var.values(), 1), "=", 1, name="mass", den=1)
+    steps, den = model.base_steps()
+    moves = ((var, nid, steps[kid]) for kid, var in q_var.items())
+    return lp, q_var, _add_martingale_rows(lp, moves, den, str)
 
 
 @dataclass
@@ -224,9 +222,10 @@ class MeasurePolytope:
     ``long_blocks``, and its ask row ``g[j]``; ``num_tau_rows`` counts the
     rows of those blocks.
 
-    The builder reads tables: the stock move of each base edge
-    (MarketModel.base_steps), shared by every enlarged path over it, and
-    the payoffs per leaf and per base node.  The re-checks (check/require)
+    The builder reads tables: the stock move of each base edge in
+    integers (MarketModel.base_steps), shared by every enlarged path over
+    it, and the payoffs per leaf and per base node; only the price rows
+    and Snell blocks go in as rationals.  The re-checks (check/require)
     read none of them; they build their own from the model.
     """
 
@@ -235,15 +234,15 @@ class MeasurePolytope:
         self.lp = LinearProgram()
         self.q_var = {p: self.lp.add_var(f"Q[{ep.label}]") for p, ep in enumerate(enl.epaths)}
         self.mass_row = self.lp.add_constraint(
-            {v: ONE for v in self.q_var.values()}, "=", ONE, name="mass"
+            dict.fromkeys(self.q_var.values(), 1), "=", 1, name="mass", den=1
         )
         model, tree = enl.model, enl.model.tree
         # each path's variable with its enlarged path
         support = list(zip(self.q_var.values(), enl.epaths))
-        steps = model.base_steps()
+        steps, den = model.base_steps()
         moves = ((var, v, steps[b]) for var, ep in support
                  for v, b in zip(ep.node_seq, tree.paths[ep.base_index][1:]))
-        self.mart_rows = _add_martingale_rows(self.lp, moves, lambda v: enl.enode(v).label)
+        self.mart_rows = _add_martingale_rows(self.lp, moves, den, lambda v: enl.enode(v).label)
 
         self.f_rows: list[int] = []
         # add_constraint drops the zero coefficients
@@ -320,7 +319,7 @@ class MeasurePolytope:
         work = self.lp.copy()
         rows = dict.fromkeys(self.price_rows if prices else (), ONE)
         for p, w in sorted(floor.items()):
-            rows[work.add_constraint({self.q_var[p]: ONE}, ">=", ZERO, name=f"pos[p{p}]")] = w
+            rows[work.add_constraint({self.q_var[p]: 1}, ">=", 0, name=f"pos[p{p}]", den=1)] = w
         return max_slack(work, rows)
 
     # -- independent re-validation ----------------------------------------
@@ -478,7 +477,7 @@ class MeasurePolytope:
         quotes += [(r, beta - shift) for r, shift, (_, beta)
                    in zip(self.g_rows, self.long_shifts, new.americans_long)]
         for r, rhs in quotes:
-            other.lp.rows[r].rhs = rhs
+            other.lp.put(r, rhs)
         return other
 
     def hedge_from(
@@ -724,7 +723,7 @@ def price_with_dual(
         rhs = [ZERO] * enl.num_paths
     out = solve(work)
     if out.status == "infeasible":
-        rate = sum((y * row.rhs for y, row in zip(out.farkas, work.rows) if y), ZERO)
+        rate = sum((y * Q(row.rhs, row.den) for y, row in zip(out.farkas, work.rows) if y), ZERO)
         ray, _ = pt.hedge_from(out.farkas, ONE)
         raise unbounded_ray(enl, side, sign, sign * rate, ray)
     if out.status != "optimal":

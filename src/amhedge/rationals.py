@@ -2,12 +2,11 @@
 
 Every price, payoff, probability and LP coefficient is an exact rational.
 gmpy2's mpq is used when it is installed and fractions.Fraction otherwise;
-both behave the same.  The simplex tableau (``amhedge.lp``) works on
-Python ints taken from numerators and denominators, so the choice of
-backend does not reach its pivots, and the pathwise re-checks of
-``hedging`` and ``measures`` and the certificate checks of ``lp`` put
-their rationals over one common denominator (``over_common``) and
-compare integers.  Floats are rejected
+both behave the same.  An LP (``amhedge.lp``) stores its rows in Python
+ints from the moment they are added, so the backend reaches no pivot;
+the pathwise re-checks of ``hedging`` and ``measures`` and the
+certificate checks of ``lp`` put their rationals over one common
+denominator (``over_common``) and compare integers.  Floats are rejected
 at the parsing boundary so no binary rounding can leak in.
 """
 from __future__ import annotations

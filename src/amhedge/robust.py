@@ -259,10 +259,9 @@ def verify_minimax(
         vertex_rows.append(lhs_lp.add_constraint(row, ">=", ZERO, name=f"vertex[{i}]"))
     for k in range(K):
         for p, ep in enumerate(space.epaths):
-            row = {}
-            for v in ep.node_seq:
-                row[mu[(k, v)]] = row.get(mu[(k, v)], ZERO) + ONE
-            lhs_lp.add_constraint(row, "=", ONE, name=f"unit[{k};p{p}]")
+            # one node per date on a path, so each mu enters once
+            row = {mu[(k, v)]: 1 for v in ep.node_seq}
+            lhs_lp.add_constraint(row, "=", 1, name=f"unit[{k};p{p}]", den=1)
     lhs_lp.set_objective("max", {u: ONE})
     lhs_out = solve(lhs_lp)
     if lhs_out.status != "optimal":
@@ -280,7 +279,7 @@ def verify_minimax(
     taus = enlarged_stopping_times(space)
     rhs_lp = LinearProgram()
     lam2 = [rhs_lp.add_var(f"lam[{i}]") for i in range(len(vertices))]
-    rhs_lp.add_constraint({var: ONE for var in lam2}, "=", ONE, name="simplex")
+    rhs_lp.add_constraint(dict.fromkeys(lam2, 1), "=", 1, name="simplex", den=1)
     u_k = [rhs_lp.add_var(f"u[{k}]", nonneg=False) for k in range(K)]
     for k in range(K):
         seen: set[tuple[Q, ...]] = set()

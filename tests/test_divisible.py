@@ -129,9 +129,9 @@ def _with_mixture_rows(prog, mixtures):
     for k, mix in enumerate(mixtures):
         coeffs, rhs = {}, ZERO
         for p, w in mix.items():
-            row = path_rows[f"hedge[p{p}]"]
-            rhs += w * row.rhs
-            for var, val in row.coeffs.items():
+            row_coeffs, row_rhs = path_rows[f"hedge[p{p}]"].rational()
+            rhs += w * row_rhs
+            for var, val in row_coeffs.items():
                 coeffs[var] = coeffs.get(var, ZERO) + w * val
         out.add_constraint(coeffs, ">=", rhs, name=f"mix[{k}]")
     return out

@@ -163,10 +163,11 @@ def test_extend_claim_super_needs_extra_clock(binomial_short_put):
 
 def test_stock_step(two_period):
     # the measure LP's table of stock moves, one per base edge
-    steps = two_period.base_steps()
-    # path 0 = r -> u -> uu: increments +1 then +2
-    assert steps["u"] == (ONE,)
-    assert steps["uu"] == (Q(2),)
+    steps, den = two_period.base_steps()
+    # path 0 = r -> u -> uu: increments +1 then +2, Python ints over den
+    assert [Q(m, den) for m in steps["u"]] == [ONE]
+    assert [Q(m, den) for m in steps["uu"]] == [Q(2)]
+    assert all(type(m) is int for move in steps.values() for m in move)
 
 
 def test_path_count_scales_with_clocks(two_period):

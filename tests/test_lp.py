@@ -1,20 +1,28 @@
 """Exact simplex solver: known optima, certificates, and a float oracle."""
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import io
+import json
 import random
 from math import gcd
 
 import pytest
 
+from amhedge import campaign
 from amhedge import lp as lpmod
+from amhedge.cli import main
 from amhedge.enlarged import enlarge
 from amhedge.hedging import detect_arbitrage, superhedge
 from amhedge.lp import LinearProgram, format_lp, max_slack, solve
-from amhedge.market import load_model
-from amhedge.measures import price_with_dual
+from amhedge.market import emit_model, load_model
+from amhedge.measures import build_polytope, price_with_dual
 from amhedge.rationals import ONE, Q, ZERO
 
+import conftest
 from conftest import binomial_put_book_dict
+from test_report_bytes import CAMPAIGN_MODELS, COMMANDS, CONFTEST_MODELS
 
 
 def test_two_variable_max():
@@ -328,11 +336,11 @@ def test_verify_optimal_rejects(build, field, j, delta, match):
     elif field == "primal":
         # the claimed value follows x, so only the targeted check fails
         x[j] += delta
-        value += lp.objective.get(j, ZERO) * delta
+        value += lp.objective.rational()[0].get(j, ZERO) * delta
     else:
         y[j] += delta
     with pytest.raises(lpmod.LPInternalError, match=match):
-        lpmod._verify_optimal(lp, x, y, value, lpmod._image(lp))
+        lpmod._verify_optimal(lp, x, y, value)
 
 
 @pytest.mark.parametrize("j, delta, match", [
@@ -347,7 +355,7 @@ def test_verify_farkas_rejects(j, delta, match):
     y = list(solve(lp).farkas)
     y[j] += delta
     with pytest.raises(lpmod.LPInternalError, match=match):
-        lpmod._verify_farkas(lp, y, lpmod._image(lp))
+        lpmod._verify_farkas(lp, y)
 
 
 @pytest.mark.parametrize("j, delta, match", [
@@ -362,7 +370,7 @@ def test_verify_ray_rejects(j, delta, match):
     d = list(solve(lp).ray)
     d[j] += delta
     with pytest.raises(lpmod.LPInternalError, match=match):
-        lpmod._verify_ray(lp, d, lpmod._image(lp))
+        lpmod._verify_ray(lp, d)
 
 
 def _random_lp(rng: random.Random):
@@ -393,23 +401,24 @@ def _check_against_highs(scipy_lin, lp: LinearProgram, out) -> None:
     codes = {"optimal": 0, "infeasible": 2, "unbounded": 3}  # linprog's res.status
     sign = -1.0 if lp.sense == "max" else 1.0
     c = [0.0] * lp.num_vars
-    for j, v in lp.objective.items():
+    for j, v in lp.objective.rational()[0].items():
         c[j] = sign * float(v)
     a_ub, b_ub = [], []
     a_eq, b_eq = [], []
     for row in lp.rows:
         dense = [0.0] * lp.num_vars
-        for j, v in row.coeffs.items():
+        coeffs, rhs = row.rational()
+        for j, v in coeffs.items():
             dense[j] = float(v)
         if row.rel == "<=":
             a_ub.append(dense)
-            b_ub.append(float(row.rhs))
+            b_ub.append(float(rhs))
         elif row.rel == ">=":
             a_ub.append([-v for v in dense])
-            b_ub.append(-float(row.rhs))
+            b_ub.append(-float(rhs))
         else:
             a_eq.append(dense)
-            b_eq.append(float(row.rhs))
+            b_eq.append(float(rhs))
     bounds = [(0, None) if pos else (None, None) for pos in lp.nonneg]
     res = scipy_lin.linprog(
         c, A_ub=a_ub or None, b_ub=b_ub or None,
@@ -587,7 +596,7 @@ def test_merged_lps_return_lifted_certificates():
     # the merged column's point and ray entries are the lifted ones
     for build in (_merged_max, _merged_infeasible, _merged_unbounded):
         lp = build()
-        pre = lpmod._Presolve(lp, lpmod._image(lp))
+        pre = lpmod._Presolve(lp)
         assert [r for r, *_ in pre.steps] == [0] and pre.rows == [1, 2][:lp.num_rows - 1]
     best = solve(_merged_max())
     assert (best.value, best.primal, best.duals, best.rows) == (Q(15, 2), [3, Q(3, 2), 1], [Q(-1, 2), Q(3, 2), Q(3, 2)], 2)
@@ -608,16 +617,16 @@ def test_lifted_certificates_reject_a_move(build, field, j, delta, check, match)
     out = solve(lp)
     vec = list(getattr(out, field))
     vec[j] += delta
-    image = lpmod._image(lp)
+    objective = lp.objective.rational()[0]
     with pytest.raises(lpmod.LPInternalError, match=match):
         if check == "optimal":
             x, y = (vec, out.duals) if field == "primal" else (out.primal, vec)
-            value = out.value + (lp.objective.get(j, ZERO) * delta if field == "primal" else 0)
-            lpmod._verify_optimal(lp, x, y, value, image)
+            value = out.value + (objective.get(j, ZERO) * delta if field == "primal" else 0)
+            lpmod._verify_optimal(lp, x, y, value)
         elif check == "farkas":
-            lpmod._verify_farkas(lp, vec, image)
+            lpmod._verify_farkas(lp, vec)
         else:
-            lpmod._verify_ray(lp, vec, image)
+            lpmod._verify_ray(lp, vec)
 
 
 def test_presolve_shrinks_the_binomial_measure_lp():
@@ -642,8 +651,8 @@ def _recording_tableau(check):
     """A _Tableau subclass calling check(tab, step) after every update.
 
     step is the (row, column) of a pivot, or None after set_costs.  The
-    tableau keeps the (rels, nonneg, image) of the presolved LP it was
-    built from as ``given``.
+    tableau keeps the (rows, nonneg) of the presolved LP it was built from
+    as ``given``.
     """
 
     class Recording(lpmod._Tableau):
@@ -739,9 +748,9 @@ def test_tableau_stores_only_nonzeros(monkeypatch):
                 pattern[c].add(i)
         assert tab.col_rows == pattern
         if tab.pivots == 0:
-            rels, nonneg, (*rows, _) = tab.given
-            stored = sum(1 + (not nonneg[j]) for a, _, _ in rows for j in a)
-            stored += sum((rel != "=") + 1 + (b != 0) for rel, (_, b, _) in zip(rels, rows))
+            rows, nonneg = tab.given
+            stored = sum(1 + (not nonneg[j]) for row in rows for j in row.coeffs)
+            stored += sum((row.rel != "=") + 1 + (row.rhs != 0) for row in rows)
             assert sum(map(len, tab.rows)) == stored
             fresh[id(tab)] = tab
 
@@ -754,32 +763,117 @@ def test_tableau_stores_only_nonzeros(monkeypatch):
     assert superhedge(enlarge(model, model.N + 1)).price == Q(52, 27)
 
 
-def test_one_integer_image_per_solve(monkeypatch):
-    # a solve converts each row and the objective once, and the image it
-    # hands the certificate check still equals a fresh conversion after
-    # the pivots: the tableau copies it and never writes into it
-    real = lpmod._integer_row
+def test_solve_converts_no_row(monkeypatch):
+    # every row is stored as integers when it is added, so a solve makes no
+    # rational-to-integer conversion, and it leaves the LP's rows, which
+    # the certificate checks read, exactly as they were
     calls = []
-    monkeypatch.setattr(lpmod, "_integer_row", lambda *args: calls.append(1) or real(*args))
-    handed = []
-    for name in ("_verify_optimal", "_verify_farkas", "_verify_ray"):
-        def hand(lp, *args, check=getattr(lpmod, name)):
-            fresh = [*(real(r.coeffs, r.rhs) for r in lp.rows), real(lp.objective, ZERO)]
-            handed.append(args[-1] == fresh)
-            check(lp, *args)
-        monkeypatch.setattr(lpmod, name, hand)
+    real = lpmod._integers
+    monkeypatch.setattr(lpmod, "_integers", lambda *args: calls.append(1) or real(*args))
     rng = random.Random(20261019)
     lps = [_random_lp(rng)[0] for _ in range(60)] + [_infeasible_lp(), _unbounded_lp()]
     statuses, pivots = set(), 0
     for lp in lps:
+        rows = list(lp.rows)
+        stored = [(dict(r.coeffs), r.rel, r.rhs, r.den, r.name) for r in rows]
         calls.clear()
-        handed.clear()
         out = solve(lp)
         statuses.add(out.status)
         pivots += out.pivots
-        assert len(calls) == lp.num_rows + 1
-        assert handed == [True]
+        assert calls == []
+        assert all(a is b for a, b in zip(lp.rows, rows))
+        assert [(r.coeffs, r.rel, r.rhs, r.den, r.name) for r in lp.rows] == stored
     assert statuses == {"optimal", "infeasible", "unbounded"} and pivots > len(lps)
+
+
+# (LPs the CLI fixtures ask, LPs with verify --models 1 --seed 3 as well,
+# sha256 of their sorted format_lp texts) as recorded when the LP stored
+# its rows as rationals: reading the integer rows back moves no text
+ASKED_FORMAT = (31, 309, "6d871da29fe15fc4021e37643b249ac27e65a8254f82de628d4da7d7e1d30944")
+
+
+@pytest.fixture(scope="module")
+def asked(tmp_path_factory):
+    """Every LP the CLI fixtures and ``verify --models 1 --seed 3`` solve, in
+    solve order: its format_lp text and its stored rows, objective last,
+    taken as the solve was asked."""
+
+    seen = []
+
+    class Asked(lpmod._Presolve):
+        def __init__(self, prog, *args):
+            seen.append((format_lp(prog), [*prog.rows, prog.objective]))
+            super().__init__(prog, *args)
+
+    models = [load_model(getattr(conftest, f"{name}_dict")()) for name in CONFTEST_MODELS]
+    models += [factory() for factory in CAMPAIGN_MODELS.values()]
+    path = tmp_path_factory.mktemp("asked") / "model.json"
+    with pytest.MonkeyPatch.context() as m, contextlib.redirect_stdout(io.StringIO()):
+        m.setattr(lpmod, "_Presolve", Asked)
+        # every campaign unit in this process, where the recorder sees it
+        m.setattr(campaign, "_worker_count", lambda units: 1)
+        for model in models:
+            path.write_text(json.dumps(emit_model(model)))
+            for command in sorted(COMMANDS):
+                assert main([*COMMANDS[command], "--model", str(path)]) == 0
+        cli = len(seen)
+        assert main(["verify", "--models", "1", "--seed", "3"]) == 0
+    return cli, seen
+
+
+def test_stored_rows_read_back_as_the_asked_lp(asked):
+    cli, seen = asked
+    texts = sorted(text for text, _ in seen)
+    digest = hashlib.sha256("\n\n".join(texts).encode()).hexdigest()
+    assert (cli, len(seen), digest) == ASKED_FORMAT
+
+
+def test_every_stored_entry_is_a_python_int(asked):
+    # the builders' integer rows and the rational entry's conversion alike:
+    # ints whatever the rational backend, no zero coefficient, den > 0
+    _, seen = asked
+    for text, rows in seen:
+        for row in rows:
+            assert type(row.rhs) is int and type(row.den) is int and row.den > 0, text
+            assert all(type(j) is int and type(a) is int and a
+                       for j, a in row.coeffs.items()), text
+
+
+def test_edits_on_a_copy_leave_the_source(monkeypatch):
+    # max_slack and at_quotes edit a copy through LinearProgram.put: the
+    # source keeps its rows, and the edited copy is the LP a fresh build gives
+    solved = []
+    monkeypatch.setattr(lpmod, "solve", lambda prog: solved.append(prog) or solve(prog))
+    rng = random.Random(20261020)
+    for _ in range(30):
+        lp, xs = _random_lp(rng)
+        before = format_lp(lp)
+        rows = {i: w for i, row in enumerate(lp.rows) if row.rel != "="
+                for w in [Q(rng.randint(1, 4), rng.randint(1, 3))]}
+        max_slack(lp, rows)
+        assert format_lp(lp) == before
+        fresh = LinearProgram(lp.name)
+        for j in xs:
+            fresh.add_var(lp.var_names[j], lp.nonneg[j])
+        s = fresh.add_var("_slack", nonneg=False)
+        for i, row in enumerate(lp.rows):
+            coeffs, rhs = row.rational()
+            if i in rows:
+                coeffs[s] = rows[i] if row.rel == "<=" else -rows[i]
+            fresh.add_constraint(coeffs, row.rel, rhs, row.name)
+        fresh.set_objective("max", {s: ONE})
+        assert format_lp(solved.pop()) == format_lp(fresh)
+        assert all(type(a) is int
+                   for r in fresh.rows for a in (*r.coeffs.values(), r.rhs, r.den))
+    model = load_model(binomial_put_book_dict(2, short_bid="1/2", long_ask="5/2"))
+    enl = enlarge(model, model.N)
+    pt = build_polytope(enl)
+    before = [(dict(r.coeffs), r.rhs, r.den) for r in pt.lp.rows]
+    for eps in (Q(-1, 3), Q(1, 8), ONE):
+        shifted = enl.with_model(model.shifted_prices(eps))
+        moved = pt.at_quotes(shifted)
+        assert [(r.coeffs, r.rhs, r.den) for r in pt.lp.rows] == before
+        assert format_lp(moved.lp) == format_lp(build_polytope(shifted).lp)
 
 
 def _start(rows, nonneg=(True, True, True)):
@@ -792,7 +886,7 @@ def _start(rows, nonneg=(True, True, True)):
     xs = [lp.add_var(f"x{j}", nonneg=pos) for j, pos in enumerate(nonneg)]
     for coeffs, rel, rhs in rows:
         lp.add_constraint({xs[j]: Q(v) for j, v in coeffs.items()}, rel, Q(rhs))
-    tab = lpmod._Tableau([row.rel for row in lp.rows], lp.nonneg, lpmod._image(lp))
+    tab = lpmod._Tableau(lp.rows, lp.nonneg)
     kind = lambda i: "slack" if tab.basis[i] == tab.slack_col[i] else "art"
     return [(tab.flip[i], kind(i)) for i in range(lp.num_rows)]
 
@@ -824,7 +918,7 @@ def test_arbitrage_lp_phase_1_pivots_only_the_equality_rows(binomial, monkeypatc
 
     def check(tab, step):
         if step is None:
-            costs.append((tab.pivots, tab.given[0].count("=")))
+            costs.append((tab.pivots, sum(row.rel == "=" for row in tab.given[0])))
 
     monkeypatch.setattr(lpmod, "_Tableau", _recording_tableau(check))
     assert not detect_arbitrage(enlarge(binomial, 0)).found

@@ -4,7 +4,9 @@ Each solve hands the LP it was asked to one ``amhedge.lp._Presolve``, so
 a recording subclass put in its place sees every LP as its caller built
 it, however the calling module imported ``solve``.  An LP's fingerprint
 covers its sense and objective, each row's name, relation, rhs and
-sorted coefficients, and every variable's name and sign restriction.
+sorted coefficients, read back as rationals (``_Row.rational``) so that
+how a row is stored moves no digest, and every variable's name and sign
+restriction.
 The sorted fingerprints of a run are hashed; a refactor that keeps every
 LP keeps the count and the digest, while one that adds, drops or
 reorders a row changes the digest.
@@ -41,8 +43,10 @@ def fingerprint(prog: lp.LinearProgram) -> str:
     def terms(coeffs):
         return " ".join(f"{j}:{rat_str(v)}" for j, v in sorted(coeffs.items()))
 
-    lines = [f"{prog.sense} {terms(prog.objective)}"]
-    lines += [f"{r.name} {r.rel} {rat_str(r.rhs)} | {terms(r.coeffs)}" for r in prog.rows]
+    lines = [f"{prog.sense} {terms(prog.objective.rational()[0])}"]
+    for r in prog.rows:
+        coeffs, rhs = r.rational()
+        lines.append(f"{r.name} {r.rel} {rat_str(rhs)} | {terms(coeffs)}")
     lines += [f"{name} {'+' if pos else 'free'}"
               for name, pos in zip(prog.var_names, prog.nonneg)]
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()

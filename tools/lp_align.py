@@ -55,13 +55,22 @@ def _worker(tree: str, argv: list[str]) -> None:
 
     solves: list[dict] = []
 
+    def rational(row):
+        """A row's coefficients and rhs as rationals; a tree that stores its
+        rows as rationals has no ``rational`` view and gives them as they are."""
+        return row.rational() if hasattr(row, "rational") else (row.coeffs, row.rhs)
+
+    def terms(coeffs):
+        return sorted((j, rat_str(v)) for j, v in coeffs.items())
+
     class Asked(lp._Presolve):
         def __init__(self, prog, *args):
+            objective = prog.objective
             solves.append({
                 "sense": prog.sense,
-                "objective": sorted((j, rat_str(v)) for j, v in prog.objective.items()),
-                "rows": [[r.name, r.rel, rat_str(r.rhs),
-                          sorted((j, rat_str(v)) for j, v in r.coeffs.items())]
+                "objective": terms(objective if isinstance(objective, dict)
+                                   else objective.rational()[0]),
+                "rows": [[r.name, r.rel, rat_str(rational(r)[1]), terms(rational(r)[0])]
                          for r in prog.rows],
                 "vars": [[name, bool(pos)] for name, pos in zip(prog.var_names, prog.nonneg)],
                 "pivots": [],
