@@ -751,14 +751,14 @@ def check_depth_zero() -> dict:
 # -- battery: singleton kernels degenerate to the classical engine --------------
 
 
-def check_singleton_robust(enl: EnlargedModel, enl_sup: EnlargedModel, laws: dict) -> dict:
+def check_singleton_robust(enl: EnlargedModel, enl_sup: EnlargedModel, laws: dict) -> None:
     """A one-vertex full-support family must reproduce classical answers.
 
     ``enl`` and ``enl_sup`` are the market's n = N and n = N + 1 spaces,
     ``laws`` its GeneratedModel's full-support laws.  A full-support
     family keeps every path, so the quasi-sure LPs, which read no
     kernel, would be check_duality's and check_sna's, whose records
-    hold their answers; the record here is empty.
+    hold their answers; this check raises on a failure and records nothing.
     """
     kids = enl.model.tree.children
     model = dataclasses.replace(enl.model, kernels={
@@ -768,7 +768,6 @@ def check_singleton_robust(enl: EnlargedModel, enl_sup: EnlargedModel, laws: dic
         raise PropertyViolation("singleton family reports arbitrage in a clean market")
     if supported_space(enl_sub) is not enl_sub or supported_space(enl_sup) is not enl_sup:
         raise PropertyViolation("singleton family cut a path")
-    return {}
 
 
 # -- battery: divisibility -----------------------------------------------------
@@ -928,15 +927,14 @@ def check_minimax_instance(rng: random.Random, enl: EnlargedModel) -> dict:
 
 
 def _main_unit(mseed: int) -> dict[str, dict]:
-    """One main-corpus model: its five battery records, by section."""
+    """One main-corpus model: its four battery records, by section."""
     gm = random_sna_model(random.Random(mseed))
     duality, prices, pt_sub, pt_sup, argmax = check_duality(gm.model)
     grid, sna = check_ftap_grid(pt_sub, expect="sna")
     chain = check_chain(sna, prices, pt_sub, pt_sup, argmax)
     degen = check_degenerations(pt_sub.enl, pt_sup.enl, sna, prices)
-    singleton = check_singleton_robust(pt_sub.enl, pt_sup.enl, gm.laws)
-    records = {"duality": duality, "ftap": grid, "chain": chain,
-               "degenerations": degen, "singleton": singleton}
+    check_singleton_robust(pt_sub.enl, pt_sup.enl, gm.laws)
+    records = {"duality": duality, "ftap": grid, "chain": chain, "degenerations": degen}
     return {key: {**rec, "seed": mseed} for key, rec in records.items()}
 
 
@@ -1084,8 +1082,7 @@ def run_campaign(
 
     sections: dict[str, list] = {
         "duality": [], "ftap": [], "chain": [], "degenerations": [],
-        "singleton": [], "adversarial": [], "divisibility": [],
-        "kernel": [], "minimax": [],
+        "adversarial": [], "divisibility": [], "kernel": [], "minimax": [],
     }
     main, adversarial, divisibility, kernel = (
         seeds(models), seeds(scaled(20)), seeds(scaled(20)), seeds(scaled(30)))
