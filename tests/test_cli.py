@@ -33,7 +33,7 @@ from amhedge.strategies import DEFAULT_ENUM_CAP
 from conftest import binomial_dict, binomial_put_book_dict, trinomial_kernels_dict
 from test_report_bytes import CAMPAIGN_MODELS
 
-VERIFY_SMALL_SHA256 = "084f9d8898e1c224ea9685e0b3aeb5a1e3c20a5f55af8c693e149bf8f2a05ec3"
+VERIFY_SMALL_SHA256 = "938fbf333608cb7886668fac4bdf4d81631cd2a26063091eafc9034bb2b30b5b"
 
 
 @pytest.fixture()
