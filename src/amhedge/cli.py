@@ -25,10 +25,9 @@ import sys
 from .campaign import run_campaign
 from .enlarged import enlarge
 from .errors import CapExceededError, ModelFormatError, PropertyViolation, SnaFailure
-from .hedging import detect_arbitrage
 from .lp import LPInternalError
 from .market import MarketModel, load_model
-from .measures import build_polytope, ftap_certificate, price_with_dual
+from .measures import build_polytope, ftap_arbitrage, ftap_certificate, price_with_dual
 from .rationals import rat_str
 from .robust import num_selectors, supported_space
 
@@ -155,7 +154,8 @@ def cmd_price(args) -> int:
 def cmd_ftap(args) -> int:
     model = _load(args)
     enl = enlarge(model, model.N)
-    cert = ftap_certificate(build_polytope(enl))
+    pt = build_polytope(enl)
+    cert = ftap_certificate(pt)
     doc = _config(args)
     doc["n"] = model.N
     doc["classical"] = {
@@ -166,8 +166,7 @@ def cmd_ftap(args) -> int:
         "paths": enl.num_paths,
     }
     if not cert.holds:
-        arb = detect_arbitrage(enl)
-        doc["classical"]["arbitrage"] = arb.to_json(enl)
+        doc["classical"]["arbitrage"] = ftap_arbitrage(pt, cert).to_json(enl)
     verdict = cert
     if model.kernels:
         space = supported_space(enl)

@@ -517,6 +517,9 @@ def subhedge_european(enl: EnlargedModel, psi: Sequence[Q]) -> HedgeReport:
 
 @dataclass
 class ArbitrageReport:
+    """A witness's expected gain under the space's path weights (0 and no
+    strategy where none exists), with its gain on each path."""
+
     gain: Q
     strategy: SemiStaticStrategy | None
     gains: dict[int, Q] = field(default_factory=dict)
@@ -531,6 +534,19 @@ class ArbitrageReport:
             "gain": rat_str(self.gain),
             "strategy": self.strategy.to_json(enl) if self.strategy else None,
         }
+
+
+def arbitrage_witness(enl: EnlargedModel, strat: SemiStaticStrategy, x: Q) -> ArbitrageReport:
+    """The report of a witness: check_hedge must pass x + Phi(p) >= 0 on every
+    path, and its expected gain under the path weights, the report's gain, be positive."""
+    gains, den = check_hedge(enl, strat, ONE, x, [ZERO] * enl.num_paths,
+                             kind="arbitrage witness")
+    (weights,), dw = over_common(enl.weight(p) for p in range(enl.num_paths))
+    gain = Q(sum(w * g for w, g in zip(weights, gains.values())), dw * den)
+    if gain <= ZERO:
+        raise PropertyViolation("arbitrage witness has no positive expected gain")
+    return ArbitrageReport(gain=gain, strategy=strat,
+                           gains={p: Q(g, den) for p, g in gains.items()})
 
 
 def detect_arbitrage(enl: EnlargedModel) -> ArbitrageReport:
@@ -562,12 +578,7 @@ def detect_arbitrage(enl: EnlargedModel) -> ArbitrageReport:
         return ArbitrageReport(gain=ZERO, strategy=None)
     if out.value < ZERO:
         raise PropertyViolation("arbitrage LP returned a negative optimum")
-    strat = g.strategy_at(out.primal)
-    gains, den = check_hedge(enl, strat, ONE, ZERO, [ZERO] * enl.num_paths,
-                             kind="arbitrage witness")
-    expected = sum(w * gain for gain, w in zip(gains.values(), weights))
-    if expected * int(out.value.denominator) != int(out.value.numerator) * dw * den:
+    report = arbitrage_witness(enl, g.strategy_at(out.primal), ZERO)
+    if report.gain != out.value:
         raise PropertyViolation("arbitrage witness expectation mismatch")
-    return ArbitrageReport(gain=out.value, strategy=strat,
-                           gains={p: Q(gain, den) for p, gain in gains.items()})
-
+    return report

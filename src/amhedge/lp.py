@@ -147,7 +147,8 @@ class LinearProgram:
     def copy(self) -> "LinearProgram":
         other = LinearProgram(self.name)
         other.var_names, other.nonneg = list(self.var_names), list(self.nonneg)
-        other.rows = [_Row(dict(r.coeffs), r.rhs, r.den, r.rel, r.name) for r in self.rows]
+        # a stored row is never written (see put), so the copy shares them
+        other.rows = list(self.rows)
         other.sense, other.objective = self.sense, self.objective
         return other
 
@@ -204,12 +205,14 @@ class _Tableau:
     dicts built from the LP's own integer rows, which the certificate
     checks read, so no pivot writes into the LP.
 
-    Starting basis: a row starts on its slack where the slack's entry is
-    positive, else on its artificial.  A row with a negative rhs is
-    negated, so every rhs starts nonnegative and a ``>=`` row becomes
-    ``<=``.  A homogeneous ``>=`` row (rhs 0) is negated too, so its slack
-    starts basic at 0 and phase 1 has no work on it: the arbitrage and
-    gain-cone LPs are mostly such rows.  The exception is a bound row,
+    Starting basis (``start``): a row starts on its slack where the slack's
+    entry is positive, else on an artificial, the only rows that get one.
+    That slack's column is the artificial it spares at cost 0, not -1, so
+    Bland's rule would enter it first, and a row's dual reads off either.
+    A row with a negative rhs is negated, so every rhs starts nonnegative
+    and a ``>=`` row becomes ``<=``.  A homogeneous ``>=`` row (rhs 0) is
+    negated too, so its slack starts basic at 0 and phase 1 has no work on
+    it: the arbitrage and gain-cone LPs are mostly such rows.  The exception is a bound row,
     y >= a nonnegative combination of nonnegative columns (see
     ``_bound_row``), such as a Snell row of a measure LP, in an LP whose
     origin violates some row.  On its artificial, the columns phase 1
@@ -243,8 +246,7 @@ class _Tableau:
             if row.rel != "=":
                 self.slack_col[i] = ncols
                 ncols += 1
-        self.art_col = list(range(ncols, ncols + m))
-        self.ncols = ncols + m
+        self.n_real = ncols
 
         # negated rows (their relation flips): every negative rhs, and every
         # homogeneous >= row but a bound row in an LP the origin violates
@@ -254,9 +256,17 @@ class _Tableau:
         self.flip = [row.rhs < 0 or (row.rhs == 0 and row.rel == ">=" and (
                          self.origin_feasible or not _bound_row(row.coeffs, nonneg)))
                      for row in rows]
+        # the starting basis: each row's slack where its entry is positive, else
+        # an artificial, numbered after every slack
+        self.start: list[int] = []
+        for i, (row, f) in enumerate(zip(rows, self.flip)):
+            on_slack = row.rel != "=" and (row.rel == "<=") != f
+            self.start.append(self.slack_col[i] if on_slack else ncols)
+            ncols += not on_slack
+        self.ncols = ncols
         self.rows: list[dict[int, int]] = []
         self.den: list[int] = []
-        self.basis: list[int] = []
+        self.basis = list(self.start)
         self.col_rows: list[set[int]] = [set() for _ in range(self.ncols + 1)]
         for i, row in enumerate(rows):
             sgn, b, d = -1 if self.flip[i] else 1, row.rhs, row.den
@@ -266,18 +276,17 @@ class _Tableau:
                 nc = self.neg_col[j]
                 if nc is not None:
                     sparse[nc] = -sgn * a
-            sc = self.slack_col[i]
+            sc, c0 = self.slack_col[i], self.start[i]
             if sc is not None:
                 sparse[sc] = sgn * d if row.rel == "<=" else -sgn * d
-            sparse[self.art_col[i]] = d
+            if c0 >= self.n_real:
+                sparse[c0] = d
             if b:
                 sparse[self.ncols] = sgn * b
             for c in sparse:
                 self.col_rows[c].add(i)
             self.rows.append(sparse)
             self.den.append(d)
-            # a slack with coefficient +1 starts basic at the nonnegative rhs
-            self.basis.append(sc if sc is not None and sparse[sc] > 0 else self.art_col[i])
         self.zrow: list[int] = [0] * (self.ncols + 1)
         self.zden = 1
         self.pivots = 0
@@ -385,10 +394,11 @@ class _Tableau:
                 for p, n in zip(self.pos_col, self.neg_col)]
 
     def duals(self, art_cost: int, sign: int) -> list[int]:
-        """sign * y over zden, y_r = cost(art_r) - reduced_cost(art_r) unflipped to row r."""
-        zrow, base = self.zrow, art_cost * self.zden
-        return [(zrow[c] - base if f else base - zrow[c]) * sign
-                for c, f in zip(self.art_col, self.flip)]
+        """sign * y over zden, y_r = cost(c) - reduced_cost(c) unflipped to row r, c its
+        starting column: an artificial at art_cost or a slack at 0."""
+        n, zrow, base = self.n_real, self.zrow, art_cost * self.zden
+        return [(zrow[c] - base * (c >= n) if f else base * (c >= n) - zrow[c]) * sign
+                for c, f in zip(self.start, self.flip)]
 
 
 def _bound_row(coeffs: dict[int, int], nonneg: list[bool]) -> bool:
@@ -565,7 +575,7 @@ def solve(lp: LinearProgram) -> LPOutcome:
     m = len(rows)
 
     # phase 1: drive artificials to zero; z = -zrow[-1]/zden < 0 is infeasible
-    tab.set_costs(dict.fromkeys(tab.art_col, -1), 1)
+    tab.set_costs({c: -1 for c in tab.start if c >= tab.n_real}, 1)
     if tab.run(tab.ncols, largest=False) is not None:  # pragma: no cover - bounded by 0
         raise LPInternalError("phase 1 unbounded")
     if tab.zrow[-1] > 0:
@@ -577,16 +587,15 @@ def solve(lp: LinearProgram) -> LPOutcome:
     # pivot leftover artificials out of the basis; their rows are at zero, so
     # the smallest nonzero real column works as a degenerate pivot.  Rows
     # with no such column are redundant and keep their artificial pinned at 0.
-    art_set = set(tab.art_col)
-    n_real = tab.ncols - m
+    n_real = tab.n_real
     for i in range(m):
-        if tab.basis[i] in art_set:
+        if tab.basis[i] >= n_real:
             c = min((k for k in tab.rows[i] if k < n_real), default=None)
             if c is not None:
                 tab.pivot(i, c)
 
     # phase 2, priced from the reduced objective's integers over the real
-    # columns (the artificials are the last m); by Dantzig's rule where the
+    # columns (the artificials come last); by Dantzig's rule where the
     # origin is feasible (see _Tableau)
     sign = 1 if lp.sense == "max" else -1
     costs = {}

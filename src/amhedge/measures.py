@@ -30,7 +30,8 @@ from typing import Callable, Hashable, Iterable, Iterator, Literal, Sequence
 
 from .enlarged import EnlargedModel, extend_claim
 from .errors import PropertyViolation, SnaFailure
-from .hedging import HedgeReport, SemiStaticStrategy, check_hedge, detect_arbitrage, unbounded_ray
+from .hedging import (ArbitrageReport, HedgeReport, SemiStaticStrategy, arbitrage_witness,
+                      check_hedge, detect_arbitrage, unbounded_ray)
 from .lp import LinearProgram, LPOutcome, Relation, max_slack, solve
 from .market import MarketModel
 from .rationals import ONE, ZERO, Q, over_common, rat_str, ratio_str
@@ -42,6 +43,7 @@ __all__ = [
     "DpReport",
     "build_polytope",
     "ftap_certificate",
+    "ftap_arbitrage",
     "check_sna",
     "price_with_dual",
     "martingale_increments",
@@ -604,11 +606,13 @@ def build_polytope(enl: EnlargedModel) -> MeasurePolytope:
 class MeasureCertificate:
     """The best uniform slack of a slack LP with its re-checked measure: a
     witness of (strict) no-arbitrage when the slack is positive, the best
-    failed slack otherwise, no measure where the polytope is empty."""
+    failed slack otherwise, no measure where the polytope is empty.  The
+    slack LP's verified outcome is kept for ftap_arbitrage."""
 
     measure: dict[int, Q] | None
     slack: Q | None
     ledger: list[dict] = field(default_factory=list)
+    outcome: LPOutcome | None = None
 
     @property
     def holds(self) -> bool:
@@ -644,6 +648,7 @@ def ftap_certificate(
             measure=None,
             slack=None,
             ledger=[{"constraint": "existence", "ok": False, "note": "no martingale measure"}],
+            outcome=out,
         )
     if out.status != "optimal":
         raise PropertyViolation(f"slack LP unexpectedly {out.status}")
@@ -651,7 +656,39 @@ def ftap_certificate(
     ok, ledger = pt.check(measure, min_slack=out.value, floor=floor, prices=prices)
     if not ok:
         raise PropertyViolation("slack witness failed re-validation")
-    return MeasureCertificate(measure=measure, slack=out.value, ledger=ledger)
+    return MeasureCertificate(measure=measure, slack=out.value, ledger=ledger, outcome=out)
+
+
+def ftap_arbitrage(pt: MeasurePolytope, cert: MeasureCertificate) -> ArbitrageReport:
+    """The arbitrage an ftap_certificate of pt proves, read off its slack
+    LP's verified multipliers y (optimal duals, or the Farkas vector of an
+    empty polytope) by hedge_from (sign +1), with x = y.b.
+
+    Path p's column has cost 0, so sum_r y_r A_rp >= 0, and row by row that
+    sum is at most Phi(p) + x - w_p (Snell blocks by _flow), w_p >= 0 the
+    multiplier of p's positivity row: Phi(p) >= w_p - x.  The free slack
+    column makes the slackened price rows' |y| and sum_p floor(p) w_p add up
+    to 1 (0 in a Farkas vector).  So s* < 0 (x = s* by strong duality) and
+    an empty polytope (x < 0) give Phi(p) >= -x > 0.  At s* = 0 the closed
+    slack LP ftap_certificate(pt, prices=False) decides: a positive slack is
+    a full-support measure inside the closed quotes, so no arbitrage; at
+    slack 0, x = 0 and sum_p floor(p) w_p = 1: Phi(p) >= w_p >= 0, positive
+    on some path.  arbitrage_witness re-checks x + Phi(p) >= 0 on every path and a
+    positive expected gain, the report's gain.
+    """
+    if cert.slack is not None and cert.slack >= ZERO:
+        if not cert.holds:
+            cert = ftap_certificate(pt, prices=False)
+        if cert.holds:
+            return ArbitrageReport(gain=ZERO, strategy=None)
+    y = cert.outcome.duals if cert.slack is not None else cert.outcome.farkas
+    strat, _ = pt.hedge_from(y, ONE)
+    return arbitrage_witness(pt.enl, strat, _rhs_value(y, pt.lp))
+
+
+def _rhs_value(y: Sequence[Q], lp: LinearProgram) -> Q:
+    """y.b over the rows of lp that y covers."""
+    return sum((v * Q(row.rhs, row.den) for v, row in zip(y, lp.rows) if v), ZERO)
 
 
 def check_sna(pt: MeasurePolytope) -> MeasureCertificate:
@@ -723,9 +760,8 @@ def price_with_dual(
         rhs = [ZERO] * enl.num_paths
     out = solve(work)
     if out.status == "infeasible":
-        rate = sum((y * Q(row.rhs, row.den) for y, row in zip(out.farkas, work.rows) if y), ZERO)
         ray, _ = pt.hedge_from(out.farkas, ONE)
-        raise unbounded_ray(enl, side, sign, sign * rate, ray)
+        raise unbounded_ray(enl, side, sign, sign * _rhs_value(out.farkas, work), ray)
     if out.status != "optimal":
         raise PropertyViolation(f"{side} measure LP unexpectedly {out.status}")
     price = out.value + shift

@@ -17,6 +17,7 @@ import pytest
 
 import amhedge.campaign as campaign
 import amhedge.cli as cli
+import amhedge.hedging as hedging
 import amhedge.lp as lpmod
 import amhedge.measures as measures
 import amhedge.strategies as strategies
@@ -26,7 +27,7 @@ from amhedge.errors import CapExceededError
 from amhedge.lp import LPInternalError
 from amhedge.market import emit_model, load_model
 from amhedge.measures import build_polytope
-from amhedge.rationals import rat
+from amhedge.rationals import Q, rat
 from amhedge.robust import supported_paths, supported_space
 from amhedge.strategies import DEFAULT_ENUM_CAP
 
@@ -189,31 +190,37 @@ def test_gamma_override_flips_ftap(model_file, capsys):
     assert doc["arbitrage"]["found"] is True
 
 
-def test_ftap_finds_a_gross_mispricing_in_one_pivot(tmp_path, capsys, monkeypatch):
+def test_ftap_reads_a_gross_mispricing_off_one_lp(tmp_path, capsys, monkeypatch):
     # a call bid of 200 over a payoff of at most 123: selling it gains on
-    # every path, and the arbitrage LP, priced by its largest reduced cost,
-    # takes one pivot where Bland's rule took 640 degenerate ones
-    pivots = []
+    # every path, and the slack LP's own duals are the witness, so ftap
+    # solves that one LP and builds no arbitrage LP
+    tableaus = []
 
     class Recording(lpmod._Tableau):
         def __init__(self, *args):
             super().__init__(*args)
-            pivots.append(0)
+            tableaus.append(self)
 
-        def pivot(self, r, c):
-            super().pivot(r, c)
-            pivots[-1] += 1
+    def no_gain_lp(*args, **kwargs):
+        raise AssertionError("ftap built a GainLP")
 
     monkeypatch.setattr(lpmod, "_Tableau", Recording)
+    monkeypatch.setattr(hedging.GainLP, "__init__", no_gain_lp)
+    data = binomial_put_book_dict(5, short_bid="200")
     path = tmp_path / "model.json"
-    path.write_text(json.dumps(binomial_put_book_dict(5, short_bid="200")))
+    path.write_text(json.dumps(data))
     code, out, _ = run(["ftap", "--model", str(path)], capsys)
-    assert code == 2
+    assert code == 2 and len(tableaus) == 1
     doc = json.loads(out)["classical"]
     assert doc["holds"] is False and doc["epsilon"] == "-1781/9"
-    assert doc["arbitrage"]["found"] is True and doc["arbitrage"]["gain"] == "6271/32"
-    *_, arbitrage = pivots  # the slack LP, then the arbitrage LP
-    assert len(pivots) == 2 and arbitrage <= 5
+    assert doc["arbitrage"]["found"] is True and doc["arbitrage"]["gain"] == "3653689/18432"
+    # the reported witness gains at least -s* = 1781/9 on every path
+    model = load_model(json.dumps(data).encode())
+    enl = enlarge(model, model.N)
+    pt = build_polytope(enl)
+    arb = measures.ftap_arbitrage(pt, measures.ftap_certificate(pt))
+    assert arb.to_json(enl) == doc["arbitrage"]
+    assert min(arb.gains.values()) >= Q(1781, 9)
 
 
 def test_parser_built_once_keeps_no_override_between_requests(model_file, capsys):

@@ -12,6 +12,7 @@ import dataclasses
 
 import pytest
 
+from amhedge import lp as lpmod
 from amhedge import measures
 from amhedge.enlarged import enlarge
 from amhedge.errors import PropertyViolation, SnaFailure
@@ -27,7 +28,7 @@ from amhedge.market import load_model
 from amhedge.measures import build_polytope, check_sna, price_with_dual
 from amhedge.rationals import ONE, Q, ZERO
 
-from conftest import binomial_dict
+from conftest import binomial_dict, binomial_put_book_dict
 
 
 def test_unique_measure_prices(binomial):
@@ -101,6 +102,28 @@ def test_arbitrage_restricted_to_paths(binomial):
     assert rep.found and rep.gain == Q(1, 2)
     assert list(rep.strategy.stock.values()) == [ONE]
     assert set(rep.gains) == {0}
+
+
+def test_arbitrage_lp_finds_a_gross_mispricing_in_one_pivot(monkeypatch):
+    # a call bid of 200 over a payoff of at most 123: the arbitrage LP,
+    # priced by its largest reduced cost, takes one pivot where Bland's
+    # rule took 640 degenerate ones
+    pivots = []
+
+    class Recording(lpmod._Tableau):
+        def __init__(self, *args):
+            super().__init__(*args)
+            pivots.append(0)
+
+        def pivot(self, r, c):
+            super().pivot(r, c)
+            pivots[-1] += 1
+
+    monkeypatch.setattr(lpmod, "_Tableau", Recording)
+    model = load_model(binomial_put_book_dict(5, short_bid="200"))
+    rep = detect_arbitrage(enlarge(model, model.N))
+    assert rep.found and rep.gain == Q(6271, 32)
+    assert len(pivots) == 1 and pivots[0] <= 5
 
 
 def test_arbitrage_from_cheap_european():

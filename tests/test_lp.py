@@ -141,7 +141,7 @@ def test_largest_cost_rule_falls_back_to_bland_on_a_cycle(monkeypatch):
 
     class Recording(lpmod._Tableau):
         def pivot(self, r, c):
-            not_largest.append(self.zrow[c] < max(self.zrow[:self.art_col[0]]))
+            not_largest.append(self.zrow[c] < max(self.zrow[:self.n_real]))
             super().pivot(r, c)
 
     monkeypatch.setattr(lpmod, "_Tableau", Recording)
@@ -737,7 +737,7 @@ def test_tableau_stores_only_nonzeros(monkeypatch):
     # no stored entry is 0, col_rows is the rows' exact nonzero pattern,
     # and before any pivot the rows hold the presolved LP's nonzeros (free
     # variables twice), one slack per inequality, one artificial per row
-    # and the nonzero right-hand sides
+    # that does not start on its slack and the nonzero right-hand sides
     fresh = {}
 
     def check(tab, step):
@@ -750,7 +750,12 @@ def test_tableau_stores_only_nonzeros(monkeypatch):
         if tab.pivots == 0:
             rows, nonneg = tab.given
             stored = sum(1 + (not nonneg[j]) for row in rows for j in row.coeffs)
-            stored += sum((row.rel != "=") + 1 + (row.rhs != 0) for row in rows)
+            on_slack = [sc is not None and tab.rows[i][sc] > 0
+                        for i, sc in enumerate(tab.slack_col)]
+            assert [c < tab.n_real for c in tab.start] == on_slack
+            assert tab.basis == tab.start and len(set(tab.start)) == len(rows)
+            stored += sum((row.rel != "=") + (not slack) + (row.rhs != 0)
+                          for row, slack in zip(rows, on_slack))
             assert sum(map(len, tab.rows)) == stored
             fresh[id(tab)] = tab
 

@@ -14,14 +14,19 @@ import random
 
 import pytest
 
+import amhedge.lp as lpmod
+from amhedge import measures
+from amhedge.campaign import boundary_model, inject_arbitrage, random_sna_model
 from amhedge.enlarged import enlarge, extend_claim
 from amhedge.errors import PropertyViolation, SnaFailure
 from amhedge.lp import format_lp, solve
+from amhedge.hedging import check_hedge, detect_arbitrage
 from amhedge.market import load_model
 from amhedge.measures import (
     build_polytope,
     dp_superhedge,
     e2_chain,
+    ftap_arbitrage,
     ftap_certificate,
     lift_measure_uniform_clock,
     price_with_dual,
@@ -33,7 +38,7 @@ from amhedge.rationals import ONE, Q, ZERO
 from amhedge.robust import drop_options, supported_paths, supported_space
 from amhedge.strategies import StoppingTime, enlarged_stopping_times
 
-from conftest import binomial_dict, binomial_put_book_dict, unbranched_book_dicts
+from conftest import binomial_dict, binomial_put_book_dict, trinomial_dict, unbranched_book_dicts
 from test_lp_fingerprints import recorded  # noqa: F401  (fixture)
 from test_report_bytes import CAMPAIGN_MODELS, CONFTEST_MODELS, _model
 
@@ -334,11 +339,13 @@ def test_polytope_at_other_quotes_is_the_rebuilt_polytope():
     enl = enlarge(model, model.N)
     pt = build_polytope(enl)
     assert pt.f_rows and pt.g_rows and pt.h_rows
+    source = format_lp(pt.lp)
     for eps in (Q(-1, 3), Q(1, 8), ONE):
         shifted = enl.with_model(model.shifted_prices(eps))
         moved = pt.at_quotes(shifted)
         assert format_lp(moved.lp) == format_lp(build_polytope(shifted).lp)
-        assert moved.enl is shifted and moved.lp.rows[0] is not pt.lp.rows[0]
+        # the copy shares the source's rows; moving its quotes leaves the source
+        assert moved.enl is shifted and format_lp(pt.lp) == source
     assert format_lp(pt.lp) == format_lp(build_polytope(enl).lp)
     with pytest.raises(ValueError):
         pt.at_quotes(enlarge(model, model.N))
@@ -379,3 +386,151 @@ def test_dp_equals_the_stock_only_measure_lp(name, request, recorded):
     assert dp.value == price
     assert len(set(recorded)) == len(recorded) == dp.lp_count
 
+
+
+# markets whose ftap certificate fails, by the branch of ftap_arbitrage they take
+ARBITRAGE_BOOKS = {
+    # s* < 0: a short call bid above its largest payoff, 11 at S = 16, and
+    # a long put asked below its exercise value 1 at the root
+    "short_bid_high": (binomial_put_book_dict(2, short_bid="12"), "s* < 0"),
+    "long_ask_low": (binomial_put_book_dict(2, long_ask="1/2"), "s* < 0"),
+    # s* = 0: a European paying 1 on the up move and quoted at 0 leaves
+    # the one measure on the middle path (closed slack 0) ...
+    "european_zero": ({**trinomial_dict(), "europeans": [
+        {"payoff": {"a": "1", "b": "0", "c": "0"}, "price": "0"}]}, "closed slack 0"),
+    # ... and the claim's payoff quoted at its one martingale price 1/3
+    # leaves that full-support measure (closed slack 1/3)
+    "european_fair": (binomial_dict(europeans=[
+        {"payoff": {"u": "1", "d": "0"}, "price": "1/3"}]), "closed slack > 0"),
+    # no martingale measure: the stock rises on both paths
+    "stock_rises": (binomial_dict(
+        stock={"dim": 1, "values": {"r": ["1"], "u": ["2"], "d": ["3/2"]}}), "empty"),
+}
+
+
+def _arbitrage_market(name: str):
+    """An ARBITRAGE_BOOKS market, or a campaign market: ``inject<seed>``
+    moves a quote past its polytope extreme, ``boundary<seed>`` pins one on it."""
+    if name in ARBITRAGE_BOOKS:
+        return load_model(ARBITRAGE_BOOKS[name][0])
+    kind, seed = name[:-1], int(name[-1])
+    rng = random.Random(100 + seed)
+    gm = random_sna_model(rng, require_option=True)
+    if kind == "inject":
+        return inject_arbitrage(rng, gm)[0]
+    return boundary_model(random.Random(200 + seed), gm, ZERO)[0]
+
+
+def _branch(pt, cert) -> str:
+    if cert.slack is None:
+        return "empty"
+    if cert.slack < ZERO:
+        return "s* < 0"
+    return "closed slack 0" if not ftap_certificate(pt, prices=False).holds else "closed slack > 0"
+
+
+@pytest.mark.parametrize("name", [*ARBITRAGE_BOOKS, *(f"{kind}{seed}" for kind in (
+    "inject", "boundary") for seed in range(5))])
+def test_ftap_arbitrage_agrees_with_the_arbitrage_lp(name, monkeypatch):
+    model = _arbitrage_market(name)
+    enl = enlarge(model, model.N)
+    pt = build_polytope(enl)
+    cert = ftap_certificate(pt)
+    branch = _branch(pt, cert)
+    assert branch == ARBITRAGE_BOOKS.get(name, (None, branch))[1]
+    tableaus = []
+
+    class Recording(lpmod._Tableau):
+        def __init__(self, *args):
+            super().__init__(*args)
+            tableaus.append(self)
+
+    monkeypatch.setattr(lpmod, "_Tableau", Recording)
+    arb = ftap_arbitrage(pt, cert)
+    # only s* = 0 solves an LP more, the closed slack LP
+    assert len(tableaus) == (branch.startswith("closed"))
+    monkeypatch.undo()
+    assert not cert.holds and arb.found == detect_arbitrage(enl).found
+    assert arb.found == (branch != "closed slack > 0")
+    if not arb.found:
+        assert (arb.gain, arb.strategy) == (ZERO, None)
+        return
+    gains, den = check_hedge(enl, arb.strategy, ONE, ZERO, [ZERO] * enl.num_paths, kind="test")
+    assert arb.gains == {p: Q(g, den) for p, g in gains.items()}
+    assert arb.gain == sum(enl.weight(p) * g for p, g in arb.gains.items()) > ZERO
+    if branch == "s* < 0":
+        assert min(arb.gains.values()) >= -cert.slack
+
+
+def _cont_row_at_its_stop(pt, y):
+    """A cont row of the first long's Snell block whose run passes on all
+    the mass its stop row leaves (MeasurePolytope._flow, read off y)."""
+    block, kids = pt.long_blocks[0], pt.enl.children
+    inflow = dict.fromkeys(pt.enl.roots, y[pt.g_rows[0]])
+    for h, run in pt._runs.items():
+        mass = inflow.pop(h)
+        _, stop, cont = block[h]
+        if cont is not None:
+            mass += y[cont]
+            inflow.update((kid, -y[cont]) for kid in kids[run[-1]])
+            if stop is not None and mass == -y[stop]:
+                return cont
+    raise AssertionError("no run is tight")
+
+
+TINY = Q(1, 10**30)
+# (market, the moved entry, its move, the raise): the mass row's
+# multiplier is y.b's, so moving it down asks each path for TINY more
+REJECTIONS = {
+    "optimal duals": ("short_bid_high", lambda pt, y: pt.mass_row, -TINY,
+                      "arbitrage witness hedge fails on path"),
+    "closed duals": ("european_zero", lambda pt, y: pt.mass_row, -TINY,
+                     "arbitrage witness hedge fails on path"),
+    "farkas vector": ("stock_rises", lambda pt, y: pt.mass_row, -TINY,
+                      "arbitrage witness hedge fails on path"),
+    "negative position": ("short_bid_high_and_dear_bond", lambda pt, y: pt.f_rows[0], -TINY,
+                          "arbitrage witness hedge holds a negative static"),
+    "snell flow": ("long_ask_low", _cont_row_at_its_stop, -TINY,
+                   "Snell block multipliers lose mass"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REJECTIONS))
+def test_ftap_arbitrage_rejects_a_moved_multiplier(case, monkeypatch):
+    name, entry, delta, message = REJECTIONS[case]
+    if name == "short_bid_high_and_dear_bond":
+        # a bond paying 1 asked at 2: the slack LP leaves its row slack, dual 0
+        data = binomial_put_book_dict(2, short_bid="12")
+        leaves = [v for v in data["weights"]]
+        data["europeans"] = [{"payoff": dict.fromkeys(leaves, "1"), "price": "2"}]
+        model = load_model(data)
+    else:
+        model = _arbitrage_market(name)
+    enl = enlarge(model, model.N)
+    pt = build_polytope(enl)
+    cert = given = ftap_certificate(pt)
+    if cert.slack == ZERO:
+        # ftap_arbitrage reads the closed slack LP it solves: hand it ours,
+        # then the moved copy below
+        cert = ftap_certificate(pt, prices=False)
+        monkeypatch.setattr(measures, "ftap_certificate", lambda *args, **kwargs: cert)
+    key = "farkas" if cert.slack is None else "duals"
+    assert ftap_arbitrage(pt, given).found
+    y = list(getattr(cert.outcome, key))
+    y[entry(pt, y)] += delta
+    cert = dataclasses.replace(cert, outcome=dataclasses.replace(cert.outcome, **{key: y}))
+    with pytest.raises(PropertyViolation, match=message):
+        ftap_arbitrage(pt, cert if given.slack != ZERO else given)
+
+
+def test_ftap_arbitrage_rejects_a_witness_without_expected_gain(monkeypatch):
+    # the zero vector on the closed branch passes check_hedge with x = 0 on
+    # every path, and gains nothing
+    enl = enlarge(_arbitrage_market("european_zero"), 0)
+    pt = build_polytope(enl)
+    closed = ftap_certificate(pt, prices=False)
+    zero = dataclasses.replace(closed, outcome=dataclasses.replace(
+        closed.outcome, duals=[ZERO] * len(closed.outcome.duals)))
+    monkeypatch.setattr(measures, "ftap_certificate", lambda *args, **kwargs: zero)
+    with pytest.raises(PropertyViolation, match="no positive expected gain"):
+        ftap_arbitrage(pt, closed)
