@@ -394,6 +394,10 @@ ARBITRAGE_BOOKS = {
     # a long put asked below its exercise value 1 at the root
     "short_bid_high": (binomial_put_book_dict(2, short_bid="12"), "s* < 0"),
     "long_ask_low": (binomial_put_book_dict(2, long_ask="1/2"), "s* < 0"),
+    # the short bid again with a bond paying 1 asked at 2, whose row the
+    # slack LP leaves slack, so its multiplier is 0
+    "short_bid_high_dear_bond": ({**binomial_put_book_dict(2, short_bid="12"), "europeans": [
+        {"payoff": dict.fromkeys(("ruu", "rud", "rdu", "rdd"), "1"), "price": "2"}]}, "s* < 0"),
     # s* = 0: a European paying 1 on the up move and quoted at 0 leaves
     # the one measure on the middle path (closed slack 0) ...
     "european_zero": ({**trinomial_dict(), "europeans": [
@@ -437,7 +441,8 @@ def test_ftap_arbitrage_agrees_with_the_arbitrage_lp(name, monkeypatch):
     pt = build_polytope(enl)
     cert = ftap_certificate(pt)
     branch = _branch(pt, cert)
-    assert branch == ARBITRAGE_BOOKS.get(name, (None, branch))[1]
+    if name in ARBITRAGE_BOOKS:
+        assert branch == ARBITRAGE_BOOKS[name][1]
     tableaus = []
 
     class Recording(lpmod._Tableau):
@@ -488,7 +493,7 @@ REJECTIONS = {
                      "arbitrage witness hedge fails on path"),
     "farkas vector": ("stock_rises", lambda pt, y: pt.mass_row, -TINY,
                       "arbitrage witness hedge fails on path"),
-    "negative position": ("short_bid_high_and_dear_bond", lambda pt, y: pt.f_rows[0], -TINY,
+    "negative position": ("short_bid_high_dear_bond", lambda pt, y: pt.f_rows[0], -TINY,
                           "arbitrage witness hedge holds a negative static"),
     "snell flow": ("long_ask_low", _cont_row_at_its_stop, -TINY,
                    "Snell block multipliers lose mass"),
@@ -498,14 +503,7 @@ REJECTIONS = {
 @pytest.mark.parametrize("case", sorted(REJECTIONS))
 def test_ftap_arbitrage_rejects_a_moved_multiplier(case, monkeypatch):
     name, entry, delta, message = REJECTIONS[case]
-    if name == "short_bid_high_and_dear_bond":
-        # a bond paying 1 asked at 2: the slack LP leaves its row slack, dual 0
-        data = binomial_put_book_dict(2, short_bid="12")
-        leaves = [v for v in data["weights"]]
-        data["europeans"] = [{"payoff": dict.fromkeys(leaves, "1"), "price": "2"}]
-        model = load_model(data)
-    else:
-        model = _arbitrage_market(name)
+    model = _arbitrage_market(name)
     enl = enlarge(model, model.N)
     pt = build_polytope(enl)
     cert = given = ftap_certificate(pt)
