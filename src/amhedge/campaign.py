@@ -54,31 +54,6 @@ from .robust import (
 )
 from .strategies import count_enlarged_stopping_times
 
-__all__ = [
-    "EPS_GRID",
-    "BOUNDARY_OFFSET",
-    "GeneratedModel",
-    "strict_chain_market",
-    "random_tree",
-    "random_stock",
-    "node_interior",
-    "random_sna_model",
-    "inject_arbitrage",
-    "boundary_model",
-    "random_kernel_model",
-    "check_duality",
-    "check_ftap_grid",
-    "check_chain",
-    "check_degenerations",
-    "check_singleton_robust",
-    "check_divisibility",
-    "check_robust_model",
-    "selector_sweep",
-    "check_minimax_instance",
-    "check_depth_zero",
-    "run_campaign",
-]
-
 # strictly inside the smallest grid shift
 BOUNDARY_OFFSET = Q(1, 512)
 
@@ -900,9 +875,8 @@ def check_minimax_instance(rng: random.Random, enl: EnlargedModel) -> dict:
     """Liquidation/measure interchange on a kernel market's n = N space."""
     space = supported_space(enl)
     num_streams = rng.choice([1, 2])
-    streams = []
-    for _ in range(num_streams):
-        streams.append({v: _grid_value(rng, Q(-1), Q(2)) for v in space.children})
+    streams = [{v: _grid_value(rng, Q(-1), Q(2)) for v in space.children}
+               for _ in range(num_streams)]
     vertices = [vertex_measure(space, sel) for sel in selectors(enl.model)]
     if len(vertices) > 3:
         tilted = []
@@ -995,60 +969,10 @@ def _wedge_unit() -> None:
 
 
 def _worker_count(units: int) -> int:
-    """One worker per CPU this process may run on, at most one per unit."""
+    """One process per CPU this process may run on, at most one per unit."""
     if not hasattr(os, "sched_getaffinity") or not hasattr(os, "fork"):
         return 1
     return min(len(os.sched_getaffinity(0)), units)
-
-
-def _pool_futures(units: list[tuple], workers: int):
-    """A pool of ``workers`` forked processes running ``units``, with the
-    units' futures; None when a fork fails for want of memory or of a
-    process slot, after the workers already forked have been stopped."""
-    from concurrent.futures import ProcessPoolExecutor
-    from multiprocessing import active_children, get_context
-
-    before = set(active_children())
-    # forked workers start with the engine already imported; from Python
-    # 3.11 the pool forks them all at the first submit, before it starts a
-    # thread of its own
-    pool = ProcessPoolExecutor(workers, mp_context=get_context("fork"))
-    try:
-        return pool, [pool.submit(fn, *args) for fn, args in units]
-    except OSError:
-        for process in set(active_children()) - before:
-            process.terminate()
-            process.join()
-        pool.shutdown()
-        return None
-
-
-def _mapped(units: list[tuple]):
-    """Yield each unit's result in list order, raising a unit's exception in its place.
-
-    ``units`` are (function, args) pairs.  With more than one worker they
-    run on a pool of forked processes, else (or when no worker can be
-    forked) here; a worker that dies without an exception (the kernel's
-    out-of-memory killer, say) ends the campaign in MemoryError.  Closing
-    the generator cancels the units not started and waits for every
-    worker to exit.
-    """
-    workers = _worker_count(len(units))
-    started = _pool_futures(units, workers) if workers > 1 else None
-    if started is None:
-        for fn, args in units:
-            yield fn(*args)
-        return
-    from concurrent.futures.process import BrokenProcessPool
-
-    pool, futures = started
-    try:
-        for future in futures:
-            yield future.result()
-    except BrokenProcessPool as exc:
-        raise MemoryError("a campaign worker process died") from exc
-    finally:
-        pool.shutdown(cancel_futures=True)
 
 
 def run_campaign(
@@ -1063,11 +987,14 @@ def run_campaign(
     degenerations, and the singleton-family reduction per model.
     Derived corpora cover corroded and boundary-pinned prices,
     divisibility, kernel families, and the liquidation interchange.
-    Every unit's seed is drawn here, in campaign order; the units run on
-    every CPU the process may use (see _mapped), and their results are
-    read back in campaign order, so the report, the progress lines and
-    the first failure do not depend on the number of CPUs.
+    Every unit's seed is drawn here, in campaign order.  The units run in
+    this process and in one forked child per further CPU it may use (see
+    mapper), and their results are read back in campaign order, so the
+    report, the progress lines and the first failure do not depend on the
+    number of CPUs.
     """
+    from .mapper import map_units
+
     rng = random.Random(seed)
 
     def note(msg: str) -> None:
@@ -1096,7 +1023,9 @@ def run_campaign(
         + [(check_depth_zero, ()), (_wedge_unit, ())]
     )
     strict_gaps = 0
-    with contextlib.closing(_mapped(units)) as results:
+    # the strict-gap witness, the one fixed slow unit, is handed out first
+    mapped = map_units(units, _worker_count(len(units)), first=len(units) - 1)
+    with contextlib.closing(mapped) as results:
         for i, mseed in enumerate(main):
             for key, rec in next(results).items():
                 sections[key].append(rec)

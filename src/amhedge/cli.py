@@ -8,8 +8,8 @@ A report of price, ftap or enlarge-dump depends only on the model
 bytes, the command and --side; a verify report on --seed and --models.
 
 Exit codes: 0 success, 2 domain-level no-arbitrage failure, 3 cap
-exceeded (the fixed stopping-time guard, or out of memory; a verify
-worker process that dies without an exception, as one the kernel's
+exceeded (the fixed stopping-time guard, or out of memory; a child
+process of verify that dies without a result, as one the kernel's
 out-of-memory killer ends, counts as out of memory), 4 schema or usage
 error, 5 property violation or failed LP self-check (an internal
 cross-check failed, i.e. a bug).

@@ -27,8 +27,6 @@ from .market import MarketModel
 from .rationals import Q, rat_str
 from .strategies import indistinguishable_pairs
 
-__all__ = ["EPS_GRID", "DivisibilityReport", "RevealedModel", "verify_divisibility_equivalence"]
-
 # quote shifts swept by the no-arbitrage checks
 EPS_GRID = tuple(Q(1, 2 ** k) for k in range(1, 9))
 

@@ -37,25 +37,6 @@ from .market import MarketModel
 from .rationals import ONE, ZERO, Q, over_common, rat_str, ratio_str
 from .strategies import StoppingTime, enlarged_stopping_times
 
-__all__ = [
-    "MeasurePolytope",
-    "MeasureCertificate",
-    "DpReport",
-    "build_polytope",
-    "ftap_certificate",
-    "ftap_arbitrage",
-    "check_sna",
-    "price_with_dual",
-    "martingale_increments",
-    "one_step_polytope",
-    "dp_superhedge",
-    "lift_measure_uniform_clock",
-    "push_stopping_measure",
-    "snell_value",
-    "e2_chain",
-    "strict_value_bracket",
-]
-
 
 # mixture weights 1/2, 1/4, ... tried by the strict-interior line searches
 _HALVINGS = 12

@@ -92,16 +92,10 @@ def enumerate_stopping_times(roots: Sequence[Hashable],
         raise CapExceededError("stopping times", total, cap)
 
     def inner(v: Hashable, per_kid: list[list[frozenset]]) -> list[frozenset]:
-        out = [frozenset((v,))]
-        for combo in itertools.product(*per_kid):
-            out.append(frozenset().union(*combo))
-        return out
+        return [frozenset((v,))] + [frozenset().union(*c) for c in itertools.product(*per_kid)]
 
     per_root = list(_fold_up(roots, children, lambda v: [frozenset((v,))], inner))
-    taus = []
-    for combo in itertools.product(*per_root):
-        taus.append(StoppingTime(frozenset().union(*combo)))
-    return taus
+    return [StoppingTime(frozenset().union(*combo)) for combo in itertools.product(*per_root)]
 
 
 def count_enlarged_stopping_times(enl: EnlargedModel, cap: int = DEFAULT_ENUM_CAP) -> int:

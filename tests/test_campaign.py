@@ -1,12 +1,17 @@
 """Model factories and the seeded verification sweep."""
 from __future__ import annotations
 
+import contextlib
 import copy
 import json
 import os
 import random
+import signal
+import subprocess
 import sys
+import time
 from collections import Counter
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -29,6 +34,7 @@ from amhedge.campaign import (
 )
 from amhedge.enlarged import EnlargedModel, enlarge
 from amhedge.errors import PropertyViolation
+from amhedge.mapper import map_units
 from amhedge.market import emit_model, load_model
 from amhedge.measures import (
     build_polytope,
@@ -325,3 +331,107 @@ def test_report_does_not_depend_on_worker_count(seed, later, later_seed, monkeyp
     serial = _first_failure(monkeypatch, seed, 1)
     assert serial[0] == "the later unit"
     assert _first_failure(monkeypatch, seed, 2) == serial
+
+
+# -- mapper.map_units: this process and forked children draw the units ----------
+
+
+@contextlib.contextmanager
+def _deadline(seconds: int):
+    # a mapper that deadlocks fails the test instead of hanging the suite
+    def expired(signum, frame):
+        raise TimeoutError(f"the units did not come back within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _assert_reaped(pid: int) -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(pid, os.WNOHANG)
+    with pytest.raises(ProcessLookupError):
+        os.kill(pid, 0)
+
+
+def test_the_first_unit_is_handed_out_first():
+    # in one process the units run in hand-out order, and come back in list order
+    ran = []
+    assert list(map_units([(ran.append, (k,)) for k in range(5)], 1, first=3)) == [None] * 5
+    assert ran == [3, 0, 1, 2, 4]
+
+
+@needs_fork
+def test_more_units_than_a_pipe_holds_tickets_come_back_in_order():
+    # 20,000 four-byte tickets would not fit in a 64 KiB pipe
+    with _deadline(60):
+        assert list(map_units([(abs, (k,)) for k in range(20_000)], 2)) == list(range(20_000))
+
+
+@needs_fork
+def test_units_run_in_this_process_and_in_a_child(tmp_path):
+    log = tmp_path / "pids"
+
+    def unit(k):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        # hold the unit until both processes have drawn one
+        while len(set(log.read_text().split())) < 2:
+            time.sleep(0.005)
+        return k
+
+    with _deadline(60):
+        assert list(map_units([(unit, (k,)) for k in range(6)], 2, first=5)) == list(range(6))
+    pids = set(map(int, log.read_text().split()))
+    assert os.getpid() in pids and len(pids) == 2
+    _assert_reaped(max(pids - {os.getpid()}))
+
+
+def _child_in_a_pipe_write(folder: Path) -> int | None:
+    """The pid logged in ``folder``, once that process sleeps in a pipe write."""
+    for entry in folder.glob("[0-9]*"):
+        if Path(f"/proc/{entry.name}/wchan").read_text().endswith("pipe_write"):
+            return int(entry.name)
+    return None
+
+
+@needs_fork
+@pytest.mark.skipif(not Path("/proc/self/wchan").exists(), reason="reads /proc/<pid>/wchan")
+def test_child_killed_writing_a_result_ends_in_memory_error(tmp_path):
+    parent, killed, started = os.getpid(), [], tmp_path / "parent"
+
+    def unit():
+        if os.getpid() != parent:
+            (tmp_path / str(os.getpid())).touch()
+            # this process reads results while any are ready: hold the first
+            # one until it has drawn a unit of its own
+            while not started.exists():
+                time.sleep(0.005)
+            return bytes(1 << 20)  # 16 times what a pipe holds
+        started.touch()
+        if not killed:
+            # kill the child once it sleeps in the middle of writing its result
+            while (child := _child_in_a_pipe_write(tmp_path)) is None:
+                time.sleep(0.005)
+            os.kill(child, signal.SIGKILL)
+            killed.append(child)
+
+    with _deadline(60), pytest.raises(MemoryError, match="^a campaign worker process died$"):
+        list(map_units([(unit, ())] * 4, 2))
+    _assert_reaped(killed[0])
+
+
+def test_verify_imports_no_process_pool(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    script = ("import sys; from amhedge.cli import main; "
+              "code = main(['verify', '--models', '1', '--out', sys.argv[1]]); "
+              "print(code, sorted(m for m in sys.modules "
+              "if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "verify.json")],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.stdout == "0 []\n", proc.stderr

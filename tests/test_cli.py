@@ -5,7 +5,6 @@ import argparse
 import errno
 import hashlib
 import json
-import multiprocessing
 import os
 import signal
 import subprocess
@@ -600,10 +599,16 @@ def test_out_of_memory_under_an_address_space_limit(tmp_path):
 # -- verify's worker processes --------------------------------------------------
 
 
-def _in_workers(monkeypatch, tmp_path, act=None) -> Path:
-    """Run verify's units on two workers; log the pid of every process that
-    draws a market, and call ``act`` in each divisibility check a worker runs."""
-    monkeypatch.setattr(campaign, "_worker_count", lambda units: min(2, units))
+def _in_workers(monkeypatch, tmp_path, act=None, workers=2) -> Path:
+    """Run verify's units on ``workers`` processes, this one and forked
+    children; log the pid of every process that draws a market, and call
+    ``act`` in each divisibility check a child runs.
+
+    Units are handed out as processes come free, so each process holds its
+    first divisibility check until another process has started one too:
+    both this process and a child check a divisibility market.
+    """
+    monkeypatch.setattr(campaign, "_worker_count", lambda units: min(workers, units))
     parent, log = os.getpid(), tmp_path / "pids"
     draw, check = campaign.random_sna_model, campaign.check_divisibility
 
@@ -613,7 +618,11 @@ def _in_workers(monkeypatch, tmp_path, act=None) -> Path:
         return draw(*args, **kwargs)
 
     def checking(model):
-        if act is not None and os.getpid() != parent:
+        here, there = ("parent", "child") if os.getpid() == parent else ("child", "parent")
+        (tmp_path / here).touch()
+        while not (tmp_path / there).exists():
+            time.sleep(0.005)
+        if act is not None and here == "child":
             act()
         return check(model)
 
@@ -623,7 +632,7 @@ def _in_workers(monkeypatch, tmp_path, act=None) -> Path:
 
 
 def _verify_within(seconds: int, capsys) -> tuple[int, str, str]:
-    # a pool that lost a worker must not hang verify: fail the test instead
+    # a child that died must not hang verify: fail the test instead
     def expired(signum, frame):
         raise TimeoutError(f"verify did not return within {seconds} s")
 
@@ -636,13 +645,21 @@ def _verify_within(seconds: int, capsys) -> tuple[int, str, str]:
         signal.signal(signal.SIGALRM, previous)
 
 
-def _assert_no_worker_left(log: Path) -> None:
-    workers = set(map(int, log.read_text().split())) - {os.getpid()}
-    assert workers, "no unit ran in a worker"
-    assert multiprocessing.active_children() == []
-    for pid in workers:
-        with pytest.raises(ProcessLookupError):
-            os.kill(pid, 0)
+def _assert_reaped(pid: int) -> None:
+    # neither a child still to be waited for nor a process at all
+    with pytest.raises(ChildProcessError):
+        os.waitpid(pid, os.WNOHANG)
+    with pytest.raises(ProcessLookupError):
+        os.kill(pid, 0)
+
+
+def _assert_no_worker_left(log: Path) -> set[int]:
+    pids = set(map(int, log.read_text().split()))
+    children = pids - {os.getpid()}
+    assert children and os.getpid() in pids, "units did not run both here and in a child"
+    for pid in children:
+        _assert_reaped(pid)
+    return children
 
 
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="verify forks its workers")
@@ -679,16 +696,13 @@ def test_killed_worker_exits_with_the_cap_code(tmp_path, monkeypatch, capsys):
     _assert_no_worker_left(log)
 
 
-@needs_fork
-def test_failed_fork_runs_the_units_in_process(monkeypatch, capsys):
-    monkeypatch.setattr(campaign, "_worker_count", lambda units: 1)
-    expected = run(["verify", "--models", "1", "--seed", "3"], capsys)
-    # the first worker forks, the second finds no process slot left
-    monkeypatch.setattr(campaign, "_worker_count", lambda units: min(2, units))
+def _fork_fails_after(monkeypatch, forks: int) -> list[int]:
+    """Let the first ``forks`` forks happen and fail the next for want of a
+    process slot; the pids forked are listed in the list returned."""
     real, forked = os.fork, []
 
     def fork():
-        if forked:
+        if len(forked) == forks:
             raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
         pid = real()
         if pid:
@@ -696,7 +710,26 @@ def test_failed_fork_runs_the_units_in_process(monkeypatch, capsys):
         return pid
 
     monkeypatch.setattr(os, "fork", fork)
+    return forked
+
+
+@needs_fork
+def test_failed_fork_runs_the_units_in_process(monkeypatch, capsys):
+    monkeypatch.setattr(campaign, "_worker_count", lambda units: 1)
+    expected = run(["verify", "--models", "1", "--seed", "3"], capsys)
+    # two workers are this process and one child, whose fork fails
+    monkeypatch.setattr(campaign, "_worker_count", lambda units: min(2, units))
+    forked = _fork_fails_after(monkeypatch, 0)
     assert _verify_within(60, capsys) == expected
-    assert len(forked) == 1 and multiprocessing.active_children() == []
-    with pytest.raises(ProcessLookupError):
-        os.kill(forked[0], 0)
+    assert forked == []
+
+
+@needs_fork
+def test_second_failed_fork_leaves_its_units_to_the_others(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(campaign, "_worker_count", lambda units: 1)
+    expected = run(["verify", "--models", "1", "--seed", "3"], capsys)
+    # three workers: the first child forks, the second finds no process slot
+    log = _in_workers(monkeypatch, tmp_path, workers=3)
+    forked = _fork_fails_after(monkeypatch, 1)
+    assert _verify_within(60, capsys) == expected
+    assert len(forked) == 1 and _assert_no_worker_left(log) == set(forked)

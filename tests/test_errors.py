@@ -1,6 +1,6 @@
 """Every exception of amhedge.errors crosses a process boundary whole.
 
-verify's workers send a failed unit's exception back pickled, so each
+verify's forked children send a failed unit's exception back pickled, so each
 class must come back with its type, its message and its attributes.
 """
 from __future__ import annotations

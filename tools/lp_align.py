@@ -89,7 +89,7 @@ def _worker(tree: str, argv: list[str]) -> None:
             solves[-1]["value"] = None if self.value is None else rat_str(self.value)
 
     lp._Presolve, lp._Tableau, lp.LPOutcome = Asked, Recording, Outcome
-    # verify runs its campaign units in worker processes when it may use
+    # verify runs some campaign units in forked children when it may use
     # more than one CPU; on one CPU every solve happens here, where it is recorded
     if hasattr(os, "sched_setaffinity"):
         os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
