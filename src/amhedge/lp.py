@@ -1,13 +1,7 @@
 """Exact rational linear programming with verified certificates.
 
 Two-phase primal simplex over exact rationals, deterministic and
-finite.  Bland's rule picks each entering column, but in phase 2 of an
-LP whose origin satisfies every row, such as the arbitrage LP with all
-its homogeneous rows tight at the start, Dantzig's rule (the largest
-reduced cost) skips the long runs of degenerate pivots Bland's rule
-walks there; it hands over to Bland's rule after ``_DEGENERATE_RUN``
-degenerate pivots in a row, until a pivot moves the point.  On the path
-measure LPs, whose origin is infeasible, Dantzig's rule took more pivots.
+finite: Bland's rule picks every entering column in both phases.
 
 The tableau is sparse and fraction-free:
 each row is a dict of its nonzero Python ints over one positive
@@ -58,9 +52,6 @@ _MAX_PIVOTS = 5_000_000
 # bits than this: entries stay small without a dense gcd pass per update
 # (bounds from 30 to 120 bits timed the same)
 _REDUCE_BITS = 60
-# Dantzig's rule hands over to Bland's after this many degenerate pivots
-# in a row, until a pivot moves the point (see _Tableau.run)
-_DEGENERATE_RUN = 50
 
 
 class LPInternalError(RuntimeError):
@@ -196,8 +187,8 @@ class _Tableau:
     column index ``col_rows[c]`` is the set of rows with a nonzero in
     column c (``c = ncols`` for the rhs), so a pivot eliminates, and the
     ratio test visits, only those rows.  The objective row ``zrow`` stays a
-    dense list, the reduced costs and then -z over ``zden``, so either
-    rule's entering scan is one pass.  A row need not be in lowest terms (see
+    dense list, the reduced costs and then -z over ``zden``, so Bland's
+    entering scan is one pass.  A row need not be in lowest terms (see
     ``_eliminate``), but its denominator is positive, so an entry's sign is
     its numerator's sign and the ratio test compares rhs/entry by
     cross-multiplying (the row's common factor cancels).  Rationals are
@@ -354,37 +345,21 @@ class _Tableau:
                     leave, best_b, best_a = i, b, a
         return leave
 
-    def run(self, limit: int, largest: bool) -> int | None:
+    def run(self, limit: int) -> int | None:
         """Pivot until optimal (None) or unbounded (the entering column that no
-        row blocks), entering only columns below limit.
-
-        Bland's rule enters the first column with a positive reduced cost,
-        or, where largest is set, Dantzig's rule the largest, ties to the
-        smallest column, until _DEGENERATE_RUN pivots in a row leave the
-        point in place; Bland's rule then picks until a pivot moves the point.
-        Bland's rule cannot cycle, and the objective rises strictly at each
-        pivot that moves the point, so no basis comes back and the run ends.
-        """
-        degenerate = 0
+        row blocks), entering only columns below limit, by Bland's rule: the
+        first column with a positive reduced cost, which with the ratio test's
+        ties to the smallest basic column cannot cycle, so the run ends."""
         while True:
             zrow = self.zrow
-            if largest and degenerate < _DEGENERATE_RUN:
-                # the reduced costs share zden: their numerators compare as they stand
-                costs = zrow[:limit]
-                top = max(costs, default=0)
-                enter = costs.index(top) if top > 0 else -1
+            for enter in range(limit):
+                if zrow[enter] > 0:
+                    break
             else:
-                for enter in range(limit):
-                    if zrow[enter] > 0:
-                        break
-                else:
-                    enter = -1
-            if enter < 0:
                 return None
             r = self.leave(enter)
             if r < 0:
                 return enter
-            degenerate = 0 if self.ncols in self.rows[r] else degenerate + 1
             self.pivot(r, enter)
 
     def to_vars(self, vals: list[Q]) -> list[Q]:
@@ -576,7 +551,7 @@ def solve(lp: LinearProgram) -> LPOutcome:
 
     # phase 1: drive artificials to zero; z = -zrow[-1]/zden < 0 is infeasible
     tab.set_costs({c: -1 for c in tab.start if c >= tab.n_real}, 1)
-    if tab.run(tab.ncols, largest=False) is not None:  # pragma: no cover - bounded by 0
+    if tab.run(tab.ncols) is not None:  # pragma: no cover - bounded by 0
         raise LPInternalError("phase 1 unbounded")
     if tab.zrow[-1] > 0:
         farkas = pre.lift_duals(tab.duals(-1, 1), tab.zden, costs=False)
@@ -595,8 +570,7 @@ def solve(lp: LinearProgram) -> LPOutcome:
                 tab.pivot(i, c)
 
     # phase 2, priced from the reduced objective's integers over the real
-    # columns (the artificials come last); by Dantzig's rule where the
-    # origin is feasible (see _Tableau)
+    # columns (the artificials come last)
     sign = 1 if lp.sense == "max" else -1
     costs = {}
     for j, v in objective.coeffs.items():
@@ -604,7 +578,7 @@ def solve(lp: LinearProgram) -> LPOutcome:
         if tab.neg_col[j] is not None:
             costs[tab.neg_col[j]] = -sign * v
     tab.set_costs(costs, objective.den)
-    enter = tab.run(n_real, largest=tab.origin_feasible)
+    enter = tab.run(n_real)
 
     if enter is not None:
         direction = [ZERO] * tab.ncols

@@ -276,7 +276,7 @@ def test_run_campaign_is_deterministic():
 
 # -- the units run on every CPU, with the report of one -------------------------
 
-needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="the pool forks its workers")
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="the mapper forks its children")
 
 
 def _fail_when_drawn(monkeypatch, name: str, seed: int, message: str) -> None:

@@ -109,16 +109,15 @@ def test_degenerate_vertex():
 
 
 def test_unbounded_ray_follows_the_column_that_proved_it():
-    # max x + 2y s.t. x <= 1: the origin is feasible, so the largest reduced
-    # cost enters y, which no row blocks, though x is the first improving
-    # column; the ray is +y, found before any pivot
+    # max x + 2y s.t. x <= 1: Bland's rule enters x first, which x <= 1
+    # blocks, and then y, which no row blocks; the ray is +y, not +x
     lp = LinearProgram()
     x = lp.add_var("x")
     y = lp.add_var("y")
     lp.add_constraint({x: ONE}, "<=", ONE)
     lp.set_objective("max", {x: ONE, y: Q(2)})
     out = solve(lp)
-    assert (out.status, out.ray, out.pivots) == ("unbounded", [ZERO, ONE], 0)
+    assert (out.status, out.ray, out.pivots) == ("unbounded", [ZERO, ONE], 1)
 
 
 def _chvatal_lp() -> LinearProgram:
@@ -134,26 +133,35 @@ def _chvatal_lp() -> LinearProgram:
     return lp
 
 
-def test_largest_cost_rule_falls_back_to_bland_on_a_cycle(monkeypatch):
-    # after _DEGENERATE_RUN degenerate pivots Bland's rule enters a column
-    # whose reduced cost is not the largest, and the solve leaves the cycle
-    not_largest = []
-
-    class Recording(lpmod._Tableau):
-        def pivot(self, r, c):
-            not_largest.append(self.zrow[c] < max(self.zrow[:self.n_real]))
-            super().pivot(r, c)
-
-    monkeypatch.setattr(lpmod, "_Tableau", Recording)
+def test_bland_rule_leaves_chvatals_cycle():
+    # where the largest-coefficient rule cycles, Bland's rule reaches the
+    # optimum in a few pivots, well inside the default pivot budget
     out = solve(_chvatal_lp())
     assert (out.status, out.value, out.primal) == ("optimal", ONE, [ONE, ZERO, ONE, ZERO])
-    run = lpmod._DEGENERATE_RUN
-    assert not any(not_largest[:run]) and any(not_largest[run:])
-    # without the fallback the same rule never leaves the origin
-    monkeypatch.setattr(lpmod, "_DEGENERATE_RUN", 10**9)
-    monkeypatch.setattr(lpmod, "_MAX_PIVOTS", 1_000)
-    with pytest.raises(lpmod.LPInternalError, match="pivot budget"):
-        solve(_chvatal_lp())
+    assert out.pivots == 7
+
+
+def test_every_entering_column_is_the_first_with_a_positive_reduced_cost(monkeypatch, capsys):
+    # Bland's rule in both phases, on the random LPs and on the LPs of a
+    # verify campaign, where many start at a feasible origin
+    entered = []  # (the rule held, the tableau's origin is feasible)
+
+    class Recording(lpmod._Tableau):
+        def leave(self, enter):
+            first = next(c for c in range(self.ncols) if self.zrow[c] > 0)
+            entered.append((enter == first, self.origin_feasible))
+            return super().leave(enter)
+
+    monkeypatch.setattr(lpmod, "_Tableau", Recording)
+    rng = random.Random(20260814)
+    for _ in range(150):
+        solve(_random_lp(rng)[0])
+    # every campaign unit in this process, where the recorder sees it
+    monkeypatch.setattr(campaign, "_worker_count", lambda units: 1)
+    assert main(["verify", "--models", "1", "--seed", "3"]) == 0
+    capsys.readouterr()
+    assert all(held for held, _ in entered)
+    assert sum(feasible for _, feasible in entered) > 100
 
 
 def test_exact_rationals_no_drift():
@@ -678,9 +686,8 @@ def _rows(tab):
 
 def test_reduction_bound_moves_no_pivot(monkeypatch):
     # bound 0 puts every updated row in lowest terms; a huge bound reduces
-    # only the pivot row.  Bland's rule reads signs, Dantzig's compares the
-    # reduced costs over their one denominator and the ratio test compares
-    # within a row, so every outcome, certificate and pivot agrees.
+    # only the pivot row.  Bland's rule reads signs and the ratio test
+    # compares within a row, so every outcome, certificate and pivot agrees.
     rng = random.Random(20260814)
     lps = [_random_lp(rng)[0] for _ in range(150)] + [_infeasible_lp(), _unbounded_lp()]
     model = load_model(binomial_put_book_dict(4))  # degenerate: Bland's ties matter

@@ -9,7 +9,8 @@ how a row is stored moves no digest, and every variable's name and sign
 restriction.
 The sorted fingerprints of a run are hashed; a refactor that keeps every
 LP keeps the count and the digest, while one that adds, drops or
-reorders a row changes the digest.
+reorders a row changes the digest.  The same fingerprint without row and
+variable names counts the LPs that exactly repeat an earlier one.
 
 A recording ``amhedge.lp._Tableau``, which each solve builds once from
 the presolved LP, logs the (row, column) pair of every pivot.  Each LP's
@@ -37,27 +38,31 @@ EXPECTED_VERIFY = (278, "40b6c3e9cf91796d8d7db6d847d79e183bcfb86c94751a5ebc9f12a
 # (number of pivots, sha256 of the sorted (fingerprint, pivot sequence) pairs)
 EXPECTED_CLI_PIVOTS = (143, "0e5235b4cc845ea2cc3eb5d87f4b954c4dd23cefaf984df0d95e164aa1d96aa4")
 EXPECTED_VERIFY_PIVOTS = (1631, "b94e8969deb6d76b4614555cbf2363a95b3f9cf003191b0970653774c4cc7c5b")
+# LPs of the verify run that repeat an earlier one of it once names are ignored
+EXPECTED_VERIFY_REPEATS = 46
 
 
-def fingerprint(prog: lp.LinearProgram) -> str:
+def fingerprint(prog: lp.LinearProgram, named: bool = True) -> str:
     def terms(coeffs):
         return " ".join(f"{j}:{rat_str(v)}" for j, v in sorted(coeffs.items()))
 
     lines = [f"{prog.sense} {terms(prog.objective.rational()[0])}"]
     for r in prog.rows:
         coeffs, rhs = r.rational()
-        lines.append(f"{r.name} {r.rel} {rat_str(rhs)} | {terms(coeffs)}")
-    lines += [f"{name} {'+' if pos else 'free'}"
+        lines.append(f"{r.name if named else ''} {r.rel} {rat_str(rhs)} | {terms(coeffs)}")
+    lines += [f"{name if named else ''} {'+' if pos else 'free'}"
               for name, pos in zip(prog.var_names, prog.nonneg)]
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
 class Seen(list):
-    """Fingerprints of the recorded LPs, in solve order, with their pivots."""
+    """Fingerprints of the recorded LPs, in solve order, with their pivots and
+    their fingerprints without names."""
 
     def __init__(self):
         super().__init__()
         self.pivots: list[list[tuple[int, int]]] = []
+        self.unnamed: list[str] = []
 
 
 @pytest.fixture()
@@ -67,6 +72,7 @@ def recorded(monkeypatch):
     class Asked(lp._Presolve):
         def __init__(self, prog, *args):
             seen.append(fingerprint(prog))
+            seen.unnamed.append(fingerprint(prog, named=False))
             super().__init__(prog, *args)
 
     class Recording(lp._Tableau):
@@ -112,6 +118,7 @@ def test_verify_lp_fingerprints(recorded, monkeypatch, capsys):
     capsys.readouterr()
     assert _digest(recorded) == EXPECTED_VERIFY
     assert _pivot_digest(recorded) == EXPECTED_VERIFY_PIVOTS
+    assert len(recorded.unnamed) - len(set(recorded.unnamed)) == EXPECTED_VERIFY_REPEATS
 
 
 @pytest.mark.parametrize("side", ["sub", "super"])

@@ -10,7 +10,9 @@ relations, right-hand sides and coefficients, variables with their names
 and signs, status, value and pivot sequence), the pairs that agree
 once row and variable names are ignored, and the pairs that agree on all
 but the pivot sequence once names are ignored (``equal_but_pivots``: the
-same LP, status and value reached by other pivots).  Where one tree
+same LP, status and value reached by other pivots), and how many of
+those start at a feasible origin on both trees (``from_feasible_origin``,
+read off the tableau's ``origin_feasible``).  Where one tree
 solves more LPs than the other, solve order pairs every LP after the
 first dropped one with the wrong partner, so the request also lists
 the LPs only one side solves: the two trees' LPs compared as multisets
@@ -54,6 +56,7 @@ def _worker(tree: str, argv: list[str]) -> None:
     from amhedge.rationals import rat_str
 
     solves: list[dict] = []
+    origins: list[bool | None] = []  # per solve: does its tableau start at a feasible origin
 
     def rational(row):
         """A row's coefficients and rhs as rationals; a tree that stores its
@@ -78,6 +81,10 @@ def _worker(tree: str, argv: list[str]) -> None:
             super().__init__(prog, *args)
 
     class Recording(lp._Tableau):
+        def __init__(self, *args):
+            super().__init__(*args)
+            origins.append(getattr(self, "origin_feasible", None))
+
         def pivot(self, r, c):
             solves[-1]["pivots"].append([r, c])
             super().pivot(r, c)
@@ -100,7 +107,7 @@ def _worker(tree: str, argv: list[str]) -> None:
     finally:
         sys.stdout.close()
         sys.stdout = stdout
-    json.dump({"exit": code, "solves": solves}, stdout)
+    json.dump({"exit": code, "solves": solves, "origins": origins}, stdout)
 
 
 def _write_fixtures(head: Path, folder: Path) -> list[tuple[str, list[str]]]:
@@ -186,15 +193,19 @@ def align(base: dict, head: dict, show: int) -> tuple[dict, list[str]]:
     named = sum(a == b for a, b in pairs)
     unnamed = sum(_unnamed(a) == _unnamed(b) for a, b in pairs)
     pivots = sum(a["pivots"] == b["pivots"] for a, b in pairs)
-    outcomes = sum(_unnamed({**a, "pivots": None}) == _unnamed({**b, "pivots": None})
-                   for a, b in pairs)
+    same = [_unnamed({**a, "pivots": None}) == _unnamed({**b, "pivots": None}) for a, b in pairs]
+    outcomes = sum(same)
+    origins = zip(base.get("origins", []), head.get("origins", []))
+    feasible = sum(eq and a["pivots"] != b["pivots"] and f is g is True
+                   for eq, (a, b), (f, g) in zip(same, pairs, origins))
     moved: list[str] = []
     for a, b in pairs:
         moved += [f"{x} -> {y}" for x, y in zip(_names(a), _names(b)) if x != y]
     counts = {"exit": [base["exit"], head["exit"]],
               "lps": [len(base["solves"]), len(head["solves"])],
               "equal_with_names": named, "equal_without_names": unnamed,
-              "equal_pivots": pivots, "equal_but_pivots": outcomes - unnamed}
+              "equal_pivots": pivots, "equal_but_pivots": outcomes - unnamed,
+              "from_feasible_origin": feasible}
     return counts, moved[:show]
 
 
@@ -217,7 +228,7 @@ def main(argv: list[str] | None = None) -> int:
                      for s in opts.verify]
         requests += [(text, shlex.split(text)) for text in opts.request]
         total = {"lps": 0, "equal_with_names": 0, "equal_without_names": 0, "equal_pivots": 0,
-                 "equal_but_pivots": 0}
+                 "equal_but_pivots": 0, "from_feasible_origin": 0}
         aligned = True
         for label, request in requests:
             base, head = _run(opts.base, request), _run(opts.head, request)
@@ -227,7 +238,7 @@ def main(argv: list[str] | None = None) -> int:
                     and counts["equal_without_names"] == counts["equal_pivots"] == n)
             aligned &= same
             for key in ("equal_with_names", "equal_without_names", "equal_pivots",
-                        "equal_but_pivots"):
+                        "equal_but_pivots", "from_feasible_origin"):
                 total[key] += counts[key]
             total["lps"] += n
             print(f"{label}: {json.dumps(counts)}{'' if same else '  DIFFERS'}")
