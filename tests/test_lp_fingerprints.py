@@ -37,7 +37,7 @@ EXPECTED_CLI = (31, "888ac120ad3b52f3a14b2c36d20baf58b8b116cb40b6a3ba97a47726768
 EXPECTED_VERIFY = (278, "40b6c3e9cf91796d8d7db6d847d79e183bcfb86c94751a5ebc9f12a0d346527d")
 # (number of pivots, sha256 of the sorted (fingerprint, pivot sequence) pairs)
 EXPECTED_CLI_PIVOTS = (143, "0e5235b4cc845ea2cc3eb5d87f4b954c4dd23cefaf984df0d95e164aa1d96aa4")
-EXPECTED_VERIFY_PIVOTS = (1631, "b94e8969deb6d76b4614555cbf2363a95b3f9cf003191b0970653774c4cc7c5b")
+EXPECTED_VERIFY_PIVOTS = (1677, "87cf058d25e84708f30ebfebb02d66ab59ce06f0abb6c4bdab3520ec4af7853c")
 # LPs of the verify run that repeat an earlier one of it once names are ignored
 EXPECTED_VERIFY_REPEATS = 46
 
