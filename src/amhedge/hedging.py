@@ -8,6 +8,8 @@ b * mu is linearized by the substitution nu = b * mu, so every pricing
 problem below is an exact rational LP.  These hedge LPs are the
 campaign's reference prices and the pricer of the revealed-clock space;
 ``price`` reads its hedge off the measure LP (measures.price_with_dual).
+detect_arbitrage, verify's primal oracle of no arbitrage, caps its LP's
+expected gain, not its positions, so every stock position is one free column.
 
 Every LP and check here quantifies over all paths of the space it is
 given; a quasi-sure problem is given a kernel family's supported space
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import lcm
-from typing import Hashable, Iterable, Sequence
+from typing import Sequence
 
 from .enlarged import EnlargedModel, extend_claim
 from .errors import PropertyViolation, SnaFailure
@@ -37,49 +39,6 @@ from .rationals import ONE, ZERO, Q, over_common, rat, rat_str, ratio_str
 def _bump(row: dict[int, Q], var: int, val: Q) -> None:
     if val:
         row[var] = row[var] + val if var in row else val
-
-
-class StockPositions:
-    """Dynamic stock variables of one LP: H per (key, dim), or H+ and H-.
-
-    Split variables carry the l1 norm row; a free H is one column.
-    """
-
-    def __init__(
-        self, lp: LinearProgram, keys: Iterable[tuple[Hashable, str]], dims: int, *, split: bool
-    ) -> None:
-        self.lp = lp
-        self.split = split
-        self.pos: dict[tuple, int] = {}
-        self.neg: dict[tuple, int] = {}
-        for key, label in keys:
-            for d in range(dims):
-                if split:
-                    self.pos[(key, d)] = lp.add_var(f"H+[{label};{d}]")
-                    self.neg[(key, d)] = lp.add_var(f"H-[{label};{d}]")
-                else:
-                    self.pos[(key, d)] = lp.add_var(f"H[{label};{d}]", nonneg=False)
-
-    def add(self, row: dict[int, Q], key: Hashable, d: int, coef: Q) -> None:
-        """Add coef times the position (key, d) to a row."""
-        _bump(row, self.pos[(key, d)], coef)
-        if self.split:
-            _bump(row, self.neg[(key, d)], -coef)
-
-    def values(self, point: Sequence[Q]) -> dict[tuple, Q]:
-        """Nonzero positions at an LP point, keyed (key, dim)."""
-        vals = {
-            kd: point[var] - point[self.neg[kd]] if self.split else point[var]
-            for kd, var in self.pos.items()
-        }
-        return {kd: v for kd, v in vals.items() if v}
-
-    def add_norm_row(self, others: Iterable[int] = ()) -> int:
-        """l1 bound: every H+ and H- plus the ``others`` sum to at most 1."""
-        if not self.split:
-            raise ValueError("norm row needs split stock variables")
-        row = dict.fromkeys((*self.pos.values(), *self.neg.values(), *others), 1)
-        return self.lp.add_constraint(row, "<=", 1, name="norm", den=1)
 
 
 @dataclass
@@ -194,28 +153,25 @@ class GainLP:
     """Strategy variables on the enlarged space and the gain row of each path.
 
     Carry nodes are the nodes of the space's forest, trade nodes those of
-    them with children, both in index order, and there is one gain row
-    per path, which the caller adds.  The space's tied node pairs become
-    rows too (add_common_rows), in integers.  Gain rows, in rationals, read
-    tables per base edge (MarketModel.base_steps), base path and base node;
-    unlike MeasurePolytope's, the payoff tables are shifted by their quotes once.
+    them with children, both in index order; the stock is one free column
+    per (trade node, dim).  Each path has a gain row, which the caller
+    adds; the space's tied node pairs become rows too (add_common_rows), in
+    integers.  Gain rows, in rationals, read tables per base edge
+    (MarketModel.base_steps), base path and base node; unlike
+    MeasurePolytope's, the payoff tables are shifted by their quotes once.
     """
 
-    def __init__(
-        self,
-        enl: EnlargedModel,
-        *,
-        split_stock: bool = False,
-        add_x: bool = False,
-    ) -> None:
+    def __init__(self, enl: EnlargedModel, *, add_x: bool = False) -> None:
         self.enl = enl
         self.model = enl.model
         self.lp = LinearProgram()
         self.x = self.lp.add_var("x", nonneg=False) if add_x else None
 
         self.carry_nodes = list(enl.children)
-        labels = ((v, enl.enode(v).label) for v, kids in enl.children.items() if kids)
-        self.stock = StockPositions(self.lp, labels, self.model.stock.dim, split=split_stock)
+        self.stock = {
+            (v, d): self.lp.add_var(f"H[{enl.enode(v).label};{d}]", nonneg=False)
+            for v, kids in enl.children.items() if kids for d in range(self.model.stock.dim)
+        }
         # the static book a[i], b[j], c[k], listed per kind
         self.static = {
             kind: [self.lp.add_var(f"{kind}[{i}]") for i in range(count)]
@@ -248,7 +204,7 @@ class GainLP:
         row: dict[int, Q] = {}
         for v, nid in zip(seq, path[1:]):
             for d, move in enumerate(self.steps[nid]):
-                self.stock.add(row, v, d, move)
+                _bump(row, self.stock[(v, d)], move)
         for a, f in zip(self.static["a"], self.europe):
             _bump(row, a, f[ep.base_index])
         for b, nu, (g, minus_beta) in zip(self.static["b"], self.nu_var, self.longs):
@@ -277,9 +233,7 @@ class GainLP:
                 self.lp.add_constraint(row, "=", 0, name=f"liq[{j};p{p}]", den=1)
         for v, w in self.enl.tied_pairs:
             for d in range(self.model.stock.dim):
-                row = {}
-                self.stock.add(row, v, d, 1)
-                self.stock.add(row, w, d, -1)
+                row = {self.stock[(v, d)]: 1, self.stock[(w, d)]: -1}
                 self.lp.add_constraint(row, "=", 0, name=f"tie_H[{v}~{w};{d}]", den=1)
         for j, nu in enumerate(self.nu_var):
             self.tie(nu, f"tie_nu[{j}]")
@@ -287,15 +241,14 @@ class GainLP:
     def strategy_at(self, point: Sequence[Q]) -> SemiStaticStrategy:
         """The strategy whose positions are an LP point's (or ray's) entries."""
         book = {kind: [point[var] for var in vs] for kind, vs in self.static.items()}
+        nonzero = lambda cols: {key: point[var] for key, var in cols.items() if point[var]}
         return SemiStaticStrategy(
             dims=self.model.stock.dim,
-            stock=self.stock.values(point),
+            stock=nonzero(self.stock),
             long_european=book["a"],
             long_american=book["b"],
             short_american=book["c"],
-            liquidation=[
-                {v: point[var] for v, var in nu.items() if point[var]} for nu in self.nu_var
-            ],
+            liquidation=[nonzero(nu) for nu in self.nu_var],
         )
 
 
@@ -552,12 +505,14 @@ def arbitrage_witness(enl: EnlargedModel, strat: SemiStaticStrategy, x: Q) -> Ar
 def detect_arbitrage(enl: EnlargedModel) -> ArbitrageReport:
     """Search for a nonnegative gain with positive expectation.
 
-    max sum_p w(p) Phi(p)  s.t.  Phi(p) >= 0 on every path and
-    ||(H, a, b, c)||_1 <= 1.  By homogeneity the optimum is 0 exactly
-    when no arbitrage exists; any positive optimum scales freely, and
-    the optimizer is returned as a witness.
+    max sum_p w(p) Phi(p)  s.t.  Phi(p) >= 0 on every path and the row
+    ``cap``, sum_p w(p) Phi(p) <= 1.  The strategies with Phi >= 0 on every
+    path form a cone and the cap bounds only the objective, so the optimum
+    is 0 exactly when no arbitrage exists and 1 otherwise (a strategy of
+    positive expected gain scales onto the cap).  The origin is feasible
+    and the objective bounded; the optimizer is returned as a witness.
     """
-    g = GainLP(enl, split_stock=True)
+    g = GainLP(enl)
     rows = [g.lp.rows[g.lp.add_constraint(g.gain_coeffs(p), ">=", ZERO, name=f"nonneg[p{p}]")]
             for p in range(enl.num_paths)]
     # the objective in integers: path weights over dw, the stored path rows
@@ -569,15 +524,15 @@ def detect_arbitrage(enl: EnlargedModel) -> ArbitrageReport:
         for var, a in row.coeffs.items():
             sums[var] = sums.get(var, 0) + w * a * (dc // row.den)
     g.add_common_rows()
-    g.stock.add_norm_row(sum(g.static.values(), []))
+    g.lp.add_constraint(sums, "<=", dw * dc, name="cap", den=dw * dc)
     g.lp.set_objective("max", sums, den=dw * dc)
     out = solve(g.lp)
     if out.status != "optimal":
         raise PropertyViolation(f"arbitrage LP unexpectedly {out.status}")
     if out.value == ZERO:
         return ArbitrageReport(gain=ZERO, strategy=None)
-    if out.value < ZERO:
-        raise PropertyViolation("arbitrage LP returned a negative optimum")
+    if out.value != ONE:
+        raise PropertyViolation(f"arbitrage LP optimum {out.value} is neither 0 nor 1")
     report = arbitrage_witness(enl, g.strategy_at(out.primal), ZERO)
     if report.gain != out.value:
         raise PropertyViolation("arbitrage witness expectation mismatch")

@@ -164,9 +164,7 @@ def _reference_gain_row(g: GainLP, p: int) -> dict:
     for t in range(enl.horizon):
         now, nxt = model.stock.at(path[t]), model.stock.at(path[t + 1])
         for d, (a, b) in enumerate(zip(now, nxt)):
-            bump(g.stock.pos[(seq[t], d)], b - a)
-            if g.stock.split:
-                bump(g.stock.neg[(seq[t], d)], -(b - a))
+            bump(g.stock[(seq[t], d)], b - a)
     for i, (_, alpha) in enumerate(model.europeans):
         bump(g.static["a"][i], enl.european_value(i, p) - alpha)
     for j, (proc, beta) in enumerate(model.americans_long):
@@ -182,9 +180,9 @@ class _ReferenceGainLP(GainLP):
     gain_coeffs = _reference_gain_row
 
 
-def _gain_lp(cls, enl, **kw) -> LinearProgram:
+def _gain_lp(cls, enl) -> LinearProgram:
     """A GainLP's path rows, then its common rows (liquidation, ties)."""
-    g = cls(enl, **kw)
+    g = cls(enl)
     for p in range(enl.num_paths):
         g.lp.add_constraint(g.gain_coeffs(p), ">=", ZERO, name=f"gain[p{p}]")
     g.add_common_rows()
@@ -193,18 +191,17 @@ def _gain_lp(cls, enl, **kw) -> LinearProgram:
 
 def _assert_same_gain_lp(enl, paths=None) -> None:
     space = _restricted(enl, paths)
-    for split in (False, True):
-        lp = _gain_lp(GainLP, space, split_stock=split)
-        ref = _gain_lp(_ReferenceGainLP, space, split_stock=split)
-        assert format_lp(lp) == format_lp(ref)
-        assert [list(r.coeffs) for r in lp.rows] == [list(r.coeffs) for r in ref.rows]
+    lp = _gain_lp(GainLP, space)
+    ref = _gain_lp(_ReferenceGainLP, space)
+    assert format_lp(lp) == format_lp(ref)
+    assert [list(r.coeffs) for r in lp.rows] == [list(r.coeffs) for r in ref.rows]
     # positions are carried on the nodes of the listed paths and traded
     # on those before the horizon
     seqs = [enl.epaths[p].node_seq for p in sorted(set(range(enl.num_paths) if paths is None
                                                        else paths))]
     g = GainLP(space)
     assert g.carry_nodes == sorted({v for seq in seqs for v in seq})
-    assert sorted({v for v, _ in g.stock.pos}) == sorted({v for seq in seqs for v in seq[:-1]})
+    assert sorted({v for v, _ in g.stock}) == sorted({v for seq in seqs for v in seq[:-1]})
 
 
 @pytest.mark.parametrize("extra", [0, 1])

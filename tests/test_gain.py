@@ -83,12 +83,15 @@ def _dot(coeffs: dict[int, Q], x: list[Q]) -> Q:
     return sum((c * x[var] for var, c in coeffs.items()), ZERO)
 
 
-@pytest.mark.parametrize("split", [False, True])
+@pytest.mark.parametrize("restricted", [False, True])
 @pytest.mark.parametrize("extra_clock", [0, 1])
-def test_builder_matches_evaluator_on_every_path(model, split, extra_clock):
-    rng = random.Random(2016 + 2 * extra_clock + split)
+def test_builder_matches_evaluator_on_every_path(model, restricted, extra_clock):
+    # restricted: the space on its even-numbered paths (EnlargedModel.restricted)
+    rng = random.Random(2016 + 2 * extra_clock + restricted)
     enl = enlarge(model, model.N + extra_clock)
-    g = GainLP(enl, split_stock=split)
+    if restricted:
+        enl = enl.restricted(range(0, enl.num_paths, 2))
+    g = GainLP(enl)
     for _ in range(3):
         x = _random_positions(g, rng)
         gains = payoff_enlarged(enl, g.strategy_at(x))
@@ -120,7 +123,7 @@ def test_clock_indexed_copy_has_the_enlarged_gain(model, extra_clock):
                 x[nu[v]] = strat.liquidation[j].get(u, ZERO)
             if t < model.tree.horizon:
                 for d in range(model.stock.dim):
-                    x[clp.stock.pos[(v, d)]] = strat.stock.get((u, d), ZERO)
+                    x[clp.stock[(v, d)]] = strat.stock.get((u, d), ZERO)
     copied = clp.strategy_at(x)
     # an adapted strategy never reads a clock before it fires
     assert nonanticipative(rev, copied)

@@ -12,7 +12,8 @@ import dataclasses
 
 import pytest
 
-from amhedge import measures
+from amhedge import hedging, measures
+from amhedge.divisible import EPS_GRID
 from amhedge.enlarged import enlarge
 from amhedge.errors import PropertyViolation, SnaFailure
 from amhedge.hedging import (
@@ -23,11 +24,13 @@ from amhedge.hedging import (
     subhedge_european,
     superhedge,
 )
+from amhedge.lp import solve
 from amhedge.market import load_model
 from amhedge.measures import build_polytope, check_sna, price_with_dual
 from amhedge.rationals import ONE, Q, ZERO
 
 from conftest import binomial_dict, binomial_put_book_dict
+from test_report_bytes import CONFTEST_MODELS
 
 
 def test_unique_measure_prices(binomial):
@@ -96,21 +99,55 @@ def test_no_arbitrage_clean_market(binomial):
 
 
 def test_arbitrage_restricted_to_paths(binomial):
-    # on the up path alone one share held from r wins 1 and never loses
+    # on the up path alone a share held from r wins 1 and never loses; the
+    # cap scales it to two shares, an expected gain of 1 at weight 1/2
     rep = detect_arbitrage(enlarge(binomial, 0).restricted([0]))
-    assert rep.found and rep.gain == Q(1, 2)
-    assert list(rep.strategy.stock.values()) == [ONE]
-    assert set(rep.gains) == {0}
+    assert rep.found and rep.gain == ONE
+    assert list(rep.strategy.stock.values()) == [2]
+    assert rep.gains == {0: 2}
 
 
-def test_arbitrage_lp_finds_a_gross_mispricing():
+def test_arbitrage_lp_caps_the_expected_gain(request, monkeypatch):
+    # the cap row bounds the objective, not the positions: every witness
+    # gains exactly 1 in expectation, and each stock position is one free
+    # column per (trade node, dim), as in every other GainLP
+    asked = []
+    monkeypatch.setattr(hedging, "solve", lambda lp: asked.append(lp) or solve(lp))
+    found = 0
+    for name in CONFTEST_MODELS:
+        model = request.getfixturevalue(name)
+        for m in [model, *(model.shifted_prices(eps) for eps in EPS_GRID)]:
+            for n in (m.N, m.N + 1):
+                enl = enlarge(m, n)
+                rep = detect_arbitrage(enl)
+                assert rep.gain == (ONE if rep.found else ZERO)
+                found += rep.found
+                lp = asked[-1]
+                stock = [j for j, var in enumerate(lp.var_names) if var.startswith("H")]
+                assert [lp.var_names[j] for j in stock] == [
+                    f"H[{enl.enode(v).label};{d}]"
+                    for v, kids in enl.children.items() if kids for d in range(m.stock.dim)]
+                assert not any(lp.nonneg[j] for j in stock)
+    assert found == 6  # binomial_short_put with its bid raised by 1/2, 1/4 and 1/8
+
+
+def test_arbitrage_lp_finds_a_gross_mispricing(monkeypatch):
     # a call bid of 200 over a payoff of at most 123: the arbitrage LP finds
-    # the gain after a long run of degenerate pivots; no request builds this
-    # LP, since ftap reads its witness off the slack LP
+    # the gain after a run of degenerate pivots (640 under the l1 cap on the
+    # positions, 417 under the cap on the expected gain); no request builds
+    # this LP, since ftap reads its witness off the slack LP
     # (test_cli::test_ftap_reads_a_gross_mispricing_off_one_lp)
+    outs = []
+
+    def recording(lp):
+        outs.append(solve(lp))
+        return outs[-1]
+
+    monkeypatch.setattr(hedging, "solve", recording)
     model = load_model(binomial_put_book_dict(5, short_bid="200"))
     rep = detect_arbitrage(enlarge(model, model.N))
-    assert rep.found and rep.gain == Q(6271, 32)
+    assert rep.found and rep.gain == ONE
+    assert len(outs) == 1 and outs[0].pivots <= 450
 
 
 def test_arbitrage_from_cheap_european():

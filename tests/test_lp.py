@@ -455,9 +455,11 @@ def _random_homogeneous_lp(rng: random.Random) -> LinearProgram:
     Its rows: one to four homogeneous <= or >= rows, a third of them bound
     rows (one positive coefficient, the others negative, all on nonnegative
     variables); up to two equality rows, with rhs 0 half the time; and one
-    norm row (every nonnegative variable sums to at most b) or one box row
-    (a single variable at most b).  Free variables are never bounded, so
-    optimal, infeasible and unbounded LPs all occur.
+    norm row (every nonnegative variable sums to at most b), one box row
+    (a single variable at most b) or one cap row (the objective at most b,
+    or at least -b when minimized: the arbitrage LP's shape).  Free
+    variables are bounded only by the cap, so optimal, infeasible and
+    unbounded LPs all occur.
     """
     lp = LinearProgram()
     n = rng.randint(2, 4)
@@ -476,12 +478,18 @@ def _random_homogeneous_lp(rng: random.Random) -> LinearProgram:
     for _ in range(rng.randint(0, 2)):
         row = {x: Q(rng.randint(-2, 2)) for x in xs}
         lp.add_constraint(row, "=", Q(rng.randint(-2, 2)) if rng.random() < 0.5 else ZERO)
-    if pos and rng.random() < 0.5:
-        lp.add_constraint({x: ONE for x in pos}, "<=", Q(rng.randint(1, 3)))
+    sense = rng.choice(["max", "min"])
+    objective = {x: Q(rng.randint(-2, 4), rng.randint(1, 3)) for x in xs}
+    lp.set_objective(sense, objective)
+    b = Q(rng.randint(1, 3))
+    shape = rng.choice(["norm", "box", "cap"])
+    if shape == "cap":
+        rel, cap = ("<=", b) if sense == "max" else (">=", -b)
+        lp.add_constraint(objective, rel, cap)
+    elif shape == "norm" and pos:
+        lp.add_constraint({x: ONE for x in pos}, "<=", b)
     else:
-        lp.add_constraint({rng.choice(xs): ONE}, "<=", Q(rng.randint(1, 3)))
-    lp.set_objective(rng.choice(["max", "min"]),
-                     {x: Q(rng.randint(-2, 4), rng.randint(1, 3)) for x in xs})
+        lp.add_constraint({rng.choice(xs): ONE}, "<=", b)
     return lp
 
 
@@ -924,7 +932,7 @@ def test_starting_basis():
 
 
 def test_arbitrage_lp_phase_1_pivots_only_the_equality_rows(binomial, monkeypatch):
-    # every row of the arbitrage LP is homogeneous or the norm row, so
+    # every row of the arbitrage LP is homogeneous or the cap row, so
     # phase 1 starts at the origin, feasible: at most one pivot per = row
     costs = []  # (pivots so far, = rows) each time a phase prices its costs
 

@@ -104,8 +104,9 @@ def test_na_interior_singleton():
 def test_na_fails_on_sure_up():
     arb, cert = robust_na(enlarge(_binomial(SURE_UP), 0))
     assert not cert.holds and arb.gain > ZERO
-    # holding one share wins 1 on the only supported path
-    assert list(arb.strategy.stock.values()) == [ONE]
+    # holding a share wins 1 on the only supported path; the cap on the
+    # expected gain scales it to two shares at weight 1/2
+    assert list(arb.strategy.stock.values()) == [2]
     assert cert.slack is None
 
 

@@ -18,7 +18,10 @@ first dropped one with the wrong partner, so the request also lists
 the LPs only one side solves: the two trees' LPs compared as multisets
 of fingerprints without names or pivots, with status and value, each
 line giving how many, the sense, the size, the outcome and the name of
-the LP's first row.
+the LP's first row.  Where some pairs differ once names are ignored, the
+request also lists those pairs grouped by the name of the LP's first row
+with its digits dropped (``nonneg[p#]``), with each side's status and the
+sign of its value.
 
     python tools/lp_align.py BASE HEAD --fixtures --verify 3 5
 
@@ -35,11 +38,13 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
 import tempfile
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 FIXTURE_COMMANDS = {
@@ -187,6 +192,26 @@ def unpaired(base: dict, head: dict) -> list[str]:
     return lines
 
 
+def differing(base: dict, head: dict) -> list[str]:
+    """The pairs that differ once names are ignored, counted per first row
+    (digits dropped) and per status and value sign of each side."""
+    def outcome(solve: dict) -> str:
+        value = None if solve["value"] is None else Fraction(solve["value"])
+        sign = "none" if value is None else "0" if value == 0 else "<0" if value < 0 else ">0"
+        return f"{solve['status']} {sign}"
+
+    def first_row(solve: dict) -> str:
+        return re.sub(r"\d+", "#", solve["rows"][0][0]) if solve["rows"] else "-"
+
+    groups = Counter()
+    for a, b in zip(base["solves"], head["solves"]):
+        if _unnamed(a) != _unnamed(b):
+            rows = sorted({first_row(a), first_row(b)})
+            groups[f"{' | '.join(rows)}: BASE {outcome(a)}, HEAD {outcome(b)}"] += 1
+    return ["    pairs that differ, by first row (status and value sign on each side):",
+            *(f"      {n} x {line}" for line, n in sorted(groups.items()))] if groups else []
+
+
 def align(base: dict, head: dict, show: int) -> tuple[dict, list[str]]:
     """Counts of one request's LP pairs, and the first differing names."""
     pairs = list(zip(base["solves"], head["solves"]))
@@ -244,6 +269,8 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{label}: {json.dumps(counts)}{'' if same else '  DIFFERS'}")
             for line in moved:
                 print(f"    {line}")
+            for line in differing(base, head):
+                print(line)
             if counts["lps"][0] != counts["lps"][1]:
                 print("\n".join(unpaired(base, head)))
     print(f"total over {len(requests)} requests: {json.dumps(total)}")
