@@ -138,12 +138,7 @@ def test_arbitrage_lp_finds_a_gross_mispricing(monkeypatch):
     # this LP, since ftap reads its witness off the slack LP
     # (test_cli::test_ftap_reads_a_gross_mispricing_off_one_lp)
     outs = []
-
-    def recording(lp):
-        outs.append(solve(lp))
-        return outs[-1]
-
-    monkeypatch.setattr(hedging, "solve", recording)
+    monkeypatch.setattr(hedging, "solve", lambda lp: outs.append(solve(lp)) or outs[-1])
     model = load_model(binomial_put_book_dict(5, short_bid="200"))
     rep = detect_arbitrage(enlarge(model, model.N))
     assert rep.found and rep.gain == ONE

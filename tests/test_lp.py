@@ -458,7 +458,7 @@ def _random_homogeneous_lp(rng: random.Random) -> LinearProgram:
     norm row (every nonnegative variable sums to at most b), one box row
     (a single variable at most b) or one cap row (the objective at most b,
     or at least -b when minimized: the arbitrage LP's shape).  Free
-    variables are bounded only by the cap, so optimal, infeasible and
+    variables get no bound of their own, so optimal, infeasible and
     unbounded LPs all occur.
     """
     lp = LinearProgram()
@@ -807,8 +807,9 @@ def test_solve_converts_no_row(monkeypatch):
 
 
 # (LPs the CLI fixtures ask, LPs with verify --models 1 --seed 3 as well,
-# sha256 of their sorted format_lp texts) as recorded when the LP stored
-# its rows as rationals: reading the integer rows back moves no text
+# sha256 of their sorted format_lp texts), first recorded when the LP stored
+# its rows as rationals, so reading the integer rows back moves no text, and
+# re-recorded when the arbitrage LP came to cap its expected gain
 ASKED_FORMAT = (31, 309, "259e25a35513fc46d8657e6ec06cadf99062fc0ba865be519fdecab7c546aacd")
 
 
