@@ -27,32 +27,32 @@ from .measures import (
     MeasureCertificate,
     MeasurePolytope,
     build_polytope,
+    ftap_certificate,
+    price_with_dual,
+    snell_value,
+)
+from .oracles import (
+    at_quotes,
     check_sna,
     dp_superhedge,
+    drop_options,
     e2_chain,
-    ftap_certificate,
+    ftap_transfer,
     lift_measure_uniform_clock,
     one_step_polytope,
-    price_with_dual,
-    push_stopping_measure,
-    snell_value,
-    strict_value_bracket,
-)
-from .rationals import ONE, ZERO, Q, rat_str
-from .robust import (
-    drop_options,
-    ftap_transfer,
-    kernel_family,
-    num_selectors,
     product_measure,
+    push_stopping_measure,
     robust_na,
     selectors,
+    solve_measure,
+    strict_value_bracket,
     submarket_slacks,
-    supported_space,
     verify_minimax,
     vertex_measure,
 )
-from .strategies import count_enlarged_stopping_times
+from .rationals import ONE, ZERO, Q, rat_str
+from .robust import kernel_family, num_selectors, supported_space
+from .strategies import count_stopping_times
 
 # strictly inside the smallest grid shift
 BOUNDARY_OFFSET = Q(1, 512)
@@ -105,10 +105,6 @@ def _grid_value(rng: random.Random, lo: Q, hi: Q) -> Q:
     if Q(lo_k, d) < lo:
         lo_k += 1
     return Q(rng.randint(lo_k, max(lo_k, hi_k)), d)
-
-
-def _random_terminal(rng: random.Random, tree: EventTree) -> TerminalPayoff:
-    return TerminalPayoff({leaf: _grid_value(rng, ZERO, Q(3)) for leaf in tree.leaves})
 
 
 def _random_adapted(rng: random.Random, tree: EventTree) -> AdaptedProcess:
@@ -221,7 +217,7 @@ def _quoted_market(
     tree = probe.tree
     europeans = []
     for _i in range(L):
-        payoff = _random_terminal(rng, tree)
+        payoff = TerminalPayoff({leaf: _grid_value(rng, ZERO, Q(3)) for leaf in tree.leaves})
         mean = sum((pmeas.get(pi, ZERO) * payoff.at(path[-1])
                     for pi, path in enumerate(tree.paths)), ZERO)
         europeans.append((payoff, mean + rng.choice(_MARGINS)))
@@ -267,13 +263,13 @@ def _within_budget(model: MarketModel) -> bool:
         return False
     # only e2_chain and verify_minimax enumerate stopping times, both on
     # the n = N space; the n = N + 1 count with longed asks bounds no
-    # enumeration any more and stays only to keep the seeded corpus, and
-    # with it every pinned digest, fixed (ROADMAP item 6 drops it with
-    # the rest of the budget relaxation)
+    # enumeration, but it bounds how large verify's markets get: without
+    # it, verify --seed 1 took 3.2 s against 1.7 s on 2 CPUs and 7.5 s
+    # against 2.3 s on one (medians of 3 runs; ROADMAP item 6)
     depths = (model.N, model.N + 1) if model.M else (model.N,)
     for n in depths:
         enl = enlarge(model, n)
-        if count_enlarged_stopping_times(enl, _MAX_TAUS) > _MAX_TAUS:
+        if count_stopping_times(enl.roots, enl.children.__getitem__, _MAX_TAUS) > _MAX_TAUS:
             return False
     return True
 
@@ -327,46 +323,24 @@ def random_sna_model(
 # -- adversarial corrosion of a healthy market ---------------------------------
 
 
-def inject_arbitrage(rng: random.Random, gm: GeneratedModel) -> tuple[MarketModel, str]:
-    """Move one quote strictly past its polytope extreme.
-
-    The resulting price system admits no consistent martingale measure
-    at all, so deterministic arbitrage must be detected at every shift.
-    """
-    return _pin_quote(rng, gm, None)
-
-
-def boundary_model(
-    rng: random.Random, gm: GeneratedModel, offset: Q = ZERO
-) -> tuple[MarketModel, str]:
-    """Pin one quote exactly at (or offset inside) its polytope extreme.
-
-    At offset 0 the best uniform slack is exactly zero: prices are
-    consistent but not strictly so.  A small positive offset keeps
-    strict no-arbitrage alive with slack at most the offset.
-    """
-    return _pin_quote(rng, gm, offset)
-
-
-def _pin_quote(
+def pin_quote(
     rng: random.Random, gm: GeneratedModel, offset: Q | None
 ) -> tuple[MarketModel, str]:
     """Set one random quote to its polytope extreme plus ``offset``.
 
-    A positive offset moves the quote inside the polytope, a negative
-    one past it.  ``offset`` None draws a margin and moves past by it;
-    draws come in the order kind, margin, index.
+    At offset 0 the best uniform slack is exactly zero: prices are
+    consistent but not strictly so.  A positive offset moves the quote
+    inside the polytope and keeps strict no-arbitrage alive with slack
+    at most the offset.  ``offset`` None draws a margin and moves the
+    quote past its extreme by it, so no consistent martingale measure
+    is left and arbitrage must show at every shift.  Draws come in the
+    order kind, margin, index.
     """
     model = gm.model
     enl = enlarge(model, model.N)
     pt = build_polytope(enl)
-    kinds = []
-    if model.L:
-        kinds.append("european")
-    if model.M:
-        kinds.append("long")
-    if model.N:
-        kinds.append("short")
+    kinds = [kind for kind, count in (("european", model.L), ("long", model.M),
+                                      ("short", model.N)) if count]
     if not kinds:
         raise ValueError("pinning a quote needs at least one quoted option")
     kind = rng.choice(kinds)
@@ -374,20 +348,22 @@ def _pin_quote(
         offset = -rng.choice([Q(1, 4), Q(1, 2), ONE])
     if kind == "european":
         i = rng.randrange(model.L)
-        vec = {p: enl.european_value(i, p) for p in range(enl.num_paths)}
-        vmin, _, _ = pt.solve_extremum(vec, "min")
+        payoff = model.europeans[i][0]
+        vec = [payoff.at(model.tree.paths[ep.base_index][-1]) for ep in enl.epaths]
+        vmin = solve_measure(pt, pt.extremum_lp(vec, "min"))[0].value
         alphas = [a for _, a in model.europeans]
         alphas[i] = vmin + offset
         return model.with_prices(alphas=alphas), kind
     if kind == "long":
         j = rng.randrange(model.M)
         betas = [b for _, b in model.americans_long]
-        value, _ = pt.stopped_envelope(pt.long_values[j])
-        betas[j] = value + offset
+        work, shift, _ = pt.envelope_lp(pt.long_values[j])
+        betas[j] = solve_measure(pt, work)[0].value + shift + offset
         return model.with_prices(betas=betas), kind
     k = rng.randrange(model.N)
-    vec = {p: enl.short_value(k, p) for p in range(enl.num_paths)}
-    vmax, _, _ = pt.solve_extremum(vec, "max")
+    proc = model.americans_short[k][0]
+    vec = [proc.scalar(model.tree.paths[ep.base_index][ep.clocks[k]]) for ep in enl.epaths]
+    vmax = solve_measure(pt, pt.extremum_lp(vec, "max"))[0].value
     gammas = [c for _, c in model.americans_short]
     gammas[k] = vmax - offset
     return model.with_prices(gammas=gammas), kind
@@ -434,9 +410,8 @@ def random_kernel_model(rng: random.Random) -> GeneratedModel:
         L = rng.choice([0, 1])
         M = rng.choice([0, 1])
         N = rng.choice([0, 1])
-        dim = 1
         tree = random_tree(rng, T, max_branch)
-        stock = random_stock(rng, tree, dim)
+        stock = random_stock(rng, tree)
         probe = MarketModel(tree=tree, stock=stock,
                             weights={leaf: Q(1, len(tree.paths)) for leaf in tree.leaves})
         interior = node_interior(probe)
@@ -445,12 +420,10 @@ def random_kernel_model(rng: random.Random) -> GeneratedModel:
 
         kernels: dict[str, list[tuple[Q, ...]]] = {}
         laws: dict[str, dict[str, Q]] = {}
-        ok = True
         for nid in sorted(tree.nodes, key=lambda n: (tree.nodes[n].time, n)):
             kids = tree.children[nid]
             if not kids:
                 continue
-            law = None
             for _try in range(8):
                 count = rng.choice([1, 2, 2])
                 vertices = [_random_vertex(rng, len(kids)) for _ in range(count)]
@@ -463,10 +436,6 @@ def random_kernel_model(rng: random.Random) -> GeneratedModel:
                 law = dict(interior[nid])
             kernels[nid] = vertices
             laws[nid] = law
-            if not law:
-                ok = False
-        if not ok:
-            continue
 
         pmeas = product_measure(tree, laws)
         model = _quoted_market(rng, probe, pmeas, L, M, N, kernels)
@@ -550,7 +519,7 @@ def check_ftap_grid(
     for eps in sorted(EPS_GRID):    # ascending: verdicts may only degrade
         shifted = enl.with_model(model.shifted_prices(eps))
         na_primal = not detect_arbitrage(shifted).found
-        na_dual = ftap_certificate(pt.at_quotes(shifted), prices=False).holds
+        na_dual = ftap_certificate(at_quotes(pt, shifted), prices=False).holds
         if na_primal != na_dual:
             raise PropertyViolation(
                 f"at shift {rat_str(eps)} trading says NA={na_primal} "
@@ -917,11 +886,11 @@ def _adversarial_unit(mode: int, mseed: int) -> dict:
     mrng = random.Random(mseed)
     gm = random_sna_model(mrng, require_option=True)
     if mode == 0:
-        (bad, kind), tag, expect = inject_arbitrage(mrng, gm), "inject", "fail"
+        (bad, kind), tag, expect = pin_quote(mrng, gm, None), "inject", "fail"
     elif mode == 1:
-        (bad, kind), tag, expect = boundary_model(mrng, gm, ZERO), "pin", "fail"
+        (bad, kind), tag, expect = pin_quote(mrng, gm, ZERO), "pin", "fail"
     else:
-        (bad, kind), tag, expect = boundary_model(mrng, gm, BOUNDARY_OFFSET), "offset", "sna"
+        (bad, kind), tag, expect = pin_quote(mrng, gm, BOUNDARY_OFFSET), "offset", "sna"
     rec, sna = check_ftap_grid(build_polytope(enlarge(bad, bad.N)), expect=expect)
     if mode == 1 and sna.slack != ZERO:
         raise PropertyViolation("pinned quote should have exactly zero slack")

@@ -49,7 +49,7 @@ class RevealedModel(EnlargedModel):
             (index[(nid, s)], index[(nid, t)])
             for r in range(self.horizon)
             for s, t in indistinguishable_pairs(self.tuples, r)
-            for nid in model.tree.nodes_at(r)
+            for nid, node in model.tree.nodes.items() if node.time == r
         )
 
     def status_at(self, clocks: tuple[int, ...], t: int) -> tuple[int, ...]:

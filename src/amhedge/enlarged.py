@@ -167,27 +167,11 @@ class EnlargedModel:
             self._path_key = {(p.base_index, p.clocks): i for i, p in enumerate(self.epaths)}
         return self._path_key[(base_index, clocks)]
 
-    def base_node_at(self, path_idx: int, t: int) -> str:
-        p = self.epaths[path_idx]
-        return self.model.tree.paths[p.base_index][t]
-
     def weight(self, path_idx: int) -> Q:
         if self._weights is None:
             self._weights = [self.model.path_weight(p.base_index) * self.clock_dist[p.clocks]
                              for p in self.epaths]
         return self._weights[path_idx]
-
-    # -- extended processes and payoffs -----------------------------------
-
-    def european_value(self, i: int, path_idx: int) -> Q:
-        payoff, _ = self.model.europeans[i]
-        return payoff.at(self.base_node_at(path_idx, self.horizon))
-
-    def short_value(self, k: int, path_idx: int) -> Q:
-        """h^k paid at the k-th clock time along the path."""
-        proc, _ = self.model.americans_short[k]
-        p = self.epaths[path_idx]
-        return proc.scalar(self.base_node_at(path_idx, p.clocks[k]))
 
 
 def enlarge(model: MarketModel, n: int) -> EnlargedModel:

@@ -77,9 +77,6 @@ class EventTree:
     def leaves(self) -> list[str]:
         return [p[-1] for p in self.paths]
 
-    def nodes_at(self, t: int) -> list[str]:
-        return [nid for nid, n in self.nodes.items() if n.time == t]
-
 
 @dataclass
 class AdaptedProcess:

@@ -7,10 +7,13 @@ above bids, and for each longed American the best stopped expectation
 sup_tau E_Q[g_tau] at or below its ask.  That supremum is written as one
 mass-weighted Snell-envelope block, linear in Q and of the size of the
 support forest, which keeps the feasible set an honest polytope in Q.
-That polytope, MeasurePolytope, is the one input of every dual,
-certificate and transport below, except dp_superhedge, which folds a
-terminal payoff back over the forest by one-step LPs.  In this module
-only the oracle e2_chain enumerates stopping times.
+That polytope, MeasurePolytope, is the one input of both duals here:
+the measure-LP price (price_with_dual, which ``price`` runs) and the
+uniform-slack certificate with the arbitrage it proves when it fails
+(ftap_certificate and ftap_arbitrage, which ``ftap`` runs).  Nothing
+here enumerates stopping times; the checks of these duals that only
+``verify`` runs (the backward induction, the price chain, the measure
+transports) are in ``oracles``.
 
 Every polytope, price and re-check here runs over all paths of the space
 it is given; the quasi-sure ones are given a kernel family's supported
@@ -23,29 +26,23 @@ of the stock moves, payoffs and quotes, over common denominators.
 """
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Hashable, Iterable, Iterator, Literal, Sequence
 
 from .enlarged import EnlargedModel, extend_claim
-from .errors import PropertyViolation, SnaFailure
+from .errors import PropertyViolation
 from .hedging import (ArbitrageReport, HedgeReport, SemiStaticStrategy, arbitrage_witness,
-                      check_hedge, detect_arbitrage, unbounded_ray)
+                      check_hedge, unbounded_ray)
 from .lp import LinearProgram, LPOutcome, Relation, max_slack, solve
-from .market import MarketModel
 from .rationals import ONE, ZERO, Q, over_common, rat_str, ratio_str
-from .strategies import StoppingTime, enlarged_stopping_times
 
-
-# mixture weights 1/2, 1/4, ... tried by the strict-interior line searches
-_HALVINGS = 12
 
 # per run head of a Snell block: (stop node, stop row or None, cont row or None)
 SnellRows = dict[int, tuple[int, int | None, int | None]]
 
 
-def _add_martingale_rows(
+def add_martingale_rows(
     lp: LinearProgram,
     moves: Iterable[tuple[int, Hashable, Sequence[int]]],
     den: int,
@@ -93,102 +90,6 @@ def martingale_increments(
     return inc, dq * ds
 
 
-def one_step_polytope(
-    model: MarketModel, nid: str, kids: Sequence[str]
-) -> tuple[LinearProgram, dict[str, int], list[tuple[int, str, int]]]:
-    """Mass and martingale rows of one-step laws from base node nid onto kids.
-
-    Returns the LP, the probability variable of each child, and the
-    (row index, node, stock dim) of every martingale row.
-    """
-    lp = LinearProgram()
-    q_var = {kid: lp.add_var(f"q[{kid}]") for kid in kids}
-    lp.add_constraint(dict.fromkeys(q_var.values(), 1), "=", 1, name="mass", den=1)
-    steps, den = model.base_steps()
-    moves = ((var, nid, steps[kid]) for kid, var in q_var.items())
-    return lp, q_var, _add_martingale_rows(lp, moves, den, str)
-
-
-@dataclass
-class DpReport:
-    value: Q
-    strategy: dict[tuple[int, int], Q]
-    lp_count: int
-
-
-def _one_step_hedge(
-    model: MarketModel, nid: str, succ: tuple[tuple[str, Q], ...]
-) -> tuple[Q, dict[int, Q]]:
-    """Best one-step martingale expectation of (child, value) pairs from
-    base node nid, with its hedge ratios; SnaFailure if no law exists.
-
-    Verified duals of a max LP satisfy A^T y >= c, and the mass row's
-    dual is the value, so value + H . step >= the value of each child,
-    H the duals of the mart rows; checked again here exactly.
-    """
-    lp, q_var, mart_rows = one_step_polytope(model, nid, [c for c, _ in succ])
-    lp.set_objective("max", {q_var[c]: val for c, val in succ if val})
-    out = solve(lp)
-    if out.status == "infeasible":
-        raise SnaFailure(f"no one-step martingale law at {nid} (local arbitrage)",
-                         certificate={"node": nid})
-    if out.status != "optimal":
-        raise PropertyViolation(f"one-step LP unexpectedly {out.status} at {nid}")
-    ratios = {d: out.duals[r] for r, _, d in mart_rows}
-    here = model.stock.at(nid)
-    for c, val in succ:
-        gain = sum((h * (model.stock.at(c)[d] - here[d]) for d, h in ratios.items()), ZERO)
-        if out.value + gain < val:
-            raise PropertyViolation(f"one-step duals do not cover {c} from {nid}")
-    return out.value, ratios
-
-
-def dp_superhedge(enl: EnlargedModel, zeta: Sequence[Q] | dict[int, Q]) -> DpReport:
-    """Backward induction of one-step LPs from a terminal payoff.
-
-    The induction runs over the space's forest (a kernel family's
-    supported space gives its quasi-sure forest), and zeta[p] is read on
-    each path; paths and terminal nodes are in bijection because every
-    clock is revealed by the horizon.  At each
-    node the measure splits over base children under the one-step
-    martingale constraint while every unexercised clock branches freely,
-    so clock directions enter through a plain maximum over status
-    successors and the base direction through one_step_polytope, whose
-    duals are the hedge ratios.  That LP depends only on the base node
-    and the successor values, so each distinct one is solved once and
-    ``lp_count`` counts them.  The folded value is the stock
-    super-hedging price on the space; the per-node hedge ratios
-    telescope pathwise, which check_hedge verifies on every path.
-    """
-    T = enl.horizon
-    kids = enl.children
-    chi: dict[int, Q] = {}
-    for p, ep in enumerate(enl.epaths):
-        if chi.setdefault(ep.node_seq[T], zeta[p]) != zeta[p]:
-            raise PropertyViolation("terminal payoff is not a function of the terminal node")
-    solved: dict[tuple, tuple[Q, dict[int, Q]]] = {}
-    strategy: dict[tuple[int, int], Q] = {}
-    for v in sorted((v for v in kids if kids[v]), key=lambda v: (-enl.enode(v).time, v)):
-        base = enl.enode(v).base
-        best: dict[str, Q] = {}
-        for w in kids[v]:
-            c = enl.enode(w).base
-            best[c] = max(best.get(c, chi[w]), chi[w])
-        key = (base, tuple((c, best[c]) for c in enl.model.tree.children[base] if c in best))
-        if key not in solved:
-            solved[key] = _one_step_hedge(enl.model, *key)
-        chi[v], ratios = solved[key]
-        strategy.update(((v, d), h) for d, h in ratios.items() if h)
-    value = max(chi[r] for r in enl.roots)
-    model = enl.model
-    stock_only = SemiStaticStrategy(
-        dims=model.stock.dim, stock=strategy, long_european=[ZERO] * model.L,
-        long_american=[ZERO] * model.M, short_american=[ZERO] * model.N,
-        liquidation=[{} for _ in range(model.M)])
-    check_hedge(enl, stock_only, ONE, value, zeta, kind="dp")
-    return DpReport(value=value, strategy=strategy, lp_count=len(solved))
-
-
 class MeasurePolytope:
     """Martingale measures on enlarged paths that respect the quoted option prices.
 
@@ -225,7 +126,7 @@ class MeasurePolytope:
         steps, den = model.base_steps()
         moves = ((var, v, steps[b]) for var, ep in support
                  for v, b in zip(ep.node_seq, tree.paths[ep.base_index][1:]))
-        self.mart_rows = _add_martingale_rows(self.lp, moves, den, lambda v: enl.enode(v).label)
+        self.mart_rows = add_martingale_rows(self.lp, moves, den, lambda v: enl.enode(v).label)
 
         self.f_rows: list[int] = []
         # add_constraint drops the zero coefficients
@@ -273,24 +174,6 @@ class MeasurePolytope:
         work.set_objective(sense, {var: values[p] for p, var in self.q_var.items() if values[p]})
         return work
 
-    def solve_extremum(
-        self, values: dict[int, Q] | Sequence[Q], sense: Literal["max", "min"]
-    ) -> tuple[Q, dict[int, Q], LPOutcome]:
-        out, measure = self._solve_measure(self.extremum_lp(values, sense))
-        return out.value, measure, out
-
-    def _solve_measure(self, work: LinearProgram) -> tuple[LPOutcome, dict[int, Q]]:
-        """Solve an LP built on a copy of this one; empty means an SNA failure."""
-        out = solve(work)
-        if out.status == "infeasible":
-            raise SnaFailure(
-                "martingale polytope is empty at these prices",
-                certificate={"farkas": [rat_str(y) for y in out.farkas or []]},
-            )
-        if out.status != "optimal":
-            raise PropertyViolation(f"measure LP unexpectedly {out.status}")
-        return out, {p: out.x(v) for p, v in self.q_var.items() if out.x(v)}
-
     def support_slack(self, *, prices: bool, floor: dict[int, Q] | None = None) -> LPOutcome:
         """Largest slack s with Q(p) >= s * floor(p) on the paths of ``floor``
         (1 on every path by default), and every price row cleared by s if asked.
@@ -309,7 +192,7 @@ class MeasurePolytope:
 
     def require(self, measure: dict[int, Q], what: str) -> None:
         """Raise unless check() passes, naming the first failed rows."""
-        bad = [_ledger_entry(*row) for row in self._verdicts(measure) if not row[-1]]
+        bad = [_ledger_entry(*row) for row in self.verdicts(measure) if not row[-1]]
         if bad:
             raise PropertyViolation(f"{what} left the polytope: {bad[:3]}")
 
@@ -331,15 +214,16 @@ class MeasurePolytope:
         No LP state is consulted.
         """
         ledger = [_ledger_entry(*row)
-                  for row in self._verdicts(measure, min_slack, floor, prices)]
+                  for row in self.verdicts(measure, min_slack, floor, prices)]
         return all(e["ok"] for e in ledger), ledger
 
-    def _verdicts(
+    def verdicts(
         self, measure: dict[int, Q], min_slack: Q | None = None,
         floor: dict[int, Q] | None = None, prices: bool = True, strict: bool = False,
     ) -> Iterator[tuple[str, int, Relation, int, int, bool]]:
         """(name, lhs, relation, rhs, den, ok) of each row of _evaluated_rows,
-        judged as check says; with ``strict``, margins must be positive."""
+        judged as check says; with ``strict``, margins must be positive (the
+        strict re-check of the oracles' mixtures)."""
         if min_slack is not None:
             sn, sd = int(min_slack.numerator), int(min_slack.denominator)
         for name, lhs, rel, rhs, den, path in self._evaluated_rows(measure):
@@ -428,40 +312,6 @@ class MeasurePolytope:
         root, shift, rows = self.snell_block(work, values_at_enode, "env")
         work.set_objective("min", root)
         return work, shift, rows
-
-    def stopped_envelope(self, values_at_enode: dict[int, Q]) -> tuple[Q, dict[int, Q]]:
-        """min over the polytope of sup over stopping times of E_Q[value at the stop].
-
-        Returns the value and the optimal measure.
-        """
-        work, shift, _ = self.envelope_lp(values_at_enode)
-        out, measure = self._solve_measure(work)
-        return out.value + shift, measure
-
-    def at_quotes(self, enl: EnlargedModel) -> "MeasurePolytope":
-        """This polytope at the quotes of enl, this space for another model
-        (EnlargedModel.with_model) with the same stock and payoff processes:
-        a copy of the LP with only the price rows' right-hand sides moved,
-        to the new alpha, gamma and beta minus the Snell block's shift."""
-        if enl.epaths is not self.enl.epaths:
-            raise ValueError("at_quotes needs this space, from EnlargedModel.with_model")
-        old, new = self.enl.model, enl.model
-        books = [(old.europeans, new.europeans), (old.americans_long, new.americans_long),
-                 (old.americans_short, new.americans_short)]
-        if new.stock is not old.stock or any(
-            len(a) != len(b) or any(x is not y for (x, _), (y, _) in zip(a, b)) for a, b in books
-        ):
-            raise ValueError("at_quotes needs the same stock and payoff processes")
-        other = copy.copy(self)
-        other.enl = enl
-        other.lp = self.lp.copy()
-        quotes = [(r, alpha) for r, (_, alpha) in zip(self.f_rows, new.europeans)]
-        quotes += [(r, gamma) for r, (_, gamma) in zip(self.h_rows, new.americans_short)]
-        quotes += [(r, beta - shift) for r, shift, (_, beta)
-                   in zip(self.g_rows, self.long_shifts, new.americans_long)]
-        for r, rhs in quotes:
-            other.lp.put(r, rhs)
-        return other
 
     def hedge_from(
         self,
@@ -672,25 +522,6 @@ def _rhs_value(y: Sequence[Q], lp: LinearProgram) -> Q:
     return sum((v * Q(row.rhs, row.den) for v, row in zip(y, lp.rows) if v), ZERO)
 
 
-def check_sna(pt: MeasurePolytope) -> MeasureCertificate:
-    """Strict no-arbitrage verdict with dual witness and primal cross-check.
-
-    pt is the MeasurePolytope of the market's space, and the verdict is
-    its ftap_certificate at the model's quotes.  When it holds, quotes
-    moved by s*/2 in the trader's favour must still admit no arbitrage
-    (verified primally).
-    """
-    enl = pt.enl
-    cert = ftap_certificate(pt)
-    if cert.holds:
-        shifted = enl.with_model(enl.model.shifted_prices(cert.slack / 2))
-        if detect_arbitrage(shifted).found:
-            raise PropertyViolation(
-                "dual slack promises SNA but shifted prices admit arbitrage"
-            )
-    return cert
-
-
 def _certify_measure(
     pt: MeasurePolytope, side: str, claim, measure: dict[int, Q], value: Q
 ) -> None:
@@ -785,163 +616,3 @@ def snell_value(enl: EnlargedModel, values_at_enode: dict[int, Q], measure: dict
         kids = [c for c in enl.children.get(v, ()) if c in mass]
         env[v] = max(here, sum(env[c] for c in kids)) if kids else here
     return Q(sum(env[r] for r in enl.roots if r in mass), dq * dv)
-
-
-def _add_clock(
-    enl_from: EnlargedModel,
-    pt: MeasurePolytope,
-    measure: dict[int, Q],
-    clock: Callable[[tuple[int, ...]], Iterable[tuple[int, Q]]],
-) -> dict[int, Q]:
-    """The measure moved onto pt's space, the (n+1)-clock space of the same
-    model: each path's mass is split over the added clock's dates t by the
-    shares that clock(node_seq) lists as (t, share) pairs."""
-    enl_to = pt.enl
-    if enl_to.n != enl_from.n + 1 or enl_to.model is not enl_from.model:
-        raise ValueError("the added clock goes from the n-clock space to the (n+1)-clock space")
-    out: dict[int, Q] = {}
-    for p, q in measure.items():
-        if not q:
-            continue
-        ep = enl_from.epaths[p]
-        for t, share in clock(ep.node_seq):
-            tgt = enl_to.path_index(ep.base_index, ep.clocks + (t,))
-            out[tgt] = out.get(tgt, ZERO) + q * share
-    return out
-
-
-def lift_measure_uniform_clock(
-    enl_from: EnlargedModel, pt: MeasurePolytope, measure: dict[int, Q]
-) -> dict[int, Q]:
-    """Spread the added clock uniformly over {0..T}; membership in pt re-checked.
-
-    The added exercise clock of a shorted option that nobody monitors
-    plays no role: the lifted measure stays in the closed polytope of
-    the larger space.
-    """
-    dates = range(enl_from.horizon + 1)
-    share = Q(1, len(dates))
-    lifted = _add_clock(enl_from, pt, measure, lambda seq: ((t, share) for t in dates))
-    pt.require(lifted, "lifted measure")
-    return lifted
-
-
-@dataclass
-class PushReport:
-    pushed: dict[int, Q]
-    value: Q                 # E_pushed[claim at the last clock]
-    lam: Q
-
-
-def push_stopping_measure(
-    enl_from: EnlargedModel,
-    pt: MeasurePolytope,
-    measure: dict[int, Q],
-    tau: StoppingTime,
-    lifted: dict[int, Q],
-) -> PushReport:
-    """Concentrate the added clock on the stopping time tau.
-
-    ``lifted`` is the measure's uniform lift (lift_measure_uniform_clock,
-    which re-checked it in pt).  Asserts E_pushed[claim at the last
-    clock] = E_Q[claim at tau], that the push lies in pt, the closed
-    polytope of the larger space, and that mixing toward ``lifted`` with
-    weight lambda stays inside - strictly when the input measure itself
-    is strict (line search over lambda = 1/2, 1/4, ..., 1/2^12).
-    """
-    pushed = _add_clock(enl_from, pt, measure, lambda seq: ((tau.time_on(seq), ONE),))
-    claim_from = extend_claim(enl_from, "sub")
-    expect_from = ZERO
-    for p, q in measure.items():
-        seq = enl_from.epaths[p].node_seq
-        expect_from += q * claim_from[seq[tau.time_on(seq)]]
-    value = pt.expectation(pushed, extend_claim(pt.enl, "super"))
-    if value != expect_from:
-        raise PropertyViolation(
-            f"pushed value {rat_str(value)} != stopped expectation {rat_str(expect_from)}"
-        )
-    pt.require(pushed, "pushed measure")
-    for lam, mixed in _halving_mixtures(pushed, lifted):
-        if all(row[-1] for row in pt._verdicts(mixed, strict=True)):
-            return PushReport(pushed=pushed, value=value, lam=lam)
-    raise PropertyViolation("no mixture weight kept the pushed measure strictly inside")
-
-
-@dataclass
-class ChainReport:
-    middle: Q     # sup_Q sup_tau
-    num_taus: int
-    taus: list[StoppingTime]
-
-
-def e2_chain(pt: MeasurePolytope, lower: Q, upper: Q) -> ChainReport:
-    """Exact three-term chain linking the dual prices.
-
-    ``lower`` (inf_Q sup_tau) and ``upper`` (sup over the larger-space
-    polytope) are the sub- and super-hedging dual values, solved by the
-    caller.  The middle term sup_Q sup_tau over pt, the polytope of the
-    n = N space, is bilinear; it swaps to sup_tau sup_Q and is computed
-    here as an oracle: the stopping times of pt's space are enumerated
-    and one LP is solved per distinct stopped-value vector.
-    lower <= middle <= upper is asserted.  The report keeps the taus.
-    """
-    enl = pt.enl
-    taus = enlarged_stopping_times(enl)
-    claim_at = extend_claim(enl, "sub")
-    seqs = [(p, ep.node_seq) for p, ep in enumerate(enl.epaths)]
-    vecs: dict[tuple, dict[int, Q]] = {}
-    for tau in taus:
-        vec = {p: claim_at[seq[tau.time_on(seq)]] for p, seq in seqs}
-        vecs.setdefault(tuple(vec.values()), vec)
-    middle = max(pt.solve_extremum(vec, "max")[0] for vec in vecs.values())
-    if not (lower <= middle <= upper):
-        raise PropertyViolation(
-            f"chain violated: {rat_str(lower)} <= {rat_str(middle)} <= {rat_str(upper)} fails"
-        )
-    return ChainReport(middle=middle, num_taus=len(vecs), taus=taus)
-
-
-def strict_value_bracket(
-    pt: MeasurePolytope,
-    values: dict[int, Q] | Sequence[Q],
-    argmax: dict[int, Q],
-    strict_measure: dict[int, Q],
-) -> list[tuple[Q, Q]]:
-    """Bracket the closed-polytope maximum by strict-interior values.
-
-    Mixes ``argmax``, a maximizer of E[values] over the closed polytope
-    (the measure of price_with_dual's super side), toward a strictly
-    feasible measure with weights 1/2, ..., 1/2^12; every mixture is
-    verified strictly feasible and the values converge geometrically to
-    the closed maximum, witnessing that optimizing over the strict set
-    loses nothing.
-    """
-    # the two values as integer numerators over one denominator dv
-    ((va, vb),), dv = over_common(
-        [pt.expectation(argmax, values), pt.expectation(strict_measure, values)])
-    out: list[tuple[Q, Q]] = []
-    for lam, mixed in _halving_mixtures(argmax, strict_measure):
-        if not all(row[-1] for row in pt._verdicts(mixed, strict=True)):
-            raise PropertyViolation("strict mixture left the polytope")
-        val = pt.expectation(mixed, values)
-        scale = int(lam.denominator)
-        if val != Q((scale - 1) * va + vb, dv * scale):
-            raise PropertyViolation("mixture value is not the mixture of values")
-        out.append((lam, val))
-    return out
-
-
-def _halving_mixtures(
-    base: dict[int, Q], toward: dict[int, Q]
-) -> Iterator[tuple[Q, dict[int, Q]]]:
-    """(lam, (1 - lam) * base + lam * toward) for lam = 1/2, 1/4, ..., 1/2^12.
-
-    Both measures are put over one denominator den once; the mixture at
-    lam = 1/2^k is then ((2^k - 1) * base + toward) / (2^k * den) per path.
-    """
-    support = sorted(set(base) | set(toward))
-    (b, t), den = over_common((base.get(p, ZERO) for p in support),
-                              (toward.get(p, ZERO) for p in support))
-    for k in range(1, _HALVINGS + 1):
-        rest = (1 << k) - 1
-        yield Q(1, 1 << k), {p: Q(rest * x + y, den << k) for p, x, y in zip(support, b, t)}

@@ -98,10 +98,6 @@ def enumerate_stopping_times(roots: Sequence[Hashable],
     return [StoppingTime(frozenset().union(*combo)) for combo in itertools.product(*per_root)]
 
 
-def count_enlarged_stopping_times(enl: EnlargedModel, cap: int = DEFAULT_ENUM_CAP) -> int:
-    return count_stopping_times(enl.roots, lambda v: enl.children[v], cap)
-
-
 def enlarged_stopping_times(enl: EnlargedModel) -> list[StoppingTime]:
     """Stopping times of the space's forest, a restricted space's included."""
     return enumerate_stopping_times(enl.roots, enl.children.__getitem__)

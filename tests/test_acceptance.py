@@ -12,13 +12,12 @@ import time
 
 from amhedge.campaign import (
     BOUNDARY_OFFSET,
-    boundary_model,
     check_chain,
     check_degenerations,
     check_depth_zero,
     check_ftap_grid,
     check_singleton_robust,
-    inject_arbitrage,
+    pin_quote,
     random_kernel_model,
     random_sna_model,
     selector_sweep,
@@ -28,24 +27,19 @@ from amhedge.divisible import verify_divisibility_equivalence
 from amhedge.enlarged import enlarge, extend_claim
 from amhedge.errors import PropertyViolation
 from amhedge.hedging import subhedge, superhedge
-from amhedge.measures import (
-    MeasurePolytope,
-    build_polytope,
+from amhedge.measures import MeasurePolytope, build_polytope, ftap_certificate, price_with_dual
+from amhedge.oracles import (
     check_sna,
     dp_superhedge,
-    e2_chain,
-    ftap_certificate,
-    price_with_dual,
-)
-from amhedge.rationals import Q, ZERO, rat_str
-from amhedge.robust import (
     drop_options,
+    e2_chain,
     robust_na,
     selectors,
-    supported_space,
     verify_minimax,
     vertex_measure,
 )
+from amhedge.rationals import Q, ZERO, rat_str
+from amhedge.robust import supported_space
 
 SEED = 20260814
 
@@ -140,15 +134,15 @@ def test_criterion_2_ftap_biconditional_on_grid(capfd):
             gm = random_sna_model(rng, require_option=True)
             try:
                 if i % 3 == 0:
-                    bad, _ = inject_arbitrage(rng, gm)
+                    bad, _ = pin_quote(rng, gm, None)
                     rec, _ = check_ftap_grid(build_polytope(enlarge(bad, bad.N)), expect="fail")
                 elif i % 3 == 1:
-                    bad, _ = boundary_model(rng, gm, ZERO)
+                    bad, _ = pin_quote(rng, gm, ZERO)
                     rec, sna = check_ftap_grid(build_polytope(enlarge(bad, bad.N)), expect="fail")
                     if sna.slack != ZERO:
                         raise PropertyViolation("pinned quote should have zero slack")
                 else:
-                    bad, _ = boundary_model(rng, gm, BOUNDARY_OFFSET)
+                    bad, _ = pin_quote(rng, gm, BOUNDARY_OFFSET)
                     rec, sna = check_ftap_grid(build_polytope(enlarge(bad, bad.N)), expect="sna")
                     if not ZERO < sna.slack <= BOUNDARY_OFFSET:
                         raise PropertyViolation("offset quote should cap the slack")

@@ -97,11 +97,12 @@ def _reference_lp(enl, paths=None) -> LinearProgram:
                     row[q_var[p]] = row.get(q_var[p], ZERO) + m
     for (node, d), row in sorted(rows.items()):
         lp.add_constraint(row, "=", ZERO, name=f"mart[{enl.enode(node).label};{d}]")
-    for i, (_, alpha) in enumerate(model.europeans):
-        row = {q_var[p]: enl.european_value(i, p) for p in paths}
+    path_of = {p: model.tree.paths[enl.epaths[p].base_index] for p in paths}
+    for i, (payoff, alpha) in enumerate(model.europeans):
+        row = {q_var[p]: payoff.at(path_of[p][enl.horizon]) for p in paths}
         lp.add_constraint(row, "<=", alpha, name=f"f[{i}]")
-    for k, (_, gamma) in enumerate(model.americans_short):
-        row = {q_var[p]: enl.short_value(k, p) for p in paths}
+    for k, (proc, gamma) in enumerate(model.americans_short):
+        row = {q_var[p]: proc.scalar(path_of[p][enl.epaths[p].clocks[k]]) for p in paths}
         lp.add_constraint(row, ">=", gamma, name=f"h[{k}]")
     # the Snell blocks are built as before; only their values are read here
     blocks = MeasurePolytope(_restricted(enl, paths))
@@ -165,14 +166,14 @@ def _reference_gain_row(g: GainLP, p: int) -> dict:
         now, nxt = model.stock.at(path[t]), model.stock.at(path[t + 1])
         for d, (a, b) in enumerate(zip(now, nxt)):
             bump(g.stock[(seq[t], d)], b - a)
-    for i, (_, alpha) in enumerate(model.europeans):
-        bump(g.static["a"][i], enl.european_value(i, p) - alpha)
+    for i, (payoff, alpha) in enumerate(model.europeans):
+        bump(g.static["a"][i], payoff.at(path[enl.horizon]) - alpha)
     for j, (proc, beta) in enumerate(model.americans_long):
         bump(g.static["b"][j], -beta)
         for t in range(enl.horizon + 1):
-            bump(g.nu_var[j][seq[t]], proc.scalar(enl.base_node_at(p, t)))
-    for k, (_, gamma) in enumerate(model.americans_short):
-        bump(g.static["c"][k], -(enl.short_value(k, p) - gamma))
+            bump(g.nu_var[j][seq[t]], proc.scalar(path[t]))
+    for k, (proc, gamma) in enumerate(model.americans_short):
+        bump(g.static["c"][k], -(proc.scalar(path[ep.clocks[k]]) - gamma))
     return row
 
 

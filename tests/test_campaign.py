@@ -20,11 +20,10 @@ from amhedge import campaign, lp
 from amhedge.cli import main
 from amhedge.campaign import (
     BOUNDARY_OFFSET,
-    boundary_model,
     check_depth_zero,
     check_robust_model,
-    inject_arbitrage,
     node_interior,
+    pin_quote,
     random_kernel_model,
     random_sna_model,
     random_stock,
@@ -36,13 +35,8 @@ from amhedge.enlarged import EnlargedModel, enlarge
 from amhedge.errors import PropertyViolation
 from amhedge.mapper import map_units
 from amhedge.market import emit_model, load_model
-from amhedge.measures import (
-    build_polytope,
-    check_sna,
-    e2_chain,
-    ftap_certificate,
-    price_with_dual,
-)
+from amhedge.measures import build_polytope, ftap_certificate, price_with_dual
+from amhedge.oracles import check_sna, e2_chain
 from amhedge.rationals import ONE, Q, ZERO
 from amhedge.robust import supported_space
 
@@ -133,7 +127,7 @@ def test_random_sna_model_holds(seed):
 def test_inject_arbitrage_breaks_sna(seed):
     rng = random.Random(100 + seed)
     gm = random_sna_model(rng, require_option=True)
-    broken, kind = inject_arbitrage(rng, gm)
+    broken, kind = pin_quote(rng, gm, None)
     assert kind in {"european", "long", "short"}
     sna = check_sna(build_polytope(enlarge(broken, broken.N)))
     assert not sna.holds
@@ -142,10 +136,10 @@ def test_inject_arbitrage_breaks_sna(seed):
 def test_boundary_model_pins_the_slack():
     rng = random.Random(21)
     gm = random_sna_model(rng, require_option=True)
-    pinned, _ = boundary_model(random.Random(22), gm, ZERO)
+    pinned, _ = pin_quote(random.Random(22), gm, ZERO)
     sna = check_sna(build_polytope(enlarge(pinned, pinned.N)))
     assert not sna.holds and sna.slack == ZERO
-    nudged, _ = boundary_model(random.Random(22), gm, BOUNDARY_OFFSET)
+    nudged, _ = pin_quote(random.Random(22), gm, BOUNDARY_OFFSET)
     sna2 = check_sna(build_polytope(enlarge(nudged, nudged.N)))
     assert sna2.holds and ZERO < sna2.slack <= BOUNDARY_OFFSET
 

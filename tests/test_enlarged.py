@@ -9,6 +9,7 @@ from amhedge.divisible import RevealedModel
 from amhedge.enlarged import enlarge, extend_claim
 from amhedge.errors import ModelFormatError
 from amhedge.market import emit_model, load_model
+from amhedge.measures import build_polytope
 from amhedge.rationals import ONE, Q, ZERO
 
 from conftest import binomial_put_book_dict, binomial_short_put_dict
@@ -128,12 +129,13 @@ def test_status_reveals_clock_at_its_time(binomial_short_put):
 
 
 def test_short_value_reads_exercise_clock(binomial_short_put):
-    enl = enlarge(binomial_short_put, 1)
+    # the measure LP's h[0] row charges each path the put at its clock
+    pt = build_polytope(enlarge(binomial_short_put, 1))
     put = {"r": ZERO, "u": ZERO, "d": Q(1, 2)}
-    for p in range(enl.num_paths):
-        ep = enl.epaths[p]
+    coeffs, _ = pt.lp.rows[pt.h_rows[0]].rational()
+    for p, ep in enumerate(pt.enl.epaths):
         base = binomial_short_put.tree.paths[ep.base_index]
-        assert enl.short_value(0, p) == put[base[ep.clocks[0]]]
+        assert coeffs.get(pt.q_var[p], ZERO) == put[base[ep.clocks[0]]]
 
 
 def test_extend_claim_sub_is_node_indexed(binomial_short_put):

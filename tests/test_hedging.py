@@ -12,7 +12,7 @@ import dataclasses
 
 import pytest
 
-from amhedge import hedging, measures
+from amhedge import hedging, oracles
 from amhedge.divisible import EPS_GRID
 from amhedge.enlarged import enlarge
 from amhedge.errors import PropertyViolation, SnaFailure
@@ -26,7 +26,8 @@ from amhedge.hedging import (
 )
 from amhedge.lp import solve
 from amhedge.market import load_model
-from amhedge.measures import build_polytope, check_sna, price_with_dual
+from amhedge.measures import build_polytope, price_with_dual
+from amhedge.oracles import check_sna
 from amhedge.rationals import ONE, Q, ZERO
 
 from conftest import binomial_dict, binomial_put_book_dict
@@ -198,7 +199,7 @@ def test_check_sna_fails_at_rich_quote(monkeypatch):
         raise AssertionError("no primal cross-check without a positive slack")
 
     # the primal LP at the shifted quotes runs only when the slack is positive
-    monkeypatch.setattr(measures, "detect_arbitrage", no_primal)
+    monkeypatch.setattr(oracles, "detect_arbitrage", no_primal)
     cert = check_sna(build_polytope(enlarge(model, 1)))
     assert not cert.holds
     assert cert.slack == Q(-1, 6)
@@ -206,8 +207,8 @@ def test_check_sna_fails_at_rich_quote(monkeypatch):
 
 def test_check_sna_raises_when_the_shifted_quotes_admit_arbitrage(monkeypatch,
                                                                  binomial_short_put):
-    real = measures.detect_arbitrage
-    monkeypatch.setattr(measures, "detect_arbitrage",
+    real = oracles.detect_arbitrage
+    monkeypatch.setattr(oracles, "detect_arbitrage",
                         lambda enl: dataclasses.replace(real(enl), gain=ONE))
     with pytest.raises(PropertyViolation,
                        match="^dual slack promises SNA but shifted prices admit arbitrage$"):

@@ -1,20 +1,29 @@
-"""Every top-level import of the package is used by its module, and the
-package's modules import each other without a cycle.
+"""Every top-level import of the package is used by its module, the
+package's modules import each other without a cycle, and the request
+path reaches no oracle module.
 
 A deletion that leaves an import behind fails here.  A name counts as
 used when the module reads it (a bare name, the base of an attribute,
 or a name inside a quoted annotation) or lists it in ``__all__``.  The
 import graph counts every relative import, function-local ones too, so
-a cycle cannot hide inside a function body.
+neither a cycle nor an oracle import can hide inside a function body.
 """
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "amhedge"
+
+# what price and ftap run, and what only verify and the tests reach; cli
+# is the one module in neither (verify's campaign is one of its commands)
+REQUEST_PATH = ("errors", "rationals", "market", "enlarged", "lp", "hedging", "measures", "robust")
+ORACLE_MODULES = ("campaign", "divisible", "mapper", "oracles", "strategies")
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -116,3 +125,41 @@ def test_cycle_finder_sees_function_local_imports():
     assert graph == {"a": {"b"}, "b": {"a"}}
     assert import_cycle(graph) == ["a", "b", "a"]
     assert import_cycle({"a": {"b"}, "b": set()}) == []
+
+
+def _graph() -> dict[str, set[str]]:
+    return {p.stem: package_imports(p.read_text()) for p in PACKAGE.glob("*.py")}
+
+
+def reachable(graph: dict[str, set[str]], start) -> set[str]:
+    """Every module an import chain from ``start`` reaches, ``start`` included."""
+    seen: set[str] = set()
+    stack = list(start)
+    while stack:
+        mod = stack.pop()
+        if mod not in seen:
+            seen.add(mod)
+            stack.extend(graph.get(mod, ()))
+    return seen
+
+
+def test_request_path_reaches_no_oracle_module():
+    graph = _graph()
+    assert set(graph) == {*REQUEST_PATH, *ORACLE_MODULES, "cli"}
+    assert reachable(graph, REQUEST_PATH) & set(ORACLE_MODULES) == set()
+
+
+def test_importing_the_request_path_loads_no_oracle_module():
+    script = ("import importlib, sys\n"
+              f"for name in {REQUEST_PATH!r}:\n"
+              "    importlib.import_module('amhedge.' + name)\n"
+              f"print(sorted(m for m in {ORACLE_MODULES!r} if 'amhedge.' + m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
+    assert proc.stdout == "[]\n", proc.stderr
+
+
+def test_reachable_follows_chains():
+    graph = {"a": {"b"}, "b": {"c"}, "c": set(), "d": {"a"}}
+    assert reachable(graph, ["a"]) == {"a", "b", "c"}
+    assert reachable(graph, ["c"]) == {"c"}

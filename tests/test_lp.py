@@ -18,6 +18,7 @@ from amhedge.hedging import detect_arbitrage, superhedge
 from amhedge.lp import LinearProgram, format_lp, max_slack, solve
 from amhedge.market import emit_model, load_model
 from amhedge.measures import build_polytope, price_with_dual
+from amhedge.oracles import at_quotes
 from amhedge.rationals import ONE, Q, ZERO
 
 import conftest
@@ -892,7 +893,7 @@ def test_edits_on_a_copy_leave_the_source(monkeypatch):
     before = [(dict(r.coeffs), r.rhs, r.den) for r in pt.lp.rows]
     for eps in (Q(-1, 3), Q(1, 8), ONE):
         shifted = enl.with_model(model.shifted_prices(eps))
-        moved = pt.at_quotes(shifted)
+        moved = at_quotes(pt, shifted)
         assert [(r.coeffs, r.rhs, r.den) for r in pt.lp.rows] == before
         assert format_lp(moved.lp) == format_lp(build_polytope(shifted).lp)
 

@@ -17,7 +17,7 @@ import re
 
 import pytest
 
-from amhedge.campaign import boundary_model, inject_arbitrage, random_sna_model
+from amhedge.campaign import pin_quote, random_sna_model
 from amhedge.cli import main
 from amhedge.enlarged import enlarge, extend_claim
 from amhedge.errors import SnaFailure
@@ -134,7 +134,7 @@ PINNED = {
 @pytest.mark.parametrize("seed", sorted(PINNED))
 def test_pinned_quotes_put_options_in_the_hedge(seed):
     gm = random_sna_model(random.Random(seed))
-    model, _ = boundary_model(random.Random(seed), gm, ZERO)
+    model, _ = pin_quote(random.Random(seed), gm, ZERO)
     for side in SIDES:
         report = _check_against_reference(model, side)
         strat = report.strategy
@@ -212,7 +212,7 @@ def test_mispriced_price_exits_2_with_a_checked_ray(name, side, tmp_path, capsys
 @pytest.mark.parametrize("seed", GENERATED[:4])
 def test_corroded_markets_fail_on_both_lps(seed):
     gm = random_sna_model(random.Random(seed))
-    model, _ = inject_arbitrage(random.Random(seed), gm)
+    model, _ = pin_quote(random.Random(seed), gm, None)
     for side in SIDES:
         enl = enlarge(model, model.N + (side == "super"))
         with pytest.raises(SnaFailure, match="price is unbounded") as exc:

@@ -15,8 +15,8 @@ import random
 import pytest
 
 import amhedge.lp as lpmod
-from amhedge import measures
-from amhedge.campaign import boundary_model, inject_arbitrage, random_sna_model
+from amhedge import measures, oracles
+from amhedge.campaign import pin_quote, random_sna_model
 from amhedge.enlarged import enlarge, extend_claim
 from amhedge.errors import PropertyViolation, SnaFailure
 from amhedge.lp import format_lp, solve
@@ -24,18 +24,23 @@ from amhedge.hedging import check_hedge, detect_arbitrage
 from amhedge.market import load_model
 from amhedge.measures import (
     build_polytope,
-    dp_superhedge,
-    e2_chain,
     ftap_arbitrage,
     ftap_certificate,
-    lift_measure_uniform_clock,
     price_with_dual,
-    push_stopping_measure,
     snell_value,
+)
+from amhedge.oracles import (
+    at_quotes,
+    dp_superhedge,
+    drop_options,
+    e2_chain,
+    lift_measure_uniform_clock,
+    push_stopping_measure,
+    solve_measure,
     strict_value_bracket,
 )
 from amhedge.rationals import ONE, Q, ZERO
-from amhedge.robust import drop_options, supported_paths, supported_space
+from amhedge.robust import supported_paths, supported_space
 from amhedge.strategies import StoppingTime, enlarged_stopping_times
 
 from conftest import binomial_dict, binomial_put_book_dict, trinomial_dict, unbranched_book_dicts
@@ -207,13 +212,13 @@ def test_e2_chain_collapses_when_attainable(binomial_short_put):
 def test_e2_chain_raises_on_a_middle_outside_the_ends(monkeypatch, binomial_short_put, shift):
     sub, pt1 = price_with_dual(enlarge(binomial_short_put, 1), "sub")
     sup, _ = price_with_dual(enlarge(binomial_short_put, 2), "super")
-    real = pt1.solve_extremum
+    real = oracles.solve_measure
 
-    def moved(values, sense):
-        value, *rest = real(values, sense)
-        return (value + shift, *rest)
+    def moved(pt, work):
+        out, measure = real(pt, work)
+        return dataclasses.replace(out, value=out.value + shift), measure
 
-    monkeypatch.setattr(pt1, "solve_extremum", moved)
+    monkeypatch.setattr(oracles, "solve_measure", moved)
     with pytest.raises(PropertyViolation, match="^chain violated: 1/3 <= .* <= 1/3 fails$"):
         e2_chain(pt1, sub.price, sup.price)
 
@@ -225,7 +230,8 @@ def test_strict_value_bracket_converges(binomial_short_put):
     pt = build_polytope(enl2)
     lifted = lift_measure_uniform_clock(enl1, pt, cert.measure)
     target = extend_claim(enl2, "super")
-    vmax, argmax, _ = pt.solve_extremum(target, "max")
+    out, argmax = solve_measure(pt, pt.extremum_lp(target, "max"))
+    vmax = out.value
     vs = pt.expectation(lifted, target)
     bracket = strict_value_bracket(pt, target, argmax, lifted)
     assert len(bracket) == 12
@@ -342,18 +348,18 @@ def test_polytope_at_other_quotes_is_the_rebuilt_polytope():
     source = format_lp(pt.lp)
     for eps in (Q(-1, 3), Q(1, 8), ONE):
         shifted = enl.with_model(model.shifted_prices(eps))
-        moved = pt.at_quotes(shifted)
+        moved = at_quotes(pt, shifted)
         assert format_lp(moved.lp) == format_lp(build_polytope(shifted).lp)
         # the copy shares the source's rows; moving its quotes leaves the source
         assert moved.enl is shifted and format_lp(pt.lp) == source
     assert format_lp(pt.lp) == format_lp(build_polytope(enl).lp)
     with pytest.raises(ValueError):
-        pt.at_quotes(enlarge(model, model.N))
+        at_quotes(pt, enlarge(model, model.N))
     # the same quotes on copies of the payoff processes: not this polytope's
     for book in ("europeans", "americans_long", "americans_short"):
         copied = [(copy.deepcopy(payoff), quote) for payoff, quote in getattr(model, book)]
         with pytest.raises(ValueError, match="same stock and payoff processes"):
-            pt.at_quotes(enl.with_model(dataclasses.replace(model, **{book: copied})))
+            at_quotes(pt, enl.with_model(dataclasses.replace(model, **{book: copied})))
 
 
 @pytest.mark.parametrize("n_extra", [0, 1])
@@ -364,10 +370,10 @@ def test_at_quotes_copies_the_polytope_of_the_shifted_quotes(name, n_extra, requ
     if model.kernels is not None:
         enl = supported_space(enl)
     pt = build_polytope(enl)
-    measure = pt.solve_extremum([ZERO] * enl.num_paths, "max")[1]
+    measure = solve_measure(pt, pt.extremum_lp([ZERO] * enl.num_paths, "max"))[1]
     for eps in (Q(-1, 3), Q(1, 16)):
         shifted = enl.with_model(model.shifted_prices(eps))
-        moved, built = pt.at_quotes(shifted), build_polytope(shifted)
+        moved, built = at_quotes(pt, shifted), build_polytope(shifted)
         assert format_lp(moved.lp) == format_lp(built.lp)
         assert moved.check(measure) == built.check(measure)
 
@@ -421,8 +427,8 @@ def _arbitrage_market(name: str):
     rng = random.Random(100 + seed)
     gm = random_sna_model(rng, require_option=True)
     if kind == "inject":
-        return inject_arbitrage(rng, gm)[0]
-    return boundary_model(random.Random(200 + seed), gm, ZERO)[0]
+        return pin_quote(rng, gm, None)[0]
+    return pin_quote(random.Random(200 + seed), gm, ZERO)[0]
 
 
 def _branch(pt, cert) -> str:

@@ -30,7 +30,8 @@ from amhedge.hedging import SemiStaticStrategy, check_hedge, payoff_enlarged, su
 from amhedge.market import load_model
 from amhedge.measures import MeasurePolytope, build_polytope, ftap_certificate, price_with_dual
 from amhedge.rationals import ONE, ZERO, Q
-from amhedge.robust import selectors, supported_space, vertex_measure
+from amhedge.oracles import selectors, vertex_measure
+from amhedge.robust import supported_space
 
 from conftest import binomial_dict, binomial_put_book_dict, binomial_short_put_dict
 from conftest import trinomial_dict, trinomial_kernels_dict, two_period_dict
@@ -70,8 +71,8 @@ def _check(enl, report, strat, eta, x):
     sign = ONE if report.kind == "super" else -ONE
     rhs = [ZERO] * enl.num_paths
     if report.kind == "super":
-        rhs = [enl.model.claim.scalar(enl.base_node_at(p, ep.clocks[-1]))
-               for p, ep in enumerate(enl.epaths)]
+        rhs = [enl.model.claim.scalar(enl.model.tree.paths[ep.base_index][ep.clocks[-1]])
+               for ep in enl.epaths]
     check_hedge(enl, strat, sign, x, rhs, exercise=eta, kind=report.kind)
 
 
@@ -188,6 +189,9 @@ def test_measure_check_rejects(side, family):
     assert _failed(pt, measure) == set()
     pt.require(measure, "priced measure")
     charged = lambda q, p: q > ZERO
+    # the short put at its clock and the European at the horizon, read off path p
+    base = lambda p: enl.model.tree.paths[enl.epaths[p].base_index]
+    short = lambda p: enl.model.americans_short[0][0].scalar(base(p)[enl.epaths[p].clocks[0]])
     if family == "support":
         # mass on a key that is no path of the space
         p, delta = pt.enl.num_paths, EPS
@@ -195,9 +199,9 @@ def test_measure_check_rejects(side, family):
         p, delta = _first(pt, measure, lambda q, p: q == ZERO), -EPS
     elif family == "h":
         # the short row is tight: less mass where it pays lowers E_Q[h]
-        p, delta = _first(pt, measure, lambda q, p: q and enl.short_value(0, p)), -EPS
+        p, delta = _first(pt, measure, lambda q, p: q and short(p)), -EPS
     elif family == "f":
-        p, delta = _first(pt, measure, lambda q, p: enl.european_value(0, p)), EPS
+        p, delta = _first(pt, measure, lambda q, p: enl.model.europeans[0][0].at(base(p)[-1])), EPS
     else:
         # mass, mart and g: more mass on a charged path; the long row is
         # tight on the super side and every path there reaches a positive g
@@ -312,7 +316,9 @@ def test_closed_slack_reader_rejects_a_price_row_past_its_quote(monkeypatch):
     assert _failed(pt, cert.measure, min_slack=cert.slack, prices=False) == set()
     assert _failed(pt, cert.measure, min_slack=cert.slack) == {"h"}
     # less mass where the put pays takes E_Q[h] under its bid
-    p = _first(pt, cert.measure, lambda q, p: q and enl.short_value(0, p))
+    put = model.americans_short[0][0]
+    at_clock = lambda p: model.tree.paths[enl.epaths[p].base_index][enl.epaths[p].clocks[0]]
+    p = _first(pt, cert.measure, lambda q, p: q and put.scalar(at_clock(p)))
     measure = {**cert.measure, p: cert.measure[p] - EPS}
     assert "h" in _failed(pt, measure, min_slack=cert.slack, prices=False)
     _move_witness(monkeypatch, p, -EPS)

@@ -12,31 +12,24 @@ import dataclasses
 
 import pytest
 
-import amhedge.robust as robust
+import amhedge.oracles as oracles
 from amhedge.campaign import selector_sweep
 from amhedge.enlarged import enlarge, extend_claim
 from amhedge.errors import ModelFormatError, PropertyViolation, SnaFailure
 from amhedge.hedging import subhedge, superhedge
 from amhedge.market import load_model
-from amhedge.measures import (
-    MeasurePolytope,
-    build_polytope,
+from amhedge.measures import MeasurePolytope, build_polytope, ftap_certificate, price_with_dual
+from amhedge.oracles import (
     dp_superhedge,
-    ftap_certificate,
-    price_with_dual,
-)
-from amhedge.rationals import ONE, Q, ZERO
-from amhedge.robust import (
     drop_options,
     ftap_transfer,
-    num_selectors,
     robust_na,
     submarket_slacks,
-    supported_paths,
-    supported_space,
     verify_minimax,
     vertex_measure,
 )
+from amhedge.rationals import ONE, Q, ZERO
+from amhedge.robust import num_selectors, supported_paths, supported_space
 
 from conftest import binomial_dict, trinomial_kernels_dict
 
@@ -386,15 +379,15 @@ def test_minimax_two_vertices():
 def test_minimax_middle_term_must_match(monkeypatch):
     # the backward induction at the dual mixture must equal both LP values
     enl, stream = _minimax_setup()
-    real = robust.snell_value
-    monkeypatch.setattr(robust, "snell_value", lambda *a, **k: real(*a, **k) + Q(1, 1000))
+    real = oracles.snell_value
+    monkeypatch.setattr(oracles, "snell_value", lambda *a, **k: real(*a, **k) + Q(1, 1000))
     with pytest.raises(PropertyViolation, match="liquidation interchange failed"):
         verify_minimax(enl, [stream], [vertex_measure(enl, (0,))])
 
 
 def test_minimax_rejects_duals_that_are_not_a_mixture(monkeypatch):
     enl, stream = _minimax_setup()
-    real = robust.solve
+    real = oracles.solve
 
     def doubled(lp):
         out = real(lp)
@@ -402,6 +395,6 @@ def test_minimax_rejects_duals_that_are_not_a_mixture(monkeypatch):
             out.duals = [2 * y for y in out.duals]
         return out
 
-    monkeypatch.setattr(robust, "solve", doubled)
+    monkeypatch.setattr(oracles, "solve", doubled)
     with pytest.raises(PropertyViolation, match="not a mixture"):
         verify_minimax(enl, [stream], [vertex_measure(enl, (0,))])

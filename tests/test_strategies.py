@@ -11,7 +11,6 @@ from amhedge.market import load_model
 from amhedge.rationals import ONE, Q, ZERO
 from amhedge.strategies import (
     StoppingTime,
-    count_enlarged_stopping_times,
     count_stopping_times,
     enumerate_stopping_times,
     indistinguishable_pairs,
@@ -64,7 +63,7 @@ def test_base_and_enlarged_enumeration(binomial_short_put):
     etaus = enumerate_stopping_times(enl.roots, lambda v: enl.children[v])
     # two roots (r|0, r|*), each with an independent 2-way choice
     assert len(etaus) == 4
-    assert count_enlarged_stopping_times(enl) == 4
+    assert count_stopping_times(enl.roots, enl.children.__getitem__) == 4
 
 
 def test_time_on_rejects_double_hit():
