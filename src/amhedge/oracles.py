@@ -163,7 +163,7 @@ def at_quotes(pt: MeasurePolytope, enl: EnlargedModel) -> MeasurePolytope:
     a copy of its LP with only the price rows' right-hand sides moved,
     to the new alpha, gamma and beta minus the Snell block's shift."""
     if enl.epaths is not pt.enl.epaths:
-        raise ValueError("at_quotes needs this space, from EnlargedModel.with_model")
+        raise ValueError("at_quotes needs the space of pt, from EnlargedModel.with_model")
     old, new = pt.enl.model, enl.model
     books = [(old.europeans, new.europeans), (old.americans_long, new.americans_long),
              (old.americans_short, new.americans_short)]
