@@ -25,7 +25,7 @@ import sys
 from .campaign import run_campaign
 from .enlarged import enlarge
 from .errors import CapExceededError, ModelFormatError, PropertyViolation, SnaFailure
-from .lp import LPInternalError
+from .lp import LPInternalError, LPOutcome
 from .market import MarketModel, load_model
 from .measures import build_polytope, ftap_arbitrage, ftap_certificate, price_with_dual
 from .rationals import rat_str
@@ -146,8 +146,9 @@ def cmd_price(args) -> int:
     doc["price"] = rat_str(report.price)
     doc["gap"] = rat_str(report.gap)
     _emit(doc, args)
+    lp: LPOutcome = report.lp
     _say(args, f"{args.side}-hedging price {doc['price']} (duality gap {doc['gap']}); "
-               f"LP {report.lp_rows} rows, {report.lp_cols} cols, {report.pivots} pivots")
+               f"LP {lp.rows} rows, {lp.cols} cols, {lp.pivots} pivots")
     return EXIT_OK
 
 
@@ -229,9 +230,9 @@ def cmd_enlarge_dump(args) -> int:
         }
         for i, ep in enumerate(enl.epaths)
     ]
-    doc["clock_dist"] = {
-        ",".join(map(str, tup)): rat_str(w) for tup, w in sorted(enl.clock_dist.items())
-    }
+    # every clock tuple, each at the one uniform mass
+    doc["clock_dist"] = dict.fromkeys(
+        (",".join(map(str, ep.clocks)) for ep in enl.epaths), rat_str(enl.clock_mass))
     _emit(doc, args)
     _say(args, f"enlarged space: n={n}, {len(enl.enodes)} nodes, {enl.num_paths} paths")
     return EXIT_OK

@@ -67,11 +67,10 @@ class EnlargedModel:
         self.model = model
         self.n = n
         self.horizon = model.tree.horizon
-        # the uniform reference law on the clocks; prices, slacks and
-        # verdicts hold under any full-support law, which would only pick
-        # another arbitrage witness
-        self.clock_dist: dict[tuple[int, ...], Q] = dict.fromkeys(
-            itertools.product(range(self.horizon + 1), repeat=n), Q(1, (self.horizon + 1) ** n))
+        # the mass of each clock tuple under the uniform reference law;
+        # prices, slacks and verdicts hold under any full-support law, which
+        # would only pick another arbitrage witness
+        self.clock_mass = Q(1, (self.horizon + 1) ** n)
 
         self.enodes: list[EnlargedNode] = []
         self._enode_index: dict[tuple[str, tuple[int | None, ...]], int] = {}
@@ -169,7 +168,7 @@ class EnlargedModel:
 
     def weight(self, path_idx: int) -> Q:
         if self._weights is None:
-            self._weights = [self.model.path_weight(p.base_index) * self.clock_dist[p.clocks]
+            self._weights = [self.model.path_weight(p.base_index) * self.clock_mass
                              for p in self.epaths]
         return self._weights[path_idx]
 

@@ -32,7 +32,7 @@ from typing import Sequence
 
 from .enlarged import EnlargedModel, extend_claim
 from .errors import PropertyViolation, SnaFailure
-from .lp import LinearProgram, solve
+from .lp import LinearProgram, LPOutcome, solve
 from .rationals import ONE, ZERO, Q, over_common, rat, rat_str, ratio_str
 
 
@@ -45,7 +45,6 @@ def _bump(row: dict[int, Q], var: int, val: Q) -> None:
 class SemiStaticStrategy:
     """Exact positions of one semi-static strategy on an enlarged space."""
 
-    dims: int
     stock: dict[tuple[int, int], Q]      # (enlarged node index, dim) -> position
     long_european: list[Q]
     long_american: list[Q]
@@ -84,8 +83,6 @@ def evaluate_gain(enl: EnlargedModel, strat: SemiStaticStrategy) -> tuple[dict[i
     along every path.
     """
     model = enl.model
-    if strat.dims != model.stock.dim:
-        raise ValueError("strategy dimension does not match the stock")
     if (len(strat.long_european), len(strat.long_american), len(strat.short_american)) != (
         model.L,
         model.M,
@@ -137,16 +134,6 @@ def evaluate_gain(enl: EnlargedModel, strat: SemiStaticStrategy) -> tuple[dict[i
                 book -= ck * h[path[clock]]
         gains[p] = trading * dm + book * ds
     return gains, dx * ds * dm
-
-
-def payoff_enlarged(enl: EnlargedModel, strat: SemiStaticStrategy) -> dict[int, Q]:
-    """The strategy's gain on each enlarged path, exactly.
-
-    Independent of any LP: the rationals of evaluate_gain's numerators,
-    which also checks that each nu_j sums to b_j along every path.
-    """
-    gains, den = evaluate_gain(enl, strat)
-    return {p: Q(n, den) for p, n in gains.items()}
 
 
 class GainLP:
@@ -243,7 +230,6 @@ class GainLP:
         book = {kind: [point[var] for var in vs] for kind, vs in self.static.items()}
         nonzero = lambda cols: {key: point[var] for key, var in cols.items() if point[var]}
         return SemiStaticStrategy(
-            dims=self.model.stock.dim,
             stock=nonzero(self.stock),
             long_european=book["a"],
             long_american=book["b"],
@@ -256,15 +242,13 @@ class GainLP:
 class HedgeReport:
     """A price with its hedge on one space, from a hedge LP or read off the
     measure LP's duals (measures.price_with_dual), with enough data to
-    re-validate."""
+    re-validate: the solve's verified outcome is kept as ``lp``."""
 
     kind: str
     price: Q
     strategy: SemiStaticStrategy
     exercise: dict[int, Q] | None    # eta for sub-hedging: node -> exercise weight
-    lp_rows: int
-    lp_cols: int
-    pivots: int
+    lp: LPOutcome
     measure: dict[int, Q] = field(default_factory=dict)    # the price's measure, if any
 
     @property
@@ -275,12 +259,8 @@ class HedgeReport:
     def to_json(self, enl: EnlargedModel) -> dict:
         measure = {enl.epaths[p].label: rat_str(q) for p, q in sorted(self.measure.items())}
         doc = {
-            "kind": self.kind,
-            "price": rat_str(self.price),
             "strategy": self.strategy.to_json(enl),
-            "gap": rat_str(self.gap) if self.gap is not None else None,
-            "dual_ref": {"kind": f"dual_{self.kind}", "value": rat_str(self.price),
-                         "measure": measure} if measure else None,
+            "dual_ref": {"measure": measure} if measure else None,
             "paths": enl.num_paths,
         }
         if self.exercise is not None:
@@ -298,7 +278,7 @@ def nonanticipative(
     books = [*strat.liquidation, *([exercise] if exercise is not None else [])]
     return all(
         all(strat.stock.get((v, d), ZERO) == strat.stock.get((w, d), ZERO)
-            for d in range(strat.dims))
+            for d in range(enl.model.stock.dim))
         and all(book.get(v, ZERO) == book.get(w, ZERO) for book in books)
         for v, w in enl.tied_pairs
     )
@@ -427,15 +407,8 @@ def _hedge(enl: EnlargedModel, kind: str, sign: Q, rhs: Sequence[Q]) -> HedgeRep
     if out.status != "optimal":
         raise PropertyViolation(f"{kind} hedge LP unexpectedly {out.status}")
     eta = {v: out.x(var) for v, var in eta_var.items() if out.x(var)} if eta_var else None
-    report = HedgeReport(
-        kind=kind,
-        price=out.value,
-        strategy=g.strategy_at(out.primal),
-        exercise=eta,
-        lp_rows=out.rows,
-        lp_cols=out.cols,
-        pivots=out.pivots,
-    )
+    report = HedgeReport(kind=kind, price=out.value, strategy=g.strategy_at(out.primal),
+                         exercise=eta, lp=out)
     check_hedge(enl, report.strategy, sign, report.price, rhs, exercise=eta, kind=kind)
     return report
 
@@ -471,11 +444,10 @@ def subhedge_european(enl: EnlargedModel, psi: Sequence[Q]) -> HedgeReport:
 @dataclass
 class ArbitrageReport:
     """A witness's expected gain under the space's path weights (0 and no
-    strategy where none exists), with its gain on each path."""
+    strategy where none exists)."""
 
     gain: Q
     strategy: SemiStaticStrategy | None
-    gains: dict[int, Q] = field(default_factory=dict)
 
     @property
     def found(self) -> bool:
@@ -498,8 +470,7 @@ def arbitrage_witness(enl: EnlargedModel, strat: SemiStaticStrategy, x: Q) -> Ar
     gain = Q(sum(w * g for w, g in zip(weights, gains.values())), dw * den)
     if gain <= ZERO:
         raise PropertyViolation("arbitrage witness has no positive expected gain")
-    return ArbitrageReport(gain=gain, strategy=strat,
-                           gains={p: Q(g, den) for p, g in gains.items()})
+    return ArbitrageReport(gain=gain, strategy=strat)
 
 
 def detect_arbitrage(enl: EnlargedModel) -> ArbitrageReport:

@@ -90,8 +90,7 @@ def _integers(coeffs: dict, rhs, den: int | None) -> tuple[dict[int, int], int, 
 class LinearProgram:
     """Incremental LP builder with integer variable handles and integer rows (``_Row``)."""
 
-    def __init__(self, name: str = "lp"):
-        self.name = name
+    def __init__(self):
         self.var_names: list[str] = []
         self.nonneg: list[bool] = []
         self.rows: list[_Row] = []
@@ -136,7 +135,7 @@ class LinearProgram:
         return len(self.rows)
 
     def copy(self) -> "LinearProgram":
-        other = LinearProgram(self.name)
+        other = LinearProgram()
         other.var_names, other.nonneg = list(self.var_names), list(self.nonneg)
         # a stored row is never written (see put), so the copy shares them
         other.rows = list(self.rows)
@@ -169,7 +168,7 @@ def format_lp(lp: LinearProgram) -> str:
         coeffs = sorted(row.rational()[0].items())
         return " + ".join(f"{v}*{lp.var_names[j]}" for j, v in coeffs) or "0"
 
-    out = [f"# {lp.name}: {lp.sense} over {lp.num_vars} vars, {lp.num_rows} rows",
+    out = [f"# lp: {lp.sense} over {lp.num_vars} vars, {lp.num_rows} rows",
            f"{lp.sense} {terms(lp.objective)}"]
     out += [f"  [{r.name}] {terms(r)} {r.rel} {r.rational()[1]}" for r in lp.rows]
     free = [lp.var_names[j] for j in range(lp.num_vars) if not lp.nonneg[j]]

@@ -156,10 +156,6 @@ class MeasurePolytope:
             self.g_rows.append(self.lp.add_constraint(root, "<=", beta - shift, name=f"g[{j}]"))
         self.num_tau_rows = self.lp.num_rows - first
 
-    @property
-    def price_rows(self) -> list[int]:
-        return [*self.f_rows, *self.h_rows, *self.g_rows]
-
     def expectation(self, measure: dict[int, Q], values: dict[int, Q] | Sequence[Q]) -> Q:
         """E_Q[values] on the space, summed in integers over one denominator."""
         charged = [p for p in self.q_var if measure.get(p, ZERO)]
@@ -183,7 +179,7 @@ class MeasurePolytope:
         """
         floor = dict.fromkeys(self.q_var, ONE) if floor is None else floor
         work = self.lp.copy()
-        rows = dict.fromkeys(self.price_rows if prices else (), ONE)
+        rows = dict.fromkeys([*self.f_rows, *self.h_rows, *self.g_rows] if prices else (), ONE)
         for p, w in sorted(floor.items()):
             rows[work.add_constraint({self.q_var[p]: 1}, ">=", 0, name=f"pos[p{p}]", den=1)] = w
         return max_slack(work, rows)
@@ -334,7 +330,6 @@ class MeasurePolytope:
         pos = [sign * v for v in y]
         longs = [pos[r] for r in self.g_rows]
         strat = SemiStaticStrategy(
-            dims=self.enl.model.stock.dim,
             stock={(v, d): pos[r] for r, v, d in self.mart_rows if pos[r]},
             long_european=[pos[r] for r in self.f_rows],
             long_american=longs,
@@ -552,8 +547,8 @@ def price_with_dual(
     hedging.subhedge/superhedge is read off the same LP's verified duals
     by MeasurePolytope.hedge_from and re-validated pathwise by
     hedging.check_hedge.  By weak duality the two checks prove gap 0,
-    which the report's ``gap`` states and its ``dual_ref`` carries with
-    the measure.
+    which the report's ``gap`` states; its ``dual_ref`` carries the
+    measure.
 
     An empty polytope means the hedge LP is unbounded.  The verified
     Farkas vector is then read the same way as an improving ray of that
@@ -581,16 +576,8 @@ def price_with_dual(
     _certify_measure(pt, side, claim, measure, price)
     strat, eta = pt.hedge_from(out.duals, sign, claim_rows)
     check_hedge(enl, strat, sign, price, rhs, exercise=eta, kind=side)
-    report = HedgeReport(
-        kind=side,
-        price=price,
-        strategy=strat,
-        exercise=eta,
-        lp_rows=out.rows,
-        lp_cols=out.cols,
-        pivots=out.pivots,
-        measure=measure,
-    )
+    report = HedgeReport(kind=side, price=price, strategy=strat, exercise=eta, lp=out,
+                         measure=measure)
     return report, pt
 
 

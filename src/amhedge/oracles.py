@@ -136,9 +136,8 @@ def dp_superhedge(enl: EnlargedModel, zeta: Sequence[Q] | dict[int, Q]) -> DpRep
     value = max(chi[r] for r in enl.roots)
     model = enl.model
     stock_only = SemiStaticStrategy(
-        dims=model.stock.dim, stock=strategy, long_european=[ZERO] * model.L,
-        long_american=[ZERO] * model.M, short_american=[ZERO] * model.N,
-        liquidation=[{} for _ in range(model.M)])
+        stock=strategy, long_european=[ZERO] * model.L, long_american=[ZERO] * model.M,
+        short_american=[ZERO] * model.N, liquidation=[{} for _ in range(model.M)])
     check_hedge(enl, stock_only, ONE, value, zeta, kind="dp")
     return DpReport(value=value, strategy=strategy, lp_count=len(solved))
 
@@ -390,7 +389,7 @@ def vertex_measure(enl: EnlargedModel, selector: tuple[int, ...]) -> dict[int, Q
     laws = {nid: dict(zip(kids[nid], vertices[i]))
             for (nid, vertices), i in zip(kernel_family(enl.model).items(), selector)}
     base = product_measure(enl.model.tree, laws)
-    return {p: base[ep.base_index] * enl.clock_dist[ep.clocks]
+    return {p: base[ep.base_index] * enl.clock_mass
             for p, ep in enumerate(enl.epaths) if ep.base_index in base}
 
 

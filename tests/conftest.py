@@ -10,7 +10,17 @@ from fractions import Fraction
 
 import pytest
 
+from amhedge.enlarged import EnlargedModel
+from amhedge.hedging import SemiStaticStrategy, evaluate_gain
 from amhedge.market import MarketModel, load_model
+from amhedge.rationals import Q
+
+
+def path_gains(enl: EnlargedModel, strat: SemiStaticStrategy) -> dict[int, Q]:
+    """The strategy's gain on each path of the space, as rationals: the
+    integer numerators of hedging.evaluate_gain over its one denominator."""
+    gains, den = evaluate_gain(enl, strat)
+    return {p: Q(g, den) for p, g in gains.items()}
 
 
 def binomial_dict(**extra) -> dict:

@@ -23,6 +23,7 @@ import amhedge.strategies as strategies
 from amhedge.cli import main
 from amhedge.enlarged import enlarge
 from amhedge.errors import CapExceededError
+from amhedge.hedging import evaluate_gain
 from amhedge.lp import LPInternalError
 from amhedge.market import emit_model, load_model
 from amhedge.measures import build_polytope
@@ -77,8 +78,22 @@ def test_price_sub(model_file, capsys):
     assert doc["price"] == "1/3"
     assert doc["gap"] == "0/1"
     assert doc["side"] == "sub" and doc["n"] == 1
-    assert doc["report"]["dual_ref"]["value"] == "1/3"
     assert doc["quasi_sure"] is False
+
+
+@pytest.mark.parametrize("side", ["sub", "super"])
+@pytest.mark.parametrize("fixture", ["model_file", "kernel_file"])
+def test_price_report_states_each_value_once(fixture, side, request, capsys):
+    # side, price and gap live at the top level alone: the nested report
+    # holds the hedge and the measure, and its dual_ref the measure alone
+    code, out, err = run(["price", "--model", request.getfixturevalue(fixture),
+                          "--side", side], capsys)
+    assert code == 0, err
+    doc = json.loads(out)
+    assert (doc["side"], doc["price"], doc["gap"]) == (side, "1/3", "0/1")
+    report = doc["report"]
+    assert not {"kind", "price", "gap"} & set(report)
+    assert list(report["dual_ref"]) == ["measure"] and report["dual_ref"]["measure"]
 
 
 def test_price_super(model_file, capsys):
@@ -123,7 +138,7 @@ def test_solver_telemetry_stays_off_stdout(model_file, capsys):
         assert json.loads(pretty) == json.loads(plain)
         # the tableau of the same request, on the --pretty summary only
         report, _ = measures.price_with_dual(enlarge(model, n), side)
-        assert f"LP {report.lp_rows} rows, {report.lp_cols} cols, {report.pivots} pivots" in err
+        assert f"LP {report.lp.rows} rows, {report.lp.cols} cols, {report.lp.pivots} pivots" in err
     _, out, _ = run(["verify", "--models", "1", "--seed", "7"], capsys)
     doc = json.loads(out)
     assert doc["campaign"]["counts"]["kernel"] > 0 and "dp_lps" not in _keys(doc)
@@ -219,7 +234,8 @@ def test_ftap_reads_a_gross_mispricing_off_one_lp(tmp_path, capsys, monkeypatch)
     pt = build_polytope(enl)
     arb = measures.ftap_arbitrage(pt, measures.ftap_certificate(pt))
     assert arb.to_json(enl) == doc["arbitrage"]
-    assert min(arb.gains.values()) >= Q(1781, 9)
+    gains, den = evaluate_gain(enl, arb.strategy)
+    assert min(gains.values()) >= Q(1781, 9) * den
 
 
 def test_parser_built_once_keeps_no_override_between_requests(model_file, capsys):
@@ -506,7 +522,6 @@ def test_kernel_price_reports_its_supported_measure(name, side, tmp_path, capsys
     assert code == 0, err
     doc = json.loads(out)
     dual = doc["report"]["dual_ref"]
-    assert dual["kind"] == f"dual_{side}" and dual["value"] == doc["price"]
     # the reported measure lies in the supported polytope rebuilt from the model
     enl = enlarge(load_model(data), doc["n"])
     space = supported_space(enl)
@@ -530,7 +545,7 @@ def test_verify_small_run(model_file, capsys):
     assert hashlib.sha256(first.encode()).hexdigest() == VERIFY_SMALL_SHA256
 
 
-def test_readme_model_example_prices(tmp_path, capsys):
+def test_readme_model_example_prices(binomial_short_put, tmp_path, capsys):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("```json\n", 1)[1].split("```", 1)[0]
     path = tmp_path / "readme.json"
@@ -538,6 +553,13 @@ def test_readme_model_example_prices(tmp_path, capsys):
     code, out, err = run(["price", "--model", str(path), "--side", "sub"], capsys)
     assert code == 0, err
     assert json.loads(out)["quasi_sure"] is True
+    # the README's dual_ref example is price --side sub on binomial_short_put
+    path.write_text(json.dumps(emit_model(binomial_short_put)))
+    code, out, err = run(["price", "--model", str(path), "--side", "sub"], capsys)
+    assert code == 0, err
+    dual_ref = json.loads(out)["report"]["dual_ref"]
+    [example] = [line for line in readme.splitlines() if line.startswith('"dual_ref": ')]
+    assert example == f'"dual_ref": {json.dumps(dual_ref, sort_keys=True)}'
 
 
 def test_module_entry_point(model_file):

@@ -47,7 +47,7 @@ def test_n_must_match_model(binomial_short_put):
 
 def test_uniform_clock_weights(binomial_short_put):
     enl = enlarge(binomial_short_put, 1)
-    assert enl.clock_dist == {(0,): Q(1, 2), (1,): Q(1, 2)}
+    assert enl.clock_mass == Q(1, 2)
     assert sum(enl.weight(p) for p in range(enl.num_paths)) == ONE
     assert enl.weight(0) == Q(1, 4)
 
@@ -88,7 +88,7 @@ def test_restricted_keeps_nodes_paths_and_weights():
         ep = enl.epaths[p]
         assert sub.path_index(ep.base_index, ep.clocks) == i
     # the parent is left as it was
-    assert enl.num_paths == len(model.tree.paths) * len(enl.clock_dist)
+    assert enl.num_paths == len(model.tree.paths) * (model.tree.horizon + 1) ** enl.n
     assert list(enl.children) == list(range(len(enl.enodes)))
 
 

@@ -16,13 +16,13 @@ import pytest
 from amhedge import campaign
 from amhedge.divisible import RevealedModel
 from amhedge.enlarged import enlarge
-from amhedge.hedging import GainLP, nonanticipative, payoff_enlarged
+from amhedge.hedging import GainLP, nonanticipative
 from amhedge.market import load_model
 from amhedge.measures import build_polytope
 from amhedge.strategies import enlarged_stopping_times
 from amhedge.rationals import ZERO, Q, rat_str
 
-from conftest import binomial_dict
+from conftest import binomial_dict, path_gains
 
 FULL_BOOK = binomial_dict(
     europeans=[{"payoff": {"u": "1", "d": "0"}, "price": "1/3"}],
@@ -94,7 +94,7 @@ def test_builder_matches_evaluator_on_every_path(model, restricted, extra_clock)
     g = GainLP(enl)
     for _ in range(3):
         x = _random_positions(g, rng)
-        gains = payoff_enlarged(enl, g.strategy_at(x))
+        gains = path_gains(enl, g.strategy_at(x))
         for p in range(enl.num_paths):
             assert _dot(g.gain_coeffs(p), x) == gains[p]
 
@@ -106,7 +106,7 @@ def test_clock_indexed_copy_has_the_enlarged_gain(model, extra_clock):
     enl = enlarge(model, n)
     g = GainLP(enl)
     strat = g.strategy_at(_random_positions(g, rng))
-    gains = payoff_enlarged(enl, strat)
+    gains = path_gains(enl, strat)
 
     rev = RevealedModel(model, n)
     clp = GainLP(rev)
@@ -127,14 +127,14 @@ def test_clock_indexed_copy_has_the_enlarged_gain(model, extra_clock):
     copied = clp.strategy_at(x)
     # an adapted strategy never reads a clock before it fires
     assert nonanticipative(rev, copied)
-    copied_gains = payoff_enlarged(rev, copied)
+    copied_gains = path_gains(rev, copied)
     for p in range(rev.num_paths):
         assert _dot(clp.gain_coeffs(p), x) == gains[p]
         assert copied_gains[p] == gains[p]
 
     # positions that do read the clocks: builder and evaluator still agree
     x = _random_positions(clp, rng)
-    anticipating = payoff_enlarged(rev, clp.strategy_at(x))
+    anticipating = path_gains(rev, clp.strategy_at(x))
     for p in range(rev.num_paths):
         assert _dot(clp.gain_coeffs(p), x) == anticipating[p]
 

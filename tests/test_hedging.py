@@ -19,7 +19,7 @@ from amhedge.errors import PropertyViolation, SnaFailure
 from amhedge.hedging import (
     SemiStaticStrategy,
     detect_arbitrage,
-    payoff_enlarged,
+    evaluate_gain,
     subhedge,
     subhedge_european,
     superhedge,
@@ -30,7 +30,7 @@ from amhedge.measures import build_polytope, price_with_dual
 from amhedge.oracles import check_sna
 from amhedge.rationals import ONE, Q, ZERO
 
-from conftest import binomial_dict, binomial_put_book_dict
+from conftest import binomial_dict, binomial_put_book_dict, path_gains
 from test_report_bytes import CONFTEST_MODELS
 
 
@@ -74,24 +74,25 @@ def test_sub_reports_exercise(binomial_short_put):
 
 
 def test_payoff_enlarged_hand_strategy(binomial):
+    # the strategy's payoff on each enlarged path, by evaluate_gain
     enl = enlarge(binomial, 0)
     # hold one share: gain is the increment itself
     strat = SemiStaticStrategy(
-        dims=1, stock={(0, 0): ONE}, long_european=[], long_american=[],
+        stock={(0, 0): ONE}, long_european=[], long_american=[],
         short_american=[], liquidation=[],
     )
-    gains = payoff_enlarged(enl, strat)
-    assert gains == {0: ONE, 1: Q(-1, 2)}
+    assert path_gains(enl, strat) == {0: ONE, 1: Q(-1, 2)}
 
 
 def test_payoff_enlarged_rejects_mismatched_strategy(binomial):
+    # a book of another market: the binomial market quotes no European
     enl = enlarge(binomial, 0)
     strat = SemiStaticStrategy(
-        dims=2, stock={}, long_european=[], long_american=[],
+        stock={}, long_european=[ONE], long_american=[],
         short_american=[], liquidation=[],
     )
     with pytest.raises(ValueError):
-        payoff_enlarged(enl, strat)
+        evaluate_gain(enl, strat)
 
 
 def test_no_arbitrage_clean_market(binomial):
@@ -102,10 +103,11 @@ def test_no_arbitrage_clean_market(binomial):
 def test_arbitrage_restricted_to_paths(binomial):
     # on the up path alone a share held from r wins 1 and never loses; the
     # cap scales it to two shares, an expected gain of 1 at weight 1/2
-    rep = detect_arbitrage(enlarge(binomial, 0).restricted([0]))
+    enl = enlarge(binomial, 0).restricted([0])
+    rep = detect_arbitrage(enl)
     assert rep.found and rep.gain == ONE
     assert list(rep.strategy.stock.values()) == [2]
-    assert rep.gains == {0: 2}
+    assert path_gains(enl, rep.strategy) == {0: 2}
 
 
 def test_arbitrage_lp_caps_the_expected_gain(request, monkeypatch):
@@ -151,10 +153,12 @@ def test_arbitrage_from_cheap_european():
     model = load_model(binomial_dict(europeans=[
         {"payoff": {"u": "1", "d": "0"}, "price": "1/4"},
     ]))
-    rep = detect_arbitrage(enlarge(model, 0))
+    enl = enlarge(model, 0)
+    rep = detect_arbitrage(enl)
     assert rep.found and rep.gain > ZERO
-    assert all(g >= ZERO for g in rep.gains.values())
-    assert any(g > ZERO for g in rep.gains.values())
+    gains = path_gains(enl, rep.strategy)
+    assert all(g >= ZERO for g in gains.values())
+    assert any(g > ZERO for g in gains.values())
 
 
 def test_arbitrage_from_rich_short_put():
@@ -228,8 +232,8 @@ def test_liquidation_mass_must_match_position(binomial):
     ]))
     enl = enlarge(model, 0)
     strat = SemiStaticStrategy(
-        dims=1, stock={}, long_european=[], long_american=[ONE],
+        stock={}, long_european=[], long_american=[ONE],
         short_american=[], liquidation=[{0: Q(1, 2)}],    # sums to 1/2, not 1
     )
     with pytest.raises(PropertyViolation):
-        payoff_enlarged(enl, strat)
+        evaluate_gain(enl, strat)

@@ -125,7 +125,7 @@ def _chvatal_lp() -> LinearProgram:
     """Chvatal's example (Linear Programming, 1983, ch. 3): the largest-
     coefficient rule, ties to the smallest basic column, cycles through six
     degenerate bases at the origin; the optimum is 1 at (1, 0, 1, 0)."""
-    lp = LinearProgram("chvatal")
+    lp = LinearProgram()
     x1, x2, x3, x4 = (lp.add_var(f"x{j}") for j in range(1, 5))
     lp.add_constraint({x1: Q(1, 2), x2: Q(-11, 2), x3: Q(-5, 2), x4: Q(9)}, "<=", ZERO)
     lp.add_constraint({x1: Q(1, 2), x2: Q(-3, 2), x3: Q(-1, 2), x4: ONE}, "<=", ZERO)
@@ -264,7 +264,7 @@ def _certified_max() -> LinearProgram:
     Duals (1, -1, 1, 1, 0, 0, 1, 1): the loose rows have 0, and the rows
     w - v = 0 and u - p = 0 have rhs 0, so their duals move A^T y only.
     """
-    lp = LinearProgram("max")
+    lp = LinearProgram()
     x, y, w, v, u, p, z = (lp.add_var(n, nonneg=n not in "wv") for n in "xywvupz")
     lp.add_constraint({x: ONE}, "<=", 2, "x_cap")
     lp.add_constraint({y: ONE}, ">=", 1, "y_floor")
@@ -280,7 +280,7 @@ def _certified_max() -> LinearProgram:
 
 def _certified_min() -> LinearProgram:
     """min x at x = 1 with duals (1, 0, 0): only x_floor binds."""
-    lp = LinearProgram("min")
+    lp = LinearProgram()
     x = lp.add_var("x")
     lp.add_constraint({x: ONE}, ">=", 1, "x_floor")
     lp.add_constraint({x: ONE}, "<=", 5, "x_cap")
@@ -291,7 +291,7 @@ def _certified_min() -> LinearProgram:
 
 def _certified_infeasible() -> LinearProgram:
     """x <= -1/10**30 with x >= 0; the Farkas vector is (1, 0, 0, 0, 0)."""
-    lp = LinearProgram("farkas")
+    lp = LinearProgram()
     x, u, w = lp.add_var("x"), lp.add_var("u"), lp.add_var("w", nonneg=False)
     lp.add_constraint({x: ONE}, "<=", -EPS, "x_neg")
     lp.add_constraint({x: ONE}, "<=", 1, "x_cap")
@@ -303,7 +303,7 @@ def _certified_infeasible() -> LinearProgram:
 
 def _certified_unbounded() -> LinearProgram:
     """max x/10**30 + w with w = 0 and a, b boxed; the ray is +x."""
-    lp = LinearProgram("ray")
+    lp = LinearProgram()
     x, a, b, w = lp.add_var("x"), lp.add_var("a"), lp.add_var("b"), lp.add_var("w", nonneg=False)
     lp.add_constraint({w: ONE}, "=", 0, "w_zero")
     lp.add_constraint({a: ONE}, "<=", 3, "a_cap")
@@ -579,7 +579,7 @@ def test_presolved_lps_against_float_solver(monkeypatch):
 
 def _merged_max() -> LinearProgram:
     """max x + y + 3z, x - 2y = 0 merged, x + z <= 4, z <= 1: x = 3, y = 3/2, z = 1."""
-    lp = LinearProgram("merged")
+    lp = LinearProgram()
     x, y, z = lp.add_var("x"), lp.add_var("y"), lp.add_var("z")
     lp.add_constraint({x: ONE, y: -Q(2)}, "=", 0, "x_eq_2y")
     lp.add_constraint({x: ONE, z: ONE}, "<=", 4, "cap")
@@ -590,7 +590,7 @@ def _merged_max() -> LinearProgram:
 
 def _merged_infeasible() -> LinearProgram:
     """x - y = 0 merged, x >= 1 and y <= 1/2 cannot both hold."""
-    lp = LinearProgram("merged farkas")
+    lp = LinearProgram()
     x, y = lp.add_var("x"), lp.add_var("y")
     lp.add_constraint({x: ONE, y: -ONE}, "=", 0, "x_eq_y")
     lp.add_constraint({x: ONE}, ">=", 1, "x_floor")
@@ -600,7 +600,7 @@ def _merged_infeasible() -> LinearProgram:
 
 def _merged_unbounded() -> LinearProgram:
     """max x, free w = 3x merged, w <= 1 + w: the ray is (1, 3)."""
-    lp = LinearProgram("merged ray")
+    lp = LinearProgram()
     x, w = lp.add_var("x"), lp.add_var("w", nonneg=False)
     lp.add_constraint({w: ONE, x: -Q(3)}, "=", 0, "w_eq_3x")
     lp.add_constraint({x: ONE, w: -ONE}, "<=", 1, "loose")
@@ -661,7 +661,7 @@ def test_presolve_shrinks_the_binomial_measure_lp():
         m.setattr(lpmod, "_Presolve", Recording)
         report, _ = price_with_dual(enlarge(model, model.N + 1), "super")
     assert (report.price, asked) == (Q(188, 81), [161])
-    assert report.lp_rows <= 20
+    assert report.lp.rows <= 20
 
 
 def _recording_tableau(check):
@@ -726,7 +726,7 @@ def test_row_denominators_stay_within_the_bit_bound(monkeypatch):
     monkeypatch.setattr(lpmod, "_Tableau", _recording_tableau(check))
     model = load_model(binomial_put_book_dict(5))
     report = superhedge(enlarge(model, model.N + 1))
-    assert (report.price, report.lp_rows, report.pivots) == (Q(188, 81), 192, 196)
+    assert (report.price, report.lp.rows, report.lp.pivots) == (Q(188, 81), 192, 196)
 
 
 @pytest.mark.parametrize("bits", [4, lpmod._REDUCE_BITS])
@@ -874,7 +874,7 @@ def test_edits_on_a_copy_leave_the_source(monkeypatch):
                 for w in [Q(rng.randint(1, 4), rng.randint(1, 3))]}
         max_slack(lp, rows)
         assert format_lp(lp) == before
-        fresh = LinearProgram(lp.name)
+        fresh = LinearProgram()
         for j in xs:
             fresh.add_var(lp.var_names[j], lp.nonneg[j])
         s = fresh.add_var("_slack", nonneg=False)

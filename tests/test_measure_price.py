@@ -5,7 +5,7 @@ duals; ``subhedge``/``superhedge`` build and solve the hedge LP on their
 own and are the reference here.  On every fixture market and on seeded
 generated ones, both sides must give the reference price exactly, the
 hedge read off the duals must hold on every path (re-evaluated here by
-``payoff_enlarged``), and the measure must pass its polytope's check.  On
+``hedging.evaluate_gain``), and the measure must pass its polytope's check.  On
 mispriced markets the measure LP is empty, and the ray read off its
 Farkas vector must be a strategy that gains on every path.
 """
@@ -21,13 +21,13 @@ from amhedge.campaign import pin_quote, random_sna_model
 from amhedge.cli import main
 from amhedge.enlarged import enlarge, extend_claim
 from amhedge.errors import SnaFailure
-from amhedge.hedging import GainLP, SemiStaticStrategy, payoff_enlarged, subhedge, superhedge
+from amhedge.hedging import GainLP, SemiStaticStrategy, subhedge, superhedge
 from amhedge.market import load_model
 from amhedge.measures import price_with_dual
 from amhedge.rationals import ONE, ZERO, Q, rat_str
 from amhedge.robust import supported_paths, supported_space
 
-from conftest import binomial_put_book_dict, trinomial_dict, unbranched_book_dicts
+from conftest import binomial_put_book_dict, path_gains, trinomial_dict, unbranched_book_dicts
 from test_report_bytes import CAMPAIGN_MODELS, CONFTEST_MODELS, _model
 
 SIDES = ("sub", "super")
@@ -60,7 +60,8 @@ def _check_against_reference(model, side):
     ref = (subhedge if side == "sub" else superhedge)(enl)
     assert report.price == ref.price
     assert report.gap == ZERO
-    assert report.to_json(enl)["dual_ref"]["value"] == rat_str(report.price)
+    assert report.to_json(enl)["dual_ref"] == {"measure": {
+        enl.epaths[p].label: rat_str(q) for p, q in sorted(report.measure.items())}}
 
     ok, ledger = pt.check(report.measure)
     assert ok, [e for e in ledger if not e["ok"]]
@@ -69,8 +70,8 @@ def _check_against_reference(model, side):
     books = [*strat.long_european, *strat.long_american, *strat.short_american]
     books += [m for nu in strat.liquidation for m in nu.values()]
     assert all(v >= ZERO for v in books)
-    # payoff_enlarged raises unless each nu_j sums to b_j along every path
-    gains = payoff_enlarged(enl, strat)
+    # evaluate_gain raises unless each nu_j sums to b_j along every path
+    gains = path_gains(enl, strat)
     claim = extend_claim(enl, side)
     eta = report.exercise
     assert (eta is None) == (side == "super")
@@ -153,7 +154,7 @@ def _ray_from_names(enl, names: dict[str, str]) -> tuple[Q, SemiStaticStrategy]:
     model = enl.model
     node = {e.label: v for v, e in enumerate(enl.enodes)}
     strat = SemiStaticStrategy(
-        dims=model.stock.dim, stock={}, long_european=[ZERO] * model.L,
+        stock={}, long_european=[ZERO] * model.L,
         long_american=[ZERO] * model.M, short_american=[ZERO] * model.N,
         liquidation=[{} for _ in range(model.M)],
     )
@@ -200,13 +201,13 @@ def test_mispriced_price_exits_2_with_a_checked_ray(name, side, tmp_path, capsys
     x, ray = _ray_from_names(enl, exc.value.certificate["ray"])
     # an improving ray of the hedge LP: min x (super) falls, max x (sub) rises
     assert (x < ZERO) if side == "super" else (x > ZERO)
-    gains = payoff_enlarged(enl, ray)
+    gains = path_gains(enl, ray)
     assert all(gain >= abs(x) for gain in gains.values())
     # the hedge LP fails the same way, with a ray that gains as much
     with pytest.raises(SnaFailure, match="price is unbounded") as exc:
         (subhedge if side == "sub" else superhedge)(enl)
     x, ray = _ray_from_names(enl, exc.value.certificate["ray"])
-    assert all(gain >= abs(x) > ZERO for gain in payoff_enlarged(enl, ray).values())
+    assert all(gain >= abs(x) > ZERO for gain in path_gains(enl, ray).values())
 
 
 @pytest.mark.parametrize("seed", GENERATED[:4])
@@ -218,6 +219,6 @@ def test_corroded_markets_fail_on_both_lps(seed):
         with pytest.raises(SnaFailure, match="price is unbounded") as exc:
             price_with_dual(enl, side)
         x, ray = _ray_from_names(enl, exc.value.certificate["ray"])
-        assert all(gain >= abs(x) > ZERO for gain in payoff_enlarged(enl, ray).values())
+        assert all(gain >= abs(x) > ZERO for gain in path_gains(enl, ray).values())
         with pytest.raises(SnaFailure):
             (subhedge if side == "sub" else superhedge)(enl)

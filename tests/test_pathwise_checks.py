@@ -1,6 +1,6 @@
 """The pathwise re-checks reject a certificate moved by 1/10**30.
 
-``hedging.check_hedge`` (through ``payoff_enlarged``) re-validates a
+``hedging.check_hedge`` (through ``evaluate_gain``) re-validates a
 hedge on every enlarged path and on the space's tied pairs, and
 ``MeasurePolytope.check``/``require`` re-check a measure row by row from
 the model data.  Each case below starts from a certificate that passes,
@@ -9,7 +9,7 @@ sub-hedge, moves one entry by 1/10**30 and expects the check that entry
 feeds to fail, as test_lp's certificate-rejection tests do for the LP
 verifiers.  ``ftap_certificate``, the one reader of every uniform-slack
 LP, is held to each of its raises the same way, its LP's witness moved.
-A hypothesis test holds the gains of ``payoff_enlarged`` to a plain
+A hypothesis test holds the gains of ``evaluate_gain`` to a plain
 ``Fraction`` evaluator kept here.
 """
 from __future__ import annotations
@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 from amhedge.divisible import RevealedModel
 from amhedge.enlarged import enlarge
 from amhedge.errors import PropertyViolation
-from amhedge.hedging import SemiStaticStrategy, check_hedge, payoff_enlarged, subhedge
+from amhedge.hedging import SemiStaticStrategy, check_hedge, subhedge
 from amhedge.market import load_model
 from amhedge.measures import MeasurePolytope, build_polytope, ftap_certificate, price_with_dual
 from amhedge.rationals import ONE, ZERO, Q
@@ -34,7 +34,7 @@ from amhedge.oracles import selectors, vertex_measure
 from amhedge.robust import supported_space
 
 from conftest import binomial_dict, binomial_put_book_dict, binomial_short_put_dict
-from conftest import trinomial_dict, trinomial_kernels_dict, two_period_dict
+from conftest import path_gains, trinomial_dict, trinomial_kernels_dict, two_period_dict
 
 EPS = Q(1, 10**30)
 
@@ -388,12 +388,11 @@ def test_integer_gains_equal_the_fraction_reference(data):
             nu[v] = left[v] * share
             left.update((kid, left[v] - nu[v]) for kid in enl.children[v])
         liquidation.append(nu)
-    strat = SemiStaticStrategy(dims=model.stock.dim, stock=stock, long_european=book(model.L),
-                               long_american=b, short_american=book(model.N),
-                               liquidation=liquidation)
-    gains = payoff_enlarged(enl, strat)
+    strat = SemiStaticStrategy(stock=stock, long_european=book(model.L), long_american=b,
+                               short_american=book(model.N), liquidation=liquidation)
+    gains = path_gains(enl, strat)
     assert sorted(gains) == list(range(enl.num_paths))
     for p, gain in gains.items():
         assert _frac(gain) == reference_gain(enl, strat, p)
     half = [p for p in range(enl.num_paths) if p % 2]
-    assert payoff_enlarged(enl.restricted(half), strat) == {i: gains[p] for i, p in enumerate(half)}
+    assert path_gains(enl.restricted(half), strat) == {i: gains[p] for i, p in enumerate(half)}

@@ -147,7 +147,7 @@ def test_stock_superhedge():
     assert rep.price == Q(1, 3)
     # the classical dual_ref schema: the unique martingale law (1/3, 2/3)
     assert rep.gap == ZERO and rep.to_json(stock)["dual_ref"] == {
-        "kind": "dual_super", "value": "1/3", "measure": {"p0@1": "1/3", "p1@1": "2/3"}}
+        "measure": {"p0@1": "1/3", "p1@1": "2/3"}}
     # constants price to themselves
     flat = {"values": {"r": "5/7", "u": "5/7", "d": "5/7"}}
     model = load_model(binomial_dict(claim=flat, kernels=INTERIOR))
@@ -362,11 +362,8 @@ def test_minimax_singleton():
 def test_minimax_two_vertices():
     enl, stream = _minimax_setup()
     v1 = vertex_measure(enl, (0,))
-    v2 = {
-        p: (Q(3, 4) if enl.epaths[p].base_index == 0 else Q(1, 4))
-        * enl.clock_dist[enl.epaths[p].clocks]
-        for p in range(enl.num_paths)
-    }
+    v2 = {p: (Q(3, 4) if enl.epaths[p].base_index == 0 else Q(1, 4)) * enl.clock_mass
+          for p in range(enl.num_paths)}
     rep = verify_minimax(enl, [stream], [v1, v2])
     # the up-tilted vertex leaves only 1/4 mass on the down move
     assert rep.value == Q(1, 8)

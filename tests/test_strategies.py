@@ -85,7 +85,6 @@ def _root_positions(rev, pos):
     """Stock held at time 0 only; pos may depend on the clock vector."""
     model = rev.model
     return SemiStaticStrategy(
-        dims=1,
         stock={(ep.node_seq[0], 0): pos(ep.clocks) for ep in rev.epaths if pos(ep.clocks)},
         long_european=[ZERO] * model.L,
         long_american=[ZERO] * model.M,

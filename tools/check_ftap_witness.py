@@ -34,7 +34,6 @@ def check(model_path: str, report_path: str) -> str:
     node = {n.label: v for v, n in enumerate(enl.enodes)}
     spec = arb["strategy"]
     strat = SemiStaticStrategy(
-        dims=model.stock.dim,
         stock={(node[label], int(d)): rat(h)
                for label, dims in spec["stock"].items() for d, h in dims.items()},
         long_european=[rat(a) for a in spec["long_european"]],

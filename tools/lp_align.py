@@ -115,7 +115,8 @@ def _worker(tree: str, argv: list[str]) -> None:
     json.dump({"exit": code, "solves": solves, "origins": origins}, stdout)
 
 
-def _write_fixtures(head: Path, folder: Path) -> list[tuple[str, list[str]]]:
+def _write_fixtures(head: Path, folder: Path,
+                    commands: dict[str, list[str]] = FIXTURE_COMMANDS) -> list[tuple[str, list[str]]]:
     """Model files of HEAD's pinned fixtures, and the requests on each."""
     script = (
         "import json, sys\n"
@@ -135,7 +136,7 @@ def _write_fixtures(head: Path, folder: Path) -> list[tuple[str, list[str]]]:
     names = json.loads(subprocess.run([sys.executable, "-B", "-c", script, str(folder)], env=env,
                                       check=True, capture_output=True, text=True).stdout)
     return [(f"{name} {cmd}", [args[0], "--model", str(folder / f"{name}.json"), *args[1:]])
-            for name in names for cmd, args in FIXTURE_COMMANDS.items()]
+            for name in names for cmd, args in commands.items()]
 
 
 def _run(tree: Path, argv: list[str]) -> dict:
