@@ -40,35 +40,35 @@ COMMANDS = {
 # (exit code, sha256 of stdout) per model and command
 EXPECTED = {
     ('binomial', 'ftap'): (0, '4133d68f0053fab0175ccc64efb7e67430dd09a69a999583e7bb44275148d9f0'),
-    ('binomial', 'price-sub'): (0, 'd49c29cb1e77531b893f0d1af22f3b6ced846ec05674cf7fee83becd4d766008'),
-    ('binomial', 'price-super'): (0, '910295e56a54dd6fa0018132584e2cf67d2f244a3b6282ab92ce1aa47a80f29f'),
+    ('binomial', 'price-sub'): (0, '2bf2e563dfb9338c9def6ac8f3919ddc8e0debc0b086d3cd2964be02699f5e36'),
+    ('binomial', 'price-super'): (0, '5709706b3fbd941c7ad38e8968056f86314ed42bd2d3bf6bd7005f8396855622'),
     ('binomial_short_put', 'ftap'): (0, 'b88c6c95f7482b0ef65f697ae06bcfce10cbdcf6eae69b4b7d2ce92a9ee48fd6'),
-    ('binomial_short_put', 'price-sub'): (0, '7a7964a2748e263d59c3d09d5179153a1c759c3f76f7ad6ede44aef3f2d3d55e'),
-    ('binomial_short_put', 'price-super'): (0, '91a66d6837a29dfae97e158a6359256f51989e4aee0c850ac3c36edb61ee3022'),
+    ('binomial_short_put', 'price-sub'): (0, 'a0a5a4653d44f5015c78fb9a2d58d6527cfc62e2ba695d5913fa1b41ba245d72'),
+    ('binomial_short_put', 'price-super'): (0, 'bae08f442406a37b201678580c58b26a704514878a4c419cbccedd5c6a8d711a'),
     ('trinomial', 'ftap'): (0, '6a01a4b26b7cf093b99c2ddb4b356243ca69fe9969c03c6c611bd7b07ffa1a31'),
-    ('trinomial', 'price-sub'): (0, '7cbce1805d8acb3049f9e17e6b4e89836de542bce4f4e92e93cda0063c66332f'),
-    ('trinomial', 'price-super'): (0, '0cb5259f28d51287d41af9dfb168ffaf87af1f252dee13a1c82d6ab7b62ae631'),
+    ('trinomial', 'price-sub'): (0, '032e71e49e323a545cf23c2d32624fa97b853994d23518919cb74ecb6fd6674f'),
+    ('trinomial', 'price-super'): (0, '7b9e7e90e8743af4251dc69a8ab109620871e02e5e911ef6c16d2ac2c04afeea'),
     ('two_period', 'ftap'): (0, '8df202a35b029cf58cc028e17a369a315d83ce49864c7af5f935c8d256a92185'),
-    ('two_period', 'price-sub'): (0, '2b95e54e079968b91fa7036e65228a3a8ac8a32999849ec13ee234ca22f31715'),
-    ('two_period', 'price-super'): (0, '6c6aff97b228a2013240a013709b78f2ef722e8c1c38b5241bf193ad93407eca'),
+    ('two_period', 'price-sub'): (0, '979926eb19518e40d20e0e06869d6130e4a13f5ca28422c71108ba1109173d4c'),
+    ('two_period', 'price-super'): (0, '4f2afb1fc42f140b4b86bcde702964d1b6a22f8afd5a7337526ec1b91dafb259'),
     ('binomial_call', 'ftap'): (0, '4133d68f0053fab0175ccc64efb7e67430dd09a69a999583e7bb44275148d9f0'),
-    ('binomial_call', 'price-sub'): (0, 'd49c29cb1e77531b893f0d1af22f3b6ced846ec05674cf7fee83becd4d766008'),
-    ('binomial_call', 'price-super'): (0, '910295e56a54dd6fa0018132584e2cf67d2f244a3b6282ab92ce1aa47a80f29f'),
+    ('binomial_call', 'price-sub'): (0, '2bf2e563dfb9338c9def6ac8f3919ddc8e0debc0b086d3cd2964be02699f5e36'),
+    ('binomial_call', 'price-super'): (0, '5709706b3fbd941c7ad38e8968056f86314ed42bd2d3bf6bd7005f8396855622'),
     ('binomial_call_short_put', 'ftap'): (0, 'b88c6c95f7482b0ef65f697ae06bcfce10cbdcf6eae69b4b7d2ce92a9ee48fd6'),
-    ('binomial_call_short_put', 'price-sub'): (0, '7a7964a2748e263d59c3d09d5179153a1c759c3f76f7ad6ede44aef3f2d3d55e'),
-    ('binomial_call_short_put', 'price-super'): (0, '91a66d6837a29dfae97e158a6359256f51989e4aee0c850ac3c36edb61ee3022'),
+    ('binomial_call_short_put', 'price-sub'): (0, 'a0a5a4653d44f5015c78fb9a2d58d6527cfc62e2ba695d5913fa1b41ba245d72'),
+    ('binomial_call_short_put', 'price-super'): (0, 'bae08f442406a37b201678580c58b26a704514878a4c419cbccedd5c6a8d711a'),
     ('strict_chain_market', 'ftap'): (0, '28fae3187c411f52e0cdf6ed2e96d44c17953082aaeb717f5922572543493d2e'),
-    ('strict_chain_market', 'price-sub'): (0, '863526a8ca928111841b9488616fba6508dfd7fc0be4b744fcff0aa8d071a97a'),
-    ('strict_chain_market', 'price-super'): (0, 'c143fe5b3b97ecfe33145fde973061d4e543223a8ccdf93073fe96f6b4c6d695'),
+    ('strict_chain_market', 'price-sub'): (0, 'e20d0f030434182e1c28707b717b20dd9c3830ca27fb93faa2d1aa28e3f555ec'),
+    ('strict_chain_market', 'price-super'): (0, '796e899b5e24bbac68da4f8d7412dfcf0b45a5b697ba8d823c84cccbd9766fd0'),
     ('trinomial_two_kernels', 'ftap'): (0, '1108a504b39f7cc12003ee445ae1176b05ff769710d591810af0aacd901d8090'),
-    ('trinomial_two_kernels', 'price-sub'): (0, '8f3f080466d09e14665952afb4cefffa9a55d522977c8916e3b0daa62ffd97e3'),
-    ('trinomial_two_kernels', 'price-super'): (0, '534272efba5fc201d6dbecc226e5294e9f4f30e7dfc7b9be3fcb29775789cf9f'),
+    ('trinomial_two_kernels', 'price-sub'): (0, '6d13922fe3ab7c7826c8aaebf2d88ef662ff10f6dd52d6ef91d16e3c990ac9ea'),
+    ('trinomial_two_kernels', 'price-super'): (0, 'db9a71382108740f26ada95aded346251892f0c3f9b0ee746e87383a462da363'),
     ('binomial_kernel', 'ftap'): (0, '5d440928299758f733767bd17a0f6378a154bd97bb55f3555a7b329556ba9886'),
-    ('binomial_kernel', 'price-sub'): (0, 'fad5781d8025a1782e37d97a62942aa1c1441deda2e679b8761e04968b03a939'),
-    ('binomial_kernel', 'price-super'): (0, '0beda15fce10e645eaa70531d14c64082f9b1e6314c273a812e9057f2dc3efb2'),
+    ('binomial_kernel', 'price-sub'): (0, '722fb3d4b2de25cd936bcd41a8f9dec5077334a6f694479387ca39415cbafefe'),
+    ('binomial_kernel', 'price-super'): (0, 'b287c23c47e201a5223593aed6248a71c7675a36a851b3d18cbed82a75d5b0cb'),
     ('trinomial_kernels', 'ftap'): (0, 'ac66624d5a90cc2f2ccc636016e317f085992e32683a6e5d7ea0982dff8779c8'),
-    ('trinomial_kernels', 'price-sub'): (0, '3bae5d1f5df4d26d9c13548b18f97f583924fa9c4ec573e635a5e4988c722d89'),
-    ('trinomial_kernels', 'price-super'): (0, 'b51f3aae1aebb34123521e9ba3305ef41138219a7e19a0f0571c84fb7f4345a7'),
+    ('trinomial_kernels', 'price-sub'): (0, 'f2ba8bad7ddf668fba231ba679db4c587ef67fe234ec65d7a384fa37e605be56'),
+    ('trinomial_kernels', 'price-super'): (0, 'f9fd3642372a041db3b31d0568a2cb336848f1239053170d491682974697f8d6'),
 }
 
 
