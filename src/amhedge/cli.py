@@ -230,9 +230,6 @@ def cmd_enlarge_dump(args) -> int:
         }
         for i, ep in enumerate(enl.epaths)
     ]
-    # every clock tuple, each at the one uniform mass
-    doc["clock_dist"] = dict.fromkeys(
-        (",".join(map(str, ep.clocks)) for ep in enl.epaths), rat_str(enl.clock_mass))
     _emit(doc, args)
     _say(args, f"enlarged space: n={n}, {len(enl.enodes)} nodes, {enl.num_paths} paths")
     return EXIT_OK

@@ -83,15 +83,14 @@ def evaluate_gain(enl: EnlargedModel, strat: SemiStaticStrategy) -> tuple[dict[i
     along every path.
     """
     model = enl.model
-    if (len(strat.long_european), len(strat.long_american), len(strat.short_american)) != (
-        model.L,
-        model.M,
-        model.N,
-    ):
+    counts = (len(strat.long_european), len(strat.long_american), len(strat.short_american))
+    if counts != (model.L, model.M, model.N):
         raise ValueError("strategy option counts do not match the model")
+    if any(not 0 <= d < model.stock.dim for _, d in strat.stock):
+        raise ValueError("strategy stock dimensions do not match the model")
     tree = model.tree
     nodes = list(tree.nodes)
-    keys = [key for key, h in strat.stock.items() if h and key[1] < model.stock.dim]
+    keys = [key for key, h in strat.stock.items() if h]
     (hs, a, b, c, *masses), dx = over_common(
         map(strat.stock.__getitem__, keys), strat.long_european, strat.long_american,
         strat.short_american, *(nu.values() for nu in strat.liquidation))

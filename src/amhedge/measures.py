@@ -20,13 +20,13 @@ it is given; the quasi-sure ones are given a kernel family's supported
 space (robust.supported_space), whose forest is the support forest.
 
 A measure is re-checked from the model data, never from an LP, and in
-Python ints (MeasurePolytope.check/require, martingale_increments,
+Python ints (MeasurePolytope.verdicts/require, martingale_increments,
 expectation, snell_value): each call puts the measure, and its own tables
 of the stock moves, payoffs and quotes, over common denominators.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Hashable, Iterable, Iterator, Literal, Sequence
 
@@ -109,7 +109,7 @@ class MeasurePolytope:
     The builder reads tables: the stock move of each base edge in
     integers (MarketModel.base_steps), shared by every enlarged path over
     it, and the payoffs per leaf and per base node; only the price rows
-    and Snell blocks go in as rationals.  The re-checks (check/require)
+    and Snell blocks go in as rationals.  The re-checks (verdicts/require)
     read none of them; they build their own from the model.
     """
 
@@ -187,39 +187,25 @@ class MeasurePolytope:
     # -- independent re-validation ----------------------------------------
 
     def require(self, measure: dict[int, Q], what: str) -> None:
-        """Raise unless check() passes, naming the first failed rows."""
-        bad = [_ledger_entry(*row) for row in self.verdicts(measure) if not row[-1]]
+        """Raise unless every row of verdicts() holds, naming the first failed rows."""
+        bad = [_ledger_entry(*row[:-1]) for row in self.verdicts(measure) if not row[-1]]
         if bad:
             raise PropertyViolation(f"{what} left the polytope: {bad[:3]}")
-
-    def check(
-        self,
-        measure: dict[int, Q],
-        *,
-        min_slack: Q | None = None,
-        floor: dict[int, Q] | None = None,
-        prices: bool = True,
-    ) -> tuple[bool, list[dict]]:
-        """Re-evaluate every constraint directly from the data of enl.model.
-
-        With ``min_slack`` s, the rows support_slack slackens at the same
-        ``floor`` and ``prices`` must clear their bounds by at least s
-        times their weight: Q(p) >= s * floor(p) (1 on every path by
-        default, 0 off its paths), and each price row by s, or with
-        ``prices`` False by 0.  Positivity holds with Q(p) >= 0 as well.
-        No LP state is consulted.
-        """
-        ledger = [_ledger_entry(*row)
-                  for row in self.verdicts(measure, min_slack, floor, prices)]
-        return all(e["ok"] for e in ledger), ledger
 
     def verdicts(
         self, measure: dict[int, Q], min_slack: Q | None = None,
         floor: dict[int, Q] | None = None, prices: bool = True, strict: bool = False,
     ) -> Iterator[tuple[str, int, Relation, int, int, bool]]:
         """(name, lhs, relation, rhs, den, ok) of each row of _evaluated_rows,
-        judged as check says; with ``strict``, margins must be positive (the
-        strict re-check of the oracles' mixtures)."""
+        re-evaluated from the data of enl.model, never from LP state.
+
+        An equality must hold exactly, an inequality with margin >= 0 (> 0
+        with ``strict``, the strict re-check of the oracles' mixtures).  With
+        ``min_slack`` s, the rows support_slack slackens at the same ``floor``
+        and ``prices`` must clear their bounds by s times their weight: Q(p)
+        >= s * floor(p) (1 on every path by default, 0 off its paths) and
+        Q(p) >= 0, and each price row by s, or with ``prices`` False by 0.
+        """
         if min_slack is not None:
             sn, sd = int(min_slack.numerator), int(min_slack.denominator)
         for name, lhs, rel, rhs, den, path in self._evaluated_rows(measure):
@@ -411,17 +397,12 @@ class MeasurePolytope:
             yield f"g[{j};sup]", lhs, "<=", rhs, den, None
 
 
-def _ledger_entry(name: str, lhs: int, rel: Relation, rhs: int, den: int, ok: bool) -> dict:
-    """One row of MeasurePolytope.check's ledger, its values as 'p/q' strings."""
+def _ledger_entry(name: str, lhs: int, rel: Relation, rhs: int, den: int) -> dict:
+    """One failed row of MeasurePolytope.require's message, its values as 'p/q' strings;
+    the margin of an equality is lhs - rhs."""
     margin = rhs - lhs if rel == "<=" else lhs - rhs
-    return {
-        "constraint": name,
-        "lhs": ratio_str(lhs, den),
-        "rel": rel,
-        "rhs": ratio_str(rhs, den),
-        "margin": ratio_str(margin, den) if rel != "=" else "0/1",
-        "ok": ok,
-    }
+    return {"constraint": name, "lhs": ratio_str(lhs, den), "rel": rel,
+            "rhs": ratio_str(rhs, den), "margin": ratio_str(margin, den)}
 
 
 def build_polytope(enl: EnlargedModel) -> MeasurePolytope:
@@ -430,28 +411,25 @@ def build_polytope(enl: EnlargedModel) -> MeasurePolytope:
 
 @dataclass
 class MeasureCertificate:
-    """The best uniform slack of a slack LP with its re-checked measure: a
-    witness of (strict) no-arbitrage when the slack is positive, the best
-    failed slack otherwise, no measure where the polytope is empty.  The
-    slack LP's verified outcome is kept for ftap_arbitrage."""
+    """A slack LP's verified outcome and its re-checked measure: strict
+    no-arbitrage when the slack is positive, no measure where the polytope
+    is empty.  ftap_arbitrage reads the outcome's multipliers."""
 
     measure: dict[int, Q] | None
-    slack: Q | None
-    ledger: list[dict] = field(default_factory=list)
-    outcome: LPOutcome | None = None
+    outcome: LPOutcome
+
+    @property
+    def slack(self) -> Q | None:
+        """The slack LP's optimum, None exactly where the polytope is empty."""
+        return self.outcome.value
 
     @property
     def holds(self) -> bool:
         return self.slack is not None and self.slack > 0
 
     def to_json(self, enl: EnlargedModel) -> dict:
-        return {
-            "paths": {
-                enl.epaths[p].label: rat_str(q) for p, q in sorted((self.measure or {}).items())
-            },
-            "slack": rat_str(self.slack) if self.slack is not None else None,
-            "ledger": self.ledger,
-        }
+        paths = sorted((self.measure or {}).items())
+        return {"paths": {enl.epaths[p].label: rat_str(q) for p, q in paths}}
 
 
 def ftap_certificate(
@@ -465,24 +443,18 @@ def ftap_certificate(
     With ``prices`` False the price rows stay closed, and a positive s*
     is a full-support measure of the closed polytope; with ``floor`` (a
     selector measure P) it dominates s* * P.  The LP's measure is
-    re-checked from the model data on exactly the rows the LP slackened,
-    whatever the sign of s*.
+    re-checked from the model data (MeasurePolytope.verdicts) on exactly
+    the rows the LP slackened, whatever the sign of s*.
     """
     out = pt.support_slack(prices=prices, floor=floor)
     if out.status == "infeasible":
-        return MeasureCertificate(
-            measure=None,
-            slack=None,
-            ledger=[{"constraint": "existence", "ok": False, "note": "no martingale measure"}],
-            outcome=out,
-        )
+        return MeasureCertificate(measure=None, outcome=out)
     if out.status != "optimal":
         raise PropertyViolation(f"slack LP unexpectedly {out.status}")
     measure = {p: out.x(v) for p, v in pt.q_var.items() if out.x(v)}
-    ok, ledger = pt.check(measure, min_slack=out.value, floor=floor, prices=prices)
-    if not ok:
+    if not all(row[-1] for row in pt.verdicts(measure, out.value, floor, prices)):
         raise PropertyViolation("slack witness failed re-validation")
-    return MeasureCertificate(measure=measure, slack=out.value, ledger=ledger, outcome=out)
+    return MeasureCertificate(measure=measure, outcome=out)
 
 
 def ftap_arbitrage(pt: MeasurePolytope, cert: MeasureCertificate) -> ArbitrageReport:

@@ -27,7 +27,7 @@ from amhedge.hedging import evaluate_gain
 from amhedge.lp import LPInternalError
 from amhedge.market import emit_model, load_model
 from amhedge.measures import build_polytope
-from amhedge.rationals import Q, rat
+from amhedge.rationals import Q, rat, rat_str
 from amhedge.robust import supported_paths, supported_space
 from amhedge.strategies import DEFAULT_ENUM_CAP
 
@@ -51,6 +51,17 @@ def model_file(tmp_path):
 def kernel_file(tmp_path):
     d = binomial_dict(kernels={"r": [["1/2", "1/2"]]})
     path = tmp_path / "kernel.json"
+    path.write_text(json.dumps(d))
+    return str(path)
+
+
+@pytest.fixture()
+def mispriced_file(tmp_path):
+    # the short put of model_file bid at 1/2: no measure clears it
+    d = binomial_dict(
+        americans_short=[{"values": {"r": "0", "u": "0", "d": "1/2"}, "price": "1/2"}],
+    )
+    path = tmp_path / "mispriced.json"
     path.write_text(json.dumps(d))
     return str(path)
 
@@ -189,7 +200,28 @@ def test_ftap_holds(model_file, capsys):
     assert code == 0
     doc = json.loads(out)["classical"]
     assert doc["holds"] is True and doc["epsilon"] == "1/24"
-    assert doc["certificate"]["slack"] == "1/24"
+
+
+@pytest.mark.parametrize("fixture, exit_code, epsilon", [
+    ("model_file", 0, "1/24"), ("kernel_file", 0, "1/3"), ("mispriced_file", 2, "-1/6"),
+])
+def test_ftap_report_states_each_value_once(fixture, exit_code, epsilon, request, capsys):
+    # the certificate is the measure alone: its slack is epsilon, and a row
+    # by row ledger would restate the measure, the constants 1 and 0, the
+    # quotes and a verdict that is true whenever a report is written
+    path = request.getfixturevalue(fixture)
+    code, out, err = run(["ftap", "--model", path], capsys)
+    assert code == exit_code, err
+    doc = json.loads(out)["classical"]
+    assert doc["epsilon"] == epsilon
+    assert list(doc["certificate"]) == ["paths"]
+    # the measure and epsilon alone re-validate against the model
+    model = load_model(Path(path).read_bytes())
+    enl = enlarge(model, model.N)
+    index = {ep.label: p for p, ep in enumerate(enl.epaths)}
+    measure = {index[label]: rat(q) for label, q in doc["certificate"]["paths"].items()}
+    pt = build_polytope(enl)
+    assert all(row[-1] for row in pt.verdicts(measure, min_slack=rat(epsilon)))
 
 
 def test_gamma_override_flips_ftap(model_file, capsys):
@@ -466,8 +498,12 @@ def test_enlarge_dump(model_file, capsys):
     assert doc["n"] == 1 and doc["horizon"] == 1
     assert len(doc["enodes"]) == 6 and len(doc["paths"]) == 4
     assert doc["children"]["r|0"] == ["u|0", "d|0"]
-    assert doc["clock_dist"] == {"0": "1/2", "1": "1/2"}
-    assert all(p["weight"] == "1/4" for p in doc["paths"])
+    # each path's weight carries the clock mass (T+1)^-n: no clock section restates it
+    assert "clock_dist" not in doc
+    base = load_model(Path(model_file).read_bytes()).weights
+    clock_mass = Q(1, (doc["horizon"] + 1) ** doc["n"])
+    assert [p["weight"] for p in doc["paths"]] == [
+        rat_str(base[p["base_leaf"]] * clock_mass) for p in doc["paths"]]
 
 
 def test_robust_model_routes_to_quasi_sure(kernel_file, capsys):
@@ -529,8 +565,8 @@ def test_kernel_price_reports_its_supported_measure(name, side, tmp_path, capsys
     assert dual["measure"] and set(dual["measure"]) <= set(index)
     measure = {index[label]: rat(q) for label, q in dual["measure"].items()}
     assert doc["supported_paths"] == space.num_paths == len(supported_paths(enl))
-    ok, ledger = build_polytope(space).check(measure)
-    assert ok, [e for e in ledger if not e["ok"]]
+    bad = [row for row in build_polytope(space).verdicts(measure) if not row[-1]]
+    assert not bad, bad
 
 
 def test_verify_small_run(model_file, capsys):

@@ -20,7 +20,7 @@ from amhedge.hedging import GainLP, nonanticipative
 from amhedge.market import load_model
 from amhedge.measures import build_polytope
 from amhedge.strategies import enlarged_stopping_times
-from amhedge.rationals import ZERO, Q, rat_str
+from amhedge.rationals import ZERO, Q
 
 from conftest import binomial_dict, path_gains
 
@@ -150,13 +150,13 @@ def test_check_fails_without_raising_on_a_signed_measure():
         enl.path_index(0, (1,)): Q(1, 2),
         enl.path_index(1, (1,)): Q(1, 2),
     }
-    ok, ledger = pt.check(measure)
-    assert not ok
-    entry = next(e for e in ledger if e["constraint"] == "g[0;sup]")
+    rows = {row[0]: row for row in pt.verdicts(measure)}
+    assert not all(row[-1] for row in rows.values())
+    _, lhs, _, _, den, _ = rows["g[0;sup]"]
     values = pt.long_values[0]
     seqs = [enl.epaths[p].node_seq for p in range(enl.num_paths)]
     best = max(
         sum(q * values[seqs[p][tau.time_on(seqs[p])]] for p, q in measure.items())
         for tau in enlarged_stopping_times(enl)
     )
-    assert entry["lhs"] == rat_str(best)
+    assert Q(lhs, den) == best

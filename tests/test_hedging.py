@@ -93,6 +93,10 @@ def test_payoff_enlarged_rejects_mismatched_strategy(binomial):
     )
     with pytest.raises(ValueError):
         evaluate_gain(enl, strat)
+    # a share of a second stock the binomial market does not have
+    strat = dataclasses.replace(strat, stock={(0, 1): ONE}, long_european=[])
+    with pytest.raises(ValueError, match="stock dimensions"):
+        evaluate_gain(enl, strat)
 
 
 def test_no_arbitrage_clean_market(binomial):

@@ -72,16 +72,14 @@ def test_check_validates_and_rejects(binomial_short_put):
     u0, d0 = _path(enl, 0, (0,)), _path(enl, 1, (0,))
     u1, d1 = _path(enl, 0, (1,)), _path(enl, 1, (1,))
     good = {u0: Q(1, 24), d0: Q(2, 24), u1: Q(7, 24), d1: Q(14, 24)}
-    ok, ledger = pt.check(good)
-    assert ok and all(e["ok"] for e in ledger)
-    ok, _ = pt.check(good, min_slack=Q(1, 24))
-    assert ok
-    ok, _ = pt.check(good, min_slack=Q(1, 23))
-    assert not ok
+    ok = lambda measure, **slack: all(row[-1] for row in pt.verdicts(measure, **slack))
+    assert ok(good)
+    assert ok(good, min_slack=Q(1, 24))
+    assert not ok(good, min_slack=Q(1, 23))
     bad = dict(good)
     bad[u0] += Q(1, 100)    # breaks mass and the martingale row
-    ok, ledger = pt.check(bad)
-    assert not ok and any(not e["ok"] for e in ledger)
+    failed = [row[0] for row in pt.verdicts(bad) if not row[-1]]
+    assert "mass" in failed and any(name.startswith("mart[") for name in failed)
 
 
 def test_ftap_certificate_slack(binomial_short_put):
@@ -89,10 +87,9 @@ def test_ftap_certificate_slack(binomial_short_put):
     pt = build_polytope(enl)
     cert = ftap_certificate(pt)
     assert cert.holds and cert.slack == Q(1, 24)
-    ok, _ = pt.check(cert.measure, min_slack=cert.slack)
-    assert ok
+    assert all(row[-1] for row in pt.verdicts(cert.measure, min_slack=cert.slack))
     doc = cert.to_json(enl)
-    assert doc["slack"] == "1/24" and doc["paths"]
+    assert list(doc) == ["paths"] and doc["paths"]
 
 
 def test_ftap_fails_on_rich_quote():
@@ -121,7 +118,7 @@ def test_ftap_infeasible_polytope():
     data["stock"]["values"]["d"] = ["3/2"]
     cert = ftap_certificate(build_polytope(enlarge(load_model(data), 0)))
     assert not cert.holds and cert.slack is None and cert.measure is None
-    assert cert.ledger
+    assert cert.outcome.status == "infeasible"
 
 
 def test_dual_prices(binomial_short_put):
@@ -257,9 +254,7 @@ def test_polytope_paths_restriction(binomial_short_put):
     assert list(pt.q_var) == [0, 1]
     assert pt.lp.var_names == [f"Q[{enl.epaths[p].label}]" for p in sorted(keep)]
     # a measure charging a key outside the space must be flagged
-    ok, ledger = pt.check({2: ONE})
-    assert not ok
-    assert [e["constraint"] for e in ledger if not e["ok"]][0] == "support[p2]"
+    assert [row[0] for row in pt.verdicts({2: ONE}) if not row[-1]][0] == "support[p2]"
 
 
 def _trinomial2_kernel_model():
@@ -375,7 +370,7 @@ def test_at_quotes_copies_the_polytope_of_the_shifted_quotes(name, n_extra, requ
         shifted = enl.with_model(model.shifted_prices(eps))
         moved, built = at_quotes(pt, shifted), build_polytope(shifted)
         assert format_lp(moved.lp) == format_lp(built.lp)
-        assert moved.check(measure) == built.check(measure)
+        assert list(moved.verdicts(measure)) == list(built.verdicts(measure))
 
 
 @pytest.mark.parametrize("name", [*CONFTEST_MODELS, *CAMPAIGN_MODELS])

@@ -162,11 +162,8 @@ def test_the_hedges_the_rejections_move():
 
 
 def _failed(pt, measure, **slack):
-    """Row families (support, pos, mass, mart, f, h, g) the check rejects."""
-    ok, ledger = pt.check(measure, **slack)
-    bad = {e["constraint"].split("[")[0] for e in ledger if not e["ok"]}
-    assert ok == (not bad)
-    return bad
+    """Row families (support, pos, mass, mart, f, h, g) the re-check rejects."""
+    return {row[0].split("[")[0] for row in pt.verdicts(measure, **slack) if not row[-1]}
 
 
 def _first(pt, measure, want):
@@ -238,9 +235,8 @@ def test_positivity_rows_at_a_slack():
 def test_measure_rows_the_rejections_move_are_tight():
     for side, tight in (("sub", {"f[0]", "h[0]"}), ("super", {"h[0]", "g[0;sup]"})):
         _, report, pt = _priced(side)
-        _, ledger = pt.check(report.measure)
-        assert {e["constraint"] for e in ledger if e["margin"] == "0/1" and e["rel"] != "="
-                and not e["constraint"].startswith("pos")} == tight
+        assert {name for name, lhs, rel, rhs, _, _ in pt.verdicts(report.measure)
+                if rel != "=" and lhs == rhs and not name.startswith("pos")} == tight
 
 
 # -- the uniform-slack reader ---------------------------------------------------
