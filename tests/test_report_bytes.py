@@ -39,34 +39,34 @@ COMMANDS = {
 
 # (exit code, sha256 of stdout) per model and command
 EXPECTED = {
-    ('binomial', 'ftap'): (0, '4133d68f0053fab0175ccc64efb7e67430dd09a69a999583e7bb44275148d9f0'),
+    ('binomial', 'ftap'): (0, 'feb3e1b0b65222ff87c358928bc142c7727863c42bc64d16e907dafee95a534c'),
     ('binomial', 'price-sub'): (0, '2bf2e563dfb9338c9def6ac8f3919ddc8e0debc0b086d3cd2964be02699f5e36'),
     ('binomial', 'price-super'): (0, '5709706b3fbd941c7ad38e8968056f86314ed42bd2d3bf6bd7005f8396855622'),
-    ('binomial_short_put', 'ftap'): (0, 'b88c6c95f7482b0ef65f697ae06bcfce10cbdcf6eae69b4b7d2ce92a9ee48fd6'),
+    ('binomial_short_put', 'ftap'): (0, 'a2b890050b34617425a4aaa0125b578339a9ab000232e0e2f2625631309a9b5d'),
     ('binomial_short_put', 'price-sub'): (0, 'a0a5a4653d44f5015c78fb9a2d58d6527cfc62e2ba695d5913fa1b41ba245d72'),
     ('binomial_short_put', 'price-super'): (0, 'bae08f442406a37b201678580c58b26a704514878a4c419cbccedd5c6a8d711a'),
-    ('trinomial', 'ftap'): (0, '6a01a4b26b7cf093b99c2ddb4b356243ca69fe9969c03c6c611bd7b07ffa1a31'),
+    ('trinomial', 'ftap'): (0, '8c8fca44533407ef462833b210e3d75975fafc5ca36acdbc4ce8e3fb6ddbe885'),
     ('trinomial', 'price-sub'): (0, '032e71e49e323a545cf23c2d32624fa97b853994d23518919cb74ecb6fd6674f'),
     ('trinomial', 'price-super'): (0, '7b9e7e90e8743af4251dc69a8ab109620871e02e5e911ef6c16d2ac2c04afeea'),
-    ('two_period', 'ftap'): (0, '8df202a35b029cf58cc028e17a369a315d83ce49864c7af5f935c8d256a92185'),
+    ('two_period', 'ftap'): (0, '584602a76fc5db64eed4e94288ec866c329e7d81243a5bd11d09941c4f541a8f'),
     ('two_period', 'price-sub'): (0, '979926eb19518e40d20e0e06869d6130e4a13f5ca28422c71108ba1109173d4c'),
     ('two_period', 'price-super'): (0, '4f2afb1fc42f140b4b86bcde702964d1b6a22f8afd5a7337526ec1b91dafb259'),
-    ('binomial_call', 'ftap'): (0, '4133d68f0053fab0175ccc64efb7e67430dd09a69a999583e7bb44275148d9f0'),
+    ('binomial_call', 'ftap'): (0, 'feb3e1b0b65222ff87c358928bc142c7727863c42bc64d16e907dafee95a534c'),
     ('binomial_call', 'price-sub'): (0, '2bf2e563dfb9338c9def6ac8f3919ddc8e0debc0b086d3cd2964be02699f5e36'),
     ('binomial_call', 'price-super'): (0, '5709706b3fbd941c7ad38e8968056f86314ed42bd2d3bf6bd7005f8396855622'),
-    ('binomial_call_short_put', 'ftap'): (0, 'b88c6c95f7482b0ef65f697ae06bcfce10cbdcf6eae69b4b7d2ce92a9ee48fd6'),
+    ('binomial_call_short_put', 'ftap'): (0, 'a2b890050b34617425a4aaa0125b578339a9ab000232e0e2f2625631309a9b5d'),
     ('binomial_call_short_put', 'price-sub'): (0, 'a0a5a4653d44f5015c78fb9a2d58d6527cfc62e2ba695d5913fa1b41ba245d72'),
     ('binomial_call_short_put', 'price-super'): (0, 'bae08f442406a37b201678580c58b26a704514878a4c419cbccedd5c6a8d711a'),
-    ('strict_chain_market', 'ftap'): (0, '28fae3187c411f52e0cdf6ed2e96d44c17953082aaeb717f5922572543493d2e'),
+    ('strict_chain_market', 'ftap'): (0, 'a63e7703a5a9f3f5d1280c902be1571806af19c5074ec578b00f48f6dae5cabd'),
     ('strict_chain_market', 'price-sub'): (0, 'e20d0f030434182e1c28707b717b20dd9c3830ca27fb93faa2d1aa28e3f555ec'),
     ('strict_chain_market', 'price-super'): (0, '796e899b5e24bbac68da4f8d7412dfcf0b45a5b697ba8d823c84cccbd9766fd0'),
-    ('trinomial_two_kernels', 'ftap'): (0, '1108a504b39f7cc12003ee445ae1176b05ff769710d591810af0aacd901d8090'),
+    ('trinomial_two_kernels', 'ftap'): (0, '1c5ed8717fbfb50c8fd94af6f102cd44b46883cb042f1e204b5e27983b3de7d3'),
     ('trinomial_two_kernels', 'price-sub'): (0, '6d13922fe3ab7c7826c8aaebf2d88ef662ff10f6dd52d6ef91d16e3c990ac9ea'),
     ('trinomial_two_kernels', 'price-super'): (0, 'db9a71382108740f26ada95aded346251892f0c3f9b0ee746e87383a462da363'),
-    ('binomial_kernel', 'ftap'): (0, '5d440928299758f733767bd17a0f6378a154bd97bb55f3555a7b329556ba9886'),
+    ('binomial_kernel', 'ftap'): (0, 'abe8bf55134bab0005e72746e08dbed9ff16e88cde566f698a74d4ad77166fcc'),
     ('binomial_kernel', 'price-sub'): (0, '722fb3d4b2de25cd936bcd41a8f9dec5077334a6f694479387ca39415cbafefe'),
     ('binomial_kernel', 'price-super'): (0, 'b287c23c47e201a5223593aed6248a71c7675a36a851b3d18cbed82a75d5b0cb'),
-    ('trinomial_kernels', 'ftap'): (0, 'ac66624d5a90cc2f2ccc636016e317f085992e32683a6e5d7ea0982dff8779c8'),
+    ('trinomial_kernels', 'ftap'): (0, '8f65abbd01d2af28f17579a362fcb8c4280c72d8fa5b459c312acdc8d4c421bf'),
     ('trinomial_kernels', 'price-sub'): (0, 'f2ba8bad7ddf668fba231ba679db4c587ef67fe234ec65d7a384fa37e605be56'),
     ('trinomial_kernels', 'price-super'): (0, 'f9fd3642372a041db3b31d0568a2cb336848f1239053170d491682974697f8d6'),
 }
