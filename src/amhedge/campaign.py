@@ -505,7 +505,8 @@ def check_ftap_grid(
     quotes (ftap_certificate with the price rows closed, its witness
     re-checked); verdicts must be monotone in the shift, shifts below
     the uniform slack must stay clean, and a nonpositive slack must put
-    arbitrage at every shift.
+    arbitrage at every shift.  The record's ``na`` lists the verdicts in
+    ascending shift order, that of the report's ``eps_grid``.
     """
     enl = pt.enl
     model = enl.model
@@ -514,7 +515,7 @@ def check_ftap_grid(
         raise PropertyViolation("factory promised strict no-arbitrage but it fails")
     if expect == "fail" and sna.holds:
         raise PropertyViolation("corrosion promised an inconsistency but none appears")
-    rows = []
+    verdicts = []
     seen_false = False
     for eps in sorted(EPS_GRID):    # ascending: verdicts may only degrade
         shifted = enl.with_model(model.shifted_prices(eps))
@@ -534,12 +535,12 @@ def check_ftap_grid(
         if not sna.holds and na_primal:
             raise PropertyViolation(
                 f"slack is not positive yet shift {rat_str(eps)} shows no arbitrage")
-        rows.append({"eps": rat_str(eps), "na": na_primal})
+        verdicts.append(na_primal)
     record = {
         **_describe(model),
         "holds": sna.holds,
         "epsilon": rat_str(sna.slack) if sna.slack is not None else None,
-        "grid": rows,
+        "na": verdicts,
     }
     return record, sna
 
@@ -560,24 +561,16 @@ def check_chain(
     check_duality returns: the chain ends are the dual prices it solved
     and matched to the hedging prices, the polytopes of both spaces, and
     the super side's closed maximizer.  The chain's middle term
-    enumerates the stopping times of the n = N space.
-    When strict no-arbitrage holds, the certificate measure is lifted to
-    the larger space, pushed onto two of those stopping times, and mixed
-    with ``argmax``
-    to bracket the closed maximum by strictly consistent measures.
+    enumerates the stopping times of the n = N space.  ``sna`` must hold
+    (check_ftap_grid with expect="sna" raises otherwise): its certificate
+    measure is lifted to the larger space, pushed onto two of those
+    stopping times, and mixed with ``argmax`` to bracket the closed
+    maximum by strictly consistent measures.  The record leaves out the
+    chain ends, which are check_duality's prices.
     """
     enl_sub = pt_sub.enl
     lower, upper = prices
     chain = e2_chain(pt_sub, lower, upper)
-    record = {
-        "lower": rat_str(lower),
-        "middle": rat_str(chain.middle),
-        "upper": rat_str(upper),
-        "strict_upper": chain.middle < upper,
-        "num_taus": chain.num_taus,
-    }
-    if not sna.holds:
-        return record
     lifted = lift_measure_uniform_clock(enl_sub, pt_sup, sna.measure)
     taus = chain.taus
     pushes = []
@@ -587,13 +580,13 @@ def check_chain(
             raise PropertyViolation("pushed stop value exceeds the best stopped value")
         pushes.append(rat_str(push.value))
     bracket = strict_value_bracket(pt_sup, extend_claim(pt_sup.enl, "super"), argmax, lifted)
-    lam, val = bracket[-1]
-    record.update({
+    return {
+        "middle": rat_str(chain.middle),
+        "strict_upper": chain.middle < upper,
+        "num_taus": chain.num_taus,
         "pushes": pushes,
-        "bracket_lam": rat_str(lam),
-        "bracket_gap": rat_str(upper - val),
-    })
-    return record
+        "bracket_gap": rat_str(upper - bracket[-1][1]),
+    }
 
 
 # -- battery: structural degenerations -----------------------------------------
@@ -601,60 +594,56 @@ def check_chain(
 
 def check_degenerations(
     enl: EnlargedModel, enl_sup: EnlargedModel, sna: MeasureCertificate, prices: tuple[Q, Q]
-) -> dict:
-    """Limiting cases with forced outcomes.
+) -> None:
+    """Limiting cases with forced outcomes; raises on a failure and records
+    nothing, since each outcome is fixed by the market's shape.
 
     ``enl`` and ``enl_sup`` are the market's n = N and n = N + 1 spaces
     (as check_duality's polytopes carry them), and ``prices`` its sub and
     super prices (check_duality's); quotes and books change
     below, the tree never, so every variant reuses one of these two
-    forests.  A constant claim must price to that constant on both
-    sides; moving one quote against the hedger inside the slack budget
-    must move prices weakly in its favor; and with no shorted options
-    the enlarged space must collapse onto the base tree.
+    forests.  ``sna`` must hold (check_ftap_grid with expect="sna"
+    raises otherwise); half its slack is the quote move.  A constant
+    claim must price to that constant on both sides; moving one quote
+    against the hedger inside the slack budget must move prices weakly
+    in its favor; and with no shorted options the enlarged space must
+    collapse onto the base tree.
     """
-    record: dict = {}
     model = enl.model
-    N = model.N
     sub0, sup0 = prices
 
-    if sna.holds:
-        const = Q(5, 3)
-        flat = AdaptedProcess(dim=1, values={nid: (const,) for nid in model.tree.nodes})
-        m_flat = dataclasses.replace(model, claim=flat)
-        lo = subhedge(enl.with_model(m_flat)).price
-        hi = superhedge(enl_sup.with_model(m_flat)).price
-        if lo != const or hi != const:
+    const = Q(5, 3)
+    flat = AdaptedProcess(dim=1, values={nid: (const,) for nid in model.tree.nodes})
+    m_flat = dataclasses.replace(model, claim=flat)
+    lo = subhedge(enl.with_model(m_flat)).price
+    hi = superhedge(enl_sup.with_model(m_flat)).price
+    if lo != const or hi != const:
+        raise PropertyViolation(
+            f"constant claim prices to [{rat_str(lo)}, {rat_str(hi)}], not itself")
+
+    # weakening one quote can only help the hedger on both sides
+    bump = sna.slack / 2
+    variants = []
+    if model.L:
+        alphas = [a for _, a in model.europeans]
+        alphas[0] -= bump
+        variants.append(("alpha", model.with_prices(alphas=alphas)))
+    if model.M:
+        betas = [b for _, b in model.americans_long]
+        betas[0] -= bump
+        variants.append(("beta", model.with_prices(betas=betas)))
+    if model.N:
+        gammas = [c for _, c in model.americans_short]
+        gammas[0] += bump
+        variants.append(("gamma", model.with_prices(gammas=gammas)))
+    for name, m2 in variants:
+        sub2 = subhedge(enl.with_model(m2)).price
+        sup2 = superhedge(enl_sup.with_model(m2)).price
+        if sub2 < sub0 or sup2 > sup0:
             raise PropertyViolation(
-                f"constant claim prices to [{rat_str(lo)}, {rat_str(hi)}], not itself")
-        record["constant_claim"] = rat_str(const)
+                f"weakened {name} quote moved a price against the hedger")
 
-        # weakening one quote can only help the hedger on both sides
-        bump = sna.slack / 2
-        moved = []
-        variants = []
-        if model.L:
-            alphas = [a for _, a in model.europeans]
-            alphas[0] -= bump
-            variants.append(("alpha", model.with_prices(alphas=alphas)))
-        if model.M:
-            betas = [b for _, b in model.americans_long]
-            betas[0] -= bump
-            variants.append(("beta", model.with_prices(betas=betas)))
-        if model.N:
-            gammas = [c for _, c in model.americans_short]
-            gammas[0] += bump
-            variants.append(("gamma", model.with_prices(gammas=gammas)))
-        for name, m2 in variants:
-            sub2 = subhedge(enl.with_model(m2)).price
-            sup2 = superhedge(enl_sup.with_model(m2)).price
-            if sub2 < sub0 or sup2 > sup0:
-                raise PropertyViolation(
-                    f"weakened {name} quote moved a price against the hedger")
-            moved.append(name)
-        record["monotone"] = moved
-
-    if N == 0:
+    if model.N == 0:
         tree = model.tree
         if enl.num_paths != len(tree.paths) or len(enl.enodes) != len(tree.nodes):
             raise PropertyViolation("zero-clock space does not match the base tree")
@@ -671,11 +660,9 @@ def check_degenerations(
                     raise PropertyViolation("zero-clock nodes are not the base nodes")
                 if model.claim is not None and claim_at[v] != model.claim.scalar(node.base):
                     raise PropertyViolation("zero-clock claim differs from the base claim")
-        record["zero_clock_iso"] = True
-    return record
 
 
-def check_depth_zero() -> dict:
+def check_depth_zero() -> None:
     """A single-date market: both prices equal the claim's root value."""
     const = Q(7, 4)
     tree = EventTree([Node("n0", 0, None)], 0)
@@ -689,7 +676,6 @@ def check_depth_zero() -> dict:
     hi = superhedge(enlarge(model, 1)).price
     if lo != const or hi != const:
         raise PropertyViolation("single-date market does not price the claim to itself")
-    return {"value": rat_str(const)}
 
 
 # -- battery: singleton kernels degenerate to the classical engine --------------
@@ -724,7 +710,7 @@ def check_divisibility(model: MarketModel) -> dict:
         "sub": rat_str(report.sub),
         "super": rat_str(report.super),
         "european": rat_str(report.european),
-        "sna_grid": [(rat_str(e), na) for e, na in report.sna_grid],
+        "na": [na for _, na in sorted(report.sna_grid)],
     }
 
 
@@ -869,16 +855,15 @@ def check_minimax_instance(rng: random.Random, enl: EnlargedModel) -> dict:
 # up front, so a unit gives the same record in any process and in any order.
 
 
-def _main_unit(mseed: int) -> dict[str, dict]:
-    """One main-corpus model: its four battery records, by section."""
+def _main_unit(mseed: int) -> dict:
+    """One main-corpus model: the records of its batteries, as one."""
     gm = random_sna_model(random.Random(mseed))
     duality, prices, pt_sub, pt_sup, argmax = check_duality(gm.model)
     grid, sna = check_ftap_grid(pt_sub, expect="sna")
     chain = check_chain(sna, prices, pt_sub, pt_sup, argmax)
-    degen = check_degenerations(pt_sub.enl, pt_sup.enl, sna, prices)
+    check_degenerations(pt_sub.enl, pt_sup.enl, sna, prices)
     check_singleton_robust(pt_sub.enl, pt_sup.enl, gm.laws)
-    records = {"duality": duality, "ftap": grid, "chain": chain, "degenerations": degen}
-    return {key: {**rec, "seed": mseed} for key, rec in records.items()}
+    return {**duality, **grid, **chain, "seed": mseed}
 
 
 def _adversarial_unit(mode: int, mseed: int) -> dict:
@@ -905,27 +890,15 @@ def _divisibility_unit(n: int, mseed: int) -> dict:
     return rec
 
 
-def _kernel_unit(
-    submarkets: bool, minimax: bool, mseed: int
-) -> tuple[dict, dict | Exception | None]:
-    """A kernel market's record, and the minimax instance on its space.
-
-    The second item is None without ``minimax``, else the minimax record
-    or the exception its check raised: every kernel check precedes every
-    minimax check in the campaign, so run_campaign raises it only after
-    the last kernel record.
-    """
+def _kernel_unit(submarkets: bool, minimax: bool, mseed: int) -> dict:
+    """A kernel market's record, with the minimax instance on its space
+    under ``minimax``."""
     model = random_kernel_model(random.Random(mseed)).model
     rec, enl = check_robust_model(model, submarkets=submarkets)
     rec["seed"] = mseed
-    if not minimax:
-        return rec, None
-    try:
-        mm = check_minimax_instance(random.Random(mseed ^ 0x5EED), enl)
-    except Exception as exc:
-        return rec, exc
-    mm["seed"] = mseed
-    return rec, mm
+    if minimax:
+        rec["minimax"] = check_minimax_instance(random.Random(mseed ^ 0x5EED), enl)
+    return rec
 
 
 def _wedge_unit() -> None:
@@ -953,14 +926,17 @@ def run_campaign(
     """Seeded end-to-end sweep; any property failure raises.
 
     The main corpus runs dualities, the shift grid, the price chain,
-    degenerations, and the singleton-family reduction per model.
-    Derived corpora cover corroded and boundary-pinned prices,
-    divisibility, kernel families, and the liquidation interchange.
-    Every unit's seed is drawn here, in campaign order.  The units run in
-    this process and in one forked child per further CPU it may use (see
-    mapper), and their results are read back in campaign order, so the
-    report, the progress lines and the first failure do not depend on the
-    number of CPUs.
+    degenerations, and the singleton-family reduction per model, and
+    records each model once.  Derived corpora cover corroded and
+    boundary-pinned prices, divisibility, and kernel families, the first
+    of which carry their liquidation interchange.  The report states the
+    shift grid once, as ``eps_grid``; each record's ``na`` lists its
+    verdicts in that order.  Every unit's seed is drawn here, in campaign
+    order.  The units run in this process and in one forked child per
+    further CPU it may use (see mapper), and their results are read back
+    in campaign order, so the report, the progress lines and the first
+    failure, that of the first failing unit, do not depend on the number
+    of CPUs.
     """
     from .mapper import map_units
 
@@ -976,61 +952,34 @@ def run_campaign(
     def seeds(count: int) -> list[int]:
         return [rng.randrange(2 ** 32) for _ in range(count)]
 
-    sections: dict[str, list] = {
-        "duality": [], "ftap": [], "chain": [], "degenerations": [],
-        "adversarial": [], "divisibility": [], "kernel": [], "minimax": [],
-    }
-    main, adversarial, divisibility, kernel = (
-        seeds(models), seeds(scaled(20)), seeds(scaled(20)), seeds(scaled(30)))
+    drawn = dict(zip(("main", "adversarial", "divisibility", "kernel"), (
+        seeds(models), seeds(scaled(20)), seeds(scaled(20)), seeds(scaled(30)))))
     # the minimax instances read the first kernel spaces (scaled(20) <= scaled(30))
     n_mm = scaled(20)
     units = (
-        [(_main_unit, (s,)) for s in main]
-        + [(_adversarial_unit, (i % 3, s)) for i, s in enumerate(adversarial)]
-        + [(_divisibility_unit, (1 + i % 2, s)) for i, s in enumerate(divisibility)]
-        + [(_kernel_unit, (i % 3 == 0, i < n_mm, s)) for i, s in enumerate(kernel)]
+        [(_main_unit, (s,)) for s in drawn["main"]]
+        + [(_adversarial_unit, (i % 3, s)) for i, s in enumerate(drawn["adversarial"])]
+        + [(_divisibility_unit, (1 + i % 2, s)) for i, s in enumerate(drawn["divisibility"])]
+        + [(_kernel_unit, (i % 3 == 0, i < n_mm, s)) for i, s in enumerate(drawn["kernel"])]
         + [(check_depth_zero, ()), (_wedge_unit, ())]
     )
-    strict_gaps = 0
+    sections: dict[str, list] = {name: [] for name in drawn}
     # the strict-gap witness, the one fixed slow unit, is handed out first
     mapped = map_units(units, _worker_count(len(units)), first=len(units) - 1)
     with contextlib.closing(mapped) as results:
-        for i, mseed in enumerate(main):
-            for key, rec in next(results).items():
-                sections[key].append(rec)
-            strict_gaps += sections["chain"][-1]["strict_upper"]
-            note(f"model {i + 1}/{models} ok (seed {mseed})")
-
-        for name, drawn in (("adversarial", adversarial), ("divisibility", divisibility)):
-            for i, mseed in enumerate(drawn):
+        for name, mseeds in drawn.items():
+            for i, mseed in enumerate(mseeds):
                 sections[name].append(next(results))
-                note(f"{name} {i + 1}/{len(drawn)} ok (seed {mseed})")
-
-        minimax = []
-        for i, mseed in enumerate(kernel):
-            rec, mm = next(results)
-            sections["kernel"].append(rec)
-            if mm is not None:
-                minimax.append(mm)
-            note(f"kernel {i + 1}/{len(kernel)} ok (seed {mseed})")
-        for i, mm in enumerate(minimax):
-            if isinstance(mm, Exception):
-                raise mm
-            sections["minimax"].append(mm)
-            note(f"minimax {i + 1}/{n_mm} ok (seed {mm['seed']})")
-
-        depth0 = next(results)
+                note(f"{name} {i + 1}/{len(mseeds)} ok (seed {mseed})")
+        next(results)
         note("degenerate single-date market ok")
         next(results)
-        strict_gaps += 1
         note("strict-gap witness ok")
 
     return {
         "seed": seed,
         "models": models,
-        "counts": {name: len(rows) for name, rows in sections.items()},
-        "strict_chain_gaps": strict_gaps,
-        "depth_zero": depth0,
+        "eps_grid": [rat_str(eps) for eps in sorted(EPS_GRID)],
         "sections": sections,
         "ok": True,
     }

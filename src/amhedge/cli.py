@@ -194,8 +194,10 @@ def cmd_verify(args) -> int:
     doc = _config(args)
     doc["campaign"] = report
     _emit(doc, args)
-    counts = ", ".join(f"{k}={v}" for k, v in sorted(report["counts"].items()))
-    _say(args, f"campaign ok: {counts}; strict chain gaps {report['strict_chain_gaps']}")
+    sections = report["sections"]
+    counts = ", ".join(f"{name}={len(recs)}" for name, recs in sections.items())
+    gaps = sum(rec["strict_upper"] for rec in sections["main"])
+    _say(args, f"campaign ok: {counts}; strict chain gaps {gaps} in the main corpus")
     return EXIT_OK
 
 

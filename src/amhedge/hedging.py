@@ -80,7 +80,8 @@ def evaluate_gain(enl: EnlargedModel, strat: SemiStaticStrategy) -> tuple[dict[i
     (MarketModel.stock_moves) over another and the payoffs and quotes,
     tabled here per base path or node, over a third, so each gain is a sum
     of integer products.  Liquidation masses are checked to sum to b_j
-    along every path.
+    along every path.  A position on a node outside the space's forest,
+    which no path would read, raises ValueError.
     """
     model = enl.model
     counts = (len(strat.long_european), len(strat.long_american), len(strat.short_american))
@@ -88,6 +89,8 @@ def evaluate_gain(enl: EnlargedModel, strat: SemiStaticStrategy) -> tuple[dict[i
         raise ValueError("strategy option counts do not match the model")
     if any(not 0 <= d < model.stock.dim for _, d in strat.stock):
         raise ValueError("strategy stock dimensions do not match the model")
+    if not {v for v, _ in strat.stock}.union(*strat.liquidation) <= enl.children.keys():
+        raise ValueError("strategy positions lie on nodes outside the space")
     tree = model.tree
     nodes = list(tree.nodes)
     keys = [key for key, h in strat.stock.items() if h]
@@ -301,7 +304,8 @@ def check_hedge(
     be nonanticipative on the space's tied pairs.  With ``exercise`` the
     claim is held divisibly: its weights eta must be nonnegative and sum
     to 1 along every path, and extra(p) = sum_t eta(v_t) * value(v_t)
-    with the claim's values of extend_claim(enl, "sub").  Both sides
+    with the claim's values of extend_claim(enl, "sub"), each weight on a
+    node of the space's forest (ValueError otherwise).  Both sides
     are compared as integers over one denominator.  Returns
     evaluate_gain's gains.
     """
@@ -310,6 +314,8 @@ def check_hedge(
              exercise.values() if exercise is not None else ())
     if any(val < ZERO for book in books for val in book):
         raise PropertyViolation(f"{kind} hedge holds a negative static or exercise position")
+    if exercise is not None and not exercise.keys() <= enl.children.keys():
+        raise ValueError("exercise weights lie on nodes outside the space")
     if not nonanticipative(enl, strat, exercise):
         raise PropertyViolation(f"{kind} hedge is not non-anticipative")
     gains, dg = evaluate_gain(enl, strat)

@@ -152,7 +152,7 @@ def test_solver_telemetry_stays_off_stdout(model_file, capsys):
         assert f"LP {report.lp.rows} rows, {report.lp.cols} cols, {report.lp.pivots} pivots" in err
     _, out, _ = run(["verify", "--models", "1", "--seed", "7"], capsys)
     doc = json.loads(out)
-    assert doc["campaign"]["counts"]["kernel"] > 0 and "dp_lps" not in _keys(doc)
+    assert doc["campaign"]["sections"]["kernel"] and "dp_lps" not in _keys(doc)
 
 
 def test_out_flag_writes_file(model_file, tmp_path, capsys):
@@ -579,6 +579,30 @@ def test_verify_small_run(model_file, capsys):
     assert doc["campaign"]["ok"] is True and doc["campaign"]["seed"] == 7
     # re-recorded only under the ROADMAP item 1 protocol
     assert hashlib.sha256(first.encode()).hexdigest() == VERIFY_SMALL_SHA256
+
+
+def test_verify_report_states_each_value_once(capsys):
+    # one record per unit: the shift grid once, the chain ends only as
+    # duality's prices, no constant of the code and no tally of the sections
+    models = 3
+    code, out, err = run(["verify", "--models", str(models), "--seed", "7"], capsys)
+    assert code == 0, err
+    report = json.loads(out)["campaign"]
+    assert set(report) == {"seed", "models", "eps_grid", "sections", "ok"}
+    sections = report["sections"]
+    assert set(sections) == {"main", "adversarial", "divisibility", "kernel"}
+    gone = {"lower", "upper", "bracket_lam", "grid", "sna_grid", "constant_claim",
+            "monotone", "zero_clock_iso"}
+    assert not gone & _keys(sections)
+    assert report["eps_grid"] == sorted(report["eps_grid"], key=rat)
+    records = [rec for recs in sections.values() for rec in recs]
+    assert all(len(rec["na"]) == len(report["eps_grid"]) for rec in records if "na" in rec)
+    assert all("na" in rec for name in ("main", "adversarial", "divisibility")
+               for rec in sections[name])
+    # the first scaled(20) kernel units carry their minimax instance
+    with_minimax = max(3, models * 20 // 50)
+    assert ["minimax" in rec for rec in sections["kernel"]] == [
+        i < with_minimax for i in range(len(sections["kernel"]))]
 
 
 def test_readme_model_example_prices(binomial_short_put, tmp_path, capsys):

@@ -97,6 +97,29 @@ def test_payoff_enlarged_rejects_mismatched_strategy(binomial):
     strat = dataclasses.replace(strat, stock={(0, 1): ONE}, long_european=[])
     with pytest.raises(ValueError, match="stock dimensions"):
         evaluate_gain(enl, strat)
+    # a share held at the down leaf, a node of no path of the up path's space
+    up = enl.restricted([0])
+    (down,) = set(enl.children) - set(up.children)
+    strat = dataclasses.replace(strat, stock={(down, 0): ONE})
+    with pytest.raises(ValueError, match="^strategy positions lie on nodes outside the space$"):
+        evaluate_gain(up, strat)
+    assert evaluate_gain(enl, strat)[0] == {0: 0, 1: 0}
+    # a liquidation at the down leaf, and an exercise weight there
+    longed = load_model(binomial_dict(americans_long=[
+        {"values": {"r": "0", "u": "1", "d": "0"}, "price": "1/2"}]))
+    enl = enlarge(longed, 0)
+    up = enl.restricted([0])
+    (root,), (down,) = up.roots, set(enl.children) - set(up.children)
+    (leaf,) = up.children[root]
+    book = SemiStaticStrategy(stock={}, long_european=[], long_american=[ONE],
+                              short_american=[], liquidation=[{leaf: ONE, down: ONE}])
+    with pytest.raises(ValueError, match="^strategy positions lie on nodes outside the space$"):
+        evaluate_gain(up, book)
+    cash = dataclasses.replace(book, long_american=[ZERO], liquidation=[{}])
+    with pytest.raises(ValueError, match="^exercise weights lie on nodes outside the space$"):
+        hedging.check_hedge(up, cash, ONE, ONE, [ZERO], exercise={root: ONE, down: ZERO},
+                            kind="sub")
+    hedging.check_hedge(up, cash, ONE, ONE, [ZERO], exercise={root: ONE}, kind="sub")
 
 
 def test_no_arbitrage_clean_market(binomial):

@@ -391,4 +391,8 @@ def test_integer_gains_equal_the_fraction_reference(data):
     for p, gain in gains.items():
         assert _frac(gain) == reference_gain(enl, strat, p)
     half = [p for p in range(enl.num_paths) if p % 2]
-    assert path_gains(enl.restricted(half), strat) == {i: gains[p] for i, p in enumerate(half)}
+    sub = enl.restricted(half)
+    on_sub = dataclasses.replace(
+        strat, stock={(v, d): h for (v, d), h in stock.items() if v in sub.children},
+        liquidation=[{v: m for v, m in nu.items() if v in sub.children} for nu in liquidation])
+    assert path_gains(sub, on_sub) == {i: gains[p] for i, p in enumerate(half)}
