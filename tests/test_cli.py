@@ -34,7 +34,7 @@ from amhedge.strategies import DEFAULT_ENUM_CAP
 from conftest import binomial_dict, binomial_put_book_dict, trinomial_kernels_dict
 from test_report_bytes import CAMPAIGN_MODELS
 
-VERIFY_SMALL_SHA256 = "938fbf333608cb7886668fac4bdf4d81631cd2a26063091eafc9034bb2b30b5b"
+VERIFY_SMALL_SHA256 = "21ad3419cb064631142f91a9b12761b2e3a9d8b5a863ffda4a11cb580d406a3d"
 
 
 @pytest.fixture()
