@@ -393,7 +393,7 @@ def _dominating_law(
     out = max_slack(lp, dom)
     if out.status != "optimal" or out.value <= ZERO:
         return None
-    return {kid: out.x(qv[kid]) for kid in supported if out.x(qv[kid])}
+    return out.point.nonzero({kid: qv[kid] for kid in supported})
 
 
 def random_kernel_model(rng: random.Random) -> GeneratedModel:

@@ -32,7 +32,7 @@ from typing import Sequence
 
 from .enlarged import EnlargedModel, extend_claim
 from .errors import PropertyViolation, SnaFailure
-from .lp import LinearProgram, LPOutcome, solve
+from .lp import IntVector, LinearProgram, LPOutcome, solve
 from .rationals import ONE, ZERO, Q, over_common, rat, rat_str, ratio_str
 
 
@@ -84,8 +84,8 @@ def evaluate_gain(enl: EnlargedModel, strat: SemiStaticStrategy) -> tuple[dict[i
     which no path would read, raises ValueError.
     """
     model = enl.model
-    counts = (len(strat.long_european), len(strat.long_american), len(strat.short_american))
-    if counts != (model.L, model.M, model.N):
+    books = (strat.long_european, strat.long_american, strat.short_american, strat.liquidation)
+    if tuple(map(len, books)) != (model.L, model.M, model.N, model.M):
         raise ValueError("strategy option counts do not match the model")
     if any(not 0 <= d < model.stock.dim for _, d in strat.stock):
         raise ValueError("strategy stock dimensions do not match the model")
@@ -227,16 +227,15 @@ class GainLP:
         for j, nu in enumerate(self.nu_var):
             self.tie(nu, f"tie_nu[{j}]")
 
-    def strategy_at(self, point: Sequence[Q]) -> SemiStaticStrategy:
+    def strategy_at(self, point: IntVector) -> SemiStaticStrategy:
         """The strategy whose positions are an LP point's (or ray's) entries."""
-        book = {kind: [point[var] for var in vs] for kind, vs in self.static.items()}
-        nonzero = lambda cols: {key: point[var] for key, var in cols.items() if point[var]}
+        book = {kind: [point.at(var) for var in vs] for kind, vs in self.static.items()}
         return SemiStaticStrategy(
-            stock=nonzero(self.stock),
+            stock=point.nonzero(self.stock),
             long_european=book["a"],
             long_american=book["b"],
             short_american=book["c"],
-            liquidation=[nonzero(nu) for nu in self.nu_var],
+            liquidation=[point.nonzero(nu) for nu in self.nu_var],
         )
 
 
@@ -408,11 +407,11 @@ def _hedge(enl: EnlargedModel, kind: str, sign: Q, rhs: Sequence[Q]) -> HedgeRep
     g.lp.set_objective("min" if sign > 0 else "max", {g.x: ONE})
     out = solve(g.lp)
     if out.status == "unbounded":
-        raise unbounded_ray(enl, kind, sign, out.ray[g.x], g.strategy_at(out.ray))
+        raise unbounded_ray(enl, kind, sign, out.point.at(g.x), g.strategy_at(out.point))
     if out.status != "optimal":
         raise PropertyViolation(f"{kind} hedge LP unexpectedly {out.status}")
-    eta = {v: out.x(var) for v, var in eta_var.items() if out.x(var)} if eta_var else None
-    report = HedgeReport(kind=kind, price=out.value, strategy=g.strategy_at(out.primal),
+    eta = out.point.nonzero(eta_var) if eta_var else None
+    report = HedgeReport(kind=kind, price=out.value, strategy=g.strategy_at(out.point),
                          exercise=eta, lp=out)
     check_hedge(enl, report.strategy, sign, report.price, rhs, exercise=eta, kind=kind)
     return report
@@ -509,7 +508,7 @@ def detect_arbitrage(enl: EnlargedModel) -> ArbitrageReport:
         return ArbitrageReport(gain=ZERO, strategy=None)
     if out.value != ONE:
         raise PropertyViolation(f"arbitrage LP optimum {out.value} is neither 0 nor 1")
-    report = arbitrage_witness(enl, g.strategy_at(out.primal), ZERO)
+    report = arbitrage_witness(enl, g.strategy_at(out.point), ZERO)
     if report.gain != out.value:
         raise PropertyViolation("arbitrage witness expectation mismatch")
     return report

@@ -7,11 +7,12 @@ The tableau is sparse and fraction-free:
 each row is a dict of its nonzero Python ints over one positive
 denominator, put in lowest terms only when that denominator outgrows
 ``_REDUCE_BITS`` bits, and a column index lists the rows where each column
-is nonzero, so a pivot does integer arithmetic on nonzeros only and
-rationals are built just for the returned point and certificates.  An LP
+is nonzero, so a pivot does integer arithmetic on nonzeros only.  An LP
 keeps each row and its objective in integers from the moment it is added,
 and the presolve, the tableau (on its own copy), the dual lift and the
-certificate checks read them, never writing.  Every solve returns:
+certificate checks read them, never writing.  Every solve returns its
+vectors as Python int numerators over one denominator (``IntVector``),
+building no rational but its value:
 
 * optimal       -- primal point, dual multipliers; strong duality and both
                    feasibilities are re-checked exactly before returning,
@@ -40,10 +41,11 @@ k's sense; and b_r = 0 leaves y.b as it was.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd, lcm
-from typing import Iterable, Literal
+from typing import Hashable, Iterable, Literal, NamedTuple
 
-from .rationals import ONE, ZERO, Q, over_common, rat
+from .rationals import ONE, ZERO, Q, rat
 
 Relation = Literal["<=", "=", ">="]
 
@@ -143,23 +145,62 @@ class LinearProgram:
         return other
 
 
-@dataclass
+class IntVector(NamedTuple):
+    """A vector as Python int numerators over one positive denominator."""
+
+    nums: list[int]
+    den: int
+
+    def at(self, j: int) -> Q:
+        """Entry j as a rational; the shared ZERO where it is 0."""
+        return Q(self.nums[j], self.den) if self.nums[j] else ZERO
+
+    def nonzero(self, cols: dict[Hashable, int]) -> dict[Hashable, Q]:
+        """{key: entry j} for each key: j of cols whose entry is nonzero, as rationals."""
+        nums, den = self
+        return {key: Q(nums[j], den) for key, j in cols.items() if nums[j]}
+
+
+def _vector(entries: Iterable[tuple[int, int, int]], size: int) -> IntVector:
+    """The vector of the given size with entry j = n/d for each (j, n, d), d != 0,
+    and 0 elsewhere, over the lcm of the entries' denominators in lowest terms."""
+    entries = [(j, n, d) for j, n, d in entries if n]
+    den = lcm(*(d // gcd(n, d) for _, n, d in entries))
+    nums = [0] * size
+    for j, n, d in entries:
+        nums[j] = n * den // d
+    return IntVector(nums, den)
+
+
+@dataclass(frozen=True)
 class LPOutcome:
+    """A verified solve: ``point`` holds the primal point (optimal) or the ray
+    (unbounded), ``mult`` the duals (optimal) or the Farkas vector (infeasible);
+    primal, duals, farkas and ray are their rational views, built on first read
+    (frozen, so a view cannot outlive the vector it was built from)."""
+
     status: Literal["optimal", "infeasible", "unbounded"]
     value: Q | None = None
-    primal: list[Q] | None = None
-    duals: list[Q] | None = None
-    farkas: list[Q] | None = None
-    ray: list[Q] | None = None
+    point: IntVector | None = None
+    mult: IntVector | None = None
     # the simplex's own tableau, after the presolve: its pivots, its rows
     # and its columns (split free variables, slacks and artificials)
     pivots: int = 0
     rows: int = 0
     cols: int = 0
 
+    def _view(self, vec: IntVector | None, status: str) -> list[Q] | None:
+        return None if vec is None or self.status != status else [
+            Q(n, vec.den) if n else ZERO for n in vec.nums]
+
+    primal = cached_property(lambda self: self._view(self.point, "optimal"))
+    ray = cached_property(lambda self: self._view(self.point, "unbounded"))
+    duals = cached_property(lambda self: self._view(self.mult, "optimal"))
+    farkas = cached_property(lambda self: self._view(self.mult, "infeasible"))
+
     def x(self, j: int) -> Q:
-        assert self.primal is not None
-        return self.primal[j]
+        assert self.status == "optimal"
+        return self.point.at(j)
 
 
 def format_lp(lp: LinearProgram) -> str:
@@ -361,10 +402,10 @@ class _Tableau:
                 return enter
             self.pivot(r, enter)
 
-    def to_vars(self, vals: list[Q]) -> list[Q]:
-        """Each variable's value from its columns': a free variable's two net,
-        a merged-away one's 0 until ``_Presolve.lift_point``."""
-        return [ZERO if p is None else vals[p] if n is None else vals[p] - vals[n]
+    def to_vars(self, vals: list[int]) -> list[int]:
+        """Each variable's numerator from its columns' over one denominator: a free
+        variable's two net, a merged-away one's 0 until ``_Presolve.lift_point``."""
+        return [0 if p is None else vals[p] if n is None else vals[p] - vals[n]
                 for p, n in zip(self.pos_col, self.neg_col)]
 
     def duals(self, art_cost: int, sign: int) -> list[int]:
@@ -510,23 +551,25 @@ class _Presolve:
         self.reduced = [_Row(coeffs[i], asked[i].rhs, asked[i].den, asked[i].rel, asked[i].name)
                         if owned[i] else asked[i] for i in (*self.rows, m)]
 
-    def lift_point(self, x: list[Q]) -> list[Q]:
-        """The point (or ray) of the asked LP from the reduced LP's: x_j = nu*y, x_k = mu*y."""
+    def lift_point(self, x: list[int]) -> list[int]:
+        """The point (or ray) of the asked LP from the reduced LP's, numerators over
+        one denominator: x_j = nu*y, x_k = mu*y."""
         for _, j, k, nu, mu, _ in reversed(self.steps):
             if x[k]:  # else x_j stays 0 from to_vars
                 x[j], x[k] = nu * x[k], mu * x[k]
         return x
 
-    def lift_duals(self, nums: list[int], den: int, costs: bool) -> list[Q]:
+    def lift_duals(self, nums: list[int], den: int, costs: bool) -> IntVector:
         """Every asked row's dual (costs) or Farkas entry (not costs) from the reduced
         LP's numerators nums over den.
 
         A merged row's y_r solves y_r a_rj/d_r = c_j/d_c - sum_{i != r} y_i a_ij/d_i
         on the asked rows a/d and objective c/d_c.  Each y_i is an integer
-        numerator and denominator, not reduced, until one rational per row ends it.
+        numerator and denominator, not reduced, until _vector puts them over one.
         """
         if not self.steps:
-            return [Q(n, den) for n in nums]
+            g = gcd(den, *nums)
+            return IntVector([n // g for n in nums], den // g)
         asked, m = self.asked, len(self.asked) - 1
         y = [(0, 1)] * m
         for i, n in zip(self.rows, nums):
@@ -538,7 +581,7 @@ class _Presolve:
                 terms.append((-col[m], asked[m].den))
             e = lcm(*{f for _, f in terms})
             y[r] = (-sum(t * (e // f) for t, f in terms) * asked[r].den, e * col[r])
-        return [Q(n, e) for n, e in y]
+        return _vector(((i, n, e) for i, (n, e) in enumerate(y)), m)
 
 
 def solve(lp: LinearProgram) -> LPOutcome:
@@ -555,7 +598,7 @@ def solve(lp: LinearProgram) -> LPOutcome:
     if tab.zrow[-1] > 0:
         farkas = pre.lift_duals(tab.duals(-1, 1), tab.zden, costs=False)
         _verify_farkas(lp, farkas)
-        return LPOutcome(status="infeasible", farkas=farkas,
+        return LPOutcome(status="infeasible", mult=farkas,
                          pivots=tab.pivots, rows=m, cols=tab.ncols)
 
     # pivot leftover artificials out of the basis; their rows are at zero, so
@@ -580,32 +623,30 @@ def solve(lp: LinearProgram) -> LPOutcome:
     enter = tab.run(n_real)
 
     if enter is not None:
-        direction = [ZERO] * tab.ncols
-        direction[enter] = ONE
-        for i in tab.col_rows[enter]:
-            direction[tab.basis[i]] = Q(-tab.rows[i][enter], tab.den[i])
-        ray = pre.lift_point(tab.to_vars(direction))
+        direction = [(enter, 1, 1), *((tab.basis[i], -tab.rows[i][enter], tab.den[i])
+                                      for i in tab.col_rows[enter])]
+        nums, den = _vector(direction, tab.ncols)
+        ray = IntVector(pre.lift_point(tab.to_vars(nums)), den)
         _verify_ray(lp, ray)
-        return LPOutcome(status="unbounded", ray=ray,
+        return LPOutcome(status="unbounded", point=ray,
                          pivots=tab.pivots, rows=m, cols=tab.ncols)
 
-    vals = [ZERO] * tab.ncols
-    for i, bc in enumerate(tab.basis):
-        vals[bc] = Q(tab.rows[i].get(tab.ncols, 0), tab.den[i])
-    primal = pre.lift_point(tab.to_vars(vals))
+    nums, den = _vector(((bc, tab.rows[i].get(tab.ncols, 0), tab.den[i])
+                         for i, bc in enumerate(tab.basis)), tab.ncols)
+    primal = IntVector(pre.lift_point(tab.to_vars(nums)), den)
     value = Q(-sign * tab.zrow[-1], tab.zden)
     duals = pre.lift_duals(tab.duals(0, sign), tab.zden, costs=True)
     _verify_optimal(lp, primal, duals, value)
-    return LPOutcome(status="optimal", value=value, primal=primal, duals=duals,
+    return LPOutcome(status="optimal", value=value, point=primal, mult=duals,
                      pivots=tab.pivots, rows=m, cols=tab.ncols)
 
 
 # -- exact certificate checks -------------------------------------------
 #
 # Each check reads only the LP and the returned vectors.  It reads every
-# LP row as stored, integers over the row's denominator, and puts the
-# vector over one common denominator, so every predicate is an integer
-# comparison with both sides multiplied by the same positive number.
+# LP row as stored, integers over the row's denominator, and each vector
+# as returned, integers over its one denominator, so every predicate is an
+# integer comparison with both sides multiplied by the same positive number.
 
 
 def _dot(a: dict[int, int], x: list[int]) -> int:
@@ -616,12 +657,12 @@ def _violated(rel: Relation, lhs: int, rhs: int) -> bool:
     return lhs > rhs if rel == "<=" else lhs < rhs if rel == ">=" else lhs != rhs
 
 
-def _scaled_duals(lp: LinearProgram, y: list[Q]) -> tuple[list[int], int, list[int]]:
+def _scaled_duals(lp: LinearProgram, y: IntVector) -> tuple[list[int], int, list[int]]:
     """y_i/d_i, over the rows a/d of lp, as z over one denominator e, and A^T z.
 
-    y is put over one denominator dy, and entry i scaled by lcm(d)/d_i.
+    y's numerators over dy, entry i scaled by lcm(d)/d_i.
     """
-    (ys,), dy = over_common(y)
+    ys, dy = y
     dd = lcm(*{row.den for row in lp.rows})
     z, e = [v * (dd // row.den) for v, row in zip(ys, lp.rows)], dy * dd
     aty = [0] * lp.num_vars
@@ -632,9 +673,9 @@ def _scaled_duals(lp: LinearProgram, y: list[Q]) -> tuple[list[int], int, list[i
     return z, e, aty
 
 
-def _verify_optimal(lp: LinearProgram, x: list[Q], y: list[Q], value: Q) -> None:
+def _verify_optimal(lp: LinearProgram, x: IntVector, y: IntVector, value: Q) -> None:
     c, dc = lp.objective.coeffs, lp.objective.den
-    (xs,), dx = over_common(x)
+    xs, dx = x
     for j in range(lp.num_vars):
         if lp.nonneg[j] and xs[j] < 0:
             raise LPInternalError(f"negative value for {lp.var_names[j]}")
@@ -663,7 +704,7 @@ def _verify_optimal(lp: LinearProgram, x: list[Q], y: list[Q], value: Q) -> None
             raise LPInternalError(f"dual infeasibility at {lp.var_names[j]}")
 
 
-def _verify_farkas(lp: LinearProgram, y: list[Q]) -> None:
+def _verify_farkas(lp: LinearProgram, y: IntVector) -> None:
     z, _, aty = _scaled_duals(lp, y)
     ydotb = 0
     for row, zi in zip(lp.rows, z):
@@ -677,8 +718,8 @@ def _verify_farkas(lp: LinearProgram, y: list[Q]) -> None:
         raise LPInternalError("farkas certifies nothing")
 
 
-def _verify_ray(lp: LinearProgram, d: list[Q]) -> None:
-    (ds,), _ = over_common(d)
+def _verify_ray(lp: LinearProgram, d: IntVector) -> None:
+    ds = d.nums
     for j in range(lp.num_vars):
         if lp.nonneg[j] and ds[j] < 0:
             raise LPInternalError("ray leaves the sign cone")

@@ -28,13 +28,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import lcm
 from typing import Callable, Hashable, Iterable, Iterator, Literal, Sequence
 
 from .enlarged import EnlargedModel, extend_claim
 from .errors import PropertyViolation
 from .hedging import (ArbitrageReport, HedgeReport, SemiStaticStrategy, arbitrage_witness,
                       check_hedge, unbounded_ray)
-from .lp import LinearProgram, LPOutcome, Relation, max_slack, solve
+from .lp import IntVector, LinearProgram, LPOutcome, Relation, max_slack, solve
 from .rationals import ONE, ZERO, Q, over_common, rat_str, ratio_str
 
 
@@ -106,11 +107,11 @@ class MeasurePolytope:
     ``long_blocks``, and its ask row ``g[j]``; ``num_tau_rows`` counts the
     rows of those blocks.
 
-    The builder reads tables: the stock move of each base edge in
-    integers (MarketModel.base_steps), shared by every enlarged path over
-    it, and the payoffs per leaf and per base node; only the price rows
-    and Snell blocks go in as rationals.  The re-checks (verdicts/require)
-    read none of them; they build their own from the model.
+    The builder writes every row in integers from tables: the stock move
+    of each base edge (MarketModel.base_steps), shared by every enlarged
+    path over it, and the payoffs and quotes per leaf and per base node.
+    The re-checks (verdicts/require) read none of them; they build their
+    own from the model.
     """
 
     def __init__(self, enl: EnlargedModel) -> None:
@@ -129,16 +130,17 @@ class MeasurePolytope:
         self.mart_rows = add_martingale_rows(self.lp, moves, den, lambda v: enl.enode(v).label)
 
         self.f_rows: list[int] = []
-        # add_constraint drops the zero coefficients
         for i, (payoff, alpha) in enumerate(model.europeans):
-            at = [payoff.at(path[-1]) for path in tree.paths]
+            (at, (rhs,)), d = over_common(map(payoff.at, tree.leaves), [alpha])
             row = {var: at[ep.base_index] for var, ep in support}
-            self.f_rows.append(self.lp.add_constraint(row, "<=", alpha, name=f"f[{i}]"))
+            self.f_rows.append(self.lp.add_constraint(row, "<=", rhs, name=f"f[{i}]", den=d))
         self.h_rows: list[int] = []
+        nodes = list(tree.nodes)
         for k, (proc, gamma) in enumerate(model.americans_short):
-            at = {nid: proc.scalar(nid) for nid in tree.nodes}
+            (at, (rhs,)), d = over_common(map(proc.scalar, nodes), [gamma])
+            at = dict(zip(nodes, at))
             row = {var: at[tree.paths[ep.base_index][ep.clocks[k]]] for var, ep in support}
-            self.h_rows.append(self.lp.add_constraint(row, ">=", gamma, name=f"h[{k}]"))
+            self.h_rows.append(self.lp.add_constraint(row, ">=", rhs, name=f"h[{k}]", den=d))
 
         # longed Americans: sup over stopping times by one Snell block each
         self.g_rows: list[int] = []
@@ -165,9 +167,11 @@ class MeasurePolytope:
     def extremum_lp(
         self, values: dict[int, Q] | Sequence[Q], sense: Literal["max", "min"]
     ) -> LinearProgram:
-        """E_Q[values] as the objective of a copy of the LP."""
+        """E_Q[values] as the objective of a copy of the LP, in integers."""
         work = self.lp.copy()
-        work.set_objective(sense, {var: values[p] for p, var in self.q_var.items() if values[p]})
+        cols = {var: values[p] for p, var in self.q_var.items() if values[p]}
+        (vs,), d = over_common(cols.values())
+        work.set_objective(sense, dict(zip(cols, vs)), den=d)
         return work
 
     def support_slack(self, *, prices: bool, floor: dict[int, Q] | None = None) -> LPOutcome:
@@ -255,34 +259,33 @@ class MeasurePolytope:
         first with g = G), its stop row and its cont row (None where
         absent).  At the least Y that sum is sup_tau E_Q[g_tau] - c, and
         Y >= 0 is exact because Q >= 0 has mass 1.  On a forest where every
-        non-leaf node branches, each run is one node.
+        non-leaf node branches, each run is one node.  The rows go in as
+        integers: each run's G - c over one denominator.
         """
         through, kids = self.enl.through, self.enl.children
         shift = min(ZERO, *(values_at_enode[v] for v in through))
         label = lambda v: f"{tag};{self.enl.enode(v).label}"
         runs = self._runs
-        at = {h: max(run, key=lambda v: values_at_enode[v]) for h, run in runs.items()}
+        at = {h: max(run, key=values_at_enode.__getitem__) for h, run in runs.items()}
+        # each run's G - c as g[h] over d, and each term over d too
+        (tops, (c,)), d = over_common((values_at_enode[v] for v in at.values()), [shift])
+        g = {h: top - c for h, top in zip(at, tops)}
         y = {h: lp.add_var(f"Y[{label(h)}]") for h, run in runs.items() if kids[run[-1]]}
-
-        def term(h: int) -> dict[int, Q]:
-            if h in y:
-                return {y[h]: ONE}
-            return {self.q_var[p]: values_at_enode[at[h]] - shift for p in through[h]}
-
+        term = lambda h: {y[h]: d} if h in y else dict.fromkeys(
+            (self.q_var[p] for p in through[h]), g[h])
         rows: SnellRows = {h: (at[h], None, None) for h in runs}
         for h, yh in y.items():
             stop = None
-            best = values_at_enode[at[h]]
-            if best != shift:
-                row = {yh: ONE, **{self.q_var[p]: shift - best for p in through[h]}}
-                stop = lp.add_constraint(row, ">=", ZERO, name=f"stop[{label(h)}]")
-            row = {yh: ONE}
+            if g[h]:
+                row = {yh: d, **dict.fromkeys((self.q_var[p] for p in through[h]), -g[h])}
+                stop = lp.add_constraint(row, ">=", 0, name=f"stop[{label(h)}]", den=d)
+            row = {yh: d}
             for kid in kids[runs[h][-1]]:
                 row.update((var, -coef) for var, coef in term(kid).items())
-            rows[h] = at[h], stop, lp.add_constraint(row, ">=", ZERO, name=f"cont[{label(h)}]")
+            rows[h] = at[h], stop, lp.add_constraint(row, ">=", 0, name=f"cont[{label(h)}]", den=d)
         root: dict[int, Q] = {}
         for r in self.enl.roots:
-            root.update(term(r))
+            root.update((var, Q(v, d)) for var, v in term(r).items())
         return root, shift, rows
 
     def envelope_lp(
@@ -296,10 +299,7 @@ class MeasurePolytope:
         return work, shift, rows
 
     def hedge_from(
-        self,
-        y: Sequence[Q],
-        sign: Q,
-        claim_rows: SnellRows | None = None,
+        self, y: IntVector, sign: int, claim_rows: SnellRows | None = None
     ) -> tuple[SemiStaticStrategy, dict[int, Q] | None]:
         """The semi-static hedge whose positions are the multipliers y.
 
@@ -311,22 +311,23 @@ class MeasurePolytope:
         its liquidation flow nu_j (see _flow).  With ``claim_rows``, the
         claim's own block, their rows give the exercise weights eta of unit
         mass.  The cash x is the LP's value; nothing here is trusted until
-        hedging.check_hedge has re-validated the hedge pathwise.
+        hedging.check_hedge has re-validated the hedge pathwise.  y's
+        integers are read; a rational is built for each nonzero position.
         """
-        pos = [sign * v for v in y]
-        longs = [pos[r] for r in self.g_rows]
+        pos = IntVector([sign * n for n in y.nums], y.den)
         strat = SemiStaticStrategy(
-            stock={(v, d): pos[r] for r, v, d in self.mart_rows if pos[r]},
-            long_european=[pos[r] for r in self.f_rows],
-            long_american=longs,
-            short_american=[-pos[r] for r in self.h_rows],
-            liquidation=[self._flow(rows, pos, b) for rows, b in zip(self.long_blocks, longs)],
+            stock=pos.nonzero({(v, d): r for r, v, d in self.mart_rows}),
+            long_european=[pos.at(r) for r in self.f_rows],
+            long_american=[pos.at(r) for r in self.g_rows],
+            short_american=[-pos.at(r) for r in self.h_rows],
+            liquidation=[self._flow(rows, pos, pos.nums[r])
+                         for rows, r in zip(self.long_blocks, self.g_rows)],
         )
-        eta = None if claim_rows is None else self._flow(claim_rows, pos, ONE)
+        eta = None if claim_rows is None else self._flow(claim_rows, pos, pos.den)
         return strat, eta
 
-    def _flow(self, rows: SnellRows, pos: Sequence[Q], top: Q) -> dict[int, Q]:
-        """Stop masses of one Snell block's dual flow, summing to ``top`` on every path.
+    def _flow(self, rows: SnellRows, pos: IntVector, top: int) -> dict[int, Q]:
+        """Stop masses of one Snell block's dual flow, summing to top/pos.den on every path.
 
         ``top`` enters at each root.  A run with a cont row passes -pos of
         that row on to each child of its last node; whatever else entered
@@ -334,21 +335,21 @@ class MeasurePolytope:
         makes that rest at least -pos of the run's stop row: raising a stop
         above it, where g - c >= 0, only adds to the hedge's gain.
         """
-        kids = self.enl.children
+        kids, nums = self.enl.children, pos.nums
         inflow = dict.fromkeys(self.enl.roots, top)
         stops: dict[int, Q] = {}
         for h, run in self._runs.items():    # index order: parents before children
             mass = inflow.pop(h)
             at, stop, cont = rows[h]
             if cont is not None:
-                passed = -pos[cont]
+                passed = -nums[cont]
                 mass -= passed
-                if stop is not None and mass < -pos[stop]:
+                if stop is not None and mass < -nums[stop]:
                     raise PropertyViolation(
                         f"Snell block multipliers lose mass at {self.enl.enode(h).label}")
                 inflow.update((kid, passed) for kid in kids[run[-1]])
             if mass:
-                stops[at] = mass
+                stops[at] = Q(mass, pos.den)
         return stops
 
     def _evaluated_rows(
@@ -451,7 +452,7 @@ def ftap_certificate(
         return MeasureCertificate(measure=None, outcome=out)
     if out.status != "optimal":
         raise PropertyViolation(f"slack LP unexpectedly {out.status}")
-    measure = {p: out.x(v) for p, v in pt.q_var.items() if out.x(v)}
+    measure = out.point.nonzero(pt.q_var)
     if not all(row[-1] for row in pt.verdicts(measure, out.value, floor, prices)):
         raise PropertyViolation("slack witness failed re-validation")
     return MeasureCertificate(measure=measure, outcome=out)
@@ -479,14 +480,16 @@ def ftap_arbitrage(pt: MeasurePolytope, cert: MeasureCertificate) -> ArbitrageRe
             cert = ftap_certificate(pt, prices=False)
         if cert.holds:
             return ArbitrageReport(gain=ZERO, strategy=None)
-    y = cert.outcome.duals if cert.slack is not None else cert.outcome.farkas
-    strat, _ = pt.hedge_from(y, ONE)
+    y = cert.outcome.mult
+    strat, _ = pt.hedge_from(y, 1)
     return arbitrage_witness(pt.enl, strat, _rhs_value(y, pt.lp))
 
 
-def _rhs_value(y: Sequence[Q], lp: LinearProgram) -> Q:
-    """y.b over the rows of lp that y covers."""
-    return sum((v * Q(row.rhs, row.den) for v, row in zip(y, lp.rows) if v), ZERO)
+def _rhs_value(y: IntVector, lp: LinearProgram) -> Q:
+    """y.b over the rows of lp that y covers, summed in integers."""
+    terms = [(n, row) for n, row in zip(y.nums, lp.rows) if n and row.rhs]
+    e = lcm(*(row.den for _, row in terms))
+    return Q(sum(n * row.rhs * (e // row.den) for n, row in terms), y.den * e)
 
 
 def _certify_measure(
@@ -529,7 +532,7 @@ def price_with_dual(
     polytope is returned for further checks.
     """
     claim = extend_claim(enl, side)
-    sign = ONE if side == "super" else -ONE
+    sign = 1 if side == "super" else -1
     pt = build_polytope(enl)
     if side == "super":
         work, shift, claim_rows = pt.extremum_lp(claim, "max"), ZERO, None
@@ -539,14 +542,14 @@ def price_with_dual(
         rhs = [ZERO] * enl.num_paths
     out = solve(work)
     if out.status == "infeasible":
-        ray, _ = pt.hedge_from(out.farkas, ONE)
-        raise unbounded_ray(enl, side, sign, sign * _rhs_value(out.farkas, work), ray)
+        ray, _ = pt.hedge_from(out.mult, 1)
+        raise unbounded_ray(enl, side, sign, sign * _rhs_value(out.mult, work), ray)
     if out.status != "optimal":
         raise PropertyViolation(f"{side} measure LP unexpectedly {out.status}")
     price = out.value + shift
-    measure = {p: out.x(v) for p, v in pt.q_var.items() if out.x(v)}
+    measure = out.point.nonzero(pt.q_var)
     _certify_measure(pt, side, claim, measure, price)
-    strat, eta = pt.hedge_from(out.duals, sign, claim_rows)
+    strat, eta = pt.hedge_from(out.mult, sign, claim_rows)
     check_hedge(enl, strat, sign, price, rhs, exercise=eta, kind=side)
     report = HedgeReport(kind=side, price=price, strategy=strat, exercise=eta, lp=out,
                          measure=measure)

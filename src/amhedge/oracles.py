@@ -37,7 +37,7 @@ from .measures import (
     ftap_certificate,
     snell_value,
 )
-from .rationals import ONE, ZERO, Q, over_common, rat_str
+from .rationals import ONE, ZERO, Q, over_common, rat_str, ratio_str
 from .robust import kernel_family, num_selectors, supported_space
 from .strategies import StoppingTime, enlarged_stopping_times
 
@@ -88,7 +88,7 @@ def _one_step_hedge(
                          certificate={"node": nid})
     if out.status != "optimal":
         raise PropertyViolation(f"one-step LP unexpectedly {out.status} at {nid}")
-    ratios = {d: out.duals[r] for r, _, d in mart_rows}
+    ratios = out.mult.nonzero({d: r for r, _, d in mart_rows})
     here = model.stock.at(nid)
     for c, val in succ:
         gain = sum((h * (model.stock.at(c)[d] - here[d]) for d, h in ratios.items()), ZERO)
@@ -149,11 +149,11 @@ def solve_measure(pt: MeasurePolytope, work: LinearProgram) -> tuple[LPOutcome, 
     if out.status == "infeasible":
         raise SnaFailure(
             "martingale polytope is empty at these prices",
-            certificate={"farkas": [rat_str(y) for y in out.farkas or []]},
+            certificate={"farkas": [ratio_str(n, out.mult.den) for n in out.mult.nums]},
         )
     if out.status != "optimal":
         raise PropertyViolation(f"measure LP unexpectedly {out.status}")
-    return out, {p: out.x(v) for p, v in pt.q_var.items() if out.x(v)}
+    return out, out.point.nonzero(pt.q_var)
 
 
 def at_quotes(pt: MeasurePolytope, enl: EnlargedModel) -> MeasurePolytope:
@@ -539,7 +539,7 @@ def verify_minimax(
         raise PropertyViolation(f"guaranteed-liquidation LP unexpectedly {lhs_out.status}")
 
     # worst-case mixture against the best liquidation, read off the duals
-    lam = [-lhs_out.duals[r] for r in vertex_rows]
+    lam = [-lhs_out.mult.at(r) for r in vertex_rows]
     if any(w < ZERO for w in lam) or sum(lam, ZERO) != ONE:
         raise PropertyViolation("duals of the vertex rows are not a mixture")
     mixture = {p: sum((w * R.get(p, ZERO) for w, R in zip(lam, vertices)), ZERO)

@@ -3,15 +3,15 @@
 Every price, payoff, probability and LP coefficient is an exact rational.
 gmpy2's mpq is used when it is installed and fractions.Fraction otherwise;
 both behave the same.  An LP (``amhedge.lp``) stores its rows in Python
-ints from the moment they are added, so the backend reaches no pivot;
-the pathwise re-checks of ``hedging`` and ``measures`` and the
-certificate checks of ``lp`` put their rationals over one common
-denominator (``over_common``) and compare integers.  Floats are rejected
+ints from the moment they are added, and a solve returns its vectors as
+ints over one denominator, so the backend reaches no pivot and no
+certificate check; the pathwise re-checks of ``hedging`` and
+``measures`` put their rationals over one common denominator
+(``over_common``) and compare integers.  Floats are rejected
 at the parsing boundary so no binary rounding can leak in.
 """
 from __future__ import annotations
 
-from functools import reduce
 from math import gcd, lcm
 from typing import Any, Iterable
 
@@ -75,9 +75,10 @@ def over_common(*groups: Iterable[Any]) -> tuple[list[list[int]], int]:
     """Numerators of each group of rationals over one common denominator.
 
     They are Python ints whatever the backend (an mpz is passed through
-    int()), so sums and comparisons of them are exact integer arithmetic.
+    int(); a Fraction's pair is read in one as_integer_ratio call), so sums
+    and comparisons of them are exact integer arithmetic.
     """
-    groups = [list(group) for group in groups]
-    den = reduce(lcm, (int(v.denominator) for group in groups for v in group), 1)
-    return [[int(v.numerator) * (den // int(v.denominator)) for v in group]
-            for group in groups], den
+    pairs = [[(int(v.numerator), int(v.denominator)) if GMPY2 else v.as_integer_ratio()
+              for v in group] for group in groups]
+    den = lcm(*{d for group in pairs for _, d in group})
+    return [[n * (den // d) for n, d in group] for group in pairs], den

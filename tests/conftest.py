@@ -7,13 +7,15 @@ exact rationals.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 from amhedge.enlarged import EnlargedModel
 from amhedge.hedging import SemiStaticStrategy, evaluate_gain
+from amhedge.lp import IntVector
 from amhedge.market import MarketModel, load_model
-from amhedge.rationals import Q
+from amhedge.rationals import Q, over_common
 
 
 def path_gains(enl: EnlargedModel, strat: SemiStaticStrategy) -> dict[int, Q]:
@@ -21,6 +23,21 @@ def path_gains(enl: EnlargedModel, strat: SemiStaticStrategy) -> dict[int, Q]:
     integer numerators of hedging.evaluate_gain over its one denominator."""
     gains, den = evaluate_gain(enl, strat)
     return {p: Q(g, den) for p, g in gains.items()}
+
+
+def int_vector(values) -> IntVector:
+    """Rationals as an LP outcome holds a vector: numerators over one denominator."""
+    (nums,), den = over_common(values)
+    return IntVector(nums, den)
+
+
+def moved(vec: IntVector, j: int, delta) -> IntVector:
+    """vec with entry j moved by the rational delta, over the lcm of both denominators."""
+    dd = int(delta.denominator)
+    den = lcm(vec.den, dd)
+    nums = [n * (den // vec.den) for n in vec.nums]
+    nums[j] += int(delta.numerator) * (den // dd)
+    return IntVector(nums, den)
 
 
 def binomial_dict(**extra) -> dict:

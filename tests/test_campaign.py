@@ -270,6 +270,24 @@ def test_run_campaign_is_deterministic():
     assert len({rec["seed"] for rec in first["sections"]["main"]}) == 3
 
 
+def test_the_first_scaled_20_kernel_units_carry_the_minimax_instances(monkeypatch):
+    # models=7 draws 4 kernel units (scaled(30)) and 3 minimax instances
+    # (scaled(20)); at models=3 both counts are 3
+    on_workers(monkeypatch, 1)
+    for name in ("_main_unit", "_adversarial_unit", "_divisibility_unit", "check_depth_zero",
+                 "_wedge_unit"):
+        monkeypatch.setattr(campaign, name, lambda *args: {})
+    monkeypatch.setattr(campaign, "_kernel_unit",
+                        lambda submarkets, minimax, mseed: {"minimax": minimax})
+    kernel = run_campaign(5, models=7)["sections"]["kernel"]
+    assert [rec["minimax"] for rec in kernel] == [True, True, True, False]
+
+
+def test_a_kernel_unit_without_its_minimax_instance_records_none():
+    rec = campaign._kernel_unit(False, False, 12345)
+    assert rec["seed"] == 12345 and "minimax" not in rec
+
+
 # -- the units run on every CPU, with the report of one -------------------------
 
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="the mapper forks its children")

@@ -22,7 +22,7 @@ from amhedge.measures import build_polytope
 from amhedge.strategies import enlarged_stopping_times
 from amhedge.rationals import ZERO, Q
 
-from conftest import binomial_dict, path_gains
+from conftest import binomial_dict, int_vector, path_gains
 
 FULL_BOOK = binomial_dict(
     europeans=[{"payoff": {"u": "1", "d": "0"}, "price": "1/3"}],
@@ -94,7 +94,7 @@ def test_builder_matches_evaluator_on_every_path(model, restricted, extra_clock)
     g = GainLP(enl)
     for _ in range(3):
         x = _random_positions(g, rng)
-        gains = path_gains(enl, g.strategy_at(x))
+        gains = path_gains(enl, g.strategy_at(int_vector(x)))
         for p in range(enl.num_paths):
             assert _dot(g.gain_coeffs(p), x) == gains[p]
 
@@ -105,7 +105,7 @@ def test_clock_indexed_copy_has_the_enlarged_gain(model, extra_clock):
     n = model.N + extra_clock
     enl = enlarge(model, n)
     g = GainLP(enl)
-    strat = g.strategy_at(_random_positions(g, rng))
+    strat = g.strategy_at(int_vector(_random_positions(g, rng)))
     gains = path_gains(enl, strat)
 
     rev = RevealedModel(model, n)
@@ -124,7 +124,7 @@ def test_clock_indexed_copy_has_the_enlarged_gain(model, extra_clock):
             if t < model.tree.horizon:
                 for d in range(model.stock.dim):
                     x[clp.stock[(v, d)]] = strat.stock.get((u, d), ZERO)
-    copied = clp.strategy_at(x)
+    copied = clp.strategy_at(int_vector(x))
     # an adapted strategy never reads a clock before it fires
     assert nonanticipative(rev, copied)
     copied_gains = path_gains(rev, copied)
@@ -134,7 +134,7 @@ def test_clock_indexed_copy_has_the_enlarged_gain(model, extra_clock):
 
     # positions that do read the clocks: builder and evaluator still agree
     x = _random_positions(clp, rng)
-    anticipating = path_gains(rev, clp.strategy_at(x))
+    anticipating = path_gains(rev, clp.strategy_at(int_vector(x)))
     for p in range(rev.num_paths):
         assert _dot(clp.gain_coeffs(p), x) == anticipating[p]
 

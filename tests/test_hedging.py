@@ -122,6 +122,21 @@ def test_payoff_enlarged_rejects_mismatched_strategy(binomial):
     hedging.check_hedge(up, cash, ONE, ONE, [ZERO], exercise={root: ONE}, kind="sub")
 
 
+@pytest.mark.parametrize("longs, liquidation", [
+    pytest.param([ONE], [], id="long without its map"),
+    pytest.param([], [{}], id="map without a long"),
+])
+def test_evaluate_gain_needs_one_liquidation_map_per_long_american(longs, liquidation):
+    # without its map a long's payoff is never read and its mass never
+    # checked; a map of no long has no position to sum to
+    model = load_model(binomial_dict(americans_long=[
+        {"values": {"r": "0", "u": "1", "d": "0"}, "price": "3"}] * len(longs)))
+    strat = SemiStaticStrategy(stock={}, long_european=[], long_american=longs,
+                               short_american=[], liquidation=liquidation)
+    with pytest.raises(ValueError, match="^strategy option counts do not match the model$"):
+        evaluate_gain(enlarge(model, 0), strat)
+
+
 def test_no_arbitrage_clean_market(binomial):
     rep = detect_arbitrage(enlarge(binomial, 0))
     assert not rep.found and rep.gain == ZERO and rep.strategy is None

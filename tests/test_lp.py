@@ -1,12 +1,14 @@
 """Exact simplex solver: known optima, certificates, and a float oracle."""
 from __future__ import annotations
 
+import ast
 import contextlib
 import hashlib
 import io
 import json
 import random
 from math import gcd
+from pathlib import Path
 
 import pytest
 
@@ -22,7 +24,7 @@ from amhedge.oracles import at_quotes
 from amhedge.rationals import ONE, Q, ZERO
 
 import conftest
-from conftest import binomial_put_book_dict
+from conftest import binomial_put_book_dict, moved
 from test_report_bytes import CAMPAIGN_MODELS, COMMANDS, CONFTEST_MODELS
 
 
@@ -339,15 +341,15 @@ def test_certified_lps_return_the_certificates_the_rejections_perturb():
 def test_verify_optimal_rejects(build, field, j, delta, match):
     lp = build()
     out = solve(lp)
-    x, y, value = list(out.primal), list(out.duals), out.value
+    x, y, value = out.point, out.mult, out.value
     if field == "value":
         value += delta
     elif field == "primal":
         # the claimed value follows x, so only the targeted check fails
-        x[j] += delta
+        x = moved(x, j, delta)
         value += lp.objective.rational()[0].get(j, ZERO) * delta
     else:
-        y[j] += delta
+        y = moved(y, j, delta)
     with pytest.raises(lpmod.LPInternalError, match=match):
         lpmod._verify_optimal(lp, x, y, value)
 
@@ -361,8 +363,7 @@ def test_verify_optimal_rejects(build, field, j, delta, match):
 ])
 def test_verify_farkas_rejects(j, delta, match):
     lp = _certified_infeasible()
-    y = list(solve(lp).farkas)
-    y[j] += delta
+    y = moved(solve(lp).mult, j, delta)
     with pytest.raises(lpmod.LPInternalError, match=match):
         lpmod._verify_farkas(lp, y)
 
@@ -376,10 +377,32 @@ def test_verify_farkas_rejects(j, delta, match):
 ])
 def test_verify_ray_rejects(j, delta, match):
     lp = _certified_unbounded()
-    d = list(solve(lp).ray)
-    d[j] += delta
+    d = moved(solve(lp).point, j, delta)
     with pytest.raises(lpmod.LPInternalError, match=match):
         lpmod._verify_ray(lp, d)
+
+
+@pytest.mark.parametrize("build, field, j, match", [
+    (_certified_max, "point", 6, "negative value for z"),
+    (_certified_max, "mult", 4, "dual sign on x_loose"),
+    (_certified_infeasible, "mult", 1, "farkas sign"),
+    (_certified_unbounded, "point", 1, "ray leaves the sign cone"),
+])
+def test_each_check_rejects_a_numerator_moved_by_one(build, field, j, match):
+    # numerator j less 1, over the vector's own denominator
+    lp = build()
+    out = solve(lp)
+    vec = getattr(out, field)
+    moved_vec = moved(vec, j, Q(-1, vec.den))
+    assert moved_vec.den == vec.den
+    with pytest.raises(lpmod.LPInternalError, match=match):
+        if out.status == "optimal":
+            x, y = (moved_vec, out.mult) if field == "point" else (out.point, moved_vec)
+            lpmod._verify_optimal(lp, x, y, out.value)
+        elif out.status == "infeasible":
+            lpmod._verify_farkas(lp, moved_vec)
+        else:
+            lpmod._verify_ray(lp, moved_vec)
 
 
 def _random_lp(rng: random.Random):
@@ -448,6 +471,40 @@ def test_against_float_solver():
         seen[out.status] += 1
         _check_against_highs(scipy_lin, lp, out)
     assert all(seen.values()), seen
+
+
+def test_integer_vectors_are_their_rational_views():
+    # an outcome keeps each vector once, numerators over a positive
+    # denominator; primal, duals, farkas and ray read it as rationals
+    rng = random.Random(47)
+    views = {"optimal": {"point": "primal", "mult": "duals"},
+             "infeasible": {"mult": "farkas"}, "unbounded": {"point": "ray"}}
+    seen = dict.fromkeys(views, 0)
+    for i in range(120):
+        lp = _random_lp(rng)[0] if i % 2 else _random_homogeneous_lp(rng)
+        out = solve(lp)
+        seen[out.status] += 1
+        kept = views[out.status]
+        for field in ("point", "mult"):
+            vec = getattr(out, field)
+            assert (vec is None) == (field not in kept)
+            if vec is not None:
+                assert vec.den > 0
+                assert [Q(n, vec.den) for n in vec.nums] == getattr(out, kept[field])
+        for name in ("primal", "duals", "farkas", "ray"):
+            assert (getattr(out, name) is None) == (name not in kept.values())
+    assert all(seen.values()), seen
+
+
+def test_no_module_but_lp_reads_the_rational_views():
+    # the engine reads an outcome's integers; only lp builds the views
+    package = Path(__file__).resolve().parent.parent / "src" / "amhedge"
+    views = {"primal", "duals", "farkas", "ray"}
+    for path in sorted(package.glob("*.py")):
+        if path.name != "lp.py":
+            reads = {node.attr for node in ast.walk(ast.parse(path.read_text()))
+                     if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+            assert not reads & views, path.name
 
 
 def _random_homogeneous_lp(rng: random.Random) -> LinearProgram:
@@ -632,12 +689,11 @@ def test_lifted_certificates_reject_a_move(build, field, j, delta, check, match)
     # unchanged check on the LP as built
     lp = build()
     out = solve(lp)
-    vec = list(getattr(out, field))
-    vec[j] += delta
+    vec = moved(out.point if field in ("primal", "ray") else out.mult, j, delta)
     objective = lp.objective.rational()[0]
     with pytest.raises(lpmod.LPInternalError, match=match):
         if check == "optimal":
-            x, y = (vec, out.duals) if field == "primal" else (out.primal, vec)
+            x, y = (vec, out.mult) if field == "primal" else (out.point, vec)
             value = out.value + (objective.get(j, ZERO) * delta if field == "primal" else 0)
             lpmod._verify_optimal(lp, x, y, value)
         elif check == "farkas":

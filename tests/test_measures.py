@@ -19,7 +19,7 @@ from amhedge import measures, oracles
 from amhedge.campaign import pin_quote, random_sna_model
 from amhedge.enlarged import enlarge, extend_claim
 from amhedge.errors import PropertyViolation, SnaFailure
-from amhedge.lp import format_lp, solve
+from amhedge.lp import IntVector, format_lp, solve
 from amhedge.hedging import check_hedge, detect_arbitrage
 from amhedge.market import load_model
 from amhedge.measures import (
@@ -43,7 +43,7 @@ from amhedge.rationals import ONE, Q, ZERO
 from amhedge.robust import supported_paths, supported_space
 from amhedge.strategies import StoppingTime, enlarged_stopping_times
 
-from conftest import binomial_dict, binomial_put_book_dict, trinomial_dict, unbranched_book_dicts
+from conftest import binomial_dict, binomial_put_book_dict, moved, trinomial_dict, unbranched_book_dicts
 from test_lp_fingerprints import recorded  # noqa: F401  (fixture)
 from test_report_bytes import CAMPAIGN_MODELS, CONFTEST_MODELS, _model
 
@@ -515,9 +515,8 @@ def test_ftap_arbitrage_rejects_a_moved_multiplier(case, monkeypatch):
         monkeypatch.setattr(measures, "ftap_certificate", lambda *args, **kwargs: cert)
     key = "farkas" if cert.slack is None else "duals"
     assert ftap_arbitrage(pt, given).found
-    y = list(getattr(cert.outcome, key))
-    y[entry(pt, y)] += delta
-    cert = dataclasses.replace(cert, outcome=dataclasses.replace(cert.outcome, **{key: y}))
+    y = moved(cert.outcome.mult, entry(pt, getattr(cert.outcome, key)), delta)
+    cert = dataclasses.replace(cert, outcome=dataclasses.replace(cert.outcome, mult=y))
     with pytest.raises(PropertyViolation, match=message):
         ftap_arbitrage(pt, cert if given.slack != ZERO else given)
 
@@ -529,7 +528,7 @@ def test_ftap_arbitrage_rejects_a_witness_without_expected_gain(monkeypatch):
     pt = build_polytope(enl)
     closed = ftap_certificate(pt, prices=False)
     zero = dataclasses.replace(closed, outcome=dataclasses.replace(
-        closed.outcome, duals=[ZERO] * len(closed.outcome.duals)))
+        closed.outcome, mult=IntVector([0] * len(closed.outcome.mult.nums), 1)))
     monkeypatch.setattr(measures, "ftap_certificate", lambda *args, **kwargs: zero)
     with pytest.raises(PropertyViolation, match="no positive expected gain"):
         ftap_arbitrage(pt, closed)

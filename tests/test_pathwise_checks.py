@@ -34,7 +34,7 @@ from amhedge.oracles import selectors, vertex_measure
 from amhedge.robust import supported_space
 
 from conftest import binomial_dict, binomial_put_book_dict, binomial_short_put_dict
-from conftest import path_gains, trinomial_dict, trinomial_kernels_dict, two_period_dict
+from conftest import moved, path_gains, trinomial_dict, trinomial_kernels_dict, two_period_dict
 
 EPS = Q(1, 10**30)
 
@@ -252,9 +252,7 @@ def _slack_lp_returns(monkeypatch, change):
 def _move_witness(monkeypatch, p, delta):
     """The slack LP's witness with Q(p) moved by delta."""
     def change(pt, out):
-        point = list(out.primal)
-        point[pt.q_var[p]] += delta
-        return dataclasses.replace(out, primal=point)
+        return dataclasses.replace(out, point=moved(out.point, pt.q_var[p], delta))
 
     _slack_lp_returns(monkeypatch, change)
 

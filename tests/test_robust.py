@@ -18,6 +18,7 @@ from amhedge.enlarged import enlarge, extend_claim
 from amhedge.errors import ModelFormatError, PropertyViolation, SnaFailure
 from amhedge.hedging import subhedge, superhedge
 from amhedge.market import load_model
+from amhedge.lp import IntVector
 from amhedge.measures import MeasurePolytope, build_polytope, ftap_certificate, price_with_dual
 from amhedge.oracles import (
     dp_superhedge,
@@ -388,9 +389,9 @@ def test_minimax_rejects_duals_that_are_not_a_mixture(monkeypatch):
 
     def doubled(lp):
         out = real(lp)
-        if out.duals is not None:
-            out.duals = [2 * y for y in out.duals]
-        return out
+        if out.status != "optimal":
+            return out
+        return dataclasses.replace(out, mult=IntVector([2 * n for n in out.mult.nums], out.mult.den))
 
     monkeypatch.setattr(oracles, "solve", doubled)
     with pytest.raises(PropertyViolation, match="not a mixture"):
