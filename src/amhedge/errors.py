@@ -23,14 +23,9 @@ class CapExceededError(RuntimeError):
 class SnaFailure(RuntimeError):
     """Pricing rejected because no-arbitrage fails (CLI exit 2).
 
-    Carries whatever certificate made the failure evident: an unbounded
-    improvement ray of the hedging LP, or an infeasibility certificate of
-    the measure polytope.
+    The message is the whole refusal; the check that raised it has
+    already proven the failure, and ``ftap`` reports the witness.
     """
-
-    def __init__(self, message: str, certificate=None):
-        super().__init__(message)
-        self.certificate = certificate
 
 
 class PropertyViolation(AssertionError):

@@ -354,24 +354,13 @@ def unbounded_ray(
     The ray must improve (sign*x < 0) and check_hedge must pass
     sign*x + Phi(p) >= 0 on every path, so the ray's strategy gains at
     least |x| > 0 on every path.  A ray's exercise weights have zero mass
-    on every path, so none are held.  The certificate names the ray's
-    nonzero entries as GainLP names its variables.
+    on every path, so none are held.  The refusal is its message alone;
+    ``ftap`` is the command that reports an arbitrage witness.
     """
     if sign * x >= ZERO:
         raise PropertyViolation(f"{kind} hedge ray does not improve")
     check_hedge(enl, ray, sign, x, [ZERO] * enl.num_paths, kind=f"{kind} hedge ray")
-    lab = lambda v: enl.enode(v).label
-    named: dict[str, Q] = {"x": x}
-    named.update((f"H[{lab(v)};{d}]", h) for (v, d), h in ray.stock.items())
-    for book, vals in (("a", ray.long_european), ("b", ray.long_american),
-                       ("c", ray.short_american)):
-        named.update((f"{book}[{i}]", val) for i, val in enumerate(vals))
-    for j, nu in enumerate(ray.liquidation):
-        named.update((f"nu[{j};{lab(v)}]", m) for v, m in nu.items())
-    return SnaFailure(
-        f"{kind} hedging price is unbounded: the market admits arbitrage",
-        certificate={"ray": {name: rat_str(val) for name, val in named.items() if val}},
-    )
+    return SnaFailure(f"{kind} hedging price is unbounded: the market admits arbitrage")
 
 
 def _hedge(enl: EnlargedModel, kind: str, sign: Q, rhs: Sequence[Q]) -> HedgeReport:

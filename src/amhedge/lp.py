@@ -198,10 +198,6 @@ class LPOutcome:
     duals = cached_property(lambda self: self._view(self.mult, "optimal"))
     farkas = cached_property(lambda self: self._view(self.mult, "infeasible"))
 
-    def x(self, j: int) -> Q:
-        assert self.status == "optimal"
-        return self.point.at(j)
-
 
 def format_lp(lp: LinearProgram) -> str:
     """Human-readable dump of an LP: objective, named rows and free variables."""

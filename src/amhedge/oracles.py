@@ -37,7 +37,7 @@ from .measures import (
     ftap_certificate,
     snell_value,
 )
-from .rationals import ONE, ZERO, Q, over_common, rat_str, ratio_str
+from .rationals import ONE, ZERO, Q, over_common, rat_str
 from .robust import kernel_family, num_selectors, supported_space
 from .strategies import StoppingTime, enlarged_stopping_times
 
@@ -84,8 +84,7 @@ def _one_step_hedge(
     lp.set_objective("max", {q_var[c]: val for c, val in succ if val})
     out = solve(lp)
     if out.status == "infeasible":
-        raise SnaFailure(f"no one-step martingale law at {nid} (local arbitrage)",
-                         certificate={"node": nid})
+        raise SnaFailure(f"no one-step martingale law at {nid} (local arbitrage)")
     if out.status != "optimal":
         raise PropertyViolation(f"one-step LP unexpectedly {out.status} at {nid}")
     ratios = out.mult.nonzero({d: r for r, _, d in mart_rows})
@@ -147,10 +146,7 @@ def solve_measure(pt: MeasurePolytope, work: LinearProgram) -> tuple[LPOutcome, 
     envelope_lp) and read its measure off; empty means an SNA failure."""
     out = solve(work)
     if out.status == "infeasible":
-        raise SnaFailure(
-            "martingale polytope is empty at these prices",
-            certificate={"farkas": [ratio_str(n, out.mult.den) for n in out.mult.nums]},
-        )
+        raise SnaFailure("martingale polytope is empty at these prices")
     if out.status != "optimal":
         raise PropertyViolation(f"measure LP unexpectedly {out.status}")
     return out, out.point.nonzero(pt.q_var)

@@ -85,11 +85,11 @@ def count_stopping_times(roots: Iterable[Hashable],
 
 
 def enumerate_stopping_times(roots: Sequence[Hashable],
-                             children: Callable[[Hashable], Sequence[Hashable]],
-                             cap: int = DEFAULT_ENUM_CAP) -> list[StoppingTime]:
-    total = count_stopping_times(roots, children, cap)
-    if total > cap:
-        raise CapExceededError("stopping times", total, cap)
+                             children: Callable[[Hashable], Sequence[Hashable]]
+                             ) -> list[StoppingTime]:
+    total = count_stopping_times(roots, children, DEFAULT_ENUM_CAP)
+    if total > DEFAULT_ENUM_CAP:
+        raise CapExceededError("stopping times", total, DEFAULT_ENUM_CAP)
 
     def inner(v: Hashable, per_kid: list[list[frozenset]]) -> list[frozenset]:
         return [frozenset((v,))] + [frozenset().union(*c) for c in itertools.product(*per_kid)]

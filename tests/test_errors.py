@@ -16,10 +16,8 @@ EXAMPLES = [
     pytest.param(ModelFormatError("node 'u' has no parent"), {}, id="ModelFormatError"),
     pytest.param(CapExceededError("stopping times", 200, 150),
                  {"what": "stopping times", "count": 200, "cap": 150}, id="CapExceededError"),
-    pytest.param(SnaFailure("super-hedge is unbounded", {"ray": {"h[0]": "1/2"}}),
-                 {"certificate": {"ray": {"h[0]": "1/2"}}}, id="SnaFailure"),
-    pytest.param(SnaFailure("no consistent measure"), {"certificate": None},
-                 id="SnaFailure-without-certificate"),
+    pytest.param(SnaFailure("super hedging price is unbounded: the market admits arbitrage"),
+                 {}, id="SnaFailure"),
     pytest.param(PropertyViolation("sub-hedge price exceeds super-hedge price"), {},
                  id="PropertyViolation"),
 ]

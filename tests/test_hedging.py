@@ -23,6 +23,7 @@ from amhedge.hedging import (
     subhedge,
     subhedge_european,
     superhedge,
+    unbounded_ray,
 )
 from amhedge.lp import solve
 from amhedge.market import load_model
@@ -216,9 +217,25 @@ def test_subhedge_unbounded_on_free_lunch():
     model = load_model(binomial_dict(europeans=[
         {"payoff": {"u": "1", "d": "0"}, "price": "-1/10"},
     ]))
-    with pytest.raises(SnaFailure) as exc:
+    refusal = "^sub hedging price is unbounded: the market admits arbitrage$"
+    with pytest.raises(SnaFailure, match=refusal):
         subhedge(enlarge(model, 0))
-    assert exc.value.certificate is not None
+
+
+def test_unbounded_ray_is_checked_on_every_path():
+    # one European bought at -1/10 gains its payoff (1 at u, 0 at d) + 1/10
+    model = load_model(binomial_dict(europeans=[
+        {"payoff": {"u": "1", "d": "0"}, "price": "-1/10"},
+    ]))
+    enl = enlarge(model, 0)
+    ray = SemiStaticStrategy(stock={}, long_european=[ONE], long_american=[],
+                             short_american=[], liquidation=[])
+    assert "unbounded" in str(unbounded_ray(enl, "sub", -ONE, Q(1, 10), ray))
+    # a ray that does not gain |x| = 1 on path d is no ray
+    with pytest.raises(PropertyViolation, match="ray hedge fails on path 1"):
+        unbounded_ray(enl, "sub", -ONE, ONE, ray)
+    with pytest.raises(PropertyViolation, match="ray does not improve"):
+        unbounded_ray(enl, "sub", -ONE, -Q(1, 10), ray)
 
 
 def test_subhedge_european(binomial):

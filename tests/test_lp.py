@@ -39,7 +39,7 @@ def test_two_variable_max():
     out = solve(lp)
     assert out.status == "optimal"
     assert out.value == Q(14, 5)
-    assert out.x(x) == Q(8, 5) and out.x(y) == Q(6, 5)
+    assert out.point.at(x) == Q(8, 5) and out.point.at(y) == Q(6, 5)
 
 
 def test_min_with_equalities():
@@ -53,7 +53,7 @@ def test_min_with_equalities():
     out = solve(lp)
     assert out.status == "optimal"
     assert out.value == Q(8, 3)
-    assert (out.x(x), out.x(y)) == (Q(1, 3), Q(2, 3))
+    assert (out.point.at(x), out.point.at(y)) == (Q(1, 3), Q(2, 3))
 
 
 def test_free_variable():
@@ -108,7 +108,7 @@ def test_degenerate_vertex():
     out = solve(lp)
     assert out.status == "optimal"
     assert out.value == Q(2, 3)
-    assert (out.x(x), out.x(y)) == (Q(1, 3), Q(1, 3))
+    assert (out.point.at(x), out.point.at(y)) == (Q(1, 3), Q(1, 3))
 
 
 def test_unbounded_ray_follows_the_column_that_proved_it():

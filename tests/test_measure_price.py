@@ -13,15 +13,15 @@ from __future__ import annotations
 
 import json
 import random
-import re
 
 import pytest
 
+from amhedge import hedging, measures
 from amhedge.campaign import pin_quote, random_sna_model
 from amhedge.cli import main
 from amhedge.enlarged import enlarge, extend_claim
 from amhedge.errors import SnaFailure
-from amhedge.hedging import GainLP, SemiStaticStrategy, subhedge, superhedge
+from amhedge.hedging import GainLP, SemiStaticStrategy, subhedge, superhedge, unbounded_ray
 from amhedge.market import load_model
 from amhedge.measures import price_with_dual
 from amhedge.rationals import ONE, ZERO, Q, rat_str
@@ -146,35 +146,28 @@ def test_pinned_quotes_put_options_in_the_hedge(seed):
 
 # -- the arbitrage path: an empty measure LP and its ray ------------------------
 
-_NAME = re.compile(r"(\w+)\[(.*)\]")
+@pytest.fixture
+def rays(monkeypatch):
+    """The (x, ray) pairs hedging.unbounded_ray receives, from the measure
+    LP and the hedge LP alike; each call is delegated unchanged."""
+    seen = []
+
+    def record(enl, kind, sign, x, ray):
+        seen.append((x, ray))
+        return unbounded_ray(enl, kind, sign, x, ray)
+
+    monkeypatch.setattr(measures, "unbounded_ray", record)
+    monkeypatch.setattr(hedging, "unbounded_ray", record)
+    return seen
 
 
-def _ray_from_names(enl, names: dict[str, str]) -> tuple[Q, SemiStaticStrategy]:
-    """Rebuild (x, strategy) from a certificate's variable names."""
-    model = enl.model
-    node = {e.label: v for v, e in enumerate(enl.enodes)}
-    strat = SemiStaticStrategy(
-        stock={}, long_european=[ZERO] * model.L,
-        long_american=[ZERO] * model.M, short_american=[ZERO] * model.N,
-        liquidation=[{} for _ in range(model.M)],
-    )
-    x = ZERO
-    for name, text in names.items():
-        val = Q(text)
-        if name == "x":
-            x = val
-            continue
-        kind, inner = _NAME.fullmatch(name).groups()
-        if kind == "H":
-            label, d = inner.rsplit(";", 1)
-            strat.stock[(node[label], int(d))] = val
-        elif kind == "nu":
-            j, label = inner.split(";", 1)
-            strat.liquidation[int(j)][node[label]] = val
-        else:
-            book = {"a": strat.long_european, "b": strat.long_american, "c": strat.short_american}
-            book[kind][int(inner)] = val
-    return x, strat
+def _refused_ray(rays, price) -> tuple[Q, SemiStaticStrategy]:
+    """The one (x, ray) unbounded_ray receives while price() is refused."""
+    rays.clear()
+    with pytest.raises(SnaFailure, match="price is unbounded"):
+        price()
+    (x, ray), = rays
+    return x, ray
 
 
 MISPRICED = {
@@ -187,38 +180,44 @@ MISPRICED = {
 
 @pytest.mark.parametrize("side", SIDES)
 @pytest.mark.parametrize("name", sorted(MISPRICED))
-def test_mispriced_price_exits_2_with_a_checked_ray(name, side, tmp_path, capsys):
+def test_mispriced_price_exits_2_with_a_checked_ray(name, side, tmp_path, capsys, rays):
     path = tmp_path / "model.json"
     path.write_text(json.dumps(MISPRICED[name]))
     code = main(["price", "--model", str(path), "--side", side])
-    _, err = capsys.readouterr()
-    assert code == 2 and "unbounded" in err
+    out, err = capsys.readouterr()
+    assert code == 2 and "price is unbounded" in err and out == ""
 
     model = load_model(MISPRICED[name])
     enl = enlarge(model, model.N + (side == "super"))
-    with pytest.raises(SnaFailure, match="price is unbounded") as exc:
-        price_with_dual(enl, side)
-    x, ray = _ray_from_names(enl, exc.value.certificate["ray"])
+    x, ray = _refused_ray(rays, lambda: price_with_dual(enl, side))
     # an improving ray of the hedge LP: min x (super) falls, max x (sub) rises
     assert (x < ZERO) if side == "super" else (x > ZERO)
     gains = path_gains(enl, ray)
     assert all(gain >= abs(x) for gain in gains.values())
     # the hedge LP fails the same way, with a ray that gains as much
-    with pytest.raises(SnaFailure, match="price is unbounded") as exc:
-        (subhedge if side == "sub" else superhedge)(enl)
-    x, ray = _ray_from_names(enl, exc.value.certificate["ray"])
+    x, ray = _refused_ray(rays, lambda: (subhedge if side == "sub" else superhedge)(enl))
     assert all(gain >= abs(x) > ZERO for gain in path_gains(enl, ray).values())
 
 
+@pytest.mark.parametrize("side", SIDES)
+@pytest.mark.parametrize("name", sorted(MISPRICED))
+def test_refused_price_writes_nothing(name, side, tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(MISPRICED[name]))
+    report = tmp_path / "price.json"
+    code = main(["price", "--model", str(path), "--side", side, "--out", str(report)])
+    _, err = capsys.readouterr()
+    assert code == 2 and "price is unbounded" in err
+    assert not report.exists()
+
+
 @pytest.mark.parametrize("seed", GENERATED[:4])
-def test_corroded_markets_fail_on_both_lps(seed):
+def test_corroded_markets_fail_on_both_lps(seed, rays):
     gm = random_sna_model(random.Random(seed))
     model, _ = pin_quote(random.Random(seed), gm, None)
     for side in SIDES:
         enl = enlarge(model, model.N + (side == "super"))
-        with pytest.raises(SnaFailure, match="price is unbounded") as exc:
-            price_with_dual(enl, side)
-        x, ray = _ray_from_names(enl, exc.value.certificate["ray"])
+        x, ray = _refused_ray(rays, lambda: price_with_dual(enl, side))
         assert all(gain >= abs(x) > ZERO for gain in path_gains(enl, ray).values())
         with pytest.raises(SnaFailure):
             (subhedge if side == "sub" else superhedge)(enl)

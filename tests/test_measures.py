@@ -142,6 +142,16 @@ def test_dual_raises_on_empty_polytope():
         price_with_dual(enlarge(model, 1), "super")
 
 
+def test_solve_measure_raises_on_empty_polytope():
+    # the European's quote 1/4 is off its only martingale value 1/3
+    model = load_model(binomial_dict(europeans=[
+        {"payoff": {"u": "1", "d": "0"}, "price": "1/4"},
+    ]))
+    pt = build_polytope(enlarge(model, 0))
+    with pytest.raises(SnaFailure, match="^martingale polytope is empty at these prices$"):
+        solve_measure(pt, pt.extremum_lp([ZERO] * pt.enl.num_paths, "max"))
+
+
 def test_snell_value_oracle(two_period):
     enl = enlarge(two_period, 0)
     claim_at = extend_claim(enl, "sub")

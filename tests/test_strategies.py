@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import pytest
 
+from amhedge import strategies
 from amhedge.divisible import RevealedModel
 from amhedge.enlarged import enlarge
 from amhedge.errors import CapExceededError
@@ -50,9 +51,11 @@ def test_enumerate_matches_count_and_validates():
             tau.time_on(p)    # raises unless hit exactly once
 
 
-def test_enumerate_cap():
-    with pytest.raises(CapExceededError):
-        enumerate_stopping_times(["r"], BINTREE.get, cap=4)
+def test_enumerate_cap(monkeypatch):
+    # the guard is the module's constant, read at each call
+    monkeypatch.setattr(strategies, "DEFAULT_ENUM_CAP", 4)
+    with pytest.raises(CapExceededError, match="needs 5 items, cap is 4"):
+        enumerate_stopping_times(["r"], BINTREE.get)
 
 
 def test_base_and_enlarged_enumeration(binomial_short_put):
