@@ -195,7 +195,7 @@ def test_stock_only_price_ignores_the_short_clocks():
 
 def test_dp_raises_on_local_arbitrage():
     _, enl, zeta = _put_super_target(SURE_UP)
-    with pytest.raises(SnaFailure):
+    with pytest.raises(SnaFailure, match=r"^no one-step martingale law at \S+ \(local arbitrage\)$"):
         _dp(enl, zeta)
 
 
