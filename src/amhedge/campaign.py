@@ -32,7 +32,6 @@ from .measures import (
     snell_value,
 )
 from .oracles import (
-    at_quotes,
     check_sna,
     dp_superhedge,
     drop_options,
@@ -498,8 +497,8 @@ def check_ftap_grid(
     """No-arbitrage of shifted prices against the measure-side criterion.
 
     ``pt`` is the polytope of the market's n = N space (check_duality's
-    pt_sub); every shift reuses its forest and a copy of it with the
-    quotes moved.
+    pt_sub); every shift builds the polytope of its forest at the shifted
+    quotes.
     For every shift the trading-side verdict must coincide with the
     existence of a full-support consistent measure at the shifted
     quotes (ftap_certificate with the price rows closed, its witness
@@ -520,7 +519,7 @@ def check_ftap_grid(
     for eps in sorted(EPS_GRID):    # ascending: verdicts may only degrade
         shifted = enl.with_model(model.shifted_prices(eps))
         na_primal = not detect_arbitrage(shifted).found
-        na_dual = ftap_certificate(at_quotes(pt, shifted), prices=False).holds
+        na_dual = ftap_certificate(build_polytope(shifted), prices=False).holds
         if na_primal != na_dual:
             raise PropertyViolation(
                 f"at shift {rat_str(eps)} trading says NA={na_primal} "

@@ -140,7 +140,6 @@ def cmd_price(args) -> int:
     enl = enlarge(model, n)
     if model.kernels:
         enl = supported_space(enl)
-        doc["supported_paths"] = enl.num_paths
     report, _ = price_with_dual(enl, args.side)
     doc["report"] = report.to_json(enl)
     doc["price"] = rat_str(report.price)

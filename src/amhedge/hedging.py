@@ -359,7 +359,7 @@ def unbounded_ray(
     """
     if sign * x >= ZERO:
         raise PropertyViolation(f"{kind} hedge ray does not improve")
-    check_hedge(enl, ray, sign, x, [ZERO] * enl.num_paths, kind=f"{kind} hedge ray")
+    check_hedge(enl, ray, sign, x, [ZERO] * enl.num_paths, kind=f"{kind} ray")
     return SnaFailure(f"{kind} hedging price is unbounded: the market admits arbitrage")
 
 

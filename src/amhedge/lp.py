@@ -64,7 +64,7 @@ class LPInternalError(RuntimeError):
 class _Row:
     """coeffs.x rel rhs, in integer numerators over the positive den, not always
     in lowest terms; the objective is a row with rel "=" and rhs 0.  A row in an
-    LP is never written (see LinearProgram.put), so a solve reads it in place."""
+    LP is never written (max_slack swaps new rows into its copy): solves read it in place."""
 
     coeffs: dict[int, int]
     rhs: int
@@ -116,18 +116,6 @@ class LinearProgram:
         self.sense = sense
         self.objective = _Row(*_integers(coeffs, 0, den), "=", "objective")
 
-    def put(self, i: int, value, var: int | None = None) -> None:
-        """Set row i's coefficient of var, or its rhs where var is None, to a
-        rational, in a new row over the lcm of the old den and value's."""
-        row, v = self.rows[i], rat(value)
-        s = int(v.denominator) // gcd(row.den, int(v.denominator))
-        n = int(v.numerator) * (row.den * s // int(v.denominator))
-        coeffs = {j: a * s for j, a in row.coeffs.items() if j != var}
-        if var is not None and n:
-            coeffs[var] = n
-        rhs = n if var is None else row.rhs * s
-        self.rows[i] = _Row(coeffs, rhs, row.den * s, row.rel, row.name)
-
     @property
     def num_vars(self) -> int:
         return len(self.var_names)
@@ -139,7 +127,7 @@ class LinearProgram:
     def copy(self) -> "LinearProgram":
         other = LinearProgram()
         other.var_names, other.nonneg = list(self.var_names), list(self.nonneg)
-        # a stored row is never written (see put), so the copy shares them
+        # a stored row is never written (see _Row), so the copy shares them
         other.rows = list(self.rows)
         other.sense, other.objective = self.sense, self.objective
         return other
@@ -748,6 +736,12 @@ def max_slack(lp: LinearProgram, slack_rows: dict[int, Q]) -> LPOutcome:
         row = work.rows[i]
         if row.rel == "=":
             raise ValueError(f"cannot slacken equality row {row.name}")
-        work.put(i, w if row.rel == "<=" else -w, s)
+        # a new row over the lcm of its den and w's, storing no zero coefficient
+        w = rat(w if row.rel == "<=" else -w)
+        m = int(w.denominator) // gcd(row.den, int(w.denominator))
+        coeffs = {j: a * m for j, a in row.coeffs.items()}
+        if w:
+            coeffs[s] = int(w.numerator) * (row.den * m // int(w.denominator))
+        work.rows[i] = _Row(coeffs, row.rhs * m, row.den * m, row.rel, row.name)
     work.set_objective("max", {s: ONE})
     return solve(work)

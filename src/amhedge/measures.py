@@ -149,12 +149,10 @@ class MeasurePolytope:
             {v: proc.scalar(node.base) for v, node in enumerate(enl.enodes)}
             for proc, _ in model.americans_long
         ]
-        self.long_shifts: list[Q] = []
         first = self.lp.num_rows
         for j, (_, beta) in enumerate(model.americans_long):
             root, shift, rows = self.snell_block(self.lp, self.long_values[j], f"g{j}")
             self.long_blocks.append(rows)
-            self.long_shifts.append(shift)
             self.g_rows.append(self.lp.add_constraint(root, "<=", beta - shift, name=f"g[{j}]"))
         self.num_tau_rows = self.lp.num_rows - first
 

@@ -18,7 +18,6 @@ PropertyViolation where the two disagree:
 """
 from __future__ import annotations
 
-import copy
 import dataclasses
 import itertools
 from dataclasses import dataclass
@@ -150,32 +149,6 @@ def solve_measure(pt: MeasurePolytope, work: LinearProgram) -> tuple[LPOutcome, 
     if out.status != "optimal":
         raise PropertyViolation(f"measure LP unexpectedly {out.status}")
     return out, out.point.nonzero(pt.q_var)
-
-
-def at_quotes(pt: MeasurePolytope, enl: EnlargedModel) -> MeasurePolytope:
-    """pt at the quotes of enl, pt's space for another model
-    (EnlargedModel.with_model) with the same stock and payoff processes:
-    a copy of its LP with only the price rows' right-hand sides moved,
-    to the new alpha, gamma and beta minus the Snell block's shift."""
-    if enl.epaths is not pt.enl.epaths:
-        raise ValueError("at_quotes needs the space of pt, from EnlargedModel.with_model")
-    old, new = pt.enl.model, enl.model
-    books = [(old.europeans, new.europeans), (old.americans_long, new.americans_long),
-             (old.americans_short, new.americans_short)]
-    if new.stock is not old.stock or any(
-        len(a) != len(b) or any(x is not y for (x, _), (y, _) in zip(a, b)) for a, b in books
-    ):
-        raise ValueError("at_quotes needs the same stock and payoff processes")
-    other = copy.copy(pt)
-    other.enl = enl
-    other.lp = pt.lp.copy()
-    quotes = [(r, alpha) for r, (_, alpha) in zip(pt.f_rows, new.europeans)]
-    quotes += [(r, gamma) for r, (_, gamma) in zip(pt.h_rows, new.americans_short)]
-    quotes += [(r, beta - shift) for r, shift, (_, beta)
-               in zip(pt.g_rows, pt.long_shifts, new.americans_long)]
-    for r, rhs in quotes:
-        other.lp.put(r, rhs)
-    return other
 
 
 def check_sna(pt: MeasurePolytope) -> MeasureCertificate:

@@ -564,7 +564,7 @@ def test_kernel_price_reports_its_supported_measure(name, side, tmp_path, capsys
     index = {ep.label: p for p, ep in enumerate(space.epaths)}
     assert dual["measure"] and set(dual["measure"]) <= set(index)
     measure = {index[label]: rat(q) for label, q in dual["measure"].items()}
-    assert doc["supported_paths"] == space.num_paths == len(supported_paths(enl))
+    assert doc["report"]["paths"] == space.num_paths == len(supported_paths(enl))
     bad = [row for row in build_polytope(space).verdicts(measure) if not row[-1]]
     assert not bad, bad
 

@@ -232,7 +232,7 @@ def test_unbounded_ray_is_checked_on_every_path():
                              short_american=[], liquidation=[])
     assert "unbounded" in str(unbounded_ray(enl, "sub", -ONE, Q(1, 10), ray))
     # a ray that does not gain |x| = 1 on path d is no ray
-    with pytest.raises(PropertyViolation, match="ray hedge fails on path 1"):
+    with pytest.raises(PropertyViolation, match=r"^sub ray hedge fails on path 1: "):
         unbounded_ray(enl, "sub", -ONE, ONE, ray)
     with pytest.raises(PropertyViolation, match="ray does not improve"):
         unbounded_ray(enl, "sub", -ONE, -Q(1, 10), ray)

@@ -6,6 +6,7 @@ import contextlib
 import hashlib
 import io
 import json
+import operator
 import random
 from math import gcd
 from pathlib import Path
@@ -19,8 +20,7 @@ from amhedge.enlarged import enlarge
 from amhedge.hedging import detect_arbitrage, superhedge
 from amhedge.lp import LinearProgram, format_lp, max_slack, solve
 from amhedge.market import emit_model, load_model
-from amhedge.measures import build_polytope, price_with_dual
-from amhedge.oracles import at_quotes
+from amhedge.measures import price_with_dual
 from amhedge.rationals import ONE, Q, ZERO
 
 import conftest
@@ -918,18 +918,24 @@ def test_every_stored_entry_is_a_python_int(asked):
 
 
 def test_edits_on_a_copy_leave_the_source(monkeypatch):
-    # max_slack and at_quotes edit a copy through LinearProgram.put: the
-    # source keeps its rows, and the edited copy is the LP a fresh build gives
+    # max_slack writes its slackened rows into a copy: the source keeps its
+    # row objects, the copy shares every row it does not list, and the copy
+    # is the LP a fresh build gives, a zero weight storing no coefficient
     solved = []
     monkeypatch.setattr(lpmod, "solve", lambda prog: solved.append(prog) or solve(prog))
     rng = random.Random(20261020)
     for _ in range(30):
         lp, xs = _random_lp(rng)
-        before = format_lp(lp)
+        before, source = format_lp(lp), list(lp.rows)
         rows = {i: w for i, row in enumerate(lp.rows) if row.rel != "="
-                for w in [Q(rng.randint(1, 4), rng.randint(1, 3))]}
+                for w in [Q(rng.randint(0, 4), rng.randint(1, 3))]}
         max_slack(lp, rows)
         assert format_lp(lp) == before
+        assert len(lp.rows) == len(source) and all(map(operator.is_, lp.rows, source))
+        work = solved.pop()
+        assert len(work.rows) == len(source)
+        assert [row is old for row, old in zip(work.rows, source)] == [
+            i not in rows for i in range(len(source))]
         fresh = LinearProgram()
         for j in xs:
             fresh.add_var(lp.var_names[j], lp.nonneg[j])
@@ -940,18 +946,10 @@ def test_edits_on_a_copy_leave_the_source(monkeypatch):
                 coeffs[s] = rows[i] if row.rel == "<=" else -rows[i]
             fresh.add_constraint(coeffs, row.rel, rhs, row.name)
         fresh.set_objective("max", {s: ONE})
-        assert format_lp(solved.pop()) == format_lp(fresh)
+        assert format_lp(work) == format_lp(fresh)
+        assert all(type(a) is int and a for r in work.rows for a in r.coeffs.values())
         assert all(type(a) is int
                    for r in fresh.rows for a in (*r.coeffs.values(), r.rhs, r.den))
-    model = load_model(binomial_put_book_dict(2, short_bid="1/2", long_ask="5/2"))
-    enl = enlarge(model, model.N)
-    pt = build_polytope(enl)
-    before = [(dict(r.coeffs), r.rhs, r.den) for r in pt.lp.rows]
-    for eps in (Q(-1, 3), Q(1, 8), ONE):
-        shifted = enl.with_model(model.shifted_prices(eps))
-        moved = at_quotes(pt, shifted)
-        assert [(r.coeffs, r.rhs, r.den) for r in pt.lp.rows] == before
-        assert format_lp(moved.lp) == format_lp(build_polytope(shifted).lp)
 
 
 def _start(rows, nonneg=(True, True, True)):

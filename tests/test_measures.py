@@ -8,9 +8,11 @@ max min(a, b, b - 1/4) = 1/24 at a = 1/24, b = 7/24.
 """
 from __future__ import annotations
 
+import ast
 import copy
 import dataclasses
 import random
+from pathlib import Path
 
 import pytest
 
@@ -19,7 +21,7 @@ from amhedge import measures, oracles
 from amhedge.campaign import pin_quote, random_sna_model
 from amhedge.enlarged import enlarge, extend_claim
 from amhedge.errors import PropertyViolation, SnaFailure
-from amhedge.lp import IntVector, format_lp, solve
+from amhedge.lp import IntVector, solve
 from amhedge.hedging import check_hedge, detect_arbitrage
 from amhedge.market import load_model
 from amhedge.measures import (
@@ -30,7 +32,6 @@ from amhedge.measures import (
     snell_value,
 )
 from amhedge.oracles import (
-    at_quotes,
     dp_superhedge,
     drop_options,
     e2_chain,
@@ -341,46 +342,16 @@ def test_long_rows_stay_linear_in_the_support():
     assert added <= 2 * model.M * len(support) + model.M
 
 
-def test_polytope_at_other_quotes_is_the_rebuilt_polytope():
-    # one shorted call, one longed put and one European call on the wedge
-    data = binomial_put_book_dict(2, short_bid="1/2", long_ask="5/2")
-    data["europeans"] = [{"payoff": {"ruu": "11", "rud": "0", "rdu": "0", "rdd": "0"},
-                          "price": "2"}]
-    model = load_model(data)
-    enl = enlarge(model, model.N)
-    pt = build_polytope(enl)
-    assert pt.f_rows and pt.g_rows and pt.h_rows
-    source = format_lp(pt.lp)
-    for eps in (Q(-1, 3), Q(1, 8), ONE):
-        shifted = enl.with_model(model.shifted_prices(eps))
-        moved = at_quotes(pt, shifted)
-        assert format_lp(moved.lp) == format_lp(build_polytope(shifted).lp)
-        # the copy shares the source's rows; moving its quotes leaves the source
-        assert moved.enl is shifted and format_lp(pt.lp) == source
-    assert format_lp(pt.lp) == format_lp(build_polytope(enl).lp)
-    with pytest.raises(ValueError):
-        at_quotes(pt, enlarge(model, model.N))
-    # the same quotes on copies of the payoff processes: not this polytope's
-    for book in ("europeans", "americans_long", "americans_short"):
-        copied = [(copy.deepcopy(payoff), quote) for payoff, quote in getattr(model, book)]
-        with pytest.raises(ValueError, match="same stock and payoff processes"):
-            at_quotes(pt, enl.with_model(dataclasses.replace(model, **{book: copied})))
-
-
-@pytest.mark.parametrize("n_extra", [0, 1])
-@pytest.mark.parametrize("name", [*CONFTEST_MODELS, *CAMPAIGN_MODELS])
-def test_at_quotes_copies_the_polytope_of_the_shifted_quotes(name, n_extra, request):
-    model = _model(request, name)
-    enl = enlarge(model, model.N + n_extra)
-    if model.kernels is not None:
-        enl = supported_space(enl)
-    pt = build_polytope(enl)
-    measure = solve_measure(pt, pt.extremum_lp([ZERO] * enl.num_paths, "max"))[1]
-    for eps in (Q(-1, 3), Q(1, 16)):
-        shifted = enl.with_model(model.shifted_prices(eps))
-        moved, built = at_quotes(pt, shifted), build_polytope(shifted)
-        assert format_lp(moved.lp) == format_lp(built.lp)
-        assert list(moved.verdicts(measure)) == list(built.verdicts(measure))
+def test_no_module_but_measures_reads_the_row_layout():
+    # a polytope comes from MeasurePolytope alone: no other module reads
+    # which LP row holds which constraint
+    package = Path(__file__).resolve().parent.parent / "src" / "amhedge"
+    layout = {"f_rows", "h_rows", "g_rows", "mart_rows", "long_blocks", "mass_row"}
+    for path in sorted(package.glob("*.py")):
+        if path.name != "measures.py":
+            reads = {node.attr for node in ast.walk(ast.parse(path.read_text()))
+                     if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+            assert not reads & layout, path.name
 
 
 @pytest.mark.parametrize("name", [*CONFTEST_MODELS, *CAMPAIGN_MODELS])
