@@ -61,14 +61,14 @@ EXPECTED = {
     ('strict_chain_market', 'price-sub'): (0, 'e20d0f030434182e1c28707b717b20dd9c3830ca27fb93faa2d1aa28e3f555ec'),
     ('strict_chain_market', 'price-super'): (0, '796e899b5e24bbac68da4f8d7412dfcf0b45a5b697ba8d823c84cccbd9766fd0'),
     ('trinomial_two_kernels', 'ftap'): (0, '1c5ed8717fbfb50c8fd94af6f102cd44b46883cb042f1e204b5e27983b3de7d3'),
-    ('trinomial_two_kernels', 'price-sub'): (0, '6d13922fe3ab7c7826c8aaebf2d88ef662ff10f6dd52d6ef91d16e3c990ac9ea'),
-    ('trinomial_two_kernels', 'price-super'): (0, 'db9a71382108740f26ada95aded346251892f0c3f9b0ee746e87383a462da363'),
+    ('trinomial_two_kernels', 'price-sub'): (0, '3f73fcf5b0b93c8e64d9754429c798ad3806c36819a6f52429b154f576b83c56'),
+    ('trinomial_two_kernels', 'price-super'): (0, 'ac1c1e7c41b2e8d298b8c0c13465d6900db8345471b5a05896fef2cf3b9fa19d'),
     ('binomial_kernel', 'ftap'): (0, 'abe8bf55134bab0005e72746e08dbed9ff16e88cde566f698a74d4ad77166fcc'),
-    ('binomial_kernel', 'price-sub'): (0, '722fb3d4b2de25cd936bcd41a8f9dec5077334a6f694479387ca39415cbafefe'),
-    ('binomial_kernel', 'price-super'): (0, 'b287c23c47e201a5223593aed6248a71c7675a36a851b3d18cbed82a75d5b0cb'),
+    ('binomial_kernel', 'price-sub'): (0, '384f9bc81a3765bd808229326b828c70e167c1e194200249eac0111387f5d153'),
+    ('binomial_kernel', 'price-super'): (0, 'cb886141463d2562e670e011b5585a6a4837ba41b01b509902f385731a62a9d0'),
     ('trinomial_kernels', 'ftap'): (0, '8f65abbd01d2af28f17579a362fcb8c4280c72d8fa5b459c312acdc8d4c421bf'),
-    ('trinomial_kernels', 'price-sub'): (0, 'f2ba8bad7ddf668fba231ba679db4c587ef67fe234ec65d7a384fa37e605be56'),
-    ('trinomial_kernels', 'price-super'): (0, 'f9fd3642372a041db3b31d0568a2cb336848f1239053170d491682974697f8d6'),
+    ('trinomial_kernels', 'price-sub'): (0, 'e572965a25af14db7c0e9a2205333cc5ae5d4c49db4a578860f622ca3f1f8f63'),
+    ('trinomial_kernels', 'price-super'): (0, 'd02a1ace560e672dc977d15956e4081791b41b88ade2358d41e547e153d245c3'),
 }
 
 
