@@ -22,7 +22,7 @@ from .enlarged import EnlargedModel, enlarge, extend_claim
 from .errors import PropertyViolation, SnaFailure
 from .hedging import detect_arbitrage, subhedge, superhedge
 from .lp import max_slack
-from .market import AdaptedProcess, EventTree, MarketModel, Node, TerminalPayoff, load_model
+from .market import EventTree, MarketModel, Node, load_model
 from .measures import (
     MeasureCertificate,
     MeasurePolytope,
@@ -106,9 +106,8 @@ def _grid_value(rng: random.Random, lo: Q, hi: Q) -> Q:
     return Q(rng.randint(lo_k, max(lo_k, hi_k)), d)
 
 
-def _random_adapted(rng: random.Random, tree: EventTree) -> AdaptedProcess:
-    values = {nid: (_grid_value(rng, ZERO, Q(3)),) for nid in tree.nodes}
-    return AdaptedProcess(dim=1, values=values)
+def _random_adapted(rng: random.Random, tree: EventTree) -> dict[str, Q]:
+    return {nid: _grid_value(rng, ZERO, Q(3)) for nid in tree.nodes}
 
 
 # -- tree and stock factories --------------------------------------------------
@@ -137,7 +136,7 @@ def random_tree(rng: random.Random, horizon: int, max_branch: int = 3) -> EventT
     return EventTree(nodes, horizon)
 
 
-def random_stock(rng: random.Random, tree: EventTree, dim: int = 1) -> AdaptedProcess:
+def random_stock(rng: random.Random, tree: EventTree, dim: int = 1) -> dict[str, tuple[Q, ...]]:
     """Positive grid-valued stock whose one-step moves straddle the parent.
 
     Single children copy the parent price; with several children one
@@ -165,10 +164,9 @@ def random_stock(rng: random.Random, tree: EventTree, dim: int = 1) -> AdaptedPr
         for kid, val in zip(kids, moves):
             first[kid] = val
     if dim == 1:
-        return AdaptedProcess(dim=1, values={nid: (v,) for nid, v in first.items()})
+        return {nid: (v,) for nid, v in first.items()}
     # affine second leg: martingale under exactly the same one-step laws
-    values = {nid: (v, Q(2) + v / 2) for nid, v in first.items()}
-    return AdaptedProcess(dim=2, values=values)
+    return {nid: (v, Q(2) + v / 2) for nid, v in first.items()}
 
 
 def node_interior(model: MarketModel) -> dict[str, dict[str, Q]] | None:
@@ -188,13 +186,13 @@ def node_interior(model: MarketModel) -> dict[str, dict[str, Q]] | None:
     return out
 
 
-def _clock_mean(tree: EventTree, proc: AdaptedProcess, pmeas: dict[int, Q]) -> Q:
+def _clock_mean(tree: EventTree, proc: dict[str, Q], pmeas: dict[int, Q]) -> Q:
     """E over paths of the time-average of an adapted payoff."""
     share = Q(1, tree.horizon + 1)
     total = ZERO
     for pi, q in pmeas.items():
         path = tree.paths[pi]
-        total += q * share * sum((proc.scalar(nid) for nid in path), ZERO)
+        total += q * share * sum((proc[nid] for nid in path), ZERO)
     return total
 
 
@@ -216,8 +214,8 @@ def _quoted_market(
     tree = probe.tree
     europeans = []
     for _i in range(L):
-        payoff = TerminalPayoff({leaf: _grid_value(rng, ZERO, Q(3)) for leaf in tree.leaves})
-        mean = sum((pmeas.get(pi, ZERO) * payoff.at(path[-1])
+        payoff = {leaf: _grid_value(rng, ZERO, Q(3)) for leaf in tree.leaves}
+        mean = sum((pmeas.get(pi, ZERO) * payoff[path[-1]]
                     for pi, path in enumerate(tree.paths)), ZERO)
         europeans.append((payoff, mean + rng.choice(_MARGINS)))
     americans_long = []
@@ -226,7 +224,7 @@ def _quoted_market(
         enl0 = enlarge(probe, 0)
     for _j in range(M):
         proc = _random_adapted(rng, tree)
-        values = {v: proc.scalar(node.base) for v, node in enumerate(enl0.enodes)}
+        values = {v: proc[node.base] for v, node in enumerate(enl0.enodes)}
         americans_long.append((proc, snell_value(enl0, values, pmeas) + rng.choice(_MARGINS)))
     americans_short = []
     for _k in range(N):
@@ -348,7 +346,7 @@ def pin_quote(
     if kind == "european":
         i = rng.randrange(model.L)
         payoff = model.europeans[i][0]
-        vec = [payoff.at(model.tree.paths[ep.base_index][-1]) for ep in enl.epaths]
+        vec = [payoff[model.tree.paths[ep.base_index][-1]] for ep in enl.epaths]
         vmin = solve_measure(pt, pt.extremum_lp(vec, "min"))[0].value
         alphas = [a for _, a in model.europeans]
         alphas[i] = vmin + offset
@@ -361,7 +359,7 @@ def pin_quote(
         return model.with_prices(betas=betas), kind
     k = rng.randrange(model.N)
     proc = model.americans_short[k][0]
-    vec = [proc.scalar(model.tree.paths[ep.base_index][ep.clocks[k]]) for ep in enl.epaths]
+    vec = [proc[model.tree.paths[ep.base_index][ep.clocks[k]]] for ep in enl.epaths]
     vmax = solve_measure(pt, pt.extremum_lp(vec, "max"))[0].value
     gammas = [c for _, c in model.americans_short]
     gammas[k] = vmax - offset
@@ -453,7 +451,7 @@ def _describe(model: MarketModel) -> dict:
     return {
         "horizon": model.tree.horizon,
         "paths": len(model.tree.paths),
-        "dim": model.stock.dim,
+        "dim": model.dim,
         "L": model.L,
         "M": model.M,
         "N": model.N,
@@ -612,8 +610,7 @@ def check_degenerations(
     sub0, sup0 = prices
 
     const = Q(5, 3)
-    flat = AdaptedProcess(dim=1, values={nid: (const,) for nid in model.tree.nodes})
-    m_flat = dataclasses.replace(model, claim=flat)
+    m_flat = dataclasses.replace(model, claim=dict.fromkeys(model.tree.nodes, const))
     lo = subhedge(enl.with_model(m_flat)).price
     hi = superhedge(enl_sup.with_model(m_flat)).price
     if lo != const or hi != const:
@@ -657,7 +654,7 @@ def check_degenerations(
                 node = enl.enode(v)
                 if node.base != tree.paths[p][t] or node.status != ():
                     raise PropertyViolation("zero-clock nodes are not the base nodes")
-                if model.claim is not None and claim_at[v] != model.claim.scalar(node.base):
+                if model.claim is not None and claim_at[v] != model.claim[node.base]:
                     raise PropertyViolation("zero-clock claim differs from the base claim")
 
 
@@ -667,8 +664,8 @@ def check_depth_zero() -> None:
     tree = EventTree([Node("n0", 0, None)], 0)
     model = MarketModel(
         tree=tree,
-        stock=AdaptedProcess(dim=1, values={"n0": (ONE,)}),
-        claim=AdaptedProcess(dim=1, values={"n0": (const,)}),
+        stock={"n0": (ONE,)},
+        claim={"n0": const},
         weights={"n0": ONE},
     )
     lo = subhedge(enlarge(model, 0)).price

@@ -251,6 +251,8 @@ def main(argv=None) -> int:
         folder = os.path.dirname(args.out or "") or "."
         if args.out and not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
             raise ModelFormatError(f"cannot write report: {folder!r} is not a writable directory")
+        if args.out and os.path.isdir(args.out):
+            raise ModelFormatError(f"cannot write report: {args.out!r} is a directory")
         return _COMMANDS[args.command](args)
     except ModelFormatError as exc:
         print(f"amhedge: schema error: {exc}", file=sys.stderr)

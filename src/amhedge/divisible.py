@@ -89,7 +89,7 @@ def verify_divisibility_equivalence(model: MarketModel) -> DivisibilityReport:
     rev_sub, rev_sup = RevealedModel(model, N), RevealedModel(model, N + 1)
     enl_sub = enlarge(model, N)
     # both spaces list their paths base path first, then clock vector
-    psi = [model.claim.scalar(model.tree.paths[ep.base_index][T]) for ep in rev_sub.epaths]
+    psi = [model.claim[model.tree.paths[ep.base_index][T]] for ep in rev_sub.epaths]
 
     sub = subhedge(rev_sub)
     sup = superhedge(rev_sup)

@@ -196,7 +196,6 @@ def extend_claim(enl: EnlargedModel, role: Literal["sub", "super"]):
         clocks = "N + 1" if role == "super" else "N"
         raise ModelFormatError(f"the {role}-hedging claim lives on the n = {clocks} space")
     tree = enl.model.tree
-    at = {nid: claim.scalar(nid) for nid in tree.nodes}
     if role == "sub":
-        return {idx: at[node.base] for idx, node in enumerate(enl.enodes)}
-    return [at[tree.paths[p.base_index][p.clocks[-1]]] for p in enl.epaths]
+        return {idx: claim[node.base] for idx, node in enumerate(enl.enodes)}
+    return [claim[tree.paths[p.base_index][p.clocks[-1]]] for p in enl.epaths]

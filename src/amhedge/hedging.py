@@ -87,7 +87,7 @@ def evaluate_gain(enl: EnlargedModel, strat: SemiStaticStrategy) -> tuple[dict[i
     books = (strat.long_european, strat.long_american, strat.short_american, strat.liquidation)
     if tuple(map(len, books)) != (model.L, model.M, model.N, model.M):
         raise ValueError("strategy option counts do not match the model")
-    if any(not 0 <= d < model.stock.dim for _, d in strat.stock):
+    if any(not 0 <= d < model.dim for _, d in strat.stock):
         raise ValueError("strategy stock dimensions do not match the model")
     if not {v for v, _ in strat.stock}.union(*strat.liquidation) <= enl.children.keys():
         raise ValueError("strategy positions lie on nodes outside the space")
@@ -103,9 +103,9 @@ def evaluate_gain(enl: EnlargedModel, strat: SemiStaticStrategy) -> tuple[dict[i
     # each option's values (Europeans per base path, Americans per base
     # node) followed by its quote
     tables, dm = over_common(
-        *([*map(f.at, tree.leaves), alpha] for f, alpha in model.europeans),
-        *([*map(g.scalar, nodes), beta] for g, beta in model.americans_long),
-        *([*map(h.scalar, nodes), gamma] for h, gamma in model.americans_short))
+        *([*map(f.__getitem__, tree.leaves), alpha] for f, alpha in model.europeans),
+        *([*map(g.__getitem__, nodes), beta] for g, beta in model.americans_long),
+        *([*map(h.__getitem__, nodes), gamma] for h, gamma in model.americans_short))
     L, M = model.L, model.M
     europe, longs, shorts = tables[:L], tables[L:L + M], tables[L + M:]
     # per base path: a(f - alpha) - b.beta
@@ -159,7 +159,7 @@ class GainLP:
         self.carry_nodes = list(enl.children)
         self.stock = {
             (v, d): self.lp.add_var(f"H[{enl.enode(v).label};{d}]", nonneg=False)
-            for v, kids in enl.children.items() if kids for d in range(self.model.stock.dim)
+            for v, kids in enl.children.items() if kids for d in range(self.model.dim)
         }
         # the static book a[i], b[j], c[k], listed per kind
         self.static = {
@@ -173,11 +173,10 @@ class GainLP:
         model, tree = self.model, self.model.tree
         steps, den = model.base_steps()
         self.steps = {nid: tuple(Q(m, den) for m in move) for nid, move in steps.items()}
-        self.europe = [[f.at(path[-1]) - alpha for path in tree.paths]
+        self.europe = [[f[path[-1]] - alpha for path in tree.paths]
                        for f, alpha in model.europeans]
-        self.longs = [({nid: g.scalar(nid) for nid in tree.nodes}, -beta)
-                      for g, beta in model.americans_long]
-        self.shorts = [{nid: -(h.scalar(nid) - gamma) for nid in tree.nodes}
+        self.longs = [(g, -beta) for g, beta in model.americans_long]
+        self.shorts = [{nid: gamma - x for nid, x in h.items()}
                        for h, gamma in model.americans_short]
 
     def gain_coeffs(self, p: int) -> dict[int, Q]:
@@ -221,7 +220,7 @@ class GainLP:
                 row[self.static["b"][j]] = -1
                 self.lp.add_constraint(row, "=", 0, name=f"liq[{j};p{p}]", den=1)
         for v, w in self.enl.tied_pairs:
-            for d in range(self.model.stock.dim):
+            for d in range(self.model.dim):
                 row = {self.stock[(v, d)]: 1, self.stock[(w, d)]: -1}
                 self.lp.add_constraint(row, "=", 0, name=f"tie_H[{v}~{w};{d}]", den=1)
         for j, nu in enumerate(self.nu_var):
@@ -279,7 +278,7 @@ def nonanticipative(
     books = [*strat.liquidation, *([exercise] if exercise is not None else [])]
     return all(
         all(strat.stock.get((v, d), ZERO) == strat.stock.get((w, d), ZERO)
-            for d in range(enl.model.stock.dim))
+            for d in range(enl.model.dim))
         and all(book.get(v, ZERO) == book.get(w, ZERO) for book in books)
         for v, w in enl.tied_pairs
     )
@@ -455,8 +454,10 @@ class ArbitrageReport:
 
 
 def arbitrage_witness(enl: EnlargedModel, strat: SemiStaticStrategy, x: Q) -> ArbitrageReport:
-    """The report of a witness: check_hedge must pass x + Phi(p) >= 0 on every
-    path, and its expected gain under the path weights, the report's gain, be positive."""
+    """The report of a witness: cash x <= 0, x + Phi(p) >= 0 on every path (check_hedge)
+    and a positive expected gain under the path weights, the report's gain."""
+    if x > ZERO:
+        raise PropertyViolation(f"arbitrage witness starts from cash {rat_str(x)} > 0")
     gains, den = check_hedge(enl, strat, ONE, x, [ZERO] * enl.num_paths,
                              kind="arbitrage witness")
     (weights,), dw = over_common(enl.weight(p) for p in range(enl.num_paths))

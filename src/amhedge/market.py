@@ -78,45 +78,28 @@ class EventTree:
         return [p[-1] for p in self.paths]
 
 
-@dataclass
-class AdaptedProcess:
-    """Node-indexed values; dim >= 1 components per node."""
-
-    dim: int
-    values: dict[str, tuple[Q, ...]]
-
-    def at(self, node_id: str) -> tuple[Q, ...]:
-        return self.values[node_id]
-
-    def scalar(self, node_id: str) -> Q:
-        return self.values[node_id][0]
-
-
-@dataclass
-class TerminalPayoff:
-    values: dict[str, Q]
-
-    def at(self, leaf_id: str) -> Q:
-        return self.values[leaf_id]
-
-
-def adapted_gaps(tree: EventTree, proc: AdaptedProcess) -> list[str]:
-    missing = [nid for nid in tree.nodes if nid not in proc.values]
-    bad_len = [nid for nid, v in proc.values.items() if len(v) != proc.dim]
-    unknown = [nid for nid in proc.values if nid not in tree.nodes]
-    return missing + [f"{n}(len)" for n in bad_len] + [f"{n}(unknown)" for n in unknown]
+def adapted_gaps(tree: EventTree, values: dict[str, Any]) -> list[str]:
+    """The tree's nodes a node-keyed table misses, then its keys the tree lacks."""
+    missing = [nid for nid in tree.nodes if nid not in values]
+    return missing + [f"{nid}(unknown)" for nid in values if nid not in tree.nodes]
 
 
 @dataclass
 class MarketModel:
+    """Node-keyed tables: payoffs by leaf, other values by node, the stock's a vector."""
+
     tree: EventTree
-    stock: AdaptedProcess
-    europeans: list[tuple[TerminalPayoff, Q]] = field(default_factory=list)
-    americans_long: list[tuple[AdaptedProcess, Q]] = field(default_factory=list)
-    americans_short: list[tuple[AdaptedProcess, Q]] = field(default_factory=list)
-    claim: AdaptedProcess | None = None
+    stock: dict[str, tuple[Q, ...]]
+    europeans: list[tuple[dict[str, Q], Q]] = field(default_factory=list)
+    americans_long: list[tuple[dict[str, Q], Q]] = field(default_factory=list)
+    americans_short: list[tuple[dict[str, Q], Q]] = field(default_factory=list)
+    claim: dict[str, Q] | None = None
     weights: dict[str, Q] = field(default_factory=dict)
     kernels: dict[str, list[tuple[Q, ...]]] | None = None
+
+    @property
+    def dim(self) -> int:
+        return len(self.stock[self.tree.root])
 
     @property
     def L(self) -> int:
@@ -139,10 +122,9 @@ class MarketModel:
         every enlarged path over it, for the LP builders (GainLP and the
         martingale rows); the re-checks build their own (stock_moves).
         """
-        values = self.stock.values
-        den = lcm(*(int(x.denominator) for vec in values.values() for x in vec))
+        den = lcm(*(int(x.denominator) for vec in self.stock.values() for x in vec))
         at = {nid: [int(x.numerator) * (den // int(x.denominator)) for x in vec]
-              for nid, vec in values.items()}
+              for nid, vec in self.stock.items()}
         return {nid: tuple(b - a for a, b in zip(at[node.parent], at[nid]))
                 for nid, node in self.tree.nodes.items() if node.parent is not None}, den
 
@@ -154,8 +136,8 @@ class MarketModel:
         re-checks of hedges and measures.
         """
         nodes = list(self.tree.nodes)
-        dim = self.stock.dim
-        (flat,), den = over_common(x for nid in nodes for x in self.stock.at(nid))
+        dim = self.dim
+        (flat,), den = over_common(x for nid in nodes for x in self.stock[nid])
         at = {nid: flat[i * dim:(i + 1) * dim] for i, nid in enumerate(nodes)}
         return [
             [(t, d, y - x) for t in range(len(path) - 1)
@@ -235,13 +217,12 @@ def _rat(value: Any, where: str) -> Q:
         raise ModelFormatError(f"bad rational in {where}: {exc}") from exc
 
 
-def _parse_scalar_process(data: Any, tree: EventTree, where: str) -> AdaptedProcess:
-    values = _field(data, "values", where, dict)
-    proc = AdaptedProcess(dim=1, values={nid: (_rat(v, where),) for nid, v in values.items()})
-    gaps = adapted_gaps(tree, proc)
+def _parse_scalar_process(data: Any, tree: EventTree, where: str) -> dict[str, Q]:
+    values = {nid: _rat(v, where) for nid, v in _field(data, "values", where, dict).items()}
+    gaps = adapted_gaps(tree, values)
     if gaps:
         raise ModelFormatError(f"{where} is not adapted: gaps at {', '.join(gaps)}")
-    return proc
+    return values
 
 
 def load_model(source: str | bytes | dict) -> MarketModel:
@@ -270,11 +251,11 @@ def load_model(source: str | bytes | dict) -> MarketModel:
     dim = _field(stock_data, "dim", "stock", int)
     if dim < 1:
         raise ModelFormatError("stock dim must be a positive integer")
-    stock_values = {}
+    stock = {}
     for nid, vec in _field(stock_data, "values", "stock", dict).items():
-        vec = _typed(vec, list, f"stock values at {nid!r}")
-        stock_values[nid] = tuple(_rat(v, f"stock at {nid!r}") for v in vec)
-    stock = AdaptedProcess(dim=dim, values=stock_values)
+        if len(_typed(vec, list, f"stock values at {nid!r}")) != dim:
+            raise ModelFormatError(f"stock is not adapted: gaps at {nid}(len)")
+        stock[nid] = tuple(_rat(v, f"stock at {nid!r}") for v in vec)
     gaps = adapted_gaps(tree, stock)
     if gaps:
         raise ModelFormatError(f"stock is not adapted: gaps at {', '.join(gaps)}")
@@ -282,11 +263,12 @@ def load_model(source: str | bytes | dict) -> MarketModel:
     europeans = []
     for i, row in enumerate(_field(data, "europeans", "model", list, [])):
         where = f"europeans[{i}]"
-        payoff_map = _field(row, "payoff", where, dict)
-        payoff = TerminalPayoff({nid: _rat(v, where) for nid, v in payoff_map.items()})
-        missing = set(tree.leaves) - set(payoff.values)
+        payoff = {nid: _rat(v, where) for nid, v in _field(row, "payoff", where, dict).items()}
+        missing, extra = set(tree.leaves) - set(payoff), set(payoff) - set(tree.leaves)
         if missing:
             raise ModelFormatError(f"{where} payoff misses leaves {sorted(missing)}")
+        if extra:
+            raise ModelFormatError(f"{where} payoff references non-leaves {sorted(extra)}")
         europeans.append((payoff, _rat(_field(row, "price", where, object), f"{where}.price")))
 
     books = {}
@@ -345,20 +327,19 @@ def emit_model(model: MarketModel) -> dict:
         "nodes": [{"id": n.id, "time": n.time, "parent": n.parent}
                   for n in tree.nodes.values()],
         "stock": {
-            "dim": model.stock.dim,
-            "values": {nid: [rat_str(v) for v in vec]
-                       for nid, vec in model.stock.values.items()},
+            "dim": model.dim,
+            "values": {nid: [rat_str(v) for v in vec] for nid, vec in model.stock.items()},
         },
-        "europeans": [{"payoff": {k: rat_str(v) for k, v in p.values.items()},
-                       "price": rat_str(a)} for p, a in model.europeans],
-        "americans_long": [{"values": {k: rat_str(v[0]) for k, v in g.values.items()},
+        "europeans": [{"payoff": {k: rat_str(v) for k, v in f.items()},
+                       "price": rat_str(a)} for f, a in model.europeans],
+        "americans_long": [{"values": {k: rat_str(v) for k, v in g.items()},
                             "price": rat_str(b)} for g, b in model.americans_long],
-        "americans_short": [{"values": {k: rat_str(v[0]) for k, v in h.values.items()},
+        "americans_short": [{"values": {k: rat_str(v) for k, v in h.items()},
                              "price": rat_str(c)} for h, c in model.americans_short],
         "weights": {leaf: rat_str(w) for leaf, w in model.weights.items()},
     }
     if model.claim is not None:
-        data["claim"] = {"values": {k: rat_str(v[0]) for k, v in model.claim.values.items()}}
+        data["claim"] = {"values": {k: rat_str(v) for k, v in model.claim.items()}}
     if model.kernels is not None:
         data["kernels"] = {nid: [[rat_str(v) for v in vec] for vec in rows]
                            for nid, rows in model.kernels.items()}

@@ -131,13 +131,13 @@ class MeasurePolytope:
 
         self.f_rows: list[int] = []
         for i, (payoff, alpha) in enumerate(model.europeans):
-            (at, (rhs,)), d = over_common(map(payoff.at, tree.leaves), [alpha])
+            (at, (rhs,)), d = over_common(map(payoff.__getitem__, tree.leaves), [alpha])
             row = {var: at[ep.base_index] for var, ep in support}
             self.f_rows.append(self.lp.add_constraint(row, "<=", rhs, name=f"f[{i}]", den=d))
         self.h_rows: list[int] = []
         nodes = list(tree.nodes)
         for k, (proc, gamma) in enumerate(model.americans_short):
-            (at, (rhs,)), d = over_common(map(proc.scalar, nodes), [gamma])
+            (at, (rhs,)), d = over_common(map(proc.__getitem__, nodes), [gamma])
             at = dict(zip(nodes, at))
             row = {var: at[tree.paths[ep.base_index][ep.clocks[k]]] for var, ep in support}
             self.h_rows.append(self.lp.add_constraint(row, ">=", rhs, name=f"h[{k}]", den=d))
@@ -146,7 +146,7 @@ class MeasurePolytope:
         self.g_rows: list[int] = []
         self.long_blocks: list[SnellRows] = []
         self.long_values = [
-            {v: proc.scalar(node.base) for v, node in enumerate(enl.enodes)}
+            {v: proc[node.base] for v, node in enumerate(enl.enodes)}
             for proc, _ in model.americans_long
         ]
         first = self.lp.num_rows
@@ -379,8 +379,8 @@ class MeasurePolytope:
         tree = model.tree
         nodes = list(tree.nodes)
         tables, dm = over_common(
-            *([*map(f.at, tree.leaves), alpha] for f, alpha in model.europeans),
-            *([*map(h.scalar, nodes), gamma] for h, gamma in model.americans_short))
+            *([*map(f.__getitem__, tree.leaves), alpha] for f, alpha in model.europeans),
+            *([*map(h.__getitem__, nodes), gamma] for h, gamma in model.americans_short))
         charged = [(enl.epaths[p], qp) for p, qp in q.items() if qp and p in support]
         for i, f in enumerate(tables[:model.L]):
             lhs = sum(qp * f[ep.base_index] for ep, qp in charged)
@@ -390,7 +390,7 @@ class MeasurePolytope:
             lhs = sum(qp * at[tree.paths[ep.base_index][ep.clocks[k]]] for ep, qp in charged)
             yield f"h[{k}]", lhs, ">=", h[-1] * dq, dq * dm, None
         for j, (g, beta) in enumerate(model.americans_long):
-            at = {v: g.scalar(node.base) for v, node in enumerate(enl.enodes)}
+            at = {v: g[node.base] for v, node in enumerate(enl.enodes)}
             best = snell_value(enl, at, measure)
             ((lhs, rhs),), den = over_common([best, beta])
             yield f"g[{j};sup]", lhs, "<=", rhs, den, None

@@ -87,9 +87,9 @@ def _one_step_hedge(
     if out.status != "optimal":
         raise PropertyViolation(f"one-step LP unexpectedly {out.status} at {nid}")
     ratios = out.mult.nonzero({d: r for r, _, d in mart_rows})
-    here = model.stock.at(nid)
+    here = model.stock[nid]
     for c, val in succ:
-        gain = sum((h * (model.stock.at(c)[d] - here[d]) for d, h in ratios.items()), ZERO)
+        gain = sum((h * (model.stock[c][d] - here[d]) for d, h in ratios.items()), ZERO)
         if out.value + gain < val:
             raise PropertyViolation(f"one-step duals do not cover {c} from {nid}")
     return out.value, ratios

@@ -84,7 +84,7 @@ def _reference_lp(enl, paths=None) -> LinearProgram:
 
     def stock_step(p, t):
         base = model.tree.paths[enl.epaths[p].base_index]
-        now, nxt = model.stock.at(base[t]), model.stock.at(base[t + 1])
+        now, nxt = model.stock[base[t]], model.stock[base[t + 1]]
         return tuple(b - a for a, b in zip(now, nxt))
 
     rows: dict[tuple, dict[int, Q]] = {}
@@ -99,15 +99,15 @@ def _reference_lp(enl, paths=None) -> LinearProgram:
         lp.add_constraint(row, "=", ZERO, name=f"mart[{enl.enode(node).label};{d}]")
     path_of = {p: model.tree.paths[enl.epaths[p].base_index] for p in paths}
     for i, (payoff, alpha) in enumerate(model.europeans):
-        row = {q_var[p]: payoff.at(path_of[p][enl.horizon]) for p in paths}
+        row = {q_var[p]: payoff[path_of[p][enl.horizon]] for p in paths}
         lp.add_constraint(row, "<=", alpha, name=f"f[{i}]")
     for k, (proc, gamma) in enumerate(model.americans_short):
-        row = {q_var[p]: proc.scalar(path_of[p][enl.epaths[p].clocks[k]]) for p in paths}
+        row = {q_var[p]: proc[path_of[p][enl.epaths[p].clocks[k]]] for p in paths}
         lp.add_constraint(row, ">=", gamma, name=f"h[{k}]")
     # the Snell blocks are built as before; only their values are read here
     blocks = MeasurePolytope(_restricted(enl, paths))
     for j, (proc, beta) in enumerate(model.americans_long):
-        values = {v: proc.scalar(node.base) for v, node in enumerate(enl.enodes)}
+        values = {v: proc[node.base] for v, node in enumerate(enl.enodes)}
         root, shift, _ = blocks.snell_block(lp, values, f"g{j}")
         lp.add_constraint(root, "<=", beta - shift, name=f"g[{j}]")
     return lp
@@ -121,7 +121,7 @@ def _assert_same_lp(enl, paths=None) -> None:
     assert [list(r.coeffs) for r in pt.lp.rows] == [list(r.coeffs) for r in ref.rows]
     model = enl.model
     for j, (proc, _) in enumerate(model.americans_long):
-        assert pt.long_values[j] == {v: proc.scalar(node.base)
+        assert pt.long_values[j] == {v: proc[node.base]
                                      for v, node in enumerate(enl.enodes)}
 
 
@@ -163,17 +163,17 @@ def _reference_gain_row(g: GainLP, p: int) -> dict:
             row[var] = row.get(var, ZERO) + val
 
     for t in range(enl.horizon):
-        now, nxt = model.stock.at(path[t]), model.stock.at(path[t + 1])
+        now, nxt = model.stock[path[t]], model.stock[path[t + 1]]
         for d, (a, b) in enumerate(zip(now, nxt)):
             bump(g.stock[(seq[t], d)], b - a)
     for i, (payoff, alpha) in enumerate(model.europeans):
-        bump(g.static["a"][i], payoff.at(path[enl.horizon]) - alpha)
+        bump(g.static["a"][i], payoff[path[enl.horizon]] - alpha)
     for j, (proc, beta) in enumerate(model.americans_long):
         bump(g.static["b"][j], -beta)
         for t in range(enl.horizon + 1):
-            bump(g.nu_var[j][seq[t]], proc.scalar(path[t]))
+            bump(g.nu_var[j][seq[t]], proc[path[t]])
     for k, (proc, gamma) in enumerate(model.americans_short):
-        bump(g.static["c"][k], -(proc.scalar(path[ep.clocks[k]]) - gamma))
+        bump(g.static["c"][k], -(proc[path[ep.clocks[k]]] - gamma))
     return row
 
 

@@ -91,10 +91,10 @@ def test_random_stock_straddles_parent(seed):
     for nid, kids in tree.children.items():
         if len(kids) < 2:
             continue
-        base = stock.values[nid][0]
-        moves = [stock.values[k][0] for k in kids]
+        base = stock[nid][0]
+        moves = [stock[k][0] for k in kids]
         assert max(moves) > base > min(moves)
-    for vals in stock.values.values():
+    for vals in stock.values():
         assert vals[0] > ZERO
         assert vals[1] == Q(2) + vals[0] / 2
 
@@ -110,9 +110,9 @@ def test_node_interior_is_martingale_and_positive():
         assert set(law) == set(kids)
         assert sum(law.values()) == ONE
         assert all(q > ZERO for q in law.values())
-        parent = gm.model.stock.values[nid]
-        for d in range(gm.model.stock.dim):
-            mean = sum(law[k] * gm.model.stock.values[k][d] for k in kids)
+        parent = gm.model.stock[nid]
+        for d in range(gm.model.dim):
+            mean = sum(law[k] * gm.model.stock[k][d] for k in kids)
             assert mean == parent[d]
 
 

@@ -181,6 +181,9 @@ def test_verify_out_into_missing_directory_runs_nothing(tmp_path, capsys, monkey
     target = tmp_path / "missing" / "r.json"
     code, out, err = run(["verify", "--models", "1", "--out", str(target)], capsys)
     assert code == 4 and out == "" and "cannot write report" in err
+    # an existing directory cannot take the report either
+    code, out, err = run(["verify", "--models", "1", "--out", str(tmp_path)], capsys)
+    assert code == 4 and out == "" and "is a directory" in err
 
 
 @pytest.mark.parametrize("argv", [

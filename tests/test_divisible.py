@@ -148,7 +148,7 @@ def test_mixture_rows_move_no_hedge_price(monkeypatch, request, market):
     monkeypatch.setattr(hedging, "solve", lambda prog: asked.append(prog) or real(prog))
     rng = random.Random(11)
     rev_sub, rev_sup = RevealedModel(model, N), RevealedModel(model, N + 1)
-    psi = [model.claim.scalar(model.tree.paths[ep.base_index][T]) for ep in rev_sub.epaths]
+    psi = [model.claim[model.tree.paths[ep.base_index][T]] for ep in rev_sub.epaths]
     prices = []
     for price, space in ((subhedge, rev_sub), (superhedge, rev_sup),
                          (lambda enl: subhedge_european(enl, psi), rev_sub)):

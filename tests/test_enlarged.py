@@ -142,7 +142,7 @@ def test_extend_claim_sub_is_node_indexed(binomial_short_put):
     enl = enlarge(binomial_short_put, 1)
     claim_at = extend_claim(enl, "sub")
     for v, node in enumerate(enl.enodes):
-        assert claim_at[v] == binomial_short_put.claim.scalar(node.base)
+        assert claim_at[v] == binomial_short_put.claim[node.base]
 
 
 def test_extend_claim_super_reads_last_clock(binomial_short_put):
@@ -151,7 +151,7 @@ def test_extend_claim_super_reads_last_clock(binomial_short_put):
     for p in range(enl.num_paths):
         ep = enl.epaths[p]
         base = binomial_short_put.tree.paths[ep.base_index]
-        assert target[p] == binomial_short_put.claim.scalar(base[ep.clocks[-1]])
+        assert target[p] == binomial_short_put.claim[base[ep.clocks[-1]]]
 
 
 def test_extend_claim_super_needs_extra_clock(binomial_short_put):

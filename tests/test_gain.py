@@ -38,9 +38,9 @@ def _two_dim_two_period(two_period):
         horizon=2,
         nodes=[{"id": n.id, "time": n.time, "parent": n.parent} for n in tree.nodes.values()],
         stock={"dim": 2, "values": {
-            nid: [str(two_period.stock.scalar(nid)), str(n.time)] for nid, n in tree.nodes.items()
+            nid: [str(two_period.stock[nid][0]), str(n.time)] for nid, n in tree.nodes.items()
         }},
-        claim={"values": {nid: str(two_period.claim.scalar(nid)) for nid in tree.nodes}},
+        claim={"values": {nid: str(two_period.claim[nid]) for nid in tree.nodes}},
         weights={leaf: "1/4" for leaf in tree.leaves},
         europeans=[{"payoff": {leaf: str(i) for i, leaf in enumerate(tree.leaves)}, "price": "1"}],
         americans_long=[{"values": {nid: "1/2" for nid in tree.nodes}, "price": "1/3"}],
@@ -122,7 +122,7 @@ def test_clock_indexed_copy_has_the_enlarged_gain(model, extra_clock):
             for j, nu in enumerate(clp.nu_var):
                 x[nu[v]] = strat.liquidation[j].get(u, ZERO)
             if t < model.tree.horizon:
-                for d in range(model.stock.dim):
+                for d in range(model.dim):
                     x[clp.stock[(v, d)]] = strat.stock.get((u, d), ZERO)
     copied = clp.strategy_at(int_vector(x))
     # an adapted strategy never reads a clock before it fires

@@ -18,6 +18,7 @@ from amhedge.enlarged import enlarge
 from amhedge.errors import PropertyViolation, SnaFailure
 from amhedge.hedging import (
     SemiStaticStrategy,
+    arbitrage_witness,
     detect_arbitrage,
     evaluate_gain,
     subhedge,
@@ -172,7 +173,7 @@ def test_arbitrage_lp_caps_the_expected_gain(request, monkeypatch):
                 stock = [j for j, var in enumerate(lp.var_names) if var.startswith("H")]
                 assert [lp.var_names[j] for j in stock] == [
                     f"H[{enl.enode(v).label};{d}]"
-                    for v, kids in enl.children.items() if kids for d in range(m.stock.dim)]
+                    for v, kids in enl.children.items() if kids for d in range(m.dim)]
                 assert not any(lp.nonneg[j] for j in stock)
     assert found == 6  # binomial_short_put with its bid raised by 1/2, 1/4 and 1/8
 
@@ -236,6 +237,18 @@ def test_unbounded_ray_is_checked_on_every_path():
         unbounded_ray(enl, "sub", -ONE, ONE, ray)
     with pytest.raises(PropertyViolation, match="ray does not improve"):
         unbounded_ray(enl, "sub", -ONE, -Q(1, 10), ray)
+
+
+def test_arbitrage_witness_refuses_positive_cash():
+    # one European bought at 1/4 pays 1 at u and 0 at d: cash 1/2 covers it
+    # on both paths, yet the book alone loses 1/4 on path d
+    model = load_model(binomial_dict(europeans=[
+        {"payoff": {"u": "1", "d": "0"}, "price": "1/4"},
+    ]))
+    book = SemiStaticStrategy(stock={}, long_european=[ONE], long_american=[],
+                              short_american=[], liquidation=[])
+    with pytest.raises(PropertyViolation, match=r"^arbitrage witness starts from cash 1/2 > 0$"):
+        arbitrage_witness(enlarge(model, 0), book, Q(1, 2))
 
 
 def test_subhedge_european(binomial):

@@ -1,6 +1,8 @@
 """Model loading, validation, and price surgery."""
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from amhedge.errors import ModelFormatError
@@ -22,9 +24,9 @@ def test_tree_shape(two_period):
 def test_counts(binomial_short_put):
     m = binomial_short_put
     assert (m.L, m.M, m.N) == (0, 0, 1)
-    assert m.stock.dim == 1
-    assert m.stock.scalar("u") == Q(2)
-    assert m.claim.scalar("u") == ONE
+    assert m.dim == 1
+    assert m.stock["u"] == (Q(2),)
+    assert m.claim["u"] == ONE
 
 
 def test_round_trip(binomial_short_put, two_period):
@@ -72,6 +74,10 @@ def test_shifted_prices(binomial_short_put):
      "not one period after"),
     (lambda d: d.update(horizon=2), "no children"),
     (lambda d: d["stock"]["values"].pop("u"), "not adapted"),
+    (lambda d: d["stock"]["values"].update(u=["2", "3"]), "u(len)"),
+    (lambda d: d["claim"]["values"].update(ghost="1"), "ghost(unknown)"),
+    (lambda d: d.update(americans_short=[{"values": {"r": "0", "u": "0"}, "price": "1/4"}]),
+     "americans_short[0] is not adapted"),
     (lambda d: d["stock"]["values"].update(u="oops"), "must be a list"),
     (lambda d: d["stock"].update(dim=0), "positive integer"),
     (lambda d: d["weights"].pop("u"), "miss path"),
@@ -86,7 +92,7 @@ def test_shifted_prices(binomial_short_put):
 def test_loader_rejects(mutate, fragment):
     data = binomial_dict()
     mutate(data)
-    with pytest.raises(ModelFormatError, match=fragment):
+    with pytest.raises(ModelFormatError, match=re.escape(fragment)):
         load_model(data)
 
 
@@ -100,6 +106,14 @@ def test_loader_rejects_bad_json():
 def test_european_payoff_covers_leaves():
     data = binomial_dict(europeans=[{"payoff": {"u": "1"}, "price": "1/3"}])
     with pytest.raises(ModelFormatError, match="misses leaves"):
+        load_model(data)
+
+
+@pytest.mark.parametrize("extra", ["r", "ghost"])
+def test_european_payoff_names_only_leaves(extra):
+    # a payoff is read at the leaves alone: any other key is a schema error
+    data = binomial_dict(europeans=[{"payoff": {"u": "1", "d": "0", extra: "1"}, "price": "1/3"}])
+    with pytest.raises(ModelFormatError, match=re.escape(f"payoff references non-leaves ['{extra}']")):
         load_model(data)
 
 

@@ -71,7 +71,7 @@ def _check(enl, report, strat, eta, x):
     sign = ONE if report.kind == "super" else -ONE
     rhs = [ZERO] * enl.num_paths
     if report.kind == "super":
-        rhs = [enl.model.claim.scalar(enl.model.tree.paths[ep.base_index][ep.clocks[-1]])
+        rhs = [enl.model.claim[enl.model.tree.paths[ep.base_index][ep.clocks[-1]]]
                for ep in enl.epaths]
     check_hedge(enl, strat, sign, x, rhs, exercise=eta, kind=report.kind)
 
@@ -188,7 +188,7 @@ def test_measure_check_rejects(side, family):
     charged = lambda q, p: q > ZERO
     # the short put at its clock and the European at the horizon, read off path p
     base = lambda p: enl.model.tree.paths[enl.epaths[p].base_index]
-    short = lambda p: enl.model.americans_short[0][0].scalar(base(p)[enl.epaths[p].clocks[0]])
+    short = lambda p: enl.model.americans_short[0][0][base(p)[enl.epaths[p].clocks[0]]]
     if family == "support":
         # mass on a key that is no path of the space
         p, delta = pt.enl.num_paths, EPS
@@ -198,7 +198,7 @@ def test_measure_check_rejects(side, family):
         # the short row is tight: less mass where it pays lowers E_Q[h]
         p, delta = _first(pt, measure, lambda q, p: q and short(p)), -EPS
     elif family == "f":
-        p, delta = _first(pt, measure, lambda q, p: enl.model.europeans[0][0].at(base(p)[-1])), EPS
+        p, delta = _first(pt, measure, lambda q, p: enl.model.europeans[0][0][base(p)[-1]]), EPS
     else:
         # mass, mart and g: more mass on a charged path; the long row is
         # tight on the super side and every path there reaches a positive g
@@ -312,7 +312,7 @@ def test_closed_slack_reader_rejects_a_price_row_past_its_quote(monkeypatch):
     # less mass where the put pays takes E_Q[h] under its bid
     put = model.americans_short[0][0]
     at_clock = lambda p: model.tree.paths[enl.epaths[p].base_index][enl.epaths[p].clocks[0]]
-    p = _first(pt, cert.measure, lambda q, p: q and put.scalar(at_clock(p)))
+    p = _first(pt, cert.measure, lambda q, p: q and put[at_clock(p)])
     measure = {**cert.measure, p: cert.measure[p] - EPS}
     assert "h" in _failed(pt, measure, min_slack=cert.slack, prices=False)
     _move_witness(monkeypatch, p, -EPS)
@@ -333,20 +333,20 @@ def reference_gain(enl, strat: SemiStaticStrategy, p: int) -> Fraction:
     path = model.tree.paths[ep.base_index]
     total = Fraction(0)
     for t, v in enumerate(ep.node_seq[:-1]):
-        here, nxt = model.stock.at(path[t]), model.stock.at(path[t + 1])
-        for d in range(model.stock.dim):
+        here, nxt = model.stock[path[t]], model.stock[path[t + 1]]
+        for d in range(model.dim):
             h = _frac(strat.stock.get((v, d), ZERO))
             total += h * (_frac(nxt[d]) - _frac(here[d]))
     for a, (payoff, alpha) in zip(strat.long_european, model.europeans):
-        total += _frac(a) * (_frac(payoff.at(path[-1])) - _frac(alpha))
+        total += _frac(a) * (_frac(payoff[path[-1]]) - _frac(alpha))
     for b, nu, (proc, beta) in zip(strat.long_american, strat.liquidation,
                                    model.americans_long):
         for nid, v in zip(path, ep.node_seq):
-            total += _frac(nu.get(v, ZERO)) * _frac(proc.scalar(nid))
+            total += _frac(nu.get(v, ZERO)) * _frac(proc[nid])
         total -= _frac(b) * _frac(beta)
     for c, clock, (proc, gamma) in zip(strat.short_american, ep.clocks,
                                        model.americans_short):
-        total -= _frac(c) * (_frac(proc.scalar(path[clock])) - _frac(gamma))
+        total -= _frac(c) * (_frac(proc[path[clock]]) - _frac(gamma))
     return total
 
 
@@ -370,7 +370,7 @@ def test_integer_gains_equal_the_fraction_reference(data):
     enl = enlarge(model, model.N + data.draw(st.integers(0, 1), "extra clock"))
     draw = lambda: Q(data.draw(SCALARS))
     stock = {(v, d): draw() for v, node in enumerate(enl.enodes)
-             if node.time < enl.horizon for d in range(model.stock.dim)}
+             if node.time < enl.horizon for d in range(model.dim)}
     book = lambda n: [abs(draw()) for _ in range(n)]
     b = book(model.M)
     liquidation = []

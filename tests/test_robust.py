@@ -204,7 +204,7 @@ def test_dp_pins_martingale():
     model = _binomial(INTERIOR)
     enl = enlarge(model, 0)
     # the stock at time t on the base path under enlarged path p
-    at = lambda p, t: model.stock.at(model.tree.paths[enl.epaths[p].base_index][t])[0]
+    at = lambda p, t: model.stock[model.tree.paths[enl.epaths[p].base_index][t]][0]
     dp = _dp(enl, [at(p, 1) for p in range(enl.num_paths)])
     assert dp.value == at(0, 0) == ONE
     assert dp.strategy == {(enl.epaths[0].node_seq[0], 0): ONE}
