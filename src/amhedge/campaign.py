@@ -58,7 +58,6 @@ BOUNDARY_OFFSET = Q(1, 512)
 
 _DENOMS = (1, 2, 3, 4, 6, 8)
 _MARGINS = (Q(1, 8), Q(1, 4), Q(3, 8), Q(1, 2))
-_MAX_ENLARGED_PATHS = 128
 _MAX_TAUS = 150
 
 
@@ -169,9 +168,10 @@ def random_stock(rng: random.Random, tree: EventTree, dim: int = 1) -> dict[str,
     return {nid: (v, Q(2) + v / 2) for nid, v in first.items()}
 
 
-def node_interior(model: MarketModel) -> dict[str, dict[str, Q]] | None:
-    """Per-node full-support one-step martingale laws, or None if some
-    node admits no strictly positive martingale transition."""
+def node_interior(model: MarketModel) -> dict[str, dict[str, Q]]:
+    """Per-node full-support one-step martingale laws; PropertyViolation if
+    some node admits no strictly positive martingale transition (a
+    random_stock draw always admits one)."""
     tree = model.tree
     out: dict[str, dict[str, Q]] = {}
     for nid in sorted(tree.nodes, key=lambda n: (tree.nodes[n].time, n)):
@@ -181,7 +181,7 @@ def node_interior(model: MarketModel) -> dict[str, dict[str, Q]] | None:
         # dominating the all-ones vertex by a positive factor is full support
         law = _dominating_law(model, nid, [(ONE,) * len(kids)])
         if law is None:
-            return None
+            raise PropertyViolation(f"node {nid!r} has no full-support martingale law")
         out[nid] = law
     return out
 
@@ -254,10 +254,6 @@ class GeneratedModel:
 
 
 def _within_budget(model: MarketModel) -> bool:
-    T = model.tree.horizon
-    epaths = len(model.tree.paths) * (T + 1) ** (model.N + 1)
-    if epaths > _MAX_ENLARGED_PATHS:
-        return False
     # only e2_chain and verify_minimax enumerate stopping times, both on
     # the n = N space; the n = N + 1 count with longed asks bounds no
     # enumeration, but it bounds how large verify's markets get: without
@@ -307,8 +303,6 @@ def random_sna_model(
         probe = MarketModel(tree=tree, stock=stock,
                             weights={leaf: Q(1, len(tree.paths)) for leaf in tree.leaves})
         laws = node_interior(probe)
-        if laws is None:
-            continue
         pmeas = product_measure(tree, laws)
         model = _quoted_market(rng, probe, pmeas, L, M, N)
         if not _within_budget(model):
@@ -412,8 +406,6 @@ def random_kernel_model(rng: random.Random) -> GeneratedModel:
         probe = MarketModel(tree=tree, stock=stock,
                             weights={leaf: Q(1, len(tree.paths)) for leaf in tree.leaves})
         interior = node_interior(probe)
-        if interior is None:
-            continue
 
         kernels: dict[str, list[tuple[Q, ...]]] = {}
         laws: dict[str, dict[str, Q]] = {}
@@ -437,8 +429,6 @@ def random_kernel_model(rng: random.Random) -> GeneratedModel:
         pmeas = product_measure(tree, laws)
         model = _quoted_market(rng, probe, pmeas, L, M, N, kernels)
         if not _within_budget(model):
-            continue
-        if num_selectors(model) > 64:
             continue
         return GeneratedModel(model=model, laws=laws)
     raise PropertyViolation("kernel factory failed to hit its budget in 64 attempts")

@@ -22,11 +22,12 @@ check_hedge is the one pathwise re-check of a semi-static hedge, of every
 row family GainLP and _hedge write; every optimizer, witness and ray
 goes through it.  It runs in Python ints: each call puts the strategy,
 and its own tables of the model's stock moves, payoffs and quotes, over
-common denominators, and compares integer numerators.
+common denominators, and compares integer numerators.  It holds a
+sub-hedge's claim as one more long American at ask 0, liquidated by eta.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import lcm
 from typing import Sequence
 
@@ -270,16 +271,13 @@ class HedgeReport:
         return doc
 
 
-def nonanticipative(
-    enl: EnlargedModel, strat: SemiStaticStrategy, exercise: dict[int, Q] | None = None
-) -> bool:
-    """Positions, liquidation masses and exercise weights agree on every
-    tied pair of the space (EnlargedModel.tied_pairs)."""
-    books = [*strat.liquidation, *([exercise] if exercise is not None else [])]
+def nonanticipative(enl: EnlargedModel, strat: SemiStaticStrategy) -> bool:
+    """Positions and liquidation masses agree on every tied pair of the
+    space (EnlargedModel.tied_pairs)."""
     return all(
         all(strat.stock.get((v, d), ZERO) == strat.stock.get((w, d), ZERO)
             for d in range(enl.model.dim))
-        and all(book.get(v, ZERO) == book.get(w, ZERO) for book in books)
+        and all(nu.get(v, ZERO) == nu.get(w, ZERO) for nu in strat.liquidation)
         for v, w in enl.tied_pairs
     )
 
@@ -294,49 +292,38 @@ def check_hedge(
     exercise: dict[int, Q] | None = None,
     kind: str,
 ) -> tuple[dict[int, int], int]:
-    """Re-validate a hedge on every path: sign*x + Phi(p) + extra(p) >= rhs(p).
+    """Re-validate a hedge on every path: sign*x + Phi(p) >= rhs(p).
 
     Independent of any LP.  Phi comes from evaluate_gain, which also
-    checks that each nu_j sums to b_j along every path; the static book
-    and every liquidation mass must be nonnegative, and the hedge must
-    be nonanticipative on the space's tied pairs.  With ``exercise`` the
-    claim is held divisibly: its weights eta must be nonnegative and sum
-    to 1 along every path, and extra(p) = sum_t eta(v_t) * value(v_t)
-    with the claim's values of extend_claim(enl, "sub"), each weight on a
-    node of the space's forest (ValueError otherwise).  Both sides
-    are compared as integers over one denominator.  Returns
-    evaluate_gain's gains.
+    checks that each nu_j sums to b_j along every path, on nodes of the
+    space's forest (ValueError otherwise); the static book and every
+    liquidation mass must be nonnegative, and the hedge must be
+    nonanticipative on the space's tied pairs.  With ``exercise`` the
+    claim is held divisibly, as one more long American at ask 0: a
+    position of 1 liquidated by the exercise weights eta, which the checks
+    above hold to unit mass, and which add sum_t eta(v_t) * claim(v_t) to
+    Phi(p).  The caller has checked the space (extend_claim(enl, "sub")).
+    Both sides are compared as integers over one denominator.  Returns
+    evaluate_gain's gains, the held claim's included.
     """
+    if exercise is not None:
+        model = enl.model
+        enl = enl.with_model(replace(
+            model, americans_long=[*model.americans_long, (model.claim, ZERO)]))
+        strat = replace(strat, long_american=[*strat.long_american, ONE],
+                        liquidation=[*strat.liquidation, exercise])
     books = (strat.long_european, strat.long_american, strat.short_american,
-             *(nu.values() for nu in strat.liquidation),
-             exercise.values() if exercise is not None else ())
+             *(nu.values() for nu in strat.liquidation))
     if any(val < ZERO for book in books for val in book):
         raise PropertyViolation(f"{kind} hedge holds a negative static or exercise position")
-    if exercise is not None and not exercise.keys() <= enl.children.keys():
-        raise ValueError("exercise weights lie on nodes outside the space")
-    if not nonanticipative(enl, strat, exercise):
+    if not nonanticipative(enl, strat):
         raise PropertyViolation(f"{kind} hedge is not non-anticipative")
     gains, dg = evaluate_gain(enl, strat)
-    eta = list(exercise.items()) if exercise is not None else []
-    values = extend_claim(enl, "sub") if exercise is not None else None
-    # eta and the claim's values over de: path masses over de, extra(p) over de**2
-    (weights, held), de = over_common((w for _, w in eta), (values[v] for v, _ in eta))
-    terms = {v: (w, w * val) for (v, _), w, val in zip(eta, weights, held) if w}
     ((cash, *bound),), dr = over_common([sign * x, *(rhs[p] for p in gains)])
-    den = lcm(dr, dg, de * de)
-    sr, sg, se = den // dr, den // dg, den // (de * de)
+    den = lcm(dr, dg)
+    sr, sg = den // dr, den // dg
     for (p, gain), r in zip(gains.items(), bound):
         lhs = cash * sr + gain * sg
-        if exercise is not None:
-            mass = extra = 0
-            for v in enl.epaths[p].node_seq:
-                w, e = terms.get(v, (0, 0))
-                mass += w
-                extra += e
-            if mass != de:
-                raise PropertyViolation(
-                    f"exercise weights sum to {ratio_str(mass, de)} != 1 on path {p}")
-            lhs += extra * se
         if lhs < r * sr:
             raise PropertyViolation(
                 f"{kind} hedge fails on path {p}: {ratio_str(lhs, den)} < {rat_str(rhs[p])}"

@@ -38,7 +38,7 @@ from amhedge.market import emit_model, load_model
 from amhedge.measures import build_polytope, ftap_certificate, price_with_dual
 from amhedge.oracles import check_sna, e2_chain
 from amhedge.rationals import ONE, Q, ZERO
-from amhedge.robust import supported_space
+from amhedge.robust import num_selectors, supported_space
 
 from conftest import binomial_dict, binomial_short_put_dict
 from test_report_bytes import CAMPAIGN_MODELS
@@ -103,7 +103,6 @@ def test_node_interior_is_martingale_and_positive():
     rng = random.Random(11)
     gm = random_sna_model(rng)
     laws = node_interior(gm.model)
-    assert laws is not None
     tree = gm.model.tree
     for nid, law in laws.items():
         kids = tree.children[nid]
@@ -114,6 +113,32 @@ def test_node_interior_is_martingale_and_positive():
         for d in range(gm.model.dim):
             mean = sum(law[k] * gm.model.stock[k][d] for k in kids)
             assert mean == parent[d]
+
+
+def test_node_interior_refuses_a_node_without_a_martingale_law():
+    # both moves go up from 1, so no law at the root has mean 1
+    model = load_model(binomial_dict(stock={"dim": 1, "values": {
+        "r": ["1"], "u": ["2"], "d": ["3/2"]}}))
+    with pytest.raises(PropertyViolation, match="^node 'r' has no full-support martingale law$"):
+        node_interior(model)
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(random_sna_model, id="default"),
+    pytest.param(lambda rng: random_sna_model(rng, force_n=1), id="force_n=1"),
+    pytest.param(lambda rng: random_sna_model(rng, force_n=2), id="force_n=2"),
+    pytest.param(lambda rng: random_sna_model(rng, require_option=True), id="require_option"),
+    pytest.param(random_kernel_model, id="kernel"),
+])
+def test_factory_draw_ranges_bound_size(make):
+    # the draw ranges alone bound the corpus: at most 81 enlarged paths at
+    # n = N + 1 (T = 2, three branches, N = 1) and, on kernel markets, at
+    # most 4 internal nodes of at most 2 vertices each
+    for seed in range(100):
+        model = make(random.Random(seed)).model
+        horizon = model.tree.horizon
+        assert len(model.tree.paths) * (horizon + 1) ** (model.N + 1) <= 81
+        assert model.kernels is None or num_selectors(model) <= 16
 
 
 @pytest.mark.parametrize("seed", range(5))

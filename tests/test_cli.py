@@ -452,6 +452,35 @@ def test_malformed_structure_exit_schema(mutate, tmp_path, capsys):
     assert code == 4 and "schema error" in err
 
 
+def _beyond_first(data):
+    # listed before its parent u, so the horizon check meets it first
+    data["nodes"].insert(0, {"id": "x", "time": 2, "parent": "u"})
+
+
+@pytest.mark.parametrize("command, mutate, message", [
+    ("ftap", lambda d: d.update(horizon=-1), "horizon must be >= 0"),
+    ("ftap", lambda d: d["nodes"][0].update(time=1), "root must sit at time 0"),
+    ("ftap", lambda d: d["nodes"].append({"id": "x", "time": 2, "parent": "u"}),
+     "terminal node 'u' has children"),
+    ("ftap", _beyond_first, "node 'x' sits beyond the horizon"),
+    ("ftap", lambda d: d.update(kernels={"r": [["1/3", "1/3", "1/3"]]}),
+     "kernel at 'r' has 3 entries for 2 children"),
+    ("ftap", lambda d: d.update(europeans=[{"payoff": {"u": "1", "d": "0"}, "price": True}]),
+     "bad rational in europeans[0].price: booleans are not rationals"),
+    ("sub", lambda d: d.pop("claim"), "model has no claim"),
+    ("super", lambda d: d.pop("claim"), "model has no claim"),
+], ids=["negative-horizon", "root-at-time-1", "terminal-with-child", "beyond-horizon-first",
+        "kernel-too-long", "boolean-price", "sub-without-claim", "super-without-claim"])
+def test_malformed_model_exit_schema_with_its_message(command, mutate, message, tmp_path, capsys):
+    data = binomial_dict()
+    mutate(data)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(data))
+    argv = ["ftap"] if command == "ftap" else ["price", "--side", command]
+    code, out, err = run([*argv, "--model", str(path)], capsys)
+    assert (code, out, err) == (4, "", f"amhedge: schema error: {message}\n")
+
+
 @pytest.mark.parametrize("text", [
     "[" * 100_000,
     json.dumps(binomial_dict()).replace('"horizon": 1', '"horizon": 1' + "0" * 5000),

@@ -118,7 +118,7 @@ def test_payoff_enlarged_rejects_mismatched_strategy(binomial):
     with pytest.raises(ValueError, match="^strategy positions lie on nodes outside the space$"):
         evaluate_gain(up, book)
     cash = dataclasses.replace(book, long_american=[ZERO], liquidation=[{}])
-    with pytest.raises(ValueError, match="^exercise weights lie on nodes outside the space$"):
+    with pytest.raises(ValueError, match="^strategy positions lie on nodes outside the space$"):
         hedging.check_hedge(up, cash, ONE, ONE, [ZERO], exercise={root: ONE, down: ZERO},
                             kind="sub")
     hedging.check_hedge(up, cash, ONE, ONE, [ZERO], exercise={root: ONE}, kind="sub")

@@ -116,7 +116,7 @@ def _cash(enl, report, strat, eta):
     ("super", _negative_liquidation, "negative static or exercise position"),
     ("sub", _negative_exercise, "negative static or exercise position"),
     ("super", _liquidation_mass, "liquidation mass .* != position"),
-    ("sub", _exercise_mass, "exercise weights sum to .* != 1 on path"),
+    ("sub", _exercise_mass, "liquidation mass .* != position"),
     ("sub", _cash, "sub hedge fails on path"),
     ("super", _cash, "super hedge fails on path"),
 ])

@@ -1,13 +1,15 @@
 """Stopping times and the non-anticipativity of clock-indexed strategies."""
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from amhedge import strategies
 from amhedge.divisible import RevealedModel
 from amhedge.enlarged import enlarge
-from amhedge.errors import CapExceededError
-from amhedge.hedging import SemiStaticStrategy, nonanticipative
+from amhedge.errors import CapExceededError, PropertyViolation
+from amhedge.hedging import SemiStaticStrategy, check_hedge, nonanticipative
 from amhedge.market import load_model
 from amhedge.rationals import ONE, Q, ZERO
 from amhedge.strategies import (
@@ -137,10 +139,16 @@ def test_nonanticipative_allows_seen_clocks(binomial_short_put):
 
 
 def test_nonanticipative_checks_exercise_weights(two_period):
-    # clock-blind stock, but the exercise weight at the root peeks at the clock
+    # clock-blind stock, but the exercise weight at the root peeks at the
+    # clock; check_hedge holds the claim as a long liquidated by the weights
     rev = RevealedModel(two_period, 1)
     strat = _root_positions(rev, lambda tvec: ONE)
     roots = {ep.clocks: ep.node_seq[0] for ep in rev.epaths}
-    assert nonanticipative(rev, strat, {v: ONE for v in roots.values()})
-    peek = {roots[(1,)]: ONE}
-    assert not nonanticipative(rev, strat, peek)
+    blind, peek = {v: ONE for v in roots.values()}, {roots[(1,)]: ONE}
+    assert nonanticipative(rev, dataclasses.replace(strat, liquidation=[blind]))
+    assert not nonanticipative(rev, dataclasses.replace(strat, liquidation=[peek]))
+    # one share from 1 gains -3/4 at dd, the claim 0 at the root
+    rhs = [ZERO] * rev.num_paths
+    check_hedge(rev, strat, -ONE, Q(-3, 4), rhs, exercise=blind, kind="sub")
+    with pytest.raises(PropertyViolation, match="^sub hedge is not non-anticipative$"):
+        check_hedge(rev, strat, -ONE, Q(-3, 4), rhs, exercise=peek, kind="sub")
