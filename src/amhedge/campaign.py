@@ -12,10 +12,9 @@ random.Random, which makes every corpus reproducible from its seed.
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import os
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .divisible import EPS_GRID, verify_divisibility_equivalence
 from .enlarged import EnlargedModel, enlarge, extend_claim
@@ -245,8 +244,7 @@ def _quoted_market(
 # -- strictly arbitrage-free market factory ------------------------------------
 
 
-@dataclass
-class GeneratedModel:
+class GeneratedModel(NamedTuple):
     """A market together with its construction-time interior certificate."""
 
     model: MarketModel
@@ -600,7 +598,7 @@ def check_degenerations(
     sub0, sup0 = prices
 
     const = Q(5, 3)
-    m_flat = dataclasses.replace(model, claim=dict.fromkeys(model.tree.nodes, const))
+    m_flat = model._replace(claim=dict.fromkeys(model.tree.nodes, const))
     lo = subhedge(enl.with_model(m_flat)).price
     hi = superhedge(enl_sup.with_model(m_flat)).price
     if lo != const or hi != const:
@@ -677,7 +675,7 @@ def check_singleton_robust(enl: EnlargedModel, enl_sup: EnlargedModel, laws: dic
     hold their answers; this check raises on a failure and records nothing.
     """
     kids = enl.model.tree.children
-    model = dataclasses.replace(enl.model, kernels={
+    model = enl.model._replace(kernels={
         nid: [tuple(law[k] for k in kids[nid])] for nid, law in laws.items()})
     enl_sub, enl_sup = enl.with_model(model), enl_sup.with_model(model)
     if not robust_na(enl_sub)[1].holds:
@@ -792,7 +790,7 @@ def check_robust_model(
     wide = next((nid for nid, vs in kernel_family(model).items() if len(vs) > 1), None)
     if wide is not None:
         kernels2 = {**model.kernels, wide: model.kernels[wide][:-1]}
-        model2 = dataclasses.replace(model, kernels=kernels2)
+        model2 = model._replace(kernels=kernels2)
         # an enlarged space does not depend on the kernels
         enl_sub2, enl_sup2 = enl_sub.with_model(model2), enl_sup.with_model(model2)
         record["dropped_vertex"] = wide

@@ -18,7 +18,7 @@ linear in the exercise weights (verify_divisibility_equivalence).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .enlarged import EnlargedModel, enlarge
 from .errors import PropertyViolation
@@ -57,8 +57,7 @@ class RevealedModel(EnlargedModel):
         return clocks
 
 
-@dataclass
-class DivisibilityReport:
+class DivisibilityReport(NamedTuple):
     """The agreed prices and the (eps, NA) verdicts."""
 
     sub: Q

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import copy
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Literal
 
@@ -24,11 +23,17 @@ from .market import MarketModel
 from .rationals import Q
 
 
-@dataclass(frozen=True)
 class EnlargedNode:
-    base: str
-    time: int
-    status: tuple[int | None, ...]
+    """A base node and what it knows of the clocks (EnlargedModel.status_at)."""
+
+    __slots__ = ("base", "time", "status")
+
+    def __init__(self, base: str, time: int, status: tuple[int | None, ...]):
+        self.base, self.time, self.status = base, time, status
+
+    def __eq__(self, other) -> bool:
+        return type(other) is EnlargedNode and (self.base, self.time, self.status) == (
+            other.base, other.time, other.status)
 
     @property
     def label(self) -> str:
@@ -36,11 +41,17 @@ class EnlargedNode:
         return f"{self.base}|{marks}" if self.status else self.base
 
 
-@dataclass(frozen=True)
 class EnlargedPath:
-    base_index: int
-    clocks: tuple[int, ...]
-    node_seq: tuple[int, ...]
+    """A base path under one clock tuple, as the indices of its enlarged nodes."""
+
+    __slots__ = ("base_index", "clocks", "node_seq")
+
+    def __init__(self, base_index: int, clocks: tuple[int, ...], node_seq: tuple[int, ...]):
+        self.base_index, self.clocks, self.node_seq = base_index, clocks, node_seq
+
+    def __eq__(self, other) -> bool:
+        return type(other) is EnlargedPath and (self.base_index, self.clocks, self.node_seq) == (
+            other.base_index, other.clocks, other.node_seq)
 
     @property
     def label(self) -> str:

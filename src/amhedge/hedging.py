@@ -27,9 +27,8 @@ sub-hedge's claim as one more long American at ask 0, liquidated by eta.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from math import lcm
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .enlarged import EnlargedModel, extend_claim
 from .errors import PropertyViolation, SnaFailure
@@ -42,8 +41,7 @@ def _bump(row: dict[int, Q], var: int, val: Q) -> None:
         row[var] = row[var] + val if var in row else val
 
 
-@dataclass
-class SemiStaticStrategy:
+class SemiStaticStrategy(NamedTuple):
     """Exact positions of one semi-static strategy on an enlarged space."""
 
     stock: dict[tuple[int, int], Q]      # (enlarged node index, dim) -> position
@@ -239,8 +237,7 @@ class GainLP:
         )
 
 
-@dataclass
-class HedgeReport:
+class HedgeReport(NamedTuple):
     """A price with its hedge on one space, from a hedge LP or read off the
     measure LP's duals (measures.price_with_dual), with enough data to
     re-validate: the solve's verified outcome is kept as ``lp``."""
@@ -250,7 +247,7 @@ class HedgeReport:
     strategy: SemiStaticStrategy
     exercise: dict[int, Q] | None    # eta for sub-hedging: node -> exercise weight
     lp: LPOutcome
-    measure: dict[int, Q] = field(default_factory=dict)    # the price's measure, if any
+    measure: dict[int, Q] | None = None    # the price's measure, if any
 
     @property
     def gap(self) -> Q | None:
@@ -258,7 +255,7 @@ class HedgeReport:
         return ZERO if self.measure else None
 
     def to_json(self, enl: EnlargedModel) -> dict:
-        measure = {enl.epaths[p].label: rat_str(q) for p, q in sorted(self.measure.items())}
+        measure = {enl.epaths[p].label: rat_str(q) for p, q in sorted((self.measure or {}).items())}
         doc = {
             "strategy": self.strategy.to_json(enl),
             "dual_ref": {"measure": measure} if measure else None,
@@ -308,10 +305,10 @@ def check_hedge(
     """
     if exercise is not None:
         model = enl.model
-        enl = enl.with_model(replace(
-            model, americans_long=[*model.americans_long, (model.claim, ZERO)]))
-        strat = replace(strat, long_american=[*strat.long_american, ONE],
-                        liquidation=[*strat.liquidation, exercise])
+        enl = enl.with_model(model._replace(
+            americans_long=[*model.americans_long, (model.claim, ZERO)]))
+        strat = strat._replace(long_american=[*strat.long_american, ONE],
+                               liquidation=[*strat.liquidation, exercise])
     books = (strat.long_european, strat.long_american, strat.short_american,
              *(nu.values() for nu in strat.liquidation))
     if any(val < ZERO for book in books for val in book):
@@ -420,8 +417,7 @@ def subhedge_european(enl: EnlargedModel, psi: Sequence[Q]) -> HedgeReport:
     return _hedge(enl, "sub_european", -ONE, [-rat(v) for v in psi])
 
 
-@dataclass
-class ArbitrageReport:
+class ArbitrageReport(NamedTuple):
     """A witness's expected gain under the space's path weights (0 and no
     strategy where none exists)."""
 

@@ -40,8 +40,6 @@ k's sense; and b_r = 0 leaves y.b as it was.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from math import gcd, lcm
 from typing import Hashable, Iterable, Literal, NamedTuple
 
@@ -60,17 +58,19 @@ class LPInternalError(RuntimeError):
     """A solver self-check failed; the result would not be trustworthy."""
 
 
-@dataclass
 class _Row:
     """coeffs.x rel rhs, in integer numerators over the positive den, not always
     in lowest terms; the objective is a row with rel "=" and rhs 0.  A row in an
     LP is never written (max_slack swaps new rows into its copy): solves read it in place."""
 
-    coeffs: dict[int, int]
-    rhs: int
-    den: int
-    rel: Relation
-    name: str
+    __slots__ = ("coeffs", "rhs", "den", "rel", "name")
+
+    def __init__(self, coeffs: dict[int, int], rhs: int, den: int, rel: Relation, name: str):
+        self.coeffs, self.rhs, self.den, self.rel, self.name = coeffs, rhs, den, rel, name
+
+    def __eq__(self, other) -> bool:
+        return type(other) is _Row and (self.coeffs, self.rhs, self.den, self.rel, self.name) == (
+            other.coeffs, other.rhs, other.den, other.rel, other.name)
 
     def rational(self) -> tuple[dict[int, Q], Q]:
         """The coefficients and the rhs as rationals: the row as asked."""
@@ -160,12 +160,11 @@ def _vector(entries: Iterable[tuple[int, int, int]], size: int) -> IntVector:
     return IntVector(nums, den)
 
 
-@dataclass(frozen=True)
-class LPOutcome:
+class LPOutcome(NamedTuple):
     """A verified solve: ``point`` holds the primal point (optimal) or the ray
     (unbounded), ``mult`` the duals (optimal) or the Farkas vector (infeasible);
-    primal, duals, farkas and ray are their rational views, built on first read
-    (frozen, so a view cannot outlive the vector it was built from)."""
+    primal, duals, farkas and ray are their rational views, built afresh on
+    each read.  Immutable: a changed copy is ``out._replace(value=...)``."""
 
     status: Literal["optimal", "infeasible", "unbounded"]
     value: Q | None = None
@@ -181,10 +180,10 @@ class LPOutcome:
         return None if vec is None or self.status != status else [
             Q(n, vec.den) if n else ZERO for n in vec.nums]
 
-    primal = cached_property(lambda self: self._view(self.point, "optimal"))
-    ray = cached_property(lambda self: self._view(self.point, "unbounded"))
-    duals = cached_property(lambda self: self._view(self.mult, "optimal"))
-    farkas = cached_property(lambda self: self._view(self.mult, "infeasible"))
+    primal = property(lambda self: self._view(self.point, "optimal"))
+    ray = property(lambda self: self._view(self.point, "unbounded"))
+    duals = property(lambda self: self._view(self.mult, "optimal"))
+    farkas = property(lambda self: self._view(self.mult, "infeasible"))
 
 
 def format_lp(lp: LinearProgram) -> str:

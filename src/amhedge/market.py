@@ -10,21 +10,25 @@ The JSON schema is documented in the README; all numbers travel as exact
 """
 from __future__ import annotations
 
-import dataclasses
 import json
-from dataclasses import dataclass, field
 from math import lcm
-from typing import Any
+from typing import Any, NamedTuple, Sequence
 
 from .errors import ModelFormatError
 from .rationals import ONE, ZERO, Q, over_common, rat, rat_str
 
 
-@dataclass(frozen=True)
 class Node:
-    id: str
-    time: int
-    parent: str | None
+    """A node of the event tree: its id, its date and its parent's id (None at the root)."""
+
+    __slots__ = ("id", "time", "parent")
+
+    def __init__(self, id: str, time: int, parent: str | None):
+        self.id, self.time, self.parent = id, time, parent
+
+    def __eq__(self, other) -> bool:
+        return type(other) is Node and (self.id, self.time, self.parent) == (
+            other.id, other.time, other.parent)
 
 
 class EventTree:
@@ -84,17 +88,18 @@ def adapted_gaps(tree: EventTree, values: dict[str, Any]) -> list[str]:
     return missing + [f"{nid}(unknown)" for nid in values if nid not in tree.nodes]
 
 
-@dataclass
-class MarketModel:
-    """Node-keyed tables: payoffs by leaf, other values by node, the stock's a vector."""
+class MarketModel(NamedTuple):
+    """Node-keyed tables: payoffs by leaf, other values by node, the stock's a vector.
+
+    Immutable: a changed copy is ``model._replace(kernels=...)``."""
 
     tree: EventTree
     stock: dict[str, tuple[Q, ...]]
-    europeans: list[tuple[dict[str, Q], Q]] = field(default_factory=list)
-    americans_long: list[tuple[dict[str, Q], Q]] = field(default_factory=list)
-    americans_short: list[tuple[dict[str, Q], Q]] = field(default_factory=list)
+    weights: dict[str, Q]
+    europeans: Sequence[tuple[dict[str, Q], Q]] = ()
+    americans_long: Sequence[tuple[dict[str, Q], Q]] = ()
+    americans_short: Sequence[tuple[dict[str, Q], Q]] = ()
     claim: dict[str, Q] | None = None
-    weights: dict[str, Q] = field(default_factory=dict)
     kernels: dict[str, list[tuple[Q, ...]]] | None = None
 
     @property
@@ -158,7 +163,7 @@ class MarketModel:
                 raise ValueError(f"{len(quotes)} quotes for the {len(book)} {name}")
             books[name] = list(book) if quotes is None else [
                 (payoff, rat(q)) for (payoff, _), q in zip(book, quotes)]
-        return dataclasses.replace(self, **books)
+        return self._replace(**books)
 
     def shifted_prices(self, eps: Q) -> "MarketModel":
         """Quotes moved by eps in the trader's favour: asks down, bids up."""

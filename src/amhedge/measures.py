@@ -26,10 +26,9 @@ of the stock moves, payoffs and quotes, over common denominators.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from math import lcm
-from typing import Callable, Hashable, Iterable, Iterator, Literal, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Literal, NamedTuple, Sequence
 
 from .enlarged import EnlargedModel, extend_claim
 from .errors import PropertyViolation
@@ -408,8 +407,7 @@ def build_polytope(enl: EnlargedModel) -> MeasurePolytope:
     return MeasurePolytope(enl)
 
 
-@dataclass
-class MeasureCertificate:
+class MeasureCertificate(NamedTuple):
     """A slack LP's verified outcome and its re-checked measure: strict
     no-arbitrage when the slack is positive, no measure where the polytope
     is empty.  ftap_arbitrage reads the outcome's multipliers."""

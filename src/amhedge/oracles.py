@@ -18,10 +18,8 @@ PropertyViolation where the two disagree:
 """
 from __future__ import annotations
 
-import dataclasses
 import itertools
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .enlarged import EnlargedModel, enlarge, extend_claim
 from .errors import CapExceededError, ModelFormatError, PropertyViolation, SnaFailure
@@ -62,8 +60,7 @@ def one_step_polytope(
     return lp, q_var, add_martingale_rows(lp, moves, den, str)
 
 
-@dataclass
-class DpReport:
+class DpReport(NamedTuple):
     value: Q
     strategy: dict[tuple[int, int], Q]
     lp_count: int
@@ -207,8 +204,7 @@ def lift_measure_uniform_clock(
     return lifted
 
 
-@dataclass
-class PushReport:
+class PushReport(NamedTuple):
     pushed: dict[int, Q]
     value: Q                 # E_pushed[claim at the last clock]
     lam: Q
@@ -248,8 +244,7 @@ def push_stopping_measure(
     raise PropertyViolation("no mixture weight kept the pushed measure strictly inside")
 
 
-@dataclass
-class ChainReport:
+class ChainReport(NamedTuple):
     middle: Q     # sup_Q sup_tau
     num_taus: int
     taus: list[StoppingTime]
@@ -369,12 +364,8 @@ def drop_options(model: MarketModel, *, europeans: bool = False) -> MarketModel:
     Americans only the claim's clock is left, so the hedges of this
     market run on its n = 0 and n = 1 enlargements.
     """
-    return dataclasses.replace(
-        model,
-        europeans=list(model.europeans) if europeans else [],
-        americans_long=[],
-        americans_short=[],
-    )
+    return model._replace(europeans=list(model.europeans) if europeans else [],
+                          americans_long=[], americans_short=[])
 
 
 def robust_na(enl: EnlargedModel) -> tuple[ArbitrageReport, MeasureCertificate]:
@@ -413,7 +404,7 @@ def submarket_slacks(enl: EnlargedModel, full: MeasureCertificate) -> list[Q | N
     space = supported_space(enl)
     slacks: list[Q | None] = []
     for m in range(model.M):
-        sub_model = dataclasses.replace(model, americans_long=model.americans_long[:m])
+        sub_model = model._replace(americans_long=model.americans_long[:m])
         sub_pt = build_polytope(space.with_model(sub_model))
         slacks.append(ftap_certificate(sub_pt).slack)
     slacks.append(full.slack)
@@ -445,8 +436,7 @@ def ftap_transfer(
 # -- direct check of the liquidation/measure interchange ----------------------
 
 
-@dataclass
-class MinimaxReport:
+class MinimaxReport(NamedTuple):
     value: Q
     num_taus: int
 

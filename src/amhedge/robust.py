@@ -20,7 +20,8 @@ quasi-sure restriction is taken: the space cut to its supported paths
 (EnlargedModel.restricted).  Quasi-sure prices and the quasi-sure FTAP
 are measures.price_with_dual and ftap_certificate on that space.  An
 enlarged space does not depend on the kernels, so another family on the
-same space is ``enl.with_model(dataclasses.replace(model, kernels=...))``.
+same space is ``enl.with_model(model._replace(kernels=...))``: a market
+is an immutable record, copied with ``_replace``.
 """
 from __future__ import annotations
 

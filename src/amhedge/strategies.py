@@ -14,8 +14,7 @@ time one of their differing coordinates has fired.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Iterator, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Sequence
 
 from .enlarged import EnlargedModel
 from .errors import CapExceededError
@@ -23,8 +22,7 @@ from .errors import CapExceededError
 DEFAULT_ENUM_CAP = 10**6
 
 
-@dataclass(frozen=True)
-class StoppingTime:
+class StoppingTime(NamedTuple):
     """Antichain of stop nodes meeting every path exactly once."""
 
     stops: frozenset

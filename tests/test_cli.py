@@ -186,6 +186,16 @@ def test_verify_out_into_missing_directory_runs_nothing(tmp_path, capsys, monkey
     assert code == 4 and out == "" and "is a directory" in err
 
 
+def test_out_that_cannot_be_opened_exits_schema(model_file, tmp_path, capsys):
+    # the directory takes files, so the open itself fails: a file name
+    # longer than the file system allows
+    target = tmp_path / ("r" * 300)
+    code, out, err = run(["ftap", "--model", model_file, "--out", str(target)], capsys)
+    assert code == 4 and out == ""
+    assert err.startswith("amhedge: schema error: cannot write report: ")
+    assert os.strerror(errno.ENAMETOOLONG) in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--models", "0"],
     ["verify", "--models", "-2"],

@@ -1,15 +1,21 @@
-"""Every field declared on a dataclass of the package is read somewhere.
+"""Every field declared on a record of the package is read somewhere.
+
+A record is a ``typing.NamedTuple`` subclass, whose fields are its
+annotated names, or a class with ``__slots__``, whose fields are the
+names the slots list.
 
 A field that no code reads as an attribute only stores a value: a
 report field that echoes an input, or restates an equality its producer
-already raised on, fails here.  A field counts as read when an attribute
-of that name is loaded (``x.name``) in the module that defines the class
-or in a module of ``src/`` or ``tests/`` that names the class: imports
-it, calls it or writes it in an annotation, or names a function or
-method of the package whose return annotation names it, since such a
-module holds its instances without spelling the class.  A load of the
-same name in a module that does neither, such as ``args.seed`` in the
-CLI, is another object's attribute and does not count.
+already raised on, fails here.  A slotted record's own ``__eq__`` reads
+every field by construction, so its body does not count.  A field
+counts as read when an attribute of that name is loaded (``x.name``) in
+the module that defines the class or in a module of ``src/`` or
+``tests/`` that names the class: imports it, calls it or writes it in an
+annotation, or names a function or method of the package whose return
+annotation names it, since such a module holds its instances without
+spelling the class.  A load of the same name in a module that does
+neither, such as ``args.seed`` in the CLI, is another object's attribute
+and does not count.
 """
 from __future__ import annotations
 
@@ -22,30 +28,39 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "amhedge"
 
 
-def _is_dataclass(node: ast.ClassDef) -> bool:
-    for deco in node.decorator_list:
-        target = deco.func if isinstance(deco, ast.Call) else deco
-        name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
-        if name == "dataclass":
-            return True
-    return False
+def _fields_of(node: ast.ClassDef) -> list[str]:
+    """The class's fields: a NamedTuple's annotated names, a slotted class's slots."""
+    if any(getattr(base, "id", getattr(base, "attr", None)) == "NamedTuple" for base in node.bases):
+        return [stmt.target.id for stmt in node.body
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+    return [slot.value for stmt in node.body if isinstance(stmt, ast.Assign)
+            and any(getattr(t, "id", None) == "__slots__" for t in stmt.targets)
+            for slot in getattr(stmt.value, "elts", ())]
 
 
-def dataclass_fields(source: str) -> list[tuple[str, str]]:
-    """(class, field) of each annotated field of the source's dataclasses."""
-    return [(node.name, stmt.target.id)
-            for node in ast.walk(ast.parse(source))
-            if isinstance(node, ast.ClassDef) and _is_dataclass(node)
-            for stmt in node.body
-            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+def record_fields(source: str) -> list[tuple[str, str]]:
+    """(class, field) of each field of the source's records."""
+    return [(node.name, name) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ClassDef) for name in _fields_of(node)]
+
+
+def _walk(tree: ast.AST):
+    """ast.walk without the bodies of __eq__ methods."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if not (isinstance(node, ast.FunctionDef) and node.name == "__eq__"):
+            yield node
+            stack.extend(ast.iter_child_nodes(node))
 
 
 def scan(source: str) -> tuple[set[str], set[str]]:
     """(names, reads) of a module: every identifier it names (variables,
-    imported names, attribute names) and every attribute it loads."""
+    imported names, attribute names) and every attribute it loads, outside
+    the bodies of __eq__ methods."""
     names: set[str] = set()
     reads: set[str] = set()
-    for node in ast.walk(ast.parse(source)):
+    for node in _walk(ast.parse(source)):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.alias):
@@ -79,7 +94,7 @@ def reads_of(
 
 def _fields() -> list[tuple[str, str]]:
     return [(f"{path.stem}.{cls}", name) for path in sorted(PACKAGE.glob("*.py"))
-            for cls, name in dataclass_fields(path.read_text())]
+            for cls, name in record_fields(path.read_text())]
 
 
 @pytest.fixture(scope="module")
@@ -106,33 +121,40 @@ def test_dataclass_field_is_read(scans, returns, owner, field):
 
 def test_checker_sees_fields_and_reads():
     source = (
-        "import dataclasses\n"
-        "from dataclasses import dataclass, field\n"
-        "@dataclass\n"
-        "class A:\n"
+        "import typing\n"
+        "from typing import NamedTuple\n"
+        "class A(NamedTuple):\n"
         "    x: int\n"
-        "    y: list = field(default_factory=list)\n"
+        "    y: tuple = ()\n"
         "    def f(self):\n"
         "        self.z = self.x\n"
-        "@dataclasses.dataclass(frozen=True)\n"
-        "class B:\n"
+        "class B(typing.NamedTuple):\n"
         "    w: int = 0\n"
         "class C:\n"
         "    v: int\n"
+        "class D:\n"
+        "    __slots__ = ('s', 't')\n"
+        "    def __init__(self, s, t):\n"
+        "        self.s, self.t = s, t\n"
+        "    def __eq__(self, other):\n"
+        "        return (self.s, self.u) == (other.s, other.u)\n"
+        "class E:\n"
+        "    __slots__ = ()\n"
     )
-    assert dataclass_fields(source) == [("A", "x"), ("A", "y"), ("B", "w")]
+    assert record_fields(source) == [("A", "x"), ("A", "y"), ("B", "w"), ("D", "s"), ("D", "t")]
     names, reads = scan(source)
-    assert reads == {"dataclass", "x"}
-    assert {"dataclasses", "dataclass", "field", "self", "x", "z"} <= names
+    # the reads of __eq__ do not count
+    assert reads == {"NamedTuple", "x"}
+    assert {"typing", "NamedTuple", "self", "x", "z", "s", "t"} <= names
+    assert "u" not in names
 
 
 def test_a_read_counts_only_where_the_class_is_named():
     # G.seed is loaded only as args.seed in a module that names neither G
     # nor a function returning it, which a check by attribute name alone
     # takes for a read of G.seed
-    gen = ("from dataclasses import dataclass\n"
-           "@dataclass\n"
-           "class G:\n"
+    gen = ("from typing import NamedTuple\n"
+           "class G(NamedTuple):\n"
            "    seed: int\n"
            "    model: str\n"
            "    laws: dict\n"

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import copy
-import dataclasses
 import math
 import random
 
@@ -54,8 +53,7 @@ def test_equivalence_detects_sna_flips(binomial_short_put):
 
 
 def test_needs_claim(binomial):
-    import dataclasses
-    model = dataclasses.replace(binomial, claim=None)
+    model = binomial._replace(claim=None)
     with pytest.raises(ValueError):
         verify_divisibility_equivalence(model)
 
@@ -81,7 +79,7 @@ def _move_price(monkeypatch, name, moved):
 
     def pricer(enl, *args):
         report = real(enl, *args)
-        return dataclasses.replace(report, price=report.price + ONE) if moved(enl) else report
+        return report._replace(price=report.price + ONE) if moved(enl) else report
 
     monkeypatch.setattr(divisible, name, pricer)
 
@@ -169,7 +167,7 @@ def test_a_flipped_no_arbitrage_verdict_is_raised(monkeypatch, binomial_short_pu
         report = real(enl)
         if isinstance(enl, RevealedModel):
             return report
-        return dataclasses.replace(report, gain=ZERO if report.found else ONE)
+        return report._replace(gain=ZERO if report.found else ONE)
 
     monkeypatch.setattr(divisible, "detect_arbitrage", flipped)
     with pytest.raises(PropertyViolation, match="^no-arbitrage verdicts disagree at eps=1/2$"):

@@ -1,8 +1,6 @@
 """Enlarged space: forest shape, clock weights, and claim extension."""
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
 from amhedge.divisible import RevealedModel
@@ -206,4 +204,4 @@ def test_with_model_shares_the_forest():
     with pytest.raises(ValueError):
         enl.with_model(load_model(emit_model(model)))
     with pytest.raises(ValueError):
-        enl.with_model(dataclasses.replace(model, americans_short=[]))
+        enl.with_model(model._replace(americans_short=[]))

@@ -8,8 +8,6 @@ u-mass = 1/3 regardless of the clock split), hence both prices stay 1/3.
 """
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
 from amhedge import hedging, oracles
@@ -96,13 +94,13 @@ def test_payoff_enlarged_rejects_mismatched_strategy(binomial):
     with pytest.raises(ValueError):
         evaluate_gain(enl, strat)
     # a share of a second stock the binomial market does not have
-    strat = dataclasses.replace(strat, stock={(0, 1): ONE}, long_european=[])
+    strat = strat._replace(stock={(0, 1): ONE}, long_european=[])
     with pytest.raises(ValueError, match="stock dimensions"):
         evaluate_gain(enl, strat)
     # a share held at the down leaf, a node of no path of the up path's space
     up = enl.restricted([0])
     (down,) = set(enl.children) - set(up.children)
-    strat = dataclasses.replace(strat, stock={(down, 0): ONE})
+    strat = strat._replace(stock={(down, 0): ONE})
     with pytest.raises(ValueError, match="^strategy positions lie on nodes outside the space$"):
         evaluate_gain(up, strat)
     assert evaluate_gain(enl, strat)[0] == {0: 0, 1: 0}
@@ -117,7 +115,7 @@ def test_payoff_enlarged_rejects_mismatched_strategy(binomial):
                               short_american=[], liquidation=[{leaf: ONE, down: ONE}])
     with pytest.raises(ValueError, match="^strategy positions lie on nodes outside the space$"):
         evaluate_gain(up, book)
-    cash = dataclasses.replace(book, long_american=[ZERO], liquidation=[{}])
+    cash = book._replace(long_american=[ZERO], liquidation=[{}])
     with pytest.raises(ValueError, match="^strategy positions lie on nodes outside the space$"):
         hedging.check_hedge(up, cash, ONE, ONE, [ZERO], exercise={root: ONE, down: ZERO},
                             kind="sub")
@@ -285,7 +283,7 @@ def test_check_sna_raises_when_the_shifted_quotes_admit_arbitrage(monkeypatch,
                                                                  binomial_short_put):
     real = oracles.detect_arbitrage
     monkeypatch.setattr(oracles, "detect_arbitrage",
-                        lambda enl: dataclasses.replace(real(enl), gain=ONE))
+                        lambda enl: real(enl)._replace(gain=ONE))
     with pytest.raises(PropertyViolation,
                        match="^dual slack promises SNA but shifted prices admit arbitrage$"):
         check_sna(build_polytope(enlarge(binomial_short_put, 1)))

@@ -1,6 +1,6 @@
 """Every top-level import of the package is used by its module, the
-package's modules import each other without a cycle, and the request
-path reaches no oracle module.
+package's modules import each other without a cycle, the request path
+reaches no oracle module, and no command loads dataclasses or inspect.
 
 A deletion that leaves an import behind fails here.  A name counts as
 used when the module reads it (a bare name, the base of an attribute,
@@ -11,12 +11,15 @@ neither a cycle nor an oracle import can hide inside a function body.
 from __future__ import annotations
 
 import ast
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from conftest import binomial_short_put_dict
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "amhedge"
 
@@ -157,6 +160,25 @@ def test_importing_the_request_path_loads_no_oracle_module():
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           timeout=60, env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
     assert proc.stdout == "[]\n", proc.stderr
+
+
+def test_commands_load_neither_dataclasses_nor_inspect(tmp_path):
+    # both cost start-up time on every command: dataclasses with the inspect
+    # it imports, and the methods it writes for each record at import
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(binomial_short_put_dict()))
+    argvs = [[*command, "--model", str(model), "--out", str(tmp_path / f"{i}.json")]
+             for i, command in enumerate((["price", "--side", "sub"], ["price", "--side", "super"],
+                                          ["ftap"], ["enlarge-dump", "--side", "super"]))]
+    loaded = "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    script = ("import sys\n"
+              "from amhedge.cli import main\n"
+              f"print([main(argv) for argv in {argvs!r}])\n" + loaded)
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    bare, run = (subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                                text=True, timeout=60, env=env)
+                 for code in ("import sys\n" + loaded, script))
+    assert run.stdout == f"[0, 0, 0, 0]\n{bare.stdout}", run.stderr + bare.stderr
 
 
 def test_reachable_follows_chains():

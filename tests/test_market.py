@@ -2,12 +2,13 @@
 from __future__ import annotations
 
 import re
+from fractions import Fraction
 
 import pytest
 
 from amhedge.errors import ModelFormatError
 from amhedge.market import emit_model, load_model
-from amhedge.rationals import ONE, Q
+from amhedge.rationals import ONE, Q, rat
 
 from conftest import binomial_dict
 
@@ -39,6 +40,16 @@ def test_round_trip(binomial_short_put, two_period):
 def test_path_weights(two_period):
     assert sum(two_period.path_weight(p) for p in range(4)) == ONE
     assert two_period.path_weight(0) == Q(1, 4)
+
+
+def test_rat_rebuilds_a_rational_of_another_type():
+    class Ratio(Fraction):
+        pass
+
+    # a Fraction subclass, then a Fraction where the backend is gmpy2's mpq
+    for value in (Ratio(3, 4), Fraction(3, 4)):
+        q = rat(value)
+        assert type(q) is Q and q == Q(3, 4)
 
 
 def test_with_prices(binomial_short_put):

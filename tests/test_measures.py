@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import ast
 import copy
-import dataclasses
 import random
 from pathlib import Path
 
@@ -224,7 +223,7 @@ def test_e2_chain_raises_on_a_middle_outside_the_ends(monkeypatch, binomial_shor
 
     def moved(pt, work):
         out, measure = real(pt, work)
-        return dataclasses.replace(out, value=out.value + shift), measure
+        return out._replace(value=out.value + shift), measure
 
     monkeypatch.setattr(oracles, "solve_measure", moved)
     with pytest.raises(PropertyViolation, match="^chain violated: 1/3 <= .* <= 1/3 fails$"):
@@ -335,7 +334,7 @@ def test_long_rows_stay_linear_in_the_support():
     model = load_model(binomial_put_book_dict(4, long_ask="3"))
     enl = enlarge(model, model.N)
     pt = build_polytope(enl)
-    bare = build_polytope(enl.with_model(dataclasses.replace(model, americans_long=[])))
+    bare = build_polytope(enl.with_model(model._replace(americans_long=[])))
     added = len(pt.lp.rows) - len(bare.lp.rows)
     support = {v for ep in enl.epaths for v in ep.node_seq}
     assert added == pt.num_tau_rows
@@ -497,7 +496,7 @@ def test_ftap_arbitrage_rejects_a_moved_multiplier(case, monkeypatch):
     key = "farkas" if cert.slack is None else "duals"
     assert ftap_arbitrage(pt, given).found
     y = moved(cert.outcome.mult, entry(pt, getattr(cert.outcome, key)), delta)
-    cert = dataclasses.replace(cert, outcome=dataclasses.replace(cert.outcome, mult=y))
+    cert = cert._replace(outcome=cert.outcome._replace(mult=y))
     with pytest.raises(PropertyViolation, match=message):
         ftap_arbitrage(pt, cert if given.slack != ZERO else given)
 
@@ -508,8 +507,8 @@ def test_ftap_arbitrage_rejects_a_witness_without_expected_gain(monkeypatch):
     enl = enlarge(_arbitrage_market("european_zero"), 0)
     pt = build_polytope(enl)
     closed = ftap_certificate(pt, prices=False)
-    zero = dataclasses.replace(closed, outcome=dataclasses.replace(
-        closed.outcome, mult=IntVector([0] * len(closed.outcome.mult.nums), 1)))
+    zero = closed._replace(outcome=closed.outcome._replace(
+        mult=IntVector([0] * len(closed.outcome.mult.nums), 1)))
     monkeypatch.setattr(measures, "ftap_certificate", lambda *args, **kwargs: zero)
     with pytest.raises(PropertyViolation, match="no positive expected gain"):
         ftap_arbitrage(pt, closed)

@@ -15,7 +15,6 @@ A hypothesis test holds the gains of ``evaluate_gain`` to a plain
 from __future__ import annotations
 
 import copy
-import dataclasses
 import json
 from fractions import Fraction
 
@@ -252,7 +251,7 @@ def _slack_lp_returns(monkeypatch, change):
 def _move_witness(monkeypatch, p, delta):
     """The slack LP's witness with Q(p) moved by delta."""
     def change(pt, out):
-        return dataclasses.replace(out, point=moved(out.point, pt.q_var[p], delta))
+        return out._replace(point=moved(out.point, pt.q_var[p], delta))
 
     _slack_lp_returns(monkeypatch, change)
 
@@ -266,7 +265,7 @@ def _at_floor(pt, cert, floor=None):
 
 def test_slack_reader_rejects_an_unexpected_status(monkeypatch):
     pt = build_polytope(enlarge(load_model(binomial_short_put_dict()), 1))
-    _slack_lp_returns(monkeypatch, lambda pt, out: dataclasses.replace(out, status="unbounded"))
+    _slack_lp_returns(monkeypatch, lambda pt, out: out._replace(status="unbounded"))
     with pytest.raises(PropertyViolation, match="^slack LP unexpectedly unbounded$"):
         ftap_certificate(pt)
 
@@ -390,7 +389,7 @@ def test_integer_gains_equal_the_fraction_reference(data):
         assert _frac(gain) == reference_gain(enl, strat, p)
     half = [p for p in range(enl.num_paths) if p % 2]
     sub = enl.restricted(half)
-    on_sub = dataclasses.replace(
-        strat, stock={(v, d): h for (v, d), h in stock.items() if v in sub.children},
+    on_sub = strat._replace(
+        stock={(v, d): h for (v, d), h in stock.items() if v in sub.children},
         liquidation=[{v: m for v, m in nu.items() if v in sub.children} for nu in liquidation])
     assert path_gains(sub, on_sub) == {i: gains[p] for i, p in enumerate(half)}

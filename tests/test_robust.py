@@ -8,8 +8,6 @@ quasi-sure certificate; the claim paying 1 on the up state prices to
 """
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
 import amhedge.oracles as oracles
@@ -126,7 +124,7 @@ def test_drop_options_keeps_kernels_claim_and_asked_books():
 def test_non_distribution_vertex_fails_when_the_support_is_read():
     # a market built in code skips load_model's check; reading its
     # support runs check_kernel_family all the same
-    model = dataclasses.replace(_binomial(INTERIOR), kernels={"r": [(Q(1, 2), Q(1, 3))]})
+    model = _binomial(INTERIOR)._replace(kernels={"r": [(Q(1, 2), Q(1, 3))]})
     enl = enlarge(model, 0)
     for read in (supported_paths, supported_space, lambda e: num_selectors(e.model)):
         with pytest.raises(ModelFormatError, match="not a distribution"):
@@ -137,7 +135,7 @@ def test_support_follows_the_market_family_on_one_space():
     # another family is another market on the same space
     enl = enlarge(_trinomial(TWO_VERTEX), 0)
     assert supported_paths(enl) == [0, 1, 2]
-    narrow = dataclasses.replace(enl.model, kernels={"r": [TWO_VERTEX_Q[1]]})
+    narrow = enl.model._replace(kernels={"r": [TWO_VERTEX_Q[1]]})
     assert supported_paths(enl.with_model(narrow)) == [0, 2]
     assert supported_paths(enl) == [0, 1, 2]
 
@@ -323,7 +321,7 @@ def test_selector_sweep_rechecks_its_witness_at_the_shifted_quotes(monkeypatch):
 
     def overstated(self, **kwargs):
         out = real(self, **kwargs)
-        return dataclasses.replace(out, value=out.value + 1)
+        return out._replace(value=out.value + 1)
 
     # a witness claimed for quotes moved by one more than its slack must fail
     monkeypatch.setattr(MeasurePolytope, "support_slack", overstated)
@@ -391,7 +389,7 @@ def test_minimax_rejects_duals_that_are_not_a_mixture(monkeypatch):
         out = real(lp)
         if out.status != "optimal":
             return out
-        return dataclasses.replace(out, mult=IntVector([2 * n for n in out.mult.nums], out.mult.den))
+        return out._replace(mult=IntVector([2 * n for n in out.mult.nums], out.mult.den))
 
     monkeypatch.setattr(oracles, "solve", doubled)
     with pytest.raises(PropertyViolation, match="not a mixture"):

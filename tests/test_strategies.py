@@ -1,8 +1,6 @@
 """Stopping times and the non-anticipativity of clock-indexed strategies."""
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
 from amhedge import strategies
@@ -145,8 +143,8 @@ def test_nonanticipative_checks_exercise_weights(two_period):
     strat = _root_positions(rev, lambda tvec: ONE)
     roots = {ep.clocks: ep.node_seq[0] for ep in rev.epaths}
     blind, peek = {v: ONE for v in roots.values()}, {roots[(1,)]: ONE}
-    assert nonanticipative(rev, dataclasses.replace(strat, liquidation=[blind]))
-    assert not nonanticipative(rev, dataclasses.replace(strat, liquidation=[peek]))
+    assert nonanticipative(rev, strat._replace(liquidation=[blind]))
+    assert not nonanticipative(rev, strat._replace(liquidation=[peek]))
     # one share from 1 gains -3/4 at dd, the claim 0 at the root
     rhs = [ZERO] * rev.num_paths
     check_hedge(rev, strat, -ONE, Q(-3, 4), rhs, exercise=blind, kind="sub")

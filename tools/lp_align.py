@@ -94,13 +94,16 @@ def _worker(tree: str, argv: list[str]) -> None:
             solves[-1]["pivots"].append([r, c])
             super().pivot(r, c)
 
-    class Outcome(lp.LPOutcome):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            solves[-1]["status"] = self.status
-            solves[-1]["value"] = None if self.value is None else rat_str(self.value)
+    made = lp.LPOutcome
 
-    lp._Presolve, lp._Tableau, lp.LPOutcome = Asked, Recording, Outcome
+    def outcome(*args, **kwargs):
+        # a wrapper, not a subclass: a tree's LPOutcome may be a dataclass or a NamedTuple
+        out = made(*args, **kwargs)
+        solves[-1]["status"] = out.status
+        solves[-1]["value"] = None if out.value is None else rat_str(out.value)
+        return out
+
+    lp._Presolve, lp._Tableau, lp.LPOutcome = Asked, Recording, outcome
     # verify runs some campaign units in forked children when it may use
     # more than one CPU; on one CPU every solve happens here, where it is recorded
     if hasattr(os, "sched_setaffinity"):
