@@ -636,7 +636,7 @@ def check_degenerations(
             ep = enl.epaths[p]
             if ep.clocks != () or ep.base_index != p:
                 raise PropertyViolation("zero-clock paths are not the base paths")
-            if enl.weight(p) != model.path_weight(p):
+            if enl.weights[p] != model.path_weight(p):
                 raise PropertyViolation("zero-clock weights differ from the base weights")
             for t, v in enumerate(ep.node_seq):
                 node = enl.enode(v)

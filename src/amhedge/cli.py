@@ -227,7 +227,7 @@ def cmd_enlarge_dump(args) -> int:
             "base_leaf": model.tree.paths[ep.base_index][-1],
             "clocks": list(ep.clocks),
             "nodes": [enl.enode(v).label for v in ep.node_seq],
-            "weight": rat_str(enl.weight(i)),
+            "weight": rat_str(enl.weights[i]),
         }
         for i, ep in enumerate(enl.epaths)
     ]

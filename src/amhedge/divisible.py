@@ -44,7 +44,7 @@ class RevealedModel(EnlargedModel):
     def __init__(self, model: MarketModel, n: int) -> None:
         super().__init__(model, n)
         self.tuples = list(itertools.product(range(self.horizon + 1), repeat=n))
-        index = self._enode_index
+        index = {(node.base, node.status): i for i, node in enumerate(self.enodes)}
         self.tied_pairs = tuple(
             (index[(nid, s)], index[(nid, t)])
             for r in range(self.horizon)

@@ -84,8 +84,8 @@ class EnlargedModel:
         self.clock_mass = Q(1, (self.horizon + 1) ** n)
 
         self.enodes: list[EnlargedNode] = []
-        self._enode_index: dict[tuple[str, tuple[int | None, ...]], int] = {}
         self.epaths: list[EnlargedPath] = []
+        index: dict[tuple[str, tuple[int | None, ...]], int] = {}
         children: dict[int, dict[int, None]] = {}
         roots: dict[int, None] = {}
 
@@ -93,7 +93,6 @@ class EnlargedModel:
         times = range(self.horizon + 1)
         timelines = [(clocks, tuple(self.status_at(clocks, t) for t in times))
                      for clocks in itertools.product(times, repeat=n)]
-        index = self._enode_index
         for base_index, base_path in enumerate(model.tree.paths):
             for clocks, statuses in timelines:
                 seq = []
@@ -110,8 +109,6 @@ class EnlargedModel:
                 self.epaths.append(EnlargedPath(base_index, clocks, tuple(seq)))
         self.children: dict[int, tuple[int, ...]] = {v: tuple(kids) for v, kids in children.items()}
         self.roots: tuple[int, ...] = tuple(roots)
-        self._weights: list[Q] | None = None
-        self._path_key: dict[tuple[int, tuple[int, ...]], int] | None = None
 
     def status_at(self, clocks: tuple[int, ...], t: int) -> tuple[int | None, ...]:
         """What a time-t node knows of the clocks: each fired time, else None."""
@@ -127,7 +124,7 @@ class EnlargedModel:
             raise ValueError("with_model needs the same tree and the same number of shorts")
         other = copy.copy(self)
         other.model = model
-        other._weights = None
+        other.__dict__.pop("weights", None)
         return other
 
     def restricted(self, paths: Iterable[int]) -> "EnlargedModel":
@@ -145,13 +142,13 @@ class EnlargedModel:
         if self.tied_pairs:
             raise ValueError("only a space without tied pairs can be restricted")
         other = copy.copy(self)
-        other.__dict__.pop("through", None)
+        for table in ("through", "weights", "path_key"):
+            other.__dict__.pop(table, None)
         other.epaths = [self.epaths[p] for p in keep]
         nodes = {v for ep in other.epaths for v in ep.node_seq}
         other.children = {v: tuple(c for c in self.children[v] if c in nodes)
                           for v in sorted(nodes)}
         other.roots = tuple(r for r in self.roots if r in nodes)
-        other._weights = other._path_key = None
         return other
 
     @cached_property
@@ -163,6 +160,16 @@ class EnlargedModel:
                 through[v].append(p)
         return through
 
+    @cached_property
+    def weights(self) -> list[Q]:
+        """Each path's weight: its base path's, times the clock mass."""
+        return [self.model.path_weight(p.base_index) * self.clock_mass for p in self.epaths]
+
+    @cached_property
+    def path_key(self) -> dict[tuple[int, tuple[int, ...]], int]:
+        """Each path's index by its base path's index and its clock tuple."""
+        return {(p.base_index, p.clocks): i for i, p in enumerate(self.epaths)}
+
     # -- bookkeeping -----------------------------------------------------
 
     @property
@@ -171,17 +178,6 @@ class EnlargedModel:
 
     def enode(self, idx: int) -> EnlargedNode:
         return self.enodes[idx]
-
-    def path_index(self, base_index: int, clocks: tuple[int, ...]) -> int:
-        if self._path_key is None:
-            self._path_key = {(p.base_index, p.clocks): i for i, p in enumerate(self.epaths)}
-        return self._path_key[(base_index, clocks)]
-
-    def weight(self, path_idx: int) -> Q:
-        if self._weights is None:
-            self._weights = [self.model.path_weight(p.base_index) * self.clock_mass
-                             for p in self.epaths]
-        return self._weights[path_idx]
 
 
 def enlarge(model: MarketModel, n: int) -> EnlargedModel:

@@ -36,11 +36,6 @@ from .lp import IntVector, LinearProgram, LPOutcome, solve
 from .rationals import ONE, ZERO, Q, over_common, rat, rat_str, ratio_str
 
 
-def _bump(row: dict[int, Q], var: int, val: Q) -> None:
-    if val:
-        row[var] = row[var] + val if var in row else val
-
-
 class SemiStaticStrategy(NamedTuple):
     """Exact positions of one semi-static strategy on an enlarged space."""
 
@@ -188,19 +183,21 @@ class GainLP:
         """
         ep = self.enl.epaths[p]
         path, seq = self.model.tree.paths[ep.base_index], ep.node_seq
+        # each variable enters once (one node per date), so its term is its
+        # coefficient; the zero ones are dropped
         row: dict[int, Q] = {}
         for v, nid in zip(seq, path[1:]):
             for d, move in enumerate(self.steps[nid]):
-                _bump(row, self.stock[(v, d)], move)
+                row[self.stock[(v, d)]] = move
         for a, f in zip(self.static["a"], self.europe):
-            _bump(row, a, f[ep.base_index])
+            row[a] = f[ep.base_index]
         for b, nu, (g, minus_beta) in zip(self.static["b"], self.nu_var, self.longs):
-            _bump(row, b, minus_beta)
+            row[b] = minus_beta
             for nid, v in zip(path, seq):
-                _bump(row, nu[v], g[nid])
+                row[nu[v]] = g[nid]
         for c, h, clock in zip(self.static["c"], self.shorts, ep.clocks):
-            _bump(row, c, h[path[clock]])
-        return row
+            row[c] = h[path[clock]]
+        return {var: val for var, val in row.items() if val}
 
     def tie(self, var: dict[int, int], name: str) -> None:
         """var takes one value on both nodes of each tied pair of the space."""
@@ -367,8 +364,7 @@ def _hedge(enl: EnlargedModel, kind: str, sign: Q, rhs: Sequence[Q]) -> HedgeRep
         seq = ep.node_seq
         row = g.gain_coeffs(p)
         if eta_var:
-            for v in seq:
-                _bump(row, eta_var[v], claim[v])
+            row.update((eta_var[v], claim[v]) for v in seq if claim[v])
         row[g.x] = sign
         g.lp.add_constraint(row, ">=", rhs[p], name=f"hedge[p{p}]")
         if eta_var:
@@ -443,7 +439,7 @@ def arbitrage_witness(enl: EnlargedModel, strat: SemiStaticStrategy, x: Q) -> Ar
         raise PropertyViolation(f"arbitrage witness starts from cash {rat_str(x)} > 0")
     gains, den = check_hedge(enl, strat, ONE, x, [ZERO] * enl.num_paths,
                              kind="arbitrage witness")
-    (weights,), dw = over_common(enl.weight(p) for p in range(enl.num_paths))
+    (weights,), dw = over_common(enl.weights)
     gain = Q(sum(w * g for w, g in zip(weights, gains.values())), dw * den)
     if gain <= ZERO:
         raise PropertyViolation("arbitrage witness has no positive expected gain")
@@ -465,7 +461,7 @@ def detect_arbitrage(enl: EnlargedModel) -> ArbitrageReport:
             for p in range(enl.num_paths)]
     # the objective in integers: path weights over dw, the stored path rows
     # over the lcm dc of their denominators
-    (weights,), dw = over_common(enl.weight(p) for p in range(enl.num_paths))
+    (weights,), dw = over_common(enl.weights)
     dc = lcm(*{row.den for row in rows})
     sums: dict[int, int] = {}
     for w, row in zip(weights, rows):

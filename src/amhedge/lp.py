@@ -68,10 +68,6 @@ class _Row:
     def __init__(self, coeffs: dict[int, int], rhs: int, den: int, rel: Relation, name: str):
         self.coeffs, self.rhs, self.den, self.rel, self.name = coeffs, rhs, den, rel, name
 
-    def __eq__(self, other) -> bool:
-        return type(other) is _Row and (self.coeffs, self.rhs, self.den, self.rel, self.name) == (
-            other.coeffs, other.rhs, other.den, other.rel, other.name)
-
     def rational(self) -> tuple[dict[int, Q], Q]:
         """The coefficients and the rhs as rationals: the row as asked."""
         return {j: Q(a, self.den) for j, a in self.coeffs.items()}, Q(self.rhs, self.den)
@@ -525,7 +521,8 @@ class _Presolve:
                 if v:
                     a[k] = v
                     where[k].add(i)
-                elif a.pop(k, 0):
+                else:  # v is 0 only where a held both j and k
+                    del a[k]
                     where[k].remove(i)
             queue.extend(sorted(i for i in touched if i < m and len(coeffs[i]) == 2
                                 and asked[i].rel == "=" and not asked[i].rhs))

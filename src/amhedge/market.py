@@ -26,10 +26,6 @@ class Node:
     def __init__(self, id: str, time: int, parent: str | None):
         self.id, self.time, self.parent = id, time, parent
 
-    def __eq__(self, other) -> bool:
-        return type(other) is Node and (self.id, self.time, self.parent) == (
-            other.id, other.time, other.parent)
-
 
 class EventTree:
     """Rooted tree; paths are identified by their leaf node id."""

@@ -179,11 +179,9 @@ def _add_clock(
         raise ValueError("the added clock goes from the n-clock space to the (n+1)-clock space")
     out: dict[int, Q] = {}
     for p, q in measure.items():
-        if not q:
-            continue
         ep = enl_from.epaths[p]
         for t, share in clock(ep.node_seq):
-            tgt = enl_to.path_index(ep.base_index, ep.clocks + (t,))
+            tgt = enl_to.path_key[(ep.base_index, ep.clocks + (t,))]
             out[tgt] = out.get(tgt, ZERO) + q * share
     return out
 

@@ -237,8 +237,8 @@ def test_gain_rows_on_the_revealed_space_with_its_grid(n):
 
 
 def _reference_forest(enl):
-    """enodes, epaths, children, roots and the node index as built by
-    calling status_at once per base path, clock tuple and time."""
+    """enodes, epaths, children and roots as built by calling status_at
+    once per base path, clock tuple and time."""
     T = enl.horizon
     enodes, index, epaths, children, roots = [], {}, [], {}, {}
     for base_index, base_path in enumerate(enl.model.tree.paths):
@@ -257,16 +257,15 @@ def _reference_forest(enl):
                 children[seq[t]][seq[t + 1]] = None
             roots[seq[0]] = None
             epaths.append(EnlargedPath(base_index, clocks, tuple(seq)))
-    return enodes, epaths, [(v, tuple(kids)) for v, kids in children.items()], tuple(roots), index
+    return enodes, epaths, [(v, tuple(kids)) for v, kids in children.items()], tuple(roots)
 
 
 def _assert_same_forest(enl) -> None:
-    enodes, epaths, children, roots, index = _reference_forest(enl)
+    enodes, epaths, children, roots = _reference_forest(enl)
     assert enl.enodes == enodes
     assert enl.epaths == epaths
     assert list(enl.children.items()) == children
     assert enl.roots == roots
-    assert list(enl._enode_index.items()) == list(index.items())
 
 
 def _trinomial_short():

@@ -29,14 +29,15 @@ from amhedge.campaign import (
     random_stock,
     random_tree,
     run_campaign,
+    selector_sweep,
     strict_chain_market,
 )
 from amhedge.enlarged import EnlargedModel, enlarge
 from amhedge.errors import PropertyViolation
 from amhedge.mapper import map_units
 from amhedge.market import emit_model, load_model
-from amhedge.measures import build_polytope, ftap_certificate, price_with_dual
-from amhedge.oracles import check_sna, e2_chain
+from amhedge.measures import MeasurePolytope, build_polytope, ftap_certificate, price_with_dual
+from amhedge.oracles import check_sna, drop_options, e2_chain, robust_na
 from amhedge.rationals import ONE, Q, ZERO
 from amhedge.robust import num_selectors, supported_space
 
@@ -175,6 +176,32 @@ def test_random_kernel_model_is_consistent(seed):
     enl = enlarge(model, model.N)
     cert = ftap_certificate(build_polytope(supported_space(enl)))
     assert cert.holds and cert.slack > ZERO
+
+
+def test_kernel_factory_falls_back_to_the_interior_law(monkeypatch):
+    # every vertex family drawn for the root is refused; node_interior's
+    # all-ones family still passes, so the root's family after 8 refused
+    # draws is the singleton of its interior law
+    refused = []
+    dominating = campaign._dominating_law
+
+    def refuse_root(model, nid, vertices):
+        if nid == model.tree.root and vertices != [(ONE,) * len(model.tree.children[nid])]:
+            refused.append(vertices)
+            return None
+        return dominating(model, nid, vertices)
+
+    monkeypatch.setattr(campaign, "_dominating_law", refuse_root)
+    gm = random_kernel_model(random.Random(0))
+    model = gm.model
+    root = model.tree.root
+    assert refused and len(refused) % 8 == 0
+    interior = node_interior(model)[root]
+    assert gm.laws[root] == interior
+    assert model.kernels[root] == [tuple(interior[k] for k in model.tree.children[root])]
+    assert robust_na(enlarge(model, model.N))[1].holds
+    assert selector_sweep(MeasurePolytope(supported_space(enlarge(drop_options(model), 0))))
+    assert selector_sweep(build_polytope(supported_space(enlarge(model, model.N))))
 
 
 def test_stock_only_arbitrage_is_a_property_violation(monkeypatch):

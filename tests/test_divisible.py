@@ -114,7 +114,7 @@ def _weight_points(rng, n, horizon, draws):
 def _mixtures(space, points):
     """Per weight point and base path, the weight prod_k w[k][t_k] of each
     clock vector t of that path under independent exercise."""
-    return [{space.path_index(b, tvec): w for tvec in space.tuples
+    return [{space.path_key[(b, tvec)]: w for tvec in space.tuples
              if (w := math.prod(vec[tk] for vec, tk in zip(point, tvec)))}
             for point in points for b in range(len(space.model.tree.paths))]
 

@@ -19,7 +19,7 @@ def test_zero_clocks_is_base_tree(binomial):
     assert len(enl.enodes) == 3
     assert [n.label for n in enl.enodes[:1]] == ["r"]
     assert enl.epaths[0].clocks == ()
-    assert enl.weight(0) == Q(1, 2)
+    assert enl.weights[0] == Q(1, 2)
 
 
 def test_one_clock_shape(binomial_short_put):
@@ -46,8 +46,8 @@ def test_n_must_match_model(binomial_short_put):
 def test_uniform_clock_weights(binomial_short_put):
     enl = enlarge(binomial_short_put, 1)
     assert enl.clock_mass == Q(1, 2)
-    assert sum(enl.weight(p) for p in range(enl.num_paths)) == ONE
-    assert enl.weight(0) == Q(1, 4)
+    assert sum(enl.weights) == ONE
+    assert enl.weights[0] == Q(1, 4)
 
 
 def test_restricted_matches_a_brute_force_build():
@@ -81,10 +81,10 @@ def test_restricted_keeps_nodes_paths_and_weights():
     # nodes keep their indices and labels, paths their order and weights
     assert sub.enodes is enl.enodes
     assert sub.epaths == [enl.epaths[p] for p in keep]
-    assert [sub.weight(i) for i in range(sub.num_paths)] == [enl.weight(p) for p in keep]
+    assert sub.weights == [enl.weights[p] for p in keep]
     for i, p in enumerate(keep):
         ep = enl.epaths[p]
-        assert sub.path_index(ep.base_index, ep.clocks) == i
+        assert sub.path_key[(ep.base_index, ep.clocks)] == i
     # the parent is left as it was
     assert enl.num_paths == len(model.tree.paths) * (model.tree.horizon + 1) ** enl.n
     assert list(enl.children) == list(range(len(enl.enodes)))
@@ -101,7 +101,7 @@ def test_restricted_builds_its_own_forest_and_survives_with_model(binomial_short
     other = sub.with_model(binomial_short_put.shifted_prices(Q(1, 8)))
     assert other.epaths is sub.epaths and other.children is sub.children
     assert other.through is sub.through
-    assert [other.weight(p) for p in range(other.num_paths)] == [sub.weight(0), sub.weight(1)]
+    assert other.weights == sub.weights
 
 
 def test_restricted_refuses_no_paths_and_a_mixed_space(binomial_short_put, two_period):
@@ -180,7 +180,7 @@ def test_path_index_lookup(binomial_short_put):
     enl = enlarge(binomial_short_put, 1)
     for p in range(enl.num_paths):
         ep = enl.epaths[p]
-        assert enl.path_index(ep.base_index, ep.clocks) == p
+        assert enl.path_key[(ep.base_index, ep.clocks)] == p
 
 
 def test_labels(binomial_short_put):
@@ -193,15 +193,37 @@ def test_with_model_shares_the_forest():
     # unequal base-path weights, so that the copy's weights can go wrong
     model = load_model({**binomial_short_put_dict(), "weights": {"u": "1/3", "d": "2/3"}})
     enl = enlarge(model, 1)
-    weights = [enl.weight(p) for p in range(enl.num_paths)]
+    weights = list(enl.weights)
     assert len(set(weights)) == 2
     shifted = model.shifted_prices(Q(1, 8))
     other = enl.with_model(shifted)
     assert other.model is shifted and enl.model is model
     assert other.epaths is enl.epaths and other.children is enl.children
-    assert [other.weight(p) for p in range(other.num_paths)] == weights
+    assert other.weights == weights
     # another tree object, or another number of shorts, needs its own forest
     with pytest.raises(ValueError):
         enl.with_model(load_model(emit_model(model)))
     with pytest.raises(ValueError):
         enl.with_model(model._replace(americans_short=[]))
+
+
+def test_copies_keep_the_forest_tables_and_recompute_the_rest(binomial_short_put):
+    # every table is read before each copy, so a copy that kept one it
+    # must recompute would read its parent's
+    enl = enlarge(binomial_short_put, 1)
+    through, weights, key = enl.through, enl.weights, enl.path_key
+    leaf = {"u": Q(1, 3), "d": Q(2, 3)}
+    other = enl.with_model(binomial_short_put._replace(weights=leaf))
+    # the forest tables depend on the tree and n alone; the weights do not
+    assert other.through is through and other.path_key is key
+    paths = binomial_short_put.tree.paths
+    assert other.weights == [leaf[paths[ep.base_index][-1]] * enl.clock_mass
+                             for ep in enl.epaths] != weights
+    assert enl.weights is weights
+    keep = range(1, other.num_paths, 2)
+    sub = other.restricted(keep)
+    assert sub.path_key == {(enl.epaths[p].base_index, enl.epaths[p].clocks): i
+                            for i, p in enumerate(keep)}
+    assert sub.weights == [other.weights[p] for p in keep]
+    assert sub.through == {v: [i for i, ep in enumerate(sub.epaths) if v in ep.node_seq]
+                           for v in sub.children}

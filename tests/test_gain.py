@@ -145,10 +145,10 @@ def test_check_fails_without_raising_on_a_signed_measure():
     pt = build_polytope(enl)
     # the two paths below the root with the clock fired at 0 cancel out
     measure = {
-        enl.path_index(0, (0,)): Q(1),
-        enl.path_index(1, (0,)): Q(-1),
-        enl.path_index(0, (1,)): Q(1, 2),
-        enl.path_index(1, (1,)): Q(1, 2),
+        enl.path_key[(0, (0,))]: Q(1),
+        enl.path_key[(1, (0,))]: Q(-1),
+        enl.path_key[(0, (1,))]: Q(1, 2),
+        enl.path_key[(1, (1,))]: Q(1, 2),
     }
     rows = {row[0]: row for row in pt.verdicts(measure)}
     assert not all(row[-1] for row in rows.values())

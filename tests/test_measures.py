@@ -49,7 +49,7 @@ from test_report_bytes import CAMPAIGN_MODELS, CONFTEST_MODELS, _model
 
 
 def _path(enl, base_index, clocks):
-    return enl.path_index(base_index, clocks)
+    return enl.path_key[(base_index, clocks)]
 
 
 def test_polytope_rows(binomial_short_put):
@@ -174,7 +174,7 @@ def test_lift_spreads_the_new_clock(binomial_short_put):
     for p, q in cert.measure.items():
         ep = enl1.epaths[p]
         for t in (0, 1):
-            tgt = enl2.path_index(ep.base_index, ep.clocks + (t,))
+            tgt = enl2.path_key[(ep.base_index, ep.clocks + (t,))]
             assert lifted[tgt] == q / 2
 
 
@@ -443,7 +443,7 @@ def test_ftap_arbitrage_agrees_with_the_arbitrage_lp(name, monkeypatch):
         return
     gains, den = check_hedge(enl, arb.strategy, ONE, ZERO, [ZERO] * enl.num_paths, kind="test")
     gains = {p: Q(g, den) for p, g in gains.items()}
-    assert arb.gain == sum(enl.weight(p) * g for p, g in gains.items()) > ZERO
+    assert arb.gain == sum(enl.weights[p] * g for p, g in gains.items()) > ZERO
     if branch == "s* < 0":
         assert min(gains.values()) >= -cert.slack
 

@@ -46,7 +46,7 @@ def check(model_path: str, report_path: str) -> str:
     floor = -eps if eps is not None and eps < ZERO else ZERO
     gains, den = check_hedge(enl, strat, ONE, -floor, [ZERO] * enl.num_paths,
                              kind="reported witness")
-    expected = sum((enl.weight(p) * Q(g, den) for p, g in gains.items()), ZERO)
+    expected = sum((enl.weights[p] * Q(g, den) for p, g in gains.items()), ZERO)
     if expected != rat(arb["gain"]):
         raise PropertyViolation(f"expected gain {rat_str(expected)} != reported {arb['gain']}")
     least = min(Q(g, den) for g in gains.values())
