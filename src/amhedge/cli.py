@@ -182,8 +182,10 @@ def cmd_ftap(args) -> int:
     _emit(doc, args)
     which = "robust" if model.kernels else "classical"
     eps = doc.get("robust", doc["classical"])["epsilon"]
+    lp: LPOutcome = verdict.outcome
     _say(args, f"{which} strict no-arbitrage "
-               f"{'holds' if verdict.holds else 'fails'} (slack {eps})")
+               f"{'holds' if verdict.holds else 'fails'} (slack {eps}); "
+               f"LP {lp.rows} rows, {lp.cols} cols, {lp.pivots} pivots")
     return EXIT_OK if verdict.holds else EXIT_SNA
 
 

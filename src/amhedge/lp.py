@@ -30,13 +30,27 @@ equality a_j x_j + a_k x_k = 0 with x_j free, or with both variables
 nonnegative and of opposite signs, is merged away by x_j = nu*y,
 x_k = mu*y, (nu, mu) = (-a_k, a_j)/gcd, mu > 0, y taking x_k's sign and
 the column nu*col_j + mu*col_k; rows this leaves as such pairs follow.
-The tableau runs what remains.  Each result is lifted back in reverse
-order: points and rays by the substitution, a merged row's dual (or
-Farkas entry, with c_j = 0) by y_r = (c_j - sum_{i != r} y_i a_ij)/a_rj,
-column j as it stood when merged.  These duals are feasible: column j is
+The tableau runs what remains once the implied floor rows (below) are
+dropped too.  Each result is lifted back in reverse order: points and
+rays by the substitution, a merged row's dual (or Farkas entry, with
+c_j = 0) by y_r = (c_j - sum_{i != r} y_i a_ij)/a_rj, column j as it
+stood when merged.  These duals are feasible: column j is
 tight; y's dual row, mu*(sum_{i != r} y_i a_ik - c_k) against
 nu*(c_j - sum_{i != r} y_i a_ij) = -mu*a_rk*y_r, is k's times mu > 0, in
 k's sense; and b_r = 0 leaves y.b as it was.
+
+After the merges the presolve drops implied floor rows: among the
+homogeneous two-term inequalities a*y - b*s >= 0 (a ``<=`` row read
+negated) with y nonnegative, s free and a, b > 0, it keeps on each pair
+(y, s) only the row with the least a/b, the earliest on ties.  As y >= 0,
+s <= (a/b)*y implies s <= (a'/b')*y for every a'/b' >= a/b, at every
+point and along every ray, so the LP is unchanged.  A dropped row's dual
+and Farkas entry are 0: a zero multiplier adds nothing to A^T y or to
+y.b, so the reduced LP's duals stay feasible and its Farkas vector stays
+a certificate with the dropped rows back in, and the merges lift them as
+before.  The certificate checks read every asked row, dropped ones too.
+A bound s >= r*y (a < 0) and a row on two nonnegative columns, such as
+a Snell stop row, are kept.
 """
 from __future__ import annotations
 
@@ -473,59 +487,98 @@ def _pair(a: dict[int, int], nonneg: list[bool | None]) -> tuple[int, int] | Non
     return (j, k) if not nonneg[j] or (aj > 0) != (ak > 0) else None
 
 
+def _implied_floors(rows: list[_Row], coeffs: list[dict[int, int]],
+                   nonneg: list[bool | None]) -> set[int]:
+    """The rows a*y - b*s >= 0 (y nonnegative, s free, a, b > 0; a ``<=`` row read
+    negated) that another such row on the same (y, s) implies: all but the one
+    with the least a/b, the earliest on ties, on each pair.  coeffs are the
+    rows' coefficients after the merges."""
+    if False not in nonneg:
+        return set()
+    best: dict[tuple[int, int], tuple[int, int, int]] = {}
+    dropped = set()
+    for i, row in enumerate(rows):
+        a = coeffs[i]
+        if row.rhs or row.rel == "=" or len(a) != 2:
+            continue
+        (y, ay), (s, bs) = a.items()
+        if nonneg[y] is False:
+            (y, ay), (s, bs) = (s, bs), (y, ay)
+        if not nonneg[y] or nonneg[s] is not False:
+            continue
+        if row.rel == "<=":
+            ay, bs = -ay, -bs
+        if ay <= 0 or bs >= 0:
+            continue
+        kept = best.get((y, s))
+        if kept is None:
+            best[y, s] = (i, ay, -bs)
+        elif ay * kept[2] < kept[1] * -bs:
+            dropped.add(kept[0])
+            best[y, s] = (i, ay, -bs)
+        else:
+            dropped.add(i)
+    return dropped
+
+
 class _Presolve:
-    """The LP with its homogeneous doubleton equalities merged away (module docstring).
+    """The LP with its homogeneous doubleton equalities merged away and its
+    implied floor rows dropped (module docstring).
 
     ``reduced`` holds the rows of the reduced LP the tableau runs, then its
     objective, ``nonneg`` its variables' signs and ``rows`` the original
     index of each of its rows.  A merge writes into new rows, made for the
     rows and objective it touches, so an untouched row is the LP's own;
-    with nothing to merge, nothing is copied.  ``steps`` logs each merge
-    as (r, j, k, nu, mu, col), col being column j as it stood, {row i, or
-    m for the objective: a_ij}, for the lifts.
+    with nothing to merge or drop, nothing is copied.  ``steps`` logs each
+    merge as (r, j, k, nu, mu, col), col being column j as it stood, {row
+    i, or m for the objective: a_ij}, for the lifts.  A dropped row is in
+    neither ``rows`` nor ``steps``: its dual and Farkas entry are 0.
     """
 
     def __init__(self, lp: LinearProgram):
         asked, nonneg, m = [*lp.rows, lp.objective], lp.nonneg, lp.num_rows
         self.asked, self.reduced, self.nonneg, self.rows = asked, asked, nonneg, range(m)
         self.steps: list[tuple[int, int, int, int, int, dict[int, int]]] = []
+        coeffs = [row.coeffs for row in asked]
+        owned, gone = [False] * (m + 1), set()
         queue = [i for i, row in enumerate(lp.rows)
                  if row.rel == "=" and not row.rhs and _pair(row.coeffs, nonneg)]
-        if not queue:
+        if queue:
+            nonneg = list(nonneg)
+            where: list[set[int]] = [set() for _ in nonneg]
+            for i, a in enumerate(coeffs):
+                for j in a:
+                    where[j].add(i)
+            for r in queue:  # grows as merges turn rows into pairs
+                pair = None if r in gone else _pair(coeffs[r], nonneg)
+                if pair is None:
+                    continue
+                j, k = pair
+                aj, ak = coeffs[r][j], coeffs[r][k]
+                g = gcd(aj, ak) if aj > 0 else -gcd(aj, ak)
+                nu, mu = -ak // g, aj // g
+                col = {i: coeffs[i][j] for i in where[j]}
+                self.steps.append((r, j, k, nu, mu, col))
+                gone.add(r)
+                touched = (where[j] | where[k]) - {r}
+                where[k].discard(r)
+                where[j], nonneg[j] = set(), None
+                for i in touched:
+                    if not owned[i]:
+                        coeffs[i], owned[i] = dict(coeffs[i]), True
+                    a = coeffs[i]
+                    v = nu * a.pop(j, 0) + mu * a.get(k, 0)
+                    if v:
+                        a[k] = v
+                        where[k].add(i)
+                    else:  # v is 0 only where a held both j and k
+                        del a[k]
+                        where[k].remove(i)
+                queue.extend(sorted(i for i in touched if i < m and len(coeffs[i]) == 2
+                                    and asked[i].rel == "=" and not asked[i].rhs))
+        gone |= _implied_floors(lp.rows, coeffs, nonneg)
+        if not gone:
             return
-        coeffs = [row.coeffs for row in asked]
-        nonneg, owned, gone = list(nonneg), [False] * (m + 1), set()
-        where: list[set[int]] = [set() for _ in nonneg]
-        for i, a in enumerate(coeffs):
-            for j in a:
-                where[j].add(i)
-        for r in queue:  # grows as merges turn rows into pairs
-            pair = None if r in gone else _pair(coeffs[r], nonneg)
-            if pair is None:
-                continue
-            j, k = pair
-            aj, ak = coeffs[r][j], coeffs[r][k]
-            g = gcd(aj, ak) if aj > 0 else -gcd(aj, ak)
-            nu, mu = -ak // g, aj // g
-            col = {i: coeffs[i][j] for i in where[j]}
-            self.steps.append((r, j, k, nu, mu, col))
-            gone.add(r)
-            touched = (where[j] | where[k]) - {r}
-            where[k].discard(r)
-            where[j], nonneg[j] = set(), None
-            for i in touched:
-                if not owned[i]:
-                    coeffs[i], owned[i] = dict(coeffs[i]), True
-                a = coeffs[i]
-                v = nu * a.pop(j, 0) + mu * a.get(k, 0)
-                if v:
-                    a[k] = v
-                    where[k].add(i)
-                else:  # v is 0 only where a held both j and k
-                    del a[k]
-                    where[k].remove(i)
-            queue.extend(sorted(i for i in touched if i < m and len(coeffs[i]) == 2
-                                and asked[i].rel == "=" and not asked[i].rhs))
         self.rows = [i for i in range(m) if i not in gone]
         self.nonneg = nonneg
         self.reduced = [_Row(coeffs[i], asked[i].rhs, asked[i].den, asked[i].rel, asked[i].name)
@@ -547,10 +600,13 @@ class _Presolve:
         on the asked rows a/d and objective c/d_c.  Each y_i is an integer
         numerator and denominator, not reduced, until _vector puts them over one.
         """
+        asked, m = self.asked, len(self.asked) - 1
         if not self.steps:
             g = gcd(den, *nums)
-            return IntVector([n // g for n in nums], den // g)
-        asked, m = self.asked, len(self.asked) - 1
+            lifted = [0] * m
+            for i, n in zip(self.rows, nums):
+                lifted[i] = n // g
+            return IntVector(lifted, den // g)
         y = [(0, 1)] * m
         for i, n in zip(self.rows, nums):
             y[i] = (n, den)

@@ -45,6 +45,10 @@ def rat(value: Any) -> Q:
     if isinstance(value, int):
         return Q(value)
     if isinstance(value, str):
+        # int() also reads "1_000" and non-ASCII digits; without either it
+        # reads an optionally signed run of ASCII digits, spaces around it
+        if not value.isascii() or "_" in value:
+            raise ValueError(f"{value!r} is not an integer or 'p/q' in ASCII digits")
         text = value.strip()
         if "/" in text:
             num, den = text.split("/", 1)

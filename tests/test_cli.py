@@ -150,6 +150,14 @@ def test_solver_telemetry_stays_off_stdout(model_file, capsys):
         # the tableau of the same request, on the --pretty summary only
         report, _ = measures.price_with_dual(enlarge(model, n), side)
         assert f"LP {report.lp.rows} rows, {report.lp.cols} cols, {report.lp.pivots} pivots" in err
+    # ftap's summary ends with the tableau of its slack LP
+    argv = ["ftap", "--model", model_file]
+    _, plain, _ = run(argv, capsys)
+    code, pretty, err = run([*argv, "--pretty"], capsys)
+    assert code == 0 and "lp" not in _keys(json.loads(plain))
+    assert json.loads(pretty) == json.loads(plain)
+    lp = measures.ftap_certificate(build_polytope(enlarge(model, model.N))).outcome
+    assert err.endswith(f"; LP {lp.rows} rows, {lp.cols} cols, {lp.pivots} pivots\n")
     _, out, _ = run(["verify", "--models", "1", "--seed", "7"], capsys)
     doc = json.loads(out)
     assert doc["campaign"]["sections"]["kernel"] and "dp_lps" not in _keys(doc)

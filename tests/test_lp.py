@@ -720,6 +720,102 @@ def test_presolve_shrinks_the_binomial_measure_lp():
     assert report.lp.rows <= 20
 
 
+def _floor_lp(implied: bool = True, cap: bool = False) -> LinearProgram:
+    """max s, q1 = q2 = q3 merged into y, q1 + q2 + q3 = 1, and the floor rows
+    q1 >= 2s, q2 >= 3s and -q3 + 3s <= 0: y = 1/3, s = 1/9.
+
+    Without ``implied`` only q2's row, the one the presolve keeps, is
+    built; ``cap`` adds s >= 1, which no point meets.
+    """
+    lp = LinearProgram()
+    q1, q2, q3 = (lp.add_var(f"q{i}") for i in (1, 2, 3))
+    s = lp.add_var("s", nonneg=False)
+    lp.add_constraint({q1: ONE, q2: -ONE}, "=", 0, "q1_eq_q2")
+    lp.add_constraint({q2: ONE, q3: -ONE}, "=", 0, "q2_eq_q3")
+    lp.add_constraint({q1: ONE, q2: ONE, q3: ONE}, "=", 1, "mass")
+    if implied:
+        lp.add_constraint({q1: ONE, s: -Q(2)}, ">=", 0, "floor_q1")
+    lp.add_constraint({q2: ONE, s: -Q(3)}, ">=", 0, "floor_q2")
+    if implied:
+        lp.add_constraint({q3: -ONE, s: Q(3)}, "<=", 0, "floor_q3")
+    if cap:
+        lp.add_constraint({s: ONE}, ">=", 1, "s_floor")
+    lp.set_objective("max", {s: ONE})
+    return lp
+
+
+def _unmerged_floor_lp(implied: bool = True) -> LinearProgram:
+    """max s, y <= 1, y >= s, 2y >= 4s and y >= 2s: y = 1, s = 1/2, nothing merged.
+
+    Without ``implied`` only 2y >= 4s, the row the presolve keeps, is built.
+    """
+    lp = LinearProgram()
+    y, s = lp.add_var("y"), lp.add_var("s", nonneg=False)
+    lp.add_constraint({y: ONE}, "<=", 1, "cap")
+    if implied:
+        lp.add_constraint({y: ONE, s: -ONE}, ">=", 0, "floor_1")
+    lp.add_constraint({y: Q(2), s: -Q(4)}, ">=", 0, "floor_2")
+    if implied:
+        lp.add_constraint({y: ONE, s: -Q(2)}, ">=", 0, "floor_2_again")
+    lp.set_objective("max", {s: ONE})
+    return lp
+
+
+def test_presolve_keeps_only_the_least_ratio_floor_row():
+    # after the merges all three floor rows bound s by y: q2's ratio 1/3 is
+    # the least, and q3's, tied with it, comes later; unmerged, the first
+    # of the two rows at ratio 1/2 stays
+    pre = lpmod._Presolve(_floor_lp())
+    assert [r for r, *_ in pre.steps] == [0, 1] and pre.rows == [2, 4]
+    assert lpmod._Presolve(_unmerged_floor_lp()).rows == [0, 2]
+
+
+@pytest.mark.parametrize("build, dropped", [(_floor_lp, [3, 5]), (_unmerged_floor_lp, [1, 3])])
+def test_dropped_floor_rows_move_no_result(build, dropped):
+    # the solve runs the tableau of the LP built without the implied rows,
+    # and gives each dropped row the dual 0
+    full, pruned = solve(build()), solve(build(implied=False))
+    assert (full.value, full.primal) == (pruned.value, pruned.primal)
+    assert (full.rows, full.cols, full.pivots) == (pruned.rows, pruned.cols, pruned.pivots)
+    assert [full.duals[i] for i in dropped] == [0, 0]
+    assert [y for i, y in enumerate(full.duals) if i not in dropped] == pruned.duals
+
+
+def test_infeasible_slack_lp_with_dropped_rows_returns_a_farkas_vector():
+    # s >= 1 against s <= y/3 = 1/9: the kept floor row carries the proof,
+    # the dropped ones get 0, and the vector passes the check on every row
+    lp = _floor_lp(cap=True)
+    out = solve(lp)
+    assert (out.status, out.rows) == ("infeasible", 3)
+    assert out.farkas[3] == out.farkas[5] == 0 and out.farkas[4] != 0
+    lpmod._verify_farkas(lp, out.mult)
+
+
+def test_presolve_keeps_lower_bounds_on_the_slack():
+    # s >= y and s >= y/2 read a*y - b*s >= 0 with a < 0: no floor rows
+    lp = LinearProgram()
+    y, s = lp.add_var("y"), lp.add_var("s", nonneg=False)
+    lp.add_constraint({s: ONE, y: -ONE}, ">=", 0, "s_over_y")
+    lp.add_constraint({y: -ONE, s: Q(2)}, ">=", 0, "s_over_half_y")
+    lp.add_constraint({y: ONE}, "<=", 1, "cap")
+    lp.set_objective("min", {s: ONE})
+    assert list(lpmod._Presolve(lp).rows) == [0, 1, 2]
+    assert solve(lp).value == 0
+
+
+def test_presolve_keeps_two_term_rows_on_nonnegative_columns():
+    # a Snell stop row u >= w*z against a nonnegative z is no floor row,
+    # even where another such row on (u, z) implies it
+    lp = LinearProgram()
+    u, z = lp.add_var("u"), lp.add_var("z")
+    lp.add_constraint({u: ONE, z: -ONE}, ">=", 0, "stop_1")
+    lp.add_constraint({u: ONE, z: -Q(2)}, ">=", 0, "stop_2")
+    lp.add_constraint({z: ONE}, "<=", 1, "cap")
+    lp.set_objective("min", {u: ONE})
+    assert list(lpmod._Presolve(lp).rows) == [0, 1, 2]
+    assert solve(lp).value == 0
+
+
 def _recording_tableau(check):
     """A _Tableau subclass calling check(tab, step) after every update.
 

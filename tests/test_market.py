@@ -90,6 +90,9 @@ def test_shifted_prices(binomial_short_put):
     (lambda d: d.update(americans_short=[{"values": {"r": "0", "u": "0"}, "price": "1/4"}]),
      "americans_short[0] is not adapted"),
     (lambda d: d["stock"]["values"].update(u="oops"), "must be a list"),
+    # int() reads both, but numbers are ASCII digits without separators
+    (lambda d: d["stock"]["values"].update(d=["1_000/3"]), "bad rational"),
+    (lambda d: d["claim"]["values"].update(u="\u0663/4"), "bad rational"),
     (lambda d: d["stock"].update(dim=0), "positive integer"),
     (lambda d: d["weights"].pop("u"), "miss path"),
     (lambda d: d["weights"].update(u="0"), "strictly positive"),
