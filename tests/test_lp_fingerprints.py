@@ -36,8 +36,8 @@ from test_report_bytes import CAMPAIGN_MODELS, COMMANDS, CONFTEST_MODELS, _model
 EXPECTED_CLI = (31, "888ac120ad3b52f3a14b2c36d20baf58b8b116cb40b6a3ba97a477267680dd0a")
 EXPECTED_VERIFY = (278, "f0fa69454cc07883a520571fb4af875cbca49617ee6a38f2283c4b6fabd29479")
 # (number of pivots, sha256 of the sorted (fingerprint, pivot sequence) pairs)
-EXPECTED_CLI_PIVOTS = (143, "0e5235b4cc845ea2cc3eb5d87f4b954c4dd23cefaf984df0d95e164aa1d96aa4")
-EXPECTED_VERIFY_PIVOTS = (1623, "69db11320eef97674c573ff30b76eac3bdddc754f88777450a412c337193d2dc")
+EXPECTED_CLI_PIVOTS = (143, "c287eb72e91826662fca9e02c5d4836db573bba9a0876ed4f71d9915b16c495a")
+EXPECTED_VERIFY_PIVOTS = (1619, "ce3db1ce7fa379395af2af4c994ca1a1121c16f9fbeda4844b35718ba6682211")
 # LPs of the verify run that repeat an earlier one of it once names are ignored
 EXPECTED_VERIFY_REPEATS = 46
 
