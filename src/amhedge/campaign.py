@@ -1,9 +1,10 @@
 """Model factories and the randomized cross-validation battery.
 
 Every factory draws from small rational grids, so all arithmetic stays
-exact, and every generated market carries a construction certificate: a
-strictly positive product martingale measure whose price margins make
-strict no-arbitrage hold by design.  The battery functions check each
+exact, and quotes its market through one path, _quoted_market: each book
+sits a margin outside its value under a strictly positive product
+martingale measure, the market's construction certificate, so strict
+no-arbitrage holds by design.  The battery functions check each
 pricing routine against an independently computed counterpart and raise
 PropertyViolation on any disagreement, so a clean run is a verification
 transcript over the sampled corpus.  All draws come from a caller-owned
@@ -58,6 +59,13 @@ BOUNDARY_OFFSET = Q(1, 512)
 _DENOMS = (1, 2, 3, 4, 6, 8)
 _MARGINS = (Q(1, 8), Q(1, 4), Q(3, 8), Q(1, 2))
 _MAX_TAUS = 150
+# each option book: its MarketModel field, the with_prices keyword that
+# re-quotes it, its kind in pin_quote, and the sign of a quote move in the
+# trader's favour (asks down, bids up)
+_BOOKS = (("europeans", "alphas", "european", -1), ("americans_long", "betas", "long", -1),
+          ("americans_short", "gammas", "short", 1))
+# per adversarial mode: pin_quote's offset, the record's tag, check_ftap_grid's expectation
+_ADVERSARIAL = ((None, "inject", "fail"), (ZERO, "pin", "fail"), (BOUNDARY_OFFSET, "offset", "sna"))
 
 
 # -- canonical fixtures --------------------------------------------------------
@@ -185,37 +193,25 @@ def node_interior(model: MarketModel) -> dict[str, dict[str, Q]]:
     return out
 
 
-def _clock_mean(tree: EventTree, proc: dict[str, Q], pmeas: dict[int, Q]) -> Q:
-    """E over paths of the time-average of an adapted payoff."""
-    share = Q(1, tree.horizon + 1)
-    total = ZERO
-    for pi, q in pmeas.items():
-        path = tree.paths[pi]
-        total += q * share * sum((proc[nid] for nid in path), ZERO)
-    return total
-
-
 def _quoted_market(
-    rng: random.Random,
-    probe: MarketModel,
-    pmeas: dict[int, Q],
-    L: int,
-    M: int,
-    N: int,
-    kernels: dict | None = None,
+    rng: random.Random, probe: MarketModel, laws: dict[str, dict[str, Q]], L: int, M: int, N: int
 ) -> MarketModel:
-    """Random option books quoted a margin outside their prices under pmeas.
+    """``probe`` with random option books and a random claim, the one
+    quoting path of both factories.
 
-    Buy-side quotes sit above the expectation (American asks above the
-    exercise envelope), sell-side quotes below the clock-averaged
-    expectation, so the product law prices every book strictly inside.
+    The books are quoted a margin outside their prices under the product
+    measure of ``laws``: buy-side quotes above the expectation (American
+    asks above the exercise envelope), sell-side quotes below the
+    clock-averaged expectation, so that measure prices every book
+    strictly inside.  ``probe`` carries the tree, the stock, the weights
+    and any kernels.  The books are drawn first, then the claim.
     """
     tree = probe.tree
+    pmeas = product_measure(tree, laws)
     europeans = []
     for _i in range(L):
         payoff = {leaf: _grid_value(rng, ZERO, Q(3)) for leaf in tree.leaves}
-        mean = sum((pmeas.get(pi, ZERO) * payoff[path[-1]]
-                    for pi, path in enumerate(tree.paths)), ZERO)
+        mean = sum((q * payoff[tree.paths[pi][-1]] for pi, q in pmeas.items()), ZERO)
         europeans.append((payoff, mean + rng.choice(_MARGINS)))
     americans_long = []
     if M:
@@ -228,17 +224,12 @@ def _quoted_market(
     americans_short = []
     for _k in range(N):
         proc = _random_adapted(rng, tree)
-        americans_short.append((proc, _clock_mean(tree, proc, pmeas) - rng.choice(_MARGINS)))
-    return MarketModel(
-        tree=tree,
-        stock=probe.stock,
-        europeans=europeans,
-        americans_long=americans_long,
-        americans_short=americans_short,
-        claim=_random_adapted(rng, tree),
-        weights={leaf: Q(1, len(tree.paths)) for leaf in tree.leaves},
-        kernels=kernels,
-    )
+        # the expected time-average of proc along the path
+        mean = sum((q * sum((proc[nid] for nid in tree.paths[pi]), ZERO)
+                    for pi, q in pmeas.items()), ZERO) / (tree.horizon + 1)
+        americans_short.append((proc, mean - rng.choice(_MARGINS)))
+    return probe._replace(europeans=europeans, americans_long=americans_long,
+                          americans_short=americans_short, claim=_random_adapted(rng, tree))
 
 
 # -- strictly arbitrage-free market factory ------------------------------------
@@ -298,11 +289,9 @@ def random_sna_model(
         dim = 2 if rng.random() < 0.2 else 1
         tree = random_tree(rng, T, max_branch)
         stock = random_stock(rng, tree, dim)
-        probe = MarketModel(tree=tree, stock=stock,
-                            weights={leaf: Q(1, len(tree.paths)) for leaf in tree.leaves})
+        probe = MarketModel(tree, stock, dict.fromkeys(tree.leaves, Q(1, len(tree.paths))))
         laws = node_interior(probe)
-        pmeas = product_measure(tree, laws)
-        model = _quoted_market(rng, probe, pmeas, L, M, N)
+        model = _quoted_market(rng, probe, laws, L, M, N)
         if not _within_budget(model):
             continue
         return GeneratedModel(model=model, laws=laws)
@@ -323,39 +312,31 @@ def pin_quote(
     at most the offset.  ``offset`` None draws a margin and moves the
     quote past its extreme by it, so no consistent martingale measure
     is left and arbitrage must show at every shift.  Draws come in the
-    order kind, margin, index.
+    order kind, margin, index; the kind's _BOOKS row re-quotes the option.
     """
     model = gm.model
     enl = enlarge(model, model.N)
     pt = build_polytope(enl)
-    kinds = [kind for kind, count in (("european", model.L), ("long", model.M),
-                                      ("short", model.N)) if count]
-    if not kinds:
+    books = [book for book in _BOOKS if getattr(model, book[0])]
+    if not books:
         raise ValueError("pinning a quote needs at least one quoted option")
-    kind = rng.choice(kinds)
+    name, key, kind, sign = rng.choice(books)
     if offset is None:
         offset = -rng.choice([Q(1, 4), Q(1, 2), ONE])
+    quotes = [q for _, q in getattr(model, name)]
+    i = rng.randrange(len(quotes))
+    values, paths = getattr(model, name)[i][0], model.tree.paths
     if kind == "european":
-        i = rng.randrange(model.L)
-        payoff = model.europeans[i][0]
-        vec = [payoff[model.tree.paths[ep.base_index][-1]] for ep in enl.epaths]
-        vmin = solve_measure(pt, pt.extremum_lp(vec, "min"))[0].value
-        alphas = [a for _, a in model.europeans]
-        alphas[i] = vmin + offset
-        return model.with_prices(alphas=alphas), kind
-    if kind == "long":
-        j = rng.randrange(model.M)
-        betas = [b for _, b in model.americans_long]
-        work, shift, _ = pt.envelope_lp(pt.long_values[j])
-        betas[j] = solve_measure(pt, work)[0].value + shift + offset
-        return model.with_prices(betas=betas), kind
-    k = rng.randrange(model.N)
-    proc = model.americans_short[k][0]
-    vec = [proc[model.tree.paths[ep.base_index][ep.clocks[k]]] for ep in enl.epaths]
-    vmax = solve_measure(pt, pt.extremum_lp(vec, "max"))[0].value
-    gammas = [c for _, c in model.americans_short]
-    gammas[k] = vmax - offset
-    return model.with_prices(gammas=gammas), kind
+        vec = [values[paths[ep.base_index][-1]] for ep in enl.epaths]
+        extreme = solve_measure(pt, pt.extremum_lp(vec, "min"))[0].value
+    elif kind == "long":
+        work, shift, _ = pt.envelope_lp(pt.long_values[i])
+        extreme = solve_measure(pt, work)[0].value + shift
+    else:
+        vec = [values[paths[ep.base_index][ep.clocks[i]]] for ep in enl.epaths]
+        extreme = solve_measure(pt, pt.extremum_lp(vec, "max"))[0].value
+    quotes[i] = extreme - sign * offset
+    return model.with_prices(**{key: quotes}), kind
 
 
 # -- kernel-family factory -----------------------------------------------------
@@ -401,8 +382,7 @@ def random_kernel_model(rng: random.Random) -> GeneratedModel:
         N = rng.choice([0, 1])
         tree = random_tree(rng, T, max_branch)
         stock = random_stock(rng, tree)
-        probe = MarketModel(tree=tree, stock=stock,
-                            weights={leaf: Q(1, len(tree.paths)) for leaf in tree.leaves})
+        probe = MarketModel(tree, stock, dict.fromkeys(tree.leaves, Q(1, len(tree.paths))))
         interior = node_interior(probe)
 
         kernels: dict[str, list[tuple[Q, ...]]] = {}
@@ -424,8 +404,7 @@ def random_kernel_model(rng: random.Random) -> GeneratedModel:
             kernels[nid] = vertices
             laws[nid] = law
 
-        pmeas = product_measure(tree, laws)
-        model = _quoted_market(rng, probe, pmeas, L, M, N, kernels)
+        model = _quoted_market(rng, probe._replace(kernels=kernels), laws, L, M, N)
         if not _within_budget(model):
             continue
         return GeneratedModel(model=model, laws=laws)
@@ -607,25 +586,16 @@ def check_degenerations(
 
     # weakening one quote can only help the hedger on both sides
     bump = sna.slack / 2
-    variants = []
-    if model.L:
-        alphas = [a for _, a in model.europeans]
-        alphas[0] -= bump
-        variants.append(("alpha", model.with_prices(alphas=alphas)))
-    if model.M:
-        betas = [b for _, b in model.americans_long]
-        betas[0] -= bump
-        variants.append(("beta", model.with_prices(betas=betas)))
-    if model.N:
-        gammas = [c for _, c in model.americans_short]
-        gammas[0] += bump
-        variants.append(("gamma", model.with_prices(gammas=gammas)))
-    for name, m2 in variants:
-        sub2 = subhedge(enl.with_model(m2)).price
-        sup2 = superhedge(enl_sup.with_model(m2)).price
-        if sub2 < sub0 or sup2 > sup0:
-            raise PropertyViolation(
-                f"weakened {name} quote moved a price against the hedger")
+    for name, key, _, sign in _BOOKS:
+        quotes = [q for _, q in getattr(model, name)]
+        if quotes:
+            quotes[0] += sign * bump
+            m2 = model.with_prices(**{key: quotes})
+            sub2 = subhedge(enl.with_model(m2)).price
+            sup2 = superhedge(enl_sup.with_model(m2)).price
+            if sub2 < sub0 or sup2 > sup0:
+                raise PropertyViolation(
+                    f"weakened {key[:-1]} quote moved a price against the hedger")
 
     if model.N == 0:
         tree = model.tree
@@ -854,12 +824,8 @@ def _adversarial_unit(mode: int, mseed: int) -> dict:
     """A corroded (mode 0), pinned (1) or offset (2) copy of a clean market."""
     mrng = random.Random(mseed)
     gm = random_sna_model(mrng, require_option=True)
-    if mode == 0:
-        (bad, kind), tag, expect = pin_quote(mrng, gm, None), "inject", "fail"
-    elif mode == 1:
-        (bad, kind), tag, expect = pin_quote(mrng, gm, ZERO), "pin", "fail"
-    else:
-        (bad, kind), tag, expect = pin_quote(mrng, gm, BOUNDARY_OFFSET), "offset", "sna"
+    offset, tag, expect = _ADVERSARIAL[mode]
+    bad, kind = pin_quote(mrng, gm, offset)
     rec, sna = check_ftap_grid(build_polytope(enlarge(bad, bad.N)), expect=expect)
     if mode == 1 and sna.slack != ZERO:
         raise PropertyViolation("pinned quote should have exactly zero slack")

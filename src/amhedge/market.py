@@ -176,6 +176,11 @@ class MarketModel(NamedTuple):
 
 _REQUIRED = object()
 _KINDS = {dict: "an object", list: "a list", int: "an integer", str: "a string", type(None): "null"}
+# the keys each object of the schema may hold, an option's by its book
+_KEYS = dict(model={"horizon", "nodes", "stock", "europeans", "americans_long", "americans_short",
+                    "claim", "weights", "kernels"}, node={"id", "time", "parent"},
+             stock={"dim", "values"}, claim={"values"}, europeans={"payoff", "price"},
+             americans_long={"values", "price"}, americans_short={"values", "price"})
 
 
 def _typed(value: Any, kind: type | tuple[type, ...], where: str) -> Any:
@@ -188,8 +193,12 @@ def _typed(value: Any, kind: type | tuple[type, ...], where: str) -> Any:
 
 
 def _field(data: Any, key: str, where: str, kind: Any, default: Any = _REQUIRED) -> Any:
-    """The one typed lookup of the schema: data[key] in the object ``where``."""
+    """The one typed lookup of the schema: data[key] in the object ``where``,
+    which must hold no key its _KEYS entry lacks (a map, such as kernels, has none)."""
     _typed(data, dict, where)
+    known = _KEYS.get(where.split("[")[0], data.keys())
+    if not data.keys() <= known:
+        raise ModelFormatError(f"unknown key {min(data.keys() - known, key=str)!r} in {where}")
     if key not in data:
         if default is _REQUIRED:
             raise ModelFormatError(f"missing {key!r} in {where}")
@@ -241,7 +250,7 @@ def load_model(source: str | bytes | dict) -> MarketModel:
 
     horizon = _field(data, "horizon", "model", int)
     nodes = [
-        Node(id=str(_field(row, "id", "node", object)),
+        Node(id=_field(row, "id", "node", str),
              time=_field(row, "time", "node", int),
              parent=_field(row, "parent", "node", (str, type(None)), None))
         for row in _field(data, "nodes", "model", list)

@@ -170,6 +170,52 @@ def test_boundary_model_pins_the_slack():
     assert sna2.holds and ZERO < sna2.slack <= BOUNDARY_OFFSET
 
 
+# seed 5 draws a one-period market with one option in each book
+ONE_OF_EACH = 5
+BOOK_OF_KIND = {"european": "europeans", "long": "americans_long", "short": "americans_short"}
+
+
+def test_pinning_moves_exactly_one_quote_of_the_drawn_book():
+    gm = random_sna_model(random.Random(ONE_OF_EACH))
+    assert (gm.model.L, gm.model.M, gm.model.N) == (1, 1, 1)
+    before = emit_model(gm.model)
+    drawn = set()
+    for seed in range(12):
+        pinned, kind = pin_quote(random.Random(seed), gm, ZERO)
+        drawn.add(kind)
+        after, book = emit_model(pinned), BOOK_OF_KIND[kind]
+        assert after[book][0]["price"] != before[book][0]["price"]
+        after[book][0]["price"] = before[book][0]["price"]
+        assert after == before
+    assert drawn == set(BOOK_OF_KIND)
+
+
+@pytest.mark.parametrize("book, name", [
+    ("europeans", "alpha"), ("americans_long", "beta"), ("americans_short", "gamma")])
+@pytest.mark.parametrize("side", ["sub", "super"])
+def test_weakened_quote_moving_a_price_against_the_hedger_is_raised(
+        monkeypatch, book, name, side):
+    # each book's weakened quote is re-priced on both sides; a (stubbed)
+    # price that moves against the hedger on either side is raised, and
+    # names the book whose quote moved
+    gm = random_sna_model(random.Random(ONE_OF_EACH))
+    _, prices, pt_sub, pt_sup, _ = campaign.check_duality(gm.model)
+    args = (pt_sub.enl, pt_sup.enl, check_sna(pt_sub), prices)
+    assert campaign.check_degenerations(*args) is None
+    real, quote = getattr(campaign, f"{side}hedge"), getattr(gm.model, book)[0][1]
+
+    def against(enl):
+        price = real(enl).price
+        if getattr(enl.model, book)[0][1] != quote:
+            price += -ONE if side == "sub" else ONE
+        return SimpleNamespace(price=price)
+
+    monkeypatch.setattr(campaign, f"{side}hedge", against)
+    with pytest.raises(PropertyViolation,
+                       match=f"^weakened {name} quote moved a price against the hedger$"):
+        campaign.check_degenerations(*args)
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_random_kernel_model_is_consistent(seed):
     model = random_kernel_model(random.Random(seed)).model

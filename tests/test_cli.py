@@ -672,6 +672,18 @@ def test_readme_model_example_prices(binomial_short_put, tmp_path, capsys):
     assert example == f'"dual_ref": {json.dumps(dual_ref, sort_keys=True)}'
 
 
+def test_readme_model_example_with_a_misspelled_book_exits_schema(tmp_path, capsys):
+    # read without its shorted put, the misspelled model would price as if
+    # it had none
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```json\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "readme.json"
+    path.write_text(block.replace('"americans_short"', '"american_short"'))
+    code, out, err = run(["price", "--model", str(path), "--side", "sub"], capsys)
+    assert code == 4 and out == ""
+    assert "schema error" in err and "unknown key 'american_short' in model" in err
+
+
 def test_module_entry_point(model_file):
     proc = subprocess.run(
         [sys.executable, "-m", "amhedge.cli", "price", "--model", model_file,

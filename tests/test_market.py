@@ -102,6 +102,22 @@ def test_shifted_prices(binomial_short_put):
     (lambda d: d.update(kernels={"u": [["1"]]}), "terminal node"),
     (lambda d: d.update(kernels={"ghost": [["1"]]}), "unknown node"),
     (lambda d: d.update(kernels={"r": [["1/2", "1/3"]]}), "not a distribution"),
+    # a node id is a string, as a parent is; no other JSON type is read as one
+    *[(lambda d, bad=bad: d["nodes"][1].update(id=bad), "'id' in node must be a string")
+      for bad in (None, 1.5, True, [1], {"a": 1}, 7)],
+    # a key the schema does not define is refused, not dropped: a misspelled
+    # optional book would otherwise price a market without it
+    (lambda d: d.update(american_short=[{"values": {"r": "0", "u": "0", "d": "1/2"},
+                                         "price": "1/4"}]),
+     "unknown key 'american_short' in model"),
+    (lambda d: d["nodes"][1].update(parnet="r"), "unknown key 'parnet' in node"),
+    (lambda d: d["stock"].update(dims=1), "unknown key 'dims' in stock"),
+    (lambda d: d["claim"].update(price="1"), "unknown key 'price' in claim"),
+    (lambda d: d.update(europeans=[{"payoff": {"u": "1", "d": "0"}, "price": "1/3", "ask": "1"}]),
+     "unknown key 'ask' in europeans[0]"),
+    (lambda d: d.update(americans_long=[{"values": {"r": "0", "u": "0", "d": "1"},
+                                         "payoff": {}, "price": "1/2"}]),
+     "unknown key 'payoff' in americans_long[0]"),
 ])
 def test_loader_rejects(mutate, fragment):
     data = binomial_dict()
